@@ -331,6 +331,16 @@ print(f"BENCH_chaos.json OK ({len(c['metrics'])} metrics)")
 EOF
 python3 ci/perf_gate.py
 
+echo "== perf_ledger smoke (the repo's benchmark builds and runs) =="
+# examples/perf_ledger is a package of its own, outside the workspace, so
+# nothing above compiles it: an API-removing PR could break the benchmark
+# unseen. --smoke runs every workload briefly (< 20 s after the build);
+# --selfcheck holds the result file against BENCHMARK.json.
+cargo run --release --offline --quiet --manifest-path examples/perf_ledger/Cargo.toml -- \
+  --smoke --out /tmp/ledger_smoke.json
+cargo run --release --offline --quiet --manifest-path examples/perf_ledger/Cargo.toml -- \
+  --selfcheck /tmp/ledger_smoke.json
+
 echo "== clippy (deny warnings, deny deprecated) =="
 # -D deprecated keeps the repo itself off any deprecated API (the last
 # holder, the integrate_with_stats shim, is gone) while external callers

@@ -12,7 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use exastro_castro::hybrid_offload_estimate;
-use exastro_microphysics::{CBurn2, PlainBurner, StellarEos};
+use exastro_microphysics::{BurnerConfig, CBurn2, StellarEos};
 use exastro_parallel::{DeviceConfig, SimDevice};
 
 /// Burn a distribution of zones and return the per-zone integrator step
@@ -20,13 +20,17 @@ use exastro_parallel::{DeviceConfig, SimDevice};
 fn measured_zone_costs(hot_fraction: f64, nzones: usize) -> Vec<f64> {
     let net = CBurn2::new();
     let eos = StellarEos;
-    let burner = PlainBurner::new(&net, &eos, PlainBurner::default_options());
+    let burner = BurnerConfig::default().build(&net, &eos);
+    let cost = |t0: f64| {
+        let rec = burner.burn_zone(0, 5e7, t0, &[1.0, 0.0], 1e-6).unwrap();
+        rec.outcome.stats
+    };
     let n_hot = ((nzones as f64) * hot_fraction).round() as usize;
     let mut costs = Vec::with_capacity(nzones);
     // One representative quiescent and one representative igniting burn;
     // replicated (every quiescent zone costs the same by construction).
-    let quiet = burner.burn(5e7, 5e8, &[1.0, 0.0], 1e-6).unwrap().stats;
-    let hot = burner.burn(5e7, 3.2e9, &[1.0, 0.0], 1e-6).unwrap().stats;
+    let quiet = cost(5e8);
+    let hot = cost(3.2e9);
     for _ in 0..(nzones - n_hot) {
         costs.push(quiet.steps.max(1) as f64);
     }

@@ -1,6 +1,6 @@
 //! **Burner Newton-solve comparison**: dense LU vs the analytic
-//! sparse-Jacobian path (`microphysics::sparse`) behind the unified
-//! `Burner` API, on the iso7 and aprox13 networks.
+//! sparse-Jacobian path (`microphysics::sparse`) the `Burner` runs on, on
+//! the iso7 and aprox13 networks — the §VI sparse-Jacobian ablation.
 //!
 //! The paper's §VI: "we can straightforwardly replace the dense linear
 //! system with a sparse linear system. We know what the sparsity pattern
@@ -16,8 +16,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use exastro_bench::{write_metrics_json, MetricPoint};
 use exastro_microphysics::{
-    Aprox13, Burner, BurnerConfig, DenseNewton, Iso7, LinearSolver, Network, PlainBurner,
-    SolverChoice, SparseNewton, StellarEos, ZoneBurn,
+    Aprox13, BdfErrorKind, BurnFaultConfig, BurnerConfig, DenseNewton, Iso7, LinearSolver, Network,
+    OffloadOptions, RetryLadder, SparseNewton, StellarEos, ZoneBurn,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -73,15 +73,41 @@ fn newton_cycle_ns(solver: &mut dyn LinearSolver, jac: &[f64], m: usize, samples
     times[times.len() / 2]
 }
 
-/// Burn the network once with the given solver policy; returns
-/// (final T, Newton iterations, integrator-attributed solve ns).
-fn burn_once(net: &dyn Network, eos: &StellarEos, choice: SolverChoice) -> (f64, u64, u64) {
-    let cfg = BurnerConfig {
-        solver: choice,
+/// Which Newton solver a [`burn_once`] integrates with.
+enum Solve {
+    Dense,
+    Sparse,
+}
+
+/// Burn the network once; returns (final T, Newton iterations,
+/// integrator-attributed solve ns). `Sparse` is the burner's direct rung.
+/// The burner's only dense integrator is the offload rung, so `Dense` is
+/// that rung configured at the direct rung's options and reached by one
+/// injected failure (which costs no integrator work).
+fn burn_once(net: &dyn Network, eos: &StellarEos, solve: Solve) -> (f64, u64, u64) {
+    let mut cfg = BurnerConfig {
+        ladder: RetryLadder::none(),
         ..Default::default()
     };
-    let burner = PlainBurner::new(net, eos, cfg.bdf_for(net));
-    let out = burner.burn(5e7, 2.8e9, &co_fuel(net), 1e-7).expect("burn");
+    if let Solve::Dense = solve {
+        cfg.ladder.offload = Some(OffloadOptions {
+            rtol: cfg.bdf.rtol,
+            atol: cfg.bdf.atol[0],
+            max_order: cfg.bdf.max_order,
+            max_steps: cfg.bdf.max_steps,
+        });
+        cfg.faults = Some(BurnFaultConfig {
+            seed: 0,
+            rate: 1.0,
+            rungs_to_fail: 1,
+            error: BdfErrorKind::MaxSteps,
+        });
+    }
+    let out = cfg
+        .build(net, eos)
+        .burn_zone(0, 5e7, 2.8e9, &co_fuel(net), 1e-7)
+        .expect("burn")
+        .outcome;
     (out.t, out.stats.newton_iters, out.stats.solve_ns)
 }
 
@@ -117,20 +143,15 @@ fn throughput_sweep(
     dt: f64,
     samples: usize,
 ) -> (f64, Vec<f64>) {
-    let scalar = BurnerConfig {
-        solver: SolverChoice::Sparse,
-        ..Default::default()
-    }
-    .build(net, eos);
+    let scalar = BurnerConfig::default().build(net, eos);
     let batched: Vec<_> = widths
         .iter()
         .map(|&width| {
             BurnerConfig {
-                solver: SolverChoice::Sparse,
                 batch_width: width,
                 ..Default::default()
             }
-            .build_batched(net, eos)
+            .build(net, eos)
         })
         .collect();
     let mut scalar_best = 0.0f64;
@@ -219,8 +240,8 @@ fn bench(c: &mut Criterion) {
 
         // Complete burns end-to-end: same physics, integrator-attributed
         // linear-algebra time from BdfStats::solve_ns.
-        let (td, iters_d, solve_d) = burn_once(net, &eos, SolverChoice::Dense);
-        let (ts, iters_s, solve_s) = burn_once(net, &eos, SolverChoice::Sparse);
+        let (td, iters_d, solve_d) = burn_once(net, &eos, Solve::Dense);
+        let (ts, iters_s, solve_s) = burn_once(net, &eos, Solve::Sparse);
         println!(
             "{name}: burn ΔT = {:.2e} K ({iters_d} vs {iters_s} Newton iters); \
              in-burn solve time {solve_d} ns dense, {solve_s} ns sparse",
@@ -286,17 +307,13 @@ fn bench(c: &mut Criterion) {
     g.sample_size(if smoke { 2 } else { 15 });
     for (name, net) in nets {
         g.bench_function(format!("{name}/dense"), |b| {
-            b.iter(|| std::hint::black_box(burn_once(net, &eos, SolverChoice::Dense)))
+            b.iter(|| std::hint::black_box(burn_once(net, &eos, Solve::Dense)))
         });
         g.bench_function(format!("{name}/sparse"), |b| {
-            b.iter(|| std::hint::black_box(burn_once(net, &eos, SolverChoice::Sparse)))
+            b.iter(|| std::hint::black_box(burn_once(net, &eos, Solve::Sparse)))
         });
         let zones = zone_set(net, if smoke { 8 } else { 64 });
-        let batched = BurnerConfig {
-            solver: SolverChoice::Sparse,
-            ..Default::default()
-        }
-        .build_batched(net, &eos);
+        let batched = BurnerConfig::default().build(net, &eos);
         g.bench_function(format!("{name}/batch8"), |b| {
             b.iter(|| std::hint::black_box(batched.burn_all(&zones, 1e-7)))
         });

@@ -12,7 +12,7 @@ use crate::state::StateLayout;
 use exastro_amr::{Geometry, IntVect, MultiFab, Real};
 use exastro_microphysics::{
     BurnFailure, BurnFaultConfig, BurnTally, Burner, BurnerConfig, Eos, Network, RetryLadder,
-    SolverChoice, ZoneBurn,
+    ZoneBurn,
 };
 use exastro_parallel::{ExecSpace, KernelProfile, SimDevice};
 
@@ -73,18 +73,10 @@ pub struct BurnOptions {
     pub registers_per_thread: u32,
     /// Step budget for the direct burn path (`None` = integrator default).
     pub max_steps: Option<usize>,
-    /// Newton linear-solver policy (dense LU or the pattern-specialized
-    /// sparse path), resolved against the network at burner construction.
-    pub solver: SolverChoice,
     /// The failure-recovery ladder (see [`exastro_microphysics::recovery`]).
     pub ladder: RetryLadder,
     /// Deterministic fault injection for tests and CI smoke runs.
     pub faults: Option<BurnFaultConfig>,
-    /// Lane width of the batched SoA burn path: the sweep's burnable zones
-    /// are grouped by temperature and advanced `batch_width` at a time
-    /// through one shared BDF history (see [`exastro_microphysics::batch`]).
-    /// Width < 2 burns every zone through the scalar ladder.
-    pub batch_width: usize,
 }
 
 impl Default for BurnOptions {
@@ -94,10 +86,8 @@ impl Default for BurnOptions {
             min_dens: 1e3,
             registers_per_thread: 320,
             max_steps: None,
-            solver: SolverChoice::default(),
             ladder: RetryLadder::default(),
             faults: None,
-            batch_width: 8,
         }
     }
 }
@@ -105,9 +95,9 @@ impl Default for BurnOptions {
 /// Burn every zone of `state` for `dt` with the given network.
 ///
 /// The sweep gathers every zone that passes the cutoffs, groups them by
-/// temperature, and advances them [`BurnOptions::batch_width`] at a time
-/// through the batched SoA BDF path (lanes that diverge fall back to the
-/// scalar retry ladder — see [`exastro_microphysics::batch`]); the device
+/// temperature, and advances them a batch at a time through the SoA BDF
+/// path (lanes that diverge fall back to the scalar retry ladder — see
+/// [`exastro_microphysics::Burner::burn_all`]); the device
 /// cost model still charges the launch with a per-zone cost derived from
 /// the actual integrator work, capturing the latency-hiding problem of
 /// nonuniform burns.
@@ -129,57 +119,18 @@ pub fn burn_state(
     ex: &ExecSpace,
     geom: &Geometry,
 ) -> Result<BurnStats, Vec<BurnFailure>> {
-    let mut cfg = BurnerConfig {
-        solver: opts.solver,
-        ladder: opts.ladder.clone(),
-        faults: opts.faults.clone(),
-        batch_width: opts.batch_width,
-        ..Default::default()
-    };
-    if let Some(ms) = opts.max_steps {
-        cfg.bdf.max_steps = ms;
-    }
-    let burner = cfg.build_batched(net, eos);
-    let mut tally = BurnTally::default();
     let mut energy_released: Real = 0.0;
     let mut failures: Vec<BurnFailure> = Vec::new();
     let nspec = layout.nspec;
     assert_eq!(nspec, net.nspec());
     let vol = geom.cell_volume();
-    // Gather pass: collect every burnable zone. The flat zone index is
-    // deterministic in sweep order — the fault-injection predicate and
-    // failure reports key on it, and it is identical between the two
-    // Strang halves of a step and between batch widths.
-    let mut zones: Vec<ZoneBurn> = Vec::new();
-    let mut sites: Vec<(usize, IntVect)> = Vec::new();
-    let mut zone_id = 0u64;
-    for fi in 0..state.nfabs() {
-        let vb = state.valid_box(fi);
-        let fab = state.fab(fi);
-        for iv in vb.iter() {
-            let zone = zone_id;
-            zone_id += 1;
-            let rho = fab.get(iv, StateLayout::RHO);
-            let t = fab.get(iv, StateLayout::TEMP);
-            if t < opts.min_temp || rho < opts.min_dens {
-                tally.skip();
-                continue;
-            }
-            let mut x = vec![0.0; nspec];
-            for s in 0..nspec {
-                x[s] = (fab.get(iv, layout.spec(s)) / rho).clamp(0.0, 1.0);
-            }
-            zones.push(ZoneBurn {
-                zone,
-                rho,
-                t0: t,
-                x0: x,
-            });
-            sites.push((fi, iv));
-        }
-    }
+    let (zones, sites, skipped) = gather_zones(state, layout, opts);
+    let mut tally = BurnTally {
+        skipped,
+        ..Default::default()
+    };
     // Burn pass: SoA batches with scalar-ladder fallback.
-    let recs = burner.burn_all(&zones, dt);
+    let recs = build_burner(opts, net, eos).burn_all(&zones, dt);
     // Scatter pass: results come back in input order.
     for (((fi, iv), zb), res) in sites.into_iter().zip(&zones).zip(recs) {
         let rec = match res {
@@ -244,8 +195,64 @@ pub fn burn_state(
     }
 }
 
+/// The burner a sweep with these options runs.
+fn build_burner<'a>(opts: &BurnOptions, net: &'a dyn Network, eos: &'a dyn Eos) -> Burner<'a> {
+    let mut cfg = BurnerConfig {
+        ladder: opts.ladder.clone(),
+        faults: opts.faults.clone(),
+        ..Default::default()
+    };
+    if let Some(ms) = opts.max_steps {
+        cfg.bdf.max_steps = ms;
+    }
+    cfg.build(net, eos)
+}
+
+/// Gather pass of a burn sweep: every zone that passes the cutoffs, where
+/// it lives, and how many were skipped. The flat zone index is
+/// deterministic in sweep order — the fault-injection predicate and
+/// failure reports key on it, and it is identical between the two Strang
+/// halves of a step.
+fn gather_zones(
+    state: &MultiFab,
+    layout: &StateLayout,
+    opts: &BurnOptions,
+) -> (Vec<ZoneBurn>, Vec<(usize, IntVect)>, u64) {
+    let nspec = layout.nspec;
+    let mut zones: Vec<ZoneBurn> = Vec::new();
+    let mut sites: Vec<(usize, IntVect)> = Vec::new();
+    let mut zone_id = 0u64;
+    for fi in 0..state.nfabs() {
+        let vb = state.valid_box(fi);
+        let fab = state.fab(fi);
+        for iv in vb.iter() {
+            let zone = zone_id;
+            zone_id += 1;
+            let rho = fab.get(iv, StateLayout::RHO);
+            let t = fab.get(iv, StateLayout::TEMP);
+            if t < opts.min_temp || rho < opts.min_dens {
+                continue;
+            }
+            let mut x = vec![0.0; nspec];
+            for s in 0..nspec {
+                x[s] = (fab.get(iv, layout.spec(s)) / rho).clamp(0.0, 1.0);
+            }
+            zones.push(ZoneBurn {
+                zone,
+                rho,
+                t0: t,
+                x0: x,
+            });
+            sites.push((fi, iv));
+        }
+    }
+    let skipped = zone_id - zones.len() as u64;
+    (zones, sites, skipped)
+}
+
 /// The §VI "outlier zone" claim, made directly observable: probe-burn every
-/// zone of `state` for `dt` **without modifying it** and return a
+/// zone of `state` for `dt` **without modifying it**, through the same
+/// gather and batched burn [`burn_state`] runs, and return a
 /// single-component `MultiFab` holding each zone's burn cost in BDF steps
 /// (0 for zones the cutoffs skip; the accumulated attempt cost for zones
 /// that fail every ladder rung). Rendered as a slice, this is the spatial
@@ -259,40 +266,15 @@ pub fn burn_cost_multifab(
     layout: &StateLayout,
     opts: &BurnOptions,
 ) -> MultiFab {
-    let mut cfg = BurnerConfig {
-        solver: opts.solver,
-        ladder: opts.ladder.clone(),
-        faults: opts.faults.clone(),
-        ..Default::default()
-    };
-    if let Some(ms) = opts.max_steps {
-        cfg.bdf.max_steps = ms;
-    }
-    let burner = cfg.build(net, eos);
-    let nspec = layout.nspec;
     let mut cost = MultiFab::new(state.box_array().clone(), state.dist_map().clone(), 1, 0);
-    let mut zone_id = 0u64;
-    for fi in 0..state.nfabs() {
-        let vb = state.valid_box(fi);
-        let fab = state.fab(fi);
-        for iv in vb.iter() {
-            let zone = zone_id;
-            zone_id += 1;
-            let rho = fab.get(iv, StateLayout::RHO);
-            let t = fab.get(iv, StateLayout::TEMP);
-            if t < opts.min_temp || rho < opts.min_dens {
-                continue; // skipped zones cost 0
-            }
-            let mut x = vec![0.0; nspec];
-            for s in 0..nspec {
-                x[s] = (fab.get(iv, layout.spec(s)) / rho).clamp(0.0, 1.0);
-            }
-            let steps = match burner.burn_zone(zone, rho, t, &x, dt) {
-                Ok(rec) => rec.outcome.stats.steps,
-                Err(f) => f.stats.steps,
-            };
-            cost.fab_mut(fi).set(iv, 0, steps as Real);
-        }
+    let (zones, sites, _) = gather_zones(state, layout, opts);
+    let recs = build_burner(opts, net, eos).burn_all(&zones, dt);
+    for ((fi, iv), res) in sites.into_iter().zip(recs) {
+        let steps = match res {
+            Ok(rec) => rec.outcome.stats.steps,
+            Err(f) => f.stats.steps,
+        };
+        cost.fab_mut(fi).set(iv, 0, steps as Real);
     }
     cost
 }
@@ -565,33 +547,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_solver_option_matches_dense() {
-        // The SolverChoice knob must not change the physics: identical
-        // sweeps through both Newton solvers agree to integrator tolerance.
-        let net = CBurn2::new();
-        let eos = StellarEos;
-        let ex = ExecSpace::Serial;
-        let run = |solver: SolverChoice| {
-            let (geom, mut state, layout) = carbon_state(8, true);
-            let opts = BurnOptions {
-                solver,
-                ..Default::default()
-            };
-            burn_state(&mut state, 1e-8, &net, &eos, &layout, &opts, &ex, &geom).unwrap()
-        };
-        let d = run(SolverChoice::Dense);
-        let s = run(SolverChoice::Sparse);
-        assert_eq!(d.zones, s.zones);
-        assert!(s.energy_released > 0.0);
-        assert!(
-            (d.energy_released / s.energy_released - 1.0).abs() < 1e-6,
-            "dense {} vs sparse {}",
-            d.energy_released,
-            s.energy_released
-        );
-    }
-
-    #[test]
     fn burn_cost_multifab_maps_outliers_without_touching_state() {
         let (geom, state, layout) = carbon_state(8, true);
         let net = CBurn2::new();
@@ -629,6 +584,22 @@ mod tests {
             nonzero < 512,
             "only the igniting pocket should be expensive"
         );
+        // The heatmap describes the integration the sweep runs: its sum is
+        // exactly the sweep's step count.
+        let total: Real = geom.domain().iter().map(|iv| cost.value_at(iv, 0)).sum();
+        let mut burned = state.clone();
+        let stats = burn_state(
+            &mut burned,
+            1e-8,
+            &net,
+            &eos,
+            &layout,
+            &BurnOptions::default(),
+            &ExecSpace::Serial,
+            &geom,
+        )
+        .unwrap();
+        assert_eq!(total, stats.total_steps as Real);
     }
 
     #[test]

@@ -133,19 +133,9 @@ impl FaultEvent {
     }
 }
 
-/// splitmix64: the deterministic PRNG used for all waiting-time draws
-/// (same generator the burn-fault injector uses).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Uniform draw in `[0, 1)` with 53 bits of entropy.
 fn u01(state: &mut u64) -> f64 {
-    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
+    (exastro_parallel::splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Exponential waiting time with mean `mtbf` (infinite when disabled).

@@ -8,7 +8,7 @@
 use crate::base_state::BaseState;
 use crate::lowmach::{LmLayout, Maestro};
 use exastro_amr::{Geometry, MultiFab, Real};
-use exastro_microphysics::{Composition, Eos, Network, RetryLadder, SolverChoice};
+use exastro_microphysics::{Composition, Eos, Network, RetryLadder};
 use exastro_resilience::recovery::RecoveryOptions;
 
 /// Bubble setup parameters (white-dwarf-core-like defaults).
@@ -152,9 +152,7 @@ pub fn bubble_maestro<'a>(eos: &'a dyn Eos, net: &'a dyn Network, base: BaseStat
         do_burn: true,
         burn_min_temp: 1e8,
         ladder: RetryLadder::default(),
-        burn_solver: SolverChoice::default(),
         burn_faults: None,
-        burn_batch_width: 8,
         overlap: true,
         recovery: RecoveryOptions::default(),
         telemetry: Default::default(),

@@ -18,7 +18,7 @@ use exastro_amr::{
 };
 use exastro_microphysics::{
     BurnFailure, BurnFaultConfig, BurnTally, BurnerConfig, Composition, Eos, Network, RetryLadder,
-    SolverChoice, ZoneBurn,
+    ZoneBurn,
 };
 use exastro_parallel::{Profiler, TaskGraph, WorkerPool};
 use exastro_resilience::recovery::{write_emergency, RecoveryOptions};
@@ -92,6 +92,19 @@ pub struct LmStepStats {
     /// Communication performed by the step (advection ghost exchange plus
     /// the projection's velocity/potential fills), merged across phases.
     pub comm: CommTrace,
+}
+
+impl LmStepStats {
+    /// Fold one reaction half-step's tally into the step's burn counters.
+    fn add_burn(&mut self, t: &BurnTally) {
+        self.burn_steps += t.total_steps;
+        self.burn_newton_iters += t.newton_iters;
+        self.burn_retries += t.retries;
+        self.burn_recovered += t.recovered;
+        self.burn_recovered_relaxed += t.recovered_relaxed;
+        self.burn_recovered_subcycle += t.recovered_subcycle;
+        self.burn_offloaded += t.offloaded;
+    }
 }
 
 /// A violation found by the low-Mach post-step validator.
@@ -223,14 +236,8 @@ pub struct Maestro<'a> {
     pub burn_min_temp: Real,
     /// Burn failure-recovery ladder.
     pub ladder: RetryLadder,
-    /// Newton linear-solver policy for the burn (dense or sparse).
-    pub burn_solver: SolverChoice,
     /// Deterministic burn fault injection (tests / CI smoke).
     pub burn_faults: Option<BurnFaultConfig>,
-    /// Lane width of the batched SoA burn path (see
-    /// [`exastro_microphysics::batch`]); width < 2 keeps every zone on the
-    /// scalar retry ladder.
-    pub burn_batch_width: usize,
     /// Overlap the advection ghost exchange with stencil-interior advection
     /// via the two-phase comm API ([`MultiFab::post_fill_boundary`]);
     /// results are bit-identical to the bulk-synchronous path.
@@ -593,13 +600,11 @@ impl<'a> Maestro<'a> {
     /// failure reports reproducible.
     fn react(&self, state: &mut MultiFab, dt: Real) -> Result<BurnTally, Vec<BurnFailure>> {
         let burner = BurnerConfig {
-            solver: self.burn_solver,
             ladder: self.ladder.clone(),
             faults: self.burn_faults.clone(),
-            batch_width: self.burn_batch_width,
             ..Default::default()
         }
-        .build_batched(self.net, self.eos);
+        .build(self.net, self.eos);
         let nspec = self.layout.nspec;
         let mut totals = BurnTally::default();
         let mut failures: Vec<BurnFailure> = Vec::new();
@@ -709,14 +714,7 @@ impl<'a> Maestro<'a> {
         let bc = self.bc();
         if self.do_burn {
             let _r = Profiler::region("react");
-            let t = self.react(state, 0.5 * dt).map_err(LmStepError::Burn)?;
-            stats.burn_steps += t.total_steps;
-            stats.burn_newton_iters += t.newton_iters;
-            stats.burn_retries += t.retries;
-            stats.burn_recovered += t.recovered;
-            stats.burn_recovered_relaxed += t.recovered_relaxed;
-            stats.burn_recovered_subcycle += t.recovered_subcycle;
-            stats.burn_offloaded += t.offloaded;
+            stats.add_burn(&self.react(state, 0.5 * dt).map_err(LmStepError::Burn)?);
         }
         {
             let _r = Profiler::region("enforce_density");
@@ -743,14 +741,7 @@ impl<'a> Maestro<'a> {
         stats.projection = Some(proj);
         if self.do_burn {
             let _r = Profiler::region("react");
-            let t = self.react(state, 0.5 * dt).map_err(LmStepError::Burn)?;
-            stats.burn_steps += t.total_steps;
-            stats.burn_newton_iters += t.newton_iters;
-            stats.burn_retries += t.retries;
-            stats.burn_recovered += t.recovered;
-            stats.burn_recovered_relaxed += t.recovered_relaxed;
-            stats.burn_recovered_subcycle += t.recovered_subcycle;
-            stats.burn_offloaded += t.offloaded;
+            stats.add_burn(&self.react(state, 0.5 * dt).map_err(LmStepError::Burn)?);
         }
         {
             let _r = Profiler::region("enforce_density");

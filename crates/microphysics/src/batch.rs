@@ -31,29 +31,16 @@
 //!   converges *to*, only how it gets there.
 //! * **Dropout to the scalar ladder.** A lane that repeatedly fails the
 //!   error test, repeatedly fails Newton, or hits a singular factor drops
-//!   out of the batch; [`BatchBurner`] re-burns it from its *entry* state
-//!   through the existing scalar [`RecoveringBurner`] retry ladder, so a
-//!   dropped zone's result is bit-identical to what the scalar ladder
-//!   produces. Batch occupancy and the dropout rate are recorded through
+//!   out of the batch; [`crate::burner::Burner::burn_all`] re-burns it from
+//!   its *entry* state through the scalar retry ladder, so a dropped zone's
+//!   result is bit-identical to what the ladder alone produces. Batch
+//!   occupancy and the dropout rate are recorded through
 //!   `exastro-telemetry` (`burn.batch.*`).
-//!
-//! Zones are grouped by temperature before chunking ([`BatchBurner::
-//! burn_all`]) so cost-similar zones share a history; a cold lane riding a
-//! hot batch is charged the hot step count, which is exactly the warp-level
-//! serialization the §VI heatmaps quantify.
 
-use crate::burner::{record_burn_telemetry, BurnOutcome, BurnSystem, Burner, BurnerConfig};
-use crate::constants::{MEV_TO_ERG, N_A};
-use crate::eos::Eos;
 use crate::integrator::{
-    bdf_l, check_atol, predict, rescale, unpredict, BdfErrorKind, BdfOptions, BdfStats, OdeSystem,
-};
-use crate::network::Network;
-use crate::recovery::{
-    validate_outcome, BurnFailure, BurnFaultConfig, RecoveredBurn, RecoveringBurner,
+    bdf_l, check_atol, predict, rescale, unpredict, BdfErrorKind, BdfOptions, BdfStats,
 };
 use crate::sparse::SparseLu;
-use crate::species::{mass_to_molar, molar_to_mass};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -83,8 +70,8 @@ const SINGULAR_FAIL_LIMIT: u32 = 2;
 
 /// A batch of independent ODE systems integrated in lockstep, one system
 /// per lane. The integrator owns the SoA layout; implementations see plain
-/// dense per-lane vectors (so [`BatchBurnSystem`] can delegate straight to
-/// the scalar burn physics).
+/// dense per-lane vectors (so the burner's batch system can delegate
+/// straight to the scalar burn physics).
 pub trait LaneOde {
     /// Per-lane state dimension.
     fn dim(&self) -> usize;
@@ -705,7 +692,7 @@ impl BatchBdf {
     }
 }
 
-fn gather_lane(soa: &[f64], w: usize, lane: usize, out: &mut [f64]) {
+pub(crate) fn gather_lane(soa: &[f64], w: usize, lane: usize, out: &mut [f64]) {
     for (i, o) in out.iter_mut().enumerate() {
         *o = soa[i * w + lane];
     }
@@ -717,285 +704,14 @@ fn scatter_lane(src: &[f64], w: usize, lane: usize, soa: &mut [f64]) {
     }
 }
 
-/// The burn system of a batch: one scalar [`BurnSystem`] per lane (each
-/// with its own density), so the batched path integrates *exactly* the
-/// physics of the scalar path.
-struct BatchBurnSystem<'a> {
-    lanes: Vec<BurnSystem<'a>>,
-    dim: usize,
-}
-
-impl LaneOde for BatchBurnSystem<'_> {
-    fn dim(&self) -> usize {
-        self.dim
-    }
-    fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
-    fn rhs(&self, lane: usize, t: f64, y: &[f64], dydt: &mut [f64]) {
-        self.lanes[lane].rhs(t, y, dydt);
-    }
-    fn jac(&self, lane: usize, t: f64, y: &[f64], jac: &mut [f64]) {
-        self.lanes[lane].jac(t, y, jac);
-    }
-}
-
-/// One zone's burn request, as collected by a driver sweep.
-#[derive(Clone, Debug)]
-pub struct ZoneBurn {
-    /// Deterministic flat zone index (fault injection and failure reports
-    /// key on it).
-    pub zone: u64,
-    /// Density, g/cm³.
-    pub rho: f64,
-    /// Entry temperature, K.
-    pub t0: f64,
-    /// Entry mass fractions.
-    pub x0: Vec<f64>,
-}
-
-/// The batched burner: chunks a sweep's zones into SoA batches for
-/// [`BatchBdf`], and routes everything the batch cannot hold — dropouts,
-/// fault-injected zones, leftover single zones, sub-width sweeps — through
-/// the scalar [`RecoveringBurner`] retry ladder it wraps.
-///
-/// The batch path always uses the network's pattern-specialized sparse LU
-/// (the batched replay *is* the SIMD carrier); the configured
-/// [`SolverChoice`] still governs the scalar ladder underneath.
-pub struct BatchBurner<'a> {
-    net: &'a dyn Network,
-    eos: &'a dyn Eos,
-    integ: BatchBdf,
-    ladder: RecoveringBurner<'a>,
-    width: usize,
-    faults: Option<BurnFaultConfig>,
-}
-
-impl BurnerConfig {
-    /// Build the batched burner this configuration describes (see
-    /// [`BurnerConfig::batch_width`]); the scalar ladder from
-    /// [`BurnerConfig::build`] rides inside it for dropouts and faults.
-    pub fn build_batched<'a>(&self, net: &'a dyn Network, eos: &'a dyn Eos) -> BatchBurner<'a> {
-        BatchBurner {
-            net,
-            eos,
-            integ: BatchBdf::new(
-                self.bdf.clone(),
-                Arc::new(SparseLu::compile(&net.sparsity_csr())),
-            ),
-            ladder: self.build(net, eos),
-            width: self.batch_width,
-            faults: self.faults.clone(),
-        }
-    }
-}
-
-impl<'a> BatchBurner<'a> {
-    /// The configured lane width.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// The scalar retry ladder the batch drops out to.
-    pub fn ladder(&self) -> &RecoveringBurner<'a> {
-        &self.ladder
-    }
-
-    /// Burn a sweep's worth of zones for `dt` seconds each. Results come
-    /// back in input order. Zones are sorted by temperature (stable,
-    /// deterministic) before chunking so cost-similar zones share a batch;
-    /// fault-injected zones bypass the batch so the injection schedule
-    /// sees exactly the scalar attempt sequence.
-    pub fn burn_all(
-        &self,
-        zones: &[ZoneBurn],
-        dt: f64,
-    ) -> Vec<Result<RecoveredBurn, Box<BurnFailure>>> {
-        let mut results: Vec<Option<Result<RecoveredBurn, Box<BurnFailure>>>> =
-            (0..zones.len()).map(|_| None).collect();
-        let mut batchable: Vec<usize> = Vec::new();
-        for (i, zb) in zones.iter().enumerate() {
-            let faulted = self
-                .faults
-                .as_ref()
-                .map(|f| f.zone_is_faulty(zb.zone))
-                .unwrap_or(false);
-            if self.width < 2 || faulted {
-                results[i] = Some(self.ladder.burn_zone(zb.zone, zb.rho, zb.t0, &zb.x0, dt));
-            } else {
-                batchable.push(i);
-            }
-        }
-        // Hot zones batch with hot zones: similar step-size histories keep
-        // occupancy high. total_cmp + zone id keeps the order total and
-        // deterministic (bit-exact restarts resort identically).
-        batchable.sort_by(|&a, &b| {
-            zones[b]
-                .t0
-                .total_cmp(&zones[a].t0)
-                .then(zones[a].zone.cmp(&zones[b].zone))
-        });
-        for chunk in batchable.chunks(self.width) {
-            if chunk.len() < 2 {
-                for &i in chunk {
-                    let zb = &zones[i];
-                    results[i] = Some(self.ladder.burn_zone(zb.zone, zb.rho, zb.t0, &zb.x0, dt));
-                }
-                continue;
-            }
-            self.burn_chunk(zones, chunk, dt, &mut results);
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every zone was burned"))
-            .collect()
-    }
-
-    fn burn_chunk(
-        &self,
-        zones: &[ZoneBurn],
-        chunk: &[usize],
-        dt: f64,
-        results: &mut [Option<Result<RecoveredBurn, Box<BurnFailure>>>],
-    ) {
-        use exastro_telemetry::Telemetry;
-        let n = self.net.nspec();
-        let m = n + 1;
-        let w = chunk.len();
-        let _prof = exastro_parallel::Profiler::region("burner");
-        let sys = BatchBurnSystem {
-            lanes: chunk
-                .iter()
-                .map(|&i| BurnSystem {
-                    net: self.net,
-                    eos: self.eos,
-                    rho: zones[i].rho,
-                    self_heat: true,
-                })
-                .collect(),
-            dim: m,
-        };
-        let mut y = vec![0.0; m * w];
-        let mut y_entry = vec![0.0; m * w];
-        let mut lane_buf = vec![0.0; n];
-        for (lane, &i) in chunk.iter().enumerate() {
-            let zb = &zones[i];
-            mass_to_molar(self.net.species(), &zb.x0, &mut lane_buf);
-            for k in 0..n {
-                y[k * w + lane] = lane_buf[k];
-            }
-            y[n * w + lane] = zb.t0;
-        }
-        y_entry.copy_from_slice(&y);
-        let reports = self.integ.integrate(&sys, 0.0, dt, &mut y);
-        let mut solve_share: u64 = 0;
-        let mut completed = 0u64;
-        let mut dropped = 0u64;
-        for (lane, &i) in chunk.iter().enumerate() {
-            let zb = &zones[i];
-            let report = &reports[lane];
-            solve_share += report.stats.solve_ns;
-            let batch_ok = matches!(report.status, LaneStatus::Completed);
-            let rec = if batch_ok {
-                let mut yl = vec![0.0; m];
-                let mut yl0 = vec![0.0; m];
-                gather_lane(&y, w, lane, &mut yl);
-                gather_lane(&y_entry, w, lane, &mut yl0);
-                let mut x = vec![0.0; n];
-                molar_to_mass(self.net.species(), &yl[..n], &mut x);
-                let sum: f64 = x.iter().sum();
-                if (sum - 1.0).abs() < 0.01 && sum > 0.0 {
-                    x.iter_mut().for_each(|xi| *xi /= sum);
-                }
-                let enuc = self
-                    .net
-                    .species()
-                    .iter()
-                    .enumerate()
-                    .map(|(k, s)| s.bind_mev * (yl[k] - yl0[k]))
-                    .sum::<f64>()
-                    * N_A
-                    * MEV_TO_ERG;
-                let out = BurnOutcome {
-                    x,
-                    t: yl[n],
-                    enuc,
-                    stats: report.stats,
-                };
-                match validate_outcome(&out) {
-                    Ok(()) => Some(RecoveredBurn {
-                        outcome: out,
-                        rung: crate::recovery::LadderRung::Direct,
-                        retries: 0,
-                    }),
-                    Err(_) => None,
-                }
-            } else {
-                None
-            };
-            match rec {
-                Some(rec) => {
-                    completed += 1;
-                    exastro_parallel::Profiler::record_zones(1);
-                    record_burn_telemetry(&rec);
-                    results[i] = Some(Ok(rec));
-                }
-                None => {
-                    // Dropout: re-burn from the entry state through the
-                    // scalar ladder (bit-identical to a ladder-only burn),
-                    // charging the zone its share of the failed batch work
-                    // as one extra retry.
-                    dropped += 1;
-                    let res = self.ladder.burn_zone(zb.zone, zb.rho, zb.t0, &zb.x0, dt);
-                    results[i] = Some(match res {
-                        Ok(mut rec) => {
-                            let mut s = report.stats;
-                            s.merge(&rec.outcome.stats);
-                            rec.outcome.stats = s;
-                            rec.retries += 1;
-                            Ok(rec)
-                        }
-                        Err(mut f) => {
-                            let mut s = report.stats;
-                            s.merge(&f.stats);
-                            f.stats = s;
-                            f.attempts += 1;
-                            Err(f)
-                        }
-                    });
-                }
-            }
-        }
-        exastro_parallel::Profiler::record_ns("solve[batch-sparse]", solve_share);
-        if Telemetry::is_enabled() {
-            exastro_telemetry::counter_add("burn.batch.zones", completed);
-            exastro_telemetry::counter_add("burn.batch.dropouts", dropped);
-            Telemetry::record_hist("burn.batch.occupancy", completed as f64 / w as f64);
-        }
-    }
-}
-
-impl Burner for BatchBurner<'_> {
-    /// A single zone cannot batch: it takes the scalar ladder directly.
-    fn burn_zone(
-        &self,
-        zone: u64,
-        rho: f64,
-        t0: f64,
-        x0: &[f64],
-        dt: f64,
-    ) -> Result<RecoveredBurn, Box<BurnFailure>> {
-        self.ladder.burn_zone(zone, rho, t0, x0, dt)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::burner::{BurnerConfig, ZoneBurn};
     use crate::eos::StellarEos;
-    use crate::integrator::{BdfIntegrator, NewtonSolver};
+    use crate::integrator::{BdfIntegrator, NewtonSolver, OdeSystem};
     use crate::network::{Aprox13, CBurn2};
-    use crate::recovery::LadderRung;
+    use crate::recovery::{BurnFaultConfig, LadderRung};
     use crate::sparse::CsrPattern;
 
     /// Lanes of Robertson problems with per-lane rate scalings.
@@ -1167,8 +883,7 @@ mod tests {
             batch_width: 4,
             ..Default::default()
         };
-        let batched = cfg.build_batched(&net, &eos);
-        let ladder = cfg.build(&net, &eos);
+        let burner = cfg.build(&net, &eos);
         let zones: Vec<ZoneBurn> = (0..8)
             .map(|i| ZoneBurn {
                 zone: i,
@@ -1178,11 +893,11 @@ mod tests {
             })
             .collect();
         let dt = 1e-7;
-        let recs = batched.burn_all(&zones, dt);
+        let recs = burner.burn_all(&zones, dt);
         assert_eq!(recs.len(), zones.len());
         for (zb, rec) in zones.iter().zip(&recs) {
             let rec = rec.as_ref().expect("batched burn succeeds");
-            let sref = ladder
+            let sref = burner
                 .burn_zone(zb.zone, zb.rho, zb.t0, &zb.x0, dt)
                 .unwrap();
             assert!(
@@ -1224,7 +939,7 @@ mod tests {
                 x0: vec![0.5, 0.5],
             })
             .collect();
-        let recs = cfg.build_batched(&net, &eos).burn_all(&zones, 1e-7);
+        let recs = cfg.build(&net, &eos).burn_all(&zones, 1e-7);
         for rec in recs {
             let rec = rec.expect("burn succeeds");
             assert_eq!(rec.retries, 0, "zone should complete inside the batch");
@@ -1242,7 +957,7 @@ mod tests {
         let drops_before = counter_get("burn.batch.dropouts");
         let mut starved = cfg.clone();
         starved.bdf.max_steps = 3;
-        for rec in starved.build_batched(&net, &eos).burn_all(&zones, 1e-7) {
+        for rec in starved.build(&net, &eos).burn_all(&zones, 1e-7) {
             // Rescued or not, the zones left the batch as dropouts.
             let _ = rec;
         }
@@ -1260,7 +975,7 @@ mod tests {
             batch_width: 4,
             ..Default::default()
         };
-        let batched = cfg.build_batched(&net, &eos);
+        let burner = cfg.build(&net, &eos);
         // Alternating hot/cold so the temperature sort reorders heavily.
         let zones: Vec<ZoneBurn> = (0..8)
             .map(|i| ZoneBurn {
@@ -1274,7 +989,7 @@ mod tests {
                 x0: vec![1.0, 0.0],
             })
             .collect();
-        let recs = batched.burn_all(&zones, 1e-8);
+        let recs = burner.burn_all(&zones, 1e-8);
         for (i, (zb, rec)) in zones.iter().zip(&recs).enumerate() {
             let rec = rec.as_ref().unwrap();
             if zb.t0 > 1e9 {
@@ -1304,8 +1019,7 @@ mod tests {
             ..Default::default()
         };
         cfg.bdf.max_steps = 3;
-        let batched = cfg.build_batched(&net, &eos);
-        let ladder = cfg.build(&net, &eos);
+        let burner = cfg.build(&net, &eos);
         let zones: Vec<ZoneBurn> = (0..4)
             .map(|i| ZoneBurn {
                 zone: i,
@@ -1315,10 +1029,10 @@ mod tests {
             })
             .collect();
         let dt = 1e-6;
-        let recs = batched.burn_all(&zones, dt);
+        let recs = burner.burn_all(&zones, dt);
         for (zb, rec) in zones.iter().zip(&recs) {
             let rec = rec.as_ref().expect("ladder rescues the dropout");
-            let sref = ladder
+            let sref = burner
                 .burn_zone(zb.zone, zb.rho, zb.t0, &zb.x0, dt)
                 .unwrap();
             assert_eq!(rec.outcome.t.to_bits(), sref.outcome.t.to_bits());
@@ -1339,6 +1053,45 @@ mod tests {
     }
 
     #[test]
+    fn dropouts_are_profiled_in_the_chunk_region_not_nested_under_it() {
+        // Regression: the chunk opened region `burner` and every dropout's
+        // ladder burn opened `burner` again, so dropout zones, their time
+        // and their solve[...] children landed in `burner/burner` and the
+        // `burner` row counted none of them. A unique outer region keeps
+        // this test's rows apart from concurrently running tests.
+        use exastro_parallel::Profiler;
+        let net = CBurn2::new();
+        let eos = StellarEos;
+        let mut cfg = BurnerConfig {
+            batch_width: 4,
+            ..Default::default()
+        };
+        cfg.bdf.max_steps = 3; // every lane drops out
+        let zones: Vec<ZoneBurn> = (0..4)
+            .map(|i| ZoneBurn {
+                zone: i,
+                rho: 5e7,
+                t0: 3e9,
+                x0: vec![1.0, 0.0],
+            })
+            .collect();
+        let recs = {
+            let _outer = Profiler::region("starved_batch_test");
+            cfg.build(&net, &eos).burn_all(&zones, 1e-6)
+        };
+        assert!(recs.iter().all(|r| r.as_ref().unwrap().retries >= 1));
+        let rows = Profiler::snapshot();
+        let nested: Vec<_> = rows
+            .keys()
+            .filter(|p| p.contains("burner/burner"))
+            .collect();
+        assert!(nested.is_empty(), "double-nested burner rows: {nested:?}");
+        let row = &rows["starved_batch_test/burner"];
+        assert_eq!(row.calls, 1, "one region per chunk");
+        assert_eq!(row.zones, 4, "every dropout counted once, in the chunk");
+    }
+
+    #[test]
     fn faulted_zones_bypass_the_batch_and_ride_the_ladder() {
         let net = CBurn2::new();
         let eos = StellarEos;
@@ -1352,7 +1105,7 @@ mod tests {
             }),
             ..Default::default()
         };
-        let batched = cfg.build_batched(&net, &eos);
+        let burner = cfg.build(&net, &eos);
         let zones: Vec<ZoneBurn> = (0..4)
             .map(|i| ZoneBurn {
                 zone: i,
@@ -1361,7 +1114,7 @@ mod tests {
                 x0: vec![1.0, 0.0],
             })
             .collect();
-        for rec in batched.burn_all(&zones, 1e-6) {
+        for rec in burner.burn_all(&zones, 1e-6) {
             let rec = rec.unwrap();
             assert_eq!(rec.rung, LadderRung::RelaxedTol, "injection saw attempt 0");
             assert_eq!(rec.retries, 1, "no spurious batch retry is charged");
@@ -1376,16 +1129,15 @@ mod tests {
             batch_width: 1,
             ..Default::default()
         };
-        let batched = cfg.build_batched(&net, &eos);
-        let ladder = cfg.build(&net, &eos);
+        let burner = cfg.build(&net, &eos);
         let zones = [ZoneBurn {
             zone: 0,
             rho: 5e7,
             t0: 3e9,
             x0: vec![1.0, 0.0],
         }];
-        let rec = batched.burn_all(&zones, 1e-6).remove(0).unwrap();
-        let sref = ladder.burn_zone(0, 5e7, 3e9, &[1.0, 0.0], 1e-6).unwrap();
+        let rec = burner.burn_all(&zones, 1e-6).remove(0).unwrap();
+        let sref = burner.burn_zone(0, 5e7, 3e9, &[1.0, 0.0], 1e-6).unwrap();
         assert_eq!(rec.outcome.t.to_bits(), sref.outcome.t.to_bits());
         for (a, b) in rec.outcome.x.iter().zip(&sref.outcome.x) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -1400,7 +1152,7 @@ mod tests {
             batch_width: 8,
             ..Default::default()
         };
-        let batched = cfg.build_batched(&net, &eos);
+        let burner = cfg.build(&net, &eos);
         let mut x0 = vec![0.0; 13];
         x0[1] = 0.5;
         x0[2] = 0.5;
@@ -1412,7 +1164,7 @@ mod tests {
                 x0: x0.clone(),
             })
             .collect();
-        for rec in batched.burn_all(&zones, 1e-7) {
+        for rec in burner.burn_all(&zones, 1e-7) {
             let rec = rec.unwrap();
             let sum: f64 = rec.outcome.x.iter().sum();
             assert!((sum - 1.0).abs() < 1e-6, "ΣX = {sum}");

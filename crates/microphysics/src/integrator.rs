@@ -443,14 +443,27 @@ impl BdfIntegrator {
         BdfIntegrator { opts, sparse }
     }
 
+    /// An integrator on an already-compiled symbolic sparse LU, so every
+    /// integrator of one burner (and its batch path) shares one
+    /// factorization plan; `opts.solver` is not consulted.
+    pub(crate) fn with_sparse_lu(opts: BdfOptions, lu: Arc<SparseLu>) -> Self {
+        BdfIntegrator {
+            opts,
+            sparse: Some(lu),
+        }
+    }
+
     /// The configured options.
     pub fn options(&self) -> &BdfOptions {
         &self.opts
     }
 
-    /// The configured linear-solver kind ("dense" / "sparse").
+    /// The linear-solver kind in use ("dense" / "sparse").
     pub fn solver_kind(&self) -> &'static str {
-        self.opts.solver.kind()
+        match self.sparse {
+            Some(_) => "sparse",
+            None => "dense",
+        }
     }
 
     fn make_solver(&self, n: usize) -> Box<dyn LinearSolver> {

@@ -17,10 +17,12 @@
 //! * [`sparse`] — pattern-specialized sparse LU with precomputed symbolic
 //!   factorization (the analytic sparse-Jacobian path of the paper's §VI);
 //! * [`integrator`] — the VODE-style variable-order BDF integrator;
-//! * [`burner`] — the self-heating zone burner and the [`burner::Burner`]
-//!   trait the hydro codes drive it through;
-//! * [`recovery`] — the burn retry ladder (relaxed tolerances → subcycling
-//!   → §VI outlier offload) with deterministic fault injection.
+//! * [`batch`] — the same integrator over structure-of-arrays batches of
+//!   zones advanced in lockstep;
+//! * [`burner`] — the self-heating zone burner, [`burner::Burner`], that
+//!   the hydro codes drive;
+//! * [`recovery`] — the burner's retry ladder (relaxed tolerances →
+//!   subcycling → §VI outlier offload) with deterministic fault injection.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,19 +43,18 @@ pub mod recovery;
 pub mod sparse;
 pub mod species;
 
-pub use batch::{BatchBdf, BatchBurner, LaneOde, LaneReport, LaneStatus, ZoneBurn};
-pub use burner::{BurnOutcome, BurnTally, Burner, BurnerConfig, PlainBurner, SolverChoice};
+pub use batch::{BatchBdf, LaneOde, LaneReport, LaneStatus};
+pub use burner::{BurnOutcome, BurnTally, Burner, BurnerConfig, ZoneBurn};
 pub use eos::{Eos, EosResult, GammaLaw, StellarEos};
 pub use integrator::{
     rk4, BdfConfigError, BdfError, BdfErrorKind, BdfIntegrator, BdfOptions, BdfOptionsBuilder,
     BdfStats, NewtonSolver, OdeSystem,
 };
-pub use linalg::{CompiledLu, DenseLu, DenseNewton, LinearSolver, Singular, SparsePattern};
+pub use linalg::{DenseLu, DenseNewton, LinearSolver, Singular, SparsePattern};
 pub use network::{Aprox13, CBurn2, Iso7, Network, Reaction, TripleAlpha};
 pub use rates::{gamow_tau_alpha, screening_factor, Rate};
 pub use recovery::{
-    BurnFailure, BurnFaultConfig, LadderRung, OffloadOptions, RecoveredBurn, RecoveringBurner,
-    RetryLadder,
+    BurnFailure, BurnFaultConfig, LadderRung, OffloadOptions, RecoveredBurn, RetryLadder,
 };
 pub use sparse::{CsrPattern, SparseLu, SparseNewton};
 pub use species::{energy_rate, mass_to_molar, molar_to_mass, Composition, Species};

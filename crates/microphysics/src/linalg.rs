@@ -1,15 +1,11 @@
-//! Small dense and sparse linear algebra for the stiff-ODE Newton solves.
+//! Small dense linear algebra for the stiff-ODE Newton solves.
 //!
 //! Implicit integration of an `N`-isotope network requires factoring and
-//! solving an `(N+1)²` Jacobian system every Newton iteration (§IV-B). Two
-//! paths are provided:
-//!
-//! * [`DenseLu`] — LU with partial pivoting, the VODE default;
-//! * [`CompiledLu`] — the §VI "future work" path: the sparsity pattern of a
-//!   reaction network is known and constant, so the exact sequence of
-//!   elimination operations (including fill-in) is generated once and then
-//!   replayed with no index searches — the moral equivalent of the paper's
-//!   code-generation plan, and the basis of the sparse-Jacobian ablation.
+//! solving an `(N+1)²` Jacobian system every Newton iteration (§IV-B).
+//! This module holds the dense side — [`DenseLu`], LU with partial
+//! pivoting (the VODE default), behind the [`LinearSolver`] interface the
+//! integrator drives — and the coordinate [`SparsePattern`] networks
+//! declare; the pattern-specialized sparse LU lives in [`crate::sparse`].
 
 /// Row-major dense matrix storage helper: `a[r * n + c]`.
 #[inline]
@@ -223,206 +219,6 @@ impl SparsePattern {
     }
 }
 
-/// One recorded elimination operation: `a[target] -= a[mult] * a[src]`.
-#[derive(Clone, Copy, Debug)]
-struct ElimOp {
-    mult: u32,
-    src: u32,
-    target: u32,
-}
-
-/// A no-pivot LU solver specialized ("compiled") for one sparsity pattern.
-///
-/// Construction performs symbolic factorization: it computes the fill-in of
-/// Gaussian elimination without pivoting on the pattern and records the exact
-/// sequence of multiply–subtract operations. [`CompiledLu::factor_solve`]
-/// then replays that sequence on the numeric values with zero searching or
-/// branching — the same operation count a code generator would emit.
-///
-/// Reaction-network Newton matrices are strongly diagonally dominant
-/// (`I - hγJ` with `hγ` small), so pivot-free elimination is safe; this is
-/// the same property VODE's sparse variants rely on.
-#[derive(Clone, Debug)]
-pub struct CompiledLu {
-    n: usize,
-    /// Dense slot index for each structural nonzero after fill-in, row-major.
-    slots: Vec<(usize, usize)>,
-    /// slot index of a[k][k] for each k.
-    diag: Vec<u32>,
-    /// Division ops: (target slot, diag k) meaning a[t] /= a[diag_k], per k
-    /// grouped; encoded in ops stream below.
-    div_ops: Vec<(u32, u32)>,
-    elim_ops: Vec<ElimOp>,
-    /// Map from (r, c) to slot for scattering the input matrix.
-    scatter: Vec<(usize, usize, u32)>,
-    /// For the triangular solves.
-    lower: Vec<ElimOp>, // b[target_row] -= a[slot] * b[src_row] (forward)
-    upper: Vec<ElimOp>,
-}
-
-impl CompiledLu {
-    /// Symbolically factor `pattern`.
-    pub fn compile(pattern: &SparsePattern) -> Self {
-        let n = pattern.dim();
-        // Build a boolean dense pattern and run symbolic elimination to find
-        // fill-in.
-        let mut nz = vec![false; n * n];
-        for &(r, c) in pattern.entries() {
-            nz[idx(n, r, c)] = true;
-        }
-        for k in 0..n {
-            assert!(nz[idx(n, k, k)], "diagonal must be structurally nonzero");
-            for r in (k + 1)..n {
-                if nz[idx(n, r, k)] {
-                    for c in (k + 1)..n {
-                        if nz[idx(n, k, c)] {
-                            nz[idx(n, r, c)] = true; // fill-in
-                        }
-                    }
-                }
-            }
-        }
-        // Assign compact slots to the filled pattern.
-        let mut slot_of = vec![u32::MAX; n * n];
-        let mut slots = Vec::new();
-        for r in 0..n {
-            for c in 0..n {
-                if nz[idx(n, r, c)] {
-                    slot_of[idx(n, r, c)] = slots.len() as u32;
-                    slots.push((r, c));
-                }
-            }
-        }
-        let diag: Vec<u32> = (0..n).map(|k| slot_of[idx(n, k, k)]).collect();
-        // Record the elimination schedule.
-        let mut div_ops = Vec::new();
-        let mut elim_ops = Vec::new();
-        for k in 0..n {
-            for r in (k + 1)..n {
-                if slot_of[idx(n, r, k)] != u32::MAX {
-                    div_ops.push((slot_of[idx(n, r, k)], diag[k]));
-                    for c in (k + 1)..n {
-                        if slot_of[idx(n, k, c)] != u32::MAX {
-                            elim_ops.push(ElimOp {
-                                mult: slot_of[idx(n, r, k)],
-                                src: slot_of[idx(n, k, c)],
-                                target: slot_of[idx(n, r, c)],
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        // Scatter list for the user's (row, col) input values.
-        let scatter = pattern
-            .entries()
-            .iter()
-            .map(|&(r, c)| (r, c, slot_of[idx(n, r, c)]))
-            .collect();
-        // Triangular solve schedules.
-        let mut lower = Vec::new();
-        let mut upper = Vec::new();
-        for k in 0..n {
-            for r in (k + 1)..n {
-                if slot_of[idx(n, r, k)] != u32::MAX {
-                    lower.push(ElimOp {
-                        mult: slot_of[idx(n, r, k)],
-                        src: k as u32,
-                        target: r as u32,
-                    });
-                }
-            }
-        }
-        for k in (0..n).rev() {
-            for r in 0..k {
-                if slot_of[idx(n, r, k)] != u32::MAX {
-                    upper.push(ElimOp {
-                        mult: slot_of[idx(n, r, k)],
-                        src: k as u32,
-                        target: r as u32,
-                    });
-                }
-            }
-        }
-        CompiledLu {
-            n,
-            slots,
-            diag,
-            div_ops,
-            elim_ops,
-            scatter,
-            lower,
-            upper,
-        }
-    }
-
-    /// Matrix dimension.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Number of stored values after fill-in.
-    pub fn nnz_filled(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Factor the row-major dense matrix `a` (only pattern slots are read)
-    /// and solve `A x = b` in place, replaying the precompiled elimination
-    /// schedule. `work` must have length [`CompiledLu::nnz_filled`].
-    /// Returns `Err(Singular)` on a zero pivot (the pattern solver does not
-    /// pivot; Newton matrices `I - hγJ` are diagonally dominant).
-    pub fn factor_solve(&self, a: &[f64], b: &mut [f64], work: &mut [f64]) -> Result<(), Singular> {
-        assert_eq!(a.len(), self.n * self.n);
-        assert_eq!(b.len(), self.n);
-        assert_eq!(work.len(), self.slots.len());
-        work.iter_mut().for_each(|v| *v = 0.0);
-        for &(r, c, slot) in &self.scatter {
-            work[slot as usize] = a[idx(self.n, r, c)];
-        }
-        let mut di = 0usize;
-        let mut ei = 0usize;
-        for k in 0..self.n {
-            // All divisions with pivot k, each followed by its row update.
-            while di < self.div_ops.len() && self.div_ops[di].1 == self.diag[k] {
-                let (t, dk) = self.div_ops[di];
-                let d = work[dk as usize];
-                if d == 0.0 || !d.is_finite() {
-                    return Err(Singular);
-                }
-                work[t as usize] /= d;
-                let m = work[t as usize];
-                // Elim ops for this (k, r) pair are contiguous and share
-                // `mult == t`.
-                while ei < self.elim_ops.len() && self.elim_ops[ei].mult == t {
-                    let op = self.elim_ops[ei];
-                    work[op.target as usize] -= m * work[op.src as usize];
-                    ei += 1;
-                }
-                di += 1;
-            }
-        }
-        // Forward substitution (unit lower).
-        for op in &self.lower {
-            b[op.target as usize] -= work[op.mult as usize] * b[op.src as usize];
-        }
-        // Back substitution.
-        let mut ui = 0usize;
-        for k in (0..self.n).rev() {
-            let d = work[self.diag[k] as usize];
-            if d == 0.0 || !d.is_finite() {
-                return Err(Singular);
-            }
-            b[k] /= d;
-            while ui < self.upper.len() && self.upper[ui].src == k as u32 {
-                let op = self.upper[ui];
-                b[op.target as usize] -= work[op.mult as usize] * b[op.src as usize];
-                ui += 1;
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,107 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn compiled_lu_matches_dense_on_tridiagonal() {
-        let n = 8;
-        let p = tridiag_pattern(n);
-        let c = CompiledLu::compile(&p);
-        // Tridiagonal elimination has no fill-in.
-        assert_eq!(c.nnz_filled(), p.nnz());
-        let mut a = vec![0.0; n * n];
-        for i in 0..n {
-            a[idx(n, i, i)] = 4.0 + i as f64;
-            if i > 0 {
-                a[idx(n, i, i - 1)] = -1.0;
-            }
-            if i + 1 < n {
-                a[idx(n, i, i + 1)] = -2.0;
-            }
-        }
-        let x: Vec<f64> = (0..n).map(|i| (i * i) as f64 - 3.0).collect();
-        let mut b = matvec(&a, &x, n);
-        let mut work = vec![0.0; c.nnz_filled()];
-        c.factor_solve(&a, &mut b, &mut work).unwrap();
-        for i in 0..n {
-            assert!((b[i] - x[i]).abs() < 1e-10, "i={i}: {} vs {}", b[i], x[i]);
-        }
-    }
-
-    #[test]
-    fn compiled_lu_handles_fill_in_arrow_matrix() {
-        // Arrow matrix: dense first row/col + diagonal. Elimination fills
-        // the entire lower-right block if eliminated first... our pattern
-        // has the arrow on row/col 0, which creates full fill-in: a good
-        // stress test that symbolic fill matches numeric reality.
-        let n = 6;
-        let mut e = Vec::new();
-        for i in 1..n {
-            e.push((0, i));
-            e.push((i, 0));
-        }
-        let p = SparsePattern::new(n, e);
-        let c = CompiledLu::compile(&p);
-        assert_eq!(c.nnz_filled(), n * n, "arrow head first → full fill");
-        let mut a = vec![0.0; n * n];
-        for i in 0..n {
-            a[idx(n, i, i)] = 10.0;
-        }
-        for i in 1..n {
-            a[idx(n, 0, i)] = 1.0;
-            a[idx(n, i, 0)] = -1.0 - i as f64 * 0.1;
-        }
-        let x: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
-        let mut b = matvec(&a, &x, n);
-        let mut work = vec![0.0; c.nnz_filled()];
-        c.factor_solve(&a, &mut b, &mut work).unwrap();
-        for i in 0..n {
-            assert!((b[i] - x[i]).abs() < 1e-10, "i={i}");
-        }
-    }
-
-    #[test]
-    fn compiled_matches_dense_on_random_patterns() {
-        let mut seed = 777u64;
-        let mut rng = || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (seed >> 33) as f64 / (1u64 << 31) as f64
-        };
-        for n in [3usize, 7, 14] {
-            let mut entries = Vec::new();
-            for r in 0..n {
-                for c in 0..n {
-                    if r != c && rng() < 0.3 {
-                        entries.push((r, c));
-                    }
-                }
-            }
-            let p = SparsePattern::new(n, entries);
-            let comp = CompiledLu::compile(&p);
-            let mut a = vec![0.0; n * n];
-            for &(r, c) in p.entries() {
-                a[idx(n, r, c)] = if r == c { 5.0 + rng() } else { rng() - 0.5 };
-            }
-            let x: Vec<f64> = (0..n).map(|_| rng() * 2.0 - 1.0).collect();
-            let mut b_sparse = matvec(&a, &x, n);
-            let mut work = vec![0.0; comp.nnz_filled()];
-            comp.factor_solve(&a, &mut b_sparse, &mut work).unwrap();
-            let lu = DenseLu::factor(&a, n).unwrap();
-            let mut b_dense = matvec(&a, &x, n);
-            lu.solve(&mut b_dense);
-            for i in 0..n {
-                assert!(
-                    (b_sparse[i] - b_dense[i]).abs() < 1e-8,
-                    "n={n} i={i}: sparse {} dense {}",
-                    b_sparse[i],
-                    b_dense[i]
-                );
-                assert!((b_sparse[i] - x[i]).abs() < 1e-8);
-            }
-        }
-    }
-
-    #[test]
     fn dense_newton_factor_solve_split() {
         let n = 2;
         let jac = [-3.0, 1.0, 2.0, -4.0];
@@ -636,15 +331,5 @@ mod tests {
             assert!((b[i] - x[i]).abs() < 1e-12, "i={i}");
             assert!((b2[i] - x[i]).abs() < 1e-12, "i={i}");
         }
-    }
-
-    #[test]
-    fn compiled_lu_detects_zero_pivot() {
-        let p = SparsePattern::new(2, vec![(0, 1), (1, 0)]);
-        let c = CompiledLu::compile(&p);
-        let a = [0.0, 1.0, 1.0, 0.0]; // needs pivoting → must error, not lie
-        let mut b = [1.0, 1.0];
-        let mut work = vec![0.0; c.nnz_filled()];
-        assert!(c.factor_solve(&a, &mut b, &mut work).is_err());
     }
 }

@@ -29,11 +29,12 @@
 //! `exastro-resilience`'s `KillSchedule`) makes every rung exercisable in
 //! tests and CI: a seeded per-zone predicate forces the first N attempts of
 //! selected zones to fail with a configurable [`BdfErrorKind`].
+//!
+//! [`crate::burner::Burner::burn_zone`] climbs the ladder; this module
+//! holds its configuration, its fault injection and its result types.
 
-use crate::burner::{BurnOutcome, Burner, PlainBurner};
-use crate::eos::Eos;
+use crate::burner::BurnOutcome;
 use crate::integrator::{BdfErrorKind, BdfOptions, BdfStats};
-use crate::network::Network;
 
 /// Tolerated |ΣX − 1| drift in a recovered outcome; anything worse fails
 /// the rung's validation and escalates the ladder.
@@ -91,7 +92,7 @@ impl Default for OffloadOptions {
 }
 
 impl OffloadOptions {
-    fn to_bdf(&self) -> BdfOptions {
+    pub(crate) fn to_bdf(&self) -> BdfOptions {
         // The offload path stays scalar and dense by construction (it is
         // the conservative fallback; sparse-pattern bugs must not be able
         // to take it down with the direct rung).
@@ -158,19 +159,11 @@ pub struct BurnFaultConfig {
     pub error: BdfErrorKind,
 }
 
-/// splitmix64 finalizer — a cheap, well-mixed hash.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
 impl BurnFaultConfig {
     /// Is this zone in the faulted set? Deterministic in (`seed`, `zone`).
     pub fn zone_is_faulty(&self, zone: u64) -> bool {
-        let h = splitmix64(self.seed ^ zone.wrapping_mul(0xD1B54A32D192ED03));
+        let mut state = self.seed ^ zone.wrapping_mul(0xD1B54A32D192ED03);
+        let h = exastro_parallel::splitmix64(&mut state);
         let u = (h >> 11) as f64 / (1u64 << 53) as f64;
         u < self.rate
     }
@@ -229,8 +222,8 @@ pub struct RecoveredBurn {
 }
 
 /// Validate a rung's outcome: everything finite, no significantly negative
-/// abundance, ΣX within [`SPECIES_SUM_TOL`] of unity. Shared by the plain
-/// burner's [`Burner`] impl and the ladder.
+/// abundance, ΣX within [`SPECIES_SUM_TOL`] of unity. Shared by the ladder
+/// rungs and the completed lanes of a batch.
 pub(crate) fn validate_outcome(out: &BurnOutcome) -> Result<(), BdfErrorKind> {
     let finite = out.t.is_finite()
         && out.t > 0.0
@@ -244,183 +237,26 @@ pub(crate) fn validate_outcome(out: &BurnOutcome) -> Result<(), BdfErrorKind> {
     }
 }
 
-/// A [`PlainBurner`] wrapped in the retry ladder, with optional fault
-/// injection. Drivers consume it through the [`Burner`] trait.
-pub struct RecoveringBurner<'a> {
-    direct: PlainBurner<'a>,
-    relaxed: Option<PlainBurner<'a>>,
-    offload: Option<PlainBurner<'a>>,
-    subcycles: Option<u32>,
-    faults: Option<BurnFaultConfig>,
-}
-
-impl<'a> RecoveringBurner<'a> {
-    /// Build the ladder over base integrator options `opts`.
-    pub fn new(
-        net: &'a dyn Network,
-        eos: &'a dyn Eos,
-        opts: BdfOptions,
-        ladder: &RetryLadder,
-    ) -> Self {
-        let relaxed = ladder.tol_relax.map(|f| {
-            let mut o = opts.clone();
-            o.rtol *= f;
-            o.atol.iter_mut().for_each(|a| *a *= f);
-            PlainBurner::new(net, eos, o)
-        });
-        let offload = ladder
-            .offload
-            .as_ref()
-            .map(|o| PlainBurner::new(net, eos, o.to_bdf()));
-        RecoveringBurner {
-            direct: PlainBurner::new(net, eos, opts),
-            relaxed,
-            offload,
-            subcycles: ladder.subcycles,
-            faults: None,
-        }
-    }
-
-    /// Attach a deterministic fault-injection schedule.
-    pub fn with_faults(mut self, faults: Option<BurnFaultConfig>) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Run one rung. Both arms carry their own statistics (the outcome's on
-    /// success, the error's on failure); the caller merges them into the
-    /// zone's running total.
-    fn attempt(
-        &self,
-        rung: LadderRung,
-        rho: f64,
-        t0: f64,
-        x0: &[f64],
-        dt: f64,
-    ) -> Result<BurnOutcome, crate::integrator::BdfError> {
-        match rung {
-            LadderRung::Direct => self.direct.burn(rho, t0, x0, dt),
-            LadderRung::RelaxedTol => self
-                .relaxed
-                .as_ref()
-                .expect("relaxed rung not configured")
-                .burn(rho, t0, x0, dt),
-            LadderRung::Offload => self
-                .offload
-                .as_ref()
-                .expect("offload rung not configured")
-                .burn(rho, t0, x0, dt),
-            LadderRung::Subcycle => {
-                let k = self.subcycles.unwrap_or(1).max(1);
-                let sub = dt / k as f64;
-                let mut t = t0;
-                let mut x = x0.to_vec();
-                let mut enuc = 0.0;
-                let mut stats = BdfStats::default();
-                for _ in 0..k {
-                    match self.direct.burn(rho, t, &x, sub) {
-                        Ok(out) => {
-                            stats.merge(&out.stats);
-                            t = out.t;
-                            x = out.x;
-                            enuc += out.enuc;
-                        }
-                        Err(mut e) => {
-                            stats.merge(&e.stats);
-                            e.stats = stats;
-                            return Err(e);
-                        }
-                    }
-                }
-                Ok(BurnOutcome { x, t, enuc, stats })
-            }
-        }
-    }
-}
-
-impl Burner for RecoveringBurner<'_> {
-    /// Burn one zone through the ladder.
-    fn burn_zone(
-        &self,
-        zone: u64,
-        rho: f64,
-        t0: f64,
-        x0: &[f64],
-        dt: f64,
-    ) -> Result<RecoveredBurn, Box<BurnFailure>> {
-        // One physical zone per `burn_zone` call, however many ladder rungs
-        // it climbs (a subcycled recovery must contribute exactly 1 zone).
-        let _prof = exastro_parallel::Profiler::region("burner");
-        exastro_parallel::Profiler::record_zones(1);
-        let mut rungs = vec![LadderRung::Direct];
-        if self.relaxed.is_some() {
-            rungs.push(LadderRung::RelaxedTol);
-        }
-        if self.subcycles.is_some() {
-            rungs.push(LadderRung::Subcycle);
-        }
-        if self.offload.is_some() {
-            rungs.push(LadderRung::Offload);
-        }
-
-        let mut stats = BdfStats::default();
-        let mut last_err = BdfErrorKind::NonFinite;
-        let mut last_rung = LadderRung::Direct;
-        let mut attempts = 0u32;
-        for rung in rungs {
-            let injected = self
-                .faults
-                .as_ref()
-                .map(|f| f.injects(zone, attempts))
-                .unwrap_or(false);
-            attempts += 1;
-            last_rung = rung;
-            if injected {
-                last_err = self.faults.as_ref().unwrap().error.clone();
-                continue;
-            }
-            match self.attempt(rung, rho, t0, x0, dt) {
-                Ok(out) => {
-                    stats.merge(&out.stats);
-                    match validate_outcome(&out) {
-                        Ok(()) => {
-                            let mut out = out;
-                            out.stats = stats;
-                            let rec = RecoveredBurn {
-                                outcome: out,
-                                rung,
-                                retries: attempts - 1,
-                            };
-                            crate::burner::record_burn_telemetry(&rec);
-                            return Ok(rec);
-                        }
-                        Err(kind) => last_err = kind,
-                    }
-                }
-                Err(e) => {
-                    stats.merge(&e.stats);
-                    last_err = e.kind;
-                }
-            }
-        }
-        Err(Box::new(BurnFailure {
-            zone,
-            rho,
-            t0,
-            x0: x0.to_vec(),
-            rung_reached: last_rung,
-            attempts,
-            error: last_err,
-            stats,
-        }))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::burner::{Burner, BurnerConfig};
     use crate::eos::StellarEos;
     use crate::network::CBurn2;
+
+    fn burner<'a>(
+        net: &'a CBurn2,
+        eos: &'a StellarEos,
+        ladder: RetryLadder,
+        faults: Option<BurnFaultConfig>,
+    ) -> Burner<'a> {
+        BurnerConfig {
+            ladder,
+            faults,
+            ..Default::default()
+        }
+        .build(net, eos)
+    }
 
     fn hot_zone() -> (f64, f64, Vec<f64>, f64) {
         // Exothermic carbon burn: hard enough to be a real integration.
@@ -448,19 +284,16 @@ mod tests {
         let net = CBurn2::new();
         let eos = StellarEos;
         let (rho, t0, x0, dt) = hot_zone();
-        let plain = PlainBurner::new(&net, &eos, PlainBurner::default_options())
-            .burn(rho, t0, &x0, dt)
-            .unwrap();
-        let rb = RecoveringBurner::new(
-            &net,
-            &eos,
-            PlainBurner::default_options(),
-            &RetryLadder::default(),
-        );
+        let plain = burner(&net, &eos, RetryLadder::none(), None)
+            .burn_zone(7, rho, t0, &x0, dt)
+            .unwrap()
+            .outcome;
+        let rb = burner(&net, &eos, RetryLadder::default(), None);
         let rec = rb.burn_zone(7, rho, t0, &x0, dt).unwrap();
         assert_eq!(rec.rung, LadderRung::Direct);
         assert_eq!(rec.retries, 0);
-        // Bit-identical to the pre-recovery burn path.
+        // Bit-identical to the single-attempt burn: configuring retries
+        // does not perturb a zone that needs none.
         assert_eq!(rec.outcome.t.to_bits(), plain.t.to_bits());
         for (a, b) in rec.outcome.x.iter().zip(&plain.x) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -472,13 +305,12 @@ mod tests {
         let net = CBurn2::new();
         let eos = StellarEos;
         let (rho, t0, x0, dt) = hot_zone();
-        let rb = RecoveringBurner::new(
+        let rb = burner(
             &net,
             &eos,
-            PlainBurner::default_options(),
-            &RetryLadder::default(),
-        )
-        .with_faults(Some(faults(1.0, 1, BdfErrorKind::MaxSteps)));
+            RetryLadder::default(),
+            Some(faults(1.0, 1, BdfErrorKind::MaxSteps)),
+        );
         let rec = rb.burn_zone(3, rho, t0, &x0, dt).unwrap();
         assert_eq!(rec.rung, LadderRung::RelaxedTol);
         assert_eq!(rec.retries, 1);
@@ -490,13 +322,12 @@ mod tests {
         let net = CBurn2::new();
         let eos = StellarEos;
         let (rho, t0, x0, dt) = hot_zone();
-        let rb = RecoveringBurner::new(
+        let rb = burner(
             &net,
             &eos,
-            PlainBurner::default_options(),
-            &RetryLadder::default(),
-        )
-        .with_faults(Some(faults(1.0, 2, BdfErrorKind::StepUnderflow { t: 0.0 })));
+            RetryLadder::default(),
+            Some(faults(1.0, 2, BdfErrorKind::StepUnderflow { t: 0.0 })),
+        );
         let rec = rb.burn_zone(3, rho, t0, &x0, dt).unwrap();
         assert_eq!(rec.rung, LadderRung::Subcycle);
         assert_eq!(rec.retries, 2);
@@ -508,13 +339,12 @@ mod tests {
         let net = CBurn2::new();
         let eos = StellarEos;
         let (rho, t0, x0, dt) = hot_zone();
-        let rb = RecoveringBurner::new(
+        let rb = burner(
             &net,
             &eos,
-            PlainBurner::default_options(),
-            &RetryLadder::default(),
-        )
-        .with_faults(Some(faults(1.0, 3, BdfErrorKind::SingularMatrix)));
+            RetryLadder::default(),
+            Some(faults(1.0, 3, BdfErrorKind::SingularMatrix)),
+        );
         let rec = rb.burn_zone(3, rho, t0, &x0, dt).unwrap();
         assert_eq!(rec.rung, LadderRung::Offload);
         assert_eq!(rec.retries, 3);
@@ -532,13 +362,12 @@ mod tests {
             BdfErrorKind::SingularMatrix,
             BdfErrorKind::NonFinite,
         ] {
-            let rb = RecoveringBurner::new(
+            let rb = burner(
                 &net,
                 &eos,
-                PlainBurner::default_options(),
-                &RetryLadder::default(),
-            )
-            .with_faults(Some(faults(1.0, 99, err.clone())));
+                RetryLadder::default(),
+                Some(faults(1.0, 99, err.clone())),
+            );
             let fail = rb.burn_zone(11, rho, t0, &x0, dt).unwrap_err();
             assert_eq!(fail.error, err);
             assert_eq!(fail.attempts, 4);
@@ -556,15 +385,16 @@ mod tests {
         let net = CBurn2::new();
         let eos = StellarEos;
         let (rho, t0, x0, dt) = hot_zone();
-        let rb = RecoveringBurner::new(
+        let rb = burner(
             &net,
             &eos,
-            PlainBurner::default_options(),
-            &RetryLadder::none(),
-        )
-        .with_faults(Some(faults(1.0, 1, BdfErrorKind::MaxSteps)));
-        let fail = rb.burn_zone(0, rho, t0, &x0, dt).unwrap_err();
+            RetryLadder::none(),
+            Some(faults(1.0, 1, BdfErrorKind::MaxSteps)),
+        );
+        let fail = rb.burn_zone(9, rho, t0, &x0, dt).unwrap_err();
+        assert_eq!(fail.zone, 9);
         assert_eq!(fail.attempts, 1);
+        assert_eq!(fail.error, BdfErrorKind::MaxSteps);
         assert_eq!(fail.rung_reached, LadderRung::Direct);
     }
 
@@ -576,9 +406,9 @@ mod tests {
         let net = CBurn2::new();
         let eos = StellarEos;
         let (rho, t0, x0, dt) = hot_zone();
-        let mut opts = PlainBurner::default_options();
-        opts.max_steps = 4;
-        let rb = RecoveringBurner::new(&net, &eos, opts, &RetryLadder::default());
+        let mut cfg = BurnerConfig::default();
+        cfg.bdf.max_steps = 4;
+        let rb = cfg.build(&net, &eos);
         let rec = rb.burn_zone(0, rho, t0, &x0, dt).unwrap();
         assert_eq!(rec.rung, LadderRung::Offload);
         assert!(rec.retries >= 1);
@@ -592,8 +422,8 @@ mod tests {
 
     #[test]
     fn subcycled_recovery_counts_exactly_one_zone() {
-        // Regression: zone counting used to live inside `PlainBurner::burn`
-        // and fired once per *attempt*, so a zone recovered on the subcycle
+        // Regression: zone counting used to live inside the single-attempt
+        // burn and fired once per *attempt*, so a zone recovered on the subcycle
         // rung (2 failed rungs + 4 sub-burns) counted as up to 7 zones and
         // inflated every zones/µs metric. Wrap the burn in a unique outer
         // region so this test reads its own profiler path regardless of
@@ -601,13 +431,12 @@ mod tests {
         let net = CBurn2::new();
         let eos = StellarEos;
         let (rho, t0, x0, dt) = hot_zone();
-        let rb = RecoveringBurner::new(
+        let rb = burner(
             &net,
             &eos,
-            PlainBurner::default_options(),
-            &RetryLadder::default(),
-        )
-        .with_faults(Some(faults(1.0, 2, BdfErrorKind::MaxSteps)));
+            RetryLadder::default(),
+            Some(faults(1.0, 2, BdfErrorKind::MaxSteps)),
+        );
         let rec = {
             let _outer = exastro_parallel::Profiler::region("one_zone_test");
             rb.burn_zone(11, rho, t0, &x0, dt).unwrap()

@@ -19,8 +19,8 @@
 //! it is strongly diagonally dominant. The symbolic phase still orders the
 //! elimination by **minimum degree** — without it, the dense He⁴ and
 //! temperature rows/columns of an alpha-chain network act as an arrowhead
-//! and elimination at step 0 fills the entire matrix (see the arrow-matrix
-//! test in [`crate::linalg`]); eliminating the near-tridiagonal chain block
+//! and elimination at step 0 fills the entire matrix (see the arrowhead
+//! tests below); eliminating the near-tridiagonal chain block
 //! first keeps the fill close to zero.
 
 use crate::linalg::{LinearSolver, Singular, SparsePattern};

@@ -3,8 +3,8 @@
 //! convergence invariants.
 
 use exastro_microphysics::{
-    mass_to_molar, molar_to_mass, BdfIntegrator, BdfOptions, CompiledLu, Composition, DenseLu, Eos,
-    GammaLaw, Network, OdeSystem, SparsePattern, StellarEos, TripleAlpha,
+    mass_to_molar, molar_to_mass, BdfIntegrator, BdfOptions, Composition, DenseLu, Eos, GammaLaw,
+    Network, OdeSystem, StellarEos, TripleAlpha,
 };
 use exastro_microphysics::{Aprox13, CBurn2};
 use proptest::prelude::*;
@@ -135,47 +135,6 @@ proptest! {
     }
 
     #[test]
-    fn compiled_lu_matches_dense_on_random_patterns(
-        n in 2usize..10,
-        seed in 0u64..10_000,
-        density in 0.1f64..0.9,
-    ) {
-        let mut s = seed.wrapping_mul(97).wrapping_add(13);
-        let mut rng = move || {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (s >> 33) as f64 / (1u64 << 31) as f64
-        };
-        let mut entries = Vec::new();
-        for r in 0..n {
-            for c in 0..n {
-                if r != c && rng() < density {
-                    entries.push((r, c));
-                }
-            }
-        }
-        let p = SparsePattern::new(n, entries);
-        let comp = CompiledLu::compile(&p);
-        let mut a = vec![0.0; n * n];
-        for &(r, c) in p.entries() {
-            a[r * n + c] = if r == c { n as f64 + rng() } else { rng() - 0.5 };
-        }
-        let x: Vec<f64> = (0..n).map(|_| rng() * 4.0 - 2.0).collect();
-        let b0: Vec<f64> = (0..n)
-            .map(|r| (0..n).map(|c| a[r * n + c] * x[c]).sum())
-            .collect();
-        let mut b1 = b0.clone();
-        let mut work = vec![0.0; comp.nnz_filled()];
-        comp.factor_solve(&a, &mut b1, &mut work).unwrap();
-        let lu = DenseLu::factor(&a, n).unwrap();
-        let mut b2 = b0;
-        lu.solve(&mut b2);
-        for i in 0..n {
-            prop_assert!((b1[i] - b2[i]).abs() < 1e-7, "i={i}");
-            prop_assert!((b1[i] - x[i]).abs() < 1e-7, "i={i}");
-        }
-    }
-
-    #[test]
     fn bdf_solves_linear_decay_for_any_rate(log_k in -2.0f64..6.0) {
         struct Decay { k: f64 }
         impl OdeSystem for Decay {
@@ -226,10 +185,7 @@ proptest! {
         // Whatever rung of the retry ladder ends up rescuing a zone, the
         // recovered state must be physical: finite everywhere with the
         // species mass fractions summing to one.
-        use exastro_microphysics::{
-            BdfErrorKind, BurnFaultConfig, Burner, LadderRung, PlainBurner, RecoveringBurner,
-            RetryLadder,
-        };
+        use exastro_microphysics::{BdfErrorKind, BurnFaultConfig, BurnerConfig, LadderRung};
         let net = CBurn2::new();
         let eos = StellarEos;
         let rho = 10f64.powf(log_rho);
@@ -242,14 +198,16 @@ proptest! {
             2 => BdfErrorKind::SingularMatrix,
             _ => BdfErrorKind::NonFinite,
         };
-        let ladder = RetryLadder::default();
-        let burner = RecoveringBurner::new(&net, &eos, PlainBurner::default_options(), &ladder)
-            .with_faults(Some(BurnFaultConfig {
+        let burner = BurnerConfig {
+            faults: Some(BurnFaultConfig {
                 seed,
                 rate: 1.0,
                 rungs_to_fail,
                 error,
-            }));
+            }),
+            ..Default::default()
+        }
+        .build(&net, &eos);
         match burner.burn_zone(seed, rho, t0, &x0, dt) {
             Ok(rec) => {
                 prop_assert!(rec.outcome.t.is_finite() && rec.outcome.t > 0.0);
@@ -295,7 +253,15 @@ proptest! {
         // sparse Newton burns agree in the final abundances to 1e-10 —
         // far below any physical significance, at integration tolerances
         // tight enough that the linear solver is the only moving part.
-        use exastro_microphysics::{BdfOptions, Iso7, NewtonSolver, PlainBurner};
+        //
+        // The burner's direct rung is always sparse; its one dense
+        // integrator is the offload rung, so the dense oracle is that rung
+        // configured at the direct rung's tolerances and reached by
+        // injecting a single failure into a ladder with no other rung.
+        use exastro_microphysics::{
+            BdfErrorKind, BurnFaultConfig, BurnerConfig, Iso7, LadderRung, OffloadOptions,
+            RetryLadder,
+        };
         let nets: [Box<dyn Network>; 4] = [
             Box::new(CBurn2::new()),
             Box::new(TripleAlpha::new()),
@@ -310,17 +276,39 @@ proptest! {
         let mut x0 = vec![0.0; net.nspec()];
         x0[0] = frac;
         x0[1] = 1.0 - frac;
-        let burn = |solver: NewtonSolver| {
-            let opts = BdfOptions::builder()
-                .rtol(1e-10)
-                .atol(1e-14)
-                .solver(solver)
-                .build()
-                .unwrap();
-            PlainBurner::new(net, &eos, opts).burn(rho, t0, &x0, dt)
+        let bdf = BdfOptions::builder().rtol(1e-10).atol(1e-14).build().unwrap();
+        let sparse_cfg = BurnerConfig {
+            bdf: bdf.clone(),
+            ladder: RetryLadder::none(),
+            ..Default::default()
         };
-        let dense = burn(NewtonSolver::Dense);
-        let sparse = burn(NewtonSolver::Sparse(net.sparsity_csr()));
+        let dense_cfg = BurnerConfig {
+            ladder: RetryLadder {
+                offload: Some(OffloadOptions {
+                    rtol: bdf.rtol,
+                    atol: bdf.atol[0],
+                    max_order: bdf.max_order,
+                    max_steps: bdf.max_steps,
+                }),
+                ..RetryLadder::none()
+            },
+            faults: Some(BurnFaultConfig {
+                seed: 0,
+                rate: 1.0,
+                rungs_to_fail: 1,
+                error: BdfErrorKind::MaxSteps,
+            }),
+            ..sparse_cfg.clone()
+        };
+        let burn = |cfg: &BurnerConfig, rung: LadderRung| {
+            let res = cfg.build(net, &eos).burn_zone(0, rho, t0, &x0, dt);
+            if let Ok(rec) = &res {
+                assert_eq!(rec.rung, rung);
+            }
+            res.map(|rec| rec.outcome)
+        };
+        let dense = burn(&dense_cfg, LadderRung::Offload);
+        let sparse = burn(&sparse_cfg, LadderRung::Direct);
         match (dense, sparse) {
             (Ok(d), Ok(s)) => {
                 for (i, (a, b)) in d.x.iter().zip(&s.x).enumerate() {
@@ -364,9 +352,7 @@ proptest! {
         // therefore bounded by the integration tolerances rather than being
         // bit-exact: at rtol 1e-11 / atol 1e-15 both paths must land within
         // 1e-10 in every mass fraction.
-        use exastro_microphysics::{
-            BdfOptions, Burner, BurnerConfig, Iso7, SolverChoice, ZoneBurn,
-        };
+        use exastro_microphysics::{BurnerConfig, Iso7, ZoneBurn};
         let nets: [Box<dyn Network>; 4] = [
             Box::new(CBurn2::new()),
             Box::new(TripleAlpha::new()),
@@ -380,7 +366,6 @@ proptest! {
         let dt = 10f64.powf(log_dt);
         let cfg = BurnerConfig {
             bdf: BdfOptions::builder().rtol(1e-11).atol(1e-15).build().unwrap(),
-            solver: SolverChoice::Sparse,
             batch_width: 4,
             ..Default::default()
         };
@@ -399,10 +384,11 @@ proptest! {
                 }
             })
             .collect();
-        let batched = cfg.build_batched(net, &eos).burn_all(&zones, dt);
-        let ladder = cfg.build(net, &eos);
+        // `burn_zone` never batches: it is the scalar-ladder reference.
+        let burner = cfg.build(net, &eos);
+        let batched = burner.burn_all(&zones, dt);
         for (zb, res) in zones.iter().zip(batched) {
-            let sref = ladder.burn_zone(zb.zone, zb.rho, zb.t0, &zb.x0, dt);
+            let sref = burner.burn_zone(zb.zone, zb.rho, zb.t0, &zb.x0, dt);
             match (res, sref) {
                 (Ok(b), Ok(s)) => {
                     for (i, (a, c)) in b.outcome.x.iter().zip(&s.outcome.x).enumerate() {
@@ -441,7 +427,7 @@ proptest! {
         // scalar retry ladder, so — success or structured failure — the
         // result must be bit-identical to never having batched at all,
         // modulo the one extra attempt the batch itself consumed.
-        use exastro_microphysics::{Burner, BurnerConfig, PlainBurner, SolverChoice, ZoneBurn};
+        use exastro_microphysics::{BurnerConfig, ZoneBurn};
         let nets: [Box<dyn Network>; 2] =
             [Box::new(CBurn2::new()), Box::new(TripleAlpha::new())];
         let net = &*nets[net_idx];
@@ -449,14 +435,11 @@ proptest! {
         let rho = 10f64.powf(log_rho);
         let t0 = 10f64.powf(log_t);
         let dt = 1e-6;
-        let mut bdf = PlainBurner::default_options();
-        bdf.max_steps = max_steps;
-        let cfg = BurnerConfig {
-            bdf,
-            solver: SolverChoice::Sparse,
+        let mut cfg = BurnerConfig {
             batch_width: 4,
             ..Default::default()
         };
+        cfg.bdf.max_steps = max_steps;
         let zones: Vec<ZoneBurn> = (0..4)
             .map(|l| {
                 let mut x0 = vec![0.0; net.nspec()];
@@ -470,10 +453,11 @@ proptest! {
                 }
             })
             .collect();
-        let batched = cfg.build_batched(net, &eos).burn_all(&zones, dt);
-        let ladder = cfg.build(net, &eos);
+        // `burn_zone` never batches: it is the scalar-ladder reference.
+        let burner = cfg.build(net, &eos);
+        let batched = burner.burn_all(&zones, dt);
         for (zb, res) in zones.iter().zip(batched) {
-            let sref = ladder.burn_zone(zb.zone, zb.rho, zb.t0, &zb.x0, dt);
+            let sref = burner.burn_zone(zb.zone, zb.rho, zb.t0, &zb.x0, dt);
             match (res, sref) {
                 (Ok(b), Ok(s)) => {
                     prop_assert_eq!(b.outcome.t.to_bits(), s.outcome.t.to_bits());

@@ -177,17 +177,14 @@ impl TaskGraph {
     pub fn run_seeded<F: FnMut(usize)>(&self, seed: u64, mut f: F) -> Result<(), GraphError> {
         let mut indeg = self.indegrees();
         let mut ready: Vec<usize> = (0..self.len()).filter(|&t| indeg[t] == 0).collect();
-        // SplitMix64: tiny, seedable, good enough to shuffle a ready set.
-        let mut s = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut next_u64 = move || {
-            s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = s;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        // Tiny, seedable, good enough to shuffle a ready set. The stream
+        // starts one draw in: the first draw of `seed` is discarded.
+        let mut rng = seed;
+        crate::splitmix64(&mut rng);
         let mut done = 0usize;
-        while let Some(pick) = (!ready.is_empty()).then(|| next_u64() as usize % ready.len()) {
+        while let Some(pick) =
+            (!ready.is_empty()).then(|| crate::splitmix64(&mut rng) as usize % ready.len())
+        {
             let t = ready.swap_remove(pick);
             f(t);
             done += 1;

@@ -19,9 +19,7 @@ use exastro_castro::{
 use exastro_maestro::{
     init_bubble, restore_base_state, snapshot_run, BaseState, BubbleParams, LmLayout, Maestro,
 };
-use exastro_microphysics::{
-    Composition, Eos, GammaLaw, Network, RetryLadder, SolverChoice, StellarEos,
-};
+use exastro_microphysics::{Composition, Eos, GammaLaw, Network, RetryLadder, StellarEos};
 use exastro_resilience::recovery::RecoveryOptions;
 use exastro_resilience::snapshot::{digest_multifab, Clock, Snapshot};
 use exastro_resilience::stepper::Stepper;
@@ -523,9 +521,7 @@ fn build_stepper<'a>(
             do_burn: true,
             burn_min_temp: 1e8,
             ladder: RetryLadder::default(),
-            burn_solver: SolverChoice::default(),
             burn_faults: spec.burn_faults.clone(),
-            burn_batch_width: 8,
             overlap: true,
             recovery: RecoveryOptions::default(),
             telemetry: recorder,

@@ -12,12 +12,12 @@
 //! ```
 
 use exastro::castro::critical_zone_width;
-use exastro::microphysics::{PlainBurner, StellarEos, TripleAlpha};
+use exastro::microphysics::{BurnerConfig, StellarEos, TripleAlpha};
 
 fn main() {
     let net = TripleAlpha::new();
     let eos = StellarEos;
-    let burner = PlainBurner::new(&net, &eos, PlainBurner::default_options());
+    let burner = BurnerConfig::default().build(&net, &eos);
 
     // A column through the accreted helium layer: density falls with
     // height; the base is hottest.
@@ -48,8 +48,11 @@ fn main() {
     );
     let mut t_elapsed = 0.0;
     for _ in 0..12 {
-        for (rho, t, x) in column.iter_mut() {
-            let out = burner.burn(*rho, *t, x, dt).expect("burn failed");
+        for (k, (rho, t, x)) in column.iter_mut().enumerate() {
+            let out = burner
+                .burn_zone(k as u64, *rho, *t, x, dt)
+                .expect("burn failed")
+                .outcome;
             *t = out.t;
             *x = out.x;
         }
