@@ -98,6 +98,31 @@ for fid, parts in flows.items():
     assert ts["s"] <= ts["f"], f"flow {fid} travels backward in time"
 print(f"trace OK ({len(evs)} events, {len(last_ts)} thread(s), "
       f"{len(flows)} flow(s), dropped {d.get('droppedEventCount', 0)})")
+# Same-run ratio gate: the post-hydro EOS re-sync is one seeded solve per
+# zone, a few percent of the hydro it follows (0.02-0.04 here; it was ~1.2
+# while it inverted the EOS twice from a cold seed). Both spans come from
+# this run, so machine speed cancels.
+def span_ms(name):
+    begun, out = {}, []
+    for e in evs:
+        if e["name"] != name:
+            continue
+        if e["ph"] == "B":
+            begun[e["tid"]] = e["ts"]
+        elif e["ph"] == "E":
+            out.append((e["ts"] - begun.pop(e["tid"])) / 1e3)
+    return out
+hydro, sync = span_ms("hydro"), span_ms("sync_temperature")
+assert hydro and sync, (
+    f"trace kept {len(hydro)} hydro and {len(sync)} sync_temperature span(s)")
+# The ring buffer keeps the newest events and a step's re-sync follows its
+# hydro, so the last len(hydro) re-syncs are the kept hydros' own steps.
+sync = sync[-len(hydro):]
+ratio = sum(sync) / sum(hydro)
+assert ratio <= 0.25, (
+    f"sync_temperature is {ratio:.2f}x hydro ({sum(sync):.1f} ms vs "
+    f"{sum(hydro):.1f} ms over {len(hydro)} step(s)); limit 0.25")
+print(f"sync_temperature / hydro = {ratio:.3f} over {len(hydro)} step(s)")
 g = json.load(open("/tmp/quickstart_graphs.json"))
 assert g["schema"] == "exastro.graphtrace.v1", g.get("schema")
 assert g["graphs"], "no graph summaries recorded"

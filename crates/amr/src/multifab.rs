@@ -20,15 +20,29 @@ use exastro_parallel::{
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-/// One point-to-point message in a communication trace.
+/// One point-to-point message in a communication trace. Ranks are `u32`,
+/// 16 bytes a message: a step's trace holds one entry per off-rank ghost
+/// copy (thousands on a many-box level) and the drivers return it in their
+/// step statistics, which callers keep one of per step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Message {
     /// Sending rank.
-    pub src: usize,
+    pub src: u32,
     /// Receiving rank.
-    pub dst: usize,
+    pub dst: u32,
     /// Payload size in bytes.
     pub bytes: u64,
+}
+
+impl Message {
+    fn new(src: usize, dst: usize, bytes: u64) -> Self {
+        let rank = |r: usize| u32::try_from(r).expect("rank ids fit in u32");
+        Message {
+            src: rank(src),
+            dst: rank(dst),
+            bytes,
+        }
+    }
 }
 
 /// A record of the communication performed by one collective operation.
@@ -56,7 +70,7 @@ impl CommTrace {
     pub fn bytes_sent_per_rank(&self, nranks: usize) -> Vec<u64> {
         let mut out = vec![0u64; nranks];
         for m in &self.messages {
-            out[m.src] += m.bytes;
+            out[m.src as usize] += m.bytes;
         }
         out
     }
@@ -415,11 +429,7 @@ impl MultiFab {
                 if sr == dr {
                     trace.local_bytes += bytes;
                 } else {
-                    trace.messages.push(Message {
-                        src: sr,
-                        dst: dr,
-                        bytes,
-                    });
+                    trace.messages.push(Message::new(sr, dr, bytes));
                 }
             }
         }
@@ -493,11 +503,7 @@ impl MultiFab {
             if sr == dr {
                 trace.local_bytes += bytes;
             } else {
-                trace.messages.push(Message {
-                    src: sr,
-                    dst: dr,
-                    bytes,
-                });
+                trace.messages.push(Message::new(sr, dr, bytes));
             }
         }
         Profiler::record_zones(ghost_zones);

@@ -4,13 +4,13 @@
 use crate::burn::{burn_state, BurnOptions, BurnStats};
 use crate::gravity::{Gravity, GravityField, GravityMode};
 use crate::hydro::{Hydro, SweepFluxes};
-use crate::state::{cons_to_prim, StateLayout};
+use crate::state::{rho_vel_e, StateLayout};
 use exastro_amr::{
     average_down, fill_patch_two_levels, BcSpec, CommTrace, FluxRegister, Geometry, Hierarchy,
-    IntVect, MultiFab, Real,
+    IndexBox, IntVect, MultiFab, Real,
 };
 use exastro_microphysics::{BurnFailure, Composition, Eos, Network};
-use exastro_parallel::{Arena, ExecSpace, PoolArena, Profiler};
+use exastro_parallel::{par_each_mut, par_map_fold, Arena, ExecSpace, PoolArena, Profiler};
 use exastro_resilience::recovery::{write_emergency, RecoveryOptions};
 use exastro_resilience::snapshot::{Clock, Snapshot};
 use exastro_resilience::stepper::{StepFailure, StepOutcome, Stepper};
@@ -210,44 +210,55 @@ impl<'a> Castro<'a> {
     }
 
     /// Recompute temperature and re-sync the advected internal energy from
-    /// the conservative total energy (post-hydro EOS sync).
+    /// the conservative total energy (post-hydro EOS sync): one EOS solve
+    /// per zone, seeded with the zone's previous temperature, fabs spread
+    /// over the worker pool.
     pub fn sync_temperature(&self, state: &mut MultiFab) {
         let layout = self.layout;
         let floors = self.hydro.floors;
         let species = self.net.species();
-        for i in 0..state.nfabs() {
-            let vb = state.valid_box(i);
-            let fab = state.fab_mut(i);
-            for iv in vb.iter() {
-                let mut u = vec![0.0; layout.ncomp()];
-                for c in 0..layout.ncomp() {
-                    u[c] = fab.get(iv, c);
-                }
-                let q = cons_to_prim(&u, &layout, self.eos, species, &floors);
+        let eos = self.eos;
+        let nspec = layout.nspec;
+        let vbs: Vec<IndexBox> = (0..state.nfabs()).map(|i| state.valid_box(i)).collect();
+        par_each_mut(&mut state.fab_views_mut(), |fi, arr| {
+            for iv in vbs[fi].iter() {
+                let (i, j, k) = (iv.x(), iv.y(), iv.z());
+                let (rho, _, e) = rho_vel_e(
+                    arr.at(i, j, k, StateLayout::RHO),
+                    [
+                        arr.at(i, j, k, StateLayout::MX),
+                        arr.at(i, j, k, StateLayout::MY),
+                        arr.at(i, j, k, StateLayout::MZ),
+                    ],
+                    arr.at(i, j, k, StateLayout::EDEN),
+                    arr.at(i, j, k, StateLayout::EINT),
+                    &floors,
+                );
                 // Renormalize species against advection drift.
-                let rho = q.rho;
+                let mut x = [0.0; StateLayout::MAX_NSPEC];
                 let mut xsum = 0.0;
-                for s in 0..layout.nspec {
-                    xsum += (fab.get(iv, layout.spec(s)) / rho).max(0.0);
+                for s in 0..nspec {
+                    x[s] = (arr.at(i, j, k, layout.spec(s)) / rho).max(0.0);
+                    xsum += x[s];
                 }
                 if xsum > 0.0 {
-                    for s in 0..layout.nspec {
-                        let x = (fab.get(iv, layout.spec(s)) / rho).max(0.0) / xsum;
-                        fab.set(iv, layout.spec(s), rho * x);
+                    for s in 0..nspec {
+                        arr.set(i, j, k, layout.spec(s), rho * (x[s] / xsum));
                     }
                 }
-                let mut x = vec![0.0; layout.nspec];
-                for s in 0..layout.nspec {
-                    x[s] = fab.get(iv, layout.spec(s)) / rho;
+                for s in 0..nspec {
+                    x[s] = arr.at(i, j, k, layout.spec(s)) / rho;
                 }
-                let comp = Composition::from_mass_fractions(species, &x);
-                let t = self
-                    .eos
-                    .t_from_e(rho, q.e, &comp, fab.get(iv, StateLayout::TEMP).max(1e3));
-                fab.set(iv, StateLayout::TEMP, t.max(floors.small_temp));
-                fab.set(iv, StateLayout::EINT, rho * q.e);
+                let comp = Composition::from_mass_fractions(species, &x[..nspec]);
+                // The previous temperature is the seed (as in `cons_to_prim`):
+                // a zone the step did not touch converges on the first
+                // evaluation, in any unit system.
+                let t_guess = arr.at(i, j, k, StateLayout::TEMP).max(floors.small_temp);
+                let (t, _) = eos.t_from_e(rho, e, &comp, t_guess);
+                arr.set(i, j, k, StateLayout::TEMP, t.max(floors.small_temp));
+                arr.set(i, j, k, StateLayout::EINT, rho * e);
             }
-        }
+        });
     }
 
     /// Validate the post-step state: every component finite, density and
@@ -260,38 +271,43 @@ impl<'a> Castro<'a> {
         species_tol: Real,
     ) -> Result<(), StateViolation> {
         let layout = self.layout;
-        for i in 0..state.nfabs() {
-            let vb = state.valid_box(i);
-            let fab = state.fab(i);
-            for iv in vb.iter() {
+        let first_in_fab = |fi: usize| {
+            let arr = state.fab(fi).array();
+            for iv in state.valid_box(fi).iter() {
+                let (i, j, k) = (iv.x(), iv.y(), iv.z());
                 for c in 0..layout.ncomp() {
-                    if !fab.get(iv, c).is_finite() {
+                    if !arr.at(i, j, k, c).is_finite() {
                         return Err(StateViolation::NonFinite { comp: c, zone: iv });
                     }
                 }
-                let rho = fab.get(iv, StateLayout::RHO);
+                let rho = arr.at(i, j, k, StateLayout::RHO);
                 if rho <= 0.0 {
                     return Err(StateViolation::NegativeDensity { rho, zone: iv });
                 }
-                let eden = fab.get(iv, StateLayout::EDEN);
+                let eden = arr.at(i, j, k, StateLayout::EDEN);
                 if eden <= 0.0 {
                     return Err(StateViolation::NegativeEnergy { e: eden, zone: iv });
                 }
-                let eint = fab.get(iv, StateLayout::EINT);
+                let eint = arr.at(i, j, k, StateLayout::EINT);
                 if eint < 0.0 {
                     return Err(StateViolation::NegativeEnergy { e: eint, zone: iv });
                 }
                 let mut xsum = 0.0;
                 for s in 0..layout.nspec {
-                    xsum += fab.get(iv, layout.spec(s)) / rho;
+                    xsum += arr.at(i, j, k, layout.spec(s)) / rho;
                 }
                 let drift = (xsum - 1.0).abs();
                 if drift > species_tol {
                     return Err(StateViolation::SpeciesDrift { drift, zone: iv });
                 }
             }
-        }
-        Ok(())
+            Ok(())
+        };
+        // Fabs are checked concurrently; folding their verdicts in fab order
+        // keeps the reported violation the first one in sweep order.
+        par_map_fold(state.nfabs(), Ok(()), first_in_fab, |first, next| {
+            first.and(next)
+        })
     }
 
     /// Advance one level by `dt`: Strang burn half, hydro sweeps, gravity

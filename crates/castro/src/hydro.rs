@@ -69,6 +69,9 @@ impl Q {
     }
 }
 
+/// Size of the stack array a kernel stages one zone's conserved state in.
+const MAX_NCOMP: usize = StateLayout::FS + StateLayout::MAX_NSPEC;
+
 /// Hydro options.
 #[derive(Clone, Debug)]
 pub struct Hydro {
@@ -211,7 +214,7 @@ impl Hydro {
             let floors = self.floors;
             let layout = *layout;
             let max_speed = ex.par_reduce_max(vb, |i, j, k| {
-                let mut u = [0.0; 40];
+                let mut u = [0.0; MAX_NCOMP];
                 for c in 0..ncomp {
                     u[c] = arr.at(i, j, k, c);
                 }
@@ -248,7 +251,7 @@ impl Hydro {
         let layout = *layout;
         let profile = KernelProfile::new(3.0, 180); // EOS Newton inversion is heavy
         ex.par_for_prof(region, &profile, |i, j, k| {
-            let mut u = [0.0; 40];
+            let mut u = [0.0; MAX_NCOMP];
             for c in 0..ncomp {
                 u[c] = sarr.at(i, j, k, c);
             }
@@ -660,7 +663,7 @@ pub struct TracedState {
     /// Rotated primitive (`vel[0]` is the face normal).
     pub prim: Primitive,
     /// Species mass fractions.
-    pub x: [Real; 16],
+    pub x: [Real; StateLayout::MAX_NSPEC],
 }
 
 /// Trace zone `z`'s state to its face at `side` (+0.5 = high face, −0.5 =
@@ -738,8 +741,8 @@ fn trace_one(
     // Approximate traced sound speed via frozen Γ₁.
     let gam1 = cs * cs * rho / p.max(1e-300);
     prim.cs = (gam1 * prim.p / prim.rho).sqrt();
-    let mut x = [0.0; 16];
-    for s in 0..nspec.min(16) {
+    let mut x = [0.0; StateLayout::MAX_NSPEC];
+    for s in 0..nspec {
         let xv = at(z, Q::FS + s);
         let d_x = slope(Q::FS + s);
         x[s] = (xv + side * d_x + half * (-(un * d_x))).clamp(0.0, 1.0);
@@ -773,7 +776,7 @@ fn write_flux(
     farr.set(i, j, k, StateLayout::TEMP, 0.0);
     let xs = if f.upwind_left { &ql.x } else { &qr.x };
     for s in 0..layout.nspec {
-        farr.set(i, j, k, layout.spec(s), f.mass * xs[s.min(15)]);
+        farr.set(i, j, k, layout.spec(s), f.mass * xs[s]);
     }
     // Face normal velocity for the −p∇·u source: mass flux / upwind rho is
     // a decent contact-speed proxy, clamped to the local signal speed to
@@ -825,7 +828,7 @@ mod tests {
                 let x = geom.cell_center(iv)[dim];
                 let (rho, p) = if x < 0.5 { (1.0, 1.0) } else { (0.125, 0.1) };
                 let e = eos.e_from_p(rho, p);
-                let t = eos.t_from_e(rho, e, &comp, 1e3);
+                let (t, _) = eos.t_from_e(rho, e, &comp, 1e3);
                 let fab = state.fab_mut(i);
                 fab.set(iv, StateLayout::RHO, rho);
                 fab.set(iv, StateLayout::EDEN, rho * e);
@@ -979,7 +982,7 @@ mod tests {
                     let v = 0.2 * (tp * x[0]).cos();
                     let p = 1.0 + 0.1 * (tp * x[1]).sin();
                     let e = eos.e_from_p(rho, p);
-                    let t = eos.t_from_e(rho, e, &comp, 1e3);
+                    let (t, _) = eos.t_from_e(rho, e, &comp, 1e3);
                     let ke = 0.5 * rho * (u * u + v * v);
                     let fab = state.fab_mut(i);
                     fab.set(iv, StateLayout::RHO, rho);
@@ -1078,7 +1081,7 @@ mod tests {
                 let u = 1.0;
                 let p = 1.0;
                 let e = eos.e_from_p(rho, p);
-                let t = eos.t_from_e(rho, e, &comp, 1e3);
+                let (t, _) = eos.t_from_e(rho, e, &comp, 1e3);
                 let fab = state.fab_mut(i);
                 fab.set(iv, StateLayout::RHO, rho);
                 fab.set(iv, StateLayout::MX, rho * u);

@@ -67,10 +67,13 @@ pub fn init_sedov(
         zbar: 1.0,
     };
     let e0 = eos.e_from_p(params.rho0, params.p0);
-    let t_amb = {
-        // Invert for a consistent ambient temperature.
-        eos.t_from_e(params.rho0, e0, &comp, 1e3)
-    };
+    // Invert for a consistent ambient temperature: the one solve of the
+    // set-up that starts cold, whatever the unit system.
+    let (t_amb, _) = eos.t_from_e(params.rho0, e0, &comp, 1e3);
+    // Every deposit zone holds the same (ρ, e); T ∝ e is exact for a gamma
+    // law, so the ambient solution scaled by the energy ratio seeds it.
+    let e_hot = e_zone / params.rho0;
+    let (t_hot, _) = eos.t_from_e(params.rho0, e_hot, &comp, t_amb * (e_hot / e0));
     for i in 0..state.nfabs() {
         let vb = state.valid_box(i);
         for iv in vb.iter() {
@@ -86,15 +89,7 @@ pub fn init_sedov(
             fab.set(iv, StateLayout::MZ, 0.0);
             fab.set(iv, StateLayout::EDEN, rho_e);
             fab.set(iv, StateLayout::EINT, rho_e);
-            fab.set(
-                iv,
-                StateLayout::TEMP,
-                if hot {
-                    eos.t_from_e(rho, rho_e / rho, &comp, 1e6)
-                } else {
-                    t_amb
-                },
-            );
+            fab.set(iv, StateLayout::TEMP, if hot { t_hot } else { t_amb });
             fab.set(iv, layout.spec(0), rho);
             for s in 1..layout.nspec {
                 fab.set(iv, layout.spec(s), 0.0);

@@ -33,8 +33,20 @@ impl StateLayout {
     /// First species partial density ρX₀.
     pub const FS: usize = 7;
 
+    /// Most species a layout can carry. The per-zone kernels stage a zone's
+    /// components and mass fractions in stack arrays sized from this bound.
+    pub const MAX_NSPEC: usize = 16;
+
     /// Create a layout for `nspec` species.
+    ///
+    /// # Panics
+    /// If `nspec` exceeds [`StateLayout::MAX_NSPEC`].
     pub fn new(nspec: usize) -> Self {
+        assert!(
+            nspec <= Self::MAX_NSPEC,
+            "a Castro state carries at most {} species, asked for {nspec}",
+            Self::MAX_NSPEC
+        );
         StateLayout { nspec }
     }
 
@@ -116,10 +128,33 @@ impl Floors {
     }
 }
 
+/// Floored density, velocity and specific internal energy of one zone's
+/// conserved `(ρ, ρu, ρE, ρe)` — what the EOS is inverted at.
+#[inline]
+pub(crate) fn rho_vel_e(
+    rho: Real,
+    mom: [Real; 3],
+    eden: Real,
+    eint: Real,
+    floors: &Floors,
+) -> (Real, [Real; 3], Real) {
+    let rho = rho.max(floors.small_dens);
+    let inv = 1.0 / rho;
+    let vel = [mom[0] * inv, mom[1] * inv, mom[2] * inv];
+    let ke = 0.5 * (vel[0] * vel[0] + vel[1] * vel[1] + vel[2] * vel[2]);
+    let mut e = eden * inv - ke;
+    if e <= 0.0 {
+        // Fall back to the advected internal energy (dual-energy guard).
+        e = (eint * inv).max(1e-30);
+    }
+    (rho, vel, e)
+}
+
 /// Convert one zone of conserved data to primitives using the EOS.
 ///
 /// `u` must contain `layout.ncomp()` values. The temperature entry is used
-/// as the EOS Newton initial guess.
+/// as the EOS Newton initial guess: one EOS evaluation when it is already
+/// the solution, one more per Newton step otherwise.
 pub fn cons_to_prim(
     u: &[Real],
     layout: &StateLayout,
@@ -127,28 +162,26 @@ pub fn cons_to_prim(
     species: &[exastro_microphysics::Species],
     floors: &Floors,
 ) -> Primitive {
-    let rho = u[StateLayout::RHO].max(floors.small_dens);
+    let (rho, vel, e) = rho_vel_e(
+        u[StateLayout::RHO],
+        [u[StateLayout::MX], u[StateLayout::MY], u[StateLayout::MZ]],
+        u[StateLayout::EDEN],
+        u[StateLayout::EINT],
+        floors,
+    );
     let inv = 1.0 / rho;
-    let vel = [
-        u[StateLayout::MX] * inv,
-        u[StateLayout::MY] * inv,
-        u[StateLayout::MZ] * inv,
-    ];
-    let ke = 0.5 * (vel[0] * vel[0] + vel[1] * vel[1] + vel[2] * vel[2]);
-    let mut e = u[StateLayout::EDEN] * inv - ke;
-    if e <= 0.0 {
-        // Fall back to the advected internal energy (dual-energy guard).
-        e = (u[StateLayout::EINT] * inv).max(1e-30);
-    }
-    let mut x = [0.0; 32];
-    let n = layout.nspec.min(32);
+    let mut x = [0.0; StateLayout::MAX_NSPEC];
+    let n = layout.nspec;
     for k in 0..n {
         x[k] = (u[layout.spec(k)] * inv).clamp(0.0, 1.0);
     }
     let comp = Composition::from_mass_fractions(species, &x[..n]);
     let t_guess = u[StateLayout::TEMP].max(floors.small_temp);
-    let t = eos.t_from_e(rho, e, &comp, t_guess).max(floors.small_temp);
-    let r = eos.eval_rt(rho, t, &comp);
+    let (t, mut r) = eos.t_from_e(rho, e, &comp, t_guess);
+    if t < floors.small_temp {
+        // The floor clamps, so the solver's evaluation is at the wrong T.
+        r = eos.eval_rt(rho, floors.small_temp, &comp);
+    }
     Primitive {
         rho,
         vel,
@@ -171,6 +204,12 @@ mod tests {
         assert_eq!(l.spec(0), 7);
         assert_eq!(l.spec(1), 8);
         assert_eq!(l.mom(2), StateLayout::MZ);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 16 species")]
+    fn over_wide_layout_is_rejected_at_construction() {
+        StateLayout::new(StateLayout::MAX_NSPEC + 1);
     }
 
     #[test]

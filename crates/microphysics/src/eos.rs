@@ -47,14 +47,19 @@ pub trait Eos: Send + Sync {
     /// Solve for the temperature giving specific internal energy `e` at
     /// density `rho`, starting from `t_guess`. Newton iteration with a
     /// bisection safeguard; EOS internal energies are monotone in T.
-    fn t_from_e(&self, rho: f64, e: f64, comp: &Composition, t_guess: f64) -> f64 {
+    ///
+    /// Returns the temperature together with the evaluation at exactly that
+    /// temperature, so a caller that wants `p`, `c_s`, … at the solution
+    /// does not evaluate the EOS again. A guess within the convergence
+    /// tolerance costs one `eval_rt`.
+    fn t_from_e(&self, rho: f64, e: f64, comp: &Composition, t_guess: f64) -> (f64, EosResult) {
         let mut t = t_guess.max(1e-30);
         // Newton.
         for _ in 0..50 {
             let r = self.eval_rt(rho, t, comp);
             let f = r.e - e;
             if f.abs() <= 1e-10 * e.abs().max(1e-30) {
-                return t;
+                return (t, r);
             }
             let dt = -f / r.cv.max(1e-30);
             let tn = t + dt;
@@ -64,7 +69,7 @@ pub trait Eos: Send + Sync {
                 t = if dt > 0.0 { t * 2.0 } else { t * 0.5 };
             }
             if (dt / t).abs() < 1e-12 {
-                return t;
+                return (t, self.eval_rt(rho, t, comp));
             }
         }
         // Bisection fallback over a wide (log-space) bracket.
@@ -80,7 +85,8 @@ pub trait Eos: Send + Sync {
                 break;
             }
         }
-        (lo * hi).sqrt()
+        let t = (lo * hi).sqrt();
+        (t, self.eval_rt(rho, t, comp))
     }
 }
 
@@ -237,7 +243,7 @@ mod tests {
         let eos = GammaLaw::monatomic();
         let comp = co_comp();
         let r = eos.eval_rt(1.0, 3.7e6, &comp);
-        let t = eos.t_from_e(1.0, r.e, &comp, 1e5);
+        let (t, _) = eos.t_from_e(1.0, r.e, &comp, 1e5);
         assert!((t / 3.7e6 - 1.0).abs() < 1e-8, "t = {t}");
     }
 
@@ -307,7 +313,7 @@ mod tests {
         let comp = co_comp();
         for &(rho, t) in &[(1e-2, 1e5), (1e3, 1e7), (1e7, 5e7), (2e7, 1e9), (5e8, 4e9)] {
             let e = eos.eval_rt(rho, t, &comp).e;
-            let ti = eos.t_from_e(rho, e, &comp, 1e6);
+            let (ti, _) = eos.t_from_e(rho, e, &comp, 1e6);
             assert!(
                 (ti / t - 1.0).abs() < 1e-6,
                 "rho={rho} t={t}: inverted {ti}"

@@ -3,8 +3,8 @@
 //! convergence invariants.
 
 use exastro_microphysics::{
-    mass_to_molar, molar_to_mass, BdfIntegrator, BdfOptions, Composition, DenseLu, Eos, GammaLaw,
-    Network, OdeSystem, StellarEos, TripleAlpha,
+    mass_to_molar, molar_to_mass, BdfIntegrator, BdfOptions, Composition, DenseLu, Eos, EosResult,
+    GammaLaw, Network, OdeSystem, StellarEos, TripleAlpha,
 };
 use exastro_microphysics::{Aprox13, CBurn2};
 use proptest::prelude::*;
@@ -17,6 +17,25 @@ fn arb_composition() -> impl Strategy<Value = (Vec<f64>, Composition)> {
         let comp = Composition::from_mass_fractions(net.species(), &x);
         (x, comp)
     })
+}
+
+/// An EOS whose energy zero is moved down by `shift`, so that rounding in
+/// `e` is large next to `e` itself.
+struct EnergyShifted<E> {
+    inner: E,
+    shift: f64,
+}
+
+impl<E: Eos> Eos for EnergyShifted<E> {
+    fn eval_rt(&self, rho: f64, t: f64, comp: &Composition) -> EosResult {
+        let mut r = self.inner.eval_rt(rho, t, comp);
+        r.e -= self.shift;
+        r
+    }
+}
+
+fn bits(r: &EosResult) -> [u64; 7] {
+    [r.p, r.e, r.cv, r.dpdr, r.dpdt, r.cs, r.gam1].map(f64::to_bits)
 }
 
 proptest! {
@@ -52,8 +71,21 @@ proptest! {
         let rho = 10f64.powf(log_rho);
         let t = 10f64.powf(log_t);
         let e = eos.eval_rt(rho, t, &comp).e;
-        let ti = eos.t_from_e(rho, e, &comp, 1e7);
-        prop_assert!((ti / t - 1.0).abs() < 1e-5, "rho={rho:.2e} T={t:.2e} -> {ti:.4e}");
+        // A warm guess leaves through Newton's residual test; a guess 35
+        // decades cold exhausts Newton's 50 doublings and lands in the
+        // bisection fallback. Either way the result travels with its T.
+        for guess in [1e7, 1e-30] {
+            let (ti, ri) = eos.t_from_e(rho, e, &comp, guess);
+            prop_assert!((ti / t - 1.0).abs() < 1e-5, "rho={rho:.2e} T={t:.2e} -> {ti:.4e}");
+            prop_assert_eq!(bits(&ri), bits(&eos.eval_rt(rho, ti, &comp)));
+        }
+        // Newton's other exit, the step-size test, needs an energy whose
+        // residual cannot reach 1e-10 relative: subtract nearly all of it.
+        let shifted = EnergyShifted { inner: eos, shift: e * (1.0 - 1e-9) };
+        let target = shifted.eval_rt(rho, t, &comp).e * 1.001;
+        let (ts, rs) = shifted.t_from_e(rho, target, &comp, 1e7);
+        prop_assert!((ts / t - 1.0).abs() < 1e-5, "shifted: T={t:.2e} -> {ts:.4e}");
+        prop_assert_eq!(bits(&rs), bits(&shifted.eval_rt(rho, ts, &comp)));
     }
 
     #[test]
