@@ -284,10 +284,9 @@ print(f"chaos_events.jsonl OK ({len(events)} events, "
 EOF
 
 echo "== task-graph overlap ablation smoke (test mode) =="
-# The tentpole's ablation: the modeled 512-node efficiency with the
-# overlapped exchange must beat bulk-synchronous stepping, and the real
-# graph-overlapped Castro advance (bit-identical results, asserted in the
-# castro tests) must not be slower than sync beyond noise.
+# The modeled 512-node efficiency with the overlapped exchange must beat
+# bulk-synchronous stepping, and a traced Castro advance must yield a
+# measured overlap efficiency that is a fraction.
 cargo bench --offline -p exastro-bench --bench ablation_taskgraph -- --test >/tmp/taskgraph_smoke.log
 python3 - <<'EOF'
 import json
@@ -297,7 +296,6 @@ by = {m["label"]: m["value"] for m in d["metrics"]}
 for need in ("taskgraph/overlap_efficiency", "taskgraph/sync_efficiency",
              "taskgraph/efficiency_gain",
              "taskgraph/scheduler_overhead_us_per_task",
-             "taskgraph/wall_speedup_sedov32",
              "taskgraph/measured_overlap_eff", "taskgraph/model_drift"):
     assert need in by, f"missing {need} in {sorted(by)}"
 assert by["taskgraph/overlap_efficiency"] > by["taskgraph/sync_efficiency"], (
@@ -305,8 +303,6 @@ assert by["taskgraph/overlap_efficiency"] > by["taskgraph/sync_efficiency"], (
 assert by["taskgraph/efficiency_gain"] > 1.0
 assert by["taskgraph/scheduler_overhead_us_per_task"] < 100.0, (
     "scheduler overhead implausibly high")
-assert by["taskgraph/wall_speedup_sedov32"] > 0.7, (
-    "graph-overlapped advance should not be drastically slower than sync")
 assert 0.0 <= by["taskgraph/measured_overlap_eff"] <= 1.0, (
     "measured overlap efficiency is a fraction")
 # model_drift's tolerance band is asserted in
@@ -365,6 +361,11 @@ cargo run --release --offline --quiet --manifest-path examples/perf_ledger/Cargo
   --smoke --out /tmp/ledger_smoke.json
 cargo run --release --offline --quiet --manifest-path examples/perf_ledger/Cargo.toml -- \
   --selfcheck /tmp/ledger_smoke.json
+
+echo "== rustdoc (deny broken intra-doc links) =="
+# Deletion PRs leave dangling [`Type::removed_item`] links; nothing else
+# catches them.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline
 
 echo "== clippy (deny warnings, deny deprecated) =="
 # -D deprecated keeps the repo itself off any deprecated API (the last

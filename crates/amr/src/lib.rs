@@ -10,6 +10,8 @@
 //! * [`fab`] — `FArrayBox` dense arrays and the `Array4` kernel views;
 //! * [`multifab`] — the distributed field container, ghost-zone exchange
 //!   with communication tracing, physical boundary conditions, reductions;
+//! * [`halo_loop`] — the exchange-overlapped box loop the drivers step
+//!   with: one ghost exchange and three per-box kernels as a task graph;
 //! * [`interp`] — conservative prolongation and restriction;
 //! * [`mod@cluster`] — error tagging → grid generation (Berger–Rigoutsos style);
 //! * [`hierarchy`] — multi-level meshes, regridding, `fill_patch`;
@@ -27,6 +29,7 @@ pub mod distribution;
 pub mod fab;
 pub mod flux_register;
 pub mod geometry;
+pub mod halo_loop;
 pub mod hierarchy;
 pub mod interp;
 pub mod io;
@@ -38,10 +41,11 @@ pub use distribution::{DistStrategy, DistributionMapping};
 pub use fab::{Array4, Array4Mut, FArrayBox};
 pub use flux_register::FluxRegister;
 pub use geometry::{CoordSys, Geometry};
+pub use halo_loop::HaloLoop;
 pub use hierarchy::{fill_patch_two_levels, AmrLevel, Hierarchy};
 pub use interp::{average_down, prolong_lin, prolong_pc};
 pub use io::{read_checkpoint, write_checkpoint, Checkpoint, IoError};
-pub use multifab::{apply_physical_bc, BcKind, BcSpec, CommTrace, Message, MultiFab, PendingComm};
+pub use multifab::{BcKind, BcSpec, CommTrace, Message, MultiFab, PendingComm};
 
 // Re-export the index primitives so downstream crates have one import path.
 pub use exastro_parallel::{IndexBox, IntVect, Real, SPACEDIM};

@@ -46,7 +46,7 @@ impl Message {
 }
 
 /// A record of the communication performed by one collective operation.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CommTrace {
     /// Off-rank messages (src != dst).
     pub messages: Vec<Message>,
@@ -88,21 +88,16 @@ struct GhostOp {
 
 /// An in-flight ghost exchange: the first phase of the two-phase comm API.
 ///
-/// Produced by [`MultiFab::post_fill_boundary`] (planned **and** packed — the
-/// MPI-isend analogue) or [`MultiFab::plan_fill_boundary`] (planned only, for
-/// task-graph callers that stage packing as tasks). Carries the partial
-/// [`CommTrace`], priced at planning time: the exchange pattern depends only
-/// on the box layout, so the trace is complete before any data moves and is
-/// byte-identical to the bulk-synchronous trace.
+/// Produced by [`MultiFab::post_fill_boundary`], planned **and** packed — the
+/// MPI-isend analogue. Carries the partial [`CommTrace`], priced at planning
+/// time: the exchange pattern depends only on the box layout, so the trace
+/// is complete before any data moves.
 ///
-/// Completion paths:
-/// * [`PendingComm::wait`] — pack anything still pending, unpack every ghost
-///   region into the target multifab, return the trace. `post` + `wait` is
-///   exactly the old one-shot `fill_boundary`.
-/// * [`PendingComm::pack_op`] / [`PendingComm::unpack_fab`] +
-///   [`PendingComm::finish`] — per-task staging for the graph scheduler:
-///   pack ops and per-fab unpacks become graph nodes with ghost-exchange
-///   edges, and `finish` returns the trace once every op has completed.
+/// [`PendingComm::wait`] unpacks every ghost region into the target multifab
+/// and returns the trace; `post` + `wait` is exactly the one-shot
+/// [`MultiFab::fill_boundary`]. Inside this crate,
+/// [`HaloLoop`](crate::halo_loop::HaloLoop) instead plans without packing
+/// and stages each pack and each per-fab unpack as a graph task.
 ///
 /// Buffers are individually locked so graph tasks can pack/unpack disjoint
 /// ops concurrently; per-destination unpacks apply ops in planning order, so
@@ -122,12 +117,12 @@ pub struct PendingComm {
 
 impl PendingComm {
     /// Number of planned copy ops.
-    pub fn nops(&self) -> usize {
+    pub(crate) fn nops(&self) -> usize {
         self.ops.len()
     }
 
     /// `(src fab, dst fab)` of op `o` — the graph builder's edge endpoints.
-    pub fn op_endpoints(&self, o: usize) -> (usize, usize) {
+    pub(crate) fn op_endpoints(&self, o: usize) -> (usize, usize) {
         (self.ops[o].src, self.ops[o].dst)
     }
 
@@ -139,7 +134,7 @@ impl PendingComm {
     /// Pack op `o`'s buffer by reading source-fab data through `read`
     /// (`read(iv, c)` must return fab `src`'s value at `iv`, a *valid* zone
     /// of the source box). Safe to call concurrently for distinct ops.
-    pub fn pack_op<F: Fn(IntVect, usize) -> Real>(&self, o: usize, read: F) {
+    pub(crate) fn pack_op<F: Fn(IntVect, usize) -> Real>(&self, o: usize, read: F) {
         let op = &self.ops[o];
         let mut buf = self.bufs[o].lock().unwrap();
         buf.clear();
@@ -152,12 +147,17 @@ impl PendingComm {
     }
 
     /// Unpack every op targeting fab `fab_index`, in planning order, through
-    /// `write(iv, c, value)`. All of the fab's incoming ops must already be
-    /// packed (the graph's ghost-exchange edges guarantee it). Safe to call
+    /// `write(iv, c, value)`. Panics if one of the fab's incoming ops is not
+    /// packed yet (the graph's ghost-exchange edges guarantee they are): an
+    /// unpacked buffer would fill ghosts with stale data. Safe to call
     /// concurrently for distinct fabs.
-    pub fn unpack_fab<F: FnMut(IntVect, usize, Real)>(&self, fab_index: usize, mut write: F) {
+    pub(crate) fn unpack_fab<F: FnMut(IntVect, usize, Real)>(
+        &self,
+        fab_index: usize,
+        mut write: F,
+    ) {
         for &oi in &self.per_dst[fab_index] {
-            debug_assert!(
+            assert!(
                 self.packed[oi].load(Ordering::Acquire),
                 "unpacking op {oi} before it was packed"
             );
@@ -173,6 +173,13 @@ impl PendingComm {
         }
     }
 
+    /// Panics unless `mf` has the layout this exchange was planned on.
+    pub(crate) fn check_target(&self, mf: &MultiFab) {
+        assert_eq!(self.ba, mf.ba, "target has a different box layout");
+        assert_eq!(self.ncomp, mf.ncomp, "target ncomp mismatch");
+        assert_eq!(self.ngrow, mf.ngrow, "target ngrow mismatch");
+    }
+
     /// Phase two: complete the exchange into `mf` (normally the multifab
     /// that posted it, but any multifab on the same box layout works — the
     /// low-Mach driver completes into its advection snapshot). Ops not yet
@@ -180,9 +187,7 @@ impl PendingComm {
     /// is then unpacked in planning order. Returns the full trace.
     #[must_use = "the CommTrace prices this exchange in the machine model; merge it into the step trace"]
     pub fn wait(self, mf: &mut MultiFab) -> CommTrace {
-        assert_eq!(self.ba, mf.ba, "wait() target has a different box layout");
-        assert_eq!(self.ncomp, mf.ncomp, "wait() target ncomp mismatch");
-        assert_eq!(self.ngrow, mf.ngrow, "wait() target ngrow mismatch");
+        self.check_target(mf);
         for (o, op) in self.ops.iter().enumerate() {
             if !self.packed[o].load(Ordering::Acquire) {
                 let sfab = &mf.fabs[op.src];
@@ -201,10 +206,10 @@ impl PendingComm {
     }
 
     /// Complete a fully staged exchange (every op packed and unpacked by
-    /// graph tasks) and return the trace.
+    /// graph tasks) and return the trace. Panics if an op was never packed.
     #[must_use = "the CommTrace prices this exchange in the machine model; merge it into the step trace"]
-    pub fn finish(self) -> CommTrace {
-        debug_assert!(
+    pub(crate) fn finish(self) -> CommTrace {
+        assert!(
             self.packed.iter().all(|p| p.load(Ordering::Acquire)),
             "finish() with unpacked ops: the graph missed pack tasks"
         );
@@ -441,10 +446,10 @@ impl MultiFab {
     ///
     /// This is the nearest-neighbour exchange that dominates Castro's MPI
     /// time at scale (Figure 2); the trace feeds the machine model. The call
-    /// is now a thin wrapper over the two-phase surface:
+    /// is a thin wrapper over the two-phase surface:
     /// [`MultiFab::post_fill_boundary`] followed by [`PendingComm::wait`].
-    /// Overlapping callers use the two phases directly and run interior
-    /// kernels between them.
+    /// Callers that run kernels while the exchange is in flight use
+    /// [`HaloLoop`](crate::halo_loop::HaloLoop).
     #[must_use = "the CommTrace prices this exchange in the machine model; merge it into the step trace"]
     pub fn fill_boundary(&mut self, geom: &Geometry) -> CommTrace {
         self.post_fill_boundary(geom).wait(self)
@@ -453,12 +458,10 @@ impl MultiFab {
     /// Plan the ghost exchange without moving any data: compute the copy
     /// ops, allocate (empty) pack buffers, and price the traffic. The
     /// returned [`PendingComm`] carries the partial [`CommTrace`].
-    ///
-    /// This is the entry point for task-graph callers that stage
-    /// [`PendingComm::pack_op`] / [`PendingComm::unpack_fab`] as graph
-    /// tasks; plain two-phase callers want [`MultiFab::post_fill_boundary`].
+    /// [`HaloLoop`](crate::halo_loop::HaloLoop) stages the packs and
+    /// unpacks of the plan as graph tasks.
     #[must_use = "the plan holds the exchange state; wait() or finish() it"]
-    pub fn plan_fill_boundary(&self, geom: &Geometry) -> PendingComm {
+    pub(crate) fn plan_fill_boundary(&self, geom: &Geometry) -> PendingComm {
         let _prof = Profiler::region("fill_boundary");
         let mut ops = Vec::new();
         if self.ngrow > 0 {
@@ -669,15 +672,14 @@ impl MultiFab {
 }
 
 /// Apply physical boundary conditions to one fab through a kernel view —
-/// the per-fab body of [`MultiFab::fill_physical_bc`], exposed so task-graph
-/// unpack tasks can fold the physical fill into their own node (disjoint
-/// slots: each fab's BC only touches that fab's ghost zones).
+/// the per-fab body of [`MultiFab::fill_physical_bc`], which the halo
+/// loop's unpack tasks fold into their own node (disjoint slots: each fab's
+/// BC only touches that fab's ghost zones).
 ///
 /// Within one fab the writes are ordered (corner ghosts read zones filled by
 /// an earlier dimension's pass), so a task must call this serially, after
-/// the fab's ghost ops are unpacked — the same ordering the bulk-synchronous
-/// path uses.
-pub fn apply_physical_bc(arr: &Array4Mut<'_>, geom: &Geometry, bc: &BcSpec) {
+/// the fab's ghost ops are unpacked.
+pub(crate) fn apply_physical_bc(arr: &Array4Mut<'_>, geom: &Geometry, bc: &BcSpec) {
     let gbox = arr.index_box();
     let ncomp = arr.ncomp();
     let domain = geom.domain();
@@ -953,6 +955,17 @@ mod tests {
         }
         assert_eq!(t1.messages, t2.messages);
         assert_eq!(t1.local_bytes, t2.local_bytes);
+    }
+
+    #[test]
+    #[should_panic(expected = "before it was packed")]
+    fn unpacking_an_unpacked_op_panics_in_every_build() {
+        let geom = periodic_geom(16);
+        let ba = BoxArray::decompose(geom.domain(), 8, 8);
+        let mf = MultiFab::local(ba, 1, 1);
+        let pending = mf.plan_fill_boundary(&geom);
+        assert!(pending.nops() > 0);
+        pending.unpack_fab(0, |_, _, _| {});
     }
 
     #[test]

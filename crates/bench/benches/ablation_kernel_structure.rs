@@ -4,10 +4,12 @@
 //! The paper's refactor made every kernel embarrassingly parallel by
 //! recomputing slopes redundantly instead of staging them; this cut the
 //! memory footprint enough to speed the code up *even on CPUs*. Here both
-//! structures run the identical Sedov sweep: Criterion reports real
-//! wall-clock, and the simulated device reports the modelled GPU times
-//! (where the staged variant's extra traffic and the flat variant's
-//! occupancy advantage are priced).
+//! structures run the identical Sedov sweep on the identical schedule —
+//! the same halo loop, the same exchange staging; only the kernels inside
+//! `interior` and `band` differ — so the wall-clock Criterion reports
+//! compares kernel structure and nothing else. The simulated device
+//! reports the modelled GPU times (where the staged variant's extra
+//! traffic and the flat variant's occupancy advantage are priced).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use exastro_bench::{bench_castro, sedov_fixture};

@@ -1,16 +1,13 @@
-//! **Tentpole ablation**: task-graph overlapped ghost exchange vs
-//! bulk-synchronous stepping.
-//!
-//! Three measurements isolate the overlap machinery:
+//! **Task-graph ablation**: what the exchange-overlapped box loop buys in
+//! the machine model, and what it costs and hides on this host.
 //!
 //! * the *modeled* 512-node weak-scaling efficiency with and without the
 //!   overlapped exchange (deterministic machine model — gated in CI);
 //! * the *measured* per-task scheduling overhead of [`TaskGraph::run`]
 //!   on a no-op graph (what the model charges as `scheduler_overhead_us`);
-//! * the *measured* wall-clock of a real graph-overlapped Castro advance
-//!   against the same advance run bulk-synchronously — bit-identical
-//!   results (asserted in `castro`'s tests), so any wall-clock difference
-//!   is pure scheduling.
+//! * the *measured* overlap efficiency of a real Castro advance — comm
+//!   task time hidden behind compute, from the graph trace — reconciled
+//!   against the model's prediction for the same boxes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use exastro_bench::{bench_castro, sedov_fixture, write_metrics_json, MetricPoint};
@@ -57,43 +54,23 @@ fn print_ablation() {
     let overhead = scheduler_overhead_us();
     println!("measured scheduler overhead: {overhead:.3} µs/task ({PROBE_TASKS}-task probe)");
 
-    // Real advance, both paths, identical physics (bit-identity is
-    // asserted in the castro test suite; here we only time it).
     let (geom, state, _layout, eos, net) = sedov_fixture(32, 8);
-    let mut castro_sync = bench_castro(&eos, &net, KernelStructure::Flat);
-    castro_sync.hydro.overlap = false;
-    let castro_ovl = bench_castro(&eos, &net, KernelStructure::Flat);
-    let dt = castro_sync.estimate_dt(&state, &geom);
-    let time_advance = |c: &exastro_castro::Castro<'_>| {
+    let castro = bench_castro(&eos, &net, KernelStructure::Flat);
+    let dt = castro.estimate_dt(&state, &geom);
+    // Warm the worker pool and caches outside the traced window.
+    {
         let mut s = state.clone();
-        // Warm caches/pool.
-        let _ = c.advance_level(&mut s, &geom, dt);
-        let start = std::time::Instant::now();
-        let reps = 5;
-        for _ in 0..reps {
-            let mut s = state.clone();
-            let _ = c.advance_level(&mut s, &geom, dt);
-        }
-        start.elapsed().as_secs_f64() * 1e6 / reps as f64
-    };
-    let us_sync = time_advance(&castro_sync);
-    let us_ovl = time_advance(&castro_ovl);
-    let wall_speedup = us_sync / us_ovl;
-    println!(
-        "measured 32³ Sedov advance: sync {us_sync:.0} µs, overlapped {us_ovl:.0} µs \
-         ({wall_speedup:.2}×)"
-    );
+        let _ = castro.advance_level(&mut s, &geom, dt);
+    }
 
-    // *Measured* overlap efficiency: one more overlapped advance with
-    // graph tracing armed, each sweep graph summarized and reconciled
-    // against the machine model's predicted hidden fraction for these
-    // boxes. The drift (measured − predicted) is what the modeling
-    // earlier PRs only asserted; now it is a number in the artifact.
+    // *Measured* overlap efficiency: one advance with graph tracing
+    // armed, each sweep graph summarized and reconciled against the
+    // machine model's predicted hidden fraction for these boxes.
     Telemetry::enable_graph_trace();
     graphtrace::clear();
     {
         let mut s = state.clone();
-        let _ = castro_ovl.advance_level(&mut s, &geom, dt);
+        let _ = castro.advance_level(&mut s, &geom, dt);
     }
     let model = hydro_overlap(8);
     let mut summaries: Vec<graphtrace::GraphSummary> = graphtrace::take()
@@ -133,7 +110,6 @@ fn print_ablation() {
             "x",
         ),
         MetricPoint::new("taskgraph/scheduler_overhead_us_per_task", overhead, "us"),
-        MetricPoint::new("taskgraph/wall_speedup_sedov32", wall_speedup, "x"),
         // Deliberately not gated (host-dependent: a serial pool measures
         // ~0); the reconciliation *test* in tests/overlap_reconcile.rs
         // bounds the drift, the artifact just records it.
@@ -151,20 +127,12 @@ fn bench(c: &mut Criterion) {
     let (geom, state, _layout, eos, net) = sedov_fixture(32, 8);
     let mut g = c.benchmark_group("taskgraph");
     g.sample_size(10);
-    let mut castro_sync = bench_castro(&eos, &net, KernelStructure::Flat);
-    castro_sync.hydro.overlap = false;
-    let castro_ovl = bench_castro(&eos, &net, KernelStructure::Flat);
-    let dt = castro_sync.estimate_dt(&state, &geom);
-    g.bench_function("advance_sync", |b| {
-        b.iter(|| {
-            let mut s = state.clone();
-            std::hint::black_box(castro_sync.advance_level(&mut s, &geom, dt))
-        })
-    });
+    let castro = bench_castro(&eos, &net, KernelStructure::Flat);
+    let dt = castro.estimate_dt(&state, &geom);
     g.bench_function("advance_overlapped", |b| {
         b.iter(|| {
             let mut s = state.clone();
-            std::hint::black_box(castro_ovl.advance_level(&mut s, &geom, dt))
+            std::hint::black_box(castro.advance_level(&mut s, &geom, dt))
         })
     });
     g.finish();

@@ -153,7 +153,6 @@ pub fn bench_castro<'a>(
     c.hydro = Hydro {
         cfl: 0.4,
         structure,
-        overlap: true,
         floors: Floors::dimensionless(),
     };
     c.bc = BcSpec::outflow();

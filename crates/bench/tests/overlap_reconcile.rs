@@ -26,7 +26,6 @@ use exastro_telemetry::{graphtrace, Telemetry};
 fn measured_overlap_reconciles_with_the_machine_model() {
     let (geom, state, _layout, eos, net) = sedov_fixture(32, 8);
     let castro = bench_castro(&eos, &net, KernelStructure::Flat);
-    assert!(castro.hydro.overlap, "fixture must use the overlapped path");
     let dt = castro.estimate_dt(&state, &geom);
 
     // Warm the worker pool and caches outside the traced window so the

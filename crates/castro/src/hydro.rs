@@ -17,19 +17,28 @@
 //! All scratch storage is drawn from an [`Arena`], so the pool-allocator
 //! ablation measures exactly the allocation churn this module generates.
 //!
-//! ## Communication overlap
+//! ## The sweep as a halo loop
 //!
 //! Each sweep's faces split into an **interior** set, whose 4-zone stencil
 //! lies entirely in valid data, and a **boundary band** (the outermost two
 //! face layers per side along the sweep dimension), which reads ghost
-//! zones. With [`Hydro::overlap`] set, a sweep runs as a dependency graph
-//! on the worker pool ([`TaskGraph`]): ghost packs are posted through the
-//! two-phase [`MultiFab::plan_fill_boundary`] API, interior kernels run
-//! with nothing to wait for, and band kernels fire per box as soon as that
-//! box's ghosts have been unpacked. The schedule is free to reorder; the
-//! results are bit-identical to the bulk-synchronous path because every
-//! task writes disjoint slots and every face computes the same arithmetic
-//! on the same inputs (a test digests both paths).
+//! zones. [`Hydro::advance`] runs each sweep as one [`HaloLoop`], which
+//! stages the ghost exchange as pack/unpack tasks on the worker pool and
+//! calls three kernels per box:
+//!
+//! * `interior` — primitives on the valid box and, for `Flat`, the interior
+//!   fluxes; nothing to wait for, so it runs while halos are in flight;
+//! * `band` — once the box's ghosts are unpacked: primitives on the two
+//!   ghost slabs, then the band fluxes (`Flat`), or the slope staging over
+//!   `vb ± 1` — which reads the slabs — and every face's flux from the
+//!   staged slopes (`Legacy`);
+//! * `update` — the conservative update, after both and after the box's
+//!   own sends are packed.
+//!
+//! The schedule is free to reorder; every task writes disjoint slots and
+//! every face computes the same arithmetic on the same inputs, so any
+//! schedule and any box decomposition leave the same bits (tests hold both
+//! structures against a one-shot-fill, whole-box reference).
 //!
 //! Castro proper uses an unsplit corner-transport-upwind scheme with PPM;
 //! the dimensional splitting used here is a documented simplification
@@ -39,12 +48,10 @@
 use crate::riemann::hllc;
 use crate::state::{cons_to_prim, Floors, Primitive, StateLayout};
 use exastro_amr::{
-    apply_physical_bc, Array4Mut, BcSpec, CommTrace, FArrayBox, Geometry, IndexBox, IntVect,
-    MultiFab,
+    Array4Mut, BcSpec, CommTrace, FArrayBox, Geometry, HaloLoop, IndexBox, IntVect, MultiFab,
 };
 use exastro_microphysics::{Eos, Species};
-use exastro_parallel::{Arena, ExecSpace, KernelProfile, Real, TaskGraph, WorkerPool};
-use exastro_telemetry::{TaskClass, TaskLabel};
+use exastro_parallel::{Arena, ExecSpace, KernelProfile, Real};
 
 /// Which loop structure the sweep kernels use (§III ablation).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,11 +86,6 @@ pub struct Hydro {
     pub cfl: Real,
     /// Kernel structure (see module docs).
     pub structure: KernelStructure,
-    /// Overlap ghost exchange with interior compute via the task-graph
-    /// scheduler. Only the [`KernelStructure::Flat`] kernels support it
-    /// (the legacy slope staging reads ghosts up front); with `Legacy`
-    /// the sweep silently falls back to the bulk-synchronous path.
-    pub overlap: bool,
     /// State floors.
     pub floors: Floors,
 }
@@ -93,7 +95,6 @@ impl Default for Hydro {
         Hydro {
             cfl: 0.5,
             structure: KernelStructure::Flat,
-            overlap: true,
             floors: Floors::default(),
         }
     }
@@ -341,267 +342,32 @@ impl Hydro {
         });
     }
 
-    /// One directional sweep over every fab of `state`; ghost zones must be
-    /// filled for `state` on entry. Returns the face fluxes (for flux
-    /// registers) and applies the conservative update.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sweep(
+    /// Stage the limited slope of every primitive on `region` (legacy
+    /// structure), reading `qarr` one zone either side along `dim`.
+    fn slopes_region(
         &self,
-        state: &mut MultiFab,
+        region: IndexBox,
+        qarr: &Array4Mut<'_>,
+        slarr: &Array4Mut<'_>,
         dim: usize,
-        dt: Real,
-        geom: &Geometry,
-        layout: &StateLayout,
-        eos: &dyn Eos,
-        species: &[Species],
         ex: &ExecSpace,
-        arena: &dyn Arena,
-    ) -> SweepFluxes {
-        assert!(state.ngrow() >= 2, "hydro needs two ghost zones");
-        let nq = Q::ncomp(layout.nspec);
-        let ncomp = layout.ncomp();
-        let nflux = ncomp + 1; // + face normal velocity
-        let dtdx = dt / geom.dx()[dim];
-        let mut flux_fabs = Vec::with_capacity(state.nfabs());
-        let profile = flux_kernel_profile(layout.nspec, self.structure);
-
-        for fi in 0..state.nfabs() {
-            let vb = state.valid_box(fi);
-            // Primitives on the valid box grown by 2 (stencil support).
-            let qregion = vb.grow(2);
-            let mut qbuf = arena.alloc(qregion.num_zones() as usize * nq);
-            let face_bx = face_box(vb, dim);
-            let mut flux = FArrayBox::new(face_bx, nflux);
-            {
-                let sarr = state.fab_mut(fi).array_mut();
-                let qarr = Array4Mut::from_slice(&mut qbuf, qregion, nq);
-                self.primitives_region(&sarr, qregion, layout, eos, species, ex, &qarr);
-                let farr = flux.array_mut();
-                match self.structure {
-                    KernelStructure::Flat => {
-                        // Fused: each face recomputes the slopes of its two
-                        // neighbouring zones.
-                        self.flux_region(
-                            face_bx, &qarr, None, &farr, dim, dtdx, layout, ex, &profile,
-                        );
-                    }
-                    KernelStructure::Legacy => {
-                        // Stage limited slopes for every zone in a scratch
-                        // array (extra footprint), then a second loop reads
-                        // them back. Faces touch zones vb ± 1 in the sweep
-                        // dimension.
-                        let e = IntVect::dim_vec(dim);
-                        let sregion = vb.grow_dir(dim, 1);
-                        let mut sbuf = arena.alloc(sregion.num_zones() as usize * nq);
-                        let slarr = Array4Mut::from_slice(&mut sbuf, sregion, nq);
-                        ex.par_for_prof(sregion, &profile, |i, j, k| {
-                            for c in 0..nq {
-                                let vm = qarr.at(i - e.x(), j - e.y(), k - e.z(), c);
-                                let v0 = qarr.at(i, j, k, c);
-                                let vp = qarr.at(i + e.x(), j + e.y(), k + e.z(), c);
-                                slarr.set(i, j, k, c, mc_slope(vm, v0, vp));
-                            }
-                        });
-                        self.flux_region(
-                            face_bx,
-                            &qarr,
-                            Some(&slarr),
-                            &farr,
-                            dim,
-                            dtdx,
-                            layout,
-                            ex,
-                            &profile,
-                        );
-                    }
-                }
-                // Conservative update of the valid zones.
-                self.update_region(vb, &farr, &qarr, &sarr, dim, dtdx, layout, ex, &profile);
+        profile: &KernelProfile,
+    ) {
+        let e = IntVect::dim_vec(dim);
+        ex.par_for_prof(region, profile, |i, j, k| {
+            for c in 0..qarr.ncomp() {
+                let vm = qarr.at(i - e.x(), j - e.y(), k - e.z(), c);
+                let v0 = qarr.at(i, j, k, c);
+                let vp = qarr.at(i + e.x(), j + e.y(), k + e.z(), c);
+                slarr.set(i, j, k, c, mc_slope(vm, v0, vp));
             }
-            flux_fabs.push(flux);
-        }
-        SweepFluxes {
-            fabs: flux_fabs,
-            dim,
-        }
+        });
     }
 
-    /// One directional sweep as a task graph: ghost exchange posted through
-    /// [`MultiFab::plan_fill_boundary`], interior kernels overlapping the
-    /// in-flight halos, band kernels gated per box on that box's unpack.
-    ///
-    /// Per-box tasks and edges (`n` = number of fabs):
-    ///
-    /// | task        | work                                | depends on            |
-    /// |-------------|-------------------------------------|-----------------------|
-    /// | `pack f`    | pack ops with src = f               | —                     |
-    /// | `unpack f`  | unpack ghosts of f, physical BC     | packs of f's senders  |
-    /// | `interior f`| primitives on valid, interior fluxes| —                     |
-    /// | `band f`    | slab primitives, band fluxes        | `unpack f`,`interior f`|
-    /// | `update f`  | conservative update of f            | `interior f`, `band f`, `pack f` |
-    ///
-    /// `update f` waits on `pack f` because the pack reads f's valid zones;
-    /// the ghost-exchange buffers must capture pre-update data exactly as
-    /// an MPI isend would.
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_overlapped(
-        &self,
-        state: &mut MultiFab,
-        dim: usize,
-        dt: Real,
-        geom: &Geometry,
-        layout: &StateLayout,
-        eos: &dyn Eos,
-        species: &[Species],
-        bc: &BcSpec,
-        ex: &ExecSpace,
-        arena: &dyn Arena,
-    ) -> (SweepFluxes, CommTrace) {
-        assert!(state.ngrow() >= 2, "hydro needs two ghost zones");
-        let n = state.nfabs();
-        let nq = Q::ncomp(layout.nspec);
-        let nflux = layout.ncomp() + 1;
-        let dtdx = dt / geom.dx()[dim];
-        let profile = flux_kernel_profile(layout.nspec, self.structure);
-
-        let pending = state.plan_fill_boundary(geom);
-        let mut packs_of: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut senders_of: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for o in 0..pending.nops() {
-            let (src, dst) = pending.op_endpoints(o);
-            packs_of[src].push(o);
-            senders_of[dst].push(src);
-        }
-        for s in &mut senders_of {
-            s.sort_unstable();
-            s.dedup();
-        }
-
-        let vbs: Vec<IndexBox> = (0..n).map(|i| state.valid_box(i)).collect();
-        let qregions: Vec<IndexBox> = vbs.iter().map(|vb| vb.grow(2)).collect();
-        let mut qbufs: Vec<_> = qregions
-            .iter()
-            .map(|r| arena.alloc(r.num_zones() as usize * nq))
-            .collect();
-        let mut flux_fabs: Vec<FArrayBox> = vbs
-            .iter()
-            .map(|vb| FArrayBox::new(face_box(*vb, dim), nflux))
-            .collect();
-
-        {
-            let state_views = state.fab_views_mut();
-            let q_views: Vec<Array4Mut<'_>> = qbufs
-                .iter_mut()
-                .zip(&qregions)
-                .map(|(b, r)| Array4Mut::from_slice(b, *r, nq))
-                .collect();
-            let flux_views: Vec<Array4Mut<'_>> =
-                flux_fabs.iter_mut().map(|f| f.array_mut()).collect();
-
-            // Task ids by block: pack f, n + unpack f, 2n + interior f,
-            // 3n + band f, 4n + update f.
-            let mut g = TaskGraph::new();
-            for _ in 0..n {
-                g.add_task();
-            }
-            for f in 0..n {
-                let id = g.add_task();
-                for &s in &senders_of[f] {
-                    g.add_edge(s, id);
-                }
-            }
-            for _ in 0..n {
-                g.add_task();
-            }
-            for f in 0..n {
-                g.add_task_after(&[n + f, 2 * n + f]);
-            }
-            for f in 0..n {
-                g.add_task_after(&[2 * n + f, 3 * n + f, f]);
-            }
-
-            let pend = &pending;
-            let svs = &state_views;
-            let qvs = &q_views;
-            let fvs = &flux_views;
-            let dim_name = ["x", "y", "z"][dim];
-            g.run_labeled(
-                WorkerPool::global(),
-                n.max(1),
-                &format!("hydro.sweep.{dim_name}"),
-                |t| {
-                    let (kind, f) = (t / n, t % n);
-                    let (name, class) = match kind {
-                        0 => ("pack", TaskClass::Comm),
-                        1 => ("unpack", TaskClass::Comm),
-                        2 => ("interior", TaskClass::Compute),
-                        3 => ("band", TaskClass::Compute),
-                        _ => ("update", TaskClass::Compute),
-                    };
-                    TaskLabel::new(format!("{name}.f{f}"), class)
-                },
-                |t| {
-                    let (kind, f) = (t / n, t % n);
-                    match kind {
-                        0 => {
-                            let sv = &svs[f];
-                            for &o in &packs_of[f] {
-                                pend.pack_op(o, |iv, c| sv.at(iv.x(), iv.y(), iv.z(), c));
-                            }
-                        }
-                        1 => {
-                            let sv = &svs[f];
-                            pend.unpack_fab(f, |iv, c, v| sv.set(iv.x(), iv.y(), iv.z(), c, v));
-                            apply_physical_bc(sv, geom, bc);
-                        }
-                        2 => {
-                            self.primitives_region(
-                                &svs[f], vbs[f], layout, eos, species, ex, &qvs[f],
-                            );
-                            if let Some(faces) = interior_faces(vbs[f], dim) {
-                                self.flux_region(
-                                    faces, &qvs[f], None, &fvs[f], dim, dtdx, layout, ex, &profile,
-                                );
-                            }
-                        }
-                        3 => {
-                            for slab in ghost_slabs(vbs[f], dim) {
-                                self.primitives_region(
-                                    &svs[f], slab, layout, eos, species, ex, &qvs[f],
-                                );
-                            }
-                            for faces in band_faces(vbs[f], dim) {
-                                self.flux_region(
-                                    faces, &qvs[f], None, &fvs[f], dim, dtdx, layout, ex, &profile,
-                                );
-                            }
-                        }
-                        _ => {
-                            self.update_region(
-                                vbs[f], &fvs[f], &qvs[f], &svs[f], dim, dtdx, layout, ex, &profile,
-                            );
-                        }
-                    }
-                },
-            )
-            .expect("hydro sweep graph is a DAG by construction");
-        }
-        let trace = pending.finish();
-        (
-            SweepFluxes {
-                fabs: flux_fabs,
-                dim,
-            },
-            trace,
-        )
-    }
-
-    /// A full hydro step: three directional sweeps with ghost refills
-    /// between them. With [`Hydro::overlap`] and flat kernels each sweep
-    /// runs as a task graph overlapping exchange with interior compute;
-    /// otherwise exchange completes up front (bulk-synchronous). Returns
-    /// per-dimension fluxes for refluxing and the step's communication
-    /// trace for the machine model.
+    /// A full hydro step: three directional sweeps, each one pass of
+    /// [`HaloLoop`] over `state` (see the module docs for what each stage
+    /// runs). Returns per-dimension fluxes for refluxing and the step's
+    /// communication trace for the machine model.
     #[allow(clippy::too_many_arguments)]
     pub fn advance(
         &self,
@@ -615,21 +381,101 @@ impl Hydro {
         ex: &ExecSpace,
         arena: &dyn Arena,
     ) -> (Vec<SweepFluxes>, CommTrace) {
+        assert!(state.ngrow() >= 2, "hydro needs two ghost zones");
+        let nq = Q::ncomp(layout.nspec);
+        let nflux = layout.ncomp() + 1; // + face normal velocity
+        let profile = flux_kernel_profile(layout.nspec, self.structure);
+        let staged = self.structure == KernelStructure::Legacy;
+        let vbs: Vec<IndexBox> = (0..state.nfabs()).map(|i| state.valid_box(i)).collect();
+        // Primitives live on the valid box grown by 2 (stencil support).
+        let qregions: Vec<IndexBox> = vbs.iter().map(|vb| vb.grow(2)).collect();
         let mut fluxes = Vec::with_capacity(3);
         let mut trace = CommTrace::default();
-        let overlapped = self.overlap && self.structure == KernelStructure::Flat;
         for dim in 0..3 {
-            if overlapped {
-                let (fx, t) = self
-                    .sweep_overlapped(state, dim, dt, geom, layout, eos, species, bc, ex, arena);
-                trace.merge(&t);
-                fluxes.push(fx);
+            // Plan before allocating the sweep's scratch (see `HaloLoop`).
+            let halo = HaloLoop::plan(state, geom);
+            let dtdx = dt / geom.dx()[dim];
+            // The legacy structure adds a slope array on the zones the
+            // faces touch, vb ± 1 along the sweep.
+            let sregions: Vec<IndexBox> = if staged {
+                vbs.iter().map(|vb| vb.grow_dir(dim, 1)).collect()
             } else {
-                let t = state.fill_boundary(geom);
+                Vec::new()
+            };
+            let alloc = |r: &IndexBox| arena.alloc(r.num_zones() as usize * nq);
+            let mut qbufs: Vec<_> = qregions.iter().map(alloc).collect();
+            let mut sbufs: Vec<_> = sregions.iter().map(alloc).collect();
+            let mut flux_fabs: Vec<FArrayBox> = vbs
+                .iter()
+                .map(|vb| FArrayBox::new(face_box(*vb, dim), nflux))
+                .collect();
+            {
+                let qvs: Vec<Array4Mut<'_>> = qbufs
+                    .iter_mut()
+                    .zip(&qregions)
+                    .map(|(b, r)| Array4Mut::from_slice(b, *r, nq))
+                    .collect();
+                let slvs: Vec<Array4Mut<'_>> = sbufs
+                    .iter_mut()
+                    .zip(&sregions)
+                    .map(|(b, r)| Array4Mut::from_slice(b, *r, nq))
+                    .collect();
+                let fvs: Vec<Array4Mut<'_>> = flux_fabs.iter_mut().map(|f| f.array_mut()).collect();
+                let primitives = |f: usize, sv: &Array4Mut<'_>, region: IndexBox| {
+                    self.primitives_region(sv, region, layout, eos, species, ex, &qvs[f]);
+                };
+                // `slvs` is empty for the flat structure, whose faces
+                // recompute their slopes.
+                let flux = |f: usize, faces: IndexBox| {
+                    self.flux_region(
+                        faces,
+                        &qvs[f],
+                        slvs.get(f),
+                        &fvs[f],
+                        dim,
+                        dtdx,
+                        layout,
+                        ex,
+                        &profile,
+                    );
+                };
+                let t = halo.run(
+                    state,
+                    bc,
+                    &format!("hydro.sweep.{}", ["x", "y", "z"][dim]),
+                    |f, sv| {
+                        primitives(f, sv, vbs[f]);
+                        if !staged {
+                            if let Some(faces) = interior_faces(vbs[f], dim) {
+                                flux(f, faces);
+                            }
+                        }
+                    },
+                    |f, sv| {
+                        for slab in ghost_slabs(vbs[f], dim) {
+                            primitives(f, sv, slab);
+                        }
+                        if staged {
+                            self.slopes_region(sregions[f], &qvs[f], &slvs[f], dim, ex, &profile);
+                            flux(f, face_box(vbs[f], dim));
+                        } else {
+                            for faces in band_faces(vbs[f], dim) {
+                                flux(f, faces);
+                            }
+                        }
+                    },
+                    |f, sv| {
+                        self.update_region(
+                            vbs[f], &fvs[f], &qvs[f], sv, dim, dtdx, layout, ex, &profile,
+                        );
+                    },
+                );
                 trace.merge(&t);
-                state.fill_physical_bc(geom, bc);
-                fluxes.push(self.sweep(state, dim, dt, geom, layout, eos, species, ex, arena));
             }
+            fluxes.push(SweepFluxes {
+                fabs: flux_fabs,
+                dim,
+            });
         }
         (fluxes, trace)
     }
@@ -850,7 +696,6 @@ mod tests {
         let hydro = Hydro {
             cfl: 0.4,
             structure,
-            overlap: true,
             floors: Floors::dimensionless(),
         };
         let ex = ExecSpace::Serial;
@@ -959,89 +804,154 @@ mod tests {
         }
     }
 
-    #[test]
-    fn overlapped_and_sync_paths_agree_bitwise() {
-        // Many boxes, fully periodic, smooth multi-dimensional flow: the
-        // task-graph schedule must reproduce the bulk-synchronous answer
-        // bit for bit, fluxes and traces included.
-        let run = |overlap: bool| {
-            let geom = Geometry::cube(16, 1.0, true);
-            let ba = BoxArray::decompose(geom.domain(), 4, 4);
-            let layout = StateLayout::new(2);
-            let mut state = MultiFab::local(ba, layout.ncomp(), 2);
-            let eos = GammaLaw { gamma: 1.4 };
-            let net = CBurn2::new();
-            let comp = Composition::from_mass_fractions(net.species(), &[0.7, 0.3]);
-            for i in 0..state.nfabs() {
-                let vb = state.valid_box(i);
-                for iv in vb.iter() {
-                    let x = geom.cell_center(iv);
-                    let tp = 2.0 * std::f64::consts::PI;
-                    let rho = 1.0 + 0.2 * (tp * x[0]).sin() * (tp * x[1]).cos();
-                    let u = 0.3 * (tp * x[2]).sin();
-                    let v = 0.2 * (tp * x[0]).cos();
-                    let p = 1.0 + 0.1 * (tp * x[1]).sin();
-                    let e = eos.e_from_p(rho, p);
-                    let (t, _) = eos.t_from_e(rho, e, &comp, 1e3);
-                    let ke = 0.5 * rho * (u * u + v * v);
-                    let fab = state.fab_mut(i);
-                    fab.set(iv, StateLayout::RHO, rho);
-                    fab.set(iv, StateLayout::MX, rho * u);
-                    fab.set(iv, StateLayout::MX + 1, rho * v);
-                    fab.set(iv, StateLayout::EDEN, rho * e + ke);
-                    fab.set(iv, StateLayout::EINT, rho * e);
-                    fab.set(iv, StateLayout::TEMP, t);
-                    fab.set(iv, layout.spec(0), 0.7 * rho);
-                    fab.set(iv, layout.spec(1), 0.3 * rho);
-                }
-            }
-            let hydro = Hydro {
-                cfl: 0.4,
-                structure: KernelStructure::Flat,
-                overlap,
-                floors: Floors::dimensionless(),
-            };
-            let ex = ExecSpace::Serial;
-            let arena = PoolArena::new(None);
-            let bc = BcSpec::periodic();
-            let mut trace = CommTrace::default();
-            for _ in 0..3 {
-                let dt = hydro.estimate_dt(&state, &layout, &eos, net.species(), &geom, &ex);
-                let (_, t) = hydro.advance(
-                    &mut state,
-                    dt,
-                    &geom,
-                    &layout,
-                    &eos,
-                    net.species(),
-                    &bc,
-                    &ex,
-                    &arena,
-                );
-                trace.merge(&t);
-            }
-            (state, trace)
-        };
-        let (so, to) = run(true);
-        let (ss, ts) = run(false);
-        assert!(so.nfabs() > 8, "want many boxes to stress the graph");
-        for i in 0..so.nfabs() {
-            let vb = so.valid_box(i);
+    /// Smooth multi-dimensional flow on 64 boxes of 4³.
+    fn smooth_state(geom: &Geometry, layout: &StateLayout, eos: &GammaLaw) -> MultiFab {
+        let ba = BoxArray::decompose(geom.domain(), 4, 4);
+        let mut state = MultiFab::local(ba, layout.ncomp(), 2);
+        let net = CBurn2::new();
+        let comp = Composition::from_mass_fractions(net.species(), &[0.7, 0.3]);
+        for i in 0..state.nfabs() {
+            let vb = state.valid_box(i);
             for iv in vb.iter() {
-                for c in 0..so.ncomp() {
-                    let a = so.fab(i).get(iv, c);
-                    let b = ss.fab(i).get(iv, c);
-                    assert!(
-                        a.to_bits() == b.to_bits(),
-                        "overlap mismatch fab {i} {iv:?} comp {c}: {a} vs {b}"
+                let x = geom.cell_center(iv);
+                let tp = 2.0 * std::f64::consts::PI;
+                let rho = 1.0 + 0.2 * (tp * x[0]).sin() * (tp * x[1]).cos();
+                let u = 0.3 * (tp * x[2]).sin();
+                let v = 0.2 * (tp * x[0]).cos();
+                let p = 1.0 + 0.1 * (tp * x[1]).sin();
+                let e = eos.e_from_p(rho, p);
+                let (t, _) = eos.t_from_e(rho, e, &comp, 1e3);
+                let ke = 0.5 * rho * (u * u + v * v);
+                let fab = state.fab_mut(i);
+                fab.set(iv, StateLayout::RHO, rho);
+                fab.set(iv, StateLayout::MX, rho * u);
+                fab.set(iv, StateLayout::MX + 1, rho * v);
+                fab.set(iv, StateLayout::EDEN, rho * e + ke);
+                fab.set(iv, StateLayout::EINT, rho * e);
+                fab.set(iv, StateLayout::TEMP, t);
+                fab.set(iv, layout.spec(0), 0.7 * rho);
+                fab.set(iv, layout.spec(1), 0.3 * rho);
+            }
+        }
+        state
+    }
+
+    /// The step with no graph and no face split: per sweep a one-shot ghost
+    /// fill, then per box primitives on `vb.grow(2)`, every face's flux and
+    /// the update, from the region kernels `advance` uses.
+    #[allow(clippy::too_many_arguments)]
+    fn whole_box_advance(
+        hydro: &Hydro,
+        state: &mut MultiFab,
+        dt: Real,
+        geom: &Geometry,
+        layout: &StateLayout,
+        eos: &dyn Eos,
+        species: &[Species],
+        bc: &BcSpec,
+    ) -> (Vec<SweepFluxes>, CommTrace) {
+        let ex = ExecSpace::Serial;
+        let nq = Q::ncomp(layout.nspec);
+        let profile = flux_kernel_profile(layout.nspec, hydro.structure);
+        let mut trace = CommTrace::default();
+        let mut fluxes = Vec::new();
+        for dim in 0..3 {
+            trace.merge(&state.fill_boundary(geom));
+            state.fill_physical_bc(geom, bc);
+            let dtdx = dt / geom.dx()[dim];
+            let mut fabs = Vec::new();
+            for fi in 0..state.nfabs() {
+                let vb = state.valid_box(fi);
+                let (qr, sr, fr) = (vb.grow(2), vb.grow_dir(dim, 1), face_box(vb, dim));
+                let mut qbuf = vec![0.0; qr.num_zones() as usize * nq];
+                let mut sbuf = vec![0.0; sr.num_zones() as usize * nq];
+                let mut flux = FArrayBox::new(fr, layout.ncomp() + 1);
+                let sarr = state.fab_mut(fi).array_mut();
+                let qarr = Array4Mut::from_slice(&mut qbuf, qr, nq);
+                let slarr = Array4Mut::from_slice(&mut sbuf, sr, nq);
+                let farr = flux.array_mut();
+                hydro.primitives_region(&sarr, qr, layout, eos, species, &ex, &qarr);
+                let slopes = (hydro.structure == KernelStructure::Legacy).then(|| {
+                    hydro.slopes_region(sr, &qarr, &slarr, dim, &ex, &profile);
+                    &slarr
+                });
+                hydro.flux_region(fr, &qarr, slopes, &farr, dim, dtdx, layout, &ex, &profile);
+                hydro.update_region(vb, &farr, &qarr, &sarr, dim, dtdx, layout, &ex, &profile);
+                fabs.push(flux);
+            }
+            fluxes.push(SweepFluxes { fabs, dim });
+        }
+        (fluxes, trace)
+    }
+
+    #[test]
+    fn advance_matches_whole_box_reference_bitwise() {
+        // The halo loop's exchange staging, interior/band face split and
+        // pool schedule must not change a bit of the state (ghosts
+        // included), of the fluxes, or of the comm trace — for both kernel
+        // structures, with periodic wrap and with physical boundaries.
+        let layout = StateLayout::new(2);
+        let eos = GammaLaw { gamma: 1.4 };
+        let net = CBurn2::new();
+        let arena = PoolArena::new(None);
+        for structure in [KernelStructure::Flat, KernelStructure::Legacy] {
+            for periodic in [true, false] {
+                let what = format!("{structure:?}, periodic {periodic}");
+                let geom = Geometry::cube(16, 1.0, periodic);
+                let bc = if periodic {
+                    BcSpec::periodic()
+                } else {
+                    BcSpec::outflow()
+                };
+                let hydro = Hydro {
+                    cfl: 0.4,
+                    structure,
+                    floors: Floors::dimensionless(),
+                };
+                let mut state = smooth_state(&geom, &layout, &eos);
+                assert_eq!(state.nfabs(), 64, "want many boxes to stress the graph");
+                let mut reference = state.clone();
+                for _ in 0..3 {
+                    let ex = ExecSpace::Serial;
+                    let dt = hydro.estimate_dt(&state, &layout, &eos, net.species(), &geom, &ex);
+                    let (fx, trace) = hydro.advance(
+                        &mut state,
+                        dt,
+                        &geom,
+                        &layout,
+                        &eos,
+                        net.species(),
+                        &bc,
+                        &ex,
+                        &arena,
                     );
+                    let (rfx, rtrace) = whole_box_advance(
+                        &hydro,
+                        &mut reference,
+                        dt,
+                        &geom,
+                        &layout,
+                        &eos,
+                        net.species(),
+                        &bc,
+                    );
+                    assert_eq!(trace, rtrace, "{what}: comm trace");
+                    for (f, rf) in fx.iter().zip(&rfx) {
+                        for (a, b) in f.fabs.iter().zip(&rf.fabs) {
+                            assert!(same_bits(a.data(), b.data()), "{what}: flux {}", f.dim);
+                        }
+                    }
+                }
+                for i in 0..state.nfabs() {
+                    let (a, b) = (state.fab(i).data(), reference.fab(i).data());
+                    assert!(same_bits(a, b), "{what}: fab {i} differs on its grown box");
                 }
             }
         }
-        // The comm trace is priced at plan time and must match exactly.
-        assert_eq!(to.network_bytes(), ts.network_bytes());
-        assert_eq!(to.local_bytes, ts.local_bytes);
-        assert_eq!(to.messages.len(), ts.messages.len());
+    }
+
+    fn same_bits(a: &[Real], b: &[Real]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
     }
 
     #[test]

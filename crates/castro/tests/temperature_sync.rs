@@ -9,9 +9,10 @@ use exastro_castro::{
     GravityMode, SedovParams, StateLayout, StateViolation,
 };
 use exastro_microphysics::{CBurn2, Composition, Eos, EosResult, GammaLaw, Network, StellarEos};
-use exastro_parallel::par_index_each;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+
+mod common;
+use common::on_one_thread;
 
 /// An EOS that counts its evaluations.
 struct Counting<E> {
@@ -138,21 +139,6 @@ fn assert_bitwise_equal(a: &MultiFab, b: &MultiFab) {
             }
         }
     }
-}
-
-/// Run `f` as a task of a pool region. A region launched from inside one
-/// executes inline on the launching thread (see `exastro_parallel::pool`),
-/// so everything `f` launches runs on one thread.
-fn on_one_thread<R: Send>(f: impl FnOnce() -> R + Send) -> R {
-    let job = Mutex::new(Some(f));
-    let out = Mutex::new(None);
-    par_index_each(2, 2, |task| {
-        if task == 0 {
-            let f = job.lock().unwrap().take().expect("task 0 runs once");
-            *out.lock().unwrap() = Some(f());
-        }
-    });
-    out.into_inner().unwrap().expect("task 0 ran")
 }
 
 #[test]

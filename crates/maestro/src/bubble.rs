@@ -153,7 +153,6 @@ pub fn bubble_maestro<'a>(eos: &'a dyn Eos, net: &'a dyn Network, base: BaseStat
         burn_min_temp: 1e8,
         ladder: RetryLadder::default(),
         burn_faults: None,
-        overlap: true,
         recovery: RecoveryOptions::default(),
         telemetry: Default::default(),
     }

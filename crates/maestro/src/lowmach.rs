@@ -10,24 +10,41 @@
 //! exactly the paper's §IV-B description: zone-local reactions plus a
 //! communication-heavy multigrid solve, "approximately equally balanced" at
 //! one node.
+//!
+//! ## Advection as a halo loop
+//!
+//! Upwind advection reads a pre-step snapshot of the state and writes the
+//! state, so [`Maestro::advance`] runs one [`HaloLoop`] (graph label
+//! `lowmach.advect`) *over the snapshot*: the ghost exchange packs from and
+//! unpacks into the snapshot, which no kernel writes. Per box, `interior`
+//! advects the zones whose 1-zone upwind stencil lies in valid data (free
+//! to run while halos are in flight), `band` advects the remaining shells
+//! once the snapshot's ghosts are filled, and `update` copies those ghosts
+//! — exchanged, boundary-conditioned, pre-advect — into the state, where
+//! the projection's velocity copy reads them.
 
 use crate::base_state::{rho_from_p_t, BaseState};
 use exastro_amr::{
-    apply_physical_bc, Array4Mut, BcKind, BcSpec, CommTrace, Geometry, IndexBox, IntVect, MultiFab,
-    Real, SPACEDIM,
+    Array4Mut, BcKind, BcSpec, CommTrace, Geometry, HaloLoop, IndexBox, IntVect, MultiFab, Real,
+    SPACEDIM,
 };
 use exastro_microphysics::{
     BurnFailure, BurnFaultConfig, BurnTally, BurnerConfig, Composition, Eos, Network, RetryLadder,
     ZoneBurn,
 };
-use exastro_parallel::{Profiler, TaskGraph, WorkerPool};
+use exastro_parallel::Profiler;
 use exastro_resilience::recovery::{write_emergency, RecoveryOptions};
 use exastro_resilience::snapshot::Clock;
 use exastro_resilience::stepper::{StepFailure, StepOutcome, Stepper};
 use exastro_solvers::{MgBc, MgOptions, MgStats, Multigrid};
-use exastro_telemetry::{StepMetrics, StepRecorder, TaskClass, TaskLabel};
+use exastro_telemetry::{StepMetrics, StepRecorder};
 use std::path::PathBuf;
 use std::time::Instant;
+
+/// Most species a low-Mach state carries (the largest network, aprox13,
+/// has 13); with it, the size of a kernel's per-zone stack buffer.
+const MAX_NSPEC: usize = 16;
+const MAX_NCOMP: usize = LmLayout::FS + MAX_NSPEC;
 
 /// Component indices of the low-Mach state.
 #[derive(Clone, Copy, Debug)]
@@ -50,8 +67,10 @@ impl LmLayout {
     /// First species mass fraction.
     pub const FS: usize = 5;
 
-    /// Layout for `nspec` species.
+    /// Layout for `nspec` species (at most 16: kernels stage one zone's
+    /// components in a stack array).
     pub fn new(nspec: usize) -> Self {
+        assert!(nspec <= MAX_NSPEC, "at most {MAX_NSPEC} species");
         LmLayout { nspec }
     }
 
@@ -238,10 +257,6 @@ pub struct Maestro<'a> {
     pub ladder: RetryLadder,
     /// Deterministic burn fault injection (tests / CI smoke).
     pub burn_faults: Option<BurnFaultConfig>,
-    /// Overlap the advection ghost exchange with stencil-interior advection
-    /// via the two-phase comm API ([`MultiFab::post_fill_boundary`]);
-    /// results are bit-identical to the bulk-synchronous path.
-    pub overlap: bool,
     /// Step-rejection policy and emergency-checkpoint destination.
     pub recovery: RecoveryOptions,
     /// Per-step metrics recorder; inert until a sink is attached via
@@ -297,48 +312,23 @@ impl<'a> Maestro<'a> {
         }
     }
 
-    /// First-order upwind advection of all components by the cell velocity.
-    fn advect(&self, state: &mut MultiFab, geom: &Geometry, dt: Real) {
-        let mut old = state.clone();
-        let n = state.nfabs();
-        let vbs: Vec<IndexBox> = (0..n).map(|i| state.valid_box(i)).collect();
-        let svs = state.fab_views_mut();
-        let ovs = old.fab_views_mut();
-        for i in 0..n {
-            self.advect_view_zones(&svs[i], &ovs[i], vbs[i], geom, dt, |_| true);
-        }
-    }
-
-    /// The zones of `vb` whose 1-zone upwind stencil lies entirely in valid
-    /// data — advection there needs no ghosts. `None` when the box is too
-    /// narrow (< 3 zones in some dimension) to have any.
-    fn stencil_interior(vb: IndexBox) -> Option<IndexBox> {
-        (0..3)
-            .all(|d| vb.hi()[d] - vb.lo()[d] >= 2)
-            .then(|| vb.grow(-1))
-    }
-
-    /// Upwind-advect the zones of `vb` selected by `include`, reading
-    /// pre-step data from the snapshot view `ov` and writing the state view
-    /// `sv`. Pointwise in the destination zone, so any partition of the
-    /// valid box computes identical updates — the sync and overlapped paths
-    /// share this body, which is what makes them bit-identical.
-    fn advect_view_zones<F: Fn(IntVect) -> bool>(
+    /// First-order upwind advection of the zones of `region` by the cell
+    /// velocity, reading pre-step data from the snapshot view `ov` and
+    /// writing the state view `sv`. Pointwise in the destination zone, so
+    /// any partition of a valid box computes the same updates as one pass.
+    fn advect_region(
         &self,
         sv: &Array4Mut<'_>,
         ov: &Array4Mut<'_>,
-        vb: IndexBox,
+        region: IndexBox,
         geom: &Geometry,
         dt: Real,
-        include: F,
     ) {
         let dx = geom.dx();
         let ncomp = self.layout.ncomp();
-        for iv in vb.iter() {
-            if !include(iv) {
-                continue;
-            }
-            let mut upd = vec![0.0; ncomp];
+        for iv in region.iter() {
+            let mut upd = [0.0; MAX_NCOMP];
+            let upd = &mut upd[..ncomp];
             for d in 0..3 {
                 let e = IntVect::dim_vec(d);
                 let vel = ov.at(iv.x(), iv.y(), iv.z(), LmLayout::U + d);
@@ -358,136 +348,6 @@ impl<'a> Maestro<'a> {
                 sv.set(iv.x(), iv.y(), iv.z(), c, v);
             }
         }
-    }
-
-    /// Exchange + advect, overlapped, structured as a [`TaskGraph`] so the
-    /// overlap is *measured*, not assumed: per fab, `pack` (Comm) captures
-    /// send buffers from the pre-step snapshot, `unpack` (Comm) completes
-    /// the exchange into the snapshot's ghosts and applies physical BCs,
-    /// `interior` (Compute) advects all stencil-interior zones with no
-    /// dependencies (free to run while halos are in flight), and `boundary`
-    /// (Compute) advects the remaining zones after `unpack`, then syncs the
-    /// state's own ghosts to the snapshot's. The multifab ends bit-identical
-    /// to the synchronous path (the projection's velocity copy reads the
-    /// ghosts). With graph tracing enabled the schedule lands in
-    /// [`exastro_telemetry::graphtrace`] under the label `lowmach.advect`.
-    fn advect_overlapped(
-        &self,
-        state: &mut MultiFab,
-        geom: &Geometry,
-        bc: &BcSpec,
-        dt: Real,
-    ) -> CommTrace {
-        let n = state.nfabs();
-        let ncomp = self.layout.ncomp();
-        let pending = state.plan_fill_boundary(geom);
-        let mut packs_of: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut senders_of: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for o in 0..pending.nops() {
-            let (src, dst) = pending.op_endpoints(o);
-            packs_of[src].push(o);
-            senders_of[dst].push(src);
-        }
-        for s in &mut senders_of {
-            s.sort_unstable();
-            s.dedup();
-        }
-
-        let mut old = state.clone();
-        let vbs: Vec<IndexBox> = (0..n).map(|i| state.valid_box(i)).collect();
-        let gbs: Vec<IndexBox> = (0..n).map(|i| state.grown_box(i)).collect();
-        {
-            let state_views = state.fab_views_mut();
-            let old_views = old.fab_views_mut();
-
-            // Task ids by block: pack f, n + unpack f, 2n + interior f,
-            // 3n + boundary f.
-            let mut g = TaskGraph::new();
-            for _ in 0..n {
-                g.add_task();
-            }
-            for f in 0..n {
-                let id = g.add_task();
-                for &s in &senders_of[f] {
-                    g.add_edge(s, id);
-                }
-            }
-            for _ in 0..n {
-                g.add_task();
-            }
-            for f in 0..n {
-                g.add_task_after(&[n + f]);
-            }
-
-            let pend = &pending;
-            let svs = &state_views;
-            let ovs = &old_views;
-            g.run_labeled(
-                WorkerPool::global(),
-                n.max(1),
-                "lowmach.advect",
-                |t| {
-                    let (kind, f) = (t / n, t % n);
-                    let (name, class) = match kind {
-                        0 => ("pack", TaskClass::Comm),
-                        1 => ("unpack", TaskClass::Comm),
-                        2 => ("interior", TaskClass::Compute),
-                        _ => ("boundary", TaskClass::Compute),
-                    };
-                    TaskLabel::new(format!("{name}.f{f}"), class)
-                },
-                |t| {
-                    let (kind, f) = (t / n, t % n);
-                    match kind {
-                        0 => {
-                            // Send buffers read the snapshot, which holds the
-                            // same pre-advect values the sync path exchanges.
-                            let ov = &ovs[f];
-                            for &o in &packs_of[f] {
-                                pend.pack_op(o, |iv, c| ov.at(iv.x(), iv.y(), iv.z(), c));
-                            }
-                        }
-                        1 => {
-                            let ov = &ovs[f];
-                            pend.unpack_fab(f, |iv, c, v| ov.set(iv.x(), iv.y(), iv.z(), c, v));
-                            apply_physical_bc(ov, geom, bc);
-                        }
-                        2 => {
-                            if let Some(ib) = Self::stencil_interior(vbs[f]) {
-                                self.advect_view_zones(&svs[f], &ovs[f], vbs[f], geom, dt, |iv| {
-                                    ib.contains(iv)
-                                });
-                            }
-                        }
-                        _ => {
-                            let interior = Self::stencil_interior(vbs[f]);
-                            self.advect_view_zones(&svs[f], &ovs[f], vbs[f], geom, dt, |iv| {
-                                !interior.is_some_and(|ib| ib.contains(iv))
-                            });
-                            // Restore the ghost picture of the synchronous
-                            // path: pre-advect exchanged-and-bc'd values.
-                            let (sv, ov) = (&svs[f], &ovs[f]);
-                            for iv in gbs[f].iter() {
-                                if vbs[f].contains(iv) {
-                                    continue;
-                                }
-                                for c in 0..ncomp {
-                                    sv.set(
-                                        iv.x(),
-                                        iv.y(),
-                                        iv.z(),
-                                        c,
-                                        ov.at(iv.x(), iv.y(), iv.z(), c),
-                                    );
-                                }
-                            }
-                        }
-                    }
-                },
-            )
-            .expect("advect graph is a DAG by construction");
-        }
-        pending.finish()
     }
 
     /// Buoyancy source: `w += −g (ρ − ρ₀)/ρ dt`.
@@ -722,14 +582,33 @@ impl<'a> Maestro<'a> {
         }
         {
             let _r = Profiler::region("advect");
-            let trace = if self.overlap {
-                self.advect_overlapped(state, geom, &bc, dt)
-            } else {
-                let trace = state.fill_boundary(geom);
-                state.fill_physical_bc(geom, &bc);
-                self.advect(state, geom, dt);
-                trace
-            };
+            // One halo loop over a pre-step snapshot (see the module docs).
+            let halo = HaloLoop::plan(state, geom);
+            let mut old = state.clone();
+            let vbs: Vec<IndexBox> = (0..state.nfabs()).map(|i| state.valid_box(i)).collect();
+            let svs = state.fab_views_mut();
+            let trace = halo.run(
+                &mut old,
+                &bc,
+                "lowmach.advect",
+                |f, ov| self.advect_region(&svs[f], ov, vbs[f].grow(-1), geom, dt),
+                |f, ov| {
+                    for shell in vbs[f].difference(&vbs[f].grow(-1)) {
+                        self.advect_region(&svs[f], ov, shell, geom, dt);
+                    }
+                },
+                |f, ov| {
+                    for ghosts in ov.index_box().difference(&vbs[f]) {
+                        for iv in ghosts.iter() {
+                            for c in 0..ov.ncomp() {
+                                let v = ov.at(iv.x(), iv.y(), iv.z(), c);
+                                svs[f].set(iv.x(), iv.y(), iv.z(), c, v);
+                            }
+                        }
+                    }
+                },
+            );
+            drop(svs);
             stats.comm.merge(&trace);
             self.buoyancy(state, dt);
         }
@@ -915,46 +794,57 @@ mod tests {
         (geom, state, maestro, layout)
     }
 
+    /// The step with no graph and no interior/band split: one-shot ghost
+    /// fill, then `advect_region` over each whole valid box.
+    fn whole_box_advance(
+        m: &Maestro<'_>,
+        state: &mut MultiFab,
+        geom: &Geometry,
+        dt: Real,
+    ) -> CommTrace {
+        m.react(state, 0.5 * dt).unwrap();
+        m.enforce_density(state, geom);
+        let mut trace = state.fill_boundary(geom);
+        state.fill_physical_bc(geom, &m.bc());
+        let mut old = state.clone();
+        let vbs: Vec<IndexBox> = (0..state.nfabs()).map(|i| state.valid_box(i)).collect();
+        for (f, (sv, ov)) in state
+            .fab_views_mut()
+            .iter()
+            .zip(old.fab_views_mut())
+            .enumerate()
+        {
+            m.advect_region(sv, &ov, vbs[f], geom, dt);
+        }
+        m.buoyancy(state, dt);
+        trace.merge(&m.project(state, geom, dt).1);
+        m.react(state, 0.5 * dt).unwrap();
+        m.enforce_density(state, geom);
+        trace
+    }
+
     #[test]
-    fn overlapped_and_sync_advect_agree_bitwise() {
-        // The overlapped path must be a pure scheduling change: every bit of
-        // the state (valid AND ghost zones -- the projection reads ghosts)
-        // and every byte of the comm ledger must match the bulk-synchronous
-        // path after several steps.
-        let (geom, sync_state, mut maestro, _l) = bubble_setup(16);
-        let mut sync_state = sync_state;
-        let mut ovl_state = sync_state.clone();
-        maestro.overlap = false;
-        let mut sync_comm = CommTrace::default();
+    fn advance_matches_whole_box_reference_bitwise() {
+        // The halo loop is pure scheduling: every bit of the state (valid
+        // AND ghost zones -- the projection reads ghosts) and the comm
+        // trace must match the whole-box reference after several steps.
+        let (geom, mut state, maestro, _l) = bubble_setup(16);
+        let mut reference = state.clone();
         for _ in 0..3 {
-            let st = maestro.advance(&mut sync_state, &geom, 2e-4).unwrap();
-            sync_comm.merge(&st.comm);
+            let comm = maestro.advance(&mut state, &geom, 2e-4).unwrap().comm;
+            assert!(comm.network_bytes() > 0, "fixture must exchange off-rank");
+            assert_eq!(
+                comm,
+                whole_box_advance(&maestro, &mut reference, &geom, 2e-4)
+            );
         }
-        maestro.overlap = true;
-        let mut ovl_comm = CommTrace::default();
-        for _ in 0..3 {
-            let st = maestro.advance(&mut ovl_state, &geom, 2e-4).unwrap();
-            ovl_comm.merge(&st.comm);
+        for i in 0..state.nfabs() {
+            let (a, b) = (state.fab(i).data(), reference.fab(i).data());
+            assert!(
+                a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()),
+                "fab {i} differs on its grown box"
+            );
         }
-        for i in 0..sync_state.nfabs() {
-            for iv in sync_state.grown_box(i).iter() {
-                for c in 0..sync_state.ncomp() {
-                    let a = sync_state.fab(i).get(iv, c);
-                    let b = ovl_state.fab(i).get(iv, c);
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "bit divergence at fab {i} zone {iv:?} comp {c}: {a} vs {b}"
-                    );
-                }
-            }
-        }
-        assert!(
-            sync_comm.network_bytes() > 0,
-            "fixture must exchange off-rank"
-        );
-        assert_eq!(sync_comm.network_bytes(), ovl_comm.network_bytes());
-        assert_eq!(sync_comm.local_bytes, ovl_comm.local_bytes);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! dependencies and exactly once. Tasks that write shared data must write
 //! *disjoint* slots (the [`crate::pool`] / `Array4Mut` contract); under that
 //! contract the final state is bit-identical for every legal schedule, which
-//! is what lets the overlapped drivers reproduce the bulk-synchronous digest.
+//! is what lets the halo loop (`exastro-amr`) reproduce the bulk-synchronous digest.
 
 use crate::pool::{Tasks, WorkerPool};
 use exastro_telemetry::graphtrace::{self, GraphTrace, TaskClass, TaskLabel, TaskRecord};

@@ -49,6 +49,9 @@ pub use arena::{Arena, ArenaStats, MallocArena, PoolArena, ScratchBuf};
 pub use device::{DeviceConfig, DeviceStats, KernelProfile, SimDevice};
 pub use exec::{tiles_of, ExecSpace, TiledExec};
 pub use graph::{GraphError, GraphRunStats, TaskGraph};
+// The types `TaskGraph::run_labeled` takes, so graph builders need no
+// dependency of their own on the telemetry crate.
+pub use exastro_telemetry::{TaskClass, TaskLabel};
 pub use index::{IndexBox, IntVect, SPACEDIM};
 pub use pool::{
     par_each_mut, par_each_mut_bounded, par_index_each, par_map_fold, try_par_for, PoolStats,

@@ -3,7 +3,7 @@
 //!
 //! The build environment has no network access and no vendored registry, so
 //! the real crate cannot be fetched. This shim implements the same surface —
-//! [`Strategy`] with `prop_map`, range/tuple/`Just`/`vec`/`select`
+//! [`Strategy`](strategy::Strategy) with `prop_map`, range/tuple/`Just`/`vec`/`select`
 //! strategies, the [`proptest!`] macro, and `prop_assert*` — with a
 //! deterministic splitmix/xorshift RNG seeded from the test name, so runs
 //! are reproducible. It does **not** implement shrinking: a failing case
@@ -88,7 +88,7 @@ pub mod test_runner {
     }
 }
 
-/// The [`Strategy`] trait and combinator/primitive strategies.
+/// The [`Strategy`](strategy::Strategy) trait and combinator/primitive strategies.
 pub mod strategy {
     use crate::test_runner::TestRng;
 

@@ -21,7 +21,7 @@
 //!   the `io/checkpoint` profiler region);
 //! * [`faults`] — deterministic fault injection: kill schedules, blob
 //!   truncation, bit flips, torn renames, and injected write failures;
-//! * [`interval`] — the Young/Daly optimal checkpoint interval;
+//! * [`mod@interval`] — the Young/Daly optimal checkpoint interval;
 //! * [`recovery`] — the shared step-rejection policy knobs and the
 //!   emergency-checkpoint writer used by both drivers when a step is
 //!   unrecoverable;

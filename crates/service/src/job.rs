@@ -522,7 +522,6 @@ fn build_stepper<'a>(
             burn_min_temp: 1e8,
             ladder: RetryLadder::default(),
             burn_faults: spec.burn_faults.clone(),
-            overlap: true,
             recovery: RecoveryOptions::default(),
             telemetry: recorder,
         }),

@@ -1,8 +1,8 @@
 //! Task-graph traces and critical-path analysis.
 //!
-//! PR 9 made the overlapped drivers *schedule* ghost exchange behind
-//! interior compute; this module makes the overlap *measurable*. The
-//! task-graph executor ([`TaskGraph::run`] in `exastro-parallel`) records,
+//! The drivers' halo loop *schedules* ghost exchange behind interior
+//! compute; this module makes the overlap *measurable*. The task-graph
+//! executor (`TaskGraph::run_labeled` in `exastro-parallel`) records,
 //! per task, when it became ready, when a worker started it, when it
 //! finished, and which worker ran it — a [`GraphTrace`]. The analyzer here
 //! ([`summarize`]) turns that into the quantities the HPX/APEX-style

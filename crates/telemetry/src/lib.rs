@@ -14,7 +14,7 @@
 //! * [`metrics`] — a per-step [`StepMetrics`](metrics::StepMetrics) record
 //!   appended by the drivers each step through a
 //!   [`MetricsSink`](metrics::MetricsSink) (in-memory, JSONL file, null);
-//! * [`histogram`] — fixed-bucket log-scale [`Histogram`](histogram::Histogram)s
+//! * [`mod@histogram`] — fixed-bucket log-scale [`Histogram`](histogram::Histogram)s
 //!   for per-zone burn cost, plus named [`counters`] for categorical
 //!   tallies (ladder rungs, checkpoint bytes).
 //!

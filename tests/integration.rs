@@ -19,7 +19,6 @@ fn sedov_castro(eos: &GammaLaw, net: &CBurn2) -> Castro<'static> {
     c.hydro = Hydro {
         cfl: 0.4,
         structure: KernelStructure::Flat,
-        overlap: true,
         floors: Floors::dimensionless(),
     };
     c.bc = BcSpec::outflow();
