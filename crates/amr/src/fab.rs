@@ -17,14 +17,75 @@
 //! `(i, j, k, component)` slot, and no invocation may read a slot that
 //! another writes. All bounds are checked with `debug_assert!` in debug
 //! builds.
+//!
+//! # Strides and zone cursors
+//!
+//! A fab and both views carry one precomputed `Strides` — the box's low
+//! corner and its `jstride`/`kstride`/`nstride`, as AMReX's `Array4` does —
+//! so `at(i, j, k, c)` is three multiply-adds, not a re-derivation of the
+//! box size per access. A kernel that touches several components or stencil
+//! neighbours of a zone resolves it once with `zone(i, j, k)`, a **cursor**
+//! (the zone's offset within a component), and then reaches component `c`
+//! with `at_zone(z, c)` and the neighbour one zone along `d` with
+//! `z ± stride(d)`. `zone` asserts in debug builds that the zone is in the
+//! box, `at_zone`/`set_zone` that the cursor is inside a component; a
+//! kernel that steps a cursor `debug_assert_eq!`s it against `zone()` of the
+//! neighbour's indices. The cursor changes no part of the contract above:
+//! a cursor access *is* the `(i, j, k, c)` access it was resolved from.
 
 use exastro_parallel::{IndexBox, IntVect, Real};
 use std::marker::PhantomData;
 
+/// A box and its index arithmetic, computed once: component `c` of zone
+/// `(i, j, k)` lives at `c·nstride + (i − lo.x) + (j − lo.y)·jstride +
+/// (k − lo.z)·kstride`. An empty box has all strides zero.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Strides {
+    bx: IndexBox,
+    jstride: usize,
+    kstride: usize,
+    /// Zones in the box: the distance between components.
+    nstride: usize,
+}
+
+impl Strides {
+    fn new(bx: IndexBox) -> Self {
+        let s = bx.size();
+        let jstride = s.x() as usize;
+        let kstride = jstride * s.y() as usize;
+        Strides {
+            bx,
+            jstride,
+            kstride,
+            nstride: kstride * s.z() as usize,
+        }
+    }
+
+    /// Offset of zone `(i, j, k)` within a component; the zone must lie in
+    /// the box (debug-asserted).
+    #[inline]
+    fn zone(&self, i: i32, j: i32, k: i32) -> usize {
+        debug_assert!(
+            self.bx.contains(IntVect::new(i, j, k)),
+            "({i},{j},{k}) outside {:?}",
+            self.bx
+        );
+        let lo = self.bx.lo();
+        (i - lo.x()) as usize
+            + (j - lo.y()) as usize * self.jstride
+            + (k - lo.z()) as usize * self.kstride
+    }
+
+    #[inline]
+    fn stride(&self, dim: usize) -> usize {
+        [1, self.jstride, self.kstride][dim]
+    }
+}
+
 /// A dense array over `bx` with `ncomp` components.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FArrayBox {
-    bx: IndexBox,
+    st: Strides,
     ncomp: usize,
     data: Vec<Real>,
 }
@@ -36,7 +97,7 @@ impl FArrayBox {
         assert!(ncomp >= 1);
         let n = bx.num_zones() as usize * ncomp;
         FArrayBox {
-            bx,
+            st: Strides::new(bx),
             ncomp,
             data: vec![0.0; n],
         }
@@ -45,7 +106,7 @@ impl FArrayBox {
     /// The index box the fab covers (including any ghost zones — the fab
     /// itself does not distinguish valid from ghost).
     pub fn index_box(&self) -> IndexBox {
-        self.bx
+        self.st.bx
     }
 
     /// Number of components.
@@ -60,9 +121,25 @@ impl FArrayBox {
 
     #[inline]
     fn offset(&self, iv: IntVect, comp: usize) -> usize {
-        debug_assert!(self.bx.contains(iv), "{iv:?} outside {:?}", self.bx);
         debug_assert!(comp < self.ncomp);
-        comp * self.bx.num_zones() as usize + self.bx.linear_index(iv)
+        comp * self.st.nstride + self.st.zone(iv.x(), iv.y(), iv.z())
+    }
+
+    /// The `n` values of component `comp` from zone `iv` along `x`: one
+    /// contiguous run of memory.
+    #[inline]
+    pub(crate) fn row(&self, iv: IntVect, comp: usize, n: usize) -> &[Real] {
+        debug_assert!(n >= 1 && iv.x() + n as i32 - 1 <= self.st.bx.hi().x());
+        let o = self.offset(iv, comp);
+        &self.data[o..o + n]
+    }
+
+    /// Mutable [`FArrayBox::row`].
+    #[inline]
+    pub(crate) fn row_mut(&mut self, iv: IntVect, comp: usize, n: usize) -> &mut [Real] {
+        debug_assert!(n >= 1 && iv.x() + n as i32 - 1 <= self.st.bx.hi().x());
+        let o = self.offset(iv, comp);
+        &mut self.data[o..o + n]
     }
 
     /// Read one value.
@@ -80,7 +157,7 @@ impl FArrayBox {
 
     /// Set every value of component `comp` to `v`.
     pub fn set_val(&mut self, comp: usize, v: Real) {
-        let n = self.bx.num_zones() as usize;
+        let n = self.st.nstride;
         self.data[comp * n..(comp + 1) * n].fill(v);
     }
 
@@ -99,12 +176,12 @@ impl FArrayBox {
         dst_comp: usize,
         ncomp: usize,
     ) {
-        let r = region.intersection(&self.bx).intersection(&src.bx);
+        let r = region.intersection(&self.st.bx).intersection(&src.st.bx);
         for c in 0..ncomp {
-            for iv in r.iter() {
-                let v = src.get(iv, src_comp + c);
-                self.set(iv, dst_comp + c, v);
-            }
+            for_each_row(r, |iv, n| {
+                self.row_mut(iv, dst_comp + c, n)
+                    .copy_from_slice(src.row(iv, src_comp + c, n));
+            });
         }
     }
 
@@ -117,14 +194,12 @@ impl FArrayBox {
         shift: IntVect,
         ncomp: usize,
     ) {
-        let r = region.intersection(&self.bx);
+        let r = region.intersection(&self.st.bx);
         for c in 0..ncomp {
-            for iv in r.iter() {
-                let siv = iv - shift;
-                debug_assert!(src.bx.contains(siv));
-                let v = src.get(siv, c);
-                self.set(iv, c, v);
-            }
+            for_each_row(r, |iv, n| {
+                self.row_mut(iv, c, n)
+                    .copy_from_slice(src.row(iv - shift, c, n));
+            });
         }
     }
 
@@ -132,7 +207,7 @@ impl FArrayBox {
     pub fn array(&self) -> Array4<'_> {
         Array4 {
             data: &self.data,
-            bx: self.bx,
+            st: self.st,
             ncomp: self.ncomp,
         }
     }
@@ -142,7 +217,7 @@ impl FArrayBox {
         Array4Mut {
             ptr: self.data.as_mut_ptr(),
             len: self.data.len(),
-            bx: self.bx,
+            st: self.st,
             ncomp: self.ncomp,
             _marker: PhantomData,
         }
@@ -160,7 +235,7 @@ impl FArrayBox {
 
     /// Max |value| of component `comp` over `region`.
     pub fn norm_inf(&self, region: IndexBox, comp: usize) -> Real {
-        let r = region.intersection(&self.bx);
+        let r = region.intersection(&self.st.bx);
         r.iter()
             .map(|iv| self.get(iv, comp).abs())
             .fold(0.0, Real::max)
@@ -168,8 +243,23 @@ impl FArrayBox {
 
     /// Sum of component `comp` over `region`.
     pub fn sum(&self, region: IndexBox, comp: usize) -> Real {
-        let r = region.intersection(&self.bx);
+        let r = region.intersection(&self.st.bx);
         r.iter().map(|iv| self.get(iv, comp)).sum()
+    }
+}
+
+/// Call `f(start, n)` for each x-row of `bx`: the row's first zone and its
+/// length, rows in memory order. Nothing for an empty box.
+pub(crate) fn for_each_row(bx: IndexBox, mut f: impl FnMut(IntVect, usize)) {
+    if bx.is_empty() {
+        return;
+    }
+    let (lo, hi) = (bx.lo(), bx.hi());
+    let n = bx.length(0) as usize;
+    for k in lo.z()..=hi.z() {
+        for j in lo.y()..=hi.y() {
+            f(IntVect::new(lo.x(), j, k), n);
+        }
     }
 }
 
@@ -177,7 +267,7 @@ impl FArrayBox {
 #[derive(Clone, Copy)]
 pub struct Array4<'a> {
     data: &'a [Real],
-    bx: IndexBox,
+    st: Strides,
     ncomp: usize,
 }
 
@@ -186,26 +276,43 @@ impl<'a> Array4<'a> {
     /// fab over `bx`. `data.len()` must equal `bx.num_zones() * ncomp`.
     pub fn from_slice(data: &'a [Real], bx: IndexBox, ncomp: usize) -> Self {
         assert_eq!(data.len(), bx.num_zones() as usize * ncomp);
-        Array4 { data, bx, ncomp }
+        Array4 {
+            data,
+            st: Strides::new(bx),
+            ncomp,
+        }
     }
 
+    /// Cursor of zone `(i, j, k)`: its offset within a component (module
+    /// docs). The zone must lie in the box.
     #[inline]
-    fn offset(&self, i: i32, j: i32, k: i32, c: usize) -> usize {
-        let iv = IntVect::new(i, j, k);
-        debug_assert!(self.bx.contains(iv), "({i},{j},{k}) outside {:?}", self.bx);
+    pub fn zone(&self, i: i32, j: i32, k: i32) -> usize {
+        self.st.zone(i, j, k)
+    }
+
+    /// What to add to a cursor to step one zone along `dim`.
+    #[inline]
+    pub fn stride(&self, dim: usize) -> usize {
+        self.st.stride(dim)
+    }
+
+    /// Component `c` of the zone at cursor `z`.
+    #[inline]
+    pub fn at_zone(&self, z: usize, c: usize) -> Real {
+        debug_assert!(z < self.st.nstride, "cursor {z} outside {:?}", self.st.bx);
         debug_assert!(c < self.ncomp);
-        c * self.bx.num_zones() as usize + self.bx.linear_index(iv)
+        self.data[c * self.st.nstride + z]
     }
 
     /// Value at `(i, j, k)` component `c`.
     #[inline]
     pub fn at(&self, i: i32, j: i32, k: i32, c: usize) -> Real {
-        self.data[self.offset(i, j, k, c)]
+        self.at_zone(self.zone(i, j, k), c)
     }
 
     /// The box this view covers.
     pub fn index_box(&self) -> IndexBox {
-        self.bx
+        self.st.bx
     }
 
     /// Number of components.
@@ -226,7 +333,7 @@ impl<'a> Array4<'a> {
 pub struct Array4Mut<'a> {
     ptr: *mut Real,
     len: usize,
-    bx: IndexBox,
+    st: Strides,
     ncomp: usize,
     _marker: PhantomData<&'a mut [Real]>,
 }
@@ -247,52 +354,118 @@ impl<'a> Array4Mut<'a> {
         Array4Mut {
             ptr: data.as_mut_ptr(),
             len: data.len(),
-            bx,
+            st: Strides::new(bx),
             ncomp,
             _marker: PhantomData,
         }
     }
 
+    /// Cursor of zone `(i, j, k)`: its offset within a component (module
+    /// docs). The zone must lie in the box.
     #[inline]
-    fn offset(&self, i: i32, j: i32, k: i32, c: usize) -> usize {
-        let iv = IntVect::new(i, j, k);
-        debug_assert!(self.bx.contains(iv), "({i},{j},{k}) outside {:?}", self.bx);
+    pub fn zone(&self, i: i32, j: i32, k: i32) -> usize {
+        self.st.zone(i, j, k)
+    }
+
+    /// What to add to a cursor to step one zone along `dim`.
+    #[inline]
+    pub fn stride(&self, dim: usize) -> usize {
+        self.st.stride(dim)
+    }
+
+    #[inline]
+    fn offset(&self, z: usize, c: usize) -> usize {
+        debug_assert!(z < self.st.nstride, "cursor {z} outside {:?}", self.st.bx);
         debug_assert!(c < self.ncomp);
-        let o = c * self.bx.num_zones() as usize + self.bx.linear_index(iv);
+        let o = c * self.st.nstride + z;
         debug_assert!(o < self.len);
         o
     }
 
-    /// Read the value at `(i, j, k)` component `c`.
+    /// Read component `c` of the zone at cursor `z`.
     #[inline]
-    pub fn at(&self, i: i32, j: i32, k: i32, c: usize) -> Real {
-        let o = self.offset(i, j, k, c);
-        // SAFETY: offset is in-bounds (debug-asserted; guaranteed by
-        // construction from a live Vec) and callers honour the
+    pub fn at_zone(&self, z: usize, c: usize) -> Real {
+        let o = self.offset(z, c);
+        // SAFETY: `o` is in-bounds — `z` indexes a zone of the box and `c` a
+        // component (both debug-asserted), and the view was built over
+        // `nstride * ncomp` live values — and callers honour the
         // disjoint-access contract.
         unsafe { *self.ptr.add(o) }
     }
 
-    /// Write `v` at `(i, j, k)` component `c`.
+    /// Write `v` to component `c` of the zone at cursor `z`.
     #[inline]
-    pub fn set(&self, i: i32, j: i32, k: i32, c: usize, v: Real) {
-        let o = self.offset(i, j, k, c);
-        // SAFETY: as for `at`; each slot is written by at most one kernel
-        // invocation per the module contract.
+    pub fn set_zone(&self, z: usize, c: usize, v: Real) {
+        let o = self.offset(z, c);
+        // SAFETY: as for `at_zone`; each slot is written by at most one
+        // kernel invocation per the module contract.
         unsafe {
             *self.ptr.add(o) = v;
         }
     }
 
+    /// Add `v` into component `c` of the zone at cursor `z`.
+    #[inline]
+    pub fn add_zone(&self, z: usize, c: usize, v: Real) {
+        self.set_zone(z, c, self.at_zone(z, c) + v);
+    }
+
+    /// Read the value at `(i, j, k)` component `c`.
+    #[inline]
+    pub fn at(&self, i: i32, j: i32, k: i32, c: usize) -> Real {
+        self.at_zone(self.zone(i, j, k), c)
+    }
+
+    /// Write `v` at `(i, j, k)` component `c`.
+    #[inline]
+    pub fn set(&self, i: i32, j: i32, k: i32, c: usize, v: Real) {
+        self.set_zone(self.zone(i, j, k), c, v);
+    }
+
     /// Add `v` into `(i, j, k)` component `c`.
     #[inline]
     pub fn add(&self, i: i32, j: i32, k: i32, c: usize, v: Real) {
-        self.set(i, j, k, c, self.at(i, j, k, c) + v);
+        self.add_zone(self.zone(i, j, k), c, v);
+    }
+
+    /// Offset of the `n`-value x-row of component `c` starting at zone `iv`.
+    /// Unlike the per-value accessors this checks the range in every build:
+    /// it is once per row, and the row copies below rely on it.
+    #[inline]
+    fn row_offset(&self, iv: IntVect, c: usize, n: usize) -> usize {
+        debug_assert!(n >= 1 && iv.x() + n as i32 - 1 <= self.st.bx.hi().x());
+        let o = c * self.st.nstride + self.zone(iv.x(), iv.y(), iv.z());
+        assert!(c < self.ncomp && o + n <= self.len, "row outside the fab");
+        o
+    }
+
+    /// Copy the `out.len()` values of component `c` from zone `iv` along
+    /// `x` into `out`. The row's slots are read, in the contract's terms.
+    #[inline]
+    pub(crate) fn read_row(&self, iv: IntVect, c: usize, out: &mut [Real]) {
+        let o = self.row_offset(iv, c, out.len());
+        // SAFETY: `row_offset` checked `o + len <= self.len`, so the source
+        // run is inside the viewed allocation; `out` is a unique borrow of
+        // other memory, so the runs do not overlap; no concurrent task
+        // writes the slots read (module contract).
+        unsafe { std::ptr::copy_nonoverlapping(self.ptr.add(o), out.as_mut_ptr(), out.len()) }
+    }
+
+    /// Overwrite the `row.len()` values of component `c` from zone `iv`
+    /// along `x` with `row`. The row's slots are written, in the contract's
+    /// terms.
+    #[inline]
+    pub(crate) fn write_row(&self, iv: IntVect, c: usize, row: &[Real]) {
+        let o = self.row_offset(iv, c, row.len());
+        // SAFETY: as for `read_row`, with the roles swapped: the destination
+        // run is inside the viewed allocation and no concurrent task touches
+        // the slots written.
+        unsafe { std::ptr::copy_nonoverlapping(row.as_ptr(), self.ptr.add(o), row.len()) }
     }
 
     /// The box this view covers.
     pub fn index_box(&self) -> IndexBox {
-        self.bx
+        self.st.bx
     }
 
     /// Number of components.
@@ -305,6 +478,7 @@ impl<'a> Array4Mut<'a> {
 mod tests {
     use super::*;
     use exastro_parallel::{ExecSpace, TiledExec};
+    use proptest::prelude::*;
 
     #[test]
     fn fab_get_set_roundtrip() {
@@ -402,6 +576,107 @@ mod tests {
         arr.add(0, 0, 0, 0, 1.0);
         arr.add(0, 0, 0, 0, 2.5);
         assert_eq!(fab.get(IntVect::zero(), 0), 3.5);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn cursor_matches_the_box_arithmetic_it_replaced(
+            lo in (-9i32..9, -9i32..9, -9i32..9),
+            len in (0i32..5, 0i32..5, 0i32..5),
+            ncomp in 1usize..4,
+        ) {
+            // Lengths 0 (an empty box) and 1 (no room to step) included.
+            let lo = IntVect::new(lo.0, lo.1, lo.2);
+            let bx = IndexBox::new(lo, lo + IntVect::new(len.0, len.1, len.2) - IntVect::unit());
+            let data: Vec<Real> = (0..bx.num_zones() as usize * ncomp).map(|n| n as Real).collect();
+            let a = Array4::from_slice(&data, bx, ncomp);
+            prop_assert_eq!(a.st.nstride, bx.num_zones() as usize);
+            for iv in bx.iter() {
+                let z = a.zone(iv.x(), iv.y(), iv.z());
+                prop_assert_eq!(z, bx.linear_index(iv));
+                for c in 0..ncomp {
+                    let old = c * bx.num_zones() as usize + bx.linear_index(iv);
+                    prop_assert_eq!(z + c * a.st.nstride, old);
+                    prop_assert_eq!(a.at_zone(z, c), old as Real);
+                    prop_assert_eq!(a.at(iv.x(), iv.y(), iv.z(), c), old as Real);
+                }
+                for d in 0..3 {
+                    let next = iv + IntVect::dim_vec(d);
+                    if bx.contains(next) {
+                        prop_assert_eq!(z + a.stride(d), a.zone(next.x(), next.y(), next.z()));
+                    }
+                }
+            }
+            // The fab and the mutable view share the arithmetic.
+            if !bx.is_empty() {
+                let mut fab = FArrayBox::new(bx, ncomp);
+                fab.data_mut().copy_from_slice(&data);
+                let m = fab.array_mut();
+                for iv in bx.iter() {
+                    let z = m.zone(iv.x(), iv.y(), iv.z());
+                    prop_assert_eq!(z, a.zone(iv.x(), iv.y(), iv.z()));
+                    for c in 0..ncomp {
+                        m.add_zone(z, c, 0.5);
+                    }
+                    for d in 0..3 {
+                        prop_assert_eq!(m.stride(d), a.stride(d));
+                    }
+                }
+                for (iv, c) in bx.iter().flat_map(|iv| (0..ncomp).map(move |c| (iv, c))) {
+                    let old = c * bx.num_zones() as usize + bx.linear_index(iv);
+                    prop_assert_eq!(fab.get(iv, c), old as Real + 0.5);
+                }
+            }
+        }
+    }
+
+    /// A cursor resolved outside the box, or stepped off the end of a
+    /// component, is caught in debug builds — as `at`/`set` always were.
+    #[cfg(debug_assertions)]
+    mod out_of_box_access_panics {
+        use super::*;
+
+        fn fab() -> FArrayBox {
+            FArrayBox::new(IndexBox::new(IntVect::splat(-1), IntVect::splat(1)), 2)
+        }
+
+        #[test]
+        #[should_panic(expected = "outside")]
+        fn resolving_a_zone_outside_the_box() {
+            fab().array().zone(2, 0, 0);
+        }
+
+        #[test]
+        #[should_panic(expected = "outside")]
+        fn resolving_a_zone_outside_the_box_mutably() {
+            fab().array_mut().zone(0, -2, 0);
+        }
+
+        #[test]
+        #[should_panic(expected = "outside")]
+        fn reading_past_the_last_zone() {
+            let fab = fab();
+            let a = fab.array();
+            a.at_zone(a.zone(1, 1, 1) + a.stride(2), 0);
+        }
+
+        #[test]
+        #[should_panic(expected = "outside")]
+        fn writing_past_the_last_zone() {
+            let mut fab = fab();
+            let m = fab.array_mut();
+            m.set_zone(m.zone(1, 1, 1) + m.stride(0), 1, 0.0);
+        }
+
+        #[test]
+        #[should_panic]
+        fn writing_a_component_the_fab_does_not_have() {
+            let mut fab = fab();
+            let m = fab.array_mut();
+            m.set_zone(m.zone(0, 0, 0), 2, 0.0);
+        }
     }
 
     #[test]

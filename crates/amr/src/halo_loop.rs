@@ -32,6 +32,7 @@ use crate::fab::Array4Mut;
 use crate::geometry::Geometry;
 use crate::multifab::{apply_physical_bc, BcSpec, CommTrace, MultiFab, PendingComm};
 use exastro_parallel::{TaskClass, TaskGraph, TaskLabel, WorkerPool};
+use std::sync::Mutex;
 
 /// Span name and overlap class of each stage, in task-id block order: task
 /// `stage * nfabs + f` is stage `stage` of fab `f`.
@@ -42,6 +43,19 @@ const STAGES: [(&str, TaskClass); 5] = [
     ("band", TaskClass::Compute),
     ("update", TaskClass::Compute),
 ];
+
+/// The label of stage `stage` of fab `f`, `<stage>.f<fab>`. Every traced
+/// sweep labels the same tasks, so the labels are built once per process
+/// and handed out from a table.
+fn task_label(stage: usize, f: usize) -> TaskLabel {
+    static LABELS: Mutex<Vec<[TaskLabel; 5]>> = Mutex::new(Vec::new());
+    let mut labels = LABELS.lock().expect("the label table is append-only");
+    while labels.len() <= f {
+        let f = labels.len();
+        labels.push(STAGES.map(|(name, class)| TaskLabel::new(&format!("{name}.f{f}"), class)));
+    }
+    labels[f][stage]
+}
 
 /// One planned halo loop: the ghost exchange of a box layout and the task
 /// graph that stages it around three per-box kernels (module docs).
@@ -126,10 +140,7 @@ impl HaloLoop {
                     WorkerPool::global(),
                     n.max(1),
                     label,
-                    |t| {
-                        let (name, class) = STAGES[t / n];
-                        TaskLabel::new(format!("{name}.f{}", t % n), class)
-                    },
+                    |t| task_label(t / n, t % n),
                     task,
                 )
                 .expect("the halo graph is a DAG by construction");
@@ -168,11 +179,11 @@ impl HaloLoop {
             match stage {
                 0 => {
                     for &o in &packs_of[f] {
-                        pending.pack_op(o, |iv, c| view.at(iv.x(), iv.y(), iv.z(), c));
+                        pending.pack_op(o, |iv, c, out| view.read_row(iv, c, out));
                     }
                 }
                 1 => {
-                    pending.unpack_fab(f, |iv, c, v| view.set(iv.x(), iv.y(), iv.z(), c, v));
+                    pending.unpack_fab(f, |iv, c, row| view.write_row(iv, c, row));
                     apply_physical_bc(view, &geom, bc);
                 }
                 2 => interior(f, view),

@@ -11,7 +11,7 @@
 
 use crate::boxarray::BoxArray;
 use crate::distribution::DistributionMapping;
-use crate::fab::{Array4Mut, FArrayBox};
+use crate::fab::{for_each_row, Array4Mut, FArrayBox};
 use crate::geometry::Geometry;
 use exastro_parallel::{
     par_each_mut, par_each_mut_bounded, par_index_each, par_map_fold, IndexBox, IntVect, Profiler,
@@ -20,18 +20,19 @@ use exastro_parallel::{
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-/// One point-to-point message in a communication trace. Ranks are `u32`,
-/// 16 bytes a message: a step's trace holds one entry per off-rank ghost
-/// copy (thousands on a many-box level) and the drivers return it in their
-/// step statistics, which callers keep one of per step.
+/// One point-to-point message in a communication trace. Every field is a
+/// `u32`, 12 bytes a message: a step's trace holds one entry per off-rank
+/// ghost copy (thousands on a many-box level) and the drivers return it in
+/// their step statistics, which callers keep one of per step — a caller
+/// that steps faster keeps more of them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Message {
     /// Sending rank.
     pub src: u32,
     /// Receiving rank.
     pub dst: u32,
-    /// Payload size in bytes.
-    pub bytes: u64,
+    /// Payload size in bytes (one box-to-box copy: far below 4 GiB).
+    pub bytes: u32,
 }
 
 impl Message {
@@ -40,7 +41,7 @@ impl Message {
         Message {
             src: rank(src),
             dst: rank(dst),
-            bytes,
+            bytes: u32::try_from(bytes).expect("one box-to-box copy is under 4 GiB"),
         }
     }
 }
@@ -57,7 +58,7 @@ pub struct CommTrace {
 impl CommTrace {
     /// Total bytes crossing the network.
     pub fn network_bytes(&self) -> u64 {
-        self.messages.iter().map(|m| m.bytes).sum()
+        self.messages.iter().map(|m| u64::from(m.bytes)).sum()
     }
 
     /// Merge another trace into this one.
@@ -70,7 +71,7 @@ impl CommTrace {
     pub fn bytes_sent_per_rank(&self, nranks: usize) -> Vec<u64> {
         let mut out = vec![0u64; nranks];
         for m in &self.messages {
-            out[m.src as usize] += m.bytes;
+            out[m.src as usize] += u64::from(m.bytes);
         }
         out
     }
@@ -131,30 +132,43 @@ impl PendingComm {
         &self.trace
     }
 
-    /// Pack op `o`'s buffer by reading source-fab data through `read`
-    /// (`read(iv, c)` must return fab `src`'s value at `iv`, a *valid* zone
-    /// of the source box). Safe to call concurrently for distinct ops.
-    pub(crate) fn pack_op<F: Fn(IntVect, usize) -> Real>(&self, o: usize, read: F) {
+    /// Pack op `o`'s buffer, one x-row of the region at a time:
+    /// `read_row(iv, c, out)` must fill `out` with component `c` of the
+    /// source fab from zone `iv` along `x` (*valid* zones of the source
+    /// box). Safe to call concurrently for distinct ops.
+    pub(crate) fn pack_op<F: Fn(IntVect, usize, &mut [Real])>(&self, o: usize, read_row: F) {
         let op = &self.ops[o];
         let mut buf = self.bufs[o].lock().unwrap();
         buf.clear();
+        buf.resize(op.region.num_zones() as usize * self.ncomp, 0.0);
+        let mut rows = buf.chunks_exact_mut(op.region.length(0) as usize);
         for c in 0..self.ncomp {
-            for iv in op.region.iter() {
-                buf.push(read(iv - op.shift, c));
-            }
+            for_each_row(op.region, |iv, _| {
+                let out = rows.next().expect("one chunk per row");
+                read_row(iv - op.shift, c, out);
+            });
         }
         self.packed[o].store(true, Ordering::Release);
     }
 
-    /// Unpack every op targeting fab `fab_index`, in planning order, through
-    /// `write(iv, c, value)`. Panics if one of the fab's incoming ops is not
-    /// packed yet (the graph's ghost-exchange edges guarantee they are): an
-    /// unpacked buffer would fill ghosts with stale data. Safe to call
-    /// concurrently for distinct fabs.
-    pub(crate) fn unpack_fab<F: FnMut(IntVect, usize, Real)>(
+    /// [`PendingComm::pack_op`] from a whole fab, `sfab` being op `o`'s
+    /// source.
+    fn pack_from(&self, o: usize, sfab: &FArrayBox) {
+        self.pack_op(o, |iv, c, out| {
+            out.copy_from_slice(sfab.row(iv, c, out.len()))
+        });
+    }
+
+    /// Unpack every op targeting fab `fab_index`, in planning order, one
+    /// x-row at a time through `write_row(iv, c, row)` (component `c` of the
+    /// fab from zone `iv` along `x` becomes `row`). Panics if one of the
+    /// fab's incoming ops is not packed yet (the graph's ghost-exchange
+    /// edges guarantee they are): an unpacked buffer would fill ghosts with
+    /// stale data. Safe to call concurrently for distinct fabs.
+    pub(crate) fn unpack_fab<F: FnMut(IntVect, usize, &[Real])>(
         &self,
         fab_index: usize,
-        mut write: F,
+        mut write_row: F,
     ) {
         for &oi in &self.per_dst[fab_index] {
             assert!(
@@ -163,12 +177,11 @@ impl PendingComm {
             );
             let op = &self.ops[oi];
             let buf = self.bufs[oi].lock().unwrap();
-            let mut idx = 0;
+            let mut rows = buf.chunks_exact(op.region.length(0) as usize);
             for c in 0..self.ncomp {
-                for iv in op.region.iter() {
-                    write(iv, c, buf[idx]);
-                    idx += 1;
-                }
+                for_each_row(op.region, |iv, _| {
+                    write_row(iv, c, rows.next().expect("one chunk per row"));
+                });
             }
         }
     }
@@ -190,8 +203,7 @@ impl PendingComm {
         self.check_target(mf);
         for (o, op) in self.ops.iter().enumerate() {
             if !self.packed[o].load(Ordering::Acquire) {
-                let sfab = &mf.fabs[op.src];
-                self.pack_op(o, |iv, c| sfab.get(iv, c));
+                self.pack_from(o, &mf.fabs[op.src]);
             }
         }
         // Unpack in parallel over destination fabs (disjoint mutable
@@ -200,7 +212,9 @@ impl PendingComm {
         let cap = self.per_dst.iter().filter(|v| !v.is_empty()).count();
         let pending = &self;
         par_each_mut_bounded(WorkerPool::global(), &mut mf.fabs, cap, |fi, dfab| {
-            pending.unpack_fab(fi, |iv, c, v| dfab.set(iv, c, v));
+            pending.unpack_fab(fi, |iv, c, row| {
+                dfab.row_mut(iv, c, row.len()).copy_from_slice(row)
+            });
         });
         self.trace
     }
@@ -543,8 +557,7 @@ impl MultiFab {
         let fabs = &self.fabs;
         let pref = &pending;
         par_index_each(pending.ops.len(), pending.ops.len(), |o| {
-            let sfab = &fabs[pref.ops[o].src];
-            pref.pack_op(o, |iv, c| sfab.get(iv, c));
+            pref.pack_from(o, &fabs[pref.ops[o].src]);
         });
         pending
     }
@@ -555,9 +568,9 @@ impl MultiFab {
         if self.ngrow == 0 {
             return;
         }
-        for i in 0..self.fabs.len() {
-            apply_physical_bc(&self.fabs[i].array_mut(), geom, bc);
-        }
+        par_each_mut(&mut self.fabs, |_i, fab| {
+            apply_physical_bc(&fab.array_mut(), geom, bc)
+        });
     }
 
     /// Max |value| of `comp` over all valid regions.
@@ -708,42 +721,53 @@ pub(crate) fn apply_physical_bc(arr: &Array4Mut<'_>, geom: &Geometry, bc: &BcSpe
             if region.is_empty() {
                 continue;
             }
+            // Where each ghost layer along `d` reads from: the nearest
+            // interior zone (outflow) or its mirror image (reflect). A
+            // mirrored zone of a thin box can fall beyond the fab's far
+            // side; clamp to the grown box (that zone was filled by the
+            // exchange or by an earlier pass). A layer that maps to itself
+            // keeps its values.
+            let (glo, ghi) = (region.lo()[d], region.hi()[d]);
+            let source_of: Vec<i32> = (glo..=ghi)
+                .map(|x| {
+                    let s = match kind {
+                        BcKind::Outflow => x.clamp(domain.lo()[d], domain.hi()[d]),
+                        BcKind::Reflect if side == 0 => 2 * domain.lo()[d] - 1 - x,
+                        BcKind::Reflect => 2 * domain.hi()[d] + 1 - x,
+                        BcKind::Periodic => unreachable!(),
+                    };
+                    s.clamp(gbox.lo()[d], gbox.hi()[d])
+                })
+                .collect();
             for c in 0..ncomp {
                 let sign = if kind == BcKind::Reflect && bc.is_odd(c, d) {
                     -1.0
                 } else {
                     1.0
                 };
-                for iv in region.iter() {
-                    let mut siv = iv;
-                    match kind {
-                        BcKind::Outflow => {
-                            siv[d] = siv[d].clamp(domain.lo()[d], domain.hi()[d]);
-                            // Clamp the transverse dims into the fab
-                            // too, for corner ghosts.
+                // Along x every ghost of a row has its own source zone in
+                // that row; transverse to x a ghost row reads one whole
+                // source row.
+                for_each_row(region, |iv, n| {
+                    let dst = arr.zone(iv.x(), iv.y(), iv.z());
+                    if d == 0 {
+                        for (x, &si) in source_of.iter().enumerate() {
+                            if si != glo + x as i32 {
+                                let src = arr.zone(si, iv.y(), iv.z());
+                                arr.set_zone(dst + x, c, arr.at_zone(src, c) * sign);
+                            }
                         }
-                        BcKind::Reflect => {
-                            siv[d] = if side == 0 {
-                                2 * domain.lo()[d] - 1 - siv[d]
-                            } else {
-                                2 * domain.hi()[d] + 1 - siv[d]
-                            };
+                    } else {
+                        let mut siv = iv;
+                        siv[d] = source_of[(iv[d] - glo) as usize];
+                        if siv != iv {
+                            let src = arr.zone(siv.x(), siv.y(), siv.z());
+                            for x in 0..n {
+                                arr.set_zone(dst + x, c, arr.at_zone(src + x, c) * sign);
+                            }
                         }
-                        BcKind::Periodic => unreachable!(),
                     }
-                    // Transverse corner zones may still be outside
-                    // the fab's coverage after mirroring; clamp to
-                    // the grown box (those zones were filled by the
-                    // pass over their own dimension).
-                    for t in 0..SPACEDIM {
-                        siv[t] = siv[t].clamp(gbox.lo()[t], gbox.hi()[t]);
-                    }
-                    if siv == iv {
-                        continue;
-                    }
-                    let v = arr.at(siv[0], siv[1], siv[2], c) * sign;
-                    arr.set(iv[0], iv[1], iv[2], c, v);
-                }
+                });
             }
         }
     }
@@ -943,11 +967,11 @@ mod tests {
         for o in 0..pending.nops() {
             let (src, _dst) = pending.op_endpoints(o);
             let sfab = staged.fab(src);
-            pending.pack_op(o, |iv, c| sfab.get(iv, c));
+            pending.pack_from(o, sfab);
         }
         for fi in 0..staged.nfabs() {
             let arr = staged.fab_mut(fi).array_mut();
-            pending.unpack_fab(fi, |iv, c, v| arr.set(iv[0], iv[1], iv[2], c, v));
+            pending.unpack_fab(fi, |iv, c, row| arr.write_row(iv, c, row));
         }
         let t2 = pending.finish();
         for i in 0..sync.nfabs() {
@@ -1074,5 +1098,224 @@ mod tests {
         let _ = mf.fill_boundary(&geom);
         // No periodic images: domain-boundary ghosts are untouched.
         assert_eq!(mf.fab(0).get(IntVect::new(-1, 0, 0), 0), before);
+    }
+    /// The row copies against the per-element loops they replaced, kept
+    /// here as the oracle: pack/unpack (through `wait` and through the halo
+    /// loop's views), `copy_from`, `copy_shifted` and the physical BC.
+    mod rows_match_the_per_element_loops {
+        use super::*;
+        use crate::halo_loop::HaloLoop;
+        use proptest::prelude::*;
+
+        /// `fill_boundary` as it was: every op packed element by element
+        /// from the current valid data, then unpacked in planning order.
+        fn per_element_fill_boundary(mf: &mut MultiFab, geom: &Geometry) {
+            let plan = mf.plan_fill_boundary(geom);
+            let bufs: Vec<Vec<Real>> = plan
+                .ops
+                .iter()
+                .map(|op| {
+                    let mut buf = Vec::new();
+                    for c in 0..mf.ncomp {
+                        for iv in op.region.iter() {
+                            buf.push(mf.fabs[op.src].get(iv - op.shift, c));
+                        }
+                    }
+                    buf
+                })
+                .collect();
+            for (op, buf) in plan.ops.iter().zip(&bufs) {
+                let mut idx = 0;
+                for c in 0..mf.ncomp {
+                    for iv in op.region.iter() {
+                        mf.fabs[op.dst].set(iv, c, buf[idx]);
+                        idx += 1;
+                    }
+                }
+            }
+        }
+
+        /// `apply_physical_bc` as it was, on a fab.
+        fn per_element_physical_bc(fab: &mut FArrayBox, geom: &Geometry, bc: &BcSpec) {
+            let gbox = fab.index_box();
+            let domain = geom.domain();
+            for d in 0..SPACEDIM {
+                for side in 0..2 {
+                    let kind = bc.kind[d][side];
+                    if kind == BcKind::Periodic || geom.periodic()[d] {
+                        continue;
+                    }
+                    let region = if side == 0 {
+                        if gbox.lo()[d] >= domain.lo()[d] {
+                            continue;
+                        }
+                        let mut hi = gbox.hi();
+                        hi[d] = domain.lo()[d] - 1;
+                        IndexBox::new(gbox.lo(), hi)
+                    } else {
+                        if gbox.hi()[d] <= domain.hi()[d] {
+                            continue;
+                        }
+                        let mut lo = gbox.lo();
+                        lo[d] = domain.hi()[d] + 1;
+                        IndexBox::new(lo, gbox.hi())
+                    };
+                    for c in 0..fab.ncomp() {
+                        let sign = if kind == BcKind::Reflect && bc.is_odd(c, d) {
+                            -1.0
+                        } else {
+                            1.0
+                        };
+                        for iv in region.iter() {
+                            let mut siv = iv;
+                            match kind {
+                                BcKind::Outflow => {
+                                    siv[d] = siv[d].clamp(domain.lo()[d], domain.hi()[d]);
+                                }
+                                BcKind::Reflect => {
+                                    siv[d] = if side == 0 {
+                                        2 * domain.lo()[d] - 1 - siv[d]
+                                    } else {
+                                        2 * domain.hi()[d] + 1 - siv[d]
+                                    };
+                                }
+                                BcKind::Periodic => unreachable!(),
+                            }
+                            for t in 0..SPACEDIM {
+                                siv[t] = siv[t].clamp(gbox.lo()[t], gbox.hi()[t]);
+                            }
+                            if siv == iv {
+                                continue;
+                            }
+                            let v = fab.get(siv, c) * sign;
+                            fab.set(iv, c, v);
+                        }
+                    }
+                }
+            }
+        }
+
+        fn assert_same_bits(a: &MultiFab, b: &MultiFab, what: &str) -> Result<(), TestCaseError> {
+            for f in 0..a.nfabs() {
+                let same = a.fabs[f]
+                    .data()
+                    .iter()
+                    .zip(b.fabs[f].data())
+                    .all(|(x, y)| x.to_bits() == y.to_bits());
+                prop_assert!(same, "{}: fab {} differs on its grown box", what, f);
+            }
+            Ok(())
+        }
+
+        /// A multifab whose every value, ghosts included, is distinct.
+        fn distinct_values(ba: BoxArray, ncomp: usize, ngrow: i32, seed: u64) -> MultiFab {
+            let mut mf = MultiFab::local(ba, ncomp, ngrow);
+            let mut n = seed as Real;
+            for fab in &mut mf.fabs {
+                for v in fab.data_mut() {
+                    n += 1.0;
+                    *v = (n * 0.61803).sin() + n;
+                }
+            }
+            mf
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn ghost_fill_and_physical_bc(
+                size in (3i32..8, 3i32..8, 3i32..8),
+                max_grid in 1i32..4,
+                ngrow in 1i32..3,
+                ncomp in 1usize..4,
+                // Per dimension: 0 periodic, 1 outflow, 2 reflect.
+                sides in (0u8..3, 0u8..3, 0u8..3),
+                seed in 0u64..1000,
+            ) {
+                let sides = [sides.0, sides.1, sides.2];
+                let domain = IndexBox::sized(IntVect::new(size.0, size.1, size.2))
+                    .shift(IntVect::new(-2, 0, 3));
+                let geom = Geometry::new(
+                    domain,
+                    [0.0; 3],
+                    [1.0; 3],
+                    [sides[0] == 0, sides[1] == 0, sides[2] == 0],
+                    CoordSys::Cartesian,
+                );
+                let mut bc = BcSpec::periodic();
+                for d in 0..SPACEDIM {
+                    bc.kind[d] = [[BcKind::Periodic, BcKind::Outflow, BcKind::Reflect][sides[d] as usize]; 2];
+                    // Component d (where there is one) is the normal momentum.
+                    if d < ncomp {
+                        bc.reflect_odd.push((d, d));
+                    }
+                }
+                // Boxes 1 to 3 zones wide.
+                let ba = BoxArray::decompose(domain, max_grid, 1);
+                let start = distinct_values(ba, ncomp, ngrow, seed);
+
+                let mut expect = start.clone();
+                per_element_fill_boundary(&mut expect, &geom);
+                let mut filled = start.clone();
+                let _ = filled.fill_boundary(&geom);
+                assert_same_bits(&filled, &expect, "fill_boundary")?;
+
+                for fab in &mut expect.fabs {
+                    per_element_physical_bc(fab, &geom, &bc);
+                }
+                filled.fill_physical_bc(&geom, &bc);
+                assert_same_bits(&filled, &expect, "fill_physical_bc")?;
+
+                // The halo loop packs and unpacks through kernel views.
+                let mut looped = start.clone();
+                let _ = HaloLoop::plan(&looped, &geom)
+                    .run(&mut looped, &bc, "test.rows", |_, _| {}, |_, _| {}, |_, _| {});
+                assert_same_bits(&looped, &expect, "HaloLoop::run")?;
+            }
+
+            #[test]
+            fn fab_copies(
+                lo in (-4i32..4, -4i32..4, -4i32..4),
+                len in (1i32..6, 1i32..6, 1i32..6),
+                shift in (-2i32..3, -2i32..3, -2i32..3),
+                seed in 0u64..1000,
+            ) {
+                let lo = IntVect::new(lo.0, lo.1, lo.2);
+                let bx = IndexBox::new(lo, lo + IntVect::new(len.0, len.1, len.2) - IntVect::unit());
+                let shift = IntVect::new(shift.0, shift.1, shift.2);
+                let fab = |bx: IndexBox, seed: u64| {
+                    let ba = BoxArray::from_boxes(vec![bx]);
+                    distinct_values(ba, 3, 1, seed).fabs.remove(0)
+                };
+                let (dst0, src) = (&fab(bx, seed), &fab(bx.shift(shift), seed + 1000));
+
+                // copy_from: components 1.. of src into 0.. of dst, over the
+                // overlap of a region with both fabs.
+                let region = bx.grow(2);
+                let mut expect = dst0.clone();
+                let r = region.intersection(&dst0.index_box()).intersection(&src.index_box());
+                for c in 0..2 {
+                    for iv in r.iter() {
+                        expect.set(iv, c, src.get(iv, 1 + c));
+                    }
+                }
+                let mut dst = dst0.clone();
+                dst.copy_from(src, region, 1, 0, 2);
+                prop_assert!(dst == expect, "copy_from");
+
+                // copy_shifted: dst[iv] = src[iv - shift] on the valid box,
+                // which shifted back lies inside src's grown box.
+                let mut expect = dst0.clone();
+                for c in 0..3 {
+                    for iv in bx.iter() {
+                        expect.set(iv, c, src.get(iv + shift, c));
+                    }
+                }
+                let mut dst = dst0.clone();
+                dst.copy_shifted(src, bx, -shift, 3);
+                prop_assert!(dst == expect, "copy_shifted");
+            }
+        }
     }
 }

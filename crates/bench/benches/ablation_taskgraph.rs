@@ -63,12 +63,14 @@ fn print_ablation() {
         let _ = castro.advance_level(&mut s, &geom, dt);
     }
 
-    // *Measured* overlap efficiency: one advance with graph tracing
-    // armed, each sweep graph summarized and reconciled against the
-    // machine model's predicted hidden fraction for these boxes.
+    // *Measured* overlap efficiency: three advances with graph tracing
+    // armed (as in `tests/overlap_reconcile.rs`: one step's schedule is too
+    // short to read steadily), each sweep graph summarized and reconciled
+    // against the machine model's predicted hidden fraction for these
+    // boxes.
     Telemetry::enable_graph_trace();
     graphtrace::clear();
-    {
+    for _ in 0..3 {
         let mut s = state.clone();
         let _ = castro.advance_level(&mut s, &geom, dt);
     }

@@ -222,41 +222,41 @@ impl<'a> Castro<'a> {
         let vbs: Vec<IndexBox> = (0..state.nfabs()).map(|i| state.valid_box(i)).collect();
         par_each_mut(&mut state.fab_views_mut(), |fi, arr| {
             for iv in vbs[fi].iter() {
-                let (i, j, k) = (iv.x(), iv.y(), iv.z());
+                let z = arr.zone(iv.x(), iv.y(), iv.z());
                 let (rho, _, e) = rho_vel_e(
-                    arr.at(i, j, k, StateLayout::RHO),
+                    arr.at_zone(z, StateLayout::RHO),
                     [
-                        arr.at(i, j, k, StateLayout::MX),
-                        arr.at(i, j, k, StateLayout::MY),
-                        arr.at(i, j, k, StateLayout::MZ),
+                        arr.at_zone(z, StateLayout::MX),
+                        arr.at_zone(z, StateLayout::MY),
+                        arr.at_zone(z, StateLayout::MZ),
                     ],
-                    arr.at(i, j, k, StateLayout::EDEN),
-                    arr.at(i, j, k, StateLayout::EINT),
+                    arr.at_zone(z, StateLayout::EDEN),
+                    arr.at_zone(z, StateLayout::EINT),
                     &floors,
                 );
                 // Renormalize species against advection drift.
                 let mut x = [0.0; StateLayout::MAX_NSPEC];
                 let mut xsum = 0.0;
                 for s in 0..nspec {
-                    x[s] = (arr.at(i, j, k, layout.spec(s)) / rho).max(0.0);
+                    x[s] = (arr.at_zone(z, layout.spec(s)) / rho).max(0.0);
                     xsum += x[s];
                 }
                 if xsum > 0.0 {
                     for s in 0..nspec {
-                        arr.set(i, j, k, layout.spec(s), rho * (x[s] / xsum));
+                        arr.set_zone(z, layout.spec(s), rho * (x[s] / xsum));
                     }
                 }
                 for s in 0..nspec {
-                    x[s] = arr.at(i, j, k, layout.spec(s)) / rho;
+                    x[s] = arr.at_zone(z, layout.spec(s)) / rho;
                 }
                 let comp = Composition::from_mass_fractions(species, &x[..nspec]);
                 // The previous temperature is the seed (as in `cons_to_prim`):
                 // a zone the step did not touch converges on the first
                 // evaluation, in any unit system.
-                let t_guess = arr.at(i, j, k, StateLayout::TEMP).max(floors.small_temp);
+                let t_guess = arr.at_zone(z, StateLayout::TEMP).max(floors.small_temp);
                 let (t, _) = eos.t_from_e(rho, e, &comp, t_guess);
-                arr.set(i, j, k, StateLayout::TEMP, t.max(floors.small_temp));
-                arr.set(i, j, k, StateLayout::EINT, rho * e);
+                arr.set_zone(z, StateLayout::TEMP, t.max(floors.small_temp));
+                arr.set_zone(z, StateLayout::EINT, rho * e);
             }
         });
     }

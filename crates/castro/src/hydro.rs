@@ -14,8 +14,22 @@
 //!   memory footprint".)
 //!
 //! Both paths produce bitwise-identical fluxes (a test asserts this).
-//! All scratch storage is drawn from an [`Arena`], so the pool-allocator
+//! The per-sweep scratch — primitives on each valid box grown by 2 *along
+//! the sweep* (a split sweep reads no transverse ghost), plus the legacy
+//! structure's slopes — is drawn from an [`Arena`], so the pool-allocator
 //! ablation measures exactly the allocation churn this module generates.
+//! The flux fabs are not scratch: [`Hydro::advance`] returns them for
+//! refluxing, so they are heap [`FArrayBox`]es, born zeroed.
+//!
+//! ## Zone cursors
+//!
+//! The kernels are per-zone lambdas over [`Array4Mut`] views, as in the
+//! paper's §III, and they index a zone once, not once per component: a
+//! kernel resolves `(i, j, k)` to a cursor with `view.zone(i, j, k)`, reads
+//! and writes components with `at_zone(z, c)` / `set_zone(z, c, v)`, and
+//! reaches the stencil neighbours along the sweep as `z ± view.stride(dim)`
+//! (see `exastro_amr::fab`). Each stepped cursor is `debug_assert`ed
+//! against `zone()` of the neighbour's indices, which checks the box.
 //!
 //! ## The sweep as a halo loop
 //!
@@ -51,7 +65,7 @@ use exastro_amr::{
     Array4Mut, BcSpec, CommTrace, FArrayBox, Geometry, HaloLoop, IndexBox, IntVect, MultiFab,
 };
 use exastro_microphysics::{Eos, Species};
-use exastro_parallel::{Arena, ExecSpace, KernelProfile, Real};
+use exastro_parallel::{par_map_fold, Arena, ExecSpace, KernelProfile, Real};
 
 /// Which loop structure the sweep kernels use (§III ablation).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -206,20 +220,19 @@ impl Hydro {
         ex: &ExecSpace,
     ) -> Real {
         let dx = geom.dx();
-        let mut min_dt = Real::INFINITY;
-        for i in 0..state.nfabs() {
-            let vb = state.valid_box(i);
-            let fab = state.fab(i);
-            let arr = fab.array();
-            let ncomp = layout.ncomp();
-            let floors = self.floors;
-            let layout = *layout;
-            let max_speed = ex.par_reduce_max(vb, |i, j, k| {
+        let ncomp = layout.ncomp();
+        let floors = self.floors;
+        // Fabs go to the pool; folding their limits in fab order keeps the
+        // result that of the serial loop, bit for bit.
+        let fab_dt = |f: usize| {
+            let arr = state.fab(f).array();
+            let max_speed = ex.par_reduce_max(state.valid_box(f), |i, j, k| {
+                let z = arr.zone(i, j, k);
                 let mut u = [0.0; MAX_NCOMP];
                 for c in 0..ncomp {
-                    u[c] = arr.at(i, j, k, c);
+                    u[c] = arr.at_zone(z, c);
                 }
-                let q = cons_to_prim(&u[..ncomp], &layout, eos, species, &floors);
+                let q = cons_to_prim(&u[..ncomp], layout, eos, species, &floors);
                 let mut s: Real = 0.0;
                 for d in 0..3 {
                     s = s.max((q.vel[d].abs() + q.cs) / dx[d] * dx[0]);
@@ -227,10 +240,12 @@ impl Hydro {
                 s
             });
             if max_speed > 0.0 {
-                min_dt = min_dt.min(dx[0] / max_speed);
+                dx[0] / max_speed
+            } else {
+                Real::INFINITY
             }
-        }
-        self.cfl * min_dt
+        };
+        self.cfl * par_map_fold(state.nfabs(), Real::INFINITY, fab_dt, Real::min)
     }
 
     /// Compute primitives on `region` zones, reading conserved data through
@@ -252,27 +267,23 @@ impl Hydro {
         let layout = *layout;
         let profile = KernelProfile::new(3.0, 180); // EOS Newton inversion is heavy
         ex.par_for_prof(region, &profile, |i, j, k| {
+            let zs = sarr.zone(i, j, k);
             let mut u = [0.0; MAX_NCOMP];
             for c in 0..ncomp {
-                u[c] = sarr.at(i, j, k, c);
+                u[c] = sarr.at_zone(zs, c);
             }
             let q = cons_to_prim(&u[..ncomp], &layout, eos, species, &floors);
-            qarr.set(i, j, k, Q::RHO, q.rho);
-            qarr.set(i, j, k, Q::U, q.vel[0]);
-            qarr.set(i, j, k, Q::U + 1, q.vel[1]);
-            qarr.set(i, j, k, Q::U + 2, q.vel[2]);
-            qarr.set(i, j, k, Q::P, q.p);
-            qarr.set(i, j, k, Q::E, q.e);
-            qarr.set(i, j, k, Q::C, q.cs);
+            let zq = qarr.zone(i, j, k);
+            qarr.set_zone(zq, Q::RHO, q.rho);
+            qarr.set_zone(zq, Q::U, q.vel[0]);
+            qarr.set_zone(zq, Q::U + 1, q.vel[1]);
+            qarr.set_zone(zq, Q::U + 2, q.vel[2]);
+            qarr.set_zone(zq, Q::P, q.p);
+            qarr.set_zone(zq, Q::E, q.e);
+            qarr.set_zone(zq, Q::C, q.cs);
             let inv = 1.0 / u[StateLayout::RHO].max(floors.small_dens);
             for s in 0..layout.nspec {
-                qarr.set(
-                    i,
-                    j,
-                    k,
-                    Q::FS + s,
-                    (u[layout.spec(s)] * inv).clamp(0.0, 1.0),
-                );
+                qarr.set_zone(zq, Q::FS + s, (u[layout.spec(s)] * inv).clamp(0.0, 1.0));
             }
         });
     }
@@ -297,10 +308,26 @@ impl Hydro {
         let floors = self.floors;
         let nspec = layout.nspec;
         let layout = *layout;
+        let qstride = qarr.stride(dim);
+        let qbox = qarr.index_box();
         ex.par_for_prof(faces, profile, |i, j, k| {
-            let iv = IntVect::new(i, j, k);
-            let (ql, qr) = trace_pair(qarr, iv, e, dim, dtdx, nspec, slopes, &floors);
-            write_flux(farr, i, j, k, &ql, &qr, dim, &layout);
+            // The face lies between zones `iv − e` and `iv`: resolve the
+            // right one, step to the left one.
+            let (il, jl, kl) = (i - e.x(), j - e.y(), k - e.z());
+            let zr = qarr.zone(i, j, k);
+            let zl = zr - qstride;
+            debug_assert_eq!(zl, qarr.zone(il, jl, kl));
+            // A face that recomputes its slopes reads one zone further.
+            debug_assert!(
+                slopes.is_some()
+                    || (qbox.contains(IntVect::new(il, jl, kl) - e)
+                        && qbox.contains(IntVect::new(i, j, k) + e))
+            );
+            let staged = |i, j, k| slopes.map(|s| (s, s.zone(i, j, k)));
+            let (sl, sr) = (staged(il, jl, kl), staged(i, j, k));
+            let ql = trace_one(qarr, zl, qstride, dim, dtdx, nspec, 0.5, sl, &floors);
+            let qr = trace_one(qarr, zr, qstride, dim, dtdx, nspec, -0.5, sr, &floors);
+            write_flux(farr, farr.zone(i, j, k), &ql, &qr, dim, &layout);
         });
     }
 
@@ -319,25 +346,31 @@ impl Hydro {
         ex: &ExecSpace,
         profile: &KernelProfile,
     ) {
-        let e = IntVect::dim_vec(dim);
         let ncomp = layout.ncomp();
         let small_dens = self.floors.small_dens;
+        let e = IntVect::dim_vec(dim);
+        let fstride = farr.stride(dim);
         ex.par_for_prof(vb, profile, |i, j, k| {
-            let (ip, jp, kp) = (i + e.x(), j + e.y(), k + e.z());
+            // The zone's low face shares its index; its high face is one
+            // step along the sweep.
+            let zlo = farr.zone(i, j, k);
+            let zhi = zlo + fstride;
+            debug_assert_eq!(zhi, farr.zone(i + e.x(), j + e.y(), k + e.z()));
+            let zu = uarr.zone(i, j, k);
             for c in 0..ncomp {
                 if c == StateLayout::TEMP {
                     continue;
                 }
-                let du = -dtdx * (farr.at(ip, jp, kp, c) - farr.at(i, j, k, c));
-                uarr.add(i, j, k, c, du);
+                let du = -dtdx * (farr.at_zone(zhi, c) - farr.at_zone(zlo, c));
+                uarr.add_zone(zu, c, du);
             }
             // −p ∇·u source for the auxiliary internal energy.
             let pc = qarr.at(i, j, k, Q::P);
-            let div_u = farr.at(ip, jp, kp, ncomp) - farr.at(i, j, k, ncomp);
-            uarr.add(i, j, k, StateLayout::EINT, -dtdx * pc * div_u);
+            let div_u = farr.at_zone(zhi, ncomp) - farr.at_zone(zlo, ncomp);
+            uarr.add_zone(zu, StateLayout::EINT, -dtdx * pc * div_u);
             // Density floor.
-            if uarr.at(i, j, k, StateLayout::RHO) < small_dens {
-                uarr.set(i, j, k, StateLayout::RHO, small_dens);
+            if uarr.at_zone(zu, StateLayout::RHO) < small_dens {
+                uarr.set_zone(zu, StateLayout::RHO, small_dens);
             }
         });
     }
@@ -354,12 +387,17 @@ impl Hydro {
         profile: &KernelProfile,
     ) {
         let e = IntVect::dim_vec(dim);
+        let qstride = qarr.stride(dim);
         ex.par_for_prof(region, profile, |i, j, k| {
+            let z = qarr.zone(i, j, k);
+            debug_assert_eq!(z - qstride, qarr.zone(i - e.x(), j - e.y(), k - e.z()));
+            debug_assert_eq!(z + qstride, qarr.zone(i + e.x(), j + e.y(), k + e.z()));
+            let zs = slarr.zone(i, j, k);
             for c in 0..qarr.ncomp() {
-                let vm = qarr.at(i - e.x(), j - e.y(), k - e.z(), c);
-                let v0 = qarr.at(i, j, k, c);
-                let vp = qarr.at(i + e.x(), j + e.y(), k + e.z(), c);
-                slarr.set(i, j, k, c, mc_slope(vm, v0, vp));
+                let vm = qarr.at_zone(z - qstride, c);
+                let v0 = qarr.at_zone(z, c);
+                let vp = qarr.at_zone(z + qstride, c);
+                slarr.set_zone(zs, c, mc_slope(vm, v0, vp));
             }
         });
     }
@@ -387,14 +425,16 @@ impl Hydro {
         let profile = flux_kernel_profile(layout.nspec, self.structure);
         let staged = self.structure == KernelStructure::Legacy;
         let vbs: Vec<IndexBox> = (0..state.nfabs()).map(|i| state.valid_box(i)).collect();
-        // Primitives live on the valid box grown by 2 (stencil support).
-        let qregions: Vec<IndexBox> = vbs.iter().map(|vb| vb.grow(2)).collect();
         let mut fluxes = Vec::with_capacity(3);
         let mut trace = CommTrace::default();
         for dim in 0..3 {
             // Plan before allocating the sweep's scratch (see `HaloLoop`).
             let halo = HaloLoop::plan(state, geom);
             let dtdx = dt / geom.dx()[dim];
+            // Primitives live on the valid box grown by 2 along the sweep
+            // (stencil support); a split sweep reads no transverse ghost
+            // (see `ghost_slabs`), so none is allocated — or zero-filled.
+            let qregions: Vec<IndexBox> = vbs.iter().map(|vb| vb.grow_dir(dim, 2)).collect();
             // The legacy structure adds a slope array on the zones the
             // faces touch, vb ± 1 along the sweep.
             let sregions: Vec<IndexBox> = if staged {
@@ -481,29 +521,6 @@ impl Hydro {
     }
 }
 
-/// Reconstruct and half-step-trace the left/right primitive states at the
-/// face `iv` (between zones `iv − e` and `iv`), rotated so component 0 is
-/// the face-normal velocity. If `slopes` is provided (legacy structure)
-/// staged slopes are used; otherwise they are recomputed inline (flat).
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn trace_pair(
-    q: &Array4Mut<'_>,
-    iv: IntVect,
-    e: IntVect,
-    dim: usize,
-    dtdx: Real,
-    nspec: usize,
-    slopes: Option<&Array4Mut<'_>>,
-    floors: &Floors,
-) -> (TracedState, TracedState) {
-    let zl = iv - e;
-    let zr = iv;
-    let ql = trace_one(q, zl, e, dim, dtdx, nspec, 0.5, slopes, floors);
-    let qr = trace_one(q, zr, e, dim, dtdx, nspec, -0.5, slopes, floors);
-    (ql, qr)
-}
-
 /// A traced face state: rotated primitive plus species.
 pub struct TracedState {
     /// Rotated primitive (`vel[0]` is the face normal).
@@ -512,34 +529,38 @@ pub struct TracedState {
     pub x: [Real; StateLayout::MAX_NSPEC],
 }
 
-/// Trace zone `z`'s state to its face at `side` (+0.5 = high face, −0.5 =
-/// low face) over a half step.
+/// Trace the state of the zone at cursor `z` of `q` to its face at `side`
+/// (+0.5 = high face, −0.5 = low face) over a half step, rotated so
+/// `vel[0]` is the face-normal velocity. `stride` steps `z` one zone along
+/// the sweep. With `slopes` (legacy structure: the staged slope view and the
+/// zone's cursor in it) staged slopes are read back; otherwise they are
+/// recomputed inline from `z ± stride` (flat).
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn trace_one(
     q: &Array4Mut<'_>,
-    z: IntVect,
-    e: IntVect,
+    z: usize,
+    stride: usize,
     dim: usize,
     dtdx: Real,
     nspec: usize,
     side: Real,
-    slopes: Option<&Array4Mut<'_>>,
+    slopes: Option<(&Array4Mut<'_>, usize)>,
     floors: &Floors,
 ) -> TracedState {
-    let at = |iv: IntVect, c: usize| q.at(iv.x(), iv.y(), iv.z(), c);
+    let at = |c: usize| q.at_zone(z, c);
     let slope = |c: usize| -> Real {
         match slopes {
-            Some(s) => s.at(z.x(), z.y(), z.z(), c),
-            None => mc_slope(at(z - e, c), at(z, c), at(z + e, c)),
+            Some((s, zs)) => s.at_zone(zs, c),
+            None => mc_slope(q.at_zone(z - stride, c), at(c), q.at_zone(z + stride, c)),
         }
     };
     // Cell-centred values.
-    let rho = at(z, Q::RHO);
-    let un = at(z, Q::U + dim);
-    let p = at(z, Q::P);
-    let ei = at(z, Q::E);
-    let cs = at(z, Q::C);
+    let rho = at(Q::RHO);
+    let un = at(Q::U + dim);
+    let p = at(Q::P);
+    let ei = at(Q::E);
+    let cs = at(Q::C);
     // Limited slopes.
     let d_rho = slope(Q::RHO);
     let d_un = slope(Q::U + dim);
@@ -580,7 +601,7 @@ fn trace_one(
     prim.vel[0] = un + side * d_un + half * un_t;
     // Transverse velocities and species advect passively.
     for (slot, t) in [(1usize, (dim + 1) % 3), (2usize, (dim + 2) % 3)] {
-        let v = at(z, Q::U + t);
+        let v = at(Q::U + t);
         let d_v = slope(Q::U + t);
         prim.vel[slot] = v + side * d_v + half * (-(un * d_v));
     }
@@ -589,7 +610,7 @@ fn trace_one(
     prim.cs = (gam1 * prim.p / prim.rho).sqrt();
     let mut x = [0.0; StateLayout::MAX_NSPEC];
     for s in 0..nspec {
-        let xv = at(z, Q::FS + s);
+        let xv = at(Q::FS + s);
         let d_x = slope(Q::FS + s);
         x[s] = (xv + side * d_x + half * (-(un * d_x))).clamp(0.0, 1.0);
     }
@@ -597,14 +618,13 @@ fn trace_one(
 }
 
 /// Solve the face Riemann problem and store the (un-rotated) conserved
-/// fluxes plus the face normal velocity in the flux fab.
+/// fluxes plus the face normal velocity at cursor `zf` of the flux fab. The
+/// `TEMP` slot is never written: a flux fab is born zeroed and nothing reads
+/// a temperature flux.
 #[inline]
-#[allow(clippy::too_many_arguments)]
 fn write_flux(
     farr: &Array4Mut<'_>,
-    i: i32,
-    j: i32,
-    k: i32,
+    zf: usize,
     ql: &TracedState,
     qr: &TracedState,
     dim: usize,
@@ -612,17 +632,16 @@ fn write_flux(
 ) {
     let f = hllc(&ql.prim, &qr.prim);
     let ncomp = layout.ncomp();
-    farr.set(i, j, k, StateLayout::RHO, f.mass);
+    farr.set_zone(zf, StateLayout::RHO, f.mass);
     // Rotate momenta back: mom[0] is normal (dim), mom[1] is (dim+1)%3...
-    farr.set(i, j, k, StateLayout::MX + dim, f.mom[0]);
-    farr.set(i, j, k, StateLayout::MX + (dim + 1) % 3, f.mom[1]);
-    farr.set(i, j, k, StateLayout::MX + (dim + 2) % 3, f.mom[2]);
-    farr.set(i, j, k, StateLayout::EDEN, f.energy);
-    farr.set(i, j, k, StateLayout::EINT, f.eint);
-    farr.set(i, j, k, StateLayout::TEMP, 0.0);
+    farr.set_zone(zf, StateLayout::MX + dim, f.mom[0]);
+    farr.set_zone(zf, StateLayout::MX + (dim + 1) % 3, f.mom[1]);
+    farr.set_zone(zf, StateLayout::MX + (dim + 2) % 3, f.mom[2]);
+    farr.set_zone(zf, StateLayout::EDEN, f.energy);
+    farr.set_zone(zf, StateLayout::EINT, f.eint);
     let xs = if f.upwind_left { &ql.x } else { &qr.x };
     for s in 0..layout.nspec {
-        farr.set(i, j, k, layout.spec(s), f.mass * xs[s]);
+        farr.set_zone(zf, layout.spec(s), f.mass * xs[s]);
     }
     // Face normal velocity for the −p∇·u source: mass flux / upwind rho is
     // a decent contact-speed proxy, clamped to the local signal speed to
@@ -634,7 +653,7 @@ fn write_flux(
     };
     let vmax = ql.prim.vel[0].abs().max(qr.prim.vel[0].abs()) + ql.prim.cs.max(qr.prim.cs);
     let uface = (f.mass / rho_up.max(1e-300)).clamp(-vmax, vmax);
-    farr.set(i, j, k, ncomp, uface);
+    farr.set_zone(zf, ncomp, uface);
 }
 
 #[cfg(test)]
@@ -1035,9 +1054,29 @@ mod tests {
         assert!(state.min(StateLayout::RHO) > 0.5);
     }
 
+    /// A pool arena that also records the length of every request.
+    struct RecordingArena {
+        pool: PoolArena,
+        lens: std::sync::Mutex<Vec<usize>>,
+    }
+
+    impl Arena for RecordingArena {
+        fn alloc(&self, len: usize) -> exastro_parallel::ScratchBuf {
+            self.lens.lock().unwrap().push(len);
+            self.pool.alloc(len)
+        }
+
+        fn stats(&self) -> exastro_parallel::ArenaStats {
+            self.pool.stats()
+        }
+    }
+
     #[test]
     fn pool_arena_sees_hydro_scratch_churn() {
-        let arena = PoolArena::new(None);
+        let arena = RecordingArena {
+            pool: PoolArena::new(None),
+            lens: Default::default(),
+        };
         let (geom, mut state, layout, eos) = sod_state(32, 0);
         let net = CBurn2::new();
         let hydro = Hydro {
@@ -1070,5 +1109,76 @@ mod tests {
             s.pool_hits,
             s.allocs
         );
+        // Per sweep and box, the primitives of the valid box grown by 2
+        // along the sweep only: a split sweep reads no transverse ghost.
+        let nq = Q::ncomp(layout.nspec);
+        let one_step = (0..3).flat_map(|dim| {
+            let vbs = (0..state.nfabs()).map(|f| state.valid_box(f));
+            vbs.map(move |vb| nq * vb.grow_dir(dim, 2).num_zones() as usize)
+        });
+        let expect: Vec<usize> = one_step.collect::<Vec<_>>().repeat(3);
+        assert_eq!(*arena.lens.lock().unwrap(), expect);
+    }
+
+    /// `estimate_dt` as it was: fabs in a serial loop, zones by index.
+    fn serial_estimate_dt(
+        hydro: &Hydro,
+        state: &MultiFab,
+        layout: &StateLayout,
+        eos: &dyn Eos,
+        species: &[Species],
+        geom: &Geometry,
+    ) -> Real {
+        let dx = geom.dx();
+        let mut min_dt = Real::INFINITY;
+        for f in 0..state.nfabs() {
+            let mut max_speed = Real::NEG_INFINITY;
+            for iv in state.valid_box(f).iter() {
+                let u: Vec<Real> = (0..layout.ncomp())
+                    .map(|c| state.fab(f).get(iv, c))
+                    .collect();
+                let q = cons_to_prim(&u, layout, eos, species, &hydro.floors);
+                let mut s: Real = 0.0;
+                for d in 0..3 {
+                    s = s.max((q.vel[d].abs() + q.cs) / dx[d] * dx[0]);
+                }
+                max_speed = max_speed.max(s);
+            }
+            if max_speed > 0.0 {
+                min_dt = min_dt.min(dx[0] / max_speed);
+            }
+        }
+        hydro.cfl * min_dt
+    }
+
+    #[test]
+    fn estimate_dt_on_the_pool_equals_the_serial_loop_bitwise() {
+        let layout = StateLayout::new(2);
+        let eos = GammaLaw { gamma: 1.4 };
+        let net = CBurn2::new();
+        let geom = Geometry::cube(16, 1.0, true);
+        let hydro = Hydro {
+            cfl: 0.4,
+            floors: Floors::dimensionless(),
+            ..Default::default()
+        };
+        let many = smooth_state(&geom, &layout, &eos);
+        // The same field on one box.
+        let mut one = MultiFab::local(BoxArray::decompose(geom.domain(), 16, 4), layout.ncomp(), 2);
+        let _ = one.copy_from_other_ba(&many, 0, layout.ncomp());
+        assert_eq!((many.nfabs(), one.nfabs()), (64, 1));
+        for state in [&many, &one] {
+            let dt = hydro.estimate_dt(
+                state,
+                &layout,
+                &eos,
+                net.species(),
+                &geom,
+                &ExecSpace::Serial,
+            );
+            let expect = serial_estimate_dt(&hydro, state, &layout, &eos, net.species(), &geom);
+            assert!(dt > 0.0 && dt.is_finite());
+            assert_eq!(dt.to_bits(), expect.to_bits(), "{} box(es)", state.nfabs());
+        }
     }
 }

@@ -226,7 +226,7 @@ impl TaskGraph {
             pool,
             max_threads,
             "graph",
-            |t| TaskLabel::new(format!("task{t}"), TaskClass::Other),
+            |t| TaskLabel::new(&format!("task{t}"), TaskClass::Other),
             f,
         )
     }
@@ -296,23 +296,32 @@ impl TaskGraph {
         // Process-unique flow ids, one per edge: the id of edge
         // (t -> dependents[t][j]) is flow_base + edge_offset[t] + j. The
         // predecessor emits the arrow tail inside its span; the successor,
-        // which can only start later, emits the head inside its own.
-        let (flow_base, edge_offset, incoming) = if tracing {
-            let mut offsets = Vec::with_capacity(n);
-            let mut acc = 0u64;
+        // which can only start later, emits the head inside its own: the
+        // ids of the edges into `t` are incoming[incoming_offset[t]..
+        // incoming_offset[t + 1]].
+        let (flow_base, edge_offset, incoming_offset, incoming) = if tracing {
+            let mut edge_offset = Vec::with_capacity(n);
+            let mut incoming_offset = Vec::with_capacity(n + 1);
+            let (mut out_edges, mut in_edges) = (0u64, 0usize);
             for t in 0..n {
-                offsets.push(acc);
-                acc += self.dependents[t].len() as u64;
+                edge_offset.push(out_edges);
+                incoming_offset.push(in_edges);
+                out_edges += self.dependents[t].len() as u64;
+                in_edges += self.deps[t].len();
             }
-            let mut incoming: Vec<Vec<u64>> = vec![Vec::new(); n];
-            for (t, &off) in offsets.iter().enumerate() {
+            incoming_offset.push(in_edges);
+            let mut filled = incoming_offset.clone();
+            let mut incoming = vec![0u64; in_edges];
+            for (t, &off) in edge_offset.iter().enumerate() {
                 for (j, &d) in self.dependents[t].iter().enumerate() {
-                    incoming[d].push(off + j as u64);
+                    incoming[filled[d]] = off + j as u64;
+                    filled[d] += 1;
                 }
             }
-            (graphtrace::reserve_flow_ids(acc), offsets, incoming)
+            let base = graphtrace::reserve_flow_ids(out_edges);
+            (base, edge_offset, incoming_offset, incoming)
         } else {
-            (0, Vec::new(), Vec::new())
+            (0, Vec::new(), Vec::new(), Vec::new())
         };
 
         let indeg = self.indegrees();
@@ -345,23 +354,30 @@ impl TaskGraph {
                     st = wake.wait(st).unwrap();
                 };
                 drop(st);
-                let start_ns = tracing.then(|| epoch.elapsed().as_nanos() as u64);
-                if tracing {
-                    Telemetry::trace_begin(&labels[t].name);
-                    for &e in &incoming[t] {
-                        Telemetry::trace_flow_finish("dep", flow_base + e);
-                    }
-                }
+                // One clock reading per task boundary serves both the
+                // schedule record and the boundary's trace events.
+                let ns_since = |at: Instant| at.duration_since(epoch).as_nanos() as u64;
+                let start_ns = tracing.then(|| {
+                    let now = Instant::now();
+                    let heads = &incoming[incoming_offset[t]..incoming_offset[t + 1]];
+                    let heads = heads.iter().map(|e| flow_base + e);
+                    Telemetry::trace_task_begin(now, labels[t].name, heads);
+                    ns_since(now)
+                });
                 let result = catch_unwind(AssertUnwindSafe(|| f(t)));
-                if tracing && result.is_ok() {
-                    for j in 0..self.dependents[t].len() {
-                        Telemetry::trace_flow_start("dep", flow_base + edge_offset[t] + j as u64);
-                    }
-                }
-                if tracing {
-                    Telemetry::trace_end(&labels[t].name);
-                }
-                let end_ns = tracing.then(|| epoch.elapsed().as_nanos() as u64);
+                let end_ns = tracing.then(|| {
+                    let now = Instant::now();
+                    // A task that panicked starts no arrows.
+                    let tails = if result.is_ok() {
+                        self.dependents[t].len()
+                    } else {
+                        0
+                    };
+                    let first = flow_base + edge_offset[t];
+                    let tails = (0..tails).map(|j| first + j as u64);
+                    Telemetry::trace_task_end(now, labels[t].name, tails);
+                    ns_since(now)
+                });
                 let mut st = state.lock().unwrap();
                 match result {
                     Ok(()) => {
@@ -418,7 +434,7 @@ impl TaskGraph {
             let tasks: Vec<TaskRecord> = (0..n)
                 .map(|t| TaskRecord {
                     task: t,
-                    name: labels[t].name.clone(),
+                    name: labels[t].name,
                     class: labels[t].class,
                     ready_ns: sched.ready_ns[t],
                     start_ns: sched.start_ns[t],
@@ -591,7 +607,7 @@ mod tests {
                 } else {
                     TaskClass::Compute
                 };
-                TaskLabel::new(format!("t{t}"), class)
+                TaskLabel::new(&format!("t{t}"), class)
             },
             |_| {
                 std::thread::yield_now();

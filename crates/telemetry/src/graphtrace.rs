@@ -55,19 +55,20 @@ impl TaskClass {
 }
 
 /// Display name + class for one task, supplied by the graph builder.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct TaskLabel {
-    /// Span / JSON name (e.g. `"pack.f3"`).
-    pub name: String,
+    /// Span / JSON name (e.g. `"pack.f3"`), [interned](crate::trace::intern).
+    pub name: &'static str,
     /// Overlap-ledger class.
     pub class: TaskClass,
 }
 
 impl TaskLabel {
-    /// Convenience constructor.
-    pub fn new(name: impl Into<String>, class: TaskClass) -> Self {
+    /// Label a task `name`, interning it: a builder that labels the same
+    /// tasks run after run can keep the (`Copy`) labels instead.
+    pub fn new(name: &str, class: TaskClass) -> Self {
         TaskLabel {
-            name: name.into(),
+            name: crate::trace::intern(name),
             class,
         }
     }
@@ -80,7 +81,7 @@ pub struct TaskRecord {
     /// Task id within the graph.
     pub task: usize,
     /// Display name.
-    pub name: String,
+    pub name: &'static str,
     /// Overlap-ledger class.
     pub class: TaskClass,
     /// When the task's last dependency completed (0 for source tasks).
@@ -171,7 +172,7 @@ pub struct TaskStat {
     /// Task id within the graph.
     pub task: usize,
     /// Display name.
-    pub name: String,
+    pub name: &'static str,
     /// Overlap-ledger class.
     pub class: TaskClass,
     /// Worker thread that ran it.
@@ -368,7 +369,7 @@ pub fn summarize(trace: &GraphTrace) -> GraphSummary {
             let through = finish[t] + tail[t] - dur[t];
             TaskStat {
                 task: t,
-                name: r.name.clone(),
+                name: r.name,
                 class: r.class,
                 worker: r.worker,
                 queue_wait_us: r.start_ns.saturating_sub(r.ready_ns) as f64 / NS_PER_US,
@@ -439,7 +440,7 @@ pub fn summaries_to_json(summaries: &[GraphSummary]) -> String {
                 format!(
                     "{{\"task\": {}, \"name\": \"{}\", \"class\": \"{}\", \"run_us\": {}, \"queue_wait_us\": {}, \"slack_us\": {}}}",
                     t,
-                    crate::trace::json_escape(&st.name),
+                    crate::trace::json_escape(st.name),
                     st.class.name(),
                     json_f64(st.run_us),
                     json_f64(st.queue_wait_us),
@@ -454,7 +455,7 @@ pub fn summaries_to_json(summaries: &[GraphSummary]) -> String {
                 format!(
                     "{{\"task\": {}, \"name\": \"{}\", \"class\": \"{}\", \"worker\": {}, \"start_us\": {}, \"end_us\": {}, \"queue_wait_us\": {}, \"run_us\": {}, \"slack_us\": {}, \"on_critical_path\": {}}}",
                     st.task,
-                    crate::trace::json_escape(&st.name),
+                    crate::trace::json_escape(st.name),
                     st.class.name(),
                     st.worker,
                     json_f64(st.start_us),
@@ -510,7 +511,7 @@ mod tests {
 
     fn rec(
         task: usize,
-        name: &str,
+        name: &'static str,
         class: TaskClass,
         ready: u64,
         start: u64,
@@ -519,7 +520,7 @@ mod tests {
     ) -> TaskRecord {
         TaskRecord {
             task,
-            name: name.to_string(),
+            name,
             class,
             ready_ns: ready,
             start_ns: start,

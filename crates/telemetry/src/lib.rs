@@ -46,6 +46,7 @@ pub use trace::{Phase, TraceBuffer, TraceEvent};
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Instant;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -106,24 +107,36 @@ impl Telemetry {
         }
     }
 
-    /// Record a dependency-arrow tail (`ph: "s"`) bound to `flow_id` on
-    /// this thread. Must be emitted inside an open span. No-op when
-    /// telemetry is disabled.
+    /// Record the beginning of graph task `name` on this thread and, inside
+    /// it, the heads (`ph: "f"`) of the dependency arrows `heads` that end
+    /// in it — one batch stamped `at`, the caller's own reading of the clock
+    /// (see [`TraceBuffer::begin_with_flows`]). `name` is stored as given:
+    /// a literal or an [interned](trace::intern) name. No-op when telemetry
+    /// is disabled.
     #[inline]
-    pub fn trace_flow_start(name: &str, flow_id: u64) {
+    pub fn trace_task_begin(
+        at: Instant,
+        name: &'static str,
+        heads: impl ExactSizeIterator<Item = u64>,
+    ) {
         if Self::is_enabled() {
-            trace::global().flow_start(name, flow_id);
+            trace::global().begin_with_flows(at, name, "dep", heads);
         }
     }
 
-    /// Record a dependency-arrow head (`ph: "f"`) bound to `flow_id` on
-    /// this thread. Must be emitted inside an open span, after its
-    /// matching [`Telemetry::trace_flow_start`]. No-op when telemetry is
-    /// disabled.
+    /// Record the tails (`ph: "s"`) of the dependency arrows `tails` that
+    /// start in graph task `name`, then the task's end — one batch. Each
+    /// tail must be recorded before its head
+    /// ([`Telemetry::trace_task_begin`] of the dependent task). No-op when
+    /// telemetry is disabled.
     #[inline]
-    pub fn trace_flow_finish(name: &str, flow_id: u64) {
+    pub fn trace_task_end(
+        at: Instant,
+        name: &'static str,
+        tails: impl ExactSizeIterator<Item = u64>,
+    ) {
         if Self::is_enabled() {
-            trace::global().flow_finish(name, flow_id);
+            trace::global().end_with_flows(at, name, "dep", tails);
         }
     }
 

@@ -6,7 +6,9 @@
 //! process-wide monotonic epoch. Events land in the shard owned by the
 //! recording thread (`tid % nshards`), so concurrent threads almost never
 //! contend on a lock, and the recording cost is one mutex acquire plus a
-//! `VecDeque` push.
+//! `VecDeque` push. An event holds its name as an [`intern`]ed
+//! `&'static str`, so recording allocates nothing once a name has been
+//! seen.
 //!
 //! ## Bounded memory, well-formed output
 //!
@@ -26,7 +28,8 @@
 //! Perfetto *and* passes the strict CI schema check: per-thread balanced
 //! B/E, LIFO nesting, monotonic timestamps.
 
-use std::collections::{HashMap, VecDeque};
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -65,11 +68,42 @@ impl Phase {
     }
 }
 
+/// The process-wide copy of `name`, made on its first use and never freed:
+/// what an event stores in place of an owned string, so that recording one
+/// allocates nothing. A run uses a bounded set of names (region names, pool
+/// labels, `<stage>.f<fab>` task labels); do not intern per-event text.
+///
+/// Each thread keeps its own table in front of the shared one, so after a
+/// thread's first use of a name a lookup takes no lock and no allocation.
+pub fn intern(name: &str) -> &'static str {
+    thread_local! {
+        static SEEN: RefCell<HashSet<&'static str>> = RefCell::new(HashSet::new());
+    }
+    static ALL: Mutex<Option<HashSet<&'static str>>> = Mutex::new(None);
+    SEEN.with(|seen| {
+        if let Some(&known) = seen.borrow().get(name) {
+            return known;
+        }
+        let mut all = ALL.lock().unwrap();
+        let all = all.get_or_insert_with(HashSet::new);
+        let known = match all.get(name) {
+            Some(&known) => known,
+            None => {
+                let leaked: &'static str = Box::leak(name.into());
+                all.insert(leaked);
+                leaked
+            }
+        };
+        seen.borrow_mut().insert(known);
+        known
+    })
+}
+
 /// One recorded event.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct TraceEvent {
-    /// Span name (a profiler region name or pool job label).
-    pub name: String,
+    /// Span name (a profiler region name or pool job label), [`intern`]ed.
+    pub name: &'static str,
     /// Stable small per-thread id.
     pub tid: u64,
     /// Nanoseconds since the buffer's monotonic epoch.
@@ -82,6 +116,42 @@ pub struct TraceEvent {
     /// [`Phase::FlowFinish`]. Zero (and ignored) for span events.
     pub flow_id: u64,
 }
+
+/// An optional first event, a run of events, an optional last event — and
+/// still an `ExactSizeIterator`, which `Chain` is not.
+struct Batch<E, I> {
+    first: Option<E>,
+    middle: I,
+    last: Option<E>,
+}
+
+impl<E, I> Batch<E, I> {
+    fn new(first: Option<E>, middle: I, last: Option<E>) -> Self {
+        Batch {
+            first,
+            middle,
+            last,
+        }
+    }
+}
+
+impl<E, I: ExactSizeIterator<Item = E>> Iterator for Batch<E, I> {
+    type Item = E;
+
+    fn next(&mut self) -> Option<E> {
+        self.first
+            .take()
+            .or_else(|| self.middle.next())
+            .or_else(|| self.last.take())
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.first.is_some() as usize + self.middle.len() + self.last.is_some() as usize;
+        (n, Some(n))
+    }
+}
+
+impl<E, I: ExactSizeIterator<Item = E>> ExactSizeIterator for Batch<E, I> {}
 
 const NSHARDS: usize = 16;
 const DEFAULT_CAPACITY_PER_SHARD: usize = 1 << 15;
@@ -123,21 +193,71 @@ impl TraceBuffer {
     }
 
     fn push(&self, name: &str, phase: Phase, flow_id: u64) {
+        let event = (intern(name), phase, flow_id);
+        self.push_all(Instant::now(), std::iter::once(event));
+    }
+
+    /// Record `events` — `(name, phase, flow id)` — on the calling thread as
+    /// one batch stamped `at`: one run of sequence numbers, one lock.
+    fn push_all(
+        &self,
+        at: Instant,
+        events: impl ExactSizeIterator<Item = (&'static str, Phase, u64)>,
+    ) {
         let tid = thread_trace_id();
-        let ev = TraceEvent {
-            name: name.to_string(),
-            tid,
-            ts_ns: self.epoch.elapsed().as_nanos() as u64,
-            phase,
-            seq: self.seq.fetch_add(1, Ordering::Relaxed),
-            flow_id,
-        };
+        let ts_ns = at.saturating_duration_since(self.epoch).as_nanos() as u64;
+        let seq = self.seq.fetch_add(events.len() as u64, Ordering::Relaxed);
         let mut shard = self.shards[(tid as usize) % NSHARDS].lock().unwrap();
-        if shard.len() >= self.capacity_per_shard {
-            shard.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+        let mut evicted = 0;
+        for (n, (name, phase, flow_id)) in events.enumerate() {
+            if shard.len() >= self.capacity_per_shard {
+                shard.pop_front();
+                evicted += 1;
+            }
+            shard.push_back(TraceEvent {
+                name,
+                tid,
+                ts_ns,
+                phase,
+                seq: seq + n as u64,
+                flow_id,
+            });
         }
-        shard.push_back(ev);
+        if evicted > 0 {
+            self.dropped.fetch_add(evicted, Ordering::Relaxed);
+        }
+    }
+
+    /// Record, as one batch, the begin of span `name` and inside it the
+    /// heads (`ph: "f"`) of the dependency arrows `flow_name` that end in
+    /// it, all stamped `at` — a clock reading the caller just took and may
+    /// use for its own books. A graph task with a dozen dependencies is a
+    /// dozen events; batched they share that one reading and one lock. The
+    /// names are stored as given, not interned: pass literals or
+    /// [`intern`]ed names.
+    pub fn begin_with_flows(
+        &self,
+        at: Instant,
+        name: &'static str,
+        flow_name: &'static str,
+        heads: impl ExactSizeIterator<Item = u64>,
+    ) {
+        let heads = heads.map(|id| (flow_name, Phase::FlowFinish, id));
+        self.push_all(at, Batch::new(Some((name, Phase::Begin, 0)), heads, None));
+    }
+
+    /// Record, as one batch, the tails (`ph: "s"`) of the dependency arrows
+    /// `flow_name` that start in span `name`, then the span's end. See
+    /// [`TraceBuffer::begin_with_flows`].
+    pub fn end_with_flows(
+        &self,
+        at: Instant,
+        name: &'static str,
+        flow_name: &'static str,
+        tails: impl ExactSizeIterator<Item = u64>,
+    ) {
+        let tails = tails.map(|id| (flow_name, Phase::FlowStart, id));
+        self.push_all(at, Batch::new(None, tails, Some((name, Phase::End, 0))));
     }
 
     /// Record a span begin on the calling thread.
@@ -186,28 +306,25 @@ impl TraceBuffer {
     pub fn events_sorted(&self) -> Vec<TraceEvent> {
         let mut all: Vec<TraceEvent> = Vec::new();
         for s in &self.shards {
-            all.extend(s.lock().unwrap().iter().cloned());
+            all.extend(s.lock().unwrap().iter().copied());
         }
         all.sort_by_key(|e| (e.ts_ns, e.seq));
         let max_ts = all.last().map(|e| e.ts_ns).unwrap_or(0);
         let mut max_seq = all.last().map(|e| e.seq + 1).unwrap_or(0);
         // Replay per-thread stacks: drop orphan E events (their B was
         // evicted), close still-open B events with synthetic E events.
-        let mut stacks: HashMap<u64, Vec<(String, u64)>> = HashMap::new();
+        let mut stacks: HashMap<u64, Vec<&'static str>> = HashMap::new();
         let mut out: Vec<TraceEvent> = Vec::with_capacity(all.len());
         for ev in all {
             match ev.phase {
                 Phase::Begin => {
-                    stacks
-                        .entry(ev.tid)
-                        .or_default()
-                        .push((ev.name.clone(), out.len() as u64));
+                    stacks.entry(ev.tid).or_default().push(ev.name);
                     out.push(ev);
                 }
                 Phase::End => {
                     let stack = stacks.entry(ev.tid).or_default();
                     match stack.last() {
-                        Some((top, _)) if *top == ev.name => {
+                        Some(&top) if top == ev.name => {
                             stack.pop();
                             out.push(ev);
                         }
@@ -227,7 +344,7 @@ impl TraceBuffer {
             }
         }
         for (tid, stack) in stacks {
-            for (name, _) in stack.into_iter().rev() {
+            for name in stack.into_iter().rev() {
                 out.push(TraceEvent {
                     name,
                     tid,
@@ -291,7 +408,7 @@ impl TraceBuffer {
             writeln!(
                 f,
                 "    {{\"name\": \"{}\", \"cat\": \"exastro\", \"ph\": \"{}\", \"ts\": {}.{:03}, \"pid\": 1, \"tid\": {}{flow}}}{sep}",
-                json_escape(&ev.name),
+                json_escape(ev.name),
                 ev.phase.ph(),
                 ev.ts_ns / 1_000,
                 ev.ts_ns % 1_000,
@@ -345,7 +462,7 @@ mod tests {
             *prev = ev.ts_ns;
             let stack = stacks.entry(ev.tid).or_default();
             match ev.phase {
-                Phase::Begin => stack.push(&ev.name),
+                Phase::Begin => stack.push(ev.name),
                 Phase::End => {
                     let top = stack.pop().expect("E with empty stack");
                     assert_eq!(top, ev.name, "E does not match innermost B");
@@ -460,6 +577,33 @@ mod tests {
         assert!(flows.iter().all(|e| e.flow_id == 7));
         assert_eq!(flows[0].phase, Phase::FlowStart);
         assert_eq!(flows[1].phase, Phase::FlowFinish);
+    }
+
+    #[test]
+    fn batched_task_events_equal_the_single_ones() {
+        let (single, batched) = (TraceBuffer::new(1024), TraceBuffer::new(1024));
+        single.begin("pack");
+        single.flow_start("dep", 7);
+        single.flow_start("dep", 8);
+        single.end("pack");
+        single.begin("unpack");
+        single.flow_finish("dep", 7);
+        single.flow_finish("dep", 8);
+        single.end("unpack");
+        batched.begin_with_flows(Instant::now(), "pack", "dep", [].into_iter());
+        batched.end_with_flows(Instant::now(), "pack", "dep", [7, 8].into_iter());
+        batched.begin_with_flows(Instant::now(), "unpack", "dep", [7, 8].into_iter());
+        batched.end_with_flows(Instant::now(), "unpack", "dep", [].into_iter());
+        let shape = |b: &TraceBuffer| -> Vec<(&'static str, Phase, u64)> {
+            let events = b.events_sorted();
+            assert_well_formed(&events);
+            events
+                .iter()
+                .map(|e| (e.name, e.phase, e.flow_id))
+                .collect()
+        };
+        assert_eq!(shape(&single), shape(&batched));
+        assert_eq!(shape(&batched).len(), 8);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::collections::{HashMap, HashSet};
 /// endpoints that land inside spans and pair up exactly (one `s` then one
 /// `f` per id, start ordered no later than the finish).
 fn check_well_formed(events: &[TraceEvent]) -> Result<(), String> {
-    let mut stacks: HashMap<u64, Vec<String>> = HashMap::new();
+    let mut stacks: HashMap<u64, Vec<&str>> = HashMap::new();
     let mut last_ts: HashMap<u64, u64> = HashMap::new();
     let mut flow_starts: HashMap<u64, usize> = HashMap::new();
     let mut flow_finishes: HashMap<u64, usize> = HashMap::new();
@@ -25,7 +25,7 @@ fn check_well_formed(events: &[TraceEvent]) -> Result<(), String> {
         *prev = ev.ts_ns;
         let stack = stacks.entry(ev.tid).or_default();
         match ev.phase {
-            Phase::Begin => stack.push(ev.name.clone()),
+            Phase::Begin => stack.push(ev.name),
             Phase::End => match stack.pop() {
                 Some(top) if top == ev.name => {}
                 Some(top) => return Err(format!("E {} closes B {top}", ev.name)),
@@ -138,8 +138,8 @@ proptest! {
             prop_assert!(false, "ill-formed export: {}", e);
         }
         // Nesting order preserved: first B is level0, last E is level0.
-        prop_assert_eq!(events.first().unwrap().name.as_str(), "level0");
-        prop_assert_eq!(events.last().unwrap().name.as_str(), "level0");
+        prop_assert_eq!(events.first().unwrap().name, "level0");
+        prop_assert_eq!(events.last().unwrap().name, "level0");
     }
 
     #[test]
