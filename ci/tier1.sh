@@ -29,10 +29,11 @@ grep -q "EMERGENCY CHECKPOINT OK" /tmp/fault_smoke.log
 
 echo "== burner bench smoke (test mode) =="
 # Dense-vs-sparse Newton comparison plus batched SoA throughput in smoke
-# mode: tiny sample counts, no timing assertions here — but the
+# mode: tiny sample counts, no absolute timing assertions here — but the
 # BENCH_burner.json artifact must be valid JSON with the expected schema,
-# and the batched path must actually beat the scalar ladder (speedup > 1;
-# the quantitative floor lives in the perf gate below).
+# the batched path must actually beat the scalar ladder (speedup > 1; the
+# quantitative floor lives in the perf gate below), and fifteen reactions
+# must cost well under fifteen times one.
 cargo bench --offline -p exastro-bench --bench burner -- --test >/tmp/burner_smoke.log
 python3 - <<'EOF'
 import json
@@ -42,12 +43,24 @@ labels = {m["label"] for m in d["metrics"]}
 for need in ("iso7/newton_solve_speedup", "aprox13/newton_solve_speedup",
              "iso7/zones_per_us_scalar", "aprox13/zones_per_us_scalar",
              "iso7/zones_per_us_batch8", "aprox13/zones_per_us_batch8",
-             "iso7/batch_speedup_w8", "aprox13/batch_speedup_w8"):
+             "iso7/batch_speedup_w8", "aprox13/batch_speedup_w8",
+             *(f"{net}/{part}" for net in ("cburn2", "iso7", "aprox13")
+               for part in ("ydot_ns", "jac_ns", "eos_ns"))):
     assert need in labels, f"missing {need} in {sorted(labels)}"
 by = {m["label"]: m["value"] for m in d["metrics"]}
 for net in ("iso7", "aprox13"):
     s = by[f"{net}/batch_speedup_w8"]
     assert s > 1.0, f"{net}: batched burns slower than scalar ({s:.2f}x)"
+# Same-run ratio gate: a network evaluation computes its temperature
+# factors once and shares them across reactions, so aprox13's fifteen
+# reactions cost ~4-5x cburn2's one (it was ~11x while every reaction took
+# its own powf's and every Jacobian column re-evaluated the rate). Both
+# numbers come from this run, so machine speed cancels.
+ratio = by["aprox13/ydot_ns"] / by["cburn2/ydot_ns"]
+assert ratio <= 7.0, (
+    f"aprox13 ydot is {ratio:.1f}x cburn2 ydot "
+    f"({by['aprox13/ydot_ns']:.0f} ns vs {by['cburn2/ydot_ns']:.0f} ns); limit 7")
+print(f"aprox13/ydot_ns / cburn2/ydot_ns = {ratio:.2f}")
 print(f"BENCH_burner.json OK ({len(d['metrics'])} metrics)")
 EOF
 

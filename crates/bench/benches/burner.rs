@@ -16,8 +16,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use exastro_bench::{write_metrics_json, MetricPoint};
 use exastro_microphysics::{
-    Aprox13, BdfErrorKind, BurnFaultConfig, BurnerConfig, DenseNewton, Iso7, LinearSolver, Network,
-    OffloadOptions, RetryLadder, SparseNewton, StellarEos, ZoneBurn,
+    Aprox13, BdfErrorKind, BurnFaultConfig, BurnerConfig, CBurn2, Composition, DenseNewton, Eos,
+    Iso7, LinearSolver, Network, OffloadOptions, RetryLadder, SparseNewton, StellarEos, ZoneBurn,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -28,10 +28,16 @@ fn test_mode() -> bool {
     std::env::args().any(|a| a == "--test")
 }
 
+/// ½C½O fuel where the network carries oxygen, pure carbon where not.
 fn co_fuel(net: &dyn Network) -> Vec<f64> {
     let mut x = vec![0.0; net.nspec()];
-    x[net.index_of("c12")] = 0.5;
-    x[net.index_of("o16")] = 0.5;
+    match net.species().iter().position(|s| s.name == "o16") {
+        Some(o16) => {
+            x[net.index_of("c12")] = 0.5;
+            x[o16] = 0.5;
+        }
+        None => x[net.index_of("c12")] = 1.0,
+    }
     x
 }
 
@@ -50,27 +56,67 @@ fn newton_matrix(net: &dyn Network) -> Vec<f64> {
     jac
 }
 
+/// Median over `samples` of the wall time in ns of one call of `f`, timed
+/// `inner` calls at a time.
+fn call_ns(samples: usize, inner: usize, mut f: impl FnMut()) -> f64 {
+    let mut times: Vec<f64> = (0..samples)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..inner {
+                f();
+            }
+            start.elapsed().as_secs_f64() * 1e9 / inner as f64
+        })
+        .collect();
+    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    times[times.len() / 2]
+}
+
 /// Median wall time in ns of one Newton linear-algebra cycle (one factor
 /// of I − γJ + two back-solves, VODE's typical per-step ratio) through the
 /// `LinearSolver` trait — the isolated quantity the sparse path targets.
 fn newton_cycle_ns(solver: &mut dyn LinearSolver, jac: &[f64], m: usize, samples: usize) -> f64 {
     let gamma = 1e-9; // keeps I − γJ strongly diagonally dominant
-    let inner = 64;
-    let mut times: Vec<f64> = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let start = Instant::now();
-        for k in 0..inner {
-            solver.factor(jac, gamma).expect("factor");
-            let mut b1 = vec![1.0; m];
-            solver.solve(&mut b1);
-            let mut b2 = vec![0.5; m];
-            solver.solve(&mut b2);
-            std::hint::black_box((k, &b1, &b2));
-        }
-        times.push(start.elapsed().as_secs_f64() * 1e9 / inner as f64);
-    }
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    times[times.len() / 2]
+    call_ns(samples, 64, || {
+        solver.factor(jac, gamma).expect("factor");
+        let mut b1 = vec![1.0; m];
+        solver.solve(&mut b1);
+        let mut b2 = vec![0.5; m];
+        solver.solve(&mut b2);
+        std::hint::black_box((&b1, &b2));
+    })
+}
+
+/// The three evaluations a burner lane-step is made of besides the linear
+/// algebra, each on its own at detonation conditions: the network's RHS,
+/// its Jacobian, and the thermodynamics the self-heating term needs (mean
+/// composition from the abundances plus one EOS call). Returns
+/// `(ydot_ns, jac_ns, eos_ns)`.
+fn lane_step_parts_ns(net: &dyn Network, eos: &StellarEos, samples: usize) -> (f64, f64, f64) {
+    use std::hint::black_box;
+    let n = net.nspec();
+    let m = n + 1;
+    let x = co_fuel(net);
+    let mut y = vec![0.0; n];
+    exastro_microphysics::mass_to_molar(net.species(), &x, &mut y);
+    let (rho, t) = (5e7, 2.8e9);
+    let mut ydot = vec![0.0; n];
+    let ydot_ns = call_ns(samples, 256, || {
+        net.ydot(black_box(rho), black_box(t), black_box(&y), &mut ydot);
+        black_box(&ydot);
+    });
+    let mut jac = vec![0.0; m * m];
+    let jac_ns = call_ns(samples, 256, || {
+        net.jac(black_box(rho), black_box(t), black_box(&y), &mut jac);
+        black_box(&jac);
+    });
+    let mut xs = vec![0.0; n];
+    let eos_ns = call_ns(samples, 256, || {
+        exastro_microphysics::molar_to_mass(net.species(), black_box(&y), &mut xs);
+        let comp = Composition::from_mass_fractions(net.species(), &xs);
+        black_box(eos.eval_rt(black_box(rho), black_box(t), &comp).cv);
+    });
+    (ydot_ns, jac_ns, eos_ns)
 }
 
 /// Which Newton solver a [`burn_once`] integrates with.
@@ -189,6 +235,21 @@ fn bench(c: &mut Criterion) {
     let nets: [(&str, &dyn Network); 2] = [("iso7", &iso7), ("aprox13", &aprox13)];
 
     let mut metrics: Vec<MetricPoint> = Vec::new();
+    // One reaction (cburn2) against nine and fifteen: the temperature
+    // factors are shared, so n reactions must cost well under n times one
+    // (tier-1 gates aprox13/ydot_ns ÷ cburn2/ydot_ns from this run).
+    println!("=== burner lane-step parts: RHS, Jacobian, EOS (ns per call) ===");
+    let cburn2 = CBurn2::new();
+    let part_nets: [(&str, &dyn Network); 3] =
+        [("cburn2", &cburn2), ("iso7", &iso7), ("aprox13", &aprox13)];
+    for (name, net) in part_nets {
+        let (ydot_ns, jac_ns, eos_ns) = lane_step_parts_ns(net, &eos, if smoke { 15 } else { 101 });
+        println!("{name}: ydot {ydot_ns:.0} ns, jac {jac_ns:.0} ns, eos {eos_ns:.0} ns");
+        for (what, ns) in [("ydot_ns", ydot_ns), ("jac_ns", jac_ns), ("eos_ns", eos_ns)] {
+            metrics.push(MetricPoint::new(&format!("{name}/{what}"), ns, "ns"));
+        }
+    }
+
     println!("=== burner Newton-solve: dense vs analytic sparse (§VI) ===");
     for (name, net) in nets {
         let m = net.nspec() + 1;

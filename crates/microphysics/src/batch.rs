@@ -133,6 +133,7 @@ pub struct BatchBdf {
 }
 
 /// All per-lane counters of one batched integration.
+#[derive(Default)]
 struct LaneBook {
     active: Vec<bool>,
     dropped: Vec<Option<BdfErrorKind>>,
@@ -148,19 +149,26 @@ struct LaneBook {
 }
 
 impl LaneBook {
-    fn new(w: usize) -> Self {
-        LaneBook {
-            active: vec![true; w],
-            dropped: vec![None; w],
-            steps: vec![0; w],
-            rejected: vec![0; w],
-            rhs_evals: vec![0; w],
-            jac_evals: vec![0; w],
-            factorizations: vec![0; w],
-            newton_iters: vec![0; w],
-            err_fails: vec![0; w],
-            newton_fails: vec![0; w],
-            sing_fails: vec![0; w],
+    /// Every lane active, every counter zero, for a batch of `w` lanes.
+    fn reset(&mut self, w: usize) {
+        refill(&mut self.active, w, true);
+        refill(&mut self.dropped, w, None);
+        for counts in [
+            &mut self.steps,
+            &mut self.rejected,
+            &mut self.rhs_evals,
+            &mut self.jac_evals,
+            &mut self.factorizations,
+            &mut self.newton_iters,
+        ] {
+            refill(counts, w, 0);
+        }
+        for fails in [
+            &mut self.err_fails,
+            &mut self.newton_fails,
+            &mut self.sing_fails,
+        ] {
+            refill(fails, w, 0);
         }
     }
 
@@ -176,6 +184,93 @@ impl LaneBook {
     }
 }
 
+/// `v` becomes `len` copies of `value`, keeping its allocation: what a
+/// fresh `vec![value; len]` would hold, without the `malloc`.
+fn refill<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
+    v.clear();
+    v.resize(len, value);
+}
+
+/// Nordsieck rows a batch can ever hold: orders 1..=5 use `z[0..=q]`.
+const NORDSIECK_ROWS: usize = 6;
+
+/// Every buffer one [`BatchBdf::integrate`] call works in — the SoA work
+/// vectors, the per-lane book, the Nordsieck history and the reports. A
+/// sweep burns thousands of chunks; it owns one workspace and every chunk
+/// reuses it, so after the first chunk the batch path allocates nothing.
+/// Each call re-zeroes the buffers to exactly its own `dim × width` (a
+/// short last chunk just uses less of them), so results do not depend on
+/// what an earlier chunk left behind.
+#[derive(Default)]
+pub struct BatchWorkspace {
+    book: LaneBook,
+    reports: Vec<LaneReport>,
+    /// Shared Nordsieck history over SoA vectors; rows above the current
+    /// order are stale and are rewritten before an order raise reads them.
+    z: Vec<Vec<f64>>,
+    ycur: Vec<f64>,
+    acor: Vec<f64>,
+    acor_prev: Vec<f64>,
+    rhs: Vec<f64>,
+    resid: Vec<f64>,
+    ewt: Vec<f64>,
+    sol_scratch: Vec<f64>,
+    jacs: Vec<f64>,
+    vals: Vec<f64>,
+    singular: Vec<bool>,
+    lane_y: Vec<f64>,
+    lane_f: Vec<f64>,
+    lane_jac: Vec<f64>,
+    dn: Vec<f64>,
+    est: Vec<f64>,
+    lane_norm: Vec<f64>,
+    conv: Vec<bool>,
+    diverged: Vec<bool>,
+    mask: Vec<f64>,
+    last_dn: Vec<f64>,
+}
+
+impl BatchWorkspace {
+    /// Size and zero everything for `w` lanes of dimension `n` on a sparse
+    /// factor of `nnz` filled slots.
+    fn reset(&mut self, n: usize, w: usize, nnz: usize) {
+        let nw = n * w;
+        self.book.reset(w);
+        self.z.resize_with(NORDSIECK_ROWS, Vec::new);
+        for row in &mut self.z {
+            refill(row, nw, 0.0);
+        }
+        for soa in [
+            &mut self.ycur,
+            &mut self.acor,
+            &mut self.acor_prev,
+            &mut self.rhs,
+            &mut self.resid,
+            &mut self.ewt,
+            &mut self.sol_scratch,
+        ] {
+            refill(soa, nw, 0.0);
+        }
+        refill(&mut self.jacs, n * n * w, 0.0);
+        refill(&mut self.vals, nnz * w, 0.0);
+        refill(&mut self.lane_y, n, 0.0);
+        refill(&mut self.lane_f, n, 0.0);
+        refill(&mut self.lane_jac, n * n, 0.0);
+        for per_lane in [
+            &mut self.dn,
+            &mut self.est,
+            &mut self.lane_norm,
+            &mut self.mask,
+            &mut self.last_dn,
+        ] {
+            refill(per_lane, w, 0.0);
+        }
+        for flags in [&mut self.singular, &mut self.conv, &mut self.diverged] {
+            refill(flags, w, false);
+        }
+    }
+}
+
 impl BatchBdf {
     /// Create a batched integrator over a precompiled symbolic sparse LU
     /// (one per network, shared across every batch).
@@ -183,65 +278,72 @@ impl BatchBdf {
         BatchBdf { opts, lu }
     }
 
-    /// Integrate every lane of `sys` from `t0` to `tend`. `y` is the
-    /// structure-of-arrays state `y[i·width + lane]`, updated in place for
-    /// lanes that complete; dropped lanes' slots are meaningless and the
-    /// caller re-burns those zones from their entry state.
-    pub fn integrate(
+    /// Integrate every lane of `sys` from `t0` to `tend`, in `ws`. `y` is
+    /// the structure-of-arrays state `y[i·width + lane]`, updated in place
+    /// for lanes that complete; dropped lanes' slots are meaningless and
+    /// the caller re-burns those zones from their entry state. The reports
+    /// (one per lane) live in `ws` until its next use.
+    pub fn integrate<'w>(
         &self,
         sys: &dyn LaneOde,
         t0: f64,
         tend: f64,
         y: &mut [f64],
-    ) -> Vec<LaneReport> {
+        ws: &'w mut BatchWorkspace,
+    ) -> &'w [LaneReport] {
         let n = sys.dim();
         let w = sys.lanes();
         assert_eq!(y.len(), n * w);
         assert!(tend > t0);
         assert_eq!(self.lu.dim(), n, "sparse pattern does not match the system");
-        let mut book = LaneBook::new(w);
+        ws.reset(n, w, self.lu.nnz_filled());
+        let BatchWorkspace {
+            book,
+            reports,
+            z,
+            ycur,
+            acor,
+            acor_prev,
+            rhs,
+            resid,
+            ewt,
+            sol_scratch,
+            jacs,
+            vals,
+            singular,
+            lane_y,
+            lane_f,
+            lane_jac,
+            dn,
+            est,
+            lane_norm,
+            conv,
+            diverged,
+            mask,
+            last_dn,
+        } = ws;
         let mut solve_ns: u64 = 0;
         let mut q = 1usize;
         if let Err(e) = check_atol(&self.opts, n) {
             for l in 0..w {
                 book.drop_lane(l, e.kind.clone());
             }
-            return self.reports(&book, solve_ns, q);
+            write_reports(book, solve_ns, q, reports);
+            return reports;
         }
-        let max_order = self.opts.max_order.clamp(1, 5);
+        let max_order = self.opts.max_order.clamp(1, NORDSIECK_ROWS - 1);
         let nw = n * w;
-
-        let mut ycur = vec![0.0; nw];
-        let mut acor = vec![0.0; nw];
-        let mut acor_prev = vec![0.0; nw];
-        let mut rhs = vec![0.0; nw];
-        let mut resid = vec![0.0; nw];
-        let mut ewt = vec![0.0; nw];
-        let mut sol_scratch = vec![0.0; nw];
-        let mut jacs = vec![0.0; n * n * w];
-        let mut vals = vec![0.0; self.lu.nnz_filled() * w];
-        let mut singular = vec![false; w];
-        let mut lane_y = vec![0.0; n];
-        let mut lane_f = vec![0.0; n];
-        let mut lane_jac = vec![0.0; n * n];
-        let mut dn = vec![0.0; w];
-        let mut est = vec![0.0; w];
-        let mut lane_norm = vec![0.0; w];
-        let mut conv = vec![false; w];
-        let mut diverged = vec![false; w];
-        let mut mask = vec![0.0; w];
-        let mut last_dn = vec![0.0; w];
         let mut l = [0.0f64; 6];
 
         // Initial step from the worst lane's RHS scale (every lane must be
         // resolvable at the shared h).
-        self.error_weights(y, n, w, &mut ewt);
+        self.error_weights(y, n, w, ewt);
         let mut rate_max: f64 = 1e-30;
         for lane in 0..w {
-            gather_lane(y, w, lane, &mut lane_y);
-            sys.rhs(lane, t0, &lane_y, &mut lane_f);
+            gather_lane(y, w, lane, lane_y);
+            sys.rhs(lane, t0, lane_y, lane_f);
             book.rhs_evals[lane] += 1;
-            scatter_lane(&lane_f, w, lane, &mut rhs);
+            scatter_lane(lane_f, w, lane, rhs);
             let mut acc = 0.0;
             for i in 0..n {
                 let x = lane_f[i] * ewt[i * w + lane];
@@ -262,8 +364,10 @@ impl BatchBdf {
         };
         let hmin = (tend - t0) * 1e-15;
 
-        // Shared Nordsieck history over SoA vectors.
-        let mut z: Vec<Vec<f64>> = vec![y.to_vec(), rhs.iter().map(|&f| f * h).collect()];
+        z[0].copy_from_slice(y);
+        for (z1, &f) in z[1].iter_mut().zip(rhs.iter()) {
+            *z1 = f * h;
+        }
         let mut t = t0;
         let mut qwait = 2usize;
         let mut steps: u64 = 0;
@@ -288,13 +392,13 @@ impl BatchBdf {
             }
             if t + h > tend {
                 let r = (tend - t) / h;
-                rescale(&mut z, q, r);
+                rescale(z, q, r);
                 h = tend - t;
             }
             bdf_l(q, &mut l);
             let gamma = l[0] * h;
-            self.error_weights(&z[0], n, w, &mut ewt);
-            predict(&mut z, q);
+            self.error_weights(&z[0], n, w, ewt);
+            predict(z, q);
             let tn = t + h;
 
             let need_jac = !jac_fresh || jac_age >= JAC_REFRESH_STEPS;
@@ -307,9 +411,9 @@ impl BatchBdf {
                     if !book.active[lane] {
                         continue;
                     }
-                    gather_lane(&z[0], w, lane, &mut lane_y);
-                    sys.jac(lane, tn, &lane_y, &mut lane_jac);
-                    jacs[lane * n * n..][..n * n].copy_from_slice(&lane_jac);
+                    gather_lane(&z[0], w, lane, lane_y);
+                    sys.jac(lane, tn, lane_y, lane_jac);
+                    jacs[lane * n * n..][..n * n].copy_from_slice(lane_jac);
                     book.jac_evals[lane] += 1;
                 }
                 jac_fresh = true;
@@ -317,8 +421,7 @@ impl BatchBdf {
             }
             if need_factor {
                 let t_factor = Instant::now();
-                self.lu
-                    .factor_newton_batch(&jacs, gamma, w, &mut vals, &mut singular);
+                self.lu.factor_newton_batch(jacs, gamma, w, vals, singular);
                 solve_ns += t_factor.elapsed().as_nanos() as u64;
                 gamma_factored = Some(gamma);
                 for lane in 0..w {
@@ -328,7 +431,7 @@ impl BatchBdf {
                 }
                 let any_singular = (0..w).any(|lane| book.active[lane] && singular[lane]);
                 if any_singular {
-                    unpredict(&mut z, q);
+                    unpredict(z, q);
                     rejected += 1;
                     let mut culprits = Vec::new();
                     for lane in 0..w {
@@ -347,7 +450,7 @@ impl BatchBdf {
                             book.drop_lane(lane, BdfErrorKind::SingularMatrix);
                         }
                     } else {
-                        rescale(&mut z, q, 0.25);
+                        rescale(z, q, 0.25);
                         h *= 0.25;
                     }
                     continue;
@@ -377,17 +480,17 @@ impl BatchBdf {
                     if mask[lane] == 0.0 {
                         continue;
                     }
-                    gather_lane(&ycur, w, lane, &mut lane_y);
-                    sys.rhs(lane, tn, &lane_y, &mut lane_f);
+                    gather_lane(ycur, w, lane, lane_y);
+                    sys.rhs(lane, tn, lane_y, lane_f);
                     book.rhs_evals[lane] += 1;
-                    scatter_lane(&lane_f, w, lane, &mut rhs);
+                    scatter_lane(lane_f, w, lane, rhs);
                     book.newton_iters[lane] += 1;
                 }
                 for i in 0..nw {
                     resid[i] = gamma * rhs[i] - l[0] * z[1][i] - acor[i];
                 }
                 let t_solve = Instant::now();
-                self.lu.solve_batch(&vals, w, &mut resid, &mut sol_scratch);
+                self.lu.solve_batch(vals, w, resid, sol_scratch);
                 solve_ns += t_solve.elapsed().as_nanos() as u64;
                 // Frozen lanes take no update (branch-free via the mask).
                 for i in 0..n {
@@ -401,7 +504,7 @@ impl BatchBdf {
                         yr[lane] = zr[lane] + ar[lane];
                     }
                 }
-                wrms_lanes(&resid, &ewt, n, w, &mut dn);
+                wrms_lanes(resid, ewt, n, w, dn);
                 let mut all_settled = true;
                 for lane in 0..w {
                     if mask[lane] == 0.0 {
@@ -423,7 +526,7 @@ impl BatchBdf {
             }
             let any_nonconv = (0..w).any(|lane| book.active[lane] && !conv[lane]);
             if any_nonconv {
-                unpredict(&mut z, q);
+                unpredict(z, q);
                 rejected += 1;
                 for lane in 0..w {
                     if book.active[lane] {
@@ -468,12 +571,11 @@ impl BatchBdf {
                         }
                     }
                 } else {
-                    rescale(&mut z, q, 0.25);
+                    rescale(z, q, 0.25);
                     h *= 0.25;
                 }
                 jac_fresh = false;
                 if global_newton_fails > 2 && q > 1 {
-                    z.truncate(2);
                     q = 1;
                     qwait = 2;
                     have_acor_prev = false;
@@ -490,7 +592,7 @@ impl BatchBdf {
 
             // Per-lane error test; the step stands only if every active
             // lane passes.
-            wrms_lanes(&acor, &ewt, n, w, &mut est);
+            wrms_lanes(acor, ewt, n, w, est);
             let qp1 = q as f64 + 1.0;
             for e in est.iter_mut() {
                 *e /= qp1;
@@ -499,7 +601,7 @@ impl BatchBdf {
             let failed = |e: f64| e.is_nan() || e > 1.0;
             let any_bad = (0..w).any(|lane| book.active[lane] && failed(est[lane]));
             if any_bad {
-                unpredict(&mut z, q);
+                unpredict(z, q);
                 rejected += 1;
                 global_err_fails += 1;
                 let any_passed = (0..w).any(|lane| book.active[lane] && est[lane] <= 1.0);
@@ -534,12 +636,11 @@ impl BatchBdf {
                             }
                         }
                     } else {
-                        rescale(&mut z, q, r);
+                        rescale(z, q, r);
                         h *= r;
                     }
                 }
                 if global_err_fails >= 3 && q > 1 {
-                    z.truncate(2);
                     q = 1;
                     qwait = 2;
                     have_acor_prev = false;
@@ -586,7 +687,7 @@ impl BatchBdf {
                 qwait -= 1;
             } else {
                 if q > 1 {
-                    wrms_lanes(&z[q], &ewt, n, w, &mut lane_norm);
+                    wrms_lanes(&z[q], ewt, n, w, lane_norm);
                     let mut est_dn: f64 = 0.0;
                     for lane in 0..w {
                         if book.active[lane] {
@@ -603,7 +704,7 @@ impl BatchBdf {
                     for i in 0..nw {
                         resid[i] = acor[i] - acor_prev[i];
                     }
-                    wrms_lanes(&resid, &ewt, n, w, &mut lane_norm);
+                    wrms_lanes(resid, ewt, n, w, lane_norm);
                     let mut est_up: f64 = 0.0;
                     for lane in 0..w {
                         if book.active[lane] {
@@ -618,18 +719,15 @@ impl BatchBdf {
                     }
                 }
             }
-            acor_prev.copy_from_slice(&acor);
+            acor_prev.copy_from_slice(acor);
             have_acor_prev = true;
 
             if new_q != q {
                 if new_q > q {
-                    let mut zq1 = vec![0.0; nw];
+                    let zq1 = &mut z[new_q];
                     for i in 0..nw {
                         zq1[i] = acor[i] * l[q] / qp1;
                     }
-                    z.push(zq1);
-                } else {
-                    z.truncate(new_q + 1);
                 }
                 q = new_q;
                 qwait = q + 1;
@@ -637,7 +735,7 @@ impl BatchBdf {
             }
             let eta = eta.clamp(0.2, 5.0);
             if !(0.9..=1.3).contains(&eta) {
-                rescale(&mut z, q, eta);
+                rescale(z, q, eta);
                 h *= eta;
             }
         }
@@ -650,7 +748,8 @@ impl BatchBdf {
                 }
             }
         }
-        self.reports(&book, solve_ns, q)
+        write_reports(book, solve_ns, q, reports);
+        reports
     }
 
     fn error_weights(&self, z0: &[f64], n: usize, w: usize, ewt: &mut [f64]) {
@@ -667,29 +766,30 @@ impl BatchBdf {
             }
         }
     }
+}
 
-    fn reports(&self, book: &LaneBook, solve_ns: u64, q: usize) -> Vec<LaneReport> {
-        let w = book.active.len();
-        let share = solve_ns / w.max(1) as u64;
-        (0..w)
-            .map(|lane| LaneReport {
-                status: match &book.dropped[lane] {
-                    None => LaneStatus::Completed,
-                    Some(kind) => LaneStatus::Dropped(kind.clone()),
-                },
-                stats: BdfStats {
-                    steps: book.steps[lane],
-                    rejected: book.rejected[lane],
-                    rhs_evals: book.rhs_evals[lane],
-                    jac_evals: book.jac_evals[lane],
-                    factorizations: book.factorizations[lane],
-                    newton_iters: book.newton_iters[lane],
-                    solve_ns: share,
-                    final_order: q,
-                },
-            })
-            .collect()
-    }
+/// One report per lane of `book`, each charged an even share of the
+/// batched linear-algebra time.
+fn write_reports(book: &LaneBook, solve_ns: u64, q: usize, reports: &mut Vec<LaneReport>) {
+    let w = book.active.len();
+    let share = solve_ns / w.max(1) as u64;
+    reports.clear();
+    reports.extend((0..w).map(|lane| LaneReport {
+        status: match &book.dropped[lane] {
+            None => LaneStatus::Completed,
+            Some(kind) => LaneStatus::Dropped(kind.clone()),
+        },
+        stats: BdfStats {
+            steps: book.steps[lane],
+            rejected: book.rejected[lane],
+            rhs_evals: book.rhs_evals[lane],
+            jac_evals: book.jac_evals[lane],
+            factorizations: book.factorizations[lane],
+            newton_iters: book.newton_iters[lane],
+            solve_ns: share,
+            final_order: q,
+        },
+    }));
 }
 
 pub(crate) fn gather_lane(soa: &[f64], w: usize, lane: usize, out: &mut [f64]) {
@@ -793,7 +893,8 @@ mod tests {
         for l in 0..w {
             y[l] = 1.0; // y0 = [1, 0, 0] per lane
         }
-        let reports = batch.integrate(&sys, 0.0, 40.0, &mut y);
+        let mut ws = BatchWorkspace::default();
+        let reports = batch.integrate(&sys, 0.0, 40.0, &mut y, &mut ws);
         for (l, k) in ks.iter().enumerate() {
             assert_eq!(reports[l].status, LaneStatus::Completed, "lane {l}");
             assert!(reports[l].stats.steps > 0);
@@ -820,6 +921,38 @@ mod tests {
     }
 
     #[test]
+    fn a_reused_workspace_gives_the_bits_of_a_fresh_one() {
+        // A sweep hands one workspace to every chunk, the last of them
+        // short: what an earlier, wider batch left in the buffers must not
+        // reach a later one.
+        let opts = BdfOptions::builder()
+            .rtol(1e-8)
+            .atol(1e-12)
+            .build()
+            .unwrap();
+        let batch = BatchBdf::new(opts, Arc::new(SparseLu::compile(&robertson_pattern())));
+        let run = |ks: &[f64], ws: &mut BatchWorkspace| {
+            let w = ks.len();
+            let mut y = vec![0.0; 3 * w];
+            y[..w].fill(1.0);
+            let sys = RobertsonLanes { k: ks.to_vec() };
+            let steps: Vec<u64> = batch
+                .integrate(&sys, 0.0, 40.0, &mut y, ws)
+                .iter()
+                .map(|r| r.stats.steps)
+                .collect();
+            (y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), steps)
+        };
+        let mut reused = BatchWorkspace::default();
+        run(&[1.0, 0.7, 1.3, 0.9], &mut reused);
+        let short = [1.1, 0.8];
+        assert_eq!(
+            run(&short, &mut reused),
+            run(&short, &mut BatchWorkspace::default())
+        );
+    }
+
+    #[test]
     fn batch_reuses_jacobians_across_steps() {
         let w = 4;
         let opts = BdfOptions::builder()
@@ -836,7 +969,8 @@ mod tests {
         for l in 0..w {
             y[l] = 1.0;
         }
-        let reports = batch.integrate(&sys, 0.0, 40.0, &mut y);
+        let mut ws = BatchWorkspace::default();
+        let reports = batch.integrate(&sys, 0.0, 40.0, &mut y, &mut ws);
         let r = &reports[0];
         assert_eq!(r.status, LaneStatus::Completed);
         assert!(
@@ -863,8 +997,9 @@ mod tests {
         let batch = BatchBdf::new(opts, lu);
         let sys = RobertsonLanes { k: vec![1.0, 1.0] };
         let mut y = vec![1.0, 1.0, 0.0, 0.0, 0.0, 0.0];
-        let reports = batch.integrate(&sys, 0.0, 1.0, &mut y);
-        for r in &reports {
+        let mut ws = BatchWorkspace::default();
+        let reports = batch.integrate(&sys, 0.0, 1.0, &mut y, &mut ws);
+        for r in reports {
             assert_eq!(
                 r.status,
                 LaneStatus::Dropped(BdfErrorKind::AtolMismatch {

@@ -18,7 +18,7 @@
 //! pattern-specialized sparse LU compiled from the network's declared
 //! sparsity; only the offload rung is dense.
 
-use crate::batch::{gather_lane, BatchBdf, LaneOde, LaneStatus};
+use crate::batch::{gather_lane, BatchBdf, BatchWorkspace, LaneOde, LaneStatus};
 use crate::constants::{MEV_TO_ERG, N_A};
 use crate::eos::Eos;
 use crate::integrator::{BdfError, BdfErrorKind, BdfIntegrator, BdfOptions, BdfStats, OdeSystem};
@@ -69,9 +69,7 @@ struct BurnSystem<'a> {
 impl BurnSystem<'_> {
     fn composition(&self, y: &[f64]) -> Composition {
         let n = self.net.nspec();
-        let mut x = vec![0.0; n];
-        molar_to_mass(self.net.species(), &y[..n], &mut x);
-        Composition::from_mass_fractions(self.net.species(), &x)
+        Composition::from_molar_fractions(self.net.species(), &y[..n])
     }
 }
 
@@ -249,10 +247,12 @@ impl Burner<'_> {
                 .total_cmp(&zones[a].t0)
                 .then(zones[a].zone.cmp(&zones[b].zone))
         });
+        // One batch workspace for the whole sweep: chunks reuse it.
+        let mut ws = BatchWorkspace::default();
         for chunk in batchable.chunks(self.width) {
             match chunk {
                 [i] => results[*i] = Some(scalar(&zones[*i])),
-                _ => self.burn_chunk(zones, chunk, dt, &mut results),
+                _ => self.burn_chunk(zones, chunk, dt, &mut ws, &mut results),
             }
         }
         results
@@ -286,6 +286,7 @@ impl Burner<'_> {
         zones: &[ZoneBurn],
         chunk: &[usize],
         dt: f64,
+        ws: &mut BatchWorkspace,
         results: &mut [Option<Result<RecoveredBurn, Box<BurnFailure>>>],
     ) {
         use exastro_telemetry::Telemetry;
@@ -304,7 +305,7 @@ impl Burner<'_> {
             }
         }
         let y_entry = y.clone();
-        let reports = self.batch.integrate(&sys, 0.0, dt, &mut y);
+        let reports = self.batch.integrate(&sys, 0.0, dt, &mut y, ws);
         let mut solve_share: u64 = 0;
         let mut completed = 0u64;
         let (mut lane_y, mut lane_y0) = (vec![0.0; m], vec![0.0; m]);
@@ -484,7 +485,7 @@ impl Burner<'_> {
             Ok(stats) => stats.solve_ns,
             Err(e) => e.stats.solve_ns,
         };
-        Profiler::record_ns(&format!("solve[{}]", integ.solver_kind()), solve_ns);
+        Profiler::record_ns(integ.solve_row(), solve_ns);
         res.map(|stats| self.outcome(&y0, &y, stats))
     }
 

@@ -458,11 +458,12 @@ impl BdfIntegrator {
         &self.opts
     }
 
-    /// The linear-solver kind in use ("dense" / "sparse").
-    pub fn solver_kind(&self) -> &'static str {
+    /// The profiler row this integrator's linear-algebra time goes to,
+    /// named for the linear solver in use.
+    pub(crate) fn solve_row(&self) -> &'static str {
         match self.sparse {
-            Some(_) => "sparse",
-            None => "dense",
+            Some(_) => "solve[sparse]",
+            None => "solve[dense]",
         }
     }
 

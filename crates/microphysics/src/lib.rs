@@ -43,7 +43,7 @@ pub mod recovery;
 pub mod sparse;
 pub mod species;
 
-pub use batch::{BatchBdf, LaneOde, LaneReport, LaneStatus};
+pub use batch::{BatchBdf, BatchWorkspace, LaneOde, LaneReport, LaneStatus};
 pub use burner::{BurnOutcome, BurnTally, Burner, BurnerConfig, ZoneBurn};
 pub use eos::{Eos, EosResult, GammaLaw, StellarEos};
 pub use integrator::{
@@ -52,7 +52,7 @@ pub use integrator::{
 };
 pub use linalg::{DenseLu, DenseNewton, LinearSolver, Singular, SparsePattern};
 pub use network::{Aprox13, CBurn2, Iso7, Network, Reaction, TripleAlpha};
-pub use rates::{gamow_tau_alpha, screening_factor, Rate};
+pub use rates::{gamow_tau_alpha, screening_factor, Rate, TFactors, TNeeds};
 pub use recovery::{
     BurnFailure, BurnFaultConfig, LadderRung, OffloadOptions, RecoveredBurn, RetryLadder,
 };

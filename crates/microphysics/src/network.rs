@@ -15,7 +15,7 @@
 //!   (§VI).
 
 use crate::linalg::SparsePattern;
-use crate::rates::{gamow_tau_alpha, screening_factor, Rate};
+use crate::rates::{gamow_tau_alpha, Rate, TFactors, TNeeds};
 use crate::sparse::CsrPattern;
 use crate::species::{energy_rate, iso, Species};
 
@@ -100,11 +100,29 @@ pub trait Network: Send + Sync {
             .unwrap_or_else(|| panic!("species {name} not in network {}", self.name()))
     }
 
-    /// Molar reaction rate `r` (mol g⁻¹ s⁻¹) and its T-derivative for
-    /// reaction `rx` at (ρ, T) with abundances `y`.
-    fn reaction_rate(&self, rx: &Reaction, rho: f64, t: f64, y: &[f64]) -> (f64, f64) {
-        let t9 = t / 1e9;
-        let (mut lam, mut dlam_dt9) = rx.rate.eval(t9);
+    /// The temperature-factor families this network's rate fits read:
+    /// worked out once, when the network is built
+    /// ([`TNeeds::of`] its reactions' rates), never per evaluation.
+    fn t_needs(&self) -> TNeeds;
+
+    /// The temperature factors every reaction shares at (ρ, T): one per
+    /// [`Network::ydot`] or [`Network::jac`] evaluation.
+    fn t_factors(&self, rho: f64, t: f64) -> TFactors {
+        let tf = TFactors::new(t / 1e9, self.t_needs());
+        if self.screening() {
+            // Mean values matter only logarithmically here.
+            tf.with_screening(rho, t, 12.0, 6.0)
+        } else {
+            tf
+        }
+    }
+
+    /// Molar reaction rate `r` (mol g⁻¹ s⁻¹), its T-derivative and the
+    /// (screened) rate coefficient λ behind both, for reaction `rx` at
+    /// density `rho` and the temperature of `tf` with abundances `y`. The
+    /// only place a network evaluates a fit or a screening factor.
+    fn reaction_rate(&self, rx: &Reaction, rho: f64, tf: &TFactors, y: &[f64]) -> (f64, f64, f64) {
+        let (mut lam, mut dlam_dt9) = rx.rate.eval(tf);
         if self.screening() && rx.order() >= 2 {
             // Screening applied with the charges of the first two reactants.
             let (i0, _) = rx.reactants[0];
@@ -114,9 +132,7 @@ pub trait Network: Send + Sync {
             } else {
                 z1
             };
-            let comp_abar = 12.0; // mean values matter only logarithmically here
-            let comp_zbar = 6.0;
-            let f = screening_factor(z1, z2, rho, t, comp_abar, comp_zbar);
+            let f = tf.screening(z1, z2);
             lam *= f;
             dlam_dt9 *= f; // d(screening)/dT neglected (weak screening)
         }
@@ -127,14 +143,15 @@ pub trait Network: Send + Sync {
         let rho_pow = rho.powi(rx.order() as i32 - 1);
         let r = rho_pow * lam * yprod / rx.symmetry;
         let drdt = rho_pow * dlam_dt9 * yprod / rx.symmetry / 1e9;
-        (r, drdt)
+        (r, drdt, lam)
     }
 
     /// Fill `ydot` (length nspec) with dY/dt at (ρ, T, Y).
     fn ydot(&self, rho: f64, t: f64, y: &[f64], ydot: &mut [f64]) {
         ydot.iter_mut().for_each(|v| *v = 0.0);
+        let tf = self.t_factors(rho, t);
         for rx in self.reactions() {
-            let (r, _) = self.reaction_rate(rx, rho, t, y);
+            let (r, _, _) = self.reaction_rate(rx, rho, &tf, y);
             for &(i, c) in &rx.reactants {
                 ydot[i] -= c as f64 * r;
             }
@@ -161,8 +178,10 @@ pub trait Network: Send + Sync {
         let m = n + 1;
         assert_eq!(jac.len(), m * m);
         jac.iter_mut().for_each(|v| *v = 0.0);
+        let tf = self.t_factors(rho, t);
         for rx in self.reactions() {
-            let (r, drdt) = self.reaction_rate(rx, rho, t, y);
+            let (_, drdt, lam) = self.reaction_rate(rx, rho, &tf, y);
+            let rho_pow = rho.powi(rx.order() as i32 - 1);
             // dr/dY_j for each distinct reactant j: r * c_j / Y_j computed
             // robustly (avoid dividing by tiny Y by re-deriving the product).
             for rj in 0..rx.reactants.len() {
@@ -174,18 +193,7 @@ pub trait Network: Send + Sync {
                         dyprod *= y[i].max(0.0).powi(ci as i32);
                     }
                 }
-                let t9 = t / 1e9;
-                let (mut lam, _) = rx.rate.eval(t9);
-                if self.screening() && rx.order() >= 2 {
-                    let z1 = self.species()[rx.reactants[0].0].z;
-                    let z2 = if rx.reactants.len() > 1 {
-                        self.species()[rx.reactants[1].0].z
-                    } else {
-                        z1
-                    };
-                    lam *= screening_factor(z1, z2, rho, t, 12.0, 6.0);
-                }
-                let drdy = rho.powi(rx.order() as i32 - 1) * lam * dyprod / rx.symmetry;
+                let drdy = rho_pow * lam * dyprod / rx.symmetry;
                 for &(i, c) in &rx.reactants {
                     jac[i * m + j] -= c as f64 * drdy;
                 }
@@ -200,7 +208,6 @@ pub trait Network: Send + Sync {
             for &(i, c) in &rx.products {
                 jac[i * m + n] += c as f64 * drdt;
             }
-            let _ = r;
         }
     }
 
@@ -242,12 +249,17 @@ pub trait Network: Send + Sync {
     }
 }
 
+fn rate_needs(reactions: &[Reaction]) -> TNeeds {
+    TNeeds::of(reactions.iter().map(|rx| rx.rate))
+}
+
 /// The 2-species carbon network of the reacting-bubble problem:
 /// `C¹² + C¹² → Mg²⁴` (ash lumped, as in the MAESTROeX test problem).
 #[derive(Clone, Debug)]
 pub struct CBurn2 {
     species: Vec<Species>,
     reactions: Vec<Reaction>,
+    needs: TNeeds,
 }
 
 impl Default for CBurn2 {
@@ -261,7 +273,11 @@ impl CBurn2 {
     pub fn new() -> Self {
         let species = vec![iso::C12, iso::MG24];
         let reactions = vec![Reaction::pair(0, vec![(1, 1)], Rate::C12C12)];
-        CBurn2 { species, reactions }
+        CBurn2 {
+            species,
+            needs: rate_needs(&reactions),
+            reactions,
+        }
     }
 }
 
@@ -275,6 +291,9 @@ impl Network for CBurn2 {
     fn reactions(&self) -> &[Reaction] {
         &self.reactions
     }
+    fn t_needs(&self) -> TNeeds {
+        self.needs
+    }
 }
 
 /// Helium burning: `3 He⁴ → C¹²` (+ optional `C¹²(α,γ)O¹⁶`).
@@ -282,6 +301,7 @@ impl Network for CBurn2 {
 pub struct TripleAlpha {
     species: Vec<Species>,
     reactions: Vec<Reaction>,
+    needs: TNeeds,
 }
 
 impl Default for TripleAlpha {
@@ -306,7 +326,11 @@ impl TripleAlpha {
                 },
             ),
         ];
-        TripleAlpha { species, reactions }
+        TripleAlpha {
+            species,
+            needs: rate_needs(&reactions),
+            reactions,
+        }
     }
 }
 
@@ -320,6 +344,9 @@ impl Network for TripleAlpha {
     fn reactions(&self) -> &[Reaction] {
         &self.reactions
     }
+    fn t_needs(&self) -> TNeeds {
+        self.needs
+    }
 }
 
 /// The 7-isotope network (iso7 structure): the cheaper production
@@ -330,6 +357,7 @@ impl Network for TripleAlpha {
 pub struct Iso7 {
     species: Vec<Species>,
     reactions: Vec<Reaction>,
+    needs: TNeeds,
 }
 
 impl Default for Iso7 {
@@ -402,7 +430,11 @@ impl Iso7 {
                 },
             ),
         ];
-        Iso7 { species, reactions }
+        Iso7 {
+            species,
+            needs: rate_needs(&reactions),
+            reactions,
+        }
     }
 }
 
@@ -416,6 +448,9 @@ impl Network for Iso7 {
     fn reactions(&self) -> &[Reaction] {
         &self.reactions
     }
+    fn t_needs(&self) -> TNeeds {
+        self.needs
+    }
 }
 
 /// The 13-isotope alpha chain (aprox13 structure): He⁴ through Ni⁵⁶
@@ -426,6 +461,7 @@ impl Network for Iso7 {
 pub struct Aprox13 {
     species: Vec<Species>,
     reactions: Vec<Reaction>,
+    needs: TNeeds,
 }
 
 impl Default for Aprox13 {
@@ -479,7 +515,11 @@ impl Aprox13 {
                 },
             ));
         }
-        Aprox13 { species, reactions }
+        Aprox13 {
+            species,
+            needs: rate_needs(&reactions),
+            reactions,
+        }
     }
 }
 
@@ -492,6 +532,9 @@ impl Network for Aprox13 {
     }
     fn reactions(&self) -> &[Reaction] {
         &self.reactions
+    }
+    fn t_needs(&self) -> TNeeds {
+        self.needs
     }
 }
 
@@ -596,8 +639,8 @@ mod tests {
     }
 
     /// Wrapper disabling screening: the analytic Jacobian deliberately
-    /// neglects d(screening)/dT (weak screening), so the FD comparison is
-    /// run unscreened.
+    /// neglects d(screening)/dT (weak screening), so the FD comparison of
+    /// the temperature column is run unscreened.
     struct NoScreen(Aprox13);
     impl Network for NoScreen {
         fn name(&self) -> &'static str {
@@ -609,27 +652,32 @@ mod tests {
         fn reactions(&self) -> &[Reaction] {
             self.0.reactions()
         }
+        fn t_needs(&self) -> TNeeds {
+            self.0.t_needs()
+        }
         fn screening(&self) -> bool {
             false
         }
     }
 
-    #[test]
-    fn analytic_jacobian_matches_finite_difference() {
-        let net = NoScreen(Aprox13::new());
-        let n = net.nspec();
-        let m = n + 1;
-        let mut x = vec![0.01; n];
+    /// An aprox13 state with every species present, and its (ρ, T).
+    fn jacobian_probe(net: &dyn Network) -> (Vec<f64>, f64, f64) {
+        let mut x = vec![0.01; net.nspec()];
         x[0] = 0.2;
         x[1] = 0.4;
         x[2] = 0.29;
-        let y = molar(&net, &x);
-        let (rho, t) = (5e6, 2.5e9);
+        (molar(net, &x), 5e6, 2.5e9)
+    }
+
+    /// ∂Ẏᵢ/∂Yⱼ against central differences of `ydot`.
+    fn check_species_block(net: &dyn Network) {
+        let n = net.nspec();
+        let m = n + 1;
+        let (y, rho, t) = jacobian_probe(net);
         let mut jac = vec![0.0; m * m];
         net.jac(rho, t, &y, &mut jac);
         let mut ydot0 = vec![0.0; n];
         net.ydot(rho, t, &y, &mut ydot0);
-        // Species-species block.
         for j in 0..n {
             // h must be large enough that Δf clears the round-off floor of
             // |f| ~ 1e4 at these conditions; rates are at most cubic in Y so
@@ -650,10 +698,26 @@ mod tests {
                 let tol = 1e-3 * fd.abs().max(an.abs()) + 1e-9 * row_scale + 1e-300;
                 assert!(
                     (an - fd).abs() < tol,
-                    "J[{i}][{j}]: analytic {an} vs fd {fd}"
+                    "{}: J[{i}][{j}]: analytic {an} vs fd {fd}",
+                    net.name()
                 );
             }
         }
+    }
+
+    #[test]
+    fn analytic_jacobian_matches_finite_difference() {
+        // Screening does not depend on Y, so the species block must match
+        // screened (every ∂r/∂Y_j carrying the same enhanced λ as r) as well
+        // as unscreened; at this state the C+C factor is ~1.25.
+        check_species_block(&Aprox13::new());
+        let net = NoScreen(Aprox13::new());
+        check_species_block(&net);
+        let n = net.nspec();
+        let m = n + 1;
+        let (y, rho, t) = jacobian_probe(&net);
+        let mut jac = vec![0.0; m * m];
+        net.jac(rho, t, &y, &mut jac);
         // Temperature column (central difference).
         let ht = t * 1e-6;
         let mut ydot1 = vec![0.0; n];

@@ -8,6 +8,11 @@
 //! discusses (the triple-alpha rate goes like ~T⁴⁰ near 10⁸ K) but drop
 //! low-impact correction polynomials. Each rate returns both λ and dλ/dT₉
 //! for analytic Jacobians.
+//!
+//! The fits share their fractional powers of T₉, and the screening factor
+//! shares everything but `z₁z₂`, so an evaluation at one `(ρ, T)` computes
+//! those once ([`TFactors`]) and every reaction's [`Rate::eval`] and
+//! [`TFactors::screening`] read them.
 
 /// A reaction-rate coefficient fit.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -40,67 +45,198 @@ pub fn gamow_tau_alpha(z: f64, a: f64) -> f64 {
     4.2487 * (4.0 * z * z * ared).powf(1.0 / 3.0)
 }
 
-impl Rate {
-    /// Evaluate `(λ, dλ/dT₉)` at temperature `t9`.
-    pub fn eval(&self, t9: f64) -> (f64, f64) {
+/// Which temperature-factor families of [`TFactors`] a set of rates reads.
+/// A network works this out once, when it is built, so that an evaluation
+/// pays only for the `powf`s its own fits contain — the one-reaction
+/// carbon network must not pay for the alpha chain's.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TNeeds(u8);
+
+impl TNeeds {
+    /// `T₉^{1/3}` and `T₉^{-4/3}`: every Gamow-barrier fit and its slope.
+    const CBRT: u8 = 1;
+    /// `T₉^{-2/3}`: the alpha captures.
+    const M23: u8 = 1 << 1;
+    /// `T₉^{-3/2}`: the heavy-ion fits.
+    const M32: u8 = 1 << 2;
+    /// `T₉^{-3}`: triple-alpha.
+    const M3: u8 = 1 << 3;
+    /// The C¹²+C¹² `T₉a` family.
+    const T9A: u8 = 1 << 4;
+
+    /// The union of what `rates` read.
+    pub fn of(rates: impl IntoIterator<Item = Rate>) -> Self {
+        TNeeds(rates.into_iter().fold(0, |m, r| m | r.needs().0))
+    }
+
+    fn has(self, family: u8) -> bool {
+        self.0 & family != 0
+    }
+}
+
+/// Everything a rate evaluation needs that depends on the temperature (and,
+/// for screening, the density) but not on the reaction: computed once per
+/// `(ρ, T)` and shared by every reaction of the network. A family outside
+/// the [`TNeeds`] it was built with is NaN, so a fit reading a factor its
+/// network did not declare poisons the result instead of silently using 0.
+#[derive(Clone, Copy, Debug)]
+pub struct TFactors {
+    /// T₉, floored at 10⁻⁴.
+    t9: f64,
+    t913: f64,
+    t9m23: f64,
+    t9m32: f64,
+    t9m43: f64,
+    t9m3: f64,
+    /// CF88's shifted temperature `T₉a = T₉ / (1 + 0.0396 T₉)` ...
+    t9a: f64,
+    /// ... `dT₉a/dT₉` ...
+    dt9a: f64,
+    /// ... and its powers 1/3, 5/6 and −4/3.
+    t9a13: f64,
+    t9a56: f64,
+    t9am43: f64,
+    /// Weak-screening `√(ρζ)` and `(10³ T₉)^{-3/2}`; NaN until
+    /// [`TFactors::with_screening`].
+    scr_rho: f64,
+    scr_t: f64,
+}
+
+impl TFactors {
+    /// The factor families `needs` names, at temperature `t9`.
+    pub fn new(t9: f64, needs: TNeeds) -> Self {
         let t9 = t9.max(1e-4);
+        let nan = f64::NAN;
+        let mut f = TFactors {
+            t9,
+            t913: nan,
+            t9m23: nan,
+            t9m32: nan,
+            t9m43: nan,
+            t9m3: nan,
+            t9a: nan,
+            dt9a: nan,
+            t9a13: nan,
+            t9a56: nan,
+            t9am43: nan,
+            scr_rho: nan,
+            scr_t: nan,
+        };
+        if needs.has(TNeeds::CBRT) {
+            f.t913 = t9.powf(1.0 / 3.0);
+            f.t9m43 = t9.powf(-4.0 / 3.0);
+        }
+        if needs.has(TNeeds::M23) {
+            f.t9m23 = t9.powf(-2.0 / 3.0);
+        }
+        if needs.has(TNeeds::M32) {
+            f.t9m32 = t9.powf(-1.5);
+        }
+        if needs.has(TNeeds::M3) {
+            f.t9m3 = t9.powi(-3);
+        }
+        if needs.has(TNeeds::T9A) {
+            let t9a = t9 / (1.0 + 0.0396 * t9);
+            f.t9a = t9a;
+            f.dt9a = t9a / t9 - 0.0396 * t9a * t9a / t9;
+            f.t9a13 = t9a.powf(1.0 / 3.0);
+            f.t9a56 = t9a.powf(5.0 / 6.0);
+            f.t9am43 = t9a.powf(-4.0 / 3.0);
+        }
+        f
+    }
+
+    /// Add the two screening terms every reaction shares, at density `rho`
+    /// (g/cc) and temperature `t` (K) for composition means `abar`, `zbar`.
+    pub fn with_screening(mut self, rho: f64, t: f64, abar: f64, zbar: f64) -> Self {
+        // ζ ≈ Σ (Z² + Z) X/A ≈ (zbar² + zbar)/abar for a mean composition.
+        let zeta = (zbar * zbar + zbar) / abar;
+        let t9 = t / 1e9;
+        self.scr_rho = (rho * zeta).sqrt();
+        self.scr_t = (t9 * 1e3).powf(-1.5);
+        self
+    }
+
+    /// Graboske weak-screening enhancement factor for a reaction between
+    /// charges `z1`, `z2`. Capped to keep the weak-screening expression
+    /// from being extrapolated far outside its validity.
+    pub fn screening(&self, z1: f64, z2: f64) -> f64 {
+        let h12 = 0.188 * z1 * z2 * self.scr_rho * self.scr_t;
+        h12.min(2.0).exp()
+    }
+}
+
+impl Rate {
+    /// The factor families this fit reads.
+    fn needs(&self) -> TNeeds {
+        TNeeds(match self {
+            Rate::TripleAlpha => TNeeds::M3,
+            Rate::C12C12 => TNeeds::T9A | TNeeds::M32,
+            Rate::C12O16 | Rate::O16O16 => TNeeds::CBRT | TNeeds::M32,
+            Rate::AlphaCapture { .. } => TNeeds::CBRT | TNeeds::M23,
+            Rate::Const(_) => 0,
+        })
+    }
+
+    /// Evaluate `(λ, dλ/dT₉)` on precomputed temperature factors.
+    pub fn eval(&self, tf: &TFactors) -> (f64, f64) {
+        let t9 = tf.t9;
         match *self {
             Rate::TripleAlpha => {
                 // λ ∝ T₉⁻³ exp(-4.4027/T₉): the classic helium-burning fit.
                 // Logarithmic slope: -3 + 4.4027/T₉ ≈ 41 at T₉ = 0.1.
                 let c = 2.79e-8;
-                let l = c * t9.powi(-3) * (-4.4027 / t9).exp();
+                let l = c * tf.t9m3 * (-4.4027 / t9).exp();
                 let dln = -3.0 / t9 + 4.4027 / (t9 * t9);
                 (l, l * dln)
             }
             Rate::C12C12 => {
                 // CF88 leading term with the T₉a shift.
-                let t9a = t9 / (1.0 + 0.0396 * t9);
-                let dt9a = t9a / t9 - 0.0396 * t9a * t9a / t9; // d(t9a)/dt9
-                let ex = -84.165 / t9a.powf(1.0 / 3.0);
-                let l = 4.27e26 * t9a.powf(5.0 / 6.0) * t9.powf(-1.5) * ex.exp();
-                let dln = (5.0 / 6.0) * dt9a / t9a - 1.5 / t9
-                    + (84.165 / 3.0) * t9a.powf(-4.0 / 3.0) * dt9a;
+                let ex = -84.165 / tf.t9a13;
+                let l = 4.27e26 * tf.t9a56 * tf.t9m32 * ex.exp();
+                let dln = (5.0 / 6.0) * tf.dt9a / tf.t9a - 1.5 / t9
+                    + (84.165 / 3.0) * tf.t9am43 * tf.dt9a;
                 (l, l * dln)
             }
             Rate::C12O16 => {
-                let ex = -106.594 / t9.powf(1.0 / 3.0);
-                let l = 1.72e31 * t9.powf(-1.5) * ex.exp();
-                let dln = -1.5 / t9 + (106.594 / 3.0) * t9.powf(-4.0 / 3.0);
+                let ex = -106.594 / tf.t913;
+                let l = 1.72e31 * tf.t9m32 * ex.exp();
+                let dln = -1.5 / t9 + (106.594 / 3.0) * tf.t9m43;
                 (l, l * dln)
             }
             Rate::O16O16 => {
-                let ex = -135.93 / t9.powf(1.0 / 3.0);
-                let l = 7.10e36 * t9.powf(-1.5) * ex.exp();
-                let dln = -1.5 / t9 + (135.93 / 3.0) * t9.powf(-4.0 / 3.0);
+                let ex = -135.93 / tf.t913;
+                let l = 7.10e36 * tf.t9m32 * ex.exp();
+                let dln = -1.5 / t9 + (135.93 / 3.0) * tf.t9m43;
                 (l, l * dln)
             }
             Rate::AlphaCapture { c, tau } => {
-                let l = c * t9.powf(-2.0 / 3.0) * (-tau / t9.powf(1.0 / 3.0)).exp();
-                let dln = -2.0 / (3.0 * t9) + (tau / 3.0) * t9.powf(-4.0 / 3.0);
+                let l = c * tf.t9m23 * (-tau / tf.t913).exp();
+                let dln = -2.0 / (3.0 * t9) + (tau / 3.0) * tf.t9m43;
                 (l, l * dln)
             }
             Rate::Const(c) => (c, 0.0),
         }
     }
 
+    /// Evaluate `(λ, dλ/dT₉)` at temperature `t9` alone.
+    pub fn eval_t9(&self, t9: f64) -> (f64, f64) {
+        self.eval(&TFactors::new(t9, self.needs()))
+    }
+
     /// Logarithmic temperature sensitivity `d ln λ / d ln T` at `t9`.
     pub fn log_slope(&self, t9: f64) -> f64 {
-        let (l, dl) = self.eval(t9);
+        let (l, dl) = self.eval_t9(t9);
         dl / l * t9
     }
 }
 
-/// Graboske weak-screening enhancement factor for a reaction between
-/// charges `z1`, `z2` at density `rho` (g/cc), temperature `t` (K), with
-/// composition means `abar`, `zbar`. Capped to keep the weak-screening
-/// expression from being extrapolated far outside its validity.
+/// [`TFactors::screening`] for one reaction at density `rho` (g/cc),
+/// temperature `t` (K), with composition means `abar`, `zbar`.
 pub fn screening_factor(z1: f64, z2: f64, rho: f64, t: f64, abar: f64, zbar: f64) -> f64 {
-    // ζ ≈ Σ (Z² + Z) X/A ≈ (zbar² + zbar)/abar for a mean composition.
-    let zeta = (zbar * zbar + zbar) / abar;
-    let t9 = t / 1e9;
-    let h12 = 0.188 * z1 * z2 * (rho * zeta).sqrt() * (t9 * 1e3).powf(-1.5);
-    h12.min(2.0).exp()
+    TFactors::new(t / 1e9, TNeeds::default())
+        .with_screening(rho, t, abar, zbar)
+        .screening(z1, z2)
 }
 
 #[cfg(test)]
@@ -120,9 +256,9 @@ mod tests {
     #[test]
     fn rates_increase_steeply_with_t() {
         for r in [Rate::TripleAlpha, Rate::C12C12, Rate::C12O16, Rate::O16O16] {
-            let (l1, _) = r.eval(0.5);
-            let (l2, _) = r.eval(1.0);
-            let (l3, _) = r.eval(2.0);
+            let (l1, _) = r.eval_t9(0.5);
+            let (l2, _) = r.eval_t9(1.0);
+            let (l3, _) = r.eval_t9(2.0);
             assert!(l1 < l2 && l2 < l3, "{r:?} not increasing");
             assert!(l2 / l1 > 10.0, "{r:?} not steep");
         }
@@ -139,10 +275,10 @@ mod tests {
             Rate::AlphaCapture { c: 1e10, tau },
         ] {
             for &t9 in &[0.1, 0.3, 1.0, 3.0] {
-                let (_, d) = r.eval(t9);
+                let (_, d) = r.eval_t9(t9);
                 let h = t9 * 1e-6;
-                let (lp, _) = r.eval(t9 + h);
-                let (lm, _) = r.eval(t9 - h);
+                let (lp, _) = r.eval_t9(t9 + h);
+                let (lm, _) = r.eval_t9(t9 - h);
                 let fd = (lp - lm) / (2.0 * h);
                 assert!(
                     (d - fd).abs() <= 1e-4 * fd.abs().max(1e-300),
@@ -159,8 +295,8 @@ mod tests {
         let t_fe = gamow_tau_alpha(26.0, 52.0);
         assert!(t_c < t_si && t_si < t_fe);
         // So heavier captures are slower at fixed T.
-        let lc = Rate::AlphaCapture { c: 1.0, tau: t_c }.eval(1.0).0;
-        let lf = Rate::AlphaCapture { c: 1.0, tau: t_fe }.eval(1.0).0;
+        let lc = Rate::AlphaCapture { c: 1.0, tau: t_c }.eval_t9(1.0).0;
+        let lf = Rate::AlphaCapture { c: 1.0, tau: t_fe }.eval_t9(1.0).0;
         assert!(lc > lf * 1e3);
     }
 
@@ -176,7 +312,7 @@ mod tests {
 
     #[test]
     fn const_rate_is_flat() {
-        let (l, d) = Rate::Const(5.0).eval(1.3);
+        let (l, d) = Rate::Const(5.0).eval_t9(1.3);
         assert_eq!(l, 5.0);
         assert_eq!(d, 0.0);
     }

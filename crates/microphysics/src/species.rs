@@ -72,9 +72,20 @@ impl Composition {
     /// Compute (abar, zbar) from mass fractions `x` for `species`.
     pub fn from_mass_fractions(species: &[Species], x: &[f64]) -> Self {
         assert_eq!(species.len(), x.len());
+        Self::from_x(species, x.iter().copied())
+    }
+
+    /// Compute (abar, zbar) from molar fractions `y` (`X_i = A_i Y_i`, as
+    /// [`molar_to_mass`] forms them) without staging the mass fractions.
+    pub(crate) fn from_molar_fractions(species: &[Species], y: &[f64]) -> Self {
+        assert_eq!(species.len(), y.len());
+        Self::from_x(species, species.iter().zip(y).map(|(s, &yi)| yi * s.a))
+    }
+
+    fn from_x(species: &[Species], x: impl Iterator<Item = f64>) -> Self {
         let mut inv_abar = 0.0;
         let mut ze = 0.0;
-        for (s, &xi) in species.iter().zip(x) {
+        for (s, xi) in species.iter().zip(x) {
             inv_abar += xi / s.a;
             ze += s.z * xi / s.a;
         }

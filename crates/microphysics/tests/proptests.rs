@@ -2,6 +2,7 @@
 //! network conservation laws, linear-algebra correctness, and integrator
 //! convergence invariants.
 
+use exastro_microphysics::{gamow_tau_alpha, screening_factor, Rate, TFactors, TNeeds};
 use exastro_microphysics::{
     mass_to_molar, molar_to_mass, BdfIntegrator, BdfOptions, Composition, DenseLu, Eos, EosResult,
     GammaLaw, Network, OdeSystem, StellarEos, TripleAlpha,
@@ -508,5 +509,108 @@ proptest! {
                     net.name(), zb.zone),
             }
         }
+    }
+}
+
+/// The rate fits as they were written before the temperature factors were
+/// hoisted: every `powf` taken inside the arm that uses it. Kept only here,
+/// as the reference the hoisted [`Rate::eval`] must reproduce bit for bit.
+fn reference_rate(rate: Rate, t9: f64) -> (f64, f64) {
+    let t9 = t9.max(1e-4);
+    match rate {
+        Rate::TripleAlpha => {
+            let c = 2.79e-8;
+            let l = c * t9.powi(-3) * (-4.4027 / t9).exp();
+            let dln = -3.0 / t9 + 4.4027 / (t9 * t9);
+            (l, l * dln)
+        }
+        Rate::C12C12 => {
+            let t9a = t9 / (1.0 + 0.0396 * t9);
+            let dt9a = t9a / t9 - 0.0396 * t9a * t9a / t9;
+            let ex = -84.165 / t9a.powf(1.0 / 3.0);
+            let l = 4.27e26 * t9a.powf(5.0 / 6.0) * t9.powf(-1.5) * ex.exp();
+            let dln =
+                (5.0 / 6.0) * dt9a / t9a - 1.5 / t9 + (84.165 / 3.0) * t9a.powf(-4.0 / 3.0) * dt9a;
+            (l, l * dln)
+        }
+        Rate::C12O16 => {
+            let ex = -106.594 / t9.powf(1.0 / 3.0);
+            let l = 1.72e31 * t9.powf(-1.5) * ex.exp();
+            let dln = -1.5 / t9 + (106.594 / 3.0) * t9.powf(-4.0 / 3.0);
+            (l, l * dln)
+        }
+        Rate::O16O16 => {
+            let ex = -135.93 / t9.powf(1.0 / 3.0);
+            let l = 7.10e36 * t9.powf(-1.5) * ex.exp();
+            let dln = -1.5 / t9 + (135.93 / 3.0) * t9.powf(-4.0 / 3.0);
+            (l, l * dln)
+        }
+        Rate::AlphaCapture { c, tau } => {
+            let l = c * t9.powf(-2.0 / 3.0) * (-tau / t9.powf(1.0 / 3.0)).exp();
+            let dln = -2.0 / (3.0 * t9) + (tau / 3.0) * t9.powf(-4.0 / 3.0);
+            (l, l * dln)
+        }
+        Rate::Const(c) => (c, 0.0),
+    }
+}
+
+/// The weak-screening factor as one expression, likewise.
+fn reference_screening(z1: f64, z2: f64, rho: f64, t: f64, abar: f64, zbar: f64) -> f64 {
+    let zeta = (zbar * zbar + zbar) / abar;
+    let t9 = t / 1e9;
+    let h12 = 0.188 * z1 * z2 * (rho * zeta).sqrt() * (t9 * 1e3).powf(-1.5);
+    h12.min(2.0).exp()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn hoisted_rate_fits_reproduce_the_per_rate_formulas_bit_for_bit(
+        log_t9 in -2.0f64..1.0,
+        z in 3.0f64..14.0,
+        c in 1e6f64..1e11,
+    ) {
+        let t9 = 10f64.powf(log_t9);
+        let rates = [
+            Rate::TripleAlpha,
+            Rate::C12C12,
+            Rate::C12O16,
+            Rate::O16O16,
+            Rate::AlphaCapture { c, tau: gamow_tau_alpha(z.round() * 2.0, z.round() * 4.0) },
+            Rate::Const(c),
+        ];
+        // Each fit on the families it alone declares, and on the union a
+        // many-reaction network builds: an extra family must change nothing.
+        let all = TFactors::new(t9, TNeeds::of(rates));
+        for rate in rates {
+            let (l, dl) = reference_rate(rate, t9);
+            for tf in [TFactors::new(t9, TNeeds::of([rate])), all] {
+                let (hl, hdl) = rate.eval(&tf);
+                prop_assert!(hl.to_bits() == l.to_bits(), "{rate:?} at T9 = {t9}: λ {hl} vs {l}");
+                prop_assert!(hdl.to_bits() == dl.to_bits(), "{rate:?} at T9 = {t9}: dλ {hdl} vs {dl}");
+            }
+            let (wl, wdl) = rate.eval_t9(t9);
+            prop_assert_eq!((wl.to_bits(), wdl.to_bits()), (l.to_bits(), dl.to_bits()));
+        }
+    }
+
+    #[test]
+    fn hoisted_screening_reproduces_the_one_expression_factor_bit_for_bit(
+        log_t9 in -2.0f64..1.0,
+        log_rho in 0.0f64..9.5,
+        z1 in 1u32..15,
+        z2 in 1u32..15,
+        abar in 4.0f64..56.0,
+    ) {
+        let (rho, t) = (10f64.powf(log_rho), 10f64.powf(log_t9) * 1e9);
+        let (z1, z2) = (2.0 * z1 as f64, 2.0 * z2 as f64);
+        let zbar = 0.5 * abar;
+        let want = reference_screening(z1, z2, rho, t, abar, zbar);
+        // Shared terms built once, as a network evaluation does ...
+        let tf = TFactors::new(t / 1e9, TNeeds::default()).with_screening(rho, t, abar, zbar);
+        prop_assert_eq!(tf.screening(z1, z2).to_bits(), want.to_bits());
+        // ... and through the free function on top of them.
+        prop_assert_eq!(screening_factor(z1, z2, rho, t, abar, zbar).to_bits(), want.to_bits());
     }
 }
