@@ -14,6 +14,17 @@
 //! | `band f`     | caller kernel, reads f's ghosts        | `unpack f`, `interior f`         |
 //! | `update f`   | caller kernel, may write f's valid zones | `interior f`, `band f`, `pack f` |
 //!
+//! **The footprint is part of the contract.** The caller states how deep
+//! its stencil reaches, per dimension, as `ghosts: IntVect`, and the loop
+//! fills exactly `valid.grow_vec(ghosts)` of each fab — neighbour copies,
+//! periodic images and the physical BC all clipped to that box. A kernel
+//! may read only `valid.grow_vec(ghosts)`: a ghost zone outside it holds
+//! whatever an earlier fill left there. A dimensionally split sweep along
+//! `d` passes `2·e_d` and exchanges two face slabs a box; a stencil that
+//! reads corners passes `splat(ngrow)`, which is the full
+//! [`MultiFab::fill_boundary`]. The graph has the same five tasks a fab
+//! whatever the footprint; only the `unpack ← pack` edges thin out.
+//!
 //! `update f` waits on `pack f` because the pack reads f's valid zones: the
 //! send buffers must capture pre-update data, as an MPI isend would. Only
 //! `update` may write valid zones of the exchanged multifab; `interior` and
@@ -25,13 +36,13 @@
 //! implementation: [`TaskGraph::run_serial`] (smallest id first) runs all
 //! packs, then all unpacks with their boundary conditions, then all
 //! interiors, bands and updates. The tests use it, and one-shot
-//! [`MultiFab::fill_boundary`] + [`MultiFab::fill_physical_bc`], as
-//! references.
+//! [`MultiFab::fill_boundary_within`] +
+//! [`MultiFab::fill_physical_bc_within`], as references.
 
 use crate::fab::Array4Mut;
 use crate::geometry::Geometry;
 use crate::multifab::{apply_physical_bc, BcSpec, CommTrace, MultiFab, PendingComm};
-use exastro_parallel::{TaskClass, TaskGraph, TaskLabel, WorkerPool};
+use exastro_parallel::{IntVect, TaskClass, TaskGraph, TaskLabel, WorkerPool};
 use std::sync::Mutex;
 
 /// Span name and overlap class of each stage, in task-id block order: task
@@ -73,11 +84,14 @@ pub struct HaloLoop {
 }
 
 impl HaloLoop {
-    /// Plan the ghost exchange of `mf` (neighbour copies and periodic
-    /// images; no data moves) and build the five-stage graph over it.
-    pub fn plan(mf: &MultiFab, geom: &Geometry) -> Self {
+    /// Plan the ghost exchange of `mf` over the footprint `ghosts` —
+    /// `ghosts[d]` layers on both sides of dimension `d`, at most
+    /// `mf.ngrow()` (panics otherwise) — and build the five-stage graph
+    /// over it. Neighbour copies and periodic images are planned; no data
+    /// moves.
+    pub fn plan(mf: &MultiFab, geom: &Geometry, ghosts: IntVect) -> Self {
         let n = mf.nfabs();
-        let pending = mf.plan_fill_boundary(geom);
+        let pending = mf.plan_fill_boundary(geom, ghosts);
         let mut packs_of: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut senders_of: Vec<Vec<usize>> = vec![Vec::new(); n];
         for o in 0..pending.nops() {
@@ -112,13 +126,14 @@ impl HaloLoop {
         }
     }
 
-    /// Run the loop on the worker pool: exchange `mf`'s ghost zones (the
-    /// planned copies, then the physical boundary `bc`) while calling
-    /// `interior`, `band` and `update` once per fab, each with the fab
-    /// index and that fab's view of `mf`. `mf` is the planned multifab or
-    /// one on the same layout. `label` names the graph in the telemetry
-    /// crate's graph trace; tasks are named `<stage>.f<fab>`. Returns the
-    /// exchange's trace, equal to [`MultiFab::fill_boundary`]'s.
+    /// Run the loop on the worker pool: exchange the planned footprint of
+    /// `mf`'s ghost zones (the planned copies, then the physical boundary
+    /// `bc`) while calling `interior`, `band` and `update` once per fab,
+    /// each with the fab index and that fab's view of `mf`. `mf` is the
+    /// planned multifab or one on the same layout. `label` names the graph
+    /// in the telemetry crate's graph trace; tasks are named
+    /// `<stage>.f<fab>`. Returns the exchange's trace, equal to
+    /// [`MultiFab::fill_boundary_within`]'s for the same footprint.
     pub fn run<I, B, U>(
         self,
         mf: &mut MultiFab,
@@ -184,7 +199,7 @@ impl HaloLoop {
                 }
                 1 => {
                     pending.unpack_fab(f, |iv, c, row| view.write_row(iv, c, row));
-                    apply_physical_bc(view, &geom, bc);
+                    apply_physical_bc(view, &geom, bc, pending.footprint(f));
                 }
                 2 => interior(f, view),
                 3 => band(f, view),
@@ -207,15 +222,18 @@ mod tests {
 
     const NCOMP: usize = 2;
 
-    /// A 27-point weighted sum: reads every ghost of a 1-ghost fab, corners
-    /// included.
-    fn stencil(at: impl Fn(IntVect) -> Real, iv: IntVect) -> Real {
-        IndexBox::new(IntVect::splat(-1), IntVect::splat(1))
+    /// A weighted sum over `iv ± reach`, corners included: reads every zone
+    /// of the footprint `reach` and none outside it (27 points for
+    /// `splat(1)`).
+    fn stencil(at: impl Fn(IntVect) -> Real, iv: IntVect, reach: IntVect) -> Real {
+        let offsets = IndexBox::new(-reach, reach);
+        let n = offsets.num_zones();
+        offsets
             .iter()
             .enumerate()
             .map(|(w, d)| (w + 1) as Real * at(iv + d))
             .sum::<Real>()
-            / 378.0
+            / (n * (n + 1) / 2) as Real
     }
 
     /// A toy step over the loop: `interior` and `band` stage the
@@ -226,6 +244,7 @@ mod tests {
         mf: &mut MultiFab,
         geom: &Geometry,
         bc: &BcSpec,
+        ghosts: IntVect,
         run: impl FnOnce(&TaskGraph, &(dyn Fn(usize) + Sync)),
     ) -> CommTrace {
         let vbs: Vec<IndexBox> = (0..mf.nfabs()).map(|i| mf.valid_box(i)).collect();
@@ -234,17 +253,17 @@ mod tests {
         let stage = |f: usize, view: &Array4Mut<'_>, region: IndexBox| {
             for iv in region.iter() {
                 for c in 0..NCOMP {
-                    let v = stencil(|z| view.at(z.x(), z.y(), z.z(), c), iv);
+                    let v = stencil(|z| view.at(z.x(), z.y(), z.z(), c), iv, ghosts);
                     nvs[f].set(iv.x(), iv.y(), iv.z(), c, v);
                 }
             }
         };
-        HaloLoop::plan(mf, geom).run_with(
+        HaloLoop::plan(mf, geom, ghosts).run_with(
             mf,
             bc,
-            |f, view| stage(f, view, vbs[f].grow(-1)),
+            |f, view| stage(f, view, vbs[f].grow_vec(-ghosts)),
             |f, view| {
-                for shell in vbs[f].difference(&vbs[f].grow(-1)) {
+                for shell in vbs[f].difference(&vbs[f].grow_vec(-ghosts)) {
                     stage(f, view, shell);
                 }
             },
@@ -265,15 +284,21 @@ mod tests {
         )
     }
 
-    /// The same step with no graph: one-shot fill, whole-box pass.
-    fn reference_step(mf: &mut MultiFab, geom: &Geometry, bc: &BcSpec) -> CommTrace {
-        let trace = mf.fill_boundary(geom);
-        mf.fill_physical_bc(geom, bc);
+    /// The same step with no graph: one-shot fill of the same footprint,
+    /// whole-box pass.
+    fn reference_step(
+        mf: &mut MultiFab,
+        geom: &Geometry,
+        bc: &BcSpec,
+        ghosts: IntVect,
+    ) -> CommTrace {
+        let trace = mf.fill_boundary_within(geom, ghosts);
+        mf.fill_physical_bc_within(geom, bc, ghosts);
         let old = mf.clone();
         for f in 0..mf.nfabs() {
             for iv in old.valid_box(f).iter() {
                 for c in 0..NCOMP {
-                    let v = stencil(|z| old.fab(f).get(z, c), iv);
+                    let v = stencil(|z| old.fab(f).get(z, c), iv, ghosts);
                     mf.fab_mut(f).set(iv, c, v);
                 }
             }
@@ -281,7 +306,17 @@ mod tests {
         trace
     }
 
-    fn fixture(domain: IndexBox, max_size: i32, periodic: bool) -> (Geometry, MultiFab, BcSpec) {
+    /// The footprints every schedule is checked on, with the ghost depth
+    /// the fabs are allocated with: the full fill of a 1-ghost fab, and a
+    /// non-uniform one (2 deep in x, none in y, 1 in z) of a 2-ghost fab.
+    const FOOTPRINTS: [(i32, IntVect); 2] = [(1, IntVect::splat(1)), (2, IntVect::new(2, 0, 1))];
+
+    fn fixture(
+        domain: IndexBox,
+        max_size: i32,
+        periodic: bool,
+        ngrow: i32,
+    ) -> (Geometry, MultiFab, BcSpec) {
         let geom = Geometry::new(
             domain,
             [0.0; 3],
@@ -291,9 +326,10 @@ mod tests {
         );
         let ba = BoxArray::decompose(domain, max_size, 1);
         let dm = DistributionMapping::new(&ba, 3, DistStrategy::RoundRobin);
-        let mut mf = MultiFab::new(ba, dm, NCOMP, 1);
+        let mut mf = MultiFab::new(ba, dm, NCOMP, ngrow);
         // Ghosts start as garbage the exchange must overwrite; a ghost no
-        // op and no BC reaches keeps it on both sides of the comparison.
+        // op and no BC reaches — every ghost outside the footprint — keeps
+        // it on both sides of the comparison.
         mf.set_val_all(-7.0);
         for f in 0..mf.nfabs() {
             for iv in mf.valid_box(f).iter() {
@@ -334,40 +370,56 @@ mod tests {
         start: &MultiFab,
         geom: &Geometry,
         bc: &BcSpec,
+        ghosts: IntVect,
         what: &str,
         run: impl Fn(&TaskGraph, &(dyn Fn(usize) + Sync)),
     ) {
         let (mut staged, mut reference) = (start.clone(), start.clone());
         for _ in 0..2 {
-            let t = toy_step(&mut staged, geom, bc, &run);
-            assert_eq!(t, reference_step(&mut reference, geom, bc), "{what}");
+            let t = toy_step(&mut staged, geom, bc, ghosts, &run);
+            let rt = reference_step(&mut reference, geom, bc, ghosts);
+            assert_eq!(t, rt, "{what}");
         }
         assert_same_bits(&staged, &reference, what);
     }
 
+    /// Serial, 16 seeded orders and the pool, on each of [`FOOTPRINTS`].
+    /// Returns the full-footprint fixture.
     fn check_every_schedule(domain: IndexBox, max_size: i32, periodic: bool) -> MultiFab {
-        let (geom, mf, bc) = fixture(domain, max_size, periodic);
-        let what = format!("{domain:?} max {max_size} periodic {periodic}");
-        check_schedule(
-            &mf,
-            &geom,
-            &bc,
-            &format!("{what}, run_serial"),
-            |g, task| g.run_serial(task).unwrap(),
-        );
-        for seed in 0..16 {
+        let [full, _] = FOOTPRINTS.map(|(ngrow, ghosts)| {
+            let (geom, mf, bc) = fixture(domain, max_size, periodic, ngrow);
+            let what = format!("{domain:?} max {max_size} periodic {periodic} ghosts {ghosts:?}");
             check_schedule(
                 &mf,
                 &geom,
                 &bc,
-                &format!("{what}, seed {seed}"),
-                |g, task| g.run_seeded(seed, task).unwrap(),
+                ghosts,
+                &format!("{what}, run_serial"),
+                |g, task| g.run_serial(task).unwrap(),
             );
-        }
-        check_schedule(&mf, &geom, &bc, &format!("{what}, pool"), |g, task| {
-            g.run(WorkerPool::global(), g.len(), task).unwrap();
+            for seed in 0..16 {
+                check_schedule(
+                    &mf,
+                    &geom,
+                    &bc,
+                    ghosts,
+                    &format!("{what}, seed {seed}"),
+                    |g, task| g.run_seeded(seed, task).unwrap(),
+                );
+            }
+            check_schedule(
+                &mf,
+                &geom,
+                &bc,
+                ghosts,
+                &format!("{what}, pool"),
+                |g, task| {
+                    g.run(WorkerPool::global(), g.len(), task).unwrap();
+                },
+            );
+            mf
         });
-        mf
+        full
     }
 
     #[test]
@@ -389,9 +441,9 @@ mod tests {
         assert_eq!(wrapped.nfabs(), 1);
         // Outflow: zero ops, empty sender lists; only the physical BC
         // fills ghosts.
-        let (geom, mut alone, bc) = fixture(IndexBox::cube(4), 4, false);
+        let (geom, mut alone, bc) = fixture(IndexBox::cube(4), 4, false, 1);
         check_every_schedule(IndexBox::cube(4), 4, false);
-        let trace = toy_step(&mut alone, &geom, &bc, |g, task| {
+        let trace = toy_step(&mut alone, &geom, &bc, IntVect::splat(1), |g, task| {
             assert_eq!((g.len(), g.num_edges()), (5, 5));
             g.run_serial(task).unwrap()
         });
@@ -400,12 +452,12 @@ mod tests {
 
     #[test]
     fn run_schedules_the_same_graph_on_the_pool() {
-        let (geom, start, bc) = fixture(IndexBox::cube(6), 3, true);
+        let (geom, start, bc) = fixture(IndexBox::cube(6), 3, true, 1);
         let (mut looped, mut reference) = (start.clone(), start);
         let vbs: Vec<IndexBox> = (0..looped.nfabs()).map(|i| looped.valid_box(i)).collect();
         // `update` doubles the valid zones: the ghosts must still carry
         // the neighbours' pre-update values.
-        let trace = HaloLoop::plan(&looped, &geom).run(
+        let trace = HaloLoop::plan(&looped, &geom, IntVect::splat(1)).run(
             &mut looped,
             &bc,
             "test.halo",
@@ -435,5 +487,29 @@ mod tests {
             }
         }
         assert_same_bits(&looped, &reference, "HaloLoop::run");
+    }
+
+    #[test]
+    fn an_empty_footprint_plans_no_exchange() {
+        for periodic in [true, false] {
+            let (geom, start, bc) = fixture(IndexBox::cube(6), 3, periodic, 2);
+            let mut mf = start.clone();
+            let n = mf.nfabs();
+            let halo = HaloLoop::plan(&mf, &geom, IntVect::zero());
+            assert_eq!(halo.pending.nops(), 0);
+            // Five tasks a fab; `band` and `update` keep their 2 + 3 edges,
+            // no `unpack` waits on a `pack`.
+            assert_eq!((halo.graph.len(), halo.graph.num_edges()), (5 * n, 5 * n));
+            let trace = halo.run(&mut mf, &bc, "test.empty", |_, _| {}, |_, _| {}, |_, _| {});
+            assert_eq!(trace, CommTrace::default());
+            assert_same_bits(&mf, &start, "no ghost is written");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "footprint (0,3,0) outside 0..=2 ghost zones")]
+    fn a_footprint_deeper_than_the_allocation_panics_in_every_build() {
+        let (geom, mf, _) = fixture(IndexBox::cube(6), 3, true, 2);
+        let _ = HaloLoop::plan(&mf, &geom, IntVect::new(0, 3, 0));
     }
 }

@@ -91,8 +91,10 @@ struct GhostOp {
 ///
 /// Produced by [`MultiFab::post_fill_boundary`], planned **and** packed — the
 /// MPI-isend analogue. Carries the partial [`CommTrace`], priced at planning
-/// time: the exchange pattern depends only on the box layout, so the trace
-/// is complete before any data moves.
+/// time: the exchange pattern depends only on the box layout and the
+/// footprint (the per-dimension ghost depth it fills, see
+/// [`MultiFab::fill_boundary_within`]), so the trace is complete before any
+/// data moves.
 ///
 /// [`PendingComm::wait`] unpacks every ghost region into the target multifab
 /// and returns the trace; `post` + `wait` is exactly the one-shot
@@ -114,9 +116,18 @@ pub struct PendingComm {
     ba: BoxArray,
     ncomp: usize,
     ngrow: i32,
+    /// Ghost depth per dimension this exchange fills.
+    ghosts: IntVect,
 }
 
 impl PendingComm {
+    /// The box of fab `f` this exchange fills: its valid box grown by the
+    /// planned ghost depths. The physical BC of the same fill is clipped to
+    /// it too.
+    pub(crate) fn footprint(&self, f: usize) -> IndexBox {
+        self.ba.get(f).grow_vec(self.ghosts)
+    }
+
     /// Number of planned copy ops.
     pub(crate) fn nops(&self) -> usize {
         self.ops.len()
@@ -459,30 +470,46 @@ impl MultiFab {
     /// fabs, honouring periodic boundaries. Returns the communication trace.
     ///
     /// This is the nearest-neighbour exchange that dominates Castro's MPI
-    /// time at scale (Figure 2); the trace feeds the machine model. The call
-    /// is a thin wrapper over the two-phase surface:
-    /// [`MultiFab::post_fill_boundary`] followed by [`PendingComm::wait`].
-    /// Callers that run kernels while the exchange is in flight use
+    /// time at scale (Figure 2); the trace feeds the machine model. It is
+    /// [`MultiFab::fill_boundary_within`] at the full depth, every ghost
+    /// zone of every fab; [`MultiFab::post_fill_boundary`] followed by
+    /// [`PendingComm::wait`] is the same fill in two phases. Callers that
+    /// run kernels while the exchange is in flight use
     /// [`HaloLoop`](crate::halo_loop::HaloLoop).
     #[must_use = "the CommTrace prices this exchange in the machine model; merge it into the step trace"]
     pub fn fill_boundary(&mut self, geom: &Geometry) -> CommTrace {
-        self.post_fill_boundary(geom).wait(self)
+        self.fill_boundary_within(geom, IntVect::splat(self.ngrow))
     }
 
-    /// Plan the ghost exchange without moving any data: compute the copy
-    /// ops, allocate (empty) pack buffers, and price the traffic. The
-    /// returned [`PendingComm`] carries the partial [`CommTrace`].
+    /// Fill only a stencil's **footprint**: of every fab, the ghost zones
+    /// inside `valid.grow_vec(ghosts)` — `ghosts[d]` layers on both sides
+    /// of dimension `d`, `0 ≤ ghosts[d] ≤ ngrow` (panics otherwise) — from
+    /// neighbouring fabs and periodic images. Ghost zones outside the
+    /// footprint keep their contents, and the trace prices only what moved:
+    /// a dimensionally split sweep that passes `2·e_dim` exchanges two face
+    /// slabs a box instead of 26 neighbours' worth (AMReX's
+    /// `FillBoundary(nghost)`).
+    #[must_use = "the CommTrace prices this exchange in the machine model; merge it into the step trace"]
+    pub fn fill_boundary_within(&mut self, geom: &Geometry, ghosts: IntVect) -> CommTrace {
+        self.post(geom, ghosts).wait(self)
+    }
+
+    /// Plan the ghost exchange of the footprint `ghosts` (see
+    /// [`MultiFab::fill_boundary_within`]) without moving any data: compute
+    /// the copy ops, allocate (empty) pack buffers, and price the traffic.
+    /// The returned [`PendingComm`] carries the partial [`CommTrace`].
     /// [`HaloLoop`](crate::halo_loop::HaloLoop) stages the packs and
     /// unpacks of the plan as graph tasks.
     #[must_use = "the plan holds the exchange state; wait() or finish() it"]
-    pub(crate) fn plan_fill_boundary(&self, geom: &Geometry) -> PendingComm {
+    pub(crate) fn plan_fill_boundary(&self, geom: &Geometry, ghosts: IntVect) -> PendingComm {
         let _prof = Profiler::region("fill_boundary");
+        self.check_footprint(ghosts);
         let mut ops = Vec::new();
-        if self.ngrow > 0 {
+        if ghosts != IntVect::zero() {
             let shifts = geom.periodic_shifts();
             for dst in 0..self.fabs.len() {
-                let gbox = self.grown_box(dst);
                 let vbox = self.ba.get(dst);
+                let gbox = vbox.grow_vec(ghosts);
                 for src in 0..self.fabs.len() {
                     let svb = self.ba.get(src);
                     for &shift in &shifts {
@@ -543,7 +570,18 @@ impl MultiFab {
             ba: self.ba.clone(),
             ncomp,
             ngrow: self.ngrow,
+            ghosts,
         }
+    }
+
+    /// Panics, in every build, unless `0 ≤ ghosts[d] ≤ ngrow`: a deeper
+    /// footprint would index past the fabs' allocation.
+    fn check_footprint(&self, ghosts: IntVect) {
+        assert!(
+            (0..SPACEDIM).all(|d| (0..=self.ngrow).contains(&ghosts[d])),
+            "footprint {ghosts:?} outside 0..={} ghost zones",
+            self.ngrow
+        );
     }
 
     /// Phase one of the ghost exchange: plan the copies and pack every
@@ -553,7 +591,12 @@ impl MultiFab {
     /// unpacks the ghosts.
     #[must_use = "dropping a posted exchange loses the ghost fill; call wait()"]
     pub fn post_fill_boundary(&self, geom: &Geometry) -> PendingComm {
-        let pending = self.plan_fill_boundary(geom);
+        self.post(geom, IntVect::splat(self.ngrow))
+    }
+
+    /// Plan the footprint `ghosts` and pack every send buffer.
+    fn post(&self, geom: &Geometry, ghosts: IntVect) -> PendingComm {
+        let pending = self.plan_fill_boundary(geom, ghosts);
         let fabs = &self.fabs;
         let pref = &pending;
         par_index_each(pending.ops.len(), pending.ops.len(), |o| {
@@ -565,11 +608,20 @@ impl MultiFab {
     /// Fill ghost zones that lie outside the problem domain on non-periodic
     /// faces, according to `bc`. Call after [`MultiFab::fill_boundary`].
     pub fn fill_physical_bc(&mut self, geom: &Geometry, bc: &BcSpec) {
-        if self.ngrow == 0 {
+        self.fill_physical_bc_within(geom, bc, IntVect::splat(self.ngrow));
+    }
+
+    /// [`MultiFab::fill_physical_bc`] clipped to the footprint `ghosts`:
+    /// writes, and reads, only zones of `valid.grow_vec(ghosts)`. Call after
+    /// [`MultiFab::fill_boundary_within`] with the same footprint.
+    pub fn fill_physical_bc_within(&mut self, geom: &Geometry, bc: &BcSpec, ghosts: IntVect) {
+        self.check_footprint(ghosts);
+        if ghosts == IntVect::zero() {
             return;
         }
-        par_each_mut(&mut self.fabs, |_i, fab| {
-            apply_physical_bc(&fab.array_mut(), geom, bc)
+        let ba = &self.ba;
+        par_each_mut(&mut self.fabs, |i, fab| {
+            apply_physical_bc(&fab.array_mut(), geom, bc, ba.get(i).grow_vec(ghosts))
         });
     }
 
@@ -689,11 +741,16 @@ impl MultiFab {
 /// loop's unpack tasks fold into their own node (disjoint slots: each fab's
 /// BC only touches that fab's ghost zones).
 ///
+/// Only `gbox` — the fill's footprint, the fab's valid box grown by the
+/// ghost depths being filled — is touched: ghost regions are clipped to it
+/// and so is every source index, since a ghost of the allocation beyond the
+/// footprint was filled by nobody.
+///
 /// Within one fab the writes are ordered (corner ghosts read zones filled by
 /// an earlier dimension's pass), so a task must call this serially, after
 /// the fab's ghost ops are unpacked.
-pub(crate) fn apply_physical_bc(arr: &Array4Mut<'_>, geom: &Geometry, bc: &BcSpec) {
-    let gbox = arr.index_box();
+pub(crate) fn apply_physical_bc(arr: &Array4Mut<'_>, geom: &Geometry, bc: &BcSpec, gbox: IndexBox) {
+    debug_assert!(arr.index_box().contains_box(&gbox));
     let ncomp = arr.ncomp();
     let domain = geom.domain();
     for d in 0..SPACEDIM {
@@ -723,10 +780,11 @@ pub(crate) fn apply_physical_bc(arr: &Array4Mut<'_>, geom: &Geometry, bc: &BcSpe
             }
             // Where each ghost layer along `d` reads from: the nearest
             // interior zone (outflow) or its mirror image (reflect). A
-            // mirrored zone of a thin box can fall beyond the fab's far
-            // side; clamp to the grown box (that zone was filled by the
-            // exchange or by an earlier pass). A layer that maps to itself
-            // keeps its values.
+            // mirrored zone of a thin box can fall beyond the box's far
+            // side, into a ghost the exchange or an earlier pass filled;
+            // the clamp keeps it inside `gbox` whatever box the caller
+            // passes — never in the allocation's unfilled remainder. A
+            // layer that maps to itself keeps its values.
             let (glo, ghi) = (region.lo()[d], region.hi()[d]);
             let source_of: Vec<i32> = (glo..=ghi)
                 .map(|x| {
@@ -918,6 +976,76 @@ mod tests {
     }
 
     #[test]
+    fn reflect_bc_of_thin_boxes_stays_inside_the_footprint() {
+        // Boxes 2, 2 and 1 zones wide in x, allocated with 3 ghosts, filled
+        // 2 deep in x and 1 in y: a mirrored source zone lies beyond a thin
+        // box's far side, in a ghost the exchange filled. Every footprint
+        // zone must hold the (signed) mirror image and no zone outside the
+        // footprint may be written — or read: the sentinel there would
+        // show up inside.
+        const SENTINEL: Real = -7e77;
+        let ghosts = IntVect::new(2, 1, 0);
+        let geom = Geometry::new(
+            IndexBox::sized(IntVect::new(5, 4, 3)),
+            [0.0; 3],
+            [1.0; 3],
+            [false; 3],
+            CoordSys::Cartesian,
+        );
+        let domain = geom.domain();
+        let value = |iv: IntVect| (1 + iv.x() + 10 * iv.y() + 100 * iv.z()) as Real;
+        let mut mf = MultiFab::local(BoxArray::decompose(domain, 2, 1), 2, 3);
+        let widths: Vec<i32> = (0..mf.nfabs()).map(|i| mf.valid_box(i).length(0)).collect();
+        assert!(widths.contains(&1) && widths.contains(&2));
+        mf.set_val_all(SENTINEL);
+        for i in 0..mf.nfabs() {
+            for iv in mf.valid_box(i).iter() {
+                mf.fab_mut(i).set(iv, 0, value(iv));
+                mf.fab_mut(i).set(iv, 1, value(iv));
+            }
+        }
+        let bc = BcSpec {
+            kind: [[BcKind::Reflect; 2]; SPACEDIM],
+            reflect_odd: vec![(1, 0)], // component 1 is the x-momentum
+        };
+        let _ = mf.fill_boundary_within(&geom, ghosts);
+        mf.fill_physical_bc_within(&geom, &bc, ghosts);
+        for i in 0..mf.nfabs() {
+            let footprint = mf.valid_box(i).grow_vec(ghosts);
+            for iv in mf.grown_box(i).iter() {
+                let (mut mirror, mut flips_x) = (iv, false);
+                for d in 0..SPACEDIM {
+                    if iv[d] < domain.lo()[d] {
+                        mirror[d] = 2 * domain.lo()[d] - 1 - iv[d];
+                    } else if iv[d] > domain.hi()[d] {
+                        mirror[d] = 2 * domain.hi()[d] + 1 - iv[d];
+                    }
+                    flips_x |= d == 0 && mirror[d] != iv[d];
+                }
+                let expect = if footprint.contains(iv) {
+                    [
+                        value(mirror),
+                        if flips_x {
+                            -value(mirror)
+                        } else {
+                            value(mirror)
+                        },
+                    ]
+                } else {
+                    [SENTINEL; 2]
+                };
+                for c in 0..2 {
+                    assert_eq!(
+                        mf.fab(i).get(iv, c),
+                        expect[c],
+                        "fab {i} zone {iv:?} comp {c}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn two_phase_post_wait_matches_one_shot() {
         let geom = periodic_geom(16);
         let ba = BoxArray::decompose(geom.domain(), 8, 8);
@@ -962,7 +1090,7 @@ mod tests {
         let mut staged = sync.clone();
         let t1 = sync.fill_boundary(&geom);
         // Stage every op by hand, the way graph tasks do, then finish.
-        let pending = staged.plan_fill_boundary(&geom);
+        let pending = staged.plan_fill_boundary(&geom, IntVect::splat(2));
         assert!(pending.nops() > 0);
         for o in 0..pending.nops() {
             let (src, _dst) = pending.op_endpoints(o);
@@ -987,7 +1115,7 @@ mod tests {
         let geom = periodic_geom(16);
         let ba = BoxArray::decompose(geom.domain(), 8, 8);
         let mf = MultiFab::local(ba, 1, 1);
-        let pending = mf.plan_fill_boundary(&geom);
+        let pending = mf.plan_fill_boundary(&geom, IntVect::splat(1));
         assert!(pending.nops() > 0);
         pending.unpack_fab(0, |_, _, _| {});
     }
@@ -1110,7 +1238,7 @@ mod tests {
         /// `fill_boundary` as it was: every op packed element by element
         /// from the current valid data, then unpacked in planning order.
         fn per_element_fill_boundary(mf: &mut MultiFab, geom: &Geometry) {
-            let plan = mf.plan_fill_boundary(geom);
+            let plan = mf.plan_fill_boundary(geom, IntVect::splat(mf.ngrow));
             let bufs: Vec<Vec<Real>> = plan
                 .ops
                 .iter()
@@ -1269,7 +1397,7 @@ mod tests {
 
                 // The halo loop packs and unpacks through kernel views.
                 let mut looped = start.clone();
-                let _ = HaloLoop::plan(&looped, &geom)
+                let _ = HaloLoop::plan(&looped, &geom, IntVect::splat(ngrow))
                     .run(&mut looped, &bc, "test.rows", |_, _| {}, |_, _| {}, |_, _| {});
                 assert_same_bits(&looped, &expect, "HaloLoop::run")?;
             }

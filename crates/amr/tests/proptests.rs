@@ -314,3 +314,102 @@ mod two_phase_props {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// The stencil footprint: a fill of `valid.grow_vec(ghosts)` against the full
+// fill, through the one-shot path and through the halo loop.
+// ---------------------------------------------------------------------------
+
+mod footprint_props {
+    use exastro_amr::{
+        BcKind, BcSpec, BoxArray, CoordSys, DistStrategy, DistributionMapping, Geometry, HaloLoop,
+        IndexBox, IntVect, MultiFab, SPACEDIM,
+    };
+    use proptest::prelude::*;
+
+    /// What every ghost zone holds before a fill.
+    const SENTINEL: f64 = -7e77;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn a_footprint_fill_is_the_full_fill_inside_and_nothing_outside(
+            size in (3i32..8, 3i32..8, 3i32..8),
+            // Boxes 1 to 3 zones wide.
+            max_grid in 1i32..4,
+            ngrow in 1i32..4,
+            // Ghost depth per dimension, folded into 0..=ngrow below.
+            depth in (0i32..4, 0i32..4, 0i32..4),
+            // Per dimension: 0 periodic, 1 outflow, 2 reflect.
+            sides in (0u8..3, 0u8..3, 0u8..3),
+            nranks in 1usize..4,
+        ) {
+            let sides = [sides.0, sides.1, sides.2];
+            let ghosts = IntVect::new(depth.0.min(ngrow), depth.1.min(ngrow), depth.2.min(ngrow));
+            let domain = IndexBox::sized(IntVect::new(size.0, size.1, size.2))
+                .shift(IntVect::new(-2, 0, 3));
+            let geom = Geometry::new(
+                domain,
+                [0.0; 3],
+                [1.0; 3],
+                [sides[0] == 0, sides[1] == 0, sides[2] == 0],
+                CoordSys::Cartesian,
+            );
+            let mut bc = BcSpec::periodic();
+            for d in 0..SPACEDIM {
+                bc.kind[d] = [[BcKind::Periodic, BcKind::Outflow, BcKind::Reflect][sides[d] as usize]; 2];
+                bc.reflect_odd.push((d, d));
+            }
+            let ba = BoxArray::decompose(domain, max_grid, 1);
+            let dm = DistributionMapping::new(&ba, nranks, DistStrategy::RoundRobin);
+            let mut start = MultiFab::new(ba, dm, SPACEDIM, ngrow);
+            start.set_val_all(SENTINEL);
+            for i in 0..start.nfabs() {
+                for iv in start.valid_box(i).iter() {
+                    for c in 0..SPACEDIM {
+                        let v = (1 + c) as f64 + ((iv.x() * 31 + iv.y() * 17 + iv.z() * 7) as f64).sin();
+                        start.fab_mut(i).set(iv, c, v);
+                    }
+                }
+            }
+
+            let mut full = start.clone();
+            let _ = full.fill_boundary(&geom);
+            full.fill_physical_bc(&geom, &bc);
+
+            let mut one_shot = start.clone();
+            let one_shot_trace = one_shot.fill_boundary_within(&geom, ghosts);
+            one_shot.fill_physical_bc_within(&geom, &bc, ghosts);
+
+            let mut looped = start.clone();
+            let looped_trace = HaloLoop::plan(&looped, &geom, ghosts)
+                .run(&mut looped, &bc, "test.footprint", |_, _| {}, |_, _| {}, |_, _| {});
+            prop_assert_eq!(&looped_trace, &one_shot_trace);
+            if ghosts == IntVect::splat(ngrow) {
+                prop_assert_eq!(&looped_trace, &start.clone().fill_boundary(&geom));
+            }
+
+            for i in 0..start.nfabs() {
+                let footprint = start.valid_box(i).grow_vec(ghosts);
+                for iv in start.grown_box(i).iter() {
+                    for c in 0..SPACEDIM {
+                        let expect = if footprint.contains(iv) {
+                            full.fab(i).get(iv, c)
+                        } else {
+                            SENTINEL
+                        };
+                        for (path, got) in [("one-shot", &one_shot), ("halo loop", &looped)] {
+                            let got = got.fab(i).get(iv, c);
+                            prop_assert!(
+                                got.to_bits() == expect.to_bits(),
+                                "{}: ghosts {:?} of {} fab {} zone {:?} comp {}: {} vs {}",
+                                path, ghosts, ngrow, i, iv, c, got, expect
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

@@ -7,9 +7,14 @@
 //! and bounds the drift:
 //!
 //! * with ≥ 2 workers the machinery can actually overlap, so the
-//!   measurement must land within a generous band of the model
-//!   (|drift| ≤ 0.6 — the model prices an idealized NIC, the
-//!   measurement sees a real scheduler on a possibly-loaded host);
+//!   measurement must land within a band of the model (|drift| ≤ 0.4 —
+//!   the model prices an idealized NIC, the measurement sees a real
+//!   scheduler on a possibly-loaded host). The band is the worst drift
+//!   seen when it was last set plus 0.1: with each sweep exchanging only
+//!   its own two face slabs a box, fifteen runs (five of the bench, five
+//!   of this test in debug, five in release) read −0.13…−0.30; it was
+//!   ±0.6 while every sweep filled all 26 neighbours' ghosts and the
+//!   measurement read 0.4–0.65;
 //! * on a serial pool nothing can overlap, so the measurement must not
 //!   *exceed* the prediction (measured ≈ 0 ≤ predicted).
 //!
@@ -37,7 +42,7 @@ fn measured_overlap_reconciles_with_the_machine_model() {
 
     // Three steps, nine sweep graphs: with the kernels cheap, one step's
     // schedule is a few milliseconds of two workers racing, and its overlap
-    // reads anywhere in 0.4–0.65 from run to run.
+    // alone reads too unsteadily to bound.
     Telemetry::enable_graph_trace();
     graphtrace::clear();
     for _ in 0..3 {
@@ -89,7 +94,7 @@ fn measured_overlap_reconciles_with_the_machine_model() {
 
     if workers >= 2 {
         assert!(
-            drift.abs() <= 0.6,
+            drift.abs() <= 0.4,
             "measured overlap {measured:.3} drifted {drift:+.3} from the model's \
              {predicted:.3} — beyond the reconciliation band"
         );

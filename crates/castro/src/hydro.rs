@@ -38,7 +38,12 @@
 //! face layers per side along the sweep dimension), which reads ghost
 //! zones. [`Hydro::advance`] runs each sweep as one [`HaloLoop`], which
 //! stages the ghost exchange as pack/unpack tasks on the worker pool and
-//! calls three kernels per box:
+//! calls three kernels per box. The sweep along `dim` declares the
+//! footprint `2·e_dim` — its two [`ghost_slabs`] — so the loop exchanges,
+//! and applies the physical boundary to, those slabs only; the loop's
+//! contract is that a kernel may read only `valid.grow_vec(ghosts)`, and
+//! transverse, edge and corner ghosts are neither refreshed nor read (a
+//! box of 8³ exchanges 256 ghost zones a sweep, not 1216). The kernels:
 //!
 //! * `interior` — primitives on the valid box and, for `Flat`, the interior
 //!   fluxes; nothing to wait for, so it runs while halos are in flight;
@@ -52,7 +57,8 @@
 //! The schedule is free to reorder; every task writes disjoint slots and
 //! every face computes the same arithmetic on the same inputs, so any
 //! schedule and any box decomposition leave the same bits (tests hold both
-//! structures against a one-shot-fill, whole-box reference).
+//! structures against a one-shot-fill, whole-box reference, filled to the
+//! same footprint and — on valid zones and fluxes — to every ghost).
 //!
 //! Castro proper uses an unsplit corner-transport-upwind scheme with PPM;
 //! the dimensional splitting used here is a documented simplification
@@ -429,7 +435,8 @@ impl Hydro {
         let mut trace = CommTrace::default();
         for dim in 0..3 {
             // Plan before allocating the sweep's scratch (see `HaloLoop`).
-            let halo = HaloLoop::plan(state, geom);
+            // The sweep's footprint is its two ghost slabs (`ghost_slabs`).
+            let halo = HaloLoop::plan(state, geom, IntVect::dim_vec(dim) * 2);
             let dtdx = dt / geom.dx()[dim];
             // Primitives live on the valid box grown by 2 along the sweep
             // (stencil support); a split sweep reads no transverse ghost
@@ -855,9 +862,10 @@ mod tests {
         state
     }
 
-    /// The step with no graph and no face split: per sweep a one-shot ghost
-    /// fill, then per box primitives on `vb.grow(2)`, every face's flux and
-    /// the update, from the region kernels `advance` uses.
+    /// The step with no graph and no face split: per sweep a one-shot fill
+    /// of the footprint `ghosts(dim)`, then per box primitives on the whole
+    /// footprint, every face's flux and the update, from the region kernels
+    /// `advance` uses.
     #[allow(clippy::too_many_arguments)]
     fn whole_box_advance(
         hydro: &Hydro,
@@ -868,6 +876,7 @@ mod tests {
         eos: &dyn Eos,
         species: &[Species],
         bc: &BcSpec,
+        ghosts: impl Fn(usize) -> IntVect,
     ) -> (Vec<SweepFluxes>, CommTrace) {
         let ex = ExecSpace::Serial;
         let nq = Q::ncomp(layout.nspec);
@@ -875,13 +884,14 @@ mod tests {
         let mut trace = CommTrace::default();
         let mut fluxes = Vec::new();
         for dim in 0..3 {
-            trace.merge(&state.fill_boundary(geom));
-            state.fill_physical_bc(geom, bc);
+            trace.merge(&state.fill_boundary_within(geom, ghosts(dim)));
+            state.fill_physical_bc_within(geom, bc, ghosts(dim));
             let dtdx = dt / geom.dx()[dim];
             let mut fabs = Vec::new();
             for fi in 0..state.nfabs() {
                 let vb = state.valid_box(fi);
-                let (qr, sr, fr) = (vb.grow(2), vb.grow_dir(dim, 1), face_box(vb, dim));
+                let qr = vb.grow_vec(ghosts(dim));
+                let (sr, fr) = (vb.grow_dir(dim, 1), face_box(vb, dim));
                 let mut qbuf = vec![0.0; qr.num_zones() as usize * nq];
                 let mut sbuf = vec![0.0; sr.num_zones() as usize * nq];
                 let mut flux = FArrayBox::new(fr, layout.ncomp() + 1);
@@ -907,8 +917,13 @@ mod tests {
     fn advance_matches_whole_box_reference_bitwise() {
         // The halo loop's exchange staging, interior/band face split and
         // pool schedule must not change a bit of the state (ghosts
-        // included), of the fluxes, or of the comm trace — for both kernel
-        // structures, with periodic wrap and with physical boundaries.
+        // included), of the fluxes, or of the comm trace against a one-shot
+        // fill of the same per-sweep footprint — for both kernel
+        // structures, with periodic wrap and with physical boundaries. And
+        // the footprint itself must not matter to what a sweep computes: a
+        // reference that fills every ghost before each sweep agrees on
+        // every valid zone and every flux.
+        let swept = |dim: usize| IntVect::dim_vec(dim) * 2;
         let layout = StateLayout::new(2);
         let eos = GammaLaw { gamma: 1.4 };
         let net = CBurn2::new();
@@ -930,6 +945,7 @@ mod tests {
                 let mut state = smooth_state(&geom, &layout, &eos);
                 assert_eq!(state.nfabs(), 64, "want many boxes to stress the graph");
                 let mut reference = state.clone();
+                let mut full_fill = state.clone();
                 for _ in 0..3 {
                     let ex = ExecSpace::Serial;
                     let dt = hydro.estimate_dt(&state, &layout, &eos, net.species(), &geom, &ex);
@@ -953,17 +969,48 @@ mod tests {
                         &eos,
                         net.species(),
                         &bc,
+                        swept,
+                    );
+                    let (ffx, ftrace) = whole_box_advance(
+                        &hydro,
+                        &mut full_fill,
+                        dt,
+                        &geom,
+                        &layout,
+                        &eos,
+                        net.species(),
+                        &bc,
+                        |_| IntVect::splat(2),
                     );
                     assert_eq!(trace, rtrace, "{what}: comm trace");
-                    for (f, rf) in fx.iter().zip(&rfx) {
-                        for (a, b) in f.fabs.iter().zip(&rf.fabs) {
+                    assert!(
+                        trace.network_bytes() + trace.local_bytes
+                            < ftrace.network_bytes() + ftrace.local_bytes,
+                        "{what}: the swept footprint moves fewer bytes"
+                    );
+                    for ((f, rf), ff) in fx.iter().zip(&rfx).zip(&ffx) {
+                        for ((a, b), c) in f.fabs.iter().zip(&rf.fabs).zip(&ff.fabs) {
                             assert!(same_bits(a.data(), b.data()), "{what}: flux {}", f.dim);
+                            assert!(
+                                same_bits(a.data(), c.data()),
+                                "{what}: flux {} under the full footprint",
+                                f.dim
+                            );
                         }
                     }
                 }
                 for i in 0..state.nfabs() {
                     let (a, b) = (state.fab(i).data(), reference.fab(i).data());
                     assert!(same_bits(a, b), "{what}: fab {i} differs on its grown box");
+                    for iv in state.valid_box(i).iter() {
+                        for c in 0..state.ncomp() {
+                            let (a, b) = (state.fab(i).get(iv, c), full_fill.fab(i).get(iv, c));
+                            assert!(
+                                a.to_bits() == b.to_bits(),
+                                "{what}: fab {i} zone {iv:?} comp {c} under the full footprint"
+                            );
+                        }
+                    }
                 }
             }
         }

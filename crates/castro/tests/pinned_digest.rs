@@ -5,8 +5,10 @@
 //! the commit that recorded the constants, so a kernel or ghost-traffic
 //! rewrite that changes every path the same way still fails here.
 //!
-//! A digest covers every fab's grown box (ghosts included), all components.
-//! When a change is *meant* to move the bits, re-record: run with
+//! Each run is pinned twice: a digest of every fab's grown box (ghosts
+//! included) and one of the valid zones alone, all components. A change to
+//! *which ghosts are refreshed* moves the first and must not move the
+//! second. When a change is *meant* to move the bits, re-record: run with
 //! `--nocapture` and copy the printed values.
 
 use exastro_amr::{BoxArray, CoordSys, Geometry, IndexBox, MultiFab};
@@ -15,25 +17,39 @@ use exastro_castro::{
 };
 use exastro_microphysics::{CBurn2, GammaLaw, StellarEos};
 
-/// FNV-1a over the little-endian bits of every value, fab-major.
-fn fnv_state(state: &MultiFab) -> u64 {
+/// FNV-1a over the little-endian bits of every value.
+fn fnv(values: impl Iterator<Item = f64>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for i in 0..state.nfabs() {
-        for v in state.fab(i).data() {
-            for b in v.to_bits().to_le_bytes() {
-                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-            }
+    for v in values {
+        for b in v.to_bits().to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
     h
 }
 
-fn run(castro: &Castro, geom: &Geometry, state: &mut MultiFab, steps: usize) -> u64 {
+/// Every fab's grown box, fab-major, in storage order.
+fn fnv_state(state: &MultiFab) -> u64 {
+    fnv((0..state.nfabs()).flat_map(|i| state.fab(i).data().iter().copied()))
+}
+
+/// Valid zones only: fab-major, component-major, zones in x-fastest order.
+fn fnv_valid(state: &MultiFab) -> u64 {
+    fnv((0..state.nfabs()).flat_map(|i| {
+        (0..state.ncomp()).flat_map(move |c| {
+            let zones = state.valid_box(i).iter();
+            zones.map(move |iv| state.fab(i).get(iv, c))
+        })
+    }))
+}
+
+/// `(grown-box digest, valid-zone digest)` after `steps` steps.
+fn run(castro: &Castro, geom: &Geometry, state: &mut MultiFab, steps: usize) -> (u64, u64) {
     for _ in 0..steps {
         let dt = castro.estimate_dt(state, geom);
         castro.advance_level(state, geom, dt).unwrap();
     }
-    fnv_state(state)
+    (fnv_state(state), fnv_valid(state))
 }
 
 #[test]
@@ -54,9 +70,10 @@ fn sedov_16_in_8_cubes_after_4_steps() {
         &eos,
         &SedovParams::default(),
     );
-    let digest = run(&castro, &geom, &mut state, 4);
-    println!("sedov 16^3/8^3 after 4 steps: {digest:#018x}");
-    assert_eq!(digest, SEDOV_DIGEST, "got {digest:#018x}");
+    let (grown, valid) = run(&castro, &geom, &mut state, 4);
+    println!("sedov 16^3/8^3 after 4 steps: grown {grown:#018x} valid {valid:#018x}");
+    assert_eq!(valid, SEDOV_VALID_DIGEST, "valid zones: got {valid:#018x}");
+    assert_eq!(grown, SEDOV_DIGEST, "grown boxes: got {grown:#018x}");
 }
 
 #[test]
@@ -85,10 +102,27 @@ fn wd_collision_16_after_2_steps() {
     let ba = BoxArray::decompose(geom.domain(), 8, 4);
     let mut state = MultiFab::local(ba, castro.layout.ncomp(), 2);
     init_collision(&mut state, &geom, &castro.layout, &eos, &net, &params);
-    let digest = run(&castro, &geom, &mut state, 2);
-    println!("wd_collision 16^3/8^3 after 2 steps: {digest:#018x}");
-    assert_eq!(digest, COLLISION_DIGEST, "got {digest:#018x}");
+    let (grown, valid) = run(&castro, &geom, &mut state, 2);
+    println!("wd_collision 16^3/8^3 after 2 steps: grown {grown:#018x} valid {valid:#018x}");
+    assert_eq!(
+        valid, COLLISION_VALID_DIGEST,
+        "valid zones: got {valid:#018x}"
+    );
+    assert_eq!(grown, COLLISION_DIGEST, "grown boxes: got {grown:#018x}");
 }
 
-const SEDOV_DIGEST: u64 = 0x18f3_2253_ef82_a325;
-const COLLISION_DIGEST: u64 = 0xd0ca_b565_f47b_a3a1;
+/// Valid zones, recorded at the commit before the ghost exchange got its
+/// footprint and untouched by it: what a sweep computes does not depend on
+/// the ghosts it does not read.
+const SEDOV_VALID_DIGEST: u64 = 0x4c3b_b0d3_b57e_81d1;
+const COLLISION_VALID_DIGEST: u64 = 0xec31_a956_0ec5_0801;
+
+/// Grown boxes. Re-recorded when `Hydro::advance` began exchanging only each
+/// sweep's footprint (`2·e_dim`; were `0x18f3_2253_ef82_a325` and
+/// `0xd0ca_b565_f47b_a3a1`): the x sweep no longer refreshes a box's y/z
+/// face ghosts, nor any sweep its edge and corner ghosts, so after a step
+/// the y and z slabs hold the values their own sweep's exchange left (the
+/// state before that sweep, not before the last one) and edges and corners
+/// keep whatever last wrote them. No kernel reads them.
+const SEDOV_DIGEST: u64 = 0x7dd5_e476_c8aa_7b59;
+const COLLISION_DIGEST: u64 = 0x4ee3_06a5_53a2_d7ed;

@@ -583,7 +583,9 @@ impl<'a> Maestro<'a> {
         {
             let _r = Profiler::region("advect");
             // One halo loop over a pre-step snapshot (see the module docs).
-            let halo = HaloLoop::plan(state, geom);
+            // `update` copies every ghost of the snapshot back into the
+            // state, so the footprint is the whole grown box.
+            let halo = HaloLoop::plan(state, geom, IntVect::splat(state.ngrow()));
             let mut old = state.clone();
             let vbs: Vec<IndexBox> = (0..state.nfabs()).map(|i| state.valid_box(i)).collect();
             let svs = state.fab_views_mut();

@@ -331,6 +331,12 @@ impl IndexBox {
         IndexBox::new(self.lo - IntVect::splat(n), self.hi + IntVect::splat(n))
     }
 
+    /// Grow by `n[d]` zones on both faces of each dimension `d`.
+    #[inline]
+    pub fn grow_vec(&self, n: IntVect) -> IndexBox {
+        IndexBox::new(self.lo - n, self.hi + n)
+    }
+
     /// Grow by `n` zones on both faces of dimension `d` only.
     #[inline]
     pub fn grow_dir(&self, d: usize, n: i32) -> IndexBox {
@@ -556,6 +562,10 @@ mod tests {
         let g = IndexBox::cube(4).grow_dir(1, 3);
         assert_eq!(g.lo(), IntVect::new(0, -3, 0));
         assert_eq!(g.hi(), IntVect::new(3, 6, 3));
+        let v = IndexBox::cube(4).grow_vec(IntVect::new(2, 0, 1));
+        assert_eq!(v.lo(), IntVect::new(-2, 0, -1));
+        assert_eq!(v.hi(), IntVect::new(5, 3, 4));
+        assert_eq!(IndexBox::cube(4).grow_vec(IntVect::splat(2)), b);
     }
 
     #[test]

@@ -63,6 +63,38 @@ fn sedov_blast_tracks_similarity_solution() {
 }
 
 #[test]
+fn sedov_smallbox_step_exchanges_only_its_sweeps_footprints() {
+    // The benchmark's `sedov_smallbox` layout: 32³ in 64 boxes of 8³ on 6
+    // ranks. Each of a step's three sweeps exchanges its two 2-deep face
+    // slabs a box — 96 box-to-box copies of 8·8·2 zones × 9 components —
+    // and nothing transverse. A full 26-neighbour fill per sweep would read
+    // 1620 messages and 5 412 096 network bytes here; these counts are
+    // pinned so that traffic cannot silently grow back.
+    let geom = Geometry::cube(32, 1.0, false);
+    let ba = BoxArray::decompose(geom.domain(), 8, 8);
+    let dm = DistributionMapping::new(&ba, 6, DistStrategy::Sfc);
+    let eos = GammaLaw::monatomic();
+    let net = CBurn2::new();
+    let layout = StateLayout::new(net.nspec());
+    let mut state = MultiFab::new(ba, dm, layout.ncomp(), 2);
+    assert_eq!(state.nfabs(), 64);
+    init_sedov(&mut state, &geom, &layout, &eos, &SedovParams::default());
+    let castro = sedov_castro(&eos, &net);
+
+    let mass0 = castro.total_mass(&state, &geom);
+    let energy0 = castro.total_energy(&state, &geom);
+    for _ in 0..4 {
+        let dt = castro.estimate_dt(&state, &geom);
+        let (stats, _) = castro.advance_level(&mut state, &geom, dt).unwrap();
+        assert_eq!(stats.comm.messages.len(), 120);
+        assert_eq!(stats.comm.network_bytes(), 1_105_920);
+        assert_eq!(stats.comm.local_bytes, 1_548_288);
+    }
+    assert!((castro.total_mass(&state, &geom) / mass0 - 1.0).abs() < 1e-9);
+    assert!((castro.total_energy(&state, &geom) / energy0 - 1.0).abs() < 1e-9);
+}
+
+#[test]
 fn two_level_amr_advance_conserves_mass() {
     // Sedov on a coarse level with a refined centre; the hierarchy advance
     // (fill_patch, per-level hydro, reflux, average_down) must conserve
