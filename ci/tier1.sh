@@ -12,6 +12,11 @@ cargo build --workspace --release --offline
 echo "== tests =="
 cargo test --workspace -q --offline
 
+echo "== pooled burn sweep == nested inline sweep (release) =="
+# The debug run above already covers it; optimised code takes other
+# schedules through the pool, and a sweep's bits must not follow them.
+cargo test -q --offline --release -p exastro-microphysics --test proptests pooled_sweep
+
 echo "== restart round-trip smoke =="
 # The survival demo kills itself mid-run three times, corrupts a
 # checkpoint, and must still reproduce the uninterrupted digest.
@@ -48,9 +53,17 @@ for need in ("iso7/newton_solve_speedup", "aprox13/newton_solve_speedup",
                for part in ("ydot_ns", "jac_ns", "eos_ns"))):
     assert need in labels, f"missing {need} in {sorted(labels)}"
 by = {m["label"]: m["value"] for m in d["metrics"]}
+base = {m["label"]: m["value"]
+        for m in json.load(open("ci/baselines/BENCH_burner.json"))["metrics"]}
 for net in ("iso7", "aprox13"):
     s = by[f"{net}/batch_speedup_w8"]
     assert s > 1.0, f"{net}: batched burns slower than scalar ({s:.2f}x)"
+    # Two-sided against the committed baseline (recorded before sweeps ran
+    # on the pool): the bench measures both sides as inline sweeps, so the
+    # ratio is still lanes, not lanes x threads.
+    b = base[f"{net}/batch_speedup_w8"]
+    assert abs(s / b - 1.0) <= 0.15, (
+        f"{net}/batch_speedup_w8 {s:.2f} is not within 15% of baseline {b:.2f}")
 # Same-run ratio gate: a network evaluation computes its temperature
 # factors once and shares them across reactions, so aprox13's fifteen
 # reactions cost ~4-5x cburn2's one (it was ~11x while every reaction took

@@ -19,7 +19,7 @@ use exastro_microphysics::{
     Aprox13, BdfErrorKind, BurnFaultConfig, BurnerConfig, CBurn2, Composition, DenseNewton, Eos,
     Iso7, LinearSolver, Network, OffloadOptions, RetryLadder, SparseNewton, StellarEos, ZoneBurn,
 };
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// CI smoke mode: the vendored criterion shim ignores CLI arguments, so
@@ -177,10 +177,15 @@ fn zone_set(net: &dyn Network, count: usize) -> Vec<ZoneBurn> {
 
 /// Best-of-`samples` aggregate throughput (zones/µs) of the scalar retry
 /// ladder and of the batched SoA path at each lane width, over the same
-/// zone field. One *round* measures every configuration back-to-back
-/// before the next round starts, so a machine-load transient degrades the
-/// scalar and batched numbers together and the best-of speedup *ratio*
-/// stays stable even on a noisy box.
+/// zone field. Both sides are `burn_all` sweeps — the ladder is the sweep at
+/// width 1 — measured from inside a pool task, where a sweep drains inline
+/// on one thread: the speedup is lanes alone, with neither the thread count
+/// nor the load balance of a short chunk list in it (pooled, best-of-3
+/// `batch_speedup_w8` read 1.41–2.16 on a 2-vCPU host, inline 1.64–1.82).
+/// One *round* measures every configuration back-to-back before the next
+/// round starts, so a machine-load transient degrades the scalar and
+/// batched numbers together and the best-of speedup *ratio* stays stable
+/// even on a noisy box.
 fn throughput_sweep(
     net: &dyn Network,
     eos: &StellarEos,
@@ -189,9 +194,8 @@ fn throughput_sweep(
     dt: f64,
     samples: usize,
 ) -> (f64, Vec<f64>) {
-    let scalar = BurnerConfig::default().build(net, eos);
-    let batched: Vec<_> = widths
-        .iter()
+    let burners: Vec<_> = std::iter::once(&1)
+        .chain(widths)
         .map(|&width| {
             BurnerConfig {
                 batch_width: width,
@@ -200,30 +204,29 @@ fn throughput_sweep(
             .build(net, eos)
         })
         .collect();
-    let mut scalar_best = 0.0f64;
-    let mut batch_best = vec![0.0f64; widths.len()];
-    for _ in 0..samples {
-        let start = Instant::now();
-        for z in zones {
-            let rec = scalar
-                .burn_zone(z.zone, z.rho, z.t0, &z.x0, dt)
-                .expect("burn");
-            std::hint::black_box(&rec);
+    let best = Mutex::new(vec![0.0f64; burners.len()]);
+    // A two-task region keeps the team busy; task 0 is the measurement.
+    exastro_parallel::par_index_each(2, 2, |task| {
+        if task != 0 {
+            return;
         }
-        let us = start.elapsed().as_secs_f64() * 1e6;
-        scalar_best = scalar_best.max(zones.len() as f64 / us);
-        for (best, burner) in batch_best.iter_mut().zip(&batched) {
-            let start = Instant::now();
-            let recs = burner.burn_all(zones, dt);
-            let us = start.elapsed().as_secs_f64() * 1e6;
-            for rec in &recs {
-                assert!(rec.is_ok(), "batched burn failed");
+        let mut best = best.lock().expect("one task takes the lock");
+        for _ in 0..samples {
+            for (best, burner) in best.iter_mut().zip(&burners) {
+                let start = Instant::now();
+                let recs = burner.burn_all(zones, dt);
+                let us = start.elapsed().as_secs_f64() * 1e6;
+                for rec in &recs {
+                    assert!(rec.is_ok(), "burn failed");
+                }
+                std::hint::black_box(&recs);
+                *best = (*best).max(zones.len() as f64 / us);
             }
-            std::hint::black_box(&recs);
-            *best = (*best).max(zones.len() as f64 / us);
         }
-    }
-    (scalar_best, batch_best)
+    });
+    let mut best = best.into_inner().expect("the measurement did not panic");
+    let batch_best = best.split_off(1);
+    (best[0], batch_best)
 }
 
 fn bench(c: &mut Criterion) {
@@ -329,8 +332,10 @@ fn bench(c: &mut Criterion) {
     // field, scalar ladder vs SIMD lane widths. The paper's batching
     // argument: one Nordsieck history and one amortized Jacobian per
     // batch turns the per-zone Newton loop into lane-inner SIMD sweeps.
+    // Smoke sweeps are an eighth as long, so their best needs more rounds
+    // to settle: tier-1 holds `batch_speedup_w8` within 15% of its baseline.
     let zone_count = if smoke { 32 } else { 256 };
-    let throughput_samples = if smoke { 3 } else { 5 };
+    let throughput_samples = if smoke { 7 } else { 5 };
     let burn_dt = 1e-7;
     let widths = [4usize, 8, 16];
     println!("=== batched SoA burner: aggregate zones/µs ({zone_count} zones) ===");

@@ -219,8 +219,9 @@ fn gather_zones(
     opts: &BurnOptions,
 ) -> (Vec<ZoneBurn>, Vec<(usize, IntVect)>, u64) {
     let nspec = layout.nspec;
-    let mut zones: Vec<ZoneBurn> = Vec::new();
-    let mut sites: Vec<(usize, IntVect)> = Vec::new();
+    let valid = state.box_array().total_zones() as usize;
+    let mut zones: Vec<ZoneBurn> = Vec::with_capacity(valid);
+    let mut sites: Vec<(usize, IntVect)> = Vec::with_capacity(valid);
     let mut zone_id = 0u64;
     for fi in 0..state.nfabs() {
         let vb = state.valid_box(fi);

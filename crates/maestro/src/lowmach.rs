@@ -90,6 +90,10 @@ impl LmLayout {
 pub struct LmStepStats {
     /// Multigrid projection statistics.
     pub projection: Option<MgStats>,
+    /// Zones burned, both reaction half-steps counted.
+    pub burn_zones: u64,
+    /// Zones the burn skipped as colder than `burn_min_temp`.
+    pub burn_skipped: u64,
     /// Total burner integrator steps (reaction cost proxy).
     pub burn_steps: u64,
     /// Total Newton iterations over all burned zones.
@@ -116,6 +120,8 @@ pub struct LmStepStats {
 impl LmStepStats {
     /// Fold one reaction half-step's tally into the step's burn counters.
     fn add_burn(&mut self, t: &BurnTally) {
+        self.burn_zones += t.zones;
+        self.burn_skipped += t.skipped;
         self.burn_steps += t.total_steps;
         self.burn_newton_iters += t.newton_iters;
         self.burn_retries += t.retries;
@@ -469,8 +475,9 @@ impl<'a> Maestro<'a> {
         let mut totals = BurnTally::default();
         let mut failures: Vec<BurnFailure> = Vec::new();
         // Gather pass: every zone above the cutoff, with sweep-order ids.
-        let mut zones: Vec<ZoneBurn> = Vec::new();
-        let mut sites: Vec<(usize, IntVect)> = Vec::new();
+        let valid = state.box_array().total_zones() as usize;
+        let mut zones: Vec<ZoneBurn> = Vec::with_capacity(valid);
+        let mut sites: Vec<(usize, IntVect)> = Vec::with_capacity(valid);
         let mut zone_id: u64 = 0;
         for i in 0..state.nfabs() {
             let vb = state.valid_box(i);
@@ -495,6 +502,7 @@ impl<'a> Maestro<'a> {
                 sites.push((i, iv));
             }
         }
+        totals.skipped = zone_id - zones.len() as u64;
         // Burn through the SoA batches, scatter back in input order.
         for ((i, iv), res) in sites.into_iter().zip(burner.burn_all(&zones, dt)) {
             match res {
@@ -946,6 +954,9 @@ mod tests {
             let dt = maestro.estimate_dt(&state, &geom).min(5e-3);
             let stats = maestro.advance(&mut state, &geom, dt).unwrap();
             assert!(stats.projection.as_ref().unwrap().cycles > 0);
+            // Two reaction half-steps, every valid zone burned or skipped.
+            assert!(stats.burn_zones > 0, "a reacting bubble burns zones");
+            assert_eq!(stats.burn_zones + stats.burn_skipped, 2 * 16 * 16 * 16);
             height_trace.push(bubble_diagnostics(&state, &geom, &layout, 6e8).bubble_height);
         }
         let d1 = bubble_diagnostics(&state, &geom, &layout, 6e8);

@@ -798,7 +798,7 @@ pub(crate) fn gather_lane(soa: &[f64], w: usize, lane: usize, out: &mut [f64]) {
     }
 }
 
-fn scatter_lane(src: &[f64], w: usize, lane: usize, soa: &mut [f64]) {
+pub(crate) fn scatter_lane(src: &[f64], w: usize, lane: usize, soa: &mut [f64]) {
     for (i, s) in src.iter().enumerate() {
         soa[i * w + lane] = *s;
     }
@@ -1187,11 +1187,23 @@ mod tests {
         }
     }
 
+    /// `n` identical hot carbon zones.
+    fn hot_carbon_zones(n: u64) -> Vec<ZoneBurn> {
+        (0..n)
+            .map(|i| ZoneBurn {
+                zone: i,
+                rho: 5e7,
+                t0: 3e9,
+                x0: vec![1.0, 0.0],
+            })
+            .collect()
+    }
+
     #[test]
-    fn dropouts_are_profiled_in_the_chunk_region_not_nested_under_it() {
-        // Regression: the chunk opened region `burner` and every dropout's
-        // ladder burn opened `burner` again, so dropout zones, their time
-        // and their solve[...] children landed in `burner/burner` and the
+    fn dropouts_are_profiled_in_the_sweep_region_not_nested_under_it() {
+        // Regression: a dropout's ladder burn opened `burner` again inside
+        // the batch's `burner` region, so dropout zones, their time and
+        // their solve[...] children landed in `burner/burner` and the
         // `burner` row counted none of them. A unique outer region keeps
         // this test's rows apart from concurrently running tests.
         use exastro_parallel::Profiler;
@@ -1202,17 +1214,9 @@ mod tests {
             ..Default::default()
         };
         cfg.bdf.max_steps = 3; // every lane drops out
-        let zones: Vec<ZoneBurn> = (0..4)
-            .map(|i| ZoneBurn {
-                zone: i,
-                rho: 5e7,
-                t0: 3e9,
-                x0: vec![1.0, 0.0],
-            })
-            .collect();
         let recs = {
             let _outer = Profiler::region("starved_batch_test");
-            cfg.build(&net, &eos).burn_all(&zones, 1e-6)
+            cfg.build(&net, &eos).burn_all(&hot_carbon_zones(4), 1e-6)
         };
         assert!(recs.iter().all(|r| r.as_ref().unwrap().retries >= 1));
         let rows = Profiler::snapshot();
@@ -1222,8 +1226,78 @@ mod tests {
             .collect();
         assert!(nested.is_empty(), "double-nested burner rows: {nested:?}");
         let row = &rows["starved_batch_test/burner"];
-        assert_eq!(row.calls, 1, "one region per chunk");
-        assert_eq!(row.zones, 4, "every dropout counted once, in the chunk");
+        assert_eq!(row.calls, 1, "one region per sweep");
+        assert_eq!(row.zones, 4, "every dropout counted once, in the sweep");
+    }
+
+    #[test]
+    fn a_sweep_is_one_burner_region_whoever_burns_its_chunks() {
+        // 26 zones at width 4 are seven chunks, drained by however many
+        // participants the pool lends: the profiler still sees one
+        // `burner` call holding every zone, and one batch-solve child
+        // carrying the participants' summed solve time.
+        use exastro_parallel::Profiler;
+        let net = CBurn2::new();
+        let eos = StellarEos;
+        let cfg = BurnerConfig {
+            batch_width: 4,
+            ..Default::default()
+        };
+        let zones: Vec<ZoneBurn> = (0..26)
+            .map(|i| ZoneBurn {
+                zone: i,
+                rho: 5e7,
+                t0: 2.8e9 * (1.0 + 0.001 * i as f64),
+                x0: vec![0.5, 0.5],
+            })
+            .collect();
+        let recs = {
+            let _outer = Profiler::region("pooled_sweep_test");
+            cfg.build(&net, &eos).burn_all(&zones, 1e-7)
+        };
+        assert!(recs.iter().all(|r| r.as_ref().unwrap().retries == 0));
+        let rows = Profiler::snapshot();
+        let burner = &rows["pooled_sweep_test/burner"];
+        assert_eq!((burner.calls, burner.zones), (1, 26));
+        let children: Vec<_> = rows
+            .iter()
+            .filter(|(p, _)| p.starts_with("pooled_sweep_test/burner/"))
+            .collect();
+        assert_eq!(children.len(), 1, "{children:?}");
+        let (path, solve) = children[0];
+        assert_eq!(path, "pooled_sweep_test/burner/solve[batch-sparse]");
+        assert_eq!(solve.calls, 1, "tallies merge once a sweep");
+        assert!(solve.wall_ns > 0);
+    }
+
+    #[test]
+    fn a_panicking_chunk_surfaces_on_the_caller() {
+        // A zone whose composition does not fit the network trips the
+        // burner's own assert inside whichever participant claimed its
+        // chunk. The pool rethrows it on the caller; no lock is held
+        // across a chunk, so nothing is left poisoned and the next sweep
+        // runs.
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let net = CBurn2::new();
+        let eos = StellarEos;
+        let burner = BurnerConfig {
+            batch_width: 4,
+            ..Default::default()
+        }
+        .build(&net, &eos);
+        for bad in [0, 17, 39] {
+            let mut zones = hot_carbon_zones(40);
+            for (i, zb) in zones.iter_mut().enumerate() {
+                zb.t0 = 3e9 - 1e7 * i as f64; // sorted as given: `bad` is in chunk bad / 4
+            }
+            zones[bad].x0 = vec![1.0];
+            let caught = catch_unwind(AssertUnwindSafe(|| burner.burn_all(&zones, 1e-9)));
+            let payload = caught.expect_err("the sweep must panic, not hang or succeed");
+            let msg = payload.downcast_ref::<String>().expect("assert message");
+            assert!(msg.contains("left == right"), "{msg}");
+            zones[bad].x0 = vec![1.0, 0.0];
+            assert!(burner.burn_all(&zones, 1e-9).iter().all(Result::is_ok));
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! pattern-specialized sparse LU compiled from the network's declared
 //! sparsity; only the offload rung is dense.
 
-use crate::batch::{gather_lane, BatchBdf, BatchWorkspace, LaneOde, LaneStatus};
+use crate::batch::{gather_lane, scatter_lane, BatchBdf, BatchWorkspace, LaneOde, LaneStatus};
 use crate::constants::{MEV_TO_ERG, N_A};
 use crate::eos::Eos;
 use crate::integrator::{BdfError, BdfErrorKind, BdfIntegrator, BdfOptions, BdfStats, OdeSystem};
@@ -28,8 +28,9 @@ use crate::recovery::{
 };
 use crate::sparse::SparseLu;
 use crate::species::{mass_to_molar, molar_to_mass, Composition};
-use exastro_parallel::Profiler;
-use std::sync::Arc;
+use exastro_parallel::{Profiler, Tasks, WorkerPool};
+use exastro_telemetry::Telemetry;
+use std::sync::{Arc, Mutex};
 
 /// Result of burning one zone for a time interval.
 #[derive(Clone, Debug)]
@@ -111,6 +112,7 @@ impl OdeSystem for BurnSystem<'_> {
 /// The burn system of a batch: one scalar [`BurnSystem`] per lane (each
 /// with its own density), so the batched path integrates *exactly* the
 /// physics of the scalar path.
+#[derive(Default)]
 struct BatchBurnSystem<'a>(Vec<BurnSystem<'a>>);
 
 impl LaneOde for BatchBurnSystem<'_> {
@@ -193,6 +195,58 @@ impl BurnerConfig {
     }
 }
 
+type BurnResult = Result<RecoveredBurn, Box<BurnFailure>>;
+
+/// Results a participant holds before it takes the sweep's lock: a handful
+/// of chunks' worth, so the lock is short and rare and no second
+/// sweep-sized buffer exists.
+const FLUSH_ZONES: usize = 64;
+
+/// Batch-path counts of a sweep, reported once after its pool region.
+#[derive(Default)]
+struct BatchTally {
+    /// Lanes that entered a batch, and those that completed inside it.
+    lanes: u64,
+    completed: u64,
+    /// Batched linear-algebra time, summed over lanes.
+    solve_ns: u64,
+}
+
+/// What a sweep's participants share: the input-ordered result slots and
+/// the batch tally.
+struct Sweep {
+    results: Vec<Option<BurnResult>>,
+    tally: BatchTally,
+}
+
+/// One pool participant's side of a sweep: the batch workspace and SoA
+/// scratch it reuses chunk after chunk, and the results and tally it has
+/// not yet handed to the [`Sweep`].
+#[derive(Default)]
+struct Participant<'a> {
+    ws: BatchWorkspace,
+    sys: BatchBurnSystem<'a>,
+    y: Vec<f64>,
+    y_entry: Vec<f64>,
+    lane_y: Vec<f64>,
+    lane_y0: Vec<f64>,
+    done: Vec<(usize, BurnResult)>,
+    tally: BatchTally,
+}
+
+impl Participant<'_> {
+    fn flush(&mut self, sweep: &Mutex<Sweep>) {
+        let mut sweep = sweep.lock().expect("no participant panics under the lock");
+        for (i, res) in self.done.drain(..) {
+            sweep.results[i] = Some(res);
+        }
+        let t = std::mem::take(&mut self.tally);
+        sweep.tally.lanes += t.lanes;
+        sweep.tally.completed += t.completed;
+        sweep.tally.solve_ns += t.solve_ns;
+    }
+}
+
 /// Integrates nuclear burning zone by zone ([`Burner::burn_zone`]) or a
 /// sweep at a time ([`Burner::burn_all`]); see the module docs.
 pub struct Burner<'a> {
@@ -207,33 +261,34 @@ pub struct Burner<'a> {
     faults: Option<BurnFaultConfig>,
 }
 
-impl Burner<'_> {
+impl<'a> Burner<'a> {
     /// Burn a sweep's worth of zones for `dt` seconds each. Results come
     /// back in input order. Zones are sorted by temperature (stable,
     /// deterministic) before chunking so cost-similar zones share a batch;
     /// a cold lane riding a hot batch is charged the hot step count, which
     /// is exactly the warp-level serialization the §VI heatmaps quantify.
-    /// Fault-injected zones bypass the batch so the injection schedule
-    /// sees exactly the scalar attempt sequence.
+    /// Fault-injected zones bypass the batch, serially on the calling
+    /// thread, so the injection schedule sees exactly the scalar attempt
+    /// sequence. The chunks are then drained by [`WorkerPool::global`],
+    /// hottest first: which zones share a chunk is fixed by the sort, so
+    /// no result depends on who burned it. The whole sweep is one `burner`
+    /// profiler region, opened here.
     pub fn burn_all(
         &self,
         zones: &[ZoneBurn],
         dt: f64,
     ) -> Vec<Result<RecoveredBurn, Box<BurnFailure>>> {
-        let scalar = |zb: &ZoneBurn| self.burn_zone(zb.zone, zb.rho, zb.t0, &zb.x0, dt);
-        if self.width < 2 {
-            return zones.iter().map(scalar).collect();
-        }
-        let mut results: Vec<Option<Result<RecoveredBurn, Box<BurnFailure>>>> =
-            (0..zones.len()).map(|_| None).collect();
-        let mut batchable: Vec<usize> = Vec::new();
+        let _prof = Profiler::region("burner");
+        Profiler::record_zones(zones.len() as u64);
+        let mut results: Vec<Option<BurnResult>> = (0..zones.len()).map(|_| None).collect();
+        let mut batchable: Vec<usize> = Vec::with_capacity(zones.len());
         for (i, zb) in zones.iter().enumerate() {
             if self
                 .faults
                 .as_ref()
                 .is_some_and(|f| f.zone_is_faulty(zb.zone))
             {
-                results[i] = Some(scalar(zb));
+                results[i] = Some(self.climb(zb.zone, zb.rho, zb.t0, &zb.x0, dt));
             } else {
                 batchable.push(i);
             }
@@ -247,12 +302,36 @@ impl Burner<'_> {
                 .total_cmp(&zones[a].t0)
                 .then(zones[a].zone.cmp(&zones[b].zone))
         });
-        // One batch workspace for the whole sweep: chunks reuse it.
-        let mut ws = BatchWorkspace::default();
-        for chunk in batchable.chunks(self.width) {
-            match chunk {
-                [i] => results[*i] = Some(scalar(&zones[*i])),
-                _ => self.burn_chunk(zones, chunk, dt, &mut ws, &mut results),
+        let width = self.width.max(1);
+        let sweep = Mutex::new(Sweep {
+            results,
+            tally: BatchTally::default(),
+        });
+        // Each participant claims the hottest unclaimed chunk (the sort is
+        // longest-first) and burns it in its own workspace.
+        let drain = |tasks: Tasks<'_>| {
+            let mut p = Participant::default();
+            while let Some(c) = tasks.next_task() {
+                let chunk = &batchable[c * width..batchable.len().min((c + 1) * width)];
+                self.burn_chunk(zones, chunk, dt, &mut p);
+                if p.done.len() >= FLUSH_ZONES {
+                    p.flush(&sweep);
+                }
+            }
+            p.flush(&sweep);
+        };
+        WorkerPool::global().run(batchable.len().div_ceil(width), usize::MAX, &drain);
+        let Sweep { results, tally } = sweep
+            .into_inner()
+            .expect("a participant's panic is rethrown by the pool first");
+        if tally.lanes > 0 {
+            Profiler::record_ns("solve[batch-sparse]", tally.solve_ns);
+            if Telemetry::is_enabled() {
+                exastro_telemetry::counter_add("burn.batch.zones", tally.completed);
+                exastro_telemetry::counter_add(
+                    "burn.batch.dropouts",
+                    tally.lanes - tally.completed,
+                );
             }
         }
         results
@@ -275,55 +354,50 @@ impl Burner<'_> {
         dt: f64,
     ) -> Result<RecoveredBurn, Box<BurnFailure>> {
         let _prof = Profiler::region("burner");
+        Profiler::record_zones(1);
         self.climb(zone, rho, t0, x0, dt)
     }
 
-    /// Advance one chunk of at least two zones through the batch
-    /// integrator; lanes that drop out (or fail validation) climb the
-    /// ladder from their entry state.
-    fn burn_chunk(
-        &self,
-        zones: &[ZoneBurn],
-        chunk: &[usize],
-        dt: f64,
-        ws: &mut BatchWorkspace,
-        results: &mut [Option<Result<RecoveredBurn, Box<BurnFailure>>>],
-    ) {
-        use exastro_telemetry::Telemetry;
-        let w = chunk.len();
-        let _prof = Profiler::region("burner");
-        let sys = BatchBurnSystem(chunk.iter().map(|&i| self.system(zones[i].rho)).collect());
-        let m = sys.dim();
-        let mut y = vec![0.0; m * w];
-        for (lane, &i) in chunk.iter().enumerate() {
-            for (k, v) in self
-                .entry_state(zones[i].t0, &zones[i].x0)
-                .into_iter()
-                .enumerate()
-            {
-                y[k * w + lane] = v;
-            }
+    /// Advance one chunk through the batch integrator; lanes that drop out
+    /// (or fail validation) climb the ladder from their entry state, and so
+    /// does a chunk of one zone. Runs inside the sweep's `burner` region.
+    fn burn_chunk(&self, zones: &[ZoneBurn], chunk: &[usize], dt: f64, p: &mut Participant<'a>) {
+        if let [i] = *chunk {
+            let zb = &zones[i];
+            let res = self.climb(zb.zone, zb.rho, zb.t0, &zb.x0, dt);
+            p.done.push((i, res));
+            return;
         }
-        let y_entry = y.clone();
-        let reports = self.batch.integrate(&sys, 0.0, dt, &mut y, ws);
-        let mut solve_share: u64 = 0;
+        let w = chunk.len();
+        let m = self.net.nspec() + 1;
+        p.sys.0.clear();
+        p.sys
+            .0
+            .extend(chunk.iter().map(|&i| self.system(zones[i].rho)));
+        p.lane_y.resize(m, 0.0);
+        p.lane_y0.resize(m, 0.0);
+        p.y.resize(m * w, 0.0);
+        for (lane, &i) in chunk.iter().enumerate() {
+            self.entry_state(zones[i].t0, &zones[i].x0, &mut p.lane_y0);
+            scatter_lane(&p.lane_y0, w, lane, &mut p.y);
+        }
+        p.y_entry.clone_from(&p.y);
+        let reports = self.batch.integrate(&p.sys, 0.0, dt, &mut p.y, &mut p.ws);
         let mut completed = 0u64;
-        let (mut lane_y, mut lane_y0) = (vec![0.0; m], vec![0.0; m]);
         for (lane, &i) in chunk.iter().enumerate() {
             let zb = &zones[i];
             let report = &reports[lane];
-            solve_share += report.stats.solve_ns;
+            p.tally.solve_ns += report.stats.solve_ns;
             let in_batch = (report.status == LaneStatus::Completed)
                 .then(|| {
-                    gather_lane(&y_entry, w, lane, &mut lane_y0);
-                    gather_lane(&y, w, lane, &mut lane_y);
-                    self.outcome(&lane_y0, &lane_y, report.stats)
+                    gather_lane(&p.y_entry, w, lane, &mut p.lane_y0);
+                    gather_lane(&p.y, w, lane, &mut p.lane_y);
+                    self.outcome(&p.lane_y0, &p.lane_y, report.stats)
                 })
                 .filter(|out| validate_outcome(out).is_ok());
-            results[i] = Some(match in_batch {
+            let res = match in_batch {
                 Some(outcome) => {
                     completed += 1;
-                    Profiler::record_zones(1);
                     let rec = RecoveredBurn {
                         outcome,
                         rung: LadderRung::Direct,
@@ -335,7 +409,7 @@ impl Burner<'_> {
                 // Dropout: re-burn from the entry state through the scalar
                 // ladder (bit-identical to a ladder-only burn), charging
                 // the zone its share of the failed batch work as one extra
-                // retry. The chunk's `burner` region is already open.
+                // retry.
                 None => {
                     let mut stats = report.stats;
                     match self.climb(zb.zone, zb.rho, zb.t0, &zb.x0, dt) {
@@ -353,28 +427,18 @@ impl Burner<'_> {
                         }
                     }
                 }
-            });
+            };
+            p.done.push((i, res));
         }
-        Profiler::record_ns("solve[batch-sparse]", solve_share);
-        if Telemetry::is_enabled() {
-            exastro_telemetry::counter_add("burn.batch.zones", completed);
-            exastro_telemetry::counter_add("burn.batch.dropouts", w as u64 - completed);
-            Telemetry::record_hist("burn.batch.occupancy", completed as f64 / w as f64);
-        }
+        p.tally.lanes += w as u64;
+        p.tally.completed += completed;
+        Telemetry::record_hist("burn.batch.occupancy", completed as f64 / w as f64);
     }
 
     /// Climb the retry ladder for one zone. The caller holds the `burner`
-    /// profiler region; the zone is counted once here, however many rungs
+    /// profiler region and has counted the zone — once, however many rungs
     /// (and subcycle pieces) it takes.
-    fn climb(
-        &self,
-        zone: u64,
-        rho: f64,
-        t0: f64,
-        x0: &[f64],
-        dt: f64,
-    ) -> Result<RecoveredBurn, Box<BurnFailure>> {
-        Profiler::record_zones(1);
+    fn climb(&self, zone: u64, rho: f64, t0: f64, x0: &[f64], dt: f64) -> BurnResult {
         // (rung, its integrator, sub-intervals): subcycling is the direct
         // integrator restarted on each piece of the interval.
         let rungs = [
@@ -478,7 +542,8 @@ impl Burner<'_> {
         x0: &[f64],
         dt: f64,
     ) -> Result<BurnOutcome, BdfError> {
-        let y0 = self.entry_state(t0, x0);
+        let mut y0 = vec![0.0; self.net.nspec() + 1];
+        self.entry_state(t0, x0, &mut y0);
         let mut y = y0.clone();
         let res = integ.integrate(&self.system(rho), 0.0, dt, &mut y);
         let solve_ns = match &res {
@@ -489,7 +554,7 @@ impl Burner<'_> {
         res.map(|stats| self.outcome(&y0, &y, stats))
     }
 
-    fn system(&self, rho: f64) -> BurnSystem<'_> {
+    fn system(&self, rho: f64) -> BurnSystem<'a> {
         BurnSystem {
             net: self.net,
             eos: self.eos,
@@ -497,14 +562,12 @@ impl Burner<'_> {
         }
     }
 
-    /// The integrated state `[Y_1 … Y_n, T]` at burn entry.
-    fn entry_state(&self, t0: f64, x0: &[f64]) -> Vec<f64> {
+    /// Write the integrated state `[Y_1 … Y_n, T]` at burn entry into `y`.
+    fn entry_state(&self, t0: f64, x0: &[f64], y: &mut [f64]) {
         let n = self.net.nspec();
         assert_eq!(x0.len(), n);
-        let mut y = vec![0.0; n + 1];
         mass_to_molar(self.net.species(), x0, &mut y[..n]);
         y[n] = t0;
-        y
     }
 
     /// Turn an integrated state back into mass fractions, temperature and
@@ -541,7 +604,6 @@ impl Burner<'_> {
 /// iterations (the §VI outlier-zone distributions) and a counter per
 /// retry-ladder rung reached.
 fn record_burn_telemetry(rec: &RecoveredBurn) {
-    use exastro_telemetry::Telemetry;
     if !Telemetry::is_enabled() {
         return;
     }

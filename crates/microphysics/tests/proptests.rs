@@ -512,6 +512,116 @@ proptest! {
     }
 }
 
+use exastro_microphysics::{BurnFailure, RecoveredBurn};
+
+/// Everything about a zone's result that must not depend on which
+/// participant burned its chunk: every field but the wall-clock `solve_ns`.
+fn burn_bits(res: &Result<RecoveredBurn, Box<BurnFailure>>) -> (Vec<u64>, String) {
+    use exastro_microphysics::BdfStats;
+    let counts = |s: &BdfStats| BdfStats { solve_ns: 0, ..*s };
+    match res {
+        Ok(r) => {
+            let o = &r.outcome;
+            let mut bits: Vec<u64> = o.x.iter().map(|v| v.to_bits()).collect();
+            bits.extend([o.t.to_bits(), o.enuc.to_bits()]);
+            let rest = format!("ok {:?} {} {:?}", r.rung, r.retries, counts(&o.stats));
+            (bits, rest)
+        }
+        Err(f) => {
+            let mut bits: Vec<u64> = f.x0.iter().map(|v| v.to_bits()).collect();
+            bits.extend([f.zone, f.rho.to_bits(), f.t0.to_bits()]);
+            let rest = format!(
+                "err {:?} {} {:?} {:?}",
+                f.rung_reached,
+                f.attempts,
+                f.error,
+                counts(&f.stats)
+            );
+            (bits, rest)
+        }
+    }
+}
+
+proptest! {
+    // Each case burns three sweeps of up to 40 zones; ci/tier1.sh runs
+    // this block in release as well.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn pooled_sweep_equals_nested_inline_sweep_bitwise(
+        net_idx in 0usize..3,
+        nzones in 9usize..41,
+        hot_every in 2usize..6,
+        width in prop::sample::select(vec![1usize, 4, 8]),
+        starve in 0usize..3,
+        fault_rate in prop::sample::select(vec![0.0f64, 0.3]),
+        log_dt in -9.0f64..-7.5,
+    ) {
+        // A sweep called at the top level may be drained by the worker
+        // team; the same sweep called from inside a pool task cannot be
+        // (nested regions run inline on their caller). Which zones share a
+        // chunk is fixed by the temperature sort, so both must return the
+        // same bits, counts, rungs and failures, in input order — over hot
+        // and cold zones, short last chunks, a starved batch whose lanes
+        // all drop out to the ladder, and injected faults.
+        use exastro_microphysics::{
+            BdfErrorKind, BurnFaultConfig, BurnerConfig, Iso7, RetryLadder, ZoneBurn,
+        };
+        let nets: [Box<dyn Network>; 3] = [
+            Box::new(CBurn2::new()),
+            Box::new(Iso7::new()),
+            Box::new(Aprox13::new()),
+        ];
+        let net = &*nets[net_idx];
+        let eos = StellarEos;
+        let mut cfg = BurnerConfig {
+            batch_width: width,
+            faults: (fault_rate > 0.0).then_some(BurnFaultConfig {
+                seed: nzones as u64,
+                rate: fault_rate,
+                rungs_to_fail: 1,
+                error: BdfErrorKind::MaxSteps,
+            }),
+            ..Default::default()
+        };
+        // 1: every lane drops out and the ladder rescues it; 2: no ladder
+        // either, so the zones that need more than three steps fail.
+        if starve > 0 {
+            cfg.bdf.max_steps = 3;
+        }
+        if starve == 2 {
+            cfg.ladder = RetryLadder::none();
+        }
+        let zones: Vec<ZoneBurn> = (0..nzones)
+            .map(|i| {
+                let f = (i as f64 * 0.37).sin() * 0.02;
+                let mut x0 = vec![0.0; net.nspec()];
+                x0[0] = 0.5 + f;
+                x0[1] = 0.5 - f;
+                ZoneBurn {
+                    zone: i as u64,
+                    rho: 5e7 * (1.0 + f),
+                    t0: if i % hot_every == 0 { 2.8e9 } else { 4e8 } * (1.0 - f),
+                    x0,
+                }
+            })
+            .collect();
+        let dt = 10f64.powf(log_dt);
+        let burner = cfg.build(net, &eos);
+        let top: Vec<_> = burner.burn_all(&zones, dt).iter().map(burn_bits).collect();
+        let nested = std::sync::Mutex::new(Vec::new());
+        exastro_parallel::par_index_each(2, usize::MAX, |_| {
+            let sweep: Vec<_> = burner.burn_all(&zones, dt).iter().map(burn_bits).collect();
+            nested.lock().unwrap().push(sweep);
+        });
+        let nested = nested.into_inner().unwrap();
+        prop_assert_eq!(nested.len(), 2);
+        for sweep in &nested {
+            prop_assert!(sweep == &top, "{} width {width}: nested != pooled", net.name());
+        }
+    }
+}
+
 /// The rate fits as they were written before the temperature factors were
 /// hoisted: every `powf` taken inside the arm that uses it. Kept only here,
 /// as the reference the hoisted [`Rate::eval`] must reproduce bit for bit.
