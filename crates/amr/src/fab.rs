@@ -80,6 +80,40 @@ impl Strides {
     fn stride(&self, dim: usize) -> usize {
         [1, self.jstride, self.kstride][dim]
     }
+
+    /// For a copy of component `c` of the whole of `region` to or from a
+    /// buffer of `len` values, `x` fastest: call `row(o, b)` for each x-row,
+    /// rows in memory order, with the offsets of the row's first value in
+    /// the fab and in the buffer. Checked in every build — once per copy,
+    /// and the box copies rely on it: `region` lies inside the box, `c` is
+    /// one of `ncomp` components and the buffer holds one value per zone.
+    #[inline]
+    fn for_each_box_row(
+        &self,
+        region: IndexBox,
+        c: usize,
+        ncomp: usize,
+        len: usize,
+        mut row: impl FnMut(usize, usize),
+    ) {
+        assert!(
+            c < ncomp && self.bx.contains_box(&region) && len == region.num_zones() as usize,
+            "copying {region:?} outside {:?}, or to a buffer of the wrong size",
+            self.bx
+        );
+        if region.is_empty() {
+            return;
+        }
+        let (lo, size) = (region.lo(), region.size());
+        let start = c * self.nstride + self.zone(lo.x(), lo.y(), lo.z());
+        let mut b = 0;
+        for k in 0..size.z() as usize {
+            for j in 0..size.y() as usize {
+                row(start + j * self.jstride + k * self.kstride, b);
+                b += size.x() as usize;
+            }
+        }
+    }
 }
 
 /// A dense array over `bx` with `ncomp` components.
@@ -249,8 +283,9 @@ impl FArrayBox {
 }
 
 /// Call `f(start, n)` for each x-row of `bx`: the row's first zone and its
-/// length, rows in memory order. Nothing for an empty box.
-pub(crate) fn for_each_row(bx: IndexBox, mut f: impl FnMut(IntVect, usize)) {
+/// length, rows in memory order. Nothing for an empty box. A kernel resolves
+/// `start` to a cursor once and walks the row from it.
+pub fn for_each_row(bx: IndexBox, mut f: impl FnMut(IntVect, usize)) {
     if bx.is_empty() {
         return;
     }
@@ -308,6 +343,16 @@ impl<'a> Array4<'a> {
     #[inline]
     pub fn at(&self, i: i32, j: i32, k: i32, c: usize) -> Real {
         self.at_zone(self.zone(i, j, k), c)
+    }
+
+    /// Copy component `c` of every zone of `region`, `x` fastest, into
+    /// `out`.
+    pub(crate) fn read_box(&self, region: IndexBox, c: usize, out: &mut [Real]) {
+        let n = region.length(0) as usize;
+        self.st
+            .for_each_box_row(region, c, self.ncomp, out.len(), |o, b| {
+                out[b..b + n].copy_from_slice(&self.data[o..o + n]);
+            });
     }
 
     /// The box this view covers.
@@ -428,39 +473,35 @@ impl<'a> Array4Mut<'a> {
         self.add_zone(self.zone(i, j, k), c, v);
     }
 
-    /// Offset of the `n`-value x-row of component `c` starting at zone `iv`.
-    /// Unlike the per-value accessors this checks the range in every build:
-    /// it is once per row, and the row copies below rely on it.
-    #[inline]
-    fn row_offset(&self, iv: IntVect, c: usize, n: usize) -> usize {
-        debug_assert!(n >= 1 && iv.x() + n as i32 - 1 <= self.st.bx.hi().x());
-        let o = c * self.st.nstride + self.zone(iv.x(), iv.y(), iv.z());
-        assert!(c < self.ncomp && o + n <= self.len, "row outside the fab");
-        o
+    /// Copy component `c` of every zone of `region`, `x` fastest, into
+    /// `out`. The region's slots are read, in the contract's terms.
+    pub(crate) fn read_box(&self, region: IndexBox, c: usize, out: &mut [Real]) {
+        let n = region.length(0) as usize;
+        self.st
+            .for_each_box_row(region, c, self.ncomp, out.len(), |o, b| {
+                for x in 0..n {
+                    // SAFETY: `for_each_box_row` checked, in every build,
+                    // that `region` lies inside the viewed box and `c` is a
+                    // component, so every zone of each of its rows is
+                    // inside the viewed allocation; no concurrent task
+                    // writes the slots read (module contract).
+                    out[b + x] = unsafe { *self.ptr.add(o + x) };
+                }
+            });
     }
 
-    /// Copy the `out.len()` values of component `c` from zone `iv` along
-    /// `x` into `out`. The row's slots are read, in the contract's terms.
-    #[inline]
-    pub(crate) fn read_row(&self, iv: IntVect, c: usize, out: &mut [Real]) {
-        let o = self.row_offset(iv, c, out.len());
-        // SAFETY: `row_offset` checked `o + len <= self.len`, so the source
-        // run is inside the viewed allocation; `out` is a unique borrow of
-        // other memory, so the runs do not overlap; no concurrent task
-        // writes the slots read (module contract).
-        unsafe { std::ptr::copy_nonoverlapping(self.ptr.add(o), out.as_mut_ptr(), out.len()) }
-    }
-
-    /// Overwrite the `row.len()` values of component `c` from zone `iv`
-    /// along `x` with `row`. The row's slots are written, in the contract's
-    /// terms.
-    #[inline]
-    pub(crate) fn write_row(&self, iv: IntVect, c: usize, row: &[Real]) {
-        let o = self.row_offset(iv, c, row.len());
-        // SAFETY: as for `read_row`, with the roles swapped: the destination
-        // run is inside the viewed allocation and no concurrent task touches
-        // the slots written.
-        unsafe { std::ptr::copy_nonoverlapping(row.as_ptr(), self.ptr.add(o), row.len()) }
+    /// Overwrite component `c` of every zone of `region` with `data`, `x`
+    /// fastest. The region's slots are written, in the contract's terms.
+    pub(crate) fn write_box(&self, region: IndexBox, c: usize, data: &[Real]) {
+        let n = region.length(0) as usize;
+        self.st
+            .for_each_box_row(region, c, self.ncomp, data.len(), |o, b| {
+                for x in 0..n {
+                    // SAFETY: as for `read_box`, with the roles swapped: no
+                    // concurrent task touches the slots written.
+                    unsafe { *self.ptr.add(o + x) = data[b + x] };
+                }
+            });
     }
 
     /// The box this view covers.

@@ -41,7 +41,7 @@
 
 use crate::fab::Array4Mut;
 use crate::geometry::Geometry;
-use crate::multifab::{apply_physical_bc, BcSpec, CommTrace, MultiFab, PendingComm};
+use crate::multifab::{apply_physical_bc, BcSpec, CommTrace, ExchangePlan, MultiFab};
 use exastro_parallel::{IntVect, TaskClass, TaskGraph, TaskLabel, WorkerPool};
 use std::sync::Mutex;
 
@@ -77,7 +77,7 @@ fn task_label(stage: usize, f: usize) -> TaskLabel {
 /// the order the step's peak RSS is measured with.
 pub struct HaloLoop {
     geom: Geometry,
-    pending: PendingComm,
+    pending: ExchangePlan,
     /// Copy ops whose source is each fab — what `pack f` packs.
     packs_of: Vec<Vec<usize>>,
     graph: TaskGraph,
@@ -194,11 +194,11 @@ impl HaloLoop {
             match stage {
                 0 => {
                     for &o in &packs_of[f] {
-                        pending.pack_op(o, |iv, c, out| view.read_row(iv, c, out));
+                        pending.pack_op(o, |region, c, out| view.read_box(region, c, out));
                     }
                 }
                 1 => {
-                    pending.unpack_fab(f, |iv, c, row| view.write_row(iv, c, row));
+                    pending.unpack_fab(f, |region, c, data| view.write_box(region, c, data));
                     apply_physical_bc(view, &geom, bc, pending.footprint(f));
                 }
                 2 => interior(f, view),
@@ -448,6 +448,37 @@ mod tests {
             g.run_serial(task).unwrap()
         });
         assert_eq!(trace, CommTrace::default());
+    }
+
+    #[test]
+    fn a_plan_fills_again_after_the_data_changed() {
+        // One plan, filled three times with the valid zones rewritten in
+        // between: each fill must leave what a freshly planned one-shot
+        // fill leaves — grown boxes bit for bit, same trace — on every
+        // footprint: thin boxes and eight cubes, filled on the pool, and a
+        // single box that is its own periodic image, filled inline.
+        for (domain, max_size, periodic) in [
+            (IndexBox::sized(IntVect::new(7, 5, 3)), 2, true),
+            (IndexBox::cube(6), 3, false),
+            (IndexBox::cube(4), 4, true),
+        ] {
+            for (ngrow, ghosts) in FOOTPRINTS {
+                let (geom, mut mf, _) = fixture(domain, max_size, periodic, ngrow);
+                let mut plan = mf.plan_fill_boundary(&geom, ghosts);
+                for round in 0..3 {
+                    for f in 0..mf.nfabs() {
+                        for iv in mf.valid_box(f).iter() {
+                            let v = mf.fab(f).get(iv, 0);
+                            mf.fab_mut(f).set(iv, 0, 1.5 * v + round as Real);
+                        }
+                    }
+                    let mut fresh = mf.clone();
+                    let trace = fresh.fill_boundary_within(&geom, ghosts);
+                    assert_eq!(plan.fill(&mut mf), &trace);
+                    assert_same_bits(&mf, &fresh, &format!("{domain:?} {ghosts:?} fill {round}"));
+                }
+            }
+        }
     }
 
     #[test]

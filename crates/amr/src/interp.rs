@@ -1,6 +1,7 @@
 //! Inter-level transfer operators: conservative prolongation (coarse → fine)
 //! and restriction / average-down (fine → coarse).
 
+use crate::fab::for_each_row;
 use crate::multifab::MultiFab;
 use exastro_parallel::{IntVect, Real};
 
@@ -96,20 +97,22 @@ pub fn average_down(fine: &MultiFab, coarse: &mut MultiFab, ratio: i32) {
     let inv_vol = 1.0 / (ratio as Real).powi(3);
     for ci in 0..coarse.nfabs() {
         let cvb = coarse.valid_box(ci);
+        let cv = coarse.fab_mut(ci).array_mut();
         for fi in 0..fine.nfabs() {
             let fvb = fine.valid_box(fi);
-            let overlap = cvb.intersection(&fvb.coarsen(ratio));
-            if overlap.is_empty() {
-                continue;
-            }
-            for civ in overlap.iter() {
+            let fv = fine.fab(fi).array();
+            for civ in cvb.intersection(&fvb.coarsen(ratio)).iter() {
                 let fregion = crate::fine_zones_of(civ, ratio).intersection(&fvb);
+                let cz = cv.zone(civ.x(), civ.y(), civ.z());
                 for c in 0..ncomp {
                     let mut acc = 0.0;
-                    for fiv in fregion.iter() {
-                        acc += fine.fab(fi).get(fiv, c);
-                    }
-                    coarse.fab_mut(ci).set(civ, c, acc * inv_vol);
+                    for_each_row(fregion, |iv, n| {
+                        let z = fv.zone(iv.x(), iv.y(), iv.z());
+                        for x in 0..n {
+                            acc += fv.at_zone(z + x, c);
+                        }
+                    });
+                    cv.set_zone(cz, c, acc * inv_vol);
                 }
             }
         }

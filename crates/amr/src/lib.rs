@@ -38,14 +38,14 @@ pub mod multifab;
 pub use boxarray::BoxArray;
 pub use cluster::{cluster, ClusterParams};
 pub use distribution::{DistStrategy, DistributionMapping};
-pub use fab::{Array4, Array4Mut, FArrayBox};
+pub use fab::{for_each_row, Array4, Array4Mut, FArrayBox};
 pub use flux_register::FluxRegister;
 pub use geometry::{CoordSys, Geometry};
 pub use halo_loop::HaloLoop;
 pub use hierarchy::{fill_patch_two_levels, AmrLevel, Hierarchy};
 pub use interp::{average_down, prolong_lin, prolong_pc};
 pub use io::{read_checkpoint, write_checkpoint, Checkpoint, IoError};
-pub use multifab::{BcKind, BcSpec, CommTrace, Message, MultiFab, PendingComm};
+pub use multifab::{BcKind, BcSpec, CommTrace, ExchangePlan, Message, MultiFab};
 
 // Re-export the index primitives so downstream crates have one import path.
 pub use exastro_parallel::{IndexBox, IntVect, Real, SPACEDIM};

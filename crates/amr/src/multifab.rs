@@ -14,8 +14,7 @@ use crate::distribution::DistributionMapping;
 use crate::fab::{for_each_row, Array4Mut, FArrayBox};
 use crate::geometry::Geometry;
 use exastro_parallel::{
-    par_each_mut, par_each_mut_bounded, par_index_each, par_map_fold, IndexBox, IntVect, Profiler,
-    Real, WorkerPool, SPACEDIM,
+    par_each_mut, par_index_each, par_map_fold, IndexBox, IntVect, Profiler, Real, SPACEDIM,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -87,26 +86,31 @@ struct GhostOp {
     shift: IntVect,
 }
 
-/// An in-flight ghost exchange: the first phase of the two-phase comm API.
+/// The ghost exchange of one box layout and footprint, planned once and
+/// run any number of times.
 ///
-/// Produced by [`MultiFab::post_fill_boundary`], planned **and** packed — the
-/// MPI-isend analogue. Carries the partial [`CommTrace`], priced at planning
-/// time: the exchange pattern depends only on the box layout and the
-/// footprint (the per-dimension ghost depth it fills, see
+/// [`MultiFab::plan_fill_boundary`] derives the copy ops, the
+/// per-destination op lists, the pack buffers and the [`CommTrace`] — the
+/// exchange pattern depends only on the box layout and the footprint (the
+/// per-dimension ghost depth it fills, see
 /// [`MultiFab::fill_boundary_within`]), so the trace is complete before any
-/// data moves.
+/// data moves. A run moves data only: [`ExchangePlan::fill`] packs every op
+/// from the target's current valid zones and unpacks every ghost region,
+/// and may be called again after the valid data changed — a multigrid level
+/// plans once and fills before every colour of every sweep. The one-shot
+/// [`MultiFab::fill_boundary_within`] is "plan, fill once".
 ///
-/// [`PendingComm::wait`] unpacks every ghost region into the target multifab
-/// and returns the trace; `post` + `wait` is exactly the one-shot
-/// [`MultiFab::fill_boundary`]. Inside this crate,
-/// [`HaloLoop`](crate::halo_loop::HaloLoop) instead plans without packing
-/// and stages each pack and each per-fab unpack as a graph task.
+/// The two-phase form is the same plan: [`MultiFab::post_fill_boundary`]
+/// returns it with every op already packed — the MPI-isend analogue — and
+/// [`ExchangePlan::wait`] unpacks. Inside this crate,
+/// [`HaloLoop`](crate::halo_loop::HaloLoop) stages each pack and each
+/// per-fab unpack of a plan as a graph task.
 ///
-/// Buffers are individually locked so graph tasks can pack/unpack disjoint
-/// ops concurrently; per-destination unpacks apply ops in planning order, so
+/// Buffers are individually locked so tasks can pack/unpack disjoint ops
+/// concurrently; per-destination unpacks apply ops in planning order, so
 /// the result is bit-identical under any legal schedule.
-#[must_use = "an unfinished exchange fills no ghosts and loses its CommTrace"]
-pub struct PendingComm {
+#[must_use = "a plan that is never run fills no ghosts"]
+pub struct ExchangePlan {
     ops: Vec<GhostOp>,
     bufs: Vec<Mutex<Vec<Real>>>,
     packed: Vec<AtomicBool>,
@@ -118,9 +122,11 @@ pub struct PendingComm {
     ngrow: i32,
     /// Ghost depth per dimension this exchange fills.
     ghosts: IntVect,
+    /// Ghost zones one run fills.
+    ghost_zones: u64,
 }
 
-impl PendingComm {
+impl ExchangePlan {
     /// The box of fab `f` this exchange fills: its valid box grown by the
     /// planned ghost depths. The physical BC of the same fill is clipped to
     /// it too.
@@ -138,62 +144,65 @@ impl PendingComm {
         (self.ops[o].src, self.ops[o].dst)
     }
 
-    /// The partial trace carried by this exchange (complete at post time).
+    /// What one run of this exchange moves (complete at planning time).
     pub fn trace(&self) -> &CommTrace {
         &self.trace
     }
 
-    /// Pack op `o`'s buffer, one x-row of the region at a time:
-    /// `read_row(iv, c, out)` must fill `out` with component `c` of the
-    /// source fab from zone `iv` along `x` (*valid* zones of the source
-    /// box). Safe to call concurrently for distinct ops.
-    pub(crate) fn pack_op<F: Fn(IntVect, usize, &mut [Real])>(&self, o: usize, read_row: F) {
+    /// Fill op `o`'s buffer: `read_box(region, c, out)` must fill `out` with
+    /// component `c` of `region` of the source fab, `x` fastest (*valid*
+    /// zones of the source box).
+    fn pack<F: Fn(IndexBox, usize, &mut [Real])>(&self, o: usize, read_box: F) {
         let op = &self.ops[o];
+        let n = op.region.num_zones() as usize;
         let mut buf = self.bufs[o].lock().unwrap();
-        buf.clear();
-        buf.resize(op.region.num_zones() as usize * self.ncomp, 0.0);
-        let mut rows = buf.chunks_exact_mut(op.region.length(0) as usize);
-        for c in 0..self.ncomp {
-            for_each_row(op.region, |iv, _| {
-                let out = rows.next().expect("one chunk per row");
-                read_row(iv - op.shift, c, out);
-            });
+        buf.resize(n * self.ncomp, 0.0);
+        for (c, out) in buf.chunks_exact_mut(n).enumerate() {
+            read_box(op.region.shift(-op.shift), c, out);
         }
+    }
+
+    /// Write op `o`'s buffer into its destination: `write_box(region, c,
+    /// data)` must overwrite component `c` of `region` of the fab with
+    /// `data`, `x` fastest.
+    fn unpack<F: FnMut(IndexBox, usize, &[Real])>(&self, o: usize, mut write_box: F) {
+        let op = &self.ops[o];
+        let buf = self.bufs[o].lock().unwrap();
+        for (c, data) in buf.chunks_exact(op.region.num_zones() as usize).enumerate() {
+            write_box(op.region, c, data);
+        }
+    }
+
+    /// Stage one pack: fill op `o`'s buffer through `read_box` (see
+    /// `pack`) and mark it packed. Safe to call concurrently for distinct
+    /// ops.
+    pub(crate) fn pack_op<F: Fn(IndexBox, usize, &mut [Real])>(&self, o: usize, read_box: F) {
+        self.pack(o, read_box);
         self.packed[o].store(true, Ordering::Release);
     }
 
-    /// [`PendingComm::pack_op`] from a whole fab, `sfab` being op `o`'s
+    /// [`ExchangePlan::pack_op`] from a whole fab, `sfab` being op `o`'s
     /// source.
     fn pack_from(&self, o: usize, sfab: &FArrayBox) {
-        self.pack_op(o, |iv, c, out| {
-            out.copy_from_slice(sfab.row(iv, c, out.len()))
-        });
+        self.pack_op(o, |region, c, out| sfab.array().read_box(region, c, out));
     }
 
-    /// Unpack every op targeting fab `fab_index`, in planning order, one
-    /// x-row at a time through `write_row(iv, c, row)` (component `c` of the
-    /// fab from zone `iv` along `x` becomes `row`). Panics if one of the
-    /// fab's incoming ops is not packed yet (the graph's ghost-exchange
+    /// Stage one fab's unpacks: every op targeting fab `fab_index`, in
+    /// planning order, through `write_box` (see `unpack`). Panics if one of
+    /// the fab's incoming ops is not packed yet (the graph's ghost-exchange
     /// edges guarantee they are): an unpacked buffer would fill ghosts with
     /// stale data. Safe to call concurrently for distinct fabs.
-    pub(crate) fn unpack_fab<F: FnMut(IntVect, usize, &[Real])>(
+    pub(crate) fn unpack_fab<F: FnMut(IndexBox, usize, &[Real])>(
         &self,
         fab_index: usize,
-        mut write_row: F,
+        mut write_box: F,
     ) {
-        for &oi in &self.per_dst[fab_index] {
+        for &o in &self.per_dst[fab_index] {
             assert!(
-                self.packed[oi].load(Ordering::Acquire),
-                "unpacking op {oi} before it was packed"
+                self.packed[o].load(Ordering::Acquire),
+                "unpacking op {o} before it was packed"
             );
-            let op = &self.ops[oi];
-            let buf = self.bufs[oi].lock().unwrap();
-            let mut rows = buf.chunks_exact(op.region.length(0) as usize);
-            for c in 0..self.ncomp {
-                for_each_row(op.region, |iv, _| {
-                    write_row(iv, c, rows.next().expect("one chunk per row"));
-                });
-            }
+            self.unpack(o, &mut write_box);
         }
     }
 
@@ -204,30 +213,58 @@ impl PendingComm {
         assert_eq!(self.ngrow, mf.ngrow, "target ngrow mismatch");
     }
 
-    /// Phase two: complete the exchange into `mf` (normally the multifab
-    /// that posted it, but any multifab on the same box layout works — the
-    /// low-Mach driver completes into its advection snapshot). Ops not yet
-    /// packed are packed from `mf`'s current valid data; every ghost region
-    /// is then unpacked in planning order. Returns the full trace.
+    /// Run the exchange on `mf` — the planned multifab or any on the same
+    /// layout: every op is packed from `mf`'s current valid zones, whatever
+    /// an earlier run or staged pack left in its buffer, then every ghost
+    /// region of the footprint is overwritten. Returns the trace of this
+    /// run, the same every run. May be called any number of times; nothing
+    /// is re-planned or re-allocated.
+    pub fn fill(&mut self, mf: &mut MultiFab) -> &CommTrace {
+        for packed in &mut self.packed {
+            *packed.get_mut() = false;
+        }
+        self.complete(mf);
+        &self.trace
+    }
+
+    /// Phase two of a posted exchange: complete it into `mf` (normally the
+    /// multifab that posted it, but any multifab on the same box layout
+    /// works — the low-Mach driver completes into its advection snapshot).
+    /// Ops not yet packed are packed from `mf`'s current valid data; every
+    /// ghost region is then unpacked in planning order. Returns the trace.
     #[must_use = "the CommTrace prices this exchange in the machine model; merge it into the step trace"]
     pub fn wait(self, mf: &mut MultiFab) -> CommTrace {
-        self.check_target(mf);
-        for (o, op) in self.ops.iter().enumerate() {
-            if !self.packed[o].load(Ordering::Acquire) {
-                self.pack_from(o, &mf.fabs[op.src]);
-            }
-        }
-        // Unpack in parallel over destination fabs (disjoint mutable
-        // access). The cap is *computed* — fabs with pending ops — and can
-        // be 0 on an exchange with no ghost traffic.
-        let cap = self.per_dst.iter().filter(|v| !v.is_empty()).count();
-        let pending = &self;
-        par_each_mut_bounded(WorkerPool::global(), &mut mf.fabs, cap, |fi, dfab| {
-            pending.unpack_fab(fi, |iv, c, row| {
-                dfab.row_mut(iv, c, row.len()).copy_from_slice(row)
-            });
-        });
+        self.complete(mf);
         self.trace
+    }
+
+    /// One task per destination fab: pack those of its incoming ops that no
+    /// staged pack has filled and unpack them all in planning order. A task
+    /// reads valid zones (of any fab) and writes only its own fab's ghosts,
+    /// and valid zones are written by nobody, so the tasks touch disjoint
+    /// slots; the `packed` flags are read, never written, so tasks share no
+    /// written cache line either. An exchange into a single fab — or with
+    /// no ops at all — runs inline and the pool sees no region.
+    fn complete(&self, mf: &mut MultiFab) {
+        let _prof = Profiler::region("fill_boundary");
+        Profiler::record_zones(self.ghost_zones);
+        self.check_target(mf);
+        let views = mf.fab_views_mut();
+        let fill_fab = |f: usize| {
+            for &o in &self.per_dst[f] {
+                if !self.packed[o].load(Ordering::Acquire) {
+                    let src = &views[self.ops[o].src];
+                    self.pack(o, |region, c, out| src.read_box(region, c, out));
+                }
+                self.unpack(o, |region, c, data| views[f].write_box(region, c, data));
+            }
+        };
+        let dsts = self.per_dst.iter().filter(|ops| !ops.is_empty()).count();
+        if dsts <= 1 {
+            (0..views.len()).for_each(fill_fab);
+        } else {
+            par_index_each(views.len(), dsts, fill_fab);
+        }
     }
 
     /// Complete a fully staged exchange (every op packed and unpacked by
@@ -238,6 +275,8 @@ impl PendingComm {
             self.packed.iter().all(|p| p.load(Ordering::Acquire)),
             "finish() with unpacked ops: the graph missed pack tasks"
         );
+        let _prof = Profiler::region("fill_boundary");
+        Profiler::record_zones(self.ghost_zones);
         self.trace
     }
 }
@@ -473,9 +512,10 @@ impl MultiFab {
     /// time at scale (Figure 2); the trace feeds the machine model. It is
     /// [`MultiFab::fill_boundary_within`] at the full depth, every ghost
     /// zone of every fab; [`MultiFab::post_fill_boundary`] followed by
-    /// [`PendingComm::wait`] is the same fill in two phases. Callers that
-    /// run kernels while the exchange is in flight use
-    /// [`HaloLoop`](crate::halo_loop::HaloLoop).
+    /// [`ExchangePlan::wait`] is the same fill in two phases. Callers that
+    /// fill the same layout again and again keep the plan
+    /// ([`MultiFab::plan_fill_boundary`]); callers that run kernels while
+    /// the exchange is in flight use [`HaloLoop`](crate::halo_loop::HaloLoop).
     #[must_use = "the CommTrace prices this exchange in the machine model; merge it into the step trace"]
     pub fn fill_boundary(&mut self, geom: &Geometry) -> CommTrace {
         self.fill_boundary_within(geom, IntVect::splat(self.ngrow))
@@ -491,17 +531,19 @@ impl MultiFab {
     /// `FillBoundary(nghost)`).
     #[must_use = "the CommTrace prices this exchange in the machine model; merge it into the step trace"]
     pub fn fill_boundary_within(&mut self, geom: &Geometry, ghosts: IntVect) -> CommTrace {
-        self.post(geom, ghosts).wait(self)
+        let mut plan = self.plan_fill_boundary(geom, ghosts);
+        plan.fill(self);
+        plan.trace
     }
 
     /// Plan the ghost exchange of the footprint `ghosts` (see
     /// [`MultiFab::fill_boundary_within`]) without moving any data: compute
     /// the copy ops, allocate (empty) pack buffers, and price the traffic.
-    /// The returned [`PendingComm`] carries the partial [`CommTrace`].
-    /// [`HaloLoop`](crate::halo_loop::HaloLoop) stages the packs and
-    /// unpacks of the plan as graph tasks.
-    #[must_use = "the plan holds the exchange state; wait() or finish() it"]
-    pub(crate) fn plan_fill_boundary(&self, geom: &Geometry, ghosts: IntVect) -> PendingComm {
+    /// The returned [`ExchangePlan`] runs on this multifab, or any on the
+    /// same layout, as often as the caller likes ([`ExchangePlan::fill`]);
+    /// [`HaloLoop`](crate::halo_loop::HaloLoop) stages its packs and
+    /// unpacks as graph tasks instead.
+    pub fn plan_fill_boundary(&self, geom: &Geometry, ghosts: IntVect) -> ExchangePlan {
         let _prof = Profiler::region("fill_boundary");
         self.check_footprint(ghosts);
         let mut ops = Vec::new();
@@ -550,7 +592,6 @@ impl MultiFab {
                 trace.messages.push(Message::new(sr, dr, bytes));
             }
         }
-        Profiler::record_zones(ghost_zones);
         let ncomp = self.ncomp;
         let bufs = ops
             .iter()
@@ -561,7 +602,7 @@ impl MultiFab {
         for (oi, op) in ops.iter().enumerate() {
             per_dst[op.dst].push(oi);
         }
-        PendingComm {
+        ExchangePlan {
             ops,
             bufs,
             packed,
@@ -571,6 +612,7 @@ impl MultiFab {
             ncomp,
             ngrow: self.ngrow,
             ghosts,
+            ghost_zones,
         }
     }
 
@@ -587,22 +629,15 @@ impl MultiFab {
     /// Phase one of the ghost exchange: plan the copies and pack every
     /// send buffer from the *current* valid data — the analogue of posting
     /// MPI isends, whose buffers capture the data at post time. The state
-    /// may then be mutated (interior kernels) before [`PendingComm::wait`]
+    /// may then be mutated (interior kernels) before [`ExchangePlan::wait`]
     /// unpacks the ghosts.
     #[must_use = "dropping a posted exchange loses the ghost fill; call wait()"]
-    pub fn post_fill_boundary(&self, geom: &Geometry) -> PendingComm {
-        self.post(geom, IntVect::splat(self.ngrow))
-    }
-
-    /// Plan the footprint `ghosts` and pack every send buffer.
-    fn post(&self, geom: &Geometry, ghosts: IntVect) -> PendingComm {
-        let pending = self.plan_fill_boundary(geom, ghosts);
-        let fabs = &self.fabs;
-        let pref = &pending;
-        par_index_each(pending.ops.len(), pending.ops.len(), |o| {
-            pref.pack_from(o, &fabs[pref.ops[o].src]);
+    pub fn post_fill_boundary(&self, geom: &Geometry) -> ExchangePlan {
+        let plan = self.plan_fill_boundary(geom, IntVect::splat(self.ngrow));
+        par_index_each(plan.ops.len(), plan.ops.len(), |o| {
+            plan.pack_from(o, &self.fabs[plan.ops[o].src]);
         });
-        pending
+        plan
     }
 
     /// Fill ghost zones that lie outside the problem domain on non-periodic
@@ -1099,7 +1134,7 @@ mod tests {
         }
         for fi in 0..staged.nfabs() {
             let arr = staged.fab_mut(fi).array_mut();
-            pending.unpack_fab(fi, |iv, c, row| arr.write_row(iv, c, row));
+            pending.unpack_fab(fi, |region, c, data| arr.write_box(region, c, data));
         }
         let t2 = pending.finish();
         for i in 0..sync.nfabs() {

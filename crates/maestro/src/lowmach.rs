@@ -25,14 +25,14 @@
 
 use crate::base_state::{rho_from_p_t, BaseState};
 use exastro_amr::{
-    Array4Mut, BcKind, BcSpec, CommTrace, Geometry, HaloLoop, IndexBox, IntVect, MultiFab, Real,
-    SPACEDIM,
+    for_each_row, Array4Mut, BcKind, BcSpec, CommTrace, Geometry, HaloLoop, IndexBox, IntVect,
+    MultiFab, Real, SPACEDIM,
 };
 use exastro_microphysics::{
     BurnFailure, BurnFaultConfig, BurnTally, BurnerConfig, Composition, Eos, Network, RetryLadder,
     ZoneBurn,
 };
-use exastro_parallel::Profiler;
+use exastro_parallel::{par_each_mut, Profiler};
 use exastro_resilience::recovery::{write_emergency, RecoveryOptions};
 use exastro_resilience::snapshot::Clock;
 use exastro_resilience::stepper::{StepFailure, StepOutcome, Stepper};
@@ -379,15 +379,20 @@ impl<'a> Maestro<'a> {
         let dm = state.dist_map().clone();
         let mut rhs = MultiFab::new(ba.clone(), dm.clone(), 1, 0);
         let mut vel = MultiFab::new(ba.clone(), dm.clone(), 3, 1);
-        for i in 0..state.nfabs() {
-            let gb = state.grown_box(i);
-            for iv in gb.iter() {
-                for d in 0..3 {
-                    vel.fab_mut(i)
-                        .set(iv, d, state.fab(i).get(iv, LmLayout::U + d));
+        // The velocity, ghosts included: the advect loop left the state's
+        // ghosts exchanged and boundary-conditioned.
+        par_each_mut(&mut vel.fab_views_mut(), |i, vv| {
+            let sv = state.fab(i).array();
+            for_each_row(vv.index_box(), |row, n| {
+                let z = vv.zone(row.x(), row.y(), row.z());
+                let s = sv.zone(row.x(), row.y(), row.z());
+                for x in 0..n {
+                    for d in 0..3 {
+                        vv.set_zone(z + x, d, sv.at_zone(s + x, LmLayout::U + d));
+                    }
                 }
-            }
-        }
+            });
+        });
         let mut comm = vel.fill_boundary(geom);
         let velbc = BcSpec {
             kind: {
@@ -399,28 +404,37 @@ impl<'a> Maestro<'a> {
         };
         vel.fill_physical_bc(geom, &velbc);
         let dx = geom.dx();
-        let mut total = 0.0;
-        for i in 0..rhs.nfabs() {
-            let vb = rhs.valid_box(i);
-            for iv in vb.iter() {
-                let mut div = 0.0;
-                for d in 0..3 {
-                    let e = IntVect::dim_vec(d);
-                    div += (vel.fab(i).get(iv + e, d) - vel.fab(i).get(iv - e, d)) / (2.0 * dx[d]);
+        par_each_mut(&mut rhs.fab_views_mut(), |i, rv| {
+            let vv = vel.fab(i).array();
+            let strides = [1, vv.stride(1), vv.stride(2)];
+            for_each_row(rv.index_box(), |row, n| {
+                let r = rv.zone(row.x(), row.y(), row.z());
+                let v = vv.zone(row.x(), row.y(), row.z());
+                for x in 0..n {
+                    let mut div = 0.0;
+                    for d in 0..3 {
+                        let (up, down) = (v + x + strides[d], v + x - strides[d]);
+                        div += (vv.at_zone(up, d) - vv.at_zone(down, d)) / (2.0 * dx[d]);
+                    }
+                    rv.set_zone(r + x, 0, div / dt);
                 }
-                rhs.fab_mut(i).set(iv, 0, div / dt);
-                total += div / dt;
-            }
-        }
+            });
+        });
         // Remove the nullspace component (periodic/Neumann solvability).
+        // One serial sum in box-then-zone order (`rhs` has no ghosts): the
+        // mean's bits must not depend on how the boxes were scheduled.
+        let total = (0..rhs.nfabs())
+            .flat_map(|i| rhs.fab(i).data())
+            .fold(0.0, |total, v| total + v);
         let mean = total / geom.domain().num_zones() as Real;
-        for i in 0..rhs.nfabs() {
-            let vb = rhs.valid_box(i);
-            for iv in vb.iter() {
-                let v = rhs.fab(i).get(iv, 0) - mean;
-                rhs.fab_mut(i).set(iv, 0, v);
-            }
-        }
+        par_each_mut(&mut rhs.fab_views_mut(), |_, rv| {
+            for_each_row(rv.index_box(), |row, n| {
+                let r = rv.zone(row.x(), row.y(), row.z());
+                for x in 0..n {
+                    rv.set_zone(r + x, 0, rv.at_zone(r + x, 0) - mean);
+                }
+            });
+        });
         let mut phi = MultiFab::new(ba, dm, 1, 1);
         let mg = Multigrid::poisson(
             [MgBc::Periodic, MgBc::Periodic, MgBc::Neumann],
@@ -443,18 +457,23 @@ impl<'a> Maestro<'a> {
             reflect_odd: vec![],
         };
         phi.fill_physical_bc(geom, &phibc);
-        for i in 0..state.nfabs() {
-            let vb = state.valid_box(i);
-            for iv in vb.iter() {
-                for d in 0..3 {
-                    let e = IntVect::dim_vec(d);
-                    let grad =
-                        (phi.fab(i).get(iv + e, 0) - phi.fab(i).get(iv - e, 0)) / (2.0 * dx[d]);
-                    let v = state.fab(i).get(iv, LmLayout::U + d) - dt * grad;
-                    state.fab_mut(i).set(iv, LmLayout::U + d, v);
+        let vbs: Vec<IndexBox> = (0..state.nfabs()).map(|i| state.valid_box(i)).collect();
+        par_each_mut(&mut state.fab_views_mut(), |i, sv| {
+            let pv = phi.fab(i).array();
+            let strides = [1, pv.stride(1), pv.stride(2)];
+            for_each_row(vbs[i], |row, n| {
+                let s = sv.zone(row.x(), row.y(), row.z());
+                let p = pv.zone(row.x(), row.y(), row.z());
+                for x in 0..n {
+                    for d in 0..3 {
+                        let (up, down) = (p + x + strides[d], p + x - strides[d]);
+                        let grad = (pv.at_zone(up, 0) - pv.at_zone(down, 0)) / (2.0 * dx[d]);
+                        let u = sv.at_zone(s + x, LmLayout::U + d) - dt * grad;
+                        sv.set_zone(s + x, LmLayout::U + d, u);
+                    }
                 }
-            }
-        }
+            });
+        });
         (stats, comm)
     }
 
