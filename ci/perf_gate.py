@@ -30,14 +30,10 @@ Usage:
 """
 
 import argparse
-import json
 import pathlib
 import sys
 
-
-def load(path):
-    with open(path) as f:
-        return json.load(f)
+from strict_json import load
 
 
 def main():

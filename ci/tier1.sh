@@ -25,7 +25,7 @@ grep -q "RESTART OK" /tmp/restart_smoke.log
 
 echo "== fault-injection smoke =="
 # ~1% of burn zones are forced to fail and must be rescued by the retry
-# ladder (retries visible in the profiler report); a second phase with
+# ladder (retries visible in the region report); a second phase with
 # unrecoverable faults must degrade to an emergency checkpoint plus a
 # structured error, never a panic.
 cargo run --release --offline --example fault_injection | tee /tmp/fault_smoke.log
@@ -35,14 +35,16 @@ grep -q "EMERGENCY CHECKPOINT OK" /tmp/fault_smoke.log
 echo "== burner bench smoke (test mode) =="
 # Dense-vs-sparse Newton comparison plus batched SoA throughput in smoke
 # mode: tiny sample counts, no absolute timing assertions here — but the
-# BENCH_burner.json artifact must be valid JSON with the expected schema,
+# BENCH_burner.json artifact must be strict JSON (ci/strict_json.py: no
+# NaN/Infinity tokens, no duplicate keys — what Python's own json.load lets
+# through — here and in every check below) with the expected schema,
 # the batched path must actually beat the scalar ladder (speedup > 1; the
 # quantitative floor lives in the perf gate below), and fifteen reactions
 # must cost well under fifteen times one.
 cargo bench --offline -p exastro-bench --bench burner -- --test >/tmp/burner_smoke.log
-python3 - <<'EOF'
-import json
-d = json.load(open("BENCH_burner.json"))
+PYTHONPATH=ci python3 - <<'EOF'
+import strict_json
+d = strict_json.load("BENCH_burner.json")
 assert d["bench"] == "burner", d
 labels = {m["label"] for m in d["metrics"]}
 for need in ("iso7/newton_solve_speedup", "aprox13/newton_solve_speedup",
@@ -54,7 +56,7 @@ for need in ("iso7/newton_solve_speedup", "aprox13/newton_solve_speedup",
     assert need in labels, f"missing {need} in {sorted(labels)}"
 by = {m["label"]: m["value"] for m in d["metrics"]}
 base = {m["label"]: m["value"]
-        for m in json.load(open("ci/baselines/BENCH_burner.json"))["metrics"]}
+        for m in strict_json.load("ci/baselines/BENCH_burner.json")["metrics"]}
 for net in ("iso7", "aprox13"):
     s = by[f"{net}/batch_speedup_w8"]
     assert s > 1.0, f"{net}: batched burns slower than scalar ({s:.2f}x)"
@@ -88,9 +90,9 @@ QUICKSTART_STEPS=12 cargo run --release --offline --example quickstart -- \
   --trace /tmp/quickstart_trace.json --metrics /tmp/quickstart_steps.jsonl \
   --graph-trace /tmp/quickstart_graphs.json \
   >/tmp/quickstart_smoke.log
-python3 - <<'EOF'
-import json
-d = json.load(open("/tmp/quickstart_trace.json"))
+PYTHONPATH=ci python3 - <<'EOF'
+import strict_json
+d = strict_json.load("/tmp/quickstart_trace.json")
 evs = d["traceEvents"]
 assert evs, "empty trace"
 stacks, last_ts, flows = {}, {}, {}
@@ -150,7 +152,7 @@ assert ratio <= 0.12, (
     f"sync_temperature is {ratio:.2f}x hydro ({sum(sync):.1f} ms vs "
     f"{sum(hydro):.1f} ms over {len(hydro)} step(s)); limit 0.12")
 print(f"sync_temperature / hydro = {ratio:.3f} over {len(hydro)} step(s)")
-g = json.load(open("/tmp/quickstart_graphs.json"))
+g = strict_json.load("/tmp/quickstart_graphs.json")
 assert g["schema"] == "exastro.graphtrace.v1", g.get("schema")
 assert g["graphs"], "no graph summaries recorded"
 for s in g["graphs"]:
@@ -181,7 +183,7 @@ need = {"driver", "step", "t", "dt", "wall_ns", "zones", "zones_per_us",
         "newton_iters", "bdf_steps", "burn_retries", "recovered_relaxed",
         "recovered_subcycle", "recovered_offload", "step_rejections",
         "checkpoint_bytes", "arena_live_bytes", "arena_peak_bytes"}
-recs = [json.loads(l) for l in open("/tmp/quickstart_steps.jsonl")]
+recs = [strict_json.loads(l) for l in open("/tmp/quickstart_steps.jsonl")]
 assert len(recs) == 12, f"expected 12 steps, got {len(recs)}"
 for i, r in enumerate(recs):
     assert need <= set(r), f"missing keys: {need - set(r)}"
@@ -202,9 +204,10 @@ cargo run --release --offline --example service -- \
   --report /tmp/service_report.json --jsonl-dir /tmp/service_jobs \
   | tee /tmp/service_smoke.log
 grep -q "SERVICE OK" /tmp/service_smoke.log
-python3 - <<'EOF'
-import json, pathlib
-r = json.load(open("/tmp/service_report.json"))
+PYTHONPATH=ci python3 - <<'EOF'
+import pathlib
+import strict_json
+r = strict_json.load("/tmp/service_report.json")
 need = {"wall_s", "submitted", "rejected", "completed", "failed",
         "preemptions", "queue_peak", "queue_bound", "total_ranks",
         "rank_utilization", "jobs_per_hour", "latency_p50_s",
@@ -226,7 +229,7 @@ for j in r["jobs"]:
         assert j["steps_done"] == j["steps_requested"], j
     path = pathlib.Path("/tmp/service_jobs") / f"{j['id']}.steps.jsonl"
     assert path.exists(), f"missing per-job stream {path}"
-    recs = [json.loads(l) for l in open(path)]
+    recs = [strict_json.loads(l) for l in open(path)]
     assert len(recs) == j["steps_done"], (
         f"{j['id']}: {len(recs)} records vs {j['steps_done']} steps")
     for i, rec in enumerate(recs):
@@ -247,9 +250,9 @@ cargo run --release --offline --example chaos -- \
   --report /tmp/chaos_report.json --events /tmp/chaos_events.jsonl \
   | tee /tmp/chaos_smoke.log
 grep -q "CHAOS OK" /tmp/chaos_smoke.log
-python3 - <<'EOF'
-import json
-r = json.load(open("/tmp/chaos_report.json"))
+PYTHONPATH=ci python3 - <<'EOF'
+import strict_json
+r = strict_json.load("/tmp/chaos_report.json")
 need = {"wall_s", "submitted", "completed", "failed", "quarantined",
         "node_failures", "lease_revocations", "recoveries",
         "straggler_migrations", "total_ranks", "ranks_in_service", "jobs"}
@@ -281,7 +284,7 @@ kinds_seen = {}
 events = []
 prev_sim = -1.0
 for line in open("/tmp/chaos_events.jsonl"):
-    e = json.loads(line)
+    e = strict_json.loads(line)
     events.append(e)
     assert e["schema"] == "exastro.event.v1", e
     for k in ("sim_us", "tick", "kind"):
@@ -315,9 +318,9 @@ echo "== task-graph overlap ablation smoke (test mode) =="
 # bulk-synchronous stepping, and a traced Castro advance must yield a
 # measured overlap efficiency that is a fraction.
 cargo bench --offline -p exastro-bench --bench ablation_taskgraph -- --test >/tmp/taskgraph_smoke.log
-python3 - <<'EOF'
-import json
-d = json.load(open("BENCH_taskgraph.json"))
+PYTHONPATH=ci python3 - <<'EOF'
+import strict_json
+d = strict_json.load("BENCH_taskgraph.json")
 assert d["bench"] == "taskgraph", d
 by = {m["label"]: m["value"] for m in d["metrics"]}
 for need in ("taskgraph/overlap_efficiency", "taskgraph/sync_efficiency",
@@ -350,9 +353,9 @@ cargo bench --offline -p exastro-bench --bench chaos -- --test >/tmp/chaos_bench
 # BENCH_telemetry.json; its baseline gates the overhead percentages
 # against an absolute 2% ceiling ("max" rule in perf_gate.py).
 cargo bench --offline -p exastro-bench --bench ablation_telemetry -- --test >/tmp/telemetry_smoke.log
-python3 - <<'EOF'
-import json
-d = json.load(open("BENCH_service.json"))
+PYTHONPATH=ci python3 - <<'EOF'
+import strict_json
+d = strict_json.load("BENCH_service.json")
 assert d["bench"] == "service", d
 by = {m["label"]: m["value"] for m in d["metrics"]}
 for need in ("service/jobs_per_hour", "service/latency_p50",
@@ -363,7 +366,7 @@ assert by["service/jobs_per_hour"] > 0
 assert by["service/preemptions"] > 0, "the bench's high wave must preempt"
 assert 0.0 < by["service/rank_utilization_2x_oversub"] <= 1.0
 print(f"BENCH_service.json OK ({len(d['metrics'])} metrics)")
-c = json.load(open("BENCH_chaos.json"))
+c = strict_json.load("BENCH_chaos.json")
 assert c["bench"] == "chaos", c
 cby = {m["label"]: m["value"] for m in c["metrics"]}
 for need in ("chaos/goodput_jobs_per_hour", "chaos/completion_rate_immortal",

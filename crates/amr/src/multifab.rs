@@ -14,7 +14,7 @@ use crate::distribution::DistributionMapping;
 use crate::fab::{for_each_row, Array4Mut, FArrayBox};
 use crate::geometry::Geometry;
 use exastro_parallel::{
-    par_each_mut, par_index_each, par_map_fold, IndexBox, IntVect, Profiler, Real, SPACEDIM,
+    par_each_mut, par_index_each, par_map_fold, IndexBox, IntVect, Real, Telemetry, SPACEDIM,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -246,8 +246,8 @@ impl ExchangePlan {
     /// written cache line either. An exchange into a single fab — or with
     /// no ops at all — runs inline and the pool sees no region.
     fn complete(&self, mf: &mut MultiFab) {
-        let _prof = Profiler::region("fill_boundary");
-        Profiler::record_zones(self.ghost_zones);
+        let _prof = Telemetry::region("fill_boundary");
+        Telemetry::record_zones(self.ghost_zones);
         self.check_target(mf);
         let views = mf.fab_views_mut();
         let fill_fab = |f: usize| {
@@ -275,8 +275,8 @@ impl ExchangePlan {
             self.packed.iter().all(|p| p.load(Ordering::Acquire)),
             "finish() with unpacked ops: the graph missed pack tasks"
         );
-        let _prof = Profiler::region("fill_boundary");
-        Profiler::record_zones(self.ghost_zones);
+        let _prof = Telemetry::region("fill_boundary");
+        Telemetry::record_zones(self.ghost_zones);
         self.trace
     }
 }
@@ -544,7 +544,7 @@ impl MultiFab {
     /// [`HaloLoop`](crate::halo_loop::HaloLoop) stages its packs and
     /// unpacks as graph tasks instead.
     pub fn plan_fill_boundary(&self, geom: &Geometry, ghosts: IntVect) -> ExchangePlan {
-        let _prof = Profiler::region("fill_boundary");
+        let _prof = Telemetry::region("fill_boundary");
         self.check_footprint(ghosts);
         let mut ops = Vec::new();
         if ghosts != IntVect::zero() {

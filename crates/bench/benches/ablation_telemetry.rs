@@ -1,7 +1,7 @@
 //! **Observability ablation**: the cost of leaving telemetry on.
 //!
 //! The telemetry subsystem promises to be free when disabled (one relaxed
-//! atomic load per profiler region) and cheap when enabled (a shard-local
+//! atomic load per region) and cheap when enabled (a shard-local
 //! ring-buffer push per region plus one `StepMetrics` record per step).
 //! This bench drives the same Castro Sedov advance four ways — telemetry
 //! disabled, trace spans enabled, trace + step metrics enabled, and

@@ -12,6 +12,7 @@ use exastro_amr::{BcSpec, BoxArray, DistributionMapping, Geometry, MultiFab};
 use exastro_castro::{Castro, Floors, Hydro, KernelStructure, StateLayout};
 use exastro_microphysics::{CBurn2, GammaLaw, Network};
 use exastro_parallel::Real;
+use exastro_telemetry::json;
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -41,15 +42,6 @@ impl BenchPoint {
     }
 }
 
-fn json_f64(v: f64) -> String {
-    // JSON has no NaN/Infinity tokens; clamp them to null.
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Serialize `points` and write `BENCH_{name}.json` at the workspace root
 /// (benches run with the crate directory as cwd, so we walk up two levels).
 /// Returns the path written. Serialization is hand-rolled: the container
@@ -58,16 +50,16 @@ pub fn write_bench_json(name: &str, points: &[BenchPoint]) -> std::io::Result<Pa
     let root = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
     let path = root.join(format!("BENCH_{name}.json"));
     let mut out = String::from("{\n");
-    out.push_str(&format!("  \"bench\": \"{name}\",\n"));
+    out.push_str(&format!("  \"bench\": \"{}\",\n", json::escape(name)));
     out.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         let sep = if i + 1 == points.len() { "" } else { "," };
         out.push_str(&format!(
             "    {{\"label\": \"{}\", \"nodes\": {}, \"zones_per_us\": {}, \"efficiency\": {}}}{sep}\n",
-            p.label,
+            json::escape(&p.label),
             p.nodes,
-            json_f64(p.zones_per_us),
-            json_f64(p.efficiency)
+            json::num(p.zones_per_us),
+            json::num(p.efficiency)
         ));
     }
     out.push_str("  ]\n}\n");
@@ -107,15 +99,15 @@ pub fn write_metrics_json(name: &str, metrics: &[MetricPoint]) -> std::io::Resul
     let root = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
     let path = root.join(format!("BENCH_{name}.json"));
     let mut out = String::from("{\n");
-    out.push_str(&format!("  \"bench\": \"{name}\",\n"));
+    out.push_str(&format!("  \"bench\": \"{}\",\n", json::escape(name)));
     out.push_str("  \"metrics\": [\n");
     for (i, m) in metrics.iter().enumerate() {
         let sep = if i + 1 == metrics.len() { "" } else { "," };
         out.push_str(&format!(
             "    {{\"label\": \"{}\", \"value\": {}, \"unit\": \"{}\"}}{sep}\n",
-            m.label,
-            json_f64(m.value),
-            m.unit
+            json::escape(&m.label),
+            json::num(m.value),
+            json::escape(&m.unit)
         ));
     }
     out.push_str("  ]\n}\n");

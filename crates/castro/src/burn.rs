@@ -174,7 +174,7 @@ pub fn burn_state(
         // outlier ratio (bounded).
         let cost = 5.0 * mean.max(1.0).log2().max(1.0) * imbalance.sqrt().min(32.0);
         let us = dev.launch(zones, &KernelProfile::new(cost, opts.registers_per_thread));
-        exastro_parallel::Profiler::record_device_us(us);
+        exastro_telemetry::Telemetry::record_device_us(us);
     }
     if failures.is_empty() {
         Ok(BurnStats {

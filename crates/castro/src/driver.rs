@@ -10,11 +10,11 @@ use exastro_amr::{
     IndexBox, IntVect, MultiFab, Real,
 };
 use exastro_microphysics::{BurnFailure, Composition, Eos, Network};
-use exastro_parallel::{par_each_mut, par_map_fold, Arena, ExecSpace, PoolArena, Profiler};
+use exastro_parallel::{par_each_mut, par_map_fold, Arena, ExecSpace, PoolArena};
 use exastro_resilience::recovery::{write_emergency, RecoveryOptions};
 use exastro_resilience::snapshot::{Clock, Snapshot};
 use exastro_resilience::stepper::{StepFailure, StepOutcome, Stepper};
-use exastro_telemetry::{StepMetrics, StepRecorder};
+use exastro_telemetry::{StepMetrics, StepRecorder, Telemetry};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -324,10 +324,10 @@ impl<'a> Castro<'a> {
         geom: &Geometry,
         dt: Real,
     ) -> Result<(StepStats, Vec<SweepFluxes>), StepError> {
-        let _prof = Profiler::region("castro_advance");
+        let _prof = Telemetry::region("castro_advance");
         let mut stats = StepStats::default();
         if let Some(burn_opts) = &self.burn {
-            let _r = Profiler::region("burn");
+            let _r = Telemetry::region("burn");
             let b = burn_state(
                 state,
                 0.5 * dt,
@@ -342,7 +342,7 @@ impl<'a> Castro<'a> {
             stats.burn = b;
         }
         let fluxes = {
-            let _r = Profiler::region("hydro");
+            let _r = Telemetry::region("hydro");
             let (fluxes, comm) = self.hydro.advance(
                 state,
                 dt,
@@ -358,18 +358,18 @@ impl<'a> Castro<'a> {
             fluxes
         };
         if self.gravity.mode != GravityMode::Off {
-            let _r = Profiler::region("gravity");
+            let _r = Telemetry::region("gravity");
             let field: GravityField = self.gravity.solve(state, geom);
             stats.gravity_converged = field.mg.as_ref().map(|m| m.converged);
             stats.comm.merge(&field.comm);
             Gravity::apply_source(state, &field, dt, &self.ex);
         }
         {
-            let _r = Profiler::region("sync_temperature");
+            let _r = Telemetry::region("sync_temperature");
             self.sync_temperature(state);
         }
         if let Some(burn_opts) = &self.burn {
-            let _r = Profiler::region("burn");
+            let _r = Telemetry::region("burn");
             let b = burn_state(
                 state,
                 0.5 * dt,
@@ -385,7 +385,7 @@ impl<'a> Castro<'a> {
             stats.burn.skipped -= b.skipped; // halves see the same zones
         }
         {
-            let _r = Profiler::region("validate");
+            let _r = Telemetry::region("validate");
             self.validate_state(state, self.recovery.species_tol)
                 .map_err(StepError::Invalid)?;
         }
@@ -430,8 +430,8 @@ impl<'a> Castro<'a> {
                 Err(e) => {
                     *state = snapshot;
                     last_err = Some(e);
-                    let _r = Profiler::region("step_reject");
-                    Profiler::record_retries(1);
+                    let _r = Telemetry::region("step_reject");
+                    Telemetry::record_retries(1);
                     if attempt + 1 < attempts {
                         try_dt *= self.recovery.dt_cut;
                     }
@@ -513,7 +513,7 @@ impl<'a> Castro<'a> {
         assert_eq!(states.len(), hier.nlevels());
         let mut all_stats = Vec::new();
         // Fill fine-level ghosts from coarse data before anything moves.
-        let fill_prof = Profiler::region("fill_patch");
+        let fill_prof = Telemetry::region("fill_patch");
         for l in 1..hier.nlevels() {
             let (coarse, fine) = states.split_at_mut(l);
             let cg = hier.level(l - 1).geom.clone();
@@ -537,7 +537,7 @@ impl<'a> Castro<'a> {
             fluxes_per_level.push(fluxes);
         }
         // Reflux coarse levels against their fine level.
-        let _reflux_prof = Profiler::region("reflux");
+        let _reflux_prof = Telemetry::region("reflux");
         for l in (1..hier.nlevels()).rev() {
             let ratio = hier.level(l).ratio_to_coarser;
             let fine_ba = hier.level(l).ba.clone();

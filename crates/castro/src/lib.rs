@@ -26,27 +26,23 @@
 
 pub mod burn;
 pub mod diagnostics;
-pub mod diffusion;
 pub mod driver;
 pub mod gravity;
 pub mod hydro;
 pub mod restart;
 pub mod riemann;
 pub mod sedov;
-pub mod sponge;
 pub mod state;
 pub mod wd_collision;
 
 pub use burn::{burn_cost_multifab, burn_state, hybrid_offload_estimate, BurnOptions, BurnStats};
 pub use diagnostics::{critical_zone_width, detonation_stability, StabilityReport};
-pub use diffusion::{diffuse, diffusion_dt, Conductivity};
 pub use driver::{Castro, DriverError, StateViolation, StepError, StepStats};
 pub use gravity::{Gravity, GravityField, GravityMode};
 pub use hydro::{Hydro, KernelStructure, SweepFluxes};
 pub use restart::{restore_hierarchy, snapshot_hierarchy, snapshot_level, variable_names};
 pub use riemann::{hllc, FaceFlux};
 pub use sedov::{init_sedov, measure_shock_radius, sedov_shock_radius, sedov_xi0, SedovParams};
-pub use sponge::Sponge;
 pub use state::{cons_to_prim, Floors, Primitive, StateLayout};
 pub use wd_collision::{
     contact_diagnostics, contact_time_estimate, init_collision, CollisionParams,

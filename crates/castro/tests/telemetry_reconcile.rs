@@ -3,13 +3,12 @@
 //! burner-level histograms, and with the process-wide checkpoint counter.
 //!
 //! Lives in its own test binary because it asserts on process-global state
-//! (the telemetry registries and the profiler); sharing a binary with
+//! (the telemetry registries and the region table); sharing a binary with
 //! unrelated tests would race those counters.
 
 use exastro_amr::{BoxArray, DistributionMapping, Geometry, IntVect, MultiFab};
 use exastro_castro::{variable_names, BurnOptions, Castro, StateLayout};
 use exastro_microphysics::{BdfErrorKind, BurnFaultConfig, CBurn2, StellarEos};
-use exastro_parallel::Profiler;
 use exastro_resilience::snapshot::{Clock, Snapshot};
 use exastro_resilience::CheckpointManager;
 use exastro_telemetry::{histogram, MemorySink, Telemetry};
@@ -45,7 +44,6 @@ fn carbon_state(n: i32) -> (Geometry, MultiFab, StateLayout) {
 fn step_metrics_reconcile_with_driver_stats_and_burner_telemetry() {
     Telemetry::reset();
     Telemetry::enable();
-    Profiler::reset();
     let net = CBurn2::new();
     let eos = StellarEos;
     let mut castro = Castro::new(&eos, &net);
@@ -161,10 +159,10 @@ fn step_metrics_reconcile_with_driver_stats_and_burner_telemetry() {
         sum_relaxed
     );
 
-    // The profiler saw the same structure the trace records.
-    let report = Profiler::report_json();
+    // The region table saw the same structure the trace records.
+    let report = Telemetry::region_report_json();
     for region in ["castro_advance", "burn", "hydro", "sync_temperature"] {
-        assert!(report.contains(region), "profiler missing {region}");
+        assert!(report.contains(region), "region table missing {region}");
     }
 
     // The trace exports as structurally sound Chrome JSON containing the

@@ -32,12 +32,12 @@ use exastro_microphysics::{
     BurnFailure, BurnFaultConfig, BurnTally, BurnerConfig, Composition, Eos, Network, RetryLadder,
     ZoneBurn,
 };
-use exastro_parallel::{par_each_mut, Profiler};
+use exastro_parallel::par_each_mut;
 use exastro_resilience::recovery::{write_emergency, RecoveryOptions};
 use exastro_resilience::snapshot::Clock;
 use exastro_resilience::stepper::{StepFailure, StepOutcome, Stepper};
 use exastro_solvers::{MgBc, MgOptions, MgStats, Multigrid};
-use exastro_telemetry::{StepMetrics, StepRecorder};
+use exastro_telemetry::{StepMetrics, StepRecorder, Telemetry};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -596,19 +596,19 @@ impl<'a> Maestro<'a> {
         geom: &Geometry,
         dt: Real,
     ) -> Result<LmStepStats, LmStepError> {
-        let _prof = Profiler::region("maestro_advance");
+        let _prof = Telemetry::region("maestro_advance");
         let mut stats = LmStepStats::default();
         let bc = self.bc();
         if self.do_burn {
-            let _r = Profiler::region("react");
+            let _r = Telemetry::region("react");
             stats.add_burn(&self.react(state, 0.5 * dt).map_err(LmStepError::Burn)?);
         }
         {
-            let _r = Profiler::region("enforce_density");
+            let _r = Telemetry::region("enforce_density");
             self.enforce_density(state, geom);
         }
         {
-            let _r = Profiler::region("advect");
+            let _r = Telemetry::region("advect");
             // One halo loop over a pre-step snapshot (see the module docs).
             // `update` copies every ghost of the snapshot back into the
             // state, so the footprint is the whole grown box.
@@ -642,21 +642,21 @@ impl<'a> Maestro<'a> {
             self.buoyancy(state, dt);
         }
         let (proj, proj_comm) = {
-            let _r = Profiler::region("project");
+            let _r = Telemetry::region("project");
             self.project(state, geom, dt)
         };
         stats.comm.merge(&proj_comm);
         stats.projection = Some(proj);
         if self.do_burn {
-            let _r = Profiler::region("react");
+            let _r = Telemetry::region("react");
             stats.add_burn(&self.react(state, 0.5 * dt).map_err(LmStepError::Burn)?);
         }
         {
-            let _r = Profiler::region("enforce_density");
+            let _r = Telemetry::region("enforce_density");
             self.enforce_density(state, geom);
         }
         {
-            let _r = Profiler::region("validate");
+            let _r = Telemetry::region("validate");
             self.validate_state(state, self.recovery.species_tol)
                 .map_err(LmStepError::Invalid)?;
         }
@@ -702,8 +702,8 @@ impl<'a> Maestro<'a> {
                 Err(e) => {
                     *state = snapshot;
                     last_err = Some(e);
-                    let _r = Profiler::region("step_reject");
-                    Profiler::record_retries(1);
+                    let _r = Telemetry::region("step_reject");
+                    Telemetry::record_retries(1);
                     if attempt + 1 < attempts {
                         try_dt *= self.recovery.dt_cut;
                     }

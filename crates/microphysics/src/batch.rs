@@ -1206,7 +1206,7 @@ mod tests {
         // their solve[...] children landed in `burner/burner` and the
         // `burner` row counted none of them. A unique outer region keeps
         // this test's rows apart from concurrently running tests.
-        use exastro_parallel::Profiler;
+        use exastro_telemetry::Telemetry;
         let net = CBurn2::new();
         let eos = StellarEos;
         let mut cfg = BurnerConfig {
@@ -1215,11 +1215,12 @@ mod tests {
         };
         cfg.bdf.max_steps = 3; // every lane drops out
         let recs = {
-            let _outer = Profiler::region("starved_batch_test");
+            let _outer = Telemetry::region("starved_batch_test");
             cfg.build(&net, &eos).burn_all(&hot_carbon_zones(4), 1e-6)
         };
         assert!(recs.iter().all(|r| r.as_ref().unwrap().retries >= 1));
-        let rows = Profiler::snapshot();
+        let rows: std::collections::HashMap<_, _> =
+            Telemetry::region_rows().0.into_iter().collect();
         let nested: Vec<_> = rows
             .keys()
             .filter(|p| p.contains("burner/burner"))
@@ -1233,10 +1234,10 @@ mod tests {
     #[test]
     fn a_sweep_is_one_burner_region_whoever_burns_its_chunks() {
         // 26 zones at width 4 are seven chunks, drained by however many
-        // participants the pool lends: the profiler still sees one
+        // participants the pool lends: the region table still sees one
         // `burner` call holding every zone, and one batch-solve child
         // carrying the participants' summed solve time.
-        use exastro_parallel::Profiler;
+        use exastro_telemetry::Telemetry;
         let net = CBurn2::new();
         let eos = StellarEos;
         let cfg = BurnerConfig {
@@ -1252,11 +1253,12 @@ mod tests {
             })
             .collect();
         let recs = {
-            let _outer = Profiler::region("pooled_sweep_test");
+            let _outer = Telemetry::region("pooled_sweep_test");
             cfg.build(&net, &eos).burn_all(&zones, 1e-7)
         };
         assert!(recs.iter().all(|r| r.as_ref().unwrap().retries == 0));
-        let rows = Profiler::snapshot();
+        let rows: std::collections::HashMap<_, _> =
+            Telemetry::region_rows().0.into_iter().collect();
         let burner = &rows["pooled_sweep_test/burner"];
         assert_eq!((burner.calls, burner.zones), (1, 26));
         let children: Vec<_> = rows

@@ -28,7 +28,7 @@ use crate::recovery::{
 };
 use crate::sparse::SparseLu;
 use crate::species::{mass_to_molar, molar_to_mass, Composition};
-use exastro_parallel::{Profiler, Tasks, WorkerPool};
+use exastro_parallel::{Tasks, WorkerPool};
 use exastro_telemetry::Telemetry;
 use std::sync::{Arc, Mutex};
 
@@ -272,14 +272,14 @@ impl<'a> Burner<'a> {
     /// sequence. The chunks are then drained by [`WorkerPool::global`],
     /// hottest first: which zones share a chunk is fixed by the sort, so
     /// no result depends on who burned it. The whole sweep is one `burner`
-    /// profiler region, opened here.
+    /// telemetry region, opened here.
     pub fn burn_all(
         &self,
         zones: &[ZoneBurn],
         dt: f64,
     ) -> Vec<Result<RecoveredBurn, Box<BurnFailure>>> {
-        let _prof = Profiler::region("burner");
-        Profiler::record_zones(zones.len() as u64);
+        let _prof = Telemetry::region("burner");
+        Telemetry::record_zones(zones.len() as u64);
         let mut results: Vec<Option<BurnResult>> = (0..zones.len()).map(|_| None).collect();
         let mut batchable: Vec<usize> = Vec::with_capacity(zones.len());
         for (i, zb) in zones.iter().enumerate() {
@@ -325,7 +325,7 @@ impl<'a> Burner<'a> {
             .into_inner()
             .expect("a participant's panic is rethrown by the pool first");
         if tally.lanes > 0 {
-            Profiler::record_ns("solve[batch-sparse]", tally.solve_ns);
+            Telemetry::record_ns("solve[batch-sparse]", tally.solve_ns);
             if Telemetry::is_enabled() {
                 exastro_telemetry::counter_add("burn.batch.zones", tally.completed);
                 exastro_telemetry::counter_add(
@@ -353,8 +353,8 @@ impl<'a> Burner<'a> {
         x0: &[f64],
         dt: f64,
     ) -> Result<RecoveredBurn, Box<BurnFailure>> {
-        let _prof = Profiler::region("burner");
-        Profiler::record_zones(1);
+        let _prof = Telemetry::region("burner");
+        Telemetry::record_zones(1);
         self.climb(zone, rho, t0, x0, dt)
     }
 
@@ -436,7 +436,7 @@ impl<'a> Burner<'a> {
     }
 
     /// Climb the retry ladder for one zone. The caller holds the `burner`
-    /// profiler region and has counted the zone — once, however many rungs
+    /// telemetry region and has counted the zone — once, however many rungs
     /// (and subcycle pieces) it takes.
     fn climb(&self, zone: u64, rho: f64, t0: f64, x0: &[f64], dt: f64) -> BurnResult {
         // (rung, its integrator, sub-intervals): subcycling is the direct
@@ -550,7 +550,7 @@ impl<'a> Burner<'a> {
             Ok(stats) => stats.solve_ns,
             Err(e) => e.stats.solve_ns,
         };
-        Profiler::record_ns(integ.solve_row(), solve_ns);
+        Telemetry::record_ns(integ.solve_row(), solve_ns);
         res.map(|stats| self.outcome(&y0, &y, stats))
     }
 
@@ -620,7 +620,7 @@ fn record_burn_telemetry(rec: &RecoveredBurn) {
 
 /// Shared per-sweep burn accounting: both drivers fold each
 /// [`RecoveredBurn`] through [`BurnTally::record`] (which also attributes
-/// ladder retries to the profiler) instead of hand-rolling the rung
+/// ladder retries to the region table) instead of hand-rolling the rung
 /// bookkeeping.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BurnTally {
@@ -647,7 +647,7 @@ pub struct BurnTally {
 }
 
 impl BurnTally {
-    /// Fold one recovered burn into the tally (and the profiler's retry
+    /// Fold one recovered burn into the tally (and the region table's retry
     /// counter for the innermost open region).
     pub fn record(&mut self, rec: &RecoveredBurn) {
         self.zones += 1;
@@ -655,7 +655,7 @@ impl BurnTally {
         self.max_steps = self.max_steps.max(rec.outcome.stats.steps);
         self.newton_iters += rec.outcome.stats.newton_iters;
         if rec.retries > 0 {
-            exastro_parallel::Profiler::record_retries(rec.retries as u64);
+            Telemetry::record_retries(rec.retries as u64);
             self.retries += rec.retries as u64;
             self.recovered += 1;
         }

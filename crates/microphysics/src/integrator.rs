@@ -458,7 +458,7 @@ impl BdfIntegrator {
         &self.opts
     }
 
-    /// The profiler row this integrator's linear-algebra time goes to,
+    /// The region-table row this integrator's linear-algebra time goes to,
     /// named for the linear solver in use.
     pub(crate) fn solve_row(&self) -> &'static str {
         match self.sparse {

@@ -426,7 +426,7 @@ mod tests {
         // burn and fired once per *attempt*, so a zone recovered on the subcycle
         // rung (2 failed rungs + 4 sub-burns) counted as up to 7 zones and
         // inflated every zones/µs metric. Wrap the burn in a unique outer
-        // region so this test reads its own profiler path regardless of
+        // region so this test reads its own region path regardless of
         // what other tests record concurrently.
         let net = CBurn2::new();
         let eos = StellarEos;
@@ -438,12 +438,12 @@ mod tests {
             Some(faults(1.0, 2, BdfErrorKind::MaxSteps)),
         );
         let rec = {
-            let _outer = exastro_parallel::Profiler::region("one_zone_test");
+            let _outer = exastro_telemetry::Telemetry::region("one_zone_test");
             rb.burn_zone(11, rho, t0, &x0, dt).unwrap()
         };
         assert_eq!(rec.rung, LadderRung::Subcycle, "the fault forced rung 2");
         assert_eq!(rec.retries, 2);
-        let stats = exastro_parallel::Profiler::get("one_zone_test/burner")
+        let stats = exastro_telemetry::Telemetry::region_stats("one_zone_test/burner")
             .expect("the burn recorded under the test's region");
         assert_eq!(
             stats.zones, 1,

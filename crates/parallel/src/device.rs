@@ -153,6 +153,20 @@ pub struct DeviceStats {
     pub d2h_us: f64,
 }
 
+/// The host↔device traffic summary the examples print under the region
+/// table (checkpoint D2H copies, bytes, simulated copy time).
+impl std::fmt::Display for DeviceStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} D2H copies, {:.2} MB, {:.1} simulated us",
+            self.d2h_copies,
+            self.d2h_bytes as f64 / 1e6,
+            self.d2h_us
+        )
+    }
+}
+
 #[derive(Debug)]
 struct DeviceState {
     /// Completion time of the work queued on each stream, in simulated µs.

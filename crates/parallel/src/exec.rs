@@ -16,13 +16,13 @@
 //! Because the loop body is identical in all three cases, the same physics
 //! source runs on every backend — the "single source" property the paper
 //! deems essential. Every launch reports its zone count (and, on the device
-//! space, its charged microseconds) to the [`Profiler`], so telemetry
-//! regions see per-kernel totals without per-call-site bookkeeping.
+//! space, its charged microseconds) to the open [`Telemetry`] region, so the
+//! region table sees per-kernel totals without per-call-site bookkeeping.
 
 use crate::device::{KernelProfile, SimDevice};
 use crate::index::{IndexBox, IntVect};
 use crate::pool::{par_each_mut_bounded, Tasks, WorkerPool};
-use crate::profiler::Profiler;
+use exastro_telemetry::Telemetry;
 use std::sync::Arc;
 
 /// Parameters for the coarse-grained tiled (OpenMP-like) backend.
@@ -138,11 +138,11 @@ impl ExecSpace {
     where
         F: Fn(i32, i32, i32) + Sync,
     {
-        Profiler::record_zones(bx.num_zones().max(0) as u64);
+        Telemetry::record_zones(bx.num_zones().max(0) as u64);
         match self {
             ExecSpace::Serial => serial_for(bx, f),
             ExecSpace::Device(dev) => {
-                Profiler::record_device_us(dev.launch(bx.num_zones(), profile));
+                Telemetry::record_device_us(dev.launch(bx.num_zones(), profile));
                 serial_for(bx, f);
             }
             ExecSpace::Tiled(t) => {
@@ -227,7 +227,7 @@ impl ExecSpace {
         F: Fn(i32, i32, i32) -> f64 + Sync,
         C: Fn(f64, f64) -> f64 + Sync,
     {
-        Profiler::record_zones(bx.num_zones().max(0) as u64);
+        Telemetry::record_zones(bx.num_zones().max(0) as u64);
         match self {
             ExecSpace::Serial => {
                 let mut acc = init;
@@ -235,7 +235,7 @@ impl ExecSpace {
                 acc
             }
             ExecSpace::Device(dev) => {
-                Profiler::record_device_us(dev.launch(bx.num_zones(), &KernelProfile::default()));
+                Telemetry::record_device_us(dev.launch(bx.num_zones(), &KernelProfile::default()));
                 let mut acc = init;
                 serial_for(bx, |i, j, k| acc = combine(acc, f(i, j, k)));
                 acc

@@ -20,10 +20,13 @@
 //!   handoff plus a condvar wake, not a thread spawn;
 //! * [`graph`] — the dependency-graph task scheduler over the pool: boxes
 //!   become tasks, ghost exchanges become edges, interior kernels run while
-//!   halos are in flight (the overlap behind the two-phase comm API);
-//! * [`profiler`] — TinyProfiler-style execution telemetry: named nested
-//!   regions accumulating wall time, zones processed, and simulated device
-//!   microseconds, rendered as an end-of-run report.
+//!   halos are in flight (the overlap behind the two-phase comm API).
+//!
+//! Observability lives in `exastro-telemetry`, re-exported here as
+//! [`Telemetry`] so the crates below need no dependency of their own on
+//! it: every launch in [`exec`] records its zones and device time into the
+//! open region, and a [`pool`] worker adopts its submitter's region context
+//! for the duration of a job.
 //!
 //! Since no real GPU is available in this reproduction, kernels launched on
 //! the device space execute on the host — producing bit-identical physics —
@@ -43,21 +46,20 @@ pub mod exec;
 pub mod graph;
 pub mod index;
 pub mod pool;
-pub mod profiler;
 
 pub use arena::{Arena, ArenaStats, MallocArena, PoolArena, ScratchBuf};
 pub use device::{DeviceConfig, DeviceStats, KernelProfile, SimDevice};
 pub use exec::{tiles_of, ExecSpace, TiledExec};
 pub use graph::{GraphError, GraphRunStats, TaskGraph};
-// The types `TaskGraph::run_labeled` takes, so graph builders need no
-// dependency of their own on the telemetry crate.
-pub use exastro_telemetry::{TaskClass, TaskLabel};
+// The region API and the types `TaskGraph::run_labeled` takes, so region
+// sites and graph builders need no dependency of their own on the
+// telemetry crate.
+pub use exastro_telemetry::{TaskClass, TaskLabel, Telemetry};
 pub use index::{IndexBox, IntVect, SPACEDIM};
 pub use pool::{
     par_each_mut, par_each_mut_bounded, par_index_each, par_map_fold, try_par_for, PoolStats,
     Tasks, WorkerPool,
 };
-pub use profiler::{InstalledStack, Profiler, Region, RegionStats};
 
 /// The floating-point type used throughout the suite.
 pub type Real = f64;

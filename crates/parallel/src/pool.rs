@@ -27,6 +27,7 @@
 
 #![allow(unsafe_code)]
 
+use exastro_telemetry::{RegionId, Telemetry};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -55,6 +56,22 @@ impl PoolStats {
             return 1.0;
         }
         self.pooled_regions as f64 / self.regions as f64
+    }
+}
+
+/// The one-line summary the examples print under the region table.
+impl std::fmt::Display for PoolStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} worker(s), {} spawned (ever), {} regions ({} pooled / {} inline, hit rate {:.0}%)",
+            self.threads,
+            self.threads_spawned,
+            self.regions,
+            self.pooled_regions,
+            self.serial_regions,
+            100.0 * self.pool_hit_rate()
+        )
     }
 }
 
@@ -99,15 +116,13 @@ struct JobCore {
     /// First worker panic payload, rethrown verbatim on the caller thread
     /// so `panic!("zone 372 ...")` survives the pool boundary.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
-    /// The submitting thread's profiler region stack. Workers install it for
-    /// the job's duration so `Profiler::record_*` calls inside the body
-    /// attribute to the submitter's region path, not an empty one
-    /// (`REGION_STACK` is thread-local and would otherwise read as "(top)"
-    /// on a worker).
-    region_stack: Vec<String>,
-    /// Trace-span label for worker participation, precomputed on the
-    /// submitting thread (None when telemetry is disabled).
-    trace_label: Option<String>,
+    /// The submitting thread's region context. Workers adopt it for the
+    /// job's duration so `Telemetry::record_*` calls inside the body land in
+    /// the submitter's row, not in `(top)` (the context is per thread).
+    region: RegionId,
+    /// Trace-span label for worker participation, `pool:<region>` (None
+    /// when telemetry is disabled).
+    trace_label: Option<&'static str>,
 }
 
 /// The participant body with its lifetime erased. Soundness: the registration
@@ -213,22 +228,15 @@ impl WorkerPool {
     /// another thread's region currently owns the team.
     pub fn run(&self, ntasks: usize, max_threads: usize, body: &(dyn Fn(Tasks<'_>) + Sync)) {
         self.regions.fetch_add(1, Ordering::Relaxed);
-        let region_stack = crate::profiler::Profiler::current_stack();
-        let trace_label = if exastro_telemetry::Telemetry::is_enabled() {
-            Some(format!(
-                "pool:{}",
-                region_stack.last().map(String::as_str).unwrap_or("(top)")
-            ))
-        } else {
-            None
-        };
+        let region = Telemetry::context();
+        let trace_label = Telemetry::is_enabled().then(|| region.pool_label());
         let core = JobCore {
             next: AtomicUsize::new(0),
             ntasks,
             departures: Mutex::new(0),
             departed_cv: Condvar::new(),
             panic: Mutex::new(None),
-            region_stack,
+            region,
             trace_label,
         };
         let want = max_threads.min(self.nworkers + 1);
@@ -331,13 +339,14 @@ fn worker_loop(shared: Arc<Shared>) {
         let body: &(dyn Fn(Tasks<'_>) + Sync) = unsafe { &*body_ptr };
         IN_POOL_WORKER.with(|f| f.set(true));
         let result = {
-            // Attribute profiler counters recorded inside the body to the
-            // submitting thread's region path, and (when telemetry is on)
-            // mark this worker's participation with a trace span carrying
-            // *this* thread's id.
-            let _stack = crate::profiler::Profiler::install_stack(core.region_stack.clone());
-            if let Some(label) = &core.trace_label {
-                exastro_telemetry::Telemetry::trace_begin(label);
+            // Attribute what the body records to the submitting thread's
+            // region, and (when telemetry is on) mark this worker's
+            // participation with a trace span carrying *this* thread's id.
+            // The body runs under `catch_unwind`, so the context is always
+            // put back.
+            let own = Telemetry::set_context(core.region);
+            if let Some(label) = core.trace_label {
+                Telemetry::trace_begin(label);
             }
             let r = catch_unwind(AssertUnwindSafe(|| {
                 body(Tasks {
@@ -345,9 +354,10 @@ fn worker_loop(shared: Arc<Shared>) {
                     ntasks: core.ntasks,
                 })
             }));
-            if let Some(label) = &core.trace_label {
-                exastro_telemetry::Telemetry::trace_end(label);
+            if let Some(label) = core.trace_label {
+                Telemetry::trace_end(label);
             }
+            Telemetry::set_context(own);
             r
         };
         IN_POOL_WORKER.with(|f| f.set(false));
@@ -615,23 +625,22 @@ mod tests {
 
     #[test]
     fn worker_bodies_attribute_to_submitter_region() {
-        use crate::profiler::Profiler;
         // Regression test for cross-thread region attribution: record_zones
         // calls made by pool workers must land on the *submitting* thread's
-        // region path, not "(top)" (REGION_STACK is thread-local).
+        // region path, not "(top)" (the region context is per thread).
         let pool = WorkerPool::new(3);
         {
-            let _r = Profiler::region("pool_attr_test");
+            let _r = Telemetry::region("pool_attr_test");
             for _ in 0..20 {
                 pool.run(64, usize::MAX, &|tasks: Tasks<'_>| {
                     while let Some(_i) = tasks.next_task() {
-                        Profiler::record_zones(1);
+                        Telemetry::record_zones(1);
                         std::thread::yield_now();
                     }
                 });
             }
         }
-        let s = Profiler::get("pool_attr_test").expect("region recorded");
+        let s = Telemetry::region_stats("pool_attr_test").expect("region recorded");
         assert_eq!(s.zones, 20 * 64, "every zone attributes to the submitter");
     }
 

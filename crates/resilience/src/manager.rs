@@ -20,14 +20,15 @@
 //!
 //! Cost accounting: the payload is charged as one D2H copy on the attached
 //! [`SimDevice`] (this is the §III host↔device crossing) and the whole
-//! write/read runs under the `io/checkpoint` profiler region with its byte
+//! write/read runs under the `io/checkpoint` telemetry region with its byte
 //! count recorded.
 
 use crate::manifest::{Manifest, MANIFEST_NAME};
 use crate::snapshot::{Clock, LevelSnapshot, Snapshot};
 use exastro_amr::io::{read_checkpoint, write_checkpoint, IoError};
 use exastro_amr::Real;
-use exastro_parallel::{Profiler, SimDevice};
+use exastro_parallel::SimDevice;
+use exastro_telemetry::Telemetry;
 use std::fs;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -233,14 +234,14 @@ impl CheckpointManager {
     /// Write `snap` durably, retrying per the [`RetryPolicy`] with bounded
     /// exponential backoff. Returns the final checkpoint path.
     pub fn write(&self, snap: &Snapshot) -> Result<PathBuf, Error> {
-        let _r = Profiler::region("io/checkpoint");
+        let _r = Telemetry::region("io/checkpoint");
         let bytes = snap.payload_bytes();
         // The one D2H crossing: checkpointing copies device-resident state
         // to host memory before it can be written (§III). Charged once per
         // checkpoint, not per retry — the host copy survives write retries.
         if let Some(dev) = &self.device {
             let us = dev.d2h_copy(bytes);
-            Profiler::record_device_us(us);
+            Telemetry::record_device_us(us);
             self.stats.lock().unwrap().d2h_copies += 1;
         }
         let mut backoff = self.retry.base_backoff;
@@ -264,7 +265,7 @@ impl CheckpointManager {
                     st.writes += 1;
                     st.bytes_written += bytes;
                     drop(st);
-                    Profiler::record_bytes(bytes);
+                    Telemetry::record_bytes(bytes);
                     // Process-wide counter; StepRecorder turns it into the
                     // per-step `checkpoint_bytes` delta.
                     exastro_telemetry::counter_add("checkpoint.bytes", bytes);
@@ -353,10 +354,10 @@ impl CheckpointManager {
 
     /// Restore the snapshot stored at `dir`, verifying integrity first.
     pub fn restore(&self, dir: &Path) -> Result<Snapshot, Error> {
-        let _r = Profiler::region("io/checkpoint");
+        let _r = Telemetry::region("io/checkpoint");
         Self::verify(dir)?;
         let snap = read_snapshot_dir(dir)?;
-        Profiler::record_bytes(snap.payload_bytes());
+        Telemetry::record_bytes(snap.payload_bytes());
         self.stats.lock().unwrap().restores += 1;
         Ok(snap)
     }

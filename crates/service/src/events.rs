@@ -1,6 +1,7 @@
 //! The cluster event log: one structured, sim-clock-timestamped record
-//! per scheduling decision, streamed through an [`EventSink`] (the same
-//! sink pattern [`exastro_telemetry::MetricsSink`] uses for step metrics).
+//! per scheduling decision, streamed through an
+//! [`exastro_telemetry::Sink`]`<Event>` (the sink family the drivers' step
+//! metrics use).
 //!
 //! The counters and histograms the service already keeps answer *how
 //! many* — failures, recoveries, preemptions — but not *what happened to
@@ -18,12 +19,8 @@
 //! registry-free). Optional fields are omitted, not nulled, so consumers
 //! can `jq 'select(.kind == "revoke")'` without null-guards.
 
-use std::fs::File;
-use std::io::Write;
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
-
 use crate::spec::{JobId, PriorityClass};
+use exastro_telemetry::{json, JsonLine};
 
 /// What happened. Stable lowercase names (the JSONL `kind` key) are the
 /// schema CI checks against.
@@ -146,7 +143,7 @@ impl Event {
     pub fn to_json(&self) -> String {
         let mut s = format!(
             "{{\"schema\": \"exastro.event.v1\", \"sim_us\": {}, \"tick\": {}, \"kind\": \"{}\"",
-            self.sim_us,
+            json::num(self.sim_us),
             self.tick,
             self.kind.name()
         );
@@ -167,135 +164,38 @@ impl Event {
             s += &format!(", \"ranks\": [{}]", list.join(", "));
         }
         if let Some(v) = self.latency_s {
-            s += &format!(", \"latency_s\": {v}");
+            s += &format!(", \"latency_s\": {}", json::num(v));
         }
         if let Some(v) = self.deadline_s {
-            s += &format!(", \"deadline_s\": {v}");
+            s += &format!(", \"deadline_s\": {}", json::num(v));
         }
         if let Some(v) = self.mttr_s {
-            s += &format!(", \"mttr_s\": {v}");
+            s += &format!(", \"mttr_s\": {}", json::num(v));
         }
         if let Some(v) = self.lost_steps {
             s += &format!(", \"lost_steps\": {v}");
         }
         if let Some(v) = self.queue_wait_s {
-            s += &format!(", \"queue_wait_s\": {v}");
+            s += &format!(", \"queue_wait_s\": {}", json::num(v));
         }
         if !self.detail.is_empty() {
-            s += &format!(", \"detail\": \"{}\"", json_escape(&self.detail));
+            s += &format!(", \"detail\": \"{}\"", json::escape(&self.detail));
         }
         s += "}";
         s
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-/// Where events go. Mirrors [`exastro_telemetry::MetricsSink`]: `record`
-/// must not panic on IO trouble (the scheduler keeps running through a
-/// full disk); errors are surfaced at [`EventSink::flush`].
-pub trait EventSink: Send + Sync {
-    /// Append one event.
-    fn record(&self, ev: &Event);
-    /// Surface any deferred IO error. Default: nothing to flush.
-    fn flush(&self) -> std::io::Result<()> {
-        Ok(())
+impl JsonLine for Event {
+    fn json_line(&self) -> String {
+        self.to_json()
     }
-}
-
-/// Keeps every event in memory (tests, report reconciliation).
-#[derive(Default)]
-pub struct MemoryEventSink {
-    events: Mutex<Vec<Event>>,
-}
-
-impl MemoryEventSink {
-    /// An empty in-memory log.
-    pub fn new() -> MemoryEventSink {
-        MemoryEventSink::default()
-    }
-
-    /// Copy of everything recorded so far, in order.
-    pub fn snapshot(&self) -> Vec<Event> {
-        self.events.lock().unwrap().clone()
-    }
-}
-
-impl EventSink for MemoryEventSink {
-    fn record(&self, ev: &Event) {
-        self.events.lock().unwrap().push(ev.clone());
-    }
-}
-
-/// Appends one JSON line per event to a file, flushing each line (a
-/// crash loses at most the event being written). IO errors after a
-/// successful open are sticky and surface at [`EventSink::flush`], the
-/// same contract as [`exastro_telemetry::JsonlSink`].
-pub struct JsonlEventSink {
-    file: Mutex<File>,
-    path: PathBuf,
-    error: Mutex<Option<String>>,
-}
-
-impl JsonlEventSink {
-    /// Create (truncate) the event log at `path`.
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<JsonlEventSink> {
-        let path = path.as_ref().to_path_buf();
-        let file = File::create(&path)?;
-        Ok(JsonlEventSink {
-            file: Mutex::new(file),
-            path,
-            error: Mutex::new(None),
-        })
-    }
-
-    /// Where the log lives.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-impl EventSink for JsonlEventSink {
-    fn record(&self, ev: &Event) {
-        let mut f = self.file.lock().unwrap();
-        let line = ev.to_json();
-        if let Err(e) = writeln!(f, "{line}").and_then(|()| f.flush()) {
-            let mut slot = self.error.lock().unwrap();
-            if slot.is_none() {
-                *slot = Some(format!("{}: {e}", self.path.display()));
-            }
-        }
-    }
-
-    fn flush(&self) -> std::io::Result<()> {
-        match self.error.lock().unwrap().clone() {
-            Some(msg) => Err(std::io::Error::other(msg)),
-            None => Ok(()),
-        }
-    }
-}
-
-/// Discards everything (the default when no sink is configured).
-#[derive(Default)]
-pub struct NullEventSink;
-
-impl EventSink for NullEventSink {
-    fn record(&self, _ev: &Event) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exastro_telemetry::{JsonlSink, Sink};
 
     #[test]
     fn events_serialize_with_only_their_fields() {
@@ -336,7 +236,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("exastro-events-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("events.jsonl");
-        let sink = JsonlEventSink::create(&path).unwrap();
+        let sink = JsonlSink::<Event>::create(&path).unwrap();
         sink.record(&Event::new(0.0, 1, EventKind::Admit));
         sink.record(&Event {
             job: Some(JobId(1)),

@@ -24,7 +24,7 @@ use exastro_resilience::recovery::RecoveryOptions;
 use exastro_resilience::snapshot::{digest_multifab, Clock, Snapshot};
 use exastro_resilience::stepper::Stepper;
 use exastro_resilience::CheckpointManager;
-use exastro_telemetry::{JsonlSink, MemorySink, MetricsSink, MultiSink, StepRecorder};
+use exastro_telemetry::{JsonlSink, MemorySink, MultiSink, Sink, StepMetrics, StepRecorder};
 
 use crate::spec::{JobId, JobSpec, Scenario};
 use exastro_castro::BurnOptions;
@@ -93,7 +93,7 @@ pub(crate) struct Job {
     /// Persistent per-job recorder: ordinals continue across slices.
     recorder: StepRecorder,
     /// In-memory copy of every step record, aggregated into the report.
-    pub memory: Arc<MemorySink>,
+    pub memory: Arc<MemorySink<StepMetrics>>,
     /// Lazily created per-job checkpoint directory manager.
     ckpt: Option<CheckpointManager>,
     ckpt_dir: PathBuf,
@@ -290,7 +290,7 @@ impl Job {
         // Telemetry: in-memory always (feeds the report), JSONL when asked.
         let memory = Arc::new(MemorySink::new());
         let mut recorder = StepRecorder::new();
-        let mut sinks: Vec<Arc<dyn MetricsSink>> = vec![memory.clone()];
+        let mut sinks: Vec<Arc<dyn Sink<StepMetrics>>> = vec![memory.clone()];
         if let Some(dir) = jsonl_dir {
             let path = dir.join(format!("{id}.steps.jsonl"));
             let sink =

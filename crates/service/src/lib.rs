@@ -59,7 +59,7 @@ pub mod report;
 pub mod scheduler;
 pub mod spec;
 
-pub use events::{Event, EventKind, EventSink, JsonlEventSink, MemoryEventSink, NullEventSink};
+pub use events::{Event, EventKind};
 pub use job::JobError;
 pub use report::{ClassQueueWait, JobOutcome, JobRecord, ServiceReport};
 pub use scheduler::{Service, ServiceConfig};

@@ -1,11 +1,7 @@
 //! Service-level and per-job summaries.
 
 use crate::spec::{JobId, NetChoice, PriorityClass, Scenario};
-
-/// Render an `Option<f64>` as a JSON number or `null`.
-fn json_opt(v: Option<f64>) -> String {
-    v.map(|x| x.to_string()).unwrap_or_else(|| "null".into())
-}
+use exastro_telemetry::json;
 
 /// How a job ended.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -137,18 +133,6 @@ pub struct ServiceReport {
     pub jobs: Vec<JobRecord>,
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 impl ServiceReport {
     /// Hand-rolled JSON rendering (the workspace is registry-free: no
     /// serde). Failed jobs carry an `"error"` key, quarantined jobs a
@@ -156,7 +140,7 @@ impl ServiceReport {
     pub fn to_json(&self) -> String {
         let r = self;
         let mut s = String::from("{\n");
-        s += &format!("  \"wall_s\": {},\n", r.wall_s);
+        s += &format!("  \"wall_s\": {},\n", json::num(r.wall_s));
         s += &format!("  \"submitted\": {},\n", r.submitted);
         s += &format!("  \"rejected\": {},\n", r.rejected);
         s += &format!("  \"completed\": {},\n", r.completed);
@@ -171,13 +155,16 @@ impl ServiceReport {
         s += &format!("  \"queue_bound\": {},\n", r.queue_bound);
         s += &format!("  \"total_ranks\": {},\n", r.total_ranks);
         s += &format!("  \"ranks_in_service\": {},\n", r.ranks_in_service);
-        s += &format!("  \"rank_utilization\": {},\n", r.rank_utilization);
-        s += &format!("  \"jobs_per_hour\": {},\n", r.jobs_per_hour);
-        s += &format!("  \"latency_p50_s\": {},\n", r.latency_p50_s);
-        s += &format!("  \"latency_p99_s\": {},\n", r.latency_p99_s);
+        s += &format!(
+            "  \"rank_utilization\": {},\n",
+            json::num(r.rank_utilization)
+        );
+        s += &format!("  \"jobs_per_hour\": {},\n", json::num(r.jobs_per_hour));
+        s += &format!("  \"latency_p50_s\": {},\n", json::num(r.latency_p50_s));
+        s += &format!("  \"latency_p99_s\": {},\n", json::num(r.latency_p99_s));
         s += &format!(
             "  \"deadline_hit_rate\": {},\n",
-            json_opt(r.deadline_hit_rate)
+            json::num(r.deadline_hit_rate.unwrap_or(f64::NAN))
         );
         s += "  \"queue_wait_by_class\": [\n";
         for (i, q) in r.queue_wait_by_class.iter().enumerate() {
@@ -185,8 +172,8 @@ impl ServiceReport {
                 "    {{\"class\": \"{}\", \"samples\": {}, \"p50_s\": {}, \"p99_s\": {}}}{}\n",
                 q.class.name(),
                 q.samples,
-                q.p50_s,
-                q.p99_s,
+                json::num(q.p50_s),
+                json::num(q.p99_s),
                 if i + 1 < r.queue_wait_by_class.len() {
                     ","
                 } else {
@@ -195,7 +182,7 @@ impl ServiceReport {
             );
         }
         s += "  ],\n";
-        let mttr: Vec<String> = r.mttr_s.iter().map(|v| v.to_string()).collect();
+        let mttr: Vec<String> = r.mttr_s.iter().map(|&v| json::num(v)).collect();
         s += &format!("  \"mttr_s\": [{}],\n", mttr.join(", "));
         s += "  \"jobs\": [\n";
         for (i, j) in r.jobs.iter().enumerate() {
@@ -214,20 +201,20 @@ impl ServiceReport {
                 JobOutcome::Failed(why) => {
                     s += &format!(
                         "\"outcome\": \"failed\", \"error\": \"{}\", ",
-                        json_escape(why)
+                        json::escape(why)
                     );
                 }
                 JobOutcome::Quarantined(why) => {
                     s += &format!(
                         "\"outcome\": \"quarantined\", \"reason\": \"{}\", ",
-                        json_escape(why)
+                        json::escape(why)
                     );
                 }
             }
             s += &format!("\"preemptions\": {}, ", j.preemptions);
             s += &format!("\"recoveries\": {}, ", j.recoveries);
             s += &format!("\"migrations\": {}, ", j.migrations);
-            s += &format!("\"latency_s\": {}, ", j.latency_s);
+            s += &format!("\"latency_s\": {}, ", json::num(j.latency_s));
             s += &format!(
                 "\"deadline_met\": {}, ",
                 match j.deadline_met {
@@ -237,7 +224,7 @@ impl ServiceReport {
             );
             s += &format!("\"ckpt_every\": {}, ", j.ckpt_every);
             s += &format!("\"final_digest\": {}, ", j.final_digest);
-            s += &format!("\"sim_us\": {}, ", j.sim_us);
+            s += &format!("\"sim_us\": {}, ", json::num(j.sim_us));
             s += &format!("\"zones\": {}, ", j.zones);
             s += &format!("\"step_records\": {}", j.step_records);
             s += if i + 1 < r.jobs.len() { "},\n" } else { "}\n" };

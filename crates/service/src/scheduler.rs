@@ -48,9 +48,9 @@ use exastro_machine::{
 };
 use exastro_parallel::par_each_mut;
 use exastro_resilience::interval::{suggest_cadence_steps, JobProfile};
-use exastro_telemetry::{counter_add, Telemetry};
+use exastro_telemetry::{counter_add, NullSink, Sink, Telemetry};
 
-use crate::events::{Event, EventKind, EventSink, NullEventSink};
+use crate::events::{Event, EventKind};
 use crate::job::{Job, SliceStatus};
 use crate::report::{ClassQueueWait, JobOutcome, JobRecord, ServiceReport};
 use crate::spec::{JobId, JobSpec, PriorityClass, SubmitError};
@@ -103,11 +103,11 @@ pub struct ServiceConfig {
     /// Simulated time an idle tick (nothing running) advances, µs —
     /// keeps the fault model's clock moving while the queue backs off.
     pub idle_tick_sim_us: f64,
-    /// Where the cluster event log goes (`None` = discard). Arm with a
-    /// [`crate::events::MemoryEventSink`] to reconcile the log against
-    /// the report, or a [`crate::events::JsonlEventSink`] to stream
+    /// Where the cluster event log goes (`None` = discard). Arm with an
+    /// [`exastro_telemetry::MemorySink`] to reconcile the log against the
+    /// report, or an [`exastro_telemetry::JsonlSink`] to stream
     /// `exastro.event.v1` JSONL for post-mortems.
-    pub events: Option<Arc<dyn EventSink>>,
+    pub events: Option<Arc<dyn Sink<Event>>>,
 }
 
 impl Default for ServiceConfig {
@@ -175,7 +175,7 @@ pub struct Service {
     recoveries: u64,
     straggler_migrations: u64,
     quarantined: usize,
-    events: Arc<dyn EventSink>,
+    events: Arc<dyn Sink<Event>>,
     /// (class, wall seconds queued) per placement — SLO queue latency.
     queue_waits: Vec<(PriorityClass, f64)>,
     /// Simulated seconds from rank death to renewed placement, in order.
@@ -191,10 +191,7 @@ impl Service {
             .clone()
             .map(|f| NodeFaultModel::new(f, cfg.nodes));
         let now = Instant::now();
-        let events = cfg
-            .events
-            .clone()
-            .unwrap_or_else(|| Arc::new(NullEventSink));
+        let events = cfg.events.clone().unwrap_or_else(|| Arc::new(NullSink));
         Service {
             pool,
             fault_model,

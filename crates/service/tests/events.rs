@@ -8,25 +8,8 @@
 use std::sync::Arc;
 
 use exastro_machine::NodeFaultConfig;
-use exastro_service::{
-    Event, EventKind, EventSink, JobSpec, JsonlEventSink, MemoryEventSink, PriorityClass, Scenario,
-    Service, ServiceConfig,
-};
-
-/// Fan one event stream into both the in-memory log (reconciliation) and
-/// the JSONL file (schema check) — the test-local analogue of
-/// `exastro_telemetry::MultiSink`.
-struct Tee(Arc<MemoryEventSink>, JsonlEventSink);
-
-impl EventSink for Tee {
-    fn record(&self, ev: &Event) {
-        self.0.record(ev);
-        self.1.record(ev);
-    }
-    fn flush(&self) -> std::io::Result<()> {
-        self.1.flush()
-    }
-}
+use exastro_service::{Event, EventKind, JobSpec, PriorityClass, Scenario, Service, ServiceConfig};
+use exastro_telemetry::{JsonlSink, MemorySink, MultiSink};
 
 /// Nearest-rank percentile over an ascending sort — the report's rule,
 /// reimplemented independently so the reconciliation is a real check.
@@ -43,11 +26,11 @@ fn report_slo_metrics_reproduce_exactly_from_the_event_log() {
     let dir = std::env::temp_dir().join(format!("exastro_events_it_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let jsonl_path = dir.join("events.jsonl");
-    let memory = Arc::new(MemoryEventSink::new());
-    let tee = Tee(
-        memory.clone(),
-        JsonlEventSink::create(&jsonl_path).expect("event log file"),
-    );
+    // One event stream into both the in-memory log (reconciliation) and
+    // the JSONL file (schema check).
+    let memory = Arc::new(MemorySink::<Event>::new());
+    let jsonl = JsonlSink::create(&jsonl_path).expect("event log file");
+    let tee = MultiSink::new(vec![memory.clone(), Arc::new(jsonl)]);
 
     let mut cfg = ServiceConfig {
         nodes: 3,
@@ -240,7 +223,7 @@ fn report_slo_metrics_reproduce_exactly_from_the_event_log() {
 #[test]
 fn fault_free_log_has_the_plain_lifecycle() {
     let dir = std::env::temp_dir().join(format!("exastro_events_plain_{}", std::process::id()));
-    let memory = Arc::new(MemoryEventSink::new());
+    let memory = Arc::new(MemorySink::<Event>::new());
     let mut svc = Service::new(ServiceConfig {
         ckpt_root: dir.clone(),
         events: Some(memory.clone()),

@@ -2,10 +2,10 @@
 //!
 //! Linear solvers for the globally coupled physics of the suite: the
 //! geometric multigrid used by Castro's self-gravity and MAESTROeX's
-//! low-Mach projection (§IV-B of the paper), plus a conjugate-gradient
-//! reference solver. All solvers run on distributed [`exastro_amr::MultiFab`]
-//! data and return communication ledgers that the `exastro-machine` cluster
-//! simulator prices when regenerating the weak-scaling figures.
+//! low-Mach projection (§IV-B of the paper). It runs on distributed
+//! [`exastro_amr::MultiFab`] data and returns communication ledgers that
+//! the `exastro-machine` cluster simulator prices when regenerating the
+//! weak-scaling figures.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,8 +14,6 @@
 // obscure the math.
 #![allow(clippy::needless_range_loop)]
 
-pub mod krylov;
 pub mod multigrid;
 
-pub use krylov::{bicgstab_poisson, cg_poisson, CgStats};
 pub use multigrid::{LevelComm, MgBc, MgOptions, MgStats, Multigrid};

@@ -31,7 +31,7 @@ use exastro_amr::{
     average_down, for_each_row, Array4, Array4Mut, BoxArray, CommTrace, DistStrategy,
     DistributionMapping, ExchangePlan, Geometry, IndexBox, IntVect, MultiFab, Real,
 };
-use exastro_parallel::Profiler;
+use exastro_parallel::Telemetry;
 use std::sync::OnceLock;
 
 #[cfg(test)]
@@ -140,7 +140,7 @@ impl MgLevel {
     }
 }
 
-/// Profiler region of level `l`. A cycle names each level three times, so
+/// Region name of level `l`. A cycle names each level three times, so
 /// the names are built once; a domain of `i32` extents halves fewer than
 /// 32 times.
 fn level_name(l: usize) -> &'static str {
@@ -374,7 +374,7 @@ impl Multigrid {
         // runs *outside* it, keeping level paths flat (mg_solve/level0,
         // mg_solve/level1, ...) instead of nesting with recursion depth.
         {
-            let _r = Profiler::region(level_name(l));
+            let _r = Telemetry::region(level_name(l));
             let (fine, coarser) = levels.split_at_mut(l + 1);
             let f = &mut fine[l];
             let Some(c) = coarser.first_mut() else {
@@ -399,7 +399,7 @@ impl Multigrid {
             stats.levels[l + 1].exchanges += 1;
         }
         self.vcycle(levels, l + 1, stats);
-        let _r = Profiler::region(level_name(l));
+        let _r = Telemetry::region(level_name(l));
         // Prolong the coarse correction (piecewise constant) and add.
         let (fine, coarser) = levels.split_at_mut(l + 1);
         let f = &mut fine[l];
@@ -425,7 +425,7 @@ impl Multigrid {
     /// a periodic dimension's ghosts and the wall fill the others', so a
     /// mismatch would leave ghosts stale or override the wall condition.
     pub fn solve(&self, phi: &mut MultiFab, rhs: &MultiFab, geom: &Geometry) -> MgStats {
-        let _prof = Profiler::region("mg_solve");
+        let _prof = Telemetry::region("mg_solve");
         assert!(phi.ngrow() >= 1, "phi needs ghost zones");
         assert_eq!(phi.ncomp(), 1);
         assert_eq!(rhs.ncomp(), 1);

@@ -39,7 +39,7 @@ pub fn counters_snapshot() -> Vec<(String, u64)> {
 }
 
 /// Zero every counter.
-pub fn reset() {
+pub(crate) fn reset() {
     registry().lock().unwrap().clear();
 }
 

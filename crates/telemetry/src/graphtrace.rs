@@ -30,7 +30,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use crate::metrics::json_f64;
+use crate::json;
 
 /// What a task contributes to the overlap ledger.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -423,10 +423,6 @@ fn json_class_counts(summary: &GraphSummary) -> String {
     format!("{{{}}}", body.join(", "))
 }
 
-fn opt_f64(v: Option<f64>) -> String {
-    v.map_or_else(|| "null".to_string(), json_f64)
-}
-
 /// Serialize summaries as the `exastro.graphtrace.v1` JSON artifact.
 pub fn summaries_to_json(summaries: &[GraphSummary]) -> String {
     let mut out = String::new();
@@ -440,11 +436,11 @@ pub fn summaries_to_json(summaries: &[GraphSummary]) -> String {
                 format!(
                     "{{\"task\": {}, \"name\": \"{}\", \"class\": \"{}\", \"run_us\": {}, \"queue_wait_us\": {}, \"slack_us\": {}}}",
                     t,
-                    crate::trace::json_escape(st.name),
+                    json::escape(st.name),
                     st.class.name(),
-                    json_f64(st.run_us),
-                    json_f64(st.queue_wait_us),
-                    json_f64(st.slack_us),
+                    json::num(st.run_us),
+                    json::num(st.queue_wait_us),
+                    json::num(st.slack_us),
                 )
             })
             .collect();
@@ -455,34 +451,34 @@ pub fn summaries_to_json(summaries: &[GraphSummary]) -> String {
                 format!(
                     "{{\"task\": {}, \"name\": \"{}\", \"class\": \"{}\", \"worker\": {}, \"start_us\": {}, \"end_us\": {}, \"queue_wait_us\": {}, \"run_us\": {}, \"slack_us\": {}, \"on_critical_path\": {}}}",
                     st.task,
-                    crate::trace::json_escape(st.name),
+                    json::escape(st.name),
                     st.class.name(),
                     st.worker,
-                    json_f64(st.start_us),
-                    json_f64(st.end_us),
-                    json_f64(st.queue_wait_us),
-                    json_f64(st.run_us),
-                    json_f64(st.slack_us),
+                    json::num(st.start_us),
+                    json::num(st.end_us),
+                    json::num(st.queue_wait_us),
+                    json::num(st.run_us),
+                    json::num(st.slack_us),
                     st.on_critical_path,
                 )
             })
             .collect();
         out.push_str(&format!(
             "    {{\"label\": \"{}\", \"tasks\": {}, \"edges\": {}, \"workers\": {}, \"wall_us\": {}, \"total_run_us\": {}, \"total_queue_wait_us\": {}, \"critical_path_us\": {}, \"comm_us\": {}, \"compute_us\": {}, \"hidden_comm_us\": {}, \"measured_overlap_efficiency\": {}, \"predicted_overlap_efficiency\": {}, \"overlap_drift\": {}, \"class_counts\": {}, \"critical_path\": [{}], \"task_stats\": [{}]}}{}\n",
-            crate::trace::json_escape(&s.label),
+            json::escape(&s.label),
             s.tasks,
             s.edges,
             s.workers,
-            json_f64(s.wall_us),
-            json_f64(s.total_run_us),
-            json_f64(s.total_queue_wait_us),
-            json_f64(s.critical_path_us),
-            json_f64(s.comm_us),
-            json_f64(s.compute_us),
-            json_f64(s.hidden_comm_us),
-            opt_f64(s.measured_overlap_efficiency),
-            opt_f64(s.predicted_overlap_efficiency),
-            opt_f64(s.overlap_drift),
+            json::num(s.wall_us),
+            json::num(s.total_run_us),
+            json::num(s.total_queue_wait_us),
+            json::num(s.critical_path_us),
+            json::num(s.comm_us),
+            json::num(s.compute_us),
+            json::num(s.hidden_comm_us),
+            json::num(s.measured_overlap_efficiency.unwrap_or(f64::NAN)),
+            json::num(s.predicted_overlap_efficiency.unwrap_or(f64::NAN)),
+            json::num(s.overlap_drift.unwrap_or(f64::NAN)),
             json_class_counts(s),
             chain.join(", "),
             stats.join(", "),

@@ -12,6 +12,7 @@
 //! underflow/overflow bins), which is exact whenever recorded values sit on
 //! bucket edges — the property the unit tests pin down.
 
+use crate::json;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -200,23 +201,23 @@ impl Histogram {
         let buckets: Vec<String> = self
             .nonzero_buckets()
             .iter()
-            .map(|(e, c)| format!("[{}, {}]", crate::metrics::json_f64(*e), c))
+            .map(|(e, c)| format!("[{}, {}]", json::num(*e), c))
             .collect();
         format!(
             "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"buckets\": [{}]}}",
             self.count(),
-            crate::metrics::json_f64(self.sum()),
-            crate::metrics::json_f64(self.min()),
-            crate::metrics::json_f64(self.max()),
-            crate::metrics::json_f64(self.percentile(50.0)),
-            crate::metrics::json_f64(self.percentile(90.0)),
-            crate::metrics::json_f64(self.percentile(99.0)),
+            json::num(self.sum()),
+            json::num(self.min()),
+            json::num(self.max()),
+            json::num(self.percentile(50.0)),
+            json::num(self.percentile(90.0)),
+            json::num(self.percentile(99.0)),
             buckets.join(", "),
         )
     }
 }
 
-fn atomic_f64_update(bits: &AtomicU64, f: impl Fn(f64) -> f64) {
+pub(crate) fn atomic_f64_update(bits: &AtomicU64, f: impl Fn(f64) -> f64) {
     let mut cur = bits.load(Ordering::Relaxed);
     loop {
         let next = f(f64::from_bits(cur)).to_bits();
@@ -255,7 +256,7 @@ pub fn histogram_names() -> Vec<String> {
 }
 
 /// Clear every registered histogram (handles stay valid).
-pub fn reset() {
+pub(crate) fn reset() {
     for h in registry().lock().unwrap().values() {
         h.clear();
     }

@@ -1,31 +1,29 @@
 //! # exastro-telemetry
 //!
-//! Structured run telemetry for the `exastro` stack. The end-of-run
-//! [`Profiler`](../exastro_parallel/profiler/index.html) table answers
-//! "what fraction of the run was the burner" (§IV of the paper) but cannot
-//! answer *per-step* questions — did `dt` collapse during a retry storm,
-//! is the Newton iteration count drifting, what did the checkpoint cadence
-//! cost over time — and its text output cannot be diffed by CI. This crate
-//! adds the three machine-readable sinks that can:
+//! The one observability layer of the `exastro` stack: every runtime
+//! component reports here, and every artifact a run leaves is written here.
 //!
-//! * [`trace`] — begin/end **trace spans** (thread-attributed, monotonic
-//!   timestamps) collected into a lock-sharded ring buffer and exported as
-//!   Chrome trace-event JSON, loadable in `chrome://tracing` / Perfetto;
-//! * [`metrics`] — a per-step [`StepMetrics`](metrics::StepMetrics) record
-//!   appended by the drivers each step through a
-//!   [`MetricsSink`](metrics::MetricsSink) (in-memory, JSONL file, null);
-//! * [`mod@histogram`] — fixed-bucket log-scale [`Histogram`](histogram::Histogram)s
-//!   for per-zone burn cost, plus named [`counters`] for categorical
-//!   tallies (ladder rungs, checkpoint bytes).
+//! * **Always on** — [`region`]: named, nested regions
+//!   ([`Telemetry::region`]) accumulating calls, wall time, zones, device
+//!   time, bytes and retries per path. The end-of-run table
+//!   ([`Telemetry::region_report`]) answers "what fraction of the run was
+//!   the burner" (§IV of the paper); a region edge costs a clock reading
+//!   and two atomic adds.
+//! * **Behind [`Telemetry::enable`]** — [`trace`]: begin/end spans (every
+//!   region, pool workers, graph tasks and their dependency arrows) in a
+//!   lock-sharded ring, exported as Chrome trace-event JSON;
+//!   [`mod@histogram`] and [`counters`]: log-scale per-zone burn cost and
+//!   categorical tallies; [`graphtrace`]: per-task records of a `TaskGraph`
+//!   run and their critical-path / overlap summary. Each helper first
+//!   checks one relaxed atomic, so a disabled site costs one predictable
+//!   branch; `ablation_telemetry` in `crates/bench` keeps the enabled cost
+//!   of a Sedov step under 2 %.
+//! * **Attached by the caller** — [`metrics`]: one [`StepMetrics`] per
+//!   accepted driver step, and any other record stream (the service's
+//!   event log), through a generic [`Sink`].
 //!
-//! ## Overhead discipline
-//!
-//! Telemetry is **off by default**. Every hot-path recording helper first
-//! checks one relaxed atomic ([`Telemetry::is_enabled`]) and returns
-//! immediately when disabled, so an untelemetered run pays one predictable
-//! branch per event site. The `ablation_telemetry` bench in
-//! `crates/bench` measures the enabled cost on a fig2-style Sedov step
-//! (kept < 2% of step time).
+//! [`json`] holds the two primitives every writer shares, and
+//! [`Telemetry::reset`] is the one reset.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,15 +31,18 @@
 pub mod counters;
 pub mod graphtrace;
 pub mod histogram;
+pub mod json;
 pub mod metrics;
+pub mod region;
+pub mod sink;
 pub mod trace;
 
 pub use counters::{counter_add, counter_get, counters_snapshot};
 pub use graphtrace::{GraphSummary, GraphTrace, TaskClass, TaskLabel, TaskRecord, TaskStat};
 pub use histogram::{histogram, histogram_names, Histogram};
-pub use metrics::{
-    JsonlSink, MemorySink, MetricsSink, MultiSink, NullSink, StepMetrics, StepRecorder,
-};
+pub use metrics::{StepMetrics, StepRecorder};
+pub use region::{Region, RegionId, RegionStats};
+pub use sink::{JsonLine, JsonlSink, MemorySink, MultiSink, NullSink, Sink};
 pub use trace::{Phase, TraceBuffer, TraceEvent};
 
 use std::path::{Path, PathBuf};
@@ -51,8 +52,9 @@ use std::time::Instant;
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// The process-wide telemetry facade. All methods are associated functions
-/// (like `Profiler`), so instrumentation stays one line per site and no
-/// handle needs threading through the stack.
+/// (AMReX's `BL_PROFILE` regions use global state the same way), so
+/// instrumentation stays one line per site and no handle needs threading
+/// through the stack. The region methods live in [`region`].
 pub struct Telemetry;
 
 impl Telemetry {
@@ -172,9 +174,12 @@ impl Telemetry {
         graphtrace::write_summaries(path, &summaries)
     }
 
-    /// Clear all recorded telemetry (trace events, graph traces,
-    /// histograms, counters) without changing the enabled flags.
+    /// Clear everything recorded (region rows, trace events, graph traces,
+    /// histograms, counters) without changing the enabled flags. Region
+    /// rows are zeroed, not removed: a region open across a reset still
+    /// closes into its row.
     pub fn reset() {
+        region::reset();
         trace::global().clear();
         graphtrace::clear();
         histogram::reset();

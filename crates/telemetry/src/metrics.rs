@@ -1,6 +1,6 @@
-//! Per-step time-series metrics: the [`StepMetrics`] record, the
-//! [`MetricsSink`] trait with in-memory / JSONL-file / null impls, and the
-//! [`StepRecorder`] handle the drivers embed.
+//! Per-step time-series metrics: the [`StepMetrics`] record and the
+//! [`StepRecorder`] handle the drivers embed, which hands each record to a
+//! [`Sink`] of the caller's choosing.
 //!
 //! One [`StepMetrics`] is appended per *accepted* step by
 //! `Castro::advance_level_safe` and `Maestro::advance_safe`. The JSONL
@@ -8,15 +8,15 @@
 //! whole, parseable lines — and reproduces the paper's §IV burner-fraction
 //! table with a ten-line script (see EXPERIMENTS.md).
 
-use std::io::Write;
-use std::path::Path;
+use crate::json;
+use crate::sink::{JsonLine, Sink};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// One accepted driver step, in machine-readable form.
 ///
 /// Counter fields are *per step* (deltas), not run totals: summing a column
-/// over a `steps.jsonl` file reconciles with the end-of-run profiler /
+/// over a `steps.jsonl` file reconciles with the end-of-run region table /
 /// `BurnTally` totals, which the driver integration tests assert.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct StepMetrics {
@@ -56,19 +56,6 @@ pub struct StepMetrics {
     pub arena_peak_bytes: u64,
 }
 
-/// Format an `f64` as a JSON value (`null` for non-finite).
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // Ensure a numeric token JSON parsers accept (Rust never prints
-        // leading dots or bare exponents, so plain Display is already
-        // valid); keep it as-is.
-        s
-    } else {
-        "null".to_string()
-    }
-}
-
 impl StepMetrics {
     /// This record as one JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
@@ -76,11 +63,11 @@ impl StepMetrics {
             "{{\"driver\": \"{}\", \"step\": {}, \"t\": {}, \"dt\": {}, \"wall_ns\": {}, \"zones\": {}, \"zones_per_us\": {}, \"newton_iters\": {}, \"bdf_steps\": {}, \"burn_retries\": {}, \"recovered_relaxed\": {}, \"recovered_subcycle\": {}, \"recovered_offload\": {}, \"step_rejections\": {}, \"checkpoint_bytes\": {}, \"arena_live_bytes\": {}, \"arena_peak_bytes\": {}}}",
             self.driver,
             self.step,
-            json_f64(self.t),
-            json_f64(self.dt),
+            json::num(self.t),
+            json::num(self.dt),
             self.wall_ns,
             self.zones,
-            json_f64(self.zones_per_us),
+            json::num(self.zones_per_us),
             self.newton_iters,
             self.bdf_steps,
             self.burn_retries,
@@ -95,149 +82,10 @@ impl StepMetrics {
     }
 }
 
-/// Destination for per-step records. Implementations must be safe to call
-/// from the driver thread each step (`&self`, internally synchronized).
-pub trait MetricsSink: Send + Sync {
-    /// Append one step record. Recording must never fail a run, so errors
-    /// are deferred: file-backed sinks remember the first I/O error and
-    /// surface it from [`MetricsSink::flush`].
-    fn record(&self, m: &StepMetrics);
-    /// Flush any buffering to the underlying medium, reporting any I/O
-    /// error recorded since the last flush.
-    fn flush(&self) -> std::io::Result<()> {
-        Ok(())
+impl JsonLine for StepMetrics {
+    fn json_line(&self) -> String {
+        self.to_json()
     }
-}
-
-/// Keeps every record in memory; the test and reconciliation sink.
-#[derive(Default)]
-pub struct MemorySink {
-    records: Mutex<Vec<StepMetrics>>,
-}
-
-impl MemorySink {
-    /// An empty in-memory sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A copy of every record so far.
-    pub fn snapshot(&self) -> Vec<StepMetrics> {
-        self.records.lock().unwrap().clone()
-    }
-
-    /// Drain and return every record so far.
-    pub fn take(&self) -> Vec<StepMetrics> {
-        std::mem::take(&mut self.records.lock().unwrap())
-    }
-}
-
-impl MetricsSink for MemorySink {
-    fn record(&self, m: &StepMetrics) {
-        self.records.lock().unwrap().push(m.clone());
-    }
-}
-
-/// Appends records as JSON Lines to a file (one object per line, flushed
-/// per record so a killed run leaves whole lines).
-///
-/// I/O errors never interrupt the run: `record` remembers the *first*
-/// error (sticky) and keeps accepting records; the error surfaces from
-/// [`MetricsSink::flush`] or [`JsonlSink::take_error`].
-pub struct JsonlSink {
-    file: Mutex<std::io::BufWriter<std::fs::File>>,
-    error: Mutex<Option<String>>,
-}
-
-impl JsonlSink {
-    /// Create (truncate) `path` and stream records to it.
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        Ok(JsonlSink {
-            file: Mutex::new(std::io::BufWriter::new(std::fs::File::create(path)?)),
-            error: Mutex::new(None),
-        })
-    }
-
-    fn remember(&self, e: std::io::Error) {
-        let mut slot = self.error.lock().unwrap();
-        if slot.is_none() {
-            *slot = Some(e.to_string());
-        }
-    }
-
-    /// Take (and clear) the first I/O error seen since the last call.
-    pub fn take_error(&self) -> Option<String> {
-        self.error.lock().unwrap().take()
-    }
-}
-
-impl MetricsSink for JsonlSink {
-    fn record(&self, m: &StepMetrics) {
-        let mut f = self.file.lock().unwrap();
-        let r = writeln!(f, "{}", m.to_json()).and_then(|()| f.flush());
-        drop(f);
-        if let Err(e) = r {
-            self.remember(e);
-        }
-    }
-
-    fn flush(&self) -> std::io::Result<()> {
-        let r = self.file.lock().unwrap().flush();
-        if let Err(e) = r {
-            self.remember(e);
-        }
-        match self.error.lock().unwrap().clone() {
-            Some(msg) => Err(std::io::Error::other(msg)),
-            None => Ok(()),
-        }
-    }
-}
-
-/// Fans every record out to several sinks — e.g. a per-job JSONL stream
-/// for operators *and* an in-memory sink the service aggregates into its
-/// report, without the driver knowing there is more than one consumer.
-#[derive(Default)]
-pub struct MultiSink {
-    sinks: Vec<Arc<dyn MetricsSink>>,
-}
-
-impl MultiSink {
-    /// A fan-out over `sinks` (empty is allowed and records nothing).
-    pub fn new(sinks: Vec<Arc<dyn MetricsSink>>) -> Self {
-        MultiSink { sinks }
-    }
-}
-
-impl MetricsSink for MultiSink {
-    fn record(&self, m: &StepMetrics) {
-        for s in &self.sinks {
-            s.record(m);
-        }
-    }
-
-    fn flush(&self) -> std::io::Result<()> {
-        // Flush every member even when an early one fails, then report the
-        // aggregate instead of silently swallowing per-sink errors.
-        let errors: Vec<String> = self
-            .sinks
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.flush().err().map(|e| format!("sink {i}: {e}")))
-            .collect();
-        if errors.is_empty() {
-            Ok(())
-        } else {
-            Err(std::io::Error::other(errors.join("; ")))
-        }
-    }
-}
-
-/// Discards everything (the explicit "metrics off" sink).
-#[derive(Default, Clone, Copy)]
-pub struct NullSink;
-
-impl MetricsSink for NullSink {
-    fn record(&self, _m: &StepMetrics) {}
 }
 
 /// The handle a driver embeds: owns the optional sink, the step ordinal,
@@ -249,7 +97,7 @@ impl MetricsSink for NullSink {
 /// stay telemetry-free until `attach_sink` is called.
 #[derive(Default)]
 pub struct StepRecorder {
-    sink: Option<Arc<dyn MetricsSink>>,
+    sink: Option<Arc<dyn Sink<StepMetrics>>>,
     step: AtomicU64,
     /// Run time accumulated over recorded steps, as `f64` bits.
     time_bits: AtomicU64,
@@ -265,7 +113,7 @@ impl StepRecorder {
     /// Attach `sink` and reset the step ordinal; subsequent accepted steps
     /// are recorded. The checkpoint watermark starts at the counter's
     /// current value, so pre-attach checkpoints are not attributed.
-    pub fn attach_sink(&mut self, sink: Arc<dyn MetricsSink>) {
+    pub fn attach_sink(&mut self, sink: Arc<dyn Sink<StepMetrics>>) {
         self.sink = Some(sink);
         self.step.store(0, Ordering::Relaxed);
         self.time_bits.store(0f64.to_bits(), Ordering::Relaxed);
@@ -316,6 +164,7 @@ impl StepRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::{MemorySink, MultiSink};
 
     #[test]
     fn multi_sink_fans_out_to_every_member() {
@@ -409,92 +258,5 @@ mod tests {
         assert!(j.contains("\"t\": null"));
         assert!(j.contains("\"zones_per_us\": null"));
         assert!(!j.contains("NaN") && !j.contains("inf"));
-    }
-
-    #[test]
-    fn jsonl_create_fails_on_unwritable_path() {
-        let dir = std::env::temp_dir().join(format!("exastro-ro-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut perms = std::fs::metadata(&dir).unwrap().permissions();
-        use std::os::unix::fs::PermissionsExt;
-        perms.set_mode(0o555); // read + execute, no write
-        std::fs::set_permissions(&dir, perms.clone()).unwrap();
-        let result = JsonlSink::create(dir.join("steps.jsonl"));
-        // Root bypasses mode bits on some filesystems; only assert when
-        // the OS actually enforced the read-only directory.
-        if std::fs::File::create(dir.join("probe")).is_err() {
-            assert!(result.is_err(), "create in a read-only dir must fail");
-        }
-        perms.set_mode(0o755);
-        std::fs::set_permissions(&dir, perms).unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn jsonl_write_errors_are_sticky_and_surface_at_flush() {
-        // /dev/full accepts the open but fails every write with ENOSPC.
-        if !Path::new("/dev/full").exists() {
-            return;
-        }
-        let sink = JsonlSink::create("/dev/full").unwrap();
-        sink.record(&StepMetrics::default());
-        sink.record(&StepMetrics::default());
-        let err = sink.flush().expect_err("writes to /dev/full must fail");
-        assert!(!err.to_string().is_empty());
-        // The error was taken by flush's report but stays until taken.
-        assert!(sink.take_error().is_some());
-        assert!(sink.take_error().is_none(), "take_error drains the slot");
-        // After draining, flush succeeds again (BufWriter has given up
-        // its buffered line to the failed flush attempts).
-        let _ = sink.flush();
-    }
-
-    #[test]
-    fn multi_sink_propagates_member_flush_errors() {
-        if !Path::new("/dev/full").exists() {
-            return;
-        }
-        let good = Arc::new(MemorySink::new());
-        let bad = Arc::new(JsonlSink::create("/dev/full").unwrap());
-        let multi = MultiSink::new(vec![good.clone(), bad]);
-        multi.record(&StepMetrics::default());
-        let err = multi.flush().expect_err("one failing member must surface");
-        assert!(err.to_string().contains("sink 1"));
-        // The healthy member still received the record.
-        assert_eq!(good.snapshot().len(), 1);
-    }
-
-    #[test]
-    fn dropped_sink_has_already_persisted_lines() {
-        let dir = std::env::temp_dir().join(format!("exastro-drop-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("steps.jsonl");
-        {
-            let sink = JsonlSink::create(&path).unwrap();
-            sink.record(&StepMetrics::default());
-            // Dropped without an explicit flush: record() flushes per line,
-            // so a killed run still leaves whole, parseable lines.
-        }
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), 1);
-        assert!(text.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn jsonl_file_sink_writes_one_line_per_record() {
-        let dir = std::env::temp_dir().join(format!("exastro-metrics-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("steps.jsonl");
-        let sink = JsonlSink::create(&path).unwrap();
-        sink.record(&StepMetrics::default());
-        sink.record(&StepMetrics::default());
-        sink.flush().unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        for line in text.lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'));
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

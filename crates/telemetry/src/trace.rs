@@ -102,7 +102,8 @@ pub fn intern(name: &str) -> &'static str {
 /// One recorded event.
 #[derive(Clone, Copy, Debug)]
 pub struct TraceEvent {
-    /// Span name (a profiler region name or pool job label), [`intern`]ed.
+    /// Span name (a region name, pool job label or task label): a literal
+    /// or [`intern`]ed.
     pub name: &'static str,
     /// Stable small per-thread id.
     pub tid: u64,
@@ -408,7 +409,7 @@ impl TraceBuffer {
             writeln!(
                 f,
                 "    {{\"name\": \"{}\", \"cat\": \"exastro\", \"ph\": \"{}\", \"ts\": {}.{:03}, \"pid\": 1, \"tid\": {}{flow}}}{sep}",
-                json_escape(ev.name),
+                crate::json::escape(ev.name),
                 ev.phase.ph(),
                 ev.ts_ns / 1_000,
                 ev.ts_ns % 1_000,
@@ -426,19 +427,6 @@ impl Default for TraceBuffer {
     fn default() -> Self {
         TraceBuffer::new(NSHARDS * DEFAULT_CAPACITY_PER_SHARD)
     }
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The process-wide trace buffer used by the `Telemetry` facade.

@@ -2,47 +2,12 @@
 //! name has been seen, and the exported trace is what it was when every
 //! event owned a copy of its name.
 
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::allocations_during;
 use exastro_telemetry::trace::thread_trace_id;
 use exastro_telemetry::TraceBuffer;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local! {
-    /// Allocations made by this thread while `Some`.
-    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
-}
-
-/// The system allocator, counting per thread (the test harness and the
-/// other test allocate on their own threads).
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`; the count lives in
-// a const-initialised, destructor-free thread-local, so touching it from
-// inside the allocator neither allocates nor re-enters.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get().map(|n| n + 1)));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get().map(|n| n + 1)));
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-fn allocations_during(f: impl FnOnce()) -> u64 {
-    ALLOCS.with(|n| n.set(Some(0)));
-    f();
-    ALLOCS.with(|n| n.replace(None)).expect("counting was on")
-}
 
 /// One task's worth of events: a span, an arrow head, an arrow tail.
 fn record_task(buf: &TraceBuffer, name: &str, flow: u64) {

@@ -3,9 +3,40 @@
 //! across threads, evicted by a tiny ring, flow arrows with missing
 //! endpoints).
 
-use exastro_telemetry::{Phase, TraceBuffer, TraceEvent};
+#[path = "common/strict_json.rs"]
+mod strict_json;
+
+use exastro_telemetry::{json, Phase, StepMetrics, TraceBuffer, TraceEvent};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
+use strict_json::Json;
+
+/// A string out of `(class, code point)` draws, biased toward what a JSON
+/// string must escape: quotes, backslashes, control characters, plus BMP
+/// and non-BMP text (surrogate code points fold to U+FFFD).
+fn hostile_string(draws: &[(u8, u32)]) -> String {
+    draws
+        .iter()
+        .map(|&(class, cp)| match class {
+            0 => '"',
+            1 => '\\',
+            2 => char::from_u32(cp % 0x20).expect("a control character"),
+            3 => char::from_u32(0x1_0000 + cp % 0x10_0000).unwrap_or('\u{fffd}'),
+            _ => char::from_u32(cp).unwrap_or('\u{fffd}'),
+        })
+        .collect()
+}
+
+/// A float out of a `(class, bits)` draw: NaN and both infinities as often
+/// as everything else (any bit pattern: subnormals, huge exponents, NaNs).
+fn hostile_float((class, bits): (u8, u64)) -> f64 {
+    match class {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        _ => f64::from_bits(bits),
+    }
+}
 
 /// The invariants the CI schema check enforces on Chrome trace output:
 /// per-thread monotonic timestamps, LIFO nesting, balanced B/E, and flow
@@ -237,23 +268,70 @@ proptest! {
     #[test]
     fn exported_json_is_structurally_valid(
         ops in prop::collection::vec(0u8..=255, 0..150),
+        names in prop::collection::vec(prop::collection::vec((0u8..6, 0u32..0x11_0000), 0..12), 1..6),
+        floats in prop::collection::vec((0u8..6, 0u64..u64::MAX), 3..4),
     ) {
-        let buf = TraceBuffer::new(1024);
+        // Spans under arbitrary names, replayed adversarially around them.
+        // (1024 events a shard: nothing is evicted, so every name survives.)
+        let names: Vec<String> = names.iter().map(|d| hostile_string(d)).collect();
+        let buf = TraceBuffer::new(16 * 1024);
+        for name in &names {
+            buf.begin(name);
+        }
         replay(&buf, &ops, 10_000);
+        for name in names.iter().rev() {
+            buf.end(name);
+        }
         let dir = std::env::temp_dir()
             .join(format!("exastro-ptrace-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = buf.write_chrome_trace(dir.join("p.json")).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_dir_all(&dir).ok();
-        prop_assert!(text.contains("\"traceEvents\""));
-        prop_assert_eq!(text.matches('{').count(), text.matches('}').count());
-        prop_assert_eq!(text.matches('[').count(), text.matches(']').count());
-        // Every event line carries the four required keys.
-        for line in text.lines().filter(|l| l.trim_start().starts_with("{\"name\"")) {
-            for key in ["\"ph\"", "\"ts\"", "\"pid\"", "\"tid\""] {
-                prop_assert!(line.contains(key), "event line missing {}: {}", key, line);
+        let trace = match strict_json::parse(&text) {
+            Ok(trace) => trace,
+            Err(e) => {
+                prop_assert!(false, "trace is not strict JSON: {}\n{}", e, text);
+                unreachable!()
+            }
+        };
+        let Some(Json::Arr(events)) = trace.get("traceEvents") else {
+            prop_assert!(false, "no traceEvents array");
+            unreachable!()
+        };
+        // Every event carries the four required keys, and every name comes
+        // back as it went in.
+        let mut seen: HashSet<&str> = HashSet::new();
+        for ev in events {
+            for key in ["ph", "ts", "pid", "tid"] {
+                prop_assert!(ev.get(key).is_some(), "event missing {}: {:?}", key, ev);
+            }
+            if let Some(Json::Str(name)) = ev.get("name") {
+                seen.insert(name);
             }
         }
+        for name in &names {
+            prop_assert!(seen.contains(name.as_str()), "name lost in export: {:?}", name);
+        }
+
+        // The two primitives alone, and a record built on them.
+        for name in &names {
+            let quoted = format!("\"{}\"", json::escape(name));
+            prop_assert_eq!(strict_json::parse(&quoted), Ok(Json::Str(name.clone())));
+        }
+        let floats: Vec<f64> = floats.into_iter().map(hostile_float).collect();
+        for &v in &floats {
+            let want = if v.is_finite() { Json::Num(v) } else { Json::Null };
+            prop_assert_eq!(strict_json::parse(&json::num(v)), Ok(want));
+        }
+        let step = StepMetrics {
+            driver: "castro".into(),
+            t: floats[0],
+            dt: floats[1],
+            zones_per_us: floats[2],
+            ..Default::default()
+        };
+        let line = strict_json::parse(&step.to_json());
+        prop_assert!(line.is_ok(), "step record is not strict JSON: {:?}", line);
     }
 }

@@ -22,8 +22,9 @@ use std::sync::Arc;
 
 use exastro::machine::NodeFaultConfig;
 use exastro::service::{
-    JobOutcome, JobSpec, JsonlEventSink, NetChoice, PriorityClass, Scenario, Service, ServiceConfig,
+    Event, JobOutcome, JobSpec, NetChoice, PriorityClass, Scenario, Service, ServiceConfig,
 };
+use exastro::telemetry::JsonlSink;
 
 /// `--report <path> --events <path>` (both optional, any order).
 struct Cli {
@@ -147,7 +148,7 @@ fn main() {
         // Structured event log: every admit/lease/start/checkpoint/
         // node-fail/revoke/recover/migrate/terminal lands as one
         // sim-clock-stamped JSONL line (schema `exastro.event.v1`).
-        let sink = JsonlEventSink::create(path).expect("create event log");
+        let sink = JsonlSink::<Event>::create(path).expect("create event log");
         cfg.events = Some(Arc::new(sink));
     }
     println!(

@@ -5,7 +5,7 @@
 //! 1. **Recoverable** — a burning Sedov-style blast where ~1% of the
 //!    burning zones are deterministically forced to fail their first burn
 //!    attempt. Every one must be rescued by the retry ladder; the run
-//!    completes with retries visible in the profiler report and prints
+//!    completes with retries visible in the region report and prints
 //!    `FAULT RECOVERY OK`.
 //! 2. **Unrecoverable** — every burning zone fails more attempts than the
 //!    ladder has rungs. The driver must reject the step, restore the
@@ -21,7 +21,8 @@ use exastro::castro::{BurnOptions, Castro, StateLayout};
 use exastro::microphysics::{
     BdfErrorKind, BurnFaultConfig, CBurn2, Composition, Eos, Network, StellarEos,
 };
-use exastro::parallel::Profiler;
+use exastro::parallel::WorkerPool;
+use exastro::telemetry::Telemetry;
 
 /// A dense, hot carbon ball: enough burning zones (several hundred) that a
 /// 1% fault rate deterministically selects a handful of them.
@@ -96,11 +97,12 @@ fn main() {
         .validate_state(&state, castro.recovery.species_tol)
         .expect("state must validate after recovery");
 
-    println!("\n{}", Profiler::report());
-    let burn_retries = Profiler::get("castro_advance/burn")
+    print!("\n{}", Telemetry::region_report());
+    println!("pool: {}\n", WorkerPool::global().stats());
+    let burn_retries = Telemetry::region_stats("castro_advance/burn")
         .map(|s| s.retries)
         .unwrap_or(0);
-    assert!(burn_retries > 0, "retries must appear in the profiler");
+    assert!(burn_retries > 0, "retries must appear in the region table");
     println!("FAULT RECOVERY OK ({recovered} zones recovered, {retries} ladder retries)\n");
 
     // ------------------------------------------------------------------

@@ -14,7 +14,7 @@ use exastro::castro::{
     GravityMode, Hydro, SedovParams, StateLayout,
 };
 use exastro::microphysics::{CBurn2, GammaLaw};
-use exastro::parallel::{DeviceConfig, ExecSpace, Profiler, SimDevice};
+use exastro::parallel::{DeviceConfig, ExecSpace, SimDevice, WorkerPool};
 use exastro::telemetry::{JsonlSink, Telemetry};
 use std::sync::Arc;
 
@@ -84,7 +84,7 @@ fn main() {
         ..Default::default()
     };
     castro.bc = BcSpec::outflow();
-    // Run the kernels on a simulated V100 so the end-of-run profiler report
+    // Run the kernels on a simulated V100 so the end-of-run region report
     // shows charged device time per region, and switch on the optional
     // physics (monopole gravity, reactions) so their regions appear too.
     // The burn thresholds are zeroed because this setup is dimensionless;
@@ -145,7 +145,8 @@ fn main() {
 
     // Per-region wall time, zone counts, and simulated device time collected
     // by the telemetry layer during the run.
-    println!("\n{}", Profiler::report());
+    print!("\n{}", Telemetry::region_report());
+    println!("pool: {}\n", WorkerPool::global().stats());
 
     castro.telemetry.flush().expect("metrics stream IO");
     if let Some(path) = &cli.trace {

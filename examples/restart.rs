@@ -14,9 +14,10 @@ use exastro::amr::{BoxArray, Geometry, MultiFab};
 use exastro::castro::{init_sedov, Castro, SedovParams, StateLayout};
 use exastro::machine::Machine;
 use exastro::microphysics::{CBurn2, GammaLaw, Network};
-use exastro::parallel::{DeviceConfig, Profiler, SimDevice};
+use exastro::parallel::{DeviceConfig, SimDevice, WorkerPool};
 use exastro::resilience::snapshot::digest_multifab;
 use exastro::resilience::{faults, interval, CheckpointManager, Clock, KillSchedule, Snapshot};
+use exastro::telemetry::Telemetry;
 
 const TOTAL_STEPS: u64 = 18;
 const CKPT_EVERY: u64 = 3;
@@ -159,7 +160,9 @@ fn main() {
         println!("{mult:>12} {:>9.2}%", w * 100.0);
     }
 
-    println!("\n{}", Profiler::report_with_device(&device));
+    print!("\n{}", Telemetry::region_report());
+    println!("pool: {}", WorkerPool::global().stats());
+    println!("device {}: {}\n", device.config().name, device.stats());
 
     let _ = std::fs::remove_dir_all(&root);
     assert_eq!(

@@ -15,14 +15,14 @@
 //! * [`parallel`] — `parallel_for` abstraction, simulated device, arenas;
 //! * [`amr`] — boxes, multifabs, distribution maps, AMR hierarchies;
 //! * [`microphysics`] — EOS, networks, burner, BDF integrator;
-//! * [`solvers`] — multigrid and Krylov solvers;
+//! * [`solvers`] — geometric multigrid;
 //! * [`castro`] — compressible reactive hydro + gravity;
 //! * [`maestro`] — low-Mach convection;
 //! * [`machine`] — the cluster performance simulator;
 //! * [`resilience`] — checkpoint/restart with integrity checking and
 //!   fault injection;
-//! * [`telemetry`] — Chrome-trace spans, per-step metrics, zone-cost
-//!   histograms.
+//! * [`telemetry`] — the region table, Chrome-trace spans, per-step
+//!   metrics, zone-cost histograms, record sinks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
