@@ -360,7 +360,8 @@ assert d["bench"] == "service", d
 by = {m["label"]: m["value"] for m in d["metrics"]}
 for need in ("service/jobs_per_hour", "service/latency_p50",
              "service/latency_p99", "service/rank_utilization_2x_oversub",
-             "service/queue_peak", "service/preemptions"):
+             "service/queue_peak", "service/preemptions",
+             "checkpoint/write_over_fsync_floor"):
     assert need in by, f"missing {need} in {sorted(by)}"
 assert by["service/jobs_per_hour"] > 0
 assert by["service/preemptions"] > 0, "the bench's high wave must preempt"

@@ -9,11 +9,12 @@
 
 use crate::boxarray::BoxArray;
 use crate::distribution::DistributionMapping;
+use crate::fab::for_each_row;
 use crate::geometry::{CoordSys, Geometry};
 use crate::multifab::MultiFab;
 use exastro_parallel::{IndexBox, IntVect, Real};
 use std::fs;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::Write;
 use std::path::Path;
 
 /// I/O errors.
@@ -71,51 +72,106 @@ fn parse_box(line: &str) -> Result<IndexBox, IoError> {
     ))
 }
 
-/// Write `state` (with its geometry and simulation time) as a checkpoint
-/// directory at `path`. Ghost zones are not stored; a restart refills them.
+/// Append `values` to `out` as little-endian `f64`s — the one encoding of
+/// every checkpoint payload, field blobs and auxiliary arrays alike.
+pub fn append_le_bytes(out: &mut Vec<u8>, values: &[Real]) {
+    out.extend(values.iter().flat_map(|v| v.to_le_bytes()));
+}
+
+/// Append the blob image of fab `i` to `out`: the x-rows of its valid box
+/// (ghost zones are not stored), component-major, little-endian `f64`. The
+/// bytes a checkpoint stores in `fab_{i:05}.bin` — and the bytes a state
+/// digest hashes, so the two cannot disagree about what a state *is*.
+pub fn append_blob(state: &MultiFab, i: usize, out: &mut Vec<u8>) {
+    let (fab, vb) = (state.fab(i), state.valid_box(i));
+    out.reserve(vb.num_zones() as usize * state.ncomp() * 8);
+    for c in 0..state.ncomp() {
+        for_each_row(vb, |row, n| append_le_bytes(out, fab.row(row, c, n)));
+    }
+}
+
+/// Decode the blob image `bytes` into the valid box of fab `i`, rejecting
+/// a length the header does not imply and any non-finite value.
+fn decode_blob(state: &mut MultiFab, i: usize, bytes: &[u8]) -> Result<(), IoError> {
+    let (vb, ncomp) = (state.valid_box(i), state.ncomp());
+    // The blob length is fully determined by the header: anything else
+    // is a truncated or overgrown payload, i.e. a format violation.
+    let expect = vb.num_zones() as usize * ncomp * 8;
+    if bytes.len() != expect {
+        return Err(IoError::Format(format!(
+            "fab {i}: blob is {} bytes, header implies {expect}",
+            bytes.len()
+        )));
+    }
+    let fab = state.fab_mut(i);
+    let mut rows = bytes.chunks_exact(vb.length(0) as usize * 8);
+    let mut bad = None;
+    for c in 0..ncomp {
+        for_each_row(vb, |row, n| {
+            let src = rows.next().expect("one row of bytes per row of zones");
+            let dst = fab.row_mut(row, c, n);
+            for (d, b) in dst.iter_mut().zip(src.chunks_exact(8)) {
+                *d = Real::from_le_bytes(b.try_into().expect("8-byte chunk"));
+            }
+            if bad.is_none() {
+                if let Some(x) = dst.iter().position(|v| !v.is_finite()) {
+                    bad = Some((row + IntVect::new(x as i32, 0, 0), c, dst[x]));
+                }
+            }
+        });
+    }
+    match bad {
+        Some((iv, c, v)) => Err(IoError::Format(format!(
+            "fab {i}: non-finite value {v} at {iv:?} comp {c}"
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// Create `path` holding exactly `bytes` and fsync it.
+pub fn write_synced(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut f = fs::File::create(path)?;
+    f.write_all(bytes)?;
+    f.sync_all()
+}
+
+/// Best-effort directory fsync (Linux allows fsync on a read-only dir fd;
+/// elsewhere this is a no-op).
+pub fn sync_dir(dir: &Path) {
+    if let Ok(d) = fs::File::open(dir) {
+        let _ = d.sync_all();
+    }
+}
+
+/// Write one level's files into the existing directory `dir`, un-staged:
+/// one blob per fab — built in memory, written with one `write_all`,
+/// fsynced — then the `Header` (the commit record: a reader never sees a
+/// header pointing at absent blobs), then an fsync of `dir` itself.
+/// `wrote(name, bytes)` is called for every file with the bytes that went
+/// to disk, so a caller that checksums them need not read them back.
 ///
-/// The write is atomic: everything is staged in a hidden sibling directory
-/// with the payload blobs written *before* the `Header` (the header is the
-/// commit record — a reader never sees a header pointing at absent blobs),
-/// fsynced, and renamed into place. A crash at any point leaves either the
-/// old checkpoint or an ignorable `.{name}.inflight.*` directory, never a
-/// half-written `path`.
-pub fn write_checkpoint(
-    path: &Path,
+/// Staging and publication are the caller's: [`write_checkpoint`] stages
+/// one level, a multi-level writer stages all of them in one directory.
+pub fn write_level(
+    dir: &Path,
     state: &MultiFab,
     geom: &Geometry,
     time: Real,
     variable_names: &[&str],
+    mut wrote: impl FnMut(&str, &[u8]),
 ) -> Result<(), IoError> {
     assert_eq!(variable_names.len(), state.ncomp());
-    let name = path
-        .file_name()
-        .ok_or_else(|| IoError::Format("checkpoint path has no file name".into()))?
-        .to_string_lossy()
-        .into_owned();
-    let parent = path.parent().unwrap_or_else(|| Path::new("."));
-    fs::create_dir_all(parent)?;
-    let tmp = parent.join(format!(".{name}.inflight.{}", std::process::id()));
-    if tmp.exists() {
-        fs::remove_dir_all(&tmp)?;
-    }
-    fs::create_dir_all(&tmp)?;
-
-    // Payload first: one binary file per fab, valid-region data only,
-    // component-major little-endian f64.
+    let mut put = |name: &str, bytes: &[u8]| {
+        write_synced(&dir.join(name), bytes).map(|()| wrote(name, bytes))
+    };
+    let mut blob = Vec::new();
     for i in 0..state.nfabs() {
-        let vb = state.valid_box(i);
-        let mut f = BufWriter::new(fs::File::create(tmp.join(format!("fab_{i:05}.bin")))?);
-        for c in 0..state.ncomp() {
-            for iv in vb.iter() {
-                f.write_all(&state.fab(i).get(iv, c).to_le_bytes())?;
-            }
-        }
-        f.flush()?;
-        f.get_ref().sync_all()?;
+        blob.clear();
+        append_blob(state, i, &mut blob);
+        put(&format!("fab_{i:05}.bin"), &blob)?;
     }
 
-    let mut h = BufWriter::new(fs::File::create(tmp.join("Header"))?);
+    let mut h = Vec::new();
     writeln!(h, "exastro-checkpoint-v1")?;
     writeln!(h, "time {time:e}")?;
     writeln!(h, "ncomp {}", state.ncomp())?;
@@ -148,20 +204,45 @@ pub fn write_checkpoint(
     for i in 0..state.nfabs() {
         write_box(&mut h, state.valid_box(i))?;
     }
-    h.flush()?;
-    h.get_ref().sync_all()?;
-    if let Ok(d) = fs::File::open(&tmp) {
-        let _ = d.sync_all();
+    put("Header", &h)?;
+    sync_dir(dir);
+    Ok(())
+}
+
+/// Write `state` (with its geometry and simulation time) as a checkpoint
+/// directory at `path`. Ghost zones are not stored; a restart refills them.
+///
+/// The write is atomic: [`write_level`] fills a hidden sibling directory,
+/// which is then renamed into place. A crash at any point leaves either the
+/// old checkpoint or an ignorable `.{name}.inflight.*` directory, never a
+/// half-written `path`.
+pub fn write_checkpoint(
+    path: &Path,
+    state: &MultiFab,
+    geom: &Geometry,
+    time: Real,
+    variable_names: &[&str],
+) -> Result<(), IoError> {
+    let name = path
+        .file_name()
+        .ok_or_else(|| IoError::Format("checkpoint path has no file name".into()))?
+        .to_string_lossy()
+        .into_owned();
+    let parent = path.parent().unwrap_or_else(|| Path::new("."));
+    fs::create_dir_all(parent)?;
+    let tmp = parent.join(format!(".{name}.inflight.{}", std::process::id()));
+    if tmp.exists() {
+        fs::remove_dir_all(&tmp)?;
     }
+    fs::create_dir_all(&tmp)?;
+    write_level(&tmp, state, geom, time, variable_names, |_, _| {})?;
 
     // Publish: replace any previous checkpoint in one rename.
     if path.exists() {
         fs::remove_dir_all(path)?;
     }
     fs::rename(&tmp, path)?;
-    if let Ok(d) = fs::File::open(parent) {
-        let _ = d.sync_all();
-    }
+    sync_dir(parent);
     Ok(())
 }
 
@@ -178,21 +259,22 @@ pub struct Checkpoint {
     pub variables: Vec<String>,
 }
 
-/// Read a checkpoint directory written by [`write_checkpoint`].
-pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, IoError> {
-    let f = fs::File::open(path.join("Header"))?;
-    let mut lines = BufReader::new(f).lines();
-    let mut next = || -> Result<String, IoError> {
+/// Parse a `Header` into a [`Checkpoint`] whose state is allocated and
+/// still all zero.
+fn parse_header(header: &[u8]) -> Result<Checkpoint, IoError> {
+    let header = std::str::from_utf8(header)
+        .map_err(|e| IoError::Format(format!("header is not UTF-8: {e}")))?;
+    let mut lines = header.lines();
+    let mut next = || -> Result<&str, IoError> {
         lines
             .next()
-            .ok_or_else(|| IoError::Format("truncated header".into()))?
-            .map_err(IoError::Io)
+            .ok_or_else(|| IoError::Format("truncated header".into()))
     };
     let magic = next()?;
     if magic != "exastro-checkpoint-v1" {
         return Err(IoError::Format(format!("bad magic '{magic}'")));
     }
-    let field = |line: String, key: &str| -> Result<String, IoError> {
+    let field = |line: &str, key: &str| -> Result<String, IoError> {
         line.strip_prefix(key)
             .map(|s| s.trim().to_string())
             .ok_or_else(|| IoError::Format(format!("expected '{key}', got '{line}'")))
@@ -225,13 +307,13 @@ pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, IoError> {
     let prob_hi = parse3(field(next()?, "prob_hi")?)?;
     let per = parse3(field(next()?, "periodic")?)?;
     let _ = field(next()?, "domain")?;
-    let domain = parse_box(&next()?)?;
+    let domain = parse_box(next()?)?;
     let nfabs: usize = field(next()?, "nfabs")?
         .parse()
         .map_err(|e| IoError::Format(format!("bad nfabs: {e}")))?;
-    let mut boxes = Vec::with_capacity(nfabs);
+    let mut boxes = Vec::new();
     for _ in 0..nfabs {
-        boxes.push(parse_box(&next()?)?);
+        boxes.push(parse_box(next()?)?);
     }
     let geom = Geometry::new(
         domain,
@@ -242,40 +324,32 @@ pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, IoError> {
     );
     let ba = BoxArray::from_boxes(boxes);
     let dm = DistributionMapping::all_local(&ba);
-    let mut state = MultiFab::new(ba, dm, ncomp, ngrow);
-    for i in 0..state.nfabs() {
-        let vb = state.valid_box(i);
-        let blob = path.join(format!("fab_{i:05}.bin"));
-        // The blob length is fully determined by the header: anything else
-        // is a truncated or overgrown payload, i.e. a format violation.
-        let expect = vb.num_zones() as u64 * ncomp as u64 * 8;
-        let actual = fs::metadata(&blob)?.len();
-        if actual != expect {
-            return Err(IoError::Format(format!(
-                "fab {i}: blob is {actual} bytes, header implies {expect}"
-            )));
-        }
-        let mut f = BufReader::new(fs::File::open(&blob)?);
-        let mut buf = [0u8; 8];
-        for c in 0..ncomp {
-            for iv in vb.iter() {
-                f.read_exact(&mut buf)?;
-                let v = Real::from_le_bytes(buf);
-                if !v.is_finite() {
-                    return Err(IoError::Format(format!(
-                        "fab {i}: non-finite value {v} at {iv:?} comp {c}"
-                    )));
-                }
-                state.fab_mut(i).set(iv, c, v);
-            }
-        }
-    }
     Ok(Checkpoint {
-        state,
+        state: MultiFab::new(ba, dm, ncomp, ngrow),
         geom,
         time,
         variables,
     })
+}
+
+/// Decode one level from the files [`write_level`] wrote. `fetch(name)`
+/// returns a file's whole contents and is where a caller holding checksums
+/// verifies them: the bytes it hands back are the bytes decoded, so nothing
+/// can change between the check and the use.
+pub fn read_level<E: From<IoError>>(
+    mut fetch: impl FnMut(&str) -> Result<Vec<u8>, E>,
+) -> Result<Checkpoint, E> {
+    let mut ck = parse_header(&fetch("Header")?)?;
+    for i in 0..ck.state.nfabs() {
+        let blob = fetch(&format!("fab_{i:05}.bin"))?;
+        decode_blob(&mut ck.state, i, &blob)?;
+    }
+    Ok(ck)
+}
+
+/// Read a checkpoint directory written by [`write_checkpoint`].
+pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, IoError> {
+    read_level(|name| Ok(fs::read(path.join(name))?))
 }
 
 #[cfg(test)]

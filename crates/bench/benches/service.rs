@@ -11,13 +11,20 @@
 //! Emits `BENCH_service.json` at the workspace root; the `jobs_per_hour`
 //! label is perf-gated against `ci/baselines/` (the latency and
 //! utilization labels are reported, not gated — they move with machine
-//! speed in ways the conservative throughput floor already covers).
+//! speed in ways the conservative throughput floor already covers), and
+//! so is `checkpoint/write_over_fsync_floor`: what a preemption's
+//! checkpoint write costs over writing and fsyncing the same files
+//! zero-filled — a same-run ratio, so disk and host speed cancel.
 //! Pass `--test` for the CI smoke mode (small backlog; JSON still
 //! written).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use exastro_bench::{write_metrics_json, MetricPoint};
+use exastro_amr::io::{sync_dir, write_synced};
+use exastro_bench::{sedov_fixture, write_metrics_json, MetricPoint};
+use exastro_castro::snapshot_level;
+use exastro_resilience::{CheckpointManager, Clock};
 use exastro_service::{JobSpec, PriorityClass, Scenario, Service, ServiceConfig};
+use std::path::Path;
 use std::time::Instant;
 
 /// CI smoke mode: the vendored criterion shim ignores CLI arguments, so
@@ -104,6 +111,98 @@ fn run_campaign(tag: &str, backlog: usize, high_wave: usize) -> LoadResult {
     }
 }
 
+/// What durability alone costs for a checkpoint of `nfabs` blobs: the
+/// files and directories `CheckpointManager::write` creates, fsyncs,
+/// renames and prunes, each file as long as the real one (`blob`; `text`
+/// for `Header`, `Meta` and `MANIFEST`) but zero-filled, so nothing is
+/// serialised or hashed. Same sizes, not empty files: on the CI host an
+/// fsync of a 37 KB file costs twice that of an empty one, and a floor
+/// that left the data out would not cancel the disk.
+fn fsync_floor(
+    root: &Path,
+    step: u64,
+    nfabs: usize,
+    blob: &[u8],
+    text: [&[u8]; 3],
+) -> std::io::Result<()> {
+    let tmp = root.join(format!(".tmp-floor{step}"));
+    let level = tmp.join("Level_00");
+    std::fs::create_dir_all(&level)?;
+    for i in 0..nfabs {
+        write_synced(&level.join(format!("fab_{i:05}.bin")), blob)?;
+    }
+    write_synced(&level.join("Header"), text[0])?;
+    sync_dir(&level);
+    write_synced(&tmp.join("Meta"), text[1])?;
+    write_synced(&tmp.join("MANIFEST"), text[2])?;
+    sync_dir(&tmp);
+    std::fs::rename(&tmp, root.join(format!("floor{step}")))?;
+    sync_dir(root);
+    if step > 2 {
+        std::fs::remove_dir_all(root.join(format!("floor{}", step - 2)))?;
+    }
+    Ok(())
+}
+
+/// `CheckpointManager::write` of a 16³ Sedov job's snapshot (8 boxes — the
+/// job `service_backlog` preempts) ÷ [`fsync_floor`], medians of
+/// interleaved rounds.
+fn write_over_fsync_floor() -> f64 {
+    let (geom, state, layout, ..) = sedov_fixture(16, 8);
+    let root = std::env::temp_dir().join(format!("exastro_bench_ckpt_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let mgr = CheckpointManager::new(root.join("chk")).expect("checkpoint root");
+    let floor_root = root.join("floor");
+    std::fs::create_dir_all(&floor_root).expect("floor root");
+    let snap_at = |step| {
+        let clock = Clock {
+            step,
+            ..Default::default()
+        };
+        snapshot_level(&geom, &state, clock, &layout)
+    };
+    // File sizes from a first, untimed checkpoint.
+    let first = mgr.write(&snap_at(0)).expect("checkpoint write");
+    let zeros = |rel: &str| {
+        let len = std::fs::metadata(first.join(rel))
+            .expect("checkpoint file")
+            .len();
+        vec![0u8; len as usize]
+    };
+    let blob = zeros("Level_00/fab_00000.bin");
+    let text = [zeros("Level_00/Header"), zeros("Meta"), zeros("MANIFEST")];
+    let (mut write_s, mut floor_s) = (Vec::new(), Vec::new());
+    for step in 1..=24u64 {
+        let snap = snap_at(step);
+        let t = Instant::now();
+        mgr.write(&snap).expect("checkpoint write");
+        write_s.push(t.elapsed().as_secs_f64());
+        let t = Instant::now();
+        fsync_floor(
+            &floor_root,
+            step,
+            state.nfabs(),
+            &blob,
+            [&text[0], &text[1], &text[2]],
+        )
+        .expect("floor write");
+        floor_s.push(t.elapsed().as_secs_f64());
+    }
+    let _ = std::fs::remove_dir_all(&root);
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (write, floor) = (median(&mut write_s), median(&mut floor_s));
+    println!(
+        "checkpoint write {:.2} ms over an fsync floor of {:.2} ms: {:.2}x",
+        write * 1e3,
+        floor * 1e3,
+        write / floor
+    );
+    write / floor
+}
+
 fn bench(c: &mut Criterion) {
     let smoke = test_mode();
     let backlog = if smoke { 24 } else { 208 };
@@ -142,6 +241,11 @@ fn bench(c: &mut Criterion) {
         MetricPoint::new("service/rank_utilization_2x_oversub", r.utilization, "frac"),
         MetricPoint::new("service/queue_peak", r.queue_peak as f64, "jobs"),
         MetricPoint::new("service/preemptions", r.preemptions as f64, "events"),
+        MetricPoint::new(
+            "checkpoint/write_over_fsync_floor",
+            write_over_fsync_floor(),
+            "ratio",
+        ),
     ];
     let path = write_metrics_json("service", &metrics).expect("write BENCH_service.json");
     println!("wrote {}\n", path.display());

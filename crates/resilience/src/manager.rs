@@ -5,16 +5,20 @@
 //!
 //! 1. serialize the snapshot into a hidden temp directory
 //!    (`.tmp-chkNNNNNNNN`) — one sub-directory per AMR level, a `Meta`
-//!    file for the counters, `Aux_*.bin` blobs for auxiliary arrays;
+//!    file for the counters, `Aux_*.bin` blobs for auxiliary arrays; every
+//!    file is built in memory, written once and fsynced, and its
+//!    [`Manifest`] entry is taken from the bytes in hand (no read-back);
 //! 2. write the CRC32 [`Manifest`] **last** — a checkpoint without a
 //!    manifest is by definition incomplete;
-//! 3. fsync the files and the directories;
+//! 3. fsync the directories;
 //! 4. atomically `rename` the temp directory to `chkNNNNNNNN` and fsync
 //!    the root.
 //!
 //! A crash before (4) leaves only a `.tmp-*` directory, which readers
-//! ignore; a torn or bit-rotted checkpoint fails manifest verification and
-//! [`CheckpointManager::latest_good`] falls back to the previous one.
+//! ignore; a torn or bit-rotted checkpoint fails its manifest and
+//! [`CheckpointManager::resume`] falls back to the previous one. A restore
+//! reads each file once and checks size and CRC on the very bytes it then
+//! decodes — verify what you decode, not verify and then re-open.
 //! Writes retry with bounded exponential backoff (transient filesystem
 //! failures are injectable through [`CheckpointManager::inject_write_faults`]).
 //!
@@ -23,14 +27,14 @@
 //! write/read runs under the `io/checkpoint` telemetry region with its byte
 //! count recorded.
 
-use crate::manifest::{Manifest, MANIFEST_NAME};
+use crate::manifest::{Manifest, ManifestEntry, MANIFEST_NAME};
 use crate::snapshot::{Clock, LevelSnapshot, Snapshot};
-use exastro_amr::io::{read_checkpoint, write_checkpoint, IoError};
+use exastro_amr::io::{append_le_bytes, read_level, sync_dir, write_level, write_synced, IoError};
 use exastro_amr::Real;
 use exastro_parallel::SimDevice;
 use exastro_telemetry::Telemetry;
 use std::fs;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -289,32 +293,39 @@ impl CheckpointManager {
             fs::remove_dir_all(&tmp)?;
         }
         fs::create_dir_all(&tmp)?;
+        // Every file's manifest entry comes from the bytes just written.
+        let mut entries = Vec::new();
         let var_refs: Vec<&str> = snap.variables.iter().map(String::as_str).collect();
         for (l, lev) in snap.levels.iter().enumerate() {
-            write_checkpoint(
-                &tmp.join(format!("Level_{l:02}")),
+            let level = format!("Level_{l:02}");
+            let dir = tmp.join(&level);
+            fs::create_dir(&dir)?;
+            write_level(
+                &dir,
                 &lev.state,
                 &lev.geom,
                 snap.clock.time,
                 &var_refs,
+                |file, bytes| entries.push(ManifestEntry::of(format!("{level}/{file}"), bytes)),
             )?;
         }
+        let mut put = |rel: String, bytes: &[u8]| {
+            write_synced(&tmp.join(&rel), bytes)
+                .map(|()| entries.push(ManifestEntry::of(rel, bytes)))
+        };
+        let mut blob = Vec::new();
         for (aux_name, v) in &snap.aux {
             debug_assert!(aux_name
                 .bytes()
                 .all(|b| b.is_ascii_alphanumeric() || b == b'_'));
-            let mut f = fs::File::create(tmp.join(format!("Aux_{aux_name}.bin")))?;
-            for x in v {
-                f.write_all(&x.to_le_bytes())?;
-            }
-            f.sync_all()?;
+            blob.clear();
+            append_le_bytes(&mut blob, v);
+            put(format!("Aux_{aux_name}.bin"), &blob)?;
         }
-        self.write_meta(&tmp, snap)?;
+        put("Meta".into(), &meta_bytes(snap)?)?;
         // The manifest is written last: its presence certifies completeness.
-        let manifest = Manifest::over_dir(&tmp).map_err(Error::Io)?;
-        let mut mf = fs::File::create(tmp.join(MANIFEST_NAME))?;
-        mf.write_all(manifest.to_text().as_bytes())?;
-        mf.sync_all()?;
+        let manifest = Manifest::new(entries);
+        write_synced(&tmp.join(MANIFEST_NAME), manifest.to_text().as_bytes())?;
         sync_dir(&tmp);
         if fin.exists() {
             fs::remove_dir_all(&fin)?;
@@ -324,49 +335,27 @@ impl CheckpointManager {
         Ok(fin)
     }
 
-    fn write_meta(&self, dir: &Path, snap: &Snapshot) -> Result<(), Error> {
-        let mut f = fs::File::create(dir.join("Meta"))?;
-        writeln!(f, "{META_MAGIC}")?;
-        writeln!(f, "step {}", snap.clock.step)?;
-        // Bit-pattern hex alongside the decimal: the decimal is for humans,
-        // the bits are what restore parses (exact by construction).
-        writeln!(
-            f,
-            "time {:016x} {:e}",
-            snap.clock.time.to_bits(),
-            snap.clock.time
-        )?;
-        writeln!(f, "dt {:016x} {:e}", snap.clock.dt.to_bits(), snap.clock.dt)?;
-        writeln!(f, "nlevels {}", snap.levels.len())?;
-        let ratios: Vec<String> = snap
-            .levels
-            .iter()
-            .map(|l| l.ratio_to_coarser.to_string())
-            .collect();
-        writeln!(f, "ratios {}", ratios.join(" "))?;
-        writeln!(f, "variables {}", snap.variables.join(" "))?;
-        for (aux_name, v) in &snap.aux {
-            writeln!(f, "aux {aux_name} {}", v.len())?;
-        }
-        f.sync_all()?;
-        Ok(())
-    }
-
-    /// Restore the snapshot stored at `dir`, verifying integrity first.
+    /// Restore the snapshot stored at `dir`. Every file is read once and
+    /// checked against the manifest before a byte of it is decoded;
+    /// [`Error::Corrupt`] on any mismatch.
     pub fn restore(&self, dir: &Path) -> Result<Snapshot, Error> {
         let _r = Telemetry::region("io/checkpoint");
-        Self::verify(dir)?;
         let snap = read_snapshot_dir(dir)?;
         Telemetry::record_bytes(snap.payload_bytes());
         self.stats.lock().unwrap().restores += 1;
         Ok(snap)
     }
 
-    /// Resume from the newest intact checkpoint, falling back past corrupt
-    /// ones. [`Error::NoCheckpoint`] if none survives.
+    /// Resume from the newest intact checkpoint, falling back past (and
+    /// counting) corrupt ones. [`Error::NoCheckpoint`] if none survives.
     pub fn resume(&self) -> Result<Snapshot, Error> {
-        let (_, path) = self.latest_good().ok_or(Error::NoCheckpoint)?;
-        self.restore(&path)
+        for (_, path) in self.checkpoints().into_iter().rev() {
+            match self.restore(&path) {
+                Err(Error::Corrupt(_)) => self.stats.lock().unwrap().corrupt_detected += 1,
+                other => return other,
+            }
+        }
+        Err(Error::NoCheckpoint)
     }
 
     /// Drop all but the newest `keep` checkpoints.
@@ -384,16 +373,50 @@ impl CheckpointManager {
     }
 }
 
-/// Best-effort directory fsync (Linux allows fsync on a read-only dir fd;
-/// elsewhere this is a no-op).
-fn sync_dir(dir: &Path) {
-    if let Ok(d) = fs::File::open(dir) {
-        let _ = d.sync_all();
+fn meta_bytes(snap: &Snapshot) -> std::io::Result<Vec<u8>> {
+    let mut m = Vec::new();
+    writeln!(m, "{META_MAGIC}")?;
+    writeln!(m, "step {}", snap.clock.step)?;
+    // Bit-pattern hex alongside the decimal: the decimal is for humans,
+    // the bits are what restore parses (exact by construction).
+    writeln!(
+        m,
+        "time {:016x} {:e}",
+        snap.clock.time.to_bits(),
+        snap.clock.time
+    )?;
+    writeln!(m, "dt {:016x} {:e}", snap.clock.dt.to_bits(), snap.clock.dt)?;
+    writeln!(m, "nlevels {}", snap.levels.len())?;
+    let ratios: Vec<String> = snap
+        .levels
+        .iter()
+        .map(|l| l.ratio_to_coarser.to_string())
+        .collect();
+    writeln!(m, "ratios {}", ratios.join(" "))?;
+    writeln!(m, "variables {}", snap.variables.join(" "))?;
+    for (aux_name, v) in &snap.aux {
+        writeln!(m, "aux {aux_name} {}", v.len())?;
     }
+    Ok(m)
 }
 
+/// Decode the checkpoint at `dir` in one pass: each file is read once,
+/// through its manifest entry, and only checked bytes are parsed.
 fn read_snapshot_dir(dir: &Path) -> Result<Snapshot, Error> {
-    let meta = fs::read_to_string(dir.join("Meta"))?;
+    let manifest = Manifest::load(dir).map_err(Error::Corrupt)?;
+    let mut unread: Vec<&ManifestEntry> = manifest.entries.iter().collect();
+    let mut fetch = |rel: &str| -> Result<Vec<u8>, Error> {
+        let k = unread
+            .iter()
+            .position(|e| e.rel_path == rel)
+            .ok_or_else(|| Error::Corrupt(format!("{rel}: not in the manifest")))?;
+        unread
+            .swap_remove(k)
+            .read_checked(dir)
+            .map_err(Error::Corrupt)
+    };
+    let meta = String::from_utf8(fetch("Meta")?)
+        .map_err(|e| Error::Format(format!("Meta is not UTF-8: {e}")))?;
     let mut lines = meta.lines();
     let mut next = || -> Result<&str, Error> {
         lines
@@ -453,23 +476,32 @@ fn read_snapshot_dir(dir: &Path) -> Result<Snapshot, Error> {
             .ok_or_else(|| Error::Format("bad aux line".into()))?
             .parse()
             .map_err(|e| Error::Format(format!("bad aux len: {e}")))?;
-        let mut f = fs::File::open(dir.join(format!("Aux_{aux_name}.bin")))?;
-        let mut v = Vec::with_capacity(len);
-        let mut buf = [0u8; 8];
-        for _ in 0..len {
-            f.read_exact(&mut buf)?;
-            v.push(Real::from_le_bytes(buf));
+        let blob = fetch(&format!("Aux_{aux_name}.bin"))?;
+        if blob.len() != len * 8 {
+            return Err(Error::Format(format!(
+                "aux {aux_name}: blob is {} bytes, Meta implies {}",
+                blob.len(),
+                len * 8
+            )));
         }
+        let v = blob
+            .chunks_exact(8)
+            .map(|b| Real::from_le_bytes(b.try_into().expect("8-byte chunk")))
+            .collect();
         aux.push((aux_name, v));
     }
     let mut levels = Vec::with_capacity(nlevels);
     for (l, ratio) in ratios.iter().enumerate().take(nlevels) {
-        let ck = read_checkpoint(&dir.join(format!("Level_{l:02}")))?;
+        let ck = read_level(|file| fetch(&format!("Level_{l:02}/{file}")))?;
         levels.push(LevelSnapshot {
             geom: ck.geom,
             state: ck.state,
             ratio_to_coarser: *ratio,
         });
+    }
+    // A manifest may vouch for more than a decode reads; it all has to hold.
+    for e in unread {
+        e.read_checked(dir).map_err(Error::Corrupt)?;
     }
     Ok(Snapshot {
         levels,

@@ -9,6 +9,7 @@
 //! them at the top of a step).
 
 use crate::manifest::{crc32_update, Manifest};
+use exastro_amr::io::{append_blob, append_le_bytes};
 use exastro_amr::{Geometry, MultiFab, Real};
 
 /// Step counters of a run: the quantities outside the field data that the
@@ -98,14 +99,15 @@ impl Snapshot {
     /// digests match; tests and the restart example compare these.
     pub fn digest(&self) -> u64 {
         let mut st = 0xFFFF_FFFFu32;
+        let mut blob = Vec::new();
         for l in &self.levels {
-            st = digest_multifab_update(st, &l.state);
+            st = digest_multifab_update(st, &l.state, &mut blob);
         }
         for (name, v) in &self.aux {
             st = crc32_update(st, name.as_bytes());
-            for x in v {
-                st = crc32_update(st, &x.to_le_bytes());
-            }
+            blob.clear();
+            append_le_bytes(&mut blob, v);
+            st = crc32_update(st, &blob);
         }
         st = crc32_update(st, &self.clock.step.to_le_bytes());
         st = crc32_update(st, &self.clock.time.to_bits().to_le_bytes());
@@ -121,14 +123,13 @@ impl Snapshot {
     }
 }
 
-fn digest_multifab_update(mut st: u32, mf: &MultiFab) -> u32 {
+/// Hash each fab's checkpoint blob image — the bytes a checkpoint would
+/// store — through `blob`, one fab at a time.
+fn digest_multifab_update(mut st: u32, mf: &MultiFab, blob: &mut Vec<u8>) -> u32 {
     for i in 0..mf.nfabs() {
-        let vb = mf.valid_box(i);
-        for c in 0..mf.ncomp() {
-            for iv in vb.iter() {
-                st = crc32_update(st, &mf.fab(i).get(iv, c).to_le_bytes());
-            }
-        }
+        blob.clear();
+        append_blob(mf, i, blob);
+        st = crc32_update(st, blob);
     }
     st
 }
@@ -136,16 +137,16 @@ fn digest_multifab_update(mut st: u32, mf: &MultiFab) -> u32 {
 /// CRC32 digest of one `MultiFab`'s valid data (fab-major, component-major
 /// within a fab, little-endian) — the hash used by the restart CI gate.
 pub fn digest_multifab(mf: &MultiFab) -> u32 {
-    digest_multifab_update(0xFFFF_FFFF, mf) ^ 0xFFFF_FFFF
+    digest_states(std::slice::from_ref(mf))
 }
 
 /// Digest of a set of per-level states (for drivers that keep states
 /// outside a [`Snapshot`]).
 pub fn digest_states(states: &[MultiFab]) -> u32 {
-    let mut st = 0xFFFF_FFFFu32;
-    for s in states {
-        st = digest_multifab_update(st, s);
-    }
+    let mut blob = Vec::new();
+    let st = states.iter().fold(0xFFFF_FFFFu32, |st, s| {
+        digest_multifab_update(st, s, &mut blob)
+    });
     st ^ 0xFFFF_FFFF
 }
 

@@ -600,4 +600,41 @@ mod tests {
         assert_eq!(job.recoveries, 1);
         let _ = std::fs::remove_dir_all(dir);
     }
+
+    /// A MAESTROeX job's base state — three `nz`-long columns and two
+    /// scalars — travels as `Aux_*.bin` arrays: after a preemption it must
+    /// come back from disk bit for bit, not survive in memory.
+    #[test]
+    fn a_preempted_bubble_gets_its_base_state_back_bit_for_bit() {
+        let dir = std::env::temp_dir().join(format!("exastro_job_base_{}", std::process::id()));
+        let spec = JobSpec {
+            scenario: Scenario::ReactingBubble,
+            resolution: 8,
+            steps: 2,
+            ..Default::default()
+        };
+        let mut job = Job::build(JobId(0), spec, 6, 0, &dir, None).unwrap();
+        assert!(matches!(job.run_slice(1), SliceStatus::Ran));
+        let base_bits = |job: &Job| match &job.physics {
+            Physics::Maestro { base, .. } => {
+                [&base.rho0, &base.p0, &base.t0, &vec![base.grav, base.dz]]
+                    .map(|col| col.iter().map(|v| v.to_bits()).collect::<Vec<u64>>())
+            }
+            Physics::Castro(_) => unreachable!("the bubble runs on maestro"),
+        };
+        let (want, digest) = (base_bits(&job), job.state_digest());
+        assert_eq!(want[0].len(), 8);
+        job.preempt().unwrap();
+        if let Physics::Maestro { base, .. } = &mut job.physics {
+            base.rho0.fill(0.0);
+            base.p0.fill(0.0);
+            base.t0.fill(0.0);
+            (base.grav, base.dz) = (0.0, 0.0);
+        }
+        job.resume().unwrap();
+        assert_eq!(base_bits(&job), want);
+        assert_eq!(job.state_digest(), digest);
+        assert!(matches!(job.run_slice(1), SliceStatus::Finished));
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }

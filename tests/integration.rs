@@ -815,3 +815,111 @@ fn bubble_with_injected_faults_completes_through_safe_driver() {
     let d = bubble_diagnostics(&state, &geom, &layout, 6e8);
     assert!(d.max_temp.is_finite() && d.max_temp > 0.0);
 }
+
+/// The two-box, three-component, one-aux-array state the format pin
+/// below writes: values with sign, fraction and a spread of exponents, one
+/// ghost layer so a blob row is not a fab row.
+fn golden_snapshot() -> exastro::resilience::Snapshot {
+    use exastro::amr::CoordSys;
+    use exastro::resilience::{Clock, Snapshot};
+    let domain = IndexBox::new(IntVect::new(0, 0, 0), IntVect::new(7, 3, 3));
+    let geom = Geometry::new(
+        domain,
+        [0.0, -1.0, 0.25],
+        [2.0, 1.0, 1.25],
+        [true, false, false],
+        CoordSys::Cartesian,
+    );
+    let ba = BoxArray::decompose(domain, 4, 4);
+    assert_eq!(ba.len(), 2);
+    let mut mf = MultiFab::local(ba, 3, 1);
+    for i in 0..mf.nfabs() {
+        for iv in mf.valid_box(i).iter() {
+            for c in 0..3 {
+                let n = (iv.x() + 8 * iv.y() + 32 * iv.z()) as f64;
+                let v = (n - 40.5) * 10f64.powi(3 * c as i32 - 4) + 1.0 / (n + 3.0);
+                mf.fab_mut(i).set(iv, c, v);
+            }
+        }
+    }
+    let clock = Clock {
+        step: 12,
+        time: 0.375,
+        dt: 0.03125,
+    };
+    let names = vec!["rho".into(), "mom".into(), "eden".into()];
+    let mut snap = Snapshot::single_level(geom, mf, clock, names);
+    snap.aux
+        .push(("rho0".into(), vec![1.5, -2.25, 1.0e-300, 6.02e23, 0.0]));
+    snap
+}
+
+#[test]
+fn checkpoint_bytes_and_digests_are_pinned() {
+    // "Byte-identical on disk, same digests" as constants: the MANIFEST
+    // text (a CRC and a size for every file), the head of the first blob
+    // and both digests, taken from the commit before the checkpoint path
+    // went row-wise. A change to the format, the CRC or the traversal
+    // order moves one of them.
+    use exastro::resilience::manifest::MANIFEST_NAME;
+    use exastro::resilience::{crc32, digest_multifab, faults, CheckpointManager, Error, Manifest};
+    const MANIFEST: &str = "exastro-manifest-v1\nnfiles 5\n\
+        1a641a5b 40 Aux_rho0.bin\n\
+        a3b6bb15 187 Level_00/Header\n\
+        b9e3bd2e 1536 Level_00/fab_00000.bin\n\
+        ed7b3043 1536 Level_00/fab_00001.bin\n\
+        39d36030 140 Meta\n";
+    const BLOB_HEAD: [u8; 32] = [
+        203, 53, 242, 102, 250, 18, 213, 63, 116, 36, 151, 255, 144, 126, 207, 63, 151, 33, 142,
+        117, 113, 27, 201, 63, 218, 64, 167, 13, 116, 218, 196, 63,
+    ];
+    const STATE_DIGEST: u32 = 0xfbd1_f2e2;
+    const SNAPSHOT_DIGEST: u64 = 0x97b7_4e95_0000_0080;
+
+    let snap = golden_snapshot();
+    let root = std::env::temp_dir().join(format!("exastro_golden_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let mgr = CheckpointManager::new(&root).unwrap();
+    let dir = mgr.write(&snap).unwrap();
+    let blob = dir.join("Level_00/fab_00000.bin");
+    let good = std::fs::read(&blob).unwrap();
+    assert_eq!(
+        std::fs::read_to_string(dir.join(MANIFEST_NAME)).unwrap(),
+        MANIFEST
+    );
+    assert_eq!(good[..32], BLOB_HEAD);
+    assert_eq!(digest_multifab(&snap.levels[0].state), STATE_DIGEST);
+    assert_eq!(snap.digest(), SNAPSHOT_DIGEST);
+    let back = mgr.restore(&dir).unwrap();
+    assert_eq!(back.digest(), SNAPSHOT_DIGEST);
+    assert_eq!(back.aux, snap.aux);
+
+    // A flipped bit fails the CRC...
+    faults::flip_bit(&blob, 77, 6).unwrap();
+    match mgr.restore(&dir) {
+        Err(Error::Corrupt(m)) => assert!(m.contains("crc"), "{m}"),
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+    // ...and the CRC is checked before a value is decoded: a planted NaN
+    // is a CRC mismatch, not yet a non-finite value,
+    let mut bad = good.clone();
+    bad[16..24].copy_from_slice(&f64::NAN.to_le_bytes());
+    std::fs::write(&blob, &bad).unwrap();
+    assert!(matches!(mgr.restore(&dir), Err(Error::Corrupt(_))));
+    // until the manifest vouches for it — then the finite check has it.
+    let mut m = Manifest::load(&dir).unwrap();
+    let e = m
+        .entries
+        .iter_mut()
+        .find(|e| e.rel_path == "Level_00/fab_00000.bin")
+        .unwrap();
+    e.crc = crc32(&bad);
+    std::fs::write(dir.join(MANIFEST_NAME), m.to_text()).unwrap();
+    CheckpointManager::verify(&dir).unwrap();
+    match mgr.restore(&dir) {
+        Err(Error::Format(m)) => assert!(m.contains("non-finite"), "{m}"),
+        other => panic!("expected Format, got {other:?}"),
+    }
+    assert!(matches!(mgr.resume(), Err(Error::Format(_))));
+    let _ = std::fs::remove_dir_all(&root);
+}
