@@ -51,6 +51,7 @@ for need in ("iso7/newton_solve_speedup", "aprox13/newton_solve_speedup",
              "iso7/zones_per_us_scalar", "aprox13/zones_per_us_scalar",
              "iso7/zones_per_us_batch8", "aprox13/zones_per_us_batch8",
              "iso7/batch_speedup_w8", "aprox13/batch_speedup_w8",
+             "iso7/w1_jac_evals_per_step", "aprox13/w1_jac_evals_per_step",
              *(f"{net}/{part}" for net in ("cburn2", "iso7", "aprox13")
                for part in ("ydot_ns", "jac_ns", "eos_ns"))):
     assert need in labels, f"missing {need} in {sorted(labels)}"

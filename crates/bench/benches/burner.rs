@@ -16,10 +16,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use exastro_bench::{write_metrics_json, MetricPoint};
 use exastro_microphysics::{
-    Aprox13, BdfErrorKind, BurnFaultConfig, BurnerConfig, CBurn2, Composition, DenseNewton, Eos,
-    Iso7, LinearSolver, Network, OffloadOptions, RetryLadder, SparseNewton, StellarEos, ZoneBurn,
+    Aprox13, BdfErrorKind, BdfStats, BurnFaultConfig, BurnerConfig, CBurn2, Composition, DenseLu,
+    Eos, Iso7, Network, OffloadOptions, RetryLadder, SparseLu, StellarEos, ZoneBurn,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// CI smoke mode: the vendored criterion shim ignores CLI arguments, so
@@ -73,16 +73,19 @@ fn call_ns(samples: usize, inner: usize, mut f: impl FnMut()) -> f64 {
 }
 
 /// Median wall time in ns of one Newton linear-algebra cycle (one factor
-/// of I − γJ + two back-solves, VODE's typical per-step ratio) through the
-/// `LinearSolver` trait — the isolated quantity the sparse path targets.
-fn newton_cycle_ns(solver: &mut dyn LinearSolver, jac: &[f64], m: usize, samples: usize) -> f64 {
+/// of I − γJ + two back-solves, VODE's typical per-step ratio) — the
+/// isolated quantity the sparse path targets. `cycle` factors the Jacobian
+/// at the given γ and solves in place for the two right-hand sides.
+fn newton_cycle_ns(
+    m: usize,
+    samples: usize,
+    mut cycle: impl FnMut(f64, &mut [f64], &mut [f64]),
+) -> f64 {
     let gamma = 1e-9; // keeps I − γJ strongly diagonally dominant
     call_ns(samples, 64, || {
-        solver.factor(jac, gamma).expect("factor");
         let mut b1 = vec![1.0; m];
-        solver.solve(&mut b1);
         let mut b2 = vec![0.5; m];
-        solver.solve(&mut b2);
+        cycle(gamma, &mut b1, &mut b2);
         std::hint::black_box((&b1, &b2));
     })
 }
@@ -125,12 +128,12 @@ enum Solve {
     Sparse,
 }
 
-/// Burn the network once; returns (final T, Newton iterations,
-/// integrator-attributed solve ns). `Sparse` is the burner's direct rung.
-/// The burner's only dense integrator is the offload rung, so `Dense` is
-/// that rung configured at the direct rung's options and reached by one
-/// injected failure (which costs no integrator work).
-fn burn_once(net: &dyn Network, eos: &StellarEos, solve: Solve) -> (f64, u64, u64) {
+/// Burn the network once; returns the final T and the integrator's
+/// statistics. `Sparse` is the burner's direct rung. The burner's only
+/// dense integrator is the offload rung, so `Dense` is that rung configured
+/// at the direct rung's options and reached by one injected failure (which
+/// costs no integrator work).
+fn burn_once(net: &dyn Network, eos: &StellarEos, solve: Solve) -> (f64, BdfStats) {
     let mut cfg = BurnerConfig {
         ladder: RetryLadder::none(),
         ..Default::default()
@@ -154,7 +157,7 @@ fn burn_once(net: &dyn Network, eos: &StellarEos, solve: Solve) -> (f64, u64, u6
         .burn_zone(0, 5e7, 2.8e9, &co_fuel(net), 1e-7)
         .expect("burn")
         .outcome;
-    (out.t, out.stats.newton_iters, out.stats.solve_ns)
+    (out.t, out.stats)
 }
 
 /// A field of detonation-adjacent zones with a deterministic ±2% spread in
@@ -175,10 +178,10 @@ fn zone_set(net: &dyn Network, count: usize) -> Vec<ZoneBurn> {
         .collect()
 }
 
-/// Best-of-`samples` aggregate throughput (zones/µs) of the scalar retry
-/// ladder and of the batched SoA path at each lane width, over the same
-/// zone field. Both sides are `burn_all` sweeps — the ladder is the sweep at
-/// width 1 — measured from inside a pool task, where a sweep drains inline
+/// Best-of-`samples` aggregate throughput (zones/µs) of the retry ladder
+/// (every zone a batch of one lane) and of the batched SoA path at each
+/// lane width, over the same zone field. Both sides are `burn_all` sweeps —
+/// the ladder is the sweep at width 1 — measured from inside a pool task, where a sweep drains inline
 /// on one thread: the speedup is lanes alone, with neither the thread count
 /// nor the load balance of a short chunk list in it (pooled, best-of-3
 /// `batch_speedup_w8` read 1.41–2.16 on a 2-vCPU host, inline 1.64–1.82).
@@ -256,8 +259,8 @@ fn bench(c: &mut Criterion) {
     println!("=== burner Newton-solve: dense vs analytic sparse (§VI) ===");
     for (name, net) in nets {
         let m = net.nspec() + 1;
-        let csr = net.sparsity_csr();
-        let lu = exastro_microphysics::SparseLu::compile(&csr);
+        let csr = net.sparsity();
+        let lu = SparseLu::compile(&csr);
         println!(
             "{name}: {m}×{m}, {} pattern nnz ({:.0}% empty), {} fill-in under min-degree",
             csr.nnz(),
@@ -275,12 +278,26 @@ fn bench(c: &mut Criterion) {
             "entries",
         ));
 
-        // Isolated Newton cycle: factor + 2 solves through both solvers.
+        // Isolated Newton cycle: factor + 2 solves on both LUs.
         let jac = newton_matrix(net);
-        let mut dense = DenseNewton::new(m);
-        let mut sparse = SparseNewton::new(Arc::new(lu));
-        let dense_ns = newton_cycle_ns(&mut dense, &jac, m, samples);
-        let sparse_ns = newton_cycle_ns(&mut sparse, &jac, m, samples);
+        let mut mat = vec![0.0; m * m];
+        let dense_ns = newton_cycle_ns(m, samples, |gamma, b1, b2| {
+            for r in 0..m {
+                for c in 0..m {
+                    mat[r * m + c] = -gamma * jac[r * m + c];
+                }
+                mat[r * m + r] += 1.0;
+            }
+            let dense = DenseLu::factor(&mat, m).expect("factor");
+            dense.solve(b1);
+            dense.solve(b2);
+        });
+        let (mut vals, mut scratch) = (vec![0.0; lu.nnz_filled()], vec![0.0; m]);
+        let sparse_ns = newton_cycle_ns(m, samples, |gamma, b1, b2| {
+            lu.factor_newton(&jac, gamma, &mut vals).expect("factor");
+            lu.solve(&vals, b1, &mut scratch);
+            lu.solve(&vals, b2, &mut scratch);
+        });
         let speedup = dense_ns / sparse_ns;
         println!(
             "{name}: Newton cycle dense {dense_ns:.0} ns, sparse {sparse_ns:.0} ns \
@@ -304,12 +321,15 @@ fn bench(c: &mut Criterion) {
 
         // Complete burns end-to-end: same physics, integrator-attributed
         // linear-algebra time from BdfStats::solve_ns.
-        let (td, iters_d, solve_d) = burn_once(net, &eos, Solve::Dense);
-        let (ts, iters_s, solve_s) = burn_once(net, &eos, Solve::Sparse);
+        let (td, dense) = burn_once(net, &eos, Solve::Dense);
+        let (ts, sparse) = burn_once(net, &eos, Solve::Sparse);
+        let (solve_d, solve_s) = (dense.solve_ns, sparse.solve_ns);
         println!(
-            "{name}: burn ΔT = {:.2e} K ({iters_d} vs {iters_s} Newton iters); \
+            "{name}: burn ΔT = {:.2e} K ({} vs {} Newton iters); \
              in-burn solve time {solve_d} ns dense, {solve_s} ns sparse",
-            (td - ts).abs()
+            (td - ts).abs(),
+            dense.newton_iters,
+            sparse.newton_iters
         );
         metrics.push(MetricPoint::new(
             &format!("{name}/burn_delta_t"),
@@ -326,10 +346,22 @@ fn bench(c: &mut Criterion) {
             solve_s as f64,
             "ns",
         ));
+        // The Jacobian reuse a lone lane gets (1.7 while every step attempt
+        // of the ladder re-evaluated it).
+        let jac_per_step = sparse.jac_evals as f64 / sparse.steps as f64;
+        println!(
+            "{name}: width 1: {} Jacobians over {} steps ({jac_per_step:.3} a step)",
+            sparse.jac_evals, sparse.steps
+        );
+        metrics.push(MetricPoint::new(
+            &format!("{name}/w1_jac_evals_per_step"),
+            jac_per_step,
+            "count",
+        ));
     }
 
     // Batched SoA throughput: aggregate zones/µs over a perturbed zone
-    // field, scalar ladder vs SIMD lane widths. The paper's batching
+    // field, width 1 (the ladder) vs SIMD lane widths. The paper's batching
     // argument: one Nordsieck history and one amortized Jacobian per
     // batch turns the per-zone Newton loop into lane-inner SIMD sweeps.
     // Smoke sweeps are an eighth as long, so their best needs more rounds

@@ -1,12 +1,13 @@
-//! Batched structure-of-arrays burning: advance N zones through one BDF
-//! integration in lockstep — the SIMD-across-zones layout of the paper's
-//! §VI GPU-batching plan, on the CPU.
+//! The BDF stepping loop, over lanes: advance N independent systems
+//! through one integration in lockstep — the SIMD-across-zones layout of
+//! the paper's §VI GPU-batching plan, on the CPU. This is the only stepping
+//! loop of the crate; one system is a batch of one lane.
 //!
 //! The PR-5 cost heatmaps show what Zingale et al. 2024 describe: most
 //! zones in a burn sweep are cheap and *similar* — same network, similar
 //! (ρ, T, X), hence similar step-size histories — while a few outliers are
-//! orders of magnitude harder. The batched path exploits the first
-//! population and generalizes the §VI outlier-offload idea for the second:
+//! orders of magnitude harder. The loop exploits the first population and
+//! generalizes the §VI outlier-offload idea for the second:
 //!
 //! * **One Nordsieck history per batch.** The batch shares `t`, `h`, and
 //!   the BDF order `q`; every per-component vector becomes a
@@ -19,27 +20,33 @@
 //!   norms, and singularity flags are computed per lane; the shared step
 //!   accepts only when every active lane passes, and the step-size factor
 //!   comes from the worst active lane.
-//! * **Amortized Jacobians.** Because a factorization now serves the whole
-//!   batch, the batch path adopts VODE/CVODE's modified-Newton Jacobian
-//!   reuse: the Jacobian is refreshed only when stale (every
+//! * **Amortized Jacobians.** VODE/CVODE's modified-Newton Jacobian reuse:
+//!   the Jacobian is refreshed only when stale (every
 //!   [`JAC_REFRESH_STEPS`] accepted steps), after a convergence failure,
 //!   or when `γ = l₀h` has drifted more than [`GAMMA_DRIFT_TOL`] since the
-//!   last factorization — at which point the matrix is refactored (cheap,
-//!   batched) without re-evaluating the Jacobian. The scalar integrator
-//!   refreshes and refactors every step attempt; this reuse is most of the
-//!   batched path's speedup and does not change what the corrector
-//!   converges *to*, only how it gets there.
-//! * **Dropout to the scalar ladder.** A lane that repeatedly fails the
-//!   error test, repeatedly fails Newton, or hits a singular factor drops
-//!   out of the batch; [`crate::burner::Burner::burn_all`] re-burns it from
-//!   its *entry* state through the scalar retry ladder, so a dropped zone's
-//!   result is bit-identical to what the ladder alone produces. Batch
-//!   occupancy and the dropout rate are recorded through
-//!   `exastro-telemetry` (`burn.batch.*`).
+//!   last factorization — at which point the matrix is refactored without
+//!   re-evaluating the Jacobian. The reuse does not change what the
+//!   corrector converges *to*, only how it gets there.
+//! * **Dropout.** A lane that repeatedly fails the error test or Newton,
+//!   or whose factor is singular, *while a batchmate passes* drops out of
+//!   the batch, so one lane cannot hold the others hostage;
+//!   [`crate::burner::Burner::burn_all`] re-burns it from its *entry*
+//!   state through the retry ladder. A failure every active lane shares —
+//!   always the case at width 1 — is the shared step hunting: `h` shrinks
+//!   down to `hmin` before anybody is given up on. Batch occupancy and the
+//!   dropout rate are recorded through `exastro-telemetry`
+//!   (`burn.batch.*`).
+//!
+//! The two linear-algebra calls of a step attempt go through the
+//! integrator's lane solver: the batched sparse replay
+//! ([`BdfIntegrator::sparse`]), or pivoted dense LU a lane at a time
+//! ([`BdfIntegrator::new`]).
 
 use crate::integrator::{
-    bdf_l, check_atol, predict, rescale, unpredict, BdfErrorKind, BdfOptions, BdfStats,
+    bdf_l, check_atol, predict, rescale, unpredict, BdfErrorKind, BdfIntegrator, BdfStats,
+    OdeSystem,
 };
+use crate::linalg::DenseLu;
 use crate::sparse::SparseLu;
 use std::sync::Arc;
 use std::time::Instant;
@@ -55,42 +62,99 @@ pub const GAMMA_DRIFT_TOL: f64 = 0.1;
 /// Consecutive per-lane *culprit* rejections (decisive error-test or
 /// fresh-Jacobian Newton failures while a batchmate passed) before a lane
 /// drops out of the batch. The underlying controller rejects steps
-/// routinely near the error boundary — the scalar path shrugs those off —
-/// so dropout requires a streak of failures that are clearly the lane's
-/// own, not boundary noise.
+/// routinely near the error boundary, so dropout requires a streak of
+/// failures that are clearly the lane's own, not boundary noise.
 const LANE_FAIL_LIMIT: u32 = 4;
 
 /// An error-test failure counts against a lane only when its estimate is
 /// decisively over the line; est barely above 1 is the shared controller
-/// hunting, which the scalar path also does.
+/// hunting.
 const BLAME_EST: f64 = 2.0;
 
-/// Consecutive singular factorizations before a lane drops out.
+/// Consecutive singular factorizations, each while a batchmate factored
+/// cleanly, before a lane drops out.
 const SINGULAR_FAIL_LIMIT: u32 = 2;
 
-/// A batch of independent ODE systems integrated in lockstep, one system
-/// per lane. The integrator owns the SoA layout; implementations see plain
-/// dense per-lane vectors (so the burner's batch system can delegate
-/// straight to the scalar burn physics).
-pub trait LaneOde {
-    /// Per-lane state dimension.
-    fn dim(&self) -> usize;
-    /// Number of lanes in the batch.
-    fn lanes(&self) -> usize;
-    /// Evaluate lane `lane`'s right-hand side into `dydt` (length `dim`).
-    fn rhs(&self, lane: usize, t: f64, y: &[f64], dydt: &mut [f64]);
-    /// Evaluate lane `lane`'s dense row-major `dim²` Jacobian.
-    fn jac(&self, lane: usize, t: f64, y: &[f64], jac: &mut [f64]);
+/// How an integrator factors and back-solves its lanes' Newton matrices
+/// `I − γJ`.
+pub(crate) enum LaneSolver {
+    /// The pattern-compiled `ColOp` replay, every lane at once with the
+    /// lanes innermost — the SIMD carrier of a sweep. Pivot-free: safe
+    /// because `I − γJ` is diagonally dominant at the step sizes the
+    /// controller accepts.
+    Sparse(Arc<SparseLu>),
+    /// Dense LU with partial pivoting, one lane at a time (a batched
+    /// pivoted LU would branch per lane). Compiled from no pattern, so a
+    /// wrongly declared sparsity cannot reach it: the offload rung's
+    /// solver, and the oracle the sparse arm is tested against.
+    Dense,
 }
 
-/// Why a lane left the batch (informational — the zone is re-burned by the
-/// scalar ladder, so a dropout is a routing decision, not a failure).
+/// A batch's factored Newton matrices, in the form its [`LaneSolver`]
+/// keeps them, and the flags of the lanes whose matrix was singular.
+#[derive(Default)]
+struct Factors {
+    /// Sparse: slot-major SoA values, `nnz_filled × width`.
+    vals: Vec<f64>,
+    /// Dense: one LU a lane, `None` where the matrix was singular.
+    dense: Vec<Option<DenseLu>>,
+    singular: Vec<bool>,
+}
+
+impl LaneSolver {
+    /// Form and factor `I − γJ_l` for every lane from the lanes' dense
+    /// row-major Jacobians `jacs[l·n²..][..n²]`. `mat` is `n²` of scratch.
+    fn factor(&self, jacs: &[f64], gamma: f64, n: usize, f: &mut Factors, mat: &mut [f64]) {
+        match self {
+            LaneSolver::Sparse(lu) => {
+                let w = f.singular.len();
+                lu.factor_newton_batch(jacs, gamma, w, &mut f.vals, &mut f.singular);
+            }
+            LaneSolver::Dense => {
+                for (l, jac) in jacs.chunks_exact(n * n).enumerate() {
+                    for r in 0..n {
+                        for c in 0..n {
+                            mat[r * n + c] = -gamma * jac[r * n + c];
+                        }
+                        mat[r * n + r] += 1.0;
+                    }
+                    f.dense[l] = DenseLu::factor(mat, n).ok();
+                    f.singular[l] = f.dense[l].is_none();
+                }
+            }
+        }
+    }
+
+    /// Solve every lane's system in place on the SoA right-hand sides `b`
+    /// (`dim × width`); singular lanes are left as they are. `soa` is
+    /// `dim × width` of scratch, `lane` is `dim`.
+    fn solve(&self, f: &Factors, b: &mut [f64], soa: &mut [f64], lane: &mut [f64]) {
+        let w = f.singular.len();
+        match self {
+            LaneSolver::Sparse(lu) => lu.solve_batch(&f.vals, w, b, soa),
+            LaneSolver::Dense => {
+                for (l, lu) in f.dense.iter().enumerate() {
+                    if let Some(lu) = lu {
+                        gather_lane(b, w, l, lane);
+                        lu.solve(lane);
+                        scatter_lane(lane, w, l, b);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Whether a lane reached `tend`, and if not why it left the batch. For
+/// the burner a dropout is a routing decision — the zone climbs the retry
+/// ladder from its entry state — for [`BdfIntegrator::integrate`] it is
+/// the error.
 #[derive(Clone, Debug, PartialEq)]
 pub enum LaneStatus {
     /// The lane reached `tend` inside the batch.
     Completed,
-    /// The lane diverged from the batch's shared step/order history and
-    /// must be handled by the scalar path.
+    /// The lane could not follow the batch's shared step/order history,
+    /// or the whole batch failed.
     Dropped(BdfErrorKind),
 }
 
@@ -120,16 +184,6 @@ fn wrms_lanes(v: &[f64], ewt: &[f64], dim: usize, width: usize, out: &mut [f64])
     for o in out.iter_mut() {
         *o = (*o * inv_n).sqrt();
     }
-}
-
-/// The batched BDF integrator: the scalar integrator's Nordsieck machinery
-/// over SoA vectors, with per-lane control signals and dropout. Always
-/// backed by the pattern-specialized sparse LU (the batched `ColOp` replay
-/// is the SIMD carrier; a batched dense LU with partial pivoting would
-/// branch per lane).
-pub struct BatchBdf {
-    opts: BdfOptions,
-    lu: Arc<SparseLu>,
 }
 
 /// All per-lane counters of one batched integration.
@@ -194,10 +248,11 @@ fn refill<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
 /// Nordsieck rows a batch can ever hold: orders 1..=5 use `z[0..=q]`.
 const NORDSIECK_ROWS: usize = 6;
 
-/// Every buffer one [`BatchBdf::integrate`] call works in — the SoA work
-/// vectors, the per-lane book, the Nordsieck history and the reports. A
-/// sweep burns thousands of chunks; it owns one workspace and every chunk
-/// reuses it, so after the first chunk the batch path allocates nothing.
+/// Every buffer one [`BdfIntegrator::integrate_lanes`] call works in — the
+/// SoA work vectors, the per-lane book, the Nordsieck history, the factors
+/// and the reports. A sweep burns thousands of chunks; each participant
+/// owns one workspace and every chunk it claims reuses it, so after the
+/// first chunk the sparse path allocates nothing.
 /// Each call re-zeroes the buffers to exactly its own `dim × width` (a
 /// short last chunk just uses less of them), so results do not depend on
 /// what an earlier chunk left behind.
@@ -216,8 +271,7 @@ pub struct BatchWorkspace {
     ewt: Vec<f64>,
     sol_scratch: Vec<f64>,
     jacs: Vec<f64>,
-    vals: Vec<f64>,
-    singular: Vec<bool>,
+    factors: Factors,
     lane_y: Vec<f64>,
     lane_f: Vec<f64>,
     lane_jac: Vec<f64>,
@@ -232,7 +286,7 @@ pub struct BatchWorkspace {
 
 impl BatchWorkspace {
     /// Size and zero everything for `w` lanes of dimension `n` on a sparse
-    /// factor of `nnz` filled slots.
+    /// factor of `nnz` filled slots (0: the factors are dense).
     fn reset(&mut self, n: usize, w: usize, nnz: usize) {
         let nw = n * w;
         self.book.reset(w);
@@ -252,7 +306,9 @@ impl BatchWorkspace {
             refill(soa, nw, 0.0);
         }
         refill(&mut self.jacs, n * n * w, 0.0);
-        refill(&mut self.vals, nnz * w, 0.0);
+        refill(&mut self.factors.vals, nnz * w, 0.0);
+        refill(&mut self.factors.dense, w, None);
+        refill(&mut self.factors.singular, w, false);
         refill(&mut self.lane_y, n, 0.0);
         refill(&mut self.lane_f, n, 0.0);
         refill(&mut self.lane_jac, n * n, 0.0);
@@ -265,38 +321,40 @@ impl BatchWorkspace {
         ] {
             refill(per_lane, w, 0.0);
         }
-        for flags in [&mut self.singular, &mut self.conv, &mut self.diverged] {
+        for flags in [&mut self.conv, &mut self.diverged] {
             refill(flags, w, false);
         }
     }
 }
 
-impl BatchBdf {
-    /// Create a batched integrator over a precompiled symbolic sparse LU
-    /// (one per network, shared across every batch).
-    pub fn new(opts: BdfOptions, lu: Arc<SparseLu>) -> Self {
-        BatchBdf { opts, lu }
-    }
-
-    /// Integrate every lane of `sys` from `t0` to `tend`, in `ws`. `y` is
-    /// the structure-of-arrays state `y[i·width + lane]`, updated in place
-    /// for lanes that complete; dropped lanes' slots are meaningless and
-    /// the caller re-burns those zones from their entry state. The reports
-    /// (one per lane) live in `ws` until its next use.
-    pub fn integrate<'w>(
+impl BdfIntegrator {
+    /// Integrate every system of `lanes` from `t0` to `tend` in lockstep,
+    /// in `ws` — the crate's one stepping loop. `y` is the
+    /// structure-of-arrays state `y[i·width + lane]`, updated in place. A
+    /// dropped lane's slot holds its last accepted state if no batchmate
+    /// stepped on after it left (always, at width 1) and is meaningless
+    /// otherwise; the burner re-burns dropped zones from their entry state.
+    /// The reports (one per lane) live in `ws` until its next use.
+    pub fn integrate_lanes<'w, S: OdeSystem>(
         &self,
-        sys: &dyn LaneOde,
+        lanes: &[S],
         t0: f64,
         tend: f64,
         y: &mut [f64],
         ws: &'w mut BatchWorkspace,
     ) -> &'w [LaneReport] {
-        let n = sys.dim();
-        let w = sys.lanes();
+        let n = lanes[0].dim();
+        let w = lanes.len();
         assert_eq!(y.len(), n * w);
         assert!(tend > t0);
-        assert_eq!(self.lu.dim(), n, "sparse pattern does not match the system");
-        ws.reset(n, w, self.lu.nnz_filled());
+        let nnz = match &self.solver {
+            LaneSolver::Sparse(lu) => {
+                assert_eq!(lu.dim(), n, "sparse pattern does not match the system");
+                lu.nnz_filled()
+            }
+            LaneSolver::Dense => 0,
+        };
+        ws.reset(n, w, nnz);
         let BatchWorkspace {
             book,
             reports,
@@ -309,8 +367,7 @@ impl BatchBdf {
             ewt,
             sol_scratch,
             jacs,
-            vals,
-            singular,
+            factors,
             lane_y,
             lane_f,
             lane_jac,
@@ -322,15 +379,16 @@ impl BatchBdf {
             mask,
             last_dn,
         } = ws;
-        let mut solve_ns: u64 = 0;
-        let mut q = 1usize;
         if let Err(e) = check_atol(&self.opts, n) {
             for l in 0..w {
                 book.drop_lane(l, e.kind.clone());
             }
-            write_reports(book, solve_ns, q, reports);
+            // No work was spent and no step taken at any order.
+            write_reports(book, 0, 0, reports);
             return reports;
         }
+        let mut solve_ns: u64 = 0;
+        let mut q = 1usize;
         let max_order = self.opts.max_order.clamp(1, NORDSIECK_ROWS - 1);
         let nw = n * w;
         let mut l = [0.0f64; 6];
@@ -341,7 +399,7 @@ impl BatchBdf {
         let mut rate_max: f64 = 1e-30;
         for lane in 0..w {
             gather_lane(y, w, lane, lane_y);
-            sys.rhs(lane, t0, lane_y, lane_f);
+            lanes[lane].rhs(t0, lane_y, lane_f);
             book.rhs_evals[lane] += 1;
             scatter_lane(lane_f, w, lane, rhs);
             let mut acc = 0.0;
@@ -412,7 +470,7 @@ impl BatchBdf {
                         continue;
                     }
                     gather_lane(&z[0], w, lane, lane_y);
-                    sys.jac(lane, tn, lane_y, lane_jac);
+                    lanes[lane].jac(tn, lane_y, lane_jac);
                     jacs[lane * n * n..][..n * n].copy_from_slice(lane_jac);
                     book.jac_evals[lane] += 1;
                 }
@@ -421,7 +479,7 @@ impl BatchBdf {
             }
             if need_factor {
                 let t_factor = Instant::now();
-                self.lu.factor_newton_batch(jacs, gamma, w, vals, singular);
+                self.solver.factor(jacs, gamma, n, factors, lane_jac);
                 solve_ns += t_factor.elapsed().as_nanos() as u64;
                 gamma_factored = Some(gamma);
                 for lane in 0..w {
@@ -429,25 +487,31 @@ impl BatchBdf {
                         book.factorizations[lane] += 1;
                     }
                 }
-                let any_singular = (0..w).any(|lane| book.active[lane] && singular[lane]);
-                if any_singular {
+                let singular = &factors.singular;
+                let is_singular =
+                    |book: &LaneBook, lane: usize| book.active[lane] && singular[lane];
+                if (0..w).any(|lane| is_singular(book, lane)) {
                     unpredict(z, q);
                     rejected += 1;
-                    let mut culprits = Vec::new();
+                    // As with the Newton and error tests below: a lane is
+                    // to blame only if a batchmate factored cleanly at this
+                    // γ. A matrix singular for every active lane is the
+                    // shared h's doing, and h shrinks until it is not.
+                    let any_clean = (0..w).any(|lane| book.active[lane] && !singular[lane]);
                     for lane in 0..w {
-                        if book.active[lane] && singular[lane] {
+                        if is_singular(book, lane) {
                             book.rejected[lane] += 1;
-                            book.sing_fails[lane] += 1;
+                            book.sing_fails[lane] += any_clean as u32;
                             if book.sing_fails[lane] >= SINGULAR_FAIL_LIMIT {
                                 book.drop_lane(lane, BdfErrorKind::SingularMatrix);
-                            } else {
-                                culprits.push(lane);
                             }
                         }
                     }
                     if h * 0.25 < hmin {
-                        for lane in culprits {
-                            book.drop_lane(lane, BdfErrorKind::SingularMatrix);
+                        for lane in 0..w {
+                            if is_singular(book, lane) {
+                                book.drop_lane(lane, BdfErrorKind::SingularMatrix);
+                            }
                         }
                     } else {
                         rescale(z, q, 0.25);
@@ -458,11 +522,10 @@ impl BatchBdf {
             }
 
             // Modified-Newton corrector, all lanes in lockstep. A lane is
-            // converged once its residual norm passes the scalar test and
-            // is then frozen (its acor receives no further updates, exactly
-            // like the scalar break); iteration continues until every
-            // active lane has converged or diverged, or the budget runs
-            // out.
+            // converged once its residual norm passes the test and is then
+            // frozen (its acor receives no further updates); iteration
+            // continues until every active lane has converged or diverged,
+            // or the budget runs out.
             acor.iter_mut().for_each(|v| *v = 0.0);
             ycur.copy_from_slice(&z[0]);
             conv.iter_mut().for_each(|c| *c = false);
@@ -481,7 +544,7 @@ impl BatchBdf {
                         continue;
                     }
                     gather_lane(ycur, w, lane, lane_y);
-                    sys.rhs(lane, tn, lane_y, lane_f);
+                    lanes[lane].rhs(tn, lane_y, lane_f);
                     book.rhs_evals[lane] += 1;
                     scatter_lane(lane_f, w, lane, rhs);
                     book.newton_iters[lane] += 1;
@@ -490,7 +553,7 @@ impl BatchBdf {
                     resid[i] = gamma * rhs[i] - l[0] * z[1][i] - acor[i];
                 }
                 let t_solve = Instant::now();
-                self.lu.solve_batch(vals, w, resid, sol_scratch);
+                self.solver.solve(factors, resid, sol_scratch, lane_y);
                 solve_ns += t_solve.elapsed().as_nanos() as u64;
                 // Frozen lanes take no update (branch-free via the mask).
                 for i in 0..n {
@@ -543,8 +606,7 @@ impl BatchBdf {
                 }
                 // Blame a lane only when it failed while a batchmate
                 // passed: a failure shared by every lane is the shared h
-                // hunting (the scalar path tolerates that indefinitely),
-                // not a lane diverging from the batch.
+                // hunting, not a lane diverging from the batch.
                 let any_passed = (0..w).any(|lane| book.active[lane] && conv[lane]);
                 for lane in 0..w {
                     if !book.active[lane] {
@@ -672,14 +734,13 @@ impl BatchBdf {
                 }
             }
 
-            // Shared step/order adaptation from the worst active lane.
-            // The scalar controller's 0.9·est^(−1/(q+1)) targets est ≈ 0.73
-            // — fine when est measures the one system being stepped, but
-            // the batch serves max-over-lanes, and parking the worst lane
-            // that close to the error boundary produces a reject/accept
-            // limit cycle that strings up per-lane failures. Use CVODE's
-            // biased controller instead (target est ≈ 1/6): the worst lane
-            // gets real margin and rejections become rare.
+            // Shared step/order adaptation from the worst active lane, by
+            // CVODE's biased controller (target est ≈ 1/6). VODE's
+            // 0.9·est^(−1/(q+1)) targets est ≈ 0.73: parking the worst
+            // lane that close to the error boundary produces a
+            // reject/accept limit cycle (four rejections in ten attempts
+            // on an igniting zone even at width 1) that strings up per-lane
+            // failures.
             let eta_q = 1.0 / ((6.0 * est_acc.max(1e-12)).powf(1.0 / qp1) + 1e-6);
             let mut eta = eta_q;
             let mut new_q = q;
@@ -740,14 +801,9 @@ impl BatchBdf {
             }
         }
 
-        // Write back the completed lanes.
-        for lane in 0..w {
-            if book.active[lane] {
-                for i in 0..n {
-                    y[i * w + lane] = z[0][i * w + lane];
-                }
-            }
-        }
+        // Every failure path leaves `z` un-predicted: row 0 is the last
+        // accepted state.
+        y.copy_from_slice(&z[0]);
         write_reports(book, solve_ns, q, reports);
         reports
     }
@@ -809,30 +865,27 @@ mod tests {
     use super::*;
     use crate::burner::{BurnerConfig, ZoneBurn};
     use crate::eos::StellarEos;
-    use crate::integrator::{BdfIntegrator, NewtonSolver, OdeSystem};
+    use crate::integrator::BdfOptions;
     use crate::network::{Aprox13, CBurn2};
     use crate::recovery::{BurnFaultConfig, LadderRung};
     use crate::sparse::CsrPattern;
 
-    /// Lanes of Robertson problems with per-lane rate scalings.
-    struct RobertsonLanes {
-        k: Vec<f64>,
+    /// A Robertson problem with its rates scaled by `k`.
+    struct Robertson {
+        k: f64,
     }
-    impl LaneOde for RobertsonLanes {
+    impl OdeSystem for Robertson {
         fn dim(&self) -> usize {
             3
         }
-        fn lanes(&self) -> usize {
-            self.k.len()
-        }
-        fn rhs(&self, lane: usize, _t: f64, y: &[f64], d: &mut [f64]) {
-            let k = self.k[lane];
+        fn rhs(&self, _t: f64, y: &[f64], d: &mut [f64]) {
+            let k = self.k;
             d[0] = -0.04 * k * y[0] + 1e4 * y[1] * y[2];
             d[2] = 3e7 * k * y[1] * y[1];
             d[1] = -d[0] - d[2];
         }
-        fn jac(&self, lane: usize, _t: f64, y: &[f64], j: &mut [f64]) {
-            let k = self.k[lane];
+        fn jac(&self, _t: f64, y: &[f64], j: &mut [f64]) {
+            let k = self.k;
             j[0] = -0.04 * k;
             j[1] = 1e4 * y[2];
             j[2] = 1e4 * y[1];
@@ -845,20 +898,8 @@ mod tests {
         }
     }
 
-    /// Scalar wrapper for one Robertson lane.
-    struct RobertsonScalar {
-        k: f64,
-    }
-    impl OdeSystem for RobertsonScalar {
-        fn dim(&self) -> usize {
-            3
-        }
-        fn rhs(&self, t: f64, y: &[f64], d: &mut [f64]) {
-            RobertsonLanes { k: vec![self.k] }.rhs(0, t, y, d);
-        }
-        fn jac(&self, t: f64, y: &[f64], j: &mut [f64]) {
-            RobertsonLanes { k: vec![self.k] }.jac(0, t, y, j);
-        }
+    fn robertson_lanes(ks: &[f64]) -> Vec<Robertson> {
+        ks.iter().map(|&k| Robertson { k }).collect()
     }
 
     fn robertson_pattern() -> CsrPattern {
@@ -887,28 +928,24 @@ mod tests {
             .build()
             .unwrap();
         let lu = Arc::new(SparseLu::compile(&robertson_pattern()));
-        let batch = BatchBdf::new(opts.clone(), lu);
-        let sys = RobertsonLanes { k: ks.clone() };
+        let integ = BdfIntegrator::sparse(opts, lu);
+        let sys = robertson_lanes(&ks);
         let mut y = vec![0.0; 3 * w];
         for l in 0..w {
             y[l] = 1.0; // y0 = [1, 0, 0] per lane
         }
         let mut ws = BatchWorkspace::default();
-        let reports = batch.integrate(&sys, 0.0, 40.0, &mut y, &mut ws);
-        for (l, k) in ks.iter().enumerate() {
+        let reports = integ.integrate_lanes(&sys, 0.0, 40.0, &mut y, &mut ws);
+        for (l, lane) in sys.iter().enumerate() {
             assert_eq!(reports[l].status, LaneStatus::Completed, "lane {l}");
             assert!(reports[l].stats.steps > 0);
-            let mut opts = opts.clone();
-            opts.solver = NewtonSolver::Sparse(robertson_pattern());
-            let integ = BdfIntegrator::new(opts);
             let mut ys = [1.0, 0.0, 0.0];
-            integ
-                .integrate(&RobertsonScalar { k: *k }, 0.0, 40.0, &mut ys)
-                .unwrap();
+            integ.integrate(lane, 0.0, 40.0, &mut ys).unwrap();
             for i in 0..3 {
                 let (b, s) = (y[i * w + l], ys[i]);
-                // The batch controller takes a different h/order sequence,
-                // so agreement is to the global-error level, not bitwise.
+                // A lane alone takes its own h/order sequence, not the
+                // batch's worst-lane one, so agreement is to the
+                // global-error level, not bitwise.
                 assert!(
                     (b - s).abs() < 1e-6 * s.abs().max(1e-8),
                     "lane {l} comp {i}: batch {b} vs scalar {s}"
@@ -930,14 +967,13 @@ mod tests {
             .atol(1e-12)
             .build()
             .unwrap();
-        let batch = BatchBdf::new(opts, Arc::new(SparseLu::compile(&robertson_pattern())));
+        let integ = BdfIntegrator::sparse(opts, Arc::new(SparseLu::compile(&robertson_pattern())));
         let run = |ks: &[f64], ws: &mut BatchWorkspace| {
             let w = ks.len();
             let mut y = vec![0.0; 3 * w];
             y[..w].fill(1.0);
-            let sys = RobertsonLanes { k: ks.to_vec() };
-            let steps: Vec<u64> = batch
-                .integrate(&sys, 0.0, 40.0, &mut y, ws)
+            let steps: Vec<u64> = integ
+                .integrate_lanes(&robertson_lanes(ks), 0.0, 40.0, &mut y, ws)
                 .iter()
                 .map(|r| r.stats.steps)
                 .collect();
@@ -961,16 +997,14 @@ mod tests {
             .build()
             .unwrap();
         let lu = Arc::new(SparseLu::compile(&robertson_pattern()));
-        let batch = BatchBdf::new(opts, lu);
-        let sys = RobertsonLanes {
-            k: vec![1.0, 1.01, 0.99, 1.02],
-        };
+        let integ = BdfIntegrator::sparse(opts, lu);
+        let sys = robertson_lanes(&[1.0, 1.01, 0.99, 1.02]);
         let mut y = vec![0.0; 3 * w];
         for l in 0..w {
             y[l] = 1.0;
         }
         let mut ws = BatchWorkspace::default();
-        let reports = batch.integrate(&sys, 0.0, 40.0, &mut y, &mut ws);
+        let reports = integ.integrate_lanes(&sys, 0.0, 40.0, &mut y, &mut ws);
         let r = &reports[0];
         assert_eq!(r.status, LaneStatus::Completed);
         assert!(
@@ -994,12 +1028,13 @@ mod tests {
             .build()
             .unwrap();
         let lu = Arc::new(SparseLu::compile(&robertson_pattern()));
-        let batch = BatchBdf::new(opts, lu);
-        let sys = RobertsonLanes { k: vec![1.0, 1.0] };
+        let integ = BdfIntegrator::sparse(opts, lu);
+        let sys = robertson_lanes(&[1.0, 1.0]);
         let mut y = vec![1.0, 1.0, 0.0, 0.0, 0.0, 0.0];
         let mut ws = BatchWorkspace::default();
-        let reports = batch.integrate(&sys, 0.0, 1.0, &mut y, &mut ws);
+        let reports = integ.integrate_lanes(&sys, 0.0, 1.0, &mut y, &mut ws);
         for r in reports {
+            assert_eq!(r.stats, BdfStats::default(), "no work was spent");
             assert_eq!(
                 r.status,
                 LaneStatus::Dropped(BdfErrorKind::AtolMismatch {
@@ -1007,6 +1042,56 @@ mod tests {
                     dim: 3
                 })
             );
+        }
+    }
+
+    #[test]
+    fn a_lone_lane_outlives_singular_factors_that_would_drop_it_from_a_batch() {
+        // y' = diag(λ) y with λ = (1/h0, 4/h0): at order 1 γ = h, so
+        // I − γJ has an exact zero on its diagonal at h0 and again at h0/4.
+        // Two singular factors in a row cost a lane its place among
+        // batchmates that factored cleanly; a lane with nobody to protect
+        // just keeps quartering h. Regression: width 1 used to give up
+        // here with `SingularMatrix`.
+        struct Growth([f64; 2]);
+        impl OdeSystem for Growth {
+            fn dim(&self) -> usize {
+                2
+            }
+            fn rhs(&self, _t: f64, y: &[f64], d: &mut [f64]) {
+                d[0] = self.0[0] * y[0];
+                d[1] = self.0[1] * y[1];
+            }
+            fn jac(&self, _t: f64, _y: &[f64], j: &mut [f64]) {
+                j.copy_from_slice(&[self.0[0], 0.0, 0.0, self.0[1]]);
+            }
+        }
+        let h0 = 0.0625;
+        let sys = Growth([1.0 / h0, 4.0 / h0]);
+        let opts = BdfOptions::builder().h0(h0).build().unwrap();
+        let diagonal = Arc::new(SparseLu::compile(&CsrPattern::new(2, vec![])));
+        for integ in [
+            BdfIntegrator::sparse(opts.clone(), diagonal),
+            BdfIntegrator::new(opts),
+        ] {
+            let mut y = [1.0, 1.0];
+            let stats = integ.integrate(&sys, 0.0, 0.25, &mut y).unwrap();
+            assert!(stats.rejected >= 2, "{stats:?}");
+            for (yi, lambda) in y.iter().zip(sys.0) {
+                let exact = (lambda * 0.25).exp();
+                assert!((yi / exact - 1.0).abs() < 1e-5, "{yi} vs {exact}");
+            }
+            // With a healthy batchmate the same lane is dropped after its
+            // second singular factor, and the batchmate finishes.
+            let lanes = [Growth([1.0 / h0, 4.0 / h0]), Growth([-1.0, -2.0])];
+            let mut y = [1.0; 4];
+            let mut ws = BatchWorkspace::default();
+            let reports = integ.integrate_lanes(&lanes, 0.0, 0.25, &mut y, &mut ws);
+            assert_eq!(
+                reports[0].status,
+                LaneStatus::Dropped(BdfErrorKind::SingularMatrix)
+            );
+            assert_eq!(reports[1].status, LaneStatus::Completed);
         }
     }
 

@@ -10,15 +10,16 @@
 //!
 //! There is one [`Burner`], built by [`BurnerConfig::build`]. A sweep's
 //! zones go through [`Burner::burn_all`], which advances cost-similar zones
-//! in lockstep SoA batches ([`crate::batch`]) and hands whatever the batch
-//! cannot hold — dropouts, fault-injected zones, leftovers — to
-//! [`Burner::burn_zone`], the scalar retry ladder of [`crate::recovery`]
-//! (direct → relaxed tolerances → subcycling → §VI outlier offload). The
-//! batch and the direct, relaxed and subcycle rungs share one
-//! pattern-specialized sparse LU compiled from the network's declared
-//! sparsity; only the offload rung is dense.
+//! in lockstep SoA batches ([`crate::batch`]) and hands whatever a batch
+//! cannot hold — dropouts, fault-injected zones, leftovers — to the retry
+//! ladder of [`crate::recovery`] (direct → relaxed tolerances → subcycling
+//! → §VI outlier offload), which is also all of [`Burner::burn_zone`]. A
+//! rung is the same integrator on a batch of one lane. The chunks and the
+//! direct, relaxed and subcycle rungs share one pattern-specialized sparse
+//! LU compiled from the network's declared sparsity; only the offload rung
+//! is dense.
 
-use crate::batch::{gather_lane, scatter_lane, BatchBdf, BatchWorkspace, LaneOde, LaneStatus};
+use crate::batch::{gather_lane, scatter_lane, BatchWorkspace, LaneStatus};
 use crate::constants::{MEV_TO_ERG, N_A};
 use crate::eos::Eos;
 use crate::integrator::{BdfError, BdfErrorKind, BdfIntegrator, BdfOptions, BdfStats, OdeSystem};
@@ -109,43 +110,21 @@ impl OdeSystem for BurnSystem<'_> {
     }
 }
 
-/// The burn system of a batch: one scalar [`BurnSystem`] per lane (each
-/// with its own density), so the batched path integrates *exactly* the
-/// physics of the scalar path.
-#[derive(Default)]
-struct BatchBurnSystem<'a>(Vec<BurnSystem<'a>>);
-
-impl LaneOde for BatchBurnSystem<'_> {
-    fn dim(&self) -> usize {
-        self.0[0].dim()
-    }
-    fn lanes(&self) -> usize {
-        self.0.len()
-    }
-    fn rhs(&self, lane: usize, t: f64, y: &[f64], dydt: &mut [f64]) {
-        self.0[lane].rhs(t, y, dydt);
-    }
-    fn jac(&self, lane: usize, t: f64, y: &[f64], jac: &mut [f64]) {
-        self.0[lane].jac(t, y, jac);
-    }
-}
-
 /// Burner construction shared by the Castro and MAESTROeX burn glue: base
 /// integrator options, retry ladder, fault injection and batch width in
 /// one value, turned into a [`Burner`] by [`BurnerConfig::build`].
 #[derive(Clone, Debug)]
 pub struct BurnerConfig {
-    /// Integrator options of the batch and of the direct rung (the relaxed
-    /// rung loosens their tolerances). The `solver` field is not consulted:
-    /// the burner always solves on the network's sparse pattern.
+    /// Integrator options of the chunks and of the direct and subcycle
+    /// rungs (the relaxed rung loosens their tolerances).
     pub bdf: BdfOptions,
     /// The failure-recovery ladder.
     pub ladder: RetryLadder,
     /// Deterministic fault injection for tests and CI smoke runs.
     pub faults: Option<BurnFaultConfig>,
-    /// Lane width of the batched SoA path of [`Burner::burn_all`] (see
+    /// Lanes a chunk of [`Burner::burn_all`] advances in lockstep (see
     /// [`crate::batch`]). A width below 2 disables batching: every zone
-    /// takes the scalar ladder.
+    /// climbs the ladder on its own.
     pub batch_width: usize,
 }
 
@@ -165,24 +144,23 @@ impl Default for BurnerConfig {
 }
 
 impl BurnerConfig {
-    /// Build the burner this configuration describes. The network's sparse
-    /// LU is compiled here, once, and shared by the batch integrator and
-    /// every sparse rung; the offload rung stays dense (see
+    /// Build the burner this configuration describes: one integrator per
+    /// distinct option set. The network's sparse LU is compiled here, once,
+    /// and shared by the sparse ones; the offload rung stays dense (see
     /// [`crate::recovery::OffloadOptions`]).
     pub fn build<'a>(&self, net: &'a dyn Network, eos: &'a dyn Eos) -> Burner<'a> {
-        let lu = Arc::new(SparseLu::compile(&net.sparsity_csr()));
+        let lu = Arc::new(SparseLu::compile(&net.sparsity()));
         let relaxed = self.ladder.tol_relax.map(|f| {
             let mut o = self.bdf.clone();
             o.rtol *= f;
             o.atol.iter_mut().for_each(|a| *a *= f);
-            BdfIntegrator::with_sparse_lu(o, Arc::clone(&lu))
+            BdfIntegrator::sparse(o, Arc::clone(&lu))
         });
         Burner {
             net,
             eos,
-            batch: BatchBdf::new(self.bdf.clone(), Arc::clone(&lu)),
             width: self.batch_width,
-            direct: BdfIntegrator::with_sparse_lu(self.bdf.clone(), lu),
+            direct: BdfIntegrator::sparse(self.bdf.clone(), lu),
             relaxed,
             subcycles: self.ladder.subcycles,
             offload: self
@@ -225,7 +203,7 @@ struct Sweep {
 #[derive(Default)]
 struct Participant<'a> {
     ws: BatchWorkspace,
-    sys: BatchBurnSystem<'a>,
+    sys: Vec<BurnSystem<'a>>,
     y: Vec<f64>,
     y_entry: Vec<f64>,
     lane_y: Vec<f64>,
@@ -252,8 +230,8 @@ impl Participant<'_> {
 pub struct Burner<'a> {
     net: &'a dyn Network,
     eos: &'a dyn Eos,
-    batch: BatchBdf,
     width: usize,
+    /// Chunks at `width` lanes; the direct and subcycle rungs at one.
     direct: BdfIntegrator,
     relaxed: Option<BdfIntegrator>,
     subcycles: Option<u32>,
@@ -268,7 +246,7 @@ impl<'a> Burner<'a> {
     /// a cold lane riding a hot batch is charged the hot step count, which
     /// is exactly the warp-level serialization the §VI heatmaps quantify.
     /// Fault-injected zones bypass the batch, serially on the calling
-    /// thread, so the injection schedule sees exactly the scalar attempt
+    /// thread, so the injection schedule sees exactly the ladder's attempt
     /// sequence. The chunks are then drained by [`WorkerPool::global`],
     /// hottest first: which zones share a chunk is fixed by the sort, so
     /// no result depends on who burned it. The whole sweep is one `burner`
@@ -358,9 +336,11 @@ impl<'a> Burner<'a> {
         self.climb(zone, rho, t0, x0, dt)
     }
 
-    /// Advance one chunk through the batch integrator; lanes that drop out
-    /// (or fail validation) climb the ladder from their entry state, and so
-    /// does a chunk of one zone. Runs inside the sweep's `burner` region.
+    /// Advance one chunk in lockstep; lanes that drop out (or fail
+    /// validation) climb the ladder from their entry state. A chunk of one
+    /// zone *is* the ladder's direct rung, so it climbs too rather than
+    /// being integrated here and then again, identically, there. Runs
+    /// inside the sweep's `burner` region.
     fn burn_chunk(&self, zones: &[ZoneBurn], chunk: &[usize], dt: f64, p: &mut Participant<'a>) {
         if let [i] = *chunk {
             let zb = &zones[i];
@@ -370,9 +350,8 @@ impl<'a> Burner<'a> {
         }
         let w = chunk.len();
         let m = self.net.nspec() + 1;
-        p.sys.0.clear();
+        p.sys.clear();
         p.sys
-            .0
             .extend(chunk.iter().map(|&i| self.system(zones[i].rho)));
         p.lane_y.resize(m, 0.0);
         p.lane_y0.resize(m, 0.0);
@@ -382,7 +361,9 @@ impl<'a> Burner<'a> {
             scatter_lane(&p.lane_y0, w, lane, &mut p.y);
         }
         p.y_entry.clone_from(&p.y);
-        let reports = self.batch.integrate(&p.sys, 0.0, dt, &mut p.y, &mut p.ws);
+        let reports = self
+            .direct
+            .integrate_lanes(&p.sys, 0.0, dt, &mut p.y, &mut p.ws);
         let mut completed = 0u64;
         for (lane, &i) in chunk.iter().enumerate() {
             let zb = &zones[i];
@@ -406,10 +387,9 @@ impl<'a> Burner<'a> {
                     record_burn_telemetry(&rec);
                     Ok(rec)
                 }
-                // Dropout: re-burn from the entry state through the scalar
-                // ladder (bit-identical to a ladder-only burn), charging
-                // the zone its share of the failed batch work as one extra
-                // retry.
+                // Dropout: re-burn from the entry state through the ladder
+                // (bit-identical to a ladder-only burn), charging the zone
+                // its share of the failed batch work as one extra retry.
                 None => {
                     let mut stats = report.stats;
                     match self.climb(zb.zone, zb.rho, zb.t0, &zb.x0, dt) {
@@ -531,7 +511,7 @@ impl<'a> Burner<'a> {
     }
 
     /// One integration of one zone — with [`Burner::outcome`], where every
-    /// scalar [`BurnOutcome`] comes from. On failure the [`BdfError`]
+    /// rung's [`BurnOutcome`] comes from. On failure the [`BdfError`]
     /// carries the work statistics of the failed integration, so the
     /// ladder can charge every rung's cost to the zone.
     fn integrate(
@@ -571,7 +551,7 @@ impl<'a> Burner<'a> {
     }
 
     /// Turn an integrated state back into mass fractions, temperature and
-    /// released energy (scalar attempts and completed batch lanes alike).
+    /// released energy (ladder attempts and completed batch lanes alike).
     fn outcome(&self, y0: &[f64], y: &[f64], stats: BdfStats) -> BurnOutcome {
         let n = self.net.nspec();
         let mut x = vec![0.0; n];

@@ -17,16 +17,19 @@
 //! * errors are measured in the weighted-RMS norm and both the step size
 //!   and the order adapt.
 //!
-//! The Newton linear solves go through the [`LinearSolver`] trait: dense LU
-//! with partial pivoting (the VODE default) or the symbolic sparse LU of
-//! [`crate::sparse`] (the paper's §VI plan), selected by
-//! [`BdfOptions::solver`]. Either way the matrix is factored **once per
-//! step attempt** and only back-solved inside the Newton loop.
+//! This module holds what surrounds the stepping loop — the [`OdeSystem`]
+//! interface, options, statistics, errors, the Nordsieck algebra — and
+//! [`BdfIntegrator`], the one integrator of the crate. The loop itself is
+//! [`BdfIntegrator::integrate_lanes`] in [`crate::batch`]: it advances any
+//! number of systems in lockstep, and [`BdfIntegrator::integrate`] is that
+//! loop on one. The Newton matrix is factored on the network's compiled
+//! sparse pattern ([`BdfIntegrator::sparse`], the paper's §VI plan) or by
+//! dense LU with partial pivoting ([`BdfIntegrator::new`], the VODE
+//! default).
 
-use crate::linalg::{DenseNewton, LinearSolver};
-use crate::sparse::{CsrPattern, SparseLu, SparseNewton};
+use crate::batch::{BatchWorkspace, LaneSolver, LaneStatus};
+use crate::sparse::SparseLu;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A first-order ODE system `dy/dt = f(t, y)` with an analytic Jacobian.
 pub trait OdeSystem {
@@ -38,24 +41,16 @@ pub trait OdeSystem {
     fn jac(&self, t: f64, y: &[f64], jac: &mut [f64]);
 }
 
-/// Linear-solver choice for the Newton iteration.
-#[derive(Clone, Debug, Default)]
-pub enum NewtonSolver {
-    /// Dense LU with partial pivoting (VODE's default).
-    #[default]
-    Dense,
-    /// Symbolic sparse LU specialized to the system's fixed sparsity
-    /// pattern (§VI future work); see [`crate::sparse::SparseLu`].
-    Sparse(CsrPattern),
-}
-
-impl NewtonSolver {
-    /// Short name for telemetry ("dense" / "sparse").
-    pub fn kind(&self) -> &'static str {
-        match self {
-            NewtonSolver::Dense => "dense",
-            NewtonSolver::Sparse(_) => "sparse",
-        }
+/// A borrowed system is a system: lanes can be `&dyn OdeSystem`.
+impl<S: OdeSystem + ?Sized> OdeSystem for &S {
+    fn dim(&self) -> usize {
+        (**self).dim()
+    }
+    fn rhs(&self, t: f64, y: &[f64], dydt: &mut [f64]) {
+        (**self).rhs(t, y, dydt)
+    }
+    fn jac(&self, t: f64, y: &[f64], jac: &mut [f64]) {
+        (**self).jac(t, y, jac)
     }
 }
 
@@ -73,8 +68,6 @@ pub struct BdfOptions {
     pub max_steps: usize,
     /// Initial step size; `None` chooses automatically.
     pub h0: Option<f64>,
-    /// Newton linear solver.
-    pub solver: NewtonSolver,
 }
 
 impl Default for BdfOptions {
@@ -85,14 +78,13 @@ impl Default for BdfOptions {
             max_order: 5,
             max_steps: 500_000,
             h0: None,
-            solver: NewtonSolver::Dense,
         }
     }
 }
 
 impl BdfOptions {
     /// Start building a validated option set:
-    /// `BdfOptions::builder().rtol(1e-10).solver(...).build()?`.
+    /// `BdfOptions::builder().rtol(1e-10).atol(1e-14).build()?`.
     pub fn builder() -> BdfOptionsBuilder {
         BdfOptionsBuilder {
             opts: BdfOptions::default(),
@@ -185,12 +177,6 @@ impl BdfOptionsBuilder {
     /// Fixed initial step size (default: chosen automatically).
     pub fn h0(mut self, h0: f64) -> Self {
         self.opts.h0 = Some(h0);
-        self
-    }
-
-    /// Newton linear solver.
-    pub fn solver(mut self, solver: NewtonSolver) -> Self {
-        self.opts.solver = solver;
         self
     }
 
@@ -360,8 +346,7 @@ pub(crate) fn bdf_l(q: usize, l: &mut [f64; 6]) {
 }
 
 /// Reject a per-component `atol` whose length matches neither 1 nor the
-/// system dimension — indexing it per component would panic mid-integration
-/// (shared by the scalar and batched integrators).
+/// system dimension — indexing it per component would panic mid-integration.
 pub(crate) fn check_atol(opts: &BdfOptions, dim: usize) -> Result<(), BdfError> {
     if opts.atol.len() != 1 && opts.atol.len() != dim {
         return Err(BdfError::from_kind(BdfErrorKind::AtolMismatch {
@@ -372,28 +357,9 @@ pub(crate) fn check_atol(opts: &BdfOptions, dim: usize) -> Result<(), BdfError> 
     Ok(())
 }
 
-struct Workspace {
-    ycur: Vec<f64>,
-    acor: Vec<f64>,
-    acor_prev: Vec<f64>,
-    rhs: Vec<f64>,
-    resid: Vec<f64>,
-    jac: Vec<f64>,
-    ewt: Vec<f64>,
-}
-
-/// The BDF integrator object; reusable across many zones to amortize
-/// setup (notably the symbolic sparse factorization, which is computed
-/// once here and shared by every solve).
-pub struct BdfIntegrator {
-    opts: BdfOptions,
-    sparse: Option<Arc<SparseLu>>,
-}
-
 /// Apply the Pascal-triangle prediction `z ← A z` in place. The inner loop
-/// is over the vector length, so the same routine serves the scalar
-/// integrator (vectors of length `dim`) and the batched one (structure-of-
-/// arrays vectors of length `dim × width`).
+/// is over the vector length: structure-of-arrays vectors of length
+/// `dim × width`, whatever the width.
 pub(crate) fn predict(z: &mut [Vec<f64>], q: usize) {
     for k in 1..=q {
         for j in (k..=q).rev() {
@@ -433,23 +399,33 @@ pub(crate) fn rescale(z: &mut [Vec<f64>], q: usize, r: f64) {
     }
 }
 
-impl BdfIntegrator {
-    /// Create an integrator with the given options.
-    pub fn new(opts: BdfOptions) -> Self {
-        let sparse = match &opts.solver {
-            NewtonSolver::Sparse(p) => Some(Arc::new(SparseLu::compile(p))),
-            NewtonSolver::Dense => None,
-        };
-        BdfIntegrator { opts, sparse }
-    }
+/// The BDF integrator: a validated option set and the way the Newton
+/// matrices are solved. Reusable across any number of integrations, of one
+/// system ([`BdfIntegrator::integrate`]) or of many in lockstep
+/// ([`BdfIntegrator::integrate_lanes`]).
+pub struct BdfIntegrator {
+    pub(crate) opts: BdfOptions,
+    pub(crate) solver: LaneSolver,
+}
 
-    /// An integrator on an already-compiled symbolic sparse LU, so every
-    /// integrator of one burner (and its batch path) shares one
-    /// factorization plan; `opts.solver` is not consulted.
-    pub(crate) fn with_sparse_lu(opts: BdfOptions, lu: Arc<SparseLu>) -> Self {
+impl BdfIntegrator {
+    /// An integrator that factors `I − γJ` by dense LU with partial
+    /// pivoting, one lane at a time: it needs no sparsity pattern and
+    /// survives a zero on the diagonal.
+    pub fn new(opts: BdfOptions) -> Self {
         BdfIntegrator {
             opts,
-            sparse: Some(lu),
+            solver: LaneSolver::Dense,
+        }
+    }
+
+    /// An integrator on a compiled symbolic sparse LU (one per network,
+    /// shared by every integrator built on it): the pivot-free operation
+    /// schedule is replayed for all lanes at once.
+    pub fn sparse(opts: BdfOptions, lu: Arc<SparseLu>) -> Self {
+        BdfIntegrator {
+            opts,
+            solver: LaneSolver::Sparse(lu),
         }
     }
 
@@ -458,55 +434,20 @@ impl BdfIntegrator {
         &self.opts
     }
 
-    /// The region-table row this integrator's linear-algebra time goes to,
-    /// named for the linear solver in use.
+    /// The region-table row a one-system integration's linear-algebra time
+    /// goes to, named for the linear solver in use.
     pub(crate) fn solve_row(&self) -> &'static str {
-        match self.sparse {
-            Some(_) => "solve[sparse]",
-            None => "solve[dense]",
+        match self.solver {
+            LaneSolver::Sparse(_) => "solve[sparse]",
+            LaneSolver::Dense => "solve[dense]",
         }
     }
 
-    fn make_solver(&self, n: usize) -> Box<dyn LinearSolver> {
-        match &self.sparse {
-            None => Box::new(DenseNewton::new(n)),
-            Some(lu) => {
-                assert_eq!(
-                    lu.dim(),
-                    n,
-                    "sparse pattern dimension {} does not match system dimension {n}",
-                    lu.dim()
-                );
-                Box::new(SparseNewton::new(Arc::clone(lu)))
-            }
-        }
-    }
-
-    fn error_weights(&self, y: &[f64], ewt: &mut [f64]) {
-        for i in 0..y.len() {
-            let atol = if self.opts.atol.len() == 1 {
-                self.opts.atol[0]
-            } else {
-                self.opts.atol[i]
-            };
-            ewt[i] = 1.0 / (self.opts.rtol * y[i].abs() + atol);
-        }
-    }
-
-    fn wrms(e: &[f64], ewt: &[f64]) -> f64 {
-        let n = e.len() as f64;
-        (e.iter()
-            .zip(ewt)
-            .map(|(&ei, &wi)| (ei * wi).powi(2))
-            .sum::<f64>()
-            / n)
-            .sqrt()
-    }
-
-    /// Integrate `sys` from `t0` to `tend`, updating `y` in place. Returns
-    /// the work statistics on success; on failure the returned
-    /// [`BdfError`] carries both the error kind and the statistics of the
-    /// work spent before failing.
+    /// Integrate `sys` from `t0` to `tend`, updating `y` in place: the
+    /// stepping loop at width 1. Returns the work statistics on success; on
+    /// failure the returned [`BdfError`] carries both the error kind and
+    /// the statistics of the work spent before failing, and `y` is the
+    /// last accepted state.
     pub fn integrate(
         &self,
         sys: &dyn OdeSystem,
@@ -514,235 +455,15 @@ impl BdfIntegrator {
         tend: f64,
         y: &mut [f64],
     ) -> Result<BdfStats, BdfError> {
-        assert_eq!(y.len(), sys.dim());
-        assert!(tend > t0);
-        let n = sys.dim();
-        check_atol(&self.opts, n)?;
-        let max_order = self.opts.max_order.clamp(1, 5);
-        let mut stats = BdfStats::default();
-        let mut solver = self.make_solver(n);
-        let mut ws = Workspace {
-            ycur: vec![0.0; n],
-            acor: vec![0.0; n],
-            acor_prev: vec![0.0; n],
-            rhs: vec![0.0; n],
-            resid: vec![0.0; n],
-            jac: vec![0.0; n * n],
-            ewt: vec![0.0; n],
-        };
-        let mut l = [0.0f64; 6];
-
-        // Initial step size from the RHS scale.
-        sys.rhs(t0, y, &mut ws.rhs);
-        stats.rhs_evals += 1;
-        self.error_weights(y, &mut ws.ewt);
-        let mut h = match self.opts.h0 {
-            Some(h0) => h0,
-            None => {
-                let rate = Self::wrms(&ws.rhs, &ws.ewt).max(1e-30);
-                ((1.0 / rate) * 1e-3)
-                    .min((tend - t0) * 1e-3)
-                    .max((tend - t0) * 1e-12)
-            }
-        };
-        let hmin = (tend - t0) * 1e-15;
-
-        // Nordsieck array z[j] = h^j y^(j) / j!, j = 0..=q.
-        let mut z: Vec<Vec<f64>> = vec![y.to_vec(), ws.rhs.iter().map(|&f| f * h).collect()];
-        let mut t = t0;
-        let mut q = 1usize;
-        let mut qwait = 2usize; // steps until an order change is considered
-        let mut newton_fails = 0usize;
-        let mut err_fails = 0usize;
-        let mut have_acor_prev = false;
-
-        macro_rules! fail {
-            ($kind:expr, $z:expr, $q:expr) => {{
-                y.copy_from_slice(&$z[0]);
-                stats.final_order = $q;
-                return Err(BdfError { kind: $kind, stats });
-            }};
+        let mut ws = BatchWorkspace::default();
+        let report = &self.integrate_lanes(&[sys], t0, tend, y, &mut ws)[0];
+        match &report.status {
+            LaneStatus::Completed => Ok(report.stats),
+            LaneStatus::Dropped(kind) => Err(BdfError {
+                kind: kind.clone(),
+                stats: report.stats,
+            }),
         }
-
-        while t < tend - 1e-14 * (tend - t0).abs() {
-            if stats.steps + stats.rejected > self.opts.max_steps as u64 {
-                fail!(BdfErrorKind::MaxSteps, z, q);
-            }
-            // Clamp to land on tend.
-            if t + h > tend {
-                let r = (tend - t) / h;
-                rescale(&mut z, q, r);
-                h = tend - t;
-            }
-            bdf_l(q, &mut l);
-            let gamma = l[0] * h;
-            self.error_weights(&z[0], &mut ws.ewt);
-
-            predict(&mut z, q);
-            let tn = t + h;
-            // Corrector: G(y) = y − γ f(y) − a with a = z0_pred − l₀ z1_pred
-            // (follows from requiring z1_new = h f and l₁ = 1).
-            ws.ycur.copy_from_slice(&z[0]);
-            sys.jac(tn, &ws.ycur, &mut ws.jac);
-            stats.jac_evals += 1;
-            stats.factorizations += 1;
-            let t_factor = Instant::now();
-            let factored = solver.factor(&ws.jac, gamma);
-            stats.solve_ns += t_factor.elapsed().as_nanos() as u64;
-            if factored.is_err() {
-                unpredict(&mut z, q);
-                stats.rejected += 1;
-                if h * 0.25 < hmin {
-                    fail!(BdfErrorKind::SingularMatrix, z, q);
-                }
-                rescale(&mut z, q, 0.25);
-                h *= 0.25;
-                continue;
-            }
-
-            // Newton iteration; acor accumulates e = y − y_pred.
-            ws.acor.iter_mut().for_each(|v| *v = 0.0);
-            let mut converged = false;
-            let mut last_dnorm = f64::INFINITY;
-            for _ in 0..4 {
-                sys.rhs(tn, &ws.ycur, &mut ws.rhs);
-                stats.rhs_evals += 1;
-                // resid = −G(y) = γ f(y) − l₀ z1_pred − acor.
-                for i in 0..n {
-                    ws.resid[i] = gamma * ws.rhs[i] - l[0] * z[1][i] - ws.acor[i];
-                }
-                let t_solve = Instant::now();
-                solver.solve(&mut ws.resid);
-                stats.solve_ns += t_solve.elapsed().as_nanos() as u64;
-                stats.newton_iters += 1;
-                for i in 0..n {
-                    ws.acor[i] += ws.resid[i];
-                    ws.ycur[i] = z[0][i] + ws.acor[i];
-                }
-                let dnorm = Self::wrms(&ws.resid, &ws.ewt);
-                if !dnorm.is_finite() {
-                    break;
-                }
-                if dnorm < 0.1 {
-                    converged = true;
-                    break;
-                }
-                if dnorm > 2.0 * last_dnorm {
-                    break;
-                }
-                last_dnorm = dnorm;
-            }
-            if !converged {
-                unpredict(&mut z, q);
-                stats.rejected += 1;
-                newton_fails += 1;
-                if h * 0.25 < hmin {
-                    fail!(BdfErrorKind::StepUnderflow { t }, z, q);
-                }
-                rescale(&mut z, q, 0.25);
-                h *= 0.25;
-                if newton_fails > 2 && q > 1 {
-                    z.truncate(2);
-                    q = 1;
-                    qwait = 2;
-                    have_acor_prev = false;
-                }
-                continue;
-            }
-            newton_fails = 0;
-
-            // Error test: LTE ≈ acor / (q+1).
-            let est = Self::wrms(&ws.acor, &ws.ewt) / (q as f64 + 1.0);
-            if est > 1.0 {
-                unpredict(&mut z, q);
-                stats.rejected += 1;
-                err_fails += 1;
-                let r = (0.9 * est.powf(-1.0 / (q as f64 + 1.0))).clamp(0.1, 0.9);
-                if h * r < hmin {
-                    fail!(BdfErrorKind::StepUnderflow { t }, z, q);
-                }
-                rescale(&mut z, q, r);
-                h *= r;
-                if err_fails >= 3 && q > 1 {
-                    // Persistent failures: drop to order 1 (VODE's ETAMIN
-                    // path) — the high-order history is not trustworthy.
-                    z.truncate(2);
-                    q = 1;
-                    qwait = 2;
-                    have_acor_prev = false;
-                }
-                continue;
-            }
-            err_fails = 0;
-
-            // Accept: z += l_j · acor.
-            for j in 0..=q {
-                for i in 0..n {
-                    z[j][i] += l[j] * ws.acor[i];
-                }
-            }
-            t = tn;
-            stats.steps += 1;
-
-            // Step/order adaptation (one decision per qwait window).
-            let eta_q = 0.9 * est.max(1e-12).powf(-1.0 / (q as f64 + 1.0));
-            let mut eta = eta_q;
-            let mut new_q = q;
-            if qwait > 0 {
-                qwait -= 1;
-            } else {
-                if q > 1 {
-                    // Error at order q−1 from the highest Nordsieck entry.
-                    let est_dn = Self::wrms(&z[q], &ws.ewt) / q as f64;
-                    let eta_dn = 0.9 * est_dn.max(1e-12).powf(-1.0 / q as f64);
-                    if eta_dn > eta {
-                        eta = eta_dn;
-                        new_q = q - 1;
-                    }
-                }
-                if q < max_order && have_acor_prev {
-                    // Error at order q+1 from the change in corrections.
-                    let mut acc = 0.0;
-                    for i in 0..n {
-                        let d = (ws.acor[i] - ws.acor_prev[i]) * ws.ewt[i];
-                        acc += d * d;
-                    }
-                    let est_up = (acc / n as f64).sqrt() / (q as f64 + 2.0);
-                    let eta_up = 0.9 * est_up.max(1e-12).powf(-1.0 / (q as f64 + 2.0));
-                    if eta_up > eta {
-                        eta = eta_up;
-                        new_q = q + 1;
-                    }
-                }
-            }
-            ws.acor_prev.copy_from_slice(&ws.acor);
-            have_acor_prev = true;
-
-            if new_q != q {
-                if new_q > q {
-                    // Seed the new highest Nordsieck entry from the
-                    // correction (the next derivative's contribution).
-                    let mut zq1 = vec![0.0; n];
-                    for i in 0..n {
-                        zq1[i] = ws.acor[i] * l[q] / (q as f64 + 1.0);
-                    }
-                    z.push(zq1);
-                } else {
-                    z.truncate(new_q + 1);
-                }
-                q = new_q;
-                qwait = q + 1;
-                have_acor_prev = false;
-            }
-            let eta = eta.clamp(0.2, 5.0);
-            if !(0.9..=1.3).contains(&eta) {
-                rescale(&mut z, q, eta);
-                h *= eta;
-            }
-        }
-        y.copy_from_slice(&z[0]);
-        stats.final_order = q;
-        Ok(stats)
     }
 }
 
@@ -778,6 +499,7 @@ pub fn rk4(sys: &dyn OdeSystem, t0: f64, tend: f64, nsteps: usize, y: &mut [f64]
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sparse::CsrPattern;
 
     /// y' = -k y, solution y = e^{-kt}.
     struct Decay {
@@ -984,20 +706,20 @@ mod tests {
                 (2, 2),
             ],
         );
-        let run = |solver: NewtonSolver| {
+        let run = |integ: fn(BdfOptions, &CsrPattern) -> BdfIntegrator| {
             let opts = BdfOptions::builder()
                 .rtol(1e-8)
                 .atol_vec(vec![1e-12, 1e-14, 1e-12])
-                .solver(solver)
                 .build()
                 .unwrap();
             let mut y = [1.0, 0.0, 0.0];
-            let integ = BdfIntegrator::new(opts);
-            integ.integrate(&Robertson, 0.0, 40.0, &mut y).unwrap();
+            integ(opts, &pattern)
+                .integrate(&Robertson, 0.0, 40.0, &mut y)
+                .unwrap();
             y
         };
-        let yd = run(NewtonSolver::Dense);
-        let ys = run(NewtonSolver::Sparse(pattern));
+        let yd = run(|opts, _| BdfIntegrator::new(opts));
+        let ys = run(|opts, p| BdfIntegrator::sparse(opts, Arc::new(SparseLu::compile(p))));
         for i in 0..3 {
             assert!(
                 (yd[i] - ys[i]).abs() < 1e-6 * yd[i].abs().max(1e-10),
@@ -1138,12 +860,11 @@ mod tests {
             .max_order(3)
             .max_steps(1000)
             .h0(1e-12)
-            .solver(NewtonSolver::Sparse(CsrPattern::new(2, vec![(0, 1)])))
             .build()
             .unwrap();
         assert_eq!(opts.rtol, 1e-10);
         assert_eq!(opts.max_order, 3);
-        assert_eq!(opts.solver.kind(), "sparse");
+        assert_eq!(opts.h0, Some(1e-12));
     }
 
     #[test]

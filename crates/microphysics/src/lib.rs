@@ -12,13 +12,14 @@
 //! * [`rates`] — Gamow-peak reaction-rate fits and plasma screening;
 //! * [`network`] — the reaction-network framework and the `cburn2`,
 //!   `triple_alpha`, `iso7`, and `aprox13` networks;
-//! * [`linalg`] — dense LU and the [`linalg::LinearSolver`] Newton-solver
-//!   interface;
-//! * [`sparse`] — pattern-specialized sparse LU with precomputed symbolic
-//!   factorization (the analytic sparse-Jacobian path of the paper's §VI);
-//! * [`integrator`] — the VODE-style variable-order BDF integrator;
-//! * [`batch`] — the same integrator over structure-of-arrays batches of
-//!   zones advanced in lockstep;
+//! * [`linalg`] — dense LU with partial pivoting;
+//! * [`sparse`] — sparsity patterns and the pattern-specialized sparse LU
+//!   with precomputed symbolic factorization (the analytic sparse-Jacobian
+//!   path of the paper's §VI);
+//! * [`integrator`] — the VODE-style variable-order BDF integrator: its
+//!   options, errors and statistics;
+//! * [`batch`] — its stepping loop, over structure-of-arrays batches of
+//!   systems advanced in lockstep (one system is a batch of one);
 //! * [`burner`] — the self-heating zone burner, [`burner::Burner`], that
 //!   the hydro codes drive;
 //! * [`recovery`] — the burner's retry ladder (relaxed tolerances →
@@ -43,18 +44,18 @@ pub mod recovery;
 pub mod sparse;
 pub mod species;
 
-pub use batch::{BatchBdf, BatchWorkspace, LaneOde, LaneReport, LaneStatus};
+pub use batch::{BatchWorkspace, LaneReport, LaneStatus};
 pub use burner::{BurnOutcome, BurnTally, Burner, BurnerConfig, ZoneBurn};
 pub use eos::{Eos, EosResult, GammaLaw, StellarEos};
 pub use integrator::{
     rk4, BdfConfigError, BdfError, BdfErrorKind, BdfIntegrator, BdfOptions, BdfOptionsBuilder,
-    BdfStats, NewtonSolver, OdeSystem,
+    BdfStats, OdeSystem,
 };
-pub use linalg::{DenseLu, DenseNewton, LinearSolver, Singular, SparsePattern};
+pub use linalg::{DenseLu, Singular};
 pub use network::{Aprox13, CBurn2, Iso7, Network, Reaction, TripleAlpha};
 pub use rates::{gamow_tau_alpha, screening_factor, Rate, TFactors, TNeeds};
 pub use recovery::{
     BurnFailure, BurnFaultConfig, LadderRung, OffloadOptions, RecoveredBurn, RetryLadder,
 };
-pub use sparse::{CsrPattern, SparseLu, SparseNewton};
+pub use sparse::{CsrPattern, SparseLu};
 pub use species::{energy_rate, mass_to_molar, molar_to_mass, Composition, Species};

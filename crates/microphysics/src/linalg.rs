@@ -3,9 +3,8 @@
 //! Implicit integration of an `N`-isotope network requires factoring and
 //! solving an `(N+1)²` Jacobian system every Newton iteration (§IV-B).
 //! This module holds the dense side — [`DenseLu`], LU with partial
-//! pivoting (the VODE default), behind the [`LinearSolver`] interface the
-//! integrator drives — and the coordinate [`SparsePattern`] networks
-//! declare; the pattern-specialized sparse LU lives in [`crate::sparse`].
+//! pivoting (the VODE default); the pattern-specialized sparse LU, and the
+//! pattern type networks declare, live in [`crate::sparse`].
 
 /// Row-major dense matrix storage helper: `a[r * n + c]`.
 #[inline]
@@ -107,118 +106,6 @@ impl DenseLu {
     }
 }
 
-/// A Newton-matrix linear solver: factor `I − γJ` once per BDF step, then
-/// back-solve once per Newton iteration. Implemented by [`DenseNewton`]
-/// (partial-pivoted LU, the VODE default) and
-/// [`crate::sparse::SparseNewton`] (pattern-specialized sparse LU, the
-/// paper's §VI plan). The factor/solve split is the point: the old
-/// pattern-compiled path re-factored on every iteration, paying the O(n³)
-/// (or O(nnz)) elimination `newton_iters` times per step instead of once.
-pub trait LinearSolver: Send {
-    /// Short solver name for telemetry ("dense" / "sparse").
-    fn kind(&self) -> &'static str;
-    /// Form and factor the Newton matrix `I − γJ` from the dense row-major
-    /// Jacobian `jac`.
-    fn factor(&mut self, jac: &[f64], gamma: f64) -> Result<(), Singular>;
-    /// Solve `(I − γJ) x = b` in place using the last factorization.
-    /// Panics if [`LinearSolver::factor`] has not succeeded yet.
-    fn solve(&mut self, b: &mut [f64]);
-}
-
-/// The dense [`LinearSolver`]: builds `I − γJ` into a scratch matrix and
-/// factors it with [`DenseLu`].
-pub struct DenseNewton {
-    n: usize,
-    mat: Vec<f64>,
-    fact: Option<DenseLu>,
-}
-
-impl DenseNewton {
-    /// Create a solver for `n × n` Newton systems.
-    pub fn new(n: usize) -> Self {
-        DenseNewton {
-            n,
-            mat: vec![0.0; n * n],
-            fact: None,
-        }
-    }
-}
-
-impl LinearSolver for DenseNewton {
-    fn kind(&self) -> &'static str {
-        "dense"
-    }
-
-    fn factor(&mut self, jac: &[f64], gamma: f64) -> Result<(), Singular> {
-        let n = self.n;
-        assert_eq!(jac.len(), n * n);
-        for r in 0..n {
-            for c in 0..n {
-                self.mat[idx(n, r, c)] = -gamma * jac[idx(n, r, c)];
-            }
-            self.mat[idx(n, r, r)] += 1.0;
-        }
-        self.fact = Some(DenseLu::factor(&self.mat, n)?);
-        Ok(())
-    }
-
-    fn solve(&mut self, b: &mut [f64]) {
-        self.fact
-            .as_ref()
-            .expect("DenseNewton::solve before a successful factor")
-            .solve(b);
-    }
-}
-
-/// A fixed sparsity pattern for an `n × n` matrix.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SparsePattern {
-    n: usize,
-    /// Sorted, deduplicated (row, col) pairs of structurally nonzero slots.
-    entries: Vec<(usize, usize)>,
-}
-
-impl SparsePattern {
-    /// Build from a list of (row, col) nonzero positions. The diagonal is
-    /// always included (Newton matrices are `I - hγJ`).
-    pub fn new(n: usize, mut entries: Vec<(usize, usize)>) -> Self {
-        for d in 0..n {
-            entries.push((d, d));
-        }
-        entries.sort_unstable();
-        entries.dedup();
-        for &(r, c) in &entries {
-            assert!(r < n && c < n, "entry ({r},{c}) out of range for n={n}");
-        }
-        SparsePattern { n, entries }
-    }
-
-    /// Matrix dimension.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Number of structurally nonzero slots.
-    pub fn nnz(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Fraction of the dense matrix that is structurally zero.
-    pub fn empty_fraction(&self) -> f64 {
-        1.0 - self.nnz() as f64 / (self.n * self.n) as f64
-    }
-
-    /// True if `(r, c)` is a structural nonzero.
-    pub fn contains(&self, r: usize, c: usize) -> bool {
-        self.entries.binary_search(&(r, c)).is_ok()
-    }
-
-    /// The entry list.
-    pub fn entries(&self) -> &[(usize, usize)] {
-        &self.entries
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,54 +169,6 @@ mod tests {
             for i in 0..n {
                 assert!((b[i] - x[i]).abs() < 1e-9, "n={n} i={i}");
             }
-        }
-    }
-
-    fn tridiag_pattern(n: usize) -> SparsePattern {
-        let mut e = Vec::new();
-        for i in 0..n {
-            if i > 0 {
-                e.push((i, i - 1));
-            }
-            if i + 1 < n {
-                e.push((i, i + 1));
-            }
-        }
-        SparsePattern::new(n, e)
-    }
-
-    #[test]
-    fn pattern_bookkeeping() {
-        let p = tridiag_pattern(5);
-        assert_eq!(p.nnz(), 13);
-        assert!(p.contains(2, 2) && p.contains(2, 1) && !p.contains(0, 4));
-        assert!((p.empty_fraction() - (1.0 - 13.0 / 25.0)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn dense_newton_factor_solve_split() {
-        let n = 2;
-        let jac = [-3.0, 1.0, 2.0, -4.0];
-        let gamma = 0.5;
-        let mut m = vec![0.0; n * n];
-        for r in 0..n {
-            for c in 0..n {
-                m[idx(n, r, c)] = -gamma * jac[idx(n, r, c)];
-            }
-            m[idx(n, r, r)] += 1.0;
-        }
-        let x = [0.75, -1.25];
-        let mut b = matvec(&m, &x, n);
-        let mut solver = DenseNewton::new(n);
-        assert_eq!(solver.kind(), "dense");
-        solver.factor(&jac, gamma).unwrap();
-        solver.solve(&mut b);
-        // A second solve reuses the factorization.
-        let mut b2 = matvec(&m, &x, n);
-        solver.solve(&mut b2);
-        for i in 0..n {
-            assert!((b[i] - x[i]).abs() < 1e-12, "i={i}");
-            assert!((b2[i] - x[i]).abs() < 1e-12, "i={i}");
         }
     }
 }

@@ -14,7 +14,6 @@
 //!   collision science runs (§V), whose Jacobian is ~40% structurally empty
 //!   (§VI).
 
-use crate::linalg::SparsePattern;
 use crate::rates::{gamow_tau_alpha, Rate, TFactors, TNeeds};
 use crate::sparse::CsrPattern;
 use crate::species::{energy_rate, iso, Species};
@@ -212,8 +211,9 @@ pub trait Network: Send + Sync {
     }
 
     /// The structural sparsity of the full `(n+1)²` burner Jacobian
-    /// (species block plus the dense temperature row/column).
-    fn sparsity(&self) -> SparsePattern {
+    /// (species block plus the dense temperature row/column), ready for
+    /// symbolic factorization by [`crate::sparse::SparseLu`].
+    fn sparsity(&self) -> CsrPattern {
         let n = self.nspec();
         let m = n + 1;
         let mut entries = Vec::new();
@@ -239,13 +239,7 @@ pub trait Network: Send + Sync {
             }
         }
         entries.push((n, n));
-        SparsePattern::new(m, entries)
-    }
-
-    /// [`Network::sparsity`] in compressed-sparse-row form, ready for
-    /// symbolic factorization by [`crate::sparse::SparseLu`].
-    fn sparsity_csr(&self) -> CsrPattern {
-        CsrPattern::from_coords(&self.sparsity())
+        CsrPattern::new(m, entries)
     }
 }
 
@@ -740,8 +734,8 @@ mod tests {
     #[test]
     fn jacobian_respects_declared_sparsity() {
         // Every network's declared pattern must be a superset of the
-        // numerically nonzero Jacobian entries — the sparse Newton solver
-        // only allocates storage for declared slots, so an undeclared
+        // numerically nonzero Jacobian entries — the sparse LU only
+        // allocates storage for declared slots, so an undeclared
         // nonzero would be silently dropped. Probe several (ρ, T, Y)
         // states so rate cutoffs don't hide couplings.
         let nets: [&dyn Network; 4] = [
@@ -754,8 +748,7 @@ mod tests {
             let n = net.nspec();
             let m = n + 1;
             let p = net.sparsity();
-            let csr = net.sparsity_csr();
-            assert_eq!(csr.dim(), m);
+            assert_eq!(p.dim(), m);
             for (rho, t) in [(5e6, 3e9), (1e8, 5e9), (1e4, 5e8)] {
                 let mut y = vec![0.01; n];
                 y[0] = 0.05;
@@ -765,7 +758,7 @@ mod tests {
                     for c in 0..m {
                         if jac[r * m + c] != 0.0 {
                             assert!(
-                                p.contains(r, c) && csr.contains(r, c),
+                                p.contains(r, c),
                                 "{}: nonzero J[{r}][{c}] outside pattern",
                                 net.name()
                             );

@@ -9,7 +9,7 @@
 //! separate scalar path with its own integrator configuration. This module
 //! implements both as an escalation ladder:
 //!
-//! 1. [`LadderRung::Direct`] — the normal vectorized burn;
+//! 1. [`LadderRung::Direct`] — the normal burn, at the burner's options;
 //! 2. [`LadderRung::RelaxedTol`] — retry with tolerances relaxed by
 //!    [`RetryLadder::tol_relax`];
 //! 3. [`LadderRung::Subcycle`] — split the burn interval into
@@ -93,9 +93,9 @@ impl Default for OffloadOptions {
 
 impl OffloadOptions {
     pub(crate) fn to_bdf(&self) -> BdfOptions {
-        // The offload path stays scalar and dense by construction (it is
-        // the conservative fallback; sparse-pattern bugs must not be able
-        // to take it down with the direct rung).
+        // The offload rung is one lane on the dense, pivoted solver by
+        // construction (it is the conservative fallback; sparse-pattern
+        // bugs must not be able to take it down with the direct rung).
         BdfOptions::builder()
             .rtol(self.rtol)
             .atol(self.atol)

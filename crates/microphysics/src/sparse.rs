@@ -23,8 +23,7 @@
 //! tests below); eliminating the near-tridiagonal chain block
 //! first keeps the fill close to zero.
 
-use crate::linalg::{LinearSolver, Singular, SparsePattern};
-use std::sync::Arc;
+use crate::linalg::Singular;
 
 /// A fixed sparsity pattern in compressed-sparse-row form: for each row, a
 /// sorted run of column indices. The diagonal is always included (Newton
@@ -56,11 +55,6 @@ impl CsrPattern {
             row_ptr[r + 1] += row_ptr[r];
         }
         CsrPattern { n, row_ptr, cols }
-    }
-
-    /// Convert a coordinate-list [`SparsePattern`].
-    pub fn from_coords(p: &SparsePattern) -> Self {
-        Self::new(p.dim(), p.entries().to_vec())
     }
 
     /// Matrix dimension.
@@ -333,7 +327,10 @@ impl SparseLu {
     }
 
     /// Form and factor the Newton matrix `I − γJ` from the dense row-major
-    /// Jacobian `jac` in one pass — the integrator's hot path.
+    /// Jacobian `jac` in one pass: one lane of
+    /// [`SparseLu::factor_newton_batch`], early-out included — the reference
+    /// the batched replay is tested against and what the `burner` bench
+    /// times.
     pub fn factor_newton(&self, jac: &[f64], gamma: f64, vals: &mut [f64]) -> Result<(), Singular> {
         assert_eq!(jac.len(), self.n * self.n);
         assert_eq!(vals.len(), self.nnz_filled);
@@ -494,38 +491,6 @@ impl SparseLu {
     }
 }
 
-/// The sparse [`LinearSolver`]: a shared symbolic factorization (computed
-/// once per network and reused across every zone the integrator burns) plus
-/// this solver's private numeric workspace.
-pub struct SparseNewton {
-    lu: Arc<SparseLu>,
-    vals: Vec<f64>,
-    scratch: Vec<f64>,
-}
-
-impl SparseNewton {
-    /// Create a solver over a precompiled symbolic factorization.
-    pub fn new(lu: Arc<SparseLu>) -> Self {
-        let vals = vec![0.0; lu.nnz_filled()];
-        let scratch = vec![0.0; lu.dim()];
-        SparseNewton { lu, vals, scratch }
-    }
-}
-
-impl LinearSolver for SparseNewton {
-    fn kind(&self) -> &'static str {
-        "sparse"
-    }
-
-    fn factor(&mut self, jac: &[f64], gamma: f64) -> Result<(), Singular> {
-        self.lu.factor_newton(jac, gamma, &mut self.vals)
-    }
-
-    fn solve(&mut self, b: &mut [f64]) {
-        self.lu.solve(&self.vals, b, &mut self.scratch);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -545,19 +510,10 @@ mod tests {
         assert!(p.contains(0, 2) && p.contains(2, 0) && p.contains(3, 1));
         assert!(!p.contains(1, 3));
         assert_eq!(p.row(0), &[0, 2]);
+        assert!((p.empty_fraction() - (1.0 - 7.0 / 16.0)).abs() < 1e-15);
         let e: Vec<_> = p.entries().collect();
         assert_eq!(e.len(), 7);
         assert!(e.windows(2).all(|w| w[0] < w[1]), "row-major sorted");
-    }
-
-    #[test]
-    fn csr_matches_coordinate_pattern() {
-        let coords = SparsePattern::new(3, vec![(0, 1), (2, 0)]);
-        let csr = CsrPattern::from_coords(&coords);
-        assert_eq!(csr.nnz(), coords.nnz());
-        for (r, c) in csr.entries() {
-            assert!(coords.contains(r, c));
-        }
     }
 
     #[test]
@@ -839,33 +795,6 @@ mod tests {
                     "lane {l} component {i}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn sparse_newton_solver_roundtrip() {
-        let n = 4;
-        let p = CsrPattern::new(n, vec![(0, 1), (1, 2), (2, 3), (3, 0)]);
-        let mut solver = SparseNewton::new(Arc::new(SparseLu::compile(&p)));
-        assert_eq!(solver.kind(), "sparse");
-        let mut jac = vec![0.0; n * n];
-        for (r, c) in p.entries() {
-            jac[r * n + c] = if r == c { -2.0 } else { 0.7 };
-        }
-        let gamma = 0.25;
-        let mut m = vec![0.0; n * n];
-        for r in 0..n {
-            for c in 0..n {
-                m[r * n + c] = -gamma * jac[r * n + c];
-            }
-            m[r * n + r] += 1.0;
-        }
-        let x = [0.5, -1.0, 2.0, 0.25];
-        let mut b = matvec(&m, &x, n);
-        solver.factor(&jac, gamma).unwrap();
-        solver.solve(&mut b);
-        for i in 0..n {
-            assert!((b[i] - x[i]).abs() < 1e-12, "i={i}");
         }
     }
 }

@@ -69,9 +69,11 @@ fn main() {
     let rec = burner.burn_zone(0, rho, t0, &x0, 1e-7).unwrap();
     let stats = rec.outcome.stats;
     println!(
-        "\nfirst 1e-7 s again: {} BDF steps, {} Newton iterations, {:.1} µs in sparse-LU \
-         factor+solve (rung: {})",
+        "\nfirst 1e-7 s again: {} BDF steps, {} rejected, {} Jacobians, {} Newton iterations, \
+         {:.1} µs in sparse-LU factor+solve (rung: {})",
         stats.steps,
+        stats.rejected,
+        stats.jac_evals,
         stats.newton_iters,
         stats.solve_ns as f64 * 1e-3,
         rec.rung
