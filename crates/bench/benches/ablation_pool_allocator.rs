@@ -4,21 +4,90 @@
 //! The paper: per-timestep scratch allocation is "tolerable on CPUs but
 //! disastrous in CUDA, where memory allocation is orders of magnitude
 //! slower" — fixed by making AMReX's caching arena the CUDA default. Here
-//! the actual hydro scratch churn of a Sedov step runs against both arenas
-//! while the simulated device charges `cudaMalloc`/`cudaFree` latencies.
+//! the actual hydro scratch churn of a Sedov step — every box's primitives
+//! and face fluxes, every sweep — runs against both arenas while the
+//! simulated device charges `cudaMalloc`/`cudaFree` latencies.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use exastro_amr::IndexBox;
 use exastro_bench::{bench_castro, sedov_fixture};
+use exastro_castro::hydro::face_box;
 use exastro_castro::KernelStructure;
-use exastro_parallel::{Arena, DeviceConfig, MallocArena, PoolArena, SimDevice};
-use std::sync::Arc;
+use exastro_parallel::{
+    Arena, ArenaStats, DeviceConfig, MallocArena, PoolArena, ScratchBuf, SimDevice,
+};
+use std::sync::{Arc, Mutex};
+
+/// A pool arena that records every request: its length, and whether it
+/// opened a new group — nothing else was live, as at the start of a sweep.
+struct RecordingArena {
+    pool: PoolArena,
+    requests: Mutex<Vec<(usize, bool)>>,
+}
+
+impl Arena for RecordingArena {
+    fn alloc(&self, len: usize) -> ScratchBuf {
+        let opens = self.pool.stats().bytes_live == 0;
+        self.requests.lock().unwrap().push((len, opens));
+        self.pool.alloc(len)
+    }
+
+    fn stats(&self) -> ArenaStats {
+        self.pool.stats()
+    }
+}
+
+/// `(requests, bytes)` of one kind of scratch.
+type Tally = (usize, usize);
+
+/// One step's scratch requests on the `sedov_bigbox` layout (48³ in 8
+/// boxes of 24³), and the tallies of its primitives and its fluxes.
+fn record_one_step() -> (Vec<(usize, bool)>, [Tally; 2]) {
+    let (geom, mut state, layout, eos, net) = sedov_fixture(48, 24);
+    let recorder = Arc::new(RecordingArena {
+        pool: PoolArena::new(None),
+        requests: Mutex::default(),
+    });
+    let mut castro = bench_castro(&eos, &net, KernelStructure::Flat);
+    castro.arena = recorder.clone();
+    let dt = castro.estimate_dt(&state, &geom);
+    castro.advance_level(&mut state, &geom, dt).unwrap();
+    let requests = std::mem::take(&mut *recorder.requests.lock().unwrap());
+    // Tally by kind: a box's primitives (ρ, u, v, w, p, e, c_s and the
+    // mass fractions — as many as the conserved components) cover it grown
+    // by 2 along the sweep; its fluxes (the conserved ones plus the face
+    // velocity) its face box.
+    let (nq, nflux) = (layout.ncomp(), layout.ncomp() + 1);
+    let vbs: Vec<IndexBox> = (0..state.nfabs()).map(|f| state.valid_box(f)).collect();
+    let zones = |b: IndexBox| b.num_zones() as usize;
+    let is_prim = |len| (0..3).any(|d| vbs.iter().any(|vb| len == nq * zones(vb.grow_dir(d, 2))));
+    let is_flux = |len| (0..3).any(|d| vbs.iter().any(|vb| len == nflux * zones(face_box(*vb, d))));
+    let mut kinds: [Tally; 2] = [(0, 0); 2]; // primitives, fluxes
+    for &(len, _) in &requests {
+        let k = if is_flux(len) { 1 } else { 0 };
+        assert!(
+            is_prim(len) || is_flux(len),
+            "unclassified request of {len}"
+        );
+        kinds[k].0 += 1;
+        kinds[k].1 += len * 8;
+    }
+    (requests, kinds)
+}
 
 fn print_device_model() {
     println!("\n=== §III pool-allocator ablation (simulated device accounting) ===");
-    // One timestep allocates ~6 scratch buffers (primitives + slopes per
-    // sweep); run 50 steps through each arena and compare simulated time.
+    let (requests, [prims, fluxes]) = record_one_step();
+    println!(
+        "one sedov 48^3/24^3 step requests {} primitive buffers ({:.1} MB) and {} flux buffers ({:.1} MB)",
+        prims.0,
+        prims.1 as f64 / 1e6,
+        fluxes.0,
+        fluxes.1 as f64 / 1e6
+    );
+    // Replay the recorded step 50 times through each arena: a request that
+    // opened a group releases everything held before it.
     let steps = 50;
-    let buf = 70 * 70 * 70 * 9; // grown-box primitive scratch
     for (name, pool) in [("malloc-per-call", false), ("pool (caching)", true)] {
         let dev = SimDevice::new(DeviceConfig::v100());
         let arena: Box<dyn Arena> = if pool {
@@ -26,12 +95,16 @@ fn print_device_model() {
         } else {
             Box::new(MallocArena::new(Some(dev.clone())))
         };
+        let mut live = Vec::new();
         for _ in 0..steps {
-            for _ in 0..6 {
-                let b = arena.alloc(buf);
-                std::hint::black_box(&b);
+            for &(len, opens) in &requests {
+                if opens {
+                    live.clear();
+                }
+                live.push(arena.alloc(len));
             }
         }
+        drop(live);
         let s = dev.stats();
         println!(
             "{name:>16}: {:>5} device allocs, {:>5} frees, {:>10.0} µs of allocation stalls",

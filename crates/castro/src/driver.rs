@@ -3,11 +3,11 @@
 
 use crate::burn::{burn_state, BurnOptions, BurnStats};
 use crate::gravity::{Gravity, GravityField, GravityMode};
-use crate::hydro::{Hydro, SweepFluxes};
+use crate::hydro::{Hydro, MAX_NCOMP};
 use crate::state::{rho_vel_e, StateLayout};
 use exastro_amr::{
-    average_down, fill_patch_two_levels, BcSpec, CommTrace, FluxRegister, Geometry, Hierarchy,
-    IndexBox, IntVect, MultiFab, Real,
+    average_down, fill_patch_two_levels, Array4, BcSpec, CommTrace, FluxRegister, Geometry,
+    Hierarchy, IndexBox, IntVect, MultiFab, Real,
 };
 use exastro_microphysics::{BurnFailure, Composition, Eos, Network};
 use exastro_parallel::{par_each_mut, par_map_fold, Arena, ExecSpace, PoolArena};
@@ -312,7 +312,8 @@ impl<'a> Castro<'a> {
 
     /// Advance one level by `dt`: Strang burn half, hydro sweeps, gravity
     /// source, EOS sync, Strang burn half, post-step validation. Returns
-    /// step statistics and the hydro fluxes (for refluxing).
+    /// step statistics and the `dt` taken (always `dt`; the shape is
+    /// [`Castro::advance_level_safe`]'s, whose retries may cut it).
     ///
     /// On `Err` the state has been partially advanced and must be restored
     /// from a pre-step snapshot before continuing —
@@ -323,7 +324,20 @@ impl<'a> Castro<'a> {
         state: &mut MultiFab,
         geom: &Geometry,
         dt: Real,
-    ) -> Result<(StepStats, Vec<SweepFluxes>), StepError> {
+    ) -> Result<(StepStats, Real), StepError> {
+        let stats = self.advance_level_with_fluxes(state, geom, dt, &mut |_, _| {})?;
+        Ok((stats, dt))
+    }
+
+    /// [`Castro::advance_level`], lending each hydro sweep's face fluxes to
+    /// `on_fluxes` as `Hydro::advance_with_fluxes` does.
+    fn advance_level_with_fluxes(
+        &self,
+        state: &mut MultiFab,
+        geom: &Geometry,
+        dt: Real,
+        on_fluxes: &mut dyn FnMut(usize, &[Array4<'_>]),
+    ) -> Result<StepStats, StepError> {
         let _prof = Telemetry::region("castro_advance");
         let mut stats = StepStats::default();
         if let Some(burn_opts) = &self.burn {
@@ -341,9 +355,9 @@ impl<'a> Castro<'a> {
             .map_err(StepError::Burn)?;
             stats.burn = b;
         }
-        let fluxes = {
+        {
             let _r = Telemetry::region("hydro");
-            let (fluxes, comm) = self.hydro.advance(
+            let comm = self.hydro.advance_with_fluxes(
                 state,
                 dt,
                 geom,
@@ -353,10 +367,10 @@ impl<'a> Castro<'a> {
                 &self.bc,
                 &self.ex,
                 self.arena.as_ref(),
+                on_fluxes,
             );
             stats.comm.merge(&comm);
-            fluxes
-        };
+        }
         if self.gravity.mode != GravityMode::Off {
             let _r = Telemetry::region("gravity");
             let field: GravityField = self.gravity.solve(state, geom);
@@ -391,7 +405,7 @@ impl<'a> Castro<'a> {
         }
         stats.max_temp = state.max(StateLayout::TEMP);
         stats.max_dens = state.max(StateLayout::RHO);
-        Ok((stats, fluxes))
+        Ok(stats)
     }
 
     /// Advance one level **transactionally**: snapshot the state, attempt
@@ -421,7 +435,7 @@ impl<'a> Castro<'a> {
         for attempt in 0..attempts {
             let snapshot = state.clone();
             match self.advance_level(state, geom, try_dt) {
-                Ok((stats, _fluxes)) => {
+                Ok((stats, _)) => {
                     if let Some(t0) = step_start {
                         self.record_step_metrics(state, &stats, try_dt, t0, attempt);
                     }
@@ -528,64 +542,58 @@ impl<'a> Castro<'a> {
             );
         }
         drop(fill_prof);
-        // Advance each level, collecting fluxes.
-        let mut fluxes_per_level = Vec::new();
+        // One flux register per fine level, fed while the levels advance
+        // (no flux array outlives its sweep): level l's sweeps add their
+        // fluxes as the coarse side of level l + 1's register and the fine
+        // side of its own. Levels advance coarsest first, so a register sees
+        // all its coarse fluxes, sweep by sweep, before its fine ones.
+        let ncomp = self.layout.ncomp();
+        let mut registers: Vec<FluxRegister> = (1..hier.nlevels())
+            .map(|l| FluxRegister::new(&hier.level(l).ba, hier.level(l).ratio_to_coarser, ncomp))
+            .collect();
         for l in 0..hier.nlevels() {
             let geom = hier.level(l).geom.clone();
-            let (stats, fluxes) = self.advance_level(&mut states[l], &geom, dt)?;
+            // `registers[r]` belongs to fine level r + 1.
+            let (below, above) = registers.split_at_mut(l);
+            let (mut as_fine, mut as_coarse) = (below.last_mut(), above.first_mut());
+            let mut feed = |d: usize, fabs: &[Array4<'_>]| {
+                let _r = Telemetry::region("reflux");
+                for fab in fabs {
+                    for iv in fab.index_box().iter() {
+                        let coarse = as_coarse.as_deref_mut().filter(|fr| fr.is_interface(d, iv));
+                        if coarse.is_none() && as_fine.is_none() {
+                            continue;
+                        }
+                        let z = fab.zone(iv.x(), iv.y(), iv.z());
+                        let mut f = [0.0; MAX_NCOMP];
+                        for (c, fc) in f[..ncomp].iter_mut().enumerate() {
+                            *fc = fab.at_zone(z, c);
+                        }
+                        if let Some(fr) = coarse {
+                            fr.crse_add(d, iv, &f[..ncomp], 1.0);
+                        }
+                        // Fine fluxes are area-averaged onto their parent
+                        // coarse face (`fine_add` ignores non-interface
+                        // faces). Unit scale: a non-subcycled advance gives
+                        // both sides the same dt, and the reflux formula
+                        // applies dt/dx_coarse.
+                        if let Some(fr) = as_fine.as_deref_mut() {
+                            fr.fine_add(d, iv, &f[..ncomp], 1.0);
+                        }
+                    }
+                }
+            };
+            let stats = self.advance_level_with_fluxes(&mut states[l], &geom, dt, &mut feed)?;
             all_stats.push(stats);
-            fluxes_per_level.push(fluxes);
         }
         // Reflux coarse levels against their fine level.
         let _reflux_prof = Telemetry::region("reflux");
         for l in (1..hier.nlevels()).rev() {
             let ratio = hier.level(l).ratio_to_coarser;
-            let fine_ba = hier.level(l).ba.clone();
-            let mut fr = FluxRegister::new(&fine_ba, ratio, self.layout.ncomp());
-            let cgeom = &hier.level(l - 1).geom;
-            let fgeom = &hier.level(l).geom;
-            let cdx = cgeom.dx();
-            let fdx = fgeom.dx();
-            // Coarse fluxes on interface faces.
-            for sweep in &fluxes_per_level[l - 1] {
-                let d = sweep.dim;
-                for fab in &sweep.fabs {
-                    let fb = fab.index_box();
-                    for iv in fb.iter() {
-                        if fr.is_interface(d, iv) {
-                            let mut f = vec![0.0; self.layout.ncomp()];
-                            for (c, fc) in f.iter_mut().enumerate() {
-                                *fc = fab.get(iv, c);
-                            }
-                            fr.crse_add(d, iv, &f, 1.0);
-                        }
-                    }
-                }
-            }
-            // Fine fluxes, averaged onto coarse faces. Scale: the reflux
-            // formula uses dt/dx_coarse; fine flux contributions represent
-            // the same dt, so the area average (handled inside fine_add)
-            // with unit scale is correct for a non-subcycled advance.
-            for sweep in &fluxes_per_level[l] {
-                let d = sweep.dim;
-                for fab in &sweep.fabs {
-                    let fb = fab.index_box();
-                    for iv in fb.iter() {
-                        // Only faces on the coarse-fine interface matter;
-                        // fine_add maps to the parent coarse face and
-                        // ignores non-interface faces.
-                        let mut f = vec![0.0; self.layout.ncomp()];
-                        for (c, fc) in f.iter_mut().enumerate() {
-                            *fc = fab.get(iv, c);
-                        }
-                        fr.fine_add(d, iv, &f, 1.0);
-                    }
-                }
-            }
-            let _ = fdx;
-            fr.reflux(
+            let cdx = hier.level(l - 1).geom.dx();
+            registers[l - 1].reflux(
                 &mut states[l - 1],
-                &fine_ba,
+                &hier.level(l).ba,
                 [dt / cdx[0], dt / cdx[1], dt / cdx[2]],
             );
             // Average the fine solution down over the covered coarse zones.

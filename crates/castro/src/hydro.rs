@@ -14,12 +14,20 @@
 //!   memory footprint".)
 //!
 //! Both paths produce bitwise-identical fluxes (a test asserts this).
-//! The per-sweep scratch — primitives on each valid box grown by 2 *along
-//! the sweep* (a split sweep reads no transverse ghost), plus the legacy
-//! structure's slopes — is drawn from an [`Arena`], so the pool-allocator
-//! ablation measures exactly the allocation churn this module generates.
-//! The flux fabs are not scratch: [`Hydro::advance`] returns them for
-//! refluxing, so they are heap [`FArrayBox`]es, born zeroed.
+//!
+//! ## A sweep's scratch
+//!
+//! Every array a sweep needs besides the state is drawn from an [`Arena`]
+//! per box when the sweep starts and dropped when its last `update` has
+//! run: primitives on the valid box grown by 2 *along the sweep* (a split
+//! sweep reads no transverse ghost), the face fluxes on [`face_box`], and
+//! the legacy structure's slopes. Nothing outlives the sweep — refluxing
+//! reads the fluxes through a callback before they go (the crate-private
+//! `Hydro::advance_with_fluxes`) — so a warm step makes no large heap
+//! allocation and the pool-allocator ablation measures all of this
+//! module's churn. Arena buffers come back as their last user left them
+//! (NaN in debug builds): every kernel writes each slot it later reads,
+//! which is why `write_flux` writes the `TEMP` slot nothing reads.
 //!
 //! ## Zone cursors
 //!
@@ -68,10 +76,10 @@
 use crate::riemann::hllc;
 use crate::state::{cons_to_prim, Floors, Primitive, StateLayout};
 use exastro_amr::{
-    Array4Mut, BcSpec, CommTrace, FArrayBox, Geometry, HaloLoop, IndexBox, IntVect, MultiFab,
+    Array4, Array4Mut, BcSpec, CommTrace, Geometry, HaloLoop, IndexBox, IntVect, MultiFab,
 };
 use exastro_microphysics::{Eos, Species};
-use exastro_parallel::{par_map_fold, Arena, ExecSpace, KernelProfile, Real};
+use exastro_parallel::{par_map_fold, Arena, ExecSpace, KernelProfile, Real, ScratchBuf};
 
 /// Which loop structure the sweep kernels use (§III ablation).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -97,7 +105,7 @@ impl Q {
 }
 
 /// Size of the stack array a kernel stages one zone's conserved state in.
-const MAX_NCOMP: usize = StateLayout::FS + StateLayout::MAX_NSPEC;
+pub(crate) const MAX_NCOMP: usize = StateLayout::FS + StateLayout::MAX_NSPEC;
 
 /// Hydro options.
 #[derive(Clone, Debug)]
@@ -118,17 +126,6 @@ impl Default for Hydro {
             floors: Floors::default(),
         }
     }
-}
-
-/// Face fluxes of one sweep for one fab: `ncomp` conserved fluxes plus the
-/// face normal velocity (for the −p∇·u internal-energy source) as the last
-/// component.
-pub struct SweepFluxes {
-    /// One flux fab per state fab; face-indexed box (hi + 1 in the sweep
-    /// dimension).
-    pub fabs: Vec<FArrayBox>,
-    /// Sweep dimension.
-    pub dim: usize,
 }
 
 /// The full face box of `vb` along `dim`: every valid zone's low face plus
@@ -185,6 +182,18 @@ pub fn ghost_slabs(vb: IndexBox, dim: usize) -> [IndexBox; 2] {
     hlo[dim] = vb.hi()[dim] + 1;
     hhi[dim] = vb.hi()[dim] + 2;
     [lo_slab, IndexBox::new(hlo, hhi)]
+}
+
+/// Kernel views of per-box scratch buffers, one per region.
+fn scratch_views<'a>(
+    bufs: &'a mut [ScratchBuf],
+    regions: &[IndexBox],
+    ncomp: usize,
+) -> Vec<Array4Mut<'a>> {
+    let pairs = bufs.iter_mut().zip(regions);
+    pairs
+        .map(|(b, r)| Array4Mut::from_slice(b, *r, ncomp))
+        .collect()
 }
 
 /// Monotonized-central limited slope.
@@ -410,8 +419,7 @@ impl Hydro {
 
     /// A full hydro step: three directional sweeps, each one pass of
     /// [`HaloLoop`] over `state` (see the module docs for what each stage
-    /// runs). Returns per-dimension fluxes for refluxing and the step's
-    /// communication trace for the machine model.
+    /// runs). Returns the step's communication trace for the machine model.
     #[allow(clippy::too_many_arguments)]
     pub fn advance(
         &self,
@@ -424,14 +432,38 @@ impl Hydro {
         bc: &BcSpec,
         ex: &ExecSpace,
         arena: &dyn Arena,
-    ) -> (Vec<SweepFluxes>, CommTrace) {
+    ) -> CommTrace {
+        let no_reflux = &mut |_: usize, _: &[Array4<'_>]| {};
+        self.advance_with_fluxes(
+            state, dt, geom, layout, eos, species, bc, ex, arena, no_reflux,
+        )
+    }
+
+    /// [`Hydro::advance`], lending each sweep's face fluxes to
+    /// `on_fluxes(dim, fluxes)` after the sweep's updates and before its
+    /// scratch goes back to the arena: one view per state fab, on its
+    /// [`face_box`], holding the `ncomp` conserved fluxes plus the face
+    /// normal velocity as the last component.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn advance_with_fluxes(
+        &self,
+        state: &mut MultiFab,
+        dt: Real,
+        geom: &Geometry,
+        layout: &StateLayout,
+        eos: &dyn Eos,
+        species: &[Species],
+        bc: &BcSpec,
+        ex: &ExecSpace,
+        arena: &dyn Arena,
+        on_fluxes: &mut dyn FnMut(usize, &[Array4<'_>]),
+    ) -> CommTrace {
         assert!(state.ngrow() >= 2, "hydro needs two ghost zones");
         let nq = Q::ncomp(layout.nspec);
         let nflux = layout.ncomp() + 1; // + face normal velocity
         let profile = flux_kernel_profile(layout.nspec, self.structure);
         let staged = self.structure == KernelStructure::Legacy;
         let vbs: Vec<IndexBox> = (0..state.nfabs()).map(|i| state.valid_box(i)).collect();
-        let mut fluxes = Vec::with_capacity(3);
         let mut trace = CommTrace::default();
         for dim in 0..3 {
             // Plan before allocating the sweep's scratch (see `HaloLoop`).
@@ -440,7 +472,7 @@ impl Hydro {
             let dtdx = dt / geom.dx()[dim];
             // Primitives live on the valid box grown by 2 along the sweep
             // (stencil support); a split sweep reads no transverse ghost
-            // (see `ghost_slabs`), so none is allocated — or zero-filled.
+            // (see `ghost_slabs`), so none is allocated.
             let qregions: Vec<IndexBox> = vbs.iter().map(|vb| vb.grow_dir(dim, 2)).collect();
             // The legacy structure adds a slope array on the zones the
             // faces touch, vb ± 1 along the sweep.
@@ -449,25 +481,15 @@ impl Hydro {
             } else {
                 Vec::new()
             };
-            let alloc = |r: &IndexBox| arena.alloc(r.num_zones() as usize * nq);
-            let mut qbufs: Vec<_> = qregions.iter().map(alloc).collect();
-            let mut sbufs: Vec<_> = sregions.iter().map(alloc).collect();
-            let mut flux_fabs: Vec<FArrayBox> = vbs
-                .iter()
-                .map(|vb| FArrayBox::new(face_box(*vb, dim), nflux))
-                .collect();
+            let fregions: Vec<IndexBox> = vbs.iter().map(|vb| face_box(*vb, dim)).collect();
+            let alloc = |r: &IndexBox, n: usize| arena.alloc(r.num_zones() as usize * n);
+            let mut qbufs: Vec<_> = qregions.iter().map(|r| alloc(r, nq)).collect();
+            let mut sbufs: Vec<_> = sregions.iter().map(|r| alloc(r, nq)).collect();
+            let mut fbufs: Vec<_> = fregions.iter().map(|r| alloc(r, nflux)).collect();
             {
-                let qvs: Vec<Array4Mut<'_>> = qbufs
-                    .iter_mut()
-                    .zip(&qregions)
-                    .map(|(b, r)| Array4Mut::from_slice(b, *r, nq))
-                    .collect();
-                let slvs: Vec<Array4Mut<'_>> = sbufs
-                    .iter_mut()
-                    .zip(&sregions)
-                    .map(|(b, r)| Array4Mut::from_slice(b, *r, nq))
-                    .collect();
-                let fvs: Vec<Array4Mut<'_>> = flux_fabs.iter_mut().map(|f| f.array_mut()).collect();
+                let qvs = scratch_views(&mut qbufs, &qregions, nq);
+                let slvs = scratch_views(&mut sbufs, &sregions, nq);
+                let fvs = scratch_views(&mut fbufs, &fregions, nflux);
                 let primitives = |f: usize, sv: &Array4Mut<'_>, region: IndexBox| {
                     self.primitives_region(sv, region, layout, eos, species, ex, &qvs[f]);
                 };
@@ -504,7 +526,7 @@ impl Hydro {
                         }
                         if staged {
                             self.slopes_region(sregions[f], &qvs[f], &slvs[f], dim, ex, &profile);
-                            flux(f, face_box(vbs[f], dim));
+                            flux(f, fregions[f]);
                         } else {
                             for faces in band_faces(vbs[f], dim) {
                                 flux(f, faces);
@@ -519,12 +541,14 @@ impl Hydro {
                 );
                 trace.merge(&t);
             }
-            fluxes.push(SweepFluxes {
-                fabs: flux_fabs,
-                dim,
-            });
+            let fluxes: Vec<Array4<'_>> = fbufs
+                .iter()
+                .zip(&fregions)
+                .map(|(b, r)| Array4::from_slice(b, *r, nflux))
+                .collect();
+            on_fluxes(dim, &fluxes);
         }
-        (fluxes, trace)
+        trace
     }
 }
 
@@ -625,9 +649,9 @@ fn trace_one(
 }
 
 /// Solve the face Riemann problem and store the (un-rotated) conserved
-/// fluxes plus the face normal velocity at cursor `zf` of the flux fab. The
-/// `TEMP` slot is never written: a flux fab is born zeroed and nothing reads
-/// a temperature flux.
+/// fluxes plus the face normal velocity at cursor `zf` of the flux array.
+/// Nothing reads a temperature flux, but the slot is arena scratch and
+/// refluxing copies every conserved slot, so it is written, as 0.0.
 #[inline]
 fn write_flux(
     farr: &Array4Mut<'_>,
@@ -646,6 +670,7 @@ fn write_flux(
     farr.set_zone(zf, StateLayout::MX + (dim + 2) % 3, f.mom[2]);
     farr.set_zone(zf, StateLayout::EDEN, f.energy);
     farr.set_zone(zf, StateLayout::EINT, f.eint);
+    farr.set_zone(zf, StateLayout::TEMP, 0.0);
     let xs = if f.upwind_left { &ql.x } else { &qr.x };
     for s in 0..layout.nspec {
         farr.set_zone(zf, layout.spec(s), f.mass * xs[s]);
@@ -659,7 +684,16 @@ fn write_flux(
         qr.prim.rho
     };
     let vmax = ql.prim.vel[0].abs().max(qr.prim.vel[0].abs()) + ql.prim.cs.max(qr.prim.cs);
-    let uface = (f.mass / rho_up.max(1e-300)).clamp(-vmax, vmax);
+    // `clamp`'s arithmetic without its panic on a NaN bound: a non-finite
+    // face flows on to the step's validator instead of aborting the run.
+    let uface = f.mass / rho_up.max(1e-300);
+    let uface = if uface < -vmax {
+        -vmax
+    } else if uface > vmax {
+        vmax
+    } else {
+        uface
+    };
     farr.set_zone(zf, ncomp, uface);
 }
 
@@ -862,10 +896,59 @@ mod tests {
         state
     }
 
+    /// A step's fluxes: per sweep, per fab, every value of its flux array.
+    type StepFluxes = Vec<Vec<Vec<Real>>>;
+
+    /// Every value of `f`, component-major, zones in box order.
+    fn values(f: &Array4<'_>) -> Vec<Real> {
+        let mut out = Vec::new();
+        for c in 0..f.ncomp() {
+            out.extend(
+                f.index_box()
+                    .iter()
+                    .map(|iv| f.at(iv.x(), iv.y(), iv.z(), c)),
+            );
+        }
+        out
+    }
+
+    /// [`Hydro::advance_with_fluxes`], keeping a copy of what it lends.
+    #[allow(clippy::too_many_arguments)]
+    fn advance_keeping_fluxes(
+        hydro: &Hydro,
+        state: &mut MultiFab,
+        dt: Real,
+        geom: &Geometry,
+        layout: &StateLayout,
+        eos: &dyn Eos,
+        species: &[Species],
+        bc: &BcSpec,
+        arena: &dyn Arena,
+    ) -> (StepFluxes, CommTrace) {
+        let mut fluxes = StepFluxes::new();
+        let ex = ExecSpace::Serial;
+        let trace = hydro.advance_with_fluxes(
+            state,
+            dt,
+            geom,
+            layout,
+            eos,
+            species,
+            bc,
+            &ex,
+            arena,
+            &mut |dim, fabs| {
+                assert_eq!(dim, fluxes.len(), "sweeps are lent in order");
+                fluxes.push(fabs.iter().map(values).collect());
+            },
+        );
+        (fluxes, trace)
+    }
+
     /// The step with no graph and no face split: per sweep a one-shot fill
     /// of the footprint `ghosts(dim)`, then per box primitives on the whole
     /// footprint, every face's flux and the update, from the region kernels
-    /// `advance` uses.
+    /// `advance` uses, on zeroed heap scratch.
     #[allow(clippy::too_many_arguments)]
     fn whole_box_advance(
         hydro: &Hydro,
@@ -877,12 +960,13 @@ mod tests {
         species: &[Species],
         bc: &BcSpec,
         ghosts: impl Fn(usize) -> IntVect,
-    ) -> (Vec<SweepFluxes>, CommTrace) {
+    ) -> (StepFluxes, CommTrace) {
         let ex = ExecSpace::Serial;
         let nq = Q::ncomp(layout.nspec);
+        let nflux = layout.ncomp() + 1;
         let profile = flux_kernel_profile(layout.nspec, hydro.structure);
         let mut trace = CommTrace::default();
-        let mut fluxes = Vec::new();
+        let mut fluxes = StepFluxes::new();
         for dim in 0..3 {
             trace.merge(&state.fill_boundary_within(geom, ghosts(dim)));
             state.fill_physical_bc_within(geom, bc, ghosts(dim));
@@ -894,11 +978,11 @@ mod tests {
                 let (sr, fr) = (vb.grow_dir(dim, 1), face_box(vb, dim));
                 let mut qbuf = vec![0.0; qr.num_zones() as usize * nq];
                 let mut sbuf = vec![0.0; sr.num_zones() as usize * nq];
-                let mut flux = FArrayBox::new(fr, layout.ncomp() + 1);
+                let mut fbuf = vec![0.0; fr.num_zones() as usize * nflux];
                 let sarr = state.fab_mut(fi).array_mut();
                 let qarr = Array4Mut::from_slice(&mut qbuf, qr, nq);
                 let slarr = Array4Mut::from_slice(&mut sbuf, sr, nq);
-                let farr = flux.array_mut();
+                let farr = Array4Mut::from_slice(&mut fbuf, fr, nflux);
                 hydro.primitives_region(&sarr, qr, layout, eos, species, &ex, &qarr);
                 let slopes = (hydro.structure == KernelStructure::Legacy).then(|| {
                     hydro.slopes_region(sr, &qarr, &slarr, dim, &ex, &profile);
@@ -906,9 +990,9 @@ mod tests {
                 });
                 hydro.flux_region(fr, &qarr, slopes, &farr, dim, dtdx, layout, &ex, &profile);
                 hydro.update_region(vb, &farr, &qarr, &sarr, dim, dtdx, layout, &ex, &profile);
-                fabs.push(flux);
+                fabs.push(values(&Array4::from_slice(&fbuf, fr, nflux)));
             }
-            fluxes.push(SweepFluxes { fabs, dim });
+            fluxes.push(fabs);
         }
         (fluxes, trace)
     }
@@ -949,7 +1033,8 @@ mod tests {
                 for _ in 0..3 {
                     let ex = ExecSpace::Serial;
                     let dt = hydro.estimate_dt(&state, &layout, &eos, net.species(), &geom, &ex);
-                    let (fx, trace) = hydro.advance(
+                    let (fx, trace) = advance_keeping_fluxes(
+                        &hydro,
                         &mut state,
                         dt,
                         &geom,
@@ -957,7 +1042,6 @@ mod tests {
                         &eos,
                         net.species(),
                         &bc,
-                        &ex,
                         &arena,
                     );
                     let (rfx, rtrace) = whole_box_advance(
@@ -988,13 +1072,14 @@ mod tests {
                             < ftrace.network_bytes() + ftrace.local_bytes,
                         "{what}: the swept footprint moves fewer bytes"
                     );
-                    for ((f, rf), ff) in fx.iter().zip(&rfx).zip(&ffx) {
-                        for ((a, b), c) in f.fabs.iter().zip(&rf.fabs).zip(&ff.fabs) {
-                            assert!(same_bits(a.data(), b.data()), "{what}: flux {}", f.dim);
+                    assert_eq!((fx.len(), rfx.len(), ffx.len()), (3, 3, 3), "{what}");
+                    for (dim, ((f, rf), ff)) in fx.iter().zip(&rfx).zip(&ffx).enumerate() {
+                        assert_eq!(f.len(), state.nfabs(), "{what}: one flux array a fab");
+                        for ((a, b), c) in f.iter().zip(rf).zip(ff) {
+                            assert!(same_bits(a, b), "{what}: flux {dim}");
                             assert!(
-                                same_bits(a.data(), c.data()),
-                                "{what}: flux {} under the full footprint",
-                                f.dim
+                                same_bits(a, c),
+                                "{what}: flux {dim} under the full footprint"
                             );
                         }
                     }
@@ -1147,24 +1232,86 @@ mod tests {
                 &arena,
             );
         }
-        let s = arena.stats();
-        assert!(s.allocs >= 9, "3 steps × 3 sweeps of scratch: {}", s.allocs);
-        // After warm-up, allocations are pool hits.
-        assert!(
-            s.pool_hits >= s.allocs - 4,
-            "hits {} of {}",
-            s.pool_hits,
-            s.allocs
-        );
-        // Per sweep and box, the primitives of the valid box grown by 2
-        // along the sweep only: a split sweep reads no transverse ghost.
-        let nq = Q::ncomp(layout.nspec);
+        // Per sweep, the primitives of every box — its valid box grown by 2
+        // along the sweep only: a split sweep reads no transverse ghost —
+        // then the fluxes of every box, on its face box.
+        let (nq, nflux) = (Q::ncomp(layout.nspec), layout.ncomp() + 1);
+        let vbs: Vec<IndexBox> = (0..state.nfabs()).map(|f| state.valid_box(f)).collect();
         let one_step = (0..3).flat_map(|dim| {
-            let vbs = (0..state.nfabs()).map(|f| state.valid_box(f));
-            vbs.map(move |vb| nq * vb.grow_dir(dim, 2).num_zones() as usize)
+            let prims = vbs
+                .iter()
+                .map(move |vb| nq * vb.grow_dir(dim, 2).num_zones() as usize);
+            let fluxes = vbs
+                .iter()
+                .map(move |vb| nflux * face_box(*vb, dim).num_zones() as usize);
+            prims.chain(fluxes)
         });
         let expect: Vec<usize> = one_step.collect::<Vec<_>>().repeat(3);
         assert_eq!(*arena.lens.lock().unwrap(), expect);
+        // Only the first sweep of each size class misses: one 32×4×4 box's
+        // x-sweep primitives and fluxes share a class, its y and z
+        // primitives take a bigger one, and every later request recycles.
+        let s = arena.stats();
+        assert_eq!(s.allocs, expect.len() as u64);
+        assert_eq!(s.device_allocs, 3, "hits {} of {}", s.pool_hits, s.allocs);
+    }
+
+    /// The arena's debug poison at work: a read-before-write on recycled
+    /// scratch — planted here as an x sweep whose primitives forget each
+    /// box's high ghost slab — reads NaN, and the step's validator rejects
+    /// the state. The zero-fill the arena used to do would have fed the
+    /// bug plausible zeros.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_read_before_write_on_recycled_scratch_fails_validation() {
+        use crate::driver::{Castro, StateViolation, StepError};
+        use crate::sedov::{init_sedov, SedovParams};
+        let eos = GammaLaw::monatomic();
+        let net = CBurn2::new();
+        let geom = Geometry::cube(16, 1.0, false);
+        let mut castro = Castro::new(&eos, &net);
+        castro.hydro.floors = Floors::dimensionless();
+        let (hydro, layout) = (&castro.hydro, &castro.layout);
+        let ba = BoxArray::decompose(geom.domain(), 8, 4);
+        let mut state = MultiFab::local(ba, layout.ncomp(), 2);
+        init_sedov(&mut state, &geom, layout, &eos, &SedovParams::default());
+        let dt = castro.estimate_dt(&state, &geom);
+        // A good step leaves its scratch in the arena.
+        castro.advance_level(&mut state, &geom, dt).unwrap();
+        let hits = castro.arena.stats().pool_hits;
+        let (dim, ex) = (0, ExecSpace::Serial);
+        let (nq, nflux) = (Q::ncomp(layout.nspec), layout.ncomp() + 1);
+        let profile = flux_kernel_profile(layout.nspec, hydro.structure);
+        let dtdx = dt / geom.dx()[dim];
+        let ghosts = IntVect::dim_vec(dim) * 2;
+        let _ = state.fill_boundary_within(&geom, ghosts);
+        state.fill_physical_bc_within(&geom, &castro.bc, ghosts);
+        for fi in 0..state.nfabs() {
+            let vb = state.valid_box(fi);
+            let (qr, fr) = (vb.grow_dir(dim, 2), face_box(vb, dim));
+            let mut qbuf = castro.arena.alloc(qr.num_zones() as usize * nq);
+            let mut fbuf = castro.arena.alloc(fr.num_zones() as usize * nflux);
+            let sarr = state.fab_mut(fi).array_mut();
+            let qarr = Array4Mut::from_slice(&mut qbuf, qr, nq);
+            let farr = Array4Mut::from_slice(&mut fbuf, fr, nflux);
+            let [lo_slab, _forgotten] = ghost_slabs(vb, dim);
+            for region in [vb, lo_slab] {
+                hydro.primitives_region(&sarr, region, layout, &eos, net.species(), &ex, &qarr);
+            }
+            hydro.flux_region(fr, &qarr, None, &farr, dim, dtdx, layout, &ex, &profile);
+            hydro.update_region(vb, &farr, &qarr, &sarr, dim, dtdx, layout, &ex, &profile);
+        }
+        assert!(castro.arena.stats().pool_hits > hits, "recycled scratch");
+        let verdict = castro
+            .validate_state(&state, castro.recovery.species_tol)
+            .map_err(StepError::Invalid);
+        assert!(
+            matches!(
+                verdict,
+                Err(StepError::Invalid(StateViolation::NonFinite { .. }))
+            ),
+            "{verdict:?}"
+        );
     }
 
     /// `estimate_dt` as it was: fabs in a serial loop, zones by index.

@@ -39,7 +39,7 @@ pub use burn::{burn_cost_multifab, burn_state, hybrid_offload_estimate, BurnOpti
 pub use diagnostics::{critical_zone_width, detonation_stability, StabilityReport};
 pub use driver::{Castro, DriverError, StateViolation, StepError, StepStats};
 pub use gravity::{Gravity, GravityField, GravityMode};
-pub use hydro::{Hydro, KernelStructure, SweepFluxes};
+pub use hydro::{Hydro, KernelStructure};
 pub use restart::{restore_hierarchy, snapshot_hierarchy, snapshot_level, variable_names};
 pub use riemann::{hllc, FaceFlux};
 pub use sedov::{init_sedov, measure_shock_radius, sedov_shock_radius, sedov_xi0, SedovParams};

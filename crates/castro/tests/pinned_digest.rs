@@ -11,7 +11,10 @@
 //! second. When a change is *meant* to move the bits, re-record: run with
 //! `--nocapture` and copy the printed values.
 
-use exastro_amr::{BoxArray, CoordSys, Geometry, IndexBox, MultiFab};
+use exastro_amr::{
+    BoxArray, ClusterParams, CoordSys, DistStrategy, Geometry, Hierarchy, IndexBox, IntVect,
+    MultiFab,
+};
 use exastro_castro::{
     init_collision, init_sedov, Castro, CollisionParams, Floors, Gravity, GravityMode, SedovParams,
 };
@@ -111,6 +114,53 @@ fn wd_collision_16_after_2_steps() {
     assert_eq!(grown, COLLISION_DIGEST, "grown boxes: got {grown:#018x}");
 }
 
+#[test]
+fn sedov_two_level_hierarchy_after_3_steps() {
+    // The `two_level_amr_advance_conserves_mass` set-up: Sedov 32³ in 16³
+    // boxes with its centre refined by 2, advanced by `advance_hierarchy`
+    // (fill_patch, both levels' hydro, reflux, average_down).
+    let eos = GammaLaw::monatomic();
+    let net = CBurn2::new();
+    let mut castro = Castro::new(&eos, &net);
+    castro.hydro.cfl = 0.4;
+    castro.hydro.floors = Floors::dimensionless();
+    let geom = Geometry::cube(32, 1.0, false);
+    let mut hier = Hierarchy::single_level(geom, 16, 4, 1, DistStrategy::RoundRobin);
+    let tags: Vec<IntVect> = IndexBox::new(IntVect::splat(10), IntVect::splat(21))
+        .iter()
+        .collect();
+    let cluster = ClusterParams {
+        max_size: 32,
+        min_efficiency: 0.6,
+        blocking_factor: 4,
+    };
+    hier.regrid(0, &tags, 2, &cluster);
+    assert_eq!(hier.nlevels(), 2);
+    let mut states: Vec<MultiFab> = (0..2)
+        .map(|l| hier.make_multifab(l, castro.layout.ncomp(), 2))
+        .collect();
+    for (l, state) in states.iter_mut().enumerate() {
+        let g = &hier.level(l).geom;
+        init_sedov(state, g, &castro.layout, &eos, &SedovParams::default());
+    }
+    for _ in 0..3 {
+        let dt = castro
+            .estimate_dt(&states[1], &hier.level(1).geom)
+            .min(2e-3);
+        castro.advance_hierarchy(&hier, &mut states, dt).unwrap();
+    }
+    let got: Vec<(u64, u64)> = states
+        .iter()
+        .map(|s| (fnv_state(s), fnv_valid(s)))
+        .collect();
+    for (l, (grown, valid)) in got.iter().enumerate() {
+        println!(
+            "sedov two-level, level {l}, after 3 steps: grown {grown:#018x} valid {valid:#018x}"
+        );
+    }
+    assert_eq!(got, TWO_LEVEL_DIGESTS, "(grown, valid) per level");
+}
+
 /// Valid zones, recorded at the commit before the ghost exchange got its
 /// footprint and untouched by it: what a sweep computes does not depend on
 /// the ghosts it does not read.
@@ -126,3 +176,11 @@ const COLLISION_VALID_DIGEST: u64 = 0xec31_a956_0ec5_0801;
 /// keep whatever last wrote them. No kernel reads them.
 const SEDOV_DIGEST: u64 = 0x7dd5_e476_c8aa_7b59;
 const COLLISION_DIGEST: u64 = 0x4ee3_06a5_53a2_d7ed;
+
+/// `(grown, valid)` of levels 0 and 1 of the two-level run, recorded at the
+/// commit before refluxing was fed from inside the sweeps (when the levels'
+/// flux fabs were still returned and refluxed after both advances).
+const TWO_LEVEL_DIGESTS: [(u64, u64); 2] = [
+    (0xba17_f983_3b29_d5ca, 0x9d53_5e7c_4376_7f13),
+    (0xbfb7_3a6e_4c6e_fe6e, 0xb0ab_308c_29fd_c731),
+];

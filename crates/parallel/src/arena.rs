@@ -15,6 +15,13 @@
 //! * [`MallocArena`] — a fresh allocation every time (the "disastrous"
 //!   baseline), charging the simulated device allocation latency per call.
 //!
+//! A buffer's contents are **unspecified**: every caller writes a slot
+//! before it reads it. Memory the arena has never handed out is zero; a
+//! recycled [`PoolArena`] buffer comes back as its last user left it —
+//! nothing is re-zeroed, which is the point of recycling — except in debug
+//! builds, where it is filled with NaN so that a read-before-write turns
+//! into a non-finite result instead of a plausible zero.
+//!
 //! Byte accounting is canonical on the **size class**: an allocation of `len`
 //! elements is charged `size_class(len) * 8` bytes at alloc time, and exactly
 //! the same amount is credited on free/recycle. (`Vec::with_capacity` may
@@ -48,8 +55,9 @@ pub struct ArenaStats {
 
 /// A scratch-buffer allocator for `f64` workspaces.
 pub trait Arena: Send + Sync {
-    /// Allocate a zero-filled buffer of `len` elements. Dropping the buffer
-    /// returns it to the arena.
+    /// Allocate a buffer of `len` elements with unspecified contents (see
+    /// the module docs): the caller writes every slot before reading it.
+    /// Dropping the buffer returns it to the arena.
     fn alloc(&self, len: usize) -> ScratchBuf;
 
     /// Snapshot of allocation statistics.
@@ -67,6 +75,8 @@ enum Home {
 /// An owned scratch buffer of `f64` values. Dereferences to a slice of the
 /// requested length; returns itself to its arena when dropped.
 pub struct ScratchBuf {
+    /// At least `len` initialised values: a recycled block keeps the longest
+    /// prefix any user has had, so handing it out again writes nothing.
     data: Vec<f64>,
     len: usize,
     /// The size class this buffer was charged as — the single source of
@@ -223,6 +233,7 @@ impl Arena for PoolArena {
             .unwrap()
             .get_mut(&class)
             .and_then(Vec::pop);
+        let hit = recycled.is_some();
         let mut data = match recycled {
             Some(buf) => {
                 self.inner.hits.fetch_add(1, Ordering::Relaxed);
@@ -239,8 +250,14 @@ impl Arena for PoolArena {
                 Vec::with_capacity(class)
             }
         };
-        data.clear();
-        data.resize(len, 0.0);
+        // Only values no user has had yet are initialised (to zero); the
+        // rest of a recycled block is handed back as it was left.
+        if data.len() < len {
+            data.resize(len, 0.0);
+        }
+        if cfg!(debug_assertions) && hit {
+            data[..len].fill(f64::NAN);
+        }
         self.inner.bytes_live.fetch_add(bytes, Ordering::Relaxed);
         ScratchBuf {
             data,
@@ -347,17 +364,44 @@ mod tests {
     }
 
     #[test]
-    fn pool_hit_is_zeroed() {
+    fn fresh_buffers_are_zero() {
         let pool = PoolArena::new(None);
-        {
-            let mut a = pool.alloc(128);
-            a.iter_mut().for_each(|v| *v = 3.25);
+        let malloc = MallocArena::new(None);
+        for len in [1, 100, 5000] {
+            assert!(pool.alloc(len).iter().all(|&v| v == 0.0), "pool miss");
+            assert!(malloc.alloc(len).iter().all(|&v| v == 0.0), "malloc");
         }
-        let b = pool.alloc(128);
+        assert_eq!(pool.stats().pool_hits, 0, "every class missed once");
+    }
+
+    /// A recycled block that a longer request reuses: `dirty` wrote 100
+    /// values of a 128-value class, the next user asks for 120.
+    fn recycle_dirty(pool: &PoolArena) -> ScratchBuf {
+        {
+            let mut dirty = pool.alloc(100);
+            dirty.iter_mut().for_each(|v| *v = 3.25);
+        }
+        let b = pool.alloc(120);
+        assert_eq!(pool.stats().pool_hits, 1);
+        b
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_recycled_buffer_is_nan_in_debug_builds() {
+        let b = recycle_dirty(&PoolArena::new(None));
+        assert!(b.iter().all(|v| v.is_nan()), "poisoned: {:?}", &b[..4]);
+    }
+
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn a_recycled_buffer_is_not_rezeroed() {
+        let b = recycle_dirty(&PoolArena::new(None));
         assert!(
-            b.iter().all(|&v| v == 0.0),
-            "recycled buffer must be zeroed"
+            b[..100].iter().all(|&v| v == 3.25),
+            "as its last user left it"
         );
+        assert!(b[100..].iter().all(|&v| v == 0.0), "never handed out: zero");
     }
 
     #[test]
