@@ -16,6 +16,9 @@ echo "== pooled burn sweep == nested inline sweep (release) =="
 # The debug run above already covers it; optimised code takes other
 # schedules through the pool, and a sweep's bits must not follow them.
 cargo test -q --offline --release -p exastro-microphysics --test proptests pooled_sweep
+echo "== pool and task-graph proptests (release) =="
+# Likewise every index of a pool region must be claimed exactly once.
+cargo test -q --offline --release -p exastro-parallel --test proptests
 
 echo "== restart round-trip smoke =="
 # The survival demo kills itself mid-run three times, corrupts a

@@ -9,14 +9,16 @@
 //!
 //! This is the one module in the suite containing `unsafe` code.
 //! [`Array4Mut`] is the Rust analogue of AMReX's `Array4<Real>`: a raw view
-//! that can be written through a shared reference so that kernels launched by
-//! [`exastro_parallel::ExecSpace::par_for`] can mutate the fab from multiple
-//! threads. The safety contract is exactly the paper's programming model
-//! (§III): *every kernel must be embarrassingly parallel over zones* — for a
-//! given `par_for`, no two invocations of the closure may write the same
-//! `(i, j, k, component)` slot, and no invocation may read a slot that
-//! another writes. All bounds are checked with `debug_assert!` in debug
-//! builds.
+//! that can be written through a shared reference, so that a kernel launched
+//! by [`exastro_parallel::ExecSpace::par_for`] can mutate the fab from an
+//! `Fn + Sync` closure and pool tasks can touch disjoint parts of one fab at
+//! once (a [`crate::HaloLoop`] `unpack` task writes a fab's ghosts beside
+//! that fab's `interior` task). The safety contract is exactly the paper's
+//! programming model (§III): *every kernel must be embarrassingly parallel
+//! over zones* — for a given `par_for`, no two invocations of the closure
+//! may write the same `(i, j, k, component)` slot, and no invocation may
+//! read a slot that another writes. All bounds are checked with
+//! `debug_assert!` in debug builds.
 //!
 //! # Strides and zone cursors
 //!
@@ -518,7 +520,7 @@ impl<'a> Array4Mut<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exastro_parallel::{ExecSpace, TiledExec};
+    use exastro_parallel::par_index_each;
     use proptest::prelude::*;
 
     #[test]
@@ -582,13 +584,16 @@ mod tests {
         let bx = IndexBox::cube(16);
         let mut fab = FArrayBox::new(bx, 2);
         let arr = fab.array_mut();
-        let ex = ExecSpace::Tiled(TiledExec {
-            nthreads: 4,
-            tile_size: IntVect::new(8, 8, 4),
-        });
-        ex.par_for(bx, |i, j, k| {
-            arr.set(i, j, k, 0, (i + j + k) as Real);
-            arr.set(i, j, k, 1, (i * j * k) as Real);
+        // One k-plane a pool task, every task writing through the one
+        // shared view.
+        par_index_each(bx.size().z() as usize, usize::MAX, |k| {
+            let k = bx.lo().z() + k as i32;
+            for j in bx.lo().y()..=bx.hi().y() {
+                for i in bx.lo().x()..=bx.hi().x() {
+                    arr.set(i, j, k, 0, (i + j + k) as Real);
+                    arr.set(i, j, k, 1, (i * j * k) as Real);
+                }
+            }
         });
         for iv in bx.iter() {
             assert_eq!(fab.get(iv, 0), (iv.x() + iv.y() + iv.z()) as Real);

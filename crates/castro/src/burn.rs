@@ -61,6 +61,10 @@ impl BurnStats {
     }
 }
 
+/// Device register demand per burn thread; ~N² Jacobian entries for an
+/// N-species network easily exceeds the 255-register file (§IV-B).
+const REGISTERS_PER_THREAD: u32 = 320;
+
 /// Burning options.
 #[derive(Clone, Debug)]
 pub struct BurnOptions {
@@ -68,9 +72,6 @@ pub struct BurnOptions {
     pub min_temp: Real,
     /// Skip zones less dense than this.
     pub min_dens: Real,
-    /// Device register demand per burn thread; ~N² Jacobian entries for an
-    /// N-species network easily exceeds the 255-register file (§IV-B).
-    pub registers_per_thread: u32,
     /// Step budget for the direct burn path (`None` = integrator default).
     pub max_steps: Option<usize>,
     /// The failure-recovery ladder (see [`exastro_microphysics::recovery`]).
@@ -84,7 +85,6 @@ impl Default for BurnOptions {
         BurnOptions {
             min_temp: 5e7,
             min_dens: 1e3,
-            registers_per_thread: 320,
             max_steps: None,
             ladder: RetryLadder::default(),
             faults: None,
@@ -161,21 +161,18 @@ pub fn burn_state(
             fab.get(iv, StateLayout::EDEN) + rho * out.enuc,
         );
     }
-    // Charge the device once per fab-sized launch with a cost reflecting
-    // the mean per-zone work; the max/mean ratio is what breaks latency
-    // hiding (§VI), so the profile cost scales with the *maximum*.
-    if let Some(dev) = ex.device() {
-        let zones: i64 = (0..state.nfabs())
-            .map(|i| state.valid_box(i).num_zones())
-            .sum();
-        let mean = tally.total_steps.max(1) as f64 / tally.zones.max(1) as f64;
-        let imbalance = tally.max_steps.max(1) as f64 / mean;
-        // Warp-level serialization: effective cost per zone grows with the
-        // outlier ratio (bounded).
-        let cost = 5.0 * mean.max(1.0).log2().max(1.0) * imbalance.sqrt().min(32.0);
-        let us = dev.launch(zones, &KernelProfile::new(cost, opts.registers_per_thread));
-        exastro_telemetry::Telemetry::record_device_us(us);
-    }
+    // Charge the device once per sweep with a cost reflecting the mean
+    // per-zone work; the max/mean ratio is what breaks latency hiding (§VI),
+    // so the profile cost scales with the *maximum*.
+    let mean = tally.total_steps.max(1) as f64 / tally.zones.max(1) as f64;
+    let imbalance = tally.max_steps.max(1) as f64 / mean;
+    // Warp-level serialization: effective cost per zone grows with the
+    // outlier ratio (bounded).
+    let cost = 5.0 * mean.max(1.0).log2().max(1.0) * imbalance.sqrt().min(32.0);
+    ex.charge(
+        state.box_array().total_zones(),
+        &KernelProfile::new(cost, REGISTERS_PER_THREAD),
+    );
     if failures.is_empty() {
         Ok(BurnStats {
             zones: tally.zones,

@@ -164,7 +164,8 @@ pub struct Castro<'a> {
     pub burn: Option<BurnOptions>,
     /// Physical boundary conditions.
     pub bc: BcSpec,
-    /// Execution space for kernels.
+    /// What kernel launches are charged to: `Serial`, or a simulated device
+    /// as well. The answers are the same bits either way.
     pub ex: ExecSpace,
     /// Scratch arena.
     pub arena: Arc<dyn Arena>,

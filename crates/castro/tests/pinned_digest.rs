@@ -8,7 +8,9 @@
 //! Each run is pinned twice: a digest of every fab's grown box (ghosts
 //! included) and one of the valid zones alone, all components. A change to
 //! *which ghosts are refreshed* moves the first and must not move the
-//! second. When a change is *meant* to move the bits, re-record: run with
+//! second. The Sedov run is made twice, the second time with its launches
+//! charged to a simulated device, against the same constants. When a change
+//! is *meant* to move the bits, re-record: run with
 //! `--nocapture` and copy the printed values.
 
 use exastro_amr::{
@@ -19,6 +21,7 @@ use exastro_castro::{
     init_collision, init_sedov, Castro, CollisionParams, Floors, Gravity, GravityMode, SedovParams,
 };
 use exastro_microphysics::{CBurn2, GammaLaw, StellarEos};
+use exastro_parallel::{DeviceConfig, ExecSpace, SimDevice};
 
 /// FNV-1a over the little-endian bits of every value.
 fn fnv(values: impl Iterator<Item = f64>) -> u64 {
@@ -57,12 +60,25 @@ fn run(castro: &Castro, geom: &Geometry, state: &mut MultiFab, steps: usize) -> 
 
 #[test]
 fn sedov_16_in_8_cubes_after_4_steps() {
+    let (grown, valid) = sedov_16_in_8_cubes(ExecSpace::Serial);
+    println!("sedov 16^3/8^3 after 4 steps: grown {grown:#018x} valid {valid:#018x}");
+    assert_eq!(valid, SEDOV_VALID_DIGEST, "valid zones: got {valid:#018x}");
+    assert_eq!(grown, SEDOV_DIGEST, "grown boxes: got {grown:#018x}");
+    // A simulated device observes the launches; it must not move a bit.
+    let dev = SimDevice::new(DeviceConfig::v100());
+    let on_device = sedov_16_in_8_cubes(ExecSpace::Device(dev.clone()));
+    assert!(dev.stats().kernels > 0, "the device was never charged");
+    assert_eq!(on_device, (SEDOV_DIGEST, SEDOV_VALID_DIGEST), "on a device");
+}
+
+fn sedov_16_in_8_cubes(ex: ExecSpace) -> (u64, u64) {
     let eos = GammaLaw::monatomic();
     let net = CBurn2::new();
     let geom = Geometry::cube(16, 1.0, false);
     let mut castro = Castro::new(&eos, &net);
     castro.hydro.cfl = 0.4;
     castro.hydro.floors = Floors::dimensionless();
+    castro.ex = ex;
     let ba = BoxArray::decompose(geom.domain(), 8, 4);
     let mut state = MultiFab::local(ba, castro.layout.ncomp(), 2);
     assert_eq!(state.nfabs(), 8);
@@ -73,10 +89,7 @@ fn sedov_16_in_8_cubes_after_4_steps() {
         &eos,
         &SedovParams::default(),
     );
-    let (grown, valid) = run(&castro, &geom, &mut state, 4);
-    println!("sedov 16^3/8^3 after 4 steps: grown {grown:#018x} valid {valid:#018x}");
-    assert_eq!(valid, SEDOV_VALID_DIGEST, "valid zones: got {valid:#018x}");
-    assert_eq!(grown, SEDOV_DIGEST, "grown boxes: got {grown:#018x}");
+    run(&castro, &geom, &mut state, 4)
 }
 
 #[test]

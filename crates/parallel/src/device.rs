@@ -2,10 +2,11 @@
 //! Summit.
 //!
 //! Physics kernels always execute for real on the host — the *answers* are
-//! real — but when they are launched through
-//! [`crate::exec::ExecSpace::Device`] the device also charges a calibrated
-//! analytic cost to a set of per-stream clocks. The cost model captures the
-//! performance phenomena the paper reports:
+//! real. The device observes launches instead of running them: a launch on
+//! an [`crate::exec::ExecSpace::Device`] space is charged, through
+//! [`crate::exec::ExecSpace::charge`], a calibrated analytic cost on a set of
+//! per-stream clocks. The cost model captures the performance phenomena the
+//! paper reports:
 //!
 //! * **kernel launch latency** — small boxes are dominated by launch overhead;
 //! * **latency hiding / occupancy** — throughput ramps up with the number of
@@ -311,21 +312,6 @@ impl SimDevice {
         self.state.lock().unwrap().stats
     }
 
-    /// Reset the clocks and counters (resident memory is kept: data stays on
-    /// the device between steps, per the paper's memory strategy).
-    pub fn reset_clocks(&self) {
-        let mut st = self.state.lock().unwrap();
-        for c in st.stream_clock.iter_mut() {
-            *c = 0.0;
-        }
-        let resident = st.stats.bytes_resident;
-        st.stats = DeviceStats {
-            bytes_resident: resident,
-            bytes_peak: resident,
-            ..DeviceStats::default()
-        };
-    }
-
     /// True if the resident set exceeds device memory.
     pub fn oversubscribed(&self) -> bool {
         self.state.lock().unwrap().stats.bytes_resident > self.config.memory_bytes
@@ -414,16 +400,5 @@ mod tests {
         assert_eq!(st.d2h_copies, 1);
         assert_eq!(st.d2h_bytes, bytes);
         assert!((st.d2h_us - t).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reset_keeps_resident_memory() {
-        let d = dev();
-        d.malloc(4096);
-        d.launch(10, &KernelProfile::default());
-        d.reset_clocks();
-        assert_eq!(d.stats().kernels, 0);
-        assert_eq!(d.stats().bytes_resident, 4096);
-        assert_eq!(d.elapsed_us(), 0.0);
     }
 }

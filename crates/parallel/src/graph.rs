@@ -210,8 +210,7 @@ impl TaskGraph {
     /// its dependents' pending counts and wakes waiters as new tasks become
     /// ready. Interior tasks therefore run while "halo" tasks are still
     /// pending — the overlap the drivers build on. A caller-computed cap of
-    /// 0 is clamped to 1 (serial), matching
-    /// [`crate::pool::par_each_mut_bounded`].
+    /// 0 is clamped to 1: the graph still runs, serially.
     ///
     /// Tasks run unnamed (`task<N>`, class `Other`); drivers that want
     /// per-task spans, dependency flow arrows, and an overlap ledger use

@@ -8,16 +8,16 @@
 //!
 //! * [`index`] — `IntVect` / `IndexBox` index-space primitives that every
 //!   physics loop iterates over;
-//! * [`exec`] — the `parallel_for` abstraction: one closure body, three
-//!   execution spaces (serial, coarse-grained tiled threads, per-zone
-//!   simulated device);
+//! * [`exec`] — the `parallel_for` layer: one closure body run over a box by
+//!   one serial per-zone loop; an [`ExecSpace`] says whether a launch is
+//!   also charged to a simulated device;
 //! * [`device`] — the simulated accelerator with a calibrated cost model
 //!   (launch latency, occupancy, register spilling, allocation latency,
 //!   memory oversubscription);
 //! * [`arena`] — the caching pool allocator and its malloc-per-call baseline;
-//! * [`pool`] — the persistent worker-thread pool behind the tiled backend:
-//!   threads are spawned once per process and parallel regions are a pointer
-//!   handoff plus a condvar wake, not a thread spawn;
+//! * [`pool`] — the persistent worker-thread pool, the one executor: threads
+//!   are spawned once per process and parallel regions are a pointer handoff
+//!   plus a condvar wake, not a thread spawn;
 //! * [`graph`] — the dependency-graph task scheduler over the pool: boxes
 //!   become tasks, ghost exchanges become edges, interior kernels run while
 //!   halos are in flight (the overlap behind the two-phase comm API).
@@ -28,11 +28,10 @@
 //! open region, and a [`pool`] worker adopts its submitter's region context
 //! for the duration of a job.
 //!
-//! Since no real GPU is available in this reproduction, kernels launched on
-//! the device space execute on the host — producing bit-identical physics —
-//! while the device is charged a modelled execution time used by the
-//! `exastro-machine` cluster simulator to regenerate the paper's scaling
-//! figures.
+//! Since no real GPU is available in this reproduction, every kernel runs on
+//! the host — the physics is the same bits on either space — and a device
+//! space is charged a modelled execution time used by the `exastro-machine`
+//! cluster simulator to regenerate the paper's scaling figures.
 
 // `deny` rather than `forbid`: the worker pool's dispatch core is the one
 // audited module allowed to opt back in (see crates/parallel/src/pool.rs for
@@ -49,17 +48,14 @@ pub mod pool;
 
 pub use arena::{Arena, ArenaStats, MallocArena, PoolArena, ScratchBuf};
 pub use device::{DeviceConfig, DeviceStats, KernelProfile, SimDevice};
-pub use exec::{tiles_of, ExecSpace, TiledExec};
+pub use exec::ExecSpace;
 pub use graph::{GraphError, GraphRunStats, TaskGraph};
 // The region API and the types `TaskGraph::run_labeled` takes, so region
 // sites and graph builders need no dependency of their own on the
 // telemetry crate.
 pub use exastro_telemetry::{TaskClass, TaskLabel, Telemetry};
 pub use index::{IndexBox, IntVect, SPACEDIM};
-pub use pool::{
-    par_each_mut, par_each_mut_bounded, par_index_each, par_map_fold, try_par_for, PoolStats,
-    Tasks, WorkerPool,
-};
+pub use pool::{par_each_mut, par_index_each, par_map_fold, PoolStats, Tasks, WorkerPool};
 
 /// The floating-point type used throughout the suite.
 pub type Real = f64;

@@ -1,13 +1,13 @@
-//! The persistent worker-pool runtime.
+//! The persistent worker-pool runtime: the suite's one executor.
 //!
-//! Before this module existed, [`crate::exec::ExecSpace::Tiled`] spawned and
-//! joined fresh OS threads inside *every* `par_for`/`reduce` call. A thread
-//! spawn costs tens of microseconds to milliseconds; a small-box kernel costs
-//! microseconds — so the box-size sweeps behind Figures 2–3 of the paper were
-//! dominated by thread churn instead of the execution model under study.
-//! AMReX (like OpenMP) answers with a *persistent thread team*: workers are
-//! spawned once, sleep on a condition variable between parallel regions, and
-//! a region is a pointer handoff plus a wake, not a spawn.
+//! Box-level parallelism runs here: the task graph's box tasks (`amr::HaloLoop`
+//! sweeps), ghost exchanges and burn sweeps are all regions on the
+//! process-wide pool, and a kernel inside a task is the serial per-zone loop
+//! of [`crate::exec`]. A thread spawn costs tens of microseconds to
+//! milliseconds; a small-box task costs microseconds — so, like AMReX and
+//! OpenMP, the runtime is a *persistent thread team*: workers are spawned
+//! once, sleep on a condition variable between parallel regions, and a
+//! region is a pointer handoff plus a wake, not a spawn.
 //!
 //! ## Protocol
 //!
@@ -39,7 +39,7 @@ pub struct PoolStats {
     /// Resident worker threads (excluding callers).
     pub threads: usize,
     /// OS threads ever spawned by the pool. After warm-up this must not
-    /// grow — the property the per-call-scope backend could not offer.
+    /// grow.
     pub threads_spawned: u64,
     /// Parallel regions requested through [`WorkerPool::run`].
     pub regions: u64,
@@ -150,7 +150,7 @@ thread_local! {
     static IN_POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// A persistent team of worker threads executing tiled parallel regions.
+/// A persistent team of worker threads executing parallel regions.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     nworkers: usize,
@@ -397,7 +397,7 @@ pub fn par_each_mut<T: Send, F: Fn(usize, &mut T) + Sync>(items: &mut [T], f: F)
 /// scheduler pass *computed* caps (ready-set widths, buffer counts) that can
 /// legitimately reach zero, and "no parallelism" must still mean "every
 /// element is processed".
-pub fn par_each_mut_bounded<T: Send, F: Fn(usize, &mut T) + Sync>(
+pub(crate) fn par_each_mut_bounded<T: Send, F: Fn(usize, &mut T) + Sync>(
     pool: &WorkerPool,
     items: &mut [T],
     max_threads: usize,
@@ -417,37 +417,6 @@ pub fn par_each_mut_bounded<T: Send, F: Fn(usize, &mut T) + Sync>(
             f(i, item);
         }
     });
-}
-
-/// Fallible parallel-for: run `f(i)` for every `i in 0..n` on the global
-/// pool and collect the failures instead of unwinding the team. Every task
-/// runs regardless of other tasks' errors (a burn sweep wants the complete
-/// set of hard zones, not just the first), and the error list is sorted by
-/// index so the result is deterministic under any scheduling.
-pub fn try_par_for<E, F>(n: usize, max_threads: usize, f: F) -> Result<(), Vec<(usize, E)>>
-where
-    E: Send,
-    F: Fn(usize) -> Result<(), E> + Sync,
-{
-    let errors: Mutex<Vec<(usize, E)>> = Mutex::new(Vec::new());
-    WorkerPool::global().run(n, max_threads, &|tasks: Tasks<'_>| {
-        let mut local: Vec<(usize, E)> = Vec::new();
-        while let Some(i) = tasks.next_task() {
-            if let Err(e) = f(i) {
-                local.push((i, e));
-            }
-        }
-        if !local.is_empty() {
-            errors.lock().unwrap().append(&mut local);
-        }
-    });
-    let mut errs = errors.into_inner().unwrap();
-    if errs.is_empty() {
-        Ok(())
-    } else {
-        errs.sort_by_key(|(i, _)| *i);
-        Err(errs)
-    }
 }
 
 /// Fill `out[i] = f(i)` in parallel, then fold the results **in index
@@ -595,32 +564,6 @@ mod tests {
                 .expect("payload must still be the original message");
             assert_eq!(msg, "zone 13 failed: SingularMatrix");
         }
-    }
-
-    #[test]
-    fn try_par_for_collects_all_errors_in_order() {
-        let res: Result<(), Vec<(usize, String)>> = try_par_for(100, usize::MAX, |i| {
-            if i % 10 == 3 {
-                Err(format!("zone {i} is hard"))
-            } else {
-                Ok(())
-            }
-        });
-        let errs = res.unwrap_err();
-        let idx: Vec<usize> = errs.iter().map(|(i, _)| *i).collect();
-        assert_eq!(idx, vec![3, 13, 23, 33, 43, 53, 63, 73, 83, 93]);
-        assert_eq!(errs[1].1, "zone 13 is hard");
-    }
-
-    #[test]
-    fn try_par_for_ok_when_all_tasks_succeed() {
-        let hits = AtomicUsize::new(0);
-        let res: Result<(), Vec<(usize, ())>> = try_par_for(257, usize::MAX, |_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-            Ok(())
-        });
-        assert!(res.is_ok());
-        assert_eq!(hits.load(Ordering::Relaxed), 257);
     }
 
     #[test]

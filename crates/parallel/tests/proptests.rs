@@ -1,9 +1,7 @@
-//! Property-based tests for the index algebra, execution spaces, and
-//! arenas.
+//! Property-based tests for the index algebra, the worker pool, the task
+//! graph, and arenas.
 
-use exastro_parallel::{
-    tiles_of, Arena, ExecSpace, IndexBox, IntVect, MallocArena, PoolArena, TiledExec,
-};
+use exastro_parallel::{Arena, IndexBox, IntVect, MallocArena, PoolArena, Tasks, WorkerPool};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -78,31 +76,6 @@ proptest! {
     }
 
     #[test]
-    fn tiles_partition_any_box(bx in arb_box(), t in arb_intvect(1..8)) {
-        let tiles = tiles_of(bx, t);
-        let total: i64 = tiles.iter().map(|x| x.num_zones()).sum();
-        prop_assert_eq!(total, bx.num_zones());
-        for (i, a) in tiles.iter().enumerate() {
-            prop_assert!(bx.contains_box(a));
-            for b in &tiles[i + 1..] {
-                prop_assert!(!a.intersects(b));
-            }
-        }
-    }
-
-    #[test]
-    fn reductions_match_serial_reference(bx in arb_box(), nthreads in 1usize..5) {
-        let f = |i: i32, j: i32, k: i32| (i * 3 - j + 7 * k) as f64;
-        let serial = ExecSpace::Serial.par_reduce_sum(bx, f);
-        let tiled = ExecSpace::Tiled(TiledExec {
-            nthreads,
-            tile_size: IntVect::new(4, 4, 4),
-        })
-        .par_reduce_sum(bx, f);
-        prop_assert!((serial - tiled).abs() < 1e-9 * serial.abs().max(1.0));
-    }
-
-    #[test]
     fn pool_allocations_never_alias(sizes in prop::collection::vec(1usize..4096, 1..20)) {
         let pool = PoolArena::new(None);
         let mut bufs = Vec::new();
@@ -165,70 +138,18 @@ proptest! {
         prop_assert_eq!(s.pool_hits, rounds as u64 - 1);
     }
 
-    // ------ adversarial shapes through the persistent worker pool ------
-
     #[test]
-    fn tiled_pool_visits_every_zone_once_adversarial(
-        lo in arb_intvect(-9..2),
-        size in arb_intvect(1..13),
-        tile in arb_intvect(1..15),     // often larger than the box extent
-        nthreads in 1usize..32,         // often more threads than tiles
+    fn pool_claims_every_index_exactly_once(
+        n in 0usize..300,   // 0 and 1 take the inline path
+        cap in 1usize..32,  // often more participants than workers or tasks
     ) {
-        let bx = IndexBox::new(lo, lo + size - IntVect::unit());
-        let ex = ExecSpace::Tiled(TiledExec { nthreads, tile_size: tile });
-        let n = bx.num_zones() as usize;
         let counts: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        ex.par_for(bx, |i, j, k| {
-            let li = bx.linear_index(IntVect::new(i, j, k));
-            counts[li].fetch_add(1, Ordering::Relaxed);
-        });
-        for c in &counts {
-            prop_assert_eq!(c.load(Ordering::Relaxed), 1);
-        }
-    }
-
-    #[test]
-    fn one_zone_tiles_still_cover(
-        lo in arb_intvect(-6..0),
-        size in arb_intvect(1..9),
-        nthreads in 1usize..17,
-    ) {
-        // Degenerate 1-zone tiles: one task per zone, maximal contention on
-        // the task counter.
-        let bx = IndexBox::new(lo, lo + size - IntVect::unit());
-        let ex = ExecSpace::Tiled(TiledExec {
-            nthreads,
-            tile_size: IntVect::new(1, 1, 1),
-        });
-        let n = bx.num_zones() as usize;
-        let counts: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        ex.par_for(bx, |i, j, k| {
-            let li = bx.linear_index(IntVect::new(i, j, k));
-            counts[li].fetch_add(1, Ordering::Relaxed);
+        WorkerPool::global().run(n, cap, &|tasks: Tasks<'_>| {
+            while let Some(i) = tasks.next_task() {
+                counts[i].fetch_add(1, Ordering::Relaxed);
+            }
         });
         prop_assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn tiled_minmax_reductions_are_bitwise_serial(
-        lo in arb_intvect(-8..3),
-        size in arb_intvect(1..11),
-        tile in arb_intvect(1..6),
-        nthreads in 2usize..9,
-    ) {
-        // max/min are associative and commutative over f64 (no rounding), so
-        // the pooled tiled backend must agree with Serial bit for bit.
-        let bx = IndexBox::new(lo, lo + size - IntVect::unit());
-        let f = |i: i32, j: i32, k: i32| ((i * 37 + j * 11 - k * 5) as f64).sin();
-        let ex = ExecSpace::Tiled(TiledExec { nthreads, tile_size: tile });
-        let smax = ExecSpace::Serial.par_reduce_max(bx, f);
-        let smin = ExecSpace::Serial.par_reduce_min(bx, f);
-        prop_assert_eq!(ex.par_reduce_max(bx, f).to_bits(), smax.to_bits());
-        prop_assert_eq!(ex.par_reduce_min(bx, f).to_bits(), smin.to_bits());
-        // And the sum is deterministic across repeated pooled runs.
-        let s1 = ex.par_reduce_sum(bx, f);
-        let s2 = ex.par_reduce_sum(bx, f);
-        prop_assert_eq!(s1.to_bits(), s2.to_bits());
     }
 }
 

@@ -8,7 +8,7 @@
 //! ```
 
 use exastro::amr::{BoxArray, DistStrategy, DistributionMapping, IndexBox, IntVect};
-use exastro::parallel::{tiles_of, DeviceConfig, SimDevice};
+use exastro::parallel::{DeviceConfig, SimDevice};
 
 fn main() {
     let domain = IndexBox::cube(128);
@@ -29,15 +29,14 @@ fn main() {
     }
     println!("   load imbalance (max/mean): {:.3}\n", dm.imbalance(&ba));
 
-    // (Centre panel) Coarse-grained OpenMP: each thread takes a tile.
+    // (Centre panel) Coarse-grained OpenMP: each thread takes a tile of the
+    // box's x extent by 16 × 16, counted by ceiling division per dimension.
     let one_box = ba.get(0);
-    let tiles = tiles_of(one_box, IntVect::new(1 << 20, 16, 16));
-    println!(
-        "-- OpenMP tiling of one {:?} box: {} tiles of ≤{} zones each",
-        one_box.size(),
-        tiles.len(),
-        tiles.iter().map(|t| t.num_zones()).max().unwrap()
-    );
+    let size = one_box.size();
+    let tile = IntVect::new(size.x(), 16, 16);
+    let ntiles: i32 = (0..3).map(|d| (size[d] + tile[d] - 1) / tile[d]).product();
+    let tile_zones: i64 = (0..3).map(|d| tile[d].min(size[d]) as i64).product();
+    println!("-- OpenMP tiling of one {size:?} box: {ntiles} tiles of ≤{tile_zones} zones each");
     println!("   (a tile spans the whole box in x to keep stride-1 inner loops)\n");
 
     // (Right panel) On a GPU every zone is one thread: lo == hi per thread.

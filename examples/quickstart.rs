@@ -84,8 +84,9 @@ fn main() {
         ..Default::default()
     };
     castro.bc = BcSpec::outflow();
-    // Run the kernels on a simulated V100 so the end-of-run region report
-    // shows charged device time per region, and switch on the optional
+    // Charge every kernel launch to a simulated V100 (the kernels still run
+    // on the host, to the same bits) so the end-of-run region report shows
+    // modelled device time per region, and switch on the optional
     // physics (monopole gravity, reactions) so their regions appear too.
     // The burn thresholds are zeroed because this setup is dimensionless;
     // the cold gas burns at negligible rates but still exercises the
