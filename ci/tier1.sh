@@ -16,6 +16,12 @@ echo "== pooled burn sweep == nested inline sweep (release) =="
 # The debug run above already covers it; optimised code takes other
 # schedules through the pool, and a sweep's bits must not follow them.
 cargo test -q --offline --release -p exastro-microphysics --test proptests pooled_sweep
+echo "== Castro bit pins and the lane-kernel oracle (release) =="
+# The hydro row kernels take four zones of a row at a time, and only an
+# optimised build packs those lanes into vector registers: the pins and the
+# per-face oracle must hold there too, not only in the debug run above.
+cargo test -q --offline --release -p exastro-castro --test pinned_digest
+cargo test -q --offline --release -p exastro-castro --lib row_kernels_match_the_per_face_oracle
 echo "== pool and task-graph proptests (release) =="
 # Likewise every index of a pool region must be claimed exactly once.
 cargo test -q --offline --release -p exastro-parallel --test proptests

@@ -35,7 +35,7 @@
 //! neighbour's indices. The cursor changes no part of the contract above:
 //! a cursor access *is* the `(i, j, k, c)` access it was resolved from.
 
-use exastro_parallel::{IndexBox, IntVect, Real};
+use exastro_parallel::{IndexBox, IntVect, Real, LANES};
 use std::marker::PhantomData;
 
 /// A box and its index arithmetic, computed once: component `c` of zone
@@ -347,6 +347,20 @@ impl<'a> Array4<'a> {
         self.at_zone(self.zone(i, j, k), c)
     }
 
+    /// Component `c` of the [`LANES`] zones along x from cursor `z`, of
+    /// which the first `live` are read: a lane past them repeats the last
+    /// live zone (a clamped load), so a row's last, partial lane chunk reads
+    /// only zones of its row.
+    #[inline]
+    pub fn at_lanes(&self, z: usize, live: usize, c: usize) -> [Real; LANES] {
+        debug_assert!((1..=LANES).contains(&live));
+        let mut out = [0.0; LANES];
+        for (l, o) in out.iter_mut().enumerate() {
+            *o = self.at_zone(z + l.min(live - 1), c);
+        }
+        out
+    }
+
     /// Copy component `c` of every zone of `region`, `x` fastest, into
     /// `out`.
     pub(crate) fn read_box(&self, region: IndexBox, c: usize, out: &mut [Real]) {
@@ -455,6 +469,28 @@ impl<'a> Array4Mut<'a> {
     #[inline]
     pub fn add_zone(&self, z: usize, c: usize, v: Real) {
         self.set_zone(z, c, self.at_zone(z, c) + v);
+    }
+
+    /// [`Array4::at_lanes`]: component `c` of the [`LANES`] zones along x
+    /// from cursor `z`, loads clamped to the first `live`.
+    #[inline]
+    pub fn at_lanes(&self, z: usize, live: usize, c: usize) -> [Real; LANES] {
+        debug_assert!((1..=LANES).contains(&live));
+        let mut out = [0.0; LANES];
+        for (l, o) in out.iter_mut().enumerate() {
+            *o = self.at_zone(z + l.min(live - 1), c);
+        }
+        out
+    }
+
+    /// Write the first `live` lanes of `v` to component `c` of the zones
+    /// along x from cursor `z` (a masked store: the other lanes are dropped).
+    #[inline]
+    pub fn set_lanes(&self, z: usize, live: usize, c: usize, v: [Real; LANES]) {
+        debug_assert!(live <= LANES);
+        for (l, v) in v.into_iter().enumerate().take(live) {
+            self.set_zone(z + l, c, v);
+        }
     }
 
     /// Read the value at `(i, j, k)` component `c`.

@@ -4,13 +4,15 @@
 use crate::burn::{burn_state, BurnOptions, BurnStats};
 use crate::gravity::{Gravity, GravityField, GravityMode};
 use crate::hydro::{Hydro, MAX_NCOMP};
-use crate::state::{rho_vel_e, StateLayout};
+use crate::state::{lanes, rho_vel_e, StateLayout};
 use exastro_amr::{
-    average_down, fill_patch_two_levels, Array4, BcSpec, CommTrace, FluxRegister, Geometry,
-    Hierarchy, IndexBox, IntVect, MultiFab, Real,
+    average_down, fill_patch_two_levels, for_each_row, Array4, BcSpec, CommTrace, FluxRegister,
+    Geometry, Hierarchy, IndexBox, IntVect, MultiFab, Real,
 };
 use exastro_microphysics::{BurnFailure, Composition, Eos, Network};
-use exastro_parallel::{par_each_mut, par_map_fold, Arena, ExecSpace, PoolArena};
+use exastro_parallel::{
+    lane_chunks, par_each_mut, par_map_fold, Arena, ExecSpace, PoolArena, LANES,
+};
 use exastro_resilience::recovery::{write_emergency, RecoveryOptions};
 use exastro_resilience::snapshot::{Clock, Snapshot};
 use exastro_resilience::stepper::{StepFailure, StepOutcome, Stepper};
@@ -212,7 +214,8 @@ impl<'a> Castro<'a> {
 
     /// Recompute temperature and re-sync the advected internal energy from
     /// the conservative total energy (post-hydro EOS sync): one EOS solve
-    /// per zone, seeded with the zone's previous temperature, fabs spread
+    /// per zone, seeded with the zone's previous temperature, [`LANES`]
+    /// zones of an x-row to an [`Eos::t_from_e_lanes`] call, fabs spread
     /// over the worker pool.
     pub fn sync_temperature(&self, state: &mut MultiFab) {
         let layout = self.layout;
@@ -222,43 +225,67 @@ impl<'a> Castro<'a> {
         let nspec = layout.nspec;
         let vbs: Vec<IndexBox> = (0..state.nfabs()).map(|i| state.valid_box(i)).collect();
         par_each_mut(&mut state.fab_views_mut(), |fi, arr| {
-            for iv in vbs[fi].iter() {
-                let z = arr.zone(iv.x(), iv.y(), iv.z());
-                let (rho, _, e) = rho_vel_e(
-                    arr.at_zone(z, StateLayout::RHO),
-                    [
-                        arr.at_zone(z, StateLayout::MX),
-                        arr.at_zone(z, StateLayout::MY),
-                        arr.at_zone(z, StateLayout::MZ),
-                    ],
-                    arr.at_zone(z, StateLayout::EDEN),
-                    arr.at_zone(z, StateLayout::EINT),
-                    &floors,
+            for_each_row(vbs[fi], |start, len| {
+                let z0 = arr.zone(start.x(), start.y(), start.z());
+                lane_chunks(
+                    0,
+                    len as i32 - 1,
+                    #[inline(always)]
+                    |o, live| {
+                        let z = z0 + o;
+                        let at = |c| arr.at_lanes(z, live, c);
+                        let (rho_u, eden, eint) = (
+                            at(StateLayout::RHO),
+                            at(StateLayout::EDEN),
+                            at(StateLayout::EINT),
+                        );
+                        let mom = [
+                            at(StateLayout::MX),
+                            at(StateLayout::MY),
+                            at(StateLayout::MZ),
+                        ];
+                        let (mut rho, mut e) = ([0.0; LANES], [0.0; LANES]);
+                        for l in 0..LANES {
+                            let m = [mom[0][l], mom[1][l], mom[2][l]];
+                            (rho[l], _, e[l]) = rho_vel_e(rho_u[l], m, eden[l], eint[l], &floors);
+                        }
+                        // Renormalize species against advection drift.
+                        let mut x = [[0.0; LANES]; StateLayout::MAX_NSPEC];
+                        let mut xsum = [0.0; LANES];
+                        for s in 0..nspec {
+                            let u = at(layout.spec(s));
+                            x[s] = lanes(|l| (u[l] / rho[l]).max(0.0));
+                            xsum = lanes(|l| xsum[l] + x[s][l]);
+                        }
+                        for s in 0..nspec {
+                            let u = at(layout.spec(s));
+                            let renormed = lanes(|l| {
+                                if xsum[l] > 0.0 {
+                                    rho[l] * (x[s][l] / xsum[l])
+                                } else {
+                                    u[l]
+                                }
+                            });
+                            arr.set_lanes(z, live, layout.spec(s), renormed);
+                            x[s] = lanes(|l| renormed[l] / rho[l]);
+                        }
+                        let comp = Composition::from_mass_fraction_lanes(species, &x[..nspec]);
+                        // The previous temperature is the seed (as in `cons_to_prim`):
+                        // a zone the step did not touch converges on the first
+                        // evaluation, in any unit system.
+                        let temp = at(StateLayout::TEMP);
+                        let t_guess = lanes(|l| temp[l].max(floors.small_temp));
+                        let (t, _) = eos.t_from_e_lanes(rho, e, &comp, t_guess, live);
+                        arr.set_lanes(
+                            z,
+                            live,
+                            StateLayout::TEMP,
+                            lanes(|l| t[l].max(floors.small_temp)),
+                        );
+                        arr.set_lanes(z, live, StateLayout::EINT, lanes(|l| rho[l] * e[l]));
+                    },
                 );
-                // Renormalize species against advection drift.
-                let mut x = [0.0; StateLayout::MAX_NSPEC];
-                let mut xsum = 0.0;
-                for s in 0..nspec {
-                    x[s] = (arr.at_zone(z, layout.spec(s)) / rho).max(0.0);
-                    xsum += x[s];
-                }
-                if xsum > 0.0 {
-                    for s in 0..nspec {
-                        arr.set_zone(z, layout.spec(s), rho * (x[s] / xsum));
-                    }
-                }
-                for s in 0..nspec {
-                    x[s] = arr.at_zone(z, layout.spec(s)) / rho;
-                }
-                let comp = Composition::from_mass_fractions(species, &x[..nspec]);
-                // The previous temperature is the seed (as in `cons_to_prim`):
-                // a zone the step did not touch converges on the first
-                // evaluation, in any unit system.
-                let t_guess = arr.at_zone(z, StateLayout::TEMP).max(floors.small_temp);
-                let (t, _) = eos.t_from_e(rho, e, &comp, t_guess);
-                arr.set_zone(z, StateLayout::TEMP, t.max(floors.small_temp));
-                arr.set_zone(z, StateLayout::EINT, rho * e);
-            }
+            });
         });
     }
 

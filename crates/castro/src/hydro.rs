@@ -29,15 +29,17 @@
 //! (NaN in debug builds): every kernel writes each slot it later reads,
 //! which is why `write_flux` writes the `TEMP` slot nothing reads.
 //!
-//! ## Zone cursors
+//! ## Rows, lanes and zone cursors
 //!
-//! The kernels are per-zone lambdas over [`Array4Mut`] views, as in the
-//! paper's §III, and they index a zone once, not once per component: a
-//! kernel resolves `(i, j, k)` to a cursor with `view.zone(i, j, k)`, reads
-//! and writes components with `at_zone(z, c)` / `set_zone(z, c, v)`, and
-//! reaches the stencil neighbours along the sweep as `z ± view.stride(dim)`
-//! (see `exastro_amr::fab`). Each stepped cursor is `debug_assert`ed
-//! against `zone()` of the neighbour's indices, which checks the box.
+//! The kernels are row kernels over [`Array4Mut`] views
+//! ([`ExecSpace::par_for_rows_prof`]). A kernel resolves a row's first zone
+//! to a cursor once and takes the row [`LANES`] zones at a time through
+//! `at_lanes`/`set_lanes` (x is fastest in every fab, so a row is unit
+//! stride whatever the sweep); stencil neighbours are `z ± view.stride(dim)`.
+//! Each branch of the per-zone code is a per-lane select of what its arms
+//! compute, same operations, same order, so a lane has the bits of its zone
+//! computed alone. A row's short last chunk fills its lanes past the row
+//! with clamped copies of its last zone and does not store them.
 //!
 //! ## The sweep as a halo loop
 //!
@@ -73,13 +75,15 @@
 //! (DESIGN.md) that preserves the stencil shape, the per-zone kernel
 //! economics, and second-order convergence on smooth flow.
 
-use crate::riemann::hllc;
-use crate::state::{cons_to_prim, Floors, Primitive, StateLayout};
+use crate::riemann::hllc_lanes;
+use crate::state::{cons_to_prim_lanes, each, lanes, pick, Floors, PrimLanes, StateLayout};
 use exastro_amr::{
     Array4, Array4Mut, BcSpec, CommTrace, Geometry, HaloLoop, IndexBox, IntVect, MultiFab,
 };
 use exastro_microphysics::{Eos, Species};
-use exastro_parallel::{par_map_fold, Arena, ExecSpace, KernelProfile, Real, ScratchBuf};
+use exastro_parallel::{
+    lane_chunks, par_map_fold, Arena, ExecSpace, KernelProfile, Real, ScratchBuf, LANES,
+};
 
 /// Which loop structure the sweep kernels use (§III ablation).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -196,16 +200,53 @@ fn scratch_views<'a>(
         .collect()
 }
 
-/// Monotonized-central limited slope.
-#[inline]
-fn mc_slope(vm: Real, v0: Real, vp: Real) -> Real {
-    let dc = 0.5 * (vp - vm);
-    let dl = 2.0 * (v0 - vm);
-    let dr = 2.0 * (vp - v0);
-    if dl * dr <= 0.0 {
-        0.0
-    } else {
-        dc.abs().min(dl.abs()).min(dr.abs()) * dc.signum()
+/// Monotonized-central limited slopes of [`LANES`] zones; the limiter is
+/// skipped where every lane's slope is zero (`dl·dr ≤ 0`, as in uniform flow).
+#[inline(always)]
+fn mc_slope(vm: [Real; LANES], v0: [Real; LANES], vp: [Real; LANES]) -> [Real; LANES] {
+    let dl = lanes(|l| 2.0 * (v0[l] - vm[l]));
+    let dr = lanes(|l| 2.0 * (vp[l] - v0[l]));
+    let flat = each(|l| dl[l] * dr[l] <= 0.0);
+    if flat == [true; LANES] {
+        return [0.0; LANES];
+    }
+    let dc = lanes(|l| 0.5 * (vp[l] - vm[l]));
+    let limited = lanes(|l| dc[l].abs().min(dl[l].abs()).min(dr[l].abs()) * dc[l].signum());
+    pick(&flat, &[0.0; LANES], &limited)
+}
+
+/// The `live` zones along x from cursor `z` of the primitives `q` and their
+/// slopes along the sweep: staged ones at their cursor in `slopes` (legacy),
+/// or limited from the neighbours `∓ stride` (flat). The accessors always
+/// inline, so a full chunk's constant `live` reaches every load.
+#[derive(Clone, Copy)]
+struct ZoneLanes<'a> {
+    q: &'a Array4Mut<'a>,
+    z: usize,
+    live: usize,
+    stride: usize,
+    slopes: Option<(&'a Array4Mut<'a>, usize)>,
+}
+
+impl ZoneLanes<'_> {
+    #[inline(always)]
+    fn at(self, c: usize) -> [Real; LANES] {
+        self.q.at_lanes(self.z, self.live, c)
+    }
+
+    #[inline(always)]
+    fn slope(self, c: usize) -> [Real; LANES] {
+        match self.slopes {
+            Some((s, zs)) => s.at_lanes(zs, self.live, c),
+            None => {
+                let at = |z| self.q.at_lanes(z, self.live, c);
+                mc_slope(
+                    at(self.z - self.stride),
+                    self.at(c),
+                    at(self.z + self.stride),
+                )
+            }
+        }
     }
 }
 
@@ -235,24 +276,31 @@ impl Hydro {
         ex: &ExecSpace,
     ) -> Real {
         let dx = geom.dx();
-        let ncomp = layout.ncomp();
         let floors = self.floors;
         // Fabs go to the pool; folding their limits in fab order keeps the
         // result that of the serial loop, bit for bit.
         let fab_dt = |f: usize| {
             let arr = state.fab(f).array();
-            let max_speed = ex.par_reduce_max(state.valid_box(f), |i, j, k| {
-                let z = arr.zone(i, j, k);
-                let mut u = [0.0; MAX_NCOMP];
-                for c in 0..ncomp {
-                    u[c] = arr.at_zone(z, c);
-                }
-                let q = cons_to_prim(&u[..ncomp], layout, eos, species, &floors);
-                let mut s: Real = 0.0;
-                for d in 0..3 {
-                    s = s.max((q.vel[d].abs() + q.cs) / dx[d] * dx[0]);
-                }
-                s
+            let max_speed = ex.par_reduce_rows_max(state.valid_box(f), |j, k, i_lo, i_hi| {
+                let z0 = arr.zone(i_lo, j, k);
+                let mut row_max = Real::NEG_INFINITY;
+                lane_chunks(
+                    i_lo,
+                    i_hi,
+                    #[inline(always)]
+                    |o, live| {
+                        let u = |c| arr.at_lanes(z0 + o, live, c);
+                        let (q, _) = cons_to_prim_lanes(u, live, layout, eos, species, &floors);
+                        for l in 0..live {
+                            let mut s: Real = 0.0;
+                            for d in 0..3 {
+                                s = s.max((q.vel[d][l].abs() + q.cs[l]) / dx[d] * dx[0]);
+                            }
+                            row_max = row_max.max(s);
+                        }
+                    },
+                );
+                row_max
             });
             if max_speed > 0.0 {
                 dx[0] / max_speed
@@ -277,29 +325,31 @@ impl Hydro {
         ex: &ExecSpace,
         qarr: &Array4Mut<'_>,
     ) {
-        let ncomp = layout.ncomp();
         let floors = self.floors;
         let layout = *layout;
         let profile = KernelProfile::new(3.0, 180); // EOS Newton inversion is heavy
-        ex.par_for_prof(region, &profile, |i, j, k| {
-            let zs = sarr.zone(i, j, k);
-            let mut u = [0.0; MAX_NCOMP];
-            for c in 0..ncomp {
-                u[c] = sarr.at_zone(zs, c);
-            }
-            let q = cons_to_prim(&u[..ncomp], &layout, eos, species, &floors);
-            let zq = qarr.zone(i, j, k);
-            qarr.set_zone(zq, Q::RHO, q.rho);
-            qarr.set_zone(zq, Q::U, q.vel[0]);
-            qarr.set_zone(zq, Q::U + 1, q.vel[1]);
-            qarr.set_zone(zq, Q::U + 2, q.vel[2]);
-            qarr.set_zone(zq, Q::P, q.p);
-            qarr.set_zone(zq, Q::E, q.e);
-            qarr.set_zone(zq, Q::C, q.cs);
-            let inv = 1.0 / u[StateLayout::RHO].max(floors.small_dens);
-            for s in 0..layout.nspec {
-                qarr.set_zone(zq, Q::FS + s, (u[layout.spec(s)] * inv).clamp(0.0, 1.0));
-            }
+        ex.par_for_rows_prof(region, &profile, |j, k, i_lo, i_hi| {
+            let (zs0, zq0) = (sarr.zone(i_lo, j, k), qarr.zone(i_lo, j, k));
+            lane_chunks(
+                i_lo,
+                i_hi,
+                #[inline(always)]
+                |o, live| {
+                    let u = |c| sarr.at_lanes(zs0 + o, live, c);
+                    let (q, x) = cons_to_prim_lanes(u, live, &layout, eos, species, &floors);
+                    let set = |c, v| qarr.set_lanes(zq0 + o, live, c, v);
+                    set(Q::RHO, q.rho);
+                    set(Q::U, q.vel[0]);
+                    set(Q::U + 1, q.vel[1]);
+                    set(Q::U + 2, q.vel[2]);
+                    set(Q::P, q.p);
+                    set(Q::E, q.e);
+                    set(Q::C, q.cs);
+                    for s in 0..layout.nspec {
+                        set(Q::FS + s, x[s]);
+                    }
+                },
+            );
         });
     }
 
@@ -321,28 +371,41 @@ impl Hydro {
     ) {
         let e = IntVect::dim_vec(dim);
         let floors = self.floors;
-        let nspec = layout.nspec;
         let layout = *layout;
         let qstride = qarr.stride(dim);
         let qbox = qarr.index_box();
-        ex.par_for_prof(faces, profile, |i, j, k| {
-            // The face lies between zones `iv − e` and `iv`: resolve the
-            // right one, step to the left one.
-            let (il, jl, kl) = (i - e.x(), j - e.y(), k - e.z());
-            let zr = qarr.zone(i, j, k);
-            let zl = zr - qstride;
-            debug_assert_eq!(zl, qarr.zone(il, jl, kl));
+        ex.par_for_rows_prof(faces, profile, |j, k, i_lo, i_hi| {
+            // A face lies between zones `iv − e` and `iv`: resolve the row's
+            // first right zone, step to its left one.
+            let zr0 = qarr.zone(i_lo, j, k);
+            debug_assert_eq!(zr0 - qstride, qarr.zone(i_lo - e.x(), j - e.y(), k - e.z()));
             // A face that recomputes its slopes reads one zone further.
+            let (first, last) = (IntVect::new(i_lo, j, k), IntVect::new(i_hi, j, k));
             debug_assert!(
-                slopes.is_some()
-                    || (qbox.contains(IntVect::new(il, jl, kl) - e)
-                        && qbox.contains(IntVect::new(i, j, k) + e))
+                slopes.is_some() || qbox.contains(first - e * 2) && qbox.contains(last + e)
             );
-            let staged = |i, j, k| slopes.map(|s| (s, s.zone(i, j, k)));
-            let (sl, sr) = (staged(il, jl, kl), staged(i, j, k));
-            let ql = trace_one(qarr, zl, qstride, dim, dtdx, nspec, 0.5, sl, &floors);
-            let qr = trace_one(qarr, zr, qstride, dim, dtdx, nspec, -0.5, sr, &floors);
-            write_flux(farr, farr.zone(i, j, k), &ql, &qr, dim, &layout);
+            let staged = slopes.map(|s| (s, s.zone(i_lo, j, k), s.stride(dim)));
+            let zf0 = farr.zone(i_lo, j, k);
+            let (mut ql, mut qr) = (TracedLanes::default(), TracedLanes::default());
+            lane_chunks(
+                i_lo,
+                i_hi,
+                #[inline(always)]
+                |o, live| {
+                    // The face's right zone (`back` 0) or left zone (1).
+                    let zones = |back: usize| ZoneLanes {
+                        q: qarr,
+                        z: zr0 + o - back * qstride,
+                        live,
+                        stride: qstride,
+                        slopes: staged.map(|(s, zs0, st)| (s, zs0 + o - back * st)),
+                    };
+                    let nspec = layout.nspec;
+                    trace_one(&mut ql, zones(1), dim, dtdx, nspec, 0.5, &floors);
+                    trace_one(&mut qr, zones(0), dim, dtdx, nspec, -0.5, &floors);
+                    write_flux(farr, zf0 + o, live, &ql, &qr, dim, &layout);
+                },
+            );
         });
     }
 
@@ -365,28 +428,41 @@ impl Hydro {
         let small_dens = self.floors.small_dens;
         let e = IntVect::dim_vec(dim);
         let fstride = farr.stride(dim);
-        ex.par_for_prof(vb, profile, |i, j, k| {
-            // The zone's low face shares its index; its high face is one
-            // step along the sweep.
-            let zlo = farr.zone(i, j, k);
-            let zhi = zlo + fstride;
-            debug_assert_eq!(zhi, farr.zone(i + e.x(), j + e.y(), k + e.z()));
-            let zu = uarr.zone(i, j, k);
-            for c in 0..ncomp {
-                if c == StateLayout::TEMP {
-                    continue;
-                }
-                let du = -dtdx * (farr.at_zone(zhi, c) - farr.at_zone(zlo, c));
-                uarr.add_zone(zu, c, du);
-            }
-            // −p ∇·u source for the auxiliary internal energy.
-            let pc = qarr.at(i, j, k, Q::P);
-            let div_u = farr.at_zone(zhi, ncomp) - farr.at_zone(zlo, ncomp);
-            uarr.add_zone(zu, StateLayout::EINT, -dtdx * pc * div_u);
-            // Density floor.
-            if uarr.at_zone(zu, StateLayout::RHO) < small_dens {
-                uarr.set_zone(zu, StateLayout::RHO, small_dens);
-            }
+        ex.par_for_rows_prof(vb, profile, |j, k, i_lo, i_hi| {
+            // A zone's low face shares its index; its high face is one step
+            // along the sweep.
+            let (zf0, zu0) = (farr.zone(i_lo, j, k), uarr.zone(i_lo, j, k));
+            let zq0 = qarr.zone(i_lo, j, k);
+            debug_assert_eq!(zf0 + fstride, farr.zone(i_lo + e.x(), j + e.y(), k + e.z()));
+            lane_chunks(
+                i_lo,
+                i_hi,
+                #[inline(always)]
+                |o, live| {
+                    let (zlo, zu) = (zf0 + o, zu0 + o);
+                    let flux_diff = |c| {
+                        let (hi, lo) = (
+                            farr.at_lanes(zlo + fstride, live, c),
+                            farr.at_lanes(zlo, live, c),
+                        );
+                        lanes(|l| hi[l] - lo[l])
+                    };
+                    for c in (0..ncomp).filter(|&c| c != StateLayout::TEMP) {
+                        let (u, df) = (uarr.at_lanes(zu, live, c), flux_diff(c));
+                        let mut v = lanes(|l| u[l] + -dtdx * df[l]);
+                        if c == StateLayout::EINT {
+                            // −p ∇·u source for the auxiliary internal energy.
+                            let (pc, div_u) =
+                                (qarr.at_lanes(zq0 + o, live, Q::P), flux_diff(ncomp));
+                            v = lanes(|l| v[l] + -dtdx * pc[l] * div_u[l]);
+                        } else if c == StateLayout::RHO {
+                            // Density floor.
+                            v = lanes(|l| if v[l] < small_dens { small_dens } else { v[l] });
+                        }
+                        uarr.set_lanes(zu, live, c, v);
+                    }
+                },
+            );
         });
     }
 
@@ -403,17 +479,27 @@ impl Hydro {
     ) {
         let e = IntVect::dim_vec(dim);
         let qstride = qarr.stride(dim);
-        ex.par_for_prof(region, profile, |i, j, k| {
-            let z = qarr.zone(i, j, k);
-            debug_assert_eq!(z - qstride, qarr.zone(i - e.x(), j - e.y(), k - e.z()));
-            debug_assert_eq!(z + qstride, qarr.zone(i + e.x(), j + e.y(), k + e.z()));
-            let zs = slarr.zone(i, j, k);
-            for c in 0..qarr.ncomp() {
-                let vm = qarr.at_zone(z - qstride, c);
-                let v0 = qarr.at_zone(z, c);
-                let vp = qarr.at_zone(z + qstride, c);
-                slarr.set_zone(zs, c, mc_slope(vm, v0, vp));
-            }
+        ex.par_for_rows_prof(region, profile, |j, k, i_lo, i_hi| {
+            let (z0, zs0) = (qarr.zone(i_lo, j, k), slarr.zone(i_lo, j, k));
+            debug_assert_eq!(z0 - qstride, qarr.zone(i_lo - e.x(), j - e.y(), k - e.z()));
+            debug_assert_eq!(z0 + qstride, qarr.zone(i_lo + e.x(), j + e.y(), k + e.z()));
+            lane_chunks(
+                i_lo,
+                i_hi,
+                #[inline(always)]
+                |o, live| {
+                    let zones = ZoneLanes {
+                        q: qarr,
+                        z: z0 + o,
+                        live,
+                        stride: qstride,
+                        slopes: None,
+                    };
+                    for c in 0..qarr.ncomp() {
+                        slarr.set_lanes(zs0 + o, live, c, zones.slope(c));
+                    }
+                },
+            );
         });
     }
 
@@ -552,158 +638,138 @@ impl Hydro {
     }
 }
 
-/// A traced face state: rotated primitive plus species.
-pub struct TracedState {
-    /// Rotated primitive (`vel[0]` is the face normal).
-    pub prim: Primitive,
-    /// Species mass fractions.
-    pub x: [Real; StateLayout::MAX_NSPEC],
+/// The traced face states of [`LANES`] zones: rotated primitives (`vel[0]`
+/// is the face normal) and species mass fractions.
+#[derive(Default)]
+struct TracedLanes {
+    prim: PrimLanes<LANES>,
+    x: [[Real; LANES]; StateLayout::MAX_NSPEC],
 }
 
-/// Trace the state of the zone at cursor `z` of `q` to its face at `side`
-/// (+0.5 = high face, −0.5 = low face) over a half step, rotated so
-/// `vel[0]` is the face-normal velocity. `stride` steps `z` one zone along
-/// the sweep. With `slopes` (legacy structure: the staged slope view and the
-/// zone's cursor in it) staged slopes are read back; otherwise they are
-/// recomputed inline from `z ± stride` (flat).
-#[allow(clippy::too_many_arguments)]
-#[inline]
+/// Trace the states of `zones` to their faces at `side` (+0.5 = high face,
+/// −0.5 = low face) over a half step into `out`, rotated so `vel[0]` is the
+/// face-normal velocity: the same lane arithmetic on staged slopes (legacy)
+/// or recomputed ones (flat).
+#[inline(always)]
 fn trace_one(
-    q: &Array4Mut<'_>,
-    z: usize,
-    stride: usize,
+    out: &mut TracedLanes,
+    zones: ZoneLanes<'_>,
     dim: usize,
     dtdx: Real,
     nspec: usize,
     side: Real,
-    slopes: Option<(&Array4Mut<'_>, usize)>,
     floors: &Floors,
-) -> TracedState {
-    let at = |c: usize| q.at_zone(z, c);
-    let slope = |c: usize| -> Real {
-        match slopes {
-            Some((s, zs)) => s.at_zone(zs, c),
-            None => mc_slope(q.at_zone(z - stride, c), at(c), q.at_zone(z + stride, c)),
-        }
-    };
-    // Cell-centred values.
-    let rho = at(Q::RHO);
-    let un = at(Q::U + dim);
-    let p = at(Q::P);
-    let ei = at(Q::E);
-    let cs = at(Q::C);
-    // Limited slopes.
-    let d_rho = slope(Q::RHO);
-    let d_un = slope(Q::U + dim);
-    let d_p = slope(Q::P);
-    let d_e = slope(Q::E);
+) {
+    // Cell-centred values and limited slopes.
+    let (rho, un, p) = (zones.at(Q::RHO), zones.at(Q::U + dim), zones.at(Q::P));
+    let (ei, cs) = (zones.at(Q::E), zones.at(Q::C));
+    let (d_rho, d_un) = (zones.slope(Q::RHO), zones.slope(Q::U + dim));
+    let (d_p, d_e) = (zones.slope(Q::P), zones.slope(Q::E));
     // Half-step primitive-variable evolution: dq/dt = −A(q) ∂q/∂x.
     let half = 0.5 * dtdx;
-    let rho_t = -(un * d_rho + rho * d_un);
-    let un_t = -(un * d_un + d_p / rho.max(1e-300));
-    let p_t = -(un * d_p + rho * cs * cs * d_un);
-    let e_t = -(un * d_e + p / rho.max(1e-300) * d_un);
+    let rho_t = lanes(|l| -(un[l] * d_rho[l] + rho[l] * d_un[l]));
+    let un_t = lanes(|l| -(un[l] * d_un[l] + d_p[l] / rho[l].max(1e-300)));
+    let p_t = lanes(|l| -(un[l] * d_p[l] + rho[l] * cs[l] * cs[l] * d_un[l]));
+    let e_t = lanes(|l| -(un[l] * d_e[l] + p[l] / rho[l].max(1e-300) * d_un[l]));
     // Floors keep the traced state physical through the star/vacuum
     // interfaces of the collision problem; when a traced value would fall
     // below its floor, the zone-centred value is used instead (local
     // first-order fallback).
-    let rho_tr = rho + side * d_rho + half * rho_t;
-    let p_tr = p + side * d_p + half * p_t;
-    let e_tr = ei + side * d_e + half * e_t;
-    let fallback = rho_tr < floors.small_dens || p_tr < floors.small_pres || e_tr <= 0.0;
-    let mut prim = if fallback {
-        Primitive {
-            rho: rho.max(floors.small_dens),
-            vel: [0.0; 3],
-            p: p.max(floors.small_pres),
-            e: ei.max(1e-300),
-            cs,
-        }
-    } else {
-        Primitive {
-            rho: rho_tr,
-            vel: [0.0; 3],
-            p: p_tr,
-            e: e_tr,
-            cs,
-        }
+    let rho_tr = lanes(|l| rho[l] + side * d_rho[l] + half * rho_t[l]);
+    let p_tr = lanes(|l| p[l] + side * d_p[l] + half * p_t[l]);
+    let e_tr = lanes(|l| ei[l] + side * d_e[l] + half * e_t[l]);
+    let fallback: [bool; LANES] =
+        each(|l| rho_tr[l] < floors.small_dens || p_tr[l] < floors.small_pres || e_tr[l] <= 0.0);
+    let floored = |v: &[Real; LANES], floor: Real| lanes(|l| v[l].max(floor));
+    let mut prim = PrimLanes {
+        rho: pick(&fallback, &floored(&rho, floors.small_dens), &rho_tr),
+        vel: [[0.0; LANES]; 3],
+        p: pick(&fallback, &floored(&p, floors.small_pres), &p_tr),
+        e: pick(&fallback, &floored(&ei, 1e-300), &e_tr),
+        cs,
     };
-    let (side, half) = if fallback { (0.0, 0.0) } else { (side, half) };
-    prim.vel[0] = un + side * d_un + half * un_t;
+    let side = pick(&fallback, &[0.0; LANES], &[side; LANES]);
+    let half = pick(&fallback, &[0.0; LANES], &[half; LANES]);
+    prim.vel[0] = lanes(|l| un[l] + side[l] * d_un[l] + half[l] * un_t[l]);
     // Transverse velocities and species advect passively.
+    let advect = |v: [Real; LANES], d_v: [Real; LANES]| {
+        lanes(|l| v[l] + side[l] * d_v[l] + half[l] * (-(un[l] * d_v[l])))
+    };
     for (slot, t) in [(1usize, (dim + 1) % 3), (2usize, (dim + 2) % 3)] {
-        let v = at(Q::U + t);
-        let d_v = slope(Q::U + t);
-        prim.vel[slot] = v + side * d_v + half * (-(un * d_v));
+        prim.vel[slot] = advect(zones.at(Q::U + t), zones.slope(Q::U + t));
     }
     // Approximate traced sound speed via frozen Γ₁.
-    let gam1 = cs * cs * rho / p.max(1e-300);
-    prim.cs = (gam1 * prim.p / prim.rho).sqrt();
-    let mut x = [0.0; StateLayout::MAX_NSPEC];
+    let gam1 = lanes(|l| cs[l] * cs[l] * rho[l] / p[l].max(1e-300));
+    prim.cs = lanes(|l| (gam1[l] * prim.p[l] / prim.rho[l]).sqrt());
     for s in 0..nspec {
-        let xv = at(Q::FS + s);
-        let d_x = slope(Q::FS + s);
-        x[s] = (xv + side * d_x + half * (-(un * d_x))).clamp(0.0, 1.0);
+        out.x[s] = advect(zones.at(Q::FS + s), zones.slope(Q::FS + s)).map(|x| x.clamp(0.0, 1.0));
     }
-    TracedState { prim, x }
+    out.prim = prim;
 }
 
-/// Solve the face Riemann problem and store the (un-rotated) conserved
-/// fluxes plus the face normal velocity at cursor `zf` of the flux array.
+/// Solve the Riemann problems of `live` faces along x from cursor `zf` and
+/// store their (un-rotated) conserved fluxes plus the face normal velocity.
 /// Nothing reads a temperature flux, but the slot is arena scratch and
 /// refluxing copies every conserved slot, so it is written, as 0.0.
-#[inline]
+#[inline(always)]
 fn write_flux(
     farr: &Array4Mut<'_>,
     zf: usize,
-    ql: &TracedState,
-    qr: &TracedState,
+    live: usize,
+    ql: &TracedLanes,
+    qr: &TracedLanes,
     dim: usize,
     layout: &StateLayout,
 ) {
-    let f = hllc(&ql.prim, &qr.prim);
-    let ncomp = layout.ncomp();
-    farr.set_zone(zf, StateLayout::RHO, f.mass);
+    let f = hllc_lanes(&ql.prim, &qr.prim);
+    let set = |c, v| farr.set_lanes(zf, live, c, v);
+    set(StateLayout::RHO, f.mass);
     // Rotate momenta back: mom[0] is normal (dim), mom[1] is (dim+1)%3...
-    farr.set_zone(zf, StateLayout::MX + dim, f.mom[0]);
-    farr.set_zone(zf, StateLayout::MX + (dim + 1) % 3, f.mom[1]);
-    farr.set_zone(zf, StateLayout::MX + (dim + 2) % 3, f.mom[2]);
-    farr.set_zone(zf, StateLayout::EDEN, f.energy);
-    farr.set_zone(zf, StateLayout::EINT, f.eint);
-    farr.set_zone(zf, StateLayout::TEMP, 0.0);
-    let xs = if f.upwind_left { &ql.x } else { &qr.x };
+    set(StateLayout::MX + dim, f.mom[0]);
+    set(StateLayout::MX + (dim + 1) % 3, f.mom[1]);
+    set(StateLayout::MX + (dim + 2) % 3, f.mom[2]);
+    set(StateLayout::EDEN, f.energy);
+    set(StateLayout::EINT, f.eint);
+    set(StateLayout::TEMP, [0.0; LANES]);
+    let up = f.upwind_left;
     for s in 0..layout.nspec {
-        farr.set_zone(zf, layout.spec(s), f.mass * xs[s]);
+        let xs = pick(&up, &ql.x[s], &qr.x[s]);
+        set(layout.spec(s), lanes(|l| f.mass[l] * xs[l]));
     }
     // Face normal velocity for the −p∇·u source: mass flux / upwind rho is
     // a decent contact-speed proxy, clamped to the local signal speed to
     // stay bounded at near-vacuum faces.
-    let rho_up = if f.upwind_left {
-        ql.prim.rho
-    } else {
-        qr.prim.rho
-    };
-    let vmax = ql.prim.vel[0].abs().max(qr.prim.vel[0].abs()) + ql.prim.cs.max(qr.prim.cs);
-    // `clamp`'s arithmetic without its panic on a NaN bound: a non-finite
-    // face flows on to the step's validator instead of aborting the run.
-    let uface = f.mass / rho_up.max(1e-300);
-    let uface = if uface < -vmax {
-        -vmax
-    } else if uface > vmax {
-        vmax
-    } else {
-        uface
-    };
-    farr.set_zone(zf, ncomp, uface);
+    let (unl, unr) = (&ql.prim.vel[0], &qr.prim.vel[0]);
+    let rho_up = pick(&up, &ql.prim.rho, &qr.prim.rho);
+    let uface = lanes(|l| {
+        let vmax = unl[l].abs().max(unr[l].abs()) + ql.prim.cs[l].max(qr.prim.cs[l]);
+        // `clamp`'s arithmetic without its panic on a NaN bound: a
+        // non-finite face flows on to the step's validator instead of
+        // aborting the run.
+        let uface = f.mass[l] / rho_up[l].max(1e-300);
+        if uface < -vmax {
+            -vmax
+        } else if uface > vmax {
+            vmax
+        } else {
+            uface
+        }
+    });
+    set(layout.ncomp(), uface);
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::cons_to_prim;
     use exastro_amr::{BcKind, BoxArray, DistributionMapping};
     use exastro_microphysics::network::Network;
-    use exastro_microphysics::{CBurn2, Composition, GammaLaw};
+    use exastro_microphysics::{Aprox13, CBurn2, Composition, GammaLaw, StellarEos};
     use exastro_parallel::PoolArena;
+    use proptest::prelude::{Strategy, TestRng};
 
     /// Build a pseudo-1D Sod shock tube along `dim`.
     fn sod_state(n: i32, dim: usize) -> (Geometry, MultiFab, StateLayout, GammaLaw) {
@@ -1374,5 +1440,280 @@ mod tests {
             assert!(dt > 0.0 && dt.is_finite());
             assert_eq!(dt.to_bits(), expect.to_bits(), "{} box(es)", state.nfabs());
         }
+    }
+
+    /// Bits equal, or both NaN: a NaN's payload is not part of the answer.
+    fn same_value(a: Real, b: Real) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// What an arena slot holds before a kernel writes it; a kernel that
+    /// writes a slot outside its region (a tail lane's store) shows.
+    const SENTINEL: Real = -7.0e77;
+
+    /// `Err` naming the first slot of the `ncomp`-component buffers on `bx`
+    /// where the row kernel's values `got` and the oracle's `want` differ.
+    fn compare(
+        what: &str,
+        bx: IndexBox,
+        ncomp: usize,
+        got: &[Real],
+        want: &[Real],
+    ) -> Result<(), String> {
+        let zones = bx.num_zones() as usize;
+        assert_eq!((got.len(), want.len()), (zones * ncomp, zones * ncomp));
+        match got.iter().zip(want).position(|(a, b)| !same_value(*a, *b)) {
+            None => Ok(()),
+            Some(n) => {
+                let iv = bx.iter().nth(n % zones).expect("slot inside the box");
+                let (a, b) = (got[n], want[n]);
+                Err(format!(
+                    "{what}: comp {} zone {iv:?}: {a:e} vs the oracle's {b:e}",
+                    n / zones
+                ))
+            }
+        }
+    }
+
+    /// Uniform in `lo..hi`.
+    fn uniform(rng: &mut TestRng, lo: Real, hi: Real) -> Real {
+        lo + rng.next_f64() * (hi - lo)
+    }
+
+    /// One of `values`.
+    fn one_of(rng: &mut TestRng, values: &[Real]) -> Real {
+        values[(rng.next_u64() % values.len() as u64) as usize]
+    }
+
+    /// Random primitives on `bx`, `nq` components, in the scratch layout:
+    /// smooth zones, strong jumps and supersonic flow, zones at and below
+    /// the floors, cold (`c_s = 0`) zones, and runs of equal zones (no
+    /// slope). A case is cold everywhere one time in four, which is where
+    /// a contact's denominator vanishes.
+    fn random_primitives(rng: &mut TestRng, bx: IndexBox, nq: usize) -> Vec<Real> {
+        let zones = bx.num_zones() as usize;
+        let mut q = vec![0.0; zones * nq];
+        let all_cold = rng.next_u64().is_multiple_of(4);
+        let mut zone = vec![0.0; nq];
+        for z in 0..zones {
+            let regime = if all_cold { 6 } else { rng.next_u64() % 8 };
+            let (rho, vel, p, e, cs) = match regime {
+                0..=3 => (
+                    uniform(rng, 0.5, 2.0),
+                    [(); 3].map(|_| uniform(rng, -1.0, 1.0)),
+                    uniform(rng, 0.5, 2.0),
+                    uniform(rng, 0.5, 2.0),
+                    uniform(rng, 0.5, 1.5),
+                ),
+                4 => (
+                    10f64.powf(uniform(rng, -3.0, 1.0)),
+                    [(); 3].map(|_| uniform(rng, -30.0, 30.0)),
+                    10f64.powf(uniform(rng, -3.0, 1.0)),
+                    10f64.powf(uniform(rng, -3.0, 1.0)),
+                    uniform(rng, 0.1, 3.0),
+                ),
+                5 => (
+                    one_of(rng, &[1e-14, 1e-13, 2e-12, 1.0]),
+                    [(); 3].map(|_| uniform(rng, -1.0, 1.0)),
+                    one_of(rng, &[-0.5, 0.0, 1e-31, 1.0]),
+                    one_of(rng, &[-0.5, 0.0, 1e-3, 1.0]),
+                    uniform(rng, 0.0, 2.0),
+                ),
+                6 => (
+                    uniform(rng, 0.5, 2.0),
+                    [(); 3].map(|_| uniform(rng, -1.0, 1.0)),
+                    uniform(rng, 0.5, 2.0),
+                    uniform(rng, 0.5, 2.0),
+                    0.0,
+                ),
+                _ => {
+                    // A copy of the zone before: a run with no slope.
+                    for c in 0..nq {
+                        q[c * zones + z] = zone[c];
+                    }
+                    continue;
+                }
+            };
+            zone[Q::RHO] = rho;
+            zone[Q::U..Q::U + 3].copy_from_slice(&vel);
+            zone[Q::P] = p;
+            zone[Q::E] = e;
+            zone[Q::C] = cs;
+            for x in &mut zone[Q::FS..] {
+                *x = uniform(rng, -0.2, 1.2);
+            }
+            for c in 0..nq {
+                q[c * zones + z] = zone[c];
+            }
+        }
+        q
+    }
+
+    /// Random conserved states on `bx` for `eos`: densities down through
+    /// the floor, negative internal energies (the dual-energy guard),
+    /// species outside [0, 1], and temperature seeds that are the answer,
+    /// near it, far from it or below the floor.
+    fn random_conserved(
+        rng: &mut TestRng,
+        bx: IndexBox,
+        layout: &StateLayout,
+        eos: &dyn Eos,
+        species: &[Species],
+        stellar: bool,
+    ) -> Vec<Real> {
+        let (zones, ncomp) = (bx.num_zones() as usize, layout.ncomp());
+        let mut u = vec![0.0; zones * ncomp];
+        for z in 0..zones {
+            let mut set = |c: usize, v: Real| u[c * zones + z] = v;
+            let x: Vec<Real> = (0..layout.nspec).map(|_| uniform(rng, -0.2, 1.2)).collect();
+            let (rho, t, e, speed) = if stellar {
+                let rho = 10f64.powf(uniform(rng, -2.0, 8.0));
+                let t = 10f64.powf(uniform(rng, 5.0, 9.5));
+                let xc: Vec<Real> = x.iter().map(|x| x.clamp(1e-3, 1.0)).collect();
+                let comp = Composition::from_mass_fractions(species, &xc);
+                let e = eos.eval_rt(rho, t, &comp).e * uniform(rng, 0.8, 1.2);
+                (rho, t, e, 1e8)
+            } else {
+                let rho = 10f64.powf(uniform(rng, -14.0, 1.0));
+                let e = uniform(rng, -0.5, 2.0);
+                (rho, e * 1e-8, e, 3.0)
+            };
+            let vel = [(); 3].map(|_| uniform(rng, -speed, speed));
+            let ke = 0.5 * (vel[0] * vel[0] + vel[1] * vel[1] + vel[2] * vel[2]);
+            set(StateLayout::RHO, rho);
+            for d in 0..3 {
+                set(StateLayout::MX + d, rho * vel[d]);
+            }
+            set(StateLayout::EDEN, rho * (e + ke));
+            set(StateLayout::EINT, rho * e * uniform(rng, -0.1, 1.5));
+            let seed = t * one_of(rng, &[1.0, 1.0 + 1e-13, 1.3, 0.02, 50.0, 0.0]);
+            set(StateLayout::TEMP, seed);
+            for (s, x) in x.iter().enumerate() {
+                set(layout.spec(s), rho * x);
+            }
+        }
+        u
+    }
+
+    /// One case of the oracle property: `n` zones along x, every kernel on
+    /// sentinel-filled scratch beside its oracle, whole buffers compared.
+    #[allow(clippy::too_many_arguments)]
+    fn oracle_case(
+        rng: &mut TestRng,
+        n: i32,
+        dim: usize,
+        structure: KernelStructure,
+        eos: &dyn Eos,
+        species: &[Species],
+        floors: Floors,
+        stellar: bool,
+    ) -> Result<(), String> {
+        let layout = StateLayout::new(species.len());
+        let hydro = Hydro {
+            cfl: 0.5,
+            structure,
+            floors,
+        };
+        let (ex, profile) = (
+            ExecSpace::Serial,
+            flux_kernel_profile(layout.nspec, structure),
+        );
+        let (nq, ncomp, nflux) = (Q::ncomp(layout.nspec), layout.ncomp(), layout.ncomp() + 1);
+        let vb = IndexBox::new(IntVect::splat(0), IntVect::new(n - 1, 1, 2));
+        let grown = vb.grow(2);
+        let sentinel = |bx: IndexBox, nc: usize| vec![SENTINEL; bx.num_zones() as usize * nc];
+
+        // Primitives of the sweep's zones from random conserved states.
+        let mut sbuf = random_conserved(rng, grown, &layout, eos, species, stellar);
+        let region = vb.grow_dir(dim, 2);
+        let (mut qk, mut qo) = (sentinel(grown, nq), sentinel(grown, nq));
+        {
+            let sarr = Array4Mut::from_slice(&mut sbuf, grown, ncomp);
+            let (qk, qo) = (
+                Array4Mut::from_slice(&mut qk, grown, nq),
+                Array4Mut::from_slice(&mut qo, grown, nq),
+            );
+            hydro.primitives_region(&sarr, region, &layout, eos, species, &ex, &qk);
+            reference::primitives(&sarr, region, &layout, eos, species, &floors, &qo);
+        }
+        compare("primitives", grown, nq, &qk, &qo)?;
+
+        // Slopes and fluxes from random primitives.
+        let mut q = random_primitives(rng, grown, nq);
+        let dtdx = uniform(rng, 0.05, 1.0);
+        let staged = structure == KernelStructure::Legacy;
+        let (faces, fbox) = (face_box(vb, dim), face_box(vb, dim).grow_dir(0, 1));
+        let (mut sk, mut so) = (sentinel(grown, nq), sentinel(grown, nq));
+        let (mut fk, mut fo) = (sentinel(fbox, nflux), sentinel(fbox, nflux));
+        {
+            let qarr = Array4Mut::from_slice(&mut q, grown, nq);
+            let (sk, so) = (
+                Array4Mut::from_slice(&mut sk, grown, nq),
+                Array4Mut::from_slice(&mut so, grown, nq),
+            );
+            let (fk, fo) = (
+                Array4Mut::from_slice(&mut fk, fbox, nflux),
+                Array4Mut::from_slice(&mut fo, fbox, nflux),
+            );
+            if staged {
+                hydro.slopes_region(vb.grow_dir(dim, 1), &qarr, &sk, dim, &ex, &profile);
+                reference::slopes(vb.grow_dir(dim, 1), &qarr, &so, dim);
+            }
+            let (sk, so) = (staged.then_some(&sk), staged.then_some(&so));
+            hydro.flux_region(faces, &qarr, sk, &fk, dim, dtdx, &layout, &ex, &profile);
+            reference::fluxes(faces, &qarr, so, &fo, dim, dtdx, &layout, &floors);
+        }
+        compare("slopes", grown, nq, &sk, &so)?;
+        compare("fluxes", fbox, nflux, &fk, &fo)?;
+
+        // The update of random conserved states from those fluxes.
+        let mut uk = random_conserved(rng, grown, &layout, eos, species, stellar);
+        let mut uo = uk.clone();
+        {
+            let (qarr, farr) = (
+                Array4Mut::from_slice(&mut q, grown, nq),
+                Array4Mut::from_slice(&mut fo, fbox, nflux),
+            );
+            let (uk, uo) = (
+                Array4Mut::from_slice(&mut uk, grown, ncomp),
+                Array4Mut::from_slice(&mut uo, grown, ncomp),
+            );
+            hydro.update_region(vb, &farr, &qarr, &uk, dim, dtdx, &layout, &ex, &profile);
+            let small_dens = floors.small_dens;
+            reference::update(vb, &farr, &qarr, &uo, dim, dtdx, &layout, small_dens);
+        }
+        compare("update", grown, ncomp, &uk, &uo)
+    }
+
+    #[test]
+    fn row_kernels_match_the_per_face_oracle_bit_for_bit() {
+        // Rows of 1..=9 zones — every partial last lane chunk, and rows
+        // shorter than one — swept along each dimension by both structures,
+        // against the per-zone and per-face code the row kernels replaced
+        // (`reference`), and through every branch of that code.
+        let mut rng = TestRng::from_name("row_kernels_match_the_per_face_oracle_bit_for_bit");
+        let (cburn2, aprox13) = (CBurn2::new(), Aprox13::new());
+        let (gamma_law, stellar) = (GammaLaw::monatomic(), StellarEos);
+        for case in 0..600 {
+            let n = Strategy::sample(&(1i32..=9), &mut rng);
+            let dim = Strategy::sample(&(0usize..3), &mut rng);
+            let structure = [KernelStructure::Flat, KernelStructure::Legacy][case % 2];
+            let species = [cburn2.species(), aprox13.species()][case / 2 % 2];
+            let (eos, floors, physical): (&dyn Eos, _, _) = match case / 4 % 3 {
+                0 => (&gamma_law, Floors::dimensionless(), false),
+                1 => (&gamma_law, Floors::default(), false),
+                _ => (&stellar, Floors::default(), true),
+            };
+            let outcome = oracle_case(&mut rng, n, dim, structure, eos, species, floors, physical);
+            if let Err(e) = outcome {
+                panic!("case {case} ({n} zones, dim {dim}, {structure:?}): {e}");
+            }
+        }
+        let hits = reference::hits();
+        let missed: Vec<_> = (0..reference::BRANCHES).filter(|&b| hits[b] == 0).collect();
+        assert!(
+            missed.is_empty(),
+            "branches never taken: {missed:?} of {hits:?}"
+        );
     }
 }

@@ -7,7 +7,7 @@
 //! speeds enter from the EOS, so the solver works for the stellar EOS as
 //! well as the gamma law.
 
-use crate::state::Primitive;
+use crate::state::{each, pick, PrimLanes, Primitive};
 use exastro_parallel::Real;
 
 /// Godunov flux of the conserved variables through one face, plus the
@@ -27,100 +27,149 @@ pub struct FaceFlux {
     pub upwind_left: bool,
 }
 
-/// Conserved state in face-normal coordinates.
-#[derive(Clone, Copy)]
-struct UCons {
-    rho: Real,
-    mu: Real,
-    mv: Real,
-    mw: Real,
-    e: Real,  // ρE
-    ei: Real, // ρe (advected)
+/// [`FaceFlux`]es of `W` faces, field by field: lane `l` is face `l`'s.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct FluxLanes<const W: usize> {
+    pub mass: [Real; W],
+    pub mom: [[Real; W]; 3],
+    pub energy: [Real; W],
+    pub eint: [Real; W],
+    pub upwind_left: [bool; W],
 }
 
-fn to_cons(q: &Primitive) -> UCons {
-    UCons {
-        rho: q.rho,
-        mu: q.rho * q.vel[0],
-        mv: q.rho * q.vel[1],
-        mw: q.rho * q.vel[2],
-        e: q.rho * q.etot(),
-        ei: q.rho * q.e,
+impl<const W: usize> FluxLanes<W> {
+    /// Lane by lane, `a`'s flux where `m` holds and `b`'s elsewhere.
+    #[inline(always)]
+    fn select(m: [bool; W], a: &Self, b: &Self) -> Self {
+        FluxLanes {
+            mass: pick(&m, &a.mass, &b.mass),
+            mom: [0, 1, 2].map(|d| pick(&m, &a.mom[d], &b.mom[d])),
+            energy: pick(&m, &a.energy, &b.energy),
+            eint: pick(&m, &a.eint, &b.eint),
+            upwind_left: pick(&m, &a.upwind_left, &b.upwind_left),
+        }
     }
 }
 
-fn phys_flux(q: &Primitive, u: &UCons) -> FaceFlux {
-    let un = q.vel[0];
-    FaceFlux {
+/// Conserved state in face-normal coordinates, one zone a lane.
+#[derive(Clone, Copy)]
+struct UCons<const W: usize> {
+    rho: [Real; W],
+    mu: [Real; W],
+    mv: [Real; W],
+    mw: [Real; W],
+    e: [Real; W],  // ρE
+    ei: [Real; W], // ρe (advected)
+}
+
+fn to_cons<const W: usize>(q: &PrimLanes<W>) -> UCons<W> {
+    UCons {
+        rho: q.rho,
+        mu: each(|l| q.rho[l] * q.vel[0][l]),
+        mv: each(|l| q.rho[l] * q.vel[1][l]),
+        mw: each(|l| q.rho[l] * q.vel[2][l]),
+        e: each(|l| q.rho[l] * q.lane(l).etot()),
+        ei: each(|l| q.rho[l] * q.e[l]),
+    }
+}
+
+fn phys_flux<const W: usize>(q: &PrimLanes<W>, u: &UCons<W>) -> FluxLanes<W> {
+    let un = &q.vel[0];
+    FluxLanes {
         mass: u.mu,
-        mom: [u.mu * un + q.p, u.mv * un, u.mw * un],
-        energy: (u.e + q.p) * un,
-        eint: u.ei * un,
-        upwind_left: un >= 0.0,
+        mom: [
+            each(|l| u.mu[l] * un[l] + q.p[l]),
+            each(|l| u.mv[l] * un[l]),
+            each(|l| u.mw[l] * un[l]),
+        ],
+        energy: each(|l| (u.e[l] + q.p[l]) * un[l]),
+        eint: each(|l| u.ei[l] * un[l]),
+        upwind_left: each(|l| un[l] >= 0.0),
     }
 }
 
 /// HLLC flux for left/right primitive states given in *face-normal*
-/// coordinates (`vel[0]` is the normal velocity).
+/// coordinates (`vel[0]` is the normal velocity): the crate's lane solver,
+/// `hllc_lanes`, on one face.
 pub fn hllc(ql: &Primitive, qr: &Primitive) -> FaceFlux {
+    let f = hllc_lanes(&PrimLanes::from([*ql]), &PrimLanes::from([*qr]));
+    FaceFlux {
+        mass: f.mass[0],
+        mom: f.mom.map(|m| m[0]),
+        energy: f.energy[0],
+        eint: f.eint[0],
+        upwind_left: f.upwind_left[0],
+    }
+}
+
+/// HLLC fluxes through `W` faces at once, lane `l` of `ql`/`qr` being face
+/// `l`'s left/right state. Each of the solver's branches (supersonic left,
+/// supersonic right, star state left or right of the contact) is a per-lane
+/// select of what that branch computes, with the same operations in the
+/// same order, so every lane has the bits of a face solved alone. A branch
+/// no lane takes is not computed.
+pub(crate) fn hllc_lanes<const W: usize>(ql: &PrimLanes<W>, qr: &PrimLanes<W>) -> FluxLanes<W> {
     let ul = to_cons(ql);
     let ur = to_cons(qr);
+    let (unl, unr) = (&ql.vel[0], &qr.vel[0]);
     // Einfeldt-style wave speed estimates.
-    let sl = (ql.vel[0] - ql.cs).min(qr.vel[0] - qr.cs);
-    let sr = (ql.vel[0] + ql.cs).max(qr.vel[0] + qr.cs);
-    if sl >= 0.0 {
-        return phys_flux(ql, &ul);
-    }
-    if sr <= 0.0 {
-        return phys_flux(qr, &ur);
-    }
+    let sl: [Real; W] = each(|l| (unl[l] - ql.cs[l]).min(unr[l] - qr.cs[l]));
+    let sr: [Real; W] = each(|l| (unl[l] + ql.cs[l]).max(unr[l] + qr.cs[l]));
     // Contact speed.
-    let num = qr.p - ql.p + ul.mu * (sl - ql.vel[0]) - ur.mu * (sr - qr.vel[0]);
-    let den = ql.rho * (sl - ql.vel[0]) - qr.rho * (sr - qr.vel[0]);
-    let sstar = if den.abs() < 1e-300 { 0.0 } else { num / den };
-
-    // Star-region state on the chosen side (Toro's formulas).
-    let star = |q: &Primitive, u: &UCons, s: Real| -> (UCons, FaceFlux) {
-        let f = phys_flux(q, u);
-        let coef = q.rho * (s - q.vel[0]) / (s - sstar);
-        let e_star =
-            coef * (u.e / q.rho + (sstar - q.vel[0]) * (sstar + q.p / (q.rho * (s - q.vel[0]))));
-        let ustar = UCons {
-            rho: coef,
-            mu: coef * sstar,
-            mv: coef * q.vel[1],
-            mw: coef * q.vel[2],
-            e: e_star,
-            ei: coef * q.e,
-        };
-        (ustar, f)
-    };
-    if sstar >= 0.0 {
-        let (us, f) = star(ql, &ul, sl);
-        FaceFlux {
-            mass: f.mass + sl * (us.rho - ul.rho),
-            mom: [
-                f.mom[0] + sl * (us.mu - ul.mu),
-                f.mom[1] + sl * (us.mv - ul.mv),
-                f.mom[2] + sl * (us.mw - ul.mw),
-            ],
-            energy: f.energy + sl * (us.e - ul.e),
-            eint: f.eint + sl * (us.ei - ul.ei),
-            upwind_left: true,
-        }
+    let num: [Real; W] =
+        each(|l| qr.p[l] - ql.p[l] + ul.mu[l] * (sl[l] - unl[l]) - ur.mu[l] * (sr[l] - unr[l]));
+    let den: [Real; W] = each(|l| ql.rho[l] * (sl[l] - unl[l]) - qr.rho[l] * (sr[l] - unr[l]));
+    let degenerate = each(|l| den[l].abs() < 1e-300);
+    let sstar = pick(&degenerate, &[0.0; W], &each(|l| num[l] / den[l]));
+    // Star-region state on the contact's upwind side (Toro's formulas).
+    let left = each(|l| sstar[l] >= 0.0);
+    let star = if left == [true; W] {
+        star_flux(ql, &ul, &sl, &sstar, true)
+    } else if left == [false; W] {
+        star_flux(qr, &ur, &sr, &sstar, false)
     } else {
-        let (us, f) = star(qr, &ur, sr);
-        FaceFlux {
-            mass: f.mass + sr * (us.rho - ur.rho),
-            mom: [
-                f.mom[0] + sr * (us.mu - ur.mu),
-                f.mom[1] + sr * (us.mv - ur.mv),
-                f.mom[2] + sr * (us.mw - ur.mw),
-            ],
-            energy: f.energy + sr * (us.e - ur.e),
-            eint: f.eint + sr * (us.ei - ur.ei),
-            upwind_left: false,
-        }
+        let on_left = star_flux(ql, &ul, &sl, &sstar, true);
+        FluxLanes::select(left, &on_left, &star_flux(qr, &ur, &sr, &sstar, false))
+    };
+    let (sonic_l, sonic_r) = (each(|l| sl[l] >= 0.0), each(|l| sr[l] <= 0.0));
+    if sonic_l == [false; W] && sonic_r == [false; W] {
+        return star;
+    }
+    // Supersonic: the upwind side's physical flux.
+    let (fl, fr) = (phys_flux(ql, &ul), phys_flux(qr, &ur));
+    FluxLanes::select(sonic_l, &fl, &FluxLanes::select(sonic_r, &fr, &star))
+}
+
+/// Toro's star-region flux `F(q) + s (U* − U)` on the side of a contact
+/// moving at `sstar` whose state is `q` (conserved `u`) and wave speed `s`.
+#[inline(always)]
+fn star_flux<const W: usize>(
+    q: &PrimLanes<W>,
+    u: &UCons<W>,
+    s: &[Real; W],
+    sstar: &[Real; W],
+    upwind_left: bool,
+) -> FluxLanes<W> {
+    let f = phys_flux(q, u);
+    let un = &q.vel[0];
+    let coef: [Real; W] = each(|l| q.rho[l] * (s[l] - un[l]) / (s[l] - sstar[l]));
+    let e_star: [Real; W] = each(|l| {
+        let c = sstar[l] + q.p[l] / (q.rho[l] * (s[l] - un[l]));
+        coef[l] * (u.e[l] / q.rho[l] + (sstar[l] - un[l]) * c)
+    });
+    let ustar = |v: &[Real; W]| each(|l| coef[l] * v[l]);
+    let jump =
+        |f: &[Real; W], ustar: [Real; W], u: &[Real; W]| each(|l| f[l] + s[l] * (ustar[l] - u[l]));
+    FluxLanes {
+        mass: jump(&f.mass, coef, &u.rho),
+        mom: [
+            jump(&f.mom[0], ustar(sstar), &u.mu),
+            jump(&f.mom[1], ustar(&q.vel[1]), &u.mv),
+            jump(&f.mom[2], ustar(&q.vel[2]), &u.mw),
+        ],
+        energy: jump(&f.energy, e_star, &u.e),
+        eint: jump(&f.eint, ustar(&q.e), &u.ei),
+        upwind_left: [upwind_left; W],
     }
 }
 

@@ -5,8 +5,8 @@
 //! diagnostics/EOS calls), temperature, and partial densities for each
 //! network species.
 
-use exastro_microphysics::{Composition, Eos};
-use exastro_parallel::Real;
+use exastro_microphysics::{Composition, Eos, Species};
+use exastro_parallel::{Real, LANES};
 
 /// Component indices of the conserved state.
 #[derive(Clone, Copy, Debug)]
@@ -94,6 +94,78 @@ impl Primitive {
     }
 }
 
+/// `[f(0), …, f(W − 1)]` by a plain loop, which always inlines into a lane
+/// kernel (`std::array::from_fn` need not, and an outlined one leaves the
+/// lanes scalar).
+#[inline(always)]
+pub(crate) fn each<T: Copy + Default, const W: usize>(mut f: impl FnMut(usize) -> T) -> [T; W] {
+    let mut out = [T::default(); W];
+    for (l, o) in out.iter_mut().enumerate() {
+        *o = f(l);
+    }
+    out
+}
+
+/// Lane by lane, `a` where `m` holds and `b` elsewhere: a branch of
+/// per-zone code as a select of the values its arms compute.
+#[inline(always)]
+pub(crate) fn pick<T: Copy + Default, const W: usize>(
+    m: &[bool; W],
+    a: &[T; W],
+    b: &[T; W],
+) -> [T; W] {
+    each(|l| if m[l] { a[l] } else { b[l] })
+}
+
+/// `[f(0), …, f(LANES − 1)]`: one value a lane of a row chunk.
+#[inline(always)]
+pub(crate) fn lanes(f: impl FnMut(usize) -> Real) -> [Real; LANES] {
+    each(f)
+}
+
+/// The [`Primitive`]s of `W` zones, field by field: lane `l` of every field
+/// is zone `l`'s.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PrimLanes<const W: usize> {
+    pub rho: [Real; W],
+    pub vel: [[Real; W]; 3],
+    pub p: [Real; W],
+    pub e: [Real; W],
+    pub cs: [Real; W],
+}
+
+impl<const W: usize> PrimLanes<W> {
+    /// Zone `l`'s primitive.
+    #[inline]
+    pub fn lane(&self, l: usize) -> Primitive {
+        Primitive {
+            rho: self.rho[l],
+            vel: [self.vel[0][l], self.vel[1][l], self.vel[2][l]],
+            p: self.p[l],
+            e: self.e[l],
+            cs: self.cs[l],
+        }
+    }
+}
+
+impl<const W: usize> Default for PrimLanes<W> {
+    fn default() -> Self {
+        Self::from([Primitive::default(); W])
+    }
+}
+
+impl<const W: usize> From<[Primitive; W]> for PrimLanes<W> {
+    fn from(q: [Primitive; W]) -> Self {
+        PrimLanes {
+            rho: each(|l| q[l].rho),
+            vel: [0, 1, 2].map(|d| each(|l| q[l].vel[d])),
+            p: each(|l| q[l].p),
+            e: each(|l| q[l].e),
+            cs: each(|l| q[l].cs),
+        }
+    }
+}
+
 /// Floors applied to keep the state physical through strong rarefactions.
 #[derive(Clone, Copy, Debug)]
 pub struct Floors {
@@ -159,36 +231,71 @@ pub fn cons_to_prim(
     u: &[Real],
     layout: &StateLayout,
     eos: &dyn Eos,
-    species: &[exastro_microphysics::Species],
+    species: &[Species],
     floors: &Floors,
 ) -> Primitive {
-    let (rho, vel, e) = rho_vel_e(
-        u[StateLayout::RHO],
-        [u[StateLayout::MX], u[StateLayout::MY], u[StateLayout::MZ]],
-        u[StateLayout::EDEN],
-        u[StateLayout::EINT],
-        floors,
+    let (q, _) = cons_to_prim_lanes(|c| [u[c]; LANES], 1, layout, eos, species, floors);
+    q.lane(0)
+}
+
+/// [`cons_to_prim`] for [`LANES`] zones, bit for bit: `u(c)` is component
+/// `c` of every lane, and the first `live` lanes are inverted, in one
+/// [`Eos::t_from_e_lanes`] call (the other lanes' primitives are
+/// unspecified). Also returns the zones' mass fractions, clamped to [0, 1].
+#[inline(always)]
+pub(crate) fn cons_to_prim_lanes(
+    u: impl Fn(usize) -> [Real; LANES],
+    live: usize,
+    layout: &StateLayout,
+    eos: &dyn Eos,
+    species: &[Species],
+    floors: &Floors,
+) -> (PrimLanes<LANES>, [[Real; LANES]; StateLayout::MAX_NSPEC]) {
+    let (rho_u, eden, eint) = (
+        u(StateLayout::RHO),
+        u(StateLayout::EDEN),
+        u(StateLayout::EINT),
     );
-    let inv = 1.0 / rho;
-    let mut x = [0.0; StateLayout::MAX_NSPEC];
+    let mom = [u(StateLayout::MX), u(StateLayout::MY), u(StateLayout::MZ)];
+    let (mut rho, mut vel, mut e) = ([0.0; LANES], [[0.0; LANES]; 3], [0.0; LANES]);
+    for l in 0..LANES {
+        let v;
+        (rho[l], v, e[l]) = rho_vel_e(
+            rho_u[l],
+            [mom[0][l], mom[1][l], mom[2][l]],
+            eden[l],
+            eint[l],
+            floors,
+        );
+        for d in 0..3 {
+            vel[d][l] = v[d];
+        }
+    }
+    let inv = lanes(|l| 1.0 / rho[l]);
+    let mut x = [[0.0; LANES]; StateLayout::MAX_NSPEC];
     let n = layout.nspec;
     for k in 0..n {
-        x[k] = (u[layout.spec(k)] * inv).clamp(0.0, 1.0);
+        let uk = u(layout.spec(k));
+        x[k] = lanes(|l| (uk[l] * inv[l]).clamp(0.0, 1.0));
     }
-    let comp = Composition::from_mass_fractions(species, &x[..n]);
-    let t_guess = u[StateLayout::TEMP].max(floors.small_temp);
-    let (t, mut r) = eos.t_from_e(rho, e, &comp, t_guess);
-    if t < floors.small_temp {
-        // The floor clamps, so the solver's evaluation is at the wrong T.
-        r = eos.eval_rt(rho, floors.small_temp, &comp);
+    let comp = Composition::from_mass_fraction_lanes(species, &x[..n]);
+    let temp = u(StateLayout::TEMP);
+    let t_guess = lanes(|l| temp[l].max(floors.small_temp));
+    let (t, mut r) = eos.t_from_e_lanes(rho, e, &comp, t_guess, live);
+    for l in 0..live {
+        if t[l] < floors.small_temp {
+            // The floor clamps, so the solver's evaluation is at the wrong T.
+            r[l] = eos.eval_rt(rho[l], floors.small_temp, &comp[l]);
+        }
     }
-    Primitive {
+    let q = PrimLanes {
         rho,
         vel,
-        p: r.p.max(floors.small_pres),
+        p: lanes(|l| r[l].p.max(floors.small_pres)),
         e,
-        cs: r.cs,
-    }
+        cs: lanes(|l| r[l].cs),
+    };
+    (q, x)
 }
 
 #[cfg(test)]

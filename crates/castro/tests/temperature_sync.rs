@@ -161,6 +161,36 @@ fn resync_costs_at_most_two_eos_evaluations_per_zone() {
 }
 
 #[test]
+fn one_sedov_hydro_advance_takes_a_pinned_number_of_eos_evaluations() {
+    // Three sweeps' primitives on every valid zone and its two swept ghost
+    // slabs, each an inversion seeded with the zone's temperature. The count
+    // was taken from the per-zone kernels the row kernels replaced: a lane
+    // that has converged, or that lies past its row's end, evaluates nothing.
+    let eos = Counting::new(GammaLaw::monatomic());
+    let net = CBurn2::new();
+    let (castro, geom, mut state) = sedov(&eos, &eos.inner, &net, 24, 12);
+    for _ in 0..2 {
+        let dt = castro.estimate_dt(&state, &geom);
+        castro.advance_level(&mut state, &geom, dt).unwrap();
+    }
+    let dt = castro.estimate_dt(&state, &geom);
+    eos.take();
+    castro.hydro.advance(
+        &mut state,
+        dt,
+        &geom,
+        &castro.layout,
+        castro.eos,
+        castro.net.species(),
+        &castro.bc,
+        &castro.ex,
+        castro.arena.as_ref(),
+    );
+    // 3 sweeps × 8 boxes × (12³ + 2·2·12²) = 55 296 inversions.
+    assert_eq!(eos.take(), 57_192);
+}
+
+#[test]
 fn cons_to_prim_costs_one_evaluation_from_a_converged_seed() {
     fn check<E: Eos>(eos: E, rho: Real, t: Real, perturbed_budget: Option<u64>) {
         let eos = Counting::new(eos);

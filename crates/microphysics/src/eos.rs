@@ -17,6 +17,7 @@
 
 use crate::constants::{A_DEG, A_RAD, B_DEG, K_B, M_U};
 use crate::species::Composition;
+use exastro_parallel::LANES;
 
 /// Thermodynamic state returned by an EOS evaluation.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -53,30 +54,70 @@ pub trait Eos: Send + Sync {
     /// does not evaluate the EOS again. A guess within the convergence
     /// tolerance costs one `eval_rt`.
     fn t_from_e(&self, rho: f64, e: f64, comp: &Composition, t_guess: f64) -> (f64, EosResult) {
-        let mut t = t_guess.max(1e-30);
-        // Newton.
-        for _ in 0..50 {
-            let r = self.eval_rt(rho, t, comp);
-            let f = r.e - e;
-            if f.abs() <= 1e-10 * e.abs().max(1e-30) {
-                return (t, r);
+        let ([t], [r]) = solve_t_from_e(self, [rho], [e], std::array::from_ref(comp), [t_guess], 1);
+        (t, r)
+    }
+
+    /// [`Eos::t_from_e`] for the first `live` of [`LANES`] zones, bit for bit
+    /// and evaluation for evaluation: their Newton iterations run in
+    /// lockstep, each lane stopping on its own test. Lanes past `live`
+    /// evaluate nothing. One virtual call through `dyn Eos` per chunk.
+    fn t_from_e_lanes(
+        &self,
+        rho: [f64; LANES],
+        e: [f64; LANES],
+        comp: &[Composition; LANES],
+        t_guess: [f64; LANES],
+        live: usize,
+    ) -> ([f64; LANES], [EosResult; LANES]) {
+        solve_t_from_e(self, rho, e, comp, t_guess, live)
+    }
+}
+
+/// The inversion behind [`Eos::t_from_e`] (one lane) and
+/// [`Eos::t_from_e_lanes`], monomorphised per EOS: Newton on the first `live`
+/// of `W` lanes, then bisection for a lane 50 steps leave unconverged.
+fn solve_t_from_e<E: Eos + ?Sized, const W: usize>(
+    eos: &E,
+    rho: [f64; W],
+    e: [f64; W],
+    comp: &[Composition; W],
+    t_guess: [f64; W],
+    live: usize,
+) -> ([f64; W], [EosResult; W]) {
+    let mut t = t_guess.map(|t| t.max(1e-30));
+    let mut r = [EosResult::default(); W];
+    let mut newton: [bool; W] = std::array::from_fn(|l| l < live);
+    for _ in 0..50 {
+        let iterating = newton;
+        if iterating == [false; W] {
+            break;
+        }
+        for l in (0..W).filter(|&l| iterating[l]) {
+            let rl = eos.eval_rt(rho[l], t[l], &comp[l]);
+            let f = rl.e - e[l];
+            if f.abs() <= 1e-10 * e[l].abs().max(1e-30) {
+                (r[l], newton[l]) = (rl, false);
+                continue;
             }
-            let dt = -f / r.cv.max(1e-30);
-            let tn = t + dt;
-            if tn > 0.2 * t && tn < 5.0 * t && tn.is_finite() {
-                t = tn;
+            let dt = -f / rl.cv.max(1e-30);
+            let tn = t[l] + dt;
+            if tn > 0.2 * t[l] && tn < 5.0 * t[l] && tn.is_finite() {
+                t[l] = tn;
             } else {
-                t = if dt > 0.0 { t * 2.0 } else { t * 0.5 };
+                t[l] = if dt > 0.0 { t[l] * 2.0 } else { t[l] * 0.5 };
             }
-            if (dt / t).abs() < 1e-12 {
-                return (t, self.eval_rt(rho, t, comp));
+            if (dt / t[l]).abs() < 1e-12 {
+                (r[l], newton[l]) = (eos.eval_rt(rho[l], t[l], &comp[l]), false);
             }
         }
-        // Bisection fallback over a wide (log-space) bracket.
+    }
+    // Bisection over a wide (log-space) bracket for what Newton left.
+    for l in (0..W).filter(|&l| newton[l]) {
         let (mut lo, mut hi): (f64, f64) = (1e-30, 1e12);
         for _ in 0..200 {
             let mid = (lo * hi).sqrt();
-            if self.eval_rt(rho, mid, comp).e < e {
+            if eos.eval_rt(rho[l], mid, &comp[l]).e < e[l] {
                 lo = mid;
             } else {
                 hi = mid;
@@ -85,11 +126,13 @@ pub trait Eos: Send + Sync {
                 break;
             }
         }
-        let t = (lo * hi).sqrt();
-        (t, self.eval_rt(rho, t, comp))
+        t[l] = (lo * hi).sqrt();
+        r[l] = eos.eval_rt(rho[l], t[l], &comp[l]);
     }
+    (t, r)
 }
 
+#[inline]
 fn finish(p: f64, e: f64, cv: f64, dpdr: f64, dpdt: f64) -> EosResult {
     EosResult {
         p,
@@ -104,6 +147,7 @@ fn finish(p: f64, e: f64, cv: f64, dpdr: f64, dpdt: f64) -> EosResult {
 
 /// Complete a result with the adiabatic sound speed via the identity
 /// `c_s² = (∂p/∂ρ)_T + T (∂p/∂T)² / (ρ² c_v)`.
+#[inline]
 fn with_sound_speed(mut r: EosResult, rho: f64, t: f64) -> EosResult {
     let cs2 = (r.dpdr + r.dpdt * r.dpdt * t / (rho * rho * r.cv.max(1e-30))).max(1e-30);
     r.cs = cs2.sqrt();
@@ -136,6 +180,7 @@ impl GammaLaw {
 }
 
 impl Eos for GammaLaw {
+    #[inline]
     fn eval_rt(&self, rho: f64, t: f64, comp: &Composition) -> EosResult {
         let nkt_per_mass = K_B * t / (comp.abar * M_U);
         let p = rho * nkt_per_mass;

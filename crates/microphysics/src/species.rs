@@ -72,6 +72,18 @@ impl Composition {
     /// Compute (abar, zbar) from mass fractions `x` for `species`.
     pub fn from_mass_fractions(species: &[Species], x: &[f64]) -> Self {
         assert_eq!(species.len(), x.len());
+        let [comp] = Self::from_x(species, x.iter().map(|&xi| [xi]));
+        comp
+    }
+
+    /// [`Composition::from_mass_fractions`] of `W` zones at once, bit for
+    /// bit: `x[i][l]` is species `i`'s mass fraction in zone `l`.
+    #[inline]
+    pub fn from_mass_fraction_lanes<const W: usize>(
+        species: &[Species],
+        x: &[[f64; W]],
+    ) -> [Self; W] {
+        assert_eq!(species.len(), x.len());
         Self::from_x(species, x.iter().copied())
     }
 
@@ -79,21 +91,34 @@ impl Composition {
     /// [`molar_to_mass`] forms them) without staging the mass fractions.
     pub(crate) fn from_molar_fractions(species: &[Species], y: &[f64]) -> Self {
         assert_eq!(species.len(), y.len());
-        Self::from_x(species, species.iter().zip(y).map(|(s, &yi)| yi * s.a))
+        let [comp] = Self::from_x(species, species.iter().zip(y).map(|(s, &yi)| [yi * s.a]));
+        comp
     }
 
-    fn from_x(species: &[Species], x: impl Iterator<Item = f64>) -> Self {
-        let mut inv_abar = 0.0;
-        let mut ze = 0.0;
+    /// The compositions of `W` zones, species by species: the item for
+    /// species `i` holds its mass fraction in each zone.
+    #[inline]
+    fn from_x<const W: usize>(species: &[Species], x: impl Iterator<Item = [f64; W]>) -> [Self; W] {
+        let mut inv_abar = [0.0; W];
+        let mut ze = [0.0; W];
         for (s, xi) in species.iter().zip(x) {
-            inv_abar += xi / s.a;
-            ze += s.z * xi / s.a;
+            for l in 0..W {
+                inv_abar[l] += xi[l] / s.a;
+                ze[l] += s.z * xi[l] / s.a;
+            }
         }
-        let abar = 1.0 / inv_abar;
-        Composition {
-            abar,
-            zbar: ze * abar,
+        let abar = inv_abar.map(|i| 1.0 / i);
+        let mut out = [Composition {
+            abar: 0.0,
+            zbar: 0.0,
+        }; W];
+        for l in 0..W {
+            out[l] = Composition {
+                abar: abar[l],
+                zbar: ze[l] * abar[l],
+            };
         }
+        out
     }
 
     /// Electron mean molecular weight `μ_e = abar / zbar`.

@@ -39,6 +39,132 @@ fn bits(r: &EosResult) -> [u64; 7] {
     [r.p, r.e, r.cv, r.dpdr, r.dpdt, r.cs, r.gam1].map(f64::to_bits)
 }
 
+/// An EOS that counts its evaluations.
+struct Counting<E> {
+    inner: E,
+    evals: std::sync::atomic::AtomicU64,
+}
+
+impl<E: Eos> Eos for Counting<E> {
+    fn eval_rt(&self, rho: f64, t: f64, comp: &Composition) -> EosResult {
+        self.evals
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.inner.eval_rt(rho, t, comp)
+    }
+}
+
+impl<E> Counting<E> {
+    fn new(inner: E) -> Self {
+        Counting {
+            inner,
+            evals: Default::default(),
+        }
+    }
+
+    /// Evaluations since the last call.
+    fn take(&self) -> u64 {
+        self.evals.swap(0, std::sync::atomic::Ordering::Relaxed)
+    }
+}
+
+/// An EOS whose `c_v` is reported 1e15 times too large at one density, so
+/// that Newton's steps there fall below 1e-12 relative at once, whatever
+/// the residual.
+struct StiffAt<E> {
+    inner: E,
+    rho: f64,
+}
+
+impl<E: Eos> Eos for StiffAt<E> {
+    fn eval_rt(&self, rho: f64, t: f64, comp: &Composition) -> EosResult {
+        let mut r = self.inner.eval_rt(rho, t, comp);
+        if rho == self.rho {
+            r.cv *= 1e15;
+        }
+        r
+    }
+}
+
+/// How an inversion in [`t_from_e_lanes_is_four_t_from_e_calls`] ends.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Exit {
+    /// The seed is the answer: one evaluation.
+    FirstEvaluation,
+    /// A seed 35 decades cold: Newton's 50 steps run out, then bisection.
+    Bisection,
+    /// A seed 30 % off where `c_v` is 1e15 times too large: Newton's
+    /// step-size test after one step, residual unmet.
+    StepSize,
+    /// A seed 30 % off: a few Newton steps to the residual test.
+    Residual,
+}
+
+/// Four lanes' inversions with `eos` — lane `l` ending as `exits[l]` at
+/// `rho·(1 + l)`, `t·(1 + l/2)` — against one `t_from_e` call a lane, bit
+/// for bit and evaluation for evaluation, the first `live` lanes solved.
+fn check_lanes<E: Eos>(
+    eos: E,
+    rho: f64,
+    t: f64,
+    comp: &Composition,
+    exits: [Exit; 4],
+    live: usize,
+) -> Result<(), TestCaseError> {
+    let step = exits.iter().position(|&x| x == Exit::StepSize);
+    let state = |l: usize| (rho * (1.0 + l as f64), t * (1.0 + 0.5 * l as f64));
+    let stiff_rho = step.map_or(f64::NAN, |l| state(l).0);
+    let eos = Counting::new(StiffAt {
+        inner: eos,
+        rho: stiff_rho,
+    });
+    let mut e = [0.0; 4];
+    let mut guess = [0.0; 4];
+    for (l, exit) in exits.iter().enumerate() {
+        let (r, tl) = state(l);
+        e[l] = eos.inner.eval_rt(r, tl, comp).e;
+        guess[l] = match exit {
+            Exit::FirstEvaluation => tl,
+            Exit::Bisection => 1e-30,
+            Exit::StepSize | Exit::Residual => tl * 1.3,
+        };
+    }
+    let rho4 = [0, 1, 2, 3].map(|l| state(l).0);
+    let (tl, rl) = eos.t_from_e_lanes(rho4, e, &[*comp; 4], guess, live);
+    let lane_evals = eos.take();
+    let mut scalar_evals = 0;
+    for l in 0..live {
+        let (ts, rs) = eos.t_from_e(rho4[l], e[l], comp, guess[l]);
+        let evals = eos.take();
+        scalar_evals += evals;
+        prop_assert!(
+            tl[l].to_bits() == ts.to_bits(),
+            "lane {} ({:?}) T {:e} vs {:e}",
+            l,
+            exits[l],
+            tl[l],
+            ts
+        );
+        prop_assert!(bits(&rl[l]) == bits(&rs), "lane {} ({:?})", l, exits[l]);
+        // Each lane ended the way it was set up to.
+        let residual_met = (rs.e - e[l]).abs() <= 1e-10 * e[l].abs();
+        let ended = match exits[l] {
+            Exit::FirstEvaluation => evals == 1,
+            Exit::Bisection => evals > 50,
+            Exit::StepSize => evals == 2 && !residual_met,
+            Exit::Residual => (2..50).contains(&evals) && residual_met,
+        };
+        prop_assert!(ended, "lane {} ({:?}): {} evaluations", l, exits[l], evals);
+    }
+    prop_assert!(
+        lane_evals == scalar_evals,
+        "{} evaluations on {} live lanes, {} one lane at a time",
+        lane_evals,
+        live,
+        scalar_evals
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -87,6 +213,24 @@ proptest! {
         let (ts, rs) = shifted.t_from_e(rho, target, &comp, 1e7);
         prop_assert!((ts / t - 1.0).abs() < 1e-5, "shifted: T={t:.2e} -> {ts:.4e}");
         prop_assert_eq!(bits(&rs), bits(&shifted.eval_rt(rho, ts, &comp)));
+    }
+
+    #[test]
+    fn t_from_e_lanes_is_four_t_from_e_calls(
+        log_rho in -2.0f64..8.0,
+        log_t in 5.0f64..9.5,
+        (x, comp) in arb_composition(),
+        rotate in 0usize..4,
+        live in 1usize..5,
+    ) {
+        // One lane of each exit, in every order, and partial chunks whose
+        // lanes past `live` must not evaluate.
+        let _ = x;
+        let mut exits = [Exit::FirstEvaluation, Exit::Bisection, Exit::StepSize, Exit::Residual];
+        exits.rotate_left(rotate);
+        let (rho, t) = (10f64.powf(log_rho), 10f64.powf(log_t));
+        check_lanes(GammaLaw::monatomic(), rho, t, &comp, exits, live)?;
+        check_lanes(StellarEos, rho, t, &comp, exits, live)?;
     }
 
     #[test]

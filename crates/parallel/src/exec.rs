@@ -1,4 +1,4 @@
-//! The per-zone loop (§III of the paper).
+//! The per-zone loop (§III of the paper) and the row loop it is made of.
 //!
 //! AMReX's answer to Kokkos/RAJA: application code expresses *the work done
 //! at a given index* `(i, j, k)` as a closure over an [`IndexBox`]. The
@@ -8,10 +8,12 @@
 //!
 //! Parallelism comes from boxes, not from this loop: `amr::HaloLoop` runs one
 //! task per box on the persistent [`crate::pool::WorkerPool`], and inside a
-//! task the closure runs over every zone in one serial loop. An
-//! [`ExecSpace`] therefore does not choose how a loop runs; it says what a
-//! launch is charged to:
-//!
+//! task the closure runs in one serial loop nest over the box's x-rows. A
+//! **row kernel** ([`ExecSpace::par_for_rows_prof`]) is handed the rows and
+//! takes [`LANES`] zones of a row at a time as lane arrays, like the SIMD
+//! inner `i` loop of AMReX's CPU `ParallelFor` and Parthenon's `par_for`. An
+//! [`ExecSpace`] does not choose how a loop runs; it says what a launch is
+//! charged to:
 //! * [`ExecSpace::Serial`] — nothing beyond the loop itself;
 //! * [`ExecSpace::Device`] — a simulated accelerator too (Fig. 1 right). The
 //!   answers are the host's; the device observes the launch and is charged
@@ -38,8 +40,29 @@ pub enum ExecSpace {
     Device(Arc<SimDevice>),
 }
 
+/// How many consecutive zones of an x-row a row kernel takes at a time.
+pub const LANES: usize = 4;
+
+/// Run `chunk(offset, live)` for the [`LANES`]-zone chunks of the x-row
+/// `i_lo..=i_hi` in order: `offset` counts from `i_lo`, and `live` zones of
+/// the chunk lie in the row — a literal [`LANES`] but in a shorter last
+/// chunk, so an `#[inline(always)]` `chunk` folds the full chunks' clamps.
+#[inline(always)]
+pub fn lane_chunks(i_lo: i32, i_hi: i32, mut chunk: impl FnMut(usize, usize)) {
+    let len = (i64::from(i_hi) - i64::from(i_lo) + 1).max(0) as usize;
+    let mut o = 0;
+    while o + LANES <= len {
+        chunk(o, LANES);
+        o += LANES;
+    }
+    if o < len {
+        chunk(o, len - o);
+    }
+}
+
+/// The one loop nest: `f(j, k, i_lo, i_hi)` for the x-rows of `bx` in order.
 #[inline]
-fn serial_for<F: FnMut(i32, i32, i32)>(bx: IndexBox, mut f: F) {
+fn serial_rows<F: FnMut(i32, i32, i32, i32)>(bx: IndexBox, mut f: F) {
     if bx.is_empty() {
         return;
     }
@@ -51,11 +74,19 @@ fn serial_for<F: FnMut(i32, i32, i32)>(bx: IndexBox, mut f: F) {
     // makes `hi + 1` overflow-free.
     for k in lo.z() as i64..hi.z() as i64 + 1 {
         for j in lo.y() as i64..hi.y() as i64 + 1 {
-            for i in lo.x() as i64..hi.x() as i64 + 1 {
-                f(i as i32, j as i32, k as i32);
-            }
+            f(j as i32, k as i32, lo.x(), hi.x());
         }
     }
+}
+
+/// The row loop with a per-zone body.
+#[inline]
+fn serial_for<F: FnMut(i32, i32, i32)>(bx: IndexBox, mut f: F) {
+    serial_rows(bx, |j, k, i_lo, i_hi| {
+        for i in i_lo as i64..i_hi as i64 + 1 {
+            f(i as i32, j, k);
+        }
+    });
 }
 
 impl ExecSpace {
@@ -87,16 +118,28 @@ impl ExecSpace {
         serial_for(bx, f);
     }
 
-    /// The maximum of `f(i, j, k)` over `bx` (−∞ for an empty box), charged
-    /// at default kernel cost.
-    pub fn par_reduce_max<F>(&self, bx: IndexBox, f: F) -> f64
+    /// Run `f(j, k, i_lo, i_hi)` for every x-row of `bx`, zones `i_lo..=i_hi`
+    /// of row `(j, k)`, charged and reported as [`ExecSpace::par_for_prof`]
+    /// would the same box.
+    pub fn par_for_rows_prof<F>(&self, bx: IndexBox, profile: &KernelProfile, f: F)
     where
-        F: Fn(i32, i32, i32) -> f64 + Sync,
+        F: Fn(i32, i32, i32, i32) + Sync,
+    {
+        Telemetry::record_zones(bx.num_zones().max(0) as u64);
+        self.charge(bx.num_zones(), profile);
+        serial_rows(bx, f);
+    }
+
+    /// The maximum over the x-rows of `bx` of a row's maximum `f(j, k, i_lo,
+    /// i_hi)` (−∞ for an empty box), charged at default kernel cost.
+    pub fn par_reduce_rows_max<F>(&self, bx: IndexBox, f: F) -> f64
+    where
+        F: Fn(i32, i32, i32, i32) -> f64 + Sync,
     {
         Telemetry::record_zones(bx.num_zones().max(0) as u64);
         self.charge(bx.num_zones(), &KernelProfile::default());
         let mut acc = f64::NEG_INFINITY;
-        serial_for(bx, |i, j, k| acc = acc.max(f(i, j, k)));
+        serial_rows(bx, |j, k, i_lo, i_hi| acc = acc.max(f(j, k, i_lo, i_hi)));
         acc
     }
 }
@@ -132,11 +175,38 @@ mod tests {
     }
 
     #[test]
+    fn rows_and_their_lane_chunks_cover_every_zone_once_in_memory_order() {
+        let bx = IndexBox::new(IntVect::new(-3, 0, 1), IntVect::new(5, 2, 3));
+        for ex in spaces() {
+            let visited = std::sync::Mutex::new(Vec::new());
+            ex.par_for_rows_prof(bx, &KernelProfile::default(), |j, k, i_lo, i_hi| {
+                assert_eq!((i_lo, i_hi), (bx.lo().x(), bx.hi().x()));
+                lane_chunks(i_lo, i_hi, |o, live| {
+                    assert!((1..=LANES).contains(&live));
+                    for l in 0..live {
+                        let iv = IntVect::new(i_lo + (o + l) as i32, j, k);
+                        visited.lock().unwrap().push(bx.linear_index(iv));
+                    }
+                });
+            });
+            let visited = visited.into_inner().unwrap();
+            assert_eq!(visited, (0..bx.num_zones() as usize).collect::<Vec<_>>());
+        }
+        for len in 0..=9 {
+            let mut chunks = Vec::new();
+            lane_chunks(7, 7 + len - 1, |o, live| chunks.push((o, live)));
+            let lives: usize = chunks.iter().map(|&(_, live)| live).sum();
+            assert_eq!(lives, len as usize);
+            assert!(chunks.iter().enumerate().all(|(n, &(o, _))| o == n * LANES));
+        }
+    }
+
+    #[test]
     fn par_for_empty_box_is_noop() {
         for ex in spaces() {
             ex.par_for(IndexBox::empty(), |_, _, _| panic!("must not run"));
             assert_eq!(
-                ex.par_reduce_max(IndexBox::empty(), |_, _, _| panic!("must not run")),
+                ex.par_reduce_rows_max(IndexBox::empty(), |_, _, _, _| panic!("must not run")),
                 f64::NEG_INFINITY
             );
         }
@@ -150,8 +220,16 @@ mod tests {
             .iter()
             .map(|iv| f(iv.x(), iv.y(), iv.z()))
             .fold(f64::NEG_INFINITY, f64::max);
+        let row_max = |j, k, i_lo, i_hi| {
+            (i_lo..=i_hi)
+                .map(|i| f(i, j, k))
+                .fold(f64::NEG_INFINITY, f64::max)
+        };
         for ex in spaces() {
-            assert_eq!(ex.par_reduce_max(bx, f).to_bits(), reference.to_bits());
+            assert_eq!(
+                ex.par_reduce_rows_max(bx, row_max).to_bits(),
+                reference.to_bits()
+            );
         }
     }
 
@@ -160,17 +238,27 @@ mod tests {
         let dev = SimDevice::new(DeviceConfig::v100());
         let ex = ExecSpace::Device(dev.clone());
         ex.par_for(IndexBox::cube(8), |_, _, _| {});
-        ex.par_reduce_max(IndexBox::cube(8), |_, _, _| 1.0);
+        ex.par_reduce_rows_max(IndexBox::cube(8), |_, _, _, _| 1.0);
+        ex.par_for_rows_prof(
+            IndexBox::cube(2),
+            &KernelProfile::default(),
+            |_, _, _, _| {},
+        );
         ex.charge(100, &KernelProfile::new(5.0, 320));
-        assert_eq!(dev.stats().kernels, 3);
-        assert_eq!(dev.stats().zones, 1124);
+        assert_eq!(dev.stats().kernels, 4);
+        assert_eq!(dev.stats().zones, 1132);
         assert!(dev.elapsed_us() > 0.0);
         {
             let _r = Telemetry::region("exec_charge_test");
             ExecSpace::Serial.charge(100, &KernelProfile::default());
             ExecSpace::Serial.par_for(IndexBox::cube(2), |_, _, _| {});
+            ExecSpace::Serial.par_for_rows_prof(
+                IndexBox::cube(3),
+                &KernelProfile::default(),
+                |_, _, _, _| {},
+            );
         }
         let s = Telemetry::region_stats("exec_charge_test").expect("region recorded");
-        assert_eq!((s.zones, s.device_us), (8, 0.0));
+        assert_eq!((s.zones, s.device_us), (35, 0.0));
     }
 }

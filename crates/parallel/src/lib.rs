@@ -9,8 +9,9 @@
 //! * [`index`] — `IntVect` / `IndexBox` index-space primitives that every
 //!   physics loop iterates over;
 //! * [`exec`] — the `parallel_for` layer: one closure body run over a box by
-//!   one serial per-zone loop; an [`ExecSpace`] says whether a launch is
-//!   also charged to a simulated device;
+//!   one serial loop nest over its x-rows, per zone or [`LANES`] zones of a
+//!   row at a time; an [`ExecSpace`] says whether a launch is also charged
+//!   to a simulated device;
 //! * [`device`] — the simulated accelerator with a calibrated cost model
 //!   (launch latency, occupancy, register spilling, allocation latency,
 //!   memory oversubscription);
@@ -48,7 +49,7 @@ pub mod pool;
 
 pub use arena::{Arena, ArenaStats, MallocArena, PoolArena, ScratchBuf};
 pub use device::{DeviceConfig, DeviceStats, KernelProfile, SimDevice};
-pub use exec::ExecSpace;
+pub use exec::{lane_chunks, ExecSpace, LANES};
 pub use graph::{GraphError, GraphRunStats, TaskGraph};
 // The region API and the types `TaskGraph::run_labeled` takes, so region
 // sites and graph builders need no dependency of their own on the
