@@ -4,22 +4,19 @@
 use crate::burn::{burn_state, BurnOptions, BurnStats};
 use crate::gravity::{Gravity, GravityField, GravityMode};
 use crate::hydro::{Hydro, MAX_NCOMP};
+use crate::restart::snapshot_level;
 use crate::state::{lanes, rho_vel_e, StateLayout};
 use exastro_amr::{
     average_down, fill_patch_two_levels, for_each_row, Array4, BcSpec, CommTrace, FluxRegister,
     Geometry, Hierarchy, IndexBox, IntVect, MultiFab, Real,
 };
-use exastro_microphysics::{BurnFailure, Composition, Eos, Network};
-use exastro_parallel::{
-    lane_chunks, par_each_mut, par_map_fold, Arena, ExecSpace, PoolArena, LANES,
-};
-use exastro_resilience::recovery::{write_emergency, RecoveryOptions};
-use exastro_resilience::snapshot::{Clock, Snapshot};
-use exastro_resilience::stepper::{StepFailure, StepOutcome, Stepper};
+use exastro_microphysics::{Composition, Eos, Network};
+use exastro_parallel::{lane_chunks, par_each_mut, Arena, ExecSpace, PoolArena, LANES};
+use exastro_resilience::recovery::{first_violation, transact, RecoveryOptions};
+pub use exastro_resilience::recovery::{DriverError, StateViolation, StepError};
+use exastro_resilience::stepper::{StepOutcome, Stepper};
 use exastro_telemetry::{StepMetrics, StepRecorder, Telemetry};
-use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Per-step statistics.
 #[derive(Clone, Debug, Default)]
@@ -36,119 +33,6 @@ pub struct StepStats {
     /// gravity solve's own fills), merged across phases.
     pub comm: CommTrace,
 }
-
-/// A violation found by the post-step state validator.
-#[derive(Clone, Debug, PartialEq)]
-pub enum StateViolation {
-    /// A state component is NaN or infinite.
-    NonFinite {
-        /// Component index in the state layout.
-        comp: usize,
-        /// The first offending zone.
-        zone: IntVect,
-    },
-    /// Density at or below zero.
-    NegativeDensity {
-        /// The offending density value.
-        rho: Real,
-        /// The first offending zone.
-        zone: IntVect,
-    },
-    /// Total or internal energy below zero.
-    NegativeEnergy {
-        /// The offending energy value.
-        e: Real,
-        /// The first offending zone.
-        zone: IntVect,
-    },
-    /// Species mass fractions drifted away from ΣX = 1.
-    SpeciesDrift {
-        /// The observed |ΣX − 1|.
-        drift: Real,
-        /// The first offending zone.
-        zone: IntVect,
-    },
-}
-
-impl std::fmt::Display for StateViolation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StateViolation::NonFinite { comp, zone } => {
-                write!(f, "non-finite value in component {comp} at {zone:?}")
-            }
-            StateViolation::NegativeDensity { rho, zone } => {
-                write!(f, "non-positive density {rho:.3e} at {zone:?}")
-            }
-            StateViolation::NegativeEnergy { e, zone } => {
-                write!(f, "negative energy {e:.3e} at {zone:?}")
-            }
-            StateViolation::SpeciesDrift { drift, zone } => {
-                write!(f, "|ΣX − 1| = {drift:.3e} at {zone:?}")
-            }
-        }
-    }
-}
-
-/// Why one attempted step could not be accepted. On `Err` the state passed
-/// to [`Castro::advance_level`] is tainted (partially advanced) and must be
-/// restored from a pre-step snapshot — [`Castro::advance_level_safe`] does
-/// exactly that.
-#[derive(Debug)]
-pub enum StepError {
-    /// One or more burn zones exhausted the retry ladder.
-    Burn(Vec<BurnFailure>),
-    /// The post-step validator rejected the state.
-    Invalid(StateViolation),
-}
-
-impl std::fmt::Display for StepError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StepError::Burn(fails) => {
-                write!(f, "{} burn zone(s) failed all retries", fails.len())?;
-                if let Some(first) = fails.first() {
-                    write!(f, "; first: {first}")?;
-                }
-                Ok(())
-            }
-            StepError::Invalid(v) => write!(f, "post-step validation failed: {v}"),
-        }
-    }
-}
-
-impl std::error::Error for StepError {}
-
-/// A step that stayed unrecoverable through the whole rejection loop. The
-/// driver leaves the state restored to its pre-step contents, writes an
-/// emergency checkpoint when [`RecoveryOptions::emergency_dir`] is set,
-/// and returns this instead of aborting the process.
-#[derive(Debug)]
-pub struct DriverError {
-    /// The error from the final attempt.
-    pub error: StepError,
-    /// Step attempts made (1 initial + retries).
-    pub rejections: u32,
-    /// The smallest `dt` attempted before giving up.
-    pub dt_floor: Real,
-    /// Path of the emergency checkpoint, if one was written.
-    pub emergency_checkpoint: Option<PathBuf>,
-}
-
-impl std::fmt::Display for DriverError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "step unrecoverable after {} attempt(s) (dt floor {:.3e}): {}",
-            self.rejections, self.dt_floor, self.error
-        )?;
-        if let Some(p) = &self.emergency_checkpoint {
-            write!(f, " [emergency checkpoint: {}]", p.display())?;
-        }
-        Ok(())
-    }
-}
-
-impl std::error::Error for DriverError {}
 
 /// The Castro simulation object for one problem.
 pub struct Castro<'a> {
@@ -292,49 +176,36 @@ impl<'a> Castro<'a> {
     /// Validate the post-step state: every component finite, density and
     /// total energy positive, internal energy non-negative, and ΣX within
     /// `species_tol` of unity. Returns the *first* violation in sweep
-    /// order (deterministic), or `Ok(())` for a healthy state.
+    /// order (deterministic; the walk is [`first_violation`]), or `Ok(())`
+    /// for a healthy state.
     pub fn validate_state(
         &self,
         state: &MultiFab,
         species_tol: Real,
     ) -> Result<(), StateViolation> {
         let layout = self.layout;
-        let first_in_fab = |fi: usize| {
-            let arr = state.fab(fi).array();
-            for iv in state.valid_box(fi).iter() {
-                let (i, j, k) = (iv.x(), iv.y(), iv.z());
-                for c in 0..layout.ncomp() {
-                    if !arr.at(i, j, k, c).is_finite() {
-                        return Err(StateViolation::NonFinite { comp: c, zone: iv });
-                    }
-                }
-                let rho = arr.at(i, j, k, StateLayout::RHO);
-                if rho <= 0.0 {
-                    return Err(StateViolation::NegativeDensity { rho, zone: iv });
-                }
-                let eden = arr.at(i, j, k, StateLayout::EDEN);
-                if eden <= 0.0 {
-                    return Err(StateViolation::NegativeEnergy { e: eden, zone: iv });
-                }
-                let eint = arr.at(i, j, k, StateLayout::EINT);
-                if eint < 0.0 {
-                    return Err(StateViolation::NegativeEnergy { e: eint, zone: iv });
-                }
-                let mut xsum = 0.0;
-                for s in 0..layout.nspec {
-                    xsum += arr.at(i, j, k, layout.spec(s)) / rho;
-                }
-                let drift = (xsum - 1.0).abs();
-                if drift > species_tol {
-                    return Err(StateViolation::SpeciesDrift { drift, zone: iv });
-                }
+        first_violation(state, layout.ncomp(), |arr, z, zone| {
+            let rho = arr.at_zone(z, StateLayout::RHO);
+            if rho <= 0.0 {
+                return Err(StateViolation::NegativeDensity { rho, zone });
+            }
+            let eden = arr.at_zone(z, StateLayout::EDEN);
+            if eden <= 0.0 {
+                return Err(StateViolation::NegativeEnergy { e: eden, zone });
+            }
+            let eint = arr.at_zone(z, StateLayout::EINT);
+            if eint < 0.0 {
+                return Err(StateViolation::NegativeEnergy { e: eint, zone });
+            }
+            let mut xsum = 0.0;
+            for s in 0..layout.nspec {
+                xsum += arr.at_zone(z, layout.spec(s)) / rho;
+            }
+            let drift = (xsum - 1.0).abs();
+            if drift > species_tol {
+                return Err(StateViolation::SpeciesDrift { drift, zone });
             }
             Ok(())
-        };
-        // Fabs are checked concurrently; folding their verdicts in fab order
-        // keeps the reported violation the first one in sweep order.
-        par_map_fold(state.nfabs(), Ok(()), first_in_fab, |first, next| {
-            first.and(next)
         })
     }
 
@@ -436,13 +307,13 @@ impl<'a> Castro<'a> {
         Ok(stats)
     }
 
-    /// Advance one level **transactionally**: snapshot the state, attempt
-    /// the step, and on any [`StepError`] (burn-ladder exhaustion, a
-    /// mid-step CFL violation through a strengthening shock — the collision
-    /// problem does this at contact — or any validator rejection) restore
-    /// the snapshot and retry with `dt` cut by [`RecoveryOptions::dt_cut`],
-    /// up to [`RecoveryOptions::max_rejections`] attempts. Returns the
-    /// stats and the `dt` actually taken.
+    /// Advance one level **transactionally** through [`transact`]: on any
+    /// [`StepError`] (burn-ladder exhaustion, a mid-step CFL violation
+    /// through a strengthening shock — the collision problem does this at
+    /// contact — or any validator rejection) the state is restored and the
+    /// step retried with `dt` cut by [`RecoveryOptions::dt_cut`], up to
+    /// [`RecoveryOptions::max_rejections`] attempts. Returns the stats and
+    /// the `dt` actually taken.
     ///
     /// If every attempt fails the state is left **restored to its pre-step
     /// contents**, an emergency checkpoint is written (when
@@ -454,88 +325,28 @@ impl<'a> Castro<'a> {
         geom: &Geometry,
         dt: Real,
     ) -> Result<(StepStats, Real), Box<DriverError>> {
-        let mut try_dt = dt;
-        let attempts = self.recovery.max_rejections.max(1);
-        let mut last_err = None;
-        // Wall clock for the whole transaction, rejected attempts included:
-        // telemetry should charge the step with what it actually cost.
-        let step_start = self.telemetry.is_active().then(Instant::now);
-        for attempt in 0..attempts {
-            let snapshot = state.clone();
-            match self.advance_level(state, geom, try_dt) {
-                Ok((stats, _)) => {
-                    if let Some(t0) = step_start {
-                        self.record_step_metrics(state, &stats, try_dt, t0, attempt);
-                    }
-                    return Ok((stats, try_dt));
-                }
-                Err(e) => {
-                    *state = snapshot;
-                    last_err = Some(e);
-                    let _r = Telemetry::region("step_reject");
-                    Telemetry::record_retries(1);
-                    if attempt + 1 < attempts {
-                        try_dt *= self.recovery.dt_cut;
-                    }
-                }
-            }
-        }
-        let emergency_checkpoint =
-            self.recovery.emergency_dir.as_deref().and_then(|dir| {
-                write_emergency(dir, &self.snapshot_level(state, geom, try_dt)).ok()
-            });
-        Err(Box::new(DriverError {
-            error: last_err.expect("at least one attempt was made"),
-            rejections: attempts,
-            dt_floor: try_dt,
-            emergency_checkpoint,
-        }))
-    }
-
-    /// Build and emit the [`StepMetrics`] record for one accepted step.
-    fn record_step_metrics(
-        &self,
-        state: &MultiFab,
-        stats: &StepStats,
-        dt: Real,
-        step_start: Instant,
-        rejections: u32,
-    ) {
-        let wall_ns = step_start.elapsed().as_nanos() as u64;
-        let zones: u64 = (0..state.nfabs())
-            .map(|i| state.valid_box(i).num_zones() as u64)
-            .sum();
-        let arena = self.arena.stats();
-        self.telemetry.record(StepMetrics {
-            driver: "castro".to_string(),
+        transact(
+            &self.recovery,
+            &self.telemetry,
+            state,
             dt,
-            wall_ns,
-            zones,
-            newton_iters: stats.burn.newton_iters,
-            bdf_steps: stats.burn.total_steps,
-            burn_retries: stats.burn.retries,
-            recovered_relaxed: stats.burn.recovered_relaxed,
-            recovered_subcycle: stats.burn.recovered_subcycle,
-            recovered_offload: stats.burn.offloaded,
-            step_rejections: rejections as u64,
-            arena_live_bytes: arena.bytes_live,
-            arena_peak_bytes: arena.bytes_peak,
-            ..Default::default()
-        });
-    }
-
-    /// Package the (pre-step) level state as a resilience snapshot for the
-    /// emergency-checkpoint path.
-    fn snapshot_level(&self, state: &MultiFab, geom: &Geometry, dt: Real) -> Snapshot {
-        Snapshot::single_level(
-            geom.clone(),
-            state.clone(),
-            Clock {
-                step: 0,
-                time: 0.0,
-                dt,
+            |s, dt| self.advance_level_with_fluxes(s, geom, dt, &mut |_, _| {}),
+            |stats| {
+                let arena = self.arena.stats();
+                StepMetrics {
+                    driver: "castro".to_string(),
+                    newton_iters: stats.burn.newton_iters,
+                    bdf_steps: stats.burn.total_steps,
+                    burn_retries: stats.burn.retries,
+                    recovered_relaxed: stats.burn.recovered_relaxed,
+                    recovered_subcycle: stats.burn.recovered_subcycle,
+                    recovered_offload: stats.burn.offloaded,
+                    arena_live_bytes: arena.bytes_live,
+                    arena_peak_bytes: arena.bytes_peak,
+                    ..Default::default()
+                }
             },
-            crate::restart::variable_names(&self.layout),
+            |s, clock| snapshot_level(geom, s, clock, &self.layout),
         )
     }
 
@@ -668,13 +479,12 @@ impl Stepper for Castro<'_> {
         state: &mut MultiFab,
         geom: &Geometry,
         dt: Real,
-    ) -> Result<StepOutcome, StepFailure> {
-        self.advance_level_safe(state, geom, dt)
-            .map(|(stats, dt_taken)| StepOutcome {
-                dt_taken,
-                comm: stats.comm,
-            })
-            .map_err(|e| StepFailure::new(e.to_string()))
+    ) -> Result<StepOutcome, Box<DriverError>> {
+        let (stats, dt_taken) = self.advance_level_safe(state, geom, dt)?;
+        Ok(StepOutcome {
+            dt_taken,
+            comm: stats.comm,
+        })
     }
 
     fn take_recorder(&mut self) -> exastro_telemetry::StepRecorder {

@@ -1,4 +1,5 @@
-//! Helpers shared by the integration tests of this crate.
+//! Helpers shared by the integration tests of this crate, and by path
+//! (`#[path = ".."] mod`) with `crates/maestro/tests/validator.rs`.
 
 use exastro_parallel::par_index_each;
 use std::sync::Mutex;

@@ -333,3 +333,70 @@ fn validator_reports_the_first_violation_in_sweep_order_on_any_thread_count() {
     assert_eq!(castro.validate_state(&state, tol), expect);
     assert_eq!(on_one_thread(|| castro.validate_state(&state, tol)), expect);
 }
+
+#[test]
+fn validator_names_every_violation_it_checks() {
+    let eos = GammaLaw::monatomic();
+    let net = CBurn2::new();
+    let (castro, _geom, clean) = sedov(&eos, &eos, &net, 16, 8);
+    let (layout, tol) = (castro.layout, castro.recovery.species_tol);
+    let (fi, zone) = (3, clean.valid_box(3).lo() + IntVect::new(1, 2, 3));
+    let at = |c| clean.fab(fi).get(zone, c);
+    let (rho, x0) = (at(StateLayout::RHO), at(layout.spec(0)));
+    // ΣX off by 1e-3, summed as the validator sums it.
+    let drifted = x0 + 1e-3 * rho;
+    let mut xsum = 0.0;
+    for s in 0..layout.nspec {
+        let u = if s == 0 { drifted } else { at(layout.spec(s)) };
+        xsum += u / rho;
+    }
+    let nan_species = (layout.spec(1), Real::NAN);
+    let cases = [
+        (
+            vec![nan_species],
+            StateViolation::NonFinite {
+                comp: layout.spec(1),
+                zone,
+            },
+        ),
+        (
+            vec![(StateLayout::RHO, -1.0)],
+            StateViolation::NegativeDensity { rho: -1.0, zone },
+        ),
+        (
+            vec![(StateLayout::EDEN, 0.0)],
+            StateViolation::NegativeEnergy { e: 0.0, zone },
+        ),
+        (
+            vec![(StateLayout::EINT, -1e-3)],
+            StateViolation::NegativeEnergy { e: -1e-3, zone },
+        ),
+        (
+            vec![(layout.spec(0), drifted)],
+            StateViolation::SpeciesDrift {
+                drift: (xsum - 1.0).abs(),
+                zone,
+            },
+        ),
+        // Both in one zone: the non-finite scan runs first.
+        (
+            vec![(StateLayout::RHO, -1.0), nan_species],
+            StateViolation::NonFinite {
+                comp: layout.spec(1),
+                zone,
+            },
+        ),
+    ];
+    assert_eq!(castro.validate_state(&clean, tol), Ok(()));
+    for (plants, expect) in cases {
+        let mut state = clean.clone();
+        for &(c, v) in &plants {
+            state.fab_mut(fi).set(zone, c, v);
+        }
+        assert_eq!(
+            castro.validate_state(&state, tol),
+            Err(expect),
+            "{plants:?}"
+        );
+    }
+}

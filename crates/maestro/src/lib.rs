@@ -24,5 +24,5 @@ pub use base_state::{rho_from_p_t, BaseState};
 pub use bubble::{
     bubble_diagnostics, bubble_maestro, init_bubble, BubbleDiagnostics, BubbleParams,
 };
-pub use lowmach::{LmDriverError, LmLayout, LmStateViolation, LmStepError, LmStepStats, Maestro};
+pub use lowmach::{DriverError, LmLayout, LmStepStats, Maestro, StateViolation, StepError};
 pub use restart::{restore_base_state, snapshot_run};

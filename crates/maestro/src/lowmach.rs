@@ -33,13 +33,11 @@ use exastro_microphysics::{
     ZoneBurn,
 };
 use exastro_parallel::par_each_mut;
-use exastro_resilience::recovery::{write_emergency, RecoveryOptions};
-use exastro_resilience::snapshot::Clock;
-use exastro_resilience::stepper::{StepFailure, StepOutcome, Stepper};
+use exastro_resilience::recovery::{first_violation, transact, RecoveryOptions};
+pub use exastro_resilience::recovery::{DriverError, StateViolation, StepError};
+use exastro_resilience::stepper::{StepOutcome, Stepper};
 use exastro_solvers::{MgBc, MgOptions, MgStats, Multigrid};
 use exastro_telemetry::{StepMetrics, StepRecorder, Telemetry};
-use std::path::PathBuf;
-use std::time::Instant;
 
 /// Most species a low-Mach state carries (the largest network, aprox13,
 /// has 13); with it, the size of a kernel's per-zone stack buffer.
@@ -131,117 +129,6 @@ impl LmStepStats {
         self.burn_offloaded += t.offloaded;
     }
 }
-
-/// A violation found by the low-Mach post-step validator.
-#[derive(Clone, Debug, PartialEq)]
-pub enum LmStateViolation {
-    /// A state component is NaN or infinite.
-    NonFinite {
-        /// Component index in the state layout.
-        comp: usize,
-        /// The first offending zone.
-        zone: IntVect,
-    },
-    /// Density at or below zero.
-    NegativeDensity {
-        /// The offending density value.
-        rho: Real,
-        /// The first offending zone.
-        zone: IntVect,
-    },
-    /// Temperature at or below zero.
-    NegativeTemperature {
-        /// The offending temperature value.
-        t: Real,
-        /// The first offending zone.
-        zone: IntVect,
-    },
-    /// Species mass fractions drifted away from ΣX = 1.
-    SpeciesDrift {
-        /// The observed |ΣX − 1|.
-        drift: Real,
-        /// The first offending zone.
-        zone: IntVect,
-    },
-}
-
-impl std::fmt::Display for LmStateViolation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LmStateViolation::NonFinite { comp, zone } => {
-                write!(f, "non-finite value in component {comp} at {zone:?}")
-            }
-            LmStateViolation::NegativeDensity { rho, zone } => {
-                write!(f, "non-positive density {rho:.3e} at {zone:?}")
-            }
-            LmStateViolation::NegativeTemperature { t, zone } => {
-                write!(f, "non-positive temperature {t:.3e} at {zone:?}")
-            }
-            LmStateViolation::SpeciesDrift { drift, zone } => {
-                write!(f, "|ΣX − 1| = {drift:.3e} at {zone:?}")
-            }
-        }
-    }
-}
-
-/// Why one attempted low-Mach step could not be accepted. On `Err` the
-/// state is tainted and must be restored from a pre-step snapshot
-/// ([`Maestro::advance_safe`] does that).
-#[derive(Debug)]
-pub enum LmStepError {
-    /// One or more reaction zones exhausted the retry ladder.
-    Burn(Vec<BurnFailure>),
-    /// The post-step validator rejected the state.
-    Invalid(LmStateViolation),
-}
-
-impl std::fmt::Display for LmStepError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LmStepError::Burn(fails) => {
-                write!(f, "{} reaction zone(s) failed all retries", fails.len())?;
-                if let Some(first) = fails.first() {
-                    write!(f, "; first: {first}")?;
-                }
-                Ok(())
-            }
-            LmStepError::Invalid(v) => write!(f, "post-step validation failed: {v}"),
-        }
-    }
-}
-
-impl std::error::Error for LmStepError {}
-
-/// An unrecoverable low-Mach step: the state is left restored to its
-/// pre-step contents and an emergency checkpoint (with the base state in
-/// the auxiliary arrays) is written when configured.
-#[derive(Debug)]
-pub struct LmDriverError {
-    /// The error from the final attempt.
-    pub error: LmStepError,
-    /// Step attempts made (1 initial + retries).
-    pub rejections: u32,
-    /// The smallest `dt` attempted before giving up.
-    pub dt_floor: Real,
-    /// Path of the emergency checkpoint, if one was written.
-    pub emergency_checkpoint: Option<PathBuf>,
-}
-
-impl std::fmt::Display for LmDriverError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "low-Mach step unrecoverable after {} attempt(s) (dt floor {:.3e}): {}",
-            self.rejections, self.dt_floor, self.error
-        )?;
-        if let Some(p) = &self.emergency_checkpoint {
-            write!(f, " [emergency checkpoint: {}]", p.display())?;
-        }
-        Ok(())
-    }
-}
-
-impl std::error::Error for LmDriverError {}
 
 /// The low-Mach solver.
 pub struct Maestro<'a> {
@@ -548,41 +435,33 @@ impl<'a> Maestro<'a> {
 
     /// Check the post-step state for physical sanity: every component
     /// finite, density and temperature positive, ΣX within `species_tol`
-    /// of one. Returns the first violation in sweep order.
+    /// of one. Returns the first violation in sweep order (the walk is
+    /// [`first_violation`]).
     pub fn validate_state(
         &self,
         state: &MultiFab,
         species_tol: Real,
-    ) -> Result<(), LmStateViolation> {
-        let ncomp = self.layout.ncomp();
-        let nspec = self.layout.nspec;
-        for (i, vb) in state.iter_boxes() {
-            for iv in vb.iter() {
-                for c in 0..ncomp {
-                    let v = state.fab(i).get(iv, c);
-                    if !v.is_finite() {
-                        return Err(LmStateViolation::NonFinite { comp: c, zone: iv });
-                    }
-                }
-                let rho = state.fab(i).get(iv, LmLayout::RHO);
-                if rho <= 0.0 {
-                    return Err(LmStateViolation::NegativeDensity { rho, zone: iv });
-                }
-                let t = state.fab(i).get(iv, LmLayout::TEMP);
-                if t <= 0.0 {
-                    return Err(LmStateViolation::NegativeTemperature { t, zone: iv });
-                }
-                let mut sum = 0.0;
-                for s in 0..nspec {
-                    sum += state.fab(i).get(iv, self.layout.spec(s));
-                }
-                let drift = (sum - 1.0).abs();
-                if drift > species_tol {
-                    return Err(LmStateViolation::SpeciesDrift { drift, zone: iv });
-                }
+    ) -> Result<(), StateViolation> {
+        let layout = self.layout;
+        first_violation(state, layout.ncomp(), |arr, z, zone| {
+            let rho = arr.at_zone(z, LmLayout::RHO);
+            if rho <= 0.0 {
+                return Err(StateViolation::NegativeDensity { rho, zone });
             }
-        }
-        Ok(())
+            let t = arr.at_zone(z, LmLayout::TEMP);
+            if t <= 0.0 {
+                return Err(StateViolation::NegativeTemperature { t, zone });
+            }
+            let mut sum = 0.0;
+            for s in 0..layout.nspec {
+                sum += arr.at_zone(z, layout.spec(s));
+            }
+            let drift = (sum - 1.0).abs();
+            if drift > species_tol {
+                return Err(StateViolation::SpeciesDrift { drift, zone });
+            }
+            Ok(())
+        })
     }
 
     /// One full low-Mach step with Strang-split reactions.
@@ -595,13 +474,13 @@ impl<'a> Maestro<'a> {
         state: &mut MultiFab,
         geom: &Geometry,
         dt: Real,
-    ) -> Result<LmStepStats, LmStepError> {
+    ) -> Result<LmStepStats, StepError> {
         let _prof = Telemetry::region("maestro_advance");
         let mut stats = LmStepStats::default();
         let bc = self.bc();
         if self.do_burn {
             let _r = Telemetry::region("react");
-            stats.add_burn(&self.react(state, 0.5 * dt).map_err(LmStepError::Burn)?);
+            stats.add_burn(&self.react(state, 0.5 * dt).map_err(StepError::Burn)?);
         }
         {
             let _r = Telemetry::region("enforce_density");
@@ -649,7 +528,7 @@ impl<'a> Maestro<'a> {
         stats.projection = Some(proj);
         if self.do_burn {
             let _r = Telemetry::region("react");
-            stats.add_burn(&self.react(state, 0.5 * dt).map_err(LmStepError::Burn)?);
+            stats.add_burn(&self.react(state, 0.5 * dt).map_err(StepError::Burn)?);
         }
         {
             let _r = Telemetry::region("enforce_density");
@@ -658,7 +537,7 @@ impl<'a> Maestro<'a> {
         {
             let _r = Telemetry::region("validate");
             self.validate_state(state, self.recovery.species_tol)
-                .map_err(LmStepError::Invalid)?;
+                .map_err(StepError::Invalid)?;
         }
         stats.max_temp = state.max(LmLayout::TEMP);
         stats.max_w = state
@@ -668,9 +547,9 @@ impl<'a> Maestro<'a> {
         Ok(stats)
     }
 
-    /// Advance one step **transactionally**: snapshot the state, attempt
-    /// the step, and on any [`LmStepError`] restore the snapshot and retry
-    /// with `dt` cut by [`RecoveryOptions::dt_cut`], up to
+    /// Advance one step **transactionally** through [`transact`]: on any
+    /// [`StepError`] the state is restored and the step retried with `dt`
+    /// cut by [`RecoveryOptions::dt_cut`], up to
     /// [`RecoveryOptions::max_rejections`] attempts. Returns the stats and
     /// the `dt` actually taken.
     ///
@@ -678,88 +557,32 @@ impl<'a> Maestro<'a> {
     /// contents**, an emergency checkpoint — carrying the base state in its
     /// auxiliary arrays, so the run resumes bit-exact — is written when
     /// [`RecoveryOptions::emergency_dir`] is set, and a structured
-    /// [`LmDriverError`] is returned — never a panic.
+    /// [`DriverError`] is returned — never a panic.
     pub fn advance_safe(
         &self,
         state: &mut MultiFab,
         geom: &Geometry,
         dt: Real,
-    ) -> Result<(LmStepStats, Real), Box<LmDriverError>> {
-        let mut try_dt = dt;
-        let attempts = self.recovery.max_rejections.max(1);
-        let mut last_err = None;
-        // Wall clock for the whole transaction, rejected attempts included.
-        let step_start = self.telemetry.is_active().then(Instant::now);
-        for attempt in 0..attempts {
-            let snapshot = state.clone();
-            match self.advance(state, geom, try_dt) {
-                Ok(stats) => {
-                    if let Some(t0) = step_start {
-                        self.record_step_metrics(state, &stats, try_dt, t0, attempt);
-                    }
-                    return Ok((stats, try_dt));
-                }
-                Err(e) => {
-                    *state = snapshot;
-                    last_err = Some(e);
-                    let _r = Telemetry::region("step_reject");
-                    Telemetry::record_retries(1);
-                    if attempt + 1 < attempts {
-                        try_dt *= self.recovery.dt_cut;
-                    }
-                }
-            }
-        }
-        let emergency_checkpoint = self.recovery.emergency_dir.as_deref().and_then(|dir| {
-            let snap = crate::restart::snapshot_run(
-                geom,
-                state,
-                &self.base,
-                Clock {
-                    step: 0,
-                    time: 0.0,
-                    dt: try_dt,
-                },
-                &self.layout,
-            );
-            write_emergency(dir, &snap).ok()
-        });
-        Err(Box::new(LmDriverError {
-            error: last_err.expect("at least one attempt was made"),
-            rejections: attempts,
-            dt_floor: try_dt,
-            emergency_checkpoint,
-        }))
-    }
-
-    /// Build and emit the [`StepMetrics`] record for one accepted step.
-    /// The low-Mach driver owns no arena, so arena occupancy reads zero.
-    fn record_step_metrics(
-        &self,
-        state: &MultiFab,
-        stats: &LmStepStats,
-        dt: Real,
-        step_start: Instant,
-        rejections: u32,
-    ) {
-        let wall_ns = step_start.elapsed().as_nanos() as u64;
-        let zones: u64 = (0..state.nfabs())
-            .map(|i| state.valid_box(i).num_zones() as u64)
-            .sum();
-        self.telemetry.record(StepMetrics {
-            driver: "maestro".to_string(),
+    ) -> Result<(LmStepStats, Real), Box<DriverError>> {
+        transact(
+            &self.recovery,
+            &self.telemetry,
+            state,
             dt,
-            wall_ns,
-            zones,
-            newton_iters: stats.burn_newton_iters,
-            bdf_steps: stats.burn_steps,
-            burn_retries: stats.burn_retries,
-            recovered_relaxed: stats.burn_recovered_relaxed,
-            recovered_subcycle: stats.burn_recovered_subcycle,
-            recovered_offload: stats.burn_offloaded,
-            step_rejections: rejections as u64,
-            ..Default::default()
-        });
+            |s, dt| self.advance(s, geom, dt),
+            // The low-Mach driver owns no arena, so arena occupancy reads zero.
+            |stats| StepMetrics {
+                driver: "maestro".to_string(),
+                newton_iters: stats.burn_newton_iters,
+                bdf_steps: stats.burn_steps,
+                burn_retries: stats.burn_retries,
+                recovered_relaxed: stats.burn_recovered_relaxed,
+                recovered_subcycle: stats.burn_recovered_subcycle,
+                recovered_offload: stats.burn_offloaded,
+                ..Default::default()
+            },
+            |s, clock| crate::restart::snapshot_run(geom, s, &self.base, clock, &self.layout),
+        )
     }
 }
 
@@ -773,13 +596,12 @@ impl Stepper for Maestro<'_> {
         state: &mut MultiFab,
         geom: &Geometry,
         dt: Real,
-    ) -> Result<StepOutcome, StepFailure> {
-        self.advance_safe(state, geom, dt)
-            .map(|(stats, dt_taken)| StepOutcome {
-                dt_taken,
-                comm: stats.comm,
-            })
-            .map_err(|e| StepFailure::new(e.to_string()))
+    ) -> Result<StepOutcome, Box<DriverError>> {
+        let (stats, dt_taken) = self.advance_safe(state, geom, dt)?;
+        Ok(StepOutcome {
+            dt_taken,
+            comm: stats.comm,
+        })
     }
 
     fn take_recorder(&mut self) -> exastro_telemetry::StepRecorder {
@@ -1029,12 +851,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         maestro.recovery = RecoveryOptions {
             max_rejections: 2,
+            emergency_dir: Some(dir.clone()),
             ..RecoveryOptions::default()
-        }
-        .with_emergency_dir(&dir);
+        };
         let before = state.clone();
         let err = maestro.advance_safe(&mut state, &geom, 1e-3).unwrap_err();
-        assert!(matches!(err.error, LmStepError::Burn(ref f) if !f.is_empty()));
+        assert!(matches!(err.error, StepError::Burn(ref f) if !f.is_empty()));
         assert_eq!(err.rejections, 2);
         assert!(err.dt_floor < 1e-3);
         // The state was restored to its pre-step contents...

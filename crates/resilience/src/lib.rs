@@ -22,9 +22,11 @@
 //! * [`faults`] — deterministic fault injection: kill schedules, blob
 //!   truncation, bit flips, torn renames, and injected write failures;
 //! * [`mod@interval`] — the Young/Daly optimal checkpoint interval;
-//! * [`recovery`] — the shared step-rejection policy knobs and the
-//!   emergency-checkpoint writer used by both drivers when a step is
-//!   unrecoverable;
+//! * [`recovery`] — the transactional step both drivers run: the one
+//!   rejection loop [`transact`], the one validator walk
+//!   [`first_violation`], their error types ([`StateViolation`],
+//!   [`StepError`], [`DriverError`]), the policy knobs
+//!   [`RecoveryOptions`] and the emergency-checkpoint writer;
 //! * [`stepper`] — the driver-agnostic [`Stepper`] contract: transactional
 //!   step semantics any host (the service, soak harnesses) can drive
 //!   without knowing which physics is behind it.
@@ -46,6 +48,9 @@ pub use interval::{
 };
 pub use manager::{CheckpointManager, Error, ManagerStats, RetryPolicy};
 pub use manifest::{crc32, Manifest};
-pub use recovery::{write_emergency, RecoveryOptions};
+pub use recovery::{
+    first_violation, transact, write_emergency, DriverError, RecoveryOptions, StateViolation,
+    StepError,
+};
 pub use snapshot::{digest_multifab, Clock, LevelSnapshot, Snapshot};
-pub use stepper::{StepFailure, StepOutcome, Stepper};
+pub use stepper::{StepOutcome, Stepper};

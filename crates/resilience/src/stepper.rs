@@ -7,15 +7,17 @@
 //! is running. The contract bakes in the suite's recovery discipline:
 //! [`Stepper::step`] is **transactional**. On `Ok` the state holds the
 //! accepted step; on `Err` the state has been restored to its pre-step
-//! contents (the driver's snapshot/retry ladder ran and was exhausted),
-//! so the host can retire, re-queue, or fail the job over from its last
-//! durable checkpoint without inspecting driver internals.
+//! contents (the driver's [`transact`](crate::transact) loop ran out of
+//! attempts), and the [`DriverError`] says why, so the host can retire,
+//! re-queue, or fail the job over from its last durable checkpoint without
+//! inspecting driver internals.
 //!
 //! Telemetry travels *through* the driver: hosts move their persistent
 //! [`StepRecorder`] into the driver before stepping and reclaim it with
 //! [`Stepper::take_recorder`] afterward, so step ordinals and run clocks
 //! stay continuous across short-lived per-slice driver instances.
 
+use crate::recovery::DriverError;
 use exastro_amr::{CommTrace, Geometry, MultiFab, Real};
 use exastro_telemetry::StepRecorder;
 
@@ -30,32 +32,6 @@ pub struct StepOutcome {
     /// merged across the step's phases.
     pub comm: CommTrace,
 }
-
-/// A step that failed after exhausting the driver's retry ladder. The
-/// state has been restored to its pre-step contents; `message` is the
-/// driver's structured error flattened to its display form.
-#[derive(Clone, Debug)]
-pub struct StepFailure {
-    /// Human-readable cause, `{}`-formatted from the driver's error.
-    pub message: String,
-}
-
-impl StepFailure {
-    /// Wrap a driver error's display form.
-    pub fn new(message: impl Into<String>) -> Self {
-        Self {
-            message: message.into(),
-        }
-    }
-}
-
-impl std::fmt::Display for StepFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.message)
-    }
-}
-
-impl std::error::Error for StepFailure {}
 
 /// A time-integration driver advancing one [`MultiFab`] level behind
 /// transactional semantics. See the module docs for the contract.
@@ -72,7 +48,7 @@ pub trait Stepper {
         state: &mut MultiFab,
         geom: &Geometry,
         dt: Real,
-    ) -> Result<StepOutcome, StepFailure>;
+    ) -> Result<StepOutcome, Box<DriverError>>;
 
     /// Reclaim the metrics recorder the host moved into this driver, so
     /// ordinals continue into the next (possibly different) driver.
@@ -82,6 +58,8 @@ pub trait Stepper {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::{StateViolation, StepError};
+    use exastro_amr::IntVect;
 
     /// A stepper that fails every `fail_every`-th call — exercises the
     /// trait-object path hosts actually use.
@@ -100,10 +78,18 @@ mod tests {
             _state: &mut MultiFab,
             _geom: &Geometry,
             dt: Real,
-        ) -> Result<StepOutcome, StepFailure> {
+        ) -> Result<StepOutcome, Box<DriverError>> {
             self.calls += 1;
             if self.calls.is_multiple_of(self.fail_every) {
-                Err(StepFailure::new("ladder exhausted"))
+                Err(Box::new(DriverError {
+                    error: StepError::Invalid(StateViolation::NegativeDensity {
+                        rho: -1.0,
+                        zone: IntVect::splat(0),
+                    }),
+                    rejections: 4,
+                    dt_floor: dt,
+                    emergency_checkpoint: None,
+                }))
             } else {
                 Ok(StepOutcome {
                     dt_taken: dt,
@@ -131,7 +117,9 @@ mod tests {
         assert!(drv.step(&mut state, &geom, dt).is_ok());
         assert!(drv.step(&mut state, &geom, dt).is_ok());
         let err = drv.step(&mut state, &geom, dt).unwrap_err();
-        assert!(err.to_string().contains("ladder exhausted"));
+        assert!(err
+            .to_string()
+            .starts_with("step unrecoverable after 4 attempt(s)"));
         let _ = drv.take_recorder();
     }
 }

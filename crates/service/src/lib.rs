@@ -14,8 +14,9 @@
 //! - **Placement**: jobs gang-lease ranks from a
 //!   [`exastro_machine::RankPool`] over the modeled machine and advance
 //!   concurrently on the worker pool (`exastro_parallel`), a few steps
-//!   per scheduling quantum, through the transactional
-//!   `advance_level_safe`/`advance_safe` drivers.
+//!   per scheduling quantum, through the drivers' transactional step
+//!   ([`exastro_resilience::transact`], behind the
+//!   [`exastro_resilience::Stepper`] contract).
 //! - **Fair share**: weighted by [`PriorityClass`] (virtual time = work
 //!   received / weight), with a bypass-count starvation guard that lets a
 //!   repeatedly-overtaken job reserve the pool.

@@ -122,20 +122,30 @@ fn preempt_migrate_resume_is_bit_exact_maestro() {
 }
 
 /// Driver-level job failure (an unrecoverable burn) marks that job failed
-/// and leaves every co-tenant untouched.
+/// and leaves every co-tenant untouched, for either physics: both drivers
+/// fail through the one transactional step, so both reasons read alike.
 #[test]
 fn unrecoverable_burn_fails_only_that_job() {
     use exastro_microphysics::{BdfErrorKind, BurnFaultConfig};
 
     let mut svc = Service::new(test_cfg("blast_radius", 1));
-    let doomed = svc
+    let fatal = Some(BurnFaultConfig {
+        seed: 7,
+        rate: 1.0,
+        rungs_to_fail: 99, // deeper than the retry ladder: fatal
+        error: BdfErrorKind::MaxSteps,
+    });
+    let doomed_castro = svc
         .submit(JobSpec {
-            burn_faults: Some(BurnFaultConfig {
-                seed: 7,
-                rate: 1.0,
-                rungs_to_fail: 99, // deeper than the retry ladder: fatal
-                error: BdfErrorKind::MaxSteps,
-            }),
+            burn_faults: fatal.clone(),
+            ..Default::default()
+        })
+        .unwrap();
+    let doomed_maestro = svc
+        .submit(JobSpec {
+            scenario: Scenario::ReactingBubble,
+            steps: 3,
+            burn_faults: fatal,
             ..Default::default()
         })
         .unwrap();
@@ -150,10 +160,19 @@ fn unrecoverable_burn_fails_only_that_job() {
     assert!(svc.run_until_idle(10_000));
 
     let report = svc.report();
-    assert_eq!(report.failed, 1);
+    assert_eq!(report.failed, 2);
     assert_eq!(report.completed, 2);
     let rec = |id| report.jobs.iter().find(|r| r.id == id).expect("record");
-    assert!(matches!(rec(doomed).outcome, JobOutcome::Failed(_)));
+    for doomed in [doomed_castro, doomed_maestro] {
+        let JobOutcome::Failed(reason) = &rec(doomed).outcome else {
+            panic!("job {doomed:?} did not fail: {:?}", rec(doomed).outcome);
+        };
+        assert!(reason.contains("step unrecoverable after"), "{reason}");
+        assert!(
+            reason.contains("burn zone(s) failed all retries"),
+            "{reason}"
+        );
+    }
     assert_eq!(rec(bystander_a).outcome, JobOutcome::Completed);
     assert_eq!(rec(bystander_b).outcome, JobOutcome::Completed);
 }

@@ -3,6 +3,7 @@
 //! [`Sink`] of the caller's choosing.
 //!
 //! One [`StepMetrics`] is appended per *accepted* step by
+//! `resilience::transact`, the transactional step behind
 //! `Castro::advance_level_safe` and `Maestro::advance_safe`. The JSONL
 //! form (one JSON object per line) streams safely — a killed run leaves
 //! whole, parseable lines — and reproduces the paper's §IV burner-fraction

@@ -119,7 +119,7 @@ fn main() {
         rungs_to_fail: 99,
         error: BdfErrorKind::SingularMatrix,
     });
-    castro.recovery = castro.recovery.clone().with_emergency_dir(&dir);
+    castro.recovery.emergency_dir = Some(dir.clone());
     castro.recovery.max_rejections = 2;
 
     let before = state.clone();

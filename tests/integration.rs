@@ -727,7 +727,7 @@ fn unrecoverable_step_restores_state_and_writes_emergency_checkpoint() {
     let dir = std::env::temp_dir().join(format!("exastro-drv-emrg-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     castro.recovery.max_rejections = 2;
-    castro.recovery = castro.recovery.clone().with_emergency_dir(&dir);
+    castro.recovery.emergency_dir = Some(dir.clone());
     let before = state.clone();
     let err = castro
         .advance_level_safe(&mut state, &geom, 1e-6)
