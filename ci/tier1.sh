@@ -247,6 +247,9 @@ for j in r["jobs"]:
         assert rec["driver"] == drivers[j["scenario"]], rec
 high = [j for j in r["jobs"] if j["priority"] == "high"]
 assert high and high[0]["deadline_met"] is True, high
+# Drained: every submission was refused or reached a terminal record.
+assert r["submitted"] == r["rejected"] + len(r["jobs"]), (
+    r["submitted"], r["rejected"], len(r["jobs"]))
 print(f"service report OK ({len(r['jobs'])} jobs, "
       f"{r['preemptions']} preemption(s), 1 contained failure)")
 EOF
@@ -319,6 +322,11 @@ for e in events:
 terminal = [e for e in events
             if e["kind"] in ("complete", "fail", "quarantine")]
 assert len(terminal) == len(r["jobs"]), (len(terminal), len(r["jobs"]))
+# Every submission is accounted for: admitted or rejected, and every
+# admitted job reached exactly one terminal event.
+assert kinds_seen["admit"] + kinds_seen.get("reject", 0) == r["submitted"], (
+    kinds_seen["admit"], kinds_seen.get("reject", 0), r["submitted"])
+assert len(terminal) == kinds_seen["admit"], (len(terminal), kinds_seen["admit"])
 print(f"chaos_events.jsonl OK ({len(events)} events, "
       f"{len(kinds_seen)} kinds: {sorted(kinds_seen)})")
 EOF

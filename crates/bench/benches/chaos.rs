@@ -51,7 +51,6 @@ fn fault_profile(node_mtbf_s: f64, stragglers: bool) -> NodeFaultConfig {
         straggler_mtbf_s: if stragglers { 0.040 } else { f64::INFINITY },
         straggler_factor: 4.0,
         straggler_duration_s: 0.040,
-        ..Default::default()
     }
 }
 

@@ -8,7 +8,7 @@
 use crate::base_state::BaseState;
 use crate::lowmach::{LmLayout, Maestro};
 use exastro_amr::{Geometry, MultiFab, Real};
-use exastro_microphysics::{Composition, Eos, Network, RetryLadder};
+use exastro_microphysics::{Composition, Eos, Network};
 use exastro_resilience::recovery::RecoveryOptions;
 
 /// Bubble setup parameters (white-dwarf-core-like defaults).
@@ -148,10 +148,7 @@ pub fn bubble_maestro<'a>(eos: &'a dyn Eos, net: &'a dyn Network, base: BaseStat
         eos,
         net,
         base,
-        cfl: 0.5,
         do_burn: true,
-        burn_min_temp: 1e8,
-        ladder: RetryLadder::default(),
         burn_faults: None,
         recovery: RecoveryOptions::default(),
         telemetry: Default::default(),

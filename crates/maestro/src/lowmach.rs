@@ -29,8 +29,7 @@ use exastro_amr::{
     MultiFab, Real, SPACEDIM,
 };
 use exastro_microphysics::{
-    BurnFailure, BurnFaultConfig, BurnTally, BurnerConfig, Composition, Eos, Network, RetryLadder,
-    ZoneBurn,
+    BurnFailure, BurnFaultConfig, BurnTally, BurnerConfig, Composition, Eos, Network, ZoneBurn,
 };
 use exastro_parallel::par_each_mut;
 use exastro_resilience::recovery::{first_violation, transact, RecoveryOptions};
@@ -43,6 +42,12 @@ use exastro_telemetry::{StepMetrics, StepRecorder, Telemetry};
 /// has 13); with it, the size of a kernel's per-zone stack buffer.
 const MAX_NSPEC: usize = 16;
 const MAX_NCOMP: usize = LmLayout::FS + MAX_NSPEC;
+
+/// Advective CFL number of [`Maestro::estimate_dt`].
+const CFL: Real = 0.5;
+
+/// The burn skips zones colder than this, K.
+const BURN_MIN_TEMP: Real = 1e8;
 
 /// Component indices of the low-Mach state.
 #[derive(Clone, Copy, Debug)]
@@ -90,7 +95,7 @@ pub struct LmStepStats {
     pub projection: Option<MgStats>,
     /// Zones burned, both reaction half-steps counted.
     pub burn_zones: u64,
-    /// Zones the burn skipped as colder than `burn_min_temp`.
+    /// Zones the burn skipped as colder than `BURN_MIN_TEMP` (1e8 K).
     pub burn_skipped: u64,
     /// Total burner integrator steps (reaction cost proxy).
     pub burn_steps: u64,
@@ -140,14 +145,8 @@ pub struct Maestro<'a> {
     pub net: &'a dyn Network,
     /// Hydrostatic base state.
     pub base: BaseState,
-    /// Advective CFL number.
-    pub cfl: Real,
     /// Enable reactions.
     pub do_burn: bool,
-    /// Skip burning below this temperature.
-    pub burn_min_temp: Real,
-    /// Burn failure-recovery ladder.
-    pub ladder: RetryLadder,
     /// Deterministic burn fault injection (tests / CI smoke).
     pub burn_faults: Option<BurnFaultConfig>,
     /// Step-rejection policy and emergency-checkpoint destination.
@@ -180,7 +179,7 @@ impl<'a> Maestro<'a> {
                 }
             }
         }
-        self.cfl * dx / vmax
+        CFL * dx / vmax
     }
 
     /// Recompute the density from the base pressure and local (T, X): the
@@ -366,13 +365,12 @@ impl<'a> Maestro<'a> {
 
     /// React every zone for `dt` (temperature and composition evolve at
     /// constant local density), with failed zones retried through the
-    /// configured [`RetryLadder`]. Zone ids follow the sweep order over all
-    /// valid zones — including skipped cold zones — so they are identical
-    /// between the two Strang halves, which makes fault injection and
-    /// failure reports reproducible.
+    /// default [`exastro_microphysics::RetryLadder`]. Zone ids follow the
+    /// sweep order over all valid zones — including skipped cold zones — so
+    /// they are identical between the two Strang halves, which makes fault
+    /// injection and failure reports reproducible.
     fn react(&self, state: &mut MultiFab, dt: Real) -> Result<BurnTally, Vec<BurnFailure>> {
         let burner = BurnerConfig {
-            ladder: self.ladder.clone(),
             faults: self.burn_faults.clone(),
             ..Default::default()
         }
@@ -391,7 +389,7 @@ impl<'a> Maestro<'a> {
                 let id = zone_id;
                 zone_id += 1;
                 let t = state.fab(i).get(iv, LmLayout::TEMP);
-                if t < self.burn_min_temp {
+                if t < BURN_MIN_TEMP {
                     continue;
                 }
                 let rho = state.fab(i).get(iv, LmLayout::RHO).max(1e-12);

@@ -17,10 +17,10 @@ use exastro_castro::{
     GravityMode, SedovParams, StateLayout,
 };
 use exastro_maestro::{
-    init_bubble, restore_base_state, snapshot_run, BaseState, BubbleParams, LmLayout, Maestro,
+    bubble_maestro, init_bubble, restore_base_state, snapshot_run, BaseState, BubbleParams,
+    LmLayout, Maestro,
 };
-use exastro_microphysics::{Composition, Eos, GammaLaw, Network, RetryLadder, StellarEos};
-use exastro_resilience::recovery::RecoveryOptions;
+use exastro_microphysics::{Composition, Eos, GammaLaw, Network, StellarEos};
 use exastro_resilience::snapshot::{digest_multifab, Clock, Snapshot};
 use exastro_resilience::stepper::Stepper;
 use exastro_resilience::CheckpointManager;
@@ -97,7 +97,7 @@ pub(crate) struct Job {
     /// Lazily created per-job checkpoint directory manager.
     ckpt: Option<CheckpointManager>,
     ckpt_dir: PathBuf,
-    /// Steps between scheduled checkpoints (Young/Daly unless overridden).
+    /// Steps between scheduled checkpoints (the Young/Daly cadence).
     pub ckpt_every: u64,
     /// Ranks this job leases while running.
     pub ranks_needed: usize,
@@ -114,8 +114,6 @@ pub(crate) struct Job {
     pub recoveries: u32,
     /// Times this job has been checkpoint-migrated off a straggling node.
     pub migrations: u32,
-    /// Admission order (fair-share tiebreak).
-    pub submit_seq: u64,
     /// Wall-clock submit instant (job latency measurement).
     pub submitted_at: std::time::Instant,
     /// Wall-clock instant of the latest queue entry (admission or any
@@ -204,7 +202,6 @@ impl Job {
         id: JobId,
         spec: JobSpec,
         ranks_needed: usize,
-        submit_seq: u64,
         ckpt_root: &std::path::Path,
         jsonl_dir: Option<&std::path::Path>,
     ) -> Result<Job, String> {
@@ -312,7 +309,7 @@ impl Job {
             recorder,
             memory,
             ckpt: None,
-            ckpt_every: 0, // set by the scheduler (Young/Daly or explicit)
+            ckpt_every: 0, // set by the scheduler (Young/Daly)
             ranks_needed,
             step_sim_us: 0.0,
             sim_us: 0.0,
@@ -320,7 +317,6 @@ impl Job {
             preemptions: 0,
             recoveries: 0,
             migrations: 0,
-            submit_seq,
             submitted_at: std::time::Instant::now(),
             queued_at: std::time::Instant::now(),
             bypassed: 0,
@@ -512,18 +508,10 @@ fn build_stepper<'a>(
             drv.telemetry = recorder;
             Box::new(drv)
         }
-        Physics::Maestro { layout, base } => Box::new(Maestro {
-            layout: LmLayout::new(layout.nspec),
-            eos,
-            net,
-            base: base.clone(),
-            cfl: 0.5,
-            do_burn: true,
-            burn_min_temp: 1e8,
-            ladder: RetryLadder::default(),
+        Physics::Maestro { base, .. } => Box::new(Maestro {
             burn_faults: spec.burn_faults.clone(),
-            recovery: RecoveryOptions::default(),
             telemetry: recorder,
+            ..bubble_maestro(eos, net, base.clone())
         }),
     }
 }
@@ -587,7 +575,7 @@ mod tests {
     #[test]
     fn resume_without_checkpoint_is_a_contained_error() {
         let dir = std::env::temp_dir().join(format!("exastro_job_nockpt_{}", std::process::id()));
-        let mut job = Job::build(JobId(0), JobSpec::default(), 6, 0, &dir, None).unwrap();
+        let mut job = Job::build(JobId(0), JobSpec::default(), 6, &dir, None).unwrap();
         assert_eq!(job.resume().unwrap_err(), JobError::NoCheckpoint);
         // Once a checkpoint exists, the same call restores bit-exactly.
         let digest = job.state_digest();
@@ -613,7 +601,7 @@ mod tests {
             steps: 2,
             ..Default::default()
         };
-        let mut job = Job::build(JobId(0), spec, 6, 0, &dir, None).unwrap();
+        let mut job = Job::build(JobId(0), spec, 6, &dir, None).unwrap();
         assert!(matches!(job.run_slice(1), SliceStatus::Ran));
         let base_bits = |job: &Job| match &job.physics {
             Physics::Maestro { base, .. } => {

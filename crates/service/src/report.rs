@@ -49,7 +49,7 @@ pub struct JobRecord {
     pub latency_s: f64,
     /// Whether the soft deadline was met (when one was set).
     pub deadline_met: Option<bool>,
-    /// Checkpoint cadence used (Young/Daly unless the spec overrode it).
+    /// Checkpoint cadence used, steps (the service's Young/Daly value).
     pub ckpt_every: u64,
     /// CRC32 of the final conserved state (bit-exactness probe).
     pub final_digest: u32,

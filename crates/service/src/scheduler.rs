@@ -8,9 +8,9 @@
 //! 1. **Account** rank-seconds leased since the last tick (utilization).
 //! 2. **Place** waiting jobs in fair-share order (lowest virtual time
 //!    first; class weight, then submit order break ties). A job that
-//!    cannot fit is skipped — but only [`ServiceConfig::bypass_limit`]
-//!    times: after that the queue head *reserves* the pool (no later job
-//!    may jump it), which bounds waiting time and kills starvation.
+//!    cannot fit is skipped — but only `BYPASS_LIMIT` (8) times: after
+//!    that the queue head *reserves* the pool (no later job may jump it),
+//!    which bounds waiting time and kills starvation.
 //!    Jobs backing off after a recovery sit out; jobs whose gang exceeds
 //!    *in-service* capacity wait for repairs (and quarantine after
 //!    [`ServiceConfig::capacity_patience`] rounds) instead of wedging
@@ -19,9 +19,9 @@
 //!    weakest running job and the pool cannot fit it: victims are
 //!    checkpointed via [`exastro_resilience::CheckpointManager`],
 //!    evicted, and requeued; the freed ranks go to the high job. A job
-//!    is preempted at most [`ServiceConfig::max_preemptions`] times,
-//!    then becomes immune (no preemption livelock).
-//! 4. **Run** every placed job one slice (a few steps) concurrently on
+//!    is preempted at most `MAX_PREEMPTIONS` (2) times, then becomes
+//!    immune (no preemption livelock).
+//! 4. **Run** every placed job one slice (`SLICE_STEPS`, 2) concurrently on
 //!    the worker pool; a resumed job restores from its newest intact
 //!    checkpoint first — generally onto *different* ranks, which is safe
 //!    because restarts are bit-exact. The slowest gang member sets each
@@ -31,11 +31,13 @@
 //!    ranks whose nodes died, revoke compromised leases
 //!    ([`exastro_machine::RankPool::revoke_failed`]), fail the slice,
 //!    and re-admit each victim from its last checkpoint with bounded
-//!    exponential backoff; a job that burns
+//!    exponential backoff (`RECOVERY_BACKOFF_BASE << (k−1)` ticks, at most
+//!    [`ServiceConfig::recovery_backoff_max`]); a job that burns
 //!    [`ServiceConfig::quarantine_limit`] recoveries is circuit-broken
 //!    into [`JobOutcome::Quarantined`]. Jobs observing ≥
-//!    [`ServiceConfig::straggler_migrate_factor`]× their modeled step
-//!    cost are checkpoint-migrated onto healthy ranks.
+//!    `STRAGGLER_MIGRATE_FACTOR` (2)× their modeled step cost are
+//!    checkpoint-migrated onto healthy ranks, at most `MAX_MIGRATIONS`
+//!    (2) times each.
 //! 6. **Retire** finished and failed jobs (release ranks, final record).
 
 use std::collections::VecDeque;
@@ -55,6 +57,21 @@ use crate::job::{Job, SliceStatus};
 use crate::report::{ClassQueueWait, JobOutcome, JobRecord, ServiceReport};
 use crate::spec::{JobId, JobSpec, PriorityClass, SubmitError};
 
+/// Steps each running job advances per scheduling tick.
+const SLICE_STEPS: u64 = 2;
+/// Times one job may be preempted before it becomes immune.
+const MAX_PREEMPTIONS: u32 = 2;
+/// Times a queued job may be overtaken before it reserves the pool.
+const BYPASS_LIMIT: u32 = 8;
+/// Observed/modeled step-cost ratio at which a running job is
+/// checkpoint-migrated off its straggling node.
+const STRAGGLER_MIGRATE_FACTOR: f64 = 2.0;
+/// Times one job may be straggler-migrated before it rides it out.
+const MAX_MIGRATIONS: u32 = 2;
+/// Recovery backoff after a node failure, ticks: the `k`-th recovery waits
+/// `min(RECOVERY_BACKOFF_BASE << (k-1), recovery_backoff_max)`.
+const RECOVERY_BACKOFF_BASE: u64 = 1;
+
 /// Service knobs. Defaults give a one-node pool with a small queue and
 /// *no* fault injection — the shape the examples and tests use;
 /// production sizing scales `nodes` and `queue_bound` up and arms
@@ -66,33 +83,17 @@ pub struct ServiceConfig {
     pub nodes: usize,
     /// Admission queue bound; submits beyond it get backpressure.
     pub queue_bound: usize,
-    /// Steps per scheduling quantum for each running job.
-    pub slice_steps: u64,
-    /// Times one job may be preempted before it becomes immune.
-    pub max_preemptions: u32,
-    /// Times a queued job may be overtaken before it reserves the pool.
-    pub bypass_limit: u32,
     /// Directory for per-job `job-NNNN.steps.jsonl` streams (`None`
     /// keeps telemetry in memory only).
     pub jsonl_dir: Option<PathBuf>,
     /// Root directory for per-job checkpoint trees.
     pub ckpt_root: PathBuf,
-    /// Per-node MTBF assumed by the Young/Daly cadence, seconds. When
-    /// `faults` is armed with a finite MTBF, that value wins — the
-    /// cadence should price the failures actually being injected.
-    pub per_node_mtbf_s: f64,
     /// Whole-machine fault injection (`None` = the immortal cluster).
+    /// Armed with a finite node MTBF, it is also the failure rate the
+    /// Young/Daly cadence prices; otherwise the cadence assumes
+    /// [`JobProfile::default`]'s 10-year per-node MTBF.
     pub faults: Option<NodeFaultConfig>,
-    /// Observed/modeled step-cost ratio at which a running job is
-    /// checkpoint-migrated off its straggling node.
-    pub straggler_migrate_factor: f64,
-    /// Times one job may be straggler-migrated before it rides it out.
-    pub max_migrations: u32,
-    /// Recovery backoff after a node failure, in ticks: the `k`-th
-    /// recovery waits `min(base << (k-1), max)` ticks before the job may
-    /// place again.
-    pub recovery_backoff_base: u64,
-    /// Upper bound on the recovery backoff, ticks.
+    /// Upper bound on the recovery backoff after a node failure, ticks.
     pub recovery_backoff_max: u64,
     /// Circuit breaker: recoveries a job may burn before it is
     /// quarantined instead of re-admitted.
@@ -116,16 +117,9 @@ impl Default for ServiceConfig {
             machine: Machine::summit(),
             nodes: 1,
             queue_bound: 64,
-            slice_steps: 2,
-            max_preemptions: 2,
-            bypass_limit: 8,
             jsonl_dir: None,
             ckpt_root: std::env::temp_dir().join(format!("exastro_service_{}", std::process::id())),
-            per_node_mtbf_s: 10.0 * 365.0 * 86_400.0,
             faults: None,
-            straggler_migrate_factor: 2.0,
-            max_migrations: 2,
-            recovery_backoff_base: 1,
             recovery_backoff_max: 16,
             quarantine_limit: 3,
             capacity_patience: 200,
@@ -156,8 +150,8 @@ pub struct Service {
     queue: VecDeque<Job>,
     running: Vec<Running>,
     records: Vec<JobRecord>,
+    /// The id of the next admitted job; ids are in submit order.
     next_id: u64,
-    submit_seq: u64,
     started_at: Instant,
     last_tick: Instant,
     /// Σ (tick wall seconds × ranks leased) — utilization numerator.
@@ -201,7 +195,6 @@ impl Service {
             running: Vec::new(),
             records: Vec::new(),
             next_id: 0,
-            submit_seq: 0,
             started_at: now,
             last_tick: now,
             leased_rank_seconds: 0.0,
@@ -252,72 +245,70 @@ impl Service {
         self.sim_clock_us * 1e-6
     }
 
+    /// Count a refused submission and log its `Reject` event; returns
+    /// `why` for the error.
+    fn reject(&mut self, class: PriorityClass, why: String) -> String {
+        self.rejected += 1;
+        counter_add("service.rejected", 1);
+        self.events.record(&Event {
+            class: Some(class),
+            detail: why.clone(),
+            ..self.event(EventKind::Reject)
+        });
+        why
+    }
+
     /// Submit a job. `Err(QueueFull)` is backpressure — the spec was not
     /// admitted and the caller should retry later; `Err(InvalidSpec)`
-    /// means the spec can never run here.
+    /// means the spec can never run here, or its telemetry files could
+    /// not be created. Every refusal is counted in the report and logged.
     pub fn submit(&mut self, spec: JobSpec) -> Result<JobId, SubmitError> {
         self.submitted += 1;
         counter_add("service.submitted", 1);
+        let class = spec.priority;
         if let Err(why) = spec.validate() {
-            self.rejected += 1;
-            counter_add("service.rejected", 1);
-            self.events.record(&Event {
-                class: Some(spec.priority),
-                detail: why.clone(),
-                ..self.event(EventKind::Reject)
-            });
-            return Err(SubmitError::InvalidSpec(why));
+            return Err(SubmitError::InvalidSpec(self.reject(class, why)));
         }
         let ranks_needed = spec.nodes * self.pool.gpus_per_node();
         if ranks_needed > self.pool.total() {
-            self.rejected += 1;
-            counter_add("service.rejected", 1);
             let why = format!(
                 "job wants {ranks_needed} ranks but the pool has {}",
                 self.pool.total()
             );
-            self.events.record(&Event {
-                class: Some(spec.priority),
-                detail: why.clone(),
-                ..self.event(EventKind::Reject)
-            });
-            return Err(SubmitError::InvalidSpec(why));
+            return Err(SubmitError::InvalidSpec(self.reject(class, why)));
         }
-        if self.queue.len() >= self.cfg.queue_bound {
-            self.rejected += 1;
-            counter_add("service.rejected", 1);
-            self.events.record(&Event {
-                class: Some(spec.priority),
-                detail: format!("queue full (bound {})", self.cfg.queue_bound),
-                ..self.event(EventKind::Reject)
-            });
-            return Err(SubmitError::QueueFull {
-                bound: self.cfg.queue_bound,
-            });
+        let bound = self.cfg.queue_bound;
+        if self.queue.len() >= bound {
+            self.reject(class, format!("queue full (bound {bound})"));
+            return Err(SubmitError::QueueFull { bound });
         }
-        let id = JobId(self.next_id);
-        self.next_id += 1;
-        let seq = self.submit_seq;
-        self.submit_seq += 1;
         if let Some(dir) = &self.cfg.jsonl_dir {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| SubmitError::InvalidSpec(format!("jsonl dir: {e}")))?;
+            if let Err(e) = std::fs::create_dir_all(dir) {
+                let why = format!("jsonl dir: {e}");
+                return Err(SubmitError::InvalidSpec(self.reject(class, why)));
+            }
         }
-        let mut job = Job::build(
+        // The id is taken only once the job is built: a refused
+        // submission leaves no gap in the ids.
+        let id = JobId(self.next_id);
+        let built = Job::build(
             id,
             spec,
             ranks_needed,
-            seq,
             &self.cfg.ckpt_root,
             self.cfg.jsonl_dir.as_deref(),
-        )
-        .map_err(SubmitError::InvalidSpec)?;
+        );
+        let mut job = match built {
+            Ok(job) => job,
+            Err(why) => return Err(SubmitError::InvalidSpec(self.reject(class, why))),
+        };
+        self.next_id += 1;
 
         // Price one step of this job on the modeled machine (the same
         // workload builder the weak-scaling figures use) and derive the
-        // Young/Daly checkpoint cadence from it unless the tenant set one.
-        // When fault injection is armed with a finite MTBF, *that* is the
-        // failure rate the cadence must price, not the nominal fleet MTBF.
+        // Young/Daly checkpoint cadence from it. When fault injection is
+        // armed with a finite MTBF, *that* is the failure rate the cadence
+        // must price, not the nominal fleet MTBF.
         let wl = sedov_workload(
             &self.cfg.machine,
             job.spec.nodes,
@@ -326,25 +317,20 @@ impl Service {
             4,
         );
         job.step_sim_us = self.cfg.machine.simulate_step(&wl).total_us;
-        job.ckpt_every = match job.spec.ckpt_every {
-            Some(every) => every,
-            None => {
-                let mtbf = self
-                    .cfg
-                    .faults
-                    .as_ref()
-                    .map(|f| f.node_mtbf_s)
-                    .filter(|m| m.is_finite())
-                    .unwrap_or(self.cfg.per_node_mtbf_s);
-                let profile = JobProfile {
-                    nodes: job.spec.nodes,
-                    checkpoint_bytes: job.checkpoint_bytes(),
-                    per_node_mtbf_s: mtbf,
-                    step_wall_s: job.step_sim_us * 1e-6,
-                };
-                suggest_cadence_steps(&self.cfg.machine, &profile)
-            }
+        let mtbf = self
+            .cfg
+            .faults
+            .as_ref()
+            .map(|f| f.node_mtbf_s)
+            .filter(|m| m.is_finite())
+            .unwrap_or(JobProfile::default().per_node_mtbf_s);
+        let profile = JobProfile {
+            nodes: job.spec.nodes,
+            checkpoint_bytes: job.checkpoint_bytes(),
+            per_node_mtbf_s: mtbf,
+            step_wall_s: job.step_sim_us * 1e-6,
         };
+        job.ckpt_every = suggest_cadence_steps(&self.cfg.machine, &profile);
         counter_add("service.admitted", 1);
         self.events.record(&Event {
             job: Some(id),
@@ -365,9 +351,9 @@ impl Service {
     }
 
     /// Fair-share ordering key for a waiting job: lowest virtual time
-    /// first; heavier class, then earlier submission break ties.
-    fn share_key(job: &Job) -> (f64, f64, u64) {
-        (job.vtime, -job.spec.priority.weight(), job.submit_seq)
+    /// first; heavier class, then earlier submission (lower id) break ties.
+    fn share_key(job: &Job) -> (f64, f64, JobId) {
+        (job.vtime, -job.spec.priority.weight(), job.id)
     }
 
     /// One scheduling quantum. Returns `false` once the service is idle
@@ -454,7 +440,7 @@ impl Service {
             } else {
                 let job = &mut self.queue[qi];
                 job.bypassed += 1;
-                if job.bypassed > self.cfg.bypass_limit {
+                if job.bypassed > BYPASS_LIMIT {
                     // Starvation guard: nobody may overtake this job
                     // anymore until it places.
                     blocked_reserver = true;
@@ -509,7 +495,7 @@ impl Service {
                 })
                 .max_by_key(|&i| {
                     let j = &self.queue[i];
-                    (j.spec.priority, std::cmp::Reverse(j.submit_seq))
+                    (j.spec.priority, std::cmp::Reverse(j.id))
                 })
             else {
                 return;
@@ -525,12 +511,12 @@ impl Service {
             let mut victims: Vec<usize> = (0..self.running.len())
                 .filter(|&i| {
                     let j = &self.running[i].job;
-                    j.spec.priority < class && j.preemptions < self.cfg.max_preemptions
+                    j.spec.priority < class && j.preemptions < MAX_PREEMPTIONS
                 })
                 .collect();
             victims.sort_by_key(|&i| {
                 let j = &self.running[i].job;
-                (j.spec.priority, std::cmp::Reverse(j.submit_seq))
+                (j.spec.priority, std::cmp::Reverse(j.id))
             });
             let mut freed = self.pool.available();
             let mut chosen: Vec<usize> = Vec::new();
@@ -661,7 +647,6 @@ impl Service {
             }
             return;
         }
-        let quantum = self.cfg.slice_steps.max(1);
         // Observed slowdown per gang: the slowest leased node sets the
         // pace (gangs are bulk-synchronous).
         if let Some(fm) = &self.fault_model {
@@ -679,7 +664,7 @@ impl Service {
         let prev_ckpt: Vec<u64> = self.running.iter().map(|r| r.job.last_ckpt_step).collect();
         par_each_mut(&mut self.running, |_, r| {
             let before = r.job.clock.step;
-            r.status = r.job.run_slice(quantum);
+            r.status = r.job.run_slice(SLICE_STEPS);
             r.steps_ran = r.job.clock.step - before;
         });
         for (r, &prev) in self.running.iter().zip(&prev_ckpt) {
@@ -702,7 +687,7 @@ impl Service {
                 continue;
             }
             let w = r.job.spec.priority.weight();
-            r.job.vtime += quantum as f64 * r.job.step_sim_us / w;
+            r.job.vtime += SLICE_STEPS as f64 * r.job.step_sim_us / w;
         }
         if tick_sim_us <= 0.0 && self.fault_model.is_some() {
             tick_sim_us = self.cfg.idle_tick_sim_us;
@@ -746,12 +731,9 @@ impl Service {
                         ..Event::new(self.sim_clock_us, self.tick_no, EventKind::NodeRepair)
                     });
                 }
-                // Stragglers and network degradation change *speed*, not
-                // membership; run_slices queries the model each tick.
-                FaultEvent::StragglerBegan { .. }
-                | FaultEvent::StragglerEnded { .. }
-                | FaultEvent::NetworkDegraded { .. }
-                | FaultEvent::NetworkRestored { .. } => {}
+                // Stragglers change *speed*, not membership; run_slices
+                // queries the model each tick.
+                FaultEvent::StragglerBegan { .. } | FaultEvent::StragglerEnded { .. } => {}
             }
         }
     }
@@ -794,9 +776,7 @@ impl Service {
             }
             // Bounded exponential backoff before the next placement try.
             let k = r.job.recoveries.max(1);
-            let backoff = self
-                .cfg
-                .recovery_backoff_base
+            let backoff = RECOVERY_BACKOFF_BASE
                 .saturating_mul(1u64 << (k - 1).min(16))
                 .min(self.cfg.recovery_backoff_max);
             r.job.eligible_at_tick = self.tick_no + backoff;
@@ -824,8 +804,8 @@ impl Service {
             let r = &self.running[i];
             let movable = r.status == SliceStatus::Ran
                 && !r.doomed
-                && r.slow >= self.cfg.straggler_migrate_factor
-                && r.job.migrations < self.cfg.max_migrations
+                && r.slow >= STRAGGLER_MIGRATE_FACTOR
+                && r.job.migrations < MAX_MIGRATIONS
                 && self.pool.free_outside(&slow_nodes) >= r.job.ranks_needed;
             if !movable {
                 i += 1;

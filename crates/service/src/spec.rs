@@ -144,10 +144,6 @@ pub struct JobSpec {
     /// Soft latency deadline, seconds from submit; reported (met or not)
     /// in the job record, never enforced by killing.
     pub deadline_s: Option<f64>,
-    /// Checkpoint cadence in steps. `None` (the default) lets the service
-    /// pick the Young/Daly optimum for this job on its machine
-    /// ([`exastro_resilience::interval::suggest_cadence_steps`]).
-    pub ckpt_every: Option<u64>,
     /// Deterministic burn-fault injection (tests and chaos drills). With
     /// `rungs_to_fail` beyond the retry ladder the job fails
     /// unrecoverably — the service must contain the blast radius.
@@ -164,7 +160,6 @@ impl Default for JobSpec {
             steps: 4,
             priority: PriorityClass::Normal,
             deadline_s: None,
-            ckpt_every: None,
             burn_faults: None,
         }
     }
@@ -181,11 +176,6 @@ impl JobSpec {
         }
         if self.nodes == 0 {
             return Err("nodes must be >= 1".into());
-        }
-        if let Some(every) = self.ckpt_every {
-            if every == 0 {
-                return Err("ckpt_every must be >= 1 when set".into());
-            }
         }
         let net = self.network.build();
         let has = |name: &str| net.species().iter().any(|s| s.name == name);
@@ -249,12 +239,6 @@ mod tests {
         assert!(wd.validate().is_ok());
         assert!(JobSpec {
             steps: 0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(JobSpec {
-            ckpt_every: Some(0),
             ..Default::default()
         }
         .validate()

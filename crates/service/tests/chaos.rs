@@ -123,7 +123,6 @@ fn chaos_recovery_is_bit_exact() {
         straggler_mtbf_s: 0.030,
         straggler_factor: 4.0,
         straggler_duration_s: 0.050,
-        ..Default::default()
     });
     let mut svc = Service::new(cfg);
     let ids: Vec<_> = tenants
@@ -187,7 +186,6 @@ fn chaos_recovery_is_bit_exact() {
 fn poison_job_is_quarantined_not_looped() {
     let mut cfg = base_cfg("poison", 1);
     cfg.quarantine_limit = 3;
-    cfg.recovery_backoff_base = 1;
     cfg.recovery_backoff_max = 2;
     cfg.idle_tick_sim_us = 1_000.0;
     cfg.faults = Some(NodeFaultConfig {
@@ -300,7 +298,6 @@ mod chaos_fairness {
                 straggler_mtbf_s: 0.05,
                 straggler_factor: 3.0,
                 straggler_duration_s: 0.02,
-                ..Default::default()
             });
             let mut svc = Service::new(cfg);
             let mut admitted = Vec::new();

@@ -1,9 +1,13 @@
 //! End-to-end service tests: preemption/migration bit-exactness, failure
 //! isolation, and scheduler liveness.
 
+use std::sync::Arc;
+
 use exastro_service::{
-    JobOutcome, JobSpec, NetChoice, PriorityClass, Scenario, Service, ServiceConfig, SubmitError,
+    Event, EventKind, JobOutcome, JobSpec, NetChoice, PriorityClass, Scenario, Service,
+    ServiceConfig, SubmitError,
 };
+use exastro_telemetry::MemorySink;
 
 fn test_cfg(tag: &str, nodes: usize) -> ServiceConfig {
     ServiceConfig {
@@ -228,6 +232,113 @@ fn impossible_specs_are_rejected_at_submit() {
     let report = svc.report();
     assert_eq!(report.submitted, 2);
     assert_eq!(report.rejected, 2);
+}
+
+/// A submission whose telemetry files cannot be created is refused like
+/// any other: counted in the report, logged as one `reject` event, and
+/// it takes no job id.
+#[test]
+fn a_submission_that_fails_on_io_is_counted_logged_and_takes_no_id() {
+    let dir = std::env::temp_dir().join(format!("exastro_svc_io_reject_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let jsonl_dir = dir.join("streams");
+    std::fs::write(&jsonl_dir, b"a regular file, not a directory").unwrap();
+    let memory = Arc::new(MemorySink::<Event>::new());
+    let mut svc = Service::new(ServiceConfig {
+        jsonl_dir: Some(jsonl_dir.clone()),
+        events: Some(memory.clone()),
+        ..test_cfg("io_reject", 1)
+    });
+    let spec = JobSpec {
+        resolution: 8,
+        steps: 1,
+        ..Default::default()
+    };
+    let kinds = |m: &MemorySink<Event>| m.snapshot().iter().map(|e| e.kind).collect::<Vec<_>>();
+
+    // The stream directory cannot be created.
+    assert!(matches!(
+        svc.submit(spec.clone()),
+        Err(SubmitError::InvalidSpec(_))
+    ));
+    assert_eq!(svc.report().rejected, 1);
+    assert_eq!(kinds(&memory), vec![EventKind::Reject]);
+
+    // The directory exists, but the job's own stream file cannot be made.
+    std::fs::remove_file(&jsonl_dir).unwrap();
+    let stream = jsonl_dir.join("job-0000.steps.jsonl");
+    std::fs::create_dir_all(&stream).unwrap();
+    assert!(matches!(
+        svc.submit(spec.clone()),
+        Err(SubmitError::InvalidSpec(_))
+    ));
+    assert_eq!(svc.report().rejected, 2);
+    assert_eq!(kinds(&memory), vec![EventKind::Reject; 2]);
+
+    std::fs::remove_dir(&stream).unwrap();
+    let id = svc.submit(spec).expect("admit once the files can be made");
+    assert_eq!(id.to_string(), "job-0000");
+    assert!(svc.run_until_idle(1_000));
+    let report = svc.report();
+    assert_eq!(report.submitted, report.rejected + report.jobs.len() as u64);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// After `MAX_PREEMPTIONS` (2) evictions a job is immune: a third
+/// higher-class arrival waits for it to finish instead of evicting it, and
+/// the twice-preempted job still ends bit-identical to its solo run.
+#[test]
+fn a_job_preempted_twice_is_immune_to_the_third_arrival() {
+    let batch = JobSpec {
+        resolution: 8,
+        steps: 20,
+        priority: PriorityClass::Batch,
+        ..Default::default()
+    };
+    let high = JobSpec {
+        resolution: 8,
+        steps: 2,
+        priority: PriorityClass::High,
+        ..Default::default()
+    };
+    let want = solo_digest("immune_solo", batch.clone());
+
+    let memory = Arc::new(MemorySink::<Event>::new());
+    let mut svc = Service::new(ServiceConfig {
+        events: Some(memory.clone()),
+        ..test_cfg("immune", 1)
+    });
+    let id_batch = svc.submit(batch).unwrap();
+    svc.tick(); // the batch job takes the only node
+    let mut highs = Vec::new();
+    for _ in 0..3 {
+        highs.push(svc.submit(high.clone()).unwrap());
+        // One tick for the arrival (it evicts the batch job or waits), one
+        // for the batch job to get the node back.
+        svc.tick();
+        svc.tick();
+    }
+    assert!(svc.run_until_idle(10_000));
+
+    let report = svc.report();
+    let rec = |id| report.jobs.iter().find(|r| r.id == id).expect("record");
+    assert_eq!(rec(id_batch).outcome, JobOutcome::Completed);
+    assert_eq!(rec(id_batch).preemptions, 2);
+    assert_eq!(rec(id_batch).final_digest, want);
+    for &h in &highs {
+        assert_eq!(rec(h).outcome, JobOutcome::Completed);
+    }
+    let log = memory.snapshot();
+    let at = |kind, id| {
+        log.iter()
+            .position(|e| e.kind == kind && e.job == Some(id))
+            .expect("event logged")
+    };
+    assert!(
+        at(EventKind::Start, highs[2]) > at(EventKind::Complete, id_batch),
+        "the third arrival must wait for the immune job to finish"
+    );
+    assert!(at(EventKind::Complete, highs[1]) < at(EventKind::Complete, id_batch));
 }
 
 mod fairness {

@@ -49,19 +49,17 @@ pub enum MgBc {
     Neumann,
 }
 
+/// Smoothing sweeps per level before and after the coarse correction.
+const NU_PRE: usize = 2;
+const NU_POST: usize = 2;
+
 /// Multigrid options.
 #[derive(Clone, Debug)]
 pub struct MgOptions {
-    /// Target: ‖residual‖∞ ≤ `tol_rel` · ‖rhs‖∞ (+ `tol_abs`).
+    /// Target: ‖residual‖∞ ≤ `tol_rel` · ‖rhs‖∞.
     pub tol_rel: Real,
-    /// Absolute residual floor.
-    pub tol_abs: Real,
     /// Maximum V-cycles.
     pub max_cycles: usize,
-    /// Pre-smoothing sweeps per level.
-    pub nu_pre: usize,
-    /// Post-smoothing sweeps per level.
-    pub nu_post: usize,
     /// Smoothing sweeps on the coarsest level.
     pub nu_bottom: usize,
     /// Stop coarsening when any dimension would fall below this.
@@ -72,10 +70,7 @@ impl Default for MgOptions {
     fn default() -> Self {
         MgOptions {
             tol_rel: 1e-10,
-            tol_abs: 0.0,
             max_cycles: 60,
-            nu_pre: 2,
-            nu_post: 2,
             nu_bottom: 64,
             min_width: 4,
         }
@@ -383,7 +378,7 @@ impl Multigrid {
                 }
                 return;
             };
-            for _ in 0..self.opts.nu_pre {
+            for _ in 0..NU_PRE {
                 self.smooth(f, &mut stats.levels[l]);
             }
             self.residual(f, &mut stats.levels[l]);
@@ -410,7 +405,7 @@ impl Multigrid {
             let phi = f.phi.fab_mut(i).array_mut();
             add_parents(&phi, &coarsened.fab(i).array(), f.rhs.valid_box(i));
         }
-        for _ in 0..self.opts.nu_post {
+        for _ in 0..NU_POST {
             self.smooth(f, &mut stats.levels[l]);
         }
     }
@@ -459,7 +454,7 @@ impl Multigrid {
 
         let rhs_norm = rhs.norm_inf(0);
         stats.allreduces += 1;
-        let target = self.opts.tol_rel * rhs_norm + self.opts.tol_abs;
+        let target = self.opts.tol_rel * rhs_norm;
         stats.res0 = self.residual(&mut levels[0], &mut stats.levels[0]);
         stats.allreduces += 1;
         let mut res = stats.res0;

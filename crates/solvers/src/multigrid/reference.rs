@@ -128,7 +128,7 @@ fn vcycle(mg: &Multigrid, levels: &mut [MgLevel], l: usize, stats: &mut MgStats)
         }
         return;
     }
-    for _ in 0..mg.opts.nu_pre {
+    for _ in 0..NU_PRE {
         smooth(mg, &mut levels[l], &mut stats.levels[l]);
     }
     residual(mg, &mut levels[l], &mut stats.levels[l]);
@@ -159,7 +159,7 @@ fn vcycle(mg: &Multigrid, levels: &mut [MgLevel], l: usize, stats: &mut MgStats)
             }
         }
     }
-    for _ in 0..mg.opts.nu_post {
+    for _ in 0..NU_POST {
         smooth(mg, &mut levels[l], &mut stats.levels[l]);
     }
 }
@@ -189,7 +189,7 @@ pub(super) fn solve(
         levels[0].phi.fab_mut(i).data_mut().copy_from_slice(&data);
     }
     levels[0].rhs.copy_from(rhs);
-    let target = mg.opts.tol_rel * rhs.norm_inf(0) + mg.opts.tol_abs;
+    let target = mg.opts.tol_rel * rhs.norm_inf(0);
     stats.allreduces += 1;
     stats.res0 = residual(mg, &mut levels[0], &mut stats.levels[0]);
     stats.allreduces += 1;

@@ -142,7 +142,6 @@ fn main() {
         straggler_mtbf_s: 0.030,
         straggler_factor: 4.0,
         straggler_duration_s: 0.050,
-        ..Default::default()
     });
     if let Some(path) = &cli.events {
         // Structured event log: every admit/lease/start/checkpoint/
