@@ -7,3 +7,5 @@
 mod bdf_accuracy;
 #[path = "../crates/microphysics/tests/pinned_digest.rs"]
 mod burn_digests;
+#[path = "../crates/microphysics/tests/ramp_digest.rs"]
+mod ramp_digests;
