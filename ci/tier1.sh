@@ -62,7 +62,8 @@ for need in ("iso7/newton_solve_speedup", "aprox13/newton_solve_speedup",
              "iso7/batch_speedup_w8", "aprox13/batch_speedup_w8",
              "iso7/w1_jac_evals_per_step", "aprox13/w1_jac_evals_per_step",
              *(f"{net}/{part}" for net in ("cburn2", "iso7", "aprox13")
-               for part in ("ydot_ns", "jac_ns", "eos_ns"))):
+               for part in ("ydot_ns", "jac_ns", "eos_ns", "ydot_lanes_ns",
+                            "ydot_lanes_ratio"))):
     assert need in labels, f"missing {need} in {sorted(labels)}"
 by = {m["label"]: m["value"] for m in d["metrics"]}
 base = {m["label"]: m["value"]

@@ -19,6 +19,7 @@ use exastro_microphysics::{
     Aprox13, BdfErrorKind, BdfStats, BurnFaultConfig, BurnerConfig, CBurn2, Composition, DenseLu,
     Eos, Iso7, Network, OffloadOptions, RetryLadder, SparseLu, StellarEos, ZoneBurn,
 };
+use exastro_parallel::LANES;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -93,9 +94,10 @@ fn newton_cycle_ns(
 /// The three evaluations a burner lane-step is made of besides the linear
 /// algebra, each on its own at detonation conditions: the network's RHS,
 /// its Jacobian, and the thermodynamics the self-heating term needs (mean
-/// composition from the abundances plus one EOS call). Returns
-/// `(ydot_ns, jac_ns, eos_ns)`.
-fn lane_step_parts_ns(net: &dyn Network, eos: &StellarEos, samples: usize) -> (f64, f64, f64) {
+/// composition from the abundances plus one EOS call), and the RHS again
+/// per lane of one full [`LANES`]-lane call. Returns
+/// `(ydot_ns, jac_ns, eos_ns, ydot_lanes_ns)`.
+fn lane_step_parts_ns(net: &dyn Network, eos: &StellarEos, samples: usize) -> (f64, f64, f64, f64) {
     use std::hint::black_box;
     let n = net.nspec();
     let m = n + 1;
@@ -119,7 +121,20 @@ fn lane_step_parts_ns(net: &dyn Network, eos: &StellarEos, samples: usize) -> (f
         let comp = Composition::from_mass_fractions(net.species(), &xs);
         black_box(eos.eval_rt(black_box(rho), black_box(t), &comp).cv);
     });
-    (ydot_ns, jac_ns, eos_ns)
+    // Four zones a degree apart.
+    let rows: Vec<[f64; LANES]> = y.iter().map(|&v| [v; LANES]).collect();
+    let temps: [f64; LANES] = std::array::from_fn(|l| t + l as f64);
+    let mut ydot_rows = vec![[0.0; LANES]; n];
+    let ydot_lanes_ns = call_ns(samples, 64, || {
+        net.ydot_lanes(
+            black_box([rho; LANES]),
+            black_box(temps),
+            black_box(&rows),
+            &mut ydot_rows,
+        );
+        black_box(&ydot_rows);
+    }) / LANES as f64;
+    (ydot_ns, jac_ns, eos_ns, ydot_lanes_ns)
 }
 
 /// Which Newton solver a [`burn_once`] integrates with.
@@ -249,11 +264,27 @@ fn bench(c: &mut Criterion) {
     let part_nets: [(&str, &dyn Network); 3] =
         [("cburn2", &cburn2), ("iso7", &iso7), ("aprox13", &aprox13)];
     for (name, net) in part_nets {
-        let (ydot_ns, jac_ns, eos_ns) = lane_step_parts_ns(net, &eos, if smoke { 15 } else { 101 });
-        println!("{name}: ydot {ydot_ns:.0} ns, jac {jac_ns:.0} ns, eos {eos_ns:.0} ns");
-        for (what, ns) in [("ydot_ns", ydot_ns), ("jac_ns", jac_ns), ("eos_ns", eos_ns)] {
+        let (ydot_ns, jac_ns, eos_ns, ydot_lanes_ns) =
+            lane_step_parts_ns(net, &eos, if smoke { 15 } else { 101 });
+        let lanes_ratio = ydot_lanes_ns / ydot_ns;
+        println!(
+            "{name}: ydot {ydot_ns:.0} ns, jac {jac_ns:.0} ns, eos {eos_ns:.0} ns, \
+             ydot in {LANES} lanes {ydot_lanes_ns:.0} ns a lane ({lanes_ratio:.2}x)"
+        );
+        for (what, ns) in [
+            ("ydot_ns", ydot_ns),
+            ("jac_ns", jac_ns),
+            ("eos_ns", eos_ns),
+            ("ydot_lanes_ns", ydot_lanes_ns),
+        ] {
             metrics.push(MetricPoint::new(&format!("{name}/{what}"), ns, "ns"));
         }
+        // Same-run ratio: machine speed cancels (tier-1 gates aprox13's).
+        metrics.push(MetricPoint::new(
+            &format!("{name}/ydot_lanes_ratio"),
+            lanes_ratio,
+            "x",
+        ));
     }
 
     println!("=== burner Newton-solve: dense vs analytic sparse (§VI) ===");

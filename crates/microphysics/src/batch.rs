@@ -44,10 +44,11 @@
 
 use crate::integrator::{
     bdf_l, check_atol, predict, rescale, unpredict, BdfErrorKind, BdfIntegrator, BdfStats,
-    OdeSystem,
+    LaneScratch, OdeSystem,
 };
 use crate::linalg::DenseLu;
 use crate::sparse::SparseLu;
+use exastro_parallel::LANES;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -94,8 +95,9 @@ pub(crate) enum LaneSolver {
 /// keeps them, and the flags of the lanes whose matrix was singular.
 #[derive(Default)]
 struct Factors {
-    /// Sparse: slot-major SoA values, `nnz_filled × width`.
-    vals: Vec<f64>,
+    /// Sparse: one factor a block of [`LANES`] lanes
+    /// ([`SparseLu::batch_len`] rows).
+    vals: Vec<[f64; LANES]>,
     /// Dense: one LU a lane, `None` where the matrix was singular.
     dense: Vec<Option<DenseLu>>,
     singular: Vec<bool>,
@@ -126,12 +128,12 @@ impl LaneSolver {
     }
 
     /// Solve every lane's system in place on the SoA right-hand sides `b`
-    /// (`dim × width`); singular lanes are left as they are. `soa` is
-    /// `dim × width` of scratch, `lane` is `dim`.
-    fn solve(&self, f: &Factors, b: &mut [f64], soa: &mut [f64], lane: &mut [f64]) {
+    /// (`dim × width`); singular lanes are left as they are. `block` is
+    /// `dim` rows of scratch, `lane` is `dim`.
+    fn solve(&self, f: &Factors, b: &mut [f64], block: &mut [[f64; LANES]], lane: &mut [f64]) {
         let w = f.singular.len();
         match self {
-            LaneSolver::Sparse(lu) => lu.solve_batch(&f.vals, w, b, soa),
+            LaneSolver::Sparse(lu) => lu.solve_batch(&f.vals, w, b, block),
             LaneSolver::Dense => {
                 for (l, lu) in f.dense.iter().enumerate() {
                     if let Some(lu) = lu {
@@ -269,12 +271,13 @@ pub struct BatchWorkspace {
     rhs: Vec<f64>,
     resid: Vec<f64>,
     ewt: Vec<f64>,
-    sol_scratch: Vec<f64>,
+    sol_scratch: Vec<[f64; LANES]>,
     jacs: Vec<f64>,
     factors: Factors,
+    eval: LaneScratch,
     lane_y: Vec<f64>,
-    lane_f: Vec<f64>,
     lane_jac: Vec<f64>,
+    want: Vec<bool>,
     dn: Vec<f64>,
     est: Vec<f64>,
     lane_norm: Vec<f64>,
@@ -286,8 +289,8 @@ pub struct BatchWorkspace {
 
 impl BatchWorkspace {
     /// Size and zero everything for `w` lanes of dimension `n` on a sparse
-    /// factor of `nnz` filled slots (0: the factors are dense).
-    fn reset(&mut self, n: usize, w: usize, nnz: usize) {
+    /// factor of `factor_rows` rows (0: the factors are dense).
+    fn reset(&mut self, n: usize, w: usize, factor_rows: usize) {
         let nw = n * w;
         self.book.reset(w);
         self.z.resize_with(NORDSIECK_ROWS, Vec::new);
@@ -301,16 +304,15 @@ impl BatchWorkspace {
             &mut self.rhs,
             &mut self.resid,
             &mut self.ewt,
-            &mut self.sol_scratch,
         ] {
             refill(soa, nw, 0.0);
         }
+        refill(&mut self.sol_scratch, n, [0.0; LANES]);
         refill(&mut self.jacs, n * n * w, 0.0);
-        refill(&mut self.factors.vals, nnz * w, 0.0);
+        refill(&mut self.factors.vals, factor_rows, [0.0; LANES]);
         refill(&mut self.factors.dense, w, None);
         refill(&mut self.factors.singular, w, false);
         refill(&mut self.lane_y, n, 0.0);
-        refill(&mut self.lane_f, n, 0.0);
         refill(&mut self.lane_jac, n * n, 0.0);
         for per_lane in [
             &mut self.dn,
@@ -321,7 +323,7 @@ impl BatchWorkspace {
         ] {
             refill(per_lane, w, 0.0);
         }
-        for flags in [&mut self.conv, &mut self.diverged] {
+        for flags in [&mut self.conv, &mut self.diverged, &mut self.want] {
             refill(flags, w, false);
         }
     }
@@ -347,14 +349,14 @@ impl BdfIntegrator {
         let w = lanes.len();
         assert_eq!(y.len(), n * w);
         assert!(tend > t0);
-        let nnz = match &self.solver {
+        let factor_rows = match &self.solver {
             LaneSolver::Sparse(lu) => {
                 assert_eq!(lu.dim(), n, "sparse pattern does not match the system");
-                lu.nnz_filled()
+                lu.batch_len(w)
             }
             LaneSolver::Dense => 0,
         };
-        ws.reset(n, w, nnz);
+        ws.reset(n, w, factor_rows);
         let BatchWorkspace {
             book,
             reports,
@@ -368,9 +370,10 @@ impl BdfIntegrator {
             sol_scratch,
             jacs,
             factors,
+            eval,
             lane_y,
-            lane_f,
             lane_jac,
+            want,
             dn,
             est,
             lane_norm,
@@ -397,14 +400,13 @@ impl BdfIntegrator {
         // resolvable at the shared h).
         self.error_weights(y, n, w, ewt);
         let mut rate_max: f64 = 1e-30;
+        want.fill(true);
+        S::rhs_lanes(lanes, t0, y, want, rhs, eval);
         for lane in 0..w {
-            gather_lane(y, w, lane, lane_y);
-            lanes[lane].rhs(t0, lane_y, lane_f);
             book.rhs_evals[lane] += 1;
-            scatter_lane(lane_f, w, lane, rhs);
             let mut acc = 0.0;
             for i in 0..n {
-                let x = lane_f[i] * ewt[i * w + lane];
+                let x = rhs[i * w + lane] * ewt[i * w + lane];
                 acc += x * x;
             }
             let rate = (acc / n as f64).sqrt();
@@ -465,13 +467,9 @@ impl BdfIntegrator {
                     .map(|g| ((gamma - g) / g).abs() > GAMMA_DRIFT_TOL)
                     .unwrap_or(true);
             if need_jac {
-                for lane in 0..w {
-                    if !book.active[lane] {
-                        continue;
-                    }
-                    gather_lane(&z[0], w, lane, lane_y);
-                    lanes[lane].jac(tn, lane_y, lane_jac);
-                    jacs[lane * n * n..][..n * n].copy_from_slice(lane_jac);
+                want.copy_from_slice(&book.active);
+                S::jac_lanes(lanes, tn, &z[0], want, jacs, eval);
+                for lane in (0..w).filter(|&lane| want[lane]) {
                     book.jac_evals[lane] += 1;
                 }
                 jac_fresh = true;
@@ -540,13 +538,11 @@ impl BdfIntegrator {
                     };
                 }
                 for lane in 0..w {
-                    if mask[lane] == 0.0 {
-                        continue;
-                    }
-                    gather_lane(ycur, w, lane, lane_y);
-                    lanes[lane].rhs(tn, lane_y, lane_f);
+                    want[lane] = mask[lane] != 0.0;
+                }
+                S::rhs_lanes(lanes, tn, ycur, want, rhs, eval);
+                for lane in (0..w).filter(|&lane| want[lane]) {
                     book.rhs_evals[lane] += 1;
-                    scatter_lane(lane_f, w, lane, rhs);
                     book.newton_iters[lane] += 1;
                 }
                 for i in 0..nw {

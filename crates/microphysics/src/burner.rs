@@ -22,15 +22,18 @@
 use crate::batch::{gather_lane, scatter_lane, BatchWorkspace, LaneStatus};
 use crate::constants::{MEV_TO_ERG, N_A};
 use crate::eos::Eos;
-use crate::integrator::{BdfError, BdfErrorKind, BdfIntegrator, BdfOptions, BdfStats, OdeSystem};
+use crate::integrator::{
+    BdfError, BdfErrorKind, BdfIntegrator, BdfOptions, BdfStats, LaneScratch, OdeSystem,
+};
 use crate::network::Network;
 use crate::recovery::{
     validate_outcome, BurnFailure, BurnFaultConfig, LadderRung, RecoveredBurn, RetryLadder,
 };
 use crate::sparse::SparseLu;
-use crate::species::{mass_to_molar, molar_to_mass, Composition};
-use exastro_parallel::{Tasks, WorkerPool};
+use crate::species::{energy_rate_lanes, mass_to_molar, molar_to_mass, Composition};
+use exastro_parallel::{Tasks, WorkerPool, LANES};
 use exastro_telemetry::Telemetry;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// Result of burning one zone for a time interval.
@@ -92,21 +95,154 @@ impl OdeSystem for BurnSystem<'_> {
 
     fn jac(&self, _t: f64, y: &[f64], jac: &mut [f64]) {
         let n = self.net.nspec();
-        let m = n + 1;
         let temp = y[n].max(1e4);
         self.net.jac(self.rho, temp, &y[..n], jac);
         let comp = self.composition(y);
         let cv = self.eos.eval_rt(self.rho, temp, &comp).cv.max(1e-30);
-        // Row n: dṪ/dY_j = (1/cv) Σ_i B_i N_A J_ij ; dṪ/dT likewise from
-        // the temperature column. (dc_v/d· terms neglected, as VODE-based
-        // burners do.)
-        for j in 0..m {
-            let mut deps = 0.0;
-            for (i, s) in self.net.species().iter().enumerate() {
-                deps += s.bind_mev * jac[i * m + j];
+        temperature_row(self.net, [cv], jac.as_chunks_mut().0);
+    }
+
+    /// The network's lane kernel on each [`LANES`]-wide block of the batch
+    /// that holds a wanted lane, then one `eval_rt` a wanted lane for the
+    /// temperature row: [`BurnSystem::rhs`] lane by lane, bit for bit.
+    fn rhs_lanes(
+        lanes: &[Self],
+        _t: f64,
+        y: &[f64],
+        want: &[bool],
+        dydt: &mut [f64],
+        scratch: &mut LaneScratch,
+    ) {
+        let net = lanes[0].net;
+        let n = net.nspec();
+        let w = lanes.len();
+        scratch.rows.resize(2 * n, [0.0; LANES]);
+        let (rows, f) = scratch.rows.split_at_mut(n);
+        for_blocks(lanes, y, want, rows, |block, rho, temp, rows| {
+            net.ydot_lanes(rho, temp, rows, f);
+            let eps = energy_rate_lanes(net.species(), f);
+            let cv = block.cv(lanes, rho, temp, rows);
+            for l in block.wanted() {
+                let lane = block.lane0 + l;
+                for (i, fi) in f.iter().enumerate() {
+                    dydt[i * w + lane] = fi[l];
+                }
+                dydt[n * w + lane] = eps[l] / cv[l].max(1e-30);
             }
-            jac[n * m + j] = deps * N_A * MEV_TO_ERG / cv;
+        });
+    }
+
+    /// [`BurnSystem::jac`] lane by lane, bit for bit, in the way of
+    /// [`BurnSystem::rhs_lanes`].
+    fn jac_lanes(
+        lanes: &[Self],
+        _t: f64,
+        y: &[f64],
+        want: &[bool],
+        jacs: &mut [f64],
+        scratch: &mut LaneScratch,
+    ) {
+        let net = lanes[0].net;
+        let n = net.nspec();
+        let mm = (n + 1) * (n + 1);
+        scratch.rows.resize(n + mm, [0.0; LANES]);
+        let (rows, jac) = scratch.rows.split_at_mut(n);
+        for_blocks(lanes, y, want, rows, |block, rho, temp, rows| {
+            net.jac_lanes(rho, temp, rows, jac);
+            let cv = block.cv(lanes, rho, temp, rows).map(|cv| cv.max(1e-30));
+            temperature_row(net, cv, jac);
+            for l in block.wanted() {
+                let lane = &mut jacs[(block.lane0 + l) * mm..][..mm];
+                for (v, row) in lane.iter_mut().zip(jac.iter()) {
+                    *v = row[l];
+                }
+            }
+        });
+    }
+}
+
+/// Row `n` of `W` burner Jacobians whose species rows are filled:
+/// dṪ/dY_j = (1/cv) Σ_i B_i N_A J_ij, and dṪ/dT likewise from the
+/// temperature column. (dc_v/d· terms neglected, as VODE-based burners do.)
+fn temperature_row<const W: usize>(net: &dyn Network, cv: [f64; W], jac: &mut [[f64; W]]) {
+    let n = net.nspec();
+    let m = n + 1;
+    for j in 0..m {
+        let mut deps = [0.0; W];
+        for (i, s) in net.species().iter().enumerate() {
+            for l in 0..W {
+                deps[l] += s.bind_mev * jac[i * m + j][l];
+            }
         }
+        jac[n * m + j] = std::array::from_fn(|l| deps[l] * N_A * MEV_TO_ERG / cv[l]);
+    }
+}
+
+/// One [`LANES`]-wide block of a batch of burn systems: its first lane,
+/// how many of its lanes are in the batch, and which of those are wanted.
+struct Block {
+    lane0: usize,
+    live: usize,
+    want: [bool; LANES],
+}
+
+impl Block {
+    /// The wanted lanes of the block.
+    fn wanted(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.live).filter(|&l| self.want[l])
+    }
+
+    /// Each wanted lane's heat capacity at its (ρ, T) and the abundances
+    /// `rows`; the other lanes read 1.
+    fn cv(
+        &self,
+        lanes: &[BurnSystem<'_>],
+        rho: [f64; LANES],
+        temp: [f64; LANES],
+        rows: &[[f64; LANES]],
+    ) -> [f64; LANES] {
+        let eos = lanes[0].eos;
+        let comp = Composition::from_molar_fraction_lanes(lanes[0].net.species(), rows);
+        std::array::from_fn(|l| {
+            if self.want[l] {
+                eos.eval_rt(rho[l], temp[l], &comp[l]).cv
+            } else {
+                1.0
+            }
+        })
+    }
+}
+
+/// Call `f(block, ρ, T, abundance rows)` for every block of the SoA batch
+/// `y` that holds a wanted lane. A short last block's padding lanes are
+/// copies of its last lane, never wanted; `T` is floored as
+/// [`BurnSystem::rhs`] floors it.
+fn for_blocks(
+    lanes: &[BurnSystem<'_>],
+    y: &[f64],
+    want: &[bool],
+    rows: &mut [[f64; LANES]],
+    mut f: impl FnMut(&Block, [f64; LANES], [f64; LANES], &[[f64; LANES]]),
+) {
+    let w = lanes.len();
+    let n = rows.len();
+    for lane0 in (0..w).step_by(LANES) {
+        let live = LANES.min(w - lane0);
+        let block = Block {
+            lane0,
+            live,
+            want: std::array::from_fn(|l| l < live && want[lane0 + l]),
+        };
+        if block.want == [false; LANES] {
+            continue;
+        }
+        let lane: [usize; LANES] = std::array::from_fn(|l| lane0 + l.min(live - 1));
+        let rho = lane.map(|k| lanes[k].rho);
+        let temp = lane.map(|k| y[n * w + k].max(1e4));
+        for (i, row) in rows.iter_mut().enumerate() {
+            *row = lane.map(|k| y[i * w + k]);
+        }
+        f(&block, rho, temp, rows);
     }
 }
 
@@ -190,16 +326,76 @@ struct BatchTally {
     solve_ns: u64,
 }
 
-/// What a sweep's participants share: the input-ordered result slots and
-/// the batch tally.
+/// Per-zone burn-cost telemetry, gathered where the zones are burned and
+/// published once: log-scale histograms of BDF steps and Newton iterations
+/// (the §VI outlier-zone distributions), a counter per retry-ladder rung
+/// reached, and each chunk's batch occupancy. Gathers nothing while
+/// telemetry is disabled.
+#[derive(Default)]
+struct BurnSamples {
+    bdf_steps: Vec<f64>,
+    newton_iters: Vec<f64>,
+    occupancy: Vec<f64>,
+    /// Zones won on each [`LadderRung`] that won one.
+    rungs: BTreeMap<LadderRung, u64>,
+}
+
+impl BurnSamples {
+    /// A zone that burned.
+    fn record(&mut self, rec: &RecoveredBurn) {
+        if Telemetry::is_enabled() {
+            self.bdf_steps.push(rec.outcome.stats.steps as f64);
+            self.newton_iters
+                .push(rec.outcome.stats.newton_iters as f64);
+            *self.rungs.entry(rec.rung).or_default() += 1;
+        }
+    }
+
+    /// A chunk whose lanes completed inside the batch at fraction `frac`.
+    fn record_occupancy(&mut self, frac: f64) {
+        if Telemetry::is_enabled() {
+            self.occupancy.push(frac);
+        }
+    }
+
+    fn append(&mut self, other: &mut BurnSamples) {
+        self.bdf_steps.append(&mut other.bdf_steps);
+        self.newton_iters.append(&mut other.newton_iters);
+        self.occupancy.append(&mut other.occupancy);
+        for (rung, n) in std::mem::take(&mut other.rungs) {
+            *self.rungs.entry(rung).or_default() += n;
+        }
+    }
+
+    /// Hand everything to the telemetry registries: one lookup a name.
+    fn publish(self) {
+        for (name, samples) in [
+            ("burn.bdf_steps", &self.bdf_steps),
+            ("burn.newton_iters", &self.newton_iters),
+            ("burn.batch.occupancy", &self.occupancy),
+        ] {
+            if !samples.is_empty() {
+                let h = exastro_telemetry::histogram(name);
+                samples.iter().for_each(|&v| h.record(v));
+            }
+        }
+        for (rung, n) in self.rungs {
+            exastro_telemetry::counter_add(&format!("burn.rung.{rung}"), n);
+        }
+    }
+}
+
+/// What a sweep's participants share: the input-ordered result slots, the
+/// batch tally and the telemetry samples.
 struct Sweep {
     results: Vec<Option<BurnResult>>,
     tally: BatchTally,
+    samples: BurnSamples,
 }
 
 /// One pool participant's side of a sweep: the batch workspace and SoA
-/// scratch it reuses chunk after chunk, and the results and tally it has
-/// not yet handed to the [`Sweep`].
+/// scratch it reuses chunk after chunk, and the results, tally and samples
+/// it has not yet handed to the [`Sweep`].
 #[derive(Default)]
 struct Participant<'a> {
     ws: BatchWorkspace,
@@ -210,6 +406,7 @@ struct Participant<'a> {
     lane_y0: Vec<f64>,
     done: Vec<(usize, BurnResult)>,
     tally: BatchTally,
+    samples: BurnSamples,
 }
 
 impl Participant<'_> {
@@ -222,6 +419,7 @@ impl Participant<'_> {
         sweep.tally.lanes += t.lanes;
         sweep.tally.completed += t.completed;
         sweep.tally.solve_ns += t.solve_ns;
+        sweep.samples.append(&mut self.samples);
     }
 }
 
@@ -259,6 +457,7 @@ impl<'a> Burner<'a> {
         let _prof = Telemetry::region("burner");
         Telemetry::record_zones(zones.len() as u64);
         let mut results: Vec<Option<BurnResult>> = (0..zones.len()).map(|_| None).collect();
+        let mut samples = BurnSamples::default();
         let mut batchable: Vec<usize> = Vec::with_capacity(zones.len());
         for (i, zb) in zones.iter().enumerate() {
             if self
@@ -266,7 +465,7 @@ impl<'a> Burner<'a> {
                 .as_ref()
                 .is_some_and(|f| f.zone_is_faulty(zb.zone))
             {
-                results[i] = Some(self.climb(zb.zone, zb.rho, zb.t0, &zb.x0, dt));
+                results[i] = Some(self.climb(zb.zone, zb.rho, zb.t0, &zb.x0, dt, &mut samples));
             } else {
                 batchable.push(i);
             }
@@ -284,6 +483,7 @@ impl<'a> Burner<'a> {
         let sweep = Mutex::new(Sweep {
             results,
             tally: BatchTally::default(),
+            samples,
         });
         // Each participant claims the hottest unclaimed chunk (the sort is
         // longest-first) and burns it in its own workspace.
@@ -299,9 +499,14 @@ impl<'a> Burner<'a> {
             p.flush(&sweep);
         };
         WorkerPool::global().run(batchable.len().div_ceil(width), usize::MAX, &drain);
-        let Sweep { results, tally } = sweep
+        let Sweep {
+            results,
+            tally,
+            samples,
+        } = sweep
             .into_inner()
             .expect("a participant's panic is rethrown by the pool first");
+        samples.publish();
         if tally.lanes > 0 {
             Telemetry::record_ns("solve[batch-sparse]", tally.solve_ns);
             if Telemetry::is_enabled() {
@@ -333,7 +538,10 @@ impl<'a> Burner<'a> {
     ) -> Result<RecoveredBurn, Box<BurnFailure>> {
         let _prof = Telemetry::region("burner");
         Telemetry::record_zones(1);
-        self.climb(zone, rho, t0, x0, dt)
+        let mut samples = BurnSamples::default();
+        let res = self.climb(zone, rho, t0, x0, dt, &mut samples);
+        samples.publish();
+        res
     }
 
     /// Advance one chunk in lockstep; lanes that drop out (or fail
@@ -344,7 +552,7 @@ impl<'a> Burner<'a> {
     fn burn_chunk(&self, zones: &[ZoneBurn], chunk: &[usize], dt: f64, p: &mut Participant<'a>) {
         if let [i] = *chunk {
             let zb = &zones[i];
-            let res = self.climb(zb.zone, zb.rho, zb.t0, &zb.x0, dt);
+            let res = self.climb(zb.zone, zb.rho, zb.t0, &zb.x0, dt, &mut p.samples);
             p.done.push((i, res));
             return;
         }
@@ -384,7 +592,7 @@ impl<'a> Burner<'a> {
                         rung: LadderRung::Direct,
                         retries: 0,
                     };
-                    record_burn_telemetry(&rec);
+                    p.samples.record(&rec);
                     Ok(rec)
                 }
                 // Dropout: re-burn from the entry state through the ladder
@@ -392,7 +600,7 @@ impl<'a> Burner<'a> {
                 // its share of the failed batch work as one extra retry.
                 None => {
                     let mut stats = report.stats;
-                    match self.climb(zb.zone, zb.rho, zb.t0, &zb.x0, dt) {
+                    match self.climb(zb.zone, zb.rho, zb.t0, &zb.x0, dt, &mut p.samples) {
                         Ok(mut rec) => {
                             stats.merge(&rec.outcome.stats);
                             rec.outcome.stats = stats;
@@ -412,13 +620,22 @@ impl<'a> Burner<'a> {
         }
         p.tally.lanes += w as u64;
         p.tally.completed += completed;
-        Telemetry::record_hist("burn.batch.occupancy", completed as f64 / w as f64);
+        p.samples.record_occupancy(completed as f64 / w as f64);
     }
 
-    /// Climb the retry ladder for one zone. The caller holds the `burner`
-    /// telemetry region and has counted the zone — once, however many rungs
-    /// (and subcycle pieces) it takes.
-    fn climb(&self, zone: u64, rho: f64, t0: f64, x0: &[f64], dt: f64) -> BurnResult {
+    /// Climb the retry ladder for one zone, recording a success in
+    /// `samples`. The caller holds the `burner` telemetry region and has
+    /// counted the zone — once, however many rungs (and subcycle pieces) it
+    /// takes.
+    fn climb(
+        &self,
+        zone: u64,
+        rho: f64,
+        t0: f64,
+        x0: &[f64],
+        dt: f64,
+        samples: &mut BurnSamples,
+    ) -> BurnResult {
         // (rung, its integrator, sub-intervals): subcycling is the direct
         // integrator restarted on each piece of the interval.
         let rungs = [
@@ -453,7 +670,7 @@ impl<'a> Burner<'a> {
                                 rung,
                                 retries: attempts - 1,
                             };
-                            record_burn_telemetry(&rec);
+                            samples.record(&rec);
                             return Ok(rec);
                         }
                         Err(kind) => last_err = kind,
@@ -577,25 +794,6 @@ impl<'a> Burner<'a> {
             stats,
         }
     }
-}
-
-/// Per-zone burn-cost telemetry, recorded on every successful zone when
-/// telemetry is enabled: log-scale histograms of BDF steps and Newton
-/// iterations (the §VI outlier-zone distributions) and a counter per
-/// retry-ladder rung reached.
-fn record_burn_telemetry(rec: &RecoveredBurn) {
-    if !Telemetry::is_enabled() {
-        return;
-    }
-    Telemetry::record_hist("burn.bdf_steps", rec.outcome.stats.steps as f64);
-    Telemetry::record_hist("burn.newton_iters", rec.outcome.stats.newton_iters as f64);
-    let rung_counter = match rec.rung {
-        LadderRung::Direct => "burn.rung.direct",
-        LadderRung::RelaxedTol => "burn.rung.relaxed-tol",
-        LadderRung::Subcycle => "burn.rung.subcycle",
-        LadderRung::Offload => "burn.rung.offload",
-    };
-    exastro_telemetry::counter_add(rung_counter, 1);
 }
 
 /// Shared per-sweep burn accounting: both drivers fold each
@@ -748,6 +946,65 @@ mod tests {
         assert_eq!(tally.recovered_relaxed, 1);
         assert_eq!(tally.recovered_subcycle, 1);
         assert_eq!(tally.offloaded, 1);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn batch_rhs_and_jacobian_are_the_per_lane_ones_bit_for_bit(
+            aprox13 in proptest::sample::select(vec![false, true]),
+            width in 1usize..10,
+            mask in 0u32..512,
+            seed in 0u64..1_000_000,
+        ) {
+            let (a13, c2) = (Aprox13::new(), CBurn2::new());
+            let net: &dyn Network = if aprox13 { &a13 } else { &c2 };
+            let (m, w) = (net.nspec() + 1, width);
+            let mut s = seed | 1;
+            let mut rng = move || {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (s >> 11) as f64 / (1u64 << 53) as f64
+            };
+            let lanes: Vec<BurnSystem> = (0..w)
+                .map(|_| BurnSystem { net, eos: &StellarEos, rho: 10f64.powf(3.0 + 6.0 * rng()) })
+                .collect();
+            // Abundances with negative entries; temperatures from below the
+            // 10⁴ K floor to 6×10⁹ K.
+            let mut y = vec![0.0; m * w];
+            for l in 0..w {
+                for i in 0..m - 1 {
+                    y[i * w + l] = 0.3 * rng() - 0.02;
+                }
+                y[(m - 1) * w + l] = 10f64.powf(3.5 + 6.3 * rng());
+            }
+            let want: Vec<bool> = (0..w).map(|l| (mask >> l) & 1 == 1).collect();
+            let sentinel = -7.25f64;
+            let mut scratch = LaneScratch::default();
+            let mut dydt = vec![sentinel; m * w];
+            BurnSystem::rhs_lanes(&lanes, 0.0, &y, &want, &mut dydt, &mut scratch);
+            let mut jacs = vec![sentinel; m * m * w];
+            BurnSystem::jac_lanes(&lanes, 0.0, &y, &want, &mut jacs, &mut scratch);
+            for (l, sys) in lanes.iter().enumerate() {
+                let lane: Vec<f64> = (0..m).map(|i| y[i * w + l]).collect();
+                let mut f = vec![0.0; m];
+                let mut jac = vec![0.0; m * m];
+                if want[l] {
+                    sys.rhs(0.0, &lane, &mut f);
+                    sys.jac(0.0, &lane, &mut jac);
+                } else {
+                    f.fill(sentinel);
+                    jac.fill(sentinel);
+                }
+                for i in 0..m {
+                    proptest::prop_assert!(dydt[i * w + l].to_bits() == f[i].to_bits(), "lane {l} f[{i}]");
+                }
+                let batch = &jacs[l * m * m..][..m * m];
+                for (k, (a, b)) in batch.iter().zip(&jac).enumerate() {
+                    proptest::prop_assert!(a.to_bits() == b.to_bits(), "lane {l} jac[{k}]");
+                }
+            }
+        }
     }
 
     #[test]

@@ -27,11 +27,17 @@
 //! dense LU with partial pivoting ([`BdfIntegrator::new`], the VODE
 //! default).
 
-use crate::batch::{BatchWorkspace, LaneSolver, LaneStatus};
+use crate::batch::{gather_lane, scatter_lane, BatchWorkspace, LaneSolver, LaneStatus};
 use crate::sparse::SparseLu;
+use exastro_parallel::LANES;
 use std::sync::Arc;
 
 /// A first-order ODE system `dy/dt = f(t, y)` with an analytic Jacobian.
+///
+/// The stepping loop evaluates a batch of systems (one per lane) through
+/// [`OdeSystem::rhs_lanes`] and [`OdeSystem::jac_lanes`]; their provided
+/// versions call [`OdeSystem::rhs`] and [`OdeSystem::jac`] a lane at a
+/// time, and a system with lane kernels overrides them.
 pub trait OdeSystem {
     /// Dimension of the state vector.
     fn dim(&self) -> usize;
@@ -39,6 +45,69 @@ pub trait OdeSystem {
     fn rhs(&self, t: f64, y: &[f64], dydt: &mut [f64]);
     /// Evaluate the row-major `dim²` Jacobian `∂f_i/∂y_j`.
     fn jac(&self, t: f64, y: &[f64], jac: &mut [f64]);
+
+    /// [`OdeSystem::rhs`] of every lane `want` selects: lane `l` is system
+    /// `lanes[l]` at the state `y[i·w + l]` (`w = lanes.len()`), and its
+    /// right-hand side goes to `dydt` in the same layout. An unselected
+    /// lane's slots of `dydt` are left as they are. Provided: gather, call,
+    /// scatter, lane by lane.
+    fn rhs_lanes(
+        lanes: &[Self],
+        t: f64,
+        y: &[f64],
+        want: &[bool],
+        dydt: &mut [f64],
+        scratch: &mut LaneScratch,
+    ) where
+        Self: Sized,
+    {
+        let (w, n) = (lanes.len(), y.len() / lanes.len());
+        scratch.lane.resize(n, 0.0);
+        scratch.out.resize(n, 0.0);
+        for (l, sys) in lanes.iter().enumerate().filter(|&(l, _)| want[l]) {
+            gather_lane(y, w, l, &mut scratch.lane);
+            sys.rhs(t, &scratch.lane, &mut scratch.out);
+            scatter_lane(&scratch.out, w, l, dydt);
+        }
+    }
+
+    /// [`OdeSystem::jac`] of every lane `want` selects, on the layout of
+    /// [`OdeSystem::rhs_lanes`]: lane `l`'s Jacobian goes to
+    /// `jacs[l·dim²..][..dim²]`, an unselected lane's is left as it is.
+    /// Provided: gather, call, copy, lane by lane.
+    fn jac_lanes(
+        lanes: &[Self],
+        t: f64,
+        y: &[f64],
+        want: &[bool],
+        jacs: &mut [f64],
+        scratch: &mut LaneScratch,
+    ) where
+        Self: Sized,
+    {
+        let (w, n) = (lanes.len(), y.len() / lanes.len());
+        scratch.lane.resize(n, 0.0);
+        scratch.out.resize(n * n, 0.0);
+        for (l, sys) in lanes.iter().enumerate().filter(|&(l, _)| want[l]) {
+            gather_lane(y, w, l, &mut scratch.lane);
+            sys.jac(t, &scratch.lane, &mut scratch.out);
+            jacs[l * n * n..][..n * n].copy_from_slice(&scratch.out);
+        }
+    }
+}
+
+/// Scratch for [`OdeSystem::rhs_lanes`] and [`OdeSystem::jac_lanes`]: owned
+/// by the stepping loop's [`BatchWorkspace`] and lent to every call, so a
+/// batch evaluation allocates nothing once the buffers have grown. A call
+/// finds them holding whatever the last one left.
+#[derive(Default)]
+pub struct LaneScratch {
+    /// One lane's state (the provided entries gather into it).
+    pub lane: Vec<f64>,
+    /// One lane's right-hand side or Jacobian.
+    pub out: Vec<f64>,
+    /// [`LANES`]-wide rows for lane kernels.
+    pub rows: Vec<[f64; LANES]>,
 }
 
 /// A borrowed system is a system: lanes can be `&dyn OdeSystem`.

@@ -17,6 +17,8 @@
 use crate::rates::{gamow_tau_alpha, Rate, TFactors, TNeeds};
 use crate::sparse::CsrPattern;
 use crate::species::{energy_rate, iso, Species};
+use exastro_parallel::LANES;
+use std::array::from_fn;
 
 /// One reaction: `Σ count_i · reactant_i → Σ count_j · product_j`.
 #[derive(Clone, Debug)]
@@ -104,110 +106,60 @@ pub trait Network: Send + Sync {
     /// ([`TNeeds::of`] its reactions' rates), never per evaluation.
     fn t_needs(&self) -> TNeeds;
 
-    /// The temperature factors every reaction shares at (ρ, T): one per
-    /// [`Network::ydot`] or [`Network::jac`] evaluation.
-    fn t_factors(&self, rho: f64, t: f64) -> TFactors {
-        let tf = TFactors::new(t / 1e9, self.t_needs());
-        if self.screening() {
-            // Mean values matter only logarithmically here.
-            tf.with_screening(rho, t, 12.0, 6.0)
-        } else {
-            tf
-        }
-    }
-
-    /// Molar reaction rate `r` (mol g⁻¹ s⁻¹), its T-derivative and the
-    /// (screened) rate coefficient λ behind both, for reaction `rx` at
-    /// density `rho` and the temperature of `tf` with abundances `y`. The
-    /// only place a network evaluates a fit or a screening factor.
-    fn reaction_rate(&self, rx: &Reaction, rho: f64, tf: &TFactors, y: &[f64]) -> (f64, f64, f64) {
-        let (mut lam, mut dlam_dt9) = rx.rate.eval(tf);
-        if self.screening() && rx.order() >= 2 {
-            // Screening applied with the charges of the first two reactants.
-            let (i0, _) = rx.reactants[0];
-            let z1 = self.species()[i0].z;
-            let z2 = if rx.reactants.len() > 1 {
-                self.species()[rx.reactants[1].0].z
-            } else {
-                z1
-            };
-            let f = tf.screening(z1, z2);
-            lam *= f;
-            dlam_dt9 *= f; // d(screening)/dT neglected (weak screening)
-        }
-        let mut yprod = 1.0;
-        for &(i, c) in &rx.reactants {
-            yprod *= y[i].max(0.0).powi(c as i32);
-        }
-        let rho_pow = rho.powi(rx.order() as i32 - 1);
-        let r = rho_pow * lam * yprod / rx.symmetry;
-        let drdt = rho_pow * dlam_dt9 * yprod / rx.symmetry / 1e9;
-        (r, drdt, lam)
-    }
-
-    /// Fill `ydot` (length nspec) with dY/dt at (ρ, T, Y).
+    /// Fill `ydot` (length nspec) with dY/dt at (ρ, T, Y): one lane of
+    /// [`Network::ydot_lanes`].
     fn ydot(&self, rho: f64, t: f64, y: &[f64], ydot: &mut [f64]) {
-        ydot.iter_mut().for_each(|v| *v = 0.0);
-        let tf = self.t_factors(rho, t);
-        for rx in self.reactions() {
-            let (r, _, _) = self.reaction_rate(rx, rho, &tf, y);
-            for &(i, c) in &rx.reactants {
-                ydot[i] -= c as f64 * r;
-            }
-            for &(i, c) in &rx.products {
-                ydot[i] += c as f64 * r;
-            }
-        }
+        ydot_body(self, [rho], [t], y.as_chunks().0, ydot.as_chunks_mut().0);
     }
 
-    /// Specific nuclear energy generation rate ε (erg g⁻¹ s⁻¹) at the state.
+    /// [`Network::ydot`] of [`LANES`] zones, bit for bit: `y[i][l]` is
+    /// species `i`'s molar abundance in zone `l`, and `ydot` (nspec rows)
+    /// receives dY/dt the same way.
+    fn ydot_lanes(
+        &self,
+        rho: [f64; LANES],
+        t: [f64; LANES],
+        y: &[[f64; LANES]],
+        ydot: &mut [[f64; LANES]],
+    ) {
+        ydot_body(self, rho, t, y, ydot);
+    }
+
+    /// Specific nuclear energy generation rate ε (erg g⁻¹ s⁻¹) at the state:
+    /// [`energy_rate`] of a one-lane [`Network::ydot`]. The rates of up to
+    /// 32 species are held on the stack, a larger network's on the heap.
     fn eps(&self, rho: f64, t: f64, y: &[f64]) -> f64 {
         let n = self.nspec();
-        let mut ydot = vec![0.0; n];
-        self.ydot(rho, t, y, &mut ydot);
-        energy_rate(self.species(), &ydot)
+        let mut stack = [0.0; EPS_MAX_SPECIES];
+        let mut heap = Vec::new();
+        let ydot = if n <= EPS_MAX_SPECIES {
+            &mut stack[..n]
+        } else {
+            heap.resize(n, 0.0);
+            &mut heap[..]
+        };
+        self.ydot(rho, t, y, ydot);
+        energy_rate(self.species(), ydot)
     }
 
     /// Fill the `(n+1) × (n+1)` row-major Jacobian block for the species:
     /// rows `0..n` hold ∂Ẏᵢ/∂Yⱼ in columns `0..n` and ∂Ẏᵢ/∂T in column `n`.
     /// Row `n` (the temperature equation) is left zero for the burner to
-    /// fill. `jac` has length `(n+1)²`.
+    /// fill. `jac` has length `(n+1)²`. One lane of [`Network::jac_lanes`].
     fn jac(&self, rho: f64, t: f64, y: &[f64], jac: &mut [f64]) {
-        let n = self.nspec();
-        let m = n + 1;
-        assert_eq!(jac.len(), m * m);
-        jac.iter_mut().for_each(|v| *v = 0.0);
-        let tf = self.t_factors(rho, t);
-        for rx in self.reactions() {
-            let (_, drdt, lam) = self.reaction_rate(rx, rho, &tf, y);
-            let rho_pow = rho.powi(rx.order() as i32 - 1);
-            // dr/dY_j for each distinct reactant j: r * c_j / Y_j computed
-            // robustly (avoid dividing by tiny Y by re-deriving the product).
-            for rj in 0..rx.reactants.len() {
-                let (j, cj) = rx.reactants[rj];
-                // d(Π Y_i^{c_i})/dY_j = c_j Y_j^{c_j-1} Π_{i≠j} Y_i^{c_i}
-                let mut dyprod = cj as f64 * y[j].max(0.0).powi(cj as i32 - 1);
-                for (ri, &(i, ci)) in rx.reactants.iter().enumerate() {
-                    if ri != rj {
-                        dyprod *= y[i].max(0.0).powi(ci as i32);
-                    }
-                }
-                let drdy = rho_pow * lam * dyprod / rx.symmetry;
-                for &(i, c) in &rx.reactants {
-                    jac[i * m + j] -= c as f64 * drdy;
-                }
-                for &(i, c) in &rx.products {
-                    jac[i * m + j] += c as f64 * drdy;
-                }
-            }
-            // Temperature column.
-            for &(i, c) in &rx.reactants {
-                jac[i * m + n] -= c as f64 * drdt;
-            }
-            for &(i, c) in &rx.products {
-                jac[i * m + n] += c as f64 * drdt;
-            }
-        }
+        jac_body(self, [rho], [t], y.as_chunks().0, jac.as_chunks_mut().0);
+    }
+
+    /// [`Network::jac`] of [`LANES`] zones, bit for bit, on the layout of
+    /// [`Network::ydot_lanes`]: `jac` holds `(n+1)²` rows.
+    fn jac_lanes(
+        &self,
+        rho: [f64; LANES],
+        t: [f64; LANES],
+        y: &[[f64; LANES]],
+        jac: &mut [[f64; LANES]],
+    ) {
+        jac_body(self, rho, t, y, jac);
     }
 
     /// The structural sparsity of the full `(n+1)²` burner Jacobian
@@ -240,6 +192,170 @@ pub trait Network: Send + Sync {
         }
         entries.push((n, n));
         CsrPattern::new(m, entries)
+    }
+}
+
+/// Species a one-lane [`Network::eps`] holds its rates for on the stack.
+const EPS_MAX_SPECIES: usize = 32;
+
+/// The temperature factors every reaction of `net` shares at the lanes'
+/// (ρ, T): one per evaluation. `slopes`: the Jacobian's dλ/dT₉ factors too.
+#[inline(always)]
+fn shared_factors<N: Network + ?Sized, const W: usize>(
+    net: &N,
+    rho: [f64; W],
+    t: [f64; W],
+    slopes: bool,
+) -> TFactors<W> {
+    let tf = TFactors::lanes(t.map(|t| t / 1e9), net.t_needs(), slopes);
+    if net.screening() {
+        // Mean values matter only logarithmically here.
+        tf.with_screening_lanes(rho, t, 12.0, 6.0)
+    } else {
+        tf
+    }
+}
+
+/// The (screened) rate coefficient λ of `rx` and, with `slopes`, dλ/dT₉:
+/// the only place a network evaluates a fit or a screening factor.
+#[inline(always)]
+fn screened_rate<N: Network + ?Sized, const W: usize>(
+    net: &N,
+    rx: &Reaction,
+    tf: &TFactors<W>,
+    slopes: bool,
+) -> ([f64; W], [f64; W]) {
+    let (mut lam, mut dlam_dt9) = if slopes {
+        rx.rate.eval_lanes(tf)
+    } else {
+        (rx.rate.lambda_lanes(tf), [0.0; W])
+    };
+    if net.screening() && rx.order() >= 2 {
+        // Screening applied with the charges of the first two reactants.
+        let (i0, _) = rx.reactants[0];
+        let z1 = net.species()[i0].z;
+        let z2 = if rx.reactants.len() > 1 {
+            net.species()[rx.reactants[1].0].z
+        } else {
+            z1
+        };
+        let f = tf.screening_lanes(z1, z2);
+        for l in 0..W {
+            lam[l] *= f[l];
+            dlam_dt9[l] *= f[l]; // d(screening)/dT neglected (weak screening)
+        }
+    }
+    (lam, dlam_dt9)
+}
+
+/// `x^c` lane by lane, with `powi`'s bits: the squarings it performs for
+/// the small counts a reaction has, the call itself beyond them.
+#[inline(always)]
+fn ipow<const W: usize>(x: [f64; W], c: i32) -> [f64; W] {
+    match c {
+        0 => [1.0; W],
+        1 => x,
+        2 => x.map(|v| v * v),
+        3 => x.map(|v| v * (v * v)),
+        _ => x.map(|v| v.powi(c)),
+    }
+}
+
+/// `Π_{i ≠ skip} max(Y_i, 0)^{c_i}` over `rx`'s reactants, onto `acc`.
+#[inline(always)]
+fn reactant_product<const W: usize>(
+    rx: &Reaction,
+    y: &[[f64; W]],
+    skip: Option<usize>,
+    mut acc: [f64; W],
+) -> [f64; W] {
+    for (ri, &(i, c)) in rx.reactants.iter().enumerate() {
+        if Some(ri) != skip {
+            let p = ipow(y[i].map(|v| v.max(0.0)), c as i32);
+            for l in 0..W {
+                acc[l] *= p[l];
+            }
+        }
+    }
+    acc
+}
+
+/// `v[i] ∓= c · r` for `rx`'s reactants and products, row `i` at
+/// `v[i·stride + col]`.
+#[inline(always)]
+fn accumulate<const W: usize>(
+    rx: &Reaction,
+    r: [f64; W],
+    v: &mut [[f64; W]],
+    stride: usize,
+    col: usize,
+) {
+    for &(i, c) in &rx.reactants {
+        let row = &mut v[i * stride + col];
+        for l in 0..W {
+            row[l] -= c as f64 * r[l];
+        }
+    }
+    for &(i, c) in &rx.products {
+        let row = &mut v[i * stride + col];
+        for l in 0..W {
+            row[l] += c as f64 * r[l];
+        }
+    }
+}
+
+/// The one right-hand side body: [`Network::ydot`] at `W` = 1,
+/// [`Network::ydot_lanes`] at [`LANES`], monomorphised per network.
+#[inline(always)]
+fn ydot_body<N: Network + ?Sized, const W: usize>(
+    net: &N,
+    rho: [f64; W],
+    t: [f64; W],
+    y: &[[f64; W]],
+    ydot: &mut [[f64; W]],
+) {
+    ydot.iter_mut().for_each(|v| *v = [0.0; W]);
+    let tf = shared_factors(net, rho, t, false);
+    for rx in net.reactions() {
+        let (lam, _) = screened_rate(net, rx, &tf, false);
+        let yprod = reactant_product(rx, y, None, [1.0; W]);
+        let rho_pow = ipow(rho, rx.order() as i32 - 1);
+        let r = from_fn(|l| rho_pow[l] * lam[l] * yprod[l] / rx.symmetry);
+        accumulate(rx, r, ydot, 1, 0);
+    }
+}
+
+/// The one Jacobian body: [`Network::jac`] at `W` = 1,
+/// [`Network::jac_lanes`] at [`LANES`].
+#[inline(always)]
+fn jac_body<N: Network + ?Sized, const W: usize>(
+    net: &N,
+    rho: [f64; W],
+    t: [f64; W],
+    y: &[[f64; W]],
+    jac: &mut [[f64; W]],
+) {
+    let n = net.nspec();
+    let m = n + 1;
+    assert_eq!(jac.len(), m * m);
+    jac.iter_mut().for_each(|v| *v = [0.0; W]);
+    let tf = shared_factors(net, rho, t, true);
+    for rx in net.reactions() {
+        let (lam, dlam_dt9) = screened_rate(net, rx, &tf, true);
+        let yprod = reactant_product(rx, y, None, [1.0; W]);
+        let rho_pow = ipow(rho, rx.order() as i32 - 1);
+        // dr/dY_j for each distinct reactant j: r * c_j / Y_j computed
+        // robustly (avoid dividing by tiny Y by re-deriving the product):
+        // d(Π Y_i^{c_i})/dY_j = c_j Y_j^{c_j-1} Π_{i≠j} Y_i^{c_i}.
+        for (rj, &(j, cj)) in rx.reactants.iter().enumerate() {
+            let own = ipow(y[j].map(|v| v.max(0.0)), cj as i32 - 1);
+            let dyprod = reactant_product(rx, y, Some(rj), own.map(|p| cj as f64 * p));
+            let drdy = from_fn(|l| rho_pow[l] * lam[l] * dyprod[l] / rx.symmetry);
+            accumulate(rx, drdy, jac, m, j);
+        }
+        // Temperature column.
+        let drdt = from_fn(|l| rho_pow[l] * dlam_dt9[l] * yprod[l] / rx.symmetry / 1e9);
+        accumulate(rx, drdt, jac, m, n);
     }
 }
 
@@ -612,6 +728,59 @@ mod tests {
         check_nucleon_conservation(&net, 1e7, 3e9, &y);
         // C/O fuel at 3e9 K burns exothermically.
         assert!(net.eps(1e7, 3e9, &y) > 0.0);
+    }
+
+    /// CBurn2's carbon pair followed by inert helium, past the species
+    /// [`Network::eps`] holds on the stack.
+    struct Padded(Vec<Species>, Vec<Reaction>);
+    impl Network for Padded {
+        fn name(&self) -> &'static str {
+            "padded"
+        }
+        fn species(&self) -> &[Species] {
+            &self.0
+        }
+        fn reactions(&self) -> &[Reaction] {
+            &self.1
+        }
+        fn t_needs(&self) -> TNeeds {
+            rate_needs(&self.1)
+        }
+    }
+
+    #[test]
+    fn eps_of_a_network_past_the_stack_buffer() {
+        let small = CBurn2::new();
+        let mut species = small.species().to_vec();
+        species.resize(EPS_MAX_SPECIES + 8, iso::HE4);
+        let big = Padded(species, small.reactions().to_vec());
+        let mut y = vec![0.0; big.nspec()];
+        y[..2].copy_from_slice(&molar(&small, &[0.7, 0.3]));
+        let e = big.eps(2.6e6, 6e8, &y);
+        assert!(e > 0.0);
+        assert_eq!(e.to_bits(), small.eps(2.6e6, 6e8, &y[..2]).to_bits());
+    }
+
+    #[test]
+    fn ipow_is_powi_bit_for_bit() {
+        use std::hint::black_box;
+        let xs = [
+            0.0,
+            1e-300,
+            3.7e-5,
+            0.3,
+            1.0,
+            2.5,
+            7.1e102,
+            1e200,
+            f64::INFINITY,
+        ];
+        for c in 0..6 {
+            for x in xs {
+                let want = black_box(x).powi(black_box(c));
+                assert_eq!(ipow([x], c)[0].to_bits(), want.to_bits(), "{x}^{c}");
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //! those once ([`TFactors`]) and every reaction's [`Rate::eval`] and
 //! [`TFactors::screening`] read them.
 
+use std::array::from_fn;
+
 /// A reaction-rate coefficient fit.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Rate {
@@ -79,34 +81,61 @@ impl TNeeds {
 /// `(ρ, T)` and shared by every reaction of the network. A family outside
 /// the [`TNeeds`] it was built with is NaN, so a fit reading a factor its
 /// network did not declare poisons the result instead of silently using 0.
+///
+/// `W` zones' factors sit side by side, lane `l` of every field belonging
+/// to zone `l`; the scalar API ([`TFactors::new`], [`Rate::eval`], …) is the
+/// one-lane case.
 #[derive(Clone, Copy, Debug)]
-pub struct TFactors {
+pub struct TFactors<const W: usize = 1> {
     /// T₉, floored at 10⁻⁴.
-    t9: f64,
-    t913: f64,
-    t9m23: f64,
-    t9m32: f64,
-    t9m43: f64,
-    t9m3: f64,
+    t9: [f64; W],
+    t913: [f64; W],
+    t9m23: [f64; W],
+    t9m32: [f64; W],
+    t9m43: [f64; W],
+    t9m3: [f64; W],
     /// CF88's shifted temperature `T₉a = T₉ / (1 + 0.0396 T₉)` ...
-    t9a: f64,
+    t9a: [f64; W],
     /// ... `dT₉a/dT₉` ...
-    dt9a: f64,
+    dt9a: [f64; W],
     /// ... and its powers 1/3, 5/6 and −4/3.
-    t9a13: f64,
-    t9a56: f64,
-    t9am43: f64,
+    t9a13: [f64; W],
+    t9a56: [f64; W],
+    t9am43: [f64; W],
     /// Weak-screening `√(ρζ)` and `(10³ T₉)^{-3/2}`; NaN until
     /// [`TFactors::with_screening`].
-    scr_rho: f64,
-    scr_t: f64,
+    scr_rho: [f64; W],
+    scr_t: [f64; W],
 }
 
 impl TFactors {
-    /// The factor families `needs` names, at temperature `t9`.
+    /// The factor families `needs` names, at temperature `t9`, with the
+    /// slope factors [`Rate::eval`]'s `dλ/dT₉` reads.
     pub fn new(t9: f64, needs: TNeeds) -> Self {
-        let t9 = t9.max(1e-4);
-        let nan = f64::NAN;
+        Self::lanes([t9], needs, true)
+    }
+
+    /// Add the two screening terms every reaction shares, at density `rho`
+    /// (g/cc) and temperature `t` (K) for composition means `abar`, `zbar`.
+    pub fn with_screening(self, rho: f64, t: f64, abar: f64, zbar: f64) -> Self {
+        self.with_screening_lanes([rho], [t], abar, zbar)
+    }
+
+    /// Graboske weak-screening enhancement factor for a reaction between
+    /// charges `z1`, `z2`. Capped to keep the weak-screening expression
+    /// from being extrapolated far outside its validity.
+    pub fn screening(&self, z1: f64, z2: f64) -> f64 {
+        self.screening_lanes(z1, z2)[0]
+    }
+}
+
+impl<const W: usize> TFactors<W> {
+    /// [`TFactors::new`] for `W` zones at temperatures `t9`. Without
+    /// `slopes` only what λ reads is computed: `T₉^{-4/3}`, `dT₉a/dT₉` and
+    /// `T₉a^{-4/3}` stay NaN, and so does every `dλ/dT₉` taken from them.
+    pub(crate) fn lanes(t9: [f64; W], needs: TNeeds, slopes: bool) -> Self {
+        let t9 = t9.map(|t| t.max(1e-4));
+        let nan = [f64::NAN; W];
         let mut f = TFactors {
             t9,
             t913: nan,
@@ -122,47 +151,55 @@ impl TFactors {
             scr_rho: nan,
             scr_t: nan,
         };
+        let pow = |x: [f64; W], e: f64| x.map(|v| v.powf(e));
         if needs.has(TNeeds::CBRT) {
-            f.t913 = t9.powf(1.0 / 3.0);
-            f.t9m43 = t9.powf(-4.0 / 3.0);
+            f.t913 = pow(t9, 1.0 / 3.0);
+            if slopes {
+                f.t9m43 = pow(t9, -4.0 / 3.0);
+            }
         }
         if needs.has(TNeeds::M23) {
-            f.t9m23 = t9.powf(-2.0 / 3.0);
+            f.t9m23 = pow(t9, -2.0 / 3.0);
         }
         if needs.has(TNeeds::M32) {
-            f.t9m32 = t9.powf(-1.5);
+            f.t9m32 = pow(t9, -1.5);
         }
         if needs.has(TNeeds::M3) {
-            f.t9m3 = t9.powi(-3);
+            f.t9m3 = t9.map(|t| t.powi(-3));
         }
         if needs.has(TNeeds::T9A) {
-            let t9a = t9 / (1.0 + 0.0396 * t9);
+            let t9a: [f64; W] = from_fn(|l| t9[l] / (1.0 + 0.0396 * t9[l]));
             f.t9a = t9a;
-            f.dt9a = t9a / t9 - 0.0396 * t9a * t9a / t9;
-            f.t9a13 = t9a.powf(1.0 / 3.0);
-            f.t9a56 = t9a.powf(5.0 / 6.0);
-            f.t9am43 = t9a.powf(-4.0 / 3.0);
+            f.t9a13 = pow(t9a, 1.0 / 3.0);
+            f.t9a56 = pow(t9a, 5.0 / 6.0);
+            if slopes {
+                f.dt9a = from_fn(|l| t9a[l] / t9[l] - 0.0396 * t9a[l] * t9a[l] / t9[l]);
+                f.t9am43 = pow(t9a, -4.0 / 3.0);
+            }
         }
         f
     }
 
-    /// Add the two screening terms every reaction shares, at density `rho`
-    /// (g/cc) and temperature `t` (K) for composition means `abar`, `zbar`.
-    pub fn with_screening(mut self, rho: f64, t: f64, abar: f64, zbar: f64) -> Self {
+    /// [`TFactors::with_screening`] for `W` zones at densities `rho` and
+    /// temperatures `t` (K).
+    pub(crate) fn with_screening_lanes(
+        mut self,
+        rho: [f64; W],
+        t: [f64; W],
+        abar: f64,
+        zbar: f64,
+    ) -> Self {
         // ζ ≈ Σ (Z² + Z) X/A ≈ (zbar² + zbar)/abar for a mean composition.
         let zeta = (zbar * zbar + zbar) / abar;
-        let t9 = t / 1e9;
-        self.scr_rho = (rho * zeta).sqrt();
-        self.scr_t = (t9 * 1e3).powf(-1.5);
+        self.scr_rho = rho.map(|r| (r * zeta).sqrt());
+        self.scr_t = t.map(|t| (t / 1e9 * 1e3).powf(-1.5));
         self
     }
 
-    /// Graboske weak-screening enhancement factor for a reaction between
-    /// charges `z1`, `z2`. Capped to keep the weak-screening expression
-    /// from being extrapolated far outside its validity.
-    pub fn screening(&self, z1: f64, z2: f64) -> f64 {
-        let h12 = 0.188 * z1 * z2 * self.scr_rho * self.scr_t;
-        h12.min(2.0).exp()
+    /// [`TFactors::screening`] of every lane.
+    pub(crate) fn screening_lanes(&self, z1: f64, z2: f64) -> [f64; W] {
+        let h12: [f64; W] = from_fn(|l| 0.188 * z1 * z2 * self.scr_rho[l] * self.scr_t[l]);
+        h12.map(|h| h.min(2.0).exp())
     }
 }
 
@@ -180,43 +217,63 @@ impl Rate {
 
     /// Evaluate `(λ, dλ/dT₉)` on precomputed temperature factors.
     pub fn eval(&self, tf: &TFactors) -> (f64, f64) {
+        let ([l], [dl]) = self.eval_lanes(tf);
+        (l, dl)
+    }
+
+    /// λ of every lane: the one copy of the fits' values, which read no
+    /// slope factor.
+    pub(crate) fn lambda_lanes<const W: usize>(&self, tf: &TFactors<W>) -> [f64; W] {
         let t9 = tf.t9;
+        let exp = |x: [f64; W]| x.map(f64::exp);
         match *self {
             Rate::TripleAlpha => {
                 // λ ∝ T₉⁻³ exp(-4.4027/T₉): the classic helium-burning fit.
-                // Logarithmic slope: -3 + 4.4027/T₉ ≈ 41 at T₉ = 0.1.
                 let c = 2.79e-8;
-                let l = c * tf.t9m3 * (-4.4027 / t9).exp();
-                let dln = -3.0 / t9 + 4.4027 / (t9 * t9);
-                (l, l * dln)
+                let e = exp(t9.map(|t| -4.4027 / t));
+                from_fn(|l| c * tf.t9m3[l] * e[l])
             }
             Rate::C12C12 => {
                 // CF88 leading term with the T₉a shift.
-                let ex = -84.165 / tf.t9a13;
-                let l = 4.27e26 * tf.t9a56 * tf.t9m32 * ex.exp();
-                let dln = (5.0 / 6.0) * tf.dt9a / tf.t9a - 1.5 / t9
-                    + (84.165 / 3.0) * tf.t9am43 * tf.dt9a;
-                (l, l * dln)
+                let e = exp(tf.t9a13.map(|t| -84.165 / t));
+                from_fn(|l| 4.27e26 * tf.t9a56[l] * tf.t9m32[l] * e[l])
             }
             Rate::C12O16 => {
-                let ex = -106.594 / tf.t913;
-                let l = 1.72e31 * tf.t9m32 * ex.exp();
-                let dln = -1.5 / t9 + (106.594 / 3.0) * tf.t9m43;
-                (l, l * dln)
+                let e = exp(tf.t913.map(|t| -106.594 / t));
+                from_fn(|l| 1.72e31 * tf.t9m32[l] * e[l])
             }
             Rate::O16O16 => {
-                let ex = -135.93 / tf.t913;
-                let l = 7.10e36 * tf.t9m32 * ex.exp();
-                let dln = -1.5 / t9 + (135.93 / 3.0) * tf.t9m43;
-                (l, l * dln)
+                let e = exp(tf.t913.map(|t| -135.93 / t));
+                from_fn(|l| 7.10e36 * tf.t9m32[l] * e[l])
             }
             Rate::AlphaCapture { c, tau } => {
-                let l = c * tf.t9m23 * (-tau / tf.t913).exp();
-                let dln = -2.0 / (3.0 * t9) + (tau / 3.0) * tf.t9m43;
-                (l, l * dln)
+                let e = exp(tf.t913.map(|t| -tau / t));
+                from_fn(|l| c * tf.t9m23[l] * e[l])
             }
-            Rate::Const(c) => (c, 0.0),
+            Rate::Const(c) => [c; W],
         }
+    }
+
+    /// `(λ, dλ/dT₉)` of every lane, on factors built with slopes.
+    pub(crate) fn eval_lanes<const W: usize>(&self, tf: &TFactors<W>) -> ([f64; W], [f64; W]) {
+        let l = self.lambda_lanes(tf);
+        let t9 = tf.t9;
+        // Logarithmic slopes d ln λ / dT₉.
+        let dln: [f64; W] = match *self {
+            // -3 + 4.4027/T₉ ≈ 41 at T₉ = 0.1.
+            Rate::TripleAlpha => from_fn(|i| -3.0 / t9[i] + 4.4027 / (t9[i] * t9[i])),
+            Rate::C12C12 => from_fn(|i| {
+                (5.0 / 6.0) * tf.dt9a[i] / tf.t9a[i] - 1.5 / t9[i]
+                    + (84.165 / 3.0) * tf.t9am43[i] * tf.dt9a[i]
+            }),
+            Rate::C12O16 => from_fn(|i| -1.5 / t9[i] + (106.594 / 3.0) * tf.t9m43[i]),
+            Rate::O16O16 => from_fn(|i| -1.5 / t9[i] + (135.93 / 3.0) * tf.t9m43[i]),
+            Rate::AlphaCapture { tau, .. } => {
+                from_fn(|i| -2.0 / (3.0 * t9[i]) + (tau / 3.0) * tf.t9m43[i])
+            }
+            Rate::Const(_) => return (l, [0.0; W]),
+        };
+        (l, from_fn(|i| l[i] * dln[i]))
     }
 
     /// Evaluate `(λ, dλ/dT₉)` at temperature `t9` alone.

@@ -24,6 +24,8 @@
 //! first keeps the fill close to zero.
 
 use crate::linalg::Singular;
+use exastro_parallel::LANES;
+use std::array::from_fn;
 
 /// A fixed sparsity pattern in compressed-sparse-row form: for each row, a
 /// sorted run of column indices. The diagonal is always included (Newton
@@ -347,11 +349,13 @@ impl SparseLu {
     /// Batched [`SparseLu::factor_newton`]: form and factor the Newton
     /// matrices `I − γJ_l` of `width` systems at once. `jacs` holds the
     /// lanes' dense row-major Jacobians back to back (`jacs[l·n²..][..n²]`
-    /// is lane `l`); `vals` is the slot-major structure-of-arrays factor
-    /// workspace (`vals[slot·width + l]` is slot `slot` of lane `l`),
-    /// length `nnz_filled × width`. The replay schedule runs ops-outer /
-    /// lanes-inner, so the lane loop is the unit-stride hot loop the
-    /// auto-vectorizer SIMDs across the batch.
+    /// is lane `l`). The lanes go in blocks of [`LANES`]: `vals` is
+    /// [`SparseLu::batch_len`]`(width)` rows, block `b`'s factor in rows
+    /// `b·nnz_filled..` and lane `l` of a block in element `l` of each row.
+    /// The schedule is replayed once a block with every operation on a
+    /// fixed-width row, so the lane loop is a literal [`LANES`] the
+    /// auto-vectorizer turns into SIMD. A short last block pads with
+    /// copies of its last lane, which are computed and never read.
     ///
     /// Unlike the scalar path there is no early-out on a bad pivot — a
     /// branch per lane per op would serialize the replay. A zero pivot
@@ -365,102 +369,119 @@ impl SparseLu {
         jacs: &[f64],
         gamma: f64,
         width: usize,
-        vals: &mut [f64],
+        vals: &mut [[f64; LANES]],
         singular: &mut [bool],
     ) {
         let nn = self.n * self.n;
         assert_eq!(jacs.len(), nn * width);
-        assert_eq!(vals.len(), self.nnz_filled * width);
+        assert_eq!(vals.len(), self.batch_len(width));
         assert_eq!(singular.len(), width);
-        vals.iter_mut().for_each(|v| *v = 0.0);
-        for &(slot, didx) in &self.scatter {
-            let row = &mut vals[slot as usize * width..][..width];
-            for (l, v) in row.iter_mut().enumerate() {
-                *v = -gamma * jacs[l * nn + didx as usize];
+        for (block, v) in vals.chunks_exact_mut(self.nnz_filled).enumerate() {
+            let lane0 = block * LANES;
+            let live = LANES.min(width - lane0);
+            let jac0: [usize; LANES] = from_fn(|l| (lane0 + l.min(live - 1)) * nn);
+            v.fill([0.0; LANES]);
+            for &(slot, didx) in &self.scatter {
+                v[slot as usize] = from_fn(|l| -gamma * jacs[jac0[l] + didx as usize]);
             }
-        }
-        for &d in &self.diag {
-            for v in &mut vals[d as usize * width..][..width] {
-                *v += 1.0;
-            }
-        }
-        for op in &self.col_ops {
-            let diag0 = op.diag as usize * width;
-            let mult0 = op.mult as usize * width;
-            for l in 0..width {
-                vals[mult0 + l] /= vals[diag0 + l];
-            }
-            for &(src, tgt) in &self.elims[op.e0 as usize..op.e1 as usize] {
-                let src0 = src as usize * width;
-                let tgt0 = tgt as usize * width;
-                for l in 0..width {
-                    vals[tgt0 + l] -= vals[mult0 + l] * vals[src0 + l];
+            for &d in &self.diag {
+                for x in &mut v[d as usize] {
+                    *x += 1.0;
                 }
             }
-        }
-        // Per-lane singularity check, hoisted out of the replay: a lane is
-        // bad if any stored value went non-finite or any pivot is zero.
-        singular.iter_mut().for_each(|s| *s = false);
-        for row in vals.chunks_exact(width) {
-            for l in 0..width {
-                if !row[l].is_finite() {
-                    singular[l] = true;
+            for op in &self.col_ops {
+                let d = v[op.diag as usize];
+                let mult = &mut v[op.mult as usize];
+                for l in 0..LANES {
+                    mult[l] /= d[l];
+                }
+                let m = *mult;
+                for &(src, tgt) in &self.elims[op.e0 as usize..op.e1 as usize] {
+                    let s = v[src as usize];
+                    let t = &mut v[tgt as usize];
+                    for l in 0..LANES {
+                        t[l] -= m[l] * s[l];
+                    }
                 }
             }
-        }
-        for &d in &self.diag {
-            let row = &vals[d as usize * width..][..width];
-            for l in 0..width {
-                if row[l] == 0.0 {
-                    singular[l] = true;
+            // Per-lane singularity check, hoisted out of the replay: a lane
+            // is bad if any stored value went non-finite or any pivot is
+            // zero.
+            let mut bad = [false; LANES];
+            for row in v.iter() {
+                for l in 0..LANES {
+                    bad[l] |= !row[l].is_finite();
                 }
             }
+            for &d in &self.diag {
+                for l in 0..LANES {
+                    bad[l] |= v[d as usize][l] == 0.0;
+                }
+            }
+            singular[lane0..lane0 + live].copy_from_slice(&bad[..live]);
         }
     }
 
+    /// Rows of [`SparseLu::factor_newton_batch`]'s `vals` for a batch of
+    /// `width` lanes: `nnz_filled` a block of [`LANES`].
+    pub fn batch_len(&self, width: usize) -> usize {
+        self.nnz_filled * width.div_ceil(LANES)
+    }
+
     /// Batched triangular solves from [`SparseLu::factor_newton_batch`]:
-    /// solve `A_l x_l = b_l` for every lane at once. `b` and `scratch` are
-    /// component-major structure-of-arrays (`b[i·width + l]`), length
-    /// `dim × width`. Lanes flagged singular by the factorization produce
-    /// garbage here (harmless — the caller drops them); clean lanes match
-    /// the scalar [`SparseLu::solve`] bit for bit.
-    pub fn solve_batch(&self, vals: &[f64], width: usize, b: &mut [f64], scratch: &mut [f64]) {
+    /// solve `A_l x_l = b_l` for every lane at once, a block of [`LANES`]
+    /// at a time. `b` is component-major structure-of-arrays
+    /// (`b[i·width + l]`), length `dim × width`; `scratch` holds one
+    /// block's permuted right-hand sides, `dim` rows. Lanes flagged
+    /// singular by the factorization produce garbage here (harmless — the
+    /// caller drops them); clean lanes match the scalar [`SparseLu::solve`]
+    /// bit for bit.
+    pub fn solve_batch(
+        &self,
+        vals: &[[f64; LANES]],
+        width: usize,
+        b: &mut [f64],
+        scratch: &mut [[f64; LANES]],
+    ) {
         let n = self.n;
-        assert_eq!(vals.len(), self.nnz_filled * width);
+        assert_eq!(vals.len(), self.batch_len(width));
         assert_eq!(b.len(), n * width);
-        assert_eq!(scratch.len(), n * width);
-        for k in 0..n {
-            let p = self.perm[k];
-            scratch[k * width..][..width].copy_from_slice(&b[p * width..][..width]);
-        }
-        for &(slot, src, tgt) in &self.lower {
-            let slot0 = slot as usize * width;
-            let src0 = src as usize * width;
-            let tgt0 = tgt as usize * width;
-            for l in 0..width {
-                scratch[tgt0 + l] -= vals[slot0 + l] * scratch[src0 + l];
+        assert_eq!(scratch.len(), n);
+        for (block, v) in vals.chunks_exact(self.nnz_filled).enumerate() {
+            let lane0 = block * LANES;
+            let live = LANES.min(width - lane0);
+            let lane: [usize; LANES] = from_fn(|l| lane0 + l.min(live - 1));
+            for (k, x) in scratch.iter_mut().enumerate() {
+                let row = self.perm[k] * width;
+                *x = from_fn(|l| b[row + lane[l]]);
             }
-        }
-        let mut ui = 0usize;
-        for k in (0..n).rev() {
-            let diag0 = self.diag[k] as usize * width;
-            for l in 0..width {
-                scratch[k * width + l] /= vals[diag0 + l];
-            }
-            while ui < self.upper.len() && self.upper[ui].1 == k as u32 {
-                let (slot, src, tgt) = self.upper[ui];
-                let slot0 = slot as usize * width;
-                let src0 = src as usize * width;
-                let tgt0 = tgt as usize * width;
-                for l in 0..width {
-                    scratch[tgt0 + l] -= vals[slot0 + l] * scratch[src0 + l];
+            for &(slot, src, tgt) in &self.lower {
+                let (m, s) = (v[slot as usize], scratch[src as usize]);
+                let t = &mut scratch[tgt as usize];
+                for l in 0..LANES {
+                    t[l] -= m[l] * s[l];
                 }
-                ui += 1;
             }
-        }
-        for k in 0..n {
-            let p = self.perm[k];
-            b[p * width..][..width].copy_from_slice(&scratch[k * width..][..width]);
+            let mut ui = 0usize;
+            for k in (0..n).rev() {
+                let d = v[self.diag[k] as usize];
+                for l in 0..LANES {
+                    scratch[k][l] /= d[l];
+                }
+                while ui < self.upper.len() && self.upper[ui].1 == k as u32 {
+                    let (slot, src, tgt) = self.upper[ui];
+                    let (m, s) = (v[slot as usize], scratch[src as usize]);
+                    let t = &mut scratch[tgt as usize];
+                    for l in 0..LANES {
+                        t[l] -= m[l] * s[l];
+                    }
+                    ui += 1;
+                }
+            }
+            for (k, x) in scratch.iter().enumerate() {
+                let row = self.perm[k] * width + lane0;
+                b[row..row + live].copy_from_slice(&x[..live]);
+            }
         }
     }
 
@@ -724,11 +745,11 @@ mod tests {
                 }
                 lanes_scalar.push((jac, b));
             }
-            let mut vals = vec![0.0; lu.nnz_filled() * width];
+            let mut vals = vec![[0.0; LANES]; lu.batch_len(width)];
             let mut sing = vec![true; width];
             lu.factor_newton_batch(&jacs, gamma, width, &mut vals, &mut sing);
             assert!(sing.iter().all(|s| !s), "well-conditioned lanes");
-            let mut scratch = vec![0.0; n * width];
+            let mut scratch = vec![[0.0; LANES]; n];
             lu.solve_batch(&vals, width, &mut rhs_soa, &mut scratch);
             for (l, (jac, b)) in lanes_scalar.iter().enumerate() {
                 let mut sv = vec![0.0; lu.nnz_filled()];
@@ -766,7 +787,7 @@ mod tests {
             let src: &[f64] = if l == 2 { &bad } else { &good };
             jacs[l * n * n..][..n * n].copy_from_slice(src);
         }
-        let mut vals = vec![0.0; lu.nnz_filled() * width];
+        let mut vals = vec![[0.0; LANES]; lu.batch_len(width)];
         let mut sing = vec![false; width];
         lu.factor_newton_batch(&jacs, 1.0, width, &mut vals, &mut sing);
         assert_eq!(sing, vec![false, false, true, false]);
@@ -786,7 +807,7 @@ mod tests {
                 b[i * width + l] = bref[i];
             }
         }
-        let mut scratch = vec![0.0; n * width];
+        let mut scratch = vec![[0.0; LANES]; n];
         lu.solve_batch(&vals, width, &mut b, &mut scratch);
         for l in [0usize, 1, 3] {
             for i in 0..n {

@@ -90,9 +90,22 @@ impl Composition {
     /// Compute (abar, zbar) from molar fractions `y` (`X_i = A_i Y_i`, as
     /// [`molar_to_mass`] forms them) without staging the mass fractions.
     pub(crate) fn from_molar_fractions(species: &[Species], y: &[f64]) -> Self {
-        assert_eq!(species.len(), y.len());
-        let [comp] = Self::from_x(species, species.iter().zip(y).map(|(s, &yi)| [yi * s.a]));
+        let [comp] = Self::from_molar_fraction_lanes(species, y.as_chunks::<1>().0);
         comp
+    }
+
+    /// [`Composition::from_molar_fractions`] of `W` zones, bit for bit:
+    /// `y[i][l]` is species `i`'s molar fraction in zone `l`.
+    #[inline]
+    pub(crate) fn from_molar_fraction_lanes<const W: usize>(
+        species: &[Species],
+        y: &[[f64; W]],
+    ) -> [Self; W] {
+        assert_eq!(species.len(), y.len());
+        Self::from_x(
+            species,
+            species.iter().zip(y).map(|(s, yi)| yi.map(|v| v * s.a)),
+        )
     }
 
     /// The compositions of `W` zones, species by species: the item for
@@ -144,11 +157,24 @@ pub fn molar_to_mass(species: &[Species], y: &[f64], x: &mut [f64]) {
 /// Specific nuclear energy generation rate, erg g⁻¹ s⁻¹, from molar rates:
 /// `ε = N_A Σ_i (dY_i/dt) B_i` (positive when binding energy increases).
 pub fn energy_rate(species: &[Species], dydt: &[f64]) -> f64 {
-    let mut e = 0.0;
-    for i in 0..species.len() {
-        e += dydt[i] * species[i].bind_mev;
+    let [e] = energy_rate_lanes(species, dydt.as_chunks::<1>().0);
+    e
+}
+
+/// [`energy_rate`] of `W` zones, bit for bit: `dydt[i][l]` is species `i`'s
+/// molar rate in zone `l`.
+#[inline]
+pub(crate) fn energy_rate_lanes<const W: usize>(
+    species: &[Species],
+    dydt: &[[f64; W]],
+) -> [f64; W] {
+    let mut e = [0.0; W];
+    for (s, d) in species.iter().zip(dydt) {
+        for l in 0..W {
+            e[l] += d[l] * s.bind_mev;
+        }
     }
-    e * N_A * MEV_TO_ERG
+    e.map(|e| e * N_A * MEV_TO_ERG)
 }
 
 #[cfg(test)]

@@ -868,3 +868,129 @@ proptest! {
         prop_assert_eq!(screening_factor(z1, z2, rho, t, abar, zbar).to_bits(), want.to_bits());
     }
 }
+
+/// The four networks, by index.
+fn network(idx: usize) -> Box<dyn Network> {
+    use exastro_microphysics::Iso7;
+    match idx {
+        0 => Box::new(CBurn2::new()),
+        1 => Box::new(TripleAlpha::new()),
+        2 => Box::new(Iso7::new()),
+        _ => Box::new(Aprox13::new()),
+    }
+}
+
+/// A deterministic stream of uniforms in `[0, 1)` from `seed`.
+fn uniforms(seed: u64) -> impl FnMut() -> f64 {
+    let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    move || {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (s >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn network_lane_kernels_are_per_lane_ydot_and_jac_bit_for_bit(
+        net_idx in 0usize..4,
+        log_rho in prop::collection::vec(0.0f64..9.5, 4),
+        // Down to 10³ K: T₉ = 10⁻⁶, below the fits' 10⁻⁴ floor.
+        log_t in prop::collection::vec(3.0f64..9.8, 4),
+        // Negative abundances take the max(Y, 0) branch.
+        ys in prop::collection::vec(-0.05f64..0.5, 4 * 13),
+    ) {
+        use exastro_parallel::LANES;
+        let net = network(net_idx);
+        let (n, m) = (net.nspec(), net.nspec() + 1);
+        let rho: [f64; LANES] = std::array::from_fn(|l| 10f64.powf(log_rho[l]));
+        let t: [f64; LANES] = std::array::from_fn(|l| 10f64.powf(log_t[l]));
+        let rows: Vec<[f64; LANES]> =
+            (0..n).map(|i| std::array::from_fn(|l| ys[i * LANES + l])).collect();
+        let mut ydot = vec![[f64::NAN; LANES]; n];
+        let mut jac = vec![[f64::NAN; LANES]; m * m];
+        net.ydot_lanes(rho, t, &rows, &mut ydot);
+        net.jac_lanes(rho, t, &rows, &mut jac);
+        for l in 0..LANES {
+            let y: Vec<f64> = rows.iter().map(|r| r[l]).collect();
+            let mut one = vec![0.0; n];
+            net.ydot(rho[l], t[l], &y, &mut one);
+            for i in 0..n {
+                prop_assert!(
+                    ydot[i][l].to_bits() == one[i].to_bits(),
+                    "{} lane {l} ydot[{i}]: {} vs {}", net.name(), ydot[i][l], one[i]
+                );
+            }
+            let mut one = vec![0.0; m * m];
+            net.jac(rho[l], t[l], &y, &mut one);
+            for k in 0..m * m {
+                prop_assert!(
+                    jac[k][l].to_bits() == one[k].to_bits(),
+                    "{} lane {l} jac[{k}]: {} vs {}", net.name(), jac[k][l], one[k]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn block_replay_is_the_scalar_factor_and_solve_lane_by_lane(
+        width in prop::sample::select(vec![1usize, 2, 3, 4, 5, 6, 7, 8, 9, 16]),
+        // At or past `width`: no lane is singular.
+        singular_lane in 0usize..20,
+        gamma in prop::sample::select(vec![0.5f64, 0.25, 0.125, 0.0625]),
+        seed in 0u64..1_000_000,
+    ) {
+        use exastro_microphysics::SparseLu;
+        use exastro_parallel::LANES;
+        let pattern = Aprox13::new().sparsity();
+        let lu = SparseLu::compile(&pattern);
+        let n = pattern.dim();
+        let mut rng = uniforms(seed);
+        let mut jacs = vec![0.0; n * n * width];
+        let mut b = vec![0.0; n * width];
+        for l in 0..width {
+            let jac = &mut jacs[l * n * n..][..n * n];
+            if l == singular_lane {
+                // I − γ(I/γ) = 0 exactly (γ is a power of two).
+                for k in 0..n {
+                    jac[k * n + k] = 1.0 / gamma;
+                }
+            } else {
+                for (r, c) in pattern.entries() {
+                    jac[r * n + c] = 2.0 * rng() - 1.0;
+                }
+            }
+            for i in 0..n {
+                b[i * width + l] = 2.0 * rng() - 1.0;
+            }
+        }
+        let mut vals = vec![[0.0; LANES]; lu.batch_len(width)];
+        let mut singular = vec![false; width];
+        lu.factor_newton_batch(&jacs, gamma, width, &mut vals, &mut singular);
+        let b0 = b.clone();
+        let mut scratch = vec![[0.0; LANES]; n];
+        lu.solve_batch(&vals, width, &mut b, &mut scratch);
+        let nnz = lu.nnz_filled();
+        for l in 0..width {
+            let mut one = vec![0.0; nnz];
+            let scalar = lu.factor_newton(&jacs[l * n * n..][..n * n], gamma, &mut one);
+            prop_assert!(singular[l] == scalar.is_err(), "width {width} lane {l}");
+            prop_assert_eq!(singular[l], l == singular_lane);
+            if singular[l] {
+                continue;
+            }
+            for (slot, v) in one.iter().enumerate() {
+                let batch = vals[(l / LANES) * nnz + slot][l % LANES];
+                prop_assert!(batch.to_bits() == v.to_bits(), "lane {l} slot {slot}");
+            }
+            let mut x: Vec<f64> = (0..n).map(|i| b0[i * width + l]).collect();
+            lu.solve(&one, &mut x, &mut vec![0.0; n]);
+            for i in 0..n {
+                prop_assert!(b[i * width + l].to_bits() == x[i].to_bits(), "lane {l} x[{i}]");
+            }
+        }
+    }
+}
