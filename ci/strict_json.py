@@ -2,8 +2,8 @@
 
 Python's ``json.load`` accepts ``NaN``, ``Infinity`` and ``-Infinity`` and
 silently keeps the last of two equal keys, so an artifact that no other
-consumer can read passes it. These loaders raise on both. Every heredoc in
-``ci/tier1.sh`` and ``ci/perf_gate.py`` reads artifacts through them.
+consumer can read passes it. These loaders raise on both;
+``ci/perf_gate.py`` reads every artifact through them.
 """
 
 import json

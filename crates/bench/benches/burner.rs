@@ -258,14 +258,16 @@ fn bench(c: &mut Criterion) {
     let mut metrics: Vec<MetricPoint> = Vec::new();
     // One reaction (cburn2) against nine and fifteen: the temperature
     // factors are shared, so n reactions must cost well under n times one
-    // (tier-1 gates aprox13/ydot_ns ÷ cburn2/ydot_ns from this run).
+    // (`{net}/ydot_over_cburn2`, a same-run ratio; tier-1 gates aprox13's).
     println!("=== burner lane-step parts: RHS, Jacobian, EOS (ns per call) ===");
     let cburn2 = CBurn2::new();
     let part_nets: [(&str, &dyn Network); 3] =
         [("cburn2", &cburn2), ("iso7", &iso7), ("aprox13", &aprox13)];
+    let mut one_reaction_ns = None;
     for (name, net) in part_nets {
         let (ydot_ns, jac_ns, eos_ns, ydot_lanes_ns) =
             lane_step_parts_ns(net, &eos, if smoke { 15 } else { 101 });
+        let one_reaction_ns = *one_reaction_ns.get_or_insert(ydot_ns);
         let lanes_ratio = ydot_lanes_ns / ydot_ns;
         println!(
             "{name}: ydot {ydot_ns:.0} ns, jac {jac_ns:.0} ns, eos {eos_ns:.0} ns, \
@@ -283,6 +285,11 @@ fn bench(c: &mut Criterion) {
         metrics.push(MetricPoint::new(
             &format!("{name}/ydot_lanes_ratio"),
             lanes_ratio,
+            "x",
+        ));
+        metrics.push(MetricPoint::new(
+            &format!("{name}/ydot_over_cburn2"),
+            ydot_ns / one_reaction_ns,
             "x",
         ));
     }

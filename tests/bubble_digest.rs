@@ -1,7 +1,6 @@
-//! The pinned low-Mach bubble step of `crates/maestro/tests/pinned_digest.rs`,
-//! compiled into the root package as well: the documented tier-1 command
-//! (`cargo test -q` here) then runs the projection's multigrid against the
-//! recorded bits, not only the per-crate suites of `ci/tier1.sh`.
+//! MAESTROeX's pinned low-Mach bubble step: the projection's multigrid held
+//! to its recorded bits. The suite lives here, in the root package, and
+//! nowhere else, so the tier-1 command runs it once.
 
-#[path = "../crates/maestro/tests/pinned_digest.rs"]
+#[path = "pins/bubble_step.rs"]
 mod bubble_step;

@@ -1,11 +1,10 @@
-//! The burner's pins of `crates/microphysics/tests`, compiled into the root
-//! package as well: the documented tier-1 command (`cargo test -q` here)
-//! then holds the batch path to its recorded bits and the one integrator to
-//! its accuracy rows, not only the per-crate suites of `ci/tier1.sh`.
+//! The burner's pins: the batch path held to its recorded bits and the one
+//! integrator to its accuracy rows. The suites live here, in the root
+//! package, and nowhere else, so the tier-1 command runs them once.
 
-#[path = "../crates/microphysics/tests/bdf_accuracy.rs"]
+#[path = "pins/bdf_accuracy.rs"]
 mod bdf_accuracy;
-#[path = "../crates/microphysics/tests/pinned_digest.rs"]
+#[path = "pins/burn_digests.rs"]
 mod burn_digests;
-#[path = "../crates/microphysics/tests/ramp_digest.rs"]
+#[path = "pins/ramp_digests.rs"]
 mod ramp_digests;

@@ -1,8 +1,6 @@
-//! Castro's pinned state digests of `crates/castro/tests/pinned_digest.rs`,
-//! compiled into the root package as well: the documented tier-1 command
-//! (`cargo test -q` here) then holds the Sedov, white-dwarf collision and
-//! two-level AMR runs to their recorded bits, not only the per-crate suites
-//! of `ci/tier1.sh`.
+//! Castro's pinned state digests: the Sedov, white-dwarf collision and
+//! two-level AMR runs held to their recorded bits. The suite lives here, in
+//! the root package, and nowhere else, so the tier-1 command runs it once.
 
-#[path = "../crates/castro/tests/pinned_digest.rs"]
+#[path = "pins/castro_digests.rs"]
 mod castro_digests;

@@ -5,8 +5,7 @@
 //! whole-box step, cursor V-cycle vs per-`IntVect` V-cycle); this compares
 //! the current code with the commit that recorded the constants, so a
 //! rewrite of the projection that moves every path the same way still
-//! fails here. The root package includes this file in its own `tests/`, so
-//! the documented tier-1 command runs it too.
+//! fails here.
 //!
 //! When a change is *meant* to move the bits, re-record: run with
 //! `--nocapture` and copy the printed values.

@@ -1,6 +1,6 @@
 //! Pinned burn digests: the bits `Burner::burn_all` leaves behind on two
 //! small zone fields, recorded once and held as constants (the burner's
-//! counterpart of `crates/castro/tests/pinned_digest.rs`). The bitwise
+//! counterpart of `castro_digests.rs`). The bitwise
 //! tests elsewhere compare two paths of the *current* code (batch dropout
 //! vs ladder, width 1 vs `burn_zone`); these compare the current code with
 //! the commit that recorded the constants, so a rewrite of the rate

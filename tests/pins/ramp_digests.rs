@@ -3,7 +3,7 @@
 //! lanes of one batch converge at different Newton iterations and the
 //! lockstep loop's masks — which lanes evaluate a right-hand side or a
 //! Jacobian on a given iteration — are exercised lane by lane. The
-//! homogeneous hot and cold chunks of `pinned_digest.rs` do not do that,
+//! homogeneous hot and cold chunks of `burn_digests.rs` do not do that,
 //! and its digest holds neither `rhs_evals` nor `jac_evals`, which are
 //! exactly what a mis-masked kernel would move.
 //!
