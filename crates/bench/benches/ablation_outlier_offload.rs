@@ -11,9 +11,8 @@
 //! measured per-zone step counts feed the device latency-hiding model.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use exastro_castro::hybrid_offload_estimate;
+use exastro_machine::{hybrid_offload_estimate, DeviceConfig};
 use exastro_microphysics::{BurnerConfig, CBurn2, StellarEos};
-use exastro_parallel::{DeviceConfig, SimDevice};
 
 /// Burn a distribution of zones and return the per-zone integrator step
 /// counts (the real cost signal).
@@ -42,7 +41,7 @@ fn measured_zone_costs(hot_fraction: f64, nzones: usize) -> Vec<f64> {
 
 fn print_study() {
     println!("\n=== §VI CPU-outlier-offload ablation ===");
-    let dev = SimDevice::new(DeviceConfig::v100());
+    let v100 = DeviceConfig::v100();
     let costs = measured_zone_costs(0.002, 64 * 64 * 16);
     let mean = costs.iter().sum::<f64>() / costs.len() as f64;
     let max = costs.iter().cloned().fold(0.0, f64::max);
@@ -57,7 +56,7 @@ fn print_study() {
         "outlier cutoff", "GPU-only [µs]", "hybrid [µs]", "speedup"
     );
     for cutoff in [2.0, 5.0, 10.0, 50.0] {
-        let (gpu, hybrid) = hybrid_offload_estimate(&dev, &costs, cutoff, 0.05, 320);
+        let (gpu, hybrid) = hybrid_offload_estimate(&v100, &costs, cutoff, 0.05, 320);
         println!(
             "{:>18} × mean {:>14.0} {:>14.0} {:>8.2}×",
             cutoff,
@@ -68,7 +67,7 @@ fn print_study() {
     }
     // Control: uniform work → no benefit.
     let uniform = vec![mean; costs.len()];
-    let (gpu_u, hyb_u) = hybrid_offload_estimate(&dev, &uniform, 10.0, 0.05, 320);
+    let (gpu_u, hyb_u) = hybrid_offload_estimate(&v100, &uniform, 10.0, 0.05, 320);
     println!(
         "uniform-work control: GPU {gpu_u:.0} µs vs hybrid {hyb_u:.0} µs (speedup {:.2}× — none, as expected)\n",
         gpu_u / hyb_u
@@ -77,12 +76,12 @@ fn print_study() {
 
 fn bench(c: &mut Criterion) {
     print_study();
-    let dev = SimDevice::new(DeviceConfig::v100());
+    let v100 = DeviceConfig::v100();
     let costs = measured_zone_costs(0.002, 64 * 64 * 16);
     let mut g = c.benchmark_group("outlier_offload");
     g.sample_size(20);
     g.bench_function("estimate_sweep", |b| {
-        b.iter(|| std::hint::black_box(hybrid_offload_estimate(&dev, &costs, 10.0, 0.05, 320)))
+        b.iter(|| std::hint::black_box(hybrid_offload_estimate(&v100, &costs, 10.0, 0.05, 320)))
     });
     g.finish();
 }

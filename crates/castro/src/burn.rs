@@ -14,7 +14,7 @@ use exastro_microphysics::{
     BurnFailure, BurnFaultConfig, BurnTally, Burner, BurnerConfig, Eos, Network, RetryLadder,
     ZoneBurn,
 };
-use exastro_parallel::{ExecSpace, KernelProfile, SimDevice};
+use exastro_parallel::{ExecSpace, KernelProfile};
 
 /// Burn statistics for one multifab sweep.
 #[derive(Clone, Debug, Default)]
@@ -277,63 +277,12 @@ pub fn burn_cost_multifab(
     cost
 }
 
-/// Estimate the device time (µs) a burn launch would take if outlier zones
-/// above `cutoff × mean cost` were instead done on the host CPU — the §VI
-/// hybrid strategy. Returns `(gpu_only_us, hybrid_us)` for comparison.
-pub fn hybrid_offload_estimate(
-    dev: &SimDevice,
-    zone_costs: &[f64],
-    cutoff: f64,
-    cpu_zone_rate_per_us: f64,
-    registers: u32,
-) -> (f64, f64) {
-    let n = zone_costs.len() as f64;
-    if zone_costs.is_empty() {
-        return (0.0, 0.0);
-    }
-    let mean = zone_costs.iter().sum::<f64>() / n;
-    let max = zone_costs.iter().cloned().fold(0.0, f64::max);
-    // GPU-only: the whole launch is gated by the slowest warp → effective
-    // per-zone cost approaches the max for strong outliers.
-    let gpu_cost = mean + (max - mean) * 0.5; // partial latency hiding
-    let gpu_only = dev.kernel_time_us(
-        zone_costs.len() as i64,
-        &KernelProfile::new(gpu_cost, registers),
-    ) + dev.config().launch_overhead_us;
-    // Hybrid: outliers to the CPU, the rest keeps a uniform cost profile.
-    let threshold = cutoff * mean;
-    let outliers: Vec<f64> = zone_costs
-        .iter()
-        .cloned()
-        .filter(|&c| c > threshold)
-        .collect();
-    let bulk: Vec<f64> = zone_costs
-        .iter()
-        .cloned()
-        .filter(|&c| c <= threshold)
-        .collect();
-    let bulk_mean = if bulk.is_empty() {
-        0.0
-    } else {
-        bulk.iter().sum::<f64>() / bulk.len() as f64
-    };
-    let bulk_max = bulk.iter().cloned().fold(0.0, f64::max);
-    let gpu_part = dev.kernel_time_us(
-        bulk.len() as i64,
-        &KernelProfile::new(bulk_mean + (bulk_max - bulk_mean) * 0.5, registers),
-    ) + dev.config().launch_overhead_us;
-    // CPU does the outliers concurrently with the GPU bulk.
-    let cpu_part = outliers.iter().sum::<f64>() / cpu_zone_rate_per_us;
-    let hybrid = gpu_part.max(cpu_part);
-    (gpu_only, hybrid)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use exastro_amr::{BoxArray, DistributionMapping, IntVect};
     use exastro_microphysics::{CBurn2, StellarEos};
-    use exastro_parallel::DeviceConfig;
+    use exastro_parallel::{DeviceConfig, SimDevice};
 
     fn carbon_state(n: i32, hot_center: bool) -> (Geometry, MultiFab, StateLayout) {
         let geom = Geometry::cube(n, 1e8, false);
@@ -598,22 +547,5 @@ mod tests {
         )
         .unwrap();
         assert_eq!(total, stats.total_steps as Real);
-    }
-
-    #[test]
-    fn hybrid_offload_wins_with_strong_outliers() {
-        let dev = SimDevice::new(DeviceConfig::v100());
-        // 100k quiescent zones at cost 1, 100 igniting zones at cost 1000.
-        let mut costs = vec![1.0; 100_000];
-        costs.extend(vec![1000.0; 100]);
-        let (gpu, hybrid) = hybrid_offload_estimate(&dev, &costs, 10.0, 0.05, 320);
-        assert!(
-            hybrid < gpu,
-            "hybrid {hybrid} µs should beat GPU-only {gpu} µs"
-        );
-        // Uniform work: offloading should NOT help.
-        let uniform = vec![1.0; 100_000];
-        let (gpu_u, hybrid_u) = hybrid_offload_estimate(&dev, &uniform, 10.0, 0.05, 320);
-        assert!((hybrid_u / gpu_u - 1.0).abs() < 0.05);
     }
 }

@@ -12,6 +12,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod device;
 pub mod faults;
 pub mod fig2;
 pub mod fig3;
@@ -19,6 +20,7 @@ pub mod model;
 pub mod ranks;
 pub mod workload;
 
+pub use device::{hybrid_offload_estimate, DeviceConfig, KernelProfile};
 pub use faults::{FaultEvent, NodeFaultConfig, NodeFaultModel};
 pub use fig2::{
     canonical_series, envelope_series, hydro_overlap, overlapped_series, sedov_workload,

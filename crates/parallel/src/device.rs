@@ -94,6 +94,37 @@ impl DeviceConfig {
             d2h_bw_bytes_per_us: 6_000.0,
         }
     }
+
+    /// Occupancy (0..1] of a launch of `zones` zones with the given
+    /// register demand: latency hiding `n / (n + half)`, derated by
+    /// `register_file / registers_per_thread` when the demand spills.
+    pub fn occupancy(&self, zones: i64, registers_per_thread: u32) -> f64 {
+        let n = zones.max(0) as f64;
+        let latency_hiding = n / (n + self.half_occupancy_zones);
+        let spill = if registers_per_thread > self.register_file {
+            self.register_file as f64 / registers_per_thread as f64
+        } else {
+            1.0
+        };
+        latency_hiding * spill
+    }
+
+    /// Modeled execution time in microseconds of a launch of `zones` zones,
+    /// excluding launch overhead, while `resident_bytes` are allocated on
+    /// the device (above `memory_bytes` every kernel pays the
+    /// oversubscription penalty).
+    pub fn kernel_time_us(&self, zones: i64, profile: &KernelProfile, resident_bytes: u64) -> f64 {
+        let occ = self.occupancy(zones, profile.registers_per_thread);
+        let oversub = if resident_bytes > self.memory_bytes {
+            self.oversubscription_penalty
+        } else {
+            1.0
+        };
+        if zones <= 0 {
+            return 0.0;
+        }
+        (zones as f64) * profile.cost_per_zone * oversub / (self.peak_zones_per_us * occ.max(1e-12))
+    }
 }
 
 /// Per-kernel cost characteristics supplied at launch time.
@@ -205,33 +236,14 @@ impl SimDevice {
     /// Occupancy (0..1] achieved by a launch of `zones` zones with the given
     /// register demand.
     pub fn occupancy(&self, zones: i64, registers_per_thread: u32) -> f64 {
-        let n = zones.max(0) as f64;
-        let latency_hiding = n / (n + self.config.half_occupancy_zones);
-        let spill = if registers_per_thread > self.config.register_file {
-            self.config.register_file as f64 / registers_per_thread as f64
-        } else {
-            1.0
-        };
-        latency_hiding * spill
+        self.config.occupancy(zones, registers_per_thread)
     }
 
     /// Simulated execution time in microseconds for a launch, excluding
     /// launch overhead.
     pub fn kernel_time_us(&self, zones: i64, profile: &KernelProfile) -> f64 {
-        let occ = self.occupancy(zones, profile.registers_per_thread);
-        let oversub = {
-            let st = self.state.lock().unwrap();
-            if st.stats.bytes_resident > self.config.memory_bytes {
-                self.config.oversubscription_penalty
-            } else {
-                1.0
-            }
-        };
-        if zones <= 0 {
-            return 0.0;
-        }
-        (zones as f64) * profile.cost_per_zone * oversub
-            / (self.config.peak_zones_per_us * occ.max(1e-12))
+        let resident = self.state.lock().unwrap().stats.bytes_resident;
+        self.config.kernel_time_us(zones, profile, resident)
     }
 
     /// Record a kernel launch of `zones` zones on the next stream
