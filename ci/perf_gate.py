@@ -13,6 +13,10 @@ point by ``(label, nodes)`` -- must be in the fresh artifact, a fresh
 ``null`` where the baseline has a number fails, and an entry's ``min`` /
 ``max`` (inclusive) or ``above`` / ``below`` (exclusive) bound the fresh
 value of the row's field. Bounds are absolute; the baselines hold them.
+Every entry, fresh and baseline, says where its number comes from:
+``"source"`` is ``"modeled"`` (the machine model alone produced it) or
+``"measured"`` (anything observed on the host did), and a fresh entry's
+source must equal its baseline's.
 
 Usage:
     python3 ci/perf_gate.py [ARTIFACT ...]   # default: every row
@@ -32,6 +36,7 @@ OUT = "target/tier1"
 BOUNDS = {"min": operator.ge, "max": operator.le,
           "above": operator.gt, "below": operator.lt}
 NUMBER = (int, float)
+SOURCES = ("modeled", "measured")
 
 
 class Fail(Exception):
@@ -249,13 +254,17 @@ def against_baseline(row, fresh):
     kind = "points" if "points" in base else "metrics"
     ident = lambda e: e["label"] if "nodes" not in e else f"{e['label']}@{e['nodes']}"
     got = {ident(e): e for e in fresh.get(kind, [])}
-    bad = []
+    bad = [f"{name}: source {e.get('source')!r}" for name, e in got.items()
+           if e.get("source") not in SOURCES]
     for b in base[kind]:
         name = ident(b)
+        need(b.get("source") in SOURCES, f"baseline {name}: source {b.get('source')!r}")
         if name not in got:
             bad.append(f"{name}: missing")
             continue
         f = got[name]
+        if f.get("source") != b["source"]:
+            bad.append(f"{name}: source {f.get('source')!r}, baseline {b['source']!r}")
         for k, v in b.items():
             if isinstance(v, NUMBER) and k not in BOUNDS and f.get(k) is None:
                 bad.append(f"{name}: {k} is null, baseline {v}")

@@ -143,6 +143,26 @@ pub fn sync_dir(dir: &Path) {
     }
 }
 
+/// One name per component, each non-empty and free of whitespace: the
+/// header stores them as one space-separated line, so any other name
+/// would not read back as itself.
+pub fn check_variable_names<S: AsRef<str>>(names: &[S], ncomp: usize) -> Result<(), IoError> {
+    if names.len() != ncomp {
+        return Err(IoError::Format(format!(
+            "{} variable names for {ncomp} components",
+            names.len()
+        )));
+    }
+    match names
+        .iter()
+        .map(AsRef::as_ref)
+        .find(|n| n.is_empty() || n.contains(char::is_whitespace))
+    {
+        Some(bad) => Err(IoError::Format(format!("variable name {bad:?}"))),
+        None => Ok(()),
+    }
+}
+
 /// Write one level's files into the existing directory `dir`, un-staged:
 /// one blob per fab — built in memory, written with one `write_all`,
 /// fsynced — then the `Header` (the commit record: a reader never sees a
@@ -150,8 +170,10 @@ pub fn sync_dir(dir: &Path) {
 /// `wrote(name, bytes)` is called for every file with the bytes that went
 /// to disk, so a caller that checksums them need not read them back.
 ///
-/// Staging and publication are the caller's: [`write_checkpoint`] stages
-/// one level, a multi-level writer stages all of them in one directory.
+/// Staging and publication are the caller's (`resilience`'s
+/// `CheckpointManager` stages every level in one directory and renames it
+/// into place). Names that [`check_variable_names`] rejects are a
+/// [`IoError::Format`] before anything is written.
 pub fn write_level(
     dir: &Path,
     state: &MultiFab,
@@ -160,7 +182,7 @@ pub fn write_level(
     variable_names: &[&str],
     mut wrote: impl FnMut(&str, &[u8]),
 ) -> Result<(), IoError> {
-    assert_eq!(variable_names.len(), state.ncomp());
+    check_variable_names(variable_names, state.ncomp())?;
     let mut put = |name: &str, bytes: &[u8]| {
         write_synced(&dir.join(name), bytes).map(|()| wrote(name, bytes))
     };
@@ -206,43 +228,6 @@ pub fn write_level(
     }
     put("Header", &h)?;
     sync_dir(dir);
-    Ok(())
-}
-
-/// Write `state` (with its geometry and simulation time) as a checkpoint
-/// directory at `path`. Ghost zones are not stored; a restart refills them.
-///
-/// The write is atomic: [`write_level`] fills a hidden sibling directory,
-/// which is then renamed into place. A crash at any point leaves either the
-/// old checkpoint or an ignorable `.{name}.inflight.*` directory, never a
-/// half-written `path`.
-pub fn write_checkpoint(
-    path: &Path,
-    state: &MultiFab,
-    geom: &Geometry,
-    time: Real,
-    variable_names: &[&str],
-) -> Result<(), IoError> {
-    let name = path
-        .file_name()
-        .ok_or_else(|| IoError::Format("checkpoint path has no file name".into()))?
-        .to_string_lossy()
-        .into_owned();
-    let parent = path.parent().unwrap_or_else(|| Path::new("."));
-    fs::create_dir_all(parent)?;
-    let tmp = parent.join(format!(".{name}.inflight.{}", std::process::id()));
-    if tmp.exists() {
-        fs::remove_dir_all(&tmp)?;
-    }
-    fs::create_dir_all(&tmp)?;
-    write_level(&tmp, state, geom, time, variable_names, |_, _| {})?;
-
-    // Publish: replace any previous checkpoint in one rename.
-    if path.exists() {
-        fs::remove_dir_all(path)?;
-    }
-    fs::rename(&tmp, path)?;
-    sync_dir(parent);
     Ok(())
 }
 
@@ -292,6 +277,7 @@ fn parse_header(header: &[u8]) -> Result<Checkpoint, IoError> {
         .split_whitespace()
         .map(String::from)
         .collect();
+    check_variable_names(&variables, ncomp)?;
     let parse3 = |s: String| -> Result<[Real; 3], IoError> {
         let v: Vec<Real> = s
             .split_whitespace()
@@ -347,11 +333,6 @@ pub fn read_level<E: From<IoError>>(
     Ok(ck)
 }
 
-/// Read a checkpoint directory written by [`write_checkpoint`].
-pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, IoError> {
-    read_level(|name| Ok(fs::read(path.join(name))?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,6 +342,23 @@ mod tests {
         let d = std::env::temp_dir().join(format!("exastro_io_test_{name}_{}", std::process::id()));
         let _ = fs::remove_dir_all(&d);
         d
+    }
+
+    /// `write_level` into a fresh directory `dir`.
+    fn write_dir(
+        dir: &Path,
+        state: &MultiFab,
+        geom: &Geometry,
+        time: Real,
+        names: &[&str],
+    ) -> Result<(), IoError> {
+        fs::create_dir_all(dir)?;
+        write_level(dir, state, geom, time, names, |_, _| {})
+    }
+
+    /// `read_level` over the files of `dir`.
+    fn read_dir(dir: &Path) -> Result<Checkpoint, IoError> {
+        read_level(|name| Ok(fs::read(dir.join(name))?))
     }
 
     #[test]
@@ -381,8 +379,8 @@ mod tests {
             }
         }
         let dir = tmpdir("roundtrip");
-        write_checkpoint(&dir, &mf, &geom, 3.75, &["rho", "mx", "eden"]).unwrap();
-        let ck = read_checkpoint(&dir).unwrap();
+        write_dir(&dir, &mf, &geom, 3.75, &["rho", "mx", "eden"]).unwrap();
+        let ck = read_dir(&dir).unwrap();
         assert_eq!(ck.time, 3.75);
         assert_eq!(ck.variables, vec!["rho", "mx", "eden"]);
         assert_eq!(ck.geom.domain(), geom.domain());
@@ -408,11 +406,11 @@ mod tests {
         let dir = tmpdir("badmagic");
         fs::create_dir_all(&dir).unwrap();
         fs::write(dir.join("Header"), "not-a-checkpoint\n").unwrap();
-        assert!(matches!(read_checkpoint(&dir), Err(IoError::Format(_))));
+        assert!(matches!(read_dir(&dir), Err(IoError::Format(_))));
         let _ = fs::remove_dir_all(&dir);
     }
 
-    fn small_checkpoint(name: &str) -> std::path::PathBuf {
+    fn small_mf() -> (Geometry, MultiFab) {
         let geom = Geometry::cube(8, 1.0, false);
         let ba = BoxArray::decompose(geom.domain(), 8, 4);
         let mut mf = MultiFab::local(ba, 1, 0);
@@ -422,25 +420,30 @@ mod tests {
                 mf.fab_mut(i).set(iv, 0, 1.0 + iv.x() as Real);
             }
         }
+        (geom, mf)
+    }
+
+    fn small_checkpoint(name: &str) -> std::path::PathBuf {
+        let (geom, mf) = small_mf();
         let dir = tmpdir(name);
-        write_checkpoint(&dir, &mf, &geom, 0.5, &["rho"]).unwrap();
+        write_dir(&dir, &mf, &geom, 0.5, &["rho"]).unwrap();
         dir
     }
 
     #[test]
     fn write_leaves_no_inflight_directory() {
-        let dir = small_checkpoint("atomic");
-        let parent = dir.parent().unwrap();
-        let leftovers: Vec<_> = fs::read_dir(parent)
+        // `write_level` stages nothing: the directory holds its files and
+        // nothing else, and a rewrite over them reads back as the rewrite.
+        let dir = small_checkpoint("unstaged");
+        let mut files: Vec<_> = fs::read_dir(&dir)
             .unwrap()
-            .flatten()
-            .filter(|e| e.file_name().to_string_lossy().contains(".inflight."))
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
             .collect();
-        assert!(leftovers.is_empty(), "staging dir leaked: {leftovers:?}");
-        // Rewriting over an existing checkpoint also succeeds atomically.
-        let ck = read_checkpoint(&dir).unwrap();
-        write_checkpoint(&dir, &ck.state, &ck.geom, 1.0, &["rho"]).unwrap();
-        assert_eq!(read_checkpoint(&dir).unwrap().time, 1.0);
+        files.sort();
+        assert_eq!(files, ["Header", "fab_00000.bin"]);
+        let ck = read_dir(&dir).unwrap();
+        write_dir(&dir, &ck.state, &ck.geom, 1.0, &["rho"]).unwrap();
+        assert_eq!(read_dir(&dir).unwrap().time, 1.0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -450,7 +453,7 @@ mod tests {
         let header = fs::read_to_string(dir.join("Header")).unwrap();
         let cut: String = header.lines().take(3).collect::<Vec<_>>().join("\n");
         fs::write(dir.join("Header"), cut).unwrap();
-        match read_checkpoint(&dir) {
+        match read_dir(&dir) {
             Err(IoError::Format(_)) => {}
             other => panic!("expected Format error, got {other:?}"),
         }
@@ -465,7 +468,35 @@ mod tests {
         let bumped = header.replace("nfabs 1", "nfabs 2");
         assert_ne!(bumped, header);
         fs::write(dir.join("Header"), bumped).unwrap();
-        assert!(matches!(read_checkpoint(&dir), Err(IoError::Format(_))));
+        assert!(matches!(read_dir(&dir), Err(IoError::Format(_))));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_header_with_one_name_too_many_is_a_format_error() {
+        let dir = small_checkpoint("names");
+        let header = fs::read_to_string(dir.join("Header")).unwrap();
+        let extra = header.replace("variables rho\n", "variables rho mx\n");
+        assert_ne!(extra, header);
+        fs::write(dir.join("Header"), extra).unwrap();
+        match read_dir(&dir) {
+            Err(IoError::Format(m)) => assert!(m.contains("2 variable names for 1"), "{m}"),
+            other => panic!("expected Format error, got {other:?}"),
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn names_that_would_not_read_back_are_a_format_error_before_any_write() {
+        let (geom, mf) = small_mf();
+        let dir = tmpdir("badnames");
+        for names in [&[][..], &["rho", "mx"], &[""], &["rho x"], &["rho\n"]] {
+            match write_dir(&dir, &mf, &geom, 0.0, names) {
+                Err(IoError::Format(_)) => {}
+                other => panic!("{names:?}: expected Format error, got {other:?}"),
+            }
+            assert_eq!(fs::read_dir(&dir).unwrap().count(), 0, "{names:?} wrote");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -476,7 +507,7 @@ mod tests {
         let good = fs::read(&blob).unwrap();
         // Short: a crashed writer's partial blob.
         fs::write(&blob, &good[..good.len() - 8]).unwrap();
-        match read_checkpoint(&dir) {
+        match read_dir(&dir) {
             Err(IoError::Format(m)) => assert!(m.contains("bytes"), "{m}"),
             other => panic!("expected Format error, got {other:?}"),
         }
@@ -484,10 +515,10 @@ mod tests {
         let mut long = good.clone();
         long.extend_from_slice(&[0u8; 16]);
         fs::write(&blob, long).unwrap();
-        assert!(matches!(read_checkpoint(&dir), Err(IoError::Format(_))));
+        assert!(matches!(read_dir(&dir), Err(IoError::Format(_))));
         // Restored exactly → reads again.
         fs::write(&blob, good).unwrap();
-        read_checkpoint(&dir).unwrap();
+        read_dir(&dir).unwrap();
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -498,7 +529,7 @@ mod tests {
         let mut data = fs::read(&blob).unwrap();
         data[0..8].copy_from_slice(&Real::NAN.to_le_bytes());
         fs::write(&blob, data).unwrap();
-        match read_checkpoint(&dir) {
+        match read_dir(&dir) {
             Err(IoError::Format(m)) => assert!(m.contains("non-finite"), "{m}"),
             other => panic!("expected Format error, got {other:?}"),
         }
@@ -507,13 +538,9 @@ mod tests {
 
     #[test]
     fn missing_payload_is_an_io_error() {
-        let geom = Geometry::cube(8, 1.0, false);
-        let ba = BoxArray::decompose(geom.domain(), 8, 4);
-        let mf = MultiFab::local(ba, 1, 0);
-        let dir = tmpdir("missing");
-        write_checkpoint(&dir, &mf, &geom, 0.0, &["rho"]).unwrap();
+        let dir = small_checkpoint("missing");
         fs::remove_file(dir.join("fab_00000.bin")).unwrap();
-        assert!(matches!(read_checkpoint(&dir), Err(IoError::Io(_))));
+        assert!(matches!(read_dir(&dir), Err(IoError::Io(_))));
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -44,7 +44,7 @@ pub use geometry::{CoordSys, Geometry};
 pub use halo_loop::HaloLoop;
 pub use hierarchy::{fill_patch_two_levels, AmrLevel, Hierarchy};
 pub use interp::{average_down, prolong_lin, prolong_pc};
-pub use io::{read_checkpoint, write_checkpoint, Checkpoint, IoError};
+pub use io::{Checkpoint, IoError};
 pub use multifab::{BcKind, BcSpec, CommTrace, ExchangePlan, Message, MultiFab};
 
 // Re-export the index primitives so downstream crates have one import path.

@@ -7,31 +7,37 @@
 //! structures run the identical Sedov sweep on the identical schedule —
 //! the same halo loop, the same exchange staging; only the kernels inside
 //! `interior` and `band` differ — so the wall-clock Criterion reports
-//! compares kernel structure and nothing else. The simulated device
-//! reports the modelled GPU times (where the staged variant's extra
-//! traffic and the flat variant's occupancy advantage are priced).
+//! compares kernel structure and nothing else. The device model in
+//! `exastro-machine` prices the GPU times (where the staged variant's
+//! extra traffic and the flat variant's occupancy advantage show).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use exastro_bench::{bench_castro, sedov_fixture};
 use exastro_castro::KernelStructure;
-use exastro_parallel::{DeviceConfig, KernelProfile, SimDevice};
+use exastro_machine::{DeviceConfig, KernelProfile};
 
 fn print_device_model() {
-    println!("\n=== §III kernel-structure ablation (simulated V100) ===");
-    let dev = SimDevice::new(DeviceConfig::v100());
+    println!("\n=== §III kernel-structure ablation (modeled V100) ===");
+    let gpu = DeviceConfig::v100();
     let zones = 64i64.pow(3);
-    // Profiles mirror crates/castro/src/hydro.rs::flux_kernel_profile.
+    // The flux kernel of a two-species state. Flat holds two traced states
+    // plus slopes in registers (120 + 6·nspec) and pays redundant slope
+    // flops; legacy holds less (80 + 4·nspec) but its extra memory traffic
+    // dominates.
     let flat = KernelProfile::new(1.1, 132);
     let legacy = KernelProfile::new(1.4, 88);
     // Legacy additionally launches the slope-staging kernel and reads the
     // slope array back (extra traffic is folded into its higher cost).
-    let t_flat = dev.kernel_time_us(zones, &flat) + dev.config().launch_overhead_us;
-    let t_legacy = 2.0 * dev.config().launch_overhead_us
-        + dev.kernel_time_us(zones, &KernelProfile::new(0.5, 64)) // staging pass
-        + dev.kernel_time_us(zones, &legacy);
-    println!("flat   (fused, recompute): {t_flat:>9.1} µs per 64³ sweep");
-    println!("legacy (staged slopes)   : {t_legacy:>9.1} µs per 64³ sweep");
-    println!("model speedup            : {:.2}×\n", t_legacy / t_flat);
+    let t_flat = gpu.kernel_time_us(zones, &flat, 0) + gpu.launch_overhead_us;
+    let t_legacy = 2.0 * gpu.launch_overhead_us
+        + gpu.kernel_time_us(zones, &KernelProfile::new(0.5, 64), 0) // staging pass
+        + gpu.kernel_time_us(zones, &legacy, 0);
+    println!("flat   (fused, recompute): {t_flat:>9.1} µs per 64³ sweep [modeled]");
+    println!("legacy (staged slopes)   : {t_legacy:>9.1} µs per 64³ sweep [modeled]");
+    println!(
+        "model speedup            : {:.2}× [modeled]\n",
+        t_legacy / t_flat
+    );
 }
 
 fn bench(c: &mut Criterion) {

@@ -58,7 +58,7 @@ fn print_study() {
     for cutoff in [2.0, 5.0, 10.0, 50.0] {
         let (gpu, hybrid) = hybrid_offload_estimate(&v100, &costs, cutoff, 0.05, 320);
         println!(
-            "{:>18} × mean {:>14.0} {:>14.0} {:>8.2}×",
+            "{:>18} × mean {:>14.0} {:>14.0} {:>8.2}× [modeled]",
             cutoff,
             gpu,
             hybrid,
@@ -69,7 +69,7 @@ fn print_study() {
     let uniform = vec![mean; costs.len()];
     let (gpu_u, hyb_u) = hybrid_offload_estimate(&v100, &uniform, 10.0, 0.05, 320);
     println!(
-        "uniform-work control: GPU {gpu_u:.0} µs vs hybrid {hyb_u:.0} µs (speedup {:.2}× — none, as expected)\n",
+        "uniform-work control: GPU {gpu_u:.0} µs vs hybrid {hyb_u:.0} µs (speedup {:.2}× — none, as expected) [modeled]\n",
         gpu_u / hyb_u
     );
 }

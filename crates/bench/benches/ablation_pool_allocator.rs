@@ -5,17 +5,16 @@
 //! disastrous in CUDA, where memory allocation is orders of magnitude
 //! slower" — fixed by making AMReX's caching arena the CUDA default. Here
 //! the actual hydro scratch churn of a Sedov step — every box's primitives
-//! and face fluxes, every sweep — runs against both arenas while the
-//! simulated device charges `cudaMalloc`/`cudaFree` latencies.
+//! and face fluxes, every sweep — runs against both arenas, and the device
+//! model prices the `cudaMalloc`/`cudaFree` calls each arena counts.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use exastro_amr::IndexBox;
 use exastro_bench::{bench_castro, sedov_fixture};
 use exastro_castro::hydro::face_box;
 use exastro_castro::KernelStructure;
-use exastro_parallel::{
-    Arena, ArenaStats, DeviceConfig, MallocArena, PoolArena, ScratchBuf, SimDevice,
-};
+use exastro_machine::DeviceConfig;
+use exastro_parallel::{Arena, ArenaStats, MallocArena, PoolArena, ScratchBuf};
 use std::sync::{Arc, Mutex};
 
 /// A pool arena that records every request: its length, and whether it
@@ -45,7 +44,7 @@ type Tally = (usize, usize);
 fn record_one_step() -> (Vec<(usize, bool)>, [Tally; 2]) {
     let (geom, mut state, layout, eos, net) = sedov_fixture(48, 24);
     let recorder = Arc::new(RecordingArena {
-        pool: PoolArena::new(None),
+        pool: PoolArena::new(),
         requests: Mutex::default(),
     });
     let mut castro = bench_castro(&eos, &net, KernelStructure::Flat);
@@ -76,7 +75,7 @@ fn record_one_step() -> (Vec<(usize, bool)>, [Tally; 2]) {
 }
 
 fn print_device_model() {
-    println!("\n=== §III pool-allocator ablation (simulated device accounting) ===");
+    println!("\n=== §III pool-allocator ablation (modeled V100 allocation latency) ===");
     let (requests, [prims, fluxes]) = record_one_step();
     println!(
         "one sedov 48^3/24^3 step requests {} primitive buffers ({:.1} MB) and {} flux buffers ({:.1} MB)",
@@ -88,12 +87,12 @@ fn print_device_model() {
     // Replay the recorded step 50 times through each arena: a request that
     // opened a group releases everything held before it.
     let steps = 50;
+    let gpu = DeviceConfig::v100();
     for (name, pool) in [("malloc-per-call", false), ("pool (caching)", true)] {
-        let dev = SimDevice::new(DeviceConfig::v100());
         let arena: Box<dyn Arena> = if pool {
-            Box::new(PoolArena::new(Some(dev.clone())))
+            Box::new(PoolArena::new())
         } else {
-            Box::new(MallocArena::new(Some(dev.clone())))
+            Box::new(MallocArena::new())
         };
         let mut live = Vec::new();
         for _ in 0..steps {
@@ -105,10 +104,12 @@ fn print_device_model() {
             }
         }
         drop(live);
-        let s = dev.stats();
+        let s = arena.stats();
+        let stall_us = s.device_allocs as f64 * gpu.alloc_latency_us
+            + s.device_frees as f64 * gpu.free_latency_us;
         println!(
-            "{name:>16}: {:>5} device allocs, {:>5} frees, {:>10.0} µs of allocation stalls",
-            s.allocs, s.frees, s.alloc_us
+            "{name:>16}: {:>5} device allocs, {:>5} frees, {:>10.0} µs of allocation stalls [modeled]",
+            s.device_allocs, s.device_frees, stall_us
         );
     }
     println!("(the pool reaches zero device allocations in steady state — the paper's fix)\n");
@@ -122,9 +123,9 @@ fn bench(c: &mut Criterion) {
     for (name, use_pool) in [("pool", true), ("malloc", false)] {
         let mut castro = bench_castro(&eos, &net, KernelStructure::Flat);
         castro.arena = if use_pool {
-            Arc::new(PoolArena::new(None))
+            Arc::new(PoolArena::new())
         } else {
-            Arc::new(MallocArena::new(None))
+            Arc::new(MallocArena::new())
         };
         let dt = castro.estimate_dt(&state, &geom);
         g.bench_function(name, |b| {

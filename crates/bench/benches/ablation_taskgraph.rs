@@ -104,19 +104,19 @@ fn print_ablation() {
     );
 
     let metrics = vec![
-        MetricPoint::new("taskgraph/overlap_efficiency", ovl[1].normalized, "frac"),
-        MetricPoint::new("taskgraph/sync_efficiency", sync[1].normalized, "frac"),
-        MetricPoint::new(
+        MetricPoint::modeled("taskgraph/overlap_efficiency", ovl[1].normalized, "frac"),
+        MetricPoint::modeled("taskgraph/sync_efficiency", sync[1].normalized, "frac"),
+        MetricPoint::modeled(
             "taskgraph/efficiency_gain",
             ovl[1].normalized / sync[1].normalized,
             "x",
         ),
-        MetricPoint::new("taskgraph/scheduler_overhead_us_per_task", overhead, "us"),
+        MetricPoint::measured("taskgraph/scheduler_overhead_us_per_task", overhead, "us"),
         // Deliberately not gated (host-dependent: a serial pool measures
         // ~0); the reconciliation *test* in tests/overlap_reconcile.rs
         // bounds the drift, the artifact just records it.
-        MetricPoint::new("taskgraph/measured_overlap_eff", measured, "frac"),
-        MetricPoint::new("taskgraph/model_drift", drift, "frac"),
+        MetricPoint::measured("taskgraph/measured_overlap_eff", measured, "frac"),
+        MetricPoint::measured("taskgraph/model_drift", drift, "frac"),
     ];
     match write_metrics_json("taskgraph", &metrics) {
         Ok(path) => println!("wrote {}", path.display()),

@@ -142,10 +142,10 @@ fn bench(c: &mut Criterion) {
         overhead_graph
     );
     let metrics = vec![
-        MetricPoint::new("telemetry_off/zones_per_us", zones / (off * 1e6), "z/us"),
-        MetricPoint::new("trace_on/overhead", overhead_trace, "%"),
-        MetricPoint::new("trace_and_metrics_on/overhead", overhead_full, "%"),
-        MetricPoint::new("graph_trace_on/overhead", overhead_graph, "%"),
+        MetricPoint::measured("telemetry_off/zones_per_us", zones / (off * 1e6), "z/us"),
+        MetricPoint::measured("trace_on/overhead", overhead_trace, "%"),
+        MetricPoint::measured("trace_and_metrics_on/overhead", overhead_full, "%"),
+        MetricPoint::measured("graph_trace_on/overhead", overhead_graph, "%"),
     ];
     match write_metrics_json("telemetry", &metrics) {
         Ok(path) => println!("wrote {}", path.display()),

@@ -279,15 +279,15 @@ fn bench(c: &mut Criterion) {
             ("eos_ns", eos_ns),
             ("ydot_lanes_ns", ydot_lanes_ns),
         ] {
-            metrics.push(MetricPoint::new(&format!("{name}/{what}"), ns, "ns"));
+            metrics.push(MetricPoint::measured(&format!("{name}/{what}"), ns, "ns"));
         }
         // Same-run ratio: machine speed cancels (tier-1 gates aprox13's).
-        metrics.push(MetricPoint::new(
+        metrics.push(MetricPoint::measured(
             &format!("{name}/ydot_lanes_ratio"),
             lanes_ratio,
             "x",
         ));
-        metrics.push(MetricPoint::new(
+        metrics.push(MetricPoint::measured(
             &format!("{name}/ydot_over_cburn2"),
             ydot_ns / one_reaction_ns,
             "x",
@@ -305,12 +305,12 @@ fn bench(c: &mut Criterion) {
             csr.empty_fraction() * 100.0,
             lu.fill_in()
         );
-        metrics.push(MetricPoint::new(
+        metrics.push(MetricPoint::measured(
             &format!("{name}/pattern_nnz"),
             csr.nnz() as f64,
             "entries",
         ));
-        metrics.push(MetricPoint::new(
+        metrics.push(MetricPoint::measured(
             &format!("{name}/fill_in"),
             lu.fill_in() as f64,
             "entries",
@@ -341,17 +341,17 @@ fn bench(c: &mut Criterion) {
             "{name}: Newton cycle dense {dense_ns:.0} ns, sparse {sparse_ns:.0} ns \
              → {speedup:.2}× speedup"
         );
-        metrics.push(MetricPoint::new(
+        metrics.push(MetricPoint::measured(
             &format!("{name}/dense_newton_cycle"),
             dense_ns,
             "ns",
         ));
-        metrics.push(MetricPoint::new(
+        metrics.push(MetricPoint::measured(
             &format!("{name}/sparse_newton_cycle"),
             sparse_ns,
             "ns",
         ));
-        metrics.push(MetricPoint::new(
+        metrics.push(MetricPoint::measured(
             &format!("{name}/newton_solve_speedup"),
             speedup,
             "x",
@@ -369,17 +369,17 @@ fn bench(c: &mut Criterion) {
             dense.newton_iters,
             sparse.newton_iters
         );
-        metrics.push(MetricPoint::new(
+        metrics.push(MetricPoint::measured(
             &format!("{name}/burn_delta_t"),
             (td - ts).abs(),
             "K",
         ));
-        metrics.push(MetricPoint::new(
+        metrics.push(MetricPoint::measured(
             &format!("{name}/burn_solve_ns_dense"),
             solve_d as f64,
             "ns",
         ));
-        metrics.push(MetricPoint::new(
+        metrics.push(MetricPoint::measured(
             &format!("{name}/burn_solve_ns_sparse"),
             solve_s as f64,
             "ns",
@@ -391,7 +391,7 @@ fn bench(c: &mut Criterion) {
             "{name}: width 1: {} Jacobians over {} steps ({jac_per_step:.3} a step)",
             sparse.jac_evals, sparse.steps
         );
-        metrics.push(MetricPoint::new(
+        metrics.push(MetricPoint::measured(
             &format!("{name}/w1_jac_evals_per_step"),
             jac_per_step,
             "count",
@@ -413,7 +413,7 @@ fn bench(c: &mut Criterion) {
         let zones = zone_set(net, zone_count);
         let (scalar, batched) =
             throughput_sweep(net, &eos, &widths, &zones, burn_dt, throughput_samples);
-        metrics.push(MetricPoint::new(
+        metrics.push(MetricPoint::measured(
             &format!("{name}/zones_per_us_scalar"),
             scalar,
             "zones/us",
@@ -422,12 +422,12 @@ fn bench(c: &mut Criterion) {
         for (&width, &tp) in widths.iter().zip(&batched) {
             let speedup = tp / scalar;
             print!(", w{width} {tp:.4} ({speedup:.2}×)");
-            metrics.push(MetricPoint::new(
+            metrics.push(MetricPoint::measured(
                 &format!("{name}/zones_per_us_batch{width}"),
                 tp,
                 "zones/us",
             ));
-            metrics.push(MetricPoint::new(
+            metrics.push(MetricPoint::measured(
                 &format!("{name}/batch_speedup_w{width}"),
                 speedup,
                 "x",

@@ -124,29 +124,29 @@ fn bench(c: &mut Criterion) {
                 "the moderate schedule must actually inject failures"
             );
         }
-        metrics.push(MetricPoint::new(
+        metrics.push(MetricPoint::measured(
             &format!("chaos/completion_rate_{name}"),
             r.completion_rate,
             "frac",
         ));
-        metrics.push(MetricPoint::new(
+        metrics.push(MetricPoint::measured(
             &format!("chaos/node_failures_{name}"),
             r.node_failures as f64,
             "events",
         ));
-        metrics.push(MetricPoint::new(
+        metrics.push(MetricPoint::measured(
             &format!("chaos/recoveries_{name}"),
             r.recoveries as f64,
             "events",
         ));
-        metrics.push(MetricPoint::new(
+        metrics.push(MetricPoint::measured(
             &format!("chaos/migrations_{name}"),
             r.migrations as f64,
             "events",
         ));
     }
     // The gated label: goodput at the production-like moderate rate.
-    metrics.push(MetricPoint::new(
+    metrics.push(MetricPoint::measured(
         "chaos/goodput_jobs_per_hour",
         moderate_goodput,
         "jobs/h",

@@ -22,7 +22,7 @@ fn print_figure() {
             "{:>6} {:>12.1} {:>11.3}",
             p.nodes, p.throughput, p.normalized
         );
-        points.push(BenchPoint::new(
+        points.push(BenchPoint::modeled(
             "canonical",
             p.nodes,
             p.throughput,
@@ -36,7 +36,7 @@ fn print_figure() {
             "{:>6} {:>12.1} {:>11.3}",
             p.nodes, p.throughput, p.normalized
         );
-        points.push(BenchPoint::new(
+        points.push(BenchPoint::modeled(
             "overlapped",
             p.nodes,
             p.throughput,
@@ -52,8 +52,13 @@ fn print_figure() {
             "{:>6} {:>11.3} {:>11.3}",
             b.nodes, b.normalized, w.normalized
         );
-        points.push(BenchPoint::new("best", b.nodes, b.throughput, b.normalized));
-        points.push(BenchPoint::new(
+        points.push(BenchPoint::modeled(
+            "best",
+            b.nodes,
+            b.throughput,
+            b.normalized,
+        ));
+        points.push(BenchPoint::modeled(
             "worst",
             w.nodes,
             w.throughput,

@@ -27,7 +27,7 @@ fn print_figure() {
             p.multigrid_us,
             p.multigrid_us / p.react_us
         );
-        points.push(BenchPoint::new(
+        points.push(BenchPoint::modeled(
             "bubble",
             p.nodes,
             p.throughput,
@@ -45,7 +45,7 @@ fn print_figure() {
             p.multigrid_us,
             p.multigrid_us / p.react_us
         );
-        points.push(BenchPoint::new(
+        points.push(BenchPoint::modeled(
             "bubble_overlapped",
             p.nodes,
             p.throughput,

@@ -235,13 +235,13 @@ fn bench(c: &mut Criterion) {
     assert!(r.preemptions > 0, "the high wave must preempt");
 
     let metrics = vec![
-        MetricPoint::new("service/jobs_per_hour", r.jobs_per_hour, "jobs/h"),
-        MetricPoint::new("service/latency_p50", r.p50_s, "s"),
-        MetricPoint::new("service/latency_p99", r.p99_s, "s"),
-        MetricPoint::new("service/rank_utilization_2x_oversub", r.utilization, "frac"),
-        MetricPoint::new("service/queue_peak", r.queue_peak as f64, "jobs"),
-        MetricPoint::new("service/preemptions", r.preemptions as f64, "events"),
-        MetricPoint::new(
+        MetricPoint::measured("service/jobs_per_hour", r.jobs_per_hour, "jobs/h"),
+        MetricPoint::measured("service/latency_p50", r.p50_s, "s"),
+        MetricPoint::measured("service/latency_p99", r.p99_s, "s"),
+        MetricPoint::measured("service/rank_utilization_2x_oversub", r.utilization, "frac"),
+        MetricPoint::measured("service/queue_peak", r.queue_peak as f64, "jobs"),
+        MetricPoint::measured("service/preemptions", r.preemptions as f64, "events"),
+        MetricPoint::measured(
             "checkpoint/write_over_fsync_floor",
             write_over_fsync_floor(),
             "ratio",

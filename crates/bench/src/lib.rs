@@ -16,6 +16,28 @@ use exastro_telemetry::json;
 use std::io::Write;
 use std::path::PathBuf;
 
+/// Where a number in a `BENCH_*.json` artifact comes from, written as its
+/// `"source"` field: `"modeled"` if `exastro-machine` alone produced it,
+/// `"measured"` if anything observed on the host did — a wall clock, or a
+/// count of what a real run did.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Source {
+    /// A machine-model prediction.
+    Modeled,
+    /// An observation of a run on this host.
+    Measured,
+}
+
+impl Source {
+    /// The artifact spelling.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Source::Modeled => "modeled",
+            Source::Measured => "measured",
+        }
+    }
+}
+
 /// One machine-readable data point destined for a `BENCH_*.json` artifact:
 /// a node count mapped to its absolute throughput and parallel efficiency.
 #[derive(Clone, Debug)]
@@ -28,16 +50,34 @@ pub struct BenchPoint {
     pub zones_per_us: f64,
     /// Efficiency normalized to the ideal 1-node scaling (1.0 = perfect).
     pub efficiency: f64,
+    /// Where the numbers come from.
+    pub source: Source,
 }
 
 impl BenchPoint {
-    /// Convenience constructor.
-    pub fn new(label: &str, nodes: usize, zones_per_us: f64, efficiency: f64) -> Self {
+    /// A point the machine model predicted.
+    pub fn modeled(label: &str, nodes: usize, zones_per_us: f64, efficiency: f64) -> Self {
+        Self::with_source(label, nodes, zones_per_us, efficiency, Source::Modeled)
+    }
+
+    /// A point measured on the host.
+    pub fn measured(label: &str, nodes: usize, zones_per_us: f64, efficiency: f64) -> Self {
+        Self::with_source(label, nodes, zones_per_us, efficiency, Source::Measured)
+    }
+
+    fn with_source(
+        label: &str,
+        nodes: usize,
+        zones_per_us: f64,
+        efficiency: f64,
+        source: Source,
+    ) -> Self {
         Self {
             label: label.to_string(),
             nodes,
             zones_per_us,
             efficiency,
+            source,
         }
     }
 }
@@ -45,7 +85,7 @@ impl BenchPoint {
 /// Serialize `points` and write `BENCH_{name}.json` at the workspace root
 /// (benches run with the crate directory as cwd, so we walk up two levels).
 /// Returns the path written. Serialization is hand-rolled: the container
-/// has no serde, and the schema is four fields.
+/// has no serde, and the schema is five fields.
 pub fn write_bench_json(name: &str, points: &[BenchPoint]) -> std::io::Result<PathBuf> {
     let root = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
     let path = root.join(format!("BENCH_{name}.json"));
@@ -55,11 +95,12 @@ pub fn write_bench_json(name: &str, points: &[BenchPoint]) -> std::io::Result<Pa
     for (i, p) in points.iter().enumerate() {
         let sep = if i + 1 == points.len() { "" } else { "," };
         out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"nodes\": {}, \"zones_per_us\": {}, \"efficiency\": {}}}{sep}\n",
+            "    {{\"label\": \"{}\", \"nodes\": {}, \"zones_per_us\": {}, \"efficiency\": {}, \"source\": \"{}\"}}{sep}\n",
             json::escape(&p.label),
             p.nodes,
             json::num(p.zones_per_us),
-            json::num(p.efficiency)
+            json::num(p.efficiency),
+            p.source.as_str()
         ));
     }
     out.push_str("  ]\n}\n");
@@ -79,15 +120,27 @@ pub struct MetricPoint {
     pub value: f64,
     /// Unit string, e.g. `ns`, `x`, `K`.
     pub unit: String,
+    /// Where the value comes from.
+    pub source: Source,
 }
 
 impl MetricPoint {
-    /// Convenience constructor.
-    pub fn new(label: &str, value: f64, unit: &str) -> Self {
+    /// A value the machine model predicted.
+    pub fn modeled(label: &str, value: f64, unit: &str) -> Self {
+        Self::with_source(label, value, unit, Source::Modeled)
+    }
+
+    /// A value measured on the host.
+    pub fn measured(label: &str, value: f64, unit: &str) -> Self {
+        Self::with_source(label, value, unit, Source::Measured)
+    }
+
+    fn with_source(label: &str, value: f64, unit: &str, source: Source) -> Self {
         Self {
             label: label.to_string(),
             value,
             unit: unit.to_string(),
+            source,
         }
     }
 }
@@ -104,10 +157,11 @@ pub fn write_metrics_json(name: &str, metrics: &[MetricPoint]) -> std::io::Resul
     for (i, m) in metrics.iter().enumerate() {
         let sep = if i + 1 == metrics.len() { "" } else { "," };
         out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"value\": {}, \"unit\": \"{}\"}}{sep}\n",
+            "    {{\"label\": \"{}\", \"value\": {}, \"unit\": \"{}\", \"source\": \"{}\"}}{sep}\n",
             json::escape(&m.label),
             json::num(m.value),
-            json::escape(&m.unit)
+            json::escape(&m.unit),
+            m.source.as_str()
         ));
     }
     out.push_str("  ]\n}\n");
@@ -166,14 +220,17 @@ mod tests {
     #[test]
     fn bench_json_lands_at_workspace_root_and_parses() {
         let pts = vec![
-            BenchPoint::new("canonical", 1, 130.0, 1.0),
-            BenchPoint::new("canonical", 512, 42000.0, 0.63),
+            BenchPoint::modeled("canonical", 1, 130.0, 1.0),
+            BenchPoint::measured("canonical", 512, 42000.0, 0.63),
         ];
         let path = write_bench_json("selftest", &pts).unwrap();
         assert!(path.ends_with("BENCH_selftest.json"));
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"nodes\": 512"));
         assert!(text.contains("\"zones_per_us\": 42000"));
+        assert!(
+            text.contains("\"source\": \"modeled\"") && text.contains("\"source\": \"measured\"")
+        );
         // Same number of opening and closing braces -> structurally sane.
         assert_eq!(
             text.matches('{').count(),
@@ -181,7 +238,7 @@ mod tests {
             "unbalanced JSON: {text}"
         );
         // Non-finite values must degrade to null, not invalid tokens.
-        let bad = vec![BenchPoint::new("x", 1, f64::NAN, f64::INFINITY)];
+        let bad = vec![BenchPoint::modeled("x", 1, f64::NAN, f64::INFINITY)];
         let p2 = write_bench_json("selftest", &bad).unwrap();
         let t2 = std::fs::read_to_string(&p2).unwrap();
         assert!(t2.contains("\"zones_per_us\": null"));
@@ -192,8 +249,8 @@ mod tests {
     #[test]
     fn metrics_json_round_trips_structurally() {
         let ms = vec![
-            MetricPoint::new("aprox13/newton_solve_speedup", 2.5, "x"),
-            MetricPoint::new("aprox13/delta_t", f64::NAN, "K"),
+            MetricPoint::measured("aprox13/newton_solve_speedup", 2.5, "x"),
+            MetricPoint::modeled("aprox13/delta_t", f64::NAN, "K"),
         ];
         let path = write_metrics_json("metrics_selftest", &ms).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
@@ -201,6 +258,7 @@ mod tests {
         assert!(text.contains("\"value\": 2.5"));
         assert!(text.contains("\"unit\": \"x\""));
         assert!(text.contains("\"value\": null"));
+        assert!(text.contains("\"unit\": \"K\", \"source\": \"modeled\""));
         assert_eq!(text.matches('{').count(), text.matches('}').count());
         std::fs::remove_file(path).unwrap();
     }

@@ -14,7 +14,7 @@ use exastro_microphysics::{
     BurnFailure, BurnFaultConfig, BurnTally, Burner, BurnerConfig, Eos, Network, RetryLadder,
     ZoneBurn,
 };
-use exastro_parallel::{ExecSpace, KernelProfile};
+use exastro_parallel::ExecSpace;
 
 /// Burn statistics for one multifab sweep.
 #[derive(Clone, Debug, Default)]
@@ -61,10 +61,6 @@ impl BurnStats {
     }
 }
 
-/// Device register demand per burn thread; ~N² Jacobian entries for an
-/// N-species network easily exceeds the 255-register file (§IV-B).
-const REGISTERS_PER_THREAD: u32 = 320;
-
 /// Burning options.
 #[derive(Clone, Debug)]
 pub struct BurnOptions {
@@ -97,10 +93,9 @@ impl Default for BurnOptions {
 /// The sweep gathers every zone that passes the cutoffs, groups them by
 /// temperature, and advances them a batch at a time through the SoA BDF
 /// path (lanes that diverge fall back to the scalar retry ladder — see
-/// [`exastro_microphysics::Burner::burn_all`]); the device
-/// cost model still charges the launch with a per-zone cost derived from
-/// the actual integrator work, capturing the latency-hiding problem of
-/// nonuniform burns.
+/// [`exastro_microphysics::Burner::burn_all`]). The returned step counts
+/// (total and max) are the per-zone cost signal the §VI hybrid-offload
+/// model prices.
 ///
 /// A zone whose integration fails is pushed through the retry ladder
 /// ([`BurnOptions::ladder`]); only if every rung fails does the sweep
@@ -116,7 +111,7 @@ pub fn burn_state(
     eos: &dyn Eos,
     layout: &StateLayout,
     opts: &BurnOptions,
-    ex: &ExecSpace,
+    _ex: &ExecSpace,
     geom: &Geometry,
 ) -> Result<BurnStats, Vec<BurnFailure>> {
     let mut energy_released: Real = 0.0;
@@ -161,18 +156,6 @@ pub fn burn_state(
             fab.get(iv, StateLayout::EDEN) + rho * out.enuc,
         );
     }
-    // Charge the device once per sweep with a cost reflecting the mean
-    // per-zone work; the max/mean ratio is what breaks latency hiding (§VI),
-    // so the profile cost scales with the *maximum*.
-    let mean = tally.total_steps.max(1) as f64 / tally.zones.max(1) as f64;
-    let imbalance = tally.max_steps.max(1) as f64 / mean;
-    // Warp-level serialization: effective cost per zone grows with the
-    // outlier ratio (bounded).
-    let cost = 5.0 * mean.max(1.0).log2().max(1.0) * imbalance.sqrt().min(32.0);
-    ex.charge(
-        state.box_array().total_zones(),
-        &KernelProfile::new(cost, REGISTERS_PER_THREAD),
-    );
     if failures.is_empty() {
         Ok(BurnStats {
             zones: tally.zones,
@@ -282,7 +265,6 @@ mod tests {
     use super::*;
     use exastro_amr::{BoxArray, DistributionMapping, IntVect};
     use exastro_microphysics::{CBurn2, StellarEos};
-    use exastro_parallel::{DeviceConfig, SimDevice};
 
     fn carbon_state(n: i32, hot_center: bool) -> (Geometry, MultiFab, StateLayout) {
         let geom = Geometry::cube(n, 1e8, false);
@@ -385,28 +367,6 @@ mod tests {
             "outlier max {} vs mean {mean}",
             stats.max_steps
         );
-    }
-
-    #[test]
-    fn device_launch_is_charged() {
-        let (geom, mut state, layout) = carbon_state(8, true);
-        let net = CBurn2::new();
-        let eos = StellarEos;
-        let dev = SimDevice::new(DeviceConfig::v100());
-        let ex = ExecSpace::Device(dev.clone());
-        burn_state(
-            &mut state,
-            1e-8,
-            &net,
-            &eos,
-            &layout,
-            &BurnOptions::default(),
-            &ex,
-            &geom,
-        )
-        .unwrap();
-        assert!(dev.stats().kernels >= 1);
-        assert!(dev.elapsed_us() > 0.0);
     }
 
     #[test]

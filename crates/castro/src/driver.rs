@@ -78,7 +78,7 @@ impl<'a> Castro<'a> {
             burn: None,
             bc: BcSpec::outflow(),
             ex: ExecSpace::Serial,
-            arena: Arc::new(PoolArena::new(None)),
+            arena: Arc::new(PoolArena::new()),
             recovery: RecoveryOptions::default(),
             telemetry: StepRecorder::new(),
         }

@@ -32,7 +32,7 @@
 //! ## Rows, lanes and zone cursors
 //!
 //! The kernels are row kernels over [`Array4Mut`] views
-//! ([`ExecSpace::par_for_rows_prof`]). A kernel resolves a row's first zone
+//! ([`ExecSpace::par_for_rows`]). A kernel resolves a row's first zone
 //! to a cursor once and takes the row [`LANES`] zones at a time through
 //! `at_lanes`/`set_lanes` (x is fastest in every fab, so a row is unit
 //! stride whatever the sweep); stencil neighbours are `z ± view.stride(dim)`.
@@ -81,9 +81,7 @@ use exastro_amr::{
     Array4, Array4Mut, BcSpec, CommTrace, Geometry, HaloLoop, IndexBox, IntVect, MultiFab,
 };
 use exastro_microphysics::{Eos, Species};
-use exastro_parallel::{
-    lane_chunks, par_map_fold, Arena, ExecSpace, KernelProfile, Real, ScratchBuf, LANES,
-};
+use exastro_parallel::{lane_chunks, par_map_fold, Arena, ExecSpace, Real, ScratchBuf, LANES};
 
 /// Which loop structure the sweep kernels use (§III ablation).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -250,20 +248,6 @@ impl ZoneLanes<'_> {
     }
 }
 
-/// Registers-per-thread estimate for the flux kernel; the flat kernel holds
-/// two traced states plus slopes in thread-local storage.
-fn flux_kernel_profile(nspec: usize, structure: KernelStructure) -> KernelProfile {
-    let regs = match structure {
-        KernelStructure::Flat => 120 + 6 * nspec as u32,
-        KernelStructure::Legacy => 80 + 4 * nspec as u32,
-    };
-    let cost = match structure {
-        KernelStructure::Flat => 1.1,   // redundant slope flops
-        KernelStructure::Legacy => 1.4, // extra memory traffic dominates
-    };
-    KernelProfile::new(cost, regs)
-}
-
 impl Hydro {
     /// CFL-limited timestep over all fabs.
     pub fn estimate_dt(
@@ -327,8 +311,7 @@ impl Hydro {
     ) {
         let floors = self.floors;
         let layout = *layout;
-        let profile = KernelProfile::new(3.0, 180); // EOS Newton inversion is heavy
-        ex.par_for_rows_prof(region, &profile, |j, k, i_lo, i_hi| {
+        ex.par_for_rows(region, |j, k, i_lo, i_hi| {
             let (zs0, zq0) = (sarr.zone(i_lo, j, k), qarr.zone(i_lo, j, k));
             lane_chunks(
                 i_lo,
@@ -367,14 +350,13 @@ impl Hydro {
         dtdx: Real,
         layout: &StateLayout,
         ex: &ExecSpace,
-        profile: &KernelProfile,
     ) {
         let e = IntVect::dim_vec(dim);
         let floors = self.floors;
         let layout = *layout;
         let qstride = qarr.stride(dim);
         let qbox = qarr.index_box();
-        ex.par_for_rows_prof(faces, profile, |j, k, i_lo, i_hi| {
+        ex.par_for_rows(faces, |j, k, i_lo, i_hi| {
             // A face lies between zones `iv − e` and `iv`: resolve the row's
             // first right zone, step to its left one.
             let zr0 = qarr.zone(i_lo, j, k);
@@ -422,13 +404,12 @@ impl Hydro {
         dtdx: Real,
         layout: &StateLayout,
         ex: &ExecSpace,
-        profile: &KernelProfile,
     ) {
         let ncomp = layout.ncomp();
         let small_dens = self.floors.small_dens;
         let e = IntVect::dim_vec(dim);
         let fstride = farr.stride(dim);
-        ex.par_for_rows_prof(vb, profile, |j, k, i_lo, i_hi| {
+        ex.par_for_rows(vb, |j, k, i_lo, i_hi| {
             // A zone's low face shares its index; its high face is one step
             // along the sweep.
             let (zf0, zu0) = (farr.zone(i_lo, j, k), uarr.zone(i_lo, j, k));
@@ -475,11 +456,10 @@ impl Hydro {
         slarr: &Array4Mut<'_>,
         dim: usize,
         ex: &ExecSpace,
-        profile: &KernelProfile,
     ) {
         let e = IntVect::dim_vec(dim);
         let qstride = qarr.stride(dim);
-        ex.par_for_rows_prof(region, profile, |j, k, i_lo, i_hi| {
+        ex.par_for_rows(region, |j, k, i_lo, i_hi| {
             let (z0, zs0) = (qarr.zone(i_lo, j, k), slarr.zone(i_lo, j, k));
             debug_assert_eq!(z0 - qstride, qarr.zone(i_lo - e.x(), j - e.y(), k - e.z()));
             debug_assert_eq!(z0 + qstride, qarr.zone(i_lo + e.x(), j + e.y(), k + e.z()));
@@ -547,7 +527,6 @@ impl Hydro {
         assert!(state.ngrow() >= 2, "hydro needs two ghost zones");
         let nq = Q::ncomp(layout.nspec);
         let nflux = layout.ncomp() + 1; // + face normal velocity
-        let profile = flux_kernel_profile(layout.nspec, self.structure);
         let staged = self.structure == KernelStructure::Legacy;
         let vbs: Vec<IndexBox> = (0..state.nfabs()).map(|i| state.valid_box(i)).collect();
         let mut trace = CommTrace::default();
@@ -582,17 +561,7 @@ impl Hydro {
                 // `slvs` is empty for the flat structure, whose faces
                 // recompute their slopes.
                 let flux = |f: usize, faces: IndexBox| {
-                    self.flux_region(
-                        faces,
-                        &qvs[f],
-                        slvs.get(f),
-                        &fvs[f],
-                        dim,
-                        dtdx,
-                        layout,
-                        ex,
-                        &profile,
-                    );
+                    self.flux_region(faces, &qvs[f], slvs.get(f), &fvs[f], dim, dtdx, layout, ex);
                 };
                 let t = halo.run(
                     state,
@@ -611,7 +580,7 @@ impl Hydro {
                             primitives(f, sv, slab);
                         }
                         if staged {
-                            self.slopes_region(sregions[f], &qvs[f], &slvs[f], dim, ex, &profile);
+                            self.slopes_region(sregions[f], &qvs[f], &slvs[f], dim, ex);
                             flux(f, fregions[f]);
                         } else {
                             for faces in band_faces(vbs[f], dim) {
@@ -620,9 +589,7 @@ impl Hydro {
                         }
                     },
                     |f, sv| {
-                        self.update_region(
-                            vbs[f], &fvs[f], &qvs[f], sv, dim, dtdx, layout, ex, &profile,
-                        );
+                        self.update_region(vbs[f], &fvs[f], &qvs[f], sv, dim, dtdx, layout, ex);
                     },
                 );
                 trace.merge(&t);
@@ -825,7 +792,7 @@ mod tests {
             floors: Floors::dimensionless(),
         };
         let ex = ExecSpace::Serial;
-        let arena = PoolArena::new(None);
+        let arena = PoolArena::new();
         let mut bc = BcSpec::outflow();
         // Periodic transverse dims handled by fill_boundary.
         bc.kind[(dim + 1) % 3] = [BcKind::Periodic; 2];
@@ -1030,7 +997,6 @@ mod tests {
         let ex = ExecSpace::Serial;
         let nq = Q::ncomp(layout.nspec);
         let nflux = layout.ncomp() + 1;
-        let profile = flux_kernel_profile(layout.nspec, hydro.structure);
         let mut trace = CommTrace::default();
         let mut fluxes = StepFluxes::new();
         for dim in 0..3 {
@@ -1051,11 +1017,11 @@ mod tests {
                 let farr = Array4Mut::from_slice(&mut fbuf, fr, nflux);
                 hydro.primitives_region(&sarr, qr, layout, eos, species, &ex, &qarr);
                 let slopes = (hydro.structure == KernelStructure::Legacy).then(|| {
-                    hydro.slopes_region(sr, &qarr, &slarr, dim, &ex, &profile);
+                    hydro.slopes_region(sr, &qarr, &slarr, dim, &ex);
                     &slarr
                 });
-                hydro.flux_region(fr, &qarr, slopes, &farr, dim, dtdx, layout, &ex, &profile);
-                hydro.update_region(vb, &farr, &qarr, &sarr, dim, dtdx, layout, &ex, &profile);
+                hydro.flux_region(fr, &qarr, slopes, &farr, dim, dtdx, layout, &ex);
+                hydro.update_region(vb, &farr, &qarr, &sarr, dim, dtdx, layout, &ex);
                 fabs.push(values(&Array4::from_slice(&fbuf, fr, nflux)));
             }
             fluxes.push(fabs);
@@ -1077,7 +1043,7 @@ mod tests {
         let layout = StateLayout::new(2);
         let eos = GammaLaw { gamma: 1.4 };
         let net = CBurn2::new();
-        let arena = PoolArena::new(None);
+        let arena = PoolArena::new();
         for structure in [KernelStructure::Flat, KernelStructure::Legacy] {
             for periodic in [true, false] {
                 let what = format!("{structure:?}, periodic {periodic}");
@@ -1228,7 +1194,7 @@ mod tests {
             ..Default::default()
         };
         let ex = ExecSpace::Serial;
-        let arena = PoolArena::new(None);
+        let arena = PoolArena::new();
         let bc = BcSpec::periodic();
         for _ in 0..10 {
             let dt = hydro.estimate_dt(&state, &layout, &eos, net.species(), &geom, &ex);
@@ -1272,7 +1238,7 @@ mod tests {
     #[test]
     fn pool_arena_sees_hydro_scratch_churn() {
         let arena = RecordingArena {
-            pool: PoolArena::new(None),
+            pool: PoolArena::new(),
             lens: Default::default(),
         };
         let (geom, mut state, layout, eos) = sod_state(32, 0);
@@ -1347,7 +1313,6 @@ mod tests {
         let hits = castro.arena.stats().pool_hits;
         let (dim, ex) = (0, ExecSpace::Serial);
         let (nq, nflux) = (Q::ncomp(layout.nspec), layout.ncomp() + 1);
-        let profile = flux_kernel_profile(layout.nspec, hydro.structure);
         let dtdx = dt / geom.dx()[dim];
         let ghosts = IntVect::dim_vec(dim) * 2;
         let _ = state.fill_boundary_within(&geom, ghosts);
@@ -1364,8 +1329,8 @@ mod tests {
             for region in [vb, lo_slab] {
                 hydro.primitives_region(&sarr, region, layout, &eos, net.species(), &ex, &qarr);
             }
-            hydro.flux_region(fr, &qarr, None, &farr, dim, dtdx, layout, &ex, &profile);
-            hydro.update_region(vb, &farr, &qarr, &sarr, dim, dtdx, layout, &ex, &profile);
+            hydro.flux_region(fr, &qarr, None, &farr, dim, dtdx, layout, &ex);
+            hydro.update_region(vb, &farr, &qarr, &sarr, dim, dtdx, layout, &ex);
         }
         assert!(castro.arena.stats().pool_hits > hits, "recycled scratch");
         let verdict = castro
@@ -1614,10 +1579,7 @@ mod tests {
             structure,
             floors,
         };
-        let (ex, profile) = (
-            ExecSpace::Serial,
-            flux_kernel_profile(layout.nspec, structure),
-        );
+        let ex = ExecSpace::Serial;
         let (nq, ncomp, nflux) = (Q::ncomp(layout.nspec), layout.ncomp(), layout.ncomp() + 1);
         let vb = IndexBox::new(IntVect::splat(0), IntVect::new(n - 1, 1, 2));
         let grown = vb.grow(2);
@@ -1656,11 +1618,11 @@ mod tests {
                 Array4Mut::from_slice(&mut fo, fbox, nflux),
             );
             if staged {
-                hydro.slopes_region(vb.grow_dir(dim, 1), &qarr, &sk, dim, &ex, &profile);
+                hydro.slopes_region(vb.grow_dir(dim, 1), &qarr, &sk, dim, &ex);
                 reference::slopes(vb.grow_dir(dim, 1), &qarr, &so, dim);
             }
             let (sk, so) = (staged.then_some(&sk), staged.then_some(&so));
-            hydro.flux_region(faces, &qarr, sk, &fk, dim, dtdx, &layout, &ex, &profile);
+            hydro.flux_region(faces, &qarr, sk, &fk, dim, dtdx, &layout, &ex);
             reference::fluxes(faces, &qarr, so, &fo, dim, dtdx, &layout, &floors);
         }
         compare("slopes", grown, nq, &sk, &so)?;
@@ -1678,7 +1640,7 @@ mod tests {
                 Array4Mut::from_slice(&mut uk, grown, ncomp),
                 Array4Mut::from_slice(&mut uo, grown, ncomp),
             );
-            hydro.update_region(vb, &farr, &qarr, &uk, dim, dtdx, &layout, &ex, &profile);
+            hydro.update_region(vb, &farr, &qarr, &uk, dim, dtdx, &layout, &ex);
             let small_dens = floors.small_dens;
             reference::update(vb, &farr, &qarr, &uo, dim, dtdx, &layout, small_dens);
         }

@@ -11,10 +11,10 @@
 //!   recorded. "Best case" is what a careful user can reach, "worst case"
 //!   what a careless one gets (§IV-A).
 
+use crate::device::KernelProfile;
 use crate::model::{Machine, OverlapModel, StepTime, StepWorkload};
 use crate::workload::{exchange_comm, scale_comm};
 use exastro_amr::{BoxArray, DistStrategy, DistributionMapping, IndexBox};
-use exastro_parallel::KernelProfile;
 
 /// Calibrated per-step kernel anatomy of the Castro hydro update: a
 /// dimensionally-split step launches ~4 kernels per sweep per box

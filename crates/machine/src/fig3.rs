@@ -8,10 +8,10 @@
 //! node the two are approximately balanced; by 125 nodes the multigrid is
 //! ~6× the reactions.
 
+use crate::device::KernelProfile;
 use crate::model::{Machine, OverlapModel, RankComm, StepTime, StepWorkload};
 use crate::workload::{add_comm, exchange_comm, scale_comm};
 use exastro_amr::{BoxArray, DistStrategy, DistributionMapping, IndexBox};
-use exastro_parallel::KernelProfile;
 
 /// Zones per node per dimension for the weak-scaling series.
 pub const BUBBLE_SIDE_PER_NODE: i32 = 128;

@@ -8,7 +8,7 @@
 //! communication patterns measured on real multifab data plus this model's
 //! α–β costs. EXPERIMENTS.md records the calibration targets.
 
-use exastro_parallel::{DeviceConfig, KernelProfile};
+use crate::device::{DeviceConfig, KernelProfile};
 
 /// Network cost parameters.
 #[derive(Clone, Debug)]
@@ -113,10 +113,10 @@ impl Machine {
     /// Compute time (µs) for one rank's set of kernel launches: each entry
     /// is `(zones, profile)`.
     pub fn compute_time_us(&self, launches: &[(i64, KernelProfile)]) -> f64 {
-        let dev = exastro_parallel::SimDevice::new(self.node.gpu.clone());
+        let gpu = &self.node.gpu;
         let mut t = 0.0;
         for (zones, prof) in launches {
-            t += self.node.gpu.launch_overhead_us + dev.kernel_time_us(*zones, prof);
+            t += gpu.launch_overhead_us + gpu.kernel_time_us(*zones, prof, 0);
         }
         t
     }

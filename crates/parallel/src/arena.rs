@@ -13,7 +13,11 @@
 //!
 //! * [`PoolArena`] — size-class bins of recycled buffers (the paper's fix);
 //! * [`MallocArena`] — a fresh allocation every time (the "disastrous"
-//!   baseline), charging the simulated device allocation latency per call.
+//!   baseline).
+//!
+//! [`ArenaStats::device_allocs`] and [`ArenaStats::device_frees`] count the
+//! allocations and frees a device build would make; `exastro-machine`
+//! prices them at its device's allocation latencies.
 //!
 //! A buffer's contents are **unspecified**: every caller writes a slot
 //! before it reads it. Memory the arena has never handed out is zero; a
@@ -29,7 +33,6 @@
 //! other — as an earlier revision did — made `bytes_live` drift and
 //! eventually underflow.)
 
-use crate::device::SimDevice;
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,9 +46,9 @@ pub struct ArenaStats {
     /// Allocations served from the pool without touching the device
     /// allocator (always 0 for [`MallocArena`]).
     pub pool_hits: u64,
-    /// Allocations that had to perform a real (simulated-device) allocation.
+    /// Allocations that had to perform a real (device) allocation.
     pub device_allocs: u64,
-    /// Real (simulated-device) frees performed.
+    /// Real (device) frees performed.
     pub device_frees: u64,
     /// Bytes currently held by live buffers handed to callers.
     pub bytes_live: u64,
@@ -66,10 +69,7 @@ pub trait Arena: Send + Sync {
 
 enum Home {
     Pool(Arc<PoolInner>),
-    Malloc {
-        device: Option<Arc<SimDevice>>,
-        stats: Arc<MallocStats>,
-    },
+    Malloc(Arc<MallocStats>),
 }
 
 /// An owned scratch buffer of `f64` values. Dereferences to a slice of the
@@ -123,10 +123,7 @@ impl Drop for ScratchBuf {
         let bytes = (self.class * 8) as u64;
         match self.home.take() {
             Some(Home::Pool(pool)) => pool.give_back(data, self.class),
-            Some(Home::Malloc { device, stats }) => {
-                if let Some(d) = &device {
-                    d.free(bytes);
-                }
+            Some(Home::Malloc(stats)) => {
                 stats.device_frees.fetch_add(1, Ordering::Relaxed);
                 stats.bytes_live.fetch_sub(bytes, Ordering::Relaxed);
             }
@@ -141,8 +138,8 @@ pub fn size_class(len: usize) -> usize {
     len.max(64).next_power_of_two()
 }
 
+#[derive(Default)]
 struct PoolInner {
-    device: Option<Arc<SimDevice>>,
     bins: Mutex<HashMap<usize, Vec<Vec<f64>>>>,
     allocs: AtomicU64,
     hits: AtomicU64,
@@ -175,28 +172,15 @@ impl PoolInner {
 /// The caching (pool) allocator: buffers are binned by power-of-two size
 /// class and recycled. Device memory is only allocated on a pool miss, so in
 /// steady state the timestep loop performs **zero** device allocations.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct PoolArena {
     inner: Arc<PoolInner>,
 }
 
 impl PoolArena {
-    /// Create a pool, optionally charging allocations to a simulated device.
-    pub fn new(device: Option<Arc<SimDevice>>) -> Self {
-        PoolArena {
-            inner: Arc::new(PoolInner {
-                device,
-                bins: Mutex::new(HashMap::new()),
-                allocs: AtomicU64::new(0),
-                hits: AtomicU64::new(0),
-                device_allocs: AtomicU64::new(0),
-                device_frees: AtomicU64::new(0),
-                bytes_live: AtomicU64::new(0),
-                bytes_pooled: AtomicU64::new(0),
-                bytes_held: AtomicU64::new(0),
-                bytes_peak: AtomicU64::new(0),
-            }),
-        }
+    /// Create an empty pool.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Release all pooled (idle) buffers back to the device.
@@ -208,9 +192,6 @@ impl PoolArena {
                 self.inner.bytes_pooled.fetch_sub(bytes, Ordering::Relaxed);
                 self.inner.bytes_held.fetch_sub(bytes, Ordering::Relaxed);
                 self.inner.device_frees.fetch_add(1, Ordering::Relaxed);
-                if let Some(d) = &self.inner.device {
-                    d.free(bytes);
-                }
             }
         }
     }
@@ -242,9 +223,6 @@ impl Arena for PoolArena {
             }
             None => {
                 self.inner.device_allocs.fetch_add(1, Ordering::Relaxed);
-                if let Some(d) = &self.inner.device {
-                    d.malloc(bytes);
-                }
                 let held = self.inner.bytes_held.fetch_add(bytes, Ordering::Relaxed) + bytes;
                 self.inner.bytes_peak.fetch_max(held, Ordering::Relaxed);
                 Vec::with_capacity(class)
@@ -287,21 +265,17 @@ struct MallocStats {
     bytes_peak: AtomicU64,
 }
 
-/// The baseline arena: every allocation is a fresh (simulated-device)
-/// allocation and every drop a synchronizing free.
-#[derive(Clone)]
+/// The baseline arena: every allocation is a fresh (device) allocation and
+/// every drop a synchronizing free.
+#[derive(Clone, Default)]
 pub struct MallocArena {
-    device: Option<Arc<SimDevice>>,
     stats: Arc<MallocStats>,
 }
 
 impl MallocArena {
-    /// Create a malloc-per-call arena, optionally charging a simulated device.
-    pub fn new(device: Option<Arc<SimDevice>>) -> Self {
-        MallocArena {
-            device,
-            stats: Arc::new(MallocStats::default()),
-        }
+    /// Create a malloc-per-call arena.
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
@@ -310,9 +284,6 @@ impl Arena for MallocArena {
         let class = size_class(len);
         let bytes = (class * 8) as u64;
         self.stats.allocs.fetch_add(1, Ordering::Relaxed);
-        if let Some(d) = &self.device {
-            d.malloc(bytes);
-        }
         let mut data = Vec::with_capacity(class);
         data.resize(len, 0.0);
         let live = self.stats.bytes_live.fetch_add(bytes, Ordering::Relaxed) + bytes;
@@ -321,10 +292,7 @@ impl Arena for MallocArena {
             data,
             len,
             class,
-            home: Some(Home::Malloc {
-                device: self.device.clone(),
-                stats: self.stats.clone(),
-            }),
+            home: Some(Home::Malloc(self.stats.clone())),
         }
     }
 
@@ -343,11 +311,10 @@ impl Arena for MallocArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::DeviceConfig;
 
     #[test]
     fn pool_reuses_buffers() {
-        let pool = PoolArena::new(None);
+        let pool = PoolArena::new();
         {
             let a = pool.alloc(1000);
             assert_eq!(a.len(), 1000);
@@ -365,8 +332,8 @@ mod tests {
 
     #[test]
     fn fresh_buffers_are_zero() {
-        let pool = PoolArena::new(None);
-        let malloc = MallocArena::new(None);
+        let pool = PoolArena::new();
+        let malloc = MallocArena::new();
         for len in [1, 100, 5000] {
             assert!(pool.alloc(len).iter().all(|&v| v == 0.0), "pool miss");
             assert!(malloc.alloc(len).iter().all(|&v| v == 0.0), "malloc");
@@ -389,14 +356,14 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn a_recycled_buffer_is_nan_in_debug_builds() {
-        let b = recycle_dirty(&PoolArena::new(None));
+        let b = recycle_dirty(&PoolArena::new());
         assert!(b.iter().all(|v| v.is_nan()), "poisoned: {:?}", &b[..4]);
     }
 
     #[cfg(not(debug_assertions))]
     #[test]
     fn a_recycled_buffer_is_not_rezeroed() {
-        let b = recycle_dirty(&PoolArena::new(None));
+        let b = recycle_dirty(&PoolArena::new());
         assert!(
             b[..100].iter().all(|&v| v == 3.25),
             "as its last user left it"
@@ -406,34 +373,28 @@ mod tests {
 
     #[test]
     fn pool_steady_state_has_no_device_allocs() {
-        let dev = SimDevice::new(DeviceConfig::v100());
-        let pool = PoolArena::new(Some(dev.clone()));
+        let pool = PoolArena::new();
         // Warm-up step allocates; the next 100 "timesteps" must not.
         for _ in 0..3 {
             let _a = pool.alloc(4096);
         }
-        let warm = dev.stats().allocs;
+        let warm = pool.stats().device_allocs;
         for _ in 0..100 {
             let _a = pool.alloc(4096);
             let _b = pool.alloc(4096);
         }
         // Two live per step but dropped in order: at most one extra block.
-        assert!(dev.stats().allocs <= warm + 1);
+        assert!(pool.stats().device_allocs <= warm + 1);
     }
 
     #[test]
     fn malloc_arena_always_hits_device() {
-        let dev = SimDevice::new(DeviceConfig::v100());
-        let arena = MallocArena::new(Some(dev.clone()));
+        let arena = MallocArena::new();
         for _ in 0..10 {
             let _a = arena.alloc(4096);
         }
-        let ds = dev.stats();
-        assert_eq!(ds.allocs, 10);
-        assert_eq!(ds.frees, 10);
         let s = arena.stats();
-        assert_eq!(s.allocs, 10);
-        assert_eq!(s.device_frees, 10);
+        assert_eq!((s.allocs, s.device_allocs, s.device_frees), (10, 10, 10));
         assert_eq!(s.bytes_live, 0);
     }
 
@@ -441,20 +402,18 @@ mod tests {
     fn malloc_accounting_balances_off_class_sizes() {
         // Lengths that are not a power of two force the class to round up;
         // both sides must still charge/credit the same canonical amount.
-        let dev = SimDevice::new(DeviceConfig::v100());
-        let arena = MallocArena::new(Some(dev.clone()));
+        let arena = MallocArena::new();
         for len in [0usize, 1, 63, 65, 1000, 4097, 100_000] {
             let _a = arena.alloc(len);
         }
         let s = arena.stats();
         assert_eq!(s.bytes_live, 0, "alloc/free byte accounting must balance");
-        assert_eq!(dev.stats().bytes_resident, 0);
         assert_eq!(s.device_frees, s.allocs);
     }
 
     #[test]
     fn distinct_live_buffers_never_alias() {
-        let pool = PoolArena::new(None);
+        let pool = PoolArena::new();
         let mut bufs: Vec<_> = (0..8).map(|_| pool.alloc(256)).collect();
         for (n, b) in bufs.iter_mut().enumerate() {
             b[0] = n as f64;
@@ -466,28 +425,24 @@ mod tests {
 
     #[test]
     fn trim_returns_pooled_memory() {
-        let dev = SimDevice::new(DeviceConfig::v100());
-        let pool = PoolArena::new(Some(dev.clone()));
+        let pool = PoolArena::new();
         {
             let _a = pool.alloc(1 << 20);
         }
         assert!(pool.bytes_pooled() > 0);
-        assert!(dev.stats().bytes_resident > 0);
         assert_eq!(pool.stats().device_frees, 0);
         pool.trim();
         assert_eq!(pool.bytes_pooled(), 0);
-        assert_eq!(dev.stats().bytes_resident, 0);
         let s = pool.stats();
         assert_eq!(
             s.device_frees, s.device_allocs,
             "trim must count the frees it performs"
         );
-        assert_eq!(dev.stats().frees, s.device_frees);
     }
 
     #[test]
     fn pool_peak_counts_live_plus_pooled() {
-        let pool = PoolArena::new(None);
+        let pool = PoolArena::new();
         {
             let _a = pool.alloc(1024);
             let _b = pool.alloc(1024);
@@ -505,7 +460,7 @@ mod tests {
 
     #[test]
     fn zero_length_alloc_is_fine() {
-        let pool = PoolArena::new(None);
+        let pool = PoolArena::new();
         let b = pool.alloc(0);
         assert!(b.is_empty());
     }

@@ -9,35 +9,25 @@
 //! Parallelism comes from boxes, not from this loop: `amr::HaloLoop` runs one
 //! task per box on the persistent [`crate::pool::WorkerPool`], and inside a
 //! task the closure runs in one serial loop nest over the box's x-rows. A
-//! **row kernel** ([`ExecSpace::par_for_rows_prof`]) is handed the rows and
+//! **row kernel** ([`ExecSpace::par_for_rows`]) is handed the rows and
 //! takes [`LANES`] zones of a row at a time as lane arrays, like the SIMD
-//! inner `i` loop of AMReX's CPU `ParallelFor` and Parthenon's `par_for`. An
-//! [`ExecSpace`] does not choose how a loop runs; it says what a launch is
-//! charged to:
-//! * [`ExecSpace::Serial`] — nothing beyond the loop itself;
-//! * [`ExecSpace::Device`] — a simulated accelerator too (Fig. 1 right). The
-//!   answers are the host's; the device observes the launch and is charged
-//!   a modelled execution time through [`ExecSpace::charge`].
+//! inner `i` loop of AMReX's CPU `ParallelFor` and Parthenon's `par_for`.
 //!
-//! Because the loop body is the same either way, the same physics source
-//! runs on every backend — the "single source" property the paper deems
-//! essential. Every launch reports its zone count (and, on a device space,
-//! its charged microseconds) to the open [`Telemetry`] region, so the region
-//! table sees per-kernel totals without per-call-site bookkeeping.
+//! Because the loop body is the same source a GPU build would launch, the
+//! same physics runs on every backend — the "single source" property the
+//! paper deems essential. What a launch would cost on a GPU is a model,
+//! priced by `exastro-machine`; here every launch reports its zone count to
+//! the open [`Telemetry`] region, so the region table sees per-kernel
+//! totals without per-call-site bookkeeping.
 
-use crate::device::{KernelProfile, SimDevice};
 use crate::index::IndexBox;
 use exastro_telemetry::Telemetry;
-use std::sync::Arc;
 
-/// What a kernel launch is charged to, besides the host loop that runs it.
+/// Where a kernel runs: the one serial loop nest on the calling thread.
 #[derive(Clone, Debug)]
 pub enum ExecSpace {
-    /// The per-zone loop alone.
+    /// The per-zone loop.
     Serial,
-    /// The same loop, with every launch also charged to a simulated
-    /// accelerator.
-    Device(Arc<SimDevice>),
 }
 
 /// How many consecutive zones of an x-row a row kernel takes at a time.
@@ -90,54 +80,32 @@ fn serial_for<F: FnMut(i32, i32, i32)>(bx: IndexBox, mut f: F) {
 }
 
 impl ExecSpace {
-    /// Charge a launch of `zones` zones with cost `profile` to the simulated
-    /// device and report the charged microseconds to the open [`Telemetry`]
-    /// region. A no-op on [`ExecSpace::Serial`].
-    #[inline]
-    pub fn charge(&self, zones: i64, profile: &KernelProfile) {
-        if let ExecSpace::Device(dev) = self {
-            Telemetry::record_device_us(dev.launch(zones, profile));
-        }
-    }
-
-    /// Run `f(i, j, k)` for every zone of `bx` with default kernel cost.
+    /// Run `f(i, j, k)` for every zone of `bx`.
     pub fn par_for<F>(&self, bx: IndexBox, f: F)
     where
         F: Fn(i32, i32, i32) + Sync,
     {
-        self.par_for_prof(bx, &KernelProfile::default(), f)
-    }
-
-    /// Run `f(i, j, k)` for every zone of `bx`, charging `profile`.
-    pub fn par_for_prof<F>(&self, bx: IndexBox, profile: &KernelProfile, f: F)
-    where
-        F: Fn(i32, i32, i32) + Sync,
-    {
         Telemetry::record_zones(bx.num_zones().max(0) as u64);
-        self.charge(bx.num_zones(), profile);
         serial_for(bx, f);
     }
 
     /// Run `f(j, k, i_lo, i_hi)` for every x-row of `bx`, zones `i_lo..=i_hi`
-    /// of row `(j, k)`, charged and reported as [`ExecSpace::par_for_prof`]
-    /// would the same box.
-    pub fn par_for_rows_prof<F>(&self, bx: IndexBox, profile: &KernelProfile, f: F)
+    /// of row `(j, k)`, reported as [`ExecSpace::par_for`] would the same box.
+    pub fn par_for_rows<F>(&self, bx: IndexBox, f: F)
     where
         F: Fn(i32, i32, i32, i32) + Sync,
     {
         Telemetry::record_zones(bx.num_zones().max(0) as u64);
-        self.charge(bx.num_zones(), profile);
         serial_rows(bx, f);
     }
 
     /// The maximum over the x-rows of `bx` of a row's maximum `f(j, k, i_lo,
-    /// i_hi)` (−∞ for an empty box), charged at default kernel cost.
+    /// i_hi)` (−∞ for an empty box).
     pub fn par_reduce_rows_max<F>(&self, bx: IndexBox, f: F) -> f64
     where
         F: Fn(i32, i32, i32, i32) -> f64 + Sync,
     {
         Telemetry::record_zones(bx.num_zones().max(0) as u64);
-        self.charge(bx.num_zones(), &KernelProfile::default());
         let mut acc = f64::NEG_INFINITY;
         serial_rows(bx, |j, k, i_lo, i_hi| acc = acc.max(f(j, k, i_lo, i_hi)));
         acc
@@ -147,51 +115,36 @@ impl ExecSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::DeviceConfig;
     use crate::index::IntVect;
     use std::sync::atomic::{AtomicU64, Ordering};
-
-    fn spaces() -> [ExecSpace; 2] {
-        [
-            ExecSpace::Serial,
-            ExecSpace::Device(SimDevice::new(DeviceConfig::v100())),
-        ]
-    }
 
     #[test]
     fn par_for_visits_every_zone_exactly_once() {
         let bx = IndexBox::cube(9);
-        for ex in spaces() {
-            let counts: Vec<AtomicU64> = (0..bx.num_zones()).map(|_| AtomicU64::new(0)).collect();
-            ex.par_for(bx, |i, j, k| {
-                let n = bx.linear_index(IntVect::new(i, j, k));
-                counts[n].fetch_add(1, Ordering::Relaxed);
-            });
-            assert!(
-                counts.iter().all(|c| c.load(Ordering::Relaxed) == 1),
-                "backend {ex:?} missed or repeated zones"
-            );
-        }
+        let counts: Vec<AtomicU64> = (0..bx.num_zones()).map(|_| AtomicU64::new(0)).collect();
+        ExecSpace::Serial.par_for(bx, |i, j, k| {
+            let n = bx.linear_index(IntVect::new(i, j, k));
+            counts[n].fetch_add(1, Ordering::Relaxed);
+        });
+        assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
     fn rows_and_their_lane_chunks_cover_every_zone_once_in_memory_order() {
         let bx = IndexBox::new(IntVect::new(-3, 0, 1), IntVect::new(5, 2, 3));
-        for ex in spaces() {
-            let visited = std::sync::Mutex::new(Vec::new());
-            ex.par_for_rows_prof(bx, &KernelProfile::default(), |j, k, i_lo, i_hi| {
-                assert_eq!((i_lo, i_hi), (bx.lo().x(), bx.hi().x()));
-                lane_chunks(i_lo, i_hi, |o, live| {
-                    assert!((1..=LANES).contains(&live));
-                    for l in 0..live {
-                        let iv = IntVect::new(i_lo + (o + l) as i32, j, k);
-                        visited.lock().unwrap().push(bx.linear_index(iv));
-                    }
-                });
+        let visited = std::sync::Mutex::new(Vec::new());
+        ExecSpace::Serial.par_for_rows(bx, |j, k, i_lo, i_hi| {
+            assert_eq!((i_lo, i_hi), (bx.lo().x(), bx.hi().x()));
+            lane_chunks(i_lo, i_hi, |o, live| {
+                assert!((1..=LANES).contains(&live));
+                for l in 0..live {
+                    let iv = IntVect::new(i_lo + (o + l) as i32, j, k);
+                    visited.lock().unwrap().push(bx.linear_index(iv));
+                }
             });
-            let visited = visited.into_inner().unwrap();
-            assert_eq!(visited, (0..bx.num_zones() as usize).collect::<Vec<_>>());
-        }
+        });
+        let visited = visited.into_inner().unwrap();
+        assert_eq!(visited, (0..bx.num_zones() as usize).collect::<Vec<_>>());
         for len in 0..=9 {
             let mut chunks = Vec::new();
             lane_chunks(7, 7 + len - 1, |o, live| chunks.push((o, live)));
@@ -203,15 +156,15 @@ mod tests {
 
     #[test]
     fn par_for_empty_box_is_noop() {
-        for ex in spaces() {
-            ex.par_for(IndexBox::empty(), |_, _, _| panic!("must not run"));
-            assert_eq!(
-                ex.par_reduce_rows_max(IndexBox::empty(), |_, _, _, _| panic!("must not run")),
-                f64::NEG_INFINITY
-            );
-        }
+        let ex = ExecSpace::Serial;
+        ex.par_for(IndexBox::empty(), |_, _, _| panic!("must not run"));
+        assert_eq!(
+            ex.par_reduce_rows_max(IndexBox::empty(), |_, _, _, _| panic!("must not run")),
+            f64::NEG_INFINITY
+        );
     }
 
+    /// The row reduction is the zone-by-zone fold, bit for bit.
     #[test]
     fn max_reduction_is_the_same_on_both_spaces() {
         let bx = IndexBox::new(IntVect::new(-2, 0, 1), IntVect::new(5, 7, 6));
@@ -225,40 +178,21 @@ mod tests {
                 .map(|i| f(i, j, k))
                 .fold(f64::NEG_INFINITY, f64::max)
         };
-        for ex in spaces() {
-            assert_eq!(
-                ex.par_reduce_rows_max(bx, row_max).to_bits(),
-                reference.to_bits()
-            );
-        }
+        assert_eq!(
+            ExecSpace::Serial.par_reduce_rows_max(bx, row_max).to_bits(),
+            reference.to_bits()
+        );
     }
 
     #[test]
-    fn only_a_device_space_is_charged() {
-        let dev = SimDevice::new(DeviceConfig::v100());
-        let ex = ExecSpace::Device(dev.clone());
-        ex.par_for(IndexBox::cube(8), |_, _, _| {});
-        ex.par_reduce_rows_max(IndexBox::cube(8), |_, _, _, _| 1.0);
-        ex.par_for_rows_prof(
-            IndexBox::cube(2),
-            &KernelProfile::default(),
-            |_, _, _, _| {},
-        );
-        ex.charge(100, &KernelProfile::new(5.0, 320));
-        assert_eq!(dev.stats().kernels, 4);
-        assert_eq!(dev.stats().zones, 1132);
-        assert!(dev.elapsed_us() > 0.0);
+    fn every_launch_records_its_zones() {
         {
-            let _r = Telemetry::region("exec_charge_test");
-            ExecSpace::Serial.charge(100, &KernelProfile::default());
+            let _r = Telemetry::region("exec_zones_test");
             ExecSpace::Serial.par_for(IndexBox::cube(2), |_, _, _| {});
-            ExecSpace::Serial.par_for_rows_prof(
-                IndexBox::cube(3),
-                &KernelProfile::default(),
-                |_, _, _, _| {},
-            );
+            ExecSpace::Serial.par_for_rows(IndexBox::cube(3), |_, _, _, _| {});
+            ExecSpace::Serial.par_reduce_rows_max(IndexBox::cube(4), |_, _, _, _| 1.0);
         }
-        let s = Telemetry::region_stats("exec_charge_test").expect("region recorded");
-        assert_eq!((s.zones, s.device_us), (35, 0.0));
+        let s = Telemetry::region_stats("exec_zones_test").expect("region recorded");
+        assert_eq!(s.zones, 8 + 27 + 64);
     }
 }

@@ -10,11 +10,7 @@
 //!   physics loop iterates over;
 //! * [`exec`] — the `parallel_for` layer: one closure body run over a box by
 //!   one serial loop nest over its x-rows, per zone or [`LANES`] zones of a
-//!   row at a time; an [`ExecSpace`] says whether a launch is also charged
-//!   to a simulated device;
-//! * [`device`] — the simulated accelerator with a calibrated cost model
-//!   (launch latency, occupancy, register spilling, allocation latency,
-//!   memory oversubscription);
+//!   row at a time;
 //! * [`arena`] — the caching pool allocator and its malloc-per-call baseline;
 //! * [`pool`] — the persistent worker-thread pool, the one executor: threads
 //!   are spawned once per process and parallel regions are a pointer handoff
@@ -25,14 +21,11 @@
 //!
 //! Observability lives in `exastro-telemetry`, re-exported here as
 //! [`Telemetry`] so the crates below need no dependency of their own on
-//! it: every launch in [`exec`] records its zones and device time into the
-//! open region, and a [`pool`] worker adopts its submitter's region context
+//! it: every launch in [`exec`] records its zones into the open region, and a [`pool`] worker adopts its submitter's region context
 //! for the duration of a job.
 //!
 //! Since no real GPU is available in this reproduction, every kernel runs on
-//! the host — the physics is the same bits on either space — and a device
-//! space is charged a modelled execution time used by the `exastro-machine`
-//! cluster simulator to regenerate the paper's scaling figures.
+//! the host; GPU time is a model, priced by `exastro-machine` alone.
 
 // `deny` rather than `forbid`: the worker pool's dispatch core is the one
 // audited module allowed to opt back in (see crates/parallel/src/pool.rs for
@@ -41,14 +34,12 @@
 #![warn(missing_docs)]
 
 pub mod arena;
-pub mod device;
 pub mod exec;
 pub mod graph;
 pub mod index;
 pub mod pool;
 
 pub use arena::{Arena, ArenaStats, MallocArena, PoolArena, ScratchBuf};
-pub use device::{DeviceConfig, DeviceStats, KernelProfile, SimDevice};
 pub use exec::{lane_chunks, ExecSpace, LANES};
 pub use graph::{GraphError, GraphRunStats, TaskGraph};
 // The region API and the types `TaskGraph::run_labeled` takes, so region

@@ -77,7 +77,7 @@ proptest! {
 
     #[test]
     fn pool_allocations_never_alias(sizes in prop::collection::vec(1usize..4096, 1..20)) {
-        let pool = PoolArena::new(None);
+        let pool = PoolArena::new();
         let mut bufs = Vec::new();
         for (n, &len) in sizes.iter().enumerate() {
             let mut b = pool.alloc(len);
@@ -100,8 +100,8 @@ proptest! {
         // The `Arena` contract: memory never handed out is zero (a pool
         // miss, every malloc-arena buffer); a recycled pool buffer is as its
         // last user left it, which debug builds make all-NaN.
-        let pool = PoolArena::new(None);
-        let malloc = MallocArena::new(None);
+        let pool = PoolArena::new();
+        let malloc = MallocArena::new();
         for &len in &sizes {
             let misses = pool.stats().device_allocs;
             {
@@ -129,7 +129,7 @@ proptest! {
     ) {
         // Allocating and dropping one buffer per round must allocate at
         // most once from the device (steady state = pure recycling).
-        let pool = PoolArena::new(None);
+        let pool = PoolArena::new();
         for _ in 0..rounds {
             let _b = pool.alloc(len);
         }

@@ -16,9 +16,8 @@
 //!   checkpoint directory;
 //! * [`manager`] — [`CheckpointManager`]: atomic temp-dir+fsync+rename
 //!   writes, keep-last-K retention, corruption detection with fallback to
-//!   the last good checkpoint, bounded-backoff write retries, and cost
-//!   accounting (D2H through [`exastro_parallel::SimDevice`], bytes into
-//!   the `io/checkpoint` telemetry region);
+//!   the last good checkpoint, bounded-backoff write retries, and bytes
+//!   recorded into the `io/checkpoint` telemetry region;
 //! * [`faults`] — deterministic fault injection: kill schedules, blob
 //!   truncation, bit flips, torn renames, and injected write failures;
 //! * [`mod@interval`] — the Young/Daly optimal checkpoint interval;

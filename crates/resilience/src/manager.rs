@@ -22,21 +22,21 @@
 //! Writes retry with bounded exponential backoff (transient filesystem
 //! failures are injectable through [`CheckpointManager::inject_write_faults`]).
 //!
-//! Cost accounting: the payload is charged as one D2H copy on the attached
-//! [`SimDevice`] (this is the §III host↔device crossing) and the whole
-//! write/read runs under the `io/checkpoint` telemetry region with its byte
-//! count recorded.
+//! Cost accounting: the whole write/read runs under the `io/checkpoint`
+//! telemetry region with its byte count recorded. The §III D2H copy a GPU
+//! build would add is priced by `exastro-machine`, not here.
 
 use crate::manifest::{Manifest, ManifestEntry, MANIFEST_NAME};
 use crate::snapshot::{Clock, LevelSnapshot, Snapshot};
-use exastro_amr::io::{append_le_bytes, read_level, sync_dir, write_level, write_synced, IoError};
+use exastro_amr::io::{
+    append_le_bytes, check_variable_names, read_level, sync_dir, write_level, write_synced, IoError,
+};
 use exastro_amr::Real;
-use exastro_parallel::SimDevice;
 use exastro_telemetry::Telemetry;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Errors from checkpoint management.
@@ -111,8 +111,6 @@ pub struct ManagerStats {
     pub write_failures: u64,
     /// Payload bytes written (sum over successful checkpoints).
     pub bytes_written: u64,
-    /// D2H copies charged to the attached device.
-    pub d2h_copies: u64,
     /// Checkpoints found corrupt during scans/restores.
     pub corrupt_detected: u64,
     /// Snapshots restored.
@@ -128,7 +126,6 @@ pub struct CheckpointManager {
     root: PathBuf,
     keep: usize,
     retry: RetryPolicy,
-    device: Option<Arc<SimDevice>>,
     write_faults: Mutex<Option<WriteFaultFn>>,
     stats: Mutex<ManagerStats>,
 }
@@ -145,7 +142,6 @@ impl CheckpointManager {
             root,
             keep: 2,
             retry: RetryPolicy::default(),
-            device: None,
             write_faults: Mutex::new(None),
             stats: Mutex::new(ManagerStats::default()),
         })
@@ -160,12 +156,6 @@ impl CheckpointManager {
     /// Set the write retry policy.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// Charge checkpoint D2H traffic to `device` (the §III host copy).
-    pub fn with_device(mut self, device: Arc<SimDevice>) -> Self {
-        self.device = Some(device);
         self
     }
 
@@ -236,18 +226,15 @@ impl CheckpointManager {
     }
 
     /// Write `snap` durably, retrying per the [`RetryPolicy`] with bounded
-    /// exponential backoff. Returns the final checkpoint path.
+    /// exponential backoff. Returns the final checkpoint path. A snapshot
+    /// that could not read back as itself — a variable name count other
+    /// than some level's component count, a name that is empty or holds
+    /// whitespace, an aux name outside `[A-Za-z0-9_]+` — is an
+    /// [`Error::Format`] before anything is written, and is not retried.
     pub fn write(&self, snap: &Snapshot) -> Result<PathBuf, Error> {
         let _r = Telemetry::region("io/checkpoint");
+        check_snapshot(snap)?;
         let bytes = snap.payload_bytes();
-        // The one D2H crossing: checkpointing copies device-resident state
-        // to host memory before it can be written (§III). Charged once per
-        // checkpoint, not per retry — the host copy survives write retries.
-        if let Some(dev) = &self.device {
-            let us = dev.d2h_copy(bytes);
-            Telemetry::record_device_us(us);
-            self.stats.lock().unwrap().d2h_copies += 1;
-        }
         let mut backoff = self.retry.base_backoff;
         let mut last_err: Error = Error::NoCheckpoint;
         for attempt in 0..self.retry.attempts.max(1) {
@@ -315,9 +302,6 @@ impl CheckpointManager {
         };
         let mut blob = Vec::new();
         for (aux_name, v) in &snap.aux {
-            debug_assert!(aux_name
-                .bytes()
-                .all(|b| b.is_ascii_alphanumeric() || b == b'_'));
             blob.clear();
             append_le_bytes(&mut blob, v);
             put(format!("Aux_{aux_name}.bin"), &blob)?;
@@ -370,6 +354,18 @@ impl CheckpointManager {
                 self.stats.lock().unwrap().pruned += 1;
             }
         }
+    }
+}
+
+/// The names of `snap` are ones its files can store and give back.
+fn check_snapshot(snap: &Snapshot) -> Result<(), Error> {
+    for lev in &snap.levels {
+        check_variable_names(&snap.variables, lev.state.ncomp())?;
+    }
+    let ok = |n: &str| !n.is_empty() && n.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_');
+    match snap.aux.iter().find(|(n, _)| !ok(n)) {
+        Some((n, _)) => Err(Error::Format(format!("aux name {n:?}"))),
+        None => Ok(()),
     }
 }
 
@@ -679,20 +675,52 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
     }
 
+    /// No `.tmp-*` or final directory under `root`.
+    fn nothing_written(root: &Path) -> bool {
+        fs::read_dir(root).unwrap().next().is_none()
+    }
+
     #[test]
-    fn d2h_bytes_are_charged_to_the_device() {
-        use exastro_parallel::{DeviceConfig, SimDevice};
-        let root = tmp_root("d2h");
-        let dev = SimDevice::new(DeviceConfig::v100());
-        let mgr = CheckpointManager::new(&root)
-            .unwrap()
-            .with_device(dev.clone());
-        let snap = snap_at(1, 1.0);
-        mgr.write(&snap).unwrap();
-        let ds = dev.stats();
-        assert_eq!(ds.d2h_copies, 1);
-        assert_eq!(ds.d2h_bytes, snap.payload_bytes());
-        assert!(ds.d2h_us > 0.0);
+    fn a_name_count_other_than_ncomp_is_a_format_error_and_writes_nothing() {
+        let root = tmp_root("namecount");
+        let mgr = CheckpointManager::new(&root).unwrap();
+        for names in [
+            vec!["a".to_string()],
+            vec!["a".into(), "b".into(), "c".into()],
+        ] {
+            let mut snap = snap_at(1, 1.0);
+            snap.variables = names;
+            assert!(matches!(mgr.write(&snap), Err(Error::Format(_))));
+        }
+        assert!(nothing_written(&root));
+        // Rejected once, before the retry loop.
+        assert_eq!(mgr.stats().write_failures, 0);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn names_that_would_not_read_back_are_format_errors_in_every_build() {
+        let root = tmp_root("badnames");
+        let mgr = CheckpointManager::new(&root).unwrap();
+        let mut bad = Vec::new();
+        for v in ["", "b c"] {
+            let mut snap = snap_at(1, 1.0);
+            snap.variables[1] = v.into();
+            bad.push(snap);
+        }
+        for aux in ["", "rho 0", "rho/0", "ρ0"] {
+            let mut snap = snap_at(1, 1.0);
+            snap.aux[0].0 = aux.into();
+            bad.push(snap);
+        }
+        for snap in &bad {
+            match mgr.write(snap) {
+                Err(Error::Format(_)) => {}
+                other => panic!("{:?} / {:?}: {other:?}", snap.variables, snap.aux[0].0),
+            }
+        }
+        assert!(nothing_written(&root));
+        assert_eq!(mgr.stats().write_failures, 0);
         let _ = fs::remove_dir_all(&root);
     }
 }

@@ -4,8 +4,8 @@
 //! component reports here, and every artifact a run leaves is written here.
 //!
 //! * **Always on** — [`region`]: named, nested regions
-//!   ([`Telemetry::region`]) accumulating calls, wall time, zones, device
-//!   time, bytes and retries per path. The end-of-run table
+//!   ([`Telemetry::region`]) accumulating calls, wall time, zones, bytes
+//!   and retries per path: measured quantities only. The end-of-run table
 //!   ([`Telemetry::region_report`]) answers "what fraction of the run was
 //!   the burner" (§IV of the paper); a region edge costs a clock reading
 //!   and two atomic adds.

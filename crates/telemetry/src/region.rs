@@ -13,7 +13,6 @@
 //! was, a region also emits a begin/end trace span, stamped with the same
 //! clock readings that time the row.
 
-use crate::histogram::atomic_f64_update;
 use crate::trace::{self, intern};
 use crate::{json, Telemetry};
 use std::cell::Cell;
@@ -31,8 +30,6 @@ pub struct RegionStats {
     pub wall_ns: u64,
     /// Zones processed by `par_for`/reductions inside the region.
     pub zones: u64,
-    /// Simulated device time charged inside the region, microseconds.
-    pub device_us: f64,
     /// Payload bytes moved inside the region (checkpoint I/O traffic).
     pub bytes: u64,
     /// Recovery retries taken inside the region (burn ladder rungs beyond
@@ -45,23 +42,22 @@ pub struct RegionStats {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RegionId(u32);
 
-/// One interned path and its row: the fields of [`RegionStats`] in order,
-/// `device_us` as `f64` bits. Node 0 is the root, `(top)`: the context of
+/// One interned path and its row: the fields of [`RegionStats`] in order.
+/// Node 0 is the root, `(top)`: the context of
 /// a thread with no region open.
 struct Node {
     parent: u32,
     name: &'static str,
     pool_label: &'static str,
     children: Vec<u32>,
-    row: [AtomicU64; 6],
+    row: [AtomicU64; 5],
 }
 
 const CALLS: usize = 0;
 const WALL_NS: usize = 1;
 const ZONES: usize = 2;
-const DEVICE_US: usize = 3;
-const BYTES: usize = 4;
-const RETRIES: usize = 5;
+const BYTES: usize = 3;
+const RETRIES: usize = 4;
 
 impl Node {
     fn new(parent: u32, name: &'static str) -> Node {
@@ -75,13 +71,11 @@ impl Node {
     }
 
     fn stats(&self) -> RegionStats {
-        let [calls, wall_ns, zones, device_us, bytes, retries] =
-            self.row.each_ref().map(|c| c.load(Relaxed));
+        let [calls, wall_ns, zones, bytes, retries] = self.row.each_ref().map(|c| c.load(Relaxed));
         RegionStats {
             calls,
             wall_ns,
             zones,
-            device_us: f64::from_bits(device_us),
             bytes,
             retries,
         }
@@ -236,16 +230,6 @@ impl Telemetry {
         add(RETRIES, retries);
     }
 
-    /// Attribute `us` microseconds of simulated device time to the
-    /// innermost open region.
-    pub fn record_device_us(us: f64) {
-        if us > 0.0 {
-            with_node(CURRENT.get(), |n| {
-                atomic_f64_update(&n.row[DEVICE_US], |sum| sum + us)
-            });
-        }
-    }
-
     /// Add one call of `ns` nanoseconds to the child `name` of the innermost
     /// open region: for a cost measured by code that cannot hold a guard
     /// across its own timing boundaries (the burner's `burner/solve[..]`).
@@ -288,8 +272,8 @@ impl Telemetry {
         let mut out = String::new();
         out.push_str("===================== execution telemetry =====================\n");
         out.push_str(&format!(
-            "{:<34} {:>7} {:>10} {:>6} {:>12} {:>12} {:>10} {:>8}\n",
-            "region", "calls", "wall [ms]", "%top", "zones", "device [us]", "MB", "retries"
+            "{:<34} {:>7} {:>10} {:>6} {:>12} {:>10} {:>8}\n",
+            "region", "calls", "wall [ms]", "%top", "zones", "MB", "retries"
         ));
         for (path, s) in rows {
             let (ms, mb) = (s.wall_ns as f64 / 1e6, s.bytes as f64 / 1e6);
@@ -299,8 +283,8 @@ impl Telemetry {
                 0.0
             };
             out.push_str(&format!(
-                "{path:<34} {:>7} {ms:>10.3} {pct:>5.1}% {:>12} {:>12.1} {mb:>10.2} {:>8}\n",
-                s.calls, s.zones, s.device_us, s.retries
+                "{path:<34} {:>7} {ms:>10.3} {pct:>5.1}% {:>12} {mb:>10.2} {:>8}\n",
+                s.calls, s.zones, s.retries
             ));
         }
         out.push_str("===============================================================\n");
@@ -308,20 +292,19 @@ impl Telemetry {
     }
 
     /// The same rows in the same order as a JSON object: `{"total_ns": ..,
-    /// "regions": [{"path", "calls", "wall_ns", "zones", "device_us",
-    /// "bytes", "retries"}, ..]}`.
+    /// "regions": [{"path", "calls", "wall_ns", "zones", "bytes",
+    /// "retries"}, ..]}`.
     pub fn region_report_json() -> String {
         let (rows, total_ns) = Self::region_rows();
         let rows: Vec<String> = rows
             .iter()
             .map(|(path, s)| {
                 format!(
-                    "{{\"path\": \"{}\", \"calls\": {}, \"wall_ns\": {}, \"zones\": {}, \"device_us\": {}, \"bytes\": {}, \"retries\": {}}}",
+                    "{{\"path\": \"{}\", \"calls\": {}, \"wall_ns\": {}, \"zones\": {}, \"bytes\": {}, \"retries\": {}}}",
                     json::escape(path),
                     s.calls,
                     s.wall_ns,
                     s.zones,
-                    json::num(s.device_us),
                     s.bytes,
                     s.retries,
                 )

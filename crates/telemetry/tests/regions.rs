@@ -1,4 +1,4 @@
-//! The region table: nesting, the six columns, the two reports, what a
+//! The region table: nesting, the five columns, the two reports, what a
 //! foreign context attributes, what `reset` keeps. Own binary, and one lock
 //! around every test: the table is process-global and `reset` zeroes it.
 
@@ -24,7 +24,6 @@ fn regions_nest_record_and_report() {
         {
             let _inner = Telemetry::region("hydro");
             Telemetry::record_zones(40);
-            Telemetry::record_device_us(12.5);
         }
         {
             let _inner = Telemetry::region("hydro");
@@ -46,7 +45,6 @@ fn regions_nest_record_and_report() {
     assert_eq!((outer.calls, outer.zones), (1, 100));
     let inner = get("prof_test_step/hydro");
     assert_eq!((inner.calls, inner.zones), (2, 42));
-    assert!((inner.device_us - 12.5).abs() < 1e-12);
     assert!(outer.wall_ns >= inner.wall_ns);
     assert_eq!(get("prof_test_step/io/checkpoint").bytes, 1_000_000);
     assert_eq!(get("prof_test_step/burn").retries, 3);

@@ -8,7 +8,7 @@
 //! ```
 
 use exastro::amr::{BoxArray, DistStrategy, DistributionMapping, IndexBox, IntVect};
-use exastro::parallel::{DeviceConfig, SimDevice};
+use exastro::machine::DeviceConfig;
 
 fn main() {
     let domain = IndexBox::cube(128);
@@ -41,19 +41,19 @@ fn main() {
 
     // (Right panel) On a GPU every zone is one thread: lo == hi per thread.
     println!(
-        "-- GPU threading: {} zones → {} threads; occupancy vs launch size:",
+        "-- GPU threading: {} zones → {} threads; modeled occupancy vs launch size:",
         one_box.num_zones(),
         one_box.num_zones()
     );
-    let dev = SimDevice::new(DeviceConfig::v100());
+    let gpu = DeviceConfig::v100();
     for side in [8, 16, 32, 64, 100, 128] {
         let zones = (side as i64).pow(3);
-        let occ = dev.occupancy(zones, 128);
+        let occ = gpu.occupancy(zones, 128);
         println!("   {side:>4}³ zones: occupancy {:5.1}%", occ * 100.0);
     }
     println!("\n-- register pressure (the §IV-B problem):");
     for regs in [128, 255, 320, 510] {
-        let occ = dev.occupancy(100i64.pow(3), regs);
+        let occ = gpu.occupancy(100i64.pow(3), regs);
         println!(
             "   {regs:>4} registers/thread: occupancy {:5.1}%{}",
             occ * 100.0,

@@ -14,7 +14,7 @@ use exastro::castro::{
     GravityMode, Hydro, SedovParams, StateLayout,
 };
 use exastro::microphysics::{CBurn2, GammaLaw};
-use exastro::parallel::{DeviceConfig, ExecSpace, SimDevice, WorkerPool};
+use exastro::parallel::WorkerPool;
 use exastro::telemetry::{JsonlSink, Telemetry};
 use std::sync::Arc;
 
@@ -84,14 +84,11 @@ fn main() {
         ..Default::default()
     };
     castro.bc = BcSpec::outflow();
-    // Charge every kernel launch to a simulated V100 (the kernels still run
-    // on the host, to the same bits) so the end-of-run region report shows
-    // modelled device time per region, and switch on the optional
-    // physics (monopole gravity, reactions) so their regions appear too.
+    // Switch on the optional physics (monopole gravity, reactions) so their
+    // regions appear in the end-of-run report too.
     // The burn thresholds are zeroed because this setup is dimensionless;
     // the cold gas burns at negligible rates but still exercises the
     // integrator.
-    castro.ex = ExecSpace::Device(SimDevice::new(DeviceConfig::v100()));
     castro.gravity = Gravity {
         mode: GravityMode::Monopole,
         ..Default::default()
@@ -144,8 +141,8 @@ fn main() {
     println!("mass   drift: {:+.3e} (relative)", mass1 / mass0 - 1.0);
     println!("energy drift: {:+.3e} (relative)", energy1 / energy0 - 1.0);
 
-    // Per-region wall time, zone counts, and simulated device time collected
-    // by the telemetry layer during the run.
+    // Per-region wall time and zone counts collected by the telemetry layer
+    // during the run.
     print!("\n{}", Telemetry::region_report());
     println!("pool: {}\n", WorkerPool::global().stats());
 

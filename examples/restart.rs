@@ -14,7 +14,7 @@ use exastro::amr::{BoxArray, Geometry, MultiFab};
 use exastro::castro::{init_sedov, Castro, SedovParams, StateLayout};
 use exastro::machine::Machine;
 use exastro::microphysics::{CBurn2, GammaLaw, Network};
-use exastro::parallel::{DeviceConfig, SimDevice, WorkerPool};
+use exastro::parallel::WorkerPool;
 use exastro::resilience::snapshot::digest_multifab;
 use exastro::resilience::{faults, interval, CheckpointManager, Clock, KillSchedule, Snapshot};
 use exastro::telemetry::Telemetry;
@@ -50,11 +50,9 @@ fn main() {
     // silently bit-rotted between relaunches.
     let root = std::env::temp_dir().join(format!("exastro_restart_demo_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    let device = SimDevice::new(DeviceConfig::v100());
     let mgr = CheckpointManager::new(&root)
         .expect("create checkpoint root")
-        .keep_last(2)
-        .with_device(device.clone());
+        .keep_last(2);
     let mut kills = KillSchedule::at_steps(&[5, 11, 16]);
     let mut corrupted_once = false;
     let mut launches = 0u32;
@@ -142,7 +140,7 @@ fn main() {
     let tau_young = interval::interval(mtbf_us, ckpt_cost_us);
     let tau_daly = interval::daly_interval(mtbf_us, ckpt_cost_us);
     println!(
-        "\ncheckpoint cost on {nodes} Summit node(s): {:.0} us for {:.2} MB \
+        "\nmodeled checkpoint cost on {nodes} Summit node(s): {:.0} us for {:.2} MB \
          -> Young interval {:.1} s, Daly {:.1} s at MTBF {:.0} s",
         ckpt_cost_us,
         snap_bytes as f64 / 1e6,
@@ -161,8 +159,7 @@ fn main() {
     }
 
     print!("\n{}", Telemetry::region_report());
-    println!("pool: {}", WorkerPool::global().stats());
-    println!("device {}: {}\n", device.config().name, device.stats());
+    println!("pool: {}\n", WorkerPool::global().stats());
 
     let _ = std::fs::remove_dir_all(&root);
     assert_eq!(
