@@ -13,7 +13,7 @@ use exastro_machine::{
 
 fn print_figure() {
     let m = Machine::summit();
-    println!("\n=== Figure 2: Weak scaling of Castro Sedov ===");
+    println!("\n=== Figure 2: Weak scaling of Castro Sedov (modeled) ===");
     println!("canonical (256³/node, 64³ boxes):");
     println!("{:>6} {:>12} {:>11}", "nodes", "zones/µs", "normalized");
     let mut points = Vec::new();

@@ -11,7 +11,7 @@ use exastro_microphysics::{CBurn2, Network, StellarEos};
 
 fn print_figure() {
     let m = Machine::summit();
-    println!("\n=== Figure 3: Weak scaling of MAESTROeX reacting bubble ===");
+    println!("\n=== Figure 3: Weak scaling of MAESTROeX reacting bubble (modeled) ===");
     println!(
         "{:>6} {:>10} {:>11} {:>12} {:>12} {:>9}",
         "nodes", "zones/µs", "normalized", "react [µs]", "mgrid [µs]", "mg/react"

@@ -103,6 +103,9 @@ impl Default for BurnOptions {
 /// **all** failed zones, so the driver's step rejection sees the complete
 /// picture. On `Err` the state is partially burned and must be discarded
 /// (the drivers restore their pre-step snapshot).
+///
+/// The sweep runs on the worker pool whatever the [`ExecSpace`]; the
+/// parameter only keeps the signature the drivers and `perf_ledger` call.
 #[allow(clippy::too_many_arguments)]
 pub fn burn_state(
     state: &mut MultiFab,

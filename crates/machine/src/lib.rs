@@ -7,7 +7,8 @@
 //! network model (intra-node NVLink-class transport, shared per-node NIC
 //! with fat-tree contention, log-tree collectives) prices it. Absolute
 //! throughputs are calibrated to the paper's single-node numbers; the
-//! scaling *shapes* are emergent.
+//! scaling *shapes* are emergent. Its [`device`] module is the one place a
+//! GPU is priced.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
