@@ -186,8 +186,11 @@ def chaos_events(d):
             need(e["kind"] != kind or e.get(key) is not None, f"{kind} without {key}")
     for kind in ("admit", "lease", "start", "checkpoint", "node_fail", "revoke", "recover"):
         need(seen.get(kind), f"no {kind} events in the storm")
-    for kind, key in (("node_fail", "node_failures"), ("revoke", "lease_revocations"),
-                      ("recover", "recoveries"), ("migrate", "straggler_migrations")):
+    for kind, key in (("reject", "rejected"), ("preempt", "preemptions"),
+                      ("node_fail", "node_failures"), ("revoke", "lease_revocations"),
+                      ("recover", "recoveries"), ("migrate", "straggler_migrations"),
+                      ("quarantine", "quarantined"), ("complete", "completed"),
+                      ("fail", "failed")):
         need(seen.get(kind, 0) == r[key], f"{seen.get(kind, 0)} {kind} vs {key} {r[key]}")
     # Every submission is admitted or rejected; every admission ends in
     # exactly one terminal event.

@@ -1,26 +1,20 @@
-//! The cluster event log: one structured, sim-clock-timestamped record
-//! per scheduling decision, streamed through an
-//! [`exastro_telemetry::Sink`]`<Event>` (the sink family the drivers' step
-//! metrics use).
-//!
-//! The counters and histograms the service already keeps answer *how
-//! many* — failures, recoveries, preemptions — but not *what happened to
-//! job 3*. The event log answers that: every admit, lease, start,
-//! preempt, checkpoint, node failure, lease revocation, recovery,
-//! migration, quarantine, and completion lands here with the simulated
-//! timestamp and scheduler tick it happened at, so a post-mortem can
-//! replay any job's timeline — and the SLO metrics in
-//! [`crate::ServiceReport`] (deadline hit rate, queue latency, MTTR
-//! series) can be *re-derived from the log alone*, which the integration
-//! tests verify exactly.
+//! The cluster event log, the service's one record of what happened:
+//! one sim-clock-timestamped event per scheduling decision, folded into
+//! the tally [`crate::ServiceReport`] reads and streamed through an
+//! [`exastro_telemetry::Sink`]`<Event>`, both at `ServiceLog::record`.
+//! Every count and SLO metric in the report (deadline hit rate, queue
+//! latency, MTTR series) is therefore a fold of the log, and a
+//! post-mortem can replay any job's timeline from it.
 //!
 //! Each event serializes to one self-describing JSONL line under the
 //! `exastro.event.v1` schema (hand-rolled JSON — the workspace is
 //! registry-free). Optional fields are omitted, not nulled, so consumers
 //! can `jq 'select(.kind == "revoke")'` without null-guards.
 
+use std::sync::Arc;
+
 use crate::spec::{JobId, PriorityClass};
-use exastro_telemetry::{json, JsonLine};
+use exastro_telemetry::{json, JsonLine, Sink};
 
 /// What happened. Stable lowercase names (the JSONL `kind` key) are the
 /// schema CI checks against.
@@ -192,10 +186,75 @@ impl JsonLine for Event {
     }
 }
 
+/// What the report reads, folded from the events as they are recorded.
+#[derive(Default)]
+pub(crate) struct ServiceTally {
+    /// Events of each [`EventKind`], indexed by `kind as usize` (a new
+    /// kind must grow the array).
+    counts: [u64; 14],
+    /// The recover events' `mttr_s`, in order.
+    pub mttr_s: Vec<f64>,
+    /// (class, `queue_wait_s`) of each start event.
+    pub queue_waits: Vec<(PriorityClass, f64)>,
+    /// Terminal events that carried a deadline, and those that met it.
+    pub deadlined: u64,
+    pub deadlines_met: u64,
+}
+
+impl ServiceTally {
+    fn fold(&mut self, e: &Event) {
+        self.counts[e.kind as usize] += 1;
+        self.mttr_s.extend(e.mttr_s);
+        if let (Some(class), Some(wait)) = (e.class, e.queue_wait_s) {
+            self.queue_waits.push((class, wait));
+        }
+        if let (Some(d), Some(latency)) = (e.deadline_s, e.latency_s) {
+            self.deadlined += 1;
+            self.deadlines_met += u64::from(latency <= d);
+        }
+    }
+
+    /// Events of `kind` recorded so far.
+    pub fn count(&self, kind: EventKind) -> u64 {
+        self.counts[kind as usize]
+    }
+}
+
+/// The service's one emission point: each event is folded into the
+/// tally and recorded to the sink, so the two cannot disagree.
+pub(crate) struct ServiceLog {
+    sink: Arc<dyn Sink<Event>>,
+    tally: ServiceTally,
+}
+
+impl ServiceLog {
+    pub fn new(sink: Arc<dyn Sink<Event>>) -> ServiceLog {
+        ServiceLog {
+            sink,
+            tally: ServiceTally::default(),
+        }
+    }
+
+    pub fn record(&mut self, e: Event) {
+        self.tally.fold(&e);
+        self.sink.record(&e);
+    }
+
+    /// The fold of every event recorded so far.
+    pub fn tally(&self) -> &ServiceTally {
+        &self.tally
+    }
+
+    /// Surface any deferred sink IO error.
+    pub fn flush(&self) -> std::io::Result<()> {
+        self.sink.flush()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exastro_telemetry::{JsonlSink, Sink};
+    use exastro_telemetry::JsonlSink;
 
     #[test]
     fn events_serialize_with_only_their_fields() {

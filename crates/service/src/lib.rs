@@ -43,14 +43,9 @@
 //!   healthy nodes, at most twice; gangs that no longer fit the
 //!   surviving pool quarantine instead of wedging the queue.
 //! - **Telemetry**: per-job `StepRecorder` streams (JSONL per job plus an
-//!   in-memory sink), service counters (`service.submitted`,
-//!   `service.completed`, `service.failed`, `service.preempted`,
-//!   `service.rejected`, plus `service.node_failures`,
-//!   `service.lease_revocations`, `service.recoveries`,
-//!   `service.straggler_migrations`, `service.quarantined` under chaos),
-//!   MTTR/detection-latency/lost-steps histograms, and a
-//!   [`ServiceReport`] with jobs/hour, latency percentiles, and rank
-//!   utilization.
+//!   in-memory sink), the [`events`] log, and a [`ServiceReport`] whose
+//!   counts and SLO metrics are a fold of that log, with jobs/hour,
+//!   latency percentiles, and rank utilization.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

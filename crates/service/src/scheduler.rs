@@ -50,9 +50,9 @@ use exastro_machine::{
 };
 use exastro_parallel::par_each_mut;
 use exastro_resilience::interval::{suggest_cadence_steps, JobProfile};
-use exastro_telemetry::{counter_add, NullSink, Sink, Telemetry};
+use exastro_telemetry::{NullSink, Sink};
 
-use crate::events::{Event, EventKind};
+use crate::events::{Event, EventKind, ServiceLog};
 use crate::job::{Job, SliceStatus};
 use crate::report::{ClassQueueWait, JobOutcome, JobRecord, ServiceReport};
 use crate::spec::{JobId, JobSpec, PriorityClass, SubmitError};
@@ -161,19 +161,8 @@ pub struct Service {
     sim_clock_us: f64,
     tick_no: u64,
     queue_peak: usize,
-    submitted: u64,
-    rejected: u64,
-    preemptions: u64,
-    node_failures: u64,
-    lease_revocations: u64,
-    recoveries: u64,
-    straggler_migrations: u64,
-    quarantined: usize,
-    events: Arc<dyn Sink<Event>>,
-    /// (class, wall seconds queued) per placement — SLO queue latency.
-    queue_waits: Vec<(PriorityClass, f64)>,
-    /// Simulated seconds from rank death to renewed placement, in order.
-    mttr_series: Vec<f64>,
+    /// The event log, and the tally of it the report reads.
+    log: ServiceLog,
 }
 
 impl Service {
@@ -185,11 +174,11 @@ impl Service {
             .clone()
             .map(|f| NodeFaultModel::new(f, cfg.nodes));
         let now = Instant::now();
-        let events = cfg.events.clone().unwrap_or_else(|| Arc::new(NullSink));
+        let sink = cfg.events.clone().unwrap_or_else(|| Arc::new(NullSink));
         Service {
             pool,
             fault_model,
-            events,
+            log: ServiceLog::new(sink),
             cfg,
             queue: VecDeque::new(),
             running: Vec::new(),
@@ -201,22 +190,7 @@ impl Service {
             sim_clock_us: 0.0,
             tick_no: 0,
             queue_peak: 0,
-            submitted: 0,
-            rejected: 0,
-            preemptions: 0,
-            node_failures: 0,
-            lease_revocations: 0,
-            recoveries: 0,
-            straggler_migrations: 0,
-            quarantined: 0,
-            queue_waits: Vec::new(),
-            mttr_series: Vec::new(),
         }
-    }
-
-    /// A bare event stamped with the current sim clock and tick.
-    fn event(&self, kind: EventKind) -> Event {
-        Event::new(self.sim_clock_us, self.tick_no, kind)
     }
 
     /// Total ranks in the pool.
@@ -245,15 +219,13 @@ impl Service {
         self.sim_clock_us * 1e-6
     }
 
-    /// Count a refused submission and log its `Reject` event; returns
-    /// `why` for the error.
+    /// Log a refused submission's `Reject` event; returns `why` for the
+    /// error.
     fn reject(&mut self, class: PriorityClass, why: String) -> String {
-        self.rejected += 1;
-        counter_add("service.rejected", 1);
-        self.events.record(&Event {
+        self.log.record(Event {
             class: Some(class),
             detail: why.clone(),
-            ..self.event(EventKind::Reject)
+            ..Event::new(self.sim_clock_us, self.tick_no, EventKind::Reject)
         });
         why
     }
@@ -263,20 +235,19 @@ impl Service {
     /// means the spec can never run here, or its telemetry files could
     /// not be created. Every refusal is counted in the report and logged.
     pub fn submit(&mut self, spec: JobSpec) -> Result<JobId, SubmitError> {
-        self.submitted += 1;
-        counter_add("service.submitted", 1);
         let class = spec.priority;
         if let Err(why) = spec.validate() {
             return Err(SubmitError::InvalidSpec(self.reject(class, why)));
         }
-        let ranks_needed = spec.nodes * self.pool.gpus_per_node();
-        if ranks_needed > self.pool.total() {
+        let ranks_needed = spec.nodes.checked_mul(self.pool.gpus_per_node());
+        let Some(ranks_needed) = ranks_needed.filter(|&r| r <= self.pool.total()) else {
             let why = format!(
-                "job wants {ranks_needed} ranks but the pool has {}",
+                "job wants {} node(s) but the pool has {} ranks",
+                spec.nodes,
                 self.pool.total()
             );
             return Err(SubmitError::InvalidSpec(self.reject(class, why)));
-        }
+        };
         let bound = self.cfg.queue_bound;
         if self.queue.len() >= bound {
             self.reject(class, format!("queue full (bound {bound})"));
@@ -331,8 +302,7 @@ impl Service {
             step_wall_s: job.step_sim_us * 1e-6,
         };
         job.ckpt_every = suggest_cadence_steps(&self.cfg.machine, &profile);
-        counter_add("service.admitted", 1);
-        self.events.record(&Event {
+        self.log.record(Event {
             job: Some(id),
             class: Some(job.spec.priority),
             detail: format!(
@@ -343,7 +313,7 @@ impl Service {
                 job.spec.nodes,
                 job.spec.steps
             ),
-            ..self.event(EventKind::Admit)
+            ..Event::new(self.sim_clock_us, self.tick_no, EventKind::Admit)
         });
         self.queue.push_back(job);
         self.queue_peak = self.queue_peak.max(self.queue.len());
@@ -374,8 +344,6 @@ impl Service {
         self.mitigate_stragglers();
         self.retire();
 
-        Telemetry::record_hist("service/queue_depth", self.queue.len() as f64);
-        Telemetry::record_hist("service/running", self.running.len() as f64);
         !self.queue.is_empty() || !self.running.is_empty()
     }
 
@@ -537,19 +505,15 @@ impl Service {
                 let mut r = self.running.swap_remove(vi);
                 match r.job.preempt() {
                     Ok(()) => {
-                        self.preemptions += 1;
-                        counter_add("service.preempted", 1);
-                        self.events.record(&Event {
+                        self.log.record(Event {
                             job: Some(r.job.id),
                             class: Some(r.job.spec.priority),
                             step: Some(r.job.clock.step),
                             detail: format!("checkpointed off for class {class:?}"),
-                            ..self.event(EventKind::Preempt)
+                            ..Event::new(self.sim_clock_us, self.tick_no, EventKind::Preempt)
                         });
                         self.pool.release(r.lease);
-                        r.job.queued_at = Instant::now();
-                        self.queue.push_back(r.job);
-                        self.queue_peak = self.queue_peak.max(self.queue.len());
+                        self.requeue(r.job);
                     }
                     Err(why) => {
                         // A job we cannot checkpoint cannot be moved;
@@ -568,11 +532,11 @@ impl Service {
     }
 
     fn start(&mut self, mut job: Job, lease: RankLease) {
-        self.events.record(&Event {
+        self.log.record(Event {
             job: Some(job.id),
             class: Some(job.spec.priority),
             ranks: lease.ranks().to_vec(),
-            ..self.event(EventKind::Lease)
+            ..Event::new(self.sim_clock_us, self.tick_no, EventKind::Lease)
         });
         if job.is_evicted() {
             if let Err(why) = job.resume() {
@@ -593,38 +557,30 @@ impl Service {
                 );
                 return;
             }
-            self.events.record(&Event {
+            self.log.record(Event {
                 job: Some(job.id),
                 step: Some(job.last_ckpt_step),
                 detail: "initial (pre-step resumability guarantee)".into(),
-                ..self.event(EventKind::Checkpoint)
+                ..Event::new(self.sim_clock_us, self.tick_no, EventKind::Checkpoint)
             });
         }
         if let Some(died_at) = job.failed_at_sim_us.take() {
             // Back on the machine after a node failure: MTTR is the sim
             // time from rank death to renewed placement.
-            self.recoveries += 1;
-            counter_add("service.recoveries", 1);
-            let mttr_s = (self.sim_clock_us - died_at).max(0.0) * 1e-6;
-            Telemetry::record_hist("service/mttr_sim_s", mttr_s);
-            self.mttr_series.push(mttr_s);
-            self.events.record(&Event {
+            self.log.record(Event {
                 job: Some(job.id),
                 class: Some(job.spec.priority),
                 step: Some(job.clock.step),
-                mttr_s: Some(mttr_s),
-                ..self.event(EventKind::Recover)
+                mttr_s: Some((self.sim_clock_us - died_at).max(0.0) * 1e-6),
+                ..Event::new(self.sim_clock_us, self.tick_no, EventKind::Recover)
             });
         }
-        let queue_wait_s = job.queued_at.elapsed().as_secs_f64();
-        self.queue_waits.push((job.spec.priority, queue_wait_s));
-        Telemetry::record_hist("service/queue_wait_s", queue_wait_s);
-        self.events.record(&Event {
+        self.log.record(Event {
             job: Some(job.id),
             class: Some(job.spec.priority),
             step: Some(job.clock.step),
-            queue_wait_s: Some(queue_wait_s),
-            ..self.event(EventKind::Start)
+            queue_wait_s: Some(job.queued_at.elapsed().as_secs_f64()),
+            ..Event::new(self.sim_clock_us, self.tick_no, EventKind::Start)
         });
         job.bypassed = 0;
         job.capacity_waits = 0;
@@ -669,7 +625,7 @@ impl Service {
         });
         for (r, &prev) in self.running.iter().zip(&prev_ckpt) {
             if r.job.last_ckpt_step > prev {
-                self.events.record(&Event {
+                self.log.record(Event {
                     job: Some(r.job.id),
                     step: Some(r.job.last_ckpt_step),
                     detail: format!("cadence (every {} step(s))", r.job.ckpt_every),
@@ -708,12 +664,9 @@ impl Service {
             match ev {
                 FaultEvent::NodeKilled { node, at_s } => {
                     self.pool.fail_node(node);
-                    self.node_failures += 1;
-                    counter_add("service.node_failures", 1);
                     // Health monitor: the kill surfaces at the end of the
                     // scheduling window in which it happened.
-                    Telemetry::record_hist("service/detect_latency_sim_s", (now_s - at_s).max(0.0));
-                    self.events.record(&Event {
+                    self.log.record(Event {
                         node: Some(node),
                         detail: format!("killed at sim t={at_s:.3}s, detected this tick"),
                         ..Event::new(self.sim_clock_us, self.tick_no, EventKind::NodeFail)
@@ -726,7 +679,7 @@ impl Service {
                 }
                 FaultEvent::NodeRepaired { node, .. } => {
                     self.pool.repair_node(node);
-                    self.events.record(&Event {
+                    self.log.record(Event {
                         node: Some(node),
                         ..Event::new(self.sim_clock_us, self.tick_no, EventKind::NodeRepair)
                     });
@@ -752,17 +705,13 @@ impl Service {
             }
             let mut r = self.running.swap_remove(i);
             let dead = self.pool.revoke_failed(r.lease);
-            self.lease_revocations += 1;
-            counter_add("service.lease_revocations", 1);
-            let lost = r.job.clock.step.saturating_sub(r.job.last_ckpt_step);
-            Telemetry::record_hist("service/lost_steps", lost as f64);
-            self.events.record(&Event {
+            self.log.record(Event {
                 job: Some(r.job.id),
                 class: Some(r.job.spec.priority),
                 step: Some(r.job.clock.step),
                 ranks: dead.clone(),
-                lost_steps: Some(lost),
-                ..self.event(EventKind::Revoke)
+                lost_steps: Some(r.job.clock.step.saturating_sub(r.job.last_ckpt_step)),
+                ..Event::new(self.sim_clock_us, self.tick_no, EventKind::Revoke)
             });
             r.job.fail_over();
             if r.job.recoveries >= self.cfg.quarantine_limit {
@@ -781,9 +730,7 @@ impl Service {
                 .min(self.cfg.recovery_backoff_max);
             r.job.eligible_at_tick = self.tick_no + backoff;
             r.job.failed_at_sim_us = Some(self.sim_clock_us);
-            r.job.queued_at = Instant::now();
-            self.queue.push_back(r.job);
-            self.queue_peak = self.queue_peak.max(self.queue.len());
+            self.requeue(r.job);
         }
     }
 
@@ -814,19 +761,15 @@ impl Service {
             let mut r = self.running.swap_remove(i);
             match r.job.migrate() {
                 Ok(()) => {
-                    self.straggler_migrations += 1;
-                    counter_add("service.straggler_migrations", 1);
-                    self.events.record(&Event {
+                    self.log.record(Event {
                         job: Some(r.job.id),
                         class: Some(r.job.spec.priority),
                         step: Some(r.job.clock.step),
                         detail: format!("observed {:.1}x modeled step cost", r.slow),
-                        ..self.event(EventKind::Migrate)
+                        ..Event::new(self.sim_clock_us, self.tick_no, EventKind::Migrate)
                     });
                     self.pool.release(r.lease);
-                    r.job.queued_at = Instant::now();
-                    self.queue.push_back(r.job);
-                    self.queue_peak = self.queue_peak.max(self.queue.len());
+                    self.requeue(r.job);
                 }
                 Err(why) => {
                     self.pool.release(r.lease);
@@ -856,15 +799,14 @@ impl Service {
         }
     }
 
+    /// Put an evicted or failed-over job back in the queue.
+    fn requeue(&mut self, mut job: Job) {
+        job.queued_at = Instant::now();
+        self.queue.push_back(job);
+        self.queue_peak = self.queue_peak.max(self.queue.len());
+    }
+
     fn finish(&mut self, job: Job, outcome: JobOutcome) {
-        match &outcome {
-            JobOutcome::Completed => counter_add("service.completed", 1),
-            JobOutcome::Failed(_) => counter_add("service.failed", 1),
-            JobOutcome::Quarantined(_) => {
-                self.quarantined += 1;
-                counter_add("service.quarantined", 1);
-            }
-        }
         job.flush_telemetry();
         let latency_s = job.submitted_at.elapsed().as_secs_f64();
         let deadline_met = job.spec.deadline_s.map(|d| latency_s <= d);
@@ -873,14 +815,14 @@ impl Service {
             JobOutcome::Failed(why) => (EventKind::Fail, why.clone()),
             JobOutcome::Quarantined(why) => (EventKind::Quarantine, why.clone()),
         };
-        self.events.record(&Event {
+        self.log.record(Event {
             job: Some(job.id),
             class: Some(job.spec.priority),
             step: Some(job.clock.step),
             latency_s: Some(latency_s),
             deadline_s: job.spec.deadline_s,
             detail,
-            ..self.event(kind)
+            ..Event::new(self.sim_clock_us, self.tick_no, kind)
         });
         let steps = job.memory.snapshot();
         self.records.push(JobRecord {
@@ -907,9 +849,12 @@ impl Service {
         });
     }
 
-    /// The service-level summary (jobs/hour, latency percentiles, rank
-    /// utilization, chaos counters, and every terminal job record).
+    /// The service-level summary: every count and SLO metric is the
+    /// event log's tally; latency percentiles come from the terminal job
+    /// records, utilization and queue peak from the pool and queue.
     pub fn report(&self) -> ServiceReport {
+        let tally = self.log.tally();
+        let completed = tally.count(EventKind::Complete) as usize;
         let wall_s = self.started_at.elapsed().as_secs_f64();
         let mut latencies: Vec<f64> = self
             .records
@@ -918,20 +863,13 @@ impl Service {
             .map(|r| r.latency_s)
             .collect();
         sort_total(&mut latencies);
-        let completed = latencies.len();
-        let failed = self
-            .records
-            .iter()
-            .filter(|r| matches!(r.outcome, JobOutcome::Failed(_)))
-            .count();
         let utilization = if wall_s > 0.0 && self.pool.total() > 0 {
             self.leased_rank_seconds / (wall_s * self.pool.total() as f64)
         } else {
             0.0
         };
-        let deadlined: Vec<bool> = self.records.iter().filter_map(|r| r.deadline_met).collect();
-        let deadline_hit_rate = (!deadlined.is_empty())
-            .then(|| deadlined.iter().filter(|&&m| m).count() as f64 / deadlined.len() as f64);
+        let deadline_hit_rate =
+            (tally.deadlined > 0).then(|| tally.deadlines_met as f64 / tally.deadlined as f64);
         let queue_wait_by_class = [
             PriorityClass::Batch,
             PriorityClass::Normal,
@@ -939,7 +877,7 @@ impl Service {
         ]
         .iter()
         .filter_map(|&class| {
-            let mut waits: Vec<f64> = self
+            let mut waits: Vec<f64> = tally
                 .queue_waits
                 .iter()
                 .filter(|(c, _)| *c == class)
@@ -959,16 +897,16 @@ impl Service {
         .collect();
         ServiceReport {
             wall_s,
-            submitted: self.submitted,
-            rejected: self.rejected,
+            submitted: tally.count(EventKind::Admit) + tally.count(EventKind::Reject),
+            rejected: tally.count(EventKind::Reject),
             completed,
-            failed,
-            quarantined: self.quarantined,
-            preemptions: self.preemptions,
-            node_failures: self.node_failures,
-            lease_revocations: self.lease_revocations,
-            recoveries: self.recoveries,
-            straggler_migrations: self.straggler_migrations,
+            failed: tally.count(EventKind::Fail) as usize,
+            quarantined: tally.count(EventKind::Quarantine) as usize,
+            preemptions: tally.count(EventKind::Preempt),
+            node_failures: tally.count(EventKind::NodeFail),
+            lease_revocations: tally.count(EventKind::Revoke),
+            recoveries: tally.count(EventKind::Recover),
+            straggler_migrations: tally.count(EventKind::Migrate),
             queue_depth: self.queue.len(),
             queue_peak: self.queue_peak,
             queue_bound: self.cfg.queue_bound,
@@ -985,7 +923,7 @@ impl Service {
             latency_p99_s: percentile(&latencies, 0.99),
             deadline_hit_rate,
             queue_wait_by_class,
-            mttr_s: self.mttr_series.clone(),
+            mttr_s: tally.mttr_s.clone(),
             jobs: self.records.clone(),
         }
     }
@@ -993,7 +931,7 @@ impl Service {
     /// Surface any deferred event-sink IO error (e.g. the JSONL stream
     /// hit a full disk mid-run).
     pub fn flush_events(&self) -> std::io::Result<()> {
-        self.events.flush()
+        self.log.flush()
     }
 }
 

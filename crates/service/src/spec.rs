@@ -141,8 +141,8 @@ pub struct JobSpec {
     pub steps: u64,
     /// Deadline/priority class.
     pub priority: PriorityClass,
-    /// Soft latency deadline, seconds from submit; reported (met or not)
-    /// in the job record, never enforced by killing.
+    /// Soft latency deadline, seconds from submit (finite, ≥ 0); reported
+    /// (met or not) in the job record, never enforced by killing.
     pub deadline_s: Option<f64>,
     /// Deterministic burn-fault injection (tests and chaos drills). With
     /// `rungs_to_fail` beyond the retry ladder the job fails
@@ -176,6 +176,9 @@ impl JobSpec {
         }
         if self.nodes == 0 {
             return Err("nodes must be >= 1".into());
+        }
+        if let Some(d) = self.deadline_s.filter(|d| !(d.is_finite() && *d >= 0.0)) {
+            return Err(format!("deadline_s {d} must be finite and >= 0"));
         }
         let net = self.network.build();
         let has = |name: &str| net.species().iter().any(|s| s.name == name);

@@ -1,9 +1,9 @@
 //! The cluster event log as the source of truth: a chaos run streams
-//! `exastro.event.v1` events, and this suite proves the report's SLO
-//! metrics — per-job recovery timeline, deadline hit rate, queue-latency
-//! percentiles, MTTR series — can be reproduced *exactly* from the log
-//! alone (same floats, same order), while the JSONL rendering stays
-//! schema-valid line by line.
+//! `exastro.event.v1` events, and this suite proves every count and SLO
+//! metric in the report — per-job recovery timeline, deadline hit rate,
+//! queue-latency percentiles, MTTR series — is reproduced *exactly* from
+//! the log alone (same floats, same order), while the JSONL rendering
+//! stays schema-valid line by line.
 
 use std::sync::Arc;
 
@@ -76,6 +76,13 @@ fn report_slo_metrics_reproduce_exactly_from_the_event_log() {
             ..Default::default()
         },
     ];
+    // One refusal, so the log holds a reject the report must count.
+    assert!(svc
+        .submit(JobSpec {
+            steps: 0,
+            ..Default::default()
+        })
+        .is_err());
     let ids: Vec<_> = specs
         .iter()
         .map(|s| svc.submit(s.clone()).expect("admit"))
@@ -147,6 +154,31 @@ fn report_slo_metrics_reproduce_exactly_from_the_event_log() {
         report.recoveries >= 1,
         "the chaos schedule must actually exercise recovery"
     );
+
+    // --- Every count in the report is the log's count of its kind. ---
+    use EventKind::*;
+    let counts: [(&str, u64, &[EventKind]); 10] = [
+        ("submitted", report.submitted, &[Admit, Reject]),
+        ("rejected", report.rejected, &[Reject]),
+        ("preemptions", report.preemptions, &[Preempt]),
+        ("node_failures", report.node_failures, &[NodeFail]),
+        ("lease_revocations", report.lease_revocations, &[Revoke]),
+        ("recoveries", report.recoveries, &[Recover]),
+        (
+            "straggler_migrations",
+            report.straggler_migrations,
+            &[Migrate],
+        ),
+        ("completed", report.completed as u64, &[Complete]),
+        ("failed", report.failed as u64, &[Fail]),
+        ("quarantined", report.quarantined as u64, &[Quarantine]),
+    ];
+    for (key, in_report, kinds) in counts {
+        let in_log = log.iter().filter(|e| kinds.contains(&e.kind)).count();
+        assert_eq!(in_report, in_log as u64, "{key}: report vs log");
+    }
+    assert_eq!(report.rejected, 1, "the invalid spec is logged as a reject");
+    assert_eq!(report.submitted, 1 + ids.len() as u64);
 
     // --- MTTR series: bit-for-bit the recover events' mttr_s, in order. ---
     let log_mttr: Vec<f64> = log

@@ -209,7 +209,8 @@ fn queue_bound_is_backpressure_not_buffering() {
     assert_eq!(svc.report().completed, 3);
 }
 
-/// Oversized and incompatible specs are rejected outright, not queued.
+/// Oversized (or overflowing), incompatible and badly-deadlined specs
+/// are rejected outright, not queued.
 #[test]
 fn impossible_specs_are_rejected_at_submit() {
     let mut svc = Service::new(test_cfg("reject", 1));
@@ -228,10 +229,26 @@ fn impossible_specs_are_rejected_at_submit() {
         }),
         Err(SubmitError::InvalidSpec(_))
     ));
+    assert!(matches!(
+        svc.submit(JobSpec {
+            nodes: usize::MAX, // nodes x gpus_per_node overflows
+            ..Default::default()
+        }),
+        Err(SubmitError::InvalidSpec(_))
+    ));
+    for deadline_s in [f64::NAN, -1.0] {
+        assert!(matches!(
+            svc.submit(JobSpec {
+                deadline_s: Some(deadline_s),
+                ..Default::default()
+            }),
+            Err(SubmitError::InvalidSpec(_))
+        ));
+    }
     assert_eq!(svc.queue_depth(), 0);
     let report = svc.report();
-    assert_eq!(report.submitted, 2);
-    assert_eq!(report.rejected, 2);
+    assert_eq!(report.submitted, 5);
+    assert_eq!(report.rejected, 5);
 }
 
 /// A submission whose telemetry files cannot be created is refused like
