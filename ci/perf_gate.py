@@ -148,6 +148,12 @@ def service_report(r):
         ordinals(recs, j["id"])
         need(all(x["driver"] == drivers[j["scenario"]] for x in recs),
              f"{j['id']}: wrong driver")
+        # Never evicted, recovered or migrated, and short of its cadence:
+        # the job wrote no checkpoint, so none may be charged to it.
+        if (j["preemptions"], j["recoveries"], j["migrations"]) == (0, 0, 0) \
+                and j["steps_done"] < j["ckpt_every"]:
+            charged = sum(x["checkpoint_bytes"] for x in recs)
+            need(charged == 0, f"{j['id']} wrote no checkpoint but is charged {charged} bytes")
     high = [j for j in r["jobs"] if j["priority"] == "high"]
     need(high and high[0]["deadline_met"] is True, f"high job {high}")
     # Drained: every submission was refused or reached a terminal record.
@@ -237,8 +243,8 @@ ARTIFACTS = [
          "jobs_per_hour", "latency_p50_s", "latency_p99_s", "jobs"},
         ("jobs", {"id", "scenario", "network", "priority", "resolution", "nodes",
                   "ranks", "steps_done", "steps_requested", "outcome", "preemptions",
-                  "latency_s", "deadline_met", "ckpt_every", "final_digest", "sim_us",
-                  "zones", "step_records"}), service_report),
+                  "recoveries", "migrations", "latency_s", "deadline_met", "ckpt_every",
+                  "final_digest", "sim_us", "zones", "step_records"}), service_report),
     Row(f"{OUT}/chaos_report.json",
         {"wall_s", "submitted", "completed", "failed", "quarantined", "node_failures",
          "lease_revocations", "recoveries", "straggler_migrations", "total_ranks",

@@ -33,9 +33,7 @@
 //!   [`crate::burner::Burner::burn_all`] re-burns it from its *entry*
 //!   state through the retry ladder. A failure every active lane shares —
 //!   always the case at width 1 — is the shared step hunting: `h` shrinks
-//!   down to `hmin` before anybody is given up on. Batch occupancy and the
-//!   dropout rate are recorded through `exastro-telemetry`
-//!   (`burn.batch.*`).
+//!   down to `hmin` before anybody is given up on.
 //!
 //! The two linear-algebra calls of a step attempt go through the
 //! integrator's lane solver: the batched sparse replay
@@ -1129,58 +1127,6 @@ mod tests {
             let sum: f64 = rec.outcome.x.iter().sum();
             assert!((sum - 1.0).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn occupancy_and_dropouts_land_in_telemetry() {
-        use exastro_telemetry::{counter_get, histogram, Telemetry};
-        // Counters and histograms are process-global, so assert on deltas
-        // and leave telemetry enabled for whoever else is running.
-        Telemetry::enable();
-        let zones_before = counter_get("burn.batch.zones");
-        let occ_before = histogram("burn.batch.occupancy").count();
-        let net = CBurn2::new();
-        let eos = StellarEos;
-        let cfg = BurnerConfig {
-            batch_width: 4,
-            ..Default::default()
-        };
-        // Mild, cost-similar zones (tight spread, CO fuel) so the whole
-        // chunk completes inside the batch rather than dropping out.
-        let zones: Vec<ZoneBurn> = (0..4)
-            .map(|i| ZoneBurn {
-                zone: i,
-                rho: 5e7,
-                t0: 2.8e9 * (1.0 + 0.001 * i as f64),
-                x0: vec![0.5, 0.5],
-            })
-            .collect();
-        let recs = cfg.build(&net, &eos).burn_all(&zones, 1e-7);
-        for rec in recs {
-            let rec = rec.expect("burn succeeds");
-            assert_eq!(rec.retries, 0, "zone should complete inside the batch");
-        }
-        assert!(
-            counter_get("burn.batch.zones") >= zones_before + 4,
-            "batch-completed zones must show up in burn.batch.zones"
-        );
-        assert!(
-            histogram("burn.batch.occupancy").count() > occ_before,
-            "every chunk must record an occupancy sample"
-        );
-        // Starve the integrator so every lane drops out: the dropouts
-        // counter must advance by the full batch.
-        let drops_before = counter_get("burn.batch.dropouts");
-        let mut starved = cfg.clone();
-        starved.bdf.max_steps = 3;
-        for rec in starved.build(&net, &eos).burn_all(&zones, 1e-7) {
-            // Rescued or not, the zones left the batch as dropouts.
-            let _ = rec;
-        }
-        assert!(
-            counter_get("burn.batch.dropouts") >= drops_before + 4,
-            "starved lanes must show up in burn.batch.dropouts"
-        );
     }
 
     #[test]

@@ -33,7 +33,6 @@ use crate::sparse::SparseLu;
 use crate::species::{energy_rate_lanes, mass_to_molar, molar_to_mass, Composition};
 use exastro_parallel::{Tasks, WorkerPool, LANES};
 use exastro_telemetry::Telemetry;
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// Result of burning one zone for a time interval.
@@ -316,86 +315,26 @@ type BurnResult = Result<RecoveredBurn, Box<BurnFailure>>;
 /// sweep-sized buffer exists.
 const FLUSH_ZONES: usize = 64;
 
-/// Batch-path counts of a sweep, reported once after its pool region.
+/// Batch-path counts of a sweep, reported once after its pool region as
+/// the `solve[batch-sparse]` row.
 #[derive(Default)]
 struct BatchTally {
-    /// Lanes that entered a batch, and those that completed inside it.
+    /// Lanes that entered a batch.
     lanes: u64,
-    completed: u64,
     /// Batched linear-algebra time, summed over lanes.
     solve_ns: u64,
 }
 
-/// Per-zone burn-cost telemetry, gathered where the zones are burned and
-/// published once: log-scale histograms of BDF steps and Newton iterations
-/// (the §VI outlier-zone distributions), a counter per retry-ladder rung
-/// reached, and each chunk's batch occupancy. Gathers nothing while
-/// telemetry is disabled.
-#[derive(Default)]
-struct BurnSamples {
-    bdf_steps: Vec<f64>,
-    newton_iters: Vec<f64>,
-    occupancy: Vec<f64>,
-    /// Zones won on each [`LadderRung`] that won one.
-    rungs: BTreeMap<LadderRung, u64>,
-}
-
-impl BurnSamples {
-    /// A zone that burned.
-    fn record(&mut self, rec: &RecoveredBurn) {
-        if Telemetry::is_enabled() {
-            self.bdf_steps.push(rec.outcome.stats.steps as f64);
-            self.newton_iters
-                .push(rec.outcome.stats.newton_iters as f64);
-            *self.rungs.entry(rec.rung).or_default() += 1;
-        }
-    }
-
-    /// A chunk whose lanes completed inside the batch at fraction `frac`.
-    fn record_occupancy(&mut self, frac: f64) {
-        if Telemetry::is_enabled() {
-            self.occupancy.push(frac);
-        }
-    }
-
-    fn append(&mut self, other: &mut BurnSamples) {
-        self.bdf_steps.append(&mut other.bdf_steps);
-        self.newton_iters.append(&mut other.newton_iters);
-        self.occupancy.append(&mut other.occupancy);
-        for (rung, n) in std::mem::take(&mut other.rungs) {
-            *self.rungs.entry(rung).or_default() += n;
-        }
-    }
-
-    /// Hand everything to the telemetry registries: one lookup a name.
-    fn publish(self) {
-        for (name, samples) in [
-            ("burn.bdf_steps", &self.bdf_steps),
-            ("burn.newton_iters", &self.newton_iters),
-            ("burn.batch.occupancy", &self.occupancy),
-        ] {
-            if !samples.is_empty() {
-                let h = exastro_telemetry::histogram(name);
-                samples.iter().for_each(|&v| h.record(v));
-            }
-        }
-        for (rung, n) in self.rungs {
-            exastro_telemetry::counter_add(&format!("burn.rung.{rung}"), n);
-        }
-    }
-}
-
-/// What a sweep's participants share: the input-ordered result slots, the
-/// batch tally and the telemetry samples.
+/// What a sweep's participants share: the input-ordered result slots and
+/// the batch tally.
 struct Sweep {
     results: Vec<Option<BurnResult>>,
     tally: BatchTally,
-    samples: BurnSamples,
 }
 
 /// One pool participant's side of a sweep: the batch workspace and SoA
-/// scratch it reuses chunk after chunk, and the results, tally and samples
-/// it has not yet handed to the [`Sweep`].
+/// scratch it reuses chunk after chunk, and the results and tally it has
+/// not yet handed to the [`Sweep`].
 #[derive(Default)]
 struct Participant<'a> {
     ws: BatchWorkspace,
@@ -406,7 +345,6 @@ struct Participant<'a> {
     lane_y0: Vec<f64>,
     done: Vec<(usize, BurnResult)>,
     tally: BatchTally,
-    samples: BurnSamples,
 }
 
 impl Participant<'_> {
@@ -417,9 +355,7 @@ impl Participant<'_> {
         }
         let t = std::mem::take(&mut self.tally);
         sweep.tally.lanes += t.lanes;
-        sweep.tally.completed += t.completed;
         sweep.tally.solve_ns += t.solve_ns;
-        sweep.samples.append(&mut self.samples);
     }
 }
 
@@ -457,7 +393,6 @@ impl<'a> Burner<'a> {
         let _prof = Telemetry::region("burner");
         Telemetry::record_zones(zones.len() as u64);
         let mut results: Vec<Option<BurnResult>> = (0..zones.len()).map(|_| None).collect();
-        let mut samples = BurnSamples::default();
         let mut batchable: Vec<usize> = Vec::with_capacity(zones.len());
         for (i, zb) in zones.iter().enumerate() {
             if self
@@ -465,7 +400,7 @@ impl<'a> Burner<'a> {
                 .as_ref()
                 .is_some_and(|f| f.zone_is_faulty(zb.zone))
             {
-                results[i] = Some(self.climb(zb.zone, zb.rho, zb.t0, &zb.x0, dt, &mut samples));
+                results[i] = Some(self.climb(zb.zone, zb.rho, zb.t0, &zb.x0, dt));
             } else {
                 batchable.push(i);
             }
@@ -483,7 +418,6 @@ impl<'a> Burner<'a> {
         let sweep = Mutex::new(Sweep {
             results,
             tally: BatchTally::default(),
-            samples,
         });
         // Each participant claims the hottest unclaimed chunk (the sort is
         // longest-first) and burns it in its own workspace.
@@ -499,23 +433,11 @@ impl<'a> Burner<'a> {
             p.flush(&sweep);
         };
         WorkerPool::global().run(batchable.len().div_ceil(width), usize::MAX, &drain);
-        let Sweep {
-            results,
-            tally,
-            samples,
-        } = sweep
+        let Sweep { results, tally } = sweep
             .into_inner()
             .expect("a participant's panic is rethrown by the pool first");
-        samples.publish();
         if tally.lanes > 0 {
             Telemetry::record_ns("solve[batch-sparse]", tally.solve_ns);
-            if Telemetry::is_enabled() {
-                exastro_telemetry::counter_add("burn.batch.zones", tally.completed);
-                exastro_telemetry::counter_add(
-                    "burn.batch.dropouts",
-                    tally.lanes - tally.completed,
-                );
-            }
         }
         results
             .into_iter()
@@ -538,10 +460,7 @@ impl<'a> Burner<'a> {
     ) -> Result<RecoveredBurn, Box<BurnFailure>> {
         let _prof = Telemetry::region("burner");
         Telemetry::record_zones(1);
-        let mut samples = BurnSamples::default();
-        let res = self.climb(zone, rho, t0, x0, dt, &mut samples);
-        samples.publish();
-        res
+        self.climb(zone, rho, t0, x0, dt)
     }
 
     /// Advance one chunk in lockstep; lanes that drop out (or fail
@@ -552,7 +471,7 @@ impl<'a> Burner<'a> {
     fn burn_chunk(&self, zones: &[ZoneBurn], chunk: &[usize], dt: f64, p: &mut Participant<'a>) {
         if let [i] = *chunk {
             let zb = &zones[i];
-            let res = self.climb(zb.zone, zb.rho, zb.t0, &zb.x0, dt, &mut p.samples);
+            let res = self.climb(zb.zone, zb.rho, zb.t0, &zb.x0, dt);
             p.done.push((i, res));
             return;
         }
@@ -572,7 +491,6 @@ impl<'a> Burner<'a> {
         let reports = self
             .direct
             .integrate_lanes(&p.sys, 0.0, dt, &mut p.y, &mut p.ws);
-        let mut completed = 0u64;
         for (lane, &i) in chunk.iter().enumerate() {
             let zb = &zones[i];
             let report = &reports[lane];
@@ -585,22 +503,17 @@ impl<'a> Burner<'a> {
                 })
                 .filter(|out| validate_outcome(out).is_ok());
             let res = match in_batch {
-                Some(outcome) => {
-                    completed += 1;
-                    let rec = RecoveredBurn {
-                        outcome,
-                        rung: LadderRung::Direct,
-                        retries: 0,
-                    };
-                    p.samples.record(&rec);
-                    Ok(rec)
-                }
+                Some(outcome) => Ok(RecoveredBurn {
+                    outcome,
+                    rung: LadderRung::Direct,
+                    retries: 0,
+                }),
                 // Dropout: re-burn from the entry state through the ladder
                 // (bit-identical to a ladder-only burn), charging the zone
                 // its share of the failed batch work as one extra retry.
                 None => {
                     let mut stats = report.stats;
-                    match self.climb(zb.zone, zb.rho, zb.t0, &zb.x0, dt, &mut p.samples) {
+                    match self.climb(zb.zone, zb.rho, zb.t0, &zb.x0, dt) {
                         Ok(mut rec) => {
                             stats.merge(&rec.outcome.stats);
                             rec.outcome.stats = stats;
@@ -619,23 +532,12 @@ impl<'a> Burner<'a> {
             p.done.push((i, res));
         }
         p.tally.lanes += w as u64;
-        p.tally.completed += completed;
-        p.samples.record_occupancy(completed as f64 / w as f64);
     }
 
-    /// Climb the retry ladder for one zone, recording a success in
-    /// `samples`. The caller holds the `burner` telemetry region and has
-    /// counted the zone — once, however many rungs (and subcycle pieces) it
-    /// takes.
-    fn climb(
-        &self,
-        zone: u64,
-        rho: f64,
-        t0: f64,
-        x0: &[f64],
-        dt: f64,
-        samples: &mut BurnSamples,
-    ) -> BurnResult {
+    /// Climb the retry ladder for one zone. The caller holds the `burner`
+    /// telemetry region and has counted the zone — once, however many
+    /// rungs (and subcycle pieces) it takes.
+    fn climb(&self, zone: u64, rho: f64, t0: f64, x0: &[f64], dt: f64) -> BurnResult {
         // (rung, its integrator, sub-intervals): subcycling is the direct
         // integrator restarted on each piece of the interval.
         let rungs = [
@@ -665,13 +567,11 @@ impl<'a> Burner<'a> {
                     match validate_outcome(&outcome) {
                         Ok(()) => {
                             outcome.stats = stats;
-                            let rec = RecoveredBurn {
+                            return Ok(RecoveredBurn {
                                 outcome,
                                 rung,
                                 retries: attempts - 1,
-                            };
-                            samples.record(&rec);
-                            return Ok(rec);
+                            });
                         }
                         Err(kind) => last_err = kind,
                     }

@@ -27,7 +27,7 @@
 
 use crate::pool::{Tasks, WorkerPool};
 use exastro_telemetry::graphtrace::{self, GraphTrace, TaskClass, TaskLabel, TaskRecord};
-use exastro_telemetry::{counter_add, Telemetry};
+use exastro_telemetry::Telemetry;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
@@ -238,12 +238,8 @@ impl TaskGraph {
     /// [`GraphTrace`](exastro_telemetry::GraphTrace) (drained by
     /// `Telemetry::write_graph_summary`), and each task emits a span plus
     /// dependency flow arrows (`ph: "s"`/`"f"`) into the shared trace ring
-    /// buffer — the arrows Perfetto draws between task slices. When only
-    /// `Telemetry::is_enabled()`, a successful run still bumps the
-    /// `graph.runs` / `graph.tasks` / `graph.edges` / `graph.peak_ready`
-    /// counters so graph activity shows up in `counters_snapshot()`
-    /// without callers threading [`GraphRunStats`]. `meta` is never called
-    /// when graph tracing is off.
+    /// buffer — the arrows Perfetto draws between task slices. `meta` is
+    /// never called when graph tracing is off.
     pub fn run_labeled<F, L>(
         &self,
         pool: &WorkerPool,
@@ -423,12 +419,6 @@ impl TaskGraph {
             peak_ready: st.peak_ready,
             ..stats
         };
-        if Telemetry::is_enabled() {
-            counter_add("graph.runs", 1);
-            counter_add("graph.tasks", stats.tasks as u64);
-            counter_add("graph.edges", stats.edges as u64);
-            counter_add("graph.peak_ready", stats.peak_ready as u64);
-        }
         if let Some(sched) = st.sched.take() {
             let tasks: Vec<TaskRecord> = (0..n)
                 .map(|t| TaskRecord {
@@ -582,12 +572,8 @@ mod tests {
         assert_respects_deps(&g, &stamps);
     }
 
-    /// Serializes tests that flip the process-wide telemetry flags.
-    static TELEMETRY_LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
     fn labeled_run_records_a_graph_trace_with_consistent_schedule() {
-        let _guard = TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let pool = WorkerPool::new(3);
         Telemetry::enable_graph_trace();
         let mut g = TaskGraph::new();
@@ -646,25 +632,6 @@ mod tests {
         assert!(summary.comm_us >= 0.0);
         assert!(summary.critical_path_us > 0.0);
         assert!(!summary.critical_path.is_empty());
-    }
-
-    #[test]
-    fn enabled_telemetry_wires_graph_stats_into_counters() {
-        use exastro_telemetry::counter_get;
-        let _guard = TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let pool = WorkerPool::new(2);
-        Telemetry::enable();
-        let before_runs = counter_get("graph.runs");
-        let before_tasks = counter_get("graph.tasks");
-        let g = diamond();
-        g.run(&pool, usize::MAX, |_| {}).unwrap();
-        assert_eq!(counter_get("graph.runs"), before_runs + 1);
-        assert_eq!(counter_get("graph.tasks"), before_tasks + 4);
-        Telemetry::disable();
-        // Disabled telemetry stays zero-cost: counters do not move.
-        let frozen = counter_get("graph.runs");
-        g.run(&pool, usize::MAX, |_| {}).unwrap();
-        assert_eq!(counter_get("graph.runs"), frozen);
     }
 
     #[test]

@@ -257,9 +257,6 @@ impl CheckpointManager {
                     st.bytes_written += bytes;
                     drop(st);
                     Telemetry::record_bytes(bytes);
-                    // Process-wide counter; StepRecorder turns it into the
-                    // per-step `checkpoint_bytes` delta.
-                    exastro_telemetry::counter_add("checkpoint.bytes", bytes);
                     self.prune();
                     return Ok(path);
                 }

@@ -190,8 +190,8 @@ impl std::error::Error for DriverError {}
 /// If every attempt fails the state is left **restored to its pre-step
 /// contents**; when [`RecoveryOptions::emergency_dir`] is set, the
 /// snapshot `emergency` builds from it (with a clock at the `dt` floor) is
-/// written there by [`write_emergency`]; and a [`DriverError`] is returned
-/// — never a panic.
+/// written there by [`write_emergency`] and its payload charged to
+/// `recorder`; and a [`DriverError`] is returned — never a panic.
 pub fn transact<S>(
     opts: &RecoveryOptions,
     recorder: &StepRecorder,
@@ -238,10 +238,12 @@ pub fn transact<S>(
         time: 0.0,
         dt: try_dt,
     };
-    let emergency_checkpoint = opts
-        .emergency_dir
-        .as_deref()
-        .and_then(|dir| write_emergency(dir, &emergency(state, clock)).ok());
+    let emergency_checkpoint = opts.emergency_dir.as_deref().and_then(|dir| {
+        let snap = emergency(state, clock);
+        let path = write_emergency(dir, &snap).ok()?;
+        recorder.charge_checkpoint(snap.payload_bytes());
+        Some(path)
+    });
     Err(Box::new(DriverError {
         error,
         rejections,
@@ -466,6 +468,37 @@ mod tests {
                 }
             }
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_emergency_write_is_charged_to_its_own_recorder() {
+        let dir = std::env::temp_dir().join(format!("exastro-charge-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = RecoveryOptions {
+            max_rejections: 2,
+            emergency_dir: Some(dir.clone()),
+            ..RecoveryOptions::default()
+        };
+        let (recorder, sink) = active_recorder();
+        let (bystander, other) = active_recorder();
+        let err = run(&opts, &recorder, 0.5, u32::MAX).result.unwrap_err();
+        assert!(err.emergency_checkpoint.is_some());
+        let payload = CheckpointManager::new(&dir)
+            .unwrap()
+            .resume()
+            .unwrap()
+            .payload_bytes();
+        assert!(payload > 0);
+        // The charge rides the recorder's next accepted step, and no other.
+        run(&opts, &bystander, 0.5, 0).result.unwrap();
+        run(&opts, &recorder, 0.5, 0).result.unwrap();
+        run(&opts, &recorder, 0.5, 0).result.unwrap();
+        let column = |s: &MemorySink<StepMetrics>| -> Vec<u64> {
+            s.snapshot().iter().map(|r| r.checkpoint_bytes).collect()
+        };
+        assert_eq!(column(&sink), [payload, 0]);
+        assert_eq!(column(&other), [0]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -396,13 +396,15 @@ impl Job {
         self.ckpt.as_ref().ok_or(JobError::NoCheckpoint)
     }
 
-    /// Write a durable checkpoint of the current state.
+    /// Write a durable checkpoint of the current state and charge its
+    /// payload to the job's own step records.
     pub(crate) fn checkpoint(&mut self) -> Result<(), JobError> {
         let snap = self.snapshot();
         let step = self.clock.step;
         self.manager()?
             .write(&snap)
             .map_err(|e| JobError::CheckpointWrite(e.to_string()))?;
+        self.recorder.charge_checkpoint(snap.payload_bytes());
         self.ckpt_written = true;
         self.last_ckpt_step = step;
         Ok(())

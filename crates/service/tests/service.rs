@@ -358,6 +358,67 @@ fn a_job_preempted_twice_is_immune_to_the_third_arrival() {
     assert!(at(EventKind::Complete, highs[1]) < at(EventKind::Complete, id_batch));
 }
 
+/// Sum of the `checkpoint_bytes` column of a `steps.jsonl` file.
+fn charged_checkpoint_bytes(path: &std::path::Path) -> u64 {
+    let text = std::fs::read_to_string(path).expect("steps.jsonl written");
+    text.lines()
+        .map(|line| {
+            let (_, rest) = line
+                .split_once("\"checkpoint_bytes\": ")
+                .expect("checkpoint_bytes column");
+            let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+            digits.parse::<u64>().expect("an integer")
+        })
+        .sum()
+}
+
+/// A job's step records charge the payload of its own checkpoints and no
+/// other job's: a 2-node High arrival evicts an 8³ and a 16³ Batch Sedov
+/// job, each writes one eviction checkpoint (9 components × 8 bytes a
+/// zone) and no scheduled one, and the High job writes none.
+#[test]
+fn each_job_is_charged_only_its_own_checkpoint_bytes() {
+    let dir = std::env::temp_dir().join(format!("exastro_svc_ckpt_bytes_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut svc = Service::new(ServiceConfig {
+        jsonl_dir: Some(dir.clone()),
+        ..test_cfg("ckpt_bytes", 2)
+    });
+    let batch = |resolution| JobSpec {
+        resolution,
+        steps: 6,
+        priority: PriorityClass::Batch,
+        ..Default::default()
+    };
+    let small = svc.submit(batch(8)).unwrap();
+    let big = svc.submit(batch(16)).unwrap();
+    svc.tick(); // both victims take one node each
+    assert_eq!(svc.running_count(), 2);
+    let high = svc
+        .submit(JobSpec {
+            resolution: 8,
+            nodes: 2,
+            priority: PriorityClass::High,
+            ..Default::default()
+        })
+        .unwrap();
+    assert!(svc.run_until_idle(10_000));
+
+    let report = svc.report();
+    for (id, preemptions, payload) in [(small, 1, 36_864), (big, 1, 294_912), (high, 0, 0)] {
+        let rec = report.jobs.iter().find(|r| r.id == id).expect("record");
+        assert_eq!(rec.outcome, JobOutcome::Completed, "{id}");
+        assert_eq!(rec.preemptions, preemptions, "{id}");
+        assert!(
+            rec.steps_done < rec.ckpt_every,
+            "{id}: no scheduled checkpoint"
+        );
+        let path = dir.join(format!("{id}.steps.jsonl"));
+        assert_eq!(charged_checkpoint_bytes(&path), payload, "{id}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 mod fairness {
     use super::*;
     use proptest::prelude::*;

@@ -12,12 +12,11 @@
 //! * **Behind [`Telemetry::enable`]** — [`trace`]: begin/end spans (every
 //!   region, pool workers, graph tasks and their dependency arrows) in a
 //!   lock-sharded ring, exported as Chrome trace-event JSON;
-//!   [`mod@histogram`] and [`counters`]: log-scale per-zone burn cost and
-//!   categorical tallies; [`graphtrace`]: per-task records of a `TaskGraph`
-//!   run and their critical-path / overlap summary. Each helper first
-//!   checks one relaxed atomic, so a disabled site costs one predictable
-//!   branch; `ablation_telemetry` in `crates/bench` keeps the enabled cost
-//!   of a Sedov step under 2 %.
+//!   [`graphtrace`]: per-task records of a `TaskGraph` run and their
+//!   critical-path / overlap summary. Each helper first checks one relaxed
+//!   atomic, so a disabled site costs one predictable branch;
+//!   `ablation_telemetry` in `crates/bench` keeps the enabled cost of a
+//!   Sedov step under 2 %.
 //! * **Attached by the caller** — [`metrics`]: one [`StepMetrics`] per
 //!   accepted driver step, and any other record stream (the service's
 //!   event log), through a generic [`Sink`].
@@ -28,18 +27,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod counters;
 pub mod graphtrace;
-pub mod histogram;
 pub mod json;
 pub mod metrics;
 pub mod region;
 pub mod sink;
 pub mod trace;
 
-pub use counters::{counter_add, counter_get, counters_snapshot};
 pub use graphtrace::{GraphSummary, GraphTrace, TaskClass, TaskLabel, TaskRecord, TaskStat};
-pub use histogram::{histogram, histogram_names, Histogram};
 pub use metrics::{StepMetrics, StepRecorder};
 pub use region::{Region, RegionId, RegionStats};
 pub use sink::{JsonLine, JsonlSink, MemorySink, MultiSink, NullSink, Sink};
@@ -98,15 +93,6 @@ impl Telemetry {
     /// export-time repair rules).
     pub fn write_trace(path: impl AsRef<Path>) -> std::io::Result<PathBuf> {
         trace::global().write_chrome_trace(path)
-    }
-
-    /// Record `value` into the process-wide log-scale histogram `name`.
-    /// No-op when telemetry is disabled.
-    #[inline]
-    pub fn record_hist(name: &str, value: f64) {
-        if Self::is_enabled() {
-            histogram::histogram(name).record(value);
-        }
     }
 
     /// Record the beginning of graph task `name` on this thread and, inside
@@ -174,16 +160,14 @@ impl Telemetry {
         graphtrace::write_summaries(path, &summaries)
     }
 
-    /// Clear everything recorded (region rows, trace events, graph traces,
-    /// histograms, counters) without changing the enabled flags. Region
+    /// Clear everything recorded (region rows, trace events, graph traces)
+    /// without changing the enabled flags. Region
     /// rows are zeroed, not removed: a region open across a reset still
     /// closes into its row.
     pub fn reset() {
         region::reset();
         trace::global().clear();
         graphtrace::clear();
-        histogram::reset();
-        counters::reset();
     }
 }
 
@@ -196,7 +180,6 @@ mod tests {
         Telemetry::disable();
         Telemetry::trace_begin("noop");
         Telemetry::trace_end("noop");
-        Telemetry::record_hist("noop_hist", 3.0);
         assert!(trace::global().events_sorted().is_empty() || !Telemetry::is_enabled());
     }
 }

@@ -49,7 +49,7 @@ pub struct StepMetrics {
     pub recovered_offload: u64,
     /// Whole-step rejections (snapshot restore + dt cut) before acceptance.
     pub step_rejections: u64,
-    /// Checkpoint bytes written since the previous record.
+    /// Checkpoint bytes charged to this run since its previous record.
     pub checkpoint_bytes: u64,
     /// Arena live bytes after the step (0 when the driver has no arena).
     pub arena_live_bytes: u64,
@@ -90,8 +90,7 @@ impl JsonLine for StepMetrics {
 }
 
 /// The handle a driver embeds: owns the optional sink, the step ordinal,
-/// and the checkpoint-bytes watermark used to turn the process-wide
-/// `checkpoint.bytes` counter into per-step deltas.
+/// and the checkpoint bytes charged to this run since its last record.
 ///
 /// `Default` is the inert state (no sink, zero cost per step beyond one
 /// `Option` check), so drivers constructed by struct literal or `new()`
@@ -102,7 +101,7 @@ pub struct StepRecorder {
     step: AtomicU64,
     /// Run time accumulated over recorded steps, as `f64` bits.
     time_bits: AtomicU64,
-    ckpt_bytes_seen: AtomicU64,
+    ckpt_bytes_pending: AtomicU64,
 }
 
 impl StepRecorder {
@@ -112,16 +111,19 @@ impl StepRecorder {
     }
 
     /// Attach `sink` and reset the step ordinal; subsequent accepted steps
-    /// are recorded. The checkpoint watermark starts at the counter's
-    /// current value, so pre-attach checkpoints are not attributed.
+    /// are recorded. Checkpoint bytes charged before the attach are
+    /// dropped.
     pub fn attach_sink(&mut self, sink: Arc<dyn Sink<StepMetrics>>) {
         self.sink = Some(sink);
         self.step.store(0, Ordering::Relaxed);
         self.time_bits.store(0f64.to_bits(), Ordering::Relaxed);
-        self.ckpt_bytes_seen.store(
-            crate::counters::counter_get("checkpoint.bytes"),
-            Ordering::Relaxed,
-        );
+        self.ckpt_bytes_pending.store(0, Ordering::Relaxed);
+    }
+
+    /// Charge `bytes` of checkpoint payload written for this run; the next
+    /// [`StepRecorder::record`] carries them as its `checkpoint_bytes`.
+    pub fn charge_checkpoint(&self, bytes: u64) {
+        self.ckpt_bytes_pending.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Whether a sink is attached (drivers skip metric assembly when not).
@@ -132,10 +134,10 @@ impl StepRecorder {
     /// Record one accepted step. Fills in the step ordinal, accumulates
     /// `t` from the recorded `dt` values (a run clock starting at 0 when
     /// the sink was attached), derives `zones_per_us` from
-    /// `zones`/`wall_ns`, and charges the `checkpoint.bytes` counter delta
-    /// since the last record (checkpoints written between steps attribute
-    /// to the following step, so run totals still reconcile). No-op
-    /// without a sink.
+    /// `zones`/`wall_ns`, and moves the pending checkpoint charge into
+    /// `checkpoint_bytes` (checkpoints written between steps attribute to
+    /// the following step, so run totals still reconcile). No-op without a
+    /// sink.
     pub fn record(&self, mut m: StepMetrics) {
         let Some(sink) = &self.sink else { return };
         m.step = self.step.fetch_add(1, Ordering::Relaxed) + 1;
@@ -147,9 +149,7 @@ impl StepRecorder {
         } else {
             f64::NAN
         };
-        let now = crate::counters::counter_get("checkpoint.bytes");
-        let seen = self.ckpt_bytes_seen.swap(now, Ordering::Relaxed);
-        m.checkpoint_bytes = now.saturating_sub(seen);
+        m.checkpoint_bytes = self.ckpt_bytes_pending.swap(0, Ordering::Relaxed);
         sink.record(&m);
     }
 
@@ -231,21 +231,49 @@ mod tests {
         assert_eq!(line.matches('{').count(), 1);
     }
 
+    fn ckpt_column(sink: &MemorySink<StepMetrics>) -> Vec<u64> {
+        sink.snapshot().iter().map(|r| r.checkpoint_bytes).collect()
+    }
+
     #[test]
-    fn checkpoint_bytes_are_per_step_deltas() {
+    fn a_checkpoint_charge_lands_on_the_next_record_only() {
         let sink = Arc::new(MemorySink::new());
         let mut rec = StepRecorder::new();
-        crate::counters::counter_add("checkpoint.bytes", 100); // pre-attach
         rec.attach_sink(sink.clone());
-        crate::counters::counter_add("checkpoint.bytes", 40);
+        rec.charge_checkpoint(40);
+        rec.charge_checkpoint(2);
         rec.record(StepMetrics::default());
         rec.record(StepMetrics::default());
-        crate::counters::counter_add("checkpoint.bytes", 5);
+        rec.charge_checkpoint(5);
         rec.record(StepMetrics::default());
-        let recs = sink.snapshot();
-        assert_eq!(recs[0].checkpoint_bytes, 40);
-        assert_eq!(recs[1].checkpoint_bytes, 0);
-        assert_eq!(recs[2].checkpoint_bytes, 5);
+        assert_eq!(ckpt_column(&sink), [42, 0, 5]);
+    }
+
+    #[test]
+    fn a_checkpoint_charged_before_attach_is_dropped() {
+        let sink = Arc::new(MemorySink::new());
+        let mut rec = StepRecorder::new();
+        rec.charge_checkpoint(100);
+        rec.record(StepMetrics::default()); // inert: consumes nothing
+        rec.attach_sink(sink.clone());
+        rec.record(StepMetrics::default());
+        assert_eq!(ckpt_column(&sink), [0]);
+    }
+
+    #[test]
+    fn a_checkpoint_charge_stays_with_its_own_recorder() {
+        let (sa, sb) = (Arc::new(MemorySink::new()), Arc::new(MemorySink::new()));
+        let (mut a, mut b) = (StepRecorder::new(), StepRecorder::new());
+        a.attach_sink(sa.clone());
+        b.attach_sink(sb.clone());
+        a.charge_checkpoint(7);
+        b.record(StepMetrics::default());
+        a.record(StepMetrics::default());
+        b.charge_checkpoint(3);
+        a.record(StepMetrics::default());
+        b.record(StepMetrics::default());
+        assert_eq!(ckpt_column(&sa), [7, 0]);
+        assert_eq!(ckpt_column(&sb), [0, 3]);
     }
 
     #[test]

@@ -21,8 +21,7 @@
 //! * [`machine`] — the cluster performance simulator;
 //! * [`resilience`] — checkpoint/restart with integrity checking and
 //!   fault injection;
-//! * [`telemetry`] — the region table, Chrome-trace spans, per-step
-//!   metrics, zone-cost histograms, record sinks.
+//! * [`telemetry`] — the region table, trace spans, step metrics, sinks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
