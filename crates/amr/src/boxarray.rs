@@ -8,6 +8,7 @@
 //! Figure 2.
 
 use exastro_parallel::{IndexBox, IntVect};
+use std::collections::HashMap;
 
 /// An ordered collection of (possibly touching, never overlapping) boxes
 /// covering part of index space at one refinement level.
@@ -90,16 +91,6 @@ impl BoxArray {
             .fold(IndexBox::empty(), |acc, b| acc.union_hull(b))
     }
 
-    /// Indices of boxes intersecting `bx`.
-    pub fn intersecting(&self, bx: &IndexBox) -> Vec<usize> {
-        self.boxes
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.intersects(bx))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// True if `iv` lies in some box of the array.
     pub fn contains(&self, iv: IntVect) -> bool {
         self.boxes.iter().any(|b| b.contains(iv))
@@ -136,6 +127,68 @@ impl std::ops::Index<usize> for BoxArray {
     type Output = IndexBox;
     fn index(&self, i: usize) -> &IndexBox {
         &self.boxes[i]
+    }
+}
+
+/// The overlap search over a [`BoxArray`]: which of its boxes does a
+/// region touch? Every box goes into the hashed bins it covers, a bin being
+/// one largest box wide in each dimension, so a box sits in at most eight
+/// bins and the index stays linear in the number of boxes however sparse
+/// the layout (a fine level's boxes can be far apart). A query visits only
+/// the bins its region covers.
+#[derive(Debug)]
+pub struct BoxIndex<'a> {
+    ba: &'a BoxArray,
+    /// Bin width per dimension: the widest box's length.
+    bin: IntVect,
+    bins: HashMap<IntVect, Vec<usize>>,
+    /// The hull of the boxes; queries are clipped to it.
+    hull: IndexBox,
+}
+
+impl<'a> BoxIndex<'a> {
+    /// Bin every box of `ba`.
+    pub fn new(ba: &'a BoxArray) -> Self {
+        let bin = ba.iter().fold(IntVect::unit(), |w, b| w.max(b.size()));
+        let mut bins: HashMap<IntVect, Vec<usize>> = HashMap::new();
+        for (i, b) in ba.iter().enumerate() {
+            for_each_bin(bin, b, |key| bins.entry(key).or_default().push(i));
+        }
+        BoxIndex {
+            ba,
+            bin,
+            bins,
+            hull: ba.bounding_box(),
+        }
+    }
+
+    /// Ids of the boxes intersecting `region`, ascending.
+    pub fn intersecting(&self, region: &IndexBox) -> Vec<usize> {
+        let mut hits = Vec::new();
+        for_each_bin(self.bin, &region.intersection(&self.hull), |key| {
+            if let Some(ids) = self.bins.get(&key) {
+                hits.extend(ids.iter().filter(|&&i| self.ba.get(i).intersects(region)));
+            }
+        });
+        hits.sort_unstable();
+        hits.dedup();
+        hits
+    }
+}
+
+/// Call `f` with the key of every bin of width `bin` that `bx` covers (none
+/// if it is empty).
+fn for_each_bin(bin: IntVect, bx: &IndexBox, mut f: impl FnMut(IntVect)) {
+    if bx.is_empty() {
+        return;
+    }
+    let (lo, hi) = (bx.lo().coarsen(bin), bx.hi().coarsen(bin));
+    for k in lo.z()..=hi.z() {
+        for j in lo.y()..=hi.y() {
+            for i in lo.x()..=hi.x() {
+                f(IntVect::new(i, j, k));
+            }
+        }
     }
 }
 
@@ -195,9 +248,8 @@ mod tests {
         let ba = BoxArray::decompose(IndexBox::cube(64), 32, 32);
         // Grown first box overlaps itself plus neighbours.
         let probe = ba.get(0).grow(1);
-        let hits = ba.intersecting(&probe);
-        assert!(hits.contains(&0));
-        assert_eq!(hits.len(), 8); // corner box of a 2x2x2 decomposition
+        let hits = BoxIndex::new(&ba).intersecting(&probe);
+        assert_eq!(hits, (0..8).collect::<Vec<_>>()); // corner of a 2x2x2 decomposition
     }
 
     #[test]

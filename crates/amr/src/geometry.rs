@@ -101,11 +101,6 @@ impl Geometry {
         self.periodic
     }
 
-    /// True if any dimension is periodic.
-    pub fn any_periodic(&self) -> bool {
-        self.periodic.iter().any(|&p| p)
-    }
-
     /// Coordinate system tag.
     pub fn coord(&self) -> CoordSys {
         self.coord
@@ -117,16 +112,6 @@ impl Geometry {
         let mut x = [0.0; SPACEDIM];
         for d in 0..SPACEDIM {
             x[d] = self.prob_lo[d] + (iv[d] as Real + 0.5) * self.dx[d];
-        }
-        x
-    }
-
-    /// Physical coordinates of the lower corner of zone `iv`.
-    #[inline]
-    pub fn cell_lo(&self, iv: IntVect) -> [Real; SPACEDIM] {
-        let mut x = [0.0; SPACEDIM];
-        for d in 0..SPACEDIM {
-            x[d] = self.prob_lo[d] + iv[d] as Real * self.dx[d];
         }
         x
     }

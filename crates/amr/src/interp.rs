@@ -1,6 +1,7 @@
 //! Inter-level transfer operators: conservative prolongation (coarse → fine)
 //! and restriction / average-down (fine → coarse).
 
+use crate::boxarray::BoxIndex;
 use crate::fab::for_each_row;
 use crate::multifab::MultiFab;
 use exastro_parallel::{IntVect, Real};
@@ -10,14 +11,12 @@ use exastro_parallel::{IntVect, Real};
 pub fn prolong_pc(coarse: &MultiFab, fine: &mut MultiFab, ratio: i32) {
     assert_eq!(coarse.ncomp(), fine.ncomp());
     let ncomp = fine.ncomp();
+    let index = BoxIndex::new(coarse.box_array());
     for fi in 0..fine.nfabs() {
         let fvb = fine.valid_box(fi);
         let cvb = fvb.coarsen(ratio);
-        for ci in 0..coarse.nfabs() {
+        for ci in index.intersecting(&cvb) {
             let isect = cvb.intersection(&coarse.valid_box(ci));
-            if isect.is_empty() {
-                continue;
-            }
             for civ in isect.iter() {
                 let fregion = crate::fine_zones_of(civ, ratio).intersection(&fvb);
                 for c in 0..ncomp {
@@ -55,14 +54,12 @@ pub fn prolong_lin(coarse: &MultiFab, fine: &mut MultiFab, ratio: i32) {
     );
     let ncomp = fine.ncomp();
     let r = ratio as Real;
+    let index = BoxIndex::new(coarse.box_array());
     for fi in 0..fine.nfabs() {
         let fvb = fine.valid_box(fi);
         let cvb = fvb.coarsen(ratio);
-        for ci in 0..coarse.nfabs() {
+        for ci in index.intersecting(&cvb) {
             let isect = cvb.intersection(&coarse.valid_box(ci));
-            if isect.is_empty() {
-                continue;
-            }
             let cfab = coarse.fab(ci);
             for civ in isect.iter() {
                 let fregion = crate::fine_zones_of(civ, ratio).intersection(&fvb);
@@ -95,10 +92,11 @@ pub fn average_down(fine: &MultiFab, coarse: &mut MultiFab, ratio: i32) {
     assert_eq!(coarse.ncomp(), fine.ncomp());
     let ncomp = fine.ncomp();
     let inv_vol = 1.0 / (ratio as Real).powi(3);
+    let index = BoxIndex::new(fine.box_array());
     for ci in 0..coarse.nfabs() {
         let cvb = coarse.valid_box(ci);
         let cv = coarse.fab_mut(ci).array_mut();
-        for fi in 0..fine.nfabs() {
+        for fi in index.intersecting(&cvb.refine(ratio)) {
             let fvb = fine.valid_box(fi);
             let fv = fine.fab(fi).array();
             for civ in cvb.intersection(&fvb.coarsen(ratio)).iter() {

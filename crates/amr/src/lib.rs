@@ -4,7 +4,8 @@
 //! AMReX (Zhang et al. 2019), the substrate beneath Castro and MAESTROeX.
 //!
 //! * [`geometry`] — index-space ↔ physical-space mapping, periodicity;
-//! * [`boxarray`] — domain decomposition into boxes (`max_grid_size` chop);
+//! * [`boxarray`] — domain decomposition into boxes (`max_grid_size` chop)
+//!   and the one overlap search over them, [`BoxIndex`];
 //! * [`distribution`] — box → rank assignment (round-robin / knapsack /
 //!   Morton space-filling curve);
 //! * [`fab`] — `FArrayBox` dense arrays and the `Array4` kernel views;
@@ -35,7 +36,7 @@ pub mod interp;
 pub mod io;
 pub mod multifab;
 
-pub use boxarray::BoxArray;
+pub use boxarray::{BoxArray, BoxIndex};
 pub use cluster::{cluster, ClusterParams};
 pub use distribution::{DistStrategy, DistributionMapping};
 pub use fab::{for_each_row, Array4, Array4Mut, FArrayBox};
@@ -45,7 +46,9 @@ pub use halo_loop::HaloLoop;
 pub use hierarchy::{fill_patch_two_levels, AmrLevel, Hierarchy};
 pub use interp::{average_down, prolong_lin, prolong_pc};
 pub use io::{Checkpoint, IoError};
-pub use multifab::{BcKind, BcSpec, CommTrace, ExchangePlan, Message, MultiFab};
+pub use multifab::{
+    for_each_ghost_copy, BcKind, BcSpec, CommTrace, ExchangePlan, Message, MultiFab,
+};
 
 // Re-export the index primitives so downstream crates have one import path.
 pub use exastro_parallel::{IndexBox, IntVect, Real, SPACEDIM};

@@ -5,11 +5,11 @@
 //! reproduction holds every fab in one address space (there is no MPI here)
 //! but keeps the ownership information, and `fill_boundary` returns a
 //! [`CommTrace`] recording exactly which rank pairs exchanged how many bytes.
-//! The `exastro-machine` cluster simulator charges its network model from
-//! these traces, so the communication volumes behind the weak-scaling
-//! figures come from the *actual* ghost-exchange pattern of the real data.
+//! The `exastro-machine` cluster simulator prices the same copies
+//! ([`for_each_ghost_copy`]), so the communication volumes behind the
+//! weak-scaling figures are the *actual* ghost-exchange pattern.
 
-use crate::boxarray::BoxArray;
+use crate::boxarray::{BoxArray, BoxIndex};
 use crate::distribution::DistributionMapping;
 use crate::fab::{for_each_row, Array4Mut, FArrayBox};
 use crate::geometry::Geometry;
@@ -65,14 +65,47 @@ impl CommTrace {
         self.messages.extend_from_slice(&other.messages);
         self.local_bytes += other.local_bytes;
     }
+}
 
-    /// Bytes sent by each rank (length `nranks`).
-    pub fn bytes_sent_per_rank(&self, nranks: usize) -> Vec<u64> {
-        let mut out = vec![0u64; nranks];
-        for m in &self.messages {
-            out[m.src as usize] += u64::from(m.bytes);
+/// Every copy of the ghost exchange that fills, of each box of `ba`, the
+/// ghost zones of `valid.grow_vec(ghosts)` from the valid zones of the
+/// boxes and their periodic images: `f(src, dst, region, shift)` fills
+/// `region` (in `dst`'s index space, never its valid zones) from box `src`
+/// read at `iv - shift`. Copies come in destination, then source, then
+/// [`Geometry::periodic_shifts`] order, each pair's overlap found through
+/// one [`BoxIndex`]. [`MultiFab::plan_fill_boundary`] plans these copies,
+/// and the machine model prices the same ones.
+pub fn for_each_ghost_copy(
+    ba: &BoxArray,
+    geom: &Geometry,
+    ghosts: IntVect,
+    mut f: impl FnMut(usize, usize, IndexBox, IntVect),
+) {
+    if ghosts == IntVect::zero() {
+        return;
+    }
+    let index = BoxIndex::new(ba);
+    let shifts = geom.periodic_shifts();
+    let mut sources = Vec::new();
+    for dst in 0..ba.len() {
+        let vbox = ba.get(dst);
+        let gbox = vbox.grow_vec(ghosts);
+        sources.clear();
+        for (s, &shift) in shifts.iter().enumerate() {
+            let hits = index.intersecting(&gbox.shift(-shift));
+            sources.extend(hits.into_iter().map(|src| (src, s)));
         }
-        out
+        sources.sort_unstable();
+        for &(src, s) in &sources {
+            let shift = shifts[s];
+            if src == dst && shift == IntVect::zero() {
+                continue;
+            }
+            let isect = gbox.intersection(&ba.get(src).shift(shift));
+            for region in isect.difference(&vbox) {
+                f(src, dst, region, shift);
+            }
+        }
     }
 }
 
@@ -484,14 +517,11 @@ impl MultiFab {
     /// communication trace.
     pub fn copy_from_other_ba(&mut self, other: &MultiFab, comp: usize, ncomp: usize) -> CommTrace {
         let mut trace = CommTrace::default();
+        let index = BoxIndex::new(&other.ba);
         for di in 0..self.fabs.len() {
             let dvb = self.ba.get(di);
-            for si in 0..other.fabs.len() {
-                let svb = other.ba.get(si);
-                let isect = dvb.intersection(&svb);
-                if isect.is_empty() {
-                    continue;
-                }
+            for si in index.intersecting(&dvb) {
+                let isect = dvb.intersection(&other.ba.get(si));
                 self.fabs[di].copy_from(&other.fabs[si], isect, comp, comp, ncomp);
                 let bytes = isect.num_zones() as u64 * ncomp as u64 * 8;
                 let (sr, dr) = (other.dm.owner(si), self.dm.owner(di));
@@ -547,35 +577,14 @@ impl MultiFab {
         let _prof = Telemetry::region("fill_boundary");
         self.check_footprint(ghosts);
         let mut ops = Vec::new();
-        if ghosts != IntVect::zero() {
-            let shifts = geom.periodic_shifts();
-            for dst in 0..self.fabs.len() {
-                let vbox = self.ba.get(dst);
-                let gbox = vbox.grow_vec(ghosts);
-                for src in 0..self.fabs.len() {
-                    let svb = self.ba.get(src);
-                    for &shift in &shifts {
-                        if src == dst && shift == IntVect::zero() {
-                            continue;
-                        }
-                        let image = svb.shift(shift);
-                        let isect = gbox.intersection(&image);
-                        if isect.is_empty() {
-                            continue;
-                        }
-                        // Only fill true ghost zones, never the valid region.
-                        for region in isect.difference(&vbox) {
-                            ops.push(GhostOp {
-                                src,
-                                dst,
-                                region,
-                                shift,
-                            });
-                        }
-                    }
-                }
-            }
-        }
+        for_each_ghost_copy(&self.ba, geom, ghosts, |src, dst, region, shift| {
+            ops.push(GhostOp {
+                src,
+                dst,
+                region,
+                shift,
+            })
+        });
         // Price the exchange now: the plan (not the data) determines the
         // traffic, so the partial trace is complete at post time and is
         // deterministic in planning order.

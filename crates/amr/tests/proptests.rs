@@ -413,3 +413,165 @@ mod footprint_props {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// The one overlap search: `BoxIndex` against a linear scan, and the ghost
+// copies `for_each_ghost_copy` yields against the all-pairs loop that
+// planned the exchange before the index.
+// ---------------------------------------------------------------------------
+
+mod overlap_props {
+    use exastro_amr::{
+        for_each_ghost_copy, BoxArray, BoxIndex, CoordSys, Geometry, IndexBox, IntVect,
+    };
+    use proptest::prelude::*;
+
+    type Copy = (usize, usize, IndexBox, IntVect);
+
+    /// The exchange's copies by brute force: every destination, every
+    /// source, every periodic image.
+    fn all_pairs_copies(ba: &BoxArray, geom: &Geometry, ghosts: IntVect) -> Vec<Copy> {
+        let mut copies = Vec::new();
+        if ghosts != IntVect::zero() {
+            let shifts = geom.periodic_shifts();
+            for dst in 0..ba.len() {
+                let vbox = ba.get(dst);
+                let gbox = vbox.grow_vec(ghosts);
+                for src in 0..ba.len() {
+                    let svb = ba.get(src);
+                    for &shift in &shifts {
+                        if src == dst && shift == IntVect::zero() {
+                            continue;
+                        }
+                        let isect = gbox.intersection(&svb.shift(shift));
+                        if isect.is_empty() {
+                            continue;
+                        }
+                        for region in isect.difference(&vbox) {
+                            copies.push((src, dst, region, shift));
+                        }
+                    }
+                }
+            }
+        }
+        copies
+    }
+
+    /// Box starts along one axis from `lo`, one per width.
+    fn starts(lo: i32, widths: &[i32]) -> Vec<i32> {
+        widths
+            .iter()
+            .scan(lo, |at, &w| {
+                let s = *at;
+                *at += w;
+                Some(s)
+            })
+            .collect()
+    }
+
+    /// A disjoint layout and its domain, with low corner `lo`:
+    /// 0 — ragged x-slabs cut in y, every other slab cut in reverse, listed
+    ///     back to front;
+    /// 1 — a decomposition into boxes 1–3 zones wide, narrower than most
+    ///     footprints;
+    /// 2 — sparse: a box of each width in its own 16³ cell of a 48³
+    ///     domain, pushed to the cell's low or high side, far apart the way
+    ///     a fine level's boxes are.
+    fn layout(
+        kind: usize,
+        wx: &[i32],
+        wy: &[i32],
+        nz: i32,
+        lo: IntVect,
+        seed: u64,
+    ) -> (BoxArray, IndexBox) {
+        let nx: i32 = wx.iter().sum();
+        let ny: i32 = wy.iter().sum();
+        match kind {
+            0 => {
+                let mut boxes = Vec::new();
+                for (i, (&x0, &w)) in starts(lo.x(), wx).iter().zip(wx).enumerate() {
+                    let mut wyi = wy.to_vec();
+                    if i % 2 == 1 {
+                        wyi.reverse();
+                    }
+                    for (&y0, &h) in starts(lo.y(), &wyi).iter().zip(&wyi) {
+                        boxes.push(IndexBox::new(
+                            IntVect::new(x0, y0, lo.z()),
+                            IntVect::new(x0 + w - 1, y0 + h - 1, lo.z() + nz - 1),
+                        ));
+                    }
+                }
+                boxes.reverse();
+                let domain = IndexBox::sized(IntVect::new(nx, ny, nz)).shift(lo);
+                (BoxArray::from_boxes(boxes), domain)
+            }
+            1 => {
+                let domain = IndexBox::sized(IntVect::new(nx, ny, nz)).shift(lo);
+                let max_grid = 1 + (seed % 3) as i32;
+                (BoxArray::decompose(domain, max_grid, 1), domain)
+            }
+            _ => {
+                let mut cells: Vec<i32> = (0..27).collect();
+                let mut h = seed;
+                let mut boxes = Vec::new();
+                for (n, &w) in wx.iter().enumerate() {
+                    h = h
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let cell = cells.remove((h >> 33) as usize % cells.len());
+                    let corner = IntVect::new(cell % 3, cell / 3 % 3, cell / 9) * 16;
+                    let offset = if (h >> 20) & 1 == 0 { 0 } else { 16 - w };
+                    let size = IntVect::new(w, wy[n % wy.len()], nz.min(6));
+                    let blo = lo + corner + IntVect::splat(offset);
+                    boxes.push(IndexBox::new(blo, blo + size - IntVect::unit()));
+                }
+                (BoxArray::from_boxes(boxes), IndexBox::cube(48).shift(lo))
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn the_indexed_search_finds_what_the_all_pairs_loop_finds(
+            kind in 0usize..3,
+            wx in prop::collection::vec(1i32..7, 1..5),
+            wy in prop::collection::vec(1i32..7, 1..4),
+            nz in 1i32..6,
+            lo in (-9i32..3, -9i32..3, -9i32..3),
+            periodic in 0u8..8,
+            ngrow in 1i32..4,
+            depth in (0i32..4, 0i32..4, 0i32..4),
+            seed in 0u64..1_000_000,
+        ) {
+            let (ba, domain) = layout(kind, &wx, &wy, nz, IntVect::new(lo.0, lo.1, lo.2), seed);
+            prop_assert!(ba.is_disjoint());
+            let periodic = [periodic & 1 != 0, periodic & 2 != 0, periodic & 4 != 0];
+            let geom = Geometry::new(domain, [0.0; 3], [1.0; 3], periodic, CoordSys::Cartesian);
+            let ghosts = IntVect::new(depth.0.min(ngrow), depth.1.min(ngrow), depth.2.min(ngrow));
+
+            let mut copies = Vec::new();
+            for_each_ghost_copy(&ba, &geom, ghosts, |src, dst, region, shift| {
+                copies.push((src, dst, region, shift))
+            });
+            prop_assert_eq!(copies, all_pairs_copies(&ba, &geom, ghosts));
+
+            let index = BoxIndex::new(&ba);
+            let linear = |region: &IndexBox| -> Vec<usize> {
+                (0..ba.len()).filter(|&i| ba.get(i).intersects(region)).collect()
+            };
+            let mut probes = vec![domain, domain.grow(ngrow), IndexBox::empty()];
+            for b in ba.iter() {
+                for shift in geom.periodic_shifts() {
+                    probes.push(b.grow_vec(ghosts).shift(shift));
+                }
+            }
+            for probe in &probes {
+                let (got, want) = (index.intersecting(probe), linear(probe));
+                prop_assert!(got == want, "probe {:?}: {:?} vs {:?}", probe, got, want);
+            }
+        }
+    }
+}

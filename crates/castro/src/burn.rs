@@ -345,6 +345,18 @@ mod tests {
     }
 
     #[test]
+    fn a_step_counts_every_zone_once_in_each_strang_half() {
+        let (geom, mut state, _) = carbon_state(8, true);
+        let (net, eos) = (CBurn2::new(), StellarEos);
+        let mut castro = crate::Castro::new(&eos, &net);
+        castro.burn = Some(BurnOptions::default());
+        let (stats, _) = castro.advance_level(&mut state, &geom, 1e-9).unwrap();
+        let b = stats.burn;
+        assert!(b.zones > 0 && b.skipped > 0, "{b:?}");
+        assert_eq!(b.zones + b.skipped, 2 * 512, "{b:?}");
+    }
+
+    #[test]
     fn burn_cost_is_nonuniform_with_hot_outliers() {
         let (geom, mut state, layout) = carbon_state(8, true);
         let net = CBurn2::new();

@@ -21,7 +21,8 @@ use std::sync::Arc;
 /// Per-step statistics.
 #[derive(Clone, Debug, Default)]
 pub struct StepStats {
-    /// Burning statistics (both Strang halves combined).
+    /// Burning statistics, both Strang halves counted: a zone is burned
+    /// or skipped once in each half.
     pub burn: BurnStats,
     /// Whether the gravity multigrid ran and converged.
     pub gravity_converged: Option<bool>,
@@ -50,8 +51,7 @@ pub struct Castro<'a> {
     pub burn: Option<BurnOptions>,
     /// Physical boundary conditions.
     pub bc: BcSpec,
-    /// What kernel launches are charged to: `Serial`, or a simulated device
-    /// as well. The answers are the same bits either way.
+    /// Where the kernels run (`Serial`, its one value).
     pub ex: ExecSpace,
     /// Scratch arena.
     pub arena: Arc<dyn Arena>,
@@ -295,7 +295,6 @@ impl<'a> Castro<'a> {
             )
             .map_err(StepError::Burn)?;
             stats.burn.merge(&b);
-            stats.burn.skipped -= b.skipped; // halves see the same zones
         }
         {
             let _r = Telemetry::region("validate");

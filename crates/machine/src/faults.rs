@@ -144,7 +144,6 @@ pub struct NodeFaultModel {
     nodes: Vec<NodeState>,
     now_s: f64,
     kills: u64,
-    straggles: u64,
 }
 
 impl NodeFaultModel {
@@ -170,7 +169,6 @@ impl NodeFaultModel {
             nodes: states,
             now_s: 0.0,
             kills: 0,
-            straggles: 0,
         }
     }
 
@@ -187,11 +185,6 @@ impl NodeFaultModel {
     /// Total node crashes injected so far.
     pub fn kills(&self) -> u64 {
         self.kills
-    }
-
-    /// Total straggler episodes begun so far.
-    pub fn straggler_episodes(&self) -> u64 {
-        self.straggles
     }
 
     /// True while `node` is crashed.
@@ -282,7 +275,6 @@ impl NodeFaultModel {
                 if n.straggle_until.is_none() && n.straggle_at <= t {
                     let at = n.straggle_at;
                     n.straggle_until = Some(at + self.cfg.straggler_duration_s);
-                    self.straggles += 1;
                     events.push(FaultEvent::StragglerBegan {
                         node: i,
                         factor: self.cfg.straggler_factor,

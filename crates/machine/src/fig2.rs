@@ -14,7 +14,7 @@
 use crate::device::KernelProfile;
 use crate::model::{Machine, OverlapModel, StepTime, StepWorkload};
 use crate::workload::{exchange_comm, scale_comm};
-use exastro_amr::{BoxArray, DistStrategy, DistributionMapping, IndexBox};
+use exastro_amr::{BoxArray, DistStrategy, DistributionMapping, Geometry, IntVect};
 
 /// Calibrated per-step kernel anatomy of the Castro hydro update: a
 /// dimensionally-split step launches ~4 kernels per sweep per box
@@ -59,7 +59,8 @@ pub fn sedov_workload(
     min_box: i32,
 ) -> StepWorkload {
     let nranks = nodes * machine.node.gpus_per_node;
-    let domain = IndexBox::cube(domain_side);
+    let geom = Geometry::cube(domain_side, 1.0, false);
+    let domain = geom.domain();
     let ba = BoxArray::decompose(domain, max_box, min_box);
     let dm = DistributionMapping::new(&ba, nranks, DistStrategy::Sfc);
     let mut compute = vec![Vec::new(); nranks];
@@ -70,15 +71,8 @@ pub fn sedov_workload(
             compute[r].push((b.num_zones(), prof));
         }
     }
-    let comm1 = exchange_comm(
-        &ba,
-        &dm,
-        machine,
-        domain,
-        [false; 3],
-        HYDRO_NGROW,
-        HYDRO_NCOMP,
-    );
+    let ghosts = IntVect::splat(HYDRO_NGROW);
+    let comm1 = exchange_comm(&ba, &dm, machine, &geom, ghosts, HYDRO_NCOMP);
     let comm = scale_comm(&comm1, FILLS_PER_STEP);
     StepWorkload {
         nranks,

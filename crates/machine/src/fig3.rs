@@ -11,7 +11,9 @@
 use crate::device::KernelProfile;
 use crate::model::{Machine, OverlapModel, RankComm, StepTime, StepWorkload};
 use crate::workload::{add_comm, exchange_comm, scale_comm};
-use exastro_amr::{BoxArray, DistStrategy, DistributionMapping, IndexBox};
+use exastro_amr::{
+    BoxArray, CoordSys, DistStrategy, DistributionMapping, Geometry, IndexBox, IntVect,
+};
 
 /// Zones per node per dimension for the weak-scaling series.
 pub const BUBBLE_SIDE_PER_NODE: i32 = 128;
@@ -52,6 +54,13 @@ pub struct BubblePoint {
     pub time: StepTime,
 }
 
+/// The bubble's cubic domain of `side` zones: periodic sideways, walled
+/// top and bottom.
+fn bubble_geometry(side: i32) -> Geometry {
+    let (lo, hi, periodic) = ([0.0; 3], [1.0; 3], [true, true, false]);
+    Geometry::new(IndexBox::cube(side), lo, hi, periodic, CoordSys::Cartesian)
+}
+
 /// Build the per-step workload of the reacting-bubble problem on `nodes`
 /// nodes and simulate it, reporting the phase split.
 pub fn bubble_point(machine: &Machine, nodes: usize, base_throughput: Option<f64>) -> BubblePoint {
@@ -71,7 +80,8 @@ pub fn bubble_point_with(
 ) -> BubblePoint {
     let nranks = nodes * machine.node.gpus_per_node;
     let side = BUBBLE_SIDE_PER_NODE * (nodes as f64).cbrt().round() as i32;
-    let domain = IndexBox::cube(side);
+    let geom = bubble_geometry(side);
+    let domain = geom.domain();
     let max_box = 64;
     let ba = BoxArray::decompose(domain, max_box, 16);
     let dm = DistributionMapping::new(&ba, nranks, DistStrategy::Sfc);
@@ -97,7 +107,7 @@ pub fn bubble_point_with(
         }
     }
     // Advection ghost fill (one per step).
-    let adv_comm = exchange_comm(&ba, &dm, machine, domain, [true, true, false], 1, 7);
+    let adv_comm = exchange_comm(&ba, &dm, machine, &geom, IntVect::unit(), 7);
     react.comm = adv_comm;
     if overlap {
         // The 1-ghost upwind stencil leaves (w-2)/w of each box interior;
@@ -125,7 +135,8 @@ pub fn bubble_point_with(
     let mut nlevels = 0u64;
     while level_side >= 4 {
         nlevels += 1;
-        let ldomain = IndexBox::cube(level_side);
+        let lgeom = bubble_geometry(level_side);
+        let ldomain = lgeom.domain();
         let lmax = max_box.min(level_side);
         let lba = BoxArray::decompose(ldomain, lmax, 2.min(level_side));
         let ldm = DistributionMapping::new(&lba, nranks, DistStrategy::Sfc);
@@ -138,7 +149,7 @@ pub fn bubble_point_with(
                 mg.compute[r].push((b.num_zones(), smooth_prof));
             }
         }
-        let lcomm = exchange_comm(&lba, &ldm, machine, ldomain, [true, true, false], 1, 1);
+        let lcomm = exchange_comm(&lba, &ldm, machine, &lgeom, IntVect::unit(), 1);
         let scaled = scale_comm(&lcomm, MG_EXCHANGES_PER_LEVEL * cycles_total as f64);
         add_comm(&mut mg.comm, &scaled);
         if level_side % 2 != 0 {

@@ -1,132 +1,38 @@
-//! Workload extraction: turn real box decompositions and distribution maps
-//! into per-rank communication totals for the cluster simulator.
+//! Per-rank communication totals for the cluster simulator, folded from
+//! the ghost copies of real box decompositions and distribution maps.
 
 use crate::model::{Machine, RankComm};
-use exastro_amr::{BoxArray, DistributionMapping, IndexBox, IntVect};
-use std::collections::HashMap;
+use exastro_amr::{for_each_ghost_copy, BoxArray, DistributionMapping, Geometry, IntVect};
 
-/// Ghost-exchange communication per rank for one fill of a multifab on
-/// `(ba, dm)` with `ngrow` ghost zones and `ncomp` components, under
-/// periodic boundaries in the given dims.
-///
-/// Bytes are attributed to the *sending* rank. Same-rank copies are free
-/// (local memcpy); same-node copies use the intra-node transport; the rest
-/// cross the NIC. A uniform aligned decomposition (the scaling studies) is
-/// detected and resolved with O(1) neighbour lookups so that 512-node
-/// (32768-box) patterns stay cheap to build.
+/// Per-rank traffic of one ghost fill of the footprint `ghosts` of an
+/// `ncomp`-component multifab on `(ba, dm)`: the copies the real exchange
+/// makes ([`for_each_ghost_copy`]), each one message charged to the rank
+/// owning its source. Same-rank copies are free (local memcpy), same-node
+/// ones use the intra-node transport, the rest cross the NIC.
 pub fn exchange_comm(
     ba: &BoxArray,
     dm: &DistributionMapping,
     machine: &Machine,
-    domain: IndexBox,
-    periodic: [bool; 3],
-    ngrow: i32,
+    geom: &Geometry,
+    ghosts: IntVect,
     ncomp: usize,
 ) -> Vec<RankComm> {
-    let nranks = dm.nranks();
-    let mut comm = vec![RankComm::default(); nranks];
-    if ba.is_empty() {
-        return comm;
-    }
-    // Uniform fast path?
-    let size0 = ba.get(0).size();
-    let uniform = ba.iter().all(|b| {
-        b.size() == size0
-            && b.lo().x() % size0.x() == 0
-            && b.lo().y() % size0.y() == 0
-            && b.lo().z() % size0.z() == 0
-    });
-    let index_of: HashMap<IntVect, usize> =
-        ba.iter().enumerate().map(|(i, b)| (b.lo(), i)).collect();
-    let n = domain.size();
-    let wrap = |mut lo: IntVect| -> IntVect {
-        for d in 0..3 {
-            if periodic[d] {
-                lo[d] = lo[d].rem_euclid(n[d]);
-            }
+    let mut comm = vec![RankComm::default(); dm.nranks()];
+    for_each_ghost_copy(ba, geom, ghosts, |src, dst, region, _| {
+        let (src_rank, dst_rank) = (dm.owner(src), dm.owner(dst));
+        if src_rank == dst_rank {
+            return;
         }
-        lo
-    };
-    for dst in 0..ba.len() {
-        let dvb = ba.get(dst);
-        let gb = dvb.grow(ngrow);
-        let dst_rank = dm.owner(dst);
-        let mut visit = |src: usize, src_image: IndexBox| {
-            if src == dst && src_image == ba.get(src) {
-                return;
-            }
-            let isect = gb.intersection(&src_image);
-            if isect.is_empty() {
-                return;
-            }
-            // Exclude the destination's own valid zones.
-            let mut zones = 0i64;
-            for part in isect.difference(&dvb) {
-                zones += part.num_zones();
-            }
-            if zones == 0 {
-                return;
-            }
-            let bytes = zones as u64 * ncomp as u64 * 8;
-            let src_rank = dm.owner(src);
-            if src_rank == dst_rank {
-                return; // on-rank copy
-            }
-            let c = &mut comm[src_rank];
-            if machine.node_of(src_rank) == machine.node_of(dst_rank) {
-                c.intra_msgs += 1;
-                c.intra_bytes += bytes;
-            } else {
-                c.inter_msgs += 1;
-                c.inter_bytes += bytes;
-            }
-        };
-        if uniform {
-            // 26 neighbours by index arithmetic (+ periodic wrap).
-            for dz in -1..=1 {
-                for dy in -1..=1 {
-                    for dx in -1..=1 {
-                        if dx == 0 && dy == 0 && dz == 0 {
-                            continue;
-                        }
-                        let shift = IntVect::new(dx * size0.x(), dy * size0.y(), dz * size0.z());
-                        let nlo = dvb.lo() + shift;
-                        let wrapped = wrap(nlo);
-                        if let Some(&src) = index_of.get(&wrapped) {
-                            // The image of src adjacent to dst sits at nlo.
-                            let image = IndexBox::new(nlo, nlo + size0 - IntVect::unit());
-                            visit(src, image);
-                        }
-                    }
-                }
-            }
+        let bytes = region.num_zones() as u64 * ncomp as u64 * 8;
+        let c = &mut comm[src_rank];
+        if machine.node_of(src_rank) == machine.node_of(dst_rank) {
+            c.intra_msgs += 1;
+            c.intra_bytes += bytes;
         } else {
-            // General path: brute force with periodic images.
-            let shifts: Vec<IntVect> = {
-                let mut v = vec![IntVect::zero()];
-                for d in 0..3 {
-                    if periodic[d] {
-                        let mut extended = Vec::new();
-                        for s in &v {
-                            let mut p = *s;
-                            p[d] += n[d];
-                            let mut m = *s;
-                            m[d] -= n[d];
-                            extended.push(p);
-                            extended.push(m);
-                        }
-                        v.extend(extended);
-                    }
-                }
-                v
-            };
-            for src in 0..ba.len() {
-                for &s in &shifts {
-                    visit(src, ba.get(src).shift(s));
-                }
-            }
+            c.inter_msgs += 1;
+            c.inter_bytes += bytes;
         }
-    }
+    });
     comm
 }
 
@@ -155,7 +61,7 @@ pub fn add_comm(a: &mut [RankComm], b: &[RankComm]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exastro_amr::{DistStrategy, Geometry, MultiFab};
+    use exastro_amr::{CoordSys, DistStrategy, IndexBox, MultiFab};
 
     #[test]
     fn uniform_fast_path_matches_real_fill_boundary() {
@@ -163,7 +69,7 @@ mod tests {
         let geom = Geometry::cube(64, 1.0, true);
         let ba = BoxArray::decompose(geom.domain(), 16, 16); // 64 boxes
         let dm = DistributionMapping::new(&ba, 12, DistStrategy::Knapsack);
-        let comm = exchange_comm(&ba, &dm, &machine, geom.domain(), [true; 3], 2, 5);
+        let comm = exchange_comm(&ba, &dm, &machine, &geom, IntVect::splat(2), 5);
         // Ground truth from the real ghost exchange.
         let mut mf = MultiFab::new(ba, dm, 5, 2);
         let trace = mf.fill_boundary(&geom);
@@ -179,11 +85,39 @@ mod tests {
         let geom = Geometry::cube(48, 1.0, true);
         let ba = BoxArray::decompose(geom.domain(), 20, 4); // ragged boxes
         let dm = DistributionMapping::new(&ba, 7, DistStrategy::RoundRobin);
-        let comm = exchange_comm(&ba, &dm, &machine, geom.domain(), [true; 3], 1, 3);
+        let comm = exchange_comm(&ba, &dm, &machine, &geom, IntVect::splat(1), 3);
         let mut mf = MultiFab::new(ba, dm, 3, 1);
         let trace = mf.fill_boundary(&geom);
         let model_total: u64 = comm.iter().map(|c| c.intra_bytes + c.inter_bytes).sum();
         assert_eq!(model_total, trace.network_bytes());
+    }
+
+    #[test]
+    fn the_model_prices_the_copies_of_a_real_fill() {
+        let machine = Machine::summit();
+        // Ragged boxes, periodic in x and z only, on two nodes.
+        let geom = Geometry::new(
+            IndexBox::sized(IntVect::new(48, 40, 36)).shift(IntVect::new(-5, 3, -8)),
+            [0.0; 3],
+            [1.0; 3],
+            [true, false, true],
+            CoordSys::Cartesian,
+        );
+        let ba = BoxArray::decompose(geom.domain(), 20, 4);
+        let dm = DistributionMapping::new(&ba, 7, DistStrategy::RoundRobin);
+        let comm = exchange_comm(&ba, &dm, &machine, &geom, IntVect::splat(2), 3);
+        let mut mf = MultiFab::new(ba, dm, 3, 2);
+        let trace = mf.fill_boundary(&geom);
+        let sum = |f: fn(&RankComm) -> u64| comm.iter().map(f).sum::<u64>();
+        assert!(sum(|c| c.intra_bytes) > 0 && sum(|c| c.inter_bytes) > 0);
+        assert_eq!(
+            sum(|c| c.intra_bytes) + sum(|c| c.inter_bytes),
+            trace.network_bytes()
+        );
+        assert_eq!(
+            sum(|c| c.intra_msgs) + sum(|c| c.inter_msgs),
+            trace.messages.len() as u64
+        );
     }
 
     #[test]
@@ -192,7 +126,7 @@ mod tests {
         let geom = Geometry::cube(32, 1.0, true);
         let ba = BoxArray::decompose(geom.domain(), 16, 16);
         let dm = DistributionMapping::all_local(&ba);
-        let comm = exchange_comm(&ba, &dm, &machine, geom.domain(), [true; 3], 2, 5);
+        let comm = exchange_comm(&ba, &dm, &machine, &geom, IntVect::splat(2), 5);
         assert!(comm
             .iter()
             .all(|c| c.intra_bytes == 0 && c.inter_bytes == 0));
