@@ -16,9 +16,10 @@ use exastro_amr::{
     MultiFab,
 };
 use exastro_castro::{
-    init_collision, init_sedov, Castro, CollisionParams, Floors, Gravity, GravityMode, SedovParams,
+    burn_state, init_collision, init_sedov, BurnOptions, Castro, CollisionParams, Floors, Gravity,
+    GravityMode, SedovParams, StateLayout,
 };
-use exastro_microphysics::{CBurn2, GammaLaw, StellarEos};
+use exastro_microphysics::{BdfErrorKind, BurnFaultConfig, CBurn2, GammaLaw, StellarEos};
 use exastro_parallel::ExecSpace;
 
 /// FNV-1a over the little-endian bits of every value.
@@ -167,6 +168,110 @@ fn sedov_two_level_hierarchy_after_3_steps() {
     assert_eq!(got, TWO_LEVEL_DIGESTS, "(grown, valid) per level");
 }
 
+/// An 8³ carbon level in eight 4³ boxes for `castro::burn_state`: the
+/// `i = 0` plane is too cold to burn, the `j = 0` plane too thin, and the
+/// rest burns, hotter and denser along the diagonal.
+fn reacting_level() -> (Geometry, MultiFab, StateLayout) {
+    let geom = Geometry::cube(8, 1e8, false);
+    let layout = StateLayout::new(2);
+    let ba = BoxArray::decompose(geom.domain(), 4, 4);
+    let mut state = MultiFab::local(ba, layout.ncomp(), 2);
+    assert_eq!(state.nfabs(), 8);
+    for f in 0..state.nfabs() {
+        for iv in state.valid_box(f).iter() {
+            let (i, j, k) = (iv[0] as f64, iv[1] as f64, iv[2] as f64);
+            let t = if iv[0] == 0 {
+                1e7
+            } else {
+                1.5e9 + 1e8 * (i + j)
+            };
+            let rho = if iv[1] == 0 { 1e2 } else { 1e7 * (1.0 + k) };
+            let fab = state.fab_mut(f);
+            fab.set(iv, StateLayout::RHO, rho);
+            fab.set(iv, StateLayout::TEMP, t);
+            fab.set(iv, layout.spec(0), 0.7 * rho);
+            fab.set(iv, layout.spec(1), 0.3 * rho);
+            fab.set(iv, StateLayout::EINT, rho * 1e17);
+            fab.set(iv, StateLayout::EDEN, rho * 1.5e17);
+        }
+    }
+    (geom, state, layout)
+}
+
+/// One burn sweep over the reacting level with `faults` injected.
+fn burn_reacting_level(
+    faults: BurnFaultConfig,
+) -> (
+    MultiFab,
+    Result<exastro_castro::BurnStats, Vec<exastro_microphysics::BurnFailure>>,
+) {
+    let (geom, mut state, layout) = reacting_level();
+    let (net, eos) = (CBurn2::new(), StellarEos);
+    let opts = BurnOptions {
+        faults: Some(faults),
+        ..Default::default()
+    };
+    let res = burn_state(
+        &mut state,
+        1e-8,
+        &net,
+        &eos,
+        &layout,
+        &opts,
+        &ExecSpace::Serial,
+        &geom,
+    );
+    (state, res)
+}
+
+#[test]
+fn burn_state_sweep_on_eight_boxes() {
+    let (state, res) = burn_reacting_level(BurnFaultConfig {
+        seed: 38,
+        rate: 0.05,
+        rungs_to_fail: 1,
+        error: BdfErrorKind::MaxSteps,
+    });
+    let b = res.unwrap();
+    let valid = fnv_valid(&state);
+    let energy = b.energy_released.to_bits();
+    let counts = [
+        b.zones,
+        b.skipped,
+        b.total_steps,
+        b.max_steps,
+        b.newton_iters,
+        b.retries,
+        b.recovered,
+        b.recovered_relaxed,
+        b.recovered_subcycle,
+        b.offloaded,
+    ];
+    println!("burn sweep 8^3/4^3: valid {valid:#018x} energy {energy:#018x} counts {counts:?}");
+    // 64 zones on the cold plane, 56 more on the thin one.
+    assert_eq!((b.zones, b.skipped), (392, 120));
+    assert!(b.recovered > 0, "an injected fault is rescued: {b:?}");
+    assert_eq!(
+        valid, BURN_SWEEP_VALID_DIGEST,
+        "valid zones: got {valid:#018x}"
+    );
+    assert_eq!(energy, BURN_SWEEP_ENERGY_BITS, "energy: got {energy:#018x}");
+    assert_eq!(counts, BURN_SWEEP_COUNTS);
+}
+
+#[test]
+fn burn_state_reports_every_failed_zone() {
+    let (_, res) = burn_reacting_level(BurnFaultConfig {
+        seed: 38,
+        rate: 0.05,
+        rungs_to_fail: 99,
+        error: BdfErrorKind::SingularMatrix,
+    });
+    let zones: Vec<u64> = res.unwrap_err().iter().map(|f| f.zone).collect();
+    println!("burn sweep 8^3/4^3 failures: {zones:?}");
+    assert_eq!(zones, BURN_SWEEP_FAILED_ZONES);
+}
+
 /// Valid zones, recorded at the commit before the ghost exchange got its
 /// footprint and untouched by it: what a sweep computes does not depend on
 /// the ghosts it does not read.
@@ -189,4 +294,20 @@ const COLLISION_DIGEST: u64 = 0x4ee3_06a5_53a2_d7ed;
 const TWO_LEVEL_DIGESTS: [(u64, u64); 2] = [
     (0xba17_f983_3b29_d5ca, 0x9d53_5e7c_4376_7f13),
     (0xbfb7_3a6e_4c6e_fe6e, 0xb0ab_308c_29fd_c731),
+];
+
+/// The burn sweep's valid zones, released energy (bits) and counts
+/// (`zones`, `skipped`, `total_steps`, `max_steps`, `newton_iters`,
+/// `retries`, `recovered`, `recovered_relaxed`, `recovered_subcycle`,
+/// `offloaded`), recorded while Castro still gathered and scattered its
+/// own zones around `Burner::burn_all`.
+const BURN_SWEEP_VALID_DIGEST: u64 = 0x7428_76a0_5c08_acb4;
+const BURN_SWEEP_ENERGY_BITS: u64 = 0x49cc_687a_2af1_d074;
+const BURN_SWEEP_COUNTS: [u64; 10] = [392, 120, 51252, 5762, 95401, 26, 26, 21, 0, 0];
+
+/// Sweep-order ids (skipped zones counted) of the zones that fail every
+/// rung, in the order the sweep reports them; recorded with the above.
+const BURN_SWEEP_FAILED_ZONES: &[u64] = &[
+    7, 10, 69, 72, 108, 124, 137, 145, 179, 246, 252, 332, 350, 351, 446, 448, 450, 458, 472, 474,
+    498,
 ];
