@@ -102,10 +102,10 @@ cargo run --release --offline --quiet --manifest-path examples/perf_ledger/Cargo
 cargo run --release --offline --quiet --manifest-path examples/perf_ledger/Cargo.toml -- \
   --selfcheck "$OUT/ledger_smoke.json"
 
-echo "== rustdoc (deny broken intra-doc links) =="
-# Deletion PRs leave dangling [`Type::removed_item`] links; nothing else
-# catches them.
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline
+echo "== rustdoc (deny warnings) =="
+# Deletion PRs leave dangling [`Type::removed_item`] links, and public docs
+# can link to private items; nothing else catches them.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== clippy (deny warnings, deny deprecated) =="
 # -D deprecated keeps the repo itself off any deprecated API (the last

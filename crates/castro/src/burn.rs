@@ -9,57 +9,10 @@
 //! statistics so the hybrid CPU/GPU ablation can exploit exactly that.
 
 use crate::state::StateLayout;
-use exastro_amr::{Geometry, IntVect, MultiFab, Real};
-use exastro_microphysics::{
-    BurnFailure, BurnFaultConfig, BurnTally, Burner, BurnerConfig, Eos, Network, RetryLadder,
-    ZoneBurn,
-};
+use exastro_amr::{Geometry, MultiFab, Real};
+pub use exastro_microphysics::BurnStats;
+use exastro_microphysics::{BurnFailure, BurnFaultConfig, BurnerConfig, Eos, Network, RetryLadder};
 use exastro_parallel::ExecSpace;
-
-/// Burn statistics for one multifab sweep.
-#[derive(Clone, Debug, Default)]
-pub struct BurnStats {
-    /// Zones burned.
-    pub zones: u64,
-    /// Zones skipped by the temperature/density cutoffs.
-    pub skipped: u64,
-    /// Total integrator steps over all zones (the cost proxy).
-    pub total_steps: u64,
-    /// The largest single-zone step count (the "outlier" of §VI).
-    pub max_steps: u64,
-    /// Total Newton iterations over all zones.
-    pub newton_iters: u64,
-    /// Total nuclear energy released, erg.
-    pub energy_released: Real,
-    /// Retry-ladder attempts beyond the first, summed over zones.
-    pub retries: u64,
-    /// Zones that needed at least one retry to burn.
-    pub recovered: u64,
-    /// Zones whose winning rung was relaxed-tolerance.
-    pub recovered_relaxed: u64,
-    /// Zones whose winning rung was subcycling.
-    pub recovered_subcycle: u64,
-    /// Zones rescued by the §VI outlier-offload rung.
-    pub offloaded: u64,
-}
-
-impl BurnStats {
-    /// Merge another sweep's statistics into this one (the two Strang
-    /// halves of a step report combined).
-    pub fn merge(&mut self, o: &BurnStats) {
-        self.zones += o.zones;
-        self.skipped += o.skipped;
-        self.total_steps += o.total_steps;
-        self.max_steps = self.max_steps.max(o.max_steps);
-        self.newton_iters += o.newton_iters;
-        self.energy_released += o.energy_released;
-        self.retries += o.retries;
-        self.recovered += o.recovered;
-        self.recovered_relaxed += o.recovered_relaxed;
-        self.recovered_subcycle += o.recovered_subcycle;
-        self.offloaded += o.offloaded;
-    }
-}
 
 /// Burning options.
 #[derive(Clone, Debug)]
@@ -90,16 +43,14 @@ impl Default for BurnOptions {
 
 /// Burn every zone of `state` for `dt` with the given network.
 ///
-/// The sweep gathers every zone that passes the cutoffs, groups them by
-/// temperature, and advances them a batch at a time through the SoA BDF
-/// path (lanes that diverge fall back to the scalar retry ladder — see
-/// [`exastro_microphysics::Burner::burn_all`]). The returned step counts
-/// (total and max) are the per-zone cost signal the §VI hybrid-offload
-/// model prices.
+/// The sweep is [`exastro_microphysics::Burner::burn_multifab`]: every zone
+/// that passes the cutoffs is burned in temperature-sorted SoA batches,
+/// lanes that diverge fall back to the retry ladder
+/// ([`BurnOptions::ladder`]), and each burned zone's ρX, T, ρe and ρE are
+/// written back. The returned step counts (total and max) are the
+/// per-zone cost signal the §VI hybrid-offload model prices.
 ///
-/// A zone whose integration fails is pushed through the retry ladder
-/// ([`BurnOptions::ladder`]); only if every rung fails does the sweep
-/// return an error — and then it finishes the sweep first and reports
+/// Only if a zone fails every rung does the sweep return an error, listing
 /// **all** failed zones, so the driver's step rejection sees the complete
 /// picture. On `Err` the state is partially burned and must be discarded
 /// (the drivers restore their pre-step snapshot).
@@ -117,69 +68,9 @@ pub fn burn_state(
     _ex: &ExecSpace,
     geom: &Geometry,
 ) -> Result<BurnStats, Vec<BurnFailure>> {
-    let mut energy_released: Real = 0.0;
-    let mut failures: Vec<BurnFailure> = Vec::new();
     let nspec = layout.nspec;
     assert_eq!(nspec, net.nspec());
     let vol = geom.cell_volume();
-    let (zones, sites, skipped) = gather_zones(state, layout, opts);
-    let mut tally = BurnTally {
-        skipped,
-        ..Default::default()
-    };
-    // Burn pass: SoA batches with scalar-ladder fallback.
-    let recs = build_burner(opts, net, eos).burn_all(&zones, dt);
-    // Scatter pass: results come back in input order.
-    for (((fi, iv), zb), res) in sites.into_iter().zip(&zones).zip(recs) {
-        let rec = match res {
-            Ok(r) => r,
-            Err(f) => {
-                failures.push(*f);
-                continue;
-            }
-        };
-        tally.record(&rec);
-        let out = rec.outcome;
-        let rho = zb.rho;
-        energy_released += out.enuc * rho * vol;
-        let fab = state.fab_mut(fi);
-        for s in 0..nspec {
-            fab.set(iv, layout.spec(s), rho * out.x[s]);
-        }
-        fab.set(iv, StateLayout::TEMP, out.t);
-        // Deposit the released specific energy.
-        fab.set(
-            iv,
-            StateLayout::EINT,
-            fab.get(iv, StateLayout::EINT) + rho * out.enuc,
-        );
-        fab.set(
-            iv,
-            StateLayout::EDEN,
-            fab.get(iv, StateLayout::EDEN) + rho * out.enuc,
-        );
-    }
-    if failures.is_empty() {
-        Ok(BurnStats {
-            zones: tally.zones,
-            skipped: tally.skipped,
-            total_steps: tally.total_steps,
-            max_steps: tally.max_steps,
-            newton_iters: tally.newton_iters,
-            energy_released,
-            retries: tally.retries,
-            recovered: tally.recovered,
-            recovered_relaxed: tally.recovered_relaxed,
-            recovered_subcycle: tally.recovered_subcycle,
-            offloaded: tally.offloaded,
-        })
-    } else {
-        Err(failures)
-    }
-}
-
-/// The burner a sweep with these options runs.
-fn build_burner<'a>(opts: &BurnOptions, net: &'a dyn Network, eos: &'a dyn Eos) -> Burner<'a> {
     let mut cfg = BurnerConfig {
         ladder: opts.ladder.clone(),
         faults: opts.faults.clone(),
@@ -188,79 +79,32 @@ fn build_burner<'a>(opts: &BurnOptions, net: &'a dyn Network, eos: &'a dyn Eos) 
     if let Some(ms) = opts.max_steps {
         cfg.bdf.max_steps = ms;
     }
-    cfg.build(net, eos)
-}
-
-/// Gather pass of a burn sweep: every zone that passes the cutoffs, where
-/// it lives, and how many were skipped. The flat zone index is
-/// deterministic in sweep order — the fault-injection predicate and
-/// failure reports key on it, and it is identical between the two Strang
-/// halves of a step.
-fn gather_zones(
-    state: &MultiFab,
-    layout: &StateLayout,
-    opts: &BurnOptions,
-) -> (Vec<ZoneBurn>, Vec<(usize, IntVect)>, u64) {
-    let nspec = layout.nspec;
-    let valid = state.box_array().total_zones() as usize;
-    let mut zones: Vec<ZoneBurn> = Vec::with_capacity(valid);
-    let mut sites: Vec<(usize, IntVect)> = Vec::with_capacity(valid);
-    let mut zone_id = 0u64;
-    for fi in 0..state.nfabs() {
-        let vb = state.valid_box(fi);
-        let fab = state.fab(fi);
-        for iv in vb.iter() {
-            let zone = zone_id;
-            zone_id += 1;
+    cfg.build(net, eos).burn_multifab(
+        state,
+        dt,
+        |fab, iv| {
             let rho = fab.get(iv, StateLayout::RHO);
             let t = fab.get(iv, StateLayout::TEMP);
             if t < opts.min_temp || rho < opts.min_dens {
-                continue;
+                return None;
             }
-            let mut x = vec![0.0; nspec];
+            let x = (0..nspec)
+                .map(|s| (fab.get(iv, layout.spec(s)) / rho).clamp(0.0, 1.0))
+                .collect();
+            Some((rho, t, x))
+        },
+        |fab, iv, rho, out| {
             for s in 0..nspec {
-                x[s] = (fab.get(iv, layout.spec(s)) / rho).clamp(0.0, 1.0);
+                fab.set(iv, layout.spec(s), rho * out.x[s]);
             }
-            zones.push(ZoneBurn {
-                zone,
-                rho,
-                t0: t,
-                x0: x,
-            });
-            sites.push((fi, iv));
-        }
-    }
-    let skipped = zone_id - zones.len() as u64;
-    (zones, sites, skipped)
-}
-
-/// The §VI "outlier zone" claim, made directly observable: probe-burn every
-/// zone of `state` for `dt` **without modifying it**, through the same
-/// gather and batched burn [`burn_state`] runs, and return a
-/// single-component `MultiFab` holding each zone's burn cost in BDF steps
-/// (0 for zones the cutoffs skip; the accumulated attempt cost for zones
-/// that fail every ladder rung). Rendered as a slice, this is the spatial
-/// heatmap showing the handful of igniting zones that cost orders of
-/// magnitude more than their quiescent neighbours.
-pub fn burn_cost_multifab(
-    state: &MultiFab,
-    dt: Real,
-    net: &dyn Network,
-    eos: &dyn Eos,
-    layout: &StateLayout,
-    opts: &BurnOptions,
-) -> MultiFab {
-    let mut cost = MultiFab::new(state.box_array().clone(), state.dist_map().clone(), 1, 0);
-    let (zones, sites, _) = gather_zones(state, layout, opts);
-    let recs = build_burner(opts, net, eos).burn_all(&zones, dt);
-    for ((fi, iv), res) in sites.into_iter().zip(recs) {
-        let steps = match res {
-            Ok(rec) => rec.outcome.stats.steps,
-            Err(f) => f.stats.steps,
-        };
-        cost.fab_mut(fi).set(iv, 0, steps as Real);
-    }
-    cost
+            fab.set(iv, StateLayout::TEMP, out.t);
+            // Deposit the released specific energy.
+            for c in [StateLayout::EINT, StateLayout::EDEN] {
+                fab.set(iv, c, fab.get(iv, c) + rho * out.enuc);
+            }
+            out.enuc * rho * vol
+        },
+    )
 }
 
 #[cfg(test)]
@@ -466,61 +310,5 @@ mod tests {
             assert_eq!(f.error, exastro_microphysics::BdfErrorKind::MaxSteps);
             assert!(f.stats.rhs_evals > 0, "genuine failure reports its cost");
         }
-    }
-
-    #[test]
-    fn burn_cost_multifab_maps_outliers_without_touching_state() {
-        let (geom, state, layout) = carbon_state(8, true);
-        let net = CBurn2::new();
-        let eos = StellarEos;
-        let before: Real = geom
-            .domain()
-            .iter()
-            .map(|iv| state.value_at(iv, StateLayout::TEMP))
-            .sum();
-        let cost = burn_cost_multifab(&state, 1e-8, &net, &eos, &layout, &BurnOptions::default());
-        let after: Real = geom
-            .domain()
-            .iter()
-            .map(|iv| state.value_at(iv, StateLayout::TEMP))
-            .sum();
-        assert_eq!(before, after, "probe must not modify the state");
-        assert_eq!(cost.ncomp(), 1);
-        // Cold zones cost 0; the hot center costs many BDF steps.
-        let center = IntVect::splat(4);
-        let corner = IntVect::splat(0);
-        assert!(cost.value_at(center, 0) > 0.0, "hot center has burn cost");
-        assert_eq!(cost.value_at(corner, 0), 0.0, "cold corner is free");
-        let max = geom
-            .domain()
-            .iter()
-            .map(|iv| cost.value_at(iv, 0))
-            .fold(0.0, Real::max);
-        let nonzero = geom
-            .domain()
-            .iter()
-            .filter(|&iv| cost.value_at(iv, 0) > 0.0)
-            .count();
-        assert!(max >= 1.0);
-        assert!(
-            nonzero < 512,
-            "only the igniting pocket should be expensive"
-        );
-        // The heatmap describes the integration the sweep runs: its sum is
-        // exactly the sweep's step count.
-        let total: Real = geom.domain().iter().map(|iv| cost.value_at(iv, 0)).sum();
-        let mut burned = state.clone();
-        let stats = burn_state(
-            &mut burned,
-            1e-8,
-            &net,
-            &eos,
-            &layout,
-            &BurnOptions::default(),
-            &ExecSpace::Serial,
-            &geom,
-        )
-        .unwrap();
-        assert_eq!(total, stats.total_steps as Real);
     }
 }

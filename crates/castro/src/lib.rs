@@ -35,7 +35,7 @@ pub mod sedov;
 pub mod state;
 pub mod wd_collision;
 
-pub use burn::{burn_cost_multifab, burn_state, BurnOptions, BurnStats};
+pub use burn::{burn_state, BurnOptions, BurnStats};
 pub use diagnostics::{critical_zone_width, detonation_stability, StabilityReport};
 pub use driver::{Castro, DriverError, StateViolation, StepError, StepStats};
 pub use gravity::{Gravity, GravityField, GravityMode};

@@ -29,7 +29,7 @@ use exastro_amr::{
     MultiFab, Real, SPACEDIM,
 };
 use exastro_microphysics::{
-    BurnFailure, BurnFaultConfig, BurnTally, BurnerConfig, Composition, Eos, Network, ZoneBurn,
+    BurnFailure, BurnFaultConfig, BurnStats, BurnerConfig, Composition, Eos, Network,
 };
 use exastro_parallel::par_each_mut;
 use exastro_resilience::recovery::{first_violation, transact, RecoveryOptions};
@@ -121,8 +121,9 @@ pub struct LmStepStats {
 }
 
 impl LmStepStats {
-    /// Fold one reaction half-step's tally into the step's burn counters.
-    fn add_burn(&mut self, t: &BurnTally) {
+    /// Fold one reaction half-step's statistics into the step's burn
+    /// counters.
+    fn add_burn(&mut self, t: &BurnStats) {
         self.burn_zones += t.zones;
         self.burn_skipped += t.skipped;
         self.burn_steps += t.total_steps;
@@ -363,72 +364,40 @@ impl<'a> Maestro<'a> {
         (stats, comm)
     }
 
-    /// React every zone for `dt` (temperature and composition evolve at
-    /// constant local density), with failed zones retried through the
-    /// default [`exastro_microphysics::RetryLadder`]. Zone ids follow the
-    /// sweep order over all valid zones — including skipped cold zones — so
-    /// they are identical between the two Strang halves, which makes fault
-    /// injection and failure reports reproducible.
-    fn react(&self, state: &mut MultiFab, dt: Real) -> Result<BurnTally, Vec<BurnFailure>> {
+    /// React every zone hotter than `BURN_MIN_TEMP` for `dt` (temperature
+    /// and composition evolve at constant local density) through
+    /// [`exastro_microphysics::Burner::burn_multifab`], with failed zones
+    /// retried through the default [`exastro_microphysics::RetryLadder`].
+    fn react(&self, state: &mut MultiFab, dt: Real) -> Result<BurnStats, Vec<BurnFailure>> {
+        let layout = self.layout;
         let burner = BurnerConfig {
             faults: self.burn_faults.clone(),
             ..Default::default()
         }
         .build(self.net, self.eos);
-        let nspec = self.layout.nspec;
-        let mut totals = BurnTally::default();
-        let mut failures: Vec<BurnFailure> = Vec::new();
-        // Gather pass: every zone above the cutoff, with sweep-order ids.
-        let valid = state.box_array().total_zones() as usize;
-        let mut zones: Vec<ZoneBurn> = Vec::with_capacity(valid);
-        let mut sites: Vec<(usize, IntVect)> = Vec::with_capacity(valid);
-        let mut zone_id: u64 = 0;
-        for i in 0..state.nfabs() {
-            let vb = state.valid_box(i);
-            for iv in vb.iter() {
-                let id = zone_id;
-                zone_id += 1;
-                let t = state.fab(i).get(iv, LmLayout::TEMP);
+        burner.burn_multifab(
+            state,
+            dt,
+            |fab, iv| {
+                let t = fab.get(iv, LmLayout::TEMP);
                 if t < BURN_MIN_TEMP {
-                    continue;
+                    return None;
                 }
-                let rho = state.fab(i).get(iv, LmLayout::RHO).max(1e-12);
-                let mut x = vec![0.0; nspec];
-                for s in 0..nspec {
-                    x[s] = state.fab(i).get(iv, self.layout.spec(s)).clamp(0.0, 1.0);
+                let rho = fab.get(iv, LmLayout::RHO).max(1e-12);
+                let x = (0..layout.nspec)
+                    .map(|s| fab.get(iv, layout.spec(s)).clamp(0.0, 1.0))
+                    .collect();
+                Some((rho, t, x))
+            },
+            |fab, iv, _, out| {
+                fab.set(iv, LmLayout::TEMP, out.t);
+                for s in 0..layout.nspec {
+                    fab.set(iv, layout.spec(s), out.x[s]);
                 }
-                zones.push(ZoneBurn {
-                    zone: id,
-                    rho,
-                    t0: t,
-                    x0: x,
-                });
-                sites.push((i, iv));
-            }
-        }
-        totals.skipped = zone_id - zones.len() as u64;
-        // Burn through the SoA batches, scatter back in input order.
-        for ((i, iv), res) in sites.into_iter().zip(burner.burn_all(&zones, dt)) {
-            match res {
-                Ok(rec) => {
-                    totals.record(&rec);
-                    state.fab_mut(i).set(iv, LmLayout::TEMP, rec.outcome.t);
-                    for s in 0..nspec {
-                        state
-                            .fab_mut(i)
-                            .set(iv, self.layout.spec(s), rec.outcome.x[s]);
-                    }
-                }
-                // Keep sweeping: report every hard zone, not just the
-                // first one found.
-                Err(f) => failures.push(*f),
-            }
-        }
-        if failures.is_empty() {
-            Ok(totals)
-        } else {
-            Err(failures)
-        }
+                // The low-Mach step keeps no energy tally.
+                0.0
+            },
+        )
     }
 
     /// Check the post-step state for physical sanity: every component

@@ -8,16 +8,17 @@
 //! rates — that produces the thermonuclear runaways the paper studies, and
 //! it is why the ODE system is stiff enough to demand an implicit solver.
 //!
-//! There is one [`Burner`], built by [`BurnerConfig::build`]. A sweep's
-//! zones go through [`Burner::burn_all`], which advances cost-similar zones
-//! in lockstep SoA batches ([`crate::batch`]) and hands whatever a batch
-//! cannot hold — dropouts, fault-injected zones, leftovers — to the retry
-//! ladder of [`crate::recovery`] (direct → relaxed tolerances → subcycling
-//! → §VI outlier offload), which is also all of [`Burner::burn_zone`]. A
-//! rung is the same integrator on a batch of one lane. The chunks and the
-//! direct, relaxed and subcycle rungs share one pattern-specialized sparse
-//! LU compiled from the network's declared sparsity; only the offload rung
-//! is dense.
+//! There is one [`Burner`], built by [`BurnerConfig::build`]. A level is
+//! burned by [`Burner::burn_multifab`], whose zones go through
+//! [`Burner::burn_all`], which advances cost-similar zones in lockstep SoA
+//! batches ([`crate::batch`]) and hands whatever a batch cannot hold —
+//! dropouts, fault-injected zones, leftovers — to the retry ladder of
+//! [`crate::recovery`] (direct → relaxed tolerances → subcycling → §VI
+//! outlier offload), which is also all of [`Burner::burn_zone`]. A rung is
+//! the same integrator on a batch of one lane. The chunks and the direct,
+//! relaxed and subcycle rungs share one pattern-specialized sparse LU
+//! compiled from the network's declared sparsity; only the offload rung is
+//! dense.
 
 use crate::batch::{gather_lane, scatter_lane, BatchWorkspace, LaneStatus};
 use crate::constants::{MEV_TO_ERG, N_A};
@@ -31,6 +32,7 @@ use crate::recovery::{
 };
 use crate::sparse::SparseLu;
 use crate::species::{energy_rate_lanes, mass_to_molar, molar_to_mass, Composition};
+use exastro_amr::{FArrayBox, IntVect, MultiFab};
 use exastro_parallel::{Tasks, WorkerPool, LANES};
 use exastro_telemetry::Telemetry;
 use std::sync::{Arc, Mutex};
@@ -374,6 +376,67 @@ pub struct Burner<'a> {
 }
 
 impl<'a> Burner<'a> {
+    /// Burn every valid zone of `state` for `dt`: the one sweep over a
+    /// level that Castro and MAESTROeX both run. `admit(fab, iv)` gathers a
+    /// zone's `(ρ, T, X)`, or `None` to skip it; the admitted zones go
+    /// through [`Burner::burn_all`], and each burned zone, in sweep order,
+    /// is folded into the returned [`BurnStats`] and handed to
+    /// `apply(fab, iv, ρ, outcome)`, which writes it back and returns the
+    /// energy it deposited, erg (summed into `energy_released`).
+    ///
+    /// A zone's id is its flat index in sweep order (fabs in order, each
+    /// valid box x-fastest), skipped zones counted, so both Strang halves
+    /// of a step give a zone the same id: fault injection and failure
+    /// reports key on it. A zone that fails every rung does not stop the
+    /// sweep; the `Err` lists every such zone, and `state` is then
+    /// partially burned and must be discarded.
+    pub fn burn_multifab<A, S>(
+        &self,
+        state: &mut MultiFab,
+        dt: f64,
+        mut admit: A,
+        mut apply: S,
+    ) -> Result<BurnStats, Vec<BurnFailure>>
+    where
+        A: FnMut(&FArrayBox, IntVect) -> Option<(f64, f64, Vec<f64>)>,
+        S: FnMut(&mut FArrayBox, IntVect, f64, &BurnOutcome) -> f64,
+    {
+        let valid = state.box_array().total_zones() as usize;
+        let mut zones: Vec<ZoneBurn> = Vec::with_capacity(valid);
+        let mut sites: Vec<(usize, IntVect)> = Vec::with_capacity(valid);
+        let mut zone = 0u64;
+        for fi in 0..state.nfabs() {
+            let fab = state.fab(fi);
+            for iv in state.valid_box(fi).iter() {
+                if let Some((rho, t0, x0)) = admit(fab, iv) {
+                    zones.push(ZoneBurn { zone, rho, t0, x0 });
+                    sites.push((fi, iv));
+                }
+                zone += 1;
+            }
+        }
+        let mut stats = BurnStats {
+            skipped: zone - zones.len() as u64,
+            ..Default::default()
+        };
+        let mut failures: Vec<BurnFailure> = Vec::new();
+        let recs = self.burn_all(&zones, dt);
+        for (((fi, iv), zb), res) in sites.into_iter().zip(&zones).zip(recs) {
+            match res {
+                Ok(rec) => {
+                    stats.record(&rec);
+                    stats.energy_released += apply(state.fab_mut(fi), iv, zb.rho, &rec.outcome);
+                }
+                Err(f) => failures.push(*f),
+            }
+        }
+        if failures.is_empty() {
+            Ok(stats)
+        } else {
+            Err(failures)
+        }
+    }
+
     /// Burn a sweep's worth of zones for `dt` seconds each. Results come
     /// back in input order. Zones are sorted by temperature (stable,
     /// deterministic) before chunking so cost-similar zones share a batch;
@@ -696,12 +759,13 @@ impl<'a> Burner<'a> {
     }
 }
 
-/// Shared per-sweep burn accounting: both drivers fold each
-/// [`RecoveredBurn`] through [`BurnTally::record`] (which also attributes
-/// ladder retries to the region table) instead of hand-rolling the rung
-/// bookkeeping.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct BurnTally {
+/// A burn sweep's statistics, the one record both drivers report:
+/// [`Burner::burn_multifab`] folds each [`RecoveredBurn`] in through
+/// [`BurnStats::record`] (which also attributes ladder retries to the
+/// region table), and a step's two Strang halves combine by
+/// [`BurnStats::merge`].
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct BurnStats {
     /// Zones burned.
     pub zones: u64,
     /// Zones skipped by temperature/density cutoffs.
@@ -712,6 +776,8 @@ pub struct BurnTally {
     pub max_steps: u64,
     /// Total Newton iterations over all zones.
     pub newton_iters: u64,
+    /// Total nuclear energy released, erg.
+    pub energy_released: f64,
     /// Retry-ladder attempts beyond the first, summed over zones.
     pub retries: u64,
     /// Zones that needed at least one retry to burn.
@@ -724,9 +790,9 @@ pub struct BurnTally {
     pub offloaded: u64,
 }
 
-impl BurnTally {
-    /// Fold one recovered burn into the tally (and the region table's retry
-    /// counter for the innermost open region).
+impl BurnStats {
+    /// Fold one recovered burn into the statistics (and the region table's
+    /// retry counter for the innermost open region).
     pub fn record(&mut self, rec: &RecoveredBurn) {
         self.zones += 1;
         self.total_steps += rec.outcome.stats.steps;
@@ -743,6 +809,21 @@ impl BurnTally {
             LadderRung::Subcycle => self.recovered_subcycle += 1,
             LadderRung::Offload => self.offloaded += 1,
         }
+    }
+
+    /// Merge another sweep's statistics into these.
+    pub fn merge(&mut self, o: &BurnStats) {
+        self.zones += o.zones;
+        self.skipped += o.skipped;
+        self.total_steps += o.total_steps;
+        self.max_steps = self.max_steps.max(o.max_steps);
+        self.newton_iters += o.newton_iters;
+        self.energy_released += o.energy_released;
+        self.retries += o.retries;
+        self.recovered += o.recovered;
+        self.recovered_relaxed += o.recovered_relaxed;
+        self.recovered_subcycle += o.recovered_subcycle;
+        self.offloaded += o.offloaded;
     }
 }
 
@@ -828,7 +909,7 @@ mod tests {
             rung,
             retries,
         };
-        let mut tally = BurnTally {
+        let mut tally = BurnStats {
             skipped: 1,
             ..Default::default()
         };
@@ -846,6 +927,52 @@ mod tests {
         assert_eq!(tally.recovered_relaxed, 1);
         assert_eq!(tally.recovered_subcycle, 1);
         assert_eq!(tally.offloaded, 1);
+        // Two Strang halves: counts add, the outlier is the larger one.
+        tally.energy_released = 2.5;
+        let mut step = BurnStats {
+            max_steps: 300,
+            ..tally.clone()
+        };
+        step.merge(&tally);
+        assert_eq!((step.zones, step.skipped, step.retries), (8, 2, 12));
+        assert_eq!((step.max_steps, step.energy_released), (300, 5.0));
+    }
+
+    #[test]
+    fn a_multifab_sweep_ids_zones_in_sweep_order_and_reports_every_failure() {
+        use exastro_amr::{BoxArray, IndexBox};
+        // Two 2x2x2 boxes; every other zone is admitted, and every admitted
+        // zone is rigged to fail every rung.
+        let ba = BoxArray::decompose(
+            IndexBox::new(IntVect::splat(0), IntVect::new(3, 1, 1)),
+            2,
+            2,
+        );
+        let mut state = MultiFab::local(ba, 1, 0);
+        assert_eq!(state.nfabs(), 2);
+        let net = CBurn2::new();
+        let burner = BurnerConfig {
+            faults: Some(BurnFaultConfig {
+                seed: 1,
+                rate: 1.0,
+                rungs_to_fail: u32::MAX,
+                error: BdfErrorKind::SingularMatrix,
+            }),
+            ..Default::default()
+        }
+        .build(&net, &StellarEos);
+        let mut seen = 0;
+        let res = burner.burn_multifab(
+            &mut state,
+            1e-8,
+            |_, _| {
+                seen += 1;
+                (seen % 2 == 0).then(|| (1e7, 1e9, vec![1.0, 0.0]))
+            },
+            |_, _, _, _| unreachable!("every admitted zone fails"),
+        );
+        let ids: Vec<u64> = res.unwrap_err().iter().map(|f| f.zone).collect();
+        assert_eq!(ids, [1, 3, 5, 7, 9, 11, 13, 15]);
     }
 
     proptest::proptest! {

@@ -172,11 +172,6 @@ impl GammaLaw {
     pub fn e_from_p(&self, rho: f64, p: f64) -> f64 {
         p / ((self.gamma - 1.0) * rho)
     }
-
-    /// Pressure from specific internal energy.
-    pub fn p_from_e(&self, rho: f64, e: f64) -> f64 {
-        (self.gamma - 1.0) * rho * e
-    }
 }
 
 impl Eos for GammaLaw {

@@ -45,7 +45,7 @@ pub mod sparse;
 pub mod species;
 
 pub use batch::{BatchWorkspace, LaneReport, LaneStatus};
-pub use burner::{BurnOutcome, BurnTally, Burner, BurnerConfig, ZoneBurn};
+pub use burner::{BurnOutcome, BurnStats, Burner, BurnerConfig, ZoneBurn};
 pub use eos::{Eos, EosResult, GammaLaw, StellarEos};
 pub use integrator::{
     rk4, BdfConfigError, BdfError, BdfErrorKind, BdfIntegrator, BdfOptions, BdfOptionsBuilder,

@@ -235,7 +235,7 @@ impl TaskGraph {
     ///
     /// When `Telemetry::graph_trace_enabled()`, every task records its
     /// ready/start/end timestamps and worker id into a
-    /// [`GraphTrace`](exastro_telemetry::GraphTrace) (drained by
+    /// [`GraphTrace`] (drained by
     /// `Telemetry::write_graph_summary`), and each task emits a span plus
     /// dependency flow arrows (`ph: "s"`/`"f"`) into the shared trace ring
     /// buffer — the arrows Perfetto draws between task slices. `meta` is

@@ -97,12 +97,6 @@ impl IntVect {
         self.0[0] <= o.0[0] && self.0[1] <= o.0[1] && self.0[2] <= o.0[2]
     }
 
-    /// True if every component of `self` is `>=` the matching component of `o`.
-    #[inline]
-    pub fn all_ge(&self, o: &Self) -> bool {
-        self.0[0] >= o.0[0] && self.0[1] >= o.0[1] && self.0[2] >= o.0[2]
-    }
-
     /// Coarsen each component by `ratio` (flooring division, as AMReX does).
     #[inline]
     pub fn coarsen(self, ratio: IntVect) -> Self {
@@ -143,12 +137,6 @@ impl IntVect {
     #[inline]
     pub fn max_component(&self) -> i32 {
         self.0[0].max(self.0[1]).max(self.0[2])
-    }
-
-    /// Smallest component value.
-    #[inline]
-    pub fn min_component(&self) -> i32 {
-        self.0[0].min(self.0[1]).min(self.0[2])
     }
 }
 

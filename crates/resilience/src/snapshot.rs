@@ -8,7 +8,7 @@
 //! run byte for byte (ghost zones are not stored — every solver refills
 //! them at the top of a step).
 
-use crate::manifest::{crc32_update, Manifest};
+use crate::manifest::crc32_update;
 use exastro_amr::io::{append_blob, append_le_bytes};
 use exastro_amr::{Geometry, MultiFab, Real};
 
@@ -148,12 +148,6 @@ pub fn digest_states(states: &[MultiFab]) -> u32 {
         digest_multifab_update(st, s, &mut blob)
     });
     st ^ 0xFFFF_FFFF
-}
-
-/// Convenience: digest over a checkpoint directory's manifest (identifies
-/// the on-disk bytes rather than the in-memory state).
-pub fn digest_manifest(m: &Manifest) -> u32 {
-    crc32_update(0xFFFF_FFFF, m.to_text().as_bytes()) ^ 0xFFFF_FFFF
 }
 
 #[cfg(test)]

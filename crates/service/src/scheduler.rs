@@ -213,12 +213,6 @@ impl Service {
         self.running.len()
     }
 
-    /// Simulated seconds the service has advanced (the fault model's
-    /// clock; 0 until the first tick).
-    pub fn sim_clock_s(&self) -> f64 {
-        self.sim_clock_us * 1e-6
-    }
-
     /// Log a refused submission's `Reject` event; returns `why` for the
     /// error.
     fn reject(&mut self, class: PriorityClass, why: String) -> String {

@@ -141,8 +141,8 @@ pub fn reserve_flow_ids(n: u64) -> u64 {
     NEXT_FLOW_ID.fetch_add(n.max(1), Ordering::Relaxed)
 }
 
-/// Store a completed graph trace (bounded; oldest evicted past
-/// [`MAX_TRACES`]).
+/// Store a completed graph trace (bounded; the oldest is evicted past 256
+/// traces).
 pub fn record(trace: GraphTrace) {
     let mut reg = registry().lock().unwrap();
     if reg.len() >= MAX_TRACES {

@@ -18,7 +18,7 @@ use std::sync::Arc;
 ///
 /// Counter fields are *per step* (deltas), not run totals: summing a column
 /// over a `steps.jsonl` file reconciles with the end-of-run region table /
-/// `BurnTally` totals, which the driver integration tests assert.
+/// `BurnStats` totals, which the driver integration tests assert.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct StepMetrics {
     /// Which driver emitted this record (`"castro"` or `"maestro"`).
