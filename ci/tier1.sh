@@ -22,6 +22,9 @@ echo "== pooled burn sweep == nested inline sweep (release) =="
 # The debug run above already covers it; optimised code takes other
 # schedules through the pool, and a sweep's bits must not follow them.
 cargo test -q --offline --release -p exastro-microphysics --test proptests pooled_sweep
+# Likewise a reacting MAESTROeX step and a Castro burn sweep, whose per-fab
+# passes also run on the pool.
+cargo test -q --offline --release -p exastro --test schedule
 echo "== Castro bit pins and the lane-kernel oracle (release) =="
 # The hydro row kernels take four zones of a row at a time, and only an
 # optimised build packs those lanes into vector registers: the pins and the

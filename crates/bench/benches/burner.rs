@@ -178,8 +178,7 @@ fn burn_once(net: &dyn Network, eos: &StellarEos, solve: Solve) -> (f64, BdfStat
 /// A field of detonation-adjacent zones with a deterministic ±2% spread in
 /// (ρ, T) so every SIMD lane carries distinct state and the shared batch
 /// controller has real work to arbitrate.
-fn zone_set(net: &dyn Network, count: usize) -> Vec<ZoneBurn> {
-    let x0 = co_fuel(net);
+fn zone_set(x0: &[f64], count: usize) -> Vec<ZoneBurn<'_>> {
     (0..count)
         .map(|i| {
             let f = (i as f64 * 0.37).sin() * 0.02;
@@ -187,7 +186,7 @@ fn zone_set(net: &dyn Network, count: usize) -> Vec<ZoneBurn> {
                 zone: i as u64,
                 rho: 5e7 * (1.0 + f),
                 t0: 2.8e9 * (1.0 - f),
-                x0: x0.clone(),
+                x0,
             }
         })
         .collect()
@@ -410,7 +409,8 @@ fn bench(c: &mut Criterion) {
     let widths = [4usize, 8, 16];
     println!("=== batched SoA burner: aggregate zones/µs ({zone_count} zones) ===");
     for (name, net) in nets {
-        let zones = zone_set(net, zone_count);
+        let fuel = co_fuel(net);
+        let zones = zone_set(&fuel, zone_count);
         let (scalar, batched) =
             throughput_sweep(net, &eos, &widths, &zones, burn_dt, throughput_samples);
         metrics.push(MetricPoint::measured(
@@ -448,7 +448,8 @@ fn bench(c: &mut Criterion) {
         g.bench_function(format!("{name}/sparse"), |b| {
             b.iter(|| std::hint::black_box(burn_once(net, &eos, Solve::Sparse)))
         });
-        let zones = zone_set(net, if smoke { 8 } else { 64 });
+        let fuel = co_fuel(net);
+        let zones = zone_set(&fuel, if smoke { 8 } else { 64 });
         let batched = BurnerConfig::default().build(net, &eos);
         g.bench_function(format!("{name}/batch8"), |b| {
             b.iter(|| std::hint::black_box(batched.burn_all(&zones, 1e-7)))

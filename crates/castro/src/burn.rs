@@ -82,25 +82,25 @@ pub fn burn_state(
     cfg.build(net, eos).burn_multifab(
         state,
         dt,
-        |fab, iv| {
-            let rho = fab.get(iv, StateLayout::RHO);
-            let t = fab.get(iv, StateLayout::TEMP);
+        |arr, z, x| {
+            let rho = arr.at_zone(z, StateLayout::RHO);
+            let t = arr.at_zone(z, StateLayout::TEMP);
             if t < opts.min_temp || rho < opts.min_dens {
                 return None;
             }
-            let x = (0..nspec)
-                .map(|s| (fab.get(iv, layout.spec(s)) / rho).clamp(0.0, 1.0))
-                .collect();
-            Some((rho, t, x))
-        },
-        |fab, iv, rho, out| {
-            for s in 0..nspec {
-                fab.set(iv, layout.spec(s), rho * out.x[s]);
+            for (s, xi) in x.iter_mut().enumerate() {
+                *xi = (arr.at_zone(z, layout.spec(s)) / rho).clamp(0.0, 1.0);
             }
-            fab.set(iv, StateLayout::TEMP, out.t);
+            Some((rho, t))
+        },
+        |arr, z, rho, out| {
+            for s in 0..nspec {
+                arr.set_zone(z, layout.spec(s), rho * out.x[s]);
+            }
+            arr.set_zone(z, StateLayout::TEMP, out.t);
             // Deposit the released specific energy.
             for c in [StateLayout::EINT, StateLayout::EDEN] {
-                fab.set(iv, c, fab.get(iv, c) + rho * out.enuc);
+                arr.add_zone(z, c, rho * out.enuc);
             }
             out.enuc * rho * vol
         },

@@ -12,9 +12,11 @@
 //!   its communication.
 
 use crate::state::StateLayout;
-use exastro_amr::{CommTrace, Geometry, IntVect, MultiFab, Real};
+use exastro_amr::{
+    for_each_row, Array4Mut, CommTrace, Geometry, IndexBox, IntVect, MultiFab, Real,
+};
 use exastro_microphysics::constants::G_NEWTON;
-use exastro_parallel::ExecSpace;
+use exastro_parallel::{par_each_mut, ExecSpace};
 use exastro_solvers::{MgBc, MgOptions, MgStats, Multigrid};
 
 /// Gravity treatment.
@@ -97,6 +99,9 @@ impl Gravity {
         let dr = half_diag / self.n_bins as Real;
         let vol = geom.cell_volume();
         let mut mass = vec![0.0; self.n_bins];
+        // One serial fold in sweep order, not a pool kernel: zones of
+        // different fabs share a bin, and the order of a bin's sum fixes its
+        // bits.
         for (i, vb) in state.iter_boxes() {
             for iv in vb.iter() {
                 let x = geom.cell_center(iv);
@@ -117,9 +122,9 @@ impl Gravity {
         let (mass, dr) = self.mass_profile(state, geom);
         let c = Self::center(geom);
         let mut accel = MultiFab::new(state.box_array().clone(), state.dist_map().clone(), 3, 0);
-        for i in 0..accel.nfabs() {
-            let vb = accel.valid_box(i);
-            for iv in vb.iter() {
+        let vbs = valid_boxes(&accel);
+        par_each_mut(&mut accel.fab_views_mut(), |f, arr| {
+            for_each_zone(arr, vbs[f], |iv, z| {
                 let x = geom.cell_center(iv);
                 let dx = [x[0] - c[0], x[1] - c[1], x[2] - c[2]];
                 let r = (dx[0] * dx[0] + dx[1] * dx[1] + dx[2] * dx[2])
@@ -128,10 +133,10 @@ impl Gravity {
                 let bin = ((r / dr) as usize).min(self.n_bins - 1);
                 let g = -G_NEWTON * mass[bin] / (r * r);
                 for d in 0..3 {
-                    accel.fab_mut(i).set(iv, d, g * dx[d] / r);
+                    arr.set_zone(z, d, g * dx[d] / r);
                 }
-            }
-        }
+            });
+        });
         GravityField {
             accel,
             mg: None,
@@ -144,33 +149,36 @@ impl Gravity {
         let ba = state.box_array().clone();
         let dm = state.dist_map().clone();
         let mut rhs = MultiFab::new(ba.clone(), dm.clone(), 1, 0);
-        for i in 0..rhs.nfabs() {
-            let vb = rhs.valid_box(i);
-            for iv in vb.iter() {
-                let v =
-                    4.0 * std::f64::consts::PI * G_NEWTON * state.fab(i).get(iv, StateLayout::RHO);
-                rhs.fab_mut(i).set(iv, 0, v);
-            }
-        }
+        let vbs = valid_boxes(&rhs);
+        par_each_mut(&mut rhs.fab_views_mut(), |f, arr| {
+            let sv = state.fab(f).array();
+            for_each_zone(arr, vbs[f], |iv, z| {
+                let rho = sv.at(iv.x(), iv.y(), iv.z(), StateLayout::RHO);
+                arr.set_zone(z, 0, 4.0 * std::f64::consts::PI * G_NEWTON * rho);
+            });
+        });
         // Initial guess with monopole boundary ghosts: φ = −GM/r outside.
         let (mass, dr) = self.mass_profile(state, geom);
         let total_mass = *mass.last().unwrap();
         let c = Self::center(geom);
         let mut phi = MultiFab::new(ba.clone(), dm.clone(), 1, 1);
         let domain = geom.domain();
-        for i in 0..phi.nfabs() {
-            let gb = phi.grown_box(i);
-            for iv in gb.iter() {
-                if domain.contains(iv) {
-                    continue;
-                }
-                let x = geom.cell_center(iv);
-                let r = ((x[0] - c[0]).powi(2) + (x[1] - c[1]).powi(2) + (x[2] - c[2]).powi(2))
-                    .sqrt()
-                    .max(dr);
-                phi.fab_mut(i).set(iv, 0, -G_NEWTON * total_mass / r);
-            }
-        }
+        // φ = −GM/r in every ghost zone outside the domain.
+        let monopole_ghosts = |phi: &mut MultiFab| {
+            par_each_mut(&mut phi.fab_views_mut(), |_, arr| {
+                for_each_zone(arr, arr.index_box(), |iv, z| {
+                    if domain.contains(iv) {
+                        return;
+                    }
+                    let x = geom.cell_center(iv);
+                    let r = ((x[0] - c[0]).powi(2) + (x[1] - c[1]).powi(2) + (x[2] - c[2]).powi(2))
+                        .sqrt()
+                        .max(dr);
+                    arr.set_zone(z, 0, -G_NEWTON * total_mass / r);
+                });
+            });
+        };
+        monopole_ghosts(&mut phi);
         let mg = Multigrid::poisson(
             [MgBc::Dirichlet; 3],
             MgOptions {
@@ -183,32 +191,20 @@ impl Gravity {
         // by the solver's final copy… refill domain ghosts from the
         // monopole again and exchange interior ghosts).
         let comm = phi.fill_boundary(geom);
-        for i in 0..phi.nfabs() {
-            let gb = phi.grown_box(i);
-            for iv in gb.iter() {
-                if domain.contains(iv) {
-                    continue;
-                }
-                let x = geom.cell_center(iv);
-                let r = ((x[0] - c[0]).powi(2) + (x[1] - c[1]).powi(2) + (x[2] - c[2]).powi(2))
-                    .sqrt()
-                    .max(dr);
-                phi.fab_mut(i).set(iv, 0, -G_NEWTON * total_mass / r);
-            }
-        }
+        monopole_ghosts(&mut phi);
         let mut accel = MultiFab::new(ba, dm, 3, 0);
         let dx = geom.dx();
-        for i in 0..accel.nfabs() {
-            let vb = accel.valid_box(i);
-            for iv in vb.iter() {
+        par_each_mut(&mut accel.fab_views_mut(), |f, arr| {
+            let pv = phi.fab(f).array();
+            for_each_zone(arr, vbs[f], |iv, z| {
+                let p = pv.zone(iv.x(), iv.y(), iv.z());
                 for d in 0..3 {
-                    let e = IntVect::dim_vec(d);
-                    let g =
-                        -(phi.fab(i).get(iv + e, 0) - phi.fab(i).get(iv - e, 0)) / (2.0 * dx[d]);
-                    accel.fab_mut(i).set(iv, d, g);
+                    let (up, down) = (p + pv.stride(d), p - pv.stride(d));
+                    let g = -(pv.at_zone(up, 0) - pv.at_zone(down, 0)) / (2.0 * dx[d]);
+                    arr.set_zone(z, d, g);
                 }
-            }
-        }
+            });
+        });
         GravityField {
             accel,
             mg: Some(stats),
@@ -219,13 +215,12 @@ impl Gravity {
     /// Apply the gravity source to momentum and energy over `dt`:
     /// `ρu += ρ g dt`, `ρE += ρ u·g dt` (evaluated with the updated
     /// velocity midpoint for better energy behaviour).
+    /// One pool task a fab.
     pub fn apply_source(state: &mut MultiFab, field: &GravityField, dt: Real, ex: &ExecSpace) {
-        for i in 0..state.nfabs() {
-            let vb = state.valid_box(i);
-            let gacc = field.accel.fab(i).array();
-            let fab = state.fab_mut(i);
-            let uarr = fab.array_mut();
-            ex.par_for(vb, |i, j, k| {
+        let vbs = valid_boxes(state);
+        par_each_mut(&mut state.fab_views_mut(), |f, uarr| {
+            let gacc = field.accel.fab(f).array();
+            ex.par_for(vbs[f], |i, j, k| {
                 let rho = uarr.at(i, j, k, StateLayout::RHO);
                 let mut ke_src = 0.0;
                 for d in 0..3 {
@@ -238,8 +233,27 @@ impl Gravity {
                 }
                 uarr.add(i, j, k, StateLayout::EDEN, ke_src);
             });
-        }
+        });
     }
+}
+
+/// Every fab's valid box.
+fn valid_boxes(mf: &MultiFab) -> Vec<IndexBox> {
+    (0..mf.nfabs()).map(|i| mf.valid_box(i)).collect()
+}
+
+/// Call `f(iv, z)` for every zone `iv` of `bx`, x fastest, with `z` its
+/// cursor in `arr`.
+fn for_each_zone(arr: &Array4Mut<'_>, bx: IndexBox, mut f: impl FnMut(IntVect, usize)) {
+    for_each_row(bx, |start, len| {
+        let z0 = arr.zone(start.x(), start.y(), start.z());
+        for x in 0..len {
+            f(
+                IntVect::new(start.x() + x as i32, start.y(), start.z()),
+                z0 + x,
+            );
+        }
+    });
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@ use exastro_amr::{
 use exastro_microphysics::{
     BurnFailure, BurnFaultConfig, BurnStats, BurnerConfig, Composition, Eos, Network,
 };
-use exastro_parallel::par_each_mut;
+use exastro_parallel::{par_each_mut, par_map_fold};
 use exastro_resilience::recovery::{first_violation, transact, RecoveryOptions};
 pub use exastro_resilience::recovery::{DriverError, StateViolation, StepError};
 use exastro_resilience::stepper::{StepOutcome, Stepper};
@@ -169,40 +169,56 @@ impl<'a> Maestro<'a> {
         bc
     }
 
-    /// Advective CFL timestep — sound speed does *not* appear.
+    /// Advective CFL timestep — sound speed does *not* appear. Each fab's
+    /// peak speed is found on the pool; the peaks fold in fab order.
     pub fn estimate_dt(&self, state: &MultiFab, geom: &Geometry) -> Real {
         let dx = geom.min_dx();
-        let mut vmax: Real = 1e-10;
-        for (i, vb) in state.iter_boxes() {
-            for iv in vb.iter() {
-                for d in 0..3 {
-                    vmax = vmax.max(state.fab(i).get(iv, LmLayout::U + d).abs());
-                }
-            }
-        }
+        let vmax = par_map_fold(
+            state.nfabs(),
+            1e-10,
+            |f| {
+                let arr = state.fab(f).array();
+                let mut vmax: Real = 1e-10;
+                for_each_row(state.valid_box(f), |start, len| {
+                    let z0 = arr.zone(start.x(), start.y(), start.z());
+                    for z in z0..z0 + len {
+                        for d in 0..3 {
+                            vmax = vmax.max(arr.at_zone(z, LmLayout::U + d).abs());
+                        }
+                    }
+                });
+                vmax
+            },
+            Real::max,
+        );
         CFL * dx / vmax
     }
 
     /// Recompute the density from the base pressure and local (T, X): the
-    /// low-Mach equation of state constraint.
+    /// low-Mach equation of state constraint. One pool task a fab.
     pub fn enforce_density(&self, state: &mut MultiFab, geom: &Geometry) {
         let _ = geom;
-        let nspec = self.layout.nspec;
-        for i in 0..state.nfabs() {
-            let vb = state.valid_box(i);
-            for iv in vb.iter() {
-                let kz = iv.z().clamp(0, self.base.nz() as i32 - 1) as usize;
-                let t = state.fab(i).get(iv, LmLayout::TEMP);
-                let mut x = vec![0.0; nspec];
-                for s in 0..nspec {
-                    x[s] = state.fab(i).get(iv, self.layout.spec(s)).clamp(0.0, 1.0);
+        let (layout, base, eos) = (self.layout, &self.base, self.eos);
+        let species = self.net.species();
+        let vbs: Vec<IndexBox> = (0..state.nfabs()).map(|i| state.valid_box(i)).collect();
+        par_each_mut(&mut state.fab_views_mut(), |f, arr| {
+            for_each_row(vbs[f], |start, len| {
+                let kz = start.z().clamp(0, base.nz() as i32 - 1) as usize;
+                let z0 = arr.zone(start.x(), start.y(), start.z());
+                for z in z0..z0 + len {
+                    let t = arr.at_zone(z, LmLayout::TEMP);
+                    let mut xs = [0.0; MAX_NSPEC];
+                    let x = &mut xs[..layout.nspec];
+                    for (s, xi) in x.iter_mut().enumerate() {
+                        *xi = arr.at_zone(z, layout.spec(s)).clamp(0.0, 1.0);
+                    }
+                    let comp = Composition::from_mass_fractions(species, x);
+                    let rho_old = arr.at_zone(z, LmLayout::RHO).max(1e-6);
+                    let rho = rho_from_p_t(base.p0[kz], t, &comp, eos, rho_old);
+                    arr.set_zone(z, LmLayout::RHO, rho);
                 }
-                let comp = Composition::from_mass_fractions(self.net.species(), &x);
-                let rho_old = state.fab(i).get(iv, LmLayout::RHO).max(1e-6);
-                let rho = rho_from_p_t(self.base.p0[kz], t, &comp, self.eos, rho_old);
-                state.fab_mut(i).set(iv, LmLayout::RHO, rho);
-            }
-        }
+            });
+        });
     }
 
     /// First-order upwind advection of the zones of `region` by the cell
@@ -243,19 +259,22 @@ impl<'a> Maestro<'a> {
         }
     }
 
-    /// Buoyancy source: `w += −g (ρ − ρ₀)/ρ dt`.
+    /// Buoyancy source: `w += −g (ρ − ρ₀)/ρ dt`, one pool task a fab.
     fn buoyancy(&self, state: &mut MultiFab, dt: Real) {
-        for i in 0..state.nfabs() {
-            let vb = state.valid_box(i);
-            for iv in vb.iter() {
-                let kz = iv.z().clamp(0, self.base.nz() as i32 - 1) as usize;
-                let rho = state.fab(i).get(iv, LmLayout::RHO).max(1e-12);
-                let drho = rho - self.base.rho0[kz];
-                let dw = -self.base.grav * drho / rho * dt;
-                let w = state.fab(i).get(iv, LmLayout::W) + dw;
-                state.fab_mut(i).set(iv, LmLayout::W, w);
-            }
-        }
+        let base = &self.base;
+        let vbs: Vec<IndexBox> = (0..state.nfabs()).map(|i| state.valid_box(i)).collect();
+        par_each_mut(&mut state.fab_views_mut(), |f, arr| {
+            for_each_row(vbs[f], |start, len| {
+                let kz = start.z().clamp(0, base.nz() as i32 - 1) as usize;
+                let z0 = arr.zone(start.x(), start.y(), start.z());
+                for z in z0..z0 + len {
+                    let rho = arr.at_zone(z, LmLayout::RHO).max(1e-12);
+                    let drho = rho - base.rho0[kz];
+                    let dw = -base.grav * drho / rho * dt;
+                    arr.set_zone(z, LmLayout::W, arr.at_zone(z, LmLayout::W) + dw);
+                }
+            });
+        });
     }
 
     /// Project the velocity onto the (approximately) divergence-free space:
@@ -378,21 +397,21 @@ impl<'a> Maestro<'a> {
         burner.burn_multifab(
             state,
             dt,
-            |fab, iv| {
-                let t = fab.get(iv, LmLayout::TEMP);
+            |arr, z, x| {
+                let t = arr.at_zone(z, LmLayout::TEMP);
                 if t < BURN_MIN_TEMP {
                     return None;
                 }
-                let rho = fab.get(iv, LmLayout::RHO).max(1e-12);
-                let x = (0..layout.nspec)
-                    .map(|s| fab.get(iv, layout.spec(s)).clamp(0.0, 1.0))
-                    .collect();
-                Some((rho, t, x))
+                let rho = arr.at_zone(z, LmLayout::RHO).max(1e-12);
+                for (s, xi) in x.iter_mut().enumerate() {
+                    *xi = arr.at_zone(z, layout.spec(s)).clamp(0.0, 1.0);
+                }
+                Some((rho, t))
             },
-            |fab, iv, _, out| {
-                fab.set(iv, LmLayout::TEMP, out.t);
+            |arr, z, _, out| {
+                arr.set_zone(z, LmLayout::TEMP, out.t);
                 for s in 0..layout.nspec {
-                    fab.set(iv, layout.spec(s), out.x[s]);
+                    arr.set_zone(z, layout.spec(s), out.x[s]);
                 }
                 // The low-Mach step keeps no energy tally.
                 0.0
@@ -473,13 +492,17 @@ impl<'a> Maestro<'a> {
                     }
                 },
                 |f, ov| {
+                    let sv = &svs[f];
                     for ghosts in ov.index_box().difference(&vbs[f]) {
-                        for iv in ghosts.iter() {
+                        for_each_row(ghosts, |start, len| {
+                            let zs = sv.zone(start.x(), start.y(), start.z());
+                            let zo = ov.zone(start.x(), start.y(), start.z());
                             for c in 0..ov.ncomp() {
-                                let v = ov.at(iv.x(), iv.y(), iv.z(), c);
-                                svs[f].set(iv.x(), iv.y(), iv.z(), c, v);
+                                for x in 0..len {
+                                    sv.set_zone(zs + x, c, ov.at_zone(zo + x, c));
+                                }
                             }
-                        }
+                        });
                     }
                 },
             );

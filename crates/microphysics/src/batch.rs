@@ -1103,7 +1103,7 @@ mod tests {
                 zone: i,
                 rho: 5e7 * (1.0 + 0.01 * i as f64),
                 t0: 3e9 * (1.0 + 0.005 * i as f64),
-                x0: vec![1.0, 0.0],
+                x0: &[1.0, 0.0],
             })
             .collect();
         let dt = 1e-7;
@@ -1111,9 +1111,7 @@ mod tests {
         assert_eq!(recs.len(), zones.len());
         for (zb, rec) in zones.iter().zip(&recs) {
             let rec = rec.as_ref().expect("batched burn succeeds");
-            let sref = burner
-                .burn_zone(zb.zone, zb.rho, zb.t0, &zb.x0, dt)
-                .unwrap();
+            let sref = burner.burn_zone(zb.zone, zb.rho, zb.t0, zb.x0, dt).unwrap();
             assert!(
                 ((rec.outcome.t - sref.outcome.t) / sref.outcome.t).abs() < 1e-5,
                 "zone {}: batch T {} vs scalar T {}",
@@ -1148,7 +1146,7 @@ mod tests {
                 } else {
                     1e8 + 1e6 * i as f64
                 },
-                x0: vec![1.0, 0.0],
+                x0: &[1.0, 0.0],
             })
             .collect();
         let recs = burner.burn_all(&zones, 1e-8);
@@ -1187,16 +1185,14 @@ mod tests {
                 zone: i,
                 rho: 5e7,
                 t0: 3e9,
-                x0: vec![1.0, 0.0],
+                x0: &[1.0, 0.0],
             })
             .collect();
         let dt = 1e-6;
         let recs = burner.burn_all(&zones, dt);
         for (zb, rec) in zones.iter().zip(&recs) {
             let rec = rec.as_ref().expect("ladder rescues the dropout");
-            let sref = burner
-                .burn_zone(zb.zone, zb.rho, zb.t0, &zb.x0, dt)
-                .unwrap();
+            let sref = burner.burn_zone(zb.zone, zb.rho, zb.t0, zb.x0, dt).unwrap();
             assert_eq!(rec.outcome.t.to_bits(), sref.outcome.t.to_bits());
             for (a, b) in rec.outcome.x.iter().zip(&sref.outcome.x) {
                 assert_eq!(a.to_bits(), b.to_bits());
@@ -1215,13 +1211,13 @@ mod tests {
     }
 
     /// `n` identical hot carbon zones.
-    fn hot_carbon_zones(n: u64) -> Vec<ZoneBurn> {
+    fn hot_carbon_zones(n: u64) -> Vec<ZoneBurn<'static>> {
         (0..n)
             .map(|i| ZoneBurn {
                 zone: i,
                 rho: 5e7,
                 t0: 3e9,
-                x0: vec![1.0, 0.0],
+                x0: &[1.0, 0.0],
             })
             .collect()
     }
@@ -1276,7 +1272,7 @@ mod tests {
                 zone: i,
                 rho: 5e7,
                 t0: 2.8e9 * (1.0 + 0.001 * i as f64),
-                x0: vec![0.5, 0.5],
+                x0: &[0.5, 0.5],
             })
             .collect();
         let recs = {
@@ -1319,12 +1315,12 @@ mod tests {
             for (i, zb) in zones.iter_mut().enumerate() {
                 zb.t0 = 3e9 - 1e7 * i as f64; // sorted as given: `bad` is in chunk bad / 4
             }
-            zones[bad].x0 = vec![1.0];
+            zones[bad].x0 = &[1.0];
             let caught = catch_unwind(AssertUnwindSafe(|| burner.burn_all(&zones, 1e-9)));
             let payload = caught.expect_err("the sweep must panic, not hang or succeed");
             let msg = payload.downcast_ref::<String>().expect("assert message");
             assert!(msg.contains("left == right"), "{msg}");
-            zones[bad].x0 = vec![1.0, 0.0];
+            zones[bad].x0 = &[1.0, 0.0];
             assert!(burner.burn_all(&zones, 1e-9).iter().all(Result::is_ok));
         }
     }
@@ -1349,7 +1345,7 @@ mod tests {
                 zone: i,
                 rho: 5e7,
                 t0: 3e9,
-                x0: vec![1.0, 0.0],
+                x0: &[1.0, 0.0],
             })
             .collect();
         for rec in burner.burn_all(&zones, 1e-6) {
@@ -1372,7 +1368,7 @@ mod tests {
             zone: 0,
             rho: 5e7,
             t0: 3e9,
-            x0: vec![1.0, 0.0],
+            x0: &[1.0, 0.0],
         }];
         let rec = burner.burn_all(&zones, 1e-6).remove(0).unwrap();
         let sref = burner.burn_zone(0, 5e7, 3e9, &[1.0, 0.0], 1e-6).unwrap();
@@ -1399,7 +1395,7 @@ mod tests {
                 zone: i,
                 rho: 1e7 * (1.0 + 0.02 * i as f64),
                 t0: 3e9 * (1.0 + 0.01 * i as f64),
-                x0: x0.clone(),
+                x0: &x0,
             })
             .collect();
         for rec in burner.burn_all(&zones, 1e-7) {

@@ -32,8 +32,8 @@ use crate::recovery::{
 };
 use crate::sparse::SparseLu;
 use crate::species::{energy_rate_lanes, mass_to_molar, molar_to_mass, Composition};
-use exastro_amr::{FArrayBox, IntVect, MultiFab};
-use exastro_parallel::{Tasks, WorkerPool, LANES};
+use exastro_amr::{for_each_row, Array4, Array4Mut, IndexBox, MultiFab};
+use exastro_parallel::{par_each_mut, Tasks, WorkerPool, LANES};
 use exastro_telemetry::Telemetry;
 use std::sync::{Arc, Mutex};
 
@@ -51,9 +51,10 @@ pub struct BurnOutcome {
     pub stats: BdfStats,
 }
 
-/// One zone's burn request, as collected by a driver sweep.
-#[derive(Clone, Debug)]
-pub struct ZoneBurn {
+/// One zone's burn request, as collected by a driver sweep. Its mass
+/// fractions are borrowed, so a sweep gathers them into one buffer.
+#[derive(Clone, Copy, Debug)]
+pub struct ZoneBurn<'x> {
     /// Deterministic flat zone index (fault injection and failure reports
     /// key on it).
     pub zone: u64,
@@ -62,7 +63,7 @@ pub struct ZoneBurn {
     /// Entry temperature, K.
     pub t0: f64,
     /// Entry mass fractions.
-    pub x0: Vec<f64>,
+    pub x0: &'x [f64],
 }
 
 /// The self-heating burn of one zone at fixed density as an ODE system.
@@ -361,6 +362,43 @@ impl Participant<'_> {
     }
 }
 
+/// A batchable zone's sort key in [`Burner::burn_all`]: [`hot_first`] of
+/// its temperature, its zone id and its input position. Ascending keys are
+/// the order of a stable sort by `t0.total_cmp` descending, then zone id.
+type SweepKey = (u64, u64, usize);
+
+/// `t.total_cmp`'s order as an unsigned key, reversed, so that ascending
+/// keys are descending temperatures. `total_cmp` compares the bits as an
+/// `i64` after flipping every bit but the sign of a negative value;
+/// flipping the sign bit as well turns that into an unsigned order.
+fn hot_first(t: f64) -> u64 {
+    let bits = t.to_bits() as i64;
+    let key = (bits ^ (((bits >> 63) as u64) >> 1) as i64) as u64 ^ (1 << 63);
+    !key
+}
+
+/// Where each of consecutive pieces of the given lengths starts.
+fn prefix_sums(lens: &[usize]) -> Vec<usize> {
+    lens.iter()
+        .scan(0, |next, &len| {
+            let start = *next;
+            *next += len;
+            Some(start)
+        })
+        .collect()
+}
+
+/// Cut `v` into consecutive pieces of the given lengths.
+fn split_lengths<T>(mut v: &mut [T], lens: impl IntoIterator<Item = usize>) -> Vec<&mut [T]> {
+    lens.into_iter()
+        .map(|len| {
+            let (head, tail) = std::mem::take(&mut v).split_at_mut(len);
+            v = tail;
+            head
+        })
+        .collect()
+}
+
 /// Integrates nuclear burning zone by zone ([`Burner::burn_zone`]) or a
 /// sweep at a time ([`Burner::burn_all`]); see the module docs.
 pub struct Burner<'a> {
@@ -377,12 +415,15 @@ pub struct Burner<'a> {
 
 impl<'a> Burner<'a> {
     /// Burn every valid zone of `state` for `dt`: the one sweep over a
-    /// level that Castro and MAESTROeX both run. `admit(fab, iv)` gathers a
-    /// zone's `(ρ, T, X)`, or `None` to skip it; the admitted zones go
-    /// through [`Burner::burn_all`], and each burned zone, in sweep order,
-    /// is folded into the returned [`BurnStats`] and handed to
-    /// `apply(fab, iv, ρ, outcome)`, which writes it back and returns the
-    /// energy it deposited, erg (summed into `energy_released`).
+    /// level that Castro and MAESTROeX both run. `admit(arr, z, x)` reads
+    /// the zone at cursor `z` of a fab's view and returns its `(ρ, T)`,
+    /// having written its mass fractions into `x`, or `None` to skip it;
+    /// the admitted zones go through [`Burner::burn_all`], and each burned
+    /// zone is handed to `apply(arr, z, ρ, outcome)`, which writes it back
+    /// and returns the energy it deposited, erg. Both run per fab on the
+    /// worker pool and must touch only their own zone. Each burned zone is
+    /// then folded into the returned [`BurnStats`], its energy summed into
+    /// `energy_released`, in one pass in sweep order.
     ///
     /// A zone's id is its flat index in sweep order (fabs in order, each
     /// valid box x-fastest), skipped zones counted, so both Strang halves
@@ -394,38 +435,110 @@ impl<'a> Burner<'a> {
         &self,
         state: &mut MultiFab,
         dt: f64,
-        mut admit: A,
-        mut apply: S,
+        admit: A,
+        apply: S,
     ) -> Result<BurnStats, Vec<BurnFailure>>
     where
-        A: FnMut(&FArrayBox, IntVect) -> Option<(f64, f64, Vec<f64>)>,
-        S: FnMut(&mut FArrayBox, IntVect, f64, &BurnOutcome) -> f64,
+        A: Fn(&Array4<'_>, usize, &mut [f64]) -> Option<(f64, f64)> + Sync,
+        S: Fn(&Array4Mut<'_>, usize, f64, &BurnOutcome) -> f64 + Sync,
     {
-        let valid = state.box_array().total_zones() as usize;
-        let mut zones: Vec<ZoneBurn> = Vec::with_capacity(valid);
-        let mut sites: Vec<(usize, IntVect)> = Vec::with_capacity(valid);
-        let mut zone = 0u64;
-        for fi in 0..state.nfabs() {
-            let fab = state.fab(fi);
-            for iv in state.valid_box(fi).iter() {
-                if let Some((rho, t0, x0)) = admit(fab, iv) {
-                    zones.push(ZoneBurn { zone, rho, t0, x0 });
-                    sites.push((fi, iv));
+        let n = self.net.nspec();
+        let vbs: Vec<IndexBox> = (0..state.nfabs()).map(|f| state.valid_box(f)).collect();
+        let sizes: Vec<usize> = vbs.iter().map(|b| b.num_zones() as usize).collect();
+        let firsts: Vec<usize> = prefix_sums(&sizes);
+        let valid: usize = sizes.iter().sum();
+        // The gather, into one buffer sized once: fab f owns the stretch of
+        // its valid zones' sweep ids and packs the zones it admits at the
+        // stretch's front.
+        let mut xs = vec![0.0; valid * n];
+        let blank = ZoneBurn {
+            zone: 0,
+            rho: 0.0,
+            t0: 0.0,
+            x0: &[],
+        };
+        let mut zones = vec![blank; valid];
+        let mut stretches: Vec<(&mut [f64], &mut [ZoneBurn<'_>], usize)> =
+            split_lengths(&mut xs, sizes.iter().map(|&len| len * n))
+                .into_iter()
+                .zip(split_lengths(&mut zones, sizes.iter().copied()))
+                .map(|(x, z)| (x, z, 0))
+                .collect();
+        let level: &MultiFab = state;
+        par_each_mut(&mut stretches, |f, (xs, zones, admitted)| {
+            let arr = level.fab(f).array();
+            let (mut zone, mut k) = (firsts[f] as u64, 0);
+            for_each_row(vbs[f], |start, len| {
+                let z0 = arr.zone(start.x(), start.y(), start.z());
+                for z in z0..z0 + len {
+                    if let Some((rho, t0)) = admit(&arr, z, &mut xs[k * n..(k + 1) * n]) {
+                        zones[k] = ZoneBurn {
+                            zone,
+                            rho,
+                            t0,
+                            ..blank
+                        };
+                        k += 1;
+                    }
+                    zone += 1;
                 }
-                zone += 1;
+            });
+            let xs: &[f64] = std::mem::take::<&mut [f64]>(xs);
+            for (zb, x0) in zones[..k].iter_mut().zip(xs.chunks_exact(n)) {
+                zb.x0 = x0;
             }
+            *admitted = k;
+        });
+        let counts: Vec<usize> = stretches.into_iter().map(|s| s.2).collect();
+        let starts = prefix_sums(&counts);
+        // Close the gaps between the stretches, fab by fab in order.
+        for (f, &count) in counts.iter().enumerate() {
+            zones.copy_within(firsts[f]..firsts[f] + count, starts[f]);
         }
+        let burned: usize = counts.iter().sum();
+        zones.truncate(burned);
+        let recs = self.burn_all(&zones, dt);
+        // The write-back: each fab applies its own burned zones, keeping
+        // each zone's deposited energy for the fold below.
+        let mut energy = vec![0.0; burned];
+        let mut fabs: Vec<_> = state
+            .fab_views_mut()
+            .into_iter()
+            .zip(split_lengths(&mut energy, counts.iter().copied()))
+            .collect();
+        par_each_mut(&mut fabs, |f, (arr, energy)| {
+            let (lo, size) = (vbs[f].lo(), vbs[f].size());
+            let (nx, ny) = (size.x() as u64, size.y() as u64);
+            let mine = starts[f]..starts[f] + counts[f];
+            for ((zb, res), e) in zones[mine.clone()]
+                .iter()
+                .zip(&recs[mine])
+                .zip(energy.iter_mut())
+            {
+                if let Ok(rec) = res {
+                    let local = zb.zone - firsts[f] as u64;
+                    let z = arr.zone(
+                        lo.x() + (local % nx) as i32,
+                        lo.y() + (local / nx % ny) as i32,
+                        lo.z() + (local / (nx * ny)) as i32,
+                    );
+                    *e = apply(arr, z, zb.rho, &rec.outcome);
+                }
+            }
+        });
+        drop(fabs);
         let mut stats = BurnStats {
-            skipped: zone - zones.len() as u64,
+            skipped: (valid - burned) as u64,
             ..Default::default()
         };
         let mut failures: Vec<BurnFailure> = Vec::new();
-        let recs = self.burn_all(&zones, dt);
-        for (((fi, iv), zb), res) in sites.into_iter().zip(&zones).zip(recs) {
+        // One serial fold in sweep order: the order of the energy sum fixes
+        // its bits, and `record` charges retries to the caller's region.
+        for (res, e) in recs.into_iter().zip(energy) {
             match res {
                 Ok(rec) => {
                     stats.record(&rec);
-                    stats.energy_released += apply(state.fab_mut(fi), iv, zb.rho, &rec.outcome);
+                    stats.energy_released += e;
                 }
                 Err(f) => failures.push(*f),
             }
@@ -450,33 +563,28 @@ impl<'a> Burner<'a> {
     /// telemetry region, opened here.
     pub fn burn_all(
         &self,
-        zones: &[ZoneBurn],
+        zones: &[ZoneBurn<'_>],
         dt: f64,
     ) -> Vec<Result<RecoveredBurn, Box<BurnFailure>>> {
         let _prof = Telemetry::region("burner");
         Telemetry::record_zones(zones.len() as u64);
         let mut results: Vec<Option<BurnResult>> = (0..zones.len()).map(|_| None).collect();
-        let mut batchable: Vec<usize> = Vec::with_capacity(zones.len());
+        let mut batchable: Vec<SweepKey> = Vec::with_capacity(zones.len());
         for (i, zb) in zones.iter().enumerate() {
             if self
                 .faults
                 .as_ref()
                 .is_some_and(|f| f.zone_is_faulty(zb.zone))
             {
-                results[i] = Some(self.climb(zb.zone, zb.rho, zb.t0, &zb.x0, dt));
+                results[i] = Some(self.climb(zb.zone, zb.rho, zb.t0, zb.x0, dt));
             } else {
-                batchable.push(i);
+                batchable.push((hot_first(zb.t0), zb.zone, i));
             }
         }
         // Hot zones batch with hot zones: similar step-size histories keep
-        // occupancy high. total_cmp + zone id keeps the order total and
-        // deterministic (bit-exact restarts resort identically).
-        batchable.sort_by(|&a, &b| {
-            zones[b]
-                .t0
-                .total_cmp(&zones[a].t0)
-                .then(zones[a].zone.cmp(&zones[b].zone))
-        });
+        // occupancy high. The keys make the order total and deterministic
+        // (bit-exact restarts resort identically).
+        batchable.sort_unstable();
         let width = self.width.max(1);
         let sweep = Mutex::new(Sweep {
             results,
@@ -531,10 +639,16 @@ impl<'a> Burner<'a> {
     /// zone *is* the ladder's direct rung, so it climbs too rather than
     /// being integrated here and then again, identically, there. Runs
     /// inside the sweep's `burner` region.
-    fn burn_chunk(&self, zones: &[ZoneBurn], chunk: &[usize], dt: f64, p: &mut Participant<'a>) {
-        if let [i] = *chunk {
+    fn burn_chunk(
+        &self,
+        zones: &[ZoneBurn<'_>],
+        chunk: &[SweepKey],
+        dt: f64,
+        p: &mut Participant<'a>,
+    ) {
+        if let [(_, _, i)] = *chunk {
             let zb = &zones[i];
-            let res = self.climb(zb.zone, zb.rho, zb.t0, &zb.x0, dt);
+            let res = self.climb(zb.zone, zb.rho, zb.t0, zb.x0, dt);
             p.done.push((i, res));
             return;
         }
@@ -542,19 +656,19 @@ impl<'a> Burner<'a> {
         let m = self.net.nspec() + 1;
         p.sys.clear();
         p.sys
-            .extend(chunk.iter().map(|&i| self.system(zones[i].rho)));
+            .extend(chunk.iter().map(|&(_, _, i)| self.system(zones[i].rho)));
         p.lane_y.resize(m, 0.0);
         p.lane_y0.resize(m, 0.0);
         p.y.resize(m * w, 0.0);
-        for (lane, &i) in chunk.iter().enumerate() {
-            self.entry_state(zones[i].t0, &zones[i].x0, &mut p.lane_y0);
+        for (lane, &(_, _, i)) in chunk.iter().enumerate() {
+            self.entry_state(zones[i].t0, zones[i].x0, &mut p.lane_y0);
             scatter_lane(&p.lane_y0, w, lane, &mut p.y);
         }
         p.y_entry.clone_from(&p.y);
         let reports = self
             .direct
             .integrate_lanes(&p.sys, 0.0, dt, &mut p.y, &mut p.ws);
-        for (lane, &i) in chunk.iter().enumerate() {
+        for (lane, &(_, _, i)) in chunk.iter().enumerate() {
             let zb = &zones[i];
             let report = &reports[lane];
             p.tally.solve_ns += report.stats.solve_ns;
@@ -576,7 +690,7 @@ impl<'a> Burner<'a> {
                 // its share of the failed batch work as one extra retry.
                 None => {
                     let mut stats = report.stats;
-                    match self.climb(zb.zone, zb.rho, zb.t0, &zb.x0, dt) {
+                    match self.climb(zb.zone, zb.rho, zb.t0, zb.x0, dt) {
                         Ok(mut rec) => {
                             stats.merge(&rec.outcome.stats);
                             rec.outcome.stats = stats;
@@ -940,9 +1054,10 @@ mod tests {
 
     #[test]
     fn a_multifab_sweep_ids_zones_in_sweep_order_and_reports_every_failure() {
-        use exastro_amr::{BoxArray, IndexBox};
-        // Two 2x2x2 boxes; every other zone is admitted, and every admitted
-        // zone is rigged to fail every rung.
+        use exastro_amr::{BoxArray, IntVect};
+        // Two 2x2x2 boxes; every zone at odd x (every other zone in sweep
+        // order) is admitted, and every admitted zone is rigged to fail
+        // every rung.
         let ba = BoxArray::decompose(
             IndexBox::new(IntVect::splat(0), IntVect::new(3, 1, 1)),
             2,
@@ -961,18 +1076,58 @@ mod tests {
             ..Default::default()
         }
         .build(&net, &StellarEos);
-        let mut seen = 0;
         let res = burner.burn_multifab(
             &mut state,
             1e-8,
-            |_, _| {
-                seen += 1;
-                (seen % 2 == 0).then(|| (1e7, 1e9, vec![1.0, 0.0]))
+            |_, z, x| {
+                x.copy_from_slice(&[1.0, 0.0]);
+                (z % 2 == 1).then_some((1e7, 1e9))
             },
             |_, _, _, _| unreachable!("every admitted zone fails"),
         );
         let ids: Vec<u64> = res.unwrap_err().iter().map(|f| f.zone).collect();
         assert_eq!(ids, [1, 3, 5, 7, 9, 11, 13, 15]);
+    }
+
+    #[test]
+    fn keyed_sort_is_the_comparator_sort() {
+        // Repeated temperatures and zone ids, both zeros, infinities and
+        // NaNs of both signs: ties fall through to the zone id and then to
+        // the input position, as the stable comparator sort leaves them.
+        let temps = [
+            3e9,
+            -0.0,
+            0.0,
+            1e8,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -2.5,
+            f64::MIN_POSITIVE,
+            3e9,
+        ];
+        let mut s = 7u64;
+        let zones: Vec<(f64, u64)> = (0..200)
+            .map(|_| {
+                let draw = exastro_parallel::splitmix64(&mut s);
+                (temps[draw as usize % temps.len()], (draw >> 32) % 9)
+            })
+            .collect();
+        let mut comparator: Vec<usize> = (0..zones.len()).collect();
+        comparator.sort_by(|&a, &b| {
+            zones[b]
+                .0
+                .total_cmp(&zones[a].0)
+                .then(zones[a].1.cmp(&zones[b].1))
+        });
+        let mut keyed: Vec<SweepKey> = zones
+            .iter()
+            .enumerate()
+            .map(|(i, &(t, zone))| (hot_first(t), zone, i))
+            .collect();
+        keyed.sort_unstable();
+        assert!(keyed.iter().map(|k| k.2).eq(comparator));
     }
 
     proptest::proptest! {

@@ -548,24 +548,22 @@ proptest! {
         };
         // Four slightly perturbed zones so every lane carries distinct
         // state and the shared controller has real work to arbitrate.
+        let mut x0 = vec![0.0; net.nspec()];
+        x0[0] = frac;
+        x0[1] = 1.0 - frac;
         let zones: Vec<ZoneBurn> = (0..4)
-            .map(|l| {
-                let mut x0 = vec![0.0; net.nspec()];
-                x0[0] = frac;
-                x0[1] = 1.0 - frac;
-                ZoneBurn {
-                    zone: l as u64,
-                    rho: rho * (1.0 + 1e-3 * l as f64),
-                    t0: t0 * (1.0 + 1e-3 * l as f64),
-                    x0,
-                }
+            .map(|l| ZoneBurn {
+                zone: l as u64,
+                rho: rho * (1.0 + 1e-3 * l as f64),
+                t0: t0 * (1.0 + 1e-3 * l as f64),
+                x0: &x0,
             })
             .collect();
         // `burn_zone` never batches: it is the scalar-ladder reference.
         let burner = cfg.build(net, &eos);
         let batched = burner.burn_all(&zones, dt);
         for (zb, res) in zones.iter().zip(batched) {
-            let sref = burner.burn_zone(zb.zone, zb.rho, zb.t0, &zb.x0, dt);
+            let sref = burner.burn_zone(zb.zone, zb.rho, zb.t0, zb.x0, dt);
             match (res, sref) {
                 (Ok(b), Ok(s)) => {
                     for (i, (a, c)) in b.outcome.x.iter().zip(&s.outcome.x).enumerate() {
@@ -617,24 +615,22 @@ proptest! {
             ..Default::default()
         };
         cfg.bdf.max_steps = max_steps;
+        let mut x0 = vec![0.0; net.nspec()];
+        x0[0] = frac;
+        x0[1] = 1.0 - frac;
         let zones: Vec<ZoneBurn> = (0..4)
-            .map(|l| {
-                let mut x0 = vec![0.0; net.nspec()];
-                x0[0] = frac;
-                x0[1] = 1.0 - frac;
-                ZoneBurn {
-                    zone: l as u64,
-                    rho: rho * (1.0 + 1e-2 * l as f64),
-                    t0: t0 * (1.0 + 1e-2 * l as f64),
-                    x0,
-                }
+            .map(|l| ZoneBurn {
+                zone: l as u64,
+                rho: rho * (1.0 + 1e-2 * l as f64),
+                t0: t0 * (1.0 + 1e-2 * l as f64),
+                x0: &x0,
             })
             .collect();
         // `burn_zone` never batches: it is the scalar-ladder reference.
         let burner = cfg.build(net, &eos);
         let batched = burner.burn_all(&zones, dt);
         for (zb, res) in zones.iter().zip(batched) {
-            let sref = burner.burn_zone(zb.zone, zb.rho, zb.t0, &zb.x0, dt);
+            let sref = burner.burn_zone(zb.zone, zb.rho, zb.t0, zb.x0, dt);
             match (res, sref) {
                 (Ok(b), Ok(s)) => {
                     prop_assert_eq!(b.outcome.t.to_bits(), s.outcome.t.to_bits());
@@ -736,12 +732,20 @@ proptest! {
         if starve == 2 {
             cfg.ladder = RetryLadder::none();
         }
-        let zones: Vec<ZoneBurn> = (0..nzones)
+        let spread = |i: usize| (i as f64 * 0.37).sin() * 0.02;
+        let x0s: Vec<Vec<f64>> = (0..nzones)
             .map(|i| {
-                let f = (i as f64 * 0.37).sin() * 0.02;
                 let mut x0 = vec![0.0; net.nspec()];
-                x0[0] = 0.5 + f;
-                x0[1] = 0.5 - f;
+                x0[0] = 0.5 + spread(i);
+                x0[1] = 0.5 - spread(i);
+                x0
+            })
+            .collect();
+        let zones: Vec<ZoneBurn> = x0s
+            .iter()
+            .enumerate()
+            .map(|(i, x0)| {
+                let f = spread(i);
                 ZoneBurn {
                     zone: i as u64,
                     rho: 5e7 * (1.0 + f),

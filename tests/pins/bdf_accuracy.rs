@@ -174,7 +174,7 @@ fn burn_cell(net: &Aprox13, solver: Solver, width: usize, rtol: f64) -> Recovere
             zone: l as u64,
             rho: 5e7 * (1.0 + 1e-3 * l as f64),
             t0: 2.8e9 * (1.0 - 1e-3 * l as f64),
-            x0: x0.clone(),
+            x0: &x0,
         })
         .collect();
     let mut cfg = BurnerConfig {

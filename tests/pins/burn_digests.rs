@@ -29,10 +29,7 @@ fn fnv(h: &mut u64, v: u64) {
 /// With the default batch width of 8 and the burner's temperature sort,
 /// 8 + 8 is one igniting and one quiescent chunk; 8 + 3 leaves a short
 /// last chunk.
-fn co_field(net: &dyn Network, hot: usize, cold: usize) -> Vec<ZoneBurn> {
-    let mut x0 = vec![0.0; net.nspec()];
-    x0[net.index_of("c12")] = 0.5;
-    x0[net.index_of("o16")] = 0.5;
+fn co_field(x0: &[f64], hot: usize, cold: usize) -> Vec<ZoneBurn<'_>> {
     (0..hot + cold)
         .map(|i| {
             let f = (i as f64 * 0.37).sin() * 0.02;
@@ -41,10 +38,18 @@ fn co_field(net: &dyn Network, hot: usize, cold: usize) -> Vec<ZoneBurn> {
                 zone: i as u64,
                 rho: 5e7 * (1.0 + f),
                 t0: t0 * (1.0 - f),
-                x0: x0.clone(),
+                x0,
             }
         })
         .collect()
+}
+
+/// ½C½O mass fractions for `net`.
+fn co_fuel(net: &dyn Network) -> Vec<f64> {
+    let mut x0 = vec![0.0; net.nspec()];
+    x0[net.index_of("c12")] = 0.5;
+    x0[net.index_of("o16")] = 0.5;
+    x0
 }
 
 fn burn(net: &dyn Network, zones: &[ZoneBurn], dt: f64) -> Vec<BurnOutcome> {
@@ -73,7 +78,8 @@ fn digest(outcomes: &[BurnOutcome]) -> u64 {
 #[test]
 fn aprox13_igniting_and_quiescent_chunks() {
     let net = Aprox13::new();
-    let zones = co_field(&net, 8, 8);
+    let fuel = co_fuel(&net);
+    let zones = co_field(&fuel, 8, 8);
     let outcomes = burn(&net, &zones, 5e-7);
     // The fixture is what its name says: the hot chunk runs away, the cold
     // one barely steps.
@@ -92,7 +98,7 @@ fn aprox13_igniting_and_quiescent_chunks() {
 #[test]
 fn iso7_with_a_short_last_chunk() {
     let net = Iso7::new();
-    let digest = digest(&burn(&net, &co_field(&net, 8, 3), 5e-7));
+    let digest = digest(&burn(&net, &co_field(&co_fuel(&net), 8, 3), 5e-7));
     println!("iso7 8 hot + 3 cold: {digest:#018x}");
     assert_eq!(digest, ISO7_DIGEST, "got {digest:#018x}");
 }

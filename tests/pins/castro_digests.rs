@@ -11,13 +11,13 @@
 //! second. When a change is *meant* to move the bits, re-record: run with
 //! `--nocapture` and copy the printed values.
 
+use crate::reacting_level::burn_reacting_level;
 use exastro_amr::{
     BoxArray, ClusterParams, CoordSys, DistStrategy, Geometry, Hierarchy, IndexBox, IntVect,
     MultiFab,
 };
 use exastro_castro::{
-    burn_state, init_collision, init_sedov, BurnOptions, Castro, CollisionParams, Floors, Gravity,
-    GravityMode, SedovParams, StateLayout,
+    init_collision, init_sedov, Castro, CollisionParams, Floors, Gravity, GravityMode, SedovParams,
 };
 use exastro_microphysics::{BdfErrorKind, BurnFaultConfig, CBurn2, GammaLaw, StellarEos};
 use exastro_parallel::ExecSpace;
@@ -166,62 +166,6 @@ fn sedov_two_level_hierarchy_after_3_steps() {
         );
     }
     assert_eq!(got, TWO_LEVEL_DIGESTS, "(grown, valid) per level");
-}
-
-/// An 8³ carbon level in eight 4³ boxes for `castro::burn_state`: the
-/// `i = 0` plane is too cold to burn, the `j = 0` plane too thin, and the
-/// rest burns, hotter and denser along the diagonal.
-fn reacting_level() -> (Geometry, MultiFab, StateLayout) {
-    let geom = Geometry::cube(8, 1e8, false);
-    let layout = StateLayout::new(2);
-    let ba = BoxArray::decompose(geom.domain(), 4, 4);
-    let mut state = MultiFab::local(ba, layout.ncomp(), 2);
-    assert_eq!(state.nfabs(), 8);
-    for f in 0..state.nfabs() {
-        for iv in state.valid_box(f).iter() {
-            let (i, j, k) = (iv[0] as f64, iv[1] as f64, iv[2] as f64);
-            let t = if iv[0] == 0 {
-                1e7
-            } else {
-                1.5e9 + 1e8 * (i + j)
-            };
-            let rho = if iv[1] == 0 { 1e2 } else { 1e7 * (1.0 + k) };
-            let fab = state.fab_mut(f);
-            fab.set(iv, StateLayout::RHO, rho);
-            fab.set(iv, StateLayout::TEMP, t);
-            fab.set(iv, layout.spec(0), 0.7 * rho);
-            fab.set(iv, layout.spec(1), 0.3 * rho);
-            fab.set(iv, StateLayout::EINT, rho * 1e17);
-            fab.set(iv, StateLayout::EDEN, rho * 1.5e17);
-        }
-    }
-    (geom, state, layout)
-}
-
-/// One burn sweep over the reacting level with `faults` injected.
-fn burn_reacting_level(
-    faults: BurnFaultConfig,
-) -> (
-    MultiFab,
-    Result<exastro_castro::BurnStats, Vec<exastro_microphysics::BurnFailure>>,
-) {
-    let (geom, mut state, layout) = reacting_level();
-    let (net, eos) = (CBurn2::new(), StellarEos);
-    let opts = BurnOptions {
-        faults: Some(faults),
-        ..Default::default()
-    };
-    let res = burn_state(
-        &mut state,
-        1e-8,
-        &net,
-        &eos,
-        &layout,
-        &opts,
-        &ExecSpace::Serial,
-        &geom,
-    );
-    (state, res)
 }
 
 #[test]

@@ -33,7 +33,7 @@ const ZONES: usize = 13;
 
 /// `ZONES` zones of fuel `x0` on a linear temperature ramp from 1.6×10⁹ K
 /// to 2.9×10⁹ K, each with its own density.
-fn ramp(x0: &[f64]) -> Vec<ZoneBurn> {
+fn ramp(x0: &[f64]) -> Vec<ZoneBurn<'_>> {
     (0..ZONES)
         .map(|i| {
             let f = i as f64 / (ZONES - 1) as f64;
@@ -41,7 +41,7 @@ fn ramp(x0: &[f64]) -> Vec<ZoneBurn> {
                 zone: i as u64,
                 rho: 5e7 * (1.0 + 0.3 * (i as f64 * 0.37).sin()),
                 t0: 1.6e9 + 1.3e9 * f,
-                x0: x0.to_vec(),
+                x0,
             }
         })
         .collect()
