@@ -247,7 +247,7 @@ mod tests {
         ghosts: IntVect,
         run: impl FnOnce(&TaskGraph, &(dyn Fn(usize) + Sync)),
     ) -> CommTrace {
-        let vbs: Vec<IndexBox> = (0..mf.nfabs()).map(|i| mf.valid_box(i)).collect();
+        let vbs = mf.valid_boxes();
         let mut next = MultiFab::new(mf.box_array().clone(), mf.dist_map().clone(), NCOMP, 0);
         let nvs = next.fab_views_mut();
         let stage = |f: usize, view: &Array4Mut<'_>, region: IndexBox| {
@@ -485,7 +485,7 @@ mod tests {
     fn run_schedules_the_same_graph_on_the_pool() {
         let (geom, start, bc) = fixture(IndexBox::cube(6), 3, true, 1);
         let (mut looped, mut reference) = (start.clone(), start);
-        let vbs: Vec<IndexBox> = (0..looped.nfabs()).map(|i| looped.valid_box(i)).collect();
+        let vbs = looped.valid_boxes();
         // `update` doubles the valid zones: the ghosts must still carry
         // the neighbours' pre-update values.
         let trace = HaloLoop::plan(&looped, &geom, IntVect::splat(1)).run(

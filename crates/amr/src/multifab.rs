@@ -426,6 +426,12 @@ impl MultiFab {
         self.ba.get(i)
     }
 
+    /// Every fab's valid box, in fab order: an owned copy, so a per-fab
+    /// kernel can read it while the fabs are borrowed mutably.
+    pub fn valid_boxes(&self) -> Vec<IndexBox> {
+        self.ba.iter().copied().collect()
+    }
+
     /// Grown (ghosted) box of fab `i`.
     pub fn grown_box(&self, i: usize) -> IndexBox {
         self.ba.get(i).grow(self.ngrow)

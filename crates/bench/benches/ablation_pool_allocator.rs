@@ -57,7 +57,7 @@ fn record_one_step() -> (Vec<(usize, bool)>, [Tally; 2]) {
     // by 2 along the sweep; its fluxes (the conserved ones plus the face
     // velocity) its face box.
     let (nq, nflux) = (layout.ncomp(), layout.ncomp() + 1);
-    let vbs: Vec<IndexBox> = (0..state.nfabs()).map(|f| state.valid_box(f)).collect();
+    let vbs = state.valid_boxes();
     let zones = |b: IndexBox| b.num_zones() as usize;
     let is_prim = |len| (0..3).any(|d| vbs.iter().any(|vb| len == nq * zones(vb.grow_dir(d, 2))));
     let is_flux = |len| (0..3).any(|d| vbs.iter().any(|vb| len == nflux * zones(face_box(*vb, d))));

@@ -8,7 +8,7 @@ use crate::restart::snapshot_level;
 use crate::state::{lanes, rho_vel_e, StateLayout};
 use exastro_amr::{
     average_down, fill_patch_two_levels, for_each_row, Array4, BcSpec, CommTrace, FluxRegister,
-    Geometry, Hierarchy, IndexBox, IntVect, MultiFab, Real,
+    Geometry, Hierarchy, IntVect, MultiFab, Real,
 };
 use exastro_microphysics::{Composition, Eos, Network};
 use exastro_parallel::{lane_chunks, par_each_mut, Arena, ExecSpace, PoolArena, LANES};
@@ -107,7 +107,7 @@ impl<'a> Castro<'a> {
         let species = self.net.species();
         let eos = self.eos;
         let nspec = layout.nspec;
-        let vbs: Vec<IndexBox> = (0..state.nfabs()).map(|i| state.valid_box(i)).collect();
+        let vbs = state.valid_boxes();
         par_each_mut(&mut state.fab_views_mut(), |fi, arr| {
             for_each_row(vbs[fi], |start, len| {
                 let z0 = arr.zone(start.x(), start.y(), start.z());

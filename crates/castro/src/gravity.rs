@@ -12,9 +12,7 @@
 //!   its communication.
 
 use crate::state::StateLayout;
-use exastro_amr::{
-    for_each_row, Array4Mut, CommTrace, Geometry, IndexBox, IntVect, MultiFab, Real,
-};
+use exastro_amr::{for_each_row, CommTrace, Geometry, IntVect, MultiFab, Real};
 use exastro_microphysics::constants::G_NEWTON;
 use exastro_parallel::{par_each_mut, ExecSpace};
 use exastro_solvers::{MgBc, MgOptions, MgStats, Multigrid};
@@ -122,18 +120,21 @@ impl Gravity {
         let (mass, dr) = self.mass_profile(state, geom);
         let c = Self::center(geom);
         let mut accel = MultiFab::new(state.box_array().clone(), state.dist_map().clone(), 3, 0);
-        let vbs = valid_boxes(&accel);
+        let vbs = accel.valid_boxes();
         par_each_mut(&mut accel.fab_views_mut(), |f, arr| {
-            for_each_zone(arr, vbs[f], |iv, z| {
-                let x = geom.cell_center(iv);
-                let dx = [x[0] - c[0], x[1] - c[1], x[2] - c[2]];
-                let r = (dx[0] * dx[0] + dx[1] * dx[1] + dx[2] * dx[2])
-                    .sqrt()
-                    .max(0.1 * dr);
-                let bin = ((r / dr) as usize).min(self.n_bins - 1);
-                let g = -G_NEWTON * mass[bin] / (r * r);
-                for d in 0..3 {
-                    arr.set_zone(z, d, g * dx[d] / r);
+            for_each_row(vbs[f], |start, len| {
+                let z0 = arr.zone(start.x(), start.y(), start.z());
+                for i in 0..len {
+                    let x = geom.cell_center(start + IntVect::new(i as i32, 0, 0));
+                    let dx = [x[0] - c[0], x[1] - c[1], x[2] - c[2]];
+                    let r = (dx[0] * dx[0] + dx[1] * dx[1] + dx[2] * dx[2])
+                        .sqrt()
+                        .max(0.1 * dr);
+                    let bin = ((r / dr) as usize).min(self.n_bins - 1);
+                    let g = -G_NEWTON * mass[bin] / (r * r);
+                    for d in 0..3 {
+                        arr.set_zone(z0 + i, d, g * dx[d] / r);
+                    }
                 }
             });
         });
@@ -149,12 +150,16 @@ impl Gravity {
         let ba = state.box_array().clone();
         let dm = state.dist_map().clone();
         let mut rhs = MultiFab::new(ba.clone(), dm.clone(), 1, 0);
-        let vbs = valid_boxes(&rhs);
+        let vbs = rhs.valid_boxes();
         par_each_mut(&mut rhs.fab_views_mut(), |f, arr| {
             let sv = state.fab(f).array();
-            for_each_zone(arr, vbs[f], |iv, z| {
-                let rho = sv.at(iv.x(), iv.y(), iv.z(), StateLayout::RHO);
-                arr.set_zone(z, 0, 4.0 * std::f64::consts::PI * G_NEWTON * rho);
+            for_each_row(vbs[f], |start, len| {
+                let zs = sv.zone(start.x(), start.y(), start.z());
+                let z0 = arr.zone(start.x(), start.y(), start.z());
+                for i in 0..len {
+                    let rho = sv.at_zone(zs + i, StateLayout::RHO);
+                    arr.set_zone(z0 + i, 0, 4.0 * std::f64::consts::PI * G_NEWTON * rho);
+                }
             });
         });
         // Initial guess with monopole boundary ghosts: φ = −GM/r outside.
@@ -166,16 +171,20 @@ impl Gravity {
         // φ = −GM/r in every ghost zone outside the domain.
         let monopole_ghosts = |phi: &mut MultiFab| {
             par_each_mut(&mut phi.fab_views_mut(), |_, arr| {
-                for_each_zone(arr, arr.index_box(), |iv, z| {
-                    if domain.contains(iv) {
-                        return;
-                    }
-                    let x = geom.cell_center(iv);
-                    let r = ((x[0] - c[0]).powi(2) + (x[1] - c[1]).powi(2) + (x[2] - c[2]).powi(2))
-                        .sqrt()
-                        .max(dr);
-                    arr.set_zone(z, 0, -G_NEWTON * total_mass / r);
-                });
+                for ghosts in arr.index_box().difference(&domain) {
+                    for_each_row(ghosts, |start, len| {
+                        let z0 = arr.zone(start.x(), start.y(), start.z());
+                        for i in 0..len {
+                            let x = geom.cell_center(start + IntVect::new(i as i32, 0, 0));
+                            let r = ((x[0] - c[0]).powi(2)
+                                + (x[1] - c[1]).powi(2)
+                                + (x[2] - c[2]).powi(2))
+                            .sqrt()
+                            .max(dr);
+                            arr.set_zone(z0 + i, 0, -G_NEWTON * total_mass / r);
+                        }
+                    });
+                }
             });
         };
         monopole_ghosts(&mut phi);
@@ -196,12 +205,15 @@ impl Gravity {
         let dx = geom.dx();
         par_each_mut(&mut accel.fab_views_mut(), |f, arr| {
             let pv = phi.fab(f).array();
-            for_each_zone(arr, vbs[f], |iv, z| {
-                let p = pv.zone(iv.x(), iv.y(), iv.z());
-                for d in 0..3 {
-                    let (up, down) = (p + pv.stride(d), p - pv.stride(d));
-                    let g = -(pv.at_zone(up, 0) - pv.at_zone(down, 0)) / (2.0 * dx[d]);
-                    arr.set_zone(z, d, g);
+            for_each_row(vbs[f], |start, len| {
+                let p0 = pv.zone(start.x(), start.y(), start.z());
+                let z0 = arr.zone(start.x(), start.y(), start.z());
+                for i in 0..len {
+                    for d in 0..3 {
+                        let (up, down) = (p0 + i + pv.stride(d), p0 + i - pv.stride(d));
+                        let g = -(pv.at_zone(up, 0) - pv.at_zone(down, 0)) / (2.0 * dx[d]);
+                        arr.set_zone(z0 + i, d, g);
+                    }
                 }
             });
         });
@@ -217,7 +229,7 @@ impl Gravity {
     /// velocity midpoint for better energy behaviour).
     /// One pool task a fab.
     pub fn apply_source(state: &mut MultiFab, field: &GravityField, dt: Real, ex: &ExecSpace) {
-        let vbs = valid_boxes(state);
+        let vbs = state.valid_boxes();
         par_each_mut(&mut state.fab_views_mut(), |f, uarr| {
             let gacc = field.accel.fab(f).array();
             ex.par_for(vbs[f], |i, j, k| {
@@ -235,25 +247,6 @@ impl Gravity {
             });
         });
     }
-}
-
-/// Every fab's valid box.
-fn valid_boxes(mf: &MultiFab) -> Vec<IndexBox> {
-    (0..mf.nfabs()).map(|i| mf.valid_box(i)).collect()
-}
-
-/// Call `f(iv, z)` for every zone `iv` of `bx`, x fastest, with `z` its
-/// cursor in `arr`.
-fn for_each_zone(arr: &Array4Mut<'_>, bx: IndexBox, mut f: impl FnMut(IntVect, usize)) {
-    for_each_row(bx, |start, len| {
-        let z0 = arr.zone(start.x(), start.y(), start.z());
-        for x in 0..len {
-            f(
-                IntVect::new(start.x() + x as i32, start.y(), start.z()),
-                z0 + x,
-            );
-        }
-    });
 }
 
 #[cfg(test)]

@@ -528,7 +528,7 @@ impl Hydro {
         let nq = Q::ncomp(layout.nspec);
         let nflux = layout.ncomp() + 1; // + face normal velocity
         let staged = self.structure == KernelStructure::Legacy;
-        let vbs: Vec<IndexBox> = (0..state.nfabs()).map(|i| state.valid_box(i)).collect();
+        let vbs = state.valid_boxes();
         let mut trace = CommTrace::default();
         for dim in 0..3 {
             // Plan before allocating the sweep's scratch (see `HaloLoop`).
@@ -1268,7 +1268,7 @@ mod tests {
         // along the sweep only: a split sweep reads no transverse ghost —
         // then the fluxes of every box, on its face box.
         let (nq, nflux) = (Q::ncomp(layout.nspec), layout.ncomp() + 1);
-        let vbs: Vec<IndexBox> = (0..state.nfabs()).map(|f| state.valid_box(f)).collect();
+        let vbs = state.valid_boxes();
         let one_step = (0..3).flat_map(|dim| {
             let prims = vbs
                 .iter()

@@ -200,7 +200,7 @@ impl<'a> Maestro<'a> {
         let _ = geom;
         let (layout, base, eos) = (self.layout, &self.base, self.eos);
         let species = self.net.species();
-        let vbs: Vec<IndexBox> = (0..state.nfabs()).map(|i| state.valid_box(i)).collect();
+        let vbs = state.valid_boxes();
         par_each_mut(&mut state.fab_views_mut(), |f, arr| {
             for_each_row(vbs[f], |start, len| {
                 let kz = start.z().clamp(0, base.nz() as i32 - 1) as usize;
@@ -262,7 +262,7 @@ impl<'a> Maestro<'a> {
     /// Buoyancy source: `w += −g (ρ − ρ₀)/ρ dt`, one pool task a fab.
     fn buoyancy(&self, state: &mut MultiFab, dt: Real) {
         let base = &self.base;
-        let vbs: Vec<IndexBox> = (0..state.nfabs()).map(|i| state.valid_box(i)).collect();
+        let vbs = state.valid_boxes();
         par_each_mut(&mut state.fab_views_mut(), |f, arr| {
             for_each_row(vbs[f], |start, len| {
                 let kz = start.z().clamp(0, base.nz() as i32 - 1) as usize;
@@ -363,7 +363,7 @@ impl<'a> Maestro<'a> {
             reflect_odd: vec![],
         };
         phi.fill_physical_bc(geom, &phibc);
-        let vbs: Vec<IndexBox> = (0..state.nfabs()).map(|i| state.valid_box(i)).collect();
+        let vbs = state.valid_boxes();
         par_each_mut(&mut state.fab_views_mut(), |i, sv| {
             let pv = phi.fab(i).array();
             let strides = [1, pv.stride(1), pv.stride(2)];
@@ -479,7 +479,7 @@ impl<'a> Maestro<'a> {
             // state, so the footprint is the whole grown box.
             let halo = HaloLoop::plan(state, geom, IntVect::splat(state.ngrow()));
             let mut old = state.clone();
-            let vbs: Vec<IndexBox> = (0..state.nfabs()).map(|i| state.valid_box(i)).collect();
+            let vbs = state.valid_boxes();
             let svs = state.fab_views_mut();
             let trace = halo.run(
                 &mut old,
@@ -648,7 +648,7 @@ mod tests {
         let mut trace = state.fill_boundary(geom);
         state.fill_physical_bc(geom, &m.bc());
         let mut old = state.clone();
-        let vbs: Vec<IndexBox> = (0..state.nfabs()).map(|i| state.valid_box(i)).collect();
+        let vbs = state.valid_boxes();
         for (f, (sv, ov)) in state
             .fab_views_mut()
             .iter()

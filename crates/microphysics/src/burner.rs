@@ -32,7 +32,7 @@ use crate::recovery::{
 };
 use crate::sparse::SparseLu;
 use crate::species::{energy_rate_lanes, mass_to_molar, molar_to_mass, Composition};
-use exastro_amr::{for_each_row, Array4, Array4Mut, IndexBox, MultiFab};
+use exastro_amr::{for_each_row, Array4, Array4Mut, MultiFab};
 use exastro_parallel::{par_each_mut, Tasks, WorkerPool, LANES};
 use exastro_telemetry::Telemetry;
 use std::sync::{Arc, Mutex};
@@ -443,7 +443,7 @@ impl<'a> Burner<'a> {
         S: Fn(&Array4Mut<'_>, usize, f64, &BurnOutcome) -> f64 + Sync,
     {
         let n = self.net.nspec();
-        let vbs: Vec<IndexBox> = (0..state.nfabs()).map(|f| state.valid_box(f)).collect();
+        let vbs = state.valid_boxes();
         let sizes: Vec<usize> = vbs.iter().map(|b| b.num_zones() as usize).collect();
         let firsts: Vec<usize> = prefix_sums(&sizes);
         let valid: usize = sizes.iter().sum();
@@ -1054,7 +1054,7 @@ mod tests {
 
     #[test]
     fn a_multifab_sweep_ids_zones_in_sweep_order_and_reports_every_failure() {
-        use exastro_amr::{BoxArray, IntVect};
+        use exastro_amr::{BoxArray, IndexBox, IntVect};
         // Two 2x2x2 boxes; every zone at odd x (every other zone in sweep
         // order) is admitted, and every admitted zone is rigged to fail
         // every rung.
