@@ -192,17 +192,20 @@ fn zone_set(x0: &[f64], count: usize) -> Vec<ZoneBurn<'_>> {
         .collect()
 }
 
-/// Best-of-`samples` aggregate throughput (zones/µs) of the retry ladder
-/// (every zone a batch of one lane) and of the batched SoA path at each
-/// lane width, over the same zone field. Both sides are `burn_all` sweeps —
-/// the ladder is the sweep at width 1 — measured from inside a pool task, where a sweep drains inline
-/// on one thread: the speedup is lanes alone, with neither the thread count
-/// nor the load balance of a short chunk list in it (pooled, best-of-3
+/// Aggregate throughput (zones/µs) of the retry ladder (every zone a batch
+/// of one lane) and of the batched SoA path at each lane width, over the
+/// same zone field: one row a round, the ladder first. Both sides are
+/// `burn_all` sweeps — the ladder is the sweep at width 1 — measured from
+/// inside a pool task, where a sweep drains inline on one thread: the
+/// speedup is lanes alone, with neither the thread count nor the load
+/// balance of a short chunk list in it (pooled, best-of-3
 /// `batch_speedup_w8` read 1.41–2.16 on a 2-vCPU host, inline 1.64–1.82).
 /// One *round* measures every configuration back-to-back before the next
 /// round starts, so a machine-load transient degrades the scalar and
-/// batched numbers together and the best-of speedup *ratio* stays stable
-/// even on a noisy box.
+/// batched numbers of that round together: a speedup is the median over
+/// rounds of each round's ratio, not a ratio of two best-ofs, which pairs
+/// numbers from different rounds (best-of ratios read 1.78–2.49 at one
+/// commit on a 2-vCPU host).
 fn throughput_sweep(
     net: &dyn Network,
     eos: &StellarEos,
@@ -210,7 +213,7 @@ fn throughput_sweep(
     zones: &[ZoneBurn],
     dt: f64,
     samples: usize,
-) -> (f64, Vec<f64>) {
+) -> Vec<Vec<f64>> {
     let burners: Vec<_> = std::iter::once(&1)
         .chain(widths)
         .map(|&width| {
@@ -221,15 +224,15 @@ fn throughput_sweep(
             .build(net, eos)
         })
         .collect();
-    let best = Mutex::new(vec![0.0f64; burners.len()]);
+    let rounds = Mutex::new(Vec::with_capacity(samples));
     // A two-task region keeps the team busy; task 0 is the measurement.
     exastro_parallel::par_index_each(2, 2, |task| {
         if task != 0 {
             return;
         }
-        let mut best = best.lock().expect("one task takes the lock");
+        let mut rounds = rounds.lock().expect("one task takes the lock");
         for _ in 0..samples {
-            for (best, burner) in best.iter_mut().zip(&burners) {
+            let round = burners.iter().map(|burner| {
                 let start = Instant::now();
                 let recs = burner.burn_all(zones, dt);
                 let us = start.elapsed().as_secs_f64() * 1e6;
@@ -237,13 +240,19 @@ fn throughput_sweep(
                     assert!(rec.is_ok(), "burn failed");
                 }
                 std::hint::black_box(&recs);
-                *best = (*best).max(zones.len() as f64 / us);
-            }
+                zones.len() as f64 / us
+            });
+            rounds.push(round.collect());
         }
     });
-    let mut best = best.into_inner().expect("the measurement did not panic");
-    let batch_best = best.split_off(1);
-    (best[0], batch_best)
+    rounds.into_inner().expect("the measurement did not panic")
+}
+
+/// The median of `v` (the mean of the middle two for an even count).
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    (v[(n - 1) / 2] + v[n / 2]) / 2.0
 }
 
 fn bench(c: &mut Criterion) {
@@ -401,7 +410,7 @@ fn bench(c: &mut Criterion) {
     // field, width 1 (the ladder) vs SIMD lane widths. The paper's batching
     // argument: one Nordsieck history and one amortized Jacobian per
     // batch turns the per-zone Newton loop into lane-inner SIMD sweeps.
-    // Smoke sweeps are an eighth as long, so their best needs more rounds
+    // Smoke sweeps are an eighth as long, so their median needs more rounds
     // to settle: tier-1 holds `batch_speedup_w8` within 15% of its baseline.
     let zone_count = if smoke { 32 } else { 256 };
     let throughput_samples = if smoke { 7 } else { 5 };
@@ -411,16 +420,18 @@ fn bench(c: &mut Criterion) {
     for (name, net) in nets {
         let fuel = co_fuel(net);
         let zones = zone_set(&fuel, zone_count);
-        let (scalar, batched) =
-            throughput_sweep(net, &eos, &widths, &zones, burn_dt, throughput_samples);
+        let rounds = throughput_sweep(net, &eos, &widths, &zones, burn_dt, throughput_samples);
+        let best = |c: usize| rounds.iter().map(|r| r[c]).fold(0.0, f64::max);
+        let scalar = best(0);
         metrics.push(MetricPoint::measured(
             &format!("{name}/zones_per_us_scalar"),
             scalar,
             "zones/us",
         ));
         print!("{name}: scalar {scalar:.4} zones/µs");
-        for (&width, &tp) in widths.iter().zip(&batched) {
-            let speedup = tp / scalar;
+        for (c, &width) in (1..).zip(&widths) {
+            let tp = best(c);
+            let speedup = median(rounds.iter().map(|r| r[c] / r[0]).collect());
             print!(", w{width} {tp:.4} ({speedup:.2}×)");
             metrics.push(MetricPoint::measured(
                 &format!("{name}/zones_per_us_batch{width}"),

@@ -11,7 +11,7 @@
 use crate::state::StateLayout;
 use exastro_amr::{Geometry, MultiFab, Real};
 pub use exastro_microphysics::BurnStats;
-use exastro_microphysics::{BurnFailure, BurnFaultConfig, BurnerConfig, Eos, Network, RetryLadder};
+use exastro_microphysics::{BurnFailure, BurnFaultConfig, Burner, BurnerConfig, Eos, Network};
 use exastro_parallel::ExecSpace;
 
 /// Burning options.
@@ -21,10 +21,6 @@ pub struct BurnOptions {
     pub min_temp: Real,
     /// Skip zones less dense than this.
     pub min_dens: Real,
-    /// Step budget for the direct burn path (`None` = integrator default).
-    pub max_steps: Option<usize>,
-    /// The failure-recovery ladder (see [`exastro_microphysics::recovery`]).
-    pub ladder: RetryLadder,
     /// Deterministic fault injection for tests and CI smoke runs.
     pub faults: Option<BurnFaultConfig>,
 }
@@ -34,8 +30,6 @@ impl Default for BurnOptions {
         BurnOptions {
             min_temp: 5e7,
             min_dens: 1e3,
-            max_steps: None,
-            ladder: RetryLadder::default(),
             faults: None,
         }
     }
@@ -45,9 +39,9 @@ impl Default for BurnOptions {
 ///
 /// The sweep is [`exastro_microphysics::Burner::burn_multifab`]: every zone
 /// that passes the cutoffs is burned in temperature-sorted SoA batches,
-/// lanes that diverge fall back to the retry ladder
-/// ([`BurnOptions::ladder`]), and each burned zone's ρX, T, ρe and ρE are
-/// written back. The returned step counts (total and max) are the
+/// lanes that diverge fall back to the default retry ladder
+/// ([`exastro_microphysics::RetryLadder`]), and each burned zone's ρX, T,
+/// ρe and ρE are written back. The returned step counts (total and max) are the
 /// per-zone cost signal the §VI hybrid-offload model prices.
 ///
 /// Only if a zone fails every rung does the sweep return an error, listing
@@ -68,18 +62,26 @@ pub fn burn_state(
     _ex: &ExecSpace,
     geom: &Geometry,
 ) -> Result<BurnStats, Vec<BurnFailure>> {
-    let nspec = layout.nspec;
-    assert_eq!(nspec, net.nspec());
-    let vol = geom.cell_volume();
-    let mut cfg = BurnerConfig {
-        ladder: opts.ladder.clone(),
+    assert_eq!(layout.nspec, net.nspec());
+    let cfg = BurnerConfig {
         faults: opts.faults.clone(),
         ..Default::default()
     };
-    if let Some(ms) = opts.max_steps {
-        cfg.bdf.max_steps = ms;
-    }
-    cfg.build(net, eos).burn_multifab(
+    sweep(&cfg.build(net, eos), state, dt, layout, opts, geom)
+}
+
+/// [`burn_state`]'s sweep on `burner`.
+fn sweep(
+    burner: &Burner<'_>,
+    state: &mut MultiFab,
+    dt: Real,
+    layout: &StateLayout,
+    opts: &BurnOptions,
+    geom: &Geometry,
+) -> Result<BurnStats, Vec<BurnFailure>> {
+    let nspec = layout.nspec;
+    let vol = geom.cell_volume();
+    burner.burn_multifab(
         state,
         dt,
         |arr, z, x| {
@@ -295,16 +297,14 @@ mod tests {
         // A starved step budget with the ladder disabled: the integrator's
         // own MaxSteps error must reach the caller as a structured failure.
         let (geom, mut state, layout) = carbon_state(8, true);
-        let net = CBurn2::new();
-        let eos = StellarEos;
-        let ex = ExecSpace::Serial;
-        let opts = BurnOptions {
-            max_steps: Some(2),
+        let (net, eos) = (CBurn2::new(), StellarEos);
+        let mut cfg = BurnerConfig {
             ladder: exastro_microphysics::RetryLadder::none(),
             ..Default::default()
         };
-        let failures =
-            burn_state(&mut state, 1e-8, &net, &eos, &layout, &opts, &ex, &geom).unwrap_err();
+        cfg.bdf.max_steps = 2;
+        let (burner, opts) = (cfg.build(&net, &eos), BurnOptions::default());
+        let failures = sweep(&burner, &mut state, 1e-8, &layout, &opts, &geom).unwrap_err();
         assert!(!failures.is_empty());
         for f in &failures {
             assert_eq!(f.error, exastro_microphysics::BdfErrorKind::MaxSteps);

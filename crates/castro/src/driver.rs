@@ -8,7 +8,7 @@ use crate::restart::snapshot_level;
 use crate::state::{lanes, rho_vel_e, StateLayout};
 use exastro_amr::{
     average_down, fill_patch_two_levels, for_each_row, Array4, BcSpec, CommTrace, FluxRegister,
-    Geometry, Hierarchy, IntVect, MultiFab, Real,
+    Geometry, Hierarchy, MultiFab, Real,
 };
 use exastro_microphysics::{Composition, Eos, Network};
 use exastro_parallel::{lane_chunks, par_each_mut, Arena, ExecSpace, PoolArena, LANES};
@@ -51,7 +51,7 @@ pub struct Castro<'a> {
     pub burn: Option<BurnOptions>,
     /// Physical boundary conditions.
     pub bc: BcSpec,
-    /// Where the kernels run (`Serial`, its one value).
+    /// `ExecSpace::Serial`, its one value; no kernel reads it.
     pub ex: ExecSpace,
     /// Scratch arena.
     pub arena: Arc<dyn Arena>,
@@ -86,14 +86,8 @@ impl<'a> Castro<'a> {
 
     /// CFL timestep for a level.
     pub fn estimate_dt(&self, state: &MultiFab, geom: &Geometry) -> Real {
-        self.hydro.estimate_dt(
-            state,
-            &self.layout,
-            self.eos,
-            self.net.species(),
-            geom,
-            &self.ex,
-        )
+        self.hydro
+            .estimate_dt(state, &self.layout, self.eos, self.net.species(), geom)
     }
 
     /// Recompute temperature and re-sync the advected internal energy from
@@ -112,8 +106,7 @@ impl<'a> Castro<'a> {
             for_each_row(vbs[fi], |start, len| {
                 let z0 = arr.zone(start.x(), start.y(), start.z());
                 lane_chunks(
-                    0,
-                    len as i32 - 1,
+                    len,
                     #[inline(always)]
                     |o, live| {
                         let z = z0 + o;
@@ -264,7 +257,6 @@ impl<'a> Castro<'a> {
                 self.eos,
                 self.net.species(),
                 &self.bc,
-                &self.ex,
                 self.arena.as_ref(),
                 on_fluxes,
             );
@@ -439,22 +431,6 @@ impl<'a> Castro<'a> {
             average_down(&fine[0], &mut coarse[l - 1], ratio);
         }
         Ok(all_stats)
-    }
-
-    /// Tag zones for refinement: temperature above `t_thresh` or density
-    /// above `rho_thresh`, evaluated on `state`'s level.
-    pub fn tag_zones(&self, state: &MultiFab, t_thresh: Real, rho_thresh: Real) -> Vec<IntVect> {
-        let mut tags = Vec::new();
-        for (i, vb) in state.iter_boxes() {
-            for iv in vb.iter() {
-                if state.fab(i).get(iv, StateLayout::TEMP) > t_thresh
-                    || state.fab(i).get(iv, StateLayout::RHO) > rho_thresh
-                {
-                    tags.push(iv);
-                }
-            }
-        }
-        tags
     }
 
     /// Total mass over the valid region.

@@ -14,7 +14,7 @@
 use crate::state::StateLayout;
 use exastro_amr::{for_each_row, CommTrace, Geometry, IntVect, MultiFab, Real};
 use exastro_microphysics::constants::G_NEWTON;
-use exastro_parallel::{par_each_mut, ExecSpace};
+use exastro_parallel::{par_each_mut, ExecSpace, Telemetry};
 use exastro_solvers::{MgBc, MgOptions, MgStats, Multigrid};
 
 /// Gravity treatment.
@@ -228,22 +228,28 @@ impl Gravity {
     /// `ρu += ρ g dt`, `ρE += ρ u·g dt` (evaluated with the updated
     /// velocity midpoint for better energy behaviour).
     /// One pool task a fab.
-    pub fn apply_source(state: &mut MultiFab, field: &GravityField, dt: Real, ex: &ExecSpace) {
+    pub fn apply_source(state: &mut MultiFab, field: &GravityField, dt: Real, _ex: &ExecSpace) {
         let vbs = state.valid_boxes();
         par_each_mut(&mut state.fab_views_mut(), |f, uarr| {
             let gacc = field.accel.fab(f).array();
-            ex.par_for(vbs[f], |i, j, k| {
-                let rho = uarr.at(i, j, k, StateLayout::RHO);
-                let mut ke_src = 0.0;
-                for d in 0..3 {
-                    let g = gacc.at(i, j, k, d);
-                    let m_old = uarr.at(i, j, k, StateLayout::MX + d);
-                    let m_new = m_old + rho * g * dt;
-                    uarr.set(i, j, k, StateLayout::MX + d, m_new);
-                    // Midpoint velocity dotted with g.
-                    ke_src += 0.5 * (m_old + m_new) * g * dt;
+            Telemetry::record_zones(vbs[f].num_zones() as u64);
+            for_each_row(vbs[f], |start, len| {
+                let zu0 = uarr.zone(start.x(), start.y(), start.z());
+                let zg0 = gacc.zone(start.x(), start.y(), start.z());
+                for i in 0..len {
+                    let (zu, zg) = (zu0 + i, zg0 + i);
+                    let rho = uarr.at_zone(zu, StateLayout::RHO);
+                    let mut ke_src = 0.0;
+                    for d in 0..3 {
+                        let g = gacc.at_zone(zg, d);
+                        let m_old = uarr.at_zone(zu, StateLayout::MX + d);
+                        let m_new = m_old + rho * g * dt;
+                        uarr.set_zone(zu, StateLayout::MX + d, m_new);
+                        // Midpoint velocity dotted with g.
+                        ke_src += 0.5 * (m_old + m_new) * g * dt;
+                    }
+                    uarr.add_zone(zu, StateLayout::EDEN, ke_src);
                 }
-                uarr.add(i, j, k, StateLayout::EDEN, ke_src);
             });
         });
     }

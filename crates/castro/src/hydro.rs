@@ -31,8 +31,9 @@
 //!
 //! ## Rows, lanes and zone cursors
 //!
-//! The kernels are row kernels over [`Array4Mut`] views
-//! ([`ExecSpace::par_for_rows`]). A kernel resolves a row's first zone
+//! The kernels are row kernels over [`Array4Mut`] views: each walks its
+//! box's x-rows through [`for_each_row`] and reports the box's zones to the
+//! open telemetry region. A kernel resolves a row's first zone
 //! to a cursor once and takes the row [`LANES`] zones at a time through
 //! `at_lanes`/`set_lanes` (x is fastest in every fab, so a row is unit
 //! stride whatever the sweep); stencil neighbours are `z ± view.stride(dim)`.
@@ -78,10 +79,13 @@
 use crate::riemann::hllc_lanes;
 use crate::state::{cons_to_prim_lanes, each, lanes, pick, Floors, PrimLanes, StateLayout};
 use exastro_amr::{
-    Array4, Array4Mut, BcSpec, CommTrace, Geometry, HaloLoop, IndexBox, IntVect, MultiFab,
+    for_each_row, Array4, Array4Mut, BcSpec, CommTrace, Geometry, HaloLoop, IndexBox, IntVect,
+    MultiFab,
 };
 use exastro_microphysics::{Eos, Species};
-use exastro_parallel::{lane_chunks, par_map_fold, Arena, ExecSpace, Real, ScratchBuf, LANES};
+use exastro_parallel::{
+    lane_chunks, par_map_fold, Arena, ExecSpace, Real, ScratchBuf, Telemetry, LANES,
+};
 
 /// Which loop structure the sweep kernels use (§III ablation).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -257,20 +261,20 @@ impl Hydro {
         eos: &dyn Eos,
         species: &[Species],
         geom: &Geometry,
-        ex: &ExecSpace,
     ) -> Real {
         let dx = geom.dx();
         let floors = self.floors;
         // Fabs go to the pool; folding their limits in fab order keeps the
         // result that of the serial loop, bit for bit.
         let fab_dt = |f: usize| {
-            let arr = state.fab(f).array();
-            let max_speed = ex.par_reduce_rows_max(state.valid_box(f), |j, k, i_lo, i_hi| {
-                let z0 = arr.zone(i_lo, j, k);
+            let (arr, vb) = (state.fab(f).array(), state.valid_box(f));
+            Telemetry::record_zones(vb.num_zones() as u64);
+            let mut max_speed = Real::NEG_INFINITY;
+            for_each_row(vb, |start, n| {
+                let z0 = arr.zone(start.x(), start.y(), start.z());
                 let mut row_max = Real::NEG_INFINITY;
                 lane_chunks(
-                    i_lo,
-                    i_hi,
+                    n,
                     #[inline(always)]
                     |o, live| {
                         let u = |c| arr.at_lanes(z0 + o, live, c);
@@ -284,7 +288,7 @@ impl Hydro {
                         }
                     },
                 );
-                row_max
+                max_speed = max_speed.max(row_max);
             });
             if max_speed > 0.0 {
                 dx[0] / max_speed
@@ -298,7 +302,6 @@ impl Hydro {
     /// Compute primitives on `region` zones, reading conserved data through
     /// `sarr` and writing into the scratch view `qarr`. Pointwise, so any
     /// partition of a region computes the same values as one full pass.
-    #[allow(clippy::too_many_arguments)]
     fn primitives_region(
         &self,
         sarr: &Array4Mut<'_>,
@@ -306,16 +309,16 @@ impl Hydro {
         layout: &StateLayout,
         eos: &dyn Eos,
         species: &[Species],
-        ex: &ExecSpace,
         qarr: &Array4Mut<'_>,
     ) {
         let floors = self.floors;
         let layout = *layout;
-        ex.par_for_rows(region, |j, k, i_lo, i_hi| {
-            let (zs0, zq0) = (sarr.zone(i_lo, j, k), qarr.zone(i_lo, j, k));
+        Telemetry::record_zones(region.num_zones() as u64);
+        for_each_row(region, |start, n| {
+            let (i, j, k) = (start.x(), start.y(), start.z());
+            let (zs0, zq0) = (sarr.zone(i, j, k), qarr.zone(i, j, k));
             lane_chunks(
-                i_lo,
-                i_hi,
+                n,
                 #[inline(always)]
                 |o, live| {
                     let u = |c| sarr.at_lanes(zs0 + o, live, c);
@@ -349,29 +352,29 @@ impl Hydro {
         dim: usize,
         dtdx: Real,
         layout: &StateLayout,
-        ex: &ExecSpace,
     ) {
         let e = IntVect::dim_vec(dim);
         let floors = self.floors;
         let layout = *layout;
         let qstride = qarr.stride(dim);
         let qbox = qarr.index_box();
-        ex.par_for_rows(faces, |j, k, i_lo, i_hi| {
+        Telemetry::record_zones(faces.num_zones() as u64);
+        for_each_row(faces, |start, n| {
+            let (i, j, k) = (start.x(), start.y(), start.z());
             // A face lies between zones `iv − e` and `iv`: resolve the row's
             // first right zone, step to its left one.
-            let zr0 = qarr.zone(i_lo, j, k);
-            debug_assert_eq!(zr0 - qstride, qarr.zone(i_lo - e.x(), j - e.y(), k - e.z()));
+            let zr0 = qarr.zone(i, j, k);
+            debug_assert_eq!(zr0 - qstride, qarr.zone(i - e.x(), j - e.y(), k - e.z()));
             // A face that recomputes its slopes reads one zone further.
-            let (first, last) = (IntVect::new(i_lo, j, k), IntVect::new(i_hi, j, k));
+            let last = start + IntVect::new(n as i32 - 1, 0, 0);
             debug_assert!(
-                slopes.is_some() || qbox.contains(first - e * 2) && qbox.contains(last + e)
+                slopes.is_some() || qbox.contains(start - e * 2) && qbox.contains(last + e)
             );
-            let staged = slopes.map(|s| (s, s.zone(i_lo, j, k), s.stride(dim)));
-            let zf0 = farr.zone(i_lo, j, k);
+            let staged = slopes.map(|s| (s, s.zone(i, j, k), s.stride(dim)));
+            let zf0 = farr.zone(i, j, k);
             let (mut ql, mut qr) = (TracedLanes::default(), TracedLanes::default());
             lane_chunks(
-                i_lo,
-                i_hi,
+                n,
                 #[inline(always)]
                 |o, live| {
                     // The face's right zone (`back` 0) or left zone (1).
@@ -403,21 +406,21 @@ impl Hydro {
         dim: usize,
         dtdx: Real,
         layout: &StateLayout,
-        ex: &ExecSpace,
     ) {
         let ncomp = layout.ncomp();
         let small_dens = self.floors.small_dens;
         let e = IntVect::dim_vec(dim);
         let fstride = farr.stride(dim);
-        ex.par_for_rows(vb, |j, k, i_lo, i_hi| {
+        Telemetry::record_zones(vb.num_zones() as u64);
+        for_each_row(vb, |start, n| {
+            let (i, j, k) = (start.x(), start.y(), start.z());
             // A zone's low face shares its index; its high face is one step
             // along the sweep.
-            let (zf0, zu0) = (farr.zone(i_lo, j, k), uarr.zone(i_lo, j, k));
-            let zq0 = qarr.zone(i_lo, j, k);
-            debug_assert_eq!(zf0 + fstride, farr.zone(i_lo + e.x(), j + e.y(), k + e.z()));
+            let (zf0, zu0) = (farr.zone(i, j, k), uarr.zone(i, j, k));
+            let zq0 = qarr.zone(i, j, k);
+            debug_assert_eq!(zf0 + fstride, farr.zone(i + e.x(), j + e.y(), k + e.z()));
             lane_chunks(
-                i_lo,
-                i_hi,
+                n,
                 #[inline(always)]
                 |o, live| {
                     let (zlo, zu) = (zf0 + o, zu0 + o);
@@ -455,17 +458,17 @@ impl Hydro {
         qarr: &Array4Mut<'_>,
         slarr: &Array4Mut<'_>,
         dim: usize,
-        ex: &ExecSpace,
     ) {
         let e = IntVect::dim_vec(dim);
         let qstride = qarr.stride(dim);
-        ex.par_for_rows(region, |j, k, i_lo, i_hi| {
-            let (z0, zs0) = (qarr.zone(i_lo, j, k), slarr.zone(i_lo, j, k));
-            debug_assert_eq!(z0 - qstride, qarr.zone(i_lo - e.x(), j - e.y(), k - e.z()));
-            debug_assert_eq!(z0 + qstride, qarr.zone(i_lo + e.x(), j + e.y(), k + e.z()));
+        Telemetry::record_zones(region.num_zones() as u64);
+        for_each_row(region, |start, n| {
+            let (i, j, k) = (start.x(), start.y(), start.z());
+            let (z0, zs0) = (qarr.zone(i, j, k), slarr.zone(i, j, k));
+            debug_assert_eq!(z0 - qstride, qarr.zone(i - e.x(), j - e.y(), k - e.z()));
+            debug_assert_eq!(z0 + qstride, qarr.zone(i + e.x(), j + e.y(), k + e.z()));
             lane_chunks(
-                i_lo,
-                i_hi,
+                n,
                 #[inline(always)]
                 |o, live| {
                     let zones = ZoneLanes {
@@ -496,13 +499,11 @@ impl Hydro {
         eos: &dyn Eos,
         species: &[Species],
         bc: &BcSpec,
-        ex: &ExecSpace,
+        _ex: &ExecSpace,
         arena: &dyn Arena,
     ) -> CommTrace {
         let no_reflux = &mut |_: usize, _: &[Array4<'_>]| {};
-        self.advance_with_fluxes(
-            state, dt, geom, layout, eos, species, bc, ex, arena, no_reflux,
-        )
+        self.advance_with_fluxes(state, dt, geom, layout, eos, species, bc, arena, no_reflux)
     }
 
     /// [`Hydro::advance`], lending each sweep's face fluxes to
@@ -520,7 +521,6 @@ impl Hydro {
         eos: &dyn Eos,
         species: &[Species],
         bc: &BcSpec,
-        ex: &ExecSpace,
         arena: &dyn Arena,
         on_fluxes: &mut dyn FnMut(usize, &[Array4<'_>]),
     ) -> CommTrace {
@@ -556,12 +556,12 @@ impl Hydro {
                 let slvs = scratch_views(&mut sbufs, &sregions, nq);
                 let fvs = scratch_views(&mut fbufs, &fregions, nflux);
                 let primitives = |f: usize, sv: &Array4Mut<'_>, region: IndexBox| {
-                    self.primitives_region(sv, region, layout, eos, species, ex, &qvs[f]);
+                    self.primitives_region(sv, region, layout, eos, species, &qvs[f]);
                 };
                 // `slvs` is empty for the flat structure, whose faces
                 // recompute their slopes.
                 let flux = |f: usize, faces: IndexBox| {
-                    self.flux_region(faces, &qvs[f], slvs.get(f), &fvs[f], dim, dtdx, layout, ex);
+                    self.flux_region(faces, &qvs[f], slvs.get(f), &fvs[f], dim, dtdx, layout);
                 };
                 let t = halo.run(
                     state,
@@ -580,7 +580,7 @@ impl Hydro {
                             primitives(f, sv, slab);
                         }
                         if staged {
-                            self.slopes_region(sregions[f], &qvs[f], &slvs[f], dim, ex);
+                            self.slopes_region(sregions[f], &qvs[f], &slvs[f], dim);
                             flux(f, fregions[f]);
                         } else {
                             for faces in band_faces(vbs[f], dim) {
@@ -589,7 +589,7 @@ impl Hydro {
                         }
                     },
                     |f, sv| {
-                        self.update_region(vbs[f], &fvs[f], &qvs[f], sv, dim, dtdx, layout, ex);
+                        self.update_region(vbs[f], &fvs[f], &qvs[f], sv, dim, dtdx, layout);
                     },
                 );
                 trace.merge(&t);
@@ -798,7 +798,7 @@ mod tests {
         bc.kind[(dim + 1) % 3] = [BcKind::Periodic; 2];
         bc.kind[(dim + 2) % 3] = [BcKind::Periodic; 2];
         for _ in 0..nsteps {
-            let dt = hydro.estimate_dt(&state, &layout, &eos, net.species(), &geom, &ex);
+            let dt = hydro.estimate_dt(&state, &layout, &eos, net.species(), &geom);
             assert!(dt > 0.0 && dt.is_finite());
             let _ = hydro.advance(
                 &mut state,
@@ -959,7 +959,6 @@ mod tests {
         arena: &dyn Arena,
     ) -> (StepFluxes, CommTrace) {
         let mut fluxes = StepFluxes::new();
-        let ex = ExecSpace::Serial;
         let trace = hydro.advance_with_fluxes(
             state,
             dt,
@@ -968,7 +967,6 @@ mod tests {
             eos,
             species,
             bc,
-            &ex,
             arena,
             &mut |dim, fabs| {
                 assert_eq!(dim, fluxes.len(), "sweeps are lent in order");
@@ -994,7 +992,6 @@ mod tests {
         bc: &BcSpec,
         ghosts: impl Fn(usize) -> IntVect,
     ) -> (StepFluxes, CommTrace) {
-        let ex = ExecSpace::Serial;
         let nq = Q::ncomp(layout.nspec);
         let nflux = layout.ncomp() + 1;
         let mut trace = CommTrace::default();
@@ -1015,13 +1012,13 @@ mod tests {
                 let qarr = Array4Mut::from_slice(&mut qbuf, qr, nq);
                 let slarr = Array4Mut::from_slice(&mut sbuf, sr, nq);
                 let farr = Array4Mut::from_slice(&mut fbuf, fr, nflux);
-                hydro.primitives_region(&sarr, qr, layout, eos, species, &ex, &qarr);
+                hydro.primitives_region(&sarr, qr, layout, eos, species, &qarr);
                 let slopes = (hydro.structure == KernelStructure::Legacy).then(|| {
-                    hydro.slopes_region(sr, &qarr, &slarr, dim, &ex);
+                    hydro.slopes_region(sr, &qarr, &slarr, dim);
                     &slarr
                 });
-                hydro.flux_region(fr, &qarr, slopes, &farr, dim, dtdx, layout, &ex);
-                hydro.update_region(vb, &farr, &qarr, &sarr, dim, dtdx, layout, &ex);
+                hydro.flux_region(fr, &qarr, slopes, &farr, dim, dtdx, layout);
+                hydro.update_region(vb, &farr, &qarr, &sarr, dim, dtdx, layout);
                 fabs.push(values(&Array4::from_slice(&fbuf, fr, nflux)));
             }
             fluxes.push(fabs);
@@ -1063,8 +1060,7 @@ mod tests {
                 let mut reference = state.clone();
                 let mut full_fill = state.clone();
                 for _ in 0..3 {
-                    let ex = ExecSpace::Serial;
-                    let dt = hydro.estimate_dt(&state, &layout, &eos, net.species(), &geom, &ex);
+                    let dt = hydro.estimate_dt(&state, &layout, &eos, net.species(), &geom);
                     let (fx, trace) = advance_keeping_fluxes(
                         &hydro,
                         &mut state,
@@ -1197,7 +1193,7 @@ mod tests {
         let arena = PoolArena::new();
         let bc = BcSpec::periodic();
         for _ in 0..10 {
-            let dt = hydro.estimate_dt(&state, &layout, &eos, net.species(), &geom, &ex);
+            let dt = hydro.estimate_dt(&state, &layout, &eos, net.species(), &geom);
             let _ = hydro.advance(
                 &mut state,
                 dt,
@@ -1311,7 +1307,7 @@ mod tests {
         // A good step leaves its scratch in the arena.
         castro.advance_level(&mut state, &geom, dt).unwrap();
         let hits = castro.arena.stats().pool_hits;
-        let (dim, ex) = (0, ExecSpace::Serial);
+        let dim = 0;
         let (nq, nflux) = (Q::ncomp(layout.nspec), layout.ncomp() + 1);
         let dtdx = dt / geom.dx()[dim];
         let ghosts = IntVect::dim_vec(dim) * 2;
@@ -1327,10 +1323,10 @@ mod tests {
             let farr = Array4Mut::from_slice(&mut fbuf, fr, nflux);
             let [lo_slab, _forgotten] = ghost_slabs(vb, dim);
             for region in [vb, lo_slab] {
-                hydro.primitives_region(&sarr, region, layout, &eos, net.species(), &ex, &qarr);
+                hydro.primitives_region(&sarr, region, layout, &eos, net.species(), &qarr);
             }
-            hydro.flux_region(fr, &qarr, None, &farr, dim, dtdx, layout, &ex);
-            hydro.update_region(vb, &farr, &qarr, &sarr, dim, dtdx, layout, &ex);
+            hydro.flux_region(fr, &qarr, None, &farr, dim, dtdx, layout);
+            hydro.update_region(vb, &farr, &qarr, &sarr, dim, dtdx, layout);
         }
         assert!(castro.arena.stats().pool_hits > hits, "recycled scratch");
         let verdict = castro
@@ -1393,14 +1389,7 @@ mod tests {
         let _ = one.copy_from_other_ba(&many, 0, layout.ncomp());
         assert_eq!((many.nfabs(), one.nfabs()), (64, 1));
         for state in [&many, &one] {
-            let dt = hydro.estimate_dt(
-                state,
-                &layout,
-                &eos,
-                net.species(),
-                &geom,
-                &ExecSpace::Serial,
-            );
+            let dt = hydro.estimate_dt(state, &layout, &eos, net.species(), &geom);
             let expect = serial_estimate_dt(&hydro, state, &layout, &eos, net.species(), &geom);
             assert!(dt > 0.0 && dt.is_finite());
             assert_eq!(dt.to_bits(), expect.to_bits(), "{} box(es)", state.nfabs());
@@ -1579,7 +1568,6 @@ mod tests {
             structure,
             floors,
         };
-        let ex = ExecSpace::Serial;
         let (nq, ncomp, nflux) = (Q::ncomp(layout.nspec), layout.ncomp(), layout.ncomp() + 1);
         let vb = IndexBox::new(IntVect::splat(0), IntVect::new(n - 1, 1, 2));
         let grown = vb.grow(2);
@@ -1595,7 +1583,7 @@ mod tests {
                 Array4Mut::from_slice(&mut qk, grown, nq),
                 Array4Mut::from_slice(&mut qo, grown, nq),
             );
-            hydro.primitives_region(&sarr, region, &layout, eos, species, &ex, &qk);
+            hydro.primitives_region(&sarr, region, &layout, eos, species, &qk);
             reference::primitives(&sarr, region, &layout, eos, species, &floors, &qo);
         }
         compare("primitives", grown, nq, &qk, &qo)?;
@@ -1618,11 +1606,11 @@ mod tests {
                 Array4Mut::from_slice(&mut fo, fbox, nflux),
             );
             if staged {
-                hydro.slopes_region(vb.grow_dir(dim, 1), &qarr, &sk, dim, &ex);
+                hydro.slopes_region(vb.grow_dir(dim, 1), &qarr, &sk, dim);
                 reference::slopes(vb.grow_dir(dim, 1), &qarr, &so, dim);
             }
             let (sk, so) = (staged.then_some(&sk), staged.then_some(&so));
-            hydro.flux_region(faces, &qarr, sk, &fk, dim, dtdx, &layout, &ex);
+            hydro.flux_region(faces, &qarr, sk, &fk, dim, dtdx, &layout);
             reference::fluxes(faces, &qarr, so, &fo, dim, dtdx, &layout, &floors);
         }
         compare("slopes", grown, nq, &sk, &so)?;
@@ -1640,7 +1628,7 @@ mod tests {
                 Array4Mut::from_slice(&mut uk, grown, ncomp),
                 Array4Mut::from_slice(&mut uo, grown, ncomp),
             );
-            hydro.update_region(vb, &farr, &qarr, &uk, dim, dtdx, &layout, &ex);
+            hydro.update_region(vb, &farr, &qarr, &uk, dim, dtdx, &layout);
             let small_dens = floors.small_dens;
             reference::update(vb, &farr, &qarr, &uo, dim, dtdx, &layout, small_dens);
         }

@@ -3,8 +3,8 @@
 //! These mirror AMReX's `IntVect` and `Box`: a zone is addressed by an
 //! integer triple `(i, j, k)` and a box is the inclusive rectangular range
 //! `[lo, hi]` in index space. A box is the unit of parallel work (one task
-//! on the worker pool); inside it, every per-zone kernel iterates over the
-//! `IndexBox` through [`crate::exec::ExecSpace::par_for`], with `i` (the x
+//! on the worker pool); inside it, every per-zone kernel walks the
+//! `IndexBox`'s x-rows through `exastro_amr::for_each_row`, with `i` (the x
 //! index) varying fastest to match the memory layout of
 //! `exastro_amr::FArrayBox`.
 

@@ -8,9 +8,8 @@
 //!
 //! * [`index`] — `IntVect` / `IndexBox` index-space primitives that every
 //!   physics loop iterates over;
-//! * [`exec`] — the `parallel_for` layer: one closure body run over a box by
-//!   one serial loop nest over its x-rows, per zone or [`LANES`] zones of a
-//!   row at a time;
+//! * [`exec`] — [`lane_chunks`], the [`LANES`]-zone chunks a row kernel
+//!   takes an x-row of `exastro_amr::for_each_row` in;
 //! * [`arena`] — the caching pool allocator and its malloc-per-call baseline;
 //! * [`pool`] — the persistent worker-thread pool, the one executor: threads
 //!   are spawned once per process and parallel regions are a pointer handoff
@@ -21,8 +20,8 @@
 //!
 //! Observability lives in `exastro-telemetry`, re-exported here as
 //! [`Telemetry`] so the crates below need no dependency of their own on
-//! it: every launch in [`exec`] records its zones into the open region, and a [`pool`] worker adopts its submitter's region context
-//! for the duration of a job.
+//! it: a kernel records its zones into the open region, and a [`pool`]
+//! worker adopts its submitter's region context for the duration of a job.
 //!
 //! Since no real GPU is available in this reproduction, every kernel runs on
 //! the host; GPU time is a model, priced by `exastro-machine` alone.

@@ -45,7 +45,7 @@ pub use faults::{flip_bit, tear_rename, truncate_file, KillSchedule};
 pub use interval::{
     daly_interval, expected_waste, interval, suggest_cadence_steps, suggest_interval, JobProfile,
 };
-pub use manager::{CheckpointManager, Error, ManagerStats, RetryPolicy};
+pub use manager::{CheckpointManager, Error, ManagerStats};
 pub use manifest::{crc32, Manifest};
 pub use recovery::{
     first_violation, transact, write_emergency, DriverError, RecoveryOptions, StateViolation,

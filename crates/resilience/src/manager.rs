@@ -80,27 +80,12 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Bounded-backoff retry policy for checkpoint writes.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Total attempts (1 = no retry).
-    pub attempts: u32,
-    /// Backoff before retry k is `base_backoff × 2^(k-1)`, capped at
-    /// `max_backoff`.
-    pub base_backoff: Duration,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            attempts: 3,
-            base_backoff: Duration::from_millis(2),
-            max_backoff: Duration::from_millis(100),
-        }
-    }
-}
+/// Attempts a checkpoint write makes before it gives up.
+const WRITE_ATTEMPTS: u32 = 3;
+/// The backoff before retry k is `BASE_BACKOFF × 2^(k-1)`, capped at
+/// `MAX_BACKOFF`.
+const BASE_BACKOFF: Duration = Duration::from_millis(2);
+const MAX_BACKOFF: Duration = Duration::from_millis(100);
 
 /// Aggregate manager statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -125,7 +110,6 @@ type WriteFaultFn = Box<dyn FnMut(u64, u32) -> Option<std::io::Error> + Send>;
 pub struct CheckpointManager {
     root: PathBuf,
     keep: usize,
-    retry: RetryPolicy,
     write_faults: Mutex<Option<WriteFaultFn>>,
     stats: Mutex<ManagerStats>,
 }
@@ -141,7 +125,6 @@ impl CheckpointManager {
         Ok(CheckpointManager {
             root,
             keep: 2,
-            retry: RetryPolicy::default(),
             write_faults: Mutex::new(None),
             stats: Mutex::new(ManagerStats::default()),
         })
@@ -150,12 +133,6 @@ impl CheckpointManager {
     /// Retain only the newest `k` checkpoints (k ≥ 1).
     pub fn keep_last(mut self, k: usize) -> Self {
         self.keep = k.max(1);
-        self
-    }
-
-    /// Set the write retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -225,7 +202,7 @@ impl CheckpointManager {
         None
     }
 
-    /// Write `snap` durably, retrying per the [`RetryPolicy`] with bounded
+    /// Write `snap` durably, in up to three attempts with bounded
     /// exponential backoff. Returns the final checkpoint path. A snapshot
     /// that could not read back as itself — a variable name count other
     /// than some level's component count, a name that is empty or holds
@@ -235,12 +212,12 @@ impl CheckpointManager {
         let _r = Telemetry::region("io/checkpoint");
         check_snapshot(snap)?;
         let bytes = snap.payload_bytes();
-        let mut backoff = self.retry.base_backoff;
+        let mut backoff = BASE_BACKOFF;
         let mut last_err: Error = Error::NoCheckpoint;
-        for attempt in 0..self.retry.attempts.max(1) {
+        for attempt in 0..WRITE_ATTEMPTS {
             if attempt > 0 {
                 std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(self.retry.max_backoff);
+                backoff = (backoff * 2).min(MAX_BACKOFF);
             }
             let injected = {
                 let mut g = self.write_faults.lock().unwrap();
@@ -634,13 +611,7 @@ mod tests {
     #[test]
     fn write_faults_retry_with_backoff_then_succeed() {
         let root = tmp_root("retry");
-        let mgr = CheckpointManager::new(&root)
-            .unwrap()
-            .with_retry(RetryPolicy {
-                attempts: 3,
-                base_backoff: Duration::from_millis(1),
-                max_backoff: Duration::from_millis(4),
-            });
+        let mgr = CheckpointManager::new(&root).unwrap();
         // Fail the first two attempts of every write.
         mgr.inject_write_faults(|_step, attempt| {
             (attempt < 2).then(|| std::io::Error::other("injected ENOSPC"))
@@ -656,17 +627,11 @@ mod tests {
     #[test]
     fn exhausted_retries_surface_the_error() {
         let root = tmp_root("giveup");
-        let mgr = CheckpointManager::new(&root)
-            .unwrap()
-            .with_retry(RetryPolicy {
-                attempts: 2,
-                base_backoff: Duration::from_millis(1),
-                max_backoff: Duration::from_millis(2),
-            });
+        let mgr = CheckpointManager::new(&root).unwrap();
         mgr.inject_write_faults(|_, _| Some(std::io::Error::other("disk on fire")));
         assert!(matches!(mgr.write(&snap_at(9, 9.0)), Err(Error::Io(_))));
         assert_eq!(mgr.stats().writes, 0);
-        assert_eq!(mgr.stats().write_failures, 2);
+        assert_eq!(mgr.stats().write_failures, u64::from(WRITE_ATTEMPTS));
         // No half-written checkpoint became visible.
         assert!(mgr.checkpoints().is_empty());
         let _ = fs::remove_dir_all(&root);

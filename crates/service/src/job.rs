@@ -534,7 +534,6 @@ fn configure_castro(spec: &JobSpec, drv: &mut Castro<'_>) {
                     min_temp: 0.0,
                     min_dens: 0.0,
                     faults: spec.burn_faults.clone(),
-                    ..Default::default()
                 });
             }
         }
@@ -549,7 +548,6 @@ fn configure_castro(spec: &JobSpec, drv: &mut Castro<'_>) {
                 min_temp: 5e8,
                 min_dens: 1e4,
                 faults: spec.burn_faults.clone(),
-                ..Default::default()
             });
         }
         Scenario::XrbFlame => {
@@ -558,7 +556,6 @@ fn configure_castro(spec: &JobSpec, drv: &mut Castro<'_>) {
                 min_temp: 1.5e8,
                 min_dens: 1e2,
                 faults: spec.burn_faults.clone(),
-                ..Default::default()
             });
         }
         Scenario::ReactingBubble => unreachable!("bubble runs on maestro"),

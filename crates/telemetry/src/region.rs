@@ -28,7 +28,7 @@ pub struct RegionStats {
     pub calls: u64,
     /// Inclusive host wall time, nanoseconds.
     pub wall_ns: u64,
-    /// Zones processed by `par_for`/reductions inside the region.
+    /// Zones the region's kernels reported processing.
     pub zones: u64,
     /// Payload bytes moved inside the region (checkpoint I/O traffic).
     pub bytes: u64,

@@ -73,7 +73,6 @@ fn main() {
             rungs_to_fail: 1,
             error: BdfErrorKind::MaxSteps,
         }),
-        ..Default::default()
     });
 
     let mut recovered = 0;

@@ -4,3 +4,5 @@
 
 #[path = "pins/bubble_step.rs"]
 mod bubble_step;
+#[path = "pins/digest.rs"]
+mod digest;

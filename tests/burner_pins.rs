@@ -6,5 +6,7 @@
 mod bdf_accuracy;
 #[path = "pins/burn_digests.rs"]
 mod burn_digests;
+#[path = "pins/digest.rs"]
+mod digest;
 #[path = "pins/ramp_digests.rs"]
 mod ramp_digests;

@@ -10,27 +10,12 @@
 //! When a change is *meant* to move the bits, re-record: run with
 //! `--nocapture` and copy the printed values.
 
+use crate::digest::fnv_valid;
 use exastro_amr::{
     BoxArray, CoordSys, DistStrategy, DistributionMapping, Geometry, IndexBox, MultiFab,
 };
 use exastro_maestro::{bubble_maestro, init_bubble, BubbleParams, LmLayout};
 use exastro_microphysics::{CBurn2, Network, StellarEos};
-
-/// FNV-1a over the little-endian bits of every valid zone: fab-major,
-/// component-major, zones in x-fastest order.
-fn fnv_valid(state: &MultiFab) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for i in 0..state.nfabs() {
-        for c in 0..state.ncomp() {
-            for iv in state.valid_box(i).iter() {
-                for b in state.fab(i).get(iv, c).to_bits().to_le_bytes() {
-                    h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-                }
-            }
-        }
-    }
-    h
-}
 
 #[test]
 fn bubble_16_in_8_cubes_after_one_step() {

@@ -13,16 +13,10 @@
 //! to move the bits, re-record: run with `--nocapture` and copy the
 //! printed values.
 
+use crate::digest::{fnv, FNV_OFFSET};
 use exastro_microphysics::{
     Aprox13, BurnOutcome, BurnerConfig, Iso7, Network, StellarEos, ZoneBurn,
 };
-
-/// FNV-1a over little-endian bytes.
-fn fnv(h: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *h = (*h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
 
 /// ½C½O fuel: `hot` zones around 2.8×10⁹ K that ignite within `dt`, then
 /// `cold` zones around 4×10⁸ K that do not, each with its own (ρ, T).
@@ -62,7 +56,7 @@ fn burn(net: &dyn Network, zones: &[ZoneBurn], dt: f64) -> Vec<BurnOutcome> {
 }
 
 fn digest(outcomes: &[BurnOutcome]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV_OFFSET;
     for out in outcomes {
         for x in &out.x {
             fnv(&mut h, x.to_bits());

@@ -11,6 +11,7 @@
 //! second. When a change is *meant* to move the bits, re-record: run with
 //! `--nocapture` and copy the printed values.
 
+use crate::digest::{fnv_f64s, fnv_valid};
 use crate::reacting_level::burn_reacting_level;
 use exastro_amr::{
     BoxArray, ClusterParams, CoordSys, DistStrategy, Geometry, Hierarchy, IndexBox, IntVect,
@@ -20,32 +21,10 @@ use exastro_castro::{
     init_collision, init_sedov, Castro, CollisionParams, Floors, Gravity, GravityMode, SedovParams,
 };
 use exastro_microphysics::{BdfErrorKind, BurnFaultConfig, CBurn2, GammaLaw, StellarEos};
-use exastro_parallel::ExecSpace;
-
-/// FNV-1a over the little-endian bits of every value.
-fn fnv(values: impl Iterator<Item = f64>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in values {
-        for b in v.to_bits().to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
 
 /// Every fab's grown box, fab-major, in storage order.
 fn fnv_state(state: &MultiFab) -> u64 {
-    fnv((0..state.nfabs()).flat_map(|i| state.fab(i).data().iter().copied()))
-}
-
-/// Valid zones only: fab-major, component-major, zones in x-fastest order.
-fn fnv_valid(state: &MultiFab) -> u64 {
-    fnv((0..state.nfabs()).flat_map(|i| {
-        (0..state.ncomp()).flat_map(move |c| {
-            let zones = state.valid_box(i).iter();
-            zones.map(move |iv| state.fab(i).get(iv, c))
-        })
-    }))
+    fnv_f64s((0..state.nfabs()).flat_map(|i| state.fab(i).data().iter().copied()))
 }
 
 /// `(grown-box digest, valid-zone digest)` after `steps` steps.
@@ -59,20 +38,19 @@ fn run(castro: &Castro, geom: &Geometry, state: &mut MultiFab, steps: usize) -> 
 
 #[test]
 fn sedov_16_in_8_cubes_after_4_steps() {
-    let (grown, valid) = sedov_16_in_8_cubes(ExecSpace::Serial);
+    let (grown, valid) = sedov_16_in_8_cubes();
     println!("sedov 16^3/8^3 after 4 steps: grown {grown:#018x} valid {valid:#018x}");
     assert_eq!(valid, SEDOV_VALID_DIGEST, "valid zones: got {valid:#018x}");
     assert_eq!(grown, SEDOV_DIGEST, "grown boxes: got {grown:#018x}");
 }
 
-fn sedov_16_in_8_cubes(ex: ExecSpace) -> (u64, u64) {
+fn sedov_16_in_8_cubes() -> (u64, u64) {
     let eos = GammaLaw::monatomic();
     let net = CBurn2::new();
     let geom = Geometry::cube(16, 1.0, false);
     let mut castro = Castro::new(&eos, &net);
     castro.hydro.cfl = 0.4;
     castro.hydro.floors = Floors::dimensionless();
-    castro.ex = ex;
     let ba = BoxArray::decompose(geom.domain(), 8, 4);
     let mut state = MultiFab::local(ba, castro.layout.ncomp(), 2);
     assert_eq!(state.nfabs(), 8);

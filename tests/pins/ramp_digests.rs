@@ -17,16 +17,10 @@
 //! is *meant* to move the bits, re-record: run with `--nocapture` and copy
 //! the printed values.
 
+use crate::digest::{fnv, FNV_OFFSET};
 use exastro_microphysics::{
     Aprox13, BurnerConfig, CBurn2, Network, RecoveredBurn, StellarEos, ZoneBurn,
 };
-
-/// FNV-1a over little-endian bytes.
-fn fnv(h: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *h = (*h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
 
 /// Zones in a field: 13 = one full chunk plus a remainder at every width.
 const ZONES: usize = 13;
@@ -48,7 +42,7 @@ fn ramp(x0: &[f64]) -> Vec<ZoneBurn<'_>> {
 }
 
 fn digest(recs: &[RecoveredBurn]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV_OFFSET;
     for rec in recs {
         let out = &rec.outcome;
         for x in &out.x {
