@@ -90,11 +90,6 @@ for bench in ablation_taskgraph fig2_sedov_weak_scaling fig3_bubble_weak_scaling
   cargo bench --offline -p exastro-bench --bench "$bench" -- --test >"$OUT/$bench.log"
 done
 
-echo "== artifact and perf gate =="
-# One table in ci/perf_gate.py: every artifact above against its keys and
-# invariants, and every BENCH_*.json against the bounds in ci/baselines/.
-python3 ci/perf_gate.py
-
 echo "== perf_ledger smoke (the repo's benchmark builds and runs) =="
 # examples/perf_ledger is a package of its own, outside the workspace, so
 # nothing above compiles it: an API-removing PR could break the benchmark
@@ -118,5 +113,11 @@ cargo clippy --workspace --all-targets --offline -- -D warnings -D deprecated
 
 echo "== rustfmt check =="
 cargo fmt --all --check
+
+echo "== artifact and perf gate =="
+# One table in ci/perf_gate.py: every artifact above against its keys and
+# invariants, and every BENCH_*.json against the bounds in ci/baselines/.
+# Last, so a red from host noise cannot stop the correctness steps above.
+python3 ci/perf_gate.py
 
 echo "tier-1: OK"

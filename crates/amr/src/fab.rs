@@ -163,7 +163,7 @@ impl FArrayBox {
     /// The `n` values of component `comp` from zone `iv` along `x`: one
     /// contiguous run of memory.
     #[inline]
-    pub(crate) fn row(&self, iv: IntVect, comp: usize, n: usize) -> &[Real] {
+    pub fn row(&self, iv: IntVect, comp: usize, n: usize) -> &[Real] {
         debug_assert!(n >= 1 && iv.x() + n as i32 - 1 <= self.st.bx.hi().x());
         let o = self.offset(iv, comp);
         &self.data[o..o + n]
@@ -171,7 +171,7 @@ impl FArrayBox {
 
     /// Mutable [`FArrayBox::row`].
     #[inline]
-    pub(crate) fn row_mut(&mut self, iv: IntVect, comp: usize, n: usize) -> &mut [Real] {
+    pub fn row_mut(&mut self, iv: IntVect, comp: usize, n: usize) -> &mut [Real] {
         debug_assert!(n >= 1 && iv.x() + n as i32 - 1 <= self.st.bx.hi().x());
         let o = self.offset(iv, comp);
         &mut self.data[o..o + n]

@@ -33,7 +33,6 @@ pub mod geometry;
 pub mod halo_loop;
 pub mod hierarchy;
 pub mod interp;
-pub mod io;
 pub mod multifab;
 
 pub use boxarray::{BoxArray, BoxIndex};
@@ -45,7 +44,6 @@ pub use geometry::{CoordSys, Geometry};
 pub use halo_loop::HaloLoop;
 pub use hierarchy::{fill_patch_two_levels, AmrLevel, Hierarchy};
 pub use interp::{average_down, prolong_lin, prolong_pc};
-pub use io::{Checkpoint, IoError};
 pub use multifab::{
     for_each_ghost_copy, BcKind, BcSpec, CommTrace, ExchangePlan, Message, MultiFab,
 };

@@ -19,10 +19,12 @@
 //! written).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use exastro_amr::io::{sync_dir, write_synced};
 use exastro_bench::{sedov_fixture, write_metrics_json, MetricPoint};
 use exastro_castro::snapshot_level;
-use exastro_resilience::{CheckpointManager, Clock};
+use exastro_resilience::{
+    fab_name, level_dir, sync_dir, write_synced, CheckpointManager, Clock, HEADER_NAME,
+    MANIFEST_NAME, META_NAME,
+};
 use exastro_service::{JobSpec, PriorityClass, Scenario, Service, ServiceConfig};
 use std::path::Path;
 use std::time::Instant;
@@ -126,15 +128,15 @@ fn fsync_floor(
     text: [&[u8]; 3],
 ) -> std::io::Result<()> {
     let tmp = root.join(format!(".tmp-floor{step}"));
-    let level = tmp.join("Level_00");
+    let level = tmp.join(level_dir(0));
     std::fs::create_dir_all(&level)?;
     for i in 0..nfabs {
-        write_synced(&level.join(format!("fab_{i:05}.bin")), blob)?;
+        write_synced(&level.join(fab_name(i)), blob)?;
     }
-    write_synced(&level.join("Header"), text[0])?;
+    write_synced(&level.join(HEADER_NAME), text[0])?;
     sync_dir(&level);
-    write_synced(&tmp.join("Meta"), text[1])?;
-    write_synced(&tmp.join("MANIFEST"), text[2])?;
+    write_synced(&tmp.join(META_NAME), text[1])?;
+    write_synced(&tmp.join(MANIFEST_NAME), text[2])?;
     sync_dir(&tmp);
     std::fs::rename(&tmp, root.join(format!("floor{step}")))?;
     sync_dir(root);
@@ -163,14 +165,17 @@ fn write_over_fsync_floor() -> f64 {
     };
     // File sizes from a first, untimed checkpoint.
     let first = mgr.write(&snap_at(0)).expect("checkpoint write");
-    let zeros = |rel: &str| {
-        let len = std::fs::metadata(first.join(rel))
-            .expect("checkpoint file")
-            .len();
+    let zeros = |path: std::path::PathBuf| {
+        let len = std::fs::metadata(path).expect("checkpoint file").len();
         vec![0u8; len as usize]
     };
-    let blob = zeros("Level_00/fab_00000.bin");
-    let text = [zeros("Level_00/Header"), zeros("Meta"), zeros("MANIFEST")];
+    let level = first.join(level_dir(0));
+    let blob = zeros(level.join(fab_name(0)));
+    let text = [
+        zeros(level.join(HEADER_NAME)),
+        zeros(first.join(META_NAME)),
+        zeros(first.join(MANIFEST_NAME)),
+    ];
     let (mut write_s, mut floor_s) = (Vec::new(), Vec::new());
     for step in 1..=24u64 {
         let snap = snap_at(step);

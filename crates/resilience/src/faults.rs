@@ -107,7 +107,7 @@ pub fn tear_rename(checkpoint_dir: &Path) -> std::io::Result<PathBuf> {
         fs::remove_dir_all(&torn)?;
     }
     fs::rename(checkpoint_dir, &torn)?;
-    let manifest = torn.join(crate::manifest::MANIFEST_NAME);
+    let manifest = torn.join(crate::io::MANIFEST_NAME);
     if manifest.exists() {
         fs::remove_file(&manifest)?;
     }

@@ -12,6 +12,10 @@
 //! * [`snapshot`] — the multi-level [`Snapshot`] of a run: per-level
 //!   geometry + state, step counters, auxiliary 1-D arrays (e.g. the
 //!   MAESTROeX base state);
+//! * the checkpoint format (a private module): file names, blob encoding,
+//!   synced writes, the `Header`/`Meta`/`MANIFEST` line reader, and the
+//!   checks a decode passes before it allocates; its file names and synced
+//!   writes are re-exported here;
 //! * [`manifest`] — CRC32 integrity manifests over every file of a
 //!   checkpoint directory;
 //! * [`manager`] — [`CheckpointManager`]: atomic temp-dir+fsync+rename
@@ -35,6 +39,7 @@
 
 pub mod faults;
 pub mod interval;
+mod io;
 pub mod manager;
 pub mod manifest;
 pub mod recovery;
@@ -45,6 +50,7 @@ pub use faults::{flip_bit, tear_rename, truncate_file, KillSchedule};
 pub use interval::{
     daly_interval, expected_waste, interval, suggest_cadence_steps, suggest_interval, JobProfile,
 };
+pub use io::{fab_name, level_dir, sync_dir, write_synced, HEADER_NAME, MANIFEST_NAME, META_NAME};
 pub use manager::{CheckpointManager, Error, ManagerStats};
 pub use manifest::{crc32, Manifest};
 pub use recovery::{

@@ -3,11 +3,10 @@
 //!
 //! Write protocol (crash-safe at every point):
 //!
-//! 1. serialize the snapshot into a hidden temp directory
-//!    (`.tmp-chkNNNNNNNN`) — one sub-directory per AMR level, a `Meta`
-//!    file for the counters, `Aux_*.bin` blobs for auxiliary arrays; every
-//!    file is built in memory, written once and fsynced, and its
-//!    [`Manifest`] entry is taken from the bytes in hand (no read-back);
+//! 1. write the snapshot's files (the format module: one directory per
+//!    level, `Aux_*.bin`, `Meta`) into a hidden temp directory
+//!    (`.tmp-chkNNNNNNNN`), each fsynced, its [`Manifest`] entry taken
+//!    from the bytes in hand;
 //! 2. write the CRC32 [`Manifest`] **last** — a checkpoint without a
 //!    manifest is by definition incomplete;
 //! 3. fsync the directories;
@@ -26,15 +25,13 @@
 //! telemetry region with its byte count recorded. The §III D2H copy a GPU
 //! build would add is priced by `exastro-machine`, not here.
 
-use crate::manifest::{Manifest, ManifestEntry, MANIFEST_NAME};
-use crate::snapshot::{Clock, LevelSnapshot, Snapshot};
-use exastro_amr::io::{
-    append_le_bytes, check_variable_names, read_level, sync_dir, write_level, write_synced, IoError,
+use crate::io::{
+    check_snapshot, read_snapshot, sync_dir, write_files, write_synced, MANIFEST_NAME,
 };
-use exastro_amr::Real;
+use crate::manifest::Manifest;
+use crate::snapshot::Snapshot;
 use exastro_telemetry::Telemetry;
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -42,7 +39,8 @@ use std::time::Duration;
 /// Errors from checkpoint management.
 #[derive(Debug)]
 pub enum Error {
-    /// Underlying filesystem error.
+    /// Underlying filesystem error, including a file the manifest lists
+    /// that cannot be read.
     Io(std::io::Error),
     /// Malformed checkpoint contents.
     Format(String),
@@ -55,15 +53,6 @@ pub enum Error {
 impl From<std::io::Error> for Error {
     fn from(e: std::io::Error) -> Self {
         Error::Io(e)
-    }
-}
-
-impl From<IoError> for Error {
-    fn from(e: IoError) -> Self {
-        match e {
-            IoError::Io(e) => Error::Io(e),
-            IoError::Format(m) => Error::Format(m),
-        }
     }
 }
 
@@ -113,8 +102,6 @@ pub struct CheckpointManager {
     write_faults: Mutex<Option<WriteFaultFn>>,
     stats: Mutex<ManagerStats>,
 }
-
-const META_MAGIC: &str = "exastro-snapshot-v1";
 
 impl CheckpointManager {
     /// Create a manager rooted at `root` (created if absent). Defaults:
@@ -184,8 +171,7 @@ impl CheckpointManager {
 
     /// Verify the integrity of the checkpoint at `dir` via its manifest.
     pub fn verify(dir: &Path) -> Result<(), Error> {
-        let m = Manifest::load(dir).map_err(Error::Corrupt)?;
-        m.verify(dir).map_err(Error::Corrupt)
+        Manifest::load(dir)?.verify(dir)
     }
 
     /// The newest checkpoint that passes integrity verification, skipping
@@ -254,33 +240,7 @@ impl CheckpointManager {
             fs::remove_dir_all(&tmp)?;
         }
         fs::create_dir_all(&tmp)?;
-        // Every file's manifest entry comes from the bytes just written.
-        let mut entries = Vec::new();
-        let var_refs: Vec<&str> = snap.variables.iter().map(String::as_str).collect();
-        for (l, lev) in snap.levels.iter().enumerate() {
-            let level = format!("Level_{l:02}");
-            let dir = tmp.join(&level);
-            fs::create_dir(&dir)?;
-            write_level(
-                &dir,
-                &lev.state,
-                &lev.geom,
-                snap.clock.time,
-                &var_refs,
-                |file, bytes| entries.push(ManifestEntry::of(format!("{level}/{file}"), bytes)),
-            )?;
-        }
-        let mut put = |rel: String, bytes: &[u8]| {
-            write_synced(&tmp.join(&rel), bytes)
-                .map(|()| entries.push(ManifestEntry::of(rel, bytes)))
-        };
-        let mut blob = Vec::new();
-        for (aux_name, v) in &snap.aux {
-            blob.clear();
-            append_le_bytes(&mut blob, v);
-            put(format!("Aux_{aux_name}.bin"), &blob)?;
-        }
-        put("Meta".into(), &meta_bytes(snap)?)?;
+        let entries = write_files(&tmp, snap)?;
         // The manifest is written last: its presence certifies completeness.
         let manifest = Manifest::new(entries);
         write_synced(&tmp.join(MANIFEST_NAME), manifest.to_text().as_bytes())?;
@@ -295,21 +255,26 @@ impl CheckpointManager {
 
     /// Restore the snapshot stored at `dir`. Every file is read once and
     /// checked against the manifest before a byte of it is decoded;
-    /// [`Error::Corrupt`] on any mismatch.
+    /// [`Error::Corrupt`] on any mismatch, [`Error::Io`] for a listed file
+    /// that cannot be read, [`Error::Format`] for checked contents that do
+    /// not decode or that [`CheckpointManager::write`] would have refused.
     pub fn restore(&self, dir: &Path) -> Result<Snapshot, Error> {
         let _r = Telemetry::region("io/checkpoint");
-        let snap = read_snapshot_dir(dir)?;
+        let snap = read_snapshot(dir)?;
         Telemetry::record_bytes(snap.payload_bytes());
         self.stats.lock().unwrap().restores += 1;
         Ok(snap)
     }
 
     /// Resume from the newest intact checkpoint, falling back past (and
-    /// counting) corrupt ones. [`Error::NoCheckpoint`] if none survives.
+    /// counting) corrupt ones and ones with a listed file that cannot be
+    /// read. [`Error::NoCheckpoint`] if none survives.
     pub fn resume(&self) -> Result<Snapshot, Error> {
         for (_, path) in self.checkpoints().into_iter().rev() {
             match self.restore(&path) {
-                Err(Error::Corrupt(_)) => self.stats.lock().unwrap().corrupt_detected += 1,
+                Err(Error::Corrupt(_) | Error::Io(_)) => {
+                    self.stats.lock().unwrap().corrupt_detected += 1
+                }
                 other => return other,
             }
         }
@@ -331,161 +296,12 @@ impl CheckpointManager {
     }
 }
 
-/// The names of `snap` are ones its files can store and give back.
-fn check_snapshot(snap: &Snapshot) -> Result<(), Error> {
-    for lev in &snap.levels {
-        check_variable_names(&snap.variables, lev.state.ncomp())?;
-    }
-    let ok = |n: &str| !n.is_empty() && n.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_');
-    match snap.aux.iter().find(|(n, _)| !ok(n)) {
-        Some((n, _)) => Err(Error::Format(format!("aux name {n:?}"))),
-        None => Ok(()),
-    }
-}
-
-fn meta_bytes(snap: &Snapshot) -> std::io::Result<Vec<u8>> {
-    let mut m = Vec::new();
-    writeln!(m, "{META_MAGIC}")?;
-    writeln!(m, "step {}", snap.clock.step)?;
-    // Bit-pattern hex alongside the decimal: the decimal is for humans,
-    // the bits are what restore parses (exact by construction).
-    writeln!(
-        m,
-        "time {:016x} {:e}",
-        snap.clock.time.to_bits(),
-        snap.clock.time
-    )?;
-    writeln!(m, "dt {:016x} {:e}", snap.clock.dt.to_bits(), snap.clock.dt)?;
-    writeln!(m, "nlevels {}", snap.levels.len())?;
-    let ratios: Vec<String> = snap
-        .levels
-        .iter()
-        .map(|l| l.ratio_to_coarser.to_string())
-        .collect();
-    writeln!(m, "ratios {}", ratios.join(" "))?;
-    writeln!(m, "variables {}", snap.variables.join(" "))?;
-    for (aux_name, v) in &snap.aux {
-        writeln!(m, "aux {aux_name} {}", v.len())?;
-    }
-    Ok(m)
-}
-
-/// Decode the checkpoint at `dir` in one pass: each file is read once,
-/// through its manifest entry, and only checked bytes are parsed.
-fn read_snapshot_dir(dir: &Path) -> Result<Snapshot, Error> {
-    let manifest = Manifest::load(dir).map_err(Error::Corrupt)?;
-    let mut unread: Vec<&ManifestEntry> = manifest.entries.iter().collect();
-    let mut fetch = |rel: &str| -> Result<Vec<u8>, Error> {
-        let k = unread
-            .iter()
-            .position(|e| e.rel_path == rel)
-            .ok_or_else(|| Error::Corrupt(format!("{rel}: not in the manifest")))?;
-        unread
-            .swap_remove(k)
-            .read_checked(dir)
-            .map_err(Error::Corrupt)
-    };
-    let meta = String::from_utf8(fetch("Meta")?)
-        .map_err(|e| Error::Format(format!("Meta is not UTF-8: {e}")))?;
-    let mut lines = meta.lines();
-    let mut next = || -> Result<&str, Error> {
-        lines
-            .next()
-            .ok_or_else(|| Error::Format("truncated Meta".into()))
-    };
-    if next()? != META_MAGIC {
-        return Err(Error::Format("bad Meta magic".into()));
-    }
-    let field = |line: &str, key: &str| -> Result<String, Error> {
-        line.strip_prefix(key)
-            .map(|s| s.trim().to_string())
-            .ok_or_else(|| Error::Format(format!("expected '{key}' in Meta, got '{line}'")))
-    };
-    let step: u64 = field(next()?, "step")?
-        .parse()
-        .map_err(|e| Error::Format(format!("bad step: {e}")))?;
-    let parse_bits = |s: String, what: &str| -> Result<Real, Error> {
-        let hex = s
-            .split_whitespace()
-            .next()
-            .ok_or_else(|| Error::Format(format!("bad {what}")))?;
-        u64::from_str_radix(hex, 16)
-            .map(Real::from_bits)
-            .map_err(|e| Error::Format(format!("bad {what}: {e}")))
-    };
-    let time = parse_bits(field(next()?, "time")?, "time")?;
-    let dt = parse_bits(field(next()?, "dt")?, "dt")?;
-    let nlevels: usize = field(next()?, "nlevels")?
-        .parse()
-        .map_err(|e| Error::Format(format!("bad nlevels: {e}")))?;
-    let ratios: Vec<i32> = field(next()?, "ratios")?
-        .split_whitespace()
-        .map(|t| t.parse::<i32>())
-        .collect::<Result<_, _>>()
-        .map_err(|e| Error::Format(format!("bad ratios: {e}")))?;
-    if ratios.len() != nlevels {
-        return Err(Error::Format(format!(
-            "nlevels {nlevels} but {} ratios",
-            ratios.len()
-        )));
-    }
-    let variables: Vec<String> = field(next()?, "variables")?
-        .split_whitespace()
-        .map(String::from)
-        .collect();
-    let mut aux = Vec::new();
-    for line in lines {
-        let spec = field(line.to_string().as_str(), "aux")?;
-        let mut it = spec.split_whitespace();
-        let aux_name = it
-            .next()
-            .ok_or_else(|| Error::Format("bad aux line".into()))?
-            .to_string();
-        let len: usize = it
-            .next()
-            .ok_or_else(|| Error::Format("bad aux line".into()))?
-            .parse()
-            .map_err(|e| Error::Format(format!("bad aux len: {e}")))?;
-        let blob = fetch(&format!("Aux_{aux_name}.bin"))?;
-        if blob.len() != len * 8 {
-            return Err(Error::Format(format!(
-                "aux {aux_name}: blob is {} bytes, Meta implies {}",
-                blob.len(),
-                len * 8
-            )));
-        }
-        let v = blob
-            .chunks_exact(8)
-            .map(|b| Real::from_le_bytes(b.try_into().expect("8-byte chunk")))
-            .collect();
-        aux.push((aux_name, v));
-    }
-    let mut levels = Vec::with_capacity(nlevels);
-    for (l, ratio) in ratios.iter().enumerate().take(nlevels) {
-        let ck = read_level(|file| fetch(&format!("Level_{l:02}/{file}")))?;
-        levels.push(LevelSnapshot {
-            geom: ck.geom,
-            state: ck.state,
-            ratio_to_coarser: *ratio,
-        });
-    }
-    // A manifest may vouch for more than a decode reads; it all has to hold.
-    for e in unread {
-        e.read_checked(dir).map_err(Error::Corrupt)?;
-    }
-    Ok(Snapshot {
-        levels,
-        clock: Clock { step, time, dt },
-        variables,
-        aux,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::faults;
-    use exastro_amr::{BoxArray, Geometry, MultiFab};
+    use crate::snapshot::Clock;
+    use exastro_amr::{BoxArray, Geometry, MultiFab, Real};
 
     fn tmp_root(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("exastro_mgr_{tag}_{}", std::process::id()));
@@ -567,6 +383,28 @@ mod tests {
         let snap = mgr.resume().unwrap();
         assert_eq!(snap.clock.step, 2);
         assert!(mgr.stats().corrupt_detected >= 1);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_flipped_manifest_size_falls_back_like_latest_good() {
+        // One bit of MANIFEST turns a blob's recorded size 8192 into 8193:
+        // damage, not a format fault, so resume passes the checkpoint by
+        // exactly as latest_good does.
+        let root = tmp_root("sizeflip");
+        let mgr = CheckpointManager::new(&root).unwrap().keep_last(3);
+        mgr.write(&snap_at(2, 2.0)).unwrap();
+        let newest = mgr.write(&snap_at(4, 4.0)).unwrap();
+        let manifest = newest.join(MANIFEST_NAME);
+        let text = fs::read_to_string(&manifest).unwrap();
+        let at = text.find(" 8192 Level_00/fab_00000.bin").unwrap() + 4;
+        faults::flip_bit(&manifest, at as u64, 0).unwrap();
+        assert!(fs::read_to_string(&manifest)
+            .unwrap()
+            .contains(" 8193 Level_00/fab_00000.bin"));
+        assert!(matches!(mgr.restore(&newest), Err(Error::Corrupt(_))));
+        assert_eq!(mgr.latest_good().unwrap().0, 2);
+        assert_eq!(mgr.resume().unwrap().clock.step, 2);
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -6,11 +6,14 @@
 //! size, a bit flip changes its CRC, a torn write leaves no manifest at
 //! all. Verification walks every listed file and recomputes both.
 
+use crate::io::Lines;
+/// The manifest's file name, also re-exported at the crate root beside the
+/// format's other names; kept here for callers of this module's path.
+pub use crate::io::MANIFEST_NAME;
+use crate::manager::Error;
 use std::fs;
 use std::path::Path;
 
-/// File name of the manifest inside a checkpoint directory.
-pub const MANIFEST_NAME: &str = "MANIFEST";
 const MAGIC: &str = "exastro-manifest-v1";
 
 /// The reflected IEEE 802.3 polynomial.
@@ -107,23 +110,23 @@ impl ManifestEntry {
 
     /// Read the file from checkpoint directory `dir` and check it against
     /// the recorded size and CRC: the bytes returned are the bytes that
-    /// passed. The discrepancy, if any, comes back as an error string.
-    pub fn read_checked(&self, dir: &Path) -> Result<Vec<u8>, String> {
-        let bytes = fs::read(dir.join(&self.rel_path))
-            .map_err(|err| format!("{}: unreadable: {err}", self.rel_path))?;
+    /// passed. A file that cannot be read is an [`Error::Io`]; a size or
+    /// CRC discrepancy is an [`Error::Corrupt`].
+    pub fn read_checked(&self, dir: &Path) -> Result<Vec<u8>, Error> {
+        let bytes = fs::read(dir.join(&self.rel_path))?;
         let size = bytes.len() as u64;
         if size != self.size {
-            return Err(format!(
+            return Err(Error::Corrupt(format!(
                 "{}: size {} != recorded {}",
                 self.rel_path, size, self.size
-            ));
+            )));
         }
         let crc = crc32(&bytes);
         if crc != self.crc {
-            return Err(format!(
+            return Err(Error::Corrupt(format!(
                 "{}: crc {:08x} != recorded {:08x}",
                 self.rel_path, crc, self.crc
-            ));
+            )));
         }
         Ok(bytes)
     }
@@ -160,50 +163,41 @@ impl Manifest {
         s
     }
 
-    /// Parse the text format written by [`Manifest::to_text`].
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        let magic = lines.next().ok_or("empty manifest")?;
-        if magic != MAGIC {
-            return Err(format!("bad manifest magic '{magic}'"));
-        }
-        let nfiles: usize = lines
-            .next()
-            .and_then(|l| l.strip_prefix("nfiles "))
-            .ok_or("missing nfiles")?
-            .parse()
-            .map_err(|e| format!("bad nfiles: {e}"))?;
-        let mut entries = Vec::with_capacity(nfiles);
-        for _ in 0..nfiles {
-            let line = lines.next().ok_or("truncated manifest")?;
-            let mut it = line.splitn(3, ' ');
-            let crc = u32::from_str_radix(it.next().ok_or("missing crc")?, 16)
-                .map_err(|e| format!("bad crc: {e}"))?;
-            let size: u64 = it
-                .next()
-                .ok_or("missing size")?
-                .parse()
-                .map_err(|e| format!("bad size: {e}"))?;
-            let rel_path = it.next().ok_or("missing path")?.to_string();
-            entries.push(ManifestEntry {
-                rel_path,
-                size,
-                crc,
-            });
-        }
-        Ok(Manifest { entries })
-    }
-
-    /// Load the manifest stored inside checkpoint directory `dir`.
-    pub fn load(dir: &Path) -> Result<Self, String> {
-        let text =
-            fs::read_to_string(dir.join(MANIFEST_NAME)).map_err(|e| format!("no manifest: {e}"))?;
-        Self::from_text(&text)
+    /// Load the manifest stored inside checkpoint directory `dir`. A
+    /// manifest that is absent or does not parse is an [`Error::Corrupt`]:
+    /// the manifest is written last, so its state is the checkpoint's.
+    pub fn load(dir: &Path) -> Result<Self, Error> {
+        let text = fs::read(dir.join(MANIFEST_NAME))
+            .map_err(|e| Error::Corrupt(format!("no manifest: {e}")))?;
+        let parse = || {
+            let mut lines = Lines::new("MANIFEST", &text, MAGIC)?;
+            let nfiles: usize = lines.value("nfiles")?;
+            let mut entries = Vec::new();
+            for _ in 0..nfiles {
+                let line = lines.line()?;
+                let (crc, size, rel_path) = line
+                    .split_once(' ')
+                    .and_then(|(crc, rest)| Some((crc, rest.split_once(' ')?)))
+                    .map(|(crc, (size, path))| (crc, size, path))
+                    .ok_or_else(|| lines.error(format!("bad entry '{line}'")))?;
+                entries.push(ManifestEntry {
+                    rel_path: rel_path.to_string(),
+                    size: lines.parse("size", size)?,
+                    crc: u32::from_str_radix(crc, 16)
+                        .map_err(|e| lines.error(format!("bad crc '{crc}': {e}")))?,
+                });
+            }
+            Ok(Manifest { entries })
+        };
+        parse().map_err(|e| match e {
+            Error::Format(m) => Error::Corrupt(m),
+            e => e,
+        })
     }
 
     /// Verify every listed file of `dir` against its recorded size and CRC.
-    /// Returns the first discrepancy as an error string.
-    pub fn verify(&self, dir: &Path) -> Result<(), String> {
+    /// Returns the first discrepancy.
+    pub fn verify(&self, dir: &Path) -> Result<(), Error> {
         self.entries
             .iter()
             .try_for_each(|e| e.read_checked(dir).map(drop))
@@ -297,7 +291,7 @@ mod tests {
         let mut data = fs::read(&blob).unwrap();
         data[100] ^= 0x10;
         fs::write(&blob, data).unwrap();
-        assert!(loaded.verify(&dir).unwrap_err().contains("crc"));
+        assert!(loaded.verify(&dir).unwrap_err().to_string().contains("crc"));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -308,9 +302,9 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let m = write_files(&dir, &[("a.bin", vec![1u8; 100])]);
         fs::write(dir.join("a.bin"), vec![1u8; 50]).unwrap();
-        assert!(m.verify(&dir).unwrap_err().contains("size"));
+        assert!(m.verify(&dir).unwrap_err().to_string().contains("size"));
         fs::remove_file(dir.join("a.bin")).unwrap();
-        assert!(m.verify(&dir).unwrap_err().contains("unreadable"));
+        assert!(matches!(m.verify(&dir), Err(Error::Io(_))));
         let _ = fs::remove_dir_all(&dir);
     }
 }

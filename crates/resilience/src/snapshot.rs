@@ -8,8 +8,8 @@
 //! run byte for byte (ghost zones are not stored — every solver refills
 //! them at the top of a step).
 
+use crate::io::{append_blob, append_le_bytes};
 use crate::manifest::crc32_update;
-use exastro_amr::io::{append_blob, append_le_bytes};
 use exastro_amr::{Geometry, MultiFab, Real};
 
 /// Step counters of a run: the quantities outside the field data that the

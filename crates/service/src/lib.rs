@@ -30,7 +30,7 @@
 //!   optimum for *its* footprint on *this* machine
 //!   ([`exastro_resilience::interval::suggest_cadence_steps`]), priced at
 //!   the armed fault model's node MTBF or, unarmed, a 10-year one.
-//! - **Self-healing** (DESIGN.md §15): arm [`ServiceConfig::faults`] with
+//! - **Self-healing** (DESIGN.md §9.3): arm [`ServiceConfig::faults`] with
 //!   a seeded [`exastro_machine::NodeFaultModel`] and the modeled machine
 //!   fails underneath the service over simulated time. The health monitor
 //!   revokes leases whose ranks died (`RankPool::revoke_failed`), fails
