@@ -14,11 +14,13 @@
 //!
 //! Measurement shape: the four configurations are timed **interleaved**,
 //! round-robin, so every configuration samples the same ambient load
-//! drift. An overhead is the **paired median**: the median over rounds of
-//! one round's on/off time ratio. The two steps of a pair run back to
-//! back, so a load spike that lands on a round moves both; a ratio of
-//! two best-of-rounds minima instead pairs draws from different rounds,
-//! and one lucky "off" draw reads as several percent of fake overhead.
+//! drift, and every other round runs them in reverse, so no configuration
+//! always runs first or last in a round. An overhead is the **paired
+//! median**: the median over rounds of one round's on/off time ratio. The
+//! steps of a round run back to back, so a load spike that lands on a
+//! round moves all of them; a ratio of two best-of-rounds minima instead
+//! pairs draws from different rounds, and one lucky "off" draw reads as
+//! several percent of fake overhead.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use exastro_bench::{bench_castro, sedov_fixture, write_metrics_json, MetricPoint};
@@ -29,9 +31,10 @@ use std::sync::Arc;
 /// Interleaved rounds. Each round times one advance per configuration,
 /// giving ROUNDS paired on/off ratios a configuration. The step is 5–10 ms
 /// and the quantity gated is ~1 % of it, while a shared host moves single
-/// steps by 10 %: the median needs this many pairs to settle within a
-/// fraction of a percent. Three seconds in all.
-const ROUNDS: usize = 64;
+/// steps by 10 %: at 64 rounds the graph-tracing median still spread over
+/// −0.1…+4.2 % at one commit, so the median takes this many pairs. About
+/// eight seconds in all.
+const ROUNDS: usize = 192;
 
 /// `(median over rounds of on[i] / off[i] − 1)` in percent.
 fn paired_median_overhead(on: &[f64], off: &[f64]) -> f64 {
@@ -70,20 +73,27 @@ fn bench(c: &mut Criterion) {
     // Interleaved rounds: times[k][i] is configuration k in round i, for
     // k in [off, trace, trace+metrics, graph].
     let mut times: [Vec<f64>; 4] = Default::default();
-    for _ in 0..ROUNDS {
-        Telemetry::disable();
-        times[0].push(time_one(&castro));
-        Telemetry::enable();
-        times[1].push(time_one(&castro));
-        times[2].push(time_one(&castro_sink));
-        // Everything on: per-task ready/start/end stamps plus flow
-        // arrows on each overlapped sweep graph. Drain the bounded
-        // registry each round so the probe measures recording cost, not
-        // a saturated buffer.
-        Telemetry::enable_graph_trace();
-        times[3].push(time_one(&castro_sink));
-        Telemetry::disable_graph_trace();
-        graphtrace::clear();
+    for round in 0..ROUNDS {
+        let mut order = [0, 1, 2, 3];
+        if round % 2 == 1 {
+            order.reverse();
+        }
+        for k in order {
+            match k {
+                0 => Telemetry::disable(),
+                3 => Telemetry::enable_graph_trace(),
+                _ => Telemetry::enable(),
+            }
+            // Everything on (3): per-task ready/start/end stamps plus flow
+            // arrows on each overlapped sweep graph. Drain the bounded
+            // registry after it so the probe measures recording cost, not
+            // a saturated buffer.
+            times[k].push(time_one(if k < 2 { &castro } else { &castro_sink }));
+            if k == 3 {
+                Telemetry::disable_graph_trace();
+                graphtrace::clear();
+            }
+        }
     }
     Telemetry::disable();
     Telemetry::reset();

@@ -57,20 +57,18 @@ fn newton_matrix(net: &dyn Network) -> Vec<f64> {
     jac
 }
 
-/// Median over `samples` of the wall time in ns of one call of `f`, timed
-/// `inner` calls at a time.
+/// The wall time in ns of one call of `f`, timed `inner` calls at a time.
+fn one_call_ns(inner: usize, mut f: impl FnMut()) -> f64 {
+    let start = Instant::now();
+    for _ in 0..inner {
+        f();
+    }
+    start.elapsed().as_secs_f64() * 1e9 / inner as f64
+}
+
+/// Median over `samples` of [`one_call_ns`].
 fn call_ns(samples: usize, inner: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..inner {
-                f();
-            }
-            start.elapsed().as_secs_f64() * 1e9 / inner as f64
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    times[times.len() / 2]
+    median((0..samples).map(|_| one_call_ns(inner, &mut f)).collect())
 }
 
 /// Median wall time in ns of one Newton linear-algebra cycle (one factor
@@ -95,9 +93,12 @@ fn newton_cycle_ns(
 /// algebra, each on its own at detonation conditions: the network's RHS,
 /// its Jacobian, and the thermodynamics the self-heating term needs (mean
 /// composition from the abundances plus one EOS call), and the RHS again
-/// per lane of one full [`LANES`]-lane call. Returns
-/// `(ydot_ns, jac_ns, eos_ns, ydot_lanes_ns)`.
-fn lane_step_parts_ns(net: &dyn Network, eos: &StellarEos, samples: usize) -> (f64, f64, f64, f64) {
+/// per lane of one full [`LANES`]-lane call. Each call of the returned
+/// closure times one sample of each, as `[ydot, jac, eos, ydot_lanes]` ns.
+fn lane_step_parts_ns<'a>(
+    net: &'a dyn Network,
+    eos: &'a StellarEos,
+) -> impl FnMut() -> [f64; 4] + 'a {
     use std::hint::black_box;
     let n = net.nspec();
     let m = n + 1;
@@ -106,35 +107,37 @@ fn lane_step_parts_ns(net: &dyn Network, eos: &StellarEos, samples: usize) -> (f
     exastro_microphysics::mass_to_molar(net.species(), &x, &mut y);
     let (rho, t) = (5e7, 2.8e9);
     let mut ydot = vec![0.0; n];
-    let ydot_ns = call_ns(samples, 256, || {
-        net.ydot(black_box(rho), black_box(t), black_box(&y), &mut ydot);
-        black_box(&ydot);
-    });
     let mut jac = vec![0.0; m * m];
-    let jac_ns = call_ns(samples, 256, || {
-        net.jac(black_box(rho), black_box(t), black_box(&y), &mut jac);
-        black_box(&jac);
-    });
     let mut xs = vec![0.0; n];
-    let eos_ns = call_ns(samples, 256, || {
-        exastro_microphysics::molar_to_mass(net.species(), black_box(&y), &mut xs);
-        let comp = Composition::from_mass_fractions(net.species(), &xs);
-        black_box(eos.eval_rt(black_box(rho), black_box(t), &comp).cv);
-    });
     // Four zones a degree apart.
     let rows: Vec<[f64; LANES]> = y.iter().map(|&v| [v; LANES]).collect();
     let temps: [f64; LANES] = std::array::from_fn(|l| t + l as f64);
     let mut ydot_rows = vec![[0.0; LANES]; n];
-    let ydot_lanes_ns = call_ns(samples, 64, || {
-        net.ydot_lanes(
-            black_box([rho; LANES]),
-            black_box(temps),
-            black_box(&rows),
-            &mut ydot_rows,
-        );
-        black_box(&ydot_rows);
-    }) / LANES as f64;
-    (ydot_ns, jac_ns, eos_ns, ydot_lanes_ns)
+    move || {
+        let ydot_ns = one_call_ns(256, || {
+            net.ydot(black_box(rho), black_box(t), black_box(&y), &mut ydot);
+            black_box(&ydot);
+        });
+        let jac_ns = one_call_ns(256, || {
+            net.jac(black_box(rho), black_box(t), black_box(&y), &mut jac);
+            black_box(&jac);
+        });
+        let eos_ns = one_call_ns(256, || {
+            exastro_microphysics::molar_to_mass(net.species(), black_box(&y), &mut xs);
+            let comp = Composition::from_mass_fractions(net.species(), &xs);
+            black_box(eos.eval_rt(black_box(rho), black_box(t), &comp).cv);
+        });
+        let ydot_lanes_ns = one_call_ns(64, || {
+            net.ydot_lanes(
+                black_box([rho; LANES]),
+                black_box(temps),
+                black_box(&rows),
+                &mut ydot_rows,
+            );
+            black_box(&ydot_rows);
+        }) / LANES as f64;
+        [ydot_ns, jac_ns, eos_ns, ydot_lanes_ns]
+    }
 }
 
 /// Which Newton solver a [`burn_once`] integrates with.
@@ -201,11 +204,11 @@ fn zone_set(x0: &[f64], count: usize) -> Vec<ZoneBurn<'_>> {
 /// balance of a short chunk list in it (pooled, best-of-3
 /// `batch_speedup_w8` read 1.41–2.16 on a 2-vCPU host, inline 1.64–1.82).
 /// One *round* measures every configuration back-to-back before the next
-/// round starts, so a machine-load transient degrades the scalar and
-/// batched numbers of that round together: a speedup is the median over
-/// rounds of each round's ratio, not a ratio of two best-ofs, which pairs
-/// numbers from different rounds (best-of ratios read 1.78–2.49 at one
-/// commit on a 2-vCPU host).
+/// round starts, every other round in reverse order, so a machine-load
+/// transient degrades the scalar and batched numbers of that round
+/// together: a speedup is the median over rounds of each round's ratio,
+/// not a ratio of two best-ofs, which pairs numbers from different rounds
+/// (best-of ratios read 1.78–2.49 at one commit on a 2-vCPU host).
 fn throughput_sweep(
     net: &dyn Network,
     eos: &StellarEos,
@@ -231,18 +234,23 @@ fn throughput_sweep(
             return;
         }
         let mut rounds = rounds.lock().expect("one task takes the lock");
-        for _ in 0..samples {
-            let round = burners.iter().map(|burner| {
+        for round in 0..samples {
+            let mut tp = vec![0.0; burners.len()];
+            let mut order: Vec<usize> = (0..burners.len()).collect();
+            if round % 2 == 1 {
+                order.reverse();
+            }
+            for c in order {
                 let start = Instant::now();
-                let recs = burner.burn_all(zones, dt);
+                let recs = burners[c].burn_all(zones, dt);
                 let us = start.elapsed().as_secs_f64() * 1e6;
                 for rec in &recs {
                     assert!(rec.is_ok(), "burn failed");
                 }
                 std::hint::black_box(&recs);
-                zones.len() as f64 / us
-            });
-            rounds.push(round.collect());
+                tp[c] = zones.len() as f64 / us;
+            }
+            rounds.push(tp);
         }
     });
     rounds.into_inner().expect("the measurement did not panic")
@@ -266,17 +274,29 @@ fn bench(c: &mut Criterion) {
     let mut metrics: Vec<MetricPoint> = Vec::new();
     // One reaction (cburn2) against nine and fifteen: the temperature
     // factors are shared, so n reactions must cost well under n times one
-    // (`{net}/ydot_over_cburn2`, a same-run ratio; tier-1 gates aprox13's).
+    // (`{net}/ydot_over_cburn2`; tier-1 gates aprox13's). The networks are
+    // timed in interleaved rounds, one sample of every part of every
+    // network a round, and each ratio is the median over rounds of one
+    // round's ratio, so a load transient that lands on a round moves both
+    // of its sides.
     println!("=== burner lane-step parts: RHS, Jacobian, EOS (ns per call) ===");
     let cburn2 = CBurn2::new();
     let part_nets: [(&str, &dyn Network); 3] =
         [("cburn2", &cburn2), ("iso7", &iso7), ("aprox13", &aprox13)];
-    let mut one_reaction_ns = None;
-    for (name, net) in part_nets {
-        let (ydot_ns, jac_ns, eos_ns, ydot_lanes_ns) =
-            lane_step_parts_ns(net, &eos, if smoke { 15 } else { 101 });
-        let one_reaction_ns = *one_reaction_ns.get_or_insert(ydot_ns);
-        let lanes_ratio = ydot_lanes_ns / ydot_ns;
+    let mut parts: Vec<_> = part_nets
+        .iter()
+        .map(|&(_, net)| lane_step_parts_ns(net, &eos))
+        .collect();
+    let rounds: Vec<Vec<[f64; 4]>> = (0..if smoke { 15 } else { 101 })
+        .map(|_| parts.iter_mut().map(|sample| sample()).collect())
+        .collect();
+    for (k, (name, _)) in part_nets.into_iter().enumerate() {
+        let over_rounds =
+            |f: &dyn Fn(&[[f64; 4]]) -> f64| median(rounds.iter().map(|r| f(r)).collect());
+        let [ydot_ns, jac_ns, eos_ns, ydot_lanes_ns] =
+            std::array::from_fn(|j| over_rounds(&|r| r[k][j]));
+        let lanes_ratio = over_rounds(&|r| r[k][3] / r[k][0]);
+        let over_cburn2 = over_rounds(&|r| r[k][0] / r[0][0]);
         println!(
             "{name}: ydot {ydot_ns:.0} ns, jac {jac_ns:.0} ns, eos {eos_ns:.0} ns, \
              ydot in {LANES} lanes {ydot_lanes_ns:.0} ns a lane ({lanes_ratio:.2}x)"
@@ -289,7 +309,7 @@ fn bench(c: &mut Criterion) {
         ] {
             metrics.push(MetricPoint::measured(&format!("{name}/{what}"), ns, "ns"));
         }
-        // Same-run ratio: machine speed cancels (tier-1 gates aprox13's).
+        // Per-round ratios: machine speed cancels (tier-1 gates aprox13's).
         metrics.push(MetricPoint::measured(
             &format!("{name}/ydot_lanes_ratio"),
             lanes_ratio,
@@ -297,7 +317,7 @@ fn bench(c: &mut Criterion) {
         ));
         metrics.push(MetricPoint::measured(
             &format!("{name}/ydot_over_cburn2"),
-            ydot_ns / one_reaction_ns,
+            over_cburn2,
             "x",
         ));
     }
@@ -411,9 +431,10 @@ fn bench(c: &mut Criterion) {
     // argument: one Nordsieck history and one amortized Jacobian per
     // batch turns the per-zone Newton loop into lane-inner SIMD sweeps.
     // Smoke sweeps are an eighth as long, so their median needs more rounds
-    // to settle: tier-1 holds `batch_speedup_w8` within 15% of its baseline.
+    // to settle: tier-1 holds `batch_speedup_w8` within 15% of its baseline,
+    // which seven rounds missed in 3 of 12 runs on a 2-vCPU host.
     let zone_count = if smoke { 32 } else { 256 };
-    let throughput_samples = if smoke { 7 } else { 5 };
+    let throughput_samples = if smoke { 21 } else { 5 };
     let burn_dt = 1e-7;
     let widths = [4usize, 8, 16];
     println!("=== batched SoA burner: aggregate zones/µs ({zone_count} zones) ===");

@@ -8,16 +8,20 @@ use exastro_castro::{
     cons_to_prim, init_collision, init_sedov, Castro, CollisionParams, Floors, Gravity,
     GravityMode, SedovParams, StateLayout, StateViolation,
 };
-use exastro_microphysics::{CBurn2, Composition, Eos, EosResult, GammaLaw, Network, StellarEos};
+use exastro_microphysics::{
+    CBurn2, Composition, DensityStage, Eos, EosResult, GammaLaw, Network, StellarEos,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 mod common;
 use common::on_one_thread;
 
-/// An EOS that counts its evaluations.
+/// An EOS that counts its evaluations — `eval_rt` calls and temperature
+/// stages — and, apart, its density stages.
 struct Counting<E> {
     inner: E,
     evals: AtomicU64,
+    densities: AtomicU64,
 }
 
 impl<E> Counting<E> {
@@ -25,6 +29,7 @@ impl<E> Counting<E> {
         Counting {
             inner,
             evals: AtomicU64::new(0),
+            densities: AtomicU64::new(0),
         }
     }
 
@@ -32,12 +37,33 @@ impl<E> Counting<E> {
     fn take(&self) -> u64 {
         self.evals.swap(0, Ordering::Relaxed)
     }
+
+    /// Density stages since the last call.
+    fn take_densities(&self) -> u64 {
+        self.densities.swap(0, Ordering::Relaxed)
+    }
 }
 
 impl<E: Eos> Eos for Counting<E> {
     fn eval_rt(&self, rho: f64, t: f64, comp: &Composition) -> EosResult {
         self.evals.fetch_add(1, Ordering::Relaxed);
         self.inner.eval_rt(rho, t, comp)
+    }
+
+    fn density_stage(&self, rho: f64, comp: &Composition) -> DensityStage {
+        self.densities.fetch_add(1, Ordering::Relaxed);
+        self.inner.density_stage(rho, comp)
+    }
+
+    fn temperature_stage(
+        &self,
+        rho: f64,
+        t: f64,
+        comp: &Composition,
+        d: &DensityStage,
+    ) -> EosResult {
+        self.evals.fetch_add(1, Ordering::Relaxed);
+        self.inner.temperature_stage(rho, t, comp, d)
     }
 }
 
@@ -64,6 +90,34 @@ fn sedov<'a>(
         gamma_law,
         &SedovParams::default(),
     );
+    (castro, geom, state)
+}
+
+/// A white-dwarf collision driver on 16³ zones in eight boxes of 8³, and
+/// its initial state.
+fn collision<'a>(eos: &'a dyn Eos, net: &'a CBurn2) -> (Castro<'a>, Geometry, MultiFab) {
+    let params = CollisionParams {
+        v_approach: 6e8,
+        separation: 3.0,
+        ..Default::default()
+    };
+    let half_width = 2.5 * params.radius;
+    let geom = Geometry::new(
+        IndexBox::cube(16),
+        [-half_width; 3],
+        [half_width; 3],
+        [false; 3],
+        exastro_amr::CoordSys::Cartesian,
+    );
+    let mut castro = Castro::new(eos, net);
+    castro.hydro.cfl = 0.2;
+    castro.gravity = Gravity {
+        mode: GravityMode::Monopole,
+        n_bins: 256,
+    };
+    let ba = BoxArray::decompose(geom.domain(), 8, 4);
+    let mut state = MultiFab::local(ba, castro.layout.ncomp(), 2);
+    init_collision(&mut state, &geom, &castro.layout, eos, net, &params);
     (castro, geom, state)
 }
 
@@ -175,6 +229,7 @@ fn one_sedov_hydro_advance_takes_a_pinned_number_of_eos_evaluations() {
     }
     let dt = castro.estimate_dt(&state, &geom);
     eos.take();
+    eos.take_densities();
     castro.hydro.advance(
         &mut state,
         dt,
@@ -188,6 +243,40 @@ fn one_sedov_hydro_advance_takes_a_pinned_number_of_eos_evaluations() {
     );
     // 3 sweeps × 8 boxes × (12³ + 2·2·12²) = 55 296 inversions.
     assert_eq!(eos.take(), 57_192);
+    assert_eq!(eos.take_densities(), 55_296);
+}
+
+#[test]
+fn a_stellar_inversion_takes_one_density_stage_per_solved_zone() {
+    // The white-dwarf collision's hydro advance and re-sync: every
+    // inversion takes its density stage once, however many temperature
+    // iterates it runs, so the count is the geometry's.
+    let eos = Counting::new(StellarEos);
+    let net = CBurn2::new();
+    let (castro, geom, mut state) = collision(&eos, &net);
+    let dt = castro.estimate_dt(&state, &geom);
+    castro.advance_level(&mut state, &geom, dt).unwrap();
+    let dt = castro.estimate_dt(&state, &geom);
+    eos.take();
+    eos.take_densities();
+    castro.hydro.advance(
+        &mut state,
+        dt,
+        &geom,
+        &castro.layout,
+        castro.eos,
+        castro.net.species(),
+        &castro.bc,
+        &castro.ex,
+        castro.arena.as_ref(),
+    );
+    // 3 sweeps × 8 boxes × (8³ + 2·2·8²) = 18 432 inversions.
+    assert_eq!(eos.take_densities(), 18_432);
+    assert!(eos.take() > 18_432, "some zone iterates");
+    castro.sync_temperature(&mut state);
+    let n = state.box_array().total_zones() as u64;
+    assert_eq!(eos.take_densities(), n);
+    assert!(eos.take() > n, "some zone iterates");
 }
 
 #[test]
@@ -233,28 +322,7 @@ fn resync_matches_the_per_zone_formula_bit_for_bit() {
     // zones pinned at `small_temp`, which either seed falls back to.
     let eos = StellarEos;
     let net = CBurn2::new();
-    let params = CollisionParams {
-        v_approach: 6e8,
-        separation: 3.0,
-        ..Default::default()
-    };
-    let half_width = 2.5 * params.radius;
-    let geom = Geometry::new(
-        IndexBox::cube(16),
-        [-half_width; 3],
-        [half_width; 3],
-        [false; 3],
-        exastro_amr::CoordSys::Cartesian,
-    );
-    let mut castro = Castro::new(&eos, &net);
-    castro.hydro.cfl = 0.2;
-    castro.gravity = Gravity {
-        mode: GravityMode::Monopole,
-        n_bins: 256,
-    };
-    let ba = BoxArray::decompose(geom.domain(), 8, 4);
-    let mut state = MultiFab::local(ba, castro.layout.ncomp(), 2);
-    init_collision(&mut state, &geom, &castro.layout, &eos, &net, &params);
+    let (castro, geom, mut state) = collision(&eos, &net);
     advance_to_post_hydro(&castro, &geom, &mut state, 2);
     let small_temp = castro.hydro.floors.small_temp;
     for i in 0..state.nfabs() {

@@ -22,7 +22,7 @@
 
 use crate::batch::{gather_lane, scatter_lane, BatchWorkspace, LaneStatus};
 use crate::constants::{MEV_TO_ERG, N_A};
-use crate::eos::Eos;
+use crate::eos::{DensityStage, Eos};
 use crate::integrator::{
     BdfError, BdfErrorKind, BdfIntegrator, BdfOptions, BdfStats, LaneScratch, OdeSystem,
 };
@@ -35,6 +35,7 @@ use crate::species::{energy_rate_lanes, mass_to_molar, molar_to_mass, Compositio
 use exastro_amr::{for_each_row, Array4, Array4Mut, MultiFab};
 use exastro_parallel::{par_each_mut, Tasks, WorkerPool, LANES};
 use exastro_telemetry::Telemetry;
+use std::cell::Cell;
 use std::sync::{Arc, Mutex};
 
 /// Result of burning one zone for a time interval.
@@ -71,12 +72,39 @@ struct BurnSystem<'a> {
     net: &'a dyn Network,
     eos: &'a dyn Eos,
     rho: f64,
+    /// The EOS density stage at `rho` and the bits of the μ_e it was taken
+    /// at. Burning moves μ_e by rounding if at all, so most calls keep it.
+    density: Cell<Option<(u64, DensityStage)>>,
 }
 
-impl BurnSystem<'_> {
+impl<'a> BurnSystem<'a> {
+    fn new(net: &'a dyn Network, eos: &'a dyn Eos, rho: f64) -> Self {
+        BurnSystem {
+            net,
+            eos,
+            rho,
+            density: Cell::new(None),
+        }
+    }
+
     fn composition(&self, y: &[f64]) -> Composition {
         let n = self.net.nspec();
         Composition::from_molar_fractions(self.net.species(), &y[..n])
+    }
+
+    /// The heat capacity at `temp` and `comp`: `eval_rt`'s, bit for bit,
+    /// with the density stage taken again only when the bits of μ_e change.
+    fn cv(&self, temp: f64, comp: &Composition) -> f64 {
+        let key = comp.mu_e().to_bits();
+        let d = match self.density.get() {
+            Some((k, d)) if k == key => d,
+            _ => {
+                let d = self.eos.density_stage(self.rho, comp);
+                self.density.set(Some((key, d)));
+                d
+            }
+        };
+        self.eos.temperature_stage(self.rho, temp, comp, &d).cv
     }
 }
 
@@ -90,8 +118,7 @@ impl OdeSystem for BurnSystem<'_> {
         let temp = y[n].max(1e4);
         self.net.ydot(self.rho, temp, &y[..n], &mut dydt[..n]);
         let eps = crate::species::energy_rate(self.net.species(), &dydt[..n]);
-        let comp = self.composition(y);
-        let cv = self.eos.eval_rt(self.rho, temp, &comp).cv;
+        let cv = self.cv(temp, &self.composition(y));
         dydt[n] = eps / cv.max(1e-30);
     }
 
@@ -99,14 +126,13 @@ impl OdeSystem for BurnSystem<'_> {
         let n = self.net.nspec();
         let temp = y[n].max(1e4);
         self.net.jac(self.rho, temp, &y[..n], jac);
-        let comp = self.composition(y);
-        let cv = self.eos.eval_rt(self.rho, temp, &comp).cv.max(1e-30);
+        let cv = self.cv(temp, &self.composition(y)).max(1e-30);
         temperature_row(self.net, [cv], jac.as_chunks_mut().0);
     }
 
     /// The network's lane kernel on each [`LANES`]-wide block of the batch
-    /// that holds a wanted lane, then one `eval_rt` a wanted lane for the
-    /// temperature row: [`BurnSystem::rhs`] lane by lane, bit for bit.
+    /// that holds a wanted lane, then one [`BurnSystem::cv`] a wanted lane
+    /// for the temperature row: [`BurnSystem::rhs`] lane by lane, bit for bit.
     fn rhs_lanes(
         lanes: &[Self],
         _t: f64,
@@ -123,7 +149,7 @@ impl OdeSystem for BurnSystem<'_> {
         for_blocks(lanes, y, want, rows, |block, rho, temp, rows| {
             net.ydot_lanes(rho, temp, rows, f);
             let eps = energy_rate_lanes(net.species(), f);
-            let cv = block.cv(lanes, rho, temp, rows);
+            let cv = block.cv(lanes, temp, rows);
             for l in block.wanted() {
                 let lane = block.lane0 + l;
                 for (i, fi) in f.iter().enumerate() {
@@ -151,7 +177,7 @@ impl OdeSystem for BurnSystem<'_> {
         let (rows, jac) = scratch.rows.split_at_mut(n);
         for_blocks(lanes, y, want, rows, |block, rho, temp, rows| {
             net.jac_lanes(rho, temp, rows, jac);
-            let cv = block.cv(lanes, rho, temp, rows).map(|cv| cv.max(1e-30));
+            let cv = block.cv(lanes, temp, rows).map(|cv| cv.max(1e-30));
             temperature_row(net, cv, jac);
             for l in block.wanted() {
                 let lane = &mut jacs[(block.lane0 + l) * mm..][..mm];
@@ -194,20 +220,18 @@ impl Block {
         (0..self.live).filter(|&l| self.want[l])
     }
 
-    /// Each wanted lane's heat capacity at its (ρ, T) and the abundances
+    /// Each wanted lane's [`BurnSystem::cv`] at its T and the abundances
     /// `rows`; the other lanes read 1.
     fn cv(
         &self,
         lanes: &[BurnSystem<'_>],
-        rho: [f64; LANES],
         temp: [f64; LANES],
         rows: &[[f64; LANES]],
     ) -> [f64; LANES] {
-        let eos = lanes[0].eos;
         let comp = Composition::from_molar_fraction_lanes(lanes[0].net.species(), rows);
         std::array::from_fn(|l| {
             if self.want[l] {
-                eos.eval_rt(rho[l], temp[l], &comp[l]).cv
+                lanes[self.lane0 + l].cv(temp[l], &comp[l])
             } else {
                 1.0
             }
@@ -829,11 +853,7 @@ impl<'a> Burner<'a> {
     }
 
     fn system(&self, rho: f64) -> BurnSystem<'a> {
-        BurnSystem {
-            net: self.net,
-            eos: self.eos,
-            rho,
-        }
+        BurnSystem::new(self.net, self.eos, rho)
     }
 
     /// Write the integrated state `[Y_1 … Y_n, T]` at burn entry into `y`.
@@ -956,6 +976,57 @@ mod tests {
             .unwrap();
         assert_eq!((rec.rung, rec.retries), (LadderRung::Direct, 0));
         rec.outcome
+    }
+
+    #[test]
+    fn block_cv_is_a_fresh_eval_rt_when_mu_e_moves_by_an_ulp() {
+        // Each round moves lane l's first abundance up by single ulps until
+        // the bits of its μ_e change, then evaluates at two temperatures:
+        // the first call after a change must take the density stage again,
+        // the second may keep it.
+        let net = Aprox13::new();
+        let n = net.nspec();
+        let rho = [1e3, 2e5, 3e7, 4e9];
+        let lanes: Vec<BurnSystem> = rho.map(|r| BurnSystem::new(&net, &StellarEos, r)).into();
+        let block = Block {
+            lane0: 0,
+            live: LANES,
+            want: [true; LANES],
+        };
+        let mut rows: Vec<[f64; LANES]> = (0..n)
+            .map(|i| {
+                std::array::from_fn(|l| (1 + (i + 3 * l) % 7) as f64 / (60.0 * net.species()[i].a))
+            })
+            .collect();
+        let mu_e = |rows: &[[f64; LANES]]| {
+            Composition::from_molar_fraction_lanes(net.species(), rows).map(|c| c.mu_e().to_bits())
+        };
+        let mut changes = 0;
+        for round in 0..40 {
+            let before = mu_e(&rows);
+            for l in 0..LANES {
+                let mut steps = 0;
+                while mu_e(&rows)[l] == before[l] && steps < 64 {
+                    rows[0][l] = f64::from_bits(rows[0][l].to_bits() + 1);
+                    steps += 1;
+                }
+            }
+            let after = mu_e(&rows);
+            changes += (0..LANES).filter(|&l| after[l] != before[l]).count();
+            let comp = Composition::from_molar_fraction_lanes(net.species(), &rows);
+            for t in [1e8 * (1.0 + round as f64), 3e9] {
+                let cv = block.cv(&lanes, [t; LANES], &rows);
+                for l in 0..LANES {
+                    let fresh = StellarEos.eval_rt(rho[l], t, &comp[l]).cv;
+                    assert_eq!(
+                        cv[l].to_bits(),
+                        fresh.to_bits(),
+                        "round {round}, lane {l}, T {t:e}"
+                    );
+                }
+            }
+        }
+        assert_eq!(changes, 40 * LANES, "every round moves every lane's μ_e");
     }
 
     #[test]
@@ -1149,7 +1220,7 @@ mod tests {
                 (s >> 11) as f64 / (1u64 << 53) as f64
             };
             let lanes: Vec<BurnSystem> = (0..w)
-                .map(|_| BurnSystem { net, eos: &StellarEos, rho: 10f64.powf(3.0 + 6.0 * rng()) })
+                .map(|_| BurnSystem::new(net, &StellarEos, 10f64.powf(3.0 + 6.0 * rng())))
                 .collect();
             // Abundances with negative entries; temperatures from below the
             // 10⁴ K floor to 6×10⁹ K.

@@ -14,6 +14,12 @@
 //! preserved: at white-dwarf densities the pressure is dominated by the
 //! T-independent degenerate term, so "this type of matter does not expand
 //! much when heated ... the heat from nuclear reactions easily gets trapped".
+//!
+//! That T-independent term is also what the EOS pays most for (a cube root
+//! and an `asinh`), so an evaluation splits into a [`DensityStage`] (μ_e and
+//! the degenerate terms) and a temperature stage; the inversion `T(ρ, e)`
+//! takes the density stage once per solve, and the burner once per zone
+//! while the bits of μ_e hold.
 
 use crate::constants::{A_DEG, A_RAD, B_DEG, K_B, M_U};
 use crate::species::Composition;
@@ -38,12 +44,57 @@ pub struct EosResult {
     pub gam1: f64,
 }
 
+/// The density stage of an evaluation: what depends on ρ and μ_e alone.
+/// For [`StellarEos`] that is μ_e and the zero-temperature degenerate
+/// electron terms, all of its `powf`/`asinh` work; an EOS without such
+/// terms ([`GammaLaw`]) leaves it at its default.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct DensityStage {
+    /// Electron mean molecular weight μ_e = abar / zbar.
+    pub mu_e: f64,
+    /// Degenerate electron pressure, dyn/cm².
+    pub p_deg: f64,
+    /// Degenerate electron specific energy, erg/g.
+    pub e_deg: f64,
+    /// ∂p_deg/∂ρ.
+    pub dpdr_deg: f64,
+}
+
 /// An equation of state: thermodynamics as a function of `(ρ, T,
 /// composition)`, plus the inverse solve `T(ρ, e)` needed after a
 /// conservative hydro update.
+///
+/// An evaluation is two stages, [`Eos::density_stage`] then
+/// [`Eos::temperature_stage`], and [`Eos::eval_rt`] is their composition.
+/// A caller that evaluates at one density many times — the inversion's
+/// iterates, a burning zone's right-hand sides — takes the density stage
+/// once and pays only the temperature stage after that.
 pub trait Eos: Send + Sync {
     /// Evaluate at density `rho` (g/cc) and temperature `t` (K).
     fn eval_rt(&self, rho: f64, t: f64, comp: &Composition) -> EosResult;
+
+    /// The density stage at `rho` and `comp`. It may read `comp` only
+    /// through `comp.mu_e()`, so it can be kept while ρ and the bits of μ_e
+    /// stay. Provided: empty, for an EOS with no density-only terms.
+    #[inline]
+    fn density_stage(&self, rho: f64, comp: &Composition) -> DensityStage {
+        let _ = (rho, comp);
+        DensityStage::default()
+    }
+
+    /// [`Eos::eval_rt`] given `d`, the density stage at the same `rho` and
+    /// `comp`, bit for bit. Provided: `eval_rt` itself, ignoring `d`.
+    #[inline]
+    fn temperature_stage(
+        &self,
+        rho: f64,
+        t: f64,
+        comp: &Composition,
+        d: &DensityStage,
+    ) -> EosResult {
+        let _ = d;
+        self.eval_rt(rho, t, comp)
+    }
 
     /// Solve for the temperature giving specific internal energy `e` at
     /// density `rho`, starting from `t_guess`. Newton iteration with a
@@ -52,7 +103,8 @@ pub trait Eos: Send + Sync {
     /// Returns the temperature together with the evaluation at exactly that
     /// temperature, so a caller that wants `p`, `c_s`, … at the solution
     /// does not evaluate the EOS again. A guess within the convergence
-    /// tolerance costs one `eval_rt`.
+    /// tolerance costs one density stage and one temperature stage; every
+    /// further iterate, one temperature stage.
     fn t_from_e(&self, rho: f64, e: f64, comp: &Composition, t_guess: f64) -> (f64, EosResult) {
         let ([t], [r]) = solve_t_from_e(self, [rho], [e], std::array::from_ref(comp), [t_guess], 1);
         (t, r)
@@ -75,8 +127,9 @@ pub trait Eos: Send + Sync {
 }
 
 /// The inversion behind [`Eos::t_from_e`] (one lane) and
-/// [`Eos::t_from_e_lanes`], monomorphised per EOS: Newton on the first `live`
-/// of `W` lanes, then bisection for a lane 50 steps leave unconverged.
+/// [`Eos::t_from_e_lanes`], monomorphised per EOS: one density stage per
+/// live lane, then Newton on the first `live` of `W` lanes, then bisection
+/// for a lane 50 steps leave unconverged, every iterate a temperature stage.
 fn solve_t_from_e<E: Eos + ?Sized, const W: usize>(
     eos: &E,
     rho: [f64; W],
@@ -85,6 +138,14 @@ fn solve_t_from_e<E: Eos + ?Sized, const W: usize>(
     t_guess: [f64; W],
     live: usize,
 ) -> ([f64; W], [EosResult; W]) {
+    let d: [DensityStage; W] = std::array::from_fn(|l| {
+        if l < live {
+            eos.density_stage(rho[l], &comp[l])
+        } else {
+            DensityStage::default()
+        }
+    });
+    let eval = |l: usize, t: f64| eos.temperature_stage(rho[l], t, &comp[l], &d[l]);
     let mut t = t_guess.map(|t| t.max(1e-30));
     let mut r = [EosResult::default(); W];
     let mut newton: [bool; W] = std::array::from_fn(|l| l < live);
@@ -94,7 +155,7 @@ fn solve_t_from_e<E: Eos + ?Sized, const W: usize>(
             break;
         }
         for l in (0..W).filter(|&l| iterating[l]) {
-            let rl = eos.eval_rt(rho[l], t[l], &comp[l]);
+            let rl = eval(l, t[l]);
             let f = rl.e - e[l];
             if f.abs() <= 1e-10 * e[l].abs().max(1e-30) {
                 (r[l], newton[l]) = (rl, false);
@@ -108,7 +169,7 @@ fn solve_t_from_e<E: Eos + ?Sized, const W: usize>(
                 t[l] = if dt > 0.0 { t[l] * 2.0 } else { t[l] * 0.5 };
             }
             if (dt / t[l]).abs() < 1e-12 {
-                (r[l], newton[l]) = (eos.eval_rt(rho[l], t[l], &comp[l]), false);
+                (r[l], newton[l]) = (eval(l, t[l]), false);
             }
         }
     }
@@ -117,7 +178,7 @@ fn solve_t_from_e<E: Eos + ?Sized, const W: usize>(
         let (mut lo, mut hi): (f64, f64) = (1e-30, 1e12);
         for _ in 0..200 {
             let mid = (lo * hi).sqrt();
-            if eos.eval_rt(rho[l], mid, &comp[l]).e < e[l] {
+            if eval(l, mid).e < e[l] {
                 lo = mid;
             } else {
                 hi = mid;
@@ -127,7 +188,7 @@ fn solve_t_from_e<E: Eos + ?Sized, const W: usize>(
             }
         }
         t[l] = (lo * hi).sqrt();
-        r[l] = eos.eval_rt(rho[l], t[l], &comp[l]);
+        r[l] = eval(l, t[l]);
     }
     (t, r)
 }
@@ -202,26 +263,42 @@ impl Eos for GammaLaw {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StellarEos;
 
-impl StellarEos {
-    /// Chandrasekhar zero-temperature electron pressure and specific energy
-    /// plus `dp/dρ`, given ρ and μ_e.
-    fn degenerate(rho: f64, mu_e: f64) -> (f64, f64, f64) {
+impl Eos for StellarEos {
+    fn eval_rt(&self, rho: f64, t: f64, comp: &Composition) -> EosResult {
+        self.temperature_stage(rho, t, comp, &self.density_stage(rho, comp))
+    }
+
+    /// μ_e and Chandrasekhar's zero-temperature electron pressure, specific
+    /// energy and `dp/dρ`.
+    fn density_stage(&self, rho: f64, comp: &Composition) -> DensityStage {
+        let mu_e = comp.mu_e();
         let x = (rho / (B_DEG * mu_e)).powf(1.0 / 3.0);
         let x2 = x * x;
         let s = (1.0 + x2).sqrt();
         let f = x * (2.0 * x2 - 3.0) * s + 3.0 * x.asinh();
         let g = 8.0 * x2 * x * (s - 1.0) - f;
-        let p = A_DEG * f;
-        let e = A_DEG * g / rho.max(1e-300);
-        // dp/dρ = A f'(x) x / (3ρ), f'(x) = 8x⁴/√(1+x²).
-        let dpdr = A_DEG * (8.0 * x2 * x2 / s) * x / (3.0 * rho.max(1e-300));
-        (p, e, dpdr)
+        DensityStage {
+            mu_e,
+            p_deg: A_DEG * f,
+            e_deg: A_DEG * g / rho.max(1e-300),
+            // dp/dρ = A f'(x) x / (3ρ), f'(x) = 8x⁴/√(1+x²).
+            dpdr_deg: A_DEG * (8.0 * x2 * x2 / s) * x / (3.0 * rho.max(1e-300)),
+        }
     }
-}
 
-impl Eos for StellarEos {
-    fn eval_rt(&self, rho: f64, t: f64, comp: &Composition) -> EosResult {
-        let mu_e = comp.mu_e();
+    fn temperature_stage(
+        &self,
+        rho: f64,
+        t: f64,
+        comp: &Composition,
+        d: &DensityStage,
+    ) -> EosResult {
+        let DensityStage {
+            mu_e,
+            p_deg,
+            e_deg,
+            dpdr_deg,
+        } = *d;
         // Ions.
         let p_ion = rho * K_B * t / (comp.abar * M_U);
         let e_ion = 1.5 * p_ion / rho;
@@ -231,7 +308,6 @@ impl Eos for StellarEos {
         let e_rad = 3.0 * p_rad / rho;
         let cv_rad = 4.0 * A_RAD * t.powi(3) / rho;
         // Electrons.
-        let (p_deg, e_deg, dpdr_deg) = Self::degenerate(rho, mu_e);
         let p_nd = rho * K_B * t / (mu_e * M_U);
         let p_e = (p_deg * p_deg + p_nd * p_nd).sqrt().max(1e-300);
         let e_e_th = 1.5 * (p_e - p_deg) / rho;
@@ -366,8 +442,8 @@ mod tests {
         // Non-relativistic limit: p ∝ ρ^{5/3}; ultra-relativistic: ρ^{4/3}.
         let comp = co_comp();
         let slope = |r1: f64, r2: f64| {
-            let p1 = StellarEos::degenerate(r1, comp.mu_e()).0;
-            let p2 = StellarEos::degenerate(r2, comp.mu_e()).0;
+            let p1 = StellarEos.density_stage(r1, &comp).p_deg;
+            let p2 = StellarEos.density_stage(r2, &comp).p_deg;
             (p2 / p1).ln() / (r2 / r1).ln()
         };
         let s_nr = slope(1e2, 2e2);

@@ -46,7 +46,7 @@ pub mod species;
 
 pub use batch::{BatchWorkspace, LaneReport, LaneStatus};
 pub use burner::{BurnOutcome, BurnStats, Burner, BurnerConfig, ZoneBurn};
-pub use eos::{Eos, EosResult, GammaLaw, StellarEos};
+pub use eos::{DensityStage, Eos, EosResult, GammaLaw, StellarEos};
 pub use integrator::{
     rk4, BdfConfigError, BdfError, BdfErrorKind, BdfIntegrator, BdfOptions, BdfOptionsBuilder,
     BdfStats, OdeSystem,

@@ -2,13 +2,17 @@
 //! network conservation laws, linear-algebra correctness, and integrator
 //! convergence invariants.
 
+use exastro_microphysics::species::iso;
 use exastro_microphysics::{gamow_tau_alpha, screening_factor, Rate, TFactors, TNeeds};
 use exastro_microphysics::{
-    mass_to_molar, molar_to_mass, BdfIntegrator, BdfOptions, Composition, DenseLu, Eos, EosResult,
-    GammaLaw, Network, OdeSystem, StellarEos, TripleAlpha,
+    mass_to_molar, molar_to_mass, BdfIntegrator, BdfOptions, Composition, DenseLu, DensityStage,
+    Eos, EosResult, GammaLaw, Network, OdeSystem, Species, StellarEos, TripleAlpha,
 };
 use exastro_microphysics::{Aprox13, CBurn2};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+mod reference;
 
 fn arb_composition() -> impl Strategy<Value = (Vec<f64>, Composition)> {
     // Random C/O/Mg-ish 2-species split on the CBurn2 network.
@@ -18,6 +22,25 @@ fn arb_composition() -> impl Strategy<Value = (Vec<f64>, Composition)> {
         let comp = Composition::from_mass_fractions(net.species(), &x);
         (x, comp)
     })
+}
+
+/// A C/O/Mg or an aprox13 mixture with random mass fractions.
+fn arb_mixture() -> impl Strategy<Value = Composition> {
+    (
+        proptest::sample::select(vec![false, true]),
+        prop::collection::vec(0.001f64..1.0, 13),
+    )
+        .prop_map(|(aprox13, w)| {
+            let species: Vec<Species> = if aprox13 {
+                Aprox13::new().species().to_vec()
+            } else {
+                vec![iso::C12, iso::O16, iso::MG24]
+            };
+            let w = &w[..species.len()];
+            let total: f64 = w.iter().sum();
+            let x: Vec<f64> = w.iter().map(|v| v / total).collect();
+            Composition::from_mass_fractions(&species, &x)
+        })
 }
 
 /// An EOS whose energy zero is moved down by `shift`, so that rounding in
@@ -39,17 +62,34 @@ fn bits(r: &EosResult) -> [u64; 7] {
     [r.p, r.e, r.cv, r.dpdr, r.dpdt, r.cs, r.gam1].map(f64::to_bits)
 }
 
-/// An EOS that counts its evaluations.
+/// An EOS that counts its evaluations — `eval_rt` calls and temperature
+/// stages — and, apart, its density stages.
 struct Counting<E> {
     inner: E,
-    evals: std::sync::atomic::AtomicU64,
+    evals: AtomicU64,
+    densities: AtomicU64,
 }
 
 impl<E: Eos> Eos for Counting<E> {
     fn eval_rt(&self, rho: f64, t: f64, comp: &Composition) -> EosResult {
-        self.evals
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.evals.fetch_add(1, Ordering::Relaxed);
         self.inner.eval_rt(rho, t, comp)
+    }
+
+    fn density_stage(&self, rho: f64, comp: &Composition) -> DensityStage {
+        self.densities.fetch_add(1, Ordering::Relaxed);
+        self.inner.density_stage(rho, comp)
+    }
+
+    fn temperature_stage(
+        &self,
+        rho: f64,
+        t: f64,
+        comp: &Composition,
+        d: &DensityStage,
+    ) -> EosResult {
+        self.evals.fetch_add(1, Ordering::Relaxed);
+        self.inner.temperature_stage(rho, t, comp, d)
     }
 }
 
@@ -58,12 +98,18 @@ impl<E> Counting<E> {
         Counting {
             inner,
             evals: Default::default(),
+            densities: Default::default(),
         }
     }
 
     /// Evaluations since the last call.
     fn take(&self) -> u64 {
-        self.evals.swap(0, std::sync::atomic::Ordering::Relaxed)
+        self.evals.swap(0, Ordering::Relaxed)
+    }
+
+    /// Density stages since the last call.
+    fn take_densities(&self) -> u64 {
+        self.densities.swap(0, Ordering::Relaxed)
     }
 }
 
@@ -75,13 +121,32 @@ struct StiffAt<E> {
     rho: f64,
 }
 
-impl<E: Eos> Eos for StiffAt<E> {
-    fn eval_rt(&self, rho: f64, t: f64, comp: &Composition) -> EosResult {
-        let mut r = self.inner.eval_rt(rho, t, comp);
+impl<E: Eos> StiffAt<E> {
+    fn stiffen(&self, rho: f64, mut r: EosResult) -> EosResult {
         if rho == self.rho {
             r.cv *= 1e15;
         }
         r
+    }
+}
+
+impl<E: Eos> Eos for StiffAt<E> {
+    fn eval_rt(&self, rho: f64, t: f64, comp: &Composition) -> EosResult {
+        self.stiffen(rho, self.inner.eval_rt(rho, t, comp))
+    }
+
+    fn density_stage(&self, rho: f64, comp: &Composition) -> DensityStage {
+        self.inner.density_stage(rho, comp)
+    }
+
+    fn temperature_stage(
+        &self,
+        rho: f64,
+        t: f64,
+        comp: &Composition,
+        d: &DensityStage,
+    ) -> EosResult {
+        self.stiffen(rho, self.inner.temperature_stage(rho, t, comp, d))
     }
 }
 
@@ -100,8 +165,9 @@ enum Exit {
 }
 
 /// Four lanes' inversions with `eos` — lane `l` ending as `exits[l]` at
-/// `rho·(1 + l)`, `t·(1 + l/2)` — against one `t_from_e` call a lane, bit
-/// for bit and evaluation for evaluation, the first `live` lanes solved.
+/// `rho·(1 + l)`, `t·(1 + l/2)` — against one `t_from_e` call a lane and
+/// against [`reference::t_from_e_lanes`], bit for bit and evaluation for
+/// evaluation, the first `live` lanes solved, each with one density stage.
 fn check_lanes<E: Eos>(
     eos: E,
     rho: f64,
@@ -131,10 +197,21 @@ fn check_lanes<E: Eos>(
     let rho4 = [0, 1, 2, 3].map(|l| state(l).0);
     let (tl, rl) = eos.t_from_e_lanes(rho4, e, &[*comp; 4], guess, live);
     let lane_evals = eos.take();
+    prop_assert_eq!(eos.take_densities(), live as u64);
+    let (tr, rr) = reference::t_from_e_lanes(&eos, rho4, e, &[*comp; 4], guess, live);
+    prop_assert_eq!(eos.take(), lane_evals);
+    prop_assert!(
+        tl.map(f64::to_bits) == tr.map(f64::to_bits)
+            && rl.map(|r| bits(&r)) == rr.map(|r| bits(&r)),
+        "lanes {:?} vs the per-iterate solver's {:?}",
+        tl,
+        tr
+    );
     let mut scalar_evals = 0;
     for l in 0..live {
         let (ts, rs) = eos.t_from_e(rho4[l], e[l], comp, guess[l]);
         let evals = eos.take();
+        prop_assert_eq!(eos.take_densities(), 1);
         scalar_evals += evals;
         prop_assert!(
             tl[l].to_bits() == ts.to_bits(),
@@ -226,6 +303,53 @@ proptest! {
         // One lane of each exit, in every order, and partial chunks whose
         // lanes past `live` must not evaluate.
         let _ = x;
+        let mut exits = [Exit::FirstEvaluation, Exit::Bisection, Exit::StepSize, Exit::Residual];
+        exits.rotate_left(rotate);
+        let (rho, t) = (10f64.powf(log_rho), 10f64.powf(log_t));
+        check_lanes(GammaLaw::monatomic(), rho, t, &comp, exits, live)?;
+        check_lanes(StellarEos, rho, t, &comp, exits, live)?;
+    }
+
+    #[test]
+    fn the_two_stages_are_eval_rt_bit_for_bit(
+        log_rho in -3.0f64..10.0,
+        log_t in 4.0f64..10.0,
+        comp in arb_mixture(),
+    ) {
+        let (rho, t) = (10f64.powf(log_rho), 10f64.powf(log_t));
+        let d = StellarEos.density_stage(rho, &comp);
+        prop_assert_eq!(d.mu_e.to_bits(), comp.mu_e().to_bits());
+        // The stage reads the composition only through μ_e: another mixture
+        // with μ_e's bits (×2 and ÷2 are exact) has the same stage.
+        let same_mu_e = Composition { abar: 2.0 * comp.mu_e(), zbar: 2.0 };
+        let other = StellarEos.density_stage(rho, &same_mu_e);
+        prop_assert_eq!(
+            [other.mu_e, other.p_deg, other.e_deg, other.dpdr_deg].map(f64::to_bits),
+            [d.mu_e, d.p_deg, d.e_deg, d.dpdr_deg].map(f64::to_bits)
+        );
+        prop_assert_eq!(
+            bits(&StellarEos.temperature_stage(rho, t, &comp, &d)),
+            bits(&StellarEos.eval_rt(rho, t, &comp))
+        );
+        let gamma = GammaLaw::monatomic();
+        let d = gamma.density_stage(rho, &comp);
+        prop_assert_eq!(d, DensityStage::default());
+        prop_assert_eq!(
+            bits(&gamma.temperature_stage(rho, t, &comp, &d)),
+            bits(&gamma.eval_rt(rho, t, &comp))
+        );
+    }
+
+    #[test]
+    fn t_from_e_lanes_is_the_per_iterate_solver_everywhere(
+        log_rho in -3.0f64..10.0,
+        log_t in 4.0f64..10.0,
+        comp in arb_mixture(),
+        rotate in 0usize..4,
+        live in 1usize..5,
+    ) {
+        // `check_lanes` over the density and temperature span of the stellar
+        // EOS, on C/O/Mg and aprox13 mixtures.
         let mut exits = [Exit::FirstEvaluation, Exit::Bisection, Exit::StepSize, Exit::Residual];
         exits.rotate_left(rotate);
         let (rho, t) = (10f64.powf(log_rho), 10f64.powf(log_t));
