@@ -287,10 +287,12 @@ pub struct BatchWorkspace {
 
 impl BatchWorkspace {
     /// Size and zero everything for `w` lanes of dimension `n` on a sparse
-    /// factor of `factor_rows` rows (0: the factors are dense).
+    /// factor of `factor_rows` rows (0: the factors are dense), and forget
+    /// the rates the last call's systems kept.
     fn reset(&mut self, n: usize, w: usize, factor_rows: usize) {
         let nw = n * w;
         self.book.reset(w);
+        self.eval.rates.clear();
         self.z.resize_with(NORDSIECK_ROWS, Vec::new);
         for row in &mut self.z {
             refill(row, nw, 0.0);

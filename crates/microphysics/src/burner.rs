@@ -72,9 +72,14 @@ struct BurnSystem<'a> {
     net: &'a dyn Network,
     eos: &'a dyn Eos,
     rho: f64,
-    /// The EOS density stage at `rho` and the bits of the μ_e it was taken
-    /// at. Burning moves μ_e by rounding if at all, so most calls keep it.
-    density: Cell<Option<(u64, DensityStage)>>,
+    /// The last two EOS density stages at `rho`, newest first, each with
+    /// the bits of the μ_e it was taken at. Burning moves μ_e by rounding
+    /// if at all, and its last bit may flip back and forth.
+    density: Cell<[Option<(u64, DensityStage)>; 2]>,
+    /// The last c_v and the bits of (T, abar, zbar) it was taken at: a
+    /// [`Composition`] is those means and nothing else, so at the fixed
+    /// `rho` they fix the temperature stage's input.
+    cv: Cell<Option<([u64; 3], f64)>>,
 }
 
 impl<'a> BurnSystem<'a> {
@@ -83,7 +88,8 @@ impl<'a> BurnSystem<'a> {
             net,
             eos,
             rho,
-            density: Cell::new(None),
+            density: Cell::new([None; 2]),
+            cv: Cell::new(None),
         }
     }
 
@@ -92,19 +98,78 @@ impl<'a> BurnSystem<'a> {
         Composition::from_molar_fractions(self.net.species(), &y[..n])
     }
 
-    /// The heat capacity at `temp` and `comp`: `eval_rt`'s, bit for bit,
-    /// with the density stage taken again only when the bits of μ_e change.
+    /// The heat capacity at `temp` and `comp`: `eval_rt`'s, bit for bit.
+    /// The last value is returned again while (T, abar, zbar) keep their
+    /// bits, and the density stage is taken again only for a μ_e whose
+    /// bits neither kept stage has.
     fn cv(&self, temp: f64, comp: &Composition) -> f64 {
-        let key = comp.mu_e().to_bits();
-        let d = match self.density.get() {
-            Some((k, d)) if k == key => d,
-            _ => {
+        let key = [temp, comp.abar, comp.zbar].map(f64::to_bits);
+        if let Some((_, cv)) = self.cv.get().filter(|(k, _)| *k == key) {
+            return cv;
+        }
+        let mu_e = comp.mu_e().to_bits();
+        let kept = self.density.get();
+        let d = match kept.iter().flatten().find(|(k, _)| *k == mu_e) {
+            Some(&(_, d)) => d,
+            None => {
                 let d = self.eos.density_stage(self.rho, comp);
-                self.density.set(Some((key, d)));
+                self.density.set([Some((mu_e, d)), kept[0]]);
                 d
             }
         };
-        self.eos.temperature_stage(self.rho, temp, comp, &d).cv
+        let cv = self.eos.temperature_stage(self.rho, temp, comp, &d).cv;
+        self.cv.set(Some((key, cv)));
+        cv
+    }
+}
+
+/// The rate stage of each [`LANES`]-wide block of a batch of burn systems,
+/// kept while the block's temperatures keep their bits. It lives in the
+/// stepping loop's [`LaneScratch`] and is emptied at the start of every
+/// `integrate_lanes` call: the rates read each lane's ρ too, which holds
+/// only within one call.
+#[derive(Default)]
+pub(crate) struct RateMemo {
+    /// Per block: the bits of each lane's T its rows were taken at, and
+    /// whether they include dλ/dT₉; `None` while empty.
+    keys: Vec<Option<([u64; LANES], bool)>>,
+    /// Per block: a λ row per reaction, then a dλ/dT₉ row per reaction.
+    rows: Vec<[f64; LANES]>,
+}
+
+impl RateMemo {
+    /// Forget every block.
+    pub(crate) fn clear(&mut self) {
+        self.keys.clear();
+    }
+
+    /// The λ and dλ/dT₉ rows of `block` at its lanes' `rho` and `temp`
+    /// (dλ/dT₉ only meaningful with `slopes`): the block's entry if every
+    /// wanted lane's T has its bits and it holds what is asked for, else
+    /// the rate stage of the whole block, taken again and kept.
+    fn rates(
+        &mut self,
+        net: &dyn Network,
+        block: &Block,
+        rho: [f64; LANES],
+        temp: [f64; LANES],
+        slopes: bool,
+    ) -> (&[[f64; LANES]], &[[f64; LANES]]) {
+        let r = net.reactions().len();
+        let b = block.lane0 / LANES;
+        if self.keys.len() <= b {
+            self.keys.resize(b + 1, None);
+            self.rows.resize((b + 1) * 2 * r, [0.0; LANES]);
+        }
+        let bits = temp.map(f64::to_bits);
+        let hit = self.keys[b]
+            .is_some_and(|(k, held)| (held || !slopes) && block.wanted().all(|l| k[l] == bits[l]));
+        let (lam, dlam) = self.rows[b * 2 * r..][..2 * r].split_at_mut(r);
+        if !hit {
+            net.rates_lanes(rho, temp, lam, slopes.then_some(&mut *dlam));
+            self.keys[b] = Some((bits, slopes));
+        }
+        (lam, dlam)
     }
 }
 
@@ -130,9 +195,10 @@ impl OdeSystem for BurnSystem<'_> {
         temperature_row(self.net, [cv], jac.as_chunks_mut().0);
     }
 
-    /// The network's lane kernel on each [`LANES`]-wide block of the batch
-    /// that holds a wanted lane, then one [`BurnSystem::cv`] a wanted lane
-    /// for the temperature row: [`BurnSystem::rhs`] lane by lane, bit for bit.
+    /// The network's abundance stage on each [`LANES`]-wide block of the
+    /// batch that holds a wanted lane, on the block's [`RateMemo`] rows,
+    /// then one [`BurnSystem::cv`] a wanted lane for the temperature row:
+    /// [`BurnSystem::rhs`] lane by lane, bit for bit.
     fn rhs_lanes(
         lanes: &[Self],
         _t: f64,
@@ -146,8 +212,10 @@ impl OdeSystem for BurnSystem<'_> {
         let w = lanes.len();
         scratch.rows.resize(2 * n, [0.0; LANES]);
         let (rows, f) = scratch.rows.split_at_mut(n);
+        let memo = &mut scratch.rates;
         for_blocks(lanes, y, want, rows, |block, rho, temp, rows| {
-            net.ydot_lanes(rho, temp, rows, f);
+            let (lam, _) = memo.rates(net, block, rho, temp, false);
+            net.ydot_from_rates(rho, lam, rows, f);
             let eps = energy_rate_lanes(net.species(), f);
             let cv = block.cv(lanes, temp, rows);
             for l in block.wanted() {
@@ -161,7 +229,9 @@ impl OdeSystem for BurnSystem<'_> {
     }
 
     /// [`BurnSystem::jac`] lane by lane, bit for bit, in the way of
-    /// [`BurnSystem::rhs_lanes`].
+    /// [`BurnSystem::rhs_lanes`]. λ does not depend on whether the slopes
+    /// were taken, so a block's rows from here also serve a later
+    /// right-hand side at the same T.
     fn jac_lanes(
         lanes: &[Self],
         _t: f64,
@@ -175,8 +245,10 @@ impl OdeSystem for BurnSystem<'_> {
         let mm = (n + 1) * (n + 1);
         scratch.rows.resize(n + mm, [0.0; LANES]);
         let (rows, jac) = scratch.rows.split_at_mut(n);
+        let memo = &mut scratch.rates;
         for_blocks(lanes, y, want, rows, |block, rho, temp, rows| {
-            net.jac_lanes(rho, temp, rows, jac);
+            let (lam, dlam) = memo.rates(net, block, rho, temp, true);
+            net.jac_from_rates(rho, lam, dlam, rows, jac);
             let cv = block.cv(lanes, temp, rows).map(|cv| cv.max(1e-30));
             temperature_row(net, cv, jac);
             for l in block.wanted() {
@@ -983,7 +1055,8 @@ mod tests {
         // Each round moves lane l's first abundance up by single ulps until
         // the bits of its μ_e change, then evaluates at two temperatures:
         // the first call after a change must take the density stage again,
-        // the second may keep it.
+        // the second may keep it. Then it evaluates once more at the
+        // abundances before the move, whose μ_e the older kept stage has.
         let net = Aprox13::new();
         let n = net.nspec();
         let rho = [1e3, 2e5, 3e7, 4e9];
@@ -1004,6 +1077,7 @@ mod tests {
         let mut changes = 0;
         for round in 0..40 {
             let before = mu_e(&rows);
+            let back = rows.clone();
             for l in 0..LANES {
                 let mut steps = 0;
                 while mu_e(&rows)[l] == before[l] && steps < 64 {
@@ -1013,9 +1087,13 @@ mod tests {
             }
             let after = mu_e(&rows);
             changes += (0..LANES).filter(|&l| after[l] != before[l]).count();
-            let comp = Composition::from_molar_fraction_lanes(net.species(), &rows);
-            for t in [1e8 * (1.0 + round as f64), 3e9] {
-                let cv = block.cv(&lanes, [t; LANES], &rows);
+            for (t, rows) in [
+                (1e8 * (1.0 + round as f64), &rows),
+                (3e9, &rows),
+                (2e9, &back),
+            ] {
+                let comp = Composition::from_molar_fraction_lanes(net.species(), rows);
+                let cv = block.cv(&lanes, [t; LANES], rows);
                 for l in 0..LANES {
                     let fresh = StellarEos.eval_rt(rho[l], t, &comp[l]).cv;
                     assert_eq!(
@@ -1257,6 +1335,206 @@ mod tests {
                     proptest::prop_assert!(a.to_bits() == b.to_bits(), "lane {l} jac[{k}]");
                 }
             }
+        }
+    }
+
+    /// A network that counts its rate-stage block evaluations.
+    struct Counted<'a>(&'a dyn Network, std::sync::atomic::AtomicU64);
+    impl Network for Counted<'_> {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+        fn species(&self) -> &[crate::species::Species] {
+            self.0.species()
+        }
+        fn reactions(&self) -> &[crate::network::Reaction] {
+            self.0.reactions()
+        }
+        fn t_needs(&self) -> crate::rates::TNeeds {
+            self.0.t_needs()
+        }
+        fn rates_lanes(
+            &self,
+            rho: [f64; LANES],
+            t: [f64; LANES],
+            lam: &mut [[f64; LANES]],
+            dlam: Option<&mut [[f64; LANES]]>,
+        ) {
+            self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.0.rates_lanes(rho, t, lam, dlam)
+        }
+    }
+
+    /// A burn system evaluated afresh at every call: nothing is kept from
+    /// one evaluation to the next.
+    struct Fresh<'a>(&'a dyn Network, f64);
+    impl OdeSystem for Fresh<'_> {
+        fn dim(&self) -> usize {
+            self.0.nspec() + 1
+        }
+        fn rhs(&self, t: f64, y: &[f64], dydt: &mut [f64]) {
+            BurnSystem::new(self.0, &StellarEos, self.1).rhs(t, y, dydt)
+        }
+        fn jac(&self, t: f64, y: &[f64], jac: &mut [f64]) {
+            BurnSystem::new(self.0, &StellarEos, self.1).jac(t, y, jac)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Sequences of batch calls on one scratch, each held to fresh
+        /// evaluations: temperatures that keep their bits while the
+        /// abundances move, Jacobians after right-hand sides at one T and
+        /// the reverse, partial masks. Some blocks must hit, and a block
+        /// takes the rate stage at most once a call.
+        #[test]
+        fn kept_rates_and_cv_are_fresh_evaluations_bit_for_bit(
+            net_idx in 0usize..3,
+            width in 1usize..18,
+            seed in 0u64..u64::MAX,
+        ) {
+            let (c2, i7, a13) = (CBurn2::new(), crate::network::Iso7::new(), Aprox13::new());
+            let inner: [&dyn Network; 3] = [&c2, &i7, &a13];
+            let net = Counted(inner[net_idx], Default::default());
+            let (m, w) = (net.nspec() + 1, width);
+            let mut s = seed | 1;
+            let mut u = move || {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (s >> 11) as f64 / (1u64 << 53) as f64
+            };
+            let lanes: Vec<BurnSystem> = (0..w)
+                .map(|_| BurnSystem::new(&net, &StellarEos, 10f64.powf(3.0 + 6.0 * u())))
+                .collect();
+            let mut y = vec![0.0; m * w];
+            for l in 0..w {
+                for i in 0..m - 1 {
+                    y[i * w + l] = 0.3 * u() / net.species()[i].a;
+                }
+                y[(m - 1) * w + l] = 10f64.powf(3.5 + 6.3 * u());
+            }
+            let sentinel = -7.25f64;
+            let mut scratch = LaneScratch::default();
+            let mut blocks = 0;
+            for call in 0..12 {
+                // Call one repeats call zero as a right-hand side, so every
+                // block of it hits.
+                if call > 1 {
+                    for l in 0..w {
+                        // T: kept half the time, else an ulp away or redrawn.
+                        let t = &mut y[(m - 1) * w + l];
+                        match (4.0 * u()) as u32 {
+                            0 => *t = f64::from_bits(t.to_bits() + 1),
+                            1 => *t = 10f64.powf(3.5 + 6.3 * u()),
+                            _ => {}
+                        }
+                        // Y: kept, moved by an ulp in one species, or redrawn.
+                        let i = (u() * (m - 1) as f64) as usize;
+                        let v = &mut y[i * w + l];
+                        match (3.0 * u()) as u32 {
+                            0 => {}
+                            1 => *v = f64::from_bits(v.to_bits() + 1),
+                            _ => *v = 0.3 * u() / net.species()[i].a,
+                        }
+                    }
+                }
+                let want: Vec<bool> = (0..w).map(|_| call < 2 || u() < 0.75).collect();
+                blocks += (0..w.div_ceil(LANES))
+                    .filter(|b| want[b * LANES..w.min((b + 1) * LANES)].contains(&true))
+                    .count();
+                let jacobian = call != 1 && u() < 0.5;
+                let size = if jacobian { m * m } else { m };
+                let mut out = vec![sentinel; size * w];
+                if jacobian {
+                    BurnSystem::jac_lanes(&lanes, 0.0, &y, &want, &mut out, &mut scratch);
+                } else {
+                    BurnSystem::rhs_lanes(&lanes, 0.0, &y, &want, &mut out, &mut scratch);
+                }
+                for l in 0..w {
+                    let lane: Vec<f64> = (0..m).map(|i| y[i * w + l]).collect();
+                    let mut fresh = vec![sentinel; size];
+                    if want[l] {
+                        let sys = Fresh(inner[net_idx], lanes[l].rho);
+                        if jacobian {
+                            sys.jac(0.0, &lane, &mut fresh);
+                        } else {
+                            sys.rhs(0.0, &lane, &mut fresh);
+                        }
+                    }
+                    for (k, f) in fresh.iter().enumerate() {
+                        let got = if jacobian { out[l * size + k] } else { out[k * w + l] };
+                        proptest::prop_assert!(
+                            got.to_bits() == f.to_bits(),
+                            "call {call} ({}) lane {l} entry {k}: {got:e} vs {f:e}",
+                            if jacobian { "jac" } else { "rhs" }
+                        );
+                    }
+                }
+            }
+            let evaluated = net.1.load(std::sync::atomic::Ordering::Relaxed) as usize;
+            proptest::prop_assert!(evaluated <= blocks);
+            proptest::prop_assert!(evaluated < blocks, "no block hit: {evaluated} of {blocks}");
+        }
+    }
+
+    #[test]
+    fn a_second_call_on_one_workspace_forgets_the_first_calls_rates() {
+        // Hot, thin carbon over a few picoseconds: the abundances move by
+        // thousands of ulps while T keeps its bits. Call one leaves every
+        // block keyed at T0, at which call two runs at other densities
+        // throughout: kept rates would screen at the old ρ.
+        let net = CBurn2::new();
+        let (w, t0) = (5, 3e9);
+        let integ = BdfIntegrator::sparse(
+            BurnerConfig::default().bdf,
+            Arc::new(SparseLu::compile(&net.sparsity())),
+        );
+        let entry: Vec<f64> = [vec![1.0 / 12.0; w], vec![0.0; w], vec![t0; w]].concat();
+        let mut ws = BatchWorkspace::default();
+        for (call, (rho0, dt)) in [(0.5, 5e-12), (4.0, 5e-12)].into_iter().enumerate() {
+            let rho: Vec<f64> = (0..w).map(|l| rho0 * (1.0 + l as f64)).collect();
+            let kept: Vec<BurnSystem> = rho
+                .iter()
+                .map(|&r| BurnSystem::new(&net, &StellarEos, r))
+                .collect();
+            let fresh: Vec<Fresh> = rho.iter().map(|&r| Fresh(&net, r)).collect();
+            let (mut y, mut y_fresh) = (entry.clone(), entry.clone());
+            let reports = integ
+                .integrate_lanes(&kept, 0.0, dt, &mut y, &mut ws)
+                .to_vec();
+            let want = integ
+                .integrate_lanes(
+                    &fresh,
+                    0.0,
+                    dt,
+                    &mut y_fresh,
+                    &mut BatchWorkspace::default(),
+                )
+                .to_vec();
+            assert_eq!(
+                y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                y_fresh.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "call {call}"
+            );
+            for (a, b) in reports.iter().zip(&want) {
+                assert_eq!(a.status, b.status);
+                assert_eq!(
+                    (
+                        a.stats.steps,
+                        a.stats.newton_iters,
+                        a.stats.rhs_evals,
+                        a.stats.jac_evals
+                    ),
+                    (
+                        b.stats.steps,
+                        b.stats.newton_iters,
+                        b.stats.rhs_evals,
+                        b.stats.jac_evals
+                    )
+                );
+            }
+            assert!(y[2 * w..].iter().all(|&t| t == t0), "call {call} keeps T0");
+            assert!(y[..w].iter().all(|&c| c != 1.0 / 12.0), "call {call} burns");
         }
     }
 

@@ -28,6 +28,7 @@
 //! default).
 
 use crate::batch::{gather_lane, scatter_lane, BatchWorkspace, LaneSolver, LaneStatus};
+use crate::burner::RateMemo;
 use crate::sparse::SparseLu;
 use exastro_parallel::LANES;
 use std::sync::Arc;
@@ -108,6 +109,9 @@ pub struct LaneScratch {
     pub out: Vec<f64>,
     /// [`LANES`]-wide rows for lane kernels.
     pub rows: Vec<[f64; LANES]>,
+    /// The burner's rate stage of each block, kept between the calls of
+    /// one [`BdfIntegrator::integrate_lanes`].
+    pub(crate) rates: RateMemo,
 }
 
 /// A borrowed system is a system: lanes can be `&dyn OdeSystem`.

@@ -1,24 +1,26 @@
 //! Nuclear reaction networks.
 //!
-//! A network is a set of species plus a set of reactions with molar rate
-//! coefficients. The right-hand side and the analytic Jacobian (with respect
-//! to both the molar abundances *and* the temperature) are assembled
-//! generically from the reaction list, so adding a network is declarative.
-//!
-//! Three networks are provided, mirroring the paper's problems:
+//! A network is species plus reactions with molar rate coefficients,
+//! evaluated in two stages: the *rate stage* ([`Network::rates_lanes`])
+//! takes each screened λ (and dλ/dT₉) at (ρ, T) and never reads Y; the
+//! *abundance stage* ([`Network::ydot_from_rates`], `jac_from_rates`)
+//! forms dY/dt or the Jacobian in Y and T from those rows. Every `ydot`
+//! and `jac` composes the two; a burner block keeps its rates while its
+//! temperatures keep their bits.
 //!
 //! * [`CBurn2`] — the N = 2 carbon-burning network of the MAESTROeX
 //!   reacting-bubble test (§IV-B);
 //! * [`TripleAlpha`] — helium burning with its ~T⁴⁰ sensitivity (§IV-B);
-//! * [`Aprox13`] — the 13-isotope alpha chain used for the white-dwarf
-//!   collision science runs (§V), whose Jacobian is ~40% structurally empty
-//!   (§VI).
+//! * [`Aprox13`] — the alpha chain of the WD collision runs (§V, §VI).
 
 use crate::rates::{gamow_tau_alpha, Rate, TFactors, TNeeds};
 use crate::sparse::CsrPattern;
 use crate::species::{energy_rate, iso, Species};
 use exastro_parallel::LANES;
 use std::array::from_fn;
+
+#[cfg(test)]
+mod reference;
 
 /// One reaction: `Σ count_i · reactant_i → Σ count_j · product_j`.
 #[derive(Clone, Debug)]
@@ -114,7 +116,9 @@ pub trait Network: Send + Sync {
 
     /// [`Network::ydot`] of [`LANES`] zones, bit for bit: `y[i][l]` is
     /// species `i`'s molar abundance in zone `l`, and `ydot` (nspec rows)
-    /// receives dY/dt the same way.
+    /// receives dY/dt the same way. The rate stage
+    /// ([`Network::rates_lanes`]) and then the abundance stage
+    /// ([`Network::ydot_from_rates`]).
     fn ydot_lanes(
         &self,
         rho: [f64; LANES],
@@ -123,6 +127,32 @@ pub trait Network: Send + Sync {
         ydot: &mut [[f64; LANES]],
     ) {
         ydot_body(self, rho, t, y, ydot);
+    }
+
+    /// The rate stage of [`LANES`] zones: row `k` of `lam` receives the
+    /// screened rate coefficient λ of reaction `k` in every lane and, given
+    /// `dlam`, row `k` of it dλ/dT₉. λ reads no slope factor, so its bits
+    /// do not depend on whether `dlam` is asked for.
+    fn rates_lanes(
+        &self,
+        rho: [f64; LANES],
+        t: [f64; LANES],
+        lam: &mut [[f64; LANES]],
+        dlam: Option<&mut [[f64; LANES]]>,
+    ) {
+        rates_body(self, rho, t, lam, dlam);
+    }
+
+    /// The abundance stage of [`Network::ydot_lanes`] on the rows `lam` of
+    /// [`Network::rates_lanes`] taken at the same ρ.
+    fn ydot_from_rates(
+        &self,
+        rho: [f64; LANES],
+        lam: &[[f64; LANES]],
+        y: &[[f64; LANES]],
+        ydot: &mut [[f64; LANES]],
+    ) {
+        ydot_from_rates_body(self, rho, lam, y, ydot);
     }
 
     /// Specific nuclear energy generation rate ε (erg g⁻¹ s⁻¹) at the state:
@@ -151,7 +181,8 @@ pub trait Network: Send + Sync {
     }
 
     /// [`Network::jac`] of [`LANES`] zones, bit for bit, on the layout of
-    /// [`Network::ydot_lanes`]: `jac` holds `(n+1)²` rows.
+    /// [`Network::ydot_lanes`]: `jac` holds `(n+1)²` rows. The rate stage
+    /// with slopes and then [`Network::jac_from_rates`].
     fn jac_lanes(
         &self,
         rho: [f64; LANES],
@@ -160,6 +191,19 @@ pub trait Network: Send + Sync {
         jac: &mut [[f64; LANES]],
     ) {
         jac_body(self, rho, t, y, jac);
+    }
+
+    /// The abundance stage of [`Network::jac_lanes`] on the rows `lam` and
+    /// `dlam` of [`Network::rates_lanes`] taken at the same ρ with slopes.
+    fn jac_from_rates(
+        &self,
+        rho: [f64; LANES],
+        lam: &[[f64; LANES]],
+        dlam: &[[f64; LANES]],
+        y: &[[f64; LANES]],
+        jac: &mut [[f64; LANES]],
+    ) {
+        jac_from_rates_body(self, rho, lam, dlam, y, jac);
     }
 
     /// The structural sparsity of the full `(n+1)²` burner Jacobian
@@ -304,20 +348,60 @@ fn accumulate<const W: usize>(
     }
 }
 
-/// The one right-hand side body: [`Network::ydot`] at `W` = 1,
-/// [`Network::ydot_lanes`] at [`LANES`], monomorphised per network.
+/// Reactions whose rate rows a composed evaluation holds on the stack;
+/// a larger network's go on the heap.
+const STACK_REACTIONS: usize = 32;
+
+/// `f(λ rows, dλ/dT₉ rows)`, `r` of each, on the stack up to
+/// [`STACK_REACTIONS`] reactions and on the heap beyond.
 #[inline(always)]
-fn ydot_body<N: Network + ?Sized, const W: usize>(
+fn with_rate_rows<const W: usize>(r: usize, f: impl FnOnce(&mut [[f64; W]], &mut [[f64; W]])) {
+    let mut stack = [[0.0; W]; 2 * STACK_REACTIONS];
+    let mut heap = Vec::new();
+    let rows = if r <= STACK_REACTIONS {
+        &mut stack[..2 * r]
+    } else {
+        heap.resize(2 * r, [0.0; W]);
+        &mut heap[..]
+    };
+    let (lam, dlam) = rows.split_at_mut(r);
+    f(lam, dlam)
+}
+
+/// The one rate stage: [`Network::rates_lanes`] at [`LANES`] and the first
+/// half of [`Network::ydot`]/[`Network::jac`] at `W` = 1, monomorphised
+/// per network.
+#[inline(always)]
+fn rates_body<N: Network + ?Sized, const W: usize>(
     net: &N,
     rho: [f64; W],
     t: [f64; W],
+    lam: &mut [[f64; W]],
+    mut dlam: Option<&mut [[f64; W]]>,
+) {
+    let slopes = dlam.is_some();
+    let tf = shared_factors(net, rho, t, slopes);
+    for (k, rx) in net.reactions().iter().enumerate() {
+        let (l, d) = screened_rate(net, rx, &tf, slopes);
+        lam[k] = l;
+        if let Some(dlam) = dlam.as_deref_mut() {
+            dlam[k] = d;
+        }
+    }
+}
+
+/// The one right-hand side abundance stage: reactant products, ρ powers
+/// and accumulation onto `ydot` from the rate rows `lam`.
+#[inline(always)]
+fn ydot_from_rates_body<N: Network + ?Sized, const W: usize>(
+    net: &N,
+    rho: [f64; W],
+    lam: &[[f64; W]],
     y: &[[f64; W]],
     ydot: &mut [[f64; W]],
 ) {
     ydot.iter_mut().for_each(|v| *v = [0.0; W]);
-    let tf = shared_factors(net, rho, t, false);
-    for rx in net.reactions() {
-        let (lam, _) = screened_rate(net, rx, &tf, false);
+    for (rx, lam) in net.reactions().iter().zip(lam) {
         let yprod = reactant_product(rx, y, None, [1.0; W]);
         let rho_pow = ipow(rho, rx.order() as i32 - 1);
         let r = from_fn(|l| rho_pow[l] * lam[l] * yprod[l] / rx.symmetry);
@@ -325,13 +409,13 @@ fn ydot_body<N: Network + ?Sized, const W: usize>(
     }
 }
 
-/// The one Jacobian body: [`Network::jac`] at `W` = 1,
-/// [`Network::jac_lanes`] at [`LANES`].
+/// The one Jacobian abundance stage, from the rate rows `lam` and `dlam`.
 #[inline(always)]
-fn jac_body<N: Network + ?Sized, const W: usize>(
+fn jac_from_rates_body<N: Network + ?Sized, const W: usize>(
     net: &N,
     rho: [f64; W],
-    t: [f64; W],
+    lam: &[[f64; W]],
+    dlam: &[[f64; W]],
     y: &[[f64; W]],
     jac: &mut [[f64; W]],
 ) {
@@ -339,9 +423,7 @@ fn jac_body<N: Network + ?Sized, const W: usize>(
     let m = n + 1;
     assert_eq!(jac.len(), m * m);
     jac.iter_mut().for_each(|v| *v = [0.0; W]);
-    let tf = shared_factors(net, rho, t, true);
-    for rx in net.reactions() {
-        let (lam, dlam_dt9) = screened_rate(net, rx, &tf, true);
+    for ((rx, lam), dlam_dt9) in net.reactions().iter().zip(lam).zip(dlam) {
         let yprod = reactant_product(rx, y, None, [1.0; W]);
         let rho_pow = ipow(rho, rx.order() as i32 - 1);
         // dr/dY_j for each distinct reactant j: r * c_j / Y_j computed
@@ -357,6 +439,38 @@ fn jac_body<N: Network + ?Sized, const W: usize>(
         let drdt = from_fn(|l| rho_pow[l] * dlam_dt9[l] * yprod[l] / rx.symmetry / 1e9);
         accumulate(rx, drdt, jac, m, n);
     }
+}
+
+/// [`Network::ydot`] at `W` = 1 and [`Network::ydot_lanes`] at [`LANES`]:
+/// the rate stage, then the abundance stage.
+#[inline(always)]
+fn ydot_body<N: Network + ?Sized, const W: usize>(
+    net: &N,
+    rho: [f64; W],
+    t: [f64; W],
+    y: &[[f64; W]],
+    ydot: &mut [[f64; W]],
+) {
+    with_rate_rows(net.reactions().len(), |lam, _| {
+        rates_body(net, rho, t, lam, None);
+        ydot_from_rates_body(net, rho, lam, y, ydot);
+    });
+}
+
+/// [`Network::jac`] at `W` = 1 and [`Network::jac_lanes`] at [`LANES`]:
+/// the rate stage with slopes, then the abundance stage.
+#[inline(always)]
+fn jac_body<N: Network + ?Sized, const W: usize>(
+    net: &N,
+    rho: [f64; W],
+    t: [f64; W],
+    y: &[[f64; W]],
+    jac: &mut [[f64; W]],
+) {
+    with_rate_rows(net.reactions().len(), |lam, dlam| {
+        rates_body(net, rho, t, lam, Some(&mut *dlam));
+        jac_from_rates_body(net, rho, lam, dlam, y, jac);
+    });
 }
 
 fn rate_needs(reactions: &[Reaction]) -> TNeeds {
@@ -780,6 +894,91 @@ mod tests {
                 let want = black_box(x).powi(black_box(c));
                 assert_eq!(ipow([x], c)[0].to_bits(), want.to_bits(), "{x}^{c}");
             }
+        }
+    }
+
+    /// `W` lanes' (ρ, T, Y) from `u`: ρ over 10⁻³–10¹⁰, T over 10⁴–10¹⁰
+    /// with the burner's 10⁴ K floor and the fits' T₉ = 10⁻⁴ floor drawn
+    /// exactly, Y in [−0.05, 0.5) with exact zeros.
+    fn stage_inputs<const W: usize>(
+        n: usize,
+        u: &mut impl FnMut() -> f64,
+    ) -> ([f64; W], [f64; W], Vec<[f64; W]>) {
+        let rho = from_fn(|_| 10f64.powf(-3.0 + 13.0 * u()));
+        let t = from_fn(|_| match (4.0 * u()) as u32 {
+            0 => 1e4,
+            1 => 1e5,
+            _ => 10f64.powf(4.0 + 6.0 * u()),
+        });
+        let y = (0..n)
+            .map(|_| {
+                from_fn(|_| match u() {
+                    v if v < 0.1 => 0.0,
+                    v => 0.55 * v - 0.05,
+                })
+            })
+            .collect();
+        (rho, t, y)
+    }
+
+    /// `ydot` and `jac` of `net` at `W` lanes, composed and one-pass.
+    fn check_stages<const W: usize>(
+        net: &dyn Network,
+        (rho, t, y): ([f64; W], [f64; W], Vec<[f64; W]>),
+        composed_ydot: impl Fn(&mut [[f64; W]]),
+        composed_jac: impl Fn(&mut [[f64; W]]),
+    ) {
+        let m = net.nspec() + 1;
+        let bits = |v: &[[f64; W]]| v.iter().flatten().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (mut got, mut want) = (vec![[f64::NAN; W]; m - 1], vec![[f64::NAN; W]; m - 1]);
+        composed_ydot(&mut got);
+        reference::ydot_body(net, rho, t, &y, &mut want);
+        assert_eq!(bits(&got), bits(&want), "{} ydot W={W}", net.name());
+        let (mut got, mut want) = (vec![[f64::NAN; W]; m * m], vec![[f64::NAN; W]; m * m]);
+        composed_jac(&mut got);
+        reference::jac_body(net, rho, t, &y, &mut want);
+        assert_eq!(bits(&got), bits(&want), "{} jac W={W}", net.name());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn the_two_stages_are_the_one_pass_bodies_bit_for_bit(
+            net_idx in 0usize..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let nets: [&dyn Network; 4] =
+                [&CBurn2::new(), &TripleAlpha::new(), &Iso7::new(), &Aprox13::new()];
+            let net = nets[net_idx];
+            let n = net.nspec();
+            let mut s = seed | 1;
+            let mut u = move || {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (s >> 11) as f64 / (1u64 << 53) as f64
+            };
+            let (rho, t, y) = stage_inputs::<LANES>(n, &mut u);
+            check_stages(
+                net,
+                (rho, t, y.clone()),
+                |ydot| net.ydot_lanes(rho, t, &y, ydot),
+                |jac| net.jac_lanes(rho, t, &y, jac),
+            );
+            // λ is the same with and without the slopes.
+            let r = net.reactions().len();
+            let (mut lam, mut lam_s, mut dlam) =
+                (vec![[0.0; LANES]; r], vec![[0.0; LANES]; r], vec![[0.0; LANES]; r]);
+            net.rates_lanes(rho, t, &mut lam, None);
+            net.rates_lanes(rho, t, &mut lam_s, Some(&mut dlam));
+            proptest::prop_assert!(lam.iter().zip(&lam_s).all(|(a, b)| a.map(f64::to_bits) == b.map(f64::to_bits)));
+            let (rho, t, y) = stage_inputs::<1>(n, &mut u);
+            let lane: Vec<f64> = y.iter().map(|v| v[0]).collect();
+            check_stages(
+                net,
+                (rho, t, y),
+                |ydot| net.ydot(rho[0], t[0], &lane, ydot.as_flattened_mut()),
+                |jac| net.jac(rho[0], t[0], &lane, jac.as_flattened_mut()),
+            );
         }
     }
 

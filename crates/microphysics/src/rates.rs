@@ -6,13 +6,12 @@
 //! Caughlan & Fowler (1988) expressions — they keep the Gamow-peak
 //! exponentials that give the extreme temperature sensitivity the paper
 //! discusses (the triple-alpha rate goes like ~T⁴⁰ near 10⁸ K) but drop
-//! low-impact correction polynomials. Each rate returns both λ and dλ/dT₉
-//! for analytic Jacobians.
+//! low-impact correction polynomials. Each gives λ and dλ/dT₉.
 //!
-//! The fits share their fractional powers of T₉, and the screening factor
-//! shares everything but `z₁z₂`, so an evaluation at one `(ρ, T)` computes
-//! those once ([`TFactors`]) and every reaction's [`Rate::eval`] and
-//! [`TFactors::screening`] read them.
+//! The fits share their powers of T₉ and the screening factor all but
+//! `z₁z₂`: a network's rate stage computes those once a `(ρ, T)`
+//! ([`TFactors`]) for every [`Rate::eval`] and [`TFactors::screening`],
+//! and a burner block keeps its rates while its temperatures hold.
 
 use std::array::from_fn;
 
