@@ -224,6 +224,7 @@ ARTIFACTS = [
     Row("BENCH_chaos.json"),
     Row("BENCH_taskgraph.json"),
     Row("BENCH_telemetry.json"),
+    Row("BENCH_verify.json"),
     Row(f"{OUT}/quickstart_trace.json", {"traceEvents"}, check=trace),
     Row(f"{OUT}/quickstart_graphs.json", {"schema", "graphs"},
         ("graphs", {"label", "tasks", "edges", "workers", "wall_us", "total_run_us",

@@ -83,10 +83,11 @@ grep -q "CHAOS OK" "$OUT/chaos_smoke.log"
 
 echo "== benches (test mode) =="
 # fig2/fig3 throughputs come from the machine performance model, so they
-# are bit-reproducible; the rest are same-run ratios, scheduler throughput
-# and telemetry overhead on this host.
+# are bit-reproducible; verify's rows are errors against tight-tolerance
+# references and step counts; the rest are same-run ratios, scheduler
+# throughput and telemetry overhead on this host.
 for bench in ablation_taskgraph fig2_sedov_weak_scaling fig3_bubble_weak_scaling \
-  service chaos ablation_telemetry; do
+  verify service chaos ablation_telemetry; do
   cargo bench --offline -p exastro-bench --bench "$bench" -- --test >"$OUT/$bench.log"
 done
 

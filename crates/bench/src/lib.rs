@@ -8,6 +8,8 @@
 
 #![forbid(unsafe_code)]
 
+pub mod verify;
+
 use exastro_amr::{BcSpec, BoxArray, DistributionMapping, Geometry, MultiFab};
 use exastro_castro::{Castro, Floors, Hydro, KernelStructure, StateLayout};
 use exastro_microphysics::{CBurn2, GammaLaw, Network};

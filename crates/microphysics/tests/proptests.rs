@@ -719,7 +719,7 @@ proptest! {
         log_rho in 5.0f64..7.2,
         log_t in 8.8f64..9.3,
         frac in 0.2f64..0.8,
-        max_steps in 2usize..5,
+        starve in 0.0f64..1.0,
     ) {
         // Starve the integrator so every lane drops out of the batch. The
         // dropouts are re-burned from their entry state through the exact
@@ -738,7 +738,6 @@ proptest! {
             batch_width: 4,
             ..Default::default()
         };
-        cfg.bdf.max_steps = max_steps;
         let mut x0 = vec![0.0; net.nspec()];
         x0[0] = frac;
         x0[1] = 1.0 - frac;
@@ -750,6 +749,21 @@ proptest! {
                 x0: &x0,
             })
             .collect();
+        // A probe burn on the full budget counts the batch's step attempts
+        // (a lane that finished inside the batch took every one of them).
+        // The batch completes only if its budget admits the attempt before
+        // its last, so a budget below `attempts - 1` starves it whatever
+        // the step-size controller does.
+        let attempts = cfg
+            .build(net, &eos)
+            .burn_all(&zones, dt)
+            .iter()
+            .filter_map(|r| r.as_ref().ok().filter(|r| r.retries == 0))
+            .map(|r| r.outcome.stats.steps + r.outcome.stats.rejected)
+            .max();
+        let attempts = attempts.expect("a lane finishes inside the probe's batch") as usize;
+        prop_assert!(attempts >= 2, "one step covers dt: nothing to starve");
+        cfg.bdf.max_steps = (starve * (attempts - 1) as f64) as usize;
         // `burn_zone` never batches: it is the scalar-ladder reference.
         let burner = cfg.build(net, &eos);
         let batched = burner.burn_all(&zones, dt);

@@ -4,13 +4,8 @@
 //! so a change that goes back to evaluating the rates at every right-hand
 //! side and Jacobian fails here on a number, not on a timing.
 
-use exastro_amr::{
-    BoxArray, CoordSys, DistStrategy, DistributionMapping, Geometry, IndexBox, MultiFab,
-};
-use exastro_maestro::{bubble_maestro, init_bubble, BubbleParams, LmLayout};
-use exastro_microphysics::{
-    BurnerConfig, CBurn2, CsrPattern, Network, Reaction, Species, StellarEos, TNeeds,
-};
+use exastro_bench::verify::{bubble_16, burn_bubble_half_step};
+use exastro_microphysics::{BurnerConfig, CBurn2, CsrPattern, Network, Reaction, Species, TNeeds};
 use exastro_parallel::LANES;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -116,56 +111,11 @@ impl Network for Counting {
 fn a_bubble_reaction_half_step_takes_the_rate_stage_a_pinned_number_of_times() {
     // The 16³ bubble of `tests/pins/bubble_step.rs`, burned for the first
     // Strang half of its step as `Maestro::advance` burns it.
-    let geom = Geometry::new(
-        IndexBox::cube(16),
-        [0.0; 3],
-        [3.6e7; 3],
-        [true, true, false],
-        CoordSys::Cartesian,
-    );
-    let ba = BoxArray::decompose(geom.domain(), 8, 4);
-    let dm = DistributionMapping::new(&ba, 2, DistStrategy::Sfc);
-    let (eos, net) = (StellarEos, Counting::default());
-    let layout = LmLayout::new(net.nspec());
-    let mut state = MultiFab::new(ba, dm, layout.ncomp(), 1);
-    let base = init_bubble(
-        &mut state,
-        &geom,
-        &layout,
-        &eos,
-        &net,
-        &BubbleParams::default(),
-    );
-    let dt = bubble_maestro(&eos, &net, base)
-        .estimate_dt(&state, &geom)
-        .min(4e-3);
+    let net = Counting::default();
+    let (mut state, layout, _, dt) = bubble_16(&net);
     net.blocks.store(0, Relaxed);
     net.calls.store(0, Relaxed);
-    let stats = BurnerConfig::default()
-        .build(&net, &eos)
-        .burn_multifab(
-            &mut state,
-            0.5 * dt,
-            |arr, z, x| {
-                let t = arr.at_zone(z, LmLayout::TEMP);
-                if t < 1e8 {
-                    return None;
-                }
-                let rho = arr.at_zone(z, LmLayout::RHO).max(1e-12);
-                for (s, xi) in x.iter_mut().enumerate() {
-                    *xi = arr.at_zone(z, layout.spec(s)).clamp(0.0, 1.0);
-                }
-                Some((rho, t))
-            },
-            |arr, z, _, out| {
-                arr.set_zone(z, LmLayout::TEMP, out.t);
-                for s in 0..layout.nspec {
-                    arr.set_zone(z, layout.spec(s), out.x[s]);
-                }
-                0.0
-            },
-        )
-        .expect("the bubble burns");
+    let stats = burn_bubble_half_step(&net, &BurnerConfig::default(), &mut state, &layout, dt);
     let (blocks, calls) = (net.blocks.load(Relaxed), net.calls.load(Relaxed));
     println!(
         "{} zones, {} BDF steps, {} Newton iterations: {blocks} rate-stage blocks, {calls} one-call evaluations",
