@@ -397,7 +397,9 @@ impl BdfIntegrator {
         let mut l = [0.0f64; 6];
 
         // Initial step from the worst lane's RHS scale (every lane must be
-        // resolvable at the shared h).
+        // resolvable at the shared h), and never above 10⁻³ of the span: a
+        // cautious guess the first step's 10⁴ growth limit corrects, so a
+        // quiescent zone covers dt in two steps.
         self.error_weights(y, n, w, ewt);
         let mut rate_max: f64 = 1e-30;
         want.fill(true);
@@ -736,7 +738,8 @@ impl BdfIntegrator {
             // lane that close to the error boundary produces a
             // reject/accept limit cycle (four rejections in ten attempts
             // on an igniting zone even at width 1) that strings up per-lane
-            // failures.
+            // failures. Growth is capped by VODE's limits instead: 10⁴ on
+            // the first accepted step, whose h was a guess, and 10 after.
             let eta_q = 1.0 / ((6.0 * est_acc.max(1e-12)).powf(1.0 / qp1) + 1e-6);
             let mut eta = eta_q;
             let mut new_q = q;
@@ -790,7 +793,7 @@ impl BdfIntegrator {
                 qwait = q + 1;
                 have_acor_prev = false;
             }
-            let eta = eta.clamp(0.2, 5.0);
+            let eta = eta.clamp(0.2, if steps == 1 { 1e4 } else { 10.0 });
             if !(0.9..=1.3).contains(&eta) {
                 rescale(z, q, eta);
                 h *= eta;

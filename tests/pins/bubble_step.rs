@@ -58,7 +58,11 @@ fn bubble_16_in_8_cubes_after_one_step() {
 }
 
 /// Recorded at the commit before the multigrid got its per-level exchange
-/// plans and cursor kernels, and untouched by them.
-const VALID_DIGEST: u64 = 0xb35e_6ab3_4955_0c28;
+/// plans and cursor kernels, and untouched by them; the valid zones and
+/// the residual re-recorded, taken when the BDF took VODE's step-growth limits (10⁴ on the
+/// first accepted step, 10 after): each bubble zone now burns in two
+/// steps, not six (were `0xb35e_6ab3_4955_0c28` and
+/// `0x3e9b_cd5f_d9be_0800`).
+const VALID_DIGEST: u64 = 0x2017_872f_309d_f3d8;
 const MG_CYCLES: usize = 7;
-const MG_RES_BITS: u64 = 0x3e9b_cd5f_d9be_0800;
+const MG_RES_BITS: u64 = 0x3e9b_cd5f_7235_f000;

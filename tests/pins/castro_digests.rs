@@ -222,10 +222,13 @@ const TWO_LEVEL_DIGESTS: [(u64, u64); 2] = [
 /// (`zones`, `skipped`, `total_steps`, `max_steps`, `newton_iters`,
 /// `retries`, `recovered`, `recovered_relaxed`, `recovered_subcycle`,
 /// `offloaded`), recorded while Castro still gathered and scattered its
-/// own zones around `Burner::burn_all`.
-const BURN_SWEEP_VALID_DIGEST: u64 = 0x7428_76a0_5c08_acb4;
-const BURN_SWEEP_ENERGY_BITS: u64 = 0x49cc_687a_2af1_d074;
-const BURN_SWEEP_COUNTS: [u64; 10] = [392, 120, 51252, 5762, 95401, 26, 26, 21, 0, 0];
+/// own zones around `Burner::burn_all`, and re-recorded taken when the BDF took VODE's step-growth limits (10⁴ on the
+/// first accepted step, 10 after). They were
+/// `0x7428_76a0_5c08_acb4`, `0x49cc_687a_2af1_d074` and 51 252 total,
+/// 5 762 max steps, 95 401 Newton iterations.
+const BURN_SWEEP_VALID_DIGEST: u64 = 0xaac3_cab3_67b0_dccf;
+const BURN_SWEEP_ENERGY_BITS: u64 = 0x49cc_687b_a040_eb7c;
+const BURN_SWEEP_COUNTS: [u64; 10] = [392, 120, 49295, 5776, 95300, 26, 26, 21, 0, 0];
 
 /// Sweep-order ids (skipped zones counted) of the zones that fail every
 /// rung, in the order the sweep reports them; recorded with the above.

@@ -111,13 +111,18 @@ fn cburn2_temperature_ramp_at_widths_3_8_16() {
     check(&net, &ramp(&[1.0, 0.0]), 1e-7, CBURN2_PINS);
 }
 
+/// Re-recorded taken when the BDF took VODE's step-growth limits (10⁴ on the
+/// first accepted step, 10 after); were `0x4d64_cc39_8c1a_d134`,
+/// `0x8d44_6f56_36a3_7427`, `0x6497_2c00_5d62_99d9` (aprox13) and
+/// `0x52c3_cea8_fe7d_ff4e`, `0x4855_f1b1_1fb3_d9e7`, `0x70da_63f9_c070_db79`
+/// (cburn2).
 const APROX13_PINS: [(usize, u64); 3] = [
-    (3, 0x4d64_cc39_8c1a_d134),
-    (8, 0x8d44_6f56_36a3_7427),
-    (16, 0x6497_2c00_5d62_99d9),
+    (3, 0x0606_2cd8_90a9_aa1f),
+    (8, 0xb8fa_d464_1d63_6e59),
+    (16, 0x8944_59be_a040_17bc),
 ];
 const CBURN2_PINS: [(usize, u64); 3] = [
-    (3, 0x52c3_cea8_fe7d_ff4e),
-    (8, 0x4855_f1b1_1fb3_d9e7),
-    (16, 0x70da_63f9_c070_db79),
+    (3, 0xc0bc_20d1_d35f_cb72),
+    (8, 0xa16f_da2d_2b48_d443),
+    (16, 0xf63f_a119_36a2_e5df),
 ];
