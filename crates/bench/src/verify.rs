@@ -17,7 +17,7 @@
 //!   (EXPERIMENTS "The verification ladder's burn rung").
 //! * **Invariance row.** The same aprox13 field burned as one 8³ box and
 //!   as eight 4³ boxes: how many zones differ in their bits, and by how
-//!   much. A zone's answer still depends on its chunk-mates (ROADMAP item
+//!   much. A zone's answer can depend on its chunk-mates (ROADMAP item
 //!   3), so this row is recorded, not gated.
 //!
 //! `tests/pins/bdf_accuracy.rs` and `tests/rate_stage_count.rs` assert on
@@ -52,7 +52,7 @@ pub const BURN_CELL_CAP: [f64; 4] = [100.0; 4];
 pub const ROBERTSON_CAP: [f64; 4] = [100.0, 100.0, 200.0, 2000.0];
 
 /// The burn rows' reference: the same burn at these tolerances.
-pub const BURN_REFERENCE: (f64, f64) = (1e-12, 1e-16);
+const BURN_REFERENCE: (f64, f64) = (1e-12, 1e-16);
 
 /// Which lane solver a BDF case factors its Newton matrices with.
 #[derive(Clone, Copy, Debug)]
@@ -113,9 +113,9 @@ pub fn worst_fall(rows: &[BdfRow]) -> f64 {
 }
 
 /// Robertson's problem with its two slow rates scaled by `k`.
-pub struct Robertson {
+struct Robertson {
     /// The scale of the two slow rates.
-    pub k: f64,
+    k: f64,
 }
 
 impl OdeSystem for Robertson {
@@ -252,7 +252,7 @@ pub fn burn_cell_state(rec: &RecoveredBurn) -> Vec<f64> {
 
 /// burn_cell's error: mass fractions compared absolutely (they sum to
 /// one), the temperature relatively.
-pub fn burn_cell_err(y: &[f64], reference: &[f64]) -> f64 {
+fn burn_cell_err(y: &[f64], reference: &[f64]) -> f64 {
     let n = y.len() - 1;
     let (t, t_ref) = (y[n], reference[n]);
     y[..n]
@@ -278,13 +278,13 @@ pub fn burn_cell_rows(net: &Aprox13, case: Case, reference: &[f64]) -> [BdfRow; 
 /// it: each zone's molar abundances and then its temperature; and the
 /// sweep's statistics (its `energy_released` is Σ ρ·e_nuc over the burned
 /// zones).
-pub struct BurnedField {
+struct BurnedField {
     /// `dim` values a zone.
-    pub y: Vec<f64>,
+    y: Vec<f64>,
     /// Values a zone: `nspec + 1`.
-    pub dim: usize,
+    dim: usize,
     /// The sweep's statistics.
-    pub stats: BurnStats,
+    stats: BurnStats,
 }
 
 impl BurnedField {
@@ -400,9 +400,10 @@ const FIELD_X: usize = 2;
 /// `perf_ledger`'s `burn_field` field without its seeded jitter: an 8³
 /// box of ½C½O at ρ ≈ 5·10⁷ whose temperature peaks at 2.8·10⁹ K in the
 /// centre and falls to ~4·10⁸ at the rim, cut into boxes of `box_size`.
-/// Without jitter the field's symmetry ties temperatures, the case in
-/// which a zone's chunk-mates depend on the decomposition.
-pub fn aprox13_field(net: &Aprox13, box_size: i32) -> (MultiFab, Geometry) {
+/// Without jitter its temperatures tie in octant-symmetric groups of 8,
+/// 24 or 48 zones, which fill whole chunks of the sorted sweep at the
+/// default width: here the decomposition cannot change a chunk's zones.
+fn aprox13_field(net: &Aprox13, box_size: i32) -> (MultiFab, Geometry) {
     let n = 8;
     let geom = Geometry::cube(n, 8e7, false);
     let ba = BoxArray::decompose(geom.domain(), box_size, box_size);
@@ -430,7 +431,7 @@ pub fn aprox13_field(net: &Aprox13, box_size: i32) -> (MultiFab, Geometry) {
 
 /// The aprox13 field in boxes of `box_size`, burned for `burn_field`'s
 /// 8·10⁻⁷ s through `cfg`'s burner.
-pub fn aprox13_sweep(cfg: &BurnerConfig, box_size: i32) -> BurnedField {
+fn aprox13_sweep(cfg: &BurnerConfig, box_size: i32) -> BurnedField {
     let net = Aprox13::new();
     let (mut state, geom) = aprox13_field(&net, box_size);
     let nspec = net.nspec();
@@ -460,18 +461,18 @@ pub fn aprox13_sweep(cfg: &BurnerConfig, box_size: i32) -> BurnedField {
 /// A burn row: how far a burn at `cfg` lands from the same burn at
 /// [`BURN_REFERENCE`]'s tolerances.
 #[derive(Clone, Copy, Debug)]
-pub struct BurnRow {
+struct BurnRow {
     /// `max |Δyᵢ| / (rtol·|yᵢ| + atol)` over every zone and component, at
     /// `cfg`'s tolerances: ≤ 1 is inside them.
-    pub weighted_error: f64,
+    weighted_error: f64,
     /// `max |ΔT|/T` over the zones, in units of rtol.
-    pub t_error: f64,
+    t_error: f64,
     /// The relative error of Σ ρ·e_nuc, in units of rtol. A quiescent
     /// zone's e_nuc is a difference of binding energies in the last bits
     /// of its abundances, so on the bubble this is roundoff, not error.
-    pub energy_error: f64,
+    energy_error: f64,
     /// BDF steps a burned zone took at `cfg`.
-    pub steps_per_zone: f64,
+    steps_per_zone: f64,
 }
 
 /// Burn `field` at `cfg` and at the reference tolerances and compare.
@@ -507,27 +508,27 @@ fn burn_row(cfg: &BurnerConfig, field: impl Fn(&BurnerConfig) -> BurnedField) ->
 }
 
 /// The bubble half-step's burn row at [`BurnerConfig::default`].
-pub fn bubble_row() -> BurnRow {
+fn bubble_row() -> BurnRow {
     burn_row(&BurnerConfig::default(), bubble_field)
 }
 
 /// The aprox13 sweep's burn row at [`BurnerConfig::default`], one 8³ box.
-pub fn aprox13_sweep_row() -> BurnRow {
+fn aprox13_sweep_row() -> BurnRow {
     burn_row(&BurnerConfig::default(), |cfg| aprox13_sweep(cfg, 8))
 }
 
 /// Item 1(vii): the aprox13 field burned as one 8³ box and as eight 4³
 /// boxes at [`BurnerConfig::default`].
 #[derive(Clone, Copy, Debug)]
-pub struct Invariance {
+struct Invariance {
     /// Zones whose mass fractions or temperature differ in any bit.
-    pub zones_differ: u64,
+    zones_differ: u64,
     /// The largest relative difference of any value.
-    pub max_rel_diff: f64,
+    max_rel_diff: f64,
 }
 
 /// Burn the aprox13 field on one box and on eight and compare.
-pub fn decomposition_row() -> Invariance {
+fn decomposition_row() -> Invariance {
     let cfg = BurnerConfig::default();
     let (one, eight) = (aprox13_sweep(&cfg, 8), aprox13_sweep(&cfg, 4));
     let dim = one.dim;
