@@ -31,6 +31,12 @@ echo "== Castro bit pins and the lane-kernel oracle (release) =="
 # per-face oracle must hold there too, not only in the debug run above.
 cargo test -q --offline --release -p exastro --test castro_pins
 cargo test -q --offline --release -p exastro-castro --lib row_kernels_match_the_per_face_oracle
+echo "== burner bit pins and the network's two stages (release) =="
+# One network type means one instantiation of the rate and abundance
+# stages for every network: the burn digests and the stages ≡ one-pass
+# oracle must hold in optimised code too.
+cargo test -q --offline --release -p exastro --test burner_pins
+cargo test -q --offline --release -p exastro-microphysics --lib the_two_stages
 echo "== pool and task-graph proptests (release) =="
 # Likewise every index of a pool region must be claimed exactly once.
 cargo test -q --offline --release -p exastro-parallel --test proptests

@@ -12,12 +12,12 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use exastro_machine::{hybrid_offload_estimate, DeviceConfig};
-use exastro_microphysics::{BurnerConfig, CBurn2, StellarEos};
+use exastro_microphysics::{BurnerConfig, Network, StellarEos};
 
 /// Burn a distribution of zones and return the per-zone integrator step
 /// counts (the real cost signal).
 fn measured_zone_costs(hot_fraction: f64, nzones: usize) -> Vec<f64> {
-    let net = CBurn2::new();
+    let net = Network::cburn2();
     let eos = StellarEos;
     let burner = BurnerConfig::default().build(&net, &eos);
     let cost = |t0: f64| {

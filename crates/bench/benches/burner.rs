@@ -16,8 +16,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use exastro_bench::{write_metrics_json, MetricPoint};
 use exastro_microphysics::{
-    Aprox13, BdfErrorKind, BdfStats, BurnFaultConfig, BurnerConfig, CBurn2, Composition, DenseLu,
-    Eos, Iso7, Network, OffloadOptions, RetryLadder, SparseLu, StellarEos, ZoneBurn,
+    BdfErrorKind, BdfStats, BurnFaultConfig, BurnerConfig, Composition, DenseLu, Eos, Network,
+    OffloadOptions, RetryLadder, SparseLu, StellarEos, ZoneBurn,
 };
 use exastro_parallel::LANES;
 use std::sync::Mutex;
@@ -30,7 +30,7 @@ fn test_mode() -> bool {
 }
 
 /// ½C½O fuel where the network carries oxygen, pure carbon where not.
-fn co_fuel(net: &dyn Network) -> Vec<f64> {
+fn co_fuel(net: &Network) -> Vec<f64> {
     let mut x = vec![0.0; net.nspec()];
     match net.species().iter().position(|s| s.name == "o16") {
         Some(o16) => {
@@ -45,7 +45,7 @@ fn co_fuel(net: &dyn Network) -> Vec<f64> {
 /// A representative burner Jacobian at detonation conditions (the species
 /// block; the burner's temperature row stays zero, which is inside the
 /// declared pattern, so it exercises the same slot schedule).
-fn newton_matrix(net: &dyn Network) -> Vec<f64> {
+fn newton_matrix(net: &Network) -> Vec<f64> {
     let n = net.nspec();
     let m = n + 1;
     let x = co_fuel(net);
@@ -93,12 +93,10 @@ fn newton_cycle_ns(
 /// algebra, each on its own at detonation conditions: the network's RHS,
 /// its Jacobian, and the thermodynamics the self-heating term needs (mean
 /// composition from the abundances plus one EOS call), and the RHS again
-/// per lane of one full [`LANES`]-lane call. Each call of the returned
-/// closure times one sample of each, as `[ydot, jac, eos, ydot_lanes]` ns.
-fn lane_step_parts_ns<'a>(
-    net: &'a dyn Network,
-    eos: &'a StellarEos,
-) -> impl FnMut() -> [f64; 4] + 'a {
+/// per lane of one [`LANES`]-lane rate stage and abundance stage. Each
+/// call of the returned closure times one sample of each, as `[ydot, jac,
+/// eos, ydot_lanes]` ns.
+fn lane_step_parts_ns<'a>(net: &'a Network, eos: &'a StellarEos) -> impl FnMut() -> [f64; 4] + 'a {
     use std::hint::black_box;
     let n = net.nspec();
     let m = n + 1;
@@ -113,6 +111,7 @@ fn lane_step_parts_ns<'a>(
     let rows: Vec<[f64; LANES]> = y.iter().map(|&v| [v; LANES]).collect();
     let temps: [f64; LANES] = std::array::from_fn(|l| t + l as f64);
     let mut ydot_rows = vec![[0.0; LANES]; n];
+    let mut lam = vec![[0.0; LANES]; net.reactions().len()];
     move || {
         let ydot_ns = one_call_ns(256, || {
             net.ydot(black_box(rho), black_box(t), black_box(&y), &mut ydot);
@@ -128,12 +127,9 @@ fn lane_step_parts_ns<'a>(
             black_box(eos.eval_rt(black_box(rho), black_box(t), &comp).cv);
         });
         let ydot_lanes_ns = one_call_ns(64, || {
-            net.ydot_lanes(
-                black_box([rho; LANES]),
-                black_box(temps),
-                black_box(&rows),
-                &mut ydot_rows,
-            );
+            let rho = black_box([rho; LANES]);
+            net.rates_lanes(rho, black_box(temps), &mut lam, None);
+            net.ydot_from_rates(rho, &lam, black_box(&rows), &mut ydot_rows);
             black_box(&ydot_rows);
         }) / LANES as f64;
         [ydot_ns, jac_ns, eos_ns, ydot_lanes_ns]
@@ -151,7 +147,7 @@ enum Solve {
 /// dense integrator is the offload rung, so `Dense` is that rung configured
 /// at the direct rung's options and reached by one injected failure (which
 /// costs no integrator work).
-fn burn_once(net: &dyn Network, eos: &StellarEos, solve: Solve) -> (f64, BdfStats) {
+fn burn_once(net: &Network, eos: &StellarEos, solve: Solve) -> (f64, BdfStats) {
     let mut cfg = BurnerConfig {
         ladder: RetryLadder::none(),
         ..Default::default()
@@ -210,7 +206,7 @@ fn zone_set(x0: &[f64], count: usize) -> Vec<ZoneBurn<'_>> {
 /// not a ratio of two best-ofs, which pairs numbers from different rounds
 /// (best-of ratios read 1.78–2.49 at one commit on a 2-vCPU host).
 fn throughput_sweep(
-    net: &dyn Network,
+    net: &Network,
     eos: &StellarEos,
     widths: &[usize],
     zones: &[ZoneBurn],
@@ -267,9 +263,9 @@ fn bench(c: &mut Criterion) {
     let smoke = test_mode();
     let samples = if smoke { 3 } else { 25 };
     let eos = StellarEos;
-    let iso7 = Iso7::new();
-    let aprox13 = Aprox13::new();
-    let nets: [(&str, &dyn Network); 2] = [("iso7", &iso7), ("aprox13", &aprox13)];
+    let iso7 = Network::iso7();
+    let aprox13 = Network::aprox13();
+    let nets: [(&str, &Network); 2] = [("iso7", &iso7), ("aprox13", &aprox13)];
 
     let mut metrics: Vec<MetricPoint> = Vec::new();
     // One reaction (cburn2) against nine and fifteen: the temperature
@@ -280,8 +276,8 @@ fn bench(c: &mut Criterion) {
     // round's ratio, so a load transient that lands on a round moves both
     // of its sides.
     println!("=== burner lane-step parts: RHS, Jacobian, EOS (ns per call) ===");
-    let cburn2 = CBurn2::new();
-    let part_nets: [(&str, &dyn Network); 3] =
+    let cburn2 = Network::cburn2();
+    let part_nets: [(&str, &Network); 3] =
         [("cburn2", &cburn2), ("iso7", &iso7), ("aprox13", &aprox13)];
     let mut parts: Vec<_> = part_nets
         .iter()

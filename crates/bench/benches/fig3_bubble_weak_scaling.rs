@@ -7,7 +7,7 @@ use exastro_amr::{BoxArray, DistStrategy, DistributionMapping, Geometry, IndexBo
 use exastro_bench::{write_bench_json, BenchPoint};
 use exastro_machine::{bubble_point, bubble_series, bubble_series_overlapped, Machine};
 use exastro_maestro::{bubble_maestro, init_bubble, BubbleParams, LmLayout};
-use exastro_microphysics::{CBurn2, Network, StellarEos};
+use exastro_microphysics::{Network, StellarEos};
 
 fn print_figure() {
     let m = Machine::summit();
@@ -65,7 +65,7 @@ fn bench(c: &mut Criterion) {
 
     // Real solver micro-reference: one low-Mach step on a 16³ bubble.
     static EOS: StellarEos = StellarEos;
-    let net = Box::leak(Box::new(CBurn2::new()));
+    let net = Box::leak(Box::new(Network::cburn2()));
     let geom = Geometry::new(
         IndexBox::cube(16),
         [0.0; 3],

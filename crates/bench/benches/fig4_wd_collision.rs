@@ -18,7 +18,7 @@ use exastro_castro::{
     contact_diagnostics, detonation_stability, init_collision, BurnOptions, Castro,
     CollisionParams, Gravity, GravityMode, StateLayout, T_IGNITION,
 };
-use exastro_microphysics::{CBurn2, Network, StellarEos};
+use exastro_microphysics::{Network, StellarEos};
 
 fn collision_params() -> CollisionParams {
     CollisionParams {
@@ -50,7 +50,7 @@ fn run_collision(n: i32, max_steps: usize) -> RunResult {
     let ba = BoxArray::decompose(geom.domain(), (n / 2).max(8), 4);
     let dm = DistributionMapping::all_local(&ba);
     let eos = StellarEos;
-    let net = CBurn2::new();
+    let net = Network::cburn2();
     let layout = StateLayout::new(net.nspec());
     let mut state = MultiFab::new(ba, dm, layout.ncomp(), 2);
     init_collision(&mut state, &geom, &layout, &eos, &net, &params);
@@ -159,7 +159,7 @@ fn bench(c: &mut Criterion) {
     let ba = BoxArray::decompose(geom.domain(), 8, 4);
     let dm = DistributionMapping::all_local(&ba);
     let eos = StellarEos;
-    let net = CBurn2::new();
+    let net = Network::cburn2();
     let layout = StateLayout::new(net.nspec());
     let mut state = MultiFab::new(ba, dm, layout.ncomp(), 2);
     init_collision(&mut state, &geom, &layout, &eos, &net, &params);

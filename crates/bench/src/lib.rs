@@ -12,7 +12,7 @@ pub mod verify;
 
 use exastro_amr::{BcSpec, BoxArray, DistributionMapping, Geometry, MultiFab};
 use exastro_castro::{Castro, Floors, Hydro, KernelStructure, StateLayout};
-use exastro_microphysics::{CBurn2, GammaLaw, Network};
+use exastro_microphysics::{GammaLaw, Network};
 use exastro_parallel::Real;
 use exastro_telemetry::json;
 use std::io::Write;
@@ -173,12 +173,15 @@ pub fn write_metrics_json(name: &str, metrics: &[MetricPoint]) -> std::io::Resul
 }
 
 /// Build a ready-to-run Sedov state for kernel benchmarking.
-pub fn sedov_fixture(n: i32, max_grid: i32) -> (Geometry, MultiFab, StateLayout, GammaLaw, CBurn2) {
+pub fn sedov_fixture(
+    n: i32,
+    max_grid: i32,
+) -> (Geometry, MultiFab, StateLayout, GammaLaw, Network) {
     let geom = Geometry::cube(n, 1.0, false);
     let ba = BoxArray::decompose(geom.domain(), max_grid, 8);
     let dm = DistributionMapping::all_local(&ba);
     let eos = GammaLaw::monatomic();
-    let net = CBurn2::new();
+    let net = Network::cburn2();
     let layout = StateLayout::new(net.nspec());
     let mut state = MultiFab::new(ba, dm, layout.ncomp(), 2);
     exastro_castro::init_sedov(
@@ -194,7 +197,7 @@ pub fn sedov_fixture(n: i32, max_grid: i32) -> (Geometry, MultiFab, StateLayout,
 /// A Castro driver configured for dimensionless benchmark problems.
 pub fn bench_castro<'a>(
     eos: &'a GammaLaw,
-    net: &'a CBurn2,
+    net: &'a Network,
     structure: KernelStructure,
 ) -> Castro<'a> {
     let mut c = Castro::new(eos, net);

@@ -30,8 +30,8 @@ use exastro_amr::{
 };
 use exastro_maestro::{bubble_maestro, init_bubble, BubbleParams, LmLayout};
 use exastro_microphysics::{
-    mass_to_molar, Aprox13, BatchWorkspace, BdfErrorKind, BdfIntegrator, BdfOptions, BdfStats,
-    BurnFaultConfig, BurnStats, BurnerConfig, CBurn2, CsrPattern, LaneStatus, Network, OdeSystem,
+    mass_to_molar, BatchWorkspace, BdfErrorKind, BdfIntegrator, BdfOptions, BdfStats,
+    BurnFaultConfig, BurnStats, BurnerConfig, CsrPattern, LaneStatus, Network, OdeSystem,
     OffloadOptions, RecoveredBurn, RetryLadder, SparseLu, StellarEos, ZoneBurn,
 };
 use std::sync::Arc;
@@ -196,7 +196,7 @@ pub fn robertson_rows(case: Case, reference: &[f64; 3]) -> [BdfRow; 4] {
 /// burner is dense, and always alone: there is no dense chunk to measure).
 /// `atol` is the burner's 10⁻¹² until rtol needs less: a looser one leaves
 /// abundances negative enough to fail the burner's own validation.
-pub fn burn_cell(net: &Aprox13, solver: Solver, width: usize, rtol: f64) -> RecoveredBurn {
+pub fn burn_cell(net: &Network, solver: Solver, width: usize, rtol: f64) -> RecoveredBurn {
     let bdf = BdfOptions::builder()
         .rtol(rtol)
         .atol((rtol * 1e-4).min(1e-12))
@@ -263,7 +263,7 @@ fn burn_cell_err(y: &[f64], reference: &[f64]) -> f64 {
 }
 
 /// A burn_cell case's rows against `reference` ([`burn_cell_state`]).
-pub fn burn_cell_rows(net: &Aprox13, case: Case, reference: &[f64]) -> [BdfRow; 4] {
+pub fn burn_cell_rows(net: &Network, case: Case, reference: &[f64]) -> [BdfRow; 4] {
     RTOLS.map(|rtol| {
         let rec = burn_cell(net, case.0, case.1, rtol);
         BdfRow {
@@ -291,7 +291,7 @@ impl BurnedField {
     /// Read the mass fractions `x_comps` and the temperature `t_comp` of
     /// every zone of `geom`'s domain from `state`.
     fn read(
-        net: &dyn Network,
+        net: &Network,
         state: &MultiFab,
         geom: &Geometry,
         x_comps: impl Fn(usize) -> usize,
@@ -320,7 +320,7 @@ impl BurnedField {
 
 /// The 16³ low-Mach bubble of `tests/pins/bubble_step.rs` (eight 8³ boxes
 /// on two ranks) and the dt of its first step.
-pub fn bubble_16(net: &dyn Network) -> (MultiFab, LmLayout, Geometry, f64) {
+pub fn bubble_16(net: &Network) -> (MultiFab, LmLayout, Geometry, f64) {
     let geom = Geometry::new(
         IndexBox::cube(16),
         [0.0; 3],
@@ -350,7 +350,7 @@ pub fn bubble_16(net: &dyn Network) -> (MultiFab, LmLayout, Geometry, f64) {
 /// The first Strang half of a bubble step, burned as `Maestro::advance`
 /// burns it but through `cfg`'s burner.
 pub fn burn_bubble_half_step(
-    net: &dyn Network,
+    net: &Network,
     cfg: &BurnerConfig,
     state: &mut MultiFab,
     layout: &LmLayout,
@@ -384,7 +384,7 @@ pub fn burn_bubble_half_step(
 
 /// The bubble's half-step through `cfg`.
 fn bubble_field(cfg: &BurnerConfig) -> BurnedField {
-    let net = CBurn2::new();
+    let net = Network::cburn2();
     let (mut state, layout, geom, dt) = bubble_16(&net);
     let stats = burn_bubble_half_step(&net, cfg, &mut state, &layout, dt);
     let x = |s| layout.spec(s);
@@ -403,7 +403,7 @@ const FIELD_X: usize = 2;
 /// Without jitter its temperatures tie in octant-symmetric groups of 8,
 /// 24 or 48 zones, which fill whole chunks of the sorted sweep at the
 /// default width: here the decomposition cannot change a chunk's zones.
-fn aprox13_field(net: &Aprox13, box_size: i32) -> (MultiFab, Geometry) {
+fn aprox13_field(net: &Network, box_size: i32) -> (MultiFab, Geometry) {
     let n = 8;
     let geom = Geometry::cube(n, 8e7, false);
     let ba = BoxArray::decompose(geom.domain(), box_size, box_size);
@@ -432,7 +432,7 @@ fn aprox13_field(net: &Aprox13, box_size: i32) -> (MultiFab, Geometry) {
 /// The aprox13 field in boxes of `box_size`, burned for `burn_field`'s
 /// 8·10⁻⁷ s through `cfg`'s burner.
 fn aprox13_sweep(cfg: &BurnerConfig, box_size: i32) -> BurnedField {
-    let net = Aprox13::new();
+    let net = Network::aprox13();
     let (mut state, geom) = aprox13_field(&net, box_size);
     let nspec = net.nspec();
     let stats = cfg
@@ -577,7 +577,7 @@ pub fn rung() -> Vec<MetricPoint> {
     for case in CASES {
         bdf("robertson", case, &robertson_rows(case, &reference));
     }
-    let net = Aprox13::new();
+    let net = Network::aprox13();
     let reference = burn_cell_state(&burn_cell(&net, Solver::Sparse, 1, REFERENCE_RTOL));
     for case in &CASES[..3] {
         bdf("burn_cell", *case, &burn_cell_rows(&net, *case, &reference));

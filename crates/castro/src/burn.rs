@@ -55,7 +55,7 @@ impl Default for BurnOptions {
 pub fn burn_state(
     state: &mut MultiFab,
     dt: Real,
-    net: &dyn Network,
+    net: &Network,
     eos: &dyn Eos,
     layout: &StateLayout,
     opts: &BurnOptions,
@@ -113,7 +113,7 @@ fn sweep(
 mod tests {
     use super::*;
     use exastro_amr::{BoxArray, DistributionMapping, IntVect};
-    use exastro_microphysics::{CBurn2, StellarEos};
+    use exastro_microphysics::StellarEos;
 
     fn carbon_state(n: i32, hot_center: bool) -> (Geometry, MultiFab, StateLayout) {
         let geom = Geometry::cube(n, 1e8, false);
@@ -142,7 +142,7 @@ mod tests {
     #[test]
     fn cold_state_is_all_skipped() {
         let (geom, mut state, layout) = carbon_state(8, false);
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let eos = StellarEos;
         let ex = ExecSpace::Serial;
         let stats = burn_state(
@@ -164,7 +164,7 @@ mod tests {
     #[test]
     fn hot_zones_burn_and_release_energy() {
         let (geom, mut state, layout) = carbon_state(8, true);
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let eos = StellarEos;
         let ex = ExecSpace::Serial;
         let e_before = state.sum(StateLayout::EDEN);
@@ -193,7 +193,7 @@ mod tests {
     #[test]
     fn a_step_counts_every_zone_once_in_each_strang_half() {
         let (geom, mut state, _) = carbon_state(8, true);
-        let (net, eos) = (CBurn2::new(), StellarEos);
+        let (net, eos) = (Network::cburn2(), StellarEos);
         let mut castro = crate::Castro::new(&eos, &net);
         castro.burn = Some(BurnOptions::default());
         let (stats, _) = castro.advance_level(&mut state, &geom, 1e-9).unwrap();
@@ -205,7 +205,7 @@ mod tests {
     #[test]
     fn burn_cost_is_nonuniform_with_hot_outliers() {
         let (geom, mut state, layout) = carbon_state(8, true);
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let eos = StellarEos;
         let ex = ExecSpace::Serial;
         let stats = burn_state(
@@ -233,7 +233,7 @@ mod tests {
     #[test]
     fn injected_faults_recover_through_the_ladder() {
         let (geom, mut state, layout) = carbon_state(8, true);
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let eos = StellarEos;
         let ex = ExecSpace::Serial;
         let opts = BurnOptions {
@@ -268,7 +268,7 @@ mod tests {
             BdfErrorKind::SingularMatrix,
         ] {
             let (geom, mut state, layout) = carbon_state(8, true);
-            let net = CBurn2::new();
+            let net = Network::cburn2();
             let eos = StellarEos;
             let ex = ExecSpace::Serial;
             let opts = BurnOptions {
@@ -297,7 +297,7 @@ mod tests {
         // A starved step budget with the ladder disabled: the integrator's
         // own MaxSteps error must reach the caller as a structured failure.
         let (geom, mut state, layout) = carbon_state(8, true);
-        let (net, eos) = (CBurn2::new(), StellarEos);
+        let (net, eos) = (Network::cburn2(), StellarEos);
         let mut cfg = BurnerConfig {
             ladder: exastro_microphysics::RetryLadder::none(),
             ..Default::default()

@@ -38,7 +38,7 @@ pub fn detonation_stability(
     geom: &Geometry,
     layout: &StateLayout,
     eos: &dyn Eos,
-    net: &dyn Network,
+    net: &Network,
     eps_floor: Real,
 ) -> StabilityReport {
     let dx = geom.min_dx();
@@ -89,13 +89,7 @@ pub fn detonation_stability(
 
 /// The resolution at which a burning zone becomes marginally stable:
 /// `Δx_crit = c_s τ_burn`. Zones narrower than this resolve the runaway.
-pub fn critical_zone_width(
-    rho: Real,
-    t: Real,
-    x: &[Real],
-    eos: &dyn Eos,
-    net: &dyn Network,
-) -> Real {
+pub fn critical_zone_width(rho: Real, t: Real, x: &[Real], eos: &dyn Eos, net: &Network) -> Real {
     let mut y = vec![0.0; net.nspec()];
     mass_to_molar(net.species(), x, &mut y);
     let eps = net.eps(rho, t, &y).max(1e-300);

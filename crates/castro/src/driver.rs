@@ -42,7 +42,7 @@ pub struct Castro<'a> {
     /// Equation of state.
     pub eos: &'a dyn Eos,
     /// Reaction network (used when `burn` is set).
-    pub net: &'a dyn Network,
+    pub net: &'a Network,
     /// Hydro solver options.
     pub hydro: Hydro,
     /// Gravity solver.
@@ -65,7 +65,7 @@ pub struct Castro<'a> {
 impl<'a> Castro<'a> {
     /// A driver with sensible defaults: flat kernels, pool arena, serial
     /// execution, no gravity, no burning, outflow boundaries.
-    pub fn new(eos: &'a dyn Eos, net: &'a dyn Network) -> Self {
+    pub fn new(eos: &'a dyn Eos, net: &'a Network) -> Self {
         Castro {
             layout: StateLayout::new(net.nspec()),
             eos,

@@ -734,7 +734,7 @@ mod tests {
     use crate::state::cons_to_prim;
     use exastro_amr::{BcKind, BoxArray, DistributionMapping};
     use exastro_microphysics::network::Network;
-    use exastro_microphysics::{Aprox13, CBurn2, Composition, GammaLaw, StellarEos};
+    use exastro_microphysics::{Composition, GammaLaw, StellarEos};
     use exastro_parallel::PoolArena;
     use proptest::prelude::{Strategy, TestRng};
 
@@ -759,7 +759,7 @@ mod tests {
         let layout = StateLayout::new(2);
         let mut state = MultiFab::new(ba, dm, layout.ncomp(), 2);
         let eos = GammaLaw { gamma: 1.4 };
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let comp = Composition::from_mass_fractions(net.species(), &[1.0, 0.0]);
         for i in 0..state.nfabs() {
             let vb = state.valid_box(i);
@@ -785,7 +785,7 @@ mod tests {
         dim: usize,
     ) -> (Geometry, MultiFab, StateLayout) {
         let (geom, mut state, layout, eos) = sod_state(128, dim);
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let hydro = Hydro {
             cfl: 0.4,
             structure,
@@ -901,7 +901,7 @@ mod tests {
     fn smooth_state(geom: &Geometry, layout: &StateLayout, eos: &GammaLaw) -> MultiFab {
         let ba = BoxArray::decompose(geom.domain(), 4, 4);
         let mut state = MultiFab::local(ba, layout.ncomp(), 2);
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let comp = Composition::from_mass_fractions(net.species(), &[0.7, 0.3]);
         for i in 0..state.nfabs() {
             let vb = state.valid_box(i);
@@ -1039,7 +1039,7 @@ mod tests {
         let swept = |dim: usize| IntVect::dim_vec(dim) * 2;
         let layout = StateLayout::new(2);
         let eos = GammaLaw { gamma: 1.4 };
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let arena = PoolArena::new();
         for structure in [KernelStructure::Flat, KernelStructure::Legacy] {
             for periodic in [true, false] {
@@ -1159,7 +1159,7 @@ mod tests {
         let layout = StateLayout::new(2);
         let mut state = MultiFab::local(ba, layout.ncomp(), 2);
         let eos = GammaLaw { gamma: 1.4 };
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let comp = Composition::from_mass_fractions(net.species(), &[0.5, 0.5]);
         for i in 0..state.nfabs() {
             let vb = state.valid_box(i);
@@ -1238,7 +1238,7 @@ mod tests {
             lens: Default::default(),
         };
         let (geom, mut state, layout, eos) = sod_state(32, 0);
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let hydro = Hydro {
             floors: Floors::dimensionless(),
             ..Default::default()
@@ -1295,7 +1295,7 @@ mod tests {
         use crate::driver::{Castro, StateViolation, StepError};
         use crate::sedov::{init_sedov, SedovParams};
         let eos = GammaLaw::monatomic();
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let geom = Geometry::cube(16, 1.0, false);
         let mut castro = Castro::new(&eos, &net);
         castro.hydro.floors = Floors::dimensionless();
@@ -1376,7 +1376,7 @@ mod tests {
     fn estimate_dt_on_the_pool_equals_the_serial_loop_bitwise() {
         let layout = StateLayout::new(2);
         let eos = GammaLaw { gamma: 1.4 };
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let geom = Geometry::cube(16, 1.0, true);
         let hydro = Hydro {
             cfl: 0.4,
@@ -1642,7 +1642,7 @@ mod tests {
         // against the per-zone and per-face code the row kernels replaced
         // (`reference`), and through every branch of that code.
         let mut rng = TestRng::from_name("row_kernels_match_the_per_face_oracle_bit_for_bit");
-        let (cburn2, aprox13) = (CBurn2::new(), Aprox13::new());
+        let (cburn2, aprox13) = (Network::cburn2(), Network::aprox13());
         let (gamma_law, stellar) = (GammaLaw::monatomic(), StellarEos);
         for case in 0..600 {
             let n = Strategy::sample(&(1i32..=9), &mut rng);

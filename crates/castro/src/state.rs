@@ -302,7 +302,7 @@ pub(crate) fn cons_to_prim_lanes(
 mod tests {
     use super::*;
     use exastro_microphysics::network::Network;
-    use exastro_microphysics::{CBurn2, GammaLaw};
+    use exastro_microphysics::GammaLaw;
 
     #[test]
     fn layout_indices() {
@@ -321,7 +321,7 @@ mod tests {
 
     #[test]
     fn cons_prim_roundtrip_gamma_law() {
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let layout = StateLayout::new(2);
         let eos = GammaLaw::monatomic();
         let floors = Floors::default();
@@ -352,7 +352,7 @@ mod tests {
 
     #[test]
     fn negative_kinetic_energy_residual_falls_back_to_eint() {
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let layout = StateLayout::new(2);
         let eos = GammaLaw::monatomic();
         let floors = Floors::default();

@@ -61,7 +61,7 @@ pub fn init_collision(
     geom: &Geometry,
     layout: &StateLayout,
     eos: &dyn Eos,
-    net: &dyn Network,
+    net: &Network,
     params: &CollisionParams,
 ) {
     let c = [

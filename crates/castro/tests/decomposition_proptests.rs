@@ -11,7 +11,7 @@ use exastro_amr::{BoxArray, DistributionMapping, Geometry, MultiFab};
 use exastro_castro::{
     init_sedov, Castro, Floors, Hydro, KernelStructure, SedovParams, StateLayout,
 };
-use exastro_microphysics::{CBurn2, GammaLaw, Network};
+use exastro_microphysics::{GammaLaw, Network};
 use proptest::prelude::*;
 
 mod common;
@@ -22,13 +22,13 @@ fn sedov_state(n: i32, max_grid: i32, periodic: bool) -> (Geometry, MultiFab) {
     let ba = BoxArray::decompose(geom.domain(), max_grid, 8);
     let dm = DistributionMapping::all_local(&ba);
     let eos = GammaLaw::monatomic();
-    let layout = StateLayout::new(CBurn2::new().nspec());
+    let layout = StateLayout::new(Network::cburn2().nspec());
     let mut state = MultiFab::new(ba, dm, layout.ncomp(), 2);
     init_sedov(&mut state, &geom, &layout, &eos, &SedovParams::default());
     (geom, state)
 }
 
-fn castro<'a>(eos: &'a GammaLaw, net: &'a CBurn2) -> Castro<'a> {
+fn castro<'a>(eos: &'a GammaLaw, net: &'a Network) -> Castro<'a> {
     let mut c = Castro::new(eos, net);
     c.hydro = Hydro {
         cfl: 0.4,
@@ -58,7 +58,7 @@ proptest! {
         prop_assert_eq!(whole.nfabs(), 1);
         let mut inline = split.clone();
         let eos = GammaLaw::monatomic();
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let castro = castro(&eos, &net);
 
         let mut dt = castro.estimate_dt(&whole, &geom);

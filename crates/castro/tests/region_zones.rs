@@ -8,13 +8,13 @@
 
 use exastro_amr::{BoxArray, Geometry, MultiFab};
 use exastro_castro::{init_sedov, Castro, Floors, Gravity, GravityMode, SedovParams};
-use exastro_microphysics::{CBurn2, GammaLaw};
+use exastro_microphysics::{GammaLaw, Network};
 use exastro_telemetry::Telemetry;
 
 #[test]
 fn a_sedov_step_and_a_monopole_source_report_their_zones() {
     Telemetry::reset();
-    let (eos, net) = (GammaLaw::monatomic(), CBurn2::new());
+    let (eos, net) = (GammaLaw::monatomic(), Network::cburn2());
     let geom = Geometry::cube(16, 1.0, false);
     let mut castro = Castro::new(&eos, &net);
     castro.hydro.cfl = 0.4;

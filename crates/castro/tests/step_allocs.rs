@@ -12,12 +12,12 @@ mod counting_alloc;
 use counting_alloc::allocations_of_at_least;
 use exastro_amr::{BoxArray, Geometry, MultiFab};
 use exastro_castro::{init_sedov, Castro, Floors, SedovParams};
-use exastro_microphysics::{CBurn2, GammaLaw};
+use exastro_microphysics::{GammaLaw, Network};
 
 #[test]
 fn warm_sedov_steps_make_no_large_allocation_and_no_arena_miss() {
     let eos = GammaLaw::monatomic();
-    let net = CBurn2::new();
+    let net = Network::cburn2();
     let geom = Geometry::cube(32, 1.0, false);
     let mut castro = Castro::new(&eos, &net);
     castro.hydro.cfl = 0.4;

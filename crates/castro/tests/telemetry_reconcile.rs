@@ -7,7 +7,7 @@
 
 use exastro_amr::{BoxArray, DistributionMapping, Geometry, IntVect, MultiFab};
 use exastro_castro::{variable_names, BurnOptions, Castro, StateLayout};
-use exastro_microphysics::{BdfErrorKind, BurnFaultConfig, CBurn2, StellarEos};
+use exastro_microphysics::{BdfErrorKind, BurnFaultConfig, Network, StellarEos};
 use exastro_resilience::snapshot::{Clock, Snapshot};
 use exastro_resilience::CheckpointManager;
 use exastro_telemetry::{MemorySink, Telemetry};
@@ -43,7 +43,7 @@ fn carbon_state(n: i32) -> (Geometry, MultiFab, StateLayout) {
 fn step_metrics_reconcile_with_driver_stats_and_burner_telemetry() {
     Telemetry::reset();
     Telemetry::enable();
-    let net = CBurn2::new();
+    let net = Network::cburn2();
     let eos = StellarEos;
     let mut castro = Castro::new(&eos, &net);
     // Every burned zone fails its first attempt and recovers on the

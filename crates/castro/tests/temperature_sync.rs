@@ -9,7 +9,7 @@ use exastro_castro::{
     GravityMode, SedovParams, StateLayout, StateViolation,
 };
 use exastro_microphysics::{
-    CBurn2, Composition, DensityStage, Eos, EosResult, GammaLaw, Network, StellarEos,
+    Composition, DensityStage, Eos, EosResult, GammaLaw, Network, StellarEos,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -72,7 +72,7 @@ impl<E: Eos> Eos for Counting<E> {
 fn sedov<'a>(
     eos: &'a dyn Eos,
     gamma_law: &GammaLaw,
-    net: &'a CBurn2,
+    net: &'a Network,
     n: i32,
     max_box: i32,
 ) -> (Castro<'a>, Geometry, MultiFab) {
@@ -95,7 +95,7 @@ fn sedov<'a>(
 
 /// A white-dwarf collision driver on 16³ zones in eight boxes of 8³, and
 /// its initial state.
-fn collision<'a>(eos: &'a dyn Eos, net: &'a CBurn2) -> (Castro<'a>, Geometry, MultiFab) {
+fn collision<'a>(eos: &'a dyn Eos, net: &'a Network) -> (Castro<'a>, Geometry, MultiFab) {
     let params = CollisionParams {
         v_approach: 6e8,
         separation: 3.0,
@@ -198,7 +198,7 @@ fn assert_bitwise_equal(a: &MultiFab, b: &MultiFab) {
 #[test]
 fn resync_costs_at_most_two_eos_evaluations_per_zone() {
     let eos = Counting::new(GammaLaw::monatomic());
-    let net = CBurn2::new();
+    let net = Network::cburn2();
     let (castro, geom, mut state) = sedov(&eos, &eos.inner, &net, 24, 12);
     advance_to_post_hydro(&castro, &geom, &mut state, 5);
     eos.take();
@@ -221,7 +221,7 @@ fn one_sedov_hydro_advance_takes_a_pinned_number_of_eos_evaluations() {
     // was taken from the per-zone kernels the row kernels replaced: a lane
     // that has converged, or that lies past its row's end, evaluates nothing.
     let eos = Counting::new(GammaLaw::monatomic());
-    let net = CBurn2::new();
+    let net = Network::cburn2();
     let (castro, geom, mut state) = sedov(&eos, &eos.inner, &net, 24, 12);
     for _ in 0..2 {
         let dt = castro.estimate_dt(&state, &geom);
@@ -252,7 +252,7 @@ fn a_stellar_inversion_takes_one_density_stage_per_solved_zone() {
     // inversion takes its density stage once, however many temperature
     // iterates it runs, so the count is the geometry's.
     let eos = Counting::new(StellarEos);
-    let net = CBurn2::new();
+    let net = Network::cburn2();
     let (castro, geom, mut state) = collision(&eos, &net);
     let dt = castro.estimate_dt(&state, &geom);
     castro.advance_level(&mut state, &geom, dt).unwrap();
@@ -283,7 +283,7 @@ fn a_stellar_inversion_takes_one_density_stage_per_solved_zone() {
 fn cons_to_prim_costs_one_evaluation_from_a_converged_seed() {
     fn check<E: Eos>(eos: E, rho: Real, t: Real, perturbed_budget: Option<u64>) {
         let eos = Counting::new(eos);
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let layout = StateLayout::new(net.nspec());
         let x = [0.75, 0.25];
         let comp = Composition::from_mass_fractions(net.species(), &x);
@@ -321,7 +321,7 @@ fn resync_matches_the_per_zone_formula_bit_for_bit() {
     // floor and the new one pick the same seed, but for a few near-vacuum
     // zones pinned at `small_temp`, which either seed falls back to.
     let eos = StellarEos;
-    let net = CBurn2::new();
+    let net = Network::cburn2();
     let (castro, geom, mut state) = collision(&eos, &net);
     advance_to_post_hydro(&castro, &geom, &mut state, 2);
     let small_temp = castro.hydro.floors.small_temp;
@@ -350,7 +350,7 @@ fn resync_matches_the_per_zone_formula_bit_for_bit() {
 #[test]
 fn resync_seed_moves_the_temperature_by_less_than_the_solver_tolerance() {
     let eos = GammaLaw::monatomic();
-    let net = CBurn2::new();
+    let net = Network::cburn2();
     let (castro, geom, mut state) = sedov(&eos, &eos, &net, 24, 12);
     advance_to_post_hydro(&castro, &geom, &mut state, 5);
     let mut old_seed = state.clone();
@@ -371,7 +371,7 @@ fn resync_seed_moves_the_temperature_by_less_than_the_solver_tolerance() {
 #[test]
 fn resync_on_the_pool_equals_resync_on_one_thread() {
     let eos = GammaLaw::monatomic();
-    let net = CBurn2::new();
+    let net = Network::cburn2();
     let (castro, geom, mut pooled) = sedov(&eos, &eos, &net, 32, 8);
     assert_eq!(pooled.nfabs(), 64);
     advance_to_post_hydro(&castro, &geom, &mut pooled, 3);
@@ -384,7 +384,7 @@ fn resync_on_the_pool_equals_resync_on_one_thread() {
 #[test]
 fn validator_reports_the_first_violation_in_sweep_order_on_any_thread_count() {
     let eos = GammaLaw::monatomic();
-    let net = CBurn2::new();
+    let net = Network::cburn2();
     let (castro, _geom, mut state) = sedov(&eos, &eos, &net, 16, 8);
     assert_eq!(state.nfabs(), 8);
     let tol = castro.recovery.species_tol;
@@ -405,7 +405,7 @@ fn validator_reports_the_first_violation_in_sweep_order_on_any_thread_count() {
 #[test]
 fn validator_names_every_violation_it_checks() {
     let eos = GammaLaw::monatomic();
-    let net = CBurn2::new();
+    let net = Network::cburn2();
     let (castro, _geom, clean) = sedov(&eos, &eos, &net, 16, 8);
     let (layout, tol) = (castro.layout, castro.recovery.species_tol);
     let (fi, zone) = (3, clean.valid_box(3).lo() + IntVect::new(1, 2, 3));

@@ -3,7 +3,7 @@
 //! A hot bubble is seeded in a plane-parallel atmosphere with conditions
 //! like a pre-supernova white-dwarf core. The temperature perturbation
 //! ignites localized carbon fusion; the heated, lightened bubble rises
-//! buoyantly. The N = 2 network (`CBurn2`) matches the paper's test.
+//! buoyantly. The N = 2 network (`Network::cburn2`) matches the paper's test.
 
 use crate::base_state::BaseState;
 use crate::lowmach::{LmLayout, Maestro};
@@ -42,13 +42,13 @@ impl Default for BubbleParams {
 }
 
 /// Build the base state and initialize the bubble in `state`
-/// (fuel = 100% of the network's first species, i.e. carbon for `CBurn2`).
+/// (fuel = 100% of the network's first species, i.e. carbon for cburn2).
 pub fn init_bubble(
     state: &mut MultiFab,
     geom: &Geometry,
     layout: &LmLayout,
     eos: &dyn Eos,
-    net: &dyn Network,
+    net: &Network,
     params: &BubbleParams,
 ) -> BaseState {
     let nz = geom.domain().size().z() as usize;
@@ -142,7 +142,7 @@ pub fn bubble_diagnostics(
 }
 
 /// The Maestro driver pre-configured for the bubble problem.
-pub fn bubble_maestro<'a>(eos: &'a dyn Eos, net: &'a dyn Network, base: BaseState) -> Maestro<'a> {
+pub fn bubble_maestro<'a>(eos: &'a dyn Eos, net: &'a Network, base: BaseState) -> Maestro<'a> {
     Maestro {
         layout: LmLayout::new(net.nspec()),
         eos,

@@ -143,7 +143,7 @@ pub struct Maestro<'a> {
     /// EOS.
     pub eos: &'a dyn Eos,
     /// Reaction network.
-    pub net: &'a dyn Network,
+    pub net: &'a Network,
     /// Hydrostatic base state.
     pub base: BaseState,
     /// Enable reactions.
@@ -604,14 +604,14 @@ mod tests {
     use super::*;
     use crate::bubble::*;
     use exastro_amr::{BoxArray, DistStrategy, DistributionMapping, IndexBox};
-    use exastro_microphysics::{CBurn2, StellarEos};
+    use exastro_microphysics::StellarEos;
 
     fn bubble_setup(n: i32) -> (Geometry, MultiFab, Maestro<'static>, LmLayout) {
         // Statics so the Maestro driver can borrow for 'static in tests.
         use std::sync::OnceLock;
         static EOS: StellarEos = StellarEos;
-        static NET: OnceLock<CBurn2> = OnceLock::new();
-        let net = NET.get_or_init(CBurn2::new);
+        static NET: OnceLock<Network> = OnceLock::new();
+        let net = NET.get_or_init(Network::cburn2);
         let geom = Geometry::new(
             IndexBox::cube(n),
             [0.0; 3],
@@ -878,8 +878,8 @@ mod tests {
         // should develop only tiny velocities.
         use std::sync::OnceLock;
         static EOS: StellarEos = StellarEos;
-        static NET: OnceLock<CBurn2> = OnceLock::new();
-        let net = NET.get_or_init(CBurn2::new);
+        static NET: OnceLock<Network> = OnceLock::new();
+        let net = NET.get_or_init(Network::cburn2);
         let geom = Geometry::new(
             IndexBox::cube(16),
             [0.0; 3],

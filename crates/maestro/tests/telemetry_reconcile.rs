@@ -6,15 +6,15 @@ use exastro_amr::{
     BoxArray, CoordSys, DistStrategy, DistributionMapping, Geometry, IndexBox, MultiFab,
 };
 use exastro_maestro::{bubble_maestro, init_bubble, BubbleParams, LmLayout, Maestro};
-use exastro_microphysics::{CBurn2, StellarEos};
+use exastro_microphysics::{Network, StellarEos};
 use exastro_telemetry::{MemorySink, Telemetry};
 use std::sync::Arc;
 use std::sync::OnceLock;
 
 fn bubble_setup(n: i32) -> (Geometry, MultiFab, Maestro<'static>) {
     static EOS: StellarEos = StellarEos;
-    static NET: OnceLock<CBurn2> = OnceLock::new();
-    let net = NET.get_or_init(CBurn2::new);
+    static NET: OnceLock<Network> = OnceLock::new();
+    let net = NET.get_or_init(Network::cburn2);
     let geom = Geometry::new(
         IndexBox::cube(n),
         [0.0; 3],

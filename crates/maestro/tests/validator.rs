@@ -8,7 +8,7 @@ use exastro_amr::{
 use exastro_maestro::{
     bubble_maestro, init_bubble, BubbleParams, LmLayout, Maestro, StateViolation,
 };
-use exastro_microphysics::{CBurn2, StellarEos};
+use exastro_microphysics::{Network, StellarEos};
 use std::sync::OnceLock;
 
 #[path = "../../castro/tests/common/mod.rs"]
@@ -18,8 +18,8 @@ use common::on_one_thread;
 /// The 16³ reacting bubble in eight 8³ boxes.
 fn bubble() -> (Maestro<'static>, MultiFab) {
     static EOS: StellarEos = StellarEos;
-    static NET: OnceLock<CBurn2> = OnceLock::new();
-    let net = NET.get_or_init(CBurn2::new);
+    static NET: OnceLock<Network> = OnceLock::new();
+    let net = NET.get_or_init(Network::cburn2);
     let geom = Geometry::new(
         IndexBox::cube(16),
         [0.0; 3],

@@ -327,6 +327,12 @@ impl BatchWorkspace {
             refill(flags, w, false);
         }
     }
+
+    /// The reports of the last [`BdfIntegrator::integrate_lanes`] call in
+    /// this workspace, and the rate stages its systems took.
+    pub(crate) fn last_call(&self) -> (&[LaneReport], u64) {
+        (&self.reports, self.eval.rates.stages)
+    }
 }
 
 impl BdfIntegrator {
@@ -865,7 +871,7 @@ mod tests {
     use crate::burner::{BurnerConfig, ZoneBurn};
     use crate::eos::StellarEos;
     use crate::integrator::BdfOptions;
-    use crate::network::{Aprox13, CBurn2};
+    use crate::network::Network;
     use crate::recovery::{BurnFaultConfig, LadderRung};
     use crate::sparse::CsrPattern;
 
@@ -1096,7 +1102,7 @@ mod tests {
 
     #[test]
     fn burn_all_matches_the_scalar_ladder_closely() {
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let eos = StellarEos;
         let cfg = BurnerConfig {
             batch_width: 4,
@@ -1134,7 +1140,7 @@ mod tests {
 
     #[test]
     fn results_come_back_in_input_order_despite_sorting() {
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let eos = StellarEos;
         let cfg = BurnerConfig {
             batch_width: 4,
@@ -1177,7 +1183,7 @@ mod tests {
         // and is re-burned by the ladder, so the final state must be
         // *bit-identical* to a ladder-only burn, with the batch attempt
         // charged as one extra retry.
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let eos = StellarEos;
         let mut cfg = BurnerConfig {
             batch_width: 4,
@@ -1235,7 +1241,7 @@ mod tests {
         // `burner` row counted none of them. A unique outer region keeps
         // this test's rows apart from concurrently running tests.
         use exastro_telemetry::Telemetry;
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let eos = StellarEos;
         let mut cfg = BurnerConfig {
             batch_width: 4,
@@ -1266,7 +1272,7 @@ mod tests {
         // `burner` call holding every zone, and one batch-solve child
         // carrying the participants' summed solve time.
         use exastro_telemetry::Telemetry;
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let eos = StellarEos;
         let cfg = BurnerConfig {
             batch_width: 4,
@@ -1308,7 +1314,7 @@ mod tests {
         // across a chunk, so nothing is left poisoned and the next sweep
         // runs.
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let eos = StellarEos;
         let burner = BurnerConfig {
             batch_width: 4,
@@ -1332,7 +1338,7 @@ mod tests {
 
     #[test]
     fn faulted_zones_bypass_the_batch_and_ride_the_ladder() {
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let eos = StellarEos;
         let cfg = BurnerConfig {
             batch_width: 4,
@@ -1362,7 +1368,7 @@ mod tests {
 
     #[test]
     fn width_below_two_is_the_scalar_ladder_exactly() {
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let eos = StellarEos;
         let cfg = BurnerConfig {
             batch_width: 1,
@@ -1385,7 +1391,7 @@ mod tests {
 
     #[test]
     fn aprox13_batch_burn_is_physical() {
-        let net = Aprox13::new();
+        let net = Network::aprox13();
         let eos = StellarEos;
         let cfg = BurnerConfig {
             batch_width: 8,

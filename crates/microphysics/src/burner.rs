@@ -69,7 +69,7 @@ pub struct ZoneBurn<'x> {
 
 /// The self-heating burn of one zone at fixed density as an ODE system.
 struct BurnSystem<'a> {
-    net: &'a dyn Network,
+    net: &'a Network,
     eos: &'a dyn Eos,
     rho: f64,
     /// The last two EOS density stages at `rho`, newest first, each with
@@ -83,7 +83,7 @@ struct BurnSystem<'a> {
 }
 
 impl<'a> BurnSystem<'a> {
-    fn new(net: &'a dyn Network, eos: &'a dyn Eos, rho: f64) -> Self {
+    fn new(net: &'a Network, eos: &'a dyn Eos, rho: f64) -> Self {
         BurnSystem {
             net,
             eos,
@@ -135,12 +135,15 @@ pub(crate) struct RateMemo {
     keys: Vec<Option<([u64; LANES], bool)>>,
     /// Per block: a λ row per reaction, then a dλ/dT₉ row per reaction.
     rows: Vec<[f64; LANES]>,
+    /// Rate stages taken since the memo was last emptied.
+    pub(crate) stages: u64,
 }
 
 impl RateMemo {
-    /// Forget every block.
+    /// Forget every block, and the count of rate stages taken.
     pub(crate) fn clear(&mut self) {
         self.keys.clear();
+        self.stages = 0;
     }
 
     /// The λ and dλ/dT₉ rows of `block` at its lanes' `rho` and `temp`
@@ -149,7 +152,7 @@ impl RateMemo {
     /// the rate stage of the whole block, taken again and kept.
     fn rates(
         &mut self,
-        net: &dyn Network,
+        net: &Network,
         block: &Block,
         rho: [f64; LANES],
         temp: [f64; LANES],
@@ -168,6 +171,7 @@ impl RateMemo {
         if !hit {
             net.rates_lanes(rho, temp, lam, slopes.then_some(&mut *dlam));
             self.keys[b] = Some((bits, slopes));
+            self.stages += 1;
         }
         (lam, dlam)
     }
@@ -264,7 +268,7 @@ impl OdeSystem for BurnSystem<'_> {
 /// Row `n` of `W` burner Jacobians whose species rows are filled:
 /// dṪ/dY_j = (1/cv) Σ_i B_i N_A J_ij, and dṪ/dT likewise from the
 /// temperature column. (dc_v/d· terms neglected, as VODE-based burners do.)
-fn temperature_row<const W: usize>(net: &dyn Network, cv: [f64; W], jac: &mut [[f64; W]]) {
+fn temperature_row<const W: usize>(net: &Network, cv: [f64; W], jac: &mut [[f64; W]]) {
     let n = net.nspec();
     let m = n + 1;
     for j in 0..m {
@@ -382,7 +386,7 @@ impl BurnerConfig {
     /// distinct option set. The network's sparse LU is compiled here, once,
     /// and shared by the sparse ones; the offload rung stays dense (see
     /// [`crate::recovery::OffloadOptions`]).
-    pub fn build<'a>(&self, net: &'a dyn Network, eos: &'a dyn Eos) -> Burner<'a> {
+    pub fn build<'a>(&self, net: &'a Network, eos: &'a dyn Eos) -> Burner<'a> {
         let lu = Arc::new(SparseLu::compile(&net.sparsity()));
         let relaxed = self.ladder.tol_relax.map(|f| {
             let mut o = self.bdf.clone();
@@ -498,7 +502,7 @@ fn split_lengths<T>(mut v: &mut [T], lens: impl IntoIterator<Item = usize>) -> V
 /// Integrates nuclear burning zone by zone ([`Burner::burn_zone`]) or a
 /// sweep at a time ([`Burner::burn_all`]); see the module docs.
 pub struct Burner<'a> {
-    net: &'a dyn Network,
+    net: &'a Network,
     eos: &'a dyn Eos,
     width: usize,
     /// Chunks at `width` lanes; the direct and subcycle rungs at one.
@@ -761,9 +765,9 @@ impl<'a> Burner<'a> {
             scatter_lane(&p.lane_y0, w, lane, &mut p.y);
         }
         p.y_entry.clone_from(&p.y);
-        let reports = self
-            .direct
+        self.direct
             .integrate_lanes(&p.sys, 0.0, dt, &mut p.y, &mut p.ws);
+        let (reports, rate_stages) = p.ws.last_call();
         for (lane, &(_, _, i)) in chunk.iter().enumerate() {
             let zb = &zones[i];
             let report = &reports[lane];
@@ -775,11 +779,12 @@ impl<'a> Burner<'a> {
                     self.outcome(&p.lane_y0, &p.lane_y, report.stats)
                 })
                 .filter(|out| validate_outcome(out).is_ok());
-            let res = match in_batch {
+            let mut res = match in_batch {
                 Some(outcome) => Ok(RecoveredBurn {
                     outcome,
                     rung: LadderRung::Direct,
                     retries: 0,
+                    rate_stages: 0,
                 }),
                 // Dropout: re-burn from the entry state through the ladder
                 // (bit-identical to a ladder-only burn), charging the zone
@@ -802,6 +807,10 @@ impl<'a> Burner<'a> {
                     }
                 }
             };
+            // The chunk's rate stages are charged to its first zone.
+            if let (0, Ok(rec)) = (lane, &mut res) {
+                rec.rate_stages = rate_stages;
+            }
             p.done.push((i, res));
         }
         p.tally.lanes += w as u64;
@@ -844,6 +853,7 @@ impl<'a> Burner<'a> {
                                 outcome,
                                 rung,
                                 retries: attempts - 1,
+                                rate_stages: 0,
                             });
                         }
                         Err(kind) => last_err = kind,
@@ -994,6 +1004,8 @@ pub struct BurnStats {
     pub recovered_subcycle: u64,
     /// Zones rescued by the §VI outlier-offload rung.
     pub offloaded: u64,
+    /// Rate-stage blocks the chunks took (see [`RecoveredBurn::rate_stages`]).
+    pub rate_stages: u64,
 }
 
 impl BurnStats {
@@ -1004,6 +1016,7 @@ impl BurnStats {
         self.total_steps += rec.outcome.stats.steps;
         self.max_steps = self.max_steps.max(rec.outcome.stats.steps);
         self.newton_iters += rec.outcome.stats.newton_iters;
+        self.rate_stages += rec.rate_stages;
         if rec.retries > 0 {
             Telemetry::record_retries(rec.retries as u64);
             self.retries += rec.retries as u64;
@@ -1030,6 +1043,7 @@ impl BurnStats {
         self.recovered_relaxed += o.recovered_relaxed;
         self.recovered_subcycle += o.recovered_subcycle;
         self.offloaded += o.offloaded;
+        self.rate_stages += o.rate_stages;
     }
 }
 
@@ -1037,11 +1051,10 @@ impl BurnStats {
 mod tests {
     use super::*;
     use crate::eos::StellarEos;
-    use crate::network::{Aprox13, CBurn2, TripleAlpha};
 
     /// Burn one zone with the default configuration; none of these zones
     /// needs the ladder.
-    fn burn(net: &dyn Network, rho: f64, t0: f64, x0: &[f64], dt: f64) -> BurnOutcome {
+    fn burn(net: &Network, rho: f64, t0: f64, x0: &[f64], dt: f64) -> BurnOutcome {
         let rec = BurnerConfig::default()
             .build(net, &StellarEos)
             .burn_zone(0, rho, t0, x0, dt)
@@ -1057,7 +1070,7 @@ mod tests {
         // the first call after a change must take the density stage again,
         // the second may keep it. Then it evaluates once more at the
         // abundances before the move, whose μ_e the older kept stage has.
-        let net = Aprox13::new();
+        let net = Network::aprox13();
         let n = net.nspec();
         let rho = [1e3, 2e5, 3e7, 4e9];
         let lanes: Vec<BurnSystem> = rho.map(|r| BurnSystem::new(&net, &StellarEos, r)).into();
@@ -1109,7 +1122,7 @@ mod tests {
 
     #[test]
     fn quiescent_zone_stays_quiet() {
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         // Cold carbon: no burning on dynamical timescales.
         let out = burn(&net, 1e6, 1e7, &[1.0, 0.0], 1.0);
         assert!((out.x[0] - 1.0).abs() < 1e-10);
@@ -1122,7 +1135,7 @@ mod tests {
 
     #[test]
     fn hot_carbon_burns_exothermically() {
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let out = burn(&net, 5e7, 3e9, &[1.0, 0.0], 1e-6);
         assert!(out.x[0] < 0.999, "carbon should be consumed: {:?}", out.x);
         assert!(out.x[1] > 1e-4);
@@ -1135,7 +1148,7 @@ mod tests {
 
     #[test]
     fn triple_alpha_heats_helium() {
-        let net = TripleAlpha::new();
+        let net = Network::triple_alpha();
         let out = burn(&net, 1e6, 3e8, &[1.0, 0.0, 0.0], 1e-2);
         assert!(out.x[1] > 0.0, "carbon produced: {:?}", out.x);
         assert!(out.t > 3e8);
@@ -1144,7 +1157,7 @@ mod tests {
 
     #[test]
     fn aprox13_burn_conserves_mass_and_releases_energy() {
-        let net = Aprox13::new();
+        let net = Network::aprox13();
         let mut x0 = vec![0.0; 13];
         x0[1] = 0.5; // C12
         x0[2] = 0.5; // O16
@@ -1171,6 +1184,7 @@ mod tests {
             },
             rung,
             retries,
+            rate_stages: steps / 5,
         };
         let mut tally = BurnStats {
             skipped: 1,
@@ -1190,6 +1204,7 @@ mod tests {
         assert_eq!(tally.recovered_relaxed, 1);
         assert_eq!(tally.recovered_subcycle, 1);
         assert_eq!(tally.offloaded, 1);
+        assert_eq!(tally.rate_stages, 51);
         // Two Strang halves: counts add, the outlier is the larger one.
         tally.energy_released = 2.5;
         let mut step = BurnStats {
@@ -1198,6 +1213,7 @@ mod tests {
         };
         step.merge(&tally);
         assert_eq!((step.zones, step.skipped, step.retries), (8, 2, 12));
+        assert_eq!(step.rate_stages, 102);
         assert_eq!((step.max_steps, step.energy_released), (300, 5.0));
     }
 
@@ -1214,7 +1230,7 @@ mod tests {
         );
         let mut state = MultiFab::local(ba, 1, 0);
         assert_eq!(state.nfabs(), 2);
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let burner = BurnerConfig {
             faults: Some(BurnFaultConfig {
                 seed: 1,
@@ -1289,8 +1305,7 @@ mod tests {
             mask in 0u32..512,
             seed in 0u64..1_000_000,
         ) {
-            let (a13, c2) = (Aprox13::new(), CBurn2::new());
-            let net: &dyn Network = if aprox13 { &a13 } else { &c2 };
+            let net = &if aprox13 { Network::aprox13() } else { Network::cburn2() };
             let (m, w) = (net.nspec() + 1, width);
             let mut s = seed | 1;
             let mut rng = move || {
@@ -1338,36 +1353,9 @@ mod tests {
         }
     }
 
-    /// A network that counts its rate-stage block evaluations.
-    struct Counted<'a>(&'a dyn Network, std::sync::atomic::AtomicU64);
-    impl Network for Counted<'_> {
-        fn name(&self) -> &'static str {
-            self.0.name()
-        }
-        fn species(&self) -> &[crate::species::Species] {
-            self.0.species()
-        }
-        fn reactions(&self) -> &[crate::network::Reaction] {
-            self.0.reactions()
-        }
-        fn t_needs(&self) -> crate::rates::TNeeds {
-            self.0.t_needs()
-        }
-        fn rates_lanes(
-            &self,
-            rho: [f64; LANES],
-            t: [f64; LANES],
-            lam: &mut [[f64; LANES]],
-            dlam: Option<&mut [[f64; LANES]]>,
-        ) {
-            self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.0.rates_lanes(rho, t, lam, dlam)
-        }
-    }
-
     /// A burn system evaluated afresh at every call: nothing is kept from
     /// one evaluation to the next.
-    struct Fresh<'a>(&'a dyn Network, f64);
+    struct Fresh<'a>(&'a Network, f64);
     impl OdeSystem for Fresh<'_> {
         fn dim(&self) -> usize {
             self.0.nspec() + 1
@@ -1394,9 +1382,7 @@ mod tests {
             width in 1usize..18,
             seed in 0u64..u64::MAX,
         ) {
-            let (c2, i7, a13) = (CBurn2::new(), crate::network::Iso7::new(), Aprox13::new());
-            let inner: [&dyn Network; 3] = [&c2, &i7, &a13];
-            let net = Counted(inner[net_idx], Default::default());
+            let net = &[Network::cburn2(), Network::iso7(), Network::aprox13()][net_idx];
             let (m, w) = (net.nspec() + 1, width);
             let mut s = seed | 1;
             let mut u = move || {
@@ -1404,7 +1390,7 @@ mod tests {
                 (s >> 11) as f64 / (1u64 << 53) as f64
             };
             let lanes: Vec<BurnSystem> = (0..w)
-                .map(|_| BurnSystem::new(&net, &StellarEos, 10f64.powf(3.0 + 6.0 * u())))
+                .map(|_| BurnSystem::new(net, &StellarEos, 10f64.powf(3.0 + 6.0 * u())))
                 .collect();
             let mut y = vec![0.0; m * w];
             for l in 0..w {
@@ -1454,7 +1440,7 @@ mod tests {
                     let lane: Vec<f64> = (0..m).map(|i| y[i * w + l]).collect();
                     let mut fresh = vec![sentinel; size];
                     if want[l] {
-                        let sys = Fresh(inner[net_idx], lanes[l].rho);
+                        let sys = Fresh(net, lanes[l].rho);
                         if jacobian {
                             sys.jac(0.0, &lane, &mut fresh);
                         } else {
@@ -1471,7 +1457,7 @@ mod tests {
                     }
                 }
             }
-            let evaluated = net.1.load(std::sync::atomic::Ordering::Relaxed) as usize;
+            let evaluated = scratch.rates.stages as usize;
             proptest::prop_assert!(evaluated <= blocks);
             proptest::prop_assert!(evaluated < blocks, "no block hit: {evaluated} of {blocks}");
         }
@@ -1483,7 +1469,7 @@ mod tests {
         // thousands of ulps while T keeps its bits. Call one leaves every
         // block keyed at T0, at which call two runs at other densities
         // throughout: kept rates would screen at the old ρ.
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let (w, t0) = (5, 3e9);
         let integ = BdfIntegrator::sparse(
             BurnerConfig::default().bdf,
@@ -1541,7 +1527,7 @@ mod tests {
     #[test]
     fn enuc_is_consistent_with_temperature_rise() {
         // At constant density, ε integrated should ≈ ∫cv dT. Loose check.
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let (rho, t0) = (5e8, 2.5e9);
         let out = burn(&net, rho, t0, &[1.0, 0.0], 3e-8);
         assert!(out.t > t0 && out.enuc > 0.0);

@@ -10,8 +10,9 @@
 //! * [`eos`] — gamma-law and analytic stellar (ion + radiation + degenerate
 //!   electron) equations of state;
 //! * [`rates`] — Gamow-peak reaction-rate fits and plasma screening;
-//! * [`network`] — the reaction-network framework and the `cburn2`,
-//!   `triple_alpha`, `iso7`, and `aprox13` networks;
+//! * [`network`] — a reaction network as a table of species and
+//!   reactions, evaluated in a rate stage and an abundance stage, and its
+//!   `cburn2`, `triple_alpha`, `iso7` and `aprox13` constructors;
 //! * [`linalg`] — dense LU with partial pivoting;
 //! * [`sparse`] — sparsity patterns and the pattern-specialized sparse LU
 //!   with precomputed symbolic factorization (the analytic sparse-Jacobian
@@ -52,7 +53,7 @@ pub use integrator::{
     BdfStats, OdeSystem,
 };
 pub use linalg::{DenseLu, Singular};
-pub use network::{Aprox13, CBurn2, Iso7, Network, Reaction, TripleAlpha};
+pub use network::{Aprox13, CBurn2, Network, Reaction};
 pub use rates::{gamow_tau_alpha, screening_factor, Rate, TFactors, TNeeds};
 pub use recovery::{
     BurnFailure, BurnFaultConfig, LadderRung, OffloadOptions, RecoveredBurn, RetryLadder,

@@ -1,23 +1,28 @@
 //! Nuclear reaction networks.
 //!
-//! A network is species plus reactions with molar rate coefficients,
-//! evaluated in two stages: the *rate stage* ([`Network::rates_lanes`])
-//! takes each screened λ (and dλ/dT₉) at (ρ, T) and never reads Y; the
-//! *abundance stage* ([`Network::ydot_from_rates`], `jac_from_rates`)
-//! forms dY/dt or the Jacobian in Y and T from those rows. Every `ydot`
-//! and `jac` composes the two; a burner block keeps its rates while its
+//! A [`Network`] is a table: species, reactions with molar rate
+//! coefficients, and whether the rates are screened. It is evaluated in two
+//! stages: the *rate stage* ([`Network::rates_lanes`]) takes each screened
+//! λ (and dλ/dT₉) at (ρ, T) and never reads Y; the *abundance stage*
+//! ([`Network::ydot_from_rates`], `jac_from_rates`) forms dY/dt or the
+//! Jacobian in Y and T from those rows. [`Network::ydot`], `jac` and `eps`
+//! compose the two at one zone; a burner block keeps its rates while its
 //! temperatures keep their bits.
 //!
-//! * [`CBurn2`] — the N = 2 carbon-burning network of the MAESTROeX
-//!   reacting-bubble test (§IV-B);
-//! * [`TripleAlpha`] — helium burning with its ~T⁴⁰ sensitivity (§IV-B);
-//! * [`Aprox13`] — the alpha chain of the WD collision runs (§V, §VI).
+//! * [`Network::cburn2`] — the N = 2 carbon-burning network of the
+//!   MAESTROeX reacting-bubble test (§IV-B);
+//! * [`Network::triple_alpha`] — helium burning with its ~T⁴⁰ sensitivity
+//!   (§IV-B);
+//! * [`Network::iso7`] — the cheaper seven-isotope alternative to aprox13;
+//! * [`Network::aprox13`] — the alpha chain of the WD collision runs (§V,
+//!   §VI).
 
 use crate::rates::{gamow_tau_alpha, Rate, TFactors, TNeeds};
 use crate::sparse::CsrPattern;
 use crate::species::{energy_rate, iso, Species};
 use exastro_parallel::LANES;
 use std::array::from_fn;
+use std::ops::Deref;
 
 #[cfg(test)]
 mod reference;
@@ -74,66 +79,219 @@ impl Reaction {
     }
 }
 
-/// A nuclear reaction network.
-pub trait Network: Send + Sync {
+/// The most species and the most reactions a network has: a one-zone
+/// evaluation holds its rates and rate rows on the stack.
+const MAX_ROWS: usize = 32;
+
+/// A nuclear reaction network: its species, its reactions and whether
+/// their rates are screened. Each network is a constructor.
+#[derive(Clone, Debug)]
+pub struct Network {
+    name: &'static str,
+    species: Vec<Species>,
+    reactions: Vec<Reaction>,
+    /// Whether to apply the plasma screening enhancement.
+    screening: bool,
+    /// The temperature-factor families the rate fits read: worked out once,
+    /// here ([`TNeeds::of`] the reactions' rates), never per evaluation.
+    needs: TNeeds,
+}
+
+impl Network {
+    /// The screened network of `species` and `reactions`.
+    fn new(name: &'static str, species: Vec<Species>, reactions: Vec<Reaction>) -> Self {
+        assert!(
+            species.len() <= MAX_ROWS && reactions.len() <= MAX_ROWS,
+            "{name}: more than {MAX_ROWS} species or reactions"
+        );
+        Network {
+            name,
+            species,
+            needs: TNeeds::of(reactions.iter().map(|rx| rx.rate)),
+            reactions,
+            screening: true,
+        }
+    }
+
+    /// The 2-species carbon network of the reacting-bubble problem:
+    /// `C¹² + C¹² → Mg²⁴` (ash lumped, as in the MAESTROeX test problem).
+    pub fn cburn2() -> Self {
+        let species = vec![iso::C12, iso::MG24];
+        let reactions = vec![Reaction::pair(0, vec![(1, 1)], Rate::C12C12)];
+        Network::new("cburn2", species, reactions)
+    }
+
+    /// Helium burning (He4, C12, O16): `3 He⁴ → C¹²` and `C¹²(α,γ)O¹⁶`.
+    pub fn triple_alpha() -> Self {
+        let species = vec![iso::HE4, iso::C12, iso::O16];
+        let reactions = vec![
+            Reaction::triple(0, vec![(1, 1)], Rate::TripleAlpha),
+            Reaction::two_body(
+                1,
+                0,
+                vec![(2, 1)],
+                Rate::AlphaCapture {
+                    c: 3.0e7,
+                    tau: gamow_tau_alpha(6.0, 12.0),
+                },
+            ),
+        ];
+        Network::new("triple_alpha", species, reactions)
+    }
+
+    /// The 7-isotope network (iso7 structure): the cheaper production
+    /// alternative to aprox13, covering He/C/O burning through silicon with
+    /// nickel as the terminal ash. Silicon burning to nickel is lumped as
+    /// the crude `2 Si²⁸ → Ni⁵⁶` closure used by minimal silicon-burning
+    /// networks.
+    pub fn iso7() -> Self {
+        let species = vec![
+            iso::HE4,
+            iso::C12,
+            iso::O16,
+            iso::NE20,
+            iso::MG24,
+            iso::SI28,
+            iso::NI56,
+        ];
+        let (he, c12, o16, ne20, mg24, si28, ni56) = (0usize, 1, 2, 3, 4, 5, 6);
+        let reactions = vec![
+            Reaction::triple(he, vec![(c12, 1)], Rate::TripleAlpha),
+            Reaction::two_body(
+                c12,
+                he,
+                vec![(o16, 1)],
+                Rate::AlphaCapture {
+                    c: 3.0e7,
+                    tau: gamow_tau_alpha(6.0, 12.0),
+                },
+            ),
+            Reaction::pair(c12, vec![(ne20, 1), (he, 1)], Rate::C12C12),
+            Reaction::two_body(c12, o16, vec![(mg24, 1), (he, 1)], Rate::C12O16),
+            Reaction::pair(o16, vec![(si28, 1), (he, 1)], Rate::O16O16),
+            Reaction::two_body(
+                o16,
+                he,
+                vec![(ne20, 1)],
+                Rate::AlphaCapture {
+                    c: 1.5e7,
+                    tau: gamow_tau_alpha(8.0, 16.0),
+                },
+            ),
+            Reaction::two_body(
+                ne20,
+                he,
+                vec![(mg24, 1)],
+                Rate::AlphaCapture {
+                    c: 1.0e9,
+                    tau: gamow_tau_alpha(10.0, 20.0),
+                },
+            ),
+            Reaction::two_body(
+                mg24,
+                he,
+                vec![(si28, 1)],
+                Rate::AlphaCapture {
+                    c: 8.0e8,
+                    tau: gamow_tau_alpha(12.0, 24.0),
+                },
+            ),
+            // Lumped silicon → nickel closure (2×28 = 56 nucleons).
+            Reaction::pair(
+                si28,
+                vec![(ni56, 1)],
+                Rate::AlphaCapture {
+                    c: 5.0e10,
+                    tau: gamow_tau_alpha(14.0, 28.0) * 2.0,
+                },
+            ),
+        ];
+        Network::new("iso7", species, reactions)
+    }
+
+    /// The 13-isotope alpha chain (aprox13 structure): He⁴ through Ni⁵⁶
+    /// connected by `(α,γ)` captures, plus ³α, C+C, C+O and O+O heavy-ion
+    /// reactions. Forward rates only — adequate below T₉ ≈ 5, which covers
+    /// the paper's science runs (ignition is declared at 4×10⁹ K).
+    pub fn aprox13() -> Self {
+        let species = vec![
+            iso::HE4,
+            iso::C12,
+            iso::O16,
+            iso::NE20,
+            iso::MG24,
+            iso::SI28,
+            iso::S32,
+            iso::AR36,
+            iso::CA40,
+            iso::TI44,
+            iso::CR48,
+            iso::FE52,
+            iso::NI56,
+        ];
+        let he = 0usize;
+        let mut reactions = vec![
+            Reaction::triple(he, vec![(1, 1)], Rate::TripleAlpha),
+            // C12 + C12 → Ne20 + He4 (dominant channel in aprox13)
+            Reaction::pair(1, vec![(3, 1), (he, 1)], Rate::C12C12),
+            // C12 + O16 → Mg24 + He4
+            Reaction::two_body(1, 2, vec![(4, 1), (he, 1)], Rate::C12O16),
+            // O16 + O16 → Si28 + He4
+            Reaction::pair(2, vec![(5, 1), (he, 1)], Rate::O16O16),
+        ];
+        // The alpha chain: X_i (α,γ) X_{i+1} for C12 → Ni56.
+        for i in 1..12 {
+            let sp = &species[i];
+            // Normalizations chosen to give silicon-group burning at the
+            // right temperatures qualitatively; heavier captures have
+            // higher Coulomb barriers through τ.
+            let c = 8.0e9 / (1.0 + i as f64);
+            reactions.push(Reaction::two_body(
+                i,
+                he,
+                vec![(i + 1, 1)],
+                Rate::AlphaCapture {
+                    c,
+                    tau: gamow_tau_alpha(sp.z, sp.a),
+                },
+            ));
+        }
+        Network::new("aprox13", species, reactions)
+    }
+
     /// Short name for reports.
-    fn name(&self) -> &'static str;
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
 
     /// The species tracked.
-    fn species(&self) -> &[Species];
+    pub fn species(&self) -> &[Species] {
+        &self.species
+    }
 
     /// The reaction list.
-    fn reactions(&self) -> &[Reaction];
-
-    /// Whether to apply the plasma screening enhancement.
-    fn screening(&self) -> bool {
-        true
+    pub fn reactions(&self) -> &[Reaction] {
+        &self.reactions
     }
 
     /// Number of species.
-    fn nspec(&self) -> usize {
-        self.species().len()
+    pub fn nspec(&self) -> usize {
+        self.species.len()
     }
 
     /// Index of a species by name; panics if absent.
-    fn index_of(&self, name: &str) -> usize {
-        self.species()
+    pub fn index_of(&self, name: &str) -> usize {
+        self.species
             .iter()
             .position(|s| s.name == name)
-            .unwrap_or_else(|| panic!("species {name} not in network {}", self.name()))
-    }
-
-    /// The temperature-factor families this network's rate fits read:
-    /// worked out once, when the network is built
-    /// ([`TNeeds::of`] its reactions' rates), never per evaluation.
-    fn t_needs(&self) -> TNeeds;
-
-    /// Fill `ydot` (length nspec) with dY/dt at (ρ, T, Y): one lane of
-    /// [`Network::ydot_lanes`].
-    fn ydot(&self, rho: f64, t: f64, y: &[f64], ydot: &mut [f64]) {
-        ydot_body(self, [rho], [t], y.as_chunks().0, ydot.as_chunks_mut().0);
-    }
-
-    /// [`Network::ydot`] of [`LANES`] zones, bit for bit: `y[i][l]` is
-    /// species `i`'s molar abundance in zone `l`, and `ydot` (nspec rows)
-    /// receives dY/dt the same way. The rate stage
-    /// ([`Network::rates_lanes`]) and then the abundance stage
-    /// ([`Network::ydot_from_rates`]).
-    fn ydot_lanes(
-        &self,
-        rho: [f64; LANES],
-        t: [f64; LANES],
-        y: &[[f64; LANES]],
-        ydot: &mut [[f64; LANES]],
-    ) {
-        ydot_body(self, rho, t, y, ydot);
+            .unwrap_or_else(|| panic!("species {name} not in network {}", self.name))
     }
 
     /// The rate stage of [`LANES`] zones: row `k` of `lam` receives the
     /// screened rate coefficient λ of reaction `k` in every lane and, given
     /// `dlam`, row `k` of it dλ/dT₉. λ reads no slope factor, so its bits
     /// do not depend on whether `dlam` is asked for.
-    fn rates_lanes(
+    pub fn rates_lanes(
         &self,
         rho: [f64; LANES],
         t: [f64; LANES],
@@ -143,9 +301,11 @@ pub trait Network: Send + Sync {
         rates_body(self, rho, t, lam, dlam);
     }
 
-    /// The abundance stage of [`Network::ydot_lanes`] on the rows `lam` of
-    /// [`Network::rates_lanes`] taken at the same ρ.
-    fn ydot_from_rates(
+    /// The abundance stage of dY/dt on the rows `lam` of
+    /// [`Network::rates_lanes`] taken at the same ρ: `y[i][l]` is species
+    /// `i`'s molar abundance in zone `l`, and `ydot` (nspec rows) receives
+    /// dY/dt the same way.
+    pub fn ydot_from_rates(
         &self,
         rho: [f64; LANES],
         lam: &[[f64; LANES]],
@@ -155,47 +315,10 @@ pub trait Network: Send + Sync {
         ydot_from_rates_body(self, rho, lam, y, ydot);
     }
 
-    /// Specific nuclear energy generation rate ε (erg g⁻¹ s⁻¹) at the state:
-    /// [`energy_rate`] of a one-lane [`Network::ydot`]. The rates of up to
-    /// 32 species are held on the stack, a larger network's on the heap.
-    fn eps(&self, rho: f64, t: f64, y: &[f64]) -> f64 {
-        let n = self.nspec();
-        let mut stack = [0.0; EPS_MAX_SPECIES];
-        let mut heap = Vec::new();
-        let ydot = if n <= EPS_MAX_SPECIES {
-            &mut stack[..n]
-        } else {
-            heap.resize(n, 0.0);
-            &mut heap[..]
-        };
-        self.ydot(rho, t, y, ydot);
-        energy_rate(self.species(), ydot)
-    }
-
-    /// Fill the `(n+1) × (n+1)` row-major Jacobian block for the species:
-    /// rows `0..n` hold ∂Ẏᵢ/∂Yⱼ in columns `0..n` and ∂Ẏᵢ/∂T in column `n`.
-    /// Row `n` (the temperature equation) is left zero for the burner to
-    /// fill. `jac` has length `(n+1)²`. One lane of [`Network::jac_lanes`].
-    fn jac(&self, rho: f64, t: f64, y: &[f64], jac: &mut [f64]) {
-        jac_body(self, [rho], [t], y.as_chunks().0, jac.as_chunks_mut().0);
-    }
-
-    /// [`Network::jac`] of [`LANES`] zones, bit for bit, on the layout of
-    /// [`Network::ydot_lanes`]: `jac` holds `(n+1)²` rows. The rate stage
-    /// with slopes and then [`Network::jac_from_rates`].
-    fn jac_lanes(
-        &self,
-        rho: [f64; LANES],
-        t: [f64; LANES],
-        y: &[[f64; LANES]],
-        jac: &mut [[f64; LANES]],
-    ) {
-        jac_body(self, rho, t, y, jac);
-    }
-
-    /// The abundance stage of [`Network::jac_lanes`] on the rows `lam` and
-    /// `dlam` of [`Network::rates_lanes`] taken at the same ρ with slopes.
-    fn jac_from_rates(
+    /// The abundance stage of the Jacobian on the rows `lam` and `dlam` of
+    /// [`Network::rates_lanes`] taken at the same ρ with slopes: `jac`
+    /// holds `(n+1)²` rows, laid out as [`Network::jac`]'s entries.
+    pub fn jac_from_rates(
         &self,
         rho: [f64; LANES],
         lam: &[[f64; LANES]],
@@ -206,14 +329,52 @@ pub trait Network: Send + Sync {
         jac_from_rates_body(self, rho, lam, dlam, y, jac);
     }
 
+    /// Fill `ydot` (length nspec) with dY/dt at (ρ, T, Y): the rate stage,
+    /// then the abundance stage, at one lane.
+    pub fn ydot(&self, rho: f64, t: f64, y: &[f64], ydot: &mut [f64]) {
+        let mut rows = [[0.0]; MAX_ROWS];
+        let lam = &mut rows[..self.reactions.len()];
+        rates_body(self, [rho], [t], lam, None);
+        ydot_from_rates_body(self, [rho], lam, y.as_chunks().0, ydot.as_chunks_mut().0);
+    }
+
+    /// Specific nuclear energy generation rate ε (erg g⁻¹ s⁻¹) at the state:
+    /// [`energy_rate`] of [`Network::ydot`].
+    pub fn eps(&self, rho: f64, t: f64, y: &[f64]) -> f64 {
+        let mut ydot = [0.0; MAX_ROWS];
+        let ydot = &mut ydot[..self.nspec()];
+        self.ydot(rho, t, y, ydot);
+        energy_rate(&self.species, ydot)
+    }
+
+    /// Fill the `(n+1) × (n+1)` row-major Jacobian block for the species:
+    /// rows `0..n` hold ∂Ẏᵢ/∂Yⱼ in columns `0..n` and ∂Ẏᵢ/∂T in column `n`.
+    /// Row `n` (the temperature equation) is left zero for the burner to
+    /// fill. `jac` has length `(n+1)²`. The rate stage with slopes, then
+    /// the abundance stage, at one lane.
+    pub fn jac(&self, rho: f64, t: f64, y: &[f64], jac: &mut [f64]) {
+        let r = self.reactions.len();
+        let mut rows = [[0.0]; 2 * MAX_ROWS];
+        let (lam, dlam) = rows[..2 * r].split_at_mut(r);
+        rates_body(self, [rho], [t], lam, Some(&mut *dlam));
+        jac_from_rates_body(
+            self,
+            [rho],
+            lam,
+            dlam,
+            y.as_chunks().0,
+            jac.as_chunks_mut().0,
+        );
+    }
+
     /// The structural sparsity of the full `(n+1)²` burner Jacobian
     /// (species block plus the dense temperature row/column), ready for
     /// symbolic factorization by [`crate::sparse::SparseLu`].
-    fn sparsity(&self) -> CsrPattern {
+    pub fn sparsity(&self) -> CsrPattern {
         let n = self.nspec();
         let m = n + 1;
         let mut entries = Vec::new();
-        for rx in self.reactions() {
+        for rx in &self.reactions {
             let mut involved: Vec<usize> = Vec::new();
             for &(i, _) in &rx.reactants {
                 involved.push(i);
@@ -229,7 +390,7 @@ pub trait Network: Send + Sync {
             }
         }
         // Temperature row couples to everything a reaction touches.
-        for rx in self.reactions() {
+        for rx in &self.reactions {
             for &(j, _) in &rx.reactants {
                 entries.push((n, j));
             }
@@ -239,20 +400,67 @@ pub trait Network: Send + Sync {
     }
 }
 
-/// Species a one-lane [`Network::eps`] holds its rates for on the stack.
-const EPS_MAX_SPECIES: usize = 32;
+/// [`Network::cburn2`] as a type of its own, kept only because the
+/// benchmark (`examples/perf_ledger`) names it; no workspace code uses it.
+/// It goes, with [`Aprox13`] and castro's `ExecSpace`, when the benchmark
+/// is next edited.
+pub struct CBurn2(Network);
+
+/// [`Network::aprox13`] as a type of its own, for the benchmark only, as
+/// [`CBurn2`] is.
+pub struct Aprox13(Network);
+
+impl Default for CBurn2 {
+    fn default() -> Self {
+        CBurn2(Network::cburn2())
+    }
+}
+
+impl Default for Aprox13 {
+    fn default() -> Self {
+        Aprox13(Network::aprox13())
+    }
+}
+
+impl CBurn2 {
+    /// [`Network::cburn2`].
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+impl Aprox13 {
+    /// [`Network::aprox13`].
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+impl Deref for CBurn2 {
+    type Target = Network;
+    fn deref(&self) -> &Network {
+        &self.0
+    }
+}
+
+impl Deref for Aprox13 {
+    type Target = Network;
+    fn deref(&self) -> &Network {
+        &self.0
+    }
+}
 
 /// The temperature factors every reaction of `net` shares at the lanes'
 /// (ρ, T): one per evaluation. `slopes`: the Jacobian's dλ/dT₉ factors too.
 #[inline(always)]
-fn shared_factors<N: Network + ?Sized, const W: usize>(
-    net: &N,
+fn shared_factors<const W: usize>(
+    net: &Network,
     rho: [f64; W],
     t: [f64; W],
     slopes: bool,
 ) -> TFactors<W> {
-    let tf = TFactors::lanes(t.map(|t| t / 1e9), net.t_needs(), slopes);
-    if net.screening() {
+    let tf = TFactors::lanes(t.map(|t| t / 1e9), net.needs, slopes);
+    if net.screening {
         // Mean values matter only logarithmically here.
         tf.with_screening_lanes(rho, t, 12.0, 6.0)
     } else {
@@ -263,8 +471,8 @@ fn shared_factors<N: Network + ?Sized, const W: usize>(
 /// The (screened) rate coefficient λ of `rx` and, with `slopes`, dλ/dT₉:
 /// the only place a network evaluates a fit or a screening factor.
 #[inline(always)]
-fn screened_rate<N: Network + ?Sized, const W: usize>(
-    net: &N,
+fn screened_rate<const W: usize>(
+    net: &Network,
     rx: &Reaction,
     tf: &TFactors<W>,
     slopes: bool,
@@ -274,12 +482,12 @@ fn screened_rate<N: Network + ?Sized, const W: usize>(
     } else {
         (rx.rate.lambda_lanes(tf), [0.0; W])
     };
-    if net.screening() && rx.order() >= 2 {
+    if net.screening && rx.order() >= 2 {
         // Screening applied with the charges of the first two reactants.
         let (i0, _) = rx.reactants[0];
-        let z1 = net.species()[i0].z;
+        let z1 = net.species[i0].z;
         let z2 = if rx.reactants.len() > 1 {
-            net.species()[rx.reactants[1].0].z
+            net.species[rx.reactants[1].0].z
         } else {
             z1
         };
@@ -348,32 +556,11 @@ fn accumulate<const W: usize>(
     }
 }
 
-/// Reactions whose rate rows a composed evaluation holds on the stack;
-/// a larger network's go on the heap.
-const STACK_REACTIONS: usize = 32;
-
-/// `f(λ rows, dλ/dT₉ rows)`, `r` of each, on the stack up to
-/// [`STACK_REACTIONS`] reactions and on the heap beyond.
-#[inline(always)]
-fn with_rate_rows<const W: usize>(r: usize, f: impl FnOnce(&mut [[f64; W]], &mut [[f64; W]])) {
-    let mut stack = [[0.0; W]; 2 * STACK_REACTIONS];
-    let mut heap = Vec::new();
-    let rows = if r <= STACK_REACTIONS {
-        &mut stack[..2 * r]
-    } else {
-        heap.resize(2 * r, [0.0; W]);
-        &mut heap[..]
-    };
-    let (lam, dlam) = rows.split_at_mut(r);
-    f(lam, dlam)
-}
-
 /// The one rate stage: [`Network::rates_lanes`] at [`LANES`] and the first
-/// half of [`Network::ydot`]/[`Network::jac`] at `W` = 1, monomorphised
-/// per network.
+/// half of [`Network::ydot`]/[`Network::jac`] at `W` = 1.
 #[inline(always)]
-fn rates_body<N: Network + ?Sized, const W: usize>(
-    net: &N,
+fn rates_body<const W: usize>(
+    net: &Network,
     rho: [f64; W],
     t: [f64; W],
     lam: &mut [[f64; W]],
@@ -381,7 +568,7 @@ fn rates_body<N: Network + ?Sized, const W: usize>(
 ) {
     let slopes = dlam.is_some();
     let tf = shared_factors(net, rho, t, slopes);
-    for (k, rx) in net.reactions().iter().enumerate() {
+    for (k, rx) in net.reactions.iter().enumerate() {
         let (l, d) = screened_rate(net, rx, &tf, slopes);
         lam[k] = l;
         if let Some(dlam) = dlam.as_deref_mut() {
@@ -393,15 +580,15 @@ fn rates_body<N: Network + ?Sized, const W: usize>(
 /// The one right-hand side abundance stage: reactant products, ρ powers
 /// and accumulation onto `ydot` from the rate rows `lam`.
 #[inline(always)]
-fn ydot_from_rates_body<N: Network + ?Sized, const W: usize>(
-    net: &N,
+fn ydot_from_rates_body<const W: usize>(
+    net: &Network,
     rho: [f64; W],
     lam: &[[f64; W]],
     y: &[[f64; W]],
     ydot: &mut [[f64; W]],
 ) {
     ydot.iter_mut().for_each(|v| *v = [0.0; W]);
-    for (rx, lam) in net.reactions().iter().zip(lam) {
+    for (rx, lam) in net.reactions.iter().zip(lam) {
         let yprod = reactant_product(rx, y, None, [1.0; W]);
         let rho_pow = ipow(rho, rx.order() as i32 - 1);
         let r = from_fn(|l| rho_pow[l] * lam[l] * yprod[l] / rx.symmetry);
@@ -411,8 +598,8 @@ fn ydot_from_rates_body<N: Network + ?Sized, const W: usize>(
 
 /// The one Jacobian abundance stage, from the rate rows `lam` and `dlam`.
 #[inline(always)]
-fn jac_from_rates_body<N: Network + ?Sized, const W: usize>(
-    net: &N,
+fn jac_from_rates_body<const W: usize>(
+    net: &Network,
     rho: [f64; W],
     lam: &[[f64; W]],
     dlam: &[[f64; W]],
@@ -423,7 +610,7 @@ fn jac_from_rates_body<N: Network + ?Sized, const W: usize>(
     let m = n + 1;
     assert_eq!(jac.len(), m * m);
     jac.iter_mut().for_each(|v| *v = [0.0; W]);
-    for ((rx, lam), dlam_dt9) in net.reactions().iter().zip(lam).zip(dlam) {
+    for ((rx, lam), dlam_dt9) in net.reactions.iter().zip(lam).zip(dlam) {
         let yprod = reactant_product(rx, y, None, [1.0; W]);
         let rho_pow = ipow(rho, rx.order() as i32 - 1);
         // dr/dY_j for each distinct reactant j: r * c_j / Y_j computed
@@ -441,340 +628,28 @@ fn jac_from_rates_body<N: Network + ?Sized, const W: usize>(
     }
 }
 
-/// [`Network::ydot`] at `W` = 1 and [`Network::ydot_lanes`] at [`LANES`]:
-/// the rate stage, then the abundance stage.
-#[inline(always)]
-fn ydot_body<N: Network + ?Sized, const W: usize>(
-    net: &N,
-    rho: [f64; W],
-    t: [f64; W],
-    y: &[[f64; W]],
-    ydot: &mut [[f64; W]],
-) {
-    with_rate_rows(net.reactions().len(), |lam, _| {
-        rates_body(net, rho, t, lam, None);
-        ydot_from_rates_body(net, rho, lam, y, ydot);
-    });
-}
-
-/// [`Network::jac`] at `W` = 1 and [`Network::jac_lanes`] at [`LANES`]:
-/// the rate stage with slopes, then the abundance stage.
-#[inline(always)]
-fn jac_body<N: Network + ?Sized, const W: usize>(
-    net: &N,
-    rho: [f64; W],
-    t: [f64; W],
-    y: &[[f64; W]],
-    jac: &mut [[f64; W]],
-) {
-    with_rate_rows(net.reactions().len(), |lam, dlam| {
-        rates_body(net, rho, t, lam, Some(&mut *dlam));
-        jac_from_rates_body(net, rho, lam, dlam, y, jac);
-    });
-}
-
-fn rate_needs(reactions: &[Reaction]) -> TNeeds {
-    TNeeds::of(reactions.iter().map(|rx| rx.rate))
-}
-
-/// The 2-species carbon network of the reacting-bubble problem:
-/// `C¹² + C¹² → Mg²⁴` (ash lumped, as in the MAESTROeX test problem).
-#[derive(Clone, Debug)]
-pub struct CBurn2 {
-    species: Vec<Species>,
-    reactions: Vec<Reaction>,
-    needs: TNeeds,
-}
-
-impl Default for CBurn2 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CBurn2 {
-    /// Build the network.
-    pub fn new() -> Self {
-        let species = vec![iso::C12, iso::MG24];
-        let reactions = vec![Reaction::pair(0, vec![(1, 1)], Rate::C12C12)];
-        CBurn2 {
-            species,
-            needs: rate_needs(&reactions),
-            reactions,
-        }
-    }
-}
-
-impl Network for CBurn2 {
-    fn name(&self) -> &'static str {
-        "cburn2"
-    }
-    fn species(&self) -> &[Species] {
-        &self.species
-    }
-    fn reactions(&self) -> &[Reaction] {
-        &self.reactions
-    }
-    fn t_needs(&self) -> TNeeds {
-        self.needs
-    }
-}
-
-/// Helium burning: `3 He⁴ → C¹²` (+ optional `C¹²(α,γ)O¹⁶`).
-#[derive(Clone, Debug)]
-pub struct TripleAlpha {
-    species: Vec<Species>,
-    reactions: Vec<Reaction>,
-    needs: TNeeds,
-}
-
-impl Default for TripleAlpha {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TripleAlpha {
-    /// Build the network (He4, C12, O16).
-    pub fn new() -> Self {
-        let species = vec![iso::HE4, iso::C12, iso::O16];
-        let reactions = vec![
-            Reaction::triple(0, vec![(1, 1)], Rate::TripleAlpha),
-            Reaction::two_body(
-                1,
-                0,
-                vec![(2, 1)],
-                Rate::AlphaCapture {
-                    c: 3.0e7,
-                    tau: gamow_tau_alpha(6.0, 12.0),
-                },
-            ),
-        ];
-        TripleAlpha {
-            species,
-            needs: rate_needs(&reactions),
-            reactions,
-        }
-    }
-}
-
-impl Network for TripleAlpha {
-    fn name(&self) -> &'static str {
-        "triple_alpha"
-    }
-    fn species(&self) -> &[Species] {
-        &self.species
-    }
-    fn reactions(&self) -> &[Reaction] {
-        &self.reactions
-    }
-    fn t_needs(&self) -> TNeeds {
-        self.needs
-    }
-}
-
-/// The 7-isotope network (iso7 structure): the cheaper production
-/// alternative to aprox13, covering He/C/O burning through silicon with
-/// nickel as the terminal ash. Silicon burning to nickel is lumped as the
-/// crude `2 Si²⁸ → Ni⁵⁶` closure used by minimal silicon-burning networks.
-#[derive(Clone, Debug)]
-pub struct Iso7 {
-    species: Vec<Species>,
-    reactions: Vec<Reaction>,
-    needs: TNeeds,
-}
-
-impl Default for Iso7 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Iso7 {
-    /// Build the network.
-    pub fn new() -> Self {
-        let species = vec![
-            iso::HE4,
-            iso::C12,
-            iso::O16,
-            iso::NE20,
-            iso::MG24,
-            iso::SI28,
-            iso::NI56,
-        ];
-        let (he, c12, o16, ne20, mg24, si28, ni56) = (0usize, 1, 2, 3, 4, 5, 6);
-        let reactions = vec![
-            Reaction::triple(he, vec![(c12, 1)], Rate::TripleAlpha),
-            Reaction::two_body(
-                c12,
-                he,
-                vec![(o16, 1)],
-                Rate::AlphaCapture {
-                    c: 3.0e7,
-                    tau: gamow_tau_alpha(6.0, 12.0),
-                },
-            ),
-            Reaction::pair(c12, vec![(ne20, 1), (he, 1)], Rate::C12C12),
-            Reaction::two_body(c12, o16, vec![(mg24, 1), (he, 1)], Rate::C12O16),
-            Reaction::pair(o16, vec![(si28, 1), (he, 1)], Rate::O16O16),
-            Reaction::two_body(
-                o16,
-                he,
-                vec![(ne20, 1)],
-                Rate::AlphaCapture {
-                    c: 1.5e7,
-                    tau: gamow_tau_alpha(8.0, 16.0),
-                },
-            ),
-            Reaction::two_body(
-                ne20,
-                he,
-                vec![(mg24, 1)],
-                Rate::AlphaCapture {
-                    c: 1.0e9,
-                    tau: gamow_tau_alpha(10.0, 20.0),
-                },
-            ),
-            Reaction::two_body(
-                mg24,
-                he,
-                vec![(si28, 1)],
-                Rate::AlphaCapture {
-                    c: 8.0e8,
-                    tau: gamow_tau_alpha(12.0, 24.0),
-                },
-            ),
-            // Lumped silicon → nickel closure (2×28 = 56 nucleons).
-            Reaction::pair(
-                si28,
-                vec![(ni56, 1)],
-                Rate::AlphaCapture {
-                    c: 5.0e10,
-                    tau: gamow_tau_alpha(14.0, 28.0) * 2.0,
-                },
-            ),
-        ];
-        Iso7 {
-            species,
-            needs: rate_needs(&reactions),
-            reactions,
-        }
-    }
-}
-
-impl Network for Iso7 {
-    fn name(&self) -> &'static str {
-        "iso7"
-    }
-    fn species(&self) -> &[Species] {
-        &self.species
-    }
-    fn reactions(&self) -> &[Reaction] {
-        &self.reactions
-    }
-    fn t_needs(&self) -> TNeeds {
-        self.needs
-    }
-}
-
-/// The 13-isotope alpha chain (aprox13 structure): He⁴ through Ni⁵⁶
-/// connected by `(α,γ)` captures, plus ³α, C+C, C+O and O+O heavy-ion
-/// reactions. Forward rates only — adequate below T₉ ≈ 5, which covers the
-/// paper's science runs (ignition is declared at 4×10⁹ K).
-#[derive(Clone, Debug)]
-pub struct Aprox13 {
-    species: Vec<Species>,
-    reactions: Vec<Reaction>,
-    needs: TNeeds,
-}
-
-impl Default for Aprox13 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Aprox13 {
-    /// Build the network.
-    pub fn new() -> Self {
-        let species = vec![
-            iso::HE4,
-            iso::C12,
-            iso::O16,
-            iso::NE20,
-            iso::MG24,
-            iso::SI28,
-            iso::S32,
-            iso::AR36,
-            iso::CA40,
-            iso::TI44,
-            iso::CR48,
-            iso::FE52,
-            iso::NI56,
-        ];
-        let he = 0usize;
-        let mut reactions = vec![
-            Reaction::triple(he, vec![(1, 1)], Rate::TripleAlpha),
-            // C12 + C12 → Ne20 + He4 (dominant channel in aprox13)
-            Reaction::pair(1, vec![(3, 1), (he, 1)], Rate::C12C12),
-            // C12 + O16 → Mg24 + He4
-            Reaction::two_body(1, 2, vec![(4, 1), (he, 1)], Rate::C12O16),
-            // O16 + O16 → Si28 + He4
-            Reaction::pair(2, vec![(5, 1), (he, 1)], Rate::O16O16),
-        ];
-        // The alpha chain: X_i (α,γ) X_{i+1} for C12 → Ni56.
-        for i in 1..12 {
-            let sp = &species[i];
-            // Normalizations chosen to give silicon-group burning at the
-            // right temperatures qualitatively; heavier captures have
-            // higher Coulomb barriers through τ.
-            let c = 8.0e9 / (1.0 + i as f64);
-            reactions.push(Reaction::two_body(
-                i,
-                he,
-                vec![(i + 1, 1)],
-                Rate::AlphaCapture {
-                    c,
-                    tau: gamow_tau_alpha(sp.z, sp.a),
-                },
-            ));
-        }
-        Aprox13 {
-            species,
-            needs: rate_needs(&reactions),
-            reactions,
-        }
-    }
-}
-
-impl Network for Aprox13 {
-    fn name(&self) -> &'static str {
-        "aprox13"
-    }
-    fn species(&self) -> &[Species] {
-        &self.species
-    }
-    fn reactions(&self) -> &[Reaction] {
-        &self.reactions
-    }
-    fn t_needs(&self) -> TNeeds {
-        self.needs
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::species::mass_to_molar;
 
-    fn molar(net: &dyn Network, x: &[f64]) -> Vec<f64> {
+    fn molar(net: &Network, x: &[f64]) -> Vec<f64> {
         let mut y = vec![0.0; net.nspec()];
         mass_to_molar(net.species(), x, &mut y);
         y
     }
 
+    fn all_networks() -> [Network; 4] {
+        [
+            Network::cburn2(),
+            Network::triple_alpha(),
+            Network::iso7(),
+            Network::aprox13(),
+        ]
+    }
+
     /// Nucleon conservation: Σ A_i dY_i/dt = 0 for any reaction set.
-    fn check_nucleon_conservation(net: &dyn Network, rho: f64, t: f64, y: &[f64]) {
+    fn check_nucleon_conservation(net: &Network, rho: f64, t: f64, y: &[f64]) {
         let mut ydot = vec![0.0; net.nspec()];
         net.ydot(rho, t, y, &mut ydot);
         let sum: f64 = net.species().iter().zip(&ydot).map(|(s, &d)| s.a * d).sum();
@@ -788,7 +663,7 @@ mod tests {
 
     #[test]
     fn cburn2_consumes_carbon_makes_magnesium() {
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let y = molar(&net, &[1.0, 0.0]);
         let mut ydot = vec![0.0; 2];
         net.ydot(2.6e9 / 1e3, 6e8, &y, &mut ydot); // bubble-ish conditions
@@ -802,7 +677,7 @@ mod tests {
 
     #[test]
     fn rates_feedback_with_temperature() {
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let y = molar(&net, &[1.0, 0.0]);
         let e1 = net.eps(2.6e6, 5e8, &y);
         let e2 = net.eps(2.6e6, 6e8, &y);
@@ -814,7 +689,7 @@ mod tests {
 
     #[test]
     fn triple_alpha_makes_carbon_then_oxygen() {
-        let net = TripleAlpha::new();
+        let net = Network::triple_alpha();
         let y = molar(&net, &[1.0, 0.0, 0.0]);
         let mut ydot = vec![0.0; 3];
         net.ydot(1e5, 2e8, &y, &mut ydot);
@@ -829,7 +704,7 @@ mod tests {
 
     #[test]
     fn aprox13_structure() {
-        let net = Aprox13::new();
+        let net = Network::aprox13();
         assert_eq!(net.nspec(), 13);
         assert_eq!(net.index_of("he4"), 0);
         assert_eq!(net.index_of("ni56"), 12);
@@ -842,37 +717,6 @@ mod tests {
         check_nucleon_conservation(&net, 1e7, 3e9, &y);
         // C/O fuel at 3e9 K burns exothermically.
         assert!(net.eps(1e7, 3e9, &y) > 0.0);
-    }
-
-    /// CBurn2's carbon pair followed by inert helium, past the species
-    /// [`Network::eps`] holds on the stack.
-    struct Padded(Vec<Species>, Vec<Reaction>);
-    impl Network for Padded {
-        fn name(&self) -> &'static str {
-            "padded"
-        }
-        fn species(&self) -> &[Species] {
-            &self.0
-        }
-        fn reactions(&self) -> &[Reaction] {
-            &self.1
-        }
-        fn t_needs(&self) -> TNeeds {
-            rate_needs(&self.1)
-        }
-    }
-
-    #[test]
-    fn eps_of_a_network_past_the_stack_buffer() {
-        let small = CBurn2::new();
-        let mut species = small.species().to_vec();
-        species.resize(EPS_MAX_SPECIES + 8, iso::HE4);
-        let big = Padded(species, small.reactions().to_vec());
-        let mut y = vec![0.0; big.nspec()];
-        y[..2].copy_from_slice(&molar(&small, &[0.7, 0.3]));
-        let e = big.eps(2.6e6, 6e8, &y);
-        assert!(e > 0.0);
-        assert_eq!(e.to_bits(), small.eps(2.6e6, 6e8, &y[..2]).to_bits());
     }
 
     #[test]
@@ -923,7 +767,7 @@ mod tests {
 
     /// `ydot` and `jac` of `net` at `W` lanes, composed and one-pass.
     fn check_stages<const W: usize>(
-        net: &dyn Network,
+        net: &Network,
         (rho, t, y): ([f64; W], [f64; W], Vec<[f64; W]>),
         composed_ydot: impl Fn(&mut [[f64; W]]),
         composed_jac: impl Fn(&mut [[f64; W]]),
@@ -948,9 +792,7 @@ mod tests {
             net_idx in 0usize..4,
             seed in 0u64..u64::MAX,
         ) {
-            let nets: [&dyn Network; 4] =
-                [&CBurn2::new(), &TripleAlpha::new(), &Iso7::new(), &Aprox13::new()];
-            let net = nets[net_idx];
+            let net = &all_networks()[net_idx];
             let n = net.nspec();
             let mut s = seed | 1;
             let mut u = move || {
@@ -958,12 +800,6 @@ mod tests {
                 (s >> 11) as f64 / (1u64 << 53) as f64
             };
             let (rho, t, y) = stage_inputs::<LANES>(n, &mut u);
-            check_stages(
-                net,
-                (rho, t, y.clone()),
-                |ydot| net.ydot_lanes(rho, t, &y, ydot),
-                |jac| net.jac_lanes(rho, t, &y, jac),
-            );
             // λ is the same with and without the slopes.
             let r = net.reactions().len();
             let (mut lam, mut lam_s, mut dlam) =
@@ -971,6 +807,12 @@ mod tests {
             net.rates_lanes(rho, t, &mut lam, None);
             net.rates_lanes(rho, t, &mut lam_s, Some(&mut dlam));
             proptest::prop_assert!(lam.iter().zip(&lam_s).all(|(a, b)| a.map(f64::to_bits) == b.map(f64::to_bits)));
+            check_stages(
+                net,
+                (rho, t, y.clone()),
+                |ydot| net.ydot_from_rates(rho, &lam, &y, ydot),
+                |jac| net.jac_from_rates(rho, &lam_s, &dlam, &y, jac),
+            );
             let (rho, t, y) = stage_inputs::<1>(n, &mut u);
             let lane: Vec<f64> = y.iter().map(|v| v[0]).collect();
             check_stages(
@@ -990,7 +832,7 @@ mod tests {
         // the structure — dense He/T rows and columns, near-tridiagonal
         // chain block — is the same, which is what the sparse-solver
         // ablation exercises.
-        let net = Aprox13::new();
+        let net = Network::aprox13();
         let p = net.sparsity();
         assert_eq!(p.dim(), 14);
         let empty = p.empty_fraction();
@@ -1000,30 +842,8 @@ mod tests {
         );
     }
 
-    /// Wrapper disabling screening: the analytic Jacobian deliberately
-    /// neglects d(screening)/dT (weak screening), so the FD comparison of
-    /// the temperature column is run unscreened.
-    struct NoScreen(Aprox13);
-    impl Network for NoScreen {
-        fn name(&self) -> &'static str {
-            "aprox13-noscreen"
-        }
-        fn species(&self) -> &[Species] {
-            self.0.species()
-        }
-        fn reactions(&self) -> &[Reaction] {
-            self.0.reactions()
-        }
-        fn t_needs(&self) -> TNeeds {
-            self.0.t_needs()
-        }
-        fn screening(&self) -> bool {
-            false
-        }
-    }
-
     /// An aprox13 state with every species present, and its (ρ, T).
-    fn jacobian_probe(net: &dyn Network) -> (Vec<f64>, f64, f64) {
+    fn jacobian_probe(net: &Network) -> (Vec<f64>, f64, f64) {
         let mut x = vec![0.01; net.nspec()];
         x[0] = 0.2;
         x[1] = 0.4;
@@ -1032,7 +852,7 @@ mod tests {
     }
 
     /// ∂Ẏᵢ/∂Yⱼ against central differences of `ydot`.
-    fn check_species_block(net: &dyn Network) {
+    fn check_species_block(net: &Network) {
         let n = net.nspec();
         let m = n + 1;
         let (y, rho, t) = jacobian_probe(net);
@@ -1072,8 +892,14 @@ mod tests {
         // Screening does not depend on Y, so the species block must match
         // screened (every ∂r/∂Y_j carrying the same enhanced λ as r) as well
         // as unscreened; at this state the C+C factor is ~1.25.
-        check_species_block(&Aprox13::new());
-        let net = NoScreen(Aprox13::new());
+        check_species_block(&Network::aprox13());
+        // Unscreened: the analytic Jacobian deliberately neglects
+        // d(screening)/dT (weak screening), so the temperature column is
+        // compared without it.
+        let net = Network {
+            screening: false,
+            ..Network::aprox13()
+        };
         check_species_block(&net);
         let n = net.nspec();
         let m = n + 1;
@@ -1106,13 +932,7 @@ mod tests {
         // allocates storage for declared slots, so an undeclared
         // nonzero would be silently dropped. Probe several (ρ, T, Y)
         // states so rate cutoffs don't hide couplings.
-        let nets: [&dyn Network; 4] = [
-            &CBurn2::new(),
-            &TripleAlpha::new(),
-            &Iso7::new(),
-            &Aprox13::new(),
-        ];
-        for net in nets {
+        for net in &all_networks() {
             let n = net.nspec();
             let m = n + 1;
             let p = net.sparsity();
@@ -1145,7 +965,7 @@ mod iso7_tests {
 
     #[test]
     fn iso7_structure_and_conservation() {
-        let net = Iso7::new();
+        let net = Network::iso7();
         assert_eq!(net.nspec(), 7);
         assert_eq!(net.index_of("ni56"), 6);
         let mut y = vec![0.0; 7];
@@ -1162,8 +982,8 @@ mod iso7_tests {
     fn iso7_is_cheaper_than_aprox13_but_same_shape() {
         // The point of iso7: same qualitative chain, 8×8 Jacobian instead
         // of 14×14 — the N² linear-solve scaling of §IV-B.
-        let i7 = Iso7::new();
-        let a13 = Aprox13::new();
+        let i7 = Network::iso7();
+        let a13 = Network::aprox13();
         let p7 = i7.sparsity();
         let p13 = a13.sparsity();
         assert!(p7.dim() < p13.dim());

@@ -1,7 +1,7 @@
 //! The right-hand side and Jacobian bodies as they were before a network
 //! evaluation split into a rate stage and an abundance stage, kept as the
-//! oracle that [`Network::ydot`], [`Network::ydot_lanes`], [`Network::jac`]
-//! and [`Network::jac_lanes`] are held to bit for bit (see
+//! oracle that [`Network::ydot`], [`Network::jac`] and the two stages at
+//! [`LANES`](exastro_parallel::LANES) are held to bit for bit (see
 //! `tests::the_two_stages_are_the_one_pass_bodies_bit_for_bit`). The bodies
 //! are the old ones, verbatim but for their visibility; they call the
 //! per-reaction helpers the stages still share.
@@ -9,11 +9,11 @@
 use super::{accumulate, ipow, reactant_product, screened_rate, shared_factors, Network};
 use std::array::from_fn;
 
-/// The one right-hand side body: [`Network::ydot`] at `W` = 1,
-/// [`Network::ydot_lanes`] at [`LANES`], monomorphised per network.
+/// The one right-hand side body: [`Network::ydot`] at `W` = 1 and its
+/// stages at `LANES`.
 #[inline(always)]
-pub(super) fn ydot_body<N: Network + ?Sized, const W: usize>(
-    net: &N,
+pub(super) fn ydot_body<const W: usize>(
+    net: &Network,
     rho: [f64; W],
     t: [f64; W],
     y: &[[f64; W]],
@@ -30,11 +30,11 @@ pub(super) fn ydot_body<N: Network + ?Sized, const W: usize>(
     }
 }
 
-/// The one Jacobian body: [`Network::jac`] at `W` = 1,
-/// [`Network::jac_lanes`] at [`LANES`].
+/// The one Jacobian body: [`Network::jac`] at `W` = 1 and its stages at
+/// `LANES`.
 #[inline(always)]
-pub(super) fn jac_body<N: Network + ?Sized, const W: usize>(
-    net: &N,
+pub(super) fn jac_body<const W: usize>(
+    net: &Network,
     rho: [f64; W],
     t: [f64; W],
     y: &[[f64; W]],

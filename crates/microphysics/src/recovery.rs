@@ -219,6 +219,9 @@ pub struct RecoveredBurn {
     pub rung: LadderRung,
     /// Retries spent before success (0 = direct burn succeeded).
     pub retries: u32,
+    /// Rate-stage blocks its chunk of [`crate::Burner::burn_all`] took,
+    /// charged to the chunk's first zone; 0 for every other zone.
+    pub rate_stages: u64,
 }
 
 /// Validate a rung's outcome: everything finite, no significantly negative
@@ -242,10 +245,10 @@ mod tests {
     use super::*;
     use crate::burner::{Burner, BurnerConfig};
     use crate::eos::StellarEos;
-    use crate::network::CBurn2;
+    use crate::network::Network;
 
     fn burner<'a>(
-        net: &'a CBurn2,
+        net: &'a Network,
         eos: &'a StellarEos,
         ladder: RetryLadder,
         faults: Option<BurnFaultConfig>,
@@ -281,7 +284,7 @@ mod tests {
 
     #[test]
     fn direct_path_is_unchanged_when_healthy() {
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let eos = StellarEos;
         let (rho, t0, x0, dt) = hot_zone();
         let plain = burner(&net, &eos, RetryLadder::none(), None)
@@ -302,7 +305,7 @@ mod tests {
 
     #[test]
     fn one_injected_failure_recovers_on_relaxed_tol() {
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let eos = StellarEos;
         let (rho, t0, x0, dt) = hot_zone();
         let rb = burner(
@@ -319,7 +322,7 @@ mod tests {
 
     #[test]
     fn two_injected_failures_recover_on_subcycle() {
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let eos = StellarEos;
         let (rho, t0, x0, dt) = hot_zone();
         let rb = burner(
@@ -336,7 +339,7 @@ mod tests {
 
     #[test]
     fn three_injected_failures_recover_on_offload() {
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let eos = StellarEos;
         let (rho, t0, x0, dt) = hot_zone();
         let rb = burner(
@@ -353,7 +356,7 @@ mod tests {
 
     #[test]
     fn every_bdf_error_variant_rides_the_ladder() {
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let eos = StellarEos;
         let (rho, t0, x0, dt) = hot_zone();
         for err in [
@@ -382,7 +385,7 @@ mod tests {
 
     #[test]
     fn ladder_none_fails_after_single_attempt() {
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let eos = StellarEos;
         let (rho, t0, x0, dt) = hot_zone();
         let rb = burner(
@@ -403,7 +406,7 @@ mod tests {
         // No injection: a starved step budget genuinely fails the direct,
         // relaxed, and subcycled rungs; the offload rung's large budget
         // completes the burn. Accumulated stats must show the failed work.
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let eos = StellarEos;
         let (rho, t0, x0, dt) = hot_zone();
         let mut cfg = BurnerConfig::default();
@@ -428,7 +431,7 @@ mod tests {
         // inflated every zones/µs metric. Wrap the burn in a unique outer
         // region so this test reads its own region path regardless of
         // what other tests record concurrently.
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let eos = StellarEos;
         let (rho, t0, x0, dt) = hot_zone();
         let rb = burner(

@@ -6,18 +6,17 @@ use exastro_microphysics::species::iso;
 use exastro_microphysics::{gamow_tau_alpha, screening_factor, Rate, TFactors, TNeeds};
 use exastro_microphysics::{
     mass_to_molar, molar_to_mass, BdfIntegrator, BdfOptions, Composition, DenseLu, DensityStage,
-    Eos, EosResult, GammaLaw, Network, OdeSystem, Species, StellarEos, TripleAlpha,
+    Eos, EosResult, GammaLaw, Network, OdeSystem, Species, StellarEos,
 };
-use exastro_microphysics::{Aprox13, CBurn2};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 mod reference;
 
 fn arb_composition() -> impl Strategy<Value = (Vec<f64>, Composition)> {
-    // Random C/O/Mg-ish 2-species split on the CBurn2 network.
+    // Random C/O/Mg-ish 2-species split on the cburn2 network.
     (0.0f64..1.0).prop_map(|xc| {
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let x = vec![xc, 1.0 - xc];
         let comp = Composition::from_mass_fractions(net.species(), &x);
         (x, comp)
@@ -32,7 +31,7 @@ fn arb_mixture() -> impl Strategy<Value = Composition> {
     )
         .prop_map(|(aprox13, w)| {
             let species: Vec<Species> = if aprox13 {
-                Aprox13::new().species().to_vec()
+                Network::aprox13().species().to_vec()
             } else {
                 vec![iso::C12, iso::O16, iso::MG24]
             };
@@ -379,7 +378,7 @@ proptest! {
         log_t in 8.0f64..9.7,
         xs in prop::collection::vec(0.01f64..1.0, 13),
     ) {
-        let net = Aprox13::new();
+        let net = Network::aprox13();
         let rho = 10f64.powf(log_rho);
         let t = 10f64.powf(log_t);
         let total: f64 = xs.iter().sum();
@@ -395,7 +394,7 @@ proptest! {
 
     #[test]
     fn molar_mass_roundtrip_any_composition(xs in prop::collection::vec(0.0f64..1.0, 3)) {
-        let net = TripleAlpha::new();
+        let net = Network::triple_alpha();
         let total: f64 = xs.iter().sum::<f64>().max(1e-12);
         let x: Vec<f64> = xs.iter().map(|v| v / total).collect();
         let mut y = vec![0.0; 3];
@@ -461,7 +460,7 @@ proptest! {
     ) {
         // Burning pure fuel through exothermic forward reactions can only
         // release energy.
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let rho = 10f64.powf(log_rho);
         let t = 10f64.powf(log_t);
         let mut y = vec![0.0; 2];
@@ -487,7 +486,7 @@ proptest! {
         // recovered state must be physical: finite everywhere with the
         // species mass fractions summing to one.
         use exastro_microphysics::{BdfErrorKind, BurnFaultConfig, BurnerConfig, LadderRung};
-        let net = CBurn2::new();
+        let net = Network::cburn2();
         let eos = StellarEos;
         let rho = 10f64.powf(log_rho);
         let t0 = 10f64.powf(log_t);
@@ -560,16 +559,10 @@ proptest! {
         // configured at the direct rung's tolerances and reached by
         // injecting a single failure into a ladder with no other rung.
         use exastro_microphysics::{
-            BdfErrorKind, BurnFaultConfig, BurnerConfig, Iso7, LadderRung, OffloadOptions,
+            BdfErrorKind, BurnFaultConfig, BurnerConfig, LadderRung, OffloadOptions,
             RetryLadder,
         };
-        let nets: [Box<dyn Network>; 4] = [
-            Box::new(CBurn2::new()),
-            Box::new(TripleAlpha::new()),
-            Box::new(Iso7::new()),
-            Box::new(Aprox13::new()),
-        ];
-        let net = &*nets[net_idx];
+        let net = &network(net_idx);
         let eos = StellarEos;
         let rho = 10f64.powf(log_rho);
         let t0 = 10f64.powf(log_t);
@@ -653,14 +646,8 @@ proptest! {
         // therefore bounded by the integration tolerances rather than being
         // bit-exact: at rtol 1e-11 / atol 1e-15 both paths must land within
         // 1e-10 in every mass fraction.
-        use exastro_microphysics::{BurnerConfig, Iso7, ZoneBurn};
-        let nets: [Box<dyn Network>; 4] = [
-            Box::new(CBurn2::new()),
-            Box::new(TripleAlpha::new()),
-            Box::new(Iso7::new()),
-            Box::new(Aprox13::new()),
-        ];
-        let net = &*nets[net_idx];
+        use exastro_microphysics::{BurnerConfig, ZoneBurn};
+        let net = &network(net_idx);
         let eos = StellarEos;
         let rho = 10f64.powf(log_rho);
         let t0 = 10f64.powf(log_t);
@@ -727,9 +714,7 @@ proptest! {
         // result must be bit-identical to never having batched at all,
         // modulo the one extra attempt the batch itself consumed.
         use exastro_microphysics::{BurnerConfig, ZoneBurn};
-        let nets: [Box<dyn Network>; 2] =
-            [Box::new(CBurn2::new()), Box::new(TripleAlpha::new())];
-        let net = &*nets[net_idx];
+        let net = &[Network::cburn2(), Network::triple_alpha()][net_idx];
         let eos = StellarEos;
         let rho = 10f64.powf(log_rho);
         let t0 = 10f64.powf(log_t);
@@ -843,14 +828,9 @@ proptest! {
         // and cold zones, short last chunks, a starved batch whose lanes
         // all drop out to the ladder, and injected faults.
         use exastro_microphysics::{
-            BdfErrorKind, BurnFaultConfig, BurnerConfig, Iso7, RetryLadder, ZoneBurn,
+            BdfErrorKind, BurnFaultConfig, BurnerConfig, RetryLadder, ZoneBurn,
         };
-        let nets: [Box<dyn Network>; 3] = [
-            Box::new(CBurn2::new()),
-            Box::new(Iso7::new()),
-            Box::new(Aprox13::new()),
-        ];
-        let net = &*nets[net_idx];
+        let net = &[Network::cburn2(), Network::iso7(), Network::aprox13()][net_idx];
         let eos = StellarEos;
         let mut cfg = BurnerConfig {
             batch_width: width,
@@ -1012,13 +992,12 @@ proptest! {
 }
 
 /// The four networks, by index.
-fn network(idx: usize) -> Box<dyn Network> {
-    use exastro_microphysics::Iso7;
+fn network(idx: usize) -> Network {
     match idx {
-        0 => Box::new(CBurn2::new()),
-        1 => Box::new(TripleAlpha::new()),
-        2 => Box::new(Iso7::new()),
-        _ => Box::new(Aprox13::new()),
+        0 => Network::cburn2(),
+        1 => Network::triple_alpha(),
+        2 => Network::iso7(),
+        _ => Network::aprox13(),
     }
 }
 
@@ -1054,8 +1033,12 @@ proptest! {
             (0..n).map(|i| std::array::from_fn(|l| ys[i * LANES + l])).collect();
         let mut ydot = vec![[f64::NAN; LANES]; n];
         let mut jac = vec![[f64::NAN; LANES]; m * m];
-        net.ydot_lanes(rho, t, &rows, &mut ydot);
-        net.jac_lanes(rho, t, &rows, &mut jac);
+        let r = net.reactions().len();
+        let (mut lam, mut dlam) = (vec![[0.0; LANES]; r], vec![[0.0; LANES]; r]);
+        net.rates_lanes(rho, t, &mut lam, None);
+        net.ydot_from_rates(rho, &lam, &rows, &mut ydot);
+        net.rates_lanes(rho, t, &mut lam, Some(&mut dlam));
+        net.jac_from_rates(rho, &lam, &dlam, &rows, &mut jac);
         for l in 0..LANES {
             let y: Vec<f64> = rows.iter().map(|r| r[l]).collect();
             let mut one = vec![0.0; n];
@@ -1087,7 +1070,7 @@ proptest! {
     ) {
         use exastro_microphysics::SparseLu;
         use exastro_parallel::LANES;
-        let pattern = Aprox13::new().sparsity();
+        let pattern = Network::aprox13().sparsity();
         let lu = SparseLu::compile(&pattern);
         let n = pattern.dim();
         let mut rng = uniforms(seed);

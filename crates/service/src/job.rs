@@ -89,7 +89,7 @@ pub(crate) struct Job {
     pub physics: Physics,
     pub clock: Clock,
     eos: Box<dyn Eos + Send + Sync>,
-    net: Box<dyn Network + Send + Sync>,
+    net: Network,
     /// Persistent per-job recorder: ordinals continue across slices.
     recorder: StepRecorder,
     /// In-memory copy of every step record, aggregated into the report.
@@ -156,7 +156,7 @@ fn init_xrb(
     geom: &Geometry,
     layout: &StateLayout,
     eos: &dyn Eos,
-    net: &dyn Network,
+    net: &Network,
 ) {
     let ihe = net
         .species()
@@ -236,7 +236,7 @@ impl Job {
                     );
                     let ba = BoxArray::decompose(geom.domain(), 12, 4);
                     let mut state = MultiFab::local(ba, layout.ncomp(), 2);
-                    init_collision(&mut state, &geom, &layout, &eos, &*net, &params);
+                    init_collision(&mut state, &geom, &layout, &eos, &net, &params);
                     (Box::new(eos), geom, state, Physics::Castro(layout))
                 }
                 Scenario::XrbFlame => {
@@ -252,7 +252,7 @@ impl Job {
                     );
                     let ba = BoxArray::decompose(geom.domain(), 12, 4);
                     let mut state = MultiFab::local(ba, layout.ncomp(), 2);
-                    init_xrb(&mut state, &geom, &layout, &eos, &*net);
+                    init_xrb(&mut state, &geom, &layout, &eos, &net);
                     (Box::new(eos), geom, state, Physics::Castro(layout))
                 }
                 Scenario::ReactingBubble => {
@@ -272,7 +272,7 @@ impl Job {
                         &geom,
                         &layout,
                         &eos,
-                        &*net,
+                        &net,
                         &BubbleParams::default(),
                     );
                     (
@@ -366,7 +366,7 @@ impl Job {
     fn step_once(&mut self) -> Result<(), String> {
         let cap = dt_cap(self.spec.scenario);
         let recorder = std::mem::take(&mut self.recorder);
-        let mut drv = build_stepper(&self.spec, &self.physics, &*self.eos, &*self.net, recorder);
+        let mut drv = build_stepper(&self.spec, &self.physics, &*self.eos, &self.net, recorder);
         let dt = drv.estimate_dt(&self.state, &self.geom).min(cap);
         let result = drv.step(&mut self.state, &self.geom, dt);
         self.recorder = drv.take_recorder();
@@ -500,7 +500,7 @@ fn build_stepper<'a>(
     spec: &JobSpec,
     physics: &Physics,
     eos: &'a (dyn Eos + Send + Sync),
-    net: &'a (dyn Network + Send + Sync),
+    net: &'a Network,
     recorder: StepRecorder,
 ) -> Box<dyn Stepper + 'a> {
     match physics {

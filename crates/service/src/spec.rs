@@ -1,6 +1,6 @@
 //! Job specifications: what a tenant submits to the service.
 
-use exastro_microphysics::{Aprox13, BurnFaultConfig, CBurn2, Iso7, Network, TripleAlpha};
+use exastro_microphysics::{BurnFaultConfig, Network};
 
 /// Service-assigned job identity (dense, monotonically increasing).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -71,12 +71,12 @@ impl NetChoice {
     }
 
     /// Instantiate the network.
-    pub fn build(&self) -> Box<dyn Network + Send + Sync> {
+    pub fn build(&self) -> Network {
         match self {
-            NetChoice::CBurn2 => Box::new(CBurn2::new()),
-            NetChoice::TripleAlpha => Box::new(TripleAlpha::new()),
-            NetChoice::Iso7 => Box::new(Iso7::new()),
-            NetChoice::Aprox13 => Box::new(Aprox13::new()),
+            NetChoice::CBurn2 => Network::cburn2(),
+            NetChoice::TripleAlpha => Network::triple_alpha(),
+            NetChoice::Iso7 => Network::iso7(),
+            NetChoice::Aprox13 => Network::aprox13(),
         }
     }
 }
@@ -223,6 +223,18 @@ impl std::error::Error for SubmitError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_choice_names_the_network_it_builds() {
+        for c in [
+            NetChoice::CBurn2,
+            NetChoice::TripleAlpha,
+            NetChoice::Iso7,
+            NetChoice::Aprox13,
+        ] {
+            assert_eq!(c.build().name(), c.name());
+        }
+    }
 
     #[test]
     fn spec_validation_catches_incompatible_networks() {

@@ -6,10 +6,10 @@
 //! cargo run --release --example burn_cell
 //! ```
 
-use exastro::microphysics::{Aprox13, BurnerConfig, Network, StellarEos};
+use exastro::microphysics::{BurnerConfig, Network, StellarEos};
 
 fn main() {
-    let net = Aprox13::new();
+    let net = Network::aprox13();
     let eos = StellarEos;
 
     // 50/50 carbon/oxygen fuel at near-detonation conditions.

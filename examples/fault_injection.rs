@@ -18,15 +18,13 @@
 
 use exastro::amr::{BcSpec, BoxArray, Geometry, MultiFab};
 use exastro::castro::{BurnOptions, Castro, StateLayout};
-use exastro::microphysics::{
-    BdfErrorKind, BurnFaultConfig, CBurn2, Composition, Eos, Network, StellarEos,
-};
+use exastro::microphysics::{BdfErrorKind, BurnFaultConfig, Composition, Eos, Network, StellarEos};
 use exastro::parallel::WorkerPool;
 use exastro::telemetry::Telemetry;
 
 /// A dense, hot carbon ball: enough burning zones (several hundred) that a
 /// 1% fault rate deterministically selects a handful of them.
-fn hot_ball(geom: &Geometry, layout: &StateLayout, eos: &StellarEos, net: &CBurn2) -> MultiFab {
+fn hot_ball(geom: &Geometry, layout: &StateLayout, eos: &StellarEos, net: &Network) -> MultiFab {
     let ba = BoxArray::decompose(geom.domain(), 8, 4);
     let mut state = MultiFab::local(ba, layout.ncomp(), 2);
     let c = 1e8;
@@ -52,7 +50,7 @@ fn hot_ball(geom: &Geometry, layout: &StateLayout, eos: &StellarEos, net: &CBurn
 
 fn main() {
     let eos = StellarEos;
-    let net = CBurn2::new();
+    let net = Network::cburn2();
     let layout = StateLayout::new(net.nspec());
     let geom = Geometry::cube(16, 2e8, false);
 

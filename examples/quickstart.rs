@@ -13,7 +13,7 @@ use exastro::castro::{
     init_sedov, measure_shock_radius, sedov_shock_radius, BurnOptions, Castro, Floors, Gravity,
     GravityMode, Hydro, SedovParams, StateLayout,
 };
-use exastro::microphysics::{CBurn2, GammaLaw};
+use exastro::microphysics::{GammaLaw, Network};
 use exastro::parallel::WorkerPool;
 use exastro::telemetry::{JsonlSink, Telemetry};
 use std::sync::Arc;
@@ -70,8 +70,8 @@ fn main() {
 
     // Gamma-law gas with a trivial 2-species composition.
     let eos = GammaLaw::monatomic();
-    let net = CBurn2::new();
-    let layout = StateLayout::new(net_nspec(&net));
+    let net = Network::cburn2();
+    let layout = StateLayout::new(net.nspec());
     let mut state = MultiFab::new(ba, dm, layout.ncomp(), 2);
 
     let params = SedovParams::default();
@@ -207,9 +207,4 @@ fn write_graph_summary(path: &str) {
             m - p
         );
     }
-}
-
-fn net_nspec(net: &CBurn2) -> usize {
-    use exastro::microphysics::Network;
-    net.nspec()
 }

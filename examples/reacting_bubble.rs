@@ -7,7 +7,7 @@
 
 use exastro::amr::{BoxArray, DistStrategy, DistributionMapping, Geometry, IndexBox, MultiFab};
 use exastro::maestro::{bubble_diagnostics, bubble_maestro, init_bubble, BubbleParams, LmLayout};
-use exastro::microphysics::{CBurn2, Network, StellarEos};
+use exastro::microphysics::{Network, StellarEos};
 
 fn main() {
     let n = 24;
@@ -22,7 +22,7 @@ fn main() {
     let dm = DistributionMapping::new(&ba, 1, DistStrategy::Sfc);
 
     let eos = StellarEos;
-    let net = CBurn2::new();
+    let net = Network::cburn2();
     let layout = LmLayout::new(net.nspec());
     let mut state = MultiFab::new(ba, dm, layout.ncomp(), 1);
     let params = BubbleParams::default();

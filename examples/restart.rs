@@ -13,7 +13,7 @@
 use exastro::amr::{BoxArray, Geometry, MultiFab};
 use exastro::castro::{init_sedov, Castro, SedovParams, StateLayout};
 use exastro::machine::Machine;
-use exastro::microphysics::{CBurn2, GammaLaw, Network};
+use exastro::microphysics::{GammaLaw, Network};
 use exastro::parallel::WorkerPool;
 use exastro::resilience::snapshot::digest_multifab;
 use exastro::resilience::{faults, interval, CheckpointManager, Clock, KillSchedule, Snapshot};
@@ -31,7 +31,7 @@ fn fresh_state(geom: &Geometry, layout: &StateLayout, eos: &GammaLaw) -> MultiFa
 
 fn main() {
     let eos = GammaLaw::monatomic();
-    let net = CBurn2::new();
+    let net = Network::cburn2();
     let layout = StateLayout::new(net.nspec());
     let geom = Geometry::cube(24, 1.0, false);
     let castro = Castro::new(&eos, &net);

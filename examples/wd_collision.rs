@@ -13,7 +13,7 @@ use exastro::castro::{
     contact_diagnostics, contact_time_estimate, detonation_stability, init_collision, BurnOptions,
     Castro, CollisionParams, Gravity, GravityMode, StateLayout, T_IGNITION,
 };
-use exastro::microphysics::{CBurn2, Network, StellarEos};
+use exastro::microphysics::{Network, StellarEos};
 
 fn main() {
     let n = 16;
@@ -36,7 +36,7 @@ fn main() {
     let dm = DistributionMapping::all_local(&ba);
 
     let eos = StellarEos;
-    let net = CBurn2::new();
+    let net = Network::cburn2();
     let layout = StateLayout::new(net.nspec());
     let mut state = MultiFab::new(ba, dm, layout.ncomp(), 2);
     init_collision(&mut state, &geom, &layout, &eos, &net, &params);

@@ -12,10 +12,10 @@
 //! ```
 
 use exastro::castro::critical_zone_width;
-use exastro::microphysics::{BurnerConfig, StellarEos, TripleAlpha};
+use exastro::microphysics::{BurnerConfig, Network, StellarEos};
 
 fn main() {
-    let net = TripleAlpha::new();
+    let net = Network::triple_alpha();
     let eos = StellarEos;
     let burner = BurnerConfig::default().build(&net, &eos);
 

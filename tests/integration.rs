@@ -9,12 +9,12 @@ use exastro::castro::{
     init_sedov, measure_shock_radius, sedov_shock_radius, BurnOptions, Castro, Floors, Gravity,
     GravityMode, Hydro, KernelStructure, SedovParams, StateLayout,
 };
-use exastro::microphysics::{CBurn2, GammaLaw, Network, StellarEos};
+use exastro::microphysics::{GammaLaw, Network, StellarEos};
 
-fn sedov_castro(eos: &GammaLaw, net: &CBurn2) -> Castro<'static> {
+fn sedov_castro(eos: &GammaLaw, net: &Network) -> Castro<'static> {
     // Leak to get 'static borrows for the test driver (fine in tests).
     let eos: &'static GammaLaw = Box::leak(Box::new(*eos));
-    let net: &'static CBurn2 = Box::leak(Box::new(net.clone()));
+    let net: &'static Network = Box::leak(Box::new(net.clone()));
     let mut c = Castro::new(eos, net);
     c.hydro = Hydro {
         cfl: 0.4,
@@ -32,7 +32,7 @@ fn sedov_blast_tracks_similarity_solution() {
     let ba = BoxArray::decompose(geom.domain(), 20, 4);
     let dm = DistributionMapping::new(&ba, 3, DistStrategy::Sfc);
     let eos = GammaLaw::monatomic();
-    let net = CBurn2::new();
+    let net = Network::cburn2();
     let layout = StateLayout::new(net.nspec());
     let mut state = MultiFab::new(ba, dm, layout.ncomp(), 2);
     let params = SedovParams::default();
@@ -74,7 +74,7 @@ fn sedov_smallbox_step_exchanges_only_its_sweeps_footprints() {
     let ba = BoxArray::decompose(geom.domain(), 8, 8);
     let dm = DistributionMapping::new(&ba, 6, DistStrategy::Sfc);
     let eos = GammaLaw::monatomic();
-    let net = CBurn2::new();
+    let net = Network::cburn2();
     let layout = StateLayout::new(net.nspec());
     let mut state = MultiFab::new(ba, dm, layout.ncomp(), 2);
     assert_eq!(state.nfabs(), 64);
@@ -100,7 +100,7 @@ fn two_level_amr_advance_conserves_mass() {
     // (fill_patch, per-level hydro, reflux, average_down) must conserve
     // mass to round-off.
     let eos = GammaLaw::monatomic();
-    let net = CBurn2::new();
+    let net = Network::cburn2();
     let layout = StateLayout::new(net.nspec());
     let geom = Geometry::cube(32, 1.0, false);
     let mut hier = Hierarchy::single_level(geom.clone(), 16, 4, 1, DistStrategy::RoundRobin);
@@ -156,7 +156,7 @@ fn refined_level_sees_hotter_contact_than_coarse() {
     // (less volume averaging of the peak) — the reason the high-resolution
     // collision ignites earlier.
     let eos = StellarEos;
-    let net = CBurn2::new();
+    let net = Network::cburn2();
     let layout = StateLayout::new(net.nspec());
     let peak_t = |n: i32| -> f64 {
         let geom = Geometry::cube(n, 2e9, false);
@@ -194,7 +194,7 @@ fn refined_level_sees_hotter_contact_than_coarse() {
 fn burning_blast_releases_energy_and_conserves_species_mass() {
     // Full multiphysics smoke test: hydro + gravity + reactions together.
     let eos: &'static StellarEos = Box::leak(Box::new(StellarEos));
-    let net: &'static CBurn2 = Box::leak(Box::new(CBurn2::new()));
+    let net: &'static Network = Box::leak(Box::new(Network::cburn2()));
     let layout = StateLayout::new(net.nspec());
     let n = 16;
     let geom = Geometry::cube(n, 2e8, false);
@@ -257,7 +257,7 @@ fn burning_blast_releases_energy_and_conserves_species_mass() {
 #[test]
 fn legacy_and_flat_structures_agree_through_full_driver() {
     let eos = GammaLaw::monatomic();
-    let net = CBurn2::new();
+    let net = Network::cburn2();
     let layout = StateLayout::new(net.nspec());
     let geom = Geometry::cube(16, 1.0, false);
     let params = SedovParams::default();
@@ -293,7 +293,7 @@ fn sedov_amr_restart_is_bit_exact() {
     use exastro::resilience::{CheckpointManager, Clock};
 
     let eos = GammaLaw::monatomic();
-    let net = CBurn2::new();
+    let net = Network::cburn2();
     let layout = StateLayout::new(net.nspec());
     let geom = Geometry::cube(32, 1.0, false);
     let mut hier = Hierarchy::single_level(geom.clone(), 16, 4, 1, DistStrategy::RoundRobin);
@@ -386,7 +386,7 @@ fn maestro_bubble_restart_is_bit_exact() {
     );
     let ba = BoxArray::decompose(geom.domain(), 8, 4);
     let eos = StellarEos;
-    let net = CBurn2::new();
+    let net = Network::cburn2();
     let layout = LmLayout::new(net.nspec());
     let mut state = MultiFab::local(ba, layout.ncomp(), 1);
     let base = init_bubble(
@@ -451,7 +451,7 @@ fn wd_collision_restart_is_bit_exact() {
     use exastro::resilience::{CheckpointManager, Clock, Snapshot};
 
     let eos: &'static StellarEos = Box::leak(Box::new(StellarEos));
-    let net: &'static CBurn2 = Box::leak(Box::new(CBurn2::new()));
+    let net: &'static Network = Box::leak(Box::new(Network::cburn2()));
     let layout = StateLayout::new(net.nspec());
     let params = CollisionParams {
         v_approach: 6e8,
@@ -530,7 +530,7 @@ fn corrupted_checkpoint_falls_back_to_last_good() {
     use exastro::resilience::{faults, CheckpointManager, Clock, Snapshot};
 
     let eos = GammaLaw::monatomic();
-    let net = CBurn2::new();
+    let net = Network::cburn2();
     let layout = StateLayout::new(net.nspec());
     let geom = Geometry::cube(16, 1.0, false);
     let ba = BoxArray::decompose(geom.domain(), 8, 4);
@@ -596,7 +596,7 @@ fn hot_ball_setup() -> (
     exastro::castro::StateLayout,
 ) {
     let eos: &'static StellarEos = Box::leak(Box::new(StellarEos));
-    let net: &'static CBurn2 = Box::leak(Box::new(CBurn2::new()));
+    let net: &'static Network = Box::leak(Box::new(Network::cburn2()));
     let layout = StateLayout::new(net.nspec());
     let geom = Geometry::cube(16, 2e8, false);
     let ba = BoxArray::decompose(geom.domain(), 8, 4);
@@ -723,7 +723,7 @@ fn bubble_with_injected_faults_completes_through_safe_driver() {
     };
     use exastro::microphysics::{BdfErrorKind, BurnFaultConfig};
     let eos: &'static StellarEos = Box::leak(Box::new(StellarEos));
-    let net: &'static CBurn2 = Box::leak(Box::new(CBurn2::new()));
+    let net: &'static Network = Box::leak(Box::new(Network::cburn2()));
     let geom = Geometry::new(
         IndexBox::cube(16),
         [0.0; 3],

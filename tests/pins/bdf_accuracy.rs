@@ -18,7 +18,7 @@ use exastro_bench::verify::{
     burn_cell, burn_cell_rows, burn_cell_state, case_label, rel_err, robertson, robertson_rows,
     worst_fall, BdfRow, Case, Solver, BURN_CELL_CAP, CASES, REFERENCE_RTOL, ROBERTSON_CAP,
 };
-use exastro_microphysics::Aprox13;
+use exastro_microphysics::Network;
 
 /// How far the dense and the sparse Robertson references may part. Over
 /// the reference rtols 10⁻¹²·(1 + k·10⁻⁶), k = 0…11, their gap read
@@ -96,7 +96,7 @@ fn robertson_error_follows_rtol() {
 
 #[test]
 fn igniting_burn_cell_error_follows_rtol() {
-    let net = Aprox13::new();
+    let net = Network::aprox13();
     let reference = burn_cell(&net, Solver::Sparse, 1, REFERENCE_RTOL);
     assert!(reference.outcome.t > 5e9, "the zone ignites");
     let reference = burn_cell_state(&reference);

@@ -15,7 +15,7 @@ use exastro_amr::{
     BoxArray, CoordSys, DistStrategy, DistributionMapping, Geometry, IndexBox, MultiFab,
 };
 use exastro_maestro::{bubble_maestro, init_bubble, BubbleParams, LmLayout};
-use exastro_microphysics::{CBurn2, Network, StellarEos};
+use exastro_microphysics::{Network, StellarEos};
 
 #[test]
 fn bubble_16_in_8_cubes_after_one_step() {
@@ -30,7 +30,7 @@ fn bubble_16_in_8_cubes_after_one_step() {
     );
     let ba = BoxArray::decompose(geom.domain(), 8, 4);
     let dm = DistributionMapping::new(&ba, 2, DistStrategy::Sfc);
-    let (eos, net) = (StellarEos, CBurn2::new());
+    let (eos, net) = (StellarEos, Network::cburn2());
     let layout = LmLayout::new(net.nspec());
     let mut state = MultiFab::new(ba, dm, layout.ncomp(), 1);
     assert_eq!(state.nfabs(), 8);

@@ -14,9 +14,7 @@
 //! printed values.
 
 use crate::digest::{fnv, FNV_OFFSET};
-use exastro_microphysics::{
-    Aprox13, BurnOutcome, BurnerConfig, Iso7, Network, StellarEos, ZoneBurn,
-};
+use exastro_microphysics::{BurnOutcome, BurnerConfig, Network, StellarEos, ZoneBurn};
 
 /// ½C½O fuel: `hot` zones around 2.8×10⁹ K that ignite within `dt`, then
 /// `cold` zones around 4×10⁸ K that do not, each with its own (ρ, T).
@@ -39,14 +37,14 @@ fn co_field(x0: &[f64], hot: usize, cold: usize) -> Vec<ZoneBurn<'_>> {
 }
 
 /// ½C½O mass fractions for `net`.
-fn co_fuel(net: &dyn Network) -> Vec<f64> {
+fn co_fuel(net: &Network) -> Vec<f64> {
     let mut x0 = vec![0.0; net.nspec()];
     x0[net.index_of("c12")] = 0.5;
     x0[net.index_of("o16")] = 0.5;
     x0
 }
 
-fn burn(net: &dyn Network, zones: &[ZoneBurn], dt: f64) -> Vec<BurnOutcome> {
+fn burn(net: &Network, zones: &[ZoneBurn], dt: f64) -> Vec<BurnOutcome> {
     BurnerConfig::default()
         .build(net, &StellarEos)
         .burn_all(zones, dt)
@@ -71,7 +69,7 @@ fn digest(outcomes: &[BurnOutcome]) -> u64 {
 
 #[test]
 fn aprox13_igniting_and_quiescent_chunks() {
-    let net = Aprox13::new();
+    let net = Network::aprox13();
     let fuel = co_fuel(&net);
     let zones = co_field(&fuel, 8, 8);
     let outcomes = burn(&net, &zones, 5e-7);
@@ -91,7 +89,7 @@ fn aprox13_igniting_and_quiescent_chunks() {
 
 #[test]
 fn iso7_with_a_short_last_chunk() {
-    let net = Iso7::new();
+    let net = Network::iso7();
     let digest = digest(&burn(&net, &co_field(&co_fuel(&net), 8, 3), 5e-7));
     println!("iso7 8 hot + 3 cold: {digest:#018x}");
     assert_eq!(digest, ISO7_DIGEST, "got {digest:#018x}");

@@ -20,7 +20,7 @@ use exastro_amr::{
 use exastro_castro::{
     init_collision, init_sedov, Castro, CollisionParams, Floors, Gravity, GravityMode, SedovParams,
 };
-use exastro_microphysics::{BdfErrorKind, BurnFaultConfig, CBurn2, GammaLaw, StellarEos};
+use exastro_microphysics::{BdfErrorKind, BurnFaultConfig, GammaLaw, Network, StellarEos};
 
 /// Every fab's grown box, fab-major, in storage order.
 fn fnv_state(state: &MultiFab) -> u64 {
@@ -46,7 +46,7 @@ fn sedov_16_in_8_cubes_after_4_steps() {
 
 fn sedov_16_in_8_cubes() -> (u64, u64) {
     let eos = GammaLaw::monatomic();
-    let net = CBurn2::new();
+    let net = Network::cburn2();
     let geom = Geometry::cube(16, 1.0, false);
     let mut castro = Castro::new(&eos, &net);
     castro.hydro.cfl = 0.4;
@@ -67,7 +67,7 @@ fn sedov_16_in_8_cubes() -> (u64, u64) {
 #[test]
 fn wd_collision_16_after_2_steps() {
     let eos = StellarEos;
-    let net = CBurn2::new();
+    let net = Network::cburn2();
     let params = CollisionParams {
         v_approach: 6e8,
         separation: 3.0,
@@ -105,7 +105,7 @@ fn sedov_two_level_hierarchy_after_3_steps() {
     // boxes with its centre refined by 2, advanced by `advance_hierarchy`
     // (fill_patch, both levels' hydro, reflux, average_down).
     let eos = GammaLaw::monatomic();
-    let net = CBurn2::new();
+    let net = Network::cburn2();
     let mut castro = Castro::new(&eos, &net);
     castro.hydro.cfl = 0.4;
     castro.hydro.floors = Floors::dimensionless();

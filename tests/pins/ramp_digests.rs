@@ -18,9 +18,7 @@
 //! the printed values.
 
 use crate::digest::{fnv, FNV_OFFSET};
-use exastro_microphysics::{
-    Aprox13, BurnerConfig, CBurn2, Network, RecoveredBurn, StellarEos, ZoneBurn,
-};
+use exastro_microphysics::{BurnerConfig, Network, RecoveredBurn, StellarEos, ZoneBurn};
 
 /// Zones in a field: 13 = one full chunk plus a remainder at every width.
 const ZONES: usize = 13;
@@ -67,7 +65,7 @@ fn digest(recs: &[RecoveredBurn]) -> u64 {
 }
 
 /// Burn `zones` at each width of `pins` and compare the digests.
-fn check(net: &dyn Network, zones: &[ZoneBurn], dt: f64, pins: [(usize, u64); 3]) {
+fn check(net: &Network, zones: &[ZoneBurn], dt: f64, pins: [(usize, u64); 3]) {
     let mut got = Vec::new();
     for (width, _) in pins {
         let recs: Vec<RecoveredBurn> = BurnerConfig {
@@ -98,7 +96,7 @@ fn check(net: &dyn Network, zones: &[ZoneBurn], dt: f64, pins: [(usize, u64); 3]
 
 #[test]
 fn aprox13_temperature_ramp_at_widths_3_8_16() {
-    let net = Aprox13::new();
+    let net = Network::aprox13();
     let mut x0 = vec![0.0; net.nspec()];
     x0[net.index_of("c12")] = 0.5;
     x0[net.index_of("o16")] = 0.5;
@@ -107,7 +105,7 @@ fn aprox13_temperature_ramp_at_widths_3_8_16() {
 
 #[test]
 fn cburn2_temperature_ramp_at_widths_3_8_16() {
-    let net = CBurn2::new();
+    let net = Network::cburn2();
     check(&net, &ramp(&[1.0, 0.0]), 1e-7, CBURN2_PINS);
 }
 

@@ -3,7 +3,7 @@
 
 use exastro_amr::{BoxArray, Geometry, MultiFab};
 use exastro_castro::{burn_state, BurnOptions, BurnStats, StateLayout};
-use exastro_microphysics::{BurnFailure, BurnFaultConfig, CBurn2, StellarEos};
+use exastro_microphysics::{BurnFailure, BurnFaultConfig, Network, StellarEos};
 use exastro_parallel::ExecSpace;
 
 /// An 8³ carbon level in eight 4³ boxes for `castro::burn_state`: the
@@ -41,7 +41,7 @@ pub fn burn_reacting_level(
     faults: BurnFaultConfig,
 ) -> (MultiFab, Result<BurnStats, Vec<BurnFailure>>) {
     let (geom, mut state, layout) = reacting_level();
-    let (net, eos) = (CBurn2::new(), StellarEos);
+    let (net, eos) = (Network::cburn2(), StellarEos);
     let opts = BurnOptions {
         faults: Some(faults),
         ..Default::default()

@@ -16,7 +16,7 @@ use exastro_amr::{
 use exastro_castro::{BurnOptions, BurnStats, StateLayout};
 use exastro_maestro::{bubble_maestro, init_bubble, BubbleParams, LmLayout, StepError};
 use exastro_microphysics::{
-    BdfErrorKind, BurnFailure, BurnFaultConfig, BurnerConfig, CBurn2, Network, StellarEos, ZoneBurn,
+    BdfErrorKind, BurnFailure, BurnFaultConfig, BurnerConfig, Network, StellarEos, ZoneBurn,
 };
 use reacting_level::{burn_reacting_level, reacting_level};
 use std::fmt::Debug;
@@ -74,7 +74,7 @@ fn faults(rungs_to_fail: u32) -> BurnFaultConfig {
 /// of the zones that failed every rung.
 fn reference_sweep(faults: BurnFaultConfig) -> (BurnStats, Vec<u64>) {
     let (geom, state, layout) = reacting_level();
-    let (net, eos) = (CBurn2::new(), StellarEos);
+    let (net, eos) = (Network::cburn2(), StellarEos);
     let opts = BurnOptions::default();
     let (mut heads, mut xs, mut zone) = (Vec::new(), Vec::new(), 0);
     for f in 0..state.nfabs() {
@@ -152,7 +152,7 @@ fn bubble_step(faults: BurnFaultConfig) -> (Vec<u64>, Result<[u64; 11], Vec<u64>
     );
     let ba = BoxArray::decompose(geom.domain(), 8, 4);
     let dm = DistributionMapping::new(&ba, 2, DistStrategy::Sfc);
-    let (eos, net) = (StellarEos, CBurn2::new());
+    let (eos, net) = (StellarEos, Network::cburn2());
     let layout = LmLayout::new(net.nspec());
     let mut state = MultiFab::new(ba, dm, layout.ncomp(), 1);
     let base = init_bubble(
