@@ -93,6 +93,15 @@ def trace(d):
         (f, tf), (s, ts) = sorted(parts) if len(parts) == 2 else [(None, 0)] * 2
         need((f, s) == ("f", "s"), f"flow {fid} not an s/f pair: {parts}")
         need(ts <= tf, f"flow {fid} travels backward in time")
+    # Task spans and arrows are drawn from the graph runs the summary holds:
+    # with nothing dropped, one span a task and one arrow an edge.
+    g = load(f"{OUT}/quickstart_graphs.json")
+    if d["droppedEventCount"] == d["evictedGraphRuns"] == g["evicted_runs"] == 0:
+        names = {t["name"] for s in g["graphs"] for t in s["task_stats"]}
+        tasks = sum(1 for e in evs if e["ph"] == "B" and e["name"] in names)
+        want = [sum(s[k] for s in g["graphs"]) for k in ("tasks", "edges")]
+        need([tasks, len(flows)] == want,
+             f"{tasks} task spans, {len(flows)} arrows; the summary has {want}")
     # Same-run ratio: the post-hydro EOS re-sync is one seeded solve a zone,
     # a few percent of the hydro it follows. The ring buffer keeps the
     # newest events and a step's re-sync follows its hydro, so the last
@@ -225,8 +234,9 @@ ARTIFACTS = [
     Row("BENCH_taskgraph.json"),
     Row("BENCH_telemetry.json"),
     Row("BENCH_verify.json"),
-    Row(f"{OUT}/quickstart_trace.json", {"traceEvents"}, check=trace),
-    Row(f"{OUT}/quickstart_graphs.json", {"schema", "graphs"},
+    Row(f"{OUT}/quickstart_trace.json",
+        {"traceEvents", "droppedEventCount", "evictedGraphRuns"}, check=trace),
+    Row(f"{OUT}/quickstart_graphs.json", {"schema", "evicted_runs", "graphs"},
         ("graphs", {"label", "tasks", "edges", "workers", "wall_us", "total_run_us",
                     "total_queue_wait_us", "critical_path_us", "critical_path",
                     "comm_us", "compute_us", "hidden_comm_us", "task_stats",

@@ -4,10 +4,10 @@
 //! atomic load per region) and cheap when enabled (a shard-local
 //! ring-buffer push per region plus one `StepMetrics` record per step).
 //! This bench drives the same Castro Sedov advance four ways — telemetry
-//! disabled, trace spans enabled, trace + step metrics enabled, and
-//! full graph tracing (per-task timestamps + flow arrows on every
-//! overlapped sweep graph) — and reports the relative overhead. The
-//! acceptance target is < 2% overhead with everything on (graph tracing
+//! disabled, trace spans enabled, trace + step metrics enabled, and full
+//! graph tracing (per-task stamps on every overlapped sweep graph, the
+//! record its task spans and arrows are drawn from at export) — and
+//! reports the relative overhead. The acceptance target is < 2% overhead with everything on (graph tracing
 //! included); the result is written to `BENCH_telemetry.json` and the CI
 //! perf gate holds the overhead percentages under an absolute 2% ceiling
 //! (the `max` bound in `ci/baselines/BENCH_telemetry.json`).
@@ -84,8 +84,8 @@ fn bench(c: &mut Criterion) {
                 3 => Telemetry::enable_graph_trace(),
                 _ => Telemetry::enable(),
             }
-            // Everything on (3): per-task ready/start/end stamps plus flow
-            // arrows on each overlapped sweep graph. Drain the bounded
+            // Everything on (3): per-task ready/start/end stamps on each
+            // overlapped sweep graph. Drain the bounded
             // registry after it so the probe measures recording cost, not
             // a saturated buffer.
             times[k].push(time_one(if k < 2 { &castro } else { &castro_sink }));

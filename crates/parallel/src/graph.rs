@@ -27,10 +27,9 @@
 
 use crate::pool::{Tasks, WorkerPool};
 use exastro_telemetry::graphtrace::{self, GraphTrace, TaskClass, TaskLabel, TaskRecord};
-use exastro_telemetry::Telemetry;
+use exastro_telemetry::{trace, Telemetry};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex};
-use std::time::Instant;
 
 /// Why a graph could not be executed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -213,7 +212,7 @@ impl TaskGraph {
     /// 0 is clamped to 1: the graph still runs, serially.
     ///
     /// Tasks run unnamed (`task<N>`, class `Other`); drivers that want
-    /// per-task spans, dependency flow arrows, and an overlap ledger use
+    /// per-task spans, dependency arrows, and an overlap ledger use
     /// [`TaskGraph::run_labeled`].
     pub fn run<F: Fn(usize) + Sync>(
         &self,
@@ -234,12 +233,13 @@ impl TaskGraph {
     /// `meta(t)` supplies each task's span name and overlap class.
     ///
     /// When `Telemetry::graph_trace_enabled()`, every task records its
-    /// ready/start/end timestamps and worker id into a
-    /// [`GraphTrace`] (drained by
-    /// `Telemetry::write_graph_summary`), and each task emits a span plus
-    /// dependency flow arrows (`ph: "s"`/`"f"`) into the shared trace ring
-    /// buffer — the arrows Perfetto draws between task slices. `meta` is
-    /// never called when graph tracing is off.
+    /// ready/start/end and worker into a [`GraphTrace`], stamped on the
+    /// trace buffer's clock: the one record of the task, from which
+    /// `Telemetry::write_graph_summary` draws the critical path and
+    /// `Telemetry::write_trace` the task's span and the dependency arrows
+    /// Perfetto draws between task slices. `meta` is never called when
+    /// graph tracing is off. A run whose task panics re-raises the panic and
+    /// stores no trace.
     pub fn run_labeled<F, L>(
         &self,
         pool: &WorkerPool,
@@ -265,58 +265,38 @@ impl TaskGraph {
         // participants in the condvar wait below.
         self.topo_order()?;
 
-        // Per-task schedule observations, written under the run lock.
-        struct Sched {
-            ready_ns: Vec<u64>,
-            start_ns: Vec<u64>,
-            end_ns: Vec<u64>,
-            worker: Vec<u64>,
-        }
         struct RunState {
             indeg: Vec<usize>,
             ready: Vec<usize>,
             completed: usize,
             peak_ready: usize,
             panic: Option<Box<dyn std::any::Any + Send>>,
-            sched: Option<Sched>,
+            /// Per-task schedule records when tracing, else empty.
+            records: Vec<TaskRecord>,
         }
 
         let tracing = Telemetry::is_enabled() && Telemetry::graph_trace_enabled();
-        let epoch = Instant::now();
-        let labels: Vec<TaskLabel> = if tracing {
-            (0..n).map(&meta).collect()
+        let clock = trace::global();
+        let run_start = if tracing { clock.stamp().ts_ns } else { 0 };
+        let records: Vec<TaskRecord> = if tracing {
+            (0..n)
+                .map(|t| {
+                    let TaskLabel { name, class } = meta(t);
+                    TaskRecord {
+                        task: t,
+                        name,
+                        class,
+                        ready_ns: 0,
+                        start_ns: 0,
+                        end_ns: 0,
+                        start_seq: 0,
+                        end_seq: 0,
+                        worker: 0,
+                    }
+                })
+                .collect()
         } else {
             Vec::new()
-        };
-        // Process-unique flow ids, one per edge: the id of edge
-        // (t -> dependents[t][j]) is flow_base + edge_offset[t] + j. The
-        // predecessor emits the arrow tail inside its span; the successor,
-        // which can only start later, emits the head inside its own: the
-        // ids of the edges into `t` are incoming[incoming_offset[t]..
-        // incoming_offset[t + 1]].
-        let (flow_base, edge_offset, incoming_offset, incoming) = if tracing {
-            let mut edge_offset = Vec::with_capacity(n);
-            let mut incoming_offset = Vec::with_capacity(n + 1);
-            let (mut out_edges, mut in_edges) = (0u64, 0usize);
-            for t in 0..n {
-                edge_offset.push(out_edges);
-                incoming_offset.push(in_edges);
-                out_edges += self.dependents[t].len() as u64;
-                in_edges += self.deps[t].len();
-            }
-            incoming_offset.push(in_edges);
-            let mut filled = incoming_offset.clone();
-            let mut incoming = vec![0u64; in_edges];
-            for (t, &off) in edge_offset.iter().enumerate() {
-                for (j, &d) in self.dependents[t].iter().enumerate() {
-                    incoming[filled[d]] = off + j as u64;
-                    filled[d] += 1;
-                }
-            }
-            let base = graphtrace::reserve_flow_ids(out_edges);
-            (base, edge_offset, incoming_offset, incoming)
-        } else {
-            (0, Vec::new(), Vec::new(), Vec::new())
         };
 
         let indeg = self.indegrees();
@@ -327,12 +307,7 @@ impl TaskGraph {
             ready,
             completed: 0,
             panic: None,
-            sched: tracing.then(|| Sched {
-                ready_ns: vec![0; n],
-                start_ns: vec![0; n],
-                end_ns: vec![0; n],
-                worker: vec![0; n],
-            }),
+            records,
         });
         let wake = Condvar::new();
 
@@ -349,30 +324,9 @@ impl TaskGraph {
                     st = wake.wait(st).unwrap();
                 };
                 drop(st);
-                // One clock reading per task boundary serves both the
-                // schedule record and the boundary's trace events.
-                let ns_since = |at: Instant| at.duration_since(epoch).as_nanos() as u64;
-                let start_ns = tracing.then(|| {
-                    let now = Instant::now();
-                    let heads = &incoming[incoming_offset[t]..incoming_offset[t + 1]];
-                    let heads = heads.iter().map(|e| flow_base + e);
-                    Telemetry::trace_task_begin(now, labels[t].name, heads);
-                    ns_since(now)
-                });
+                let start = tracing.then(|| clock.stamp());
                 let result = catch_unwind(AssertUnwindSafe(|| f(t)));
-                let end_ns = tracing.then(|| {
-                    let now = Instant::now();
-                    // A task that panicked starts no arrows.
-                    let tails = if result.is_ok() {
-                        self.dependents[t].len()
-                    } else {
-                        0
-                    };
-                    let first = flow_base + edge_offset[t];
-                    let tails = (0..tails).map(|j| first + j as u64);
-                    Telemetry::trace_task_end(now, labels[t].name, tails);
-                    ns_since(now)
-                });
+                let end = tracing.then(|| clock.stamp());
                 let mut st = state.lock().unwrap();
                 match result {
                     Ok(()) => {
@@ -385,14 +339,17 @@ impl TaskGraph {
                             }
                         }
                         st.peak_ready = st.peak_ready.max(st.ready.len());
-                        let st_mut = &mut *st;
-                        if let Some(sched) = st_mut.sched.as_mut() {
-                            sched.start_ns[t] = start_ns.unwrap_or(0);
-                            sched.end_ns[t] = end_ns.unwrap_or(0);
-                            sched.worker[t] = exastro_telemetry::trace::thread_trace_id();
-                            let now = sched.end_ns[t];
-                            for &d in &st_mut.ready[newly_ready_from..] {
-                                sched.ready_ns[d] = now;
+                        if let (Some(start), Some(end)) = (start, end) {
+                            let RunState { ready, records, .. } = &mut *st;
+                            let end_ns = end.ts_ns - run_start;
+                            let r = &mut records[t];
+                            r.start_ns = start.ts_ns - run_start;
+                            r.end_ns = end_ns;
+                            r.start_seq = start.seq;
+                            r.end_seq = end.seq;
+                            r.worker = trace::thread_trace_id();
+                            for &d in &ready[newly_ready_from..] {
+                                records[d].ready_ns = end_ns;
                             }
                         }
                     }
@@ -415,30 +372,19 @@ impl TaskGraph {
             resume_unwind(p);
         }
         debug_assert_eq!(st.completed, n);
-        let stats = GraphRunStats {
-            peak_ready: st.peak_ready,
-            ..stats
-        };
-        if let Some(sched) = st.sched.take() {
-            let tasks: Vec<TaskRecord> = (0..n)
-                .map(|t| TaskRecord {
-                    task: t,
-                    name: labels[t].name,
-                    class: labels[t].class,
-                    ready_ns: sched.ready_ns[t],
-                    start_ns: sched.start_ns[t],
-                    end_ns: sched.end_ns[t],
-                    worker: sched.worker[t],
-                })
-                .collect();
+        if tracing {
             graphtrace::record(GraphTrace {
                 label: label.to_string(),
-                wall_ns: epoch.elapsed().as_nanos() as u64,
-                tasks,
+                start_ns: run_start,
+                wall_ns: clock.stamp().ts_ns - run_start,
+                tasks: st.records,
                 deps: self.deps.clone(),
             });
         }
-        Ok(stats)
+        Ok(GraphRunStats {
+            peak_ready: st.peak_ready,
+            ..stats
+        })
     }
 }
 

@@ -1,5 +1,8 @@
 //! Property-based tests for the index algebra, the worker pool, the task
-//! graph, and arenas.
+//! graph, its exported trace, and arenas.
+
+#[path = "../../telemetry/tests/common/strict_json.rs"]
+mod strict_json;
 
 use exastro_parallel::{Arena, IndexBox, IntVect, MallocArena, PoolArena, Tasks, WorkerPool};
 use proptest::prelude::*;
@@ -186,7 +189,7 @@ mod graph_props {
     }
 
     /// A random forward-edge DAG plus its dependency lists.
-    fn random_dag(n: usize, density: f64, seed: u64) -> (TaskGraph, Vec<Vec<usize>>) {
+    pub(super) fn random_dag(n: usize, density: f64, seed: u64) -> (TaskGraph, Vec<Vec<usize>>) {
         let mut g = TaskGraph::new();
         for _ in 0..n {
             g.add_task();
@@ -268,6 +271,131 @@ mod graph_props {
                 g.run(WorkerPool::global(), 3, f).unwrap();
             });
             prop_assert_eq!(&serial, &pooled);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Graph tracing: the exported trace draws each task once and each edge once.
+// ---------------------------------------------------------------------------
+
+mod trace_props {
+    use super::graph_props::random_dag;
+    use super::strict_json::{self, Json};
+    use exastro_parallel::{TaskClass, TaskLabel, Telemetry, WorkerPool};
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    fn text(ev: &Json, key: &str) -> String {
+        match ev.get(key) {
+            Some(Json::Str(s)) => s.clone(),
+            other => panic!("{key} is {other:?} in {ev:?}"),
+        }
+    }
+
+    fn number(ev: &Json, key: &str) -> f64 {
+        match ev.get(key) {
+            Some(Json::Num(v)) => *v,
+            other => panic!("{key} is {other:?} in {ev:?}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn traced_dags_export_one_arrow_per_edge_inside_their_tasks(
+            n in 1usize..24,
+            density in 0.0f64..0.6,
+            seed in 0u64..100_000,
+        ) {
+            // Two traced runs of one random DAG on a pool; each task opens
+            // a region. Other tests of this binary run graphs concurrently,
+            // so only this test's names (`dag.*`) are held to the DAG.
+            let (g, deps) = random_dag(n, density, seed);
+            let pool = WorkerPool::new(3);
+            Telemetry::reset();
+            Telemetry::enable_graph_trace();
+            for _ in 0..2 {
+                g.run_labeled(
+                    &pool,
+                    4,
+                    "dag",
+                    |t| TaskLabel::new(&format!("dag.t{t}"), TaskClass::Compute),
+                    |_| {
+                        let _body = Telemetry::region("dag.body");
+                    },
+                )
+                .unwrap();
+            }
+            Telemetry::disable_graph_trace();
+            Telemetry::disable();
+            let path = std::env::temp_dir()
+                .join(format!("exastro-dag-trace-{}.json", std::process::id()));
+            Telemetry::write_trace(&path).unwrap();
+            let json = std::fs::read_to_string(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            let trace = strict_json::parse(&json).expect("the trace is strict JSON");
+            let Some(Json::Arr(events)) = trace.get("traceEvents") else {
+                panic!("no traceEvents array");
+            };
+
+            // Replay every thread's stack: per-thread monotonic timestamps,
+            // LIFO-nested balanced spans; every arrow end inside a span,
+            // noted with the name of the span it sits in.
+            let mut stacks: HashMap<u64, Vec<String>> = HashMap::new();
+            let mut last_ts: HashMap<u64, f64> = HashMap::new();
+            let mut arrows: HashMap<u64, Vec<(String, String)>> = HashMap::new();
+            let (mut tasks, mut bodies) = (0, 0);
+            for ev in events {
+                let (name, ph) = (text(ev, "name"), text(ev, "ph"));
+                let (tid, ts) = (number(ev, "tid") as u64, number(ev, "ts"));
+                let prev = last_ts.insert(tid, ts).unwrap_or(0.0);
+                prop_assert!(ts >= prev, "ts regresses on tid {}", tid);
+                let stack = stacks.entry(tid).or_default();
+                match ph.as_str() {
+                    "B" => {
+                        if name == "dag.body" {
+                            let inside = stack.last().is_some_and(|s| s.starts_with("dag.t"));
+                            prop_assert!(inside, "a region outside its task: {:?}", stack);
+                            bodies += 1;
+                        }
+                        tasks += usize::from(name.starts_with("dag.t"));
+                        stack.push(name);
+                    }
+                    "E" => prop_assert_eq!(stack.pop(), Some(name)),
+                    "s" | "f" => {
+                        prop_assert!(ph == "s" || text(ev, "bp") == "e");
+                        let inside = stack.last().cloned().expect("an arrow outside any span");
+                        arrows.entry(number(ev, "id") as u64).or_default().push((ph, inside));
+                    }
+                    other => prop_assert!(false, "unexpected ph {}", other),
+                }
+            }
+            for (tid, stack) in &stacks {
+                prop_assert!(stack.is_empty(), "unclosed spans on tid {}: {:?}", tid, stack);
+            }
+            prop_assert_eq!((tasks, bodies), (2 * n, 2 * n));
+
+            // One tail and then one head per id; this DAG's arrows run from
+            // each predecessor's span to its successor's, once per edge a run.
+            let mut drawn: Vec<(String, String)> = Vec::new();
+            for (id, ends) in arrows {
+                let [(s, tail), (f, head)] = <[_; 2]>::try_from(ends).expect("two ends an arrow");
+                prop_assert!((s.as_str(), f.as_str()) == ("s", "f"), "arrow {} is {} then {}", id, s, f);
+                if tail.starts_with("dag.") || head.starts_with("dag.") {
+                    drawn.push((tail, head));
+                }
+            }
+            let mut want: Vec<(String, String)> = deps
+                .iter()
+                .enumerate()
+                .flat_map(|(t, ds)| ds.iter().map(move |d| (format!("dag.t{d}"), format!("dag.t{t}"))))
+                .flat_map(|edge| [edge.clone(), edge])
+                .collect();
+            drawn.sort();
+            want.sort();
+            prop_assert_eq!(drawn, want);
         }
     }
 }

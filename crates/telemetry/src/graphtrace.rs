@@ -19,16 +19,20 @@
 //!   time (pack/unpack) that ran concurrently with compute tasks, directly
 //!   comparable to `machine::OverlapModel`'s *predicted* hidden fraction.
 //!
-//! Recording is gated on its own flag ([`enabled`]) layered on top of
-//! [`Telemetry::is_enabled`](crate::Telemetry::is_enabled), because per-task
-//! timestamps cost more than a span begin/end; the `ablation_telemetry`
-//! bench keeps the enabled cost under 2% of an overlapped step.
+//! A recorded run is also the Chrome trace's only record of its tasks:
+//! [`TraceBuffer::export`](crate::TraceBuffer::export) draws each task's
+//! span and each edge's arrow from it. Recording is gated on its own flag
+//! ([`enabled`]) layered on top of
+//! [`Telemetry::is_enabled`](crate::Telemetry::is_enabled): a traced task
+//! takes two [`Stamp`](crate::trace::Stamp)s and fills its record under the
+//! run's lock, a cost plain span tracing does not pay. The registry keeps
+//! the newest 256 runs and counts the ones it evicts ([`evicted`]).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use crate::json;
 
@@ -75,7 +79,8 @@ impl TaskLabel {
 }
 
 /// One task's observed schedule within a graph run. All timestamps are
-/// nanoseconds since the run started.
+/// nanoseconds since the run started; the sequence numbers are the trace
+/// buffer's, so the task's span sorts among the ring's events.
 #[derive(Clone, Debug)]
 pub struct TaskRecord {
     /// Task id within the graph.
@@ -90,6 +95,10 @@ pub struct TaskRecord {
     pub start_ns: u64,
     /// When it finished.
     pub end_ns: u64,
+    /// Sequence number of the start stamp.
+    pub start_seq: u64,
+    /// Sequence number of the end stamp.
+    pub end_seq: u64,
     /// Stable trace id of the worker thread that ran it.
     pub worker: u64,
 }
@@ -100,6 +109,8 @@ pub struct TaskRecord {
 pub struct GraphTrace {
     /// Graph label (e.g. `"hydro.sweep.x"`).
     pub label: String,
+    /// When the run started, in nanoseconds on the trace buffer's clock.
+    pub start_ns: u64,
     /// Wall time of the whole run in nanoseconds.
     pub wall_ns: u64,
     /// Per-task records, indexed by task id.
@@ -109,14 +120,21 @@ pub struct GraphTrace {
 }
 
 static GRAPH_ENABLED: AtomicBool = AtomicBool::new(false);
-static NEXT_FLOW_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Maximum retained traces; older runs are evicted first.
 const MAX_TRACES: usize = 256;
 
-fn registry() -> &'static Mutex<Vec<GraphTrace>> {
-    static REGISTRY: OnceLock<Mutex<Vec<GraphTrace>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
+/// The stored runs, oldest first, and how many were evicted since the last
+/// [`clear`].
+#[derive(Default)]
+struct Registry {
+    runs: VecDeque<GraphTrace>,
+    evicted: u64,
+}
+
+fn registry() -> MutexGuard<'static, Registry> {
+    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
+    REGISTRY.get_or_init(Mutex::default).lock().unwrap()
 }
 
 /// Turn per-task graph recording on. Idempotent.
@@ -135,35 +153,42 @@ pub fn enabled() -> bool {
     GRAPH_ENABLED.load(Ordering::Relaxed)
 }
 
-/// Reserve `n` process-unique flow ids; returns the first. Keeps dependency
-/// arrows from distinct graph runs from aliasing in one exported trace.
-pub fn reserve_flow_ids(n: u64) -> u64 {
-    NEXT_FLOW_ID.fetch_add(n.max(1), Ordering::Relaxed)
-}
-
-/// Store a completed graph trace (bounded; the oldest is evicted past 256
-/// traces).
+/// Store a completed graph trace (bounded: past 256 traces the oldest is
+/// evicted and counted).
 pub fn record(trace: GraphTrace) {
-    let mut reg = registry().lock().unwrap();
-    if reg.len() >= MAX_TRACES {
-        reg.remove(0);
+    let mut reg = registry();
+    if reg.runs.len() >= MAX_TRACES {
+        reg.runs.pop_front();
+        reg.evicted += 1;
     }
-    reg.push(trace);
+    reg.runs.push_back(trace);
 }
 
-/// Remove and return every stored trace (in recording order).
+/// Remove and return every stored trace (in recording order). The eviction
+/// count stays.
 pub fn take() -> Vec<GraphTrace> {
-    std::mem::take(&mut *registry().lock().unwrap())
+    std::mem::take(&mut registry().runs).into()
+}
+
+/// A copy of every stored trace (in recording order), leaving them stored.
+pub fn snapshot() -> Vec<GraphTrace> {
+    registry().runs.iter().cloned().collect()
 }
 
 /// Number of stored traces.
 pub fn len() -> usize {
-    registry().lock().unwrap().len()
+    registry().runs.len()
 }
 
-/// Discard all stored traces.
+/// Runs evicted since the last [`clear`]: runs neither a summary nor the
+/// Chrome trace can show any more.
+pub fn evicted() -> u64 {
+    registry().evicted
+}
+
+/// Discard all stored traces and zero the eviction count.
 pub fn clear() {
-    registry().lock().unwrap().clear();
+    *registry() = Registry::default();
 }
 
 /// Per-task analysis output (microseconds).
@@ -423,10 +448,15 @@ fn json_class_counts(summary: &GraphSummary) -> String {
     format!("{{{}}}", body.join(", "))
 }
 
-/// Serialize summaries as the `exastro.graphtrace.v1` JSON artifact.
-pub fn summaries_to_json(summaries: &[GraphSummary]) -> String {
+/// Serialize summaries as the `exastro.graphtrace.v1` JSON artifact;
+/// `evicted_runs` is the count of runs the registry dropped before they
+/// could be summarized ([`evicted`]).
+pub fn summaries_to_json(summaries: &[GraphSummary], evicted_runs: u64) -> String {
     let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"exastro.graphtrace.v1\",\n  \"graphs\": [\n");
+    out.push_str("{\n  \"schema\": \"exastro.graphtrace.v1\",\n");
+    out.push_str(&format!(
+        "  \"evicted_runs\": {evicted_runs},\n  \"graphs\": [\n"
+    ));
     for (gi, s) in summaries.iter().enumerate() {
         let chain: Vec<String> = s
             .critical_path
@@ -489,14 +519,15 @@ pub fn summaries_to_json(summaries: &[GraphSummary]) -> String {
     out
 }
 
-/// Write the summaries artifact to `path`; returns the path written.
+/// Write the summaries artifact to `path`, with the registry's current
+/// eviction count; returns the path written.
 pub fn write_summaries(
     path: impl AsRef<Path>,
     summaries: &[GraphSummary],
 ) -> std::io::Result<PathBuf> {
     let path = path.as_ref().to_path_buf();
     let mut f = std::io::BufWriter::new(std::fs::File::create(&path)?);
-    f.write_all(summaries_to_json(summaries).as_bytes())?;
+    f.write_all(summaries_to_json(summaries, evicted()).as_bytes())?;
     f.flush()?;
     Ok(path)
 }
@@ -521,6 +552,8 @@ mod tests {
             ready_ns: ready,
             start_ns: start,
             end_ns: end,
+            start_seq: 0,
+            end_seq: 0,
             worker,
         }
     }
@@ -529,6 +562,7 @@ mod tests {
     fn diamond_trace() -> GraphTrace {
         GraphTrace {
             label: "diamond".to_string(),
+            start_ns: 0,
             wall_ns: 10_000,
             tasks: vec![
                 rec(0, "src", TaskClass::Other, 0, 0, 1_000, 1),
@@ -584,6 +618,7 @@ mod tests {
         // Comm [0, 4000) vs compute [2000, 6000): half hidden.
         let trace = GraphTrace {
             label: "partial".to_string(),
+            start_ns: 0,
             wall_ns: 6_000,
             tasks: vec![
                 rec(0, "pack", TaskClass::Comm, 0, 0, 4_000, 1),
@@ -604,6 +639,7 @@ mod tests {
     fn no_comm_tasks_means_no_efficiency() {
         let trace = GraphTrace {
             label: "pure".to_string(),
+            start_ns: 0,
             wall_ns: 1_000,
             tasks: vec![rec(0, "k", TaskClass::Compute, 0, 0, 1_000, 1)],
             deps: vec![vec![]],
@@ -613,36 +649,85 @@ mod tests {
         assert!(overall_efficiency(&[s]).is_none());
     }
 
+    /// Held by every test of the global registry: the test harness runs
+    /// tests on concurrent threads.
+    static REGISTRY_TESTS: Mutex<()> = Mutex::new(());
+
     #[test]
     fn registry_is_bounded_and_drains() {
-        clear();
-        for i in 0..(MAX_TRACES + 8) {
+        let _one = REGISTRY_TESTS.lock().unwrap();
+        crate::Telemetry::reset();
+        for i in 0..=MAX_TRACES {
             record(GraphTrace {
                 label: format!("g{i}"),
+                start_ns: 0,
                 wall_ns: 1,
                 tasks: Vec::new(),
                 deps: Vec::new(),
             });
         }
-        assert_eq!(len(), MAX_TRACES);
+        assert_eq!((len(), evicted()), (MAX_TRACES, 1));
+        assert_eq!(
+            snapshot().len(),
+            MAX_TRACES,
+            "a snapshot leaves them stored"
+        );
         let taken = take();
         assert_eq!(taken.len(), MAX_TRACES);
-        assert_eq!(taken.last().unwrap().label, format!("g{}", MAX_TRACES + 7));
-        assert_eq!(len(), 0);
+        assert_eq!(taken[0].label, "g1");
+        assert_eq!(taken.last().unwrap().label, format!("g{MAX_TRACES}"));
+        assert_eq!((len(), evicted()), (0, 1));
+        crate::Telemetry::reset();
+        assert_eq!(evicted(), 0);
     }
 
     #[test]
-    fn flow_id_reservation_is_unique() {
-        let a = reserve_flow_ids(10);
-        let b = reserve_flow_ids(5);
-        assert!(b >= a + 10);
+    fn write_trace_leaves_the_graph_summaries_whole() {
+        let _one = REGISTRY_TESTS.lock().unwrap();
+        // One chain stored twice over: the summary written after the Chrome
+        // trace must equal the one written without it.
+        let dir = std::env::temp_dir().join(format!("exastro-nodrain-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let store = || {
+            clear();
+            let tasks = (0..3).map(|t| TaskRecord {
+                task: t,
+                name: "t",
+                class: TaskClass::Compute,
+                ready_ns: 10 * t as u64,
+                start_ns: 10 * t as u64 + 1,
+                end_ns: 10 * t as u64 + 9,
+                start_seq: 2 * t as u64,
+                end_seq: 2 * t as u64 + 1,
+                worker: 1,
+            });
+            record(GraphTrace {
+                label: "nodrain".to_string(),
+                start_ns: 0,
+                wall_ns: 30,
+                tasks: tasks.collect(),
+                deps: vec![vec![], vec![0], vec![1]],
+            });
+        };
+        store();
+        let alone = crate::Telemetry::write_graph_summary(dir.join("alone.json")).unwrap();
+        store();
+        crate::Telemetry::write_trace(dir.join("trace.json")).unwrap();
+        let after = crate::Telemetry::write_graph_summary(dir.join("after.json")).unwrap();
+        let (alone, after) = (
+            std::fs::read_to_string(alone),
+            std::fs::read_to_string(after),
+        );
+        assert_eq!(alone.unwrap(), after.unwrap());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn summary_json_is_balanced_and_schema_tagged() {
         let s = summarize(&diamond_trace());
-        let text = summaries_to_json(&[s]);
+        let text = summaries_to_json(&[s], 2);
         assert!(text.contains("\"schema\": \"exastro.graphtrace.v1\""));
+        assert!(text.contains("\"evicted_runs\": 2,"));
         assert!(text.contains("\"critical_path\""));
         assert!(text.contains("\"slack_us\""));
         assert_eq!(text.matches('{').count(), text.matches('}').count());

@@ -10,10 +10,10 @@
 //!   the burner" (§IV of the paper); a region edge costs a clock reading
 //!   and two atomic adds.
 //! * **Behind [`Telemetry::enable`]** — [`trace`]: begin/end spans (every
-//!   region, pool workers, graph tasks and their dependency arrows) in a
-//!   lock-sharded ring, exported as Chrome trace-event JSON;
-//!   [`graphtrace`]: per-task records of a `TaskGraph` run and their
-//!   critical-path / overlap summary. Each helper first checks one relaxed
+//!   region and pool worker) in a lock-sharded ring, exported as Chrome
+//!   trace-event JSON; [`graphtrace`]: per-task records of a `TaskGraph`
+//!   run and their critical-path / overlap summary, which the export also
+//!   draws as task spans and dependency arrows. Each helper first checks one relaxed
 //!   atomic, so a disabled site costs one predictable branch;
 //!   `ablation_telemetry` in `crates/bench` keeps the enabled cost of a
 //!   Sedov step under 2 %.
@@ -38,11 +38,10 @@ pub use graphtrace::{GraphSummary, GraphTrace, TaskClass, TaskLabel, TaskRecord,
 pub use metrics::{StepMetrics, StepRecorder};
 pub use region::{Region, RegionId, RegionStats};
 pub use sink::{JsonLine, JsonlSink, MemorySink, MultiSink, NullSink, Sink};
-pub use trace::{Phase, TraceBuffer, TraceEvent};
+pub use trace::{Exported, Phase, Stamp, TraceBuffer, TraceEvent};
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Instant;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -87,49 +86,17 @@ impl Telemetry {
         }
     }
 
-    /// Export every recorded span as Chrome trace-event JSON at `path`.
-    /// The output is always well-formed: balanced B/E per thread, properly
+    /// Export every recorded span, and the task spans and dependency arrows
+    /// of every stored graph run, as Chrome trace-event JSON at `path`. The
+    /// output is always well-formed: balanced B/E per thread, properly
     /// nested, timestamps monotonic per thread (see [`trace`] for the
-    /// export-time repair rules).
+    /// export-time merge and repair). The graph runs stay stored.
     pub fn write_trace(path: impl AsRef<Path>) -> std::io::Result<PathBuf> {
-        trace::global().write_chrome_trace(path)
+        trace::global().write_chrome_trace(path, &graphtrace::snapshot(), graphtrace::evicted())
     }
 
-    /// Record the beginning of graph task `name` on this thread and, inside
-    /// it, the heads (`ph: "f"`) of the dependency arrows `heads` that end
-    /// in it — one batch stamped `at`, the caller's own reading of the clock
-    /// (see [`TraceBuffer::begin_with_flows`]). `name` is stored as given:
-    /// a literal or an [interned](trace::intern) name. No-op when telemetry
-    /// is disabled.
-    #[inline]
-    pub fn trace_task_begin(
-        at: Instant,
-        name: &'static str,
-        heads: impl ExactSizeIterator<Item = u64>,
-    ) {
-        if Self::is_enabled() {
-            trace::global().begin_with_flows(at, name, "dep", heads);
-        }
-    }
-
-    /// Record the tails (`ph: "s"`) of the dependency arrows `tails` that
-    /// start in graph task `name`, then the task's end — one batch. Each
-    /// tail must be recorded before its head
-    /// ([`Telemetry::trace_task_begin`] of the dependent task). No-op when
-    /// telemetry is disabled.
-    #[inline]
-    pub fn trace_task_end(
-        at: Instant,
-        name: &'static str,
-        tails: impl ExactSizeIterator<Item = u64>,
-    ) {
-        if Self::is_enabled() {
-            trace::global().end_with_flows(at, name, "dep", tails);
-        }
-    }
-
-    /// Turn per-task graph recording on (implies [`Telemetry::enable`],
-    /// since graph spans and flow arrows ride the same trace buffer).
+    /// Turn per-task graph recording on (implies [`Telemetry::enable`]: a
+    /// task's stamps are taken on the trace buffer's clock).
     pub fn enable_graph_trace() {
         Self::enable();
         graphtrace::enable();
@@ -151,7 +118,7 @@ impl Telemetry {
     /// Summarize every graph trace recorded so far (critical path, slack,
     /// queue-wait breakdown, measured overlap efficiency) and write the
     /// `exastro.graphtrace.v1` JSON artifact at `path`. Drains the stored
-    /// traces.
+    /// traces: call [`Telemetry::write_trace`] first to keep their spans.
     pub fn write_graph_summary(path: impl AsRef<Path>) -> std::io::Result<PathBuf> {
         let summaries: Vec<GraphSummary> = graphtrace::take()
             .iter()
@@ -160,8 +127,8 @@ impl Telemetry {
         graphtrace::write_summaries(path, &summaries)
     }
 
-    /// Clear everything recorded (region rows, trace events, graph traces)
-    /// without changing the enabled flags. Region
+    /// Clear everything recorded (region rows, trace events, graph traces
+    /// and their eviction count) without changing the enabled flags. Region
     /// rows are zeroed, not removed: a region open across a reset still
     /// closes into its row.
     pub fn reset() {
@@ -180,6 +147,6 @@ mod tests {
         Telemetry::disable();
         Telemetry::trace_begin("noop");
         Telemetry::trace_end("noop");
-        assert!(trace::global().events_sorted().is_empty() || !Telemetry::is_enabled());
+        assert!(trace::global().export(&[]).is_empty() || !Telemetry::is_enabled());
     }
 }

@@ -174,7 +174,7 @@ impl Drop for Region {
         let wall = end.saturating_duration_since(self.start).as_nanos() as u64;
         with_node(self.node, |n| n.close(wall));
         if Telemetry::is_enabled() {
-            trace::global().end_with_flows(end, self.name, "", std::iter::empty());
+            trace::global().end_at(end, self.name);
         }
         CURRENT.set(self.parent);
     }
@@ -190,7 +190,7 @@ impl Telemetry {
         CURRENT.set(node);
         let start = Instant::now();
         if Self::is_enabled() {
-            trace::global().begin_with_flows(start, name, "", std::iter::empty());
+            trace::global().begin_at(start, name);
         }
         Region {
             node,

@@ -10,6 +10,15 @@
 //! `&'static str`, so recording allocates nothing once a name has been
 //! seen.
 //!
+//! Graph tasks are not in the ring. A traced `TaskGraph` run keeps its
+//! tasks' [`Stamp`]s in a [`GraphTrace`], and [`TraceBuffer::export`]
+//! merges each stored run into the stream: a span per task on its
+//! worker's tid, with one dependency arrow per edge — its tail (`"s"`)
+//! just before the predecessor's `E`, its head (`"f"`) just after the
+//! successor's `B`. A stamp's sequence number comes from the ring's
+//! counter, so at equal timestamps a task's `B` still precedes what its
+//! body recorded and its `E` follows it.
+//!
 //! ## Bounded memory, well-formed output
 //!
 //! Each shard is a fixed-capacity ring: when full, the **oldest** event in
@@ -28,6 +37,7 @@
 //! Perfetto *and* passes the strict CI schema check: per-thread balanced
 //! B/E, LIFO nesting, monotonic timestamps.
 
+use crate::graphtrace::GraphTrace;
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::Write;
@@ -36,19 +46,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Span or flow phase (Chrome trace-event `ph` values).
+/// Span phase (Chrome trace-event `ph` values).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
     /// Span begin (`"B"`).
     Begin,
     /// Span end (`"E"`).
     End,
-    /// Flow start (`"s"`) — the tail of a dependency arrow, emitted inside
-    /// the predecessor's span.
-    FlowStart,
-    /// Flow finish (`"f"`) — the head of a dependency arrow, emitted inside
-    /// the successor's span.
-    FlowFinish,
 }
 
 impl Phase {
@@ -57,14 +61,7 @@ impl Phase {
         match self {
             Phase::Begin => "B",
             Phase::End => "E",
-            Phase::FlowStart => "s",
-            Phase::FlowFinish => "f",
         }
-    }
-
-    /// True for the flow phases (`"s"` / `"f"`).
-    pub fn is_flow(&self) -> bool {
-        matches!(self, Phase::FlowStart | Phase::FlowFinish)
     }
 }
 
@@ -99,8 +96,19 @@ pub fn intern(name: &str) -> &'static str {
     })
 }
 
-/// One recorded event.
-#[derive(Clone, Copy, Debug)]
+/// Where an event falls in a trace's total order: nanoseconds since the
+/// buffer's epoch, then a sequence number from the buffer's counter.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Stamp {
+    /// Nanoseconds since the buffer's monotonic epoch.
+    pub ts_ns: u64,
+    /// Global recording sequence number (total order tiebreak).
+    pub seq: u64,
+}
+
+/// One span event: recorded in the ring, or derived from a graph task at
+/// export.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Span name (a region name, pool job label or task label): a literal
     /// or [`intern`]ed.
@@ -109,50 +117,44 @@ pub struct TraceEvent {
     pub tid: u64,
     /// Nanoseconds since the buffer's monotonic epoch.
     pub ts_ns: u64,
-    /// Begin, end, or a flow endpoint.
+    /// Begin or end.
     pub phase: Phase,
     /// Global recording sequence number (total order tiebreak).
     pub seq: u64,
-    /// Flow binding id — pairs a [`Phase::FlowStart`] with its
-    /// [`Phase::FlowFinish`]. Zero (and ignored) for span events.
-    pub flow_id: u64,
 }
 
-/// An optional first event, a run of events, an optional last event — and
-/// still an `ExactSizeIterator`, which `Chain` is not.
-struct Batch<E, I> {
-    first: Option<E>,
-    middle: I,
-    last: Option<E>,
+/// One event of an exported trace.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Exported {
+    /// A span begin or end.
+    Span(TraceEvent),
+    /// One end of dependency arrow `id` (numbered from 1 per export), placed
+    /// at a task span's edge `at`: a tail (`"s"`) at the predecessor's end,
+    /// a head (`"f"`) at the successor's begin.
+    Arrow {
+        /// The task-span event the arrow end sits at.
+        at: TraceEvent,
+        /// Arrow id: pairs a tail with its head.
+        id: u64,
+    },
 }
 
-impl<E, I> Batch<E, I> {
-    fn new(first: Option<E>, middle: I, last: Option<E>) -> Self {
-        Batch {
-            first,
-            middle,
-            last,
+impl Exported {
+    /// The event this one is, or sits at.
+    pub fn event(&self) -> &TraceEvent {
+        match self {
+            Exported::Span(ev) | Exported::Arrow { at: ev, .. } => ev,
         }
     }
-}
 
-impl<E, I: ExactSizeIterator<Item = E>> Iterator for Batch<E, I> {
-    type Item = E;
-
-    fn next(&mut self) -> Option<E> {
-        self.first
-            .take()
-            .or_else(|| self.middle.next())
-            .or_else(|| self.last.take())
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.first.is_some() as usize + self.middle.len() + self.last.is_some() as usize;
-        (n, Some(n))
+    /// Sort key: by stamp, then a task's `B` before its arrow heads and its
+    /// arrow tails before its `E`.
+    fn key(&self) -> (u64, u64, bool) {
+        let ev = self.event();
+        let arrow = matches!(self, Exported::Arrow { .. });
+        (ev.ts_ns, ev.seq, arrow == (ev.phase == Phase::Begin))
     }
 }
-
-impl<E, I: ExactSizeIterator<Item = E>> ExactSizeIterator for Batch<E, I> {}
 
 const NSHARDS: usize = 16;
 const DEFAULT_CAPACITY_PER_SHARD: usize = 1 << 15;
@@ -193,96 +195,59 @@ impl TraceBuffer {
         }
     }
 
-    fn push(&self, name: &str, phase: Phase, flow_id: u64) {
-        let event = (intern(name), phase, flow_id);
-        self.push_all(Instant::now(), std::iter::once(event));
+    /// `at` on this buffer's clock, with the next sequence number.
+    pub fn stamp_at(&self, at: Instant) -> Stamp {
+        Stamp {
+            ts_ns: at.saturating_duration_since(self.epoch).as_nanos() as u64,
+            seq: self.seq.fetch_add(1, Ordering::Relaxed),
+        }
     }
 
-    /// Record `events` — `(name, phase, flow id)` — on the calling thread as
-    /// one batch stamped `at`: one run of sequence numbers, one lock.
-    fn push_all(
-        &self,
-        at: Instant,
-        events: impl ExactSizeIterator<Item = (&'static str, Phase, u64)>,
-    ) {
+    /// Now on this buffer's clock, with the next sequence number: what a
+    /// graph task's boundary records in place of a ring event.
+    pub fn stamp(&self) -> Stamp {
+        self.stamp_at(Instant::now())
+    }
+
+    /// Record `phase` of span `name` on the calling thread, stamped `at`.
+    fn push(&self, at: Instant, name: &'static str, phase: Phase) {
         let tid = thread_trace_id();
-        let ts_ns = at.saturating_duration_since(self.epoch).as_nanos() as u64;
-        let seq = self.seq.fetch_add(events.len() as u64, Ordering::Relaxed);
+        let Stamp { ts_ns, seq } = self.stamp_at(at);
         let mut shard = self.shards[(tid as usize) % NSHARDS].lock().unwrap();
-        let mut evicted = 0;
-        for (n, (name, phase, flow_id)) in events.enumerate() {
-            if shard.len() >= self.capacity_per_shard {
-                shard.pop_front();
-                evicted += 1;
-            }
-            shard.push_back(TraceEvent {
-                name,
-                tid,
-                ts_ns,
-                phase,
-                seq: seq + n as u64,
-                flow_id,
-            });
+        if shard.len() >= self.capacity_per_shard {
+            shard.pop_front();
+            self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        if evicted > 0 {
-            self.dropped.fetch_add(evicted, Ordering::Relaxed);
-        }
+        shard.push_back(TraceEvent {
+            name,
+            tid,
+            ts_ns,
+            phase,
+            seq,
+        });
     }
 
-    /// Record, as one batch, the begin of span `name` and inside it the
-    /// heads (`ph: "f"`) of the dependency arrows `flow_name` that end in
-    /// it, all stamped `at` — a clock reading the caller just took and may
-    /// use for its own books. A graph task with a dozen dependencies is a
-    /// dozen events; batched they share that one reading and one lock. The
-    /// names are stored as given, not interned: pass literals or
-    /// [`intern`]ed names.
-    pub fn begin_with_flows(
-        &self,
-        at: Instant,
-        name: &'static str,
-        flow_name: &'static str,
-        heads: impl ExactSizeIterator<Item = u64>,
-    ) {
-        let heads = heads.map(|id| (flow_name, Phase::FlowFinish, id));
-        self.push_all(at, Batch::new(Some((name, Phase::Begin, 0)), heads, None));
+    /// Record the begin of span `name` on the calling thread, stamped `at`
+    /// — a clock reading the caller also uses for its own books. `name` is
+    /// stored as given: a literal or an [`intern`]ed name.
+    pub fn begin_at(&self, at: Instant, name: &'static str) {
+        self.push(at, name, Phase::Begin);
     }
 
-    /// Record, as one batch, the tails (`ph: "s"`) of the dependency arrows
-    /// `flow_name` that start in span `name`, then the span's end. See
-    /// [`TraceBuffer::begin_with_flows`].
-    pub fn end_with_flows(
-        &self,
-        at: Instant,
-        name: &'static str,
-        flow_name: &'static str,
-        tails: impl ExactSizeIterator<Item = u64>,
-    ) {
-        let tails = tails.map(|id| (flow_name, Phase::FlowStart, id));
-        self.push_all(at, Batch::new(None, tails, Some((name, Phase::End, 0))));
+    /// Record the end of span `name` on the calling thread, stamped `at`.
+    /// See [`TraceBuffer::begin_at`].
+    pub fn end_at(&self, at: Instant, name: &'static str) {
+        self.push(at, name, Phase::End);
     }
 
     /// Record a span begin on the calling thread.
     pub fn begin(&self, name: &str) {
-        self.push(name, Phase::Begin, 0);
+        self.begin_at(Instant::now(), intern(name));
     }
 
     /// Record a span end on the calling thread.
     pub fn end(&self, name: &str) {
-        self.push(name, Phase::End, 0);
-    }
-
-    /// Record a flow start (dependency-arrow tail) on the calling thread.
-    /// Must be emitted inside an open span; flow events recorded outside a
-    /// span are dropped by the export-time repair.
-    pub fn flow_start(&self, name: &str, flow_id: u64) {
-        self.push(name, Phase::FlowStart, flow_id);
-    }
-
-    /// Record a flow finish (dependency-arrow head) on the calling thread.
-    /// Must be emitted inside an open span, after its matching
-    /// [`TraceBuffer::flow_start`].
-    pub fn flow_finish(&self, name: &str, flow_id: u64) {
-        self.push(name, Phase::FlowFinish, flow_id);
+        self.end_at(Instant::now(), intern(name));
     }
 
     /// Events evicted by ring overflow since the last [`TraceBuffer::clear`].
@@ -299,118 +264,123 @@ impl TraceBuffer {
         self.dropped.store(0, Ordering::Relaxed);
     }
 
-    /// All events after the export-time repair (see module docs): balanced
-    /// B/E per thread, LIFO-nested, sorted by `(ts_ns, seq)`. Flow events
-    /// survive only when they were recorded inside an open span *and* both
-    /// endpoints of the flow id survive with the start ordered before the
-    /// finish — dangling dependency arrows are dropped, never half-drawn.
-    pub fn events_sorted(&self) -> Vec<TraceEvent> {
-        let mut all: Vec<TraceEvent> = Vec::new();
+    /// The ring's events merged with the task spans and dependency arrows
+    /// of `graphs` (module docs), after the export-time repair: balanced B/E
+    /// per thread, LIFO-nested, sorted by stamp. An arrow end needs no
+    /// repair: it sits inside its task's span by construction.
+    pub fn export(&self, graphs: &[GraphTrace]) -> Vec<Exported> {
+        let mut all: Vec<Exported> = Vec::new();
         for s in &self.shards {
-            all.extend(s.lock().unwrap().iter().copied());
+            all.extend(s.lock().unwrap().iter().map(|&ev| Exported::Span(ev)));
         }
-        all.sort_by_key(|e| (e.ts_ns, e.seq));
-        let max_ts = all.last().map(|e| e.ts_ns).unwrap_or(0);
-        let mut max_seq = all.last().map(|e| e.seq + 1).unwrap_or(0);
-        // Replay per-thread stacks: drop orphan E events (their B was
-        // evicted), close still-open B events with synthetic E events.
-        let mut stacks: HashMap<u64, Vec<&'static str>> = HashMap::new();
-        let mut out: Vec<TraceEvent> = Vec::with_capacity(all.len());
-        for ev in all {
-            match ev.phase {
-                Phase::Begin => {
-                    stacks.entry(ev.tid).or_default().push(ev.name);
-                    out.push(ev);
+        let mut id = 0;
+        for g in graphs {
+            let edge = |t: usize, phase: Phase| {
+                let r = &g.tasks[t];
+                let (ns, seq) = match phase {
+                    Phase::Begin => (r.start_ns, r.start_seq),
+                    Phase::End => (r.end_ns, r.end_seq),
+                };
+                TraceEvent {
+                    name: r.name,
+                    tid: r.worker,
+                    ts_ns: g.start_ns + ns,
+                    phase,
+                    seq,
                 }
-                Phase::End => {
-                    let stack = stacks.entry(ev.tid).or_default();
-                    match stack.last() {
-                        Some(&top) if top == ev.name => {
-                            stack.pop();
-                            out.push(ev);
-                        }
-                        // Orphan E (B evicted) or name mismatch: skip to
-                        // keep the output balanced and nested.
-                        _ => {}
-                    }
-                }
-                Phase::FlowStart | Phase::FlowFinish => {
-                    // A flow endpoint binds to the enclosing span; one that
-                    // lost its span to eviction has nothing to attach to.
-                    let enclosed = stacks.get(&ev.tid).is_some_and(|s| !s.is_empty());
-                    if enclosed {
-                        out.push(ev);
-                    }
+            };
+            for t in 0..g.tasks.len() {
+                all.push(Exported::Span(edge(t, Phase::Begin)));
+                all.push(Exported::Span(edge(t, Phase::End)));
+            }
+            for (t, deps) in g.deps.iter().enumerate() {
+                for &d in deps {
+                    id += 1;
+                    all.push(Exported::Arrow {
+                        at: edge(d, Phase::End),
+                        id,
+                    });
+                    all.push(Exported::Arrow {
+                        at: edge(t, Phase::Begin),
+                        id,
+                    });
                 }
             }
         }
+        all.sort_by_key(Exported::key);
+        let max_ts = all.last().map(|e| e.event().ts_ns).unwrap_or(0);
+        let mut max_seq = all.iter().map(|e| e.event().seq + 1).max().unwrap_or(0);
+        // Replay per-thread stacks: drop orphan E events (their B was
+        // evicted), close still-open B events with synthetic E events.
+        let mut stacks: HashMap<u64, Vec<&'static str>> = HashMap::new();
+        let mut out: Vec<Exported> = Vec::with_capacity(all.len());
+        for item in all {
+            if let Exported::Span(ev) = item {
+                let stack = stacks.entry(ev.tid).or_default();
+                match ev.phase {
+                    Phase::Begin => stack.push(ev.name),
+                    // Orphan E (B evicted) or name mismatch: skip to keep
+                    // the output balanced and nested.
+                    Phase::End if stack.last() != Some(&ev.name) => continue,
+                    Phase::End => {
+                        stack.pop();
+                    }
+                }
+            }
+            out.push(item);
+        }
         for (tid, stack) in stacks {
             for name in stack.into_iter().rev() {
-                out.push(TraceEvent {
+                out.push(Exported::Span(TraceEvent {
                     name,
                     tid,
                     ts_ns: max_ts,
                     phase: Phase::End,
                     seq: max_seq,
-                    flow_id: 0,
-                });
+                }));
                 max_seq += 1;
             }
         }
-        // Pair-filter flows: an id must keep exactly one start and one
-        // finish, with the start recorded no later than the finish.
-        let mut starts: HashMap<u64, (u64, u64)> = HashMap::new();
-        let mut finishes: HashMap<u64, (u64, u64)> = HashMap::new();
-        for ev in &out {
-            let slot = match ev.phase {
-                Phase::FlowStart => &mut starts,
-                Phase::FlowFinish => &mut finishes,
-                _ => continue,
-            };
-            slot.entry(ev.flow_id).or_insert((ev.ts_ns, ev.seq));
-        }
-        out.retain(|ev| {
-            if !ev.phase.is_flow() {
-                return true;
-            }
-            match (starts.get(&ev.flow_id), finishes.get(&ev.flow_id)) {
-                (Some(&s), Some(&f)) => {
-                    // Keep only the first occurrence of each endpoint.
-                    s <= f && (ev.ts_ns, ev.seq) == if ev.phase == Phase::FlowStart { s } else { f }
-                }
-                _ => false,
-            }
-        });
-        out.sort_by_key(|e| (e.ts_ns, e.seq));
         out
     }
 
-    /// Write the repaired event stream as Chrome trace-event JSON (the
-    /// `{"traceEvents": [...]}` object form). `ts` is microseconds with
-    /// nanosecond fraction, `pid` is constant 1, `tid` is the stable
-    /// per-thread id. Returns the path written.
-    pub fn write_chrome_trace(&self, path: impl AsRef<Path>) -> std::io::Result<PathBuf> {
+    /// Write the stream [`TraceBuffer::export`] gives for `graphs` as Chrome
+    /// trace-event JSON (the `{"traceEvents": [...]}` object form). `ts` is
+    /// microseconds with nanosecond fraction, `pid` is constant 1, `tid` is
+    /// the stable per-thread id. The header reports the ring's
+    /// `droppedEventCount` and, as `evictedGraphRuns`, `evicted_runs`: the
+    /// graph runs whose task spans the trace no longer holds. Returns the
+    /// path written.
+    pub fn write_chrome_trace(
+        &self,
+        path: impl AsRef<Path>,
+        graphs: &[GraphTrace],
+        evicted_runs: u64,
+    ) -> std::io::Result<PathBuf> {
         let path = path.as_ref().to_path_buf();
-        let events = self.events_sorted();
+        let events = self.export(graphs);
         let mut f = std::io::BufWriter::new(std::fs::File::create(&path)?);
         writeln!(f, "{{")?;
         writeln!(f, "  \"displayTimeUnit\": \"ns\",")?;
         writeln!(f, "  \"droppedEventCount\": {},", self.dropped())?;
+        writeln!(f, "  \"evictedGraphRuns\": {evicted_runs},")?;
         writeln!(f, "  \"traceEvents\": [")?;
-        for (i, ev) in events.iter().enumerate() {
+        for (i, item) in events.iter().enumerate() {
             let sep = if i + 1 == events.len() { "" } else { "," };
-            // Flow endpoints carry the binding id; "bp": "e" attaches the
-            // arrow head to the enclosing slice (Perfetto convention).
-            let flow = match ev.phase {
-                Phase::FlowStart => format!(", \"id\": {}", ev.flow_id),
-                Phase::FlowFinish => format!(", \"id\": {}, \"bp\": \"e\"", ev.flow_id),
-                _ => String::new(),
+            let ev = item.event();
+            // An arrow end carries its id; "bp": "e" attaches the head to
+            // the enclosing slice (Perfetto convention).
+            let (name, ph, flow) = match (item, ev.phase) {
+                (Exported::Span(_), phase) => (ev.name, phase.ph(), String::new()),
+                (Exported::Arrow { id, .. }, Phase::End) => ("dep", "s", format!(", \"id\": {id}")),
+                (Exported::Arrow { id, .. }, Phase::Begin) => {
+                    ("dep", "f", format!(", \"id\": {id}, \"bp\": \"e\""))
+                }
             };
             writeln!(
                 f,
-                "    {{\"name\": \"{}\", \"cat\": \"exastro\", \"ph\": \"{}\", \"ts\": {}.{:03}, \"pid\": 1, \"tid\": {}{flow}}}{sep}",
-                crate::json::escape(ev.name),
-                ev.phase.ph(),
+                "    {{\"name\": \"{}\", \"cat\": \"exastro\", \"ph\": \"{ph}\", \"ts\": {}.{:03}, \"pid\": 1, \"tid\": {}{flow}}}{sep}",
+                crate::json::escape(name),
                 ev.ts_ns / 1_000,
                 ev.ts_ns % 1_000,
                 ev.tid,
@@ -438,50 +408,74 @@ pub fn global() -> &'static TraceBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graphtrace::{TaskClass, TaskRecord};
 
-    fn assert_well_formed(events: &[TraceEvent]) {
+    /// Balanced, LIFO-nested spans with monotonic timestamps per thread,
+    /// and every arrow id kept at both ends, each inside an open span.
+    fn assert_well_formed(events: &[Exported]) {
         let mut stacks: HashMap<u64, Vec<&str>> = HashMap::new();
         let mut last_ts: HashMap<u64, u64> = HashMap::new();
-        let mut flow_starts: HashMap<u64, usize> = HashMap::new();
-        let mut flow_finishes: HashMap<u64, usize> = HashMap::new();
-        for ev in events {
+        let mut arrows: HashMap<u64, Vec<Phase>> = HashMap::new();
+        for item in events {
+            let ev = item.event();
             let prev = last_ts.entry(ev.tid).or_insert(0);
             assert!(ev.ts_ns >= *prev, "timestamps regress on tid {}", ev.tid);
             *prev = ev.ts_ns;
             let stack = stacks.entry(ev.tid).or_default();
-            match ev.phase {
-                Phase::Begin => stack.push(ev.name),
-                Phase::End => {
+            match (item, ev.phase) {
+                (Exported::Span(_), Phase::Begin) => stack.push(ev.name),
+                (Exported::Span(_), Phase::End) => {
                     let top = stack.pop().expect("E with empty stack");
                     assert_eq!(top, ev.name, "E does not match innermost B");
                 }
-                Phase::FlowStart | Phase::FlowFinish => {
-                    assert!(
-                        !stack.is_empty(),
-                        "flow event outside any span on tid {}",
-                        ev.tid
-                    );
-                    let slot = if ev.phase == Phase::FlowStart {
-                        &mut flow_starts
-                    } else {
-                        &mut flow_finishes
-                    };
-                    *slot.entry(ev.flow_id).or_insert(0) += 1;
+                (Exported::Arrow { id, .. }, phase) => {
+                    assert_eq!(stack.last(), Some(&ev.name), "arrow {id} outside its task");
+                    arrows.entry(*id).or_default().push(phase);
                 }
             }
         }
         for (tid, stack) in stacks {
             assert!(stack.is_empty(), "unbalanced spans on tid {tid}: {stack:?}");
         }
-        assert_eq!(
-            flow_starts.keys().collect::<std::collections::HashSet<_>>(),
-            flow_finishes
-                .keys()
-                .collect::<std::collections::HashSet<_>>(),
-            "every flow id must keep both endpoints"
-        );
-        for (id, n) in flow_starts.iter().chain(flow_finishes.iter()) {
-            assert_eq!(*n, 1, "flow id {id} has a duplicated endpoint");
+        for (id, ends) in arrows {
+            assert_eq!(
+                ends,
+                [Phase::End, Phase::Begin],
+                "arrow {id}: tail, then head"
+            );
+        }
+    }
+
+    fn spans(buf: &TraceBuffer) -> Vec<Exported> {
+        let events = buf.export(&[]);
+        assert_well_formed(&events);
+        events
+    }
+
+    /// One traced run on this thread: `tasks[t]` is task `t`'s start and end
+    /// stamp, `deps` its edges.
+    fn graph(tasks: &[(Stamp, Stamp)], deps: Vec<Vec<usize>>) -> GraphTrace {
+        let worker = thread_trace_id();
+        let tasks = tasks
+            .iter()
+            .enumerate()
+            .map(|(t, (start, end))| TaskRecord {
+                task: t,
+                name: intern(&format!("t{t}")),
+                class: TaskClass::Other,
+                ready_ns: 0,
+                start_ns: start.ts_ns,
+                end_ns: end.ts_ns,
+                start_seq: start.seq,
+                end_seq: end.seq,
+                worker,
+            });
+        GraphTrace {
+            label: "g".to_string(),
+            start_ns: 0,
+            wall_ns: 0,
+            tasks: tasks.collect(),
+            deps,
         }
     }
 
@@ -494,9 +488,7 @@ mod tests {
         buf.begin("burn");
         buf.end("burn");
         buf.end("step");
-        let events = buf.events_sorted();
-        assert_eq!(events.len(), 6);
-        assert_well_formed(&events);
+        assert_eq!(spans(&buf).len(), 6);
     }
 
     #[test]
@@ -505,9 +497,7 @@ mod tests {
         buf.begin("outer");
         buf.begin("inner");
         // Neither span closed: export must synthesize both E events.
-        let events = buf.events_sorted();
-        assert_eq!(events.len(), 4);
-        assert_well_formed(&events);
+        assert_eq!(spans(&buf).len(), 4);
     }
 
     #[test]
@@ -519,7 +509,7 @@ mod tests {
             buf.end(&format!("span{i}"));
         }
         assert!(buf.dropped() > 0);
-        assert_well_formed(&buf.events_sorted());
+        spans(&buf);
     }
 
     #[test]
@@ -538,78 +528,63 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let events = buf.events_sorted();
+        let events = spans(&buf);
         assert_eq!(events.len(), 4 * 20 * 2);
-        assert_well_formed(&events);
-        let tids: std::collections::HashSet<u64> = events.iter().map(|e| e.tid).collect();
+        let tids: HashSet<u64> = events.iter().map(|e| e.event().tid).collect();
         assert_eq!(tids.len(), 4, "each thread gets its own tid");
     }
 
     #[test]
-    fn flow_events_pair_up_and_orphans_are_dropped() {
+    fn task_spans_enclose_their_body_at_equal_timestamps() {
+        // Every boundary of task 0 shares its timestamp with a ring event:
+        // the sequence numbers alone must put B first and E last.
         let buf = TraceBuffer::new(1024);
-        buf.begin("pack");
-        buf.flow_start("dep", 7);
-        buf.end("pack");
-        buf.begin("unpack");
-        buf.flow_finish("dep", 7);
-        // Flow 9 has a finish but no start: must be dropped.
-        buf.flow_finish("dep", 9);
-        buf.end("unpack");
-        // Flow 11 is emitted outside any span: must be dropped.
-        buf.flow_start("dep", 11);
-        let events = buf.events_sorted();
+        let start = buf.stamp();
+        buf.begin("body");
+        buf.end("body");
+        let end = buf.stamp();
+        buf.begin("after");
+        buf.end("after");
+        let ring = buf.export(&[]);
+        let ts = |k: usize| ring[k].event().ts_ns;
+        let at = |ts_ns, s: Stamp| Stamp { ts_ns, seq: s.seq };
+        let g = graph(&[(at(ts(0), start), at(ts(2), end))], vec![vec![]]);
+        let events = buf.export(&[g]);
         assert_well_formed(&events);
-        let flows: Vec<_> = events.iter().filter(|e| e.phase.is_flow()).collect();
-        assert_eq!(flows.len(), 2);
-        assert!(flows.iter().all(|e| e.flow_id == 7));
-        assert_eq!(flows[0].phase, Phase::FlowStart);
-        assert_eq!(flows[1].phase, Phase::FlowFinish);
-    }
-
-    #[test]
-    fn batched_task_events_equal_the_single_ones() {
-        let (single, batched) = (TraceBuffer::new(1024), TraceBuffer::new(1024));
-        single.begin("pack");
-        single.flow_start("dep", 7);
-        single.flow_start("dep", 8);
-        single.end("pack");
-        single.begin("unpack");
-        single.flow_finish("dep", 7);
-        single.flow_finish("dep", 8);
-        single.end("unpack");
-        batched.begin_with_flows(Instant::now(), "pack", "dep", [].into_iter());
-        batched.end_with_flows(Instant::now(), "pack", "dep", [7, 8].into_iter());
-        batched.begin_with_flows(Instant::now(), "unpack", "dep", [7, 8].into_iter());
-        batched.end_with_flows(Instant::now(), "unpack", "dep", [].into_iter());
-        let shape = |b: &TraceBuffer| -> Vec<(&'static str, Phase, u64)> {
-            let events = b.events_sorted();
-            assert_well_formed(&events);
-            events
-                .iter()
-                .map(|e| (e.name, e.phase, e.flow_id))
-                .collect()
-        };
-        assert_eq!(shape(&single), shape(&batched));
-        assert_eq!(shape(&batched).len(), 8);
+        let order: Vec<(&str, Phase)> = events
+            .iter()
+            .map(|e| (e.event().name, e.event().phase))
+            .collect();
+        use Phase::{Begin as B, End as E};
+        let want = [
+            ("t0", B),
+            ("body", B),
+            ("body", E),
+            ("t0", E),
+            ("after", B),
+            ("after", E),
+        ];
+        assert_eq!(order, want);
     }
 
     #[test]
     fn flow_export_carries_id_and_binding_point() {
         let buf = TraceBuffer::new(1024);
-        buf.begin("a");
-        buf.flow_start("dep", 42);
-        buf.end("a");
-        buf.begin("b");
-        buf.flow_finish("dep", 42);
-        buf.end("b");
+        let stamps: Vec<Stamp> = (0..4).map(|_| buf.stamp()).collect();
+        let g = graph(
+            &[(stamps[0], stamps[1]), (stamps[2], stamps[3])],
+            vec![vec![], vec![0]],
+        );
+        let events = buf.export(std::slice::from_ref(&g));
+        assert_well_formed(&events);
+        assert_eq!(events.len(), 6, "two spans and one arrow");
         let dir = std::env::temp_dir().join(format!("exastro-flow-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = buf.write_chrome_trace(dir.join("f.json")).unwrap();
+        let path = buf.write_chrome_trace(dir.join("f.json"), &[g], 3).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"ph\": \"s\", \"ts\""));
-        assert!(text.contains("\"id\": 42"));
-        assert!(text.contains("\"bp\": \"e\""));
+        assert!(text.contains("\"id\": 1, \"bp\": \"e\""));
+        assert!(text.contains("\"evictedGraphRuns\": 3,"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -620,7 +595,7 @@ mod tests {
         buf.end("a \"quoted\" name\n");
         let dir = std::env::temp_dir().join(format!("exastro-trace-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = buf.write_chrome_trace(dir.join("t.json")).unwrap();
+        let path = buf.write_chrome_trace(dir.join("t.json"), &[], 0).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"traceEvents\""));
         assert!(text.contains("\\\"quoted\\\""));

@@ -1,19 +1,16 @@
 //! Span names are interned: recording an event allocates nothing once its
 //! name has been seen, and the exported trace is what it was when every
-//! event owned a copy of its name.
+//! event owned a copy of its name and the ring held the task spans too.
 
 #[path = "common/counting_alloc.rs"]
 mod counting_alloc;
 
 use counting_alloc::allocations_during;
-use exastro_telemetry::trace::thread_trace_id;
-use exastro_telemetry::TraceBuffer;
+use exastro_telemetry::trace::{intern, thread_trace_id};
+use exastro_telemetry::{GraphTrace, TaskClass, TaskRecord, TraceBuffer};
 
-/// One task's worth of events: a span, an arrow head, an arrow tail.
-fn record_task(buf: &TraceBuffer, name: &str, flow: u64) {
+fn record_span(buf: &TraceBuffer, name: &str) {
     buf.begin(name);
-    buf.flow_finish("dep", flow);
-    buf.flow_start("dep", flow + 1);
     buf.end(name);
 }
 
@@ -25,12 +22,12 @@ fn push_allocates_nothing_after_the_first_use_of_a_name() {
     // Names built at run time, as the task labels are.
     let names: Vec<String> = (0..8).map(|f| format!("interior.f{f}")).collect();
     for name in &names {
-        record_task(&buf, name, 1);
+        record_span(&buf, name);
     }
     let allocs = allocations_during(|| {
-        for round in 0..50 {
+        for _ in 0..100 {
             for name in &names {
-                record_task(&buf, name, round);
+                record_span(&buf, name);
             }
         }
     });
@@ -47,20 +44,36 @@ fn push_allocates_nothing_after_the_first_use_of_a_name() {
 fn exported_json_is_byte_identical_for_a_fixed_script() {
     let buf = TraceBuffer::new(1024);
     buf.begin("step");
-    buf.begin("pack.f0");
-    buf.flow_start("dep", 7);
-    buf.end("pack.f0");
+    let pack = [buf.stamp(), buf.stamp()];
     buf.begin("a \"quoted\"\\ name\n");
     buf.end("a \"quoted\"\\ name\n");
-    buf.begin("unpack.f1");
-    buf.flow_finish("dep", 7);
-    buf.flow_finish("dep", 9); // never started: dropped
-    buf.end("unpack.f1");
+    let unpack = [buf.stamp(), buf.stamp()];
     buf.end("mismatched"); // closes nothing: dropped
     buf.begin("open"); // closed at export
+                       // Two graph tasks on this thread, `unpack.f1` after `pack.f0`.
+    let task = |t: usize, name: &str, [start, end]: [exastro_telemetry::Stamp; 2]| TaskRecord {
+        task: t,
+        name: intern(name),
+        class: TaskClass::Comm,
+        ready_ns: 0,
+        start_ns: start.ts_ns,
+        end_ns: end.ts_ns,
+        start_seq: start.seq,
+        end_seq: end.seq,
+        worker: thread_trace_id(),
+    };
+    let graph = GraphTrace {
+        label: "halo".to_string(),
+        start_ns: 0,
+        wall_ns: 0,
+        tasks: vec![task(0, "pack.f0", pack), task(1, "unpack.f1", unpack)],
+        deps: vec![vec![], vec![0]],
+    };
     let dir = std::env::temp_dir().join(format!("exastro-interned-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = buf.write_chrome_trace(dir.join("t.json")).unwrap();
+    let path = buf
+        .write_chrome_trace(dir.join("t.json"), &[graph], 0)
+        .unwrap();
     let text = std::fs::read_to_string(&path).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
     // Timestamps are the only run-to-run variation; blank them.
@@ -76,19 +89,22 @@ fn exported_json_is_byte_identical_for_a_fixed_script() {
         }
         got.push('\n');
     }
-    // Recorded with the exporter as it was before names were interned.
+    // Recorded with the exporter as it was before names were interned and
+    // while the ring held task spans and arrows (id 7 then, the first
+    // arrow of the export now); only the `evictedGraphRuns` line is new.
     let golden = r#"{
   "displayTimeUnit": "ns",
   "droppedEventCount": 0,
+  "evictedGraphRuns": 0,
   "traceEvents": [
     {"name": "step", "cat": "exastro", "ph": "B", "ts": T, "pid": 1, "tid": TID},
     {"name": "pack.f0", "cat": "exastro", "ph": "B", "ts": T, "pid": 1, "tid": TID},
-    {"name": "dep", "cat": "exastro", "ph": "s", "ts": T, "pid": 1, "tid": TID, "id": 7},
+    {"name": "dep", "cat": "exastro", "ph": "s", "ts": T, "pid": 1, "tid": TID, "id": 1},
     {"name": "pack.f0", "cat": "exastro", "ph": "E", "ts": T, "pid": 1, "tid": TID},
     {"name": "a \"quoted\"\\ name\u000a", "cat": "exastro", "ph": "B", "ts": T, "pid": 1, "tid": TID},
     {"name": "a \"quoted\"\\ name\u000a", "cat": "exastro", "ph": "E", "ts": T, "pid": 1, "tid": TID},
     {"name": "unpack.f1", "cat": "exastro", "ph": "B", "ts": T, "pid": 1, "tid": TID},
-    {"name": "dep", "cat": "exastro", "ph": "f", "ts": T, "pid": 1, "tid": TID, "id": 7, "bp": "e"},
+    {"name": "dep", "cat": "exastro", "ph": "f", "ts": T, "pid": 1, "tid": TID, "id": 1, "bp": "e"},
     {"name": "unpack.f1", "cat": "exastro", "ph": "E", "ts": T, "pid": 1, "tid": TID},
     {"name": "open", "cat": "exastro", "ph": "B", "ts": T, "pid": 1, "tid": TID},
     {"name": "open", "cat": "exastro", "ph": "E", "ts": T, "pid": 1, "tid": TID},

@@ -1,7 +1,7 @@
 //! Property tests: every exported trace is well-formed, no matter how
 //! adversarial the recorded span stream was (unbalanced, interleaved
-//! across threads, evicted by a tiny ring, flow arrows with missing
-//! endpoints).
+//! across threads, evicted by a tiny ring). The task spans and arrows a
+//! graph run adds at export are held by `exastro-parallel`'s proptests.
 
 #[path = "common/strict_json.rs"]
 mod strict_json;
@@ -38,16 +38,11 @@ fn hostile_float((class, bits): (u8, u64)) -> f64 {
     }
 }
 
-/// The invariants the CI schema check enforces on Chrome trace output:
-/// per-thread monotonic timestamps, LIFO nesting, balanced B/E, and flow
-/// endpoints that land inside spans and pair up exactly (one `s` then one
-/// `f` per id, start ordered no later than the finish).
+/// The invariants the CI schema check enforces on Chrome trace spans:
+/// per-thread monotonic timestamps, LIFO nesting, balanced B/E.
 fn check_well_formed(events: &[TraceEvent]) -> Result<(), String> {
     let mut stacks: HashMap<u64, Vec<&str>> = HashMap::new();
     let mut last_ts: HashMap<u64, u64> = HashMap::new();
-    let mut flow_starts: HashMap<u64, usize> = HashMap::new();
-    let mut flow_finishes: HashMap<u64, usize> = HashMap::new();
-    let mut started: HashSet<u64> = HashSet::new();
     for ev in events {
         let prev = last_ts.entry(ev.tid).or_insert(0);
         if ev.ts_ns < *prev {
@@ -62,22 +57,6 @@ fn check_well_formed(events: &[TraceEvent]) -> Result<(), String> {
                 Some(top) => return Err(format!("E {} closes B {top}", ev.name)),
                 None => return Err(format!("E {} with empty stack", ev.name)),
             },
-            Phase::FlowStart => {
-                if stack.is_empty() {
-                    return Err(format!("flow start {} outside any span", ev.flow_id));
-                }
-                *flow_starts.entry(ev.flow_id).or_insert(0) += 1;
-                started.insert(ev.flow_id);
-            }
-            Phase::FlowFinish => {
-                if stack.is_empty() {
-                    return Err(format!("flow finish {} outside any span", ev.flow_id));
-                }
-                if !started.contains(&ev.flow_id) {
-                    return Err(format!("flow finish {} precedes its start", ev.flow_id));
-                }
-                *flow_finishes.entry(ev.flow_id).or_insert(0) += 1;
-            }
         }
     }
     for (tid, stack) in stacks {
@@ -85,23 +64,17 @@ fn check_well_formed(events: &[TraceEvent]) -> Result<(), String> {
             return Err(format!("unclosed spans on tid {tid}: {stack:?}"));
         }
     }
-    for (id, n) in &flow_starts {
-        if *n != 1 || flow_finishes.get(id) != Some(&1) {
-            return Err(format!("flow id {id} does not pair exactly once"));
-        }
-    }
-    for id in flow_finishes.keys() {
-        if !flow_starts.contains_key(id) {
-            return Err(format!("flow finish {id} kept without its start"));
-        }
-    }
     Ok(())
 }
 
+/// The ring's exported spans (no graph runs).
+fn spans(buf: &TraceBuffer) -> Vec<TraceEvent> {
+    buf.export(&[]).iter().map(|e| *e.event()).collect()
+}
+
 /// Replay an op stream on one thread: ops bias toward begin/end pairs,
-/// with stray ends and dangling flow endpoints mixed in (adversarial
-/// unbalance). `flow_base` keeps ids distinct across threads.
-fn replay(buf: &TraceBuffer, ops: &[u8], flow_base: u64) {
+/// with stray and mismatched ends mixed in (adversarial unbalance).
+fn replay(buf: &TraceBuffer, ops: &[u8]) {
     let mut depth = 0u32;
     for (i, &op) in ops.iter().enumerate() {
         match op % 8 {
@@ -116,17 +89,8 @@ fn replay(buf: &TraceBuffer, ops: &[u8], flow_base: u64) {
                 buf.end(&format!("span{}", i % 7));
                 depth -= 1;
             }
-            6 => {
-                // A flow start, possibly dangling (no finish ever) and
-                // possibly outside any span.
-                buf.flow_start("dep", flow_base + i as u64);
-            }
-            7 => {
-                // A flow finish whose start may or may not exist.
-                buf.flow_finish("dep", flow_base + (i as u64) / 2);
-            }
             _ => {
-                // Stray end with no open span.
+                // Stray end, often with no open span.
                 buf.end("stray");
             }
         }
@@ -142,8 +106,8 @@ proptest! {
         capacity in 64usize..2048,
     ) {
         let buf = TraceBuffer::new(capacity);
-        replay(&buf, &ops, 10_000);
-        let events = buf.events_sorted();
+        replay(&buf, &ops);
+        let events = spans(&buf);
         if let Err(e) = check_well_formed(&events) {
             prop_assert!(false, "ill-formed export: {}", e);
         }
@@ -163,7 +127,7 @@ proptest! {
             buf.end(&format!("level{d}"));
         }
         prop_assert_eq!(buf.dropped(), 0);
-        let events = buf.events_sorted();
+        let events = spans(&buf);
         prop_assert_eq!(events.len(), 2 * depth);
         if let Err(e) = check_well_formed(&events) {
             prop_assert!(false, "ill-formed export: {}", e);
@@ -185,7 +149,7 @@ proptest! {
             buf.end(&format!("s{i}"));
         }
         prop_assert!(buf.dropped() > 0);
-        let events = buf.events_sorted();
+        let events = spans(&buf);
         if let Err(e) = check_well_formed(&events) {
             prop_assert!(false, "ill-formed export: {}", e);
         }
@@ -201,67 +165,14 @@ proptest! {
         for t in 0..nthreads {
             let b = buf.clone();
             let my_ops: Vec<u8> = ops.iter().map(|&o| o.wrapping_add(t as u8)).collect();
-            handles.push(std::thread::spawn(move || replay(&b, &my_ops, 10_000 * (t as u64 + 1))));
+            handles.push(std::thread::spawn(move || replay(&b, &my_ops)));
         }
         for h in handles {
             h.join().unwrap();
         }
-        let events = buf.events_sorted();
+        let events = spans(&buf);
         if let Err(e) = check_well_formed(&events) {
             prop_assert!(false, "ill-formed export: {}", e);
-        }
-    }
-
-    #[test]
-    fn concurrent_graph_flows_pair_and_stay_inside_spans(
-        nthreads in 2usize..5,
-        tasks_per_thread in 1usize..12,
-        capacity in 256usize..4096,
-    ) {
-        // Simulates concurrent TaskGraph runs: wave one emits task spans
-        // carrying flow *starts* (outgoing dependency arrows), wave two —
-        // strictly after — emits successor spans carrying the matching
-        // flow *finishes*. Every surviving arrow must reference spans that
-        // exist and pair exactly once, even under eviction.
-        let buf = std::sync::Arc::new(TraceBuffer::new(capacity));
-        let mut handles = Vec::new();
-        for t in 0..nthreads {
-            let b = buf.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..tasks_per_thread {
-                    let id = (t * 1000 + i) as u64;
-                    b.begin(&format!("task.{t}.{i}"));
-                    b.flow_start("dep", id);
-                    b.end(&format!("task.{t}.{i}"));
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let mut handles = Vec::new();
-        for t in 0..nthreads {
-            let b = buf.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..tasks_per_thread {
-                    let id = (t * 1000 + i) as u64;
-                    b.begin(&format!("succ.{t}.{i}"));
-                    b.flow_finish("dep", id);
-                    b.end(&format!("succ.{t}.{i}"));
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let events = buf.events_sorted();
-        if let Err(e) = check_well_formed(&events) {
-            prop_assert!(false, "ill-formed export: {}", e);
-        }
-        // Without eviction, every arrow survives end-to-end.
-        if buf.dropped() == 0 {
-            let nflows = events.iter().filter(|e| e.phase == Phase::FlowStart).count();
-            prop_assert_eq!(nflows, nthreads * tasks_per_thread);
         }
     }
 
@@ -278,14 +189,14 @@ proptest! {
         for name in &names {
             buf.begin(name);
         }
-        replay(&buf, &ops, 10_000);
+        replay(&buf, &ops);
         for name in names.iter().rev() {
             buf.end(name);
         }
         let dir = std::env::temp_dir()
             .join(format!("exastro-ptrace-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = buf.write_chrome_trace(dir.join("p.json")).unwrap();
+        let path = buf.write_chrome_trace(dir.join("p.json"), &[], 0).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_dir_all(&dir).ok();
         let trace = match strict_json::parse(&text) {

@@ -58,8 +58,9 @@ fn main() {
         Telemetry::enable();
     }
     if cli.graph_trace.is_some() {
-        // Per-task timestamps + flow arrows for every hydro sweep graph
-        // (implies plain tracing: graph spans ride the same buffer).
+        // Per-task timestamps for every hydro sweep graph, which the trace
+        // also draws as task spans and dependency arrows (implies plain
+        // tracing: the stamps are taken on the trace buffer's clock).
         Telemetry::enable_graph_trace();
     }
     // A 48³ periodic unit box, decomposed into 24³ grids.
